@@ -1,8 +1,8 @@
 //! Ablation — which parts of "consolidating choice" matter?
 //!
-//! DESIGN.md calls out four design choices; this binary removes them one at a
-//! time and measures the effect on goodput and tail latency under the same
-//! moderately overloaded open-loop workload:
+//! The paper's design rests on four choices (§4–5); this binary removes them
+//! one at a time and measures the effect on goodput and tail latency under
+//! the same moderately overloaded open-loop workload:
 //!
 //! * full Clockwork (batching + admission control + exclusive execution)
 //! * no admission control (doomed requests are executed anyway)
@@ -10,15 +10,11 @@
 //! * concurrent EXEC (the GPU is allowed to run kernels concurrently)
 //! * the FIFO strawman scheduler
 
-use bench::{run_closed_loop, RunSummary};
+use bench::run_closed_loop;
 use clockwork::prelude::*;
 use clockwork_controller::ClockworkSchedulerConfig;
 
-fn run(
-    label: &str,
-    factory: Box<dyn SchedulerFactory>,
-    exec_override: Option<ExecMode>,
-) -> RunSummary {
+fn run(label: &str, factory: Box<dyn SchedulerFactory>, exec_override: Option<ExecMode>) -> String {
     let zoo = ModelZoo::new();
     let mut builder = SystemBuilder::new().discipline(factory).seed(424);
     if let Some(mode) = exec_override {
@@ -43,12 +39,12 @@ fn run(
         Nanos::from_millis(50),
         Nanos::from_secs(11),
     );
-    RunSummary::from_system(label, &system)
+    bench::summary_csv_row(label, &system.telemetry().metrics())
 }
 
 fn main() {
     bench::section("Ablation: contribution of each consolidation-of-choice mechanism");
-    println!("{}", RunSummary::csv_header());
+    println!("{}", bench::SUMMARY_CSV_HEADER);
 
     let full = ClockworkSchedulerConfig::default();
     println!(
@@ -58,7 +54,6 @@ fn main() {
             Box::new(ClockworkFactory::new(full)),
             None
         )
-        .csv_row()
     );
 
     let no_admission = ClockworkSchedulerConfig {
@@ -72,7 +67,6 @@ fn main() {
             Box::new(ClockworkFactory::new(no_admission)),
             None
         )
-        .csv_row()
     );
 
     let no_batching = ClockworkSchedulerConfig {
@@ -86,7 +80,6 @@ fn main() {
             Box::new(ClockworkFactory::new(no_batching)),
             None
         )
-        .csv_row()
     );
 
     println!(
@@ -96,13 +89,9 @@ fn main() {
             Box::new(ClockworkFactory::default()),
             Some(ExecMode::Concurrent { max_concurrent: 8 })
         )
-        .csv_row()
     );
 
-    println!(
-        "{}",
-        run("fifo_strawman", Box::new(FifoFactory), None).csv_row()
-    );
+    println!("{}", run("fifo_strawman", Box::new(FifoFactory), None));
 
     println!("# expected shape: removing admission control and batching hurts goodput under");
     println!("# overload; concurrent EXEC inflates tail latency; FIFO does both.");

@@ -41,6 +41,9 @@ use clockwork_baselines::register_baselines;
 /// The offered-load multipliers swept over the base rate.
 const MULTIPLIERS: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
 
+const USAGE: &str = "batch_sweep [--duration-secs N] [--events N] [--out PATH] [--seed N] \
+                     [--base-rate R] [--check-determinism]";
+
 struct Args {
     max_events: u64,
     out: String,
@@ -50,77 +53,21 @@ struct Args {
     check_determinism: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        max_events: u64::MAX,
-        out: "BENCH_batch.json".to_string(),
-        seed: 2020,
-        duration_secs: 30,
-        base_rate: 1_500.0,
-        check_determinism: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--events" => args.max_events = value("--events").parse().expect("--events: integer"),
-            "--out" => args.out = value("--out"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--duration-secs" => {
-                args.duration_secs = value("--duration-secs")
-                    .parse()
-                    .expect("--duration-secs: integer")
-            }
-            "--base-rate" => {
-                args.base_rate = value("--base-rate").parse().expect("--base-rate: float")
-            }
-            "--check-determinism" => args.check_determinism = true,
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    args
-}
-
-/// One (discipline, load) cell of the sweep, extracted so each run's full
-/// `ServingSystem` drops before the next one starts.
-struct SweepRow {
-    discipline: String,
-    summary: bench::RunSummary,
-    successes: u64,
-    rejected: u64,
-    identity_ok: bool,
-    drained: bool,
-    live_events: u64,
-    events_processed: u64,
-    wall_secs: f64,
-    digest: u64,
-    sched: SchedProfile,
-}
-
-impl SweepRow {
-    fn summarize(report: &RunReport) -> Self {
-        let m = report.metrics();
-        SweepRow {
-            discipline: report.discipline.clone(),
-            summary: bench::RunSummary::from_report(report.discipline.clone(), report),
-            successes: m.successes,
-            rejected: report.rejected(),
-            identity_ok: report.identity_ok(),
-            drained: report.drained(),
-            live_events: report.live_events(),
-            events_processed: report.events_processed(),
-            wall_secs: report.wall_secs,
-            digest: report.digest(),
-            sched: report.sched_stats(),
-        }
+impl Args {
+    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
+        Ok(Args {
+            max_events: cli.value("--events")?.unwrap_or(u64::MAX),
+            out: cli.value("--out")?.unwrap_or("BENCH_batch.json".into()),
+            seed: cli.value("--seed")?.unwrap_or(2020),
+            duration_secs: cli.value("--duration-secs")?.unwrap_or(30),
+            base_rate: cli.value("--base-rate")?.unwrap_or(1_500.0),
+            check_determinism: cli.switch("--check-determinism"),
+        })
     }
 }
 
 fn main() {
-    let args = parse_args();
+    let args = bench::cli::parse(USAGE, Args::parse);
     let mut registry = SchedulerRegistry::builtin();
     registry.register(Box::new(ClockworkNoBatchFactory::default()));
     register_baselines(&mut registry);
@@ -150,27 +97,28 @@ fn main() {
     );
 
     let mut failed = false;
-    // rows[i] holds all discipline rows for MULTIPLIERS[i].
-    let mut rows: Vec<Vec<SweepRow>> = Vec::new();
+    // rows[i] holds every discipline's outcome at MULTIPLIERS[i]; each run's
+    // full `ServingSystem` drops before the next one starts.
+    let mut rows: Vec<Vec<RunOutcome>> = Vec::new();
     for &multiplier in &MULTIPLIERS {
         let spec = base.clone().with_rate_multiplier(scale * multiplier);
         let experiment = Experiment::new(spec.clone());
-        let mut load_rows: Vec<SweepRow> = Vec::new();
+        let mut load_rows: Vec<RunOutcome> = Vec::new();
         for factory in registry.iter() {
             let label = factory.name();
             println!("# running {label} at {multiplier}x...");
-            let report = experiment.run_capped(factory, args.max_events);
+            let run = experiment.run_capped(factory, args.max_events).outcome();
             let cell = format!("{label} @{multiplier}x");
-            if !bench::invariants::check_run(&cell, &report, &spec) {
+            if !bench::invariants::check_outcome(&cell, &run, &spec) {
                 failed = true;
             }
             if args.check_determinism {
-                let rerun = experiment.run_capped(factory, args.max_events);
-                if !bench::invariants::check_determinism(&cell, &report, &rerun) {
+                let rerun = experiment.run_capped(factory, args.max_events).outcome();
+                if !bench::invariants::check_determinism(&cell, &run, &rerun) {
                     failed = true;
                 }
             }
-            load_rows.push(SweepRow::summarize(&report));
+            load_rows.push(run);
         }
         rows.push(load_rows);
     }
@@ -195,21 +143,19 @@ fn main() {
             "mean_b",
             "backlog"
         );
-        for row in load_rows {
-            let s = &row.summary;
+        for run in load_rows {
+            let m = &run.metrics;
             println!(
                 "{:<18} {:>9} {:>9} {:>9} {:>9.1} {:>6.3} {:>9.2} {:>9.2} {:>7}",
-                row.discipline,
-                s.total,
-                s.goodput,
-                row.rejected,
-                s.goodput_rate,
-                s.satisfaction,
-                s.p99_ms,
-                s.mean_batch,
-                s.total
-                    .saturating_sub(row.successes)
-                    .saturating_sub(row.rejected),
+                run.discipline,
+                m.total_requests,
+                m.goodput,
+                run.rejected(),
+                m.goodput_rate(),
+                m.satisfaction(),
+                m.latency.percentile(99.0).as_millis_f64(),
+                m.mean_batch,
+                run.backlog(),
             );
         }
     }
@@ -225,7 +171,7 @@ fn main() {
             load_rows
                 .iter()
                 .find(|r| r.discipline == name)
-                .map(|r| r.summary.goodput)
+                .map(|r| r.metrics.goodput)
         };
         let (Some(batched), Some(unbatched)) =
             (goodput_of("clockwork"), goodput_of("clockwork-nobatch"))
@@ -259,8 +205,8 @@ fn main() {
         .map(|(i, load_rows)| {
             let discipline_objects: Vec<String> = load_rows
                 .iter()
-                .map(|row| {
-                    let s = &row.summary;
+                .map(|run| {
+                    let m = &run.metrics;
                     format!(
                         concat!(
                             "        \"{name}\": {{\n",
@@ -283,24 +229,24 @@ fn main() {
                             "          \"digest\": \"{digest:016x}\"\n",
                             "        }}"
                         ),
-                        name = row.discipline,
-                        total = s.total,
-                        successes = row.successes,
-                        rejected = row.rejected,
-                        goodput = s.goodput,
-                        goodput_rps = s.goodput_rate,
-                        satisfaction = s.satisfaction,
-                        p50 = s.p50_ms,
-                        p99 = s.p99_ms,
-                        mean_batch = s.mean_batch,
-                        cold = s.cold_fraction,
-                        identity_ok = row.identity_ok,
-                        drained = row.drained,
-                        live = row.live_events,
-                        events = row.events_processed,
-                        wall = row.wall_secs,
-                        sched = bench::sched_json(&row.sched),
-                        digest = row.digest,
+                        name = run.discipline,
+                        total = m.total_requests,
+                        successes = m.successes,
+                        rejected = run.rejected(),
+                        goodput = m.goodput,
+                        goodput_rps = m.goodput_rate(),
+                        satisfaction = m.satisfaction(),
+                        p50 = m.latency.percentile(50.0).as_millis_f64(),
+                        p99 = m.latency.percentile(99.0).as_millis_f64(),
+                        mean_batch = m.mean_batch,
+                        cold = m.cold_start_fraction(),
+                        identity_ok = run.identity_ok(),
+                        drained = run.drained(),
+                        live = run.live_events,
+                        events = run.events_processed,
+                        wall = run.wall_secs,
+                        sched = bench::sched_json(&run.sched),
+                        digest = run.digest,
                     )
                 })
                 .collect();

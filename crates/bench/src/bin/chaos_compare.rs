@@ -38,95 +38,37 @@
 use clockwork::prelude::*;
 use clockwork_baselines::register_baselines;
 
+const USAGE: &str = "chaos_compare [--duration-secs N] [--events N] [--out PATH] [--seed N] \
+                     [--max-clockwork-ratio X]";
+
 struct Args {
     max_events: u64,
     out: String,
     seed: u64,
     duration_secs: u64,
+    /// Perf gate: fail if clockwork's wall time exceeds this multiple of
+    /// clipper's (0 disables). Clipper is the natural yardstick — same
+    /// per-request work, no strategy/load planning — so the ratio is robust
+    /// to runner speed where an absolute wall cap is not.
     max_clockwork_ratio: f64,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        max_events: u64::MAX,
-        out: "BENCH_chaos_compare.json".to_string(),
-        seed: 2020,
-        duration_secs: 120,
-        max_clockwork_ratio: 0.0,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--events" => args.max_events = value("--events").parse().expect("--events: integer"),
-            "--out" => args.out = value("--out"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--duration-secs" => {
-                args.duration_secs = value("--duration-secs")
-                    .parse()
-                    .expect("--duration-secs: integer")
-            }
-            // Perf gate: fail if clockwork's wall time exceeds this multiple
-            // of clipper's (0 disables). Clipper is the natural yardstick —
-            // same per-request work, no strategy/load planning — so the ratio
-            // is robust to runner speed where an absolute wall cap is not.
-            "--max-clockwork-ratio" => {
-                args.max_clockwork_ratio = value("--max-clockwork-ratio")
-                    .parse()
-                    .expect("--max-clockwork-ratio: float")
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    args
-}
-
-/// Everything the table and JSON need from one discipline's run, extracted
-/// so the run's full `ServingSystem` can be dropped before the next one.
-struct DisciplineRow {
-    discipline: String,
-    total: u64,
-    successes: u64,
-    rejected: u64,
-    goodput: u64,
-    goodput_rps: f64,
-    identity_ok: bool,
-    drained: bool,
-    live_events: u64,
-    events_processed: u64,
-    wall_secs: f64,
-    digest: u64,
-    sched: SchedProfile,
-    analysis: bench::ChaosAnalysis,
-}
-
-impl DisciplineRow {
-    fn summarize(report: &RunReport, spec: &ScenarioSpec) -> Self {
-        let m = report.metrics();
-        DisciplineRow {
-            discipline: report.discipline.clone(),
-            total: m.total_requests,
-            successes: m.successes,
-            rejected: report.rejected(),
-            goodput: m.goodput,
-            goodput_rps: m.goodput_rate(),
-            identity_ok: report.identity_ok(),
-            drained: report.drained(),
-            live_events: report.live_events(),
-            events_processed: report.events_processed(),
-            wall_secs: report.wall_secs,
-            digest: report.digest(),
-            sched: report.sched_stats(),
-            analysis: bench::analyze_chaos(report, spec),
-        }
+impl Args {
+    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
+        Ok(Args {
+            max_events: cli.value("--events")?.unwrap_or(u64::MAX),
+            out: cli
+                .value("--out")?
+                .unwrap_or("BENCH_chaos_compare.json".into()),
+            seed: cli.value("--seed")?.unwrap_or(2020),
+            duration_secs: cli.value("--duration-secs")?.unwrap_or(120),
+            max_clockwork_ratio: cli.value("--max-clockwork-ratio")?.unwrap_or(0.0),
+        })
     }
 }
 
 fn main() {
-    let args = parse_args();
+    let args = bench::cli::parse(USAGE, Args::parse);
     let mut spec = ScenarioSpec::fleet_scale()
         .named("chaos_compare")
         .with_seed(args.seed)
@@ -151,17 +93,18 @@ fn main() {
     let experiment = Experiment::new(spec.clone());
     let mut failed = false;
     // Each run's full ServingSystem (80 GPUs of telemetry and scheduler
-    // state) is summarized and dropped before the next discipline runs, so
-    // peak memory holds one system, not four.
-    let mut rows: Vec<DisciplineRow> = Vec::new();
+    // state) is reduced to its outcome and chaos analysis and dropped before
+    // the next discipline runs, so peak memory holds one system, not four.
+    let mut rows: Vec<(RunOutcome, bench::ChaosAnalysis)> = Vec::new();
     for factory in registry.iter() {
         let label = factory.name();
         println!("# running {label}...");
         let report = experiment.run_capped(factory, args.max_events);
-        if !bench::invariants::check_run(label, &report, &spec) {
+        let run = report.outcome();
+        if !bench::invariants::check_outcome(label, &run, &spec) {
             failed = true;
         }
-        rows.push(DisciplineRow::summarize(&report, &spec));
+        rows.push((run, bench::analyze_chaos(&report, &spec)));
     }
 
     bench::section("chaos_compare results (same scenario, same seed, same churn)");
@@ -179,39 +122,33 @@ fn main() {
         "recov_s",
         "backlog"
     );
-    for row in &rows {
-        let analysis = &row.analysis;
-        // "backlog" = requests still unanswered when the horizon cut the
-        // run off — nonzero for best-effort disciplines in collapse, whose
-        // queues outlive the trace.
+    for (run, analysis) in &rows {
         println!(
             "{:<10} {:>9} {:>9} {:>9} {:>8.4} {:>8.4} {:>8.4} {:>8.1}% {:>10.4} {:>9.1} {:>8}",
-            row.discipline,
-            row.total,
-            row.goodput,
-            row.rejected,
+            run.discipline,
+            run.metrics.total_requests,
+            run.metrics.goodput,
+            run.rejected(),
             analysis.pre.satisfaction(),
             analysis.churn.satisfaction(),
             analysis.post.satisfaction(),
             100.0 * analysis.retention(),
             analysis.min_availability,
             analysis.recovery_secs,
-            row.total
-                .saturating_sub(row.successes)
-                .saturating_sub(row.rejected),
+            run.backlog(),
         );
     }
 
     bench::section("scheduler self-profiling (ticks that did work vs early-outs)");
-    for row in &rows {
-        bench::report_sched_profile(&row.discipline, &row.sched);
+    for (run, _) in &rows {
+        bench::report_sched_profile(&run.discipline, &run.sched);
     }
 
     if args.max_clockwork_ratio > 0.0 {
         let wall_of = |name: &str| {
             rows.iter()
-                .find(|r| r.discipline == name)
-                .map(|r| r.wall_secs)
+                .find(|(run, _)| run.discipline == name)
+                .map(|(run, _)| run.wall_secs)
         };
         if let (Some(clockwork), Some(clipper)) = (wall_of("clockwork"), wall_of("clipper")) {
             let ratio = clockwork / clipper.max(1e-9);
@@ -231,8 +168,7 @@ fn main() {
 
     let discipline_objects: Vec<String> = rows
         .iter()
-        .map(|row| {
-            let analysis = &row.analysis;
+        .map(|(run, analysis)| {
             format!(
                 concat!(
                     "    \"{name}\": {{\n",
@@ -253,12 +189,12 @@ fn main() {
                     "      \"digest\": \"{digest:016x}\"\n",
                     "    }}"
                 ),
-                name = row.discipline,
-                total = row.total,
-                successes = row.successes,
-                rejected = row.rejected,
-                goodput = row.goodput,
-                goodput_rps = row.goodput_rps,
+                name = run.discipline,
+                total = run.metrics.total_requests,
+                successes = run.metrics.successes,
+                rejected = run.rejected(),
+                goodput = run.metrics.goodput,
+                goodput_rps = run.metrics.goodput_rate(),
                 pre = analysis.pre.satisfaction(),
                 churn = analysis.churn.satisfaction(),
                 post = analysis.post.satisfaction(),
@@ -266,13 +202,13 @@ fn main() {
                 avail_min = analysis.min_availability,
                 avail_final = analysis.final_availability,
                 recovery = analysis.recovery_secs,
-                identity_ok = row.identity_ok,
-                drained = row.drained,
-                live = row.live_events,
-                events = row.events_processed,
-                wall = row.wall_secs,
-                sched = bench::sched_json(&row.sched),
-                digest = row.digest,
+                identity_ok = run.identity_ok(),
+                drained = run.drained(),
+                live = run.live_events,
+                events = run.events_processed,
+                wall = run.wall_secs,
+                sched = bench::sched_json(&run.sched),
+                digest = run.digest,
             )
         })
         .collect();

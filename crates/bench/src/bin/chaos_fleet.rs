@@ -32,6 +32,9 @@
 
 use clockwork::prelude::*;
 
+const USAGE: &str = "chaos_fleet [--events N] [--out PATH] [--seed N] [--duration-secs N] \
+                     [--check-determinism] [--expect-digest HEX]";
+
 struct Args {
     max_events: u64,
     out: String,
@@ -41,45 +44,21 @@ struct Args {
     expect_digest: Option<u64>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        max_events: u64::MAX,
-        out: "BENCH_chaos.json".to_string(),
-        seed: 2020,
-        duration_secs: 120,
-        check_determinism: false,
-        expect_digest: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--events" => args.max_events = value("--events").parse().expect("--events: integer"),
-            "--out" => args.out = value("--out"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--duration-secs" => {
-                args.duration_secs = value("--duration-secs")
-                    .parse()
-                    .expect("--duration-secs: integer")
-            }
-            "--check-determinism" => args.check_determinism = true,
-            "--expect-digest" => {
-                let v = value("--expect-digest");
-                let hex = v.trim_start_matches("0x");
-                args.expect_digest =
-                    Some(u64::from_str_radix(hex, 16).expect("--expect-digest: hex u64"));
-            }
-            other => panic!("unknown flag {other}"),
-        }
+impl Args {
+    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
+        Ok(Args {
+            max_events: cli.value("--events")?.unwrap_or(u64::MAX),
+            out: cli.value("--out")?.unwrap_or("BENCH_chaos.json".into()),
+            seed: cli.value("--seed")?.unwrap_or(2020),
+            duration_secs: cli.value("--duration-secs")?.unwrap_or(120),
+            check_determinism: cli.switch("--check-determinism"),
+            expect_digest: cli.hex_u64("--expect-digest")?,
+        })
     }
-    args
 }
 
 fn main() {
-    let args = parse_args();
+    let args = bench::cli::parse(USAGE, Args::parse);
     // The chaos spec is the fleet spec plus a churn plan — duration first,
     // so the scripted schedule scales with it.
     let mut spec = ScenarioSpec::fleet_scale()
@@ -103,52 +82,46 @@ fn main() {
     let experiment = Experiment::new(spec.clone());
     let discipline = ClockworkFactory::default();
     let report = experiment.run_capped(&discipline, args.max_events);
+    let run = report.outcome();
+    let label = run.discipline.as_str();
     let mut failed = false;
 
     if args.check_determinism {
-        let again = experiment.run_capped(&discipline, args.max_events);
-        if again.digest() != report.digest() {
-            eprintln!(
-                "DETERMINISM VIOLATION: same seed + same plan produced {:016x} then {:016x}",
-                report.digest(),
-                again.digest()
-            );
+        let again = experiment
+            .run_capped(&discipline, args.max_events)
+            .outcome();
+        if !bench::invariants::check_determinism(label, &run, &again) {
             failed = true;
         } else {
             println!(
                 "# determinism: two same-seed runs agree ({:016x})",
-                report.digest()
+                run.digest
             );
         }
     }
     if let Some(expected) = args.expect_digest {
-        if expected != report.digest() {
-            eprintln!(
-                "DIGEST MISMATCH: expected {expected:016x}, got {:016x}",
-                report.digest()
-            );
+        if !bench::invariants::check_expected_digest(label, expected, &run) {
             failed = true;
         }
     }
-
-    if !bench::check_chaos_invariants(&report.discipline, &report, &spec) {
+    if !bench::invariants::check_accounting(label, &run, &spec) {
         failed = true;
     }
 
-    let m = report.metrics();
-    let rejected = report.rejected();
+    let m = &run.metrics;
+    let rejected = run.rejected();
     let analysis = bench::analyze_chaos(&report, &spec);
-    let events_per_sec = report.events_per_sec();
+    let events_per_sec = run.events_per_sec();
 
     bench::section("chaos_fleet results");
     println!(
         "discipline={} requests={} successes={} rejected={} goodput={} identity_ok={}",
-        report.discipline,
+        run.discipline,
         m.total_requests,
         m.successes,
         rejected,
         m.goodput,
-        report.identity_ok()
+        run.identity_ok()
     );
     println!(
         "goodput_rps pre={:.1} churn={:.1} post={:.1}; satisfaction pre={:.4} churn={:.4} post={:.4} (churn retains {:.1}% of pre satisfaction)",
@@ -166,24 +139,22 @@ fn main() {
     );
     println!(
         "events={} wall_secs={:.2} events_per_sec={events_per_sec:.0} peak_rss_kb={}",
-        report.events_processed(),
-        report.wall_secs,
+        run.events_processed,
+        run.wall_secs,
         bench::peak_rss_kb()
     );
-    println!("digest={:016x}", report.digest());
+    println!("digest={:016x}", run.digest);
 
     bench::section("scheduler self-profiling");
-    let sched = report.sched_stats();
-    bench::report_sched_profile(&report.discipline, &sched);
+    bench::report_sched_profile(label, &run.sched);
 
     // Event-mix breakdown + conservation check; churn cancels wakes en
     // masse (crashed workers never act again), so the cancelled column is
     // part of the chaos story, not just perf hygiene.
-    let live = report.live_events();
-    if !bench::report_event_mix(report.event_mix(), live) {
+    if !bench::report_event_mix(&run) {
         failed = true;
     }
-    let events_json = bench::event_mix_json(report.event_mix(), live);
+    let events_json = bench::event_mix_json(&run);
 
     let json = format!(
         concat!(
@@ -226,7 +197,7 @@ fn main() {
             "}}\n",
         ),
         scenario = bench::scenario_json(&spec, args.max_events),
-        discipline = report.discipline,
+        discipline = run.discipline,
         crashes = plan.worker_crashes(),
         gpu_failures = plan.gpu_failures(),
         partitions = plan.partitions(),
@@ -257,15 +228,15 @@ fn main() {
         successes = m.successes,
         rejected = rejected,
         goodput = m.goodput,
-        identity_ok = report.identity_ok(),
-        drained = report.drained(),
-        events = report.events_processed(),
-        wall = report.wall_secs,
+        identity_ok = run.identity_ok(),
+        drained = run.drained(),
+        events = run.events_processed,
+        wall = run.wall_secs,
         eps = events_per_sec,
         rss = bench::peak_rss_kb(),
         events_json = events_json,
-        sched_json = bench::sched_json(&sched),
-        digest = report.digest(),
+        sched_json = bench::sched_json(&run.sched),
+        digest = run.digest,
     );
     std::fs::write(&args.out, &json).expect("write results json");
     println!("# wrote {}", args.out);

@@ -11,7 +11,6 @@
 //! run through `Experiment::run` under one registered discipline; the sweep
 //! is two loops over SLOs and the registry.
 
-use bench::RunSummary;
 use clockwork::prelude::*;
 use clockwork_baselines::register_baselines;
 
@@ -49,14 +48,13 @@ fn main() {
     register_baselines(&mut registry);
 
     bench::section("Fig 5: goodput vs SLO (15x ResNet50, 1 worker, 16 closed-loop clients/model)");
-    println!("{}", RunSummary::csv_header());
+    println!("{}", bench::SUMMARY_CSV_HEADER);
     for &slo_ms in &slos_ms {
         for factory in registry.iter() {
             let spec = cell_spec(copies, slo_ms, duration_secs, 50 + slo_ms);
             let report = Experiment::new(spec).run(factory);
-            let summary =
-                RunSummary::from_report(format!("{}_slo{slo_ms}ms", report.discipline), &report);
-            println!("{}", summary.csv_row());
+            let label = format!("{}_slo{slo_ms}ms", report.discipline);
+            println!("{}", bench::summary_csv_row(&label, &report.metrics()));
         }
     }
 

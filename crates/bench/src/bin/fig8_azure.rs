@@ -3,10 +3,9 @@
 //! The paper replays 8 hours of the MAF trace against 6 workers with 4 026
 //! model instances (61 varieties × 66 copies) and a 100 ms SLO, and reports
 //! throughput/goodput, latency, batch size, cold models and cold-start
-//! throughput over time. Here the trace is synthetic (see DESIGN.md) and
-//! scaled to 8 minutes, ~200 model instances and ~800 r/s so it replays in a
-//! few minutes of host time on a single core; EXPERIMENTS.md records the
-//! scaling.
+//! throughput over time. Here the trace is synthetic (see
+//! `clockwork_workload::azure`) and scaled to 8 minutes, ~200 model instances
+//! and ~800 r/s so it replays in a few minutes of host time on a single core.
 
 use std::collections::HashSet;
 

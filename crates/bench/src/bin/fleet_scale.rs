@@ -38,6 +38,9 @@ use clockwork::prelude::*;
 /// Maximum tolerated drop of events/sec below the baseline (CI gate).
 const REGRESSION_TOLERANCE: f64 = 0.30;
 
+const USAGE: &str = "fleet_scale [--events N] [--out PATH] [--baseline PATH] [--seed N] \
+                     [--expect-digest HEX] [--tick-profile]";
+
 struct Args {
     max_events: u64,
     out: String,
@@ -47,41 +50,21 @@ struct Args {
     tick_profile: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        max_events: u64::MAX,
-        out: "BENCH_fleet.json".to_string(),
-        baseline: None,
-        seed: 2020,
-        expect_digest: None,
-        tick_profile: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--events" => args.max_events = value("--events").parse().expect("--events: integer"),
-            "--out" => args.out = value("--out"),
-            "--baseline" => args.baseline = Some(value("--baseline")),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--expect-digest" => {
-                let v = value("--expect-digest");
-                let hex = v.trim_start_matches("0x");
-                args.expect_digest =
-                    Some(u64::from_str_radix(hex, 16).expect("--expect-digest: hex u64"));
-            }
-            "--tick-profile" => args.tick_profile = true,
-            other => panic!("unknown flag {other}"),
-        }
+impl Args {
+    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
+        Ok(Args {
+            max_events: cli.value("--events")?.unwrap_or(u64::MAX),
+            out: cli.value("--out")?.unwrap_or("BENCH_fleet.json".into()),
+            baseline: cli.value("--baseline")?,
+            seed: cli.value("--seed")?.unwrap_or(2020),
+            expect_digest: cli.hex_u64("--expect-digest")?,
+            tick_profile: cli.switch("--tick-profile"),
+        })
     }
-    args
 }
 
 fn main() {
-    let args = parse_args();
+    let args = bench::cli::parse(USAGE, Args::parse);
     let spec = ScenarioSpec::fleet_scale().with_seed(args.seed);
     let smoke = args.max_events != u64::MAX;
     println!(
@@ -97,22 +80,23 @@ fn main() {
         }
     );
 
-    let report =
-        Experiment::new(spec.clone()).run_capped(&ClockworkFactory::default(), args.max_events);
+    let run = Experiment::new(spec.clone())
+        .run_capped(&ClockworkFactory::default(), args.max_events)
+        .outcome();
 
-    let events = report.events_processed();
-    let events_per_sec = report.events_per_sec();
-    let wall_secs = report.wall_secs;
-    let digest = report.digest();
-    let m = report.metrics();
+    let events = run.events_processed;
+    let events_per_sec = run.events_per_sec();
+    let wall_secs = run.wall_secs;
+    let digest = run.digest;
+    let m = &run.metrics;
     let slo_violation_rate = 1.0 - m.satisfaction();
     let rss_kb = bench::peak_rss_kb();
 
     bench::section("fleet_scale results");
     println!(
         "discipline={} submitted={} requests={} goodput={} goodput_rps={:.1} slo_violation_rate={:.4} p50_ms={:.2} p99_ms={:.2}",
-        report.discipline,
-        report.submitted,
+        run.discipline,
+        run.submitted,
         m.total_requests,
         m.goodput,
         m.goodput_rate(),
@@ -128,14 +112,12 @@ fn main() {
     // Event-mix breakdown + conservation check: a wake-amplification
     // regression shows up here as worker_wake dominating `delivered`, and a
     // missing cancel shows up as a conservation violation.
-    let mix = report.event_mix().clone();
-    let live = report.live_events();
-    let mix_ok = bench::report_event_mix(&mix, live);
-    let events_json = bench::event_mix_json(&mix, live);
+    let mix_ok = bench::report_event_mix(&run);
+    let events_json = bench::event_mix_json(&run);
 
-    let sched = report.sched_stats();
+    let sched = &run.sched;
     bench::section("scheduler self-profiling");
-    bench::report_sched_profile(&report.discipline, &sched);
+    bench::report_sched_profile(&run.discipline, sched);
     if args.tick_profile {
         // Per-tick breakdown of where scheduler passes spend their work —
         // the knob for diagnosing a tick-pipeline regression without a
@@ -172,14 +154,14 @@ fn main() {
         slo = spec.slo_ms,
         seed = args.seed,
         max_events = if smoke { args.max_events } else { 0 },
-        discipline = report.discipline,
+        discipline = run.discipline,
         requests = m.total_requests,
         goodput = m.goodput,
         goodput_rps = m.goodput_rate(),
         p50 = m.latency.percentile(50.0).as_millis_f64(),
         p99 = m.latency.percentile(99.0).as_millis_f64(),
         cold = m.cold_start_fraction(),
-        sched_json = bench::sched_json(&sched),
+        sched_json = bench::sched_json(sched),
     );
     std::fs::write(&args.out, &json).expect("write results json");
     println!("# wrote {}", args.out);
@@ -190,11 +172,8 @@ fn main() {
         failed = true;
     }
     if let Some(expected) = args.expect_digest {
-        if expected != digest {
-            eprintln!("DIGEST MISMATCH: expected {expected:016x}, got {digest:016x}");
+        if !bench::invariants::check_expected_digest(&run.discipline, expected, &run) {
             failed = true;
-        } else {
-            println!("# digest matches expected value");
         }
     }
     if let Some(baseline_path) = &args.baseline {

@@ -32,6 +32,9 @@
 use clockwork::prelude::*;
 use clockwork_baselines::register_baselines;
 
+const USAGE: &str =
+    "scenario_matrix [--duration-secs N] [--seed N] [--out PATH] [--check-determinism]";
+
 struct Args {
     duration_secs: Option<u64>,
     seed: Option<u64>,
@@ -39,34 +42,15 @@ struct Args {
     check_determinism: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        duration_secs: None,
-        seed: None,
-        out: "BENCH_scenarios.json".to_string(),
-        check_determinism: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--duration-secs" => {
-                args.duration_secs = Some(
-                    value("--duration-secs")
-                        .parse()
-                        .expect("--duration-secs: integer"),
-                )
-            }
-            "--seed" => args.seed = Some(value("--seed").parse().expect("--seed: integer")),
-            "--out" => args.out = value("--out"),
-            "--check-determinism" => args.check_determinism = true,
-            other => panic!("unknown flag {other}"),
-        }
+impl Args {
+    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
+        Ok(Args {
+            duration_secs: cli.value("--duration-secs")?,
+            seed: cli.value("--seed")?,
+            out: cli.value("--out")?.unwrap_or("BENCH_scenarios.json".into()),
+            check_determinism: cli.switch("--check-determinism"),
+        })
     }
-    args
 }
 
 /// The zoo presets with the CLI overrides applied. Fault plans that scale
@@ -91,47 +75,6 @@ fn scenarios(args: &Args) -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Everything one (scenario, discipline) cell contributes, extracted so the
-/// run's `ServingSystem` drops before the next cell runs.
-struct MatrixCell {
-    discipline: String,
-    total: u64,
-    successes: u64,
-    rejected: u64,
-    goodput: u64,
-    satisfaction: f64,
-    tiers: [TierOutcomes; Tier::COUNT],
-    drained: bool,
-    wall_secs: f64,
-    digest: u64,
-}
-
-impl MatrixCell {
-    fn summarize(report: &RunReport) -> Self {
-        let m = report.metrics();
-        MatrixCell {
-            discipline: report.discipline.clone(),
-            total: m.total_requests,
-            successes: m.successes,
-            rejected: report.rejected(),
-            goodput: m.goodput,
-            satisfaction: m.satisfaction(),
-            tiers: m.tiers,
-            drained: report.drained(),
-            wall_secs: report.wall_secs,
-            digest: report.digest(),
-        }
-    }
-
-    fn strict(&self) -> &TierOutcomes {
-        &self.tiers[Tier::Strict.index()]
-    }
-
-    fn best_effort(&self) -> &TierOutcomes {
-        &self.tiers[Tier::BestEffort.index()]
-    }
-}
-
 fn tier_json(t: &TierOutcomes) -> String {
     format!(
         "{{ \"submitted\": {}, \"successes\": {}, \"goodput\": {}, \"rejected\": {}, \"shed\": {}, \"retention\": {:.4} }}",
@@ -144,7 +87,8 @@ fn tier_json(t: &TierOutcomes) -> String {
     )
 }
 
-fn cell_json(cell: &MatrixCell) -> String {
+fn cell_json(cell: &RunOutcome) -> String {
+    let m = &cell.metrics;
     format!(
         concat!(
             "      \"{name}\": {{\n",
@@ -163,21 +107,21 @@ fn cell_json(cell: &MatrixCell) -> String {
             "      }}"
         ),
         name = cell.discipline,
-        total = cell.total,
-        successes = cell.successes,
-        rejected = cell.rejected,
-        goodput = cell.goodput,
-        satisfaction = cell.satisfaction,
-        drained = cell.drained,
+        total = m.total_requests,
+        successes = m.successes,
+        rejected = cell.rejected(),
+        goodput = m.goodput,
+        satisfaction = m.satisfaction(),
+        drained = cell.drained(),
         wall = cell.wall_secs,
-        strict = tier_json(cell.strict()),
-        best_effort = tier_json(cell.best_effort()),
+        strict = tier_json(m.tier(Tier::Strict)),
+        best_effort = tier_json(m.tier(Tier::BestEffort)),
         digest = cell.digest,
     )
 }
 
 fn main() {
-    let args = parse_args();
+    let args = bench::cli::parse(USAGE, Args::parse);
     let scenarios = scenarios(&args);
 
     let mut registry = SchedulerRegistry::builtin();
@@ -210,30 +154,32 @@ fn main() {
             "{:<18} {:>8} {:>8} {:>9} {:>6} {:>10} {:>10} {:>8}",
             "discipline", "total", "goodput", "rejected", "shed", "ret_strict", "ret_be", "sat"
         );
-        let mut cells: Vec<MatrixCell> = Vec::new();
+        // One outcome per discipline; each run's `ServingSystem` drops
+        // before the next cell runs.
+        let mut cells: Vec<RunOutcome> = Vec::new();
         for factory in registry.iter() {
             let label = format!("{}/{}", spec.name, factory.name());
-            let report = experiment.run(factory);
-            if !bench::invariants::check_run(&label, &report, spec) {
+            let cell = experiment.run(factory).outcome();
+            if !bench::invariants::check_outcome(&label, &cell, spec) {
                 failed = true;
             }
             if args.check_determinism {
-                let rerun = experiment.run(factory);
-                if !bench::invariants::check_determinism(&label, &report, &rerun) {
+                let rerun = experiment.run(factory).outcome();
+                if !bench::invariants::check_determinism(&label, &cell, &rerun) {
                     failed = true;
                 }
             }
-            let cell = MatrixCell::summarize(&report);
+            let m = &cell.metrics;
             println!(
                 "{:<18} {:>8} {:>8} {:>9} {:>6} {:>10.4} {:>10.4} {:>8.4}",
                 cell.discipline,
-                cell.total,
-                cell.goodput,
-                cell.rejected,
-                cell.best_effort().shed,
-                cell.strict().retention(),
-                cell.best_effort().retention(),
-                cell.satisfaction,
+                m.total_requests,
+                m.goodput,
+                cell.rejected(),
+                m.tier(Tier::BestEffort).shed,
+                m.tier(Tier::Strict).retention(),
+                m.tier(Tier::BestEffort).retention(),
+                m.satisfaction(),
             );
             cells.push(cell);
         }
@@ -243,8 +189,9 @@ fn main() {
         // best-effort retention — shedding order honored under pressure.
         if spec.name == "flash_crowd" {
             if let Some(cell) = cells.iter().find(|c| c.discipline == "clockwork") {
-                let strict = cell.strict().retention();
-                let best_effort = cell.best_effort().retention();
+                let strict = cell.metrics.tier(Tier::Strict).retention();
+                let be = cell.metrics.tier(Tier::BestEffort);
+                let best_effort = be.retention();
                 println!(
                     "# tier gate (clockwork): strict {strict:.4} >= best_effort {best_effort:.4}"
                 );
@@ -255,7 +202,7 @@ fn main() {
                     );
                     failed = true;
                 }
-                if cell.best_effort().shed == 0 && cell.best_effort().submitted > 0 {
+                if be.shed == 0 && be.submitted > 0 {
                     eprintln!(
                         "[{}/clockwork] DEGRADATION INERT: a 10x flash crowd shed no best-effort traffic",
                         spec.name

@@ -36,6 +36,9 @@
 use clockwork::prelude::*;
 use clockwork_shard::{FleetReport, ShardAssignment, ShardedExperiment, ShardedSpec};
 
+const USAGE: &str = "shard_sweep [--shards 1,2,4,8] [--duration-secs N] [--seed N] \
+                     [--router hash|load] [--out PATH] [--check-determinism]";
+
 struct Args {
     shards: Vec<u32>,
     duration_secs: Option<u64>,
@@ -45,54 +48,33 @@ struct Args {
     check_determinism: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        shards: vec![1, 2, 4, 8],
-        duration_secs: None,
-        seed: None,
-        router: ShardAssignment::HashByModel,
-        out: "BENCH_shard.json".to_string(),
-        check_determinism: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--shards" => {
-                args.shards = value("--shards")
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .expect("--shards: comma-separated integers")
-                    })
-                    .collect();
-                assert!(!args.shards.is_empty(), "--shards: need at least one count");
-            }
-            "--duration-secs" => {
-                args.duration_secs = Some(
-                    value("--duration-secs")
+impl Args {
+    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
+        let shards = match cli.value::<String>("--shards")? {
+            None => vec![1, 2, 4, 8],
+            Some(list) => list
+                .split(',')
+                .map(|s| {
+                    s.trim()
                         .parse()
-                        .expect("--duration-secs: integer"),
-                )
-            }
-            "--seed" => args.seed = Some(value("--seed").parse().expect("--seed: integer")),
-            "--router" => {
-                args.router = match value("--router").as_str() {
-                    "hash" => ShardAssignment::HashByModel,
-                    "load" => ShardAssignment::LoadAware,
-                    other => panic!("--router: expected hash or load, got {other}"),
-                }
-            }
-            "--out" => args.out = value("--out"),
-            "--check-determinism" => args.check_determinism = true,
-            other => panic!("unknown flag {other}"),
-        }
+                        .map_err(|e| format!("--shards: {e}: `{s}`"))
+                })
+                .collect::<Result<_, _>>()?,
+        };
+        let router = match cli.value::<String>("--router")?.as_deref() {
+            None | Some("hash") => ShardAssignment::HashByModel,
+            Some("load") => ShardAssignment::LoadAware,
+            Some(other) => return Err(format!("--router: expected hash or load, got `{other}`")),
+        };
+        Ok(Args {
+            shards,
+            duration_secs: cli.value("--duration-secs")?,
+            seed: cli.value("--seed")?,
+            router,
+            out: cli.value("--out")?.unwrap_or("BENCH_shard.json".into()),
+            check_determinism: cli.switch("--check-determinism"),
+        })
     }
-    args
 }
 
 fn sharded_spec(args: &Args, shards: u32) -> ShardedSpec {
@@ -107,48 +89,21 @@ fn sharded_spec(args: &Args, shards: u32) -> ShardedSpec {
     spec
 }
 
-/// Gates one fleet run on the universal invariants; prints loudly and
-/// returns `false` on any violation.
-fn check_fleet(label: &str, fleet: &FleetReport) -> bool {
+/// Gates one fleet run: every shard is held to the universal single-run
+/// invariants (`bench::invariants`), and the front door must have lost
+/// nothing — the one check that only exists for a fleet.
+fn check_fleet(label: &str, fleet: &FleetReport, merged: &RunOutcome, spec: &ScenarioSpec) -> bool {
     let mut ok = true;
-    if fleet.overdelivered() {
-        eprintln!(
-            "[{label}] OVERDELIVERY: {} successes + {} rejected > {} total",
-            fleet.successes(),
-            fleet.rejected(),
-            fleet.total_requests()
-        );
-        ok = false;
+    for s in &fleet.shards {
+        let shard_label = format!("{label}/shard{}", s.shard);
+        ok &= bench::invariants::check_outcome(&shard_label, &s.outcome, spec);
     }
-    if fleet.drained() && !fleet.identity_ok() {
-        eprintln!(
-            "[{label}] ACCOUNTING VIOLATION: {} successes + {} rejected != {} total",
-            fleet.successes(),
-            fleet.rejected(),
-            fleet.total_requests()
-        );
-        ok = false;
-    }
-    if fleet.submitted() != fleet.total_requests() {
+    if merged.submitted != merged.metrics.total_requests {
         eprintln!(
             "[{label}] FRONT DOOR LOSS: routed {} but controllers saw {}",
-            fleet.submitted(),
-            fleet.total_requests()
+            merged.submitted, merged.metrics.total_requests
         );
         ok = false;
-    }
-    for shard in &fleet.shards {
-        if !shard.mix_conserved() {
-            eprintln!(
-                "[{label}] EVENT ACCOUNTING VIOLATION on shard {}: pushed {} != delivered {} + cancelled {} + live {}",
-                shard.shard,
-                shard.mix.pushed(),
-                shard.mix.delivered(),
-                shard.mix.cancelled(),
-                shard.live_events
-            );
-            ok = false;
-        }
     }
     ok
 }
@@ -158,18 +113,19 @@ fn shard_json(fleet: &FleetReport) -> String {
         .shards
         .iter()
         .map(|s| {
+            let run = &s.outcome;
             format!(
                 "        {{ \"shard\": {}, \"workers\": {}, \"models\": {}, \"submitted\": {}, \"successes\": {}, \"rejected\": {}, \"goodput\": {}, \"events\": {}, \"wall_secs\": {:.3}, \"digest\": \"{:016x}\" }}",
                 s.shard,
                 s.workers,
                 s.models,
-                s.submitted,
-                s.metrics.successes,
-                s.rejected(),
-                s.metrics.goodput,
-                s.events_processed,
-                s.wall_secs,
-                s.digest,
+                run.submitted,
+                run.metrics.successes,
+                run.rejected(),
+                run.metrics.goodput,
+                run.events_processed,
+                run.wall_secs,
+                run.digest,
             )
         })
         .collect();
@@ -177,7 +133,7 @@ fn shard_json(fleet: &FleetReport) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = bench::cli::parse(USAGE, Args::parse);
     let factory = ClockworkFactory::default();
     let base = sharded_spec(&args, 1).base;
     println!(
@@ -215,17 +171,14 @@ fn main() {
         let label = format!("shard_sweep/{shards}");
         let experiment = ShardedExperiment::new(sharded_spec(&args, shards));
         let fleet = experiment.run(&factory);
-        if !check_fleet(&label, &fleet) {
+        // The fleet as one run; its digest is the fleet digest.
+        let merged = fleet.merged();
+        if !check_fleet(&label, &fleet, &merged, &base) {
             failed = true;
         }
         if args.check_determinism {
-            let rerun = experiment.run(&factory);
-            if rerun.fleet_digest() != fleet.fleet_digest() {
-                eprintln!(
-                    "[{label}] DETERMINISM VIOLATION: fleet digest {:016x} != {:016x} on rerun",
-                    fleet.fleet_digest(),
-                    rerun.fleet_digest()
-                );
+            let rerun = experiment.run(&factory).merged();
+            if !bench::invariants::check_determinism(&label, &merged, &rerun) {
                 failed = true;
             }
         }
@@ -235,11 +188,7 @@ fn main() {
         } else {
             0.0
         };
-        let evps = if fleet.wall_secs > 0.0 {
-            fleet.events_processed() as f64 / fleet.wall_secs
-        } else {
-            0.0
-        };
+        let evps = merged.events_per_sec();
         println!(
             "{:>6} {:>10.3} {:>8.2} {:>12.3} {:>12.3} {:>9} {:>9} {:>9} {:>8.0} {:>18}",
             shards,
@@ -247,11 +196,11 @@ fn main() {
             speedup,
             fleet.max_shard_wall(),
             fleet.sum_shard_wall(),
-            fleet.total_requests(),
-            fleet.goodput(),
-            fleet.rejected(),
+            merged.metrics.total_requests,
+            merged.metrics.goodput,
+            merged.rejected(),
             evps,
-            format!("{:016x}", fleet.fleet_digest()),
+            format!("{:016x}", merged.digest),
         );
         rows.push(format!(
             concat!(
@@ -277,14 +226,14 @@ fn main() {
             speedup = speedup,
             max_wall = fleet.max_shard_wall(),
             sum_wall = fleet.sum_shard_wall(),
-            events = fleet.events_processed(),
+            events = merged.events_processed,
             evps = evps,
-            total = fleet.total_requests(),
-            successes = fleet.successes(),
-            rejected = fleet.rejected(),
-            goodput = fleet.goodput(),
-            drained = fleet.drained(),
-            digest = fleet.fleet_digest(),
+            total = merged.metrics.total_requests,
+            successes = merged.metrics.successes,
+            rejected = merged.rejected(),
+            goodput = merged.metrics.goodput,
+            drained = merged.drained(),
+            digest = merged.digest,
             per_shard = shard_json(&fleet),
         ));
     }

@@ -34,6 +34,9 @@ use clockwork::prelude::*;
 use clockwork::scenario::DEFAULT_TRACE_CAPACITY;
 use clockwork_baselines::register_baselines;
 
+const USAGE: &str = "trace_blame [--duration-secs N] [--seed N] [--out PATH] \
+                     [--trace-capacity N] [--check-determinism]";
+
 struct Args {
     duration_secs: u64,
     seed: u64,
@@ -42,38 +45,18 @@ struct Args {
     check_determinism: bool,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        duration_secs: 10,
-        seed: 2020,
-        out: "BENCH_blame.json".to_string(),
-        trace_capacity: DEFAULT_TRACE_CAPACITY,
-        check_determinism: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match flag.as_str() {
-            "--duration-secs" => {
-                args.duration_secs = value("--duration-secs")
-                    .parse()
-                    .expect("--duration-secs: integer")
-            }
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--out" => args.out = value("--out"),
-            "--trace-capacity" => {
-                args.trace_capacity = value("--trace-capacity")
-                    .parse()
-                    .expect("--trace-capacity: integer")
-            }
-            "--check-determinism" => args.check_determinism = true,
-            other => panic!("unknown flag {other}"),
-        }
+impl Args {
+    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
+        Ok(Args {
+            duration_secs: cli.value("--duration-secs")?.unwrap_or(10),
+            seed: cli.value("--seed")?.unwrap_or(2020),
+            out: cli.value("--out")?.unwrap_or("BENCH_blame.json".into()),
+            trace_capacity: cli
+                .value("--trace-capacity")?
+                .unwrap_or(DEFAULT_TRACE_CAPACITY),
+            check_determinism: cli.switch("--check-determinism"),
+        })
     }
-    args
 }
 
 /// The blame stages a completed request's latency decomposes into, in the
@@ -151,16 +134,11 @@ impl StageStats {
 /// Everything one (scenario, discipline) cell contributes to the table and
 /// the JSON, extracted so the run's `ServingSystem` drops before the next.
 struct BlameCell {
-    discipline: String,
-    total: u64,
-    successes: u64,
-    rejected: u64,
-    goodput: u64,
+    run: RunOutcome,
     violations: u64,
     spans: u64,
     dropped_spans: u64,
     trace_digest: u64,
-    response_digest: u64,
     terminal_spans: u64,
     rejected_spans: u64,
     stages: [StageStats; 5],
@@ -191,7 +169,6 @@ fn rejection_category(reason: &str) -> &'static str {
 
 fn analyze_cell(report: &RunReport) -> BlameCell {
     let tracer = report.trace().expect("trace_blame runs are always traced");
-    let m = report.metrics();
 
     // First pass: index the span stream by request and action.
     let mut enqueued_at: HashMap<u64, u64> = HashMap::new();
@@ -371,16 +348,11 @@ fn analyze_cell(report: &RunReport) -> BlameCell {
     rejection_blame.sort_unstable();
 
     BlameCell {
-        discipline: report.discipline.clone(),
-        total: m.total_requests,
-        successes: m.successes,
-        rejected: report.rejected(),
-        goodput: m.goodput,
+        run: report.outcome(),
         violations,
         spans: tracer.len() as u64,
         dropped_spans: tracer.dropped_spans(),
         trace_digest: tracer.digest(),
-        response_digest: report.digest(),
         terminal_spans,
         rejected_spans,
         stages,
@@ -394,7 +366,7 @@ fn analyze_cell(report: &RunReport) -> BlameCell {
 /// of the universal checks in `bench::invariants`. Prints a loud line per
 /// violation and returns `false` if any failed.
 fn check_cell(scenario: &str, cell: &BlameCell) -> bool {
-    let label = format!("{scenario}/{}", cell.discipline);
+    let label = format!("{scenario}/{}", cell.run.discipline);
     let mut ok = true;
     if cell.dropped_spans > 0 {
         // Attribution is best-effort once the ring wrapped; the drop count
@@ -406,21 +378,22 @@ fn check_cell(scenario: &str, cell: &BlameCell) -> bool {
         );
         return ok;
     }
-    if cell.terminal_spans != cell.successes {
+    if cell.terminal_spans != cell.run.metrics.successes {
         eprintln!(
             "[{label}] TRACE CONSERVATION VIOLATION: {} terminal spans != {} successes",
-            cell.terminal_spans, cell.successes
+            cell.terminal_spans, cell.run.metrics.successes
         );
         ok = false;
     }
-    if cell.rejected_spans != cell.rejected {
+    if cell.rejected_spans != cell.run.rejected() {
         eprintln!(
             "[{label}] TRACE CONSERVATION VIOLATION: {} rejected spans != {} rejections",
-            cell.rejected_spans, cell.rejected
+            cell.rejected_spans,
+            cell.run.rejected()
         );
         ok = false;
     }
-    let outcomes = cell.violations + cell.rejected;
+    let outcomes = cell.violations + cell.run.rejected();
     if outcomes > 0 {
         let unattributed_frac = cell.unattributed as f64 / outcomes as f64;
         if unattributed_frac > 0.01 {
@@ -471,11 +444,11 @@ fn cell_json(cell: &BlameCell) -> String {
             "      \"digest\": \"{digest:016x}\"\n",
             "    }}"
         ),
-        name = cell.discipline,
-        total = cell.total,
-        successes = cell.successes,
-        rejected = cell.rejected,
-        goodput = cell.goodput,
+        name = cell.run.discipline,
+        total = cell.run.metrics.total_requests,
+        successes = cell.run.metrics.successes,
+        rejected = cell.run.rejected(),
+        goodput = cell.run.metrics.goodput,
         violations = cell.violations,
         spans = cell.spans,
         dropped = cell.dropped_spans,
@@ -488,12 +461,12 @@ fn cell_json(cell: &BlameCell) -> String {
         } else {
             format!(" {} ", rejection_fields.join(", "))
         },
-        digest = cell.response_digest,
+        digest = cell.run.digest,
     )
 }
 
 fn main() {
-    let args = parse_args();
+    let args = bench::cli::parse(USAGE, Args::parse);
 
     let base = |name: &str, multiplier: f64, churn: bool| {
         let mut spec = ScenarioSpec::fleet_scale()
@@ -550,8 +523,8 @@ fn main() {
         for factory in registry.iter() {
             let report = experiment.run(factory);
             let cell = analyze_cell(&report);
-            let label = format!("{}/{}", spec.name, cell.discipline);
-            if !bench::invariants::check_run(&label, &report, spec) {
+            let label = format!("{}/{}", spec.name, cell.run.discipline);
+            if !bench::invariants::check_outcome(&label, &cell.run, spec) {
                 failed = true;
             }
             if !check_cell(&spec.name, &cell) {
@@ -560,7 +533,7 @@ fn main() {
             if args.check_determinism {
                 let rerun = experiment.run(factory);
                 let recell = analyze_cell(&rerun);
-                if !bench::invariants::check_determinism(&label, &report, &rerun) {
+                if !bench::invariants::check_determinism(&label, &cell.run, &recell.run) {
                     failed = true;
                 }
                 if recell.trace_digest != cell.trace_digest {
@@ -573,10 +546,10 @@ fn main() {
             }
             println!(
                 "{:<18} {:>8} {:>8} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8}",
-                cell.discipline,
-                cell.total,
+                cell.run.discipline,
+                cell.run.metrics.total_requests,
                 cell.violations,
-                cell.rejected,
+                cell.run.rejected(),
                 cell.violation_blame[0],
                 cell.violation_blame[1],
                 cell.violation_blame[2],

@@ -19,7 +19,9 @@
 //! Each check prints a loud `VIOLATION` line to stderr and returns `false`
 //! on failure; the binaries fold the result into their exit status so CI
 //! fails on any violation, and the proptest fuzz harness asserts on the same
-//! functions verbatim.
+//! functions verbatim. The checks read a plain-data [`RunOutcome`], so one
+//! shard of a fleet, a whole fleet (`FleetReport::merged`) and a single
+//! unsharded run are all held to the same functions.
 
 use clockwork::prelude::*;
 
@@ -28,18 +30,18 @@ use clockwork::prelude::*;
 /// The accounting identity is only enforced on drained runs: an event-capped
 /// run legitimately leaves requests unanswered (but must never answer one
 /// twice, which the over-delivery check catches regardless).
-pub fn check_accounting(label: &str, report: &RunReport, spec: &ScenarioSpec) -> bool {
-    let m = report.metrics();
-    let rejected = report.rejected();
+pub fn check_accounting(label: &str, run: &RunOutcome, spec: &ScenarioSpec) -> bool {
+    let m = &run.metrics;
+    let rejected = run.rejected();
     let mut ok = true;
-    if report.drained() && !report.identity_ok() {
+    if run.drained() && !run.identity_ok() {
         eprintln!(
             "[{label}] ACCOUNTING VIOLATION: successes {} + rejected {} != total {}",
             m.successes, rejected, m.total_requests
         );
         ok = false;
     }
-    if report.overdelivered() {
+    if run.overdelivered() {
         eprintln!(
             "[{label}] DUPLICATE RESPONSES: successes {} + rejected {} > total {}",
             m.successes, rejected, m.total_requests
@@ -68,41 +70,58 @@ pub fn check_accounting(label: &str, report: &RunReport, spec: &ScenarioSpec) ->
 
 /// The event-queue conservation identity
 /// `pushed == delivered + cancelled + live`.
-pub fn check_event_mix(label: &str, report: &RunReport) -> bool {
-    if report.mix_conserved() {
+pub fn check_event_mix(label: &str, run: &RunOutcome) -> bool {
+    if run.mix_conserved() {
         return true;
     }
-    let mix = report.event_mix();
+    let mix = &run.mix;
     eprintln!(
         "[{label}] EVENT ACCOUNTING VIOLATION: pushed {} != delivered {} + cancelled {} + live {}",
         mix.pushed(),
         mix.delivered(),
         mix.cancelled(),
-        report.live_events()
+        run.live_events
     );
     false
 }
 
 /// Digest-stability across two same-seed runs of the same spec.
-pub fn check_determinism(label: &str, first: &RunReport, rerun: &RunReport) -> bool {
-    if first.digest() == rerun.digest() {
+pub fn check_determinism(label: &str, first: &RunOutcome, rerun: &RunOutcome) -> bool {
+    if first.digest == rerun.digest {
         return true;
     }
     eprintln!(
         "[{label}] DETERMINISM VIOLATION: digest {:016x} != rerun {:016x}",
-        first.digest(),
-        rerun.digest()
+        first.digest, rerun.digest
+    );
+    false
+}
+
+/// The golden-digest gate behind `--expect-digest`.
+pub fn check_expected_digest(label: &str, expected: u64, run: &RunOutcome) -> bool {
+    if expected == run.digest {
+        println!("# digest matches expected value");
+        return true;
+    }
+    eprintln!(
+        "[{label}] DIGEST MISMATCH: expected {expected:016x}, got {:016x}",
+        run.digest
     );
     false
 }
 
 /// All single-run invariants at once: accounting, over-delivery, goodput
 /// honesty and event conservation.
-pub fn check_run(label: &str, report: &RunReport, spec: &ScenarioSpec) -> bool {
+pub fn check_outcome(label: &str, run: &RunOutcome, spec: &ScenarioSpec) -> bool {
     // Evaluate both so every violation prints, not just the first.
-    let accounting = check_accounting(label, report, spec);
-    let mix = check_event_mix(label, report);
+    let accounting = check_accounting(label, run, spec);
+    let mix = check_event_mix(label, run);
     accounting && mix
+}
+
+/// [`check_outcome`] for a caller still holding the finished system.
+pub fn check_run(label: &str, report: &RunReport, spec: &ScenarioSpec) -> bool {
+    check_outcome(label, &report.outcome(), spec)
 }
 
 #[cfg(test)]
@@ -122,7 +141,7 @@ mod tests {
         let a = experiment.run(&ClockworkFactory::default());
         let b = experiment.run(&ClockworkFactory::default());
         assert!(check_run("a", &a, &spec));
-        assert!(check_determinism("a", &a, &b));
+        assert!(check_determinism("a", &a.outcome(), &b.outcome()));
     }
 
     #[test]

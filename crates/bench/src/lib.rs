@@ -1,92 +1,41 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md for the index and EXPERIMENTS.md for measured results).
-//! Since the experiment-API redesign the heavy lifting lives in the facade:
-//! a declarative [`ScenarioSpec`] describes the experiment, a
+//! (see this crate's `README.md` for the index and the `BENCH_*.json`
+//! schemas). Since the experiment-API redesign the heavy lifting lives in
+//! the facade: a declarative [`ScenarioSpec`] describes the experiment, a
 //! [`SchedulerRegistry`] names the disciplines, and [`Experiment::run`] owns
 //! the build/submit/run loop. What remains here is reporting: summary rows,
 //! chaos-phase analysis shared by `chaos_fleet` and `chaos_compare`, the
-//! event-mix printer, and the `BENCH_*.json` plumbing.
+//! event-mix printer, the `BENCH_*.json` plumbing, and the flag parser
+//! ([`cli`]) the harness binaries share.
 
 use clockwork::prelude::*;
 
+pub mod cli;
 pub mod invariants;
 
-/// The result row shared by most experiments.
-#[derive(Clone, Debug)]
-pub struct RunSummary {
-    /// Label of the system / configuration.
-    pub label: String,
-    /// Total requests submitted.
-    pub total: u64,
-    /// Requests completed within their SLO.
-    pub goodput: u64,
-    /// Goodput in requests per second.
-    pub goodput_rate: f64,
-    /// Fraction of requests that met the SLO.
-    pub satisfaction: f64,
-    /// Median latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th percentile latency in milliseconds.
-    pub p99_ms: f64,
-    /// 99.99th percentile latency in milliseconds.
-    pub p9999_ms: f64,
-    /// Maximum latency in milliseconds.
-    pub max_ms: f64,
-    /// Cold start fraction among successes.
-    pub cold_fraction: f64,
-    /// Mean batch size.
-    pub mean_batch: f64,
-}
+/// The CSV header matching [`summary_csv_row`].
+pub const SUMMARY_CSV_HEADER: &str =
+    "label,total,goodput,goodput_rps,satisfaction,p50_ms,p99_ms,p9999_ms,max_ms,cold_fraction,mean_batch";
 
-impl RunSummary {
-    /// Builds a summary from a finished system run.
-    pub fn from_system(label: impl Into<String>, system: &ServingSystem) -> Self {
-        let m = system.telemetry().metrics();
-        let t = m.latency.tail_summary();
-        RunSummary {
-            label: label.into(),
-            total: m.total_requests,
-            goodput: m.goodput,
-            goodput_rate: m.goodput_rate(),
-            satisfaction: m.satisfaction(),
-            p50_ms: t.p50.as_millis_f64(),
-            p99_ms: t.p99.as_millis_f64(),
-            p9999_ms: t.p9999.as_millis_f64(),
-            max_ms: t.max.as_millis_f64(),
-            cold_fraction: m.cold_start_fraction(),
-            mean_batch: m.mean_batch,
-        }
-    }
-
-    /// Builds a summary from an [`Experiment`] run report.
-    pub fn from_report(label: impl Into<String>, report: &RunReport) -> Self {
-        RunSummary::from_system(label, &report.system)
-    }
-
-    /// The CSV header matching [`RunSummary::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "label,total,goodput,goodput_rps,satisfaction,p50_ms,p99_ms,p9999_ms,max_ms,cold_fraction,mean_batch"
-    }
-
-    /// One CSV row.
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{:.1},{:.4},{:.2},{:.2},{:.2},{:.2},{:.4},{:.2}",
-            self.label,
-            self.total,
-            self.goodput,
-            self.goodput_rate,
-            self.satisfaction,
-            self.p50_ms,
-            self.p99_ms,
-            self.p9999_ms,
-            self.max_ms,
-            self.cold_fraction,
-            self.mean_batch
-        )
-    }
+/// The result row shared by most experiments: one CSV row of a run's
+/// aggregate metrics.
+pub fn summary_csv_row(label: &str, m: &ExperimentMetrics) -> String {
+    let t = m.latency.tail_summary();
+    format!(
+        "{label},{},{},{:.1},{:.4},{:.2},{:.2},{:.2},{:.2},{:.4},{:.2}",
+        m.total_requests,
+        m.goodput,
+        m.goodput_rate(),
+        m.satisfaction(),
+        t.p50.as_millis_f64(),
+        t.p99.as_millis_f64(),
+        t.p9999.as_millis_f64(),
+        t.max.as_millis_f64(),
+        m.cold_start_fraction(),
+        m.mean_batch
+    )
 }
 
 /// Runs a closed-loop workload (the §6.1 setup: `concurrency` requests in
@@ -244,20 +193,13 @@ pub fn analyze_chaos(report: &RunReport, spec: &ScenarioSpec) -> ChaosAnalysis {
     }
 }
 
-/// The invariants every chaos run must keep, discipline-independent.
-/// Delegates to [`invariants::check_accounting`] — kept as a named entry
-/// point because "the chaos invariants" is how the chaos binaries and their
-/// docs refer to it.
-pub fn check_chaos_invariants(label: &str, report: &RunReport, spec: &ScenarioSpec) -> bool {
-    invariants::check_accounting(label, report, spec)
-}
-
 /// Prints the event-mix summary (pushed/delivered/cancelled per event kind,
 /// plus the no-op-wake count) and checks the conservation identity
 /// `pushed == delivered + cancelled + live`. Returns `false` — after
 /// printing a loud violation — when the identity does not hold; the perf
 /// harnesses fold that into their exit status so CI fails on it.
-pub fn report_event_mix(mix: &EventMix, live: u64) -> bool {
+pub fn report_event_mix(run: &RunOutcome) -> bool {
+    let (mix, live) = (&run.mix, run.live_events);
     section("event mix");
     for e in mix.entries() {
         if e.pushed == 0 && e.delivered == 0 && e.cancelled == 0 {
@@ -276,22 +218,14 @@ pub fn report_event_mix(mix: &EventMix, live: u64) -> bool {
         live,
         mix.noop_wakes()
     );
-    let ok = mix.pushed() == mix.delivered() + mix.cancelled() + live;
-    if !ok {
-        eprintln!(
-            "EVENT ACCOUNTING VIOLATION: pushed {} != delivered {} + cancelled {} + live {live}",
-            mix.pushed(),
-            mix.delivered(),
-            mix.cancelled(),
-        );
-    }
-    ok
+    invariants::check_event_mix(&run.discipline, run)
 }
 
 /// Renders the event mix as the `"events"` object of the `BENCH_*.json`
 /// schemas (see `crates/bench/README.md`), indented to sit at the top level
 /// of the document.
-pub fn event_mix_json(mix: &EventMix, live: u64) -> String {
+pub fn event_mix_json(run: &RunOutcome) -> String {
+    let (mix, live) = (&run.mix, run.live_events);
     let mut by_kind = String::new();
     let mut first = true;
     for e in mix.entries() {
@@ -429,7 +363,11 @@ mod tests {
         spec.faults =
             FaultPlan::new().crash_worker_for(Timestamp::from_secs(1), 1, Nanos::from_secs(1));
         let report = Experiment::new(spec.clone()).run(&ClockworkFactory::default());
-        assert!(check_chaos_invariants("tiny", &report, &spec));
+        assert!(invariants::check_accounting(
+            "tiny",
+            &report.outcome(),
+            &spec
+        ));
         let analysis = analyze_chaos(&report, &spec);
         assert!((analysis.first_fault_secs - 1.0).abs() < 1e-9);
         assert!((analysis.last_recovery_secs - 2.0).abs() < 1e-9);
@@ -454,10 +392,14 @@ mod tests {
             ..ScenarioSpec::smoke(1)
         };
         let report = Experiment::new(spec).run(&ClockworkFactory::default());
-        let summary = RunSummary::from_report("smoke", &report);
-        assert!(summary.total > 0);
-        assert!(summary.satisfaction > 0.5);
-        assert!(summary.csv_row().starts_with("smoke,"));
-        assert!(RunSummary::csv_header().starts_with("label,"));
+        let m = report.metrics();
+        assert!(m.total_requests > 0);
+        assert!(m.satisfaction() > 0.5);
+        let row = summary_csv_row("smoke", &m);
+        assert!(row.starts_with(&format!("smoke,{},{},", m.total_requests, m.goodput)));
+        assert_eq!(
+            row.split(',').count(),
+            SUMMARY_CSV_HEADER.split(',').count()
+        );
     }
 }

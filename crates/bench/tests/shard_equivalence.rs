@@ -5,9 +5,9 @@
 //!
 //! 1. **The 1-shard fleet is the monolith.** Same spec through
 //!    `ShardedExperiment` with `N = 1` and through `Experiment::run` must
-//!    produce byte-identical response digests — not statistically similar,
-//!    identical. This pins the whole sharded pipeline (partition, local-id
-//!    remap, runner loop) to the unsharded code path.
+//!    produce equal `RunOutcome`s — digest, counters, metrics, event mix and
+//!    scheduler counters, everything but the host clock. The runner *is* the
+//!    unsharded loop, so this pins the partition and the local-id remap.
 //! 2. **Parallel fleets conserve.** With `N > 1` the digests legitimately
 //!    differ from the monolith (each shard schedules its own slice), but
 //!    the global exactly-once identity, per-shard event conservation and
@@ -33,17 +33,10 @@ fn one_shard_fleet_is_byte_identical_to_the_unsharded_oracle() {
 
     assert_eq!(fleet.shards.len(), 1);
     assert_eq!(
-        fleet.shards[0].digest,
-        oracle.digest(),
-        "1-shard digest must equal the monolithic digest byte for byte"
+        fleet.shards[0].outcome,
+        oracle.outcome(),
+        "the 1-shard outcome must equal the monolithic one, field for field"
     );
-    assert_eq!(fleet.submitted(), oracle.submitted);
-    assert_eq!(fleet.total_requests(), oracle.metrics().total_requests);
-    assert_eq!(fleet.successes(), oracle.metrics().successes);
-    assert_eq!(fleet.goodput(), oracle.metrics().goodput);
-    assert_eq!(fleet.rejected(), oracle.rejected());
-    assert_eq!(fleet.events_processed(), oracle.events_processed());
-    assert_eq!(fleet.shards[0].sched, oracle.sched_stats());
 }
 
 #[test]
@@ -53,34 +46,35 @@ fn parallel_fleets_uphold_global_accounting_and_determinism() {
     for shards in [2, 4] {
         let experiment = ShardedExperiment::new(smoke_sharded(shards));
         let fleet = experiment.run(&factory);
+        let merged = fleet.merged();
         let label = format!("{shards} shards");
         assert_eq!(fleet.shards.len(), shards as usize, "{label}");
         assert_eq!(
-            fleet.submitted(),
-            oracle.submitted,
+            merged.submitted, oracle.submitted,
             "{label}: the front door routes the whole workload"
         );
         assert_eq!(
-            fleet.submitted(),
-            fleet.total_requests(),
+            merged.submitted, merged.metrics.total_requests,
             "{label}: every routed request arrives at its shard"
         );
-        assert!(fleet.drained(), "{label}: all shards ran dry");
+        assert!(merged.drained(), "{label}: all shards ran dry");
         assert!(
-            fleet.identity_ok(),
+            merged.identity_ok(),
             "{label}: successes {} + rejected {} == total {}",
-            fleet.successes(),
-            fleet.rejected(),
-            fleet.total_requests()
-        );
-        assert!(!fleet.overdelivered(), "{label}");
-        assert!(
-            fleet.mix_conserved(),
-            "{label}: per-shard event conservation"
+            merged.metrics.successes,
+            merged.rejected(),
+            merged.metrics.total_requests
         );
         for shard in &fleet.shards {
+            let run = &shard.outcome;
+            assert!(!run.overdelivered(), "{label}: shard {}", shard.shard);
             assert!(
-                shard.identity_ok(),
+                run.mix_conserved(),
+                "{label}: shard {} event conservation",
+                shard.shard
+            );
+            assert!(
+                run.identity_ok(),
                 "{label}: shard {} accounting",
                 shard.shard
             );
@@ -107,18 +101,19 @@ fn losing_a_whole_shards_rack_keeps_the_fleet_accountable() {
 
     let experiment = ShardedExperiment::new(spec);
     let fleet = experiment.run(&factory);
-    assert!(fleet.drained());
+    let merged = fleet.merged();
+    assert!(merged.drained());
     assert!(
-        fleet.identity_ok(),
+        merged.identity_ok(),
         "rack outage: successes {} + rejected {} == total {}",
-        fleet.successes(),
-        fleet.rejected(),
-        fleet.total_requests()
+        merged.metrics.successes,
+        merged.rejected(),
+        merged.metrics.total_requests
     );
-    assert!(fleet.mix_conserved());
+    assert!(fleet.shards.iter().all(|s| s.outcome.mix_conserved()));
+    let (dead, healthy) = (&fleet.shards[0].outcome, &fleet.shards[1].outcome);
     assert!(
-        fleet.shards[0].metrics.goodput <= fleet.shards[1].metrics.goodput
-            || fleet.shards[0].submitted < fleet.shards[1].submitted,
+        dead.metrics.goodput <= healthy.metrics.goodput || dead.submitted < healthy.submitted,
         "the dead rack's shard should not outperform the healthy one at similar load"
     );
     let rerun = experiment.run(&factory);

@@ -191,7 +191,7 @@ proptest! {
             );
             let rerun = experiment.run(factory);
             prop_assert!(
-                bench::invariants::check_determinism(&label, &report, &rerun),
+                bench::invariants::check_determinism(&label, &report.outcome(), &rerun.outcome()),
                 "[{}] nondeterminism; minimized repro spec:\n{}",
                 label,
                 spec.to_json()

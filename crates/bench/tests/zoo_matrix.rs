@@ -38,7 +38,7 @@ fn every_zoo_preset_runs_clean_under_every_discipline() {
                 failures.push(format!("{label}: invariant violation"));
             }
             let rerun = experiment.run(factory);
-            if !bench::invariants::check_determinism(&label, &report, &rerun) {
+            if !bench::invariants::check_determinism(&label, &report.outcome(), &rerun.outcome()) {
                 failures.push(format!("{label}: digest not stable across replays"));
             }
             if report.metrics().total_requests == 0 {

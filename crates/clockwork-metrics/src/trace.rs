@@ -33,6 +33,8 @@
 
 use std::collections::VecDeque;
 
+use clockwork_sim::hash::Fnv1a;
+
 /// One structured event in a request's lifecycle. Timestamps inside variants
 /// (deadlines, completion instants) are simulation-time nanoseconds;
 /// `u64::MAX` encodes "none" (a request without an SLO).
@@ -554,14 +556,9 @@ impl RingTracer {
     /// FNV-1a over the JSONL export — the determinism fingerprint two
     /// same-seed traced runs must agree on.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for byte in self.export_jsonl().bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-        h
+        let mut hash = Fnv1a::new();
+        hash.write_bytes(self.export_jsonl().as_bytes());
+        hash.finish()
     }
 }
 

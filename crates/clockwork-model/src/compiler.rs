@@ -206,7 +206,8 @@ impl Compiler {
     }
 }
 
-/// A deterministic FNV-1a style checksum over the source structure, standing
+/// A deterministic multiply-xor checksum over the source structure (word-wise,
+/// its own prime — not the byte-wise hash of `clockwork_sim::hash`), standing
 /// in for the contents of the compiled weights blob.
 fn checksum(source: &ModelSource) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

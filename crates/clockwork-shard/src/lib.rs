@@ -24,11 +24,12 @@
 //! Two invariants anchor the design:
 //!
 //! 1. **The 1-shard fleet is the monolith.** `shard_plans()` with `N = 1`
-//!    is the identity partition, and the runner mirrors the monolithic
-//!    experiment loop exactly, so the single shard's response digest is
-//!    byte-identical to [`Experiment::run`](clockwork::Experiment::run) on
-//!    the base spec. The sharded path is pinned to the unsharded oracle,
-//!    not merely "close to" it.
+//!    is the identity partition, and each shard runs through the
+//!    monolithic experiment loop itself
+//!    ([`Experiment::run_prepared`](clockwork::Experiment::run_prepared)),
+//!    so the single shard's [`RunOutcome`](clockwork::RunOutcome) equals
+//!    [`Experiment::run`](clockwork::Experiment::run) on the base spec by
+//!    construction, not merely "close to" it.
 //! 2. **Conservation survives the split.** The front door is total (every
 //!    model owned by exactly one shard, checked at partition time), so
 //!    `successes + rejected == total` summed over shards equals the same

@@ -9,13 +9,8 @@
 //! same determinism contract every other component keeps.
 
 use clockwork_model::ModelId;
+use clockwork_sim::hash::Fnv1a;
 use clockwork_workload::Trace;
-
-/// FNV-1a offset basis — the same constants as the telemetry response
-/// digest, so the routing hash and the fleet digest share one lineage.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// How the model population is split across shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,12 +114,9 @@ impl FrontDoorRouter {
 
 /// FNV-1a over the model id's little-endian bytes, reduced mod `shards`.
 fn hash_shard(model: u32, shards: u32) -> u32 {
-    let mut h = FNV_OFFSET;
-    for b in model.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    (h % u64::from(shards)) as u32
+    let mut hash = Fnv1a::new();
+    hash.write_bytes(&model.to_le_bytes());
+    (hash.finish() % u64::from(shards)) as u32
 }
 
 /// Greedy heaviest-first bin packing: count requests per model, place

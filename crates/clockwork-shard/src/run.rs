@@ -1,29 +1,21 @@
 //! The parallel runner: one OS thread per shard, a deterministic merge.
 //!
-//! Each shard is a complete [`ServingSystem`] simulated to its horizon on
-//! its own `std::thread` — shards share nothing at runtime (v1 has no
-//! cross-shard interaction), so the threads never synchronize until the
-//! join. Every thread returns only plain data ([`ShardRunStats`]); the
-//! merge into a [`FleetReport`] happens on the calling thread in shard
-//! order, so the fleet digest and all aggregates are independent of thread
-//! scheduling — the whole run stays deterministic while the wall clock
-//! shrinks with cores.
+//! Each shard is a complete [`ServingSystem`](clockwork::ServingSystem)
+//! simulated to its horizon on its own `std::thread` — shards share nothing
+//! at runtime (v1 has no cross-shard interaction), so the threads never
+//! synchronize until the join. Every thread returns only plain data
+//! ([`ShardRunStats`]); the merge into a [`FleetReport`] happens on the
+//! calling thread in shard order, so the fleet digest and all aggregates
+//! are independent of thread scheduling — the whole run stays deterministic
+//! while the wall clock shrinks with cores.
 
 use std::time::Instant;
 
-use clockwork::scenario::ModelSet;
-use clockwork::telemetry::{EventMix, ExperimentMetrics};
-use clockwork::ServingSystem;
+use clockwork::{Experiment, RunOutcome};
 use clockwork_controller::registry::SchedulerFactory;
-use clockwork_controller::SchedProfile;
-use clockwork_model::zoo::ModelZoo;
+use clockwork_sim::hash::Fnv1a;
 
 use crate::spec::{ShardPlan, ShardedSpec};
-
-/// FNV-1a offset basis (see the router for the shared constants note).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A sharded scenario bound to the runner that executes it — the fleet
 /// counterpart of [`Experiment`](clockwork::Experiment).
@@ -70,45 +62,22 @@ impl ShardedExperiment {
     }
 }
 
-/// Runs one shard's scenario to completion and extracts its stats. Mirrors
-/// the monolithic experiment loop exactly — build, register the owned
-/// models in ascending global order, submit the pre-partitioned trace,
-/// drive to the horizon — which is what makes the 1-shard run
-/// byte-identical to the unsharded oracle.
+/// Runs one shard's scenario to completion: the monolithic
+/// [`Experiment`] loop on the shard's own spec, model slice and
+/// pre-partitioned trace — the same code path as an unsharded run, which is
+/// what makes the 1-shard fleet byte-identical to it by construction.
 pub fn run_shard(plan: &ShardPlan, factory: &dyn SchedulerFactory) -> ShardRunStats {
-    let mut system = ServingSystem::with_factory(plan.spec.system_config(), factory);
-    let zoo = ModelZoo::new();
-    match plan.spec.model_set {
-        ModelSet::ZooCycle => {
-            let varieties = zoo.all();
-            for &global in &plan.owned {
-                system.register_model(&varieties[global as usize % varieties.len()]);
-            }
-        }
-        ModelSet::Resnet50Copies => {
-            for _ in &plan.owned {
-                system.register_model(zoo.resnet50());
-            }
-        }
-    }
-    let submitted = plan.trace.len() as u64;
-    system.submit_trace(&plan.trace);
-    let started = Instant::now();
-    system.run_until_events(plan.spec.horizon(), u64::MAX);
-    let wall_secs = started.elapsed().as_secs_f64();
-    let telemetry = system.telemetry();
+    let report = Experiment::new(plan.spec.clone()).run_prepared(
+        factory,
+        &plan.owned,
+        &plan.trace,
+        u64::MAX,
+    );
     ShardRunStats {
         shard: plan.shard,
         workers: plan.spec.workers,
         models: plan.owned.len(),
-        submitted,
-        digest: telemetry.response_digest(),
-        events_processed: system.events_processed(),
-        live_events: system.pending_events(),
-        wall_secs,
-        metrics: telemetry.metrics(),
-        mix: telemetry.event_mix().clone(),
-        sched: system.sched_profile(),
+        outcome: report.outcome(),
     }
 }
 
@@ -122,50 +91,13 @@ pub struct ShardRunStats {
     pub workers: u32,
     /// Models this shard owned.
     pub models: usize,
-    /// Requests routed to this shard.
-    pub submitted: u64,
-    /// The shard's order-sensitive FNV-1a response digest.
-    pub digest: u64,
-    /// Simulation events the shard delivered.
-    pub events_processed: u64,
-    /// Events still scheduled when the shard stopped.
-    pub live_events: u64,
-    /// Host wall-clock seconds of this shard's simulation alone.
-    pub wall_secs: f64,
-    /// The shard's aggregate serving metrics.
-    pub metrics: ExperimentMetrics,
-    /// The shard's per-kind event accounting.
-    pub mix: EventMix,
-    /// The shard's scheduler self-profiling counters.
-    pub sched: SchedProfile,
-}
-
-impl ShardRunStats {
-    /// Total up-front rejections across all reject reasons.
-    pub fn rejected(&self) -> u64 {
-        self.metrics.rejections.values().sum()
-    }
-
-    /// Whether this shard ran out of work before stopping.
-    pub fn drained(&self) -> bool {
-        self.live_events == 0
-    }
-
-    /// The per-shard exactly-once identity `successes + rejected == total`.
-    pub fn identity_ok(&self) -> bool {
-        self.metrics.successes + self.rejected() == self.metrics.total_requests
-    }
-
-    /// The per-shard event conservation identity
-    /// `pushed == delivered + cancelled + live`.
-    pub fn mix_conserved(&self) -> bool {
-        self.mix.pushed() == self.mix.delivered() + self.mix.cancelled() + self.live_events
-    }
+    /// What the shard's run produced; `submitted` is what the front door
+    /// routed here and `wall_secs` this shard's simulation alone.
+    pub outcome: RunOutcome,
 }
 
 /// The merged outcome of a sharded run: per-shard stats in shard order plus
-/// the fleet-level aggregates and invariant checks the bench harness gates
-/// on.
+/// the fleet-level aggregate the bench harness gates on.
 #[derive(Clone, Debug)]
 pub struct FleetReport {
     /// Name of the discipline every shard ran.
@@ -182,124 +114,47 @@ impl FleetReport {
     /// digests in shard order. Stable across reruns and across thread
     /// scheduling; any shard diverging moves it.
     pub fn fleet_digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut hash = Fnv1a::new();
         for s in &self.shards {
-            for b in s.digest.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
+            hash.write_u64_le(s.outcome.digest);
         }
-        h
+        hash.finish()
     }
 
-    /// Requests routed across all shards.
-    pub fn submitted(&self) -> u64 {
-        self.shards.iter().map(|s| s.submitted).sum()
-    }
-
-    /// Requests that arrived at any shard's controller.
-    pub fn total_requests(&self) -> u64 {
-        self.shards.iter().map(|s| s.metrics.total_requests).sum()
-    }
-
-    /// Successful inferences across the fleet.
-    pub fn successes(&self) -> u64 {
-        self.shards.iter().map(|s| s.metrics.successes).sum()
-    }
-
-    /// Rejections across the fleet, all reasons.
-    pub fn rejected(&self) -> u64 {
-        self.shards.iter().map(ShardRunStats::rejected).sum()
-    }
-
-    /// SLO-met responses across the fleet.
-    pub fn goodput(&self) -> u64 {
-        self.shards.iter().map(|s| s.metrics.goodput).sum()
-    }
-
-    /// Simulation events delivered across the fleet.
-    pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.events_processed).sum()
-    }
-
-    /// Events still scheduled anywhere when the run stopped.
-    pub fn live_events(&self) -> u64 {
-        self.shards.iter().map(|s| s.live_events).sum()
-    }
-
-    /// Whether every shard ran out of work.
-    pub fn drained(&self) -> bool {
-        self.shards.iter().all(ShardRunStats::drained)
-    }
-
-    /// The global exactly-once identity
-    /// `successes + rejected == total` summed across shards. Only
-    /// meaningful when [`FleetReport::drained`].
-    pub fn identity_ok(&self) -> bool {
-        self.successes() + self.rejected() == self.total_requests()
-    }
-
-    /// Whether any shard recorded more responses than requests — a
-    /// violation even for interrupted runs.
-    pub fn overdelivered(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|s| s.metrics.successes + s.rejected() > s.metrics.total_requests)
-    }
-
-    /// Whether event conservation holds on every shard individually.
-    pub fn mix_conserved(&self) -> bool {
-        self.shards.iter().all(ShardRunStats::mix_conserved)
+    /// The fleet as one run: counters, metrics, event mix and scheduler
+    /// counters summed over shards, [`FleetReport::fleet_digest`] as the
+    /// digest and the whole fleet's wall clock — so every check and report
+    /// written for a single run applies to a fleet unchanged. Summed
+    /// accounting is weaker than per-shard accounting (errors could cancel);
+    /// gate each `shards[i].outcome` too where that matters.
+    pub fn merged(&self) -> RunOutcome {
+        let mut shards = self.shards.iter().map(|s| &s.outcome);
+        let mut merged = shards
+            .next()
+            .expect("a fleet has at least one shard")
+            .clone();
+        for outcome in shards {
+            merged.absorb(outcome);
+        }
+        merged.discipline.clone_from(&self.discipline);
+        merged.digest = self.fleet_digest();
+        merged.wall_secs = self.wall_secs;
+        merged
     }
 
     /// The slowest single shard's simulation time — the fleet's critical
     /// path when every shard has its own core.
     pub fn max_shard_wall(&self) -> f64 {
-        self.shards.iter().map(|s| s.wall_secs).fold(0.0, f64::max)
+        self.shards
+            .iter()
+            .map(|s| s.outcome.wall_secs)
+            .fold(0.0, f64::max)
     }
 
     /// Total simulation work across shards — what one core pays to run the
     /// fleet serially.
     pub fn sum_shard_wall(&self) -> f64 {
-        self.shards.iter().map(|s| s.wall_secs).sum()
-    }
-
-    /// Merges the per-shard metrics into one fleet-level
-    /// [`ExperimentMetrics`]: counters sum, rejection maps merge,
-    /// latency histograms merge bucket-wise, the mean batch is weighted by
-    /// successes and the horizon is the latest shard's.
-    pub fn merged_metrics(&self) -> ExperimentMetrics {
-        let mut shards = self.shards.iter();
-        let first = shards.next().expect("a fleet has at least one shard");
-        let mut merged = first.metrics.clone();
-        let mut batch_weight = first.metrics.mean_batch * first.metrics.successes as f64;
-        for s in shards {
-            let m = &s.metrics;
-            merged.total_requests += m.total_requests;
-            merged.successes += m.successes;
-            merged.goodput += m.goodput;
-            for (reason, count) in &m.rejections {
-                *merged.rejections.entry(reason).or_insert(0) += count;
-            }
-            merged.latency.merge(&m.latency);
-            merged.goodput_latency.merge(&m.goodput_latency);
-            batch_weight += m.mean_batch * m.successes as f64;
-            merged.cold_starts += m.cold_starts;
-            merged.horizon = merged.horizon.max(m.horizon);
-            for (tier, other) in merged.tiers.iter_mut().zip(&m.tiers) {
-                tier.submitted += other.submitted;
-                tier.successes += other.successes;
-                tier.goodput += other.goodput;
-                tier.rejected += other.rejected;
-                tier.shed += other.shed;
-            }
-        }
-        merged.mean_batch = if merged.successes > 0 {
-            batch_weight / merged.successes as f64
-        } else {
-            0.0
-        };
-        merged
+        self.shards.iter().map(|s| s.outcome.wall_secs).sum()
     }
 }
 
@@ -307,7 +162,7 @@ impl FleetReport {
 mod tests {
     use super::*;
     use crate::router::ShardAssignment;
-    use clockwork::prelude::{ClockworkFactory, Experiment, ScenarioSpec};
+    use clockwork::prelude::{ClockworkFactory, ScenarioSpec};
 
     fn sharded(shards: u32) -> ShardedExperiment {
         ShardedExperiment::new(ShardedSpec::new(
@@ -323,38 +178,36 @@ mod tests {
         let spec = ScenarioSpec::smoke(5).with_duration_secs(3);
         let oracle = Experiment::new(spec).run(&ClockworkFactory::default());
         assert_eq!(fleet.shards.len(), 1);
-        assert_eq!(fleet.shards[0].digest, oracle.digest(), "digest oracle");
-        assert_eq!(fleet.total_requests(), oracle.metrics().total_requests);
-        assert_eq!(fleet.successes(), oracle.metrics().successes);
-        assert_eq!(fleet.goodput(), oracle.metrics().goodput);
-        assert_eq!(fleet.events_processed(), oracle.events_processed());
+        assert_eq!(fleet.shards[0].outcome, oracle.outcome());
     }
 
     #[test]
     fn parallel_shards_conserve_and_merge_deterministically() {
         let experiment = sharded(2);
-        let a = experiment.run(&ClockworkFactory::default());
-        assert_eq!(a.shards.len(), 2);
+        let fleet = experiment.run(&ClockworkFactory::default());
+        assert_eq!(fleet.shards.len(), 2);
+        let a = fleet.merged();
         assert_eq!(
-            a.submitted(),
-            a.total_requests(),
+            a.submitted, a.metrics.total_requests,
             "front door loses nothing"
         );
         assert!(a.drained());
         assert!(a.identity_ok(), "successes + rejected == total globally");
-        assert!(!a.overdelivered());
-        assert!(a.mix_conserved(), "event conservation per shard");
-        let b = experiment.run(&ClockworkFactory::default());
-        assert_eq!(a.fleet_digest(), b.fleet_digest(), "deterministic merge");
+        for s in &fleet.shards {
+            assert!(!s.outcome.overdelivered());
+            assert!(s.outcome.mix_conserved(), "event conservation per shard");
+        }
+        assert!(a.mix_conserved(), "and therefore in the sum");
+        let b = experiment.run(&ClockworkFactory::default()).merged();
+        assert_eq!(a, b, "deterministic merge");
+        assert_eq!(a.digest, fleet.fleet_digest());
 
-        let merged = a.merged_metrics();
-        assert_eq!(merged.total_requests, a.total_requests());
-        assert_eq!(merged.goodput, a.goodput());
         assert_eq!(
-            merged.latency.count(),
-            a.shards
+            a.metrics.latency.count(),
+            fleet
+                .shards
                 .iter()
-                .map(|s| s.metrics.latency.count())
+                .map(|s| s.outcome.metrics.latency.count())
                 .sum::<u64>()
         );
     }
@@ -364,7 +217,7 @@ mod tests {
         let fleet = sharded(2).run(&ClockworkFactory::default());
         let mut swapped = fleet.clone();
         swapped.shards.swap(0, 1);
-        if fleet.shards[0].digest != fleet.shards[1].digest {
+        if fleet.shards[0].outcome.digest != fleet.shards[1].outcome.digest {
             assert_ne!(
                 fleet.fleet_digest(),
                 swapped.fleet_digest(),

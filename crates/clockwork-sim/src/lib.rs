@@ -9,6 +9,7 @@
 //!   so every experiment is reproducible bit-for-bit.
 //! * [`engine`] — a discrete-event simulation core ([`EventQueue`],
 //!   [`SimClock`]) that lets hours of trace be replayed in seconds.
+//! * [`hash`] — the one FNV-1a behind every determinism digest.
 //! * [`gpu`] — a GPU timing model with the paper's key property: one-at-a-time
 //!   kernel execution is deterministic, concurrent execution gains a little
 //!   throughput but loses predictability (Fig. 2b).
@@ -27,6 +28,7 @@
 
 pub mod engine;
 pub mod gpu;
+pub mod hash;
 pub mod memory;
 pub mod network;
 pub mod pcie;

@@ -12,7 +12,8 @@
 //!   mixing heavy sustained load, bursty and periodic spikes, and a long tail
 //!   of cold functions. The trace itself is not redistributable, so
 //!   [`azure`] provides a synthetic generator that reproduces those workload
-//!   classes — see DESIGN.md for the substitution rationale — plus a trace
+//!   classes — the [`azure`] module docs give the substitution rationale —
+//!   plus a trace
 //!   container ([`trace`]) that can also parse externally supplied traces.
 //!
 //! Beyond the paper's experiments, [`shapes`] provides the scenario-zoo

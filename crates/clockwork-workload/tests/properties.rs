@@ -251,8 +251,7 @@ proptest! {
         // the target. The generator deliberately trades rate exactness for
         // realistic class mixtures (hourly spikes land inside short windows,
         // cold functions contribute a minimum trickle), so the band here is
-        // wide; the per-experiment realised rates are recorded in
-        // EXPERIMENTS.md.
+        // wide; each experiment binary prints its realised rate.
         prop_assert!(!trace.is_empty());
         let realised = trace.mean_rate();
         prop_assert!(realised > rate * 0.2 && realised < rate * 10.0,

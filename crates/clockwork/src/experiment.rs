@@ -15,8 +15,9 @@ use clockwork_controller::registry::SchedulerFactory;
 use clockwork_model::ModelId;
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::Timestamp;
-use clockwork_workload::{ClosedLoopClient, OpenLoopClient};
+use clockwork_workload::{ClosedLoopClient, OpenLoopClient, Trace};
 
+use crate::outcome::RunOutcome;
 use crate::scenario::{ScenarioSpec, WorkloadSpec};
 use crate::system::ServingSystem;
 use crate::telemetry::{EventMix, ExperimentMetrics, SystemTelemetry};
@@ -47,38 +48,51 @@ impl Experiment {
     /// perf gates rely on.
     pub fn run_capped(&self, factory: &dyn SchedulerFactory, max_events: u64) -> RunReport {
         let spec = &self.spec;
-        let mut system = ServingSystem::from_spec(spec, factory);
-        let models: Vec<ModelId> = (0..spec.models as u32).map(ModelId).collect();
-        let submitted;
-        match spec.workload {
-            WorkloadSpec::Azure { .. } | WorkloadSpec::Shaped { .. } => {
-                let trace = spec
-                    .generated_trace()
-                    .expect("pre-generated workload has a trace");
-                submitted = trace.len() as u64;
-                system.submit_trace(&trace);
-            }
+        let population: Vec<u32> = (0..spec.models as u32).collect();
+        let trace = match spec.workload {
+            WorkloadSpec::Azure { .. } | WorkloadSpec::Shaped { .. } => spec
+                .generated_trace()
+                .expect("pre-generated workload has a trace"),
             WorkloadSpec::OpenLoop { rate_per_model } => {
-                let trace = OpenLoopClient::generate_many(
+                let models: Vec<ModelId> = population.iter().map(|&m| ModelId(m)).collect();
+                OpenLoopClient::generate_many(
                     &models,
                     rate_per_model,
                     spec.slo(),
                     spec.duration(),
                     &mut SimRng::seeded(spec.workload_seed),
-                );
-                submitted = trace.len() as u64;
-                system.submit_trace(&trace);
+                )
             }
-            WorkloadSpec::ClosedLoop { concurrency } => {
-                // Clients start staggered by 1 µs so their first submissions
-                // have a deterministic order without landing synchronized.
-                for (i, &model) in models.iter().enumerate() {
-                    system.add_closed_loop_client(
-                        ClosedLoopClient::new(model, concurrency, spec.slo()),
-                        Timestamp::from_nanos(i as u64 * 1_000),
-                    );
-                }
-                submitted = 0;
+            // Closed-loop clients generate their load inside the run.
+            WorkloadSpec::ClosedLoop { .. } => Trace::default(),
+        };
+        self.run_prepared(factory, &population, &trace, max_events)
+    }
+
+    /// The one build / register / submit / drive loop. Runs the scenario on
+    /// an already-derived slice of it: `population` holds the global indices
+    /// (ascending) of the models this system owns — index `population[i]`
+    /// registers as local model `i` — and `trace` the arrivals for them in
+    /// local ids. [`Experiment::run_capped`] passes the whole population and
+    /// the spec's own trace; a shard of a fleet passes its slice of both.
+    pub fn run_prepared(
+        &self,
+        factory: &dyn SchedulerFactory,
+        population: &[u32],
+        trace: &Trace,
+        max_events: u64,
+    ) -> RunReport {
+        let spec = &self.spec;
+        let mut system = ServingSystem::with_population(spec, factory, population.iter().copied());
+        system.submit_trace(trace);
+        if let WorkloadSpec::ClosedLoop { concurrency } = spec.workload {
+            // Clients start staggered by 1 µs so their first submissions
+            // have a deterministic order without landing synchronized.
+            for i in 0..population.len() {
+                system.add_closed_loop_client(
+                    ClosedLoopClient::new(ModelId(i as u32), concurrency, spec.slo()),
+                    Timestamp::from_nanos(i as u64 * 1_000),
+                );
             }
         }
         let started = Instant::now();
@@ -86,7 +100,7 @@ impl Experiment {
         let wall_secs = started.elapsed().as_secs_f64();
         RunReport {
             discipline: system.scheduler_name().to_string(),
-            submitted,
+            submitted: trace.len() as u64,
             wall_secs,
             max_events,
             system,
@@ -137,25 +151,9 @@ impl RunReport {
         self.system.pending_events()
     }
 
-    /// Delivered events per host wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events_processed() as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Whether the run ran out of work — no live events left, so nothing
-    /// further could ever happen — as opposed to stopping at its event cap
-    /// or at the horizon with work still pending. Only a drained run can be
-    /// held to the exactly-once accounting identity: a best-effort
-    /// discipline stopped mid-flight may legitimately still hold queued
-    /// requests it would eventually answer (it keeps its tick chain alive
-    /// exactly while requests are pending, so a discipline that silently
-    /// *dropped* a request empties its queue and still gets caught).
+    /// See [`RunOutcome::drained`].
     pub fn drained(&self) -> bool {
-        self.live_events() == 0
+        self.outcome().drained()
     }
 
     /// The per-kind event mix.
@@ -177,32 +175,40 @@ impl RunReport {
         self.system.sched_profile()
     }
 
-    /// Total up-front rejections across all reject reasons.
+    /// The run as plain data, detached from the finished system.
+    pub fn outcome(&self) -> RunOutcome {
+        let telemetry = self.telemetry();
+        RunOutcome {
+            discipline: self.discipline.clone(),
+            submitted: self.submitted,
+            digest: telemetry.response_digest(),
+            events_processed: self.events_processed(),
+            live_events: self.live_events(),
+            wall_secs: self.wall_secs,
+            metrics: telemetry.metrics(),
+            mix: telemetry.event_mix().clone(),
+            sched: self.sched_stats(),
+        }
+    }
+
+    /// See [`RunOutcome::rejected`].
     pub fn rejected(&self) -> u64 {
-        self.metrics().rejections.values().sum()
+        self.outcome().rejected()
     }
 
-    /// The exactly-once accounting identity `successes + rejected == total`.
-    /// Only meaningful for drained runs; an event-capped run legitimately
-    /// leaves requests unanswered (but must never answer one twice, which
-    /// [`RunReport::overdelivered`] checks).
+    /// See [`RunOutcome::identity_ok`].
     pub fn identity_ok(&self) -> bool {
-        let m = self.metrics();
-        m.successes + self.rejected() == m.total_requests
+        self.outcome().identity_ok()
     }
 
-    /// Whether more responses than requests were recorded — a violation even
-    /// for interrupted runs.
+    /// See [`RunOutcome::overdelivered`].
     pub fn overdelivered(&self) -> bool {
-        let m = self.metrics();
-        m.successes + self.rejected() > m.total_requests
+        self.outcome().overdelivered()
     }
 
-    /// The event-mix conservation identity
-    /// `pushed == delivered + cancelled + live`.
+    /// See [`RunOutcome::mix_conserved`].
     pub fn mix_conserved(&self) -> bool {
-        let mix = self.event_mix();
-        mix.pushed() == mix.delivered() + mix.cancelled() + self.live_events()
+        self.outcome().mix_conserved()
     }
 }
 

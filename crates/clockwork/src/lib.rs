@@ -41,12 +41,14 @@
 
 pub mod config;
 pub mod experiment;
+pub mod outcome;
 pub mod scenario;
 pub mod system;
 pub mod telemetry;
 
 pub use config::SystemConfig;
 pub use experiment::{Experiment, RunReport};
+pub use outcome::RunOutcome;
 pub use scenario::{ModelSet, ScenarioSpec, WorkloadSpec};
 pub use system::{ServingSystem, SystemBuilder};
 pub use telemetry::{
@@ -62,6 +64,7 @@ pub use clockwork_metrics::trace::{RingTracer, TraceRecord, Tracer};
 pub mod prelude {
     pub use crate::config::SystemConfig;
     pub use crate::experiment::{Experiment, RunReport};
+    pub use crate::outcome::RunOutcome;
     pub use crate::scenario::{ModelSet, ScenarioSpec, WorkloadSpec};
     pub use crate::system::{ServingSystem, SystemBuilder};
     pub use crate::telemetry::{

@@ -606,17 +606,29 @@ impl ServingSystem {
     /// fault plan installed. The caller (usually
     /// [`Experiment`](crate::experiment::Experiment)) submits the workload.
     pub fn from_spec(spec: &ScenarioSpec, factory: &dyn SchedulerFactory) -> ServingSystem {
+        ServingSystem::with_population(spec, factory, 0..spec.models as u32)
+    }
+
+    /// [`ServingSystem::from_spec`] for a system that owns only part of the
+    /// scenario's model population: registers the models with the given
+    /// global indices, in the order given, so the `i`-th becomes local
+    /// model `i`.
+    pub fn with_population(
+        spec: &ScenarioSpec,
+        factory: &dyn SchedulerFactory,
+        population: impl IntoIterator<Item = u32>,
+    ) -> ServingSystem {
         let mut system = ServingSystem::with_factory(spec.system_config(), factory);
         let zoo = ModelZoo::new();
         match spec.model_set {
             ModelSet::ZooCycle => {
                 let varieties = zoo.all();
-                for i in 0..spec.models {
-                    system.register_model(&varieties[i % varieties.len()]);
+                for global in population {
+                    system.register_model(&varieties[global as usize % varieties.len()]);
                 }
             }
             ModelSet::Resnet50Copies => {
-                for _ in 0..spec.models {
+                for _ in population {
                     system.register_model(zoo.resnet50());
                 }
             }

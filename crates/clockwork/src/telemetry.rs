@@ -11,6 +11,7 @@ use clockwork_controller::request::{RejectReason, RequestOutcome, Response};
 use clockwork_metrics::{LatencyHistogram, Summary, TimeSeries};
 use clockwork_model::{ModelId, Tier};
 use clockwork_sim::engine::FaultKind;
+use clockwork_sim::hash::Fnv1a;
 use clockwork_sim::time::{Nanos, Timestamp};
 
 /// One fleet fault observed by the system, with the availability it left
@@ -39,7 +40,7 @@ impl FaultRecord {
 }
 
 /// Push/deliver/cancel counters for one kind of simulation event.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventMixEntry {
     /// Snake-case label of the event kind (e.g. `worker_wake`).
     pub kind: &'static str,
@@ -60,7 +61,7 @@ pub struct EventMixEntry {
 /// visible in CI artifacts, not just as a mysterious slowdown. The counters
 /// obey the conservation identity `pushed == delivered + cancelled + live`
 /// at every instant, where `live` is what is still queued.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventMix {
     entries: Vec<EventMixEntry>,
     noop_wakes: u64,
@@ -138,6 +139,19 @@ impl EventMix {
     pub fn noop_wakes(&self) -> u64 {
         self.noop_wakes
     }
+
+    /// Adds another system's counters kind by kind (every system counts the
+    /// same kinds in the same order).
+    pub fn merge(&mut self, other: &EventMix) {
+        debug_assert_eq!(self.entries.len(), other.entries.len());
+        for (mine, theirs) in self.entries.iter_mut().zip(&other.entries) {
+            debug_assert_eq!(mine.kind, theirs.kind);
+            mine.pushed += theirs.pushed;
+            mine.delivered += theirs.delivered;
+            mine.cancelled += theirs.cancelled;
+        }
+        self.noop_wakes += other.noop_wakes;
+    }
 }
 
 /// Outcome counters for one service tier.
@@ -173,7 +187,7 @@ impl TierOutcomes {
 }
 
 /// Aggregated metrics of one experiment run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExperimentMetrics {
     /// Total requests submitted to the controller.
     pub total_requests: u64,
@@ -238,6 +252,37 @@ impl ExperimentMetrics {
     pub fn tier(&self, tier: Tier) -> &TierOutcomes {
         &self.tiers[tier.index()]
     }
+
+    /// Merges the metrics of an independent run (another shard of the same
+    /// fleet) into these: counters sum, rejection maps merge, latency
+    /// histograms merge bucket-wise, the mean batch is weighted by
+    /// successes and the horizon is the later one.
+    pub fn merge(&mut self, other: &ExperimentMetrics) {
+        let batch_weight =
+            self.mean_batch * self.successes as f64 + other.mean_batch * other.successes as f64;
+        self.total_requests += other.total_requests;
+        self.successes += other.successes;
+        self.goodput += other.goodput;
+        for (reason, count) in &other.rejections {
+            *self.rejections.entry(reason).or_insert(0) += count;
+        }
+        self.latency.merge(&other.latency);
+        self.goodput_latency.merge(&other.goodput_latency);
+        self.mean_batch = if self.successes > 0 {
+            batch_weight / self.successes as f64
+        } else {
+            0.0
+        };
+        self.cold_starts += other.cold_starts;
+        self.horizon = self.horizon.max(other.horizon);
+        for (tier, theirs) in self.tiers.iter_mut().zip(&other.tiers) {
+            tier.submitted += theirs.submitted;
+            tier.successes += theirs.successes;
+            tier.goodput += theirs.goodput;
+            tier.rejected += theirs.rejected;
+            tier.shed += theirs.shed;
+        }
+    }
 }
 
 /// Collects per-request outcomes and time series during a run.
@@ -280,7 +325,7 @@ pub struct SystemTelemetry {
     /// Scheduler ticks answered by the early-out.
     sched_ticks_skipped: u64,
     horizon: Timestamp,
-    digest: u64,
+    digest: Fnv1a,
 }
 
 impl Default for SystemTelemetry {
@@ -316,7 +361,7 @@ impl SystemTelemetry {
             sched_ticks_full: 0,
             sched_ticks_skipped: 0,
             horizon: Timestamp::ZERO,
-            digest: 0xcbf2_9ce4_8422_2325, // FNV-1a offset basis
+            digest: Fnv1a::new(),
         }
     }
 
@@ -350,15 +395,9 @@ impl SystemTelemetry {
         self.sched_ticks_skipped
     }
 
+    #[inline]
     fn digest_fold(&mut self, value: u64) {
-        // FNV-1a over the 8 bytes of `value`.
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = self.digest;
-        for byte in value.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-        self.digest = h;
+        self.digest.write_u64_le(value);
     }
 
     /// An order-sensitive FNV-1a digest over every response the controller
@@ -369,7 +408,7 @@ impl SystemTelemetry {
     /// both use this to pin down that optimisations did not change
     /// scheduling decisions.
     pub fn response_digest(&self) -> u64 {
-        self.digest
+        self.digest.finish()
     }
 
     fn advance(&mut self, t: Timestamp) {

@@ -39,6 +39,19 @@ fn same_seed_same_digest() {
 // again, re-measure `run_fleet_smoke(7, u64::MAX)` and lower this with it.
 const SMOKE_CAP: u64 = 20_000;
 
+// The smoke scenario's digests, pinned across commits: a refactor that moves
+// a byte of the response stream fails here, in tier-1, not only in the
+// ~90 s `--expect-digest` runs. Refresh them (with `SMOKE_CAP` and the BENCH
+// baselines) only in a commit that means to change scheduling decisions.
+const GOLDEN_FULL: (u64, u64) = (0x03ae_1a15_fb97_4da4, 38_868);
+const GOLDEN_CAPPED: u64 = 0x31e0_736e_2922_0b81;
+
+#[test]
+fn smoke_digests_match_the_golden_constants() {
+    assert_eq!(run_fleet_smoke(7, u64::MAX), GOLDEN_FULL);
+    assert_eq!(run_fleet_smoke(7, SMOKE_CAP), (GOLDEN_CAPPED, SMOKE_CAP));
+}
+
 #[test]
 fn smoke_mode_is_fixed_work_and_deterministic() {
     let (digest_a, events_a) = run_fleet_smoke(7, SMOKE_CAP);
