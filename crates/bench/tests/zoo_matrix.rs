@@ -72,4 +72,17 @@ fn zoo_presets_are_distinct_and_self_describing() {
             .unwrap_or_else(|e| panic!("{} does not round-trip: {e}", spec.name));
         assert_eq!(parsed.to_json(), spec.to_json(), "{} drifts", spec.name);
     }
+    // The README's `ScenarioSpec` example is the first fenced JSON block of
+    // the bench README: it must parse, and be `to_json` output (re-flowed).
+    let readme = include_str!("../README.md");
+    let example = readme
+        .split("```json")
+        .nth(1)
+        .and_then(|rest| rest.split("```").next())
+        .expect("README has a fenced json block");
+    let parsed = ScenarioSpec::from_json(example)
+        .unwrap_or_else(|e| panic!("README ScenarioSpec example does not parse: {e}"));
+    let compact: String = example.chars().filter(|c| !c.is_whitespace()).collect();
+    assert_eq!(parsed.to_json(), compact, "README example drifted");
+    assert_eq!(compact, ScenarioSpec::chaos_fleet().to_json());
 }

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use clockwork_controller::request::{InferenceRequest, RejectReason, RequestOutcome, Response};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
-use clockwork_controller::worker_state::{GpuRef, OutstandingAction, WorkerStateTracker};
+use clockwork_controller::worker_state::{GpuRef, WorkerStateTracker};
 use clockwork_model::{ModelId, ModelSpec};
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
@@ -103,29 +103,6 @@ impl ClipperScheduler {
         Self::new(ClipperConfig::default())
     }
 
-    /// Registers a GPU.
-    pub fn add_gpu(&mut self, gpu_ref: GpuRef, total_pages: u64, page_size: u64) {
-        self.tracker.add_gpu(gpu_ref, total_pages, page_size);
-    }
-
-    /// Registers a model.
-    pub fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_estimate: Nanos) {
-        self.load_estimates.insert(id, load_estimate);
-        self.models.insert(
-            id,
-            ModelState {
-                spec,
-                queue: VecDeque::new(),
-                home: None,
-                loaded: false,
-                load_requested: false,
-                target_batch: 1,
-                outstanding: 0,
-                slo_hint: Nanos::from_millis(100),
-            },
-        );
-    }
-
     /// The current adaptive batch size of a model (for tests).
     pub fn target_batch(&self, model: ModelId) -> Option<u32> {
         self.models.get(&model).map(|m| m.target_batch)
@@ -187,20 +164,8 @@ impl ClipperScheduler {
                     TimeWindow::always(),
                     load_est,
                 );
-                if let Some(track) = self.tracker.get_mut(home) {
-                    let pages = track.pages_for(weights);
-                    track.note_load_sent(
-                        OutstandingAction {
-                            id,
-                            model: model_id,
-                            expected_completion: now + load_est,
-                            is_load: true,
-                        },
-                        pages,
-                        now,
-                        load_est,
-                    );
-                }
+                self.tracker
+                    .note_load_sent(home, id, model_id, weights, now, load_est);
                 self.models
                     .get_mut(&model_id)
                     .expect("model exists")
@@ -265,18 +230,8 @@ impl ClipperScheduler {
                     TimeWindow::always(),
                     exec_est,
                 );
-                if let Some(track) = self.tracker.get_mut(home) {
-                    track.note_infer_sent(
-                        OutstandingAction {
-                            id,
-                            model: model_id,
-                            expected_completion: now + exec_est,
-                            is_load: false,
-                        },
-                        now,
-                        exec_est,
-                    );
-                }
+                self.tracker
+                    .note_infer_sent(home, id, model_id, now, exec_est);
                 self.in_flight.insert(id, requests);
             }
         }
@@ -299,15 +254,24 @@ impl ClipperScheduler {
 
 impl Scheduler for ClipperScheduler {
     fn add_gpu(&mut self, gpu_ref: GpuRef, total_pages: u64, page_size: u64) {
-        ClipperScheduler::add_gpu(self, gpu_ref, total_pages, page_size);
+        self.tracker.add_gpu(gpu_ref, total_pages, page_size);
     }
 
     fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_seed: Nanos) {
-        ClipperScheduler::add_model(self, id, spec, load_seed);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+        self.load_estimates.insert(id, load_seed);
+        self.models.insert(
+            id,
+            ModelState {
+                spec,
+                queue: VecDeque::new(),
+                home: None,
+                loaded: false,
+                load_requested: false,
+                target_batch: 1,
+                outstanding: 0,
+                slo_hint: Nanos::from_millis(100),
+            },
+        );
     }
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
@@ -342,14 +306,13 @@ impl Scheduler for ClipperScheduler {
                 // the GPU died (and was wiped) after producing it. Applying
                 // it anyway would mark the model loaded on a home that no
                 // longer exists and wedge every future dispatch.
-                let applied = self
-                    .tracker
-                    .get_mut(gpu_ref)
-                    .map(|t| {
-                        t.note_load_result(result.action_id, result.model, result.is_success())
-                    })
-                    .unwrap_or(false);
-                if applied {
+                let applied = self.tracker.note_load_result(
+                    gpu_ref,
+                    result.action_id,
+                    result.model,
+                    result.is_success(),
+                );
+                if applied.is_some() {
                     if let Some(state) = self.models.get_mut(&result.model) {
                         state.loaded = result.is_success();
                         state.load_requested = result.is_success();
@@ -357,9 +320,7 @@ impl Scheduler for ClipperScheduler {
                 }
             }
             "INFER" => {
-                if let Some(track) = self.tracker.get_mut(gpu_ref) {
-                    track.note_infer_result(result.action_id);
-                }
+                self.tracker.note_infer_result(gpu_ref, result.action_id);
                 if let Some(requests) = self.in_flight.remove(&result.action_id) {
                     // The decrement sits behind the `in_flight` staleness
                     // guard: a result from a batch that a fault already
@@ -421,8 +382,8 @@ impl Scheduler for ClipperScheduler {
         // home that pointed at it so `assign_home` re-places the model on
         // live capacity (reloading from scratch).
         let lost = self.tracker.apply_fault(now, fault);
-        for id in lost.iter().rev() {
-            if let Some(requests) = self.in_flight.remove(id) {
+        for (_, action) in lost.iter().rev() {
+            if let Some(requests) = self.in_flight.remove(&action.id) {
                 if let Some(first) = requests.first() {
                     if let Some(state) = self.models.get_mut(&first.model) {
                         state.outstanding = state.outstanding.saturating_sub(1);

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 use clockwork_controller::request::{InferenceRequest, RejectReason, RequestOutcome, Response};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
-use clockwork_controller::worker_state::{GpuRef, OutstandingAction, WorkerStateTracker};
+use clockwork_controller::worker_state::{GpuRef, WorkerStateTracker};
 use clockwork_model::{ModelId, ModelSpec};
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
@@ -89,27 +89,6 @@ impl InfaasScheduler {
         Self::new(InfaasConfig::default())
     }
 
-    /// Registers a GPU.
-    pub fn add_gpu(&mut self, gpu_ref: GpuRef, total_pages: u64, page_size: u64) {
-        self.tracker.add_gpu(gpu_ref, total_pages, page_size);
-    }
-
-    /// Registers a model.
-    pub fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_estimate: Nanos) {
-        self.load_estimates.insert(id, load_estimate);
-        self.models.insert(
-            id,
-            ModelState {
-                spec,
-                queue: VecDeque::new(),
-                replicas: Vec::new(),
-                loading: Vec::new(),
-                outstanding: 0,
-                next_replica: 0,
-            },
-        );
-    }
-
     /// Number of replicas (loaded GPUs) a model currently has.
     pub fn replica_count(&self, model: ModelId) -> usize {
         self.models
@@ -154,20 +133,8 @@ impl InfaasScheduler {
             TimeWindow::always(),
             load_est,
         );
-        if let Some(track) = self.tracker.get_mut(gpu_ref) {
-            let pages = track.pages_for(weights);
-            track.note_load_sent(
-                OutstandingAction {
-                    id,
-                    model: model_id,
-                    expected_completion: now + load_est,
-                    is_load: true,
-                },
-                pages,
-                now,
-                load_est,
-            );
-        }
+        self.tracker
+            .note_load_sent(gpu_ref, id, model_id, weights, now, load_est);
         self.load_targets.insert(id, gpu_ref);
         self.models
             .get_mut(&model_id)
@@ -203,27 +170,20 @@ impl InfaasScheduler {
         };
         // Only live GPUs are replication targets; a dead GPU would swallow
         // the LOAD without ever answering.
-        let target = self
-            .tracker
-            .gpus()
-            .iter()
-            .filter(|g| g.alive && !existing.contains(&g.gpu_ref))
-            .min_by_key(|g| (g.next_exec_slot(now), g.gpu_ref))
-            .map(|g| g.gpu_ref)
-            .or_else(|| {
-                let alive: Vec<GpuRef> = self
-                    .tracker
-                    .gpus()
-                    .iter()
-                    .filter(|g| g.alive)
-                    .map(|g| g.gpu_ref)
-                    .collect();
-                if alive.is_empty() {
-                    None
-                } else {
-                    Some(alive[self.next_gpu % alive.len()])
-                }
-            });
+        let target = self.tracker.least_loaded_gpu(now, &existing).or_else(|| {
+            let alive: Vec<GpuRef> = self
+                .tracker
+                .gpus()
+                .iter()
+                .filter(|g| g.alive)
+                .map(|g| g.gpu_ref)
+                .collect();
+            if alive.is_empty() {
+                None
+            } else {
+                Some(alive[self.next_gpu % alive.len()])
+            }
+        });
         self.next_gpu = self.next_gpu.wrapping_add(1);
         if let Some(target) = target {
             if !existing.contains(&target) {
@@ -270,18 +230,8 @@ impl InfaasScheduler {
                     TimeWindow::always(),
                     exec_est,
                 );
-                if let Some(track) = self.tracker.get_mut(replica) {
-                    track.note_infer_sent(
-                        OutstandingAction {
-                            id,
-                            model: model_id,
-                            expected_completion: now + exec_est,
-                            is_load: false,
-                        },
-                        now,
-                        exec_est,
-                    );
-                }
+                self.tracker
+                    .note_infer_sent(replica, id, model_id, now, exec_est);
                 self.in_flight.insert(id, requests);
             }
         }
@@ -290,15 +240,22 @@ impl InfaasScheduler {
 
 impl Scheduler for InfaasScheduler {
     fn add_gpu(&mut self, gpu_ref: GpuRef, total_pages: u64, page_size: u64) {
-        InfaasScheduler::add_gpu(self, gpu_ref, total_pages, page_size);
+        self.tracker.add_gpu(gpu_ref, total_pages, page_size);
     }
 
     fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_seed: Nanos) {
-        InfaasScheduler::add_model(self, id, spec, load_seed);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+        self.load_estimates.insert(id, load_seed);
+        self.models.insert(
+            id,
+            ModelState {
+                spec,
+                queue: VecDeque::new(),
+                replicas: Vec::new(),
+                loading: Vec::new(),
+                outstanding: 0,
+                next_replica: 0,
+            },
+        );
     }
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
@@ -330,18 +287,17 @@ impl Scheduler for InfaasScheduler {
                 // the GPU died (and was wiped) after producing it; it must
                 // not resurrect a replica on capacity that no longer holds
                 // the weights.
-                let applied = self
-                    .tracker
-                    .get_mut(gpu_ref)
-                    .map(|t| {
-                        t.note_load_result(result.action_id, result.model, result.is_success())
-                    })
-                    .unwrap_or(false);
+                let applied = self.tracker.note_load_result(
+                    gpu_ref,
+                    result.action_id,
+                    result.model,
+                    result.is_success(),
+                );
                 let target = self
                     .load_targets
                     .remove(&result.action_id)
                     .unwrap_or(gpu_ref);
-                if applied {
+                if applied.is_some() {
                     if let Some(state) = self.models.get_mut(&result.model) {
                         state.loading.retain(|g| *g != target);
                         if result.is_success() && !state.replicas.contains(&target) {
@@ -351,9 +307,7 @@ impl Scheduler for InfaasScheduler {
                 }
             }
             "INFER" => {
-                if let Some(track) = self.tracker.get_mut(gpu_ref) {
-                    track.note_infer_result(result.action_id);
-                }
+                self.tracker.note_infer_result(gpu_ref, result.action_id);
                 if let Some(requests) = self.in_flight.remove(&result.action_id) {
                     // The decrement sits behind the `in_flight` staleness
                     // guard: a result from a batch that a fault already
@@ -417,9 +371,9 @@ impl Scheduler for InfaasScheduler {
             state.replicas.retain(alive);
             state.loading.retain(alive);
         }
-        for id in lost.iter().rev() {
-            self.load_targets.remove(id);
-            if let Some(requests) = self.in_flight.remove(id) {
+        for (_, action) in lost.iter().rev() {
+            self.load_targets.remove(&action.id);
+            if let Some(requests) = self.in_flight.remove(&action.id) {
                 if let Some(first) = requests.first() {
                     if let Some(state) = self.models.get_mut(&first.model) {
                         state.outstanding = state.outstanding.saturating_sub(1);

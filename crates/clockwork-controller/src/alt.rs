@@ -14,7 +14,7 @@
 //! the same [`Scheduler`] trait, so they are interchangeable in the system
 //! harness and the comparison isolates policy, not plumbing.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use clockwork_model::{ModelId, ModelSpec};
@@ -23,7 +23,7 @@ use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
 
 use crate::request::{InferenceRequest, RejectReason, RequestOutcome, Response};
 use crate::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
-use crate::worker_state::{GpuRef, OutstandingAction, WorkerStateTracker};
+use crate::worker_state::{GpuRef, WorkerStateTracker};
 
 /// A deliberately naive scheduler: FIFO dispatch, batch size 1, round-robin
 /// GPU selection, on-demand loads, no admission control, unbounded windows.
@@ -53,17 +53,6 @@ impl FifoScheduler {
             next_gpu: 0,
             load_estimates: HashMap::new(),
         }
-    }
-
-    /// Registers a GPU.
-    pub fn add_gpu(&mut self, gpu_ref: GpuRef, total_pages: u64, page_size: u64) {
-        self.tracker.add_gpu(gpu_ref, total_pages, page_size);
-    }
-
-    /// Registers a model.
-    pub fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_estimate: Nanos) {
-        self.load_estimates.insert(id, load_estimate);
-        self.models.insert(id, spec);
     }
 
     /// Number of requests waiting to be dispatched.
@@ -104,42 +93,29 @@ impl FifoScheduler {
             self.next_gpu = self.next_gpu.wrapping_add(1);
             let exec_est = spec.exec_latency(1).unwrap_or(Nanos::from_millis(10));
             // Load on demand if the GPU does not already hold the model,
-            // evicting LRU models until the load fits.
+            // evicting LRU models until the load fits (and loading anyway,
+            // over-reserving, when nothing is left to evict).
             let needs_load = !self
                 .tracker
                 .get(gpu_ref)
-                .map(|t| t.has_or_loading(request.model))
-                .unwrap_or(false);
+                .is_some_and(|t| t.has_or_loading(request.model));
             if needs_load {
                 let load_est = self
                     .load_estimates
                     .get(&request.model)
                     .copied()
                     .unwrap_or(Nanos::from_millis(10));
-                loop {
-                    let track = self.tracker.get(gpu_ref).expect("gpu exists");
-                    let pages = track.pages_for(spec.weights_bytes());
-                    if pages <= track.free_pages {
-                        break;
-                    }
-                    let protect = std::collections::HashSet::new();
-                    let Some(victim) = track.lru_candidate(&protect) else {
-                        break;
-                    };
-                    self.tracker
-                        .get_mut(gpu_ref)
-                        .expect("gpu exists")
-                        .note_unload_sent(victim);
-                    ctx.send_action(
-                        gpu_ref.worker,
-                        gpu_ref.gpu,
-                        ActionKind::Unload { model: victim },
-                        TimeWindow::always(),
-                        Nanos::from_micros(5),
-                    );
-                }
-                let track = self.tracker.get_mut(gpu_ref).expect("gpu exists");
-                let pages = track.pages_for(spec.weights_bytes());
+                let weights = spec.weights_bytes();
+                self.tracker
+                    .evict_until_fits(gpu_ref, weights, &HashSet::new(), |victim| {
+                        ctx.send_action(
+                            gpu_ref.worker,
+                            gpu_ref.gpu,
+                            ActionKind::Unload { model: victim },
+                            TimeWindow::always(),
+                            Nanos::from_micros(5),
+                        );
+                    });
                 let load_id = ctx.send_action(
                     gpu_ref.worker,
                     gpu_ref.gpu,
@@ -149,14 +125,11 @@ impl FifoScheduler {
                     TimeWindow::always(),
                     load_est,
                 );
-                track.note_load_sent(
-                    OutstandingAction {
-                        id: load_id,
-                        model: request.model,
-                        expected_completion: now + load_est,
-                        is_load: true,
-                    },
-                    pages,
+                self.tracker.note_load_sent(
+                    gpu_ref,
+                    load_id,
+                    request.model,
+                    weights,
                     now,
                     load_est,
                 );
@@ -172,17 +145,8 @@ impl FifoScheduler {
                 TimeWindow::always(),
                 exec_est,
             );
-            let track = self.tracker.get_mut(gpu_ref).expect("gpu exists");
-            track.note_infer_sent(
-                OutstandingAction {
-                    id: infer_id,
-                    model: request.model,
-                    expected_completion: now + exec_est,
-                    is_load: false,
-                },
-                now,
-                exec_est,
-            );
+            self.tracker
+                .note_infer_sent(gpu_ref, infer_id, request.model, now, exec_est);
             self.in_flight.insert(infer_id, request);
         }
     }
@@ -190,15 +154,12 @@ impl FifoScheduler {
 
 impl Scheduler for FifoScheduler {
     fn add_gpu(&mut self, gpu_ref: GpuRef, total_pages: u64, page_size: u64) {
-        FifoScheduler::add_gpu(self, gpu_ref, total_pages, page_size);
+        self.tracker.add_gpu(gpu_ref, total_pages, page_size);
     }
 
     fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_seed: Nanos) {
-        FifoScheduler::add_model(self, id, spec, load_seed);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+        self.load_estimates.insert(id, load_seed);
+        self.models.insert(id, spec);
     }
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
@@ -213,14 +174,15 @@ impl Scheduler for FifoScheduler {
         };
         match result.action_type {
             "LOAD" => {
-                if let Some(track) = self.tracker.get_mut(gpu_ref) {
-                    track.note_load_result(result.action_id, result.model, result.is_success());
-                }
+                self.tracker.note_load_result(
+                    gpu_ref,
+                    result.action_id,
+                    result.model,
+                    result.is_success(),
+                );
             }
             "INFER" => {
-                if let Some(track) = self.tracker.get_mut(gpu_ref) {
-                    track.note_infer_result(result.action_id);
-                }
+                self.tracker.note_infer_result(gpu_ref, result.action_id);
                 if let Some(request) = self.in_flight.remove(&result.action_id) {
                     let outcome = match &result.outcome {
                         ActionOutcome::Success(timing) => RequestOutcome::Success {
@@ -265,8 +227,8 @@ impl Scheduler for FifoScheduler {
         // in-flight actions died with the GPU. Reverse id order + push_front
         // restores the lost requests at the head in their original order.
         let lost = self.tracker.apply_fault(now, fault);
-        for id in lost.iter().rev() {
-            if let Some(request) = self.in_flight.remove(id) {
+        for (_, action) in lost.iter().rev() {
+            if let Some(request) = self.in_flight.remove(&action.id) {
                 self.queue.push_front(request);
             }
         }

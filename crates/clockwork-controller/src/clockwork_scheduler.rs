@@ -28,108 +28,59 @@ use serde::{Deserialize, Serialize};
 use clockwork_metrics::trace::TraceEvent;
 use clockwork_model::{ModelId, ModelSpec, Tier};
 use clockwork_sim::engine::FaultKind;
-use clockwork_sim::pcie::PcieLink;
 use clockwork_sim::time::{Nanos, Timestamp};
-use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, GpuId, TimeWindow, WorkerId};
+use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
 
 use crate::batching;
 use crate::journal::{ChangeJournal, SchedProfile};
 use crate::profile::{ActionProfiler, ProfileKey};
 use crate::request::{InferenceRequest, RejectReason, RequestOutcome, Response};
 use crate::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
-use crate::worker_state::{FreeAtIndex, GpuRef, OutstandingAction, WorkerStateTracker};
+use crate::worker_state::{Executor, GpuRef, WorkerStateTracker};
 
-/// Configuration of the Clockwork scheduler.
+/// How much work to keep outstanding per executor (§5.3: 5 ms).
+const LOOKAHEAD: Nanos = Nanos::from_millis(5);
+/// Interval between scheduler ticks when work is pending.
+pub const TICK_INTERVAL: Nanos = Nanos::from_millis(1);
+/// Time reserved for network transfers and output delivery when checking
+/// deadlines.
+const NETWORK_ALLOWANCE: Nanos = Nanos::from_micros(500);
+/// Extra margin added after an outstanding LOAD before an INFER that depends
+/// on it may start.
+const LOAD_MARGIN: Nanos = Nanos::from_micros(500);
+/// Width of the execution window granted to LOAD actions.
+const LOAD_WINDOW: Nanos = Nanos::from_millis(20);
+/// Horizon over which GPU capacity is compared against model demand when
+/// computing load priorities (Appendix B).
+const LOAD_PRIORITY_HORIZON: Nanos = Nanos::from_millis(100);
+/// Headroom multiplier (in thousandths) applied to the pressure-adjusted
+/// best-case serving estimate of best-effort requests at admission: a
+/// best-effort request is admitted only if *six times* its best case —
+/// including its fair share of the fleet-wide backlog's drain time — still
+/// meets its deadline. Under pressure that bar crosses while strict
+/// admission is still open, so graceful degradation sheds the discount tier
+/// first. Inert for all-strict workloads: the tier check never fires.
+const BEST_EFFORT_HEADROOM_MILLI: u64 = 6000;
+
+/// Configuration of the Clockwork scheduler: the two ablation switches.
+/// Everything else the paper fixes is a constant of this module; the action
+/// profiler uses its own paper defaults (§5.3: last 10 measurements, 99th
+/// percentile).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ClockworkSchedulerConfig {
-    /// How much work to keep outstanding per executor (§5.3: 5 ms).
-    pub lookahead: Nanos,
-    /// Interval between scheduler ticks when work is pending.
-    pub tick_interval: Nanos,
-    /// Time reserved for network transfers and output delivery when checking
-    /// deadlines.
-    pub network_allowance: Nanos,
-    /// Extra margin added after an outstanding LOAD before an INFER that
-    /// depends on it may start.
-    pub load_margin: Nanos,
-    /// Width of the execution window granted to LOAD actions.
-    pub load_window: Nanos,
     /// Whether to reject requests that cannot meet their SLO (admission
     /// control). Disabled in one of the ablations.
     pub admission_control: bool,
     /// Whether request batching is enabled. Disabled in one of the ablations.
     pub batching: bool,
-    /// Horizon over which GPU capacity is compared against model demand when
-    /// computing load priorities (Appendix B).
-    pub load_priority_horizon: Nanos,
-    /// Rolling profile window size (§5.3: last 10 measurements).
-    pub profile_window: usize,
-    /// Percentile used for duration predictions.
-    pub profile_percentile: f64,
-    /// Record per-action prediction errors (needed for Fig. 9).
-    pub record_predictions: bool,
-    /// Whether admission distinguishes service tiers. When set, best-effort
-    /// requests must clear a stricter admission bar (see
-    /// `best_effort_headroom_milli`) so they are shed before strict-tier
-    /// traffic as pressure builds. Inert for all-strict workloads: the tier
-    /// check never fires, so legacy scenarios are byte-identical.
-    pub tier_aware: bool,
-    /// Headroom multiplier (in thousandths) applied to the pressure-adjusted
-    /// best-case serving estimate of best-effort requests at admission: with
-    /// 6000, a best-effort request is admitted only if *six times* its best
-    /// case — including its fair share of the fleet-wide backlog's drain
-    /// time — still meets its deadline. Under pressure that bar crosses
-    /// while strict admission is still open, so graceful degradation sheds
-    /// the discount tier first.
-    pub best_effort_headroom_milli: u64,
 }
 
 impl Default for ClockworkSchedulerConfig {
     fn default() -> Self {
         ClockworkSchedulerConfig {
-            lookahead: Nanos::from_millis(5),
-            tick_interval: Nanos::from_millis(1),
-            network_allowance: Nanos::from_micros(500),
-            load_margin: Nanos::from_micros(500),
-            load_window: Nanos::from_millis(20),
             admission_control: true,
             batching: true,
-            load_priority_horizon: Nanos::from_millis(100),
-            profile_window: 10,
-            profile_percentile: 99.0,
-            record_predictions: false,
-            tier_aware: true,
-            best_effort_headroom_milli: 6000,
         }
-    }
-}
-
-/// One recorded prediction-vs-measurement pair (drives Fig. 9).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PredictionRecord {
-    /// Whether this was a LOAD (false: INFER).
-    pub is_load: bool,
-    /// The controller's predicted duration.
-    pub predicted: Nanos,
-    /// The measured on-device duration.
-    pub measured: Nanos,
-    /// The controller's predicted completion time.
-    pub predicted_completion: Timestamp,
-    /// The actual completion time.
-    pub actual_completion: Timestamp,
-}
-
-impl PredictionRecord {
-    /// Signed duration error in nanoseconds (positive = under-prediction,
-    /// i.e. the action ran longer than predicted).
-    pub fn duration_error_ns(&self) -> i64 {
-        self.measured.as_nanos() as i64 - self.predicted.as_nanos() as i64
-    }
-
-    /// Signed completion-time error in nanoseconds (positive = the action
-    /// completed later than predicted).
-    pub fn completion_error_ns(&self) -> i64 {
-        self.actual_completion.as_nanos() as i64 - self.predicted_completion.as_nanos() as i64
     }
 }
 
@@ -244,12 +195,6 @@ impl ModelEntry {
     }
 }
 
-#[derive(Clone, Debug)]
-struct InFlightBatch {
-    requests: Vec<PendingRequest>,
-    expected_completion: Timestamp,
-}
-
 /// The Clockwork scheduler.
 pub struct ClockworkScheduler {
     config: ClockworkSchedulerConfig,
@@ -257,8 +202,8 @@ pub struct ClockworkScheduler {
     queued_models: BTreeSet<ModelId>,
     tracker: WorkerStateTracker,
     profiler: ActionProfiler,
-    in_flight: HashMap<clockwork_worker::ActionId, InFlightBatch>,
-    in_flight_loads: HashMap<clockwork_worker::ActionId, Timestamp>,
+    /// The requests riding on each INFER action that has not resolved yet.
+    in_flight: HashMap<clockwork_worker::ActionId, Vec<PendingRequest>>,
     /// Recent requests rejected up-front *only because their model was cold*
     /// (they would have fit their SLO on a warm GPU). Appendix B drives LOAD
     /// priorities from estimated SLO violations, so these rejections must
@@ -266,27 +211,6 @@ pub struct ClockworkScheduler {
     /// its own cold-start time is never loaded and never becomes servable.
     cold_rejections: HashMap<ModelId, VecDeque<Timestamp>>,
     stats: SchedulerStats,
-    predictions: Vec<PredictionRecord>,
-    /// GPUs (by dense tracker index) on which each model is resident or
-    /// loading, kept sorted by index. Mirrors the tracker's residency sets so
-    /// demand/allocation passes never scan every GPU per model.
-    holders: HashMap<ModelId, Vec<(usize, GpuRef)>>,
-    /// The inverse index: models resident or loading per GPU, in ascending
-    /// `ModelId` order so candidate scans match the dirty-set iteration
-    /// order.
-    avail_by_gpu: Vec<BTreeSet<ModelId>>,
-    /// Workers currently crashed. Tracked separately from per-GPU liveness
-    /// so an overlapping single-GPU recovery cannot un-park a GPU whose
-    /// whole worker is still down (the worker would silently drop the
-    /// actions, leaking their requests).
-    down_workers: BTreeSet<WorkerId>,
-    /// Per-GPU next-actionable-time index for the INFER executor: the
-    /// scheduling pass pulls only GPUs whose executor frees before the
-    /// lookahead horizon instead of scanning the whole fleet per event.
-    /// Dead GPUs park at `Timestamp::MAX`.
-    exec_ready: FreeAtIndex,
-    /// The same index for the LOAD executor.
-    load_ready: FreeAtIndex,
     /// Change journal driving the early-out tick path: event-driven entry
     /// points mark it dirty, a completed pass marks it clean until the
     /// earliest instant pure time passage could change a decision.
@@ -313,10 +237,10 @@ pub struct ClockworkScheduler {
     // out, refills them, and puts them back, so it allocates nothing once the
     // buffers have grown to the fleet's working-set size.
     scratch_models: Vec<ModelId>,
-    scratch_gpus: Vec<GpuRef>,
     scratch_gpu_idx: Vec<usize>,
     scratch_expired: Vec<PendingRequest>,
-    scratch_candidates: Vec<ModelId>,
+    /// `(model, whether its LOAD here is still outstanding)`.
+    scratch_candidates: Vec<(ModelId, bool)>,
     scratch_demands: Vec<(ModelId, Nanos)>,
     scratch_priorities: Vec<(ModelId, f64)>,
     scratch_gpu_load: Vec<f64>,
@@ -327,28 +251,20 @@ impl ClockworkScheduler {
     /// Creates a scheduler with the given configuration.
     pub fn new(config: ClockworkSchedulerConfig) -> Self {
         ClockworkScheduler {
-            profiler: ActionProfiler::with_params(config.profile_window, config.profile_percentile),
+            profiler: ActionProfiler::new(),
             config,
             models: HashMap::new(),
             queued_models: BTreeSet::new(),
             tracker: WorkerStateTracker::new(),
             in_flight: HashMap::new(),
-            in_flight_loads: HashMap::new(),
             cold_rejections: HashMap::new(),
             stats: SchedulerStats::default(),
-            predictions: Vec::new(),
-            holders: HashMap::new(),
-            avail_by_gpu: Vec::new(),
-            down_workers: BTreeSet::new(),
-            exec_ready: FreeAtIndex::new(),
-            load_ready: FreeAtIndex::new(),
             journal: ChangeJournal::new(),
             profile: SchedProfile::default(),
             urgency: BTreeSet::new(),
             max_est1: Nanos::ZERO,
             tick_anchor: Cell::new(None),
             scratch_models: Vec::new(),
-            scratch_gpus: Vec::new(),
             scratch_gpu_idx: Vec::new(),
             scratch_expired: Vec::new(),
             scratch_candidates: Vec::new(),
@@ -364,77 +280,9 @@ impl ClockworkScheduler {
         Self::new(ClockworkSchedulerConfig::default())
     }
 
-    /// The configuration this scheduler was built with.
-    pub fn config(&self) -> &ClockworkSchedulerConfig {
-        &self.config
-    }
-
-    /// Registers a GPU the scheduler may place work on.
-    pub fn add_gpu(&mut self, gpu_ref: GpuRef, total_pages: u64, page_size: u64) {
-        self.tracker.add_gpu(gpu_ref, total_pages, page_size);
-        self.avail_by_gpu.push(BTreeSet::new());
-        self.exec_ready.push_gpu();
-        self.load_ready.push_gpu();
-        // Fresh cold capacity is immediately actionable; the next tick must
-        // run a full pass (no `schedule()` runs on this path).
-        self.journal.note_change();
-    }
-
-    /// Records that `model` became resident-or-loading on `gpu_ref` in both
-    /// residency indices.
-    fn index_add_holder(&mut self, model: ModelId, gpu_ref: GpuRef) {
-        let idx = self.tracker.gpu_index(gpu_ref).expect("gpu exists");
-        let holders = self.holders.entry(model).or_default();
-        if let Err(pos) = holders.binary_search_by_key(&idx, |&(i, _)| i) {
-            holders.insert(pos, (idx, gpu_ref));
-        }
-        self.avail_by_gpu[idx].insert(model);
-    }
-
-    /// Records that `model` stopped being resident-or-loading on `gpu_ref`.
-    fn index_remove_holder(&mut self, model: ModelId, gpu_ref: GpuRef) {
-        let Some(idx) = self.tracker.gpu_index(gpu_ref) else {
-            return;
-        };
-        if let Some(holders) = self.holders.get_mut(&model) {
-            if let Ok(pos) = holders.binary_search_by_key(&idx, |&(i, _)| i) {
-                holders.remove(pos);
-            }
-            if holders.is_empty() {
-                self.holders.remove(&model);
-            }
-        }
-        self.avail_by_gpu[idx].remove(&model);
-    }
-
-    /// Registers a model, seeding its execution profiles from the compiled
-    /// latency table and its LOAD profile from the given estimate.
-    pub fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_seed: Nanos) {
-        for profile in &spec.batch_profiles {
-            self.profiler
-                .seed(ProfileKey::exec(id, profile.batch), profile.latency);
-        }
-        self.profiler.seed(ProfileKey::load(id), load_seed);
-        self.models.insert(id, ModelEntry::new(spec));
-        self.max_est1 = self.max_est1.max(self.exec_estimate(id, 1));
-        self.journal.note_change();
-    }
-
-    /// Registers a model, deriving the LOAD seed from a PCIe link model.
-    pub fn add_model_with_link(&mut self, id: ModelId, spec: Arc<ModelSpec>, link: &PcieLink) {
-        let load_seed = spec.weights_transfer_duration(link);
-        self.add_model(id, spec, load_seed);
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> &SchedulerStats {
         &self.stats
-    }
-
-    /// The recorded prediction errors (empty unless
-    /// [`ClockworkSchedulerConfig::record_predictions`] is set).
-    pub fn predictions(&self) -> &[PredictionRecord] {
-        &self.predictions
     }
 
     /// Number of requests currently queued (not yet dispatched).
@@ -503,14 +351,10 @@ impl ClockworkScheduler {
             return est1;
         };
         let backlog = entry.queue.len() as u32 + 1;
-        let holders = self
-            .holders
-            .get(&model)
-            .map(|h| h.len() as u32)
-            .unwrap_or(0);
+        let replicas = self.tracker.gpus_with_model(model).len() as u32;
         let spec = entry.spec.as_ref();
         let profiler = &self.profiler;
-        batching::amortized_drain_cost(backlog, &entry.supported, holders, |batch| {
+        batching::amortized_drain_cost(backlog, &entry.supported, replicas, |batch| {
             Self::exec_estimate_with(profiler, Some(spec), model, batch)
         })
         .max(est1)
@@ -551,9 +395,11 @@ impl ClockworkScheduler {
         // Forget cold-rejection demand that has aged out of the priority
         // horizon, so long-idle models do not keep attracting LOADs.
         if !self.cold_rejections.is_empty() {
-            let horizon = self.config.load_priority_horizon;
             self.cold_rejections.retain(|_, history| {
-                while history.front().is_some_and(|&t| t + horizon < now) {
+                while history
+                    .front()
+                    .is_some_and(|&t| t + LOAD_PRIORITY_HORIZON < now)
+                {
                     history.pop_front();
                 }
                 !history.is_empty()
@@ -562,14 +408,13 @@ impl ClockworkScheduler {
         if self.urgency.is_empty() {
             return;
         }
-        let allowance = self.config.network_allowance;
         // Only models whose earliest deadline falls inside the conservative
         // expiry window (`max_est1` bounds every per-model estimate) can have
         // lapsed requests; the urgency index yields exactly those without
         // touching the rest of the queued set. Rejections must still be
         // emitted in ascending `ModelId` order — the order the full scan over
         // the queued set produced — so the candidate list is re-sorted.
-        let global_cutoff = now + self.max_est1 + allowance;
+        let global_cutoff = now + self.max_est1 + NETWORK_ALLOWANCE;
         let mut model_ids = std::mem::take(&mut self.scratch_models);
         model_ids.clear();
         model_ids.extend(
@@ -582,7 +427,7 @@ impl ClockworkScheduler {
         let mut expired = std::mem::take(&mut self.scratch_expired);
         for &model_id in &model_ids {
             let min_exec = self.exec_estimate(model_id, 1);
-            let cutoff = now + min_exec + allowance;
+            let cutoff = now + min_exec + NETWORK_ALLOWANCE;
             let (was_queued, old_hint) = {
                 let Some(entry) = self.models.get_mut(&model_id) else {
                     continue;
@@ -640,9 +485,8 @@ impl ClockworkScheduler {
 
     /// Estimated completion time of the LOAD currently in flight for a model
     /// on a GPU, if any.
-    fn pending_load_completion(&self, gpu_ref: GpuRef, model: ModelId) -> Option<Timestamp> {
-        let track = self.tracker.get(gpu_ref)?;
-        track
+    fn pending_load_completion(&self, gpu_idx: usize, model: ModelId) -> Option<Timestamp> {
+        self.tracker.gpus()[gpu_idx]
             .outstanding
             .values()
             .filter(|o| o.is_load && o.model == model)
@@ -657,7 +501,7 @@ impl ClockworkScheduler {
     /// [`Self::strategy_for`]. Returns whether a rebuild happened (the
     /// self-profiling `strategies_recomputed` counter).
     fn ensure_strategies(
-        config: &ClockworkSchedulerConfig,
+        batching: bool,
         profiler: &ActionProfiler,
         model_id: ModelId,
         entry: &mut ModelEntry,
@@ -678,8 +522,8 @@ impl ClockworkScheduler {
             queue.iter().map(|p| p.deadline),
             spec.batch_profiles.iter().map(|p| p.batch),
             queue.len() as u32,
-            config.network_allowance,
-            config.batching,
+            NETWORK_ALLOWANCE,
+            batching,
             |batch| Self::exec_estimate_with(profiler, Some(spec), model_id, batch),
             strategies,
         );
@@ -703,61 +547,70 @@ impl ClockworkScheduler {
 
     /// Tops up INFER schedules on every actionable GPU.
     ///
-    /// "Actionable" comes from the per-GPU next-free index: a GPU whose
+    /// "Actionable" comes from the tracker's readiness scan: a GPU whose
     /// executor is already committed past the lookahead horizon — or that is
-    /// dead — is never visited, so the pass scales with the GPUs that can
-    /// accept work, not with the fleet. The index yields registration order,
-    /// exactly the order the full scan used, so decisions are unchanged.
+    /// dead — is never visited. The scan yields registration order, exactly
+    /// the order a full visit of the fleet would use, so decisions do not
+    /// depend on how many GPUs were skipped.
     fn schedule_infers(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
         if self.queued_models.is_empty() {
             return;
         }
-        let horizon = now + self.config.lookahead;
+        let horizon = now + LOOKAHEAD;
         let mut gpu_indices = std::mem::take(&mut self.scratch_gpu_idx);
-        self.exec_ready.actionable_into(horizon, &mut gpu_indices);
+        self.tracker
+            .actionable_into(Executor::Infer, horizon, &mut gpu_indices);
+        let mut candidates = std::mem::take(&mut self.scratch_candidates);
         for &gpu_idx in &gpu_indices {
             if self.queued_models.is_empty() {
                 break;
             }
-            let gpu_ref = self.tracker.gpus()[gpu_idx].gpu_ref;
-            while let Some(exec_slot) = self.tracker.get(gpu_ref).map(|t| t.next_exec_slot(now)) {
+            loop {
+                let exec_slot = self.tracker.next_slot(Executor::Infer, gpu_idx, now);
                 if exec_slot >= horizon {
                     break;
                 }
                 // Candidate models: queued requests + weights available here.
-                // Walk the smaller of the dirty set and this GPU's residency
-                // set; both iterate in ascending ModelId order, so the scan
-                // visits the same candidates in the same order as filtering
-                // the full dirty set would.
-                let mut candidates = std::mem::take(&mut self.scratch_candidates);
+                // Walk the smaller of the queued set and this GPU's residency
+                // map; both iterate in ascending ModelId order, so the scan
+                // visits the same candidates in the same order either way.
                 candidates.clear();
-                {
-                    let queued = &self.queued_models;
-                    let avail = &self.avail_by_gpu[gpu_idx];
-                    if avail.len() <= queued.len() {
-                        candidates.extend(avail.iter().copied().filter(|m| queued.contains(m)));
-                    } else {
-                        candidates.extend(queued.iter().copied().filter(|m| avail.contains(m)));
-                    }
+                let queued = &self.queued_models;
+                let avail = &self.tracker.gpus()[gpu_idx].models;
+                if avail.len() <= queued.len() {
+                    candidates.extend(
+                        avail
+                            .iter()
+                            .filter(|(m, _)| queued.contains(m))
+                            .map(|(&m, held)| (m, held.loading)),
+                    );
+                } else {
+                    candidates.extend(
+                        queued
+                            .iter()
+                            .filter_map(|&m| avail.get(&m).map(|held| (m, held.loading))),
+                    );
                 }
                 let mut best: Option<(ModelId, u32, Timestamp, Timestamp)> = None;
                 self.profile.candidates_scanned += candidates.len() as u64;
-                for &model_id in &candidates {
-                    let track = self.tracker.get(gpu_ref).expect("gpu exists");
-                    let exec_start = if track.is_resident(model_id) {
+                for &(model_id, loading) in &candidates {
+                    let exec_start = if !loading {
                         exec_slot
-                    } else if track.loading.contains(&model_id) {
-                        match self.pending_load_completion(gpu_ref, model_id) {
-                            Some(done) => exec_slot.max(done + self.config.load_margin),
-                            None => exec_slot.max(now + self.config.load_margin),
-                        }
                     } else {
-                        continue;
+                        match self.pending_load_completion(gpu_idx, model_id) {
+                            Some(done) => exec_slot.max(done + LOAD_MARGIN),
+                            None => exec_slot.max(now + LOAD_MARGIN),
+                        }
                     };
                     let Some(entry) = self.models.get_mut(&model_id) else {
                         continue;
                     };
-                    if Self::ensure_strategies(&self.config, &self.profiler, model_id, entry) {
+                    if Self::ensure_strategies(
+                        self.config.batching,
+                        &self.profiler,
+                        model_id,
+                        entry,
+                    ) {
                         self.profile.strategies_recomputed += 1;
                     }
                     if let Some((batch, required_start)) = Self::strategy_for(entry, exec_start) {
@@ -770,19 +623,19 @@ impl ClockworkScheduler {
                         }
                     }
                 }
-                self.scratch_candidates = candidates;
                 let Some((model_id, batch, _required, exec_start)) = best else {
                     break;
                 };
-                self.dispatch_infer(now, gpu_ref, model_id, batch, exec_start, ctx);
+                let gpu_ref = self.tracker.gpus()[gpu_idx].gpu_ref;
+                self.dispatch_infer(gpu_ref, model_id, batch, exec_start, ctx);
             }
         }
+        self.scratch_candidates = candidates;
         self.scratch_gpu_idx = gpu_indices;
     }
 
     fn dispatch_infer(
         &mut self,
-        now: Timestamp,
         gpu_ref: GpuRef,
         model_id: ModelId,
         batch: u32,
@@ -790,7 +643,6 @@ impl ClockworkScheduler {
         ctx: &mut SchedulerCtx,
     ) {
         let est = self.exec_estimate(model_id, batch);
-        let allowance = self.config.network_allowance;
         let entry = self.models.get_mut(&model_id).expect("model exists");
         let was_queued = !entry.queue.is_empty();
         let old_hint = entry.min_deadline_hint;
@@ -809,7 +661,7 @@ impl ClockworkScheduler {
         let latest = if min_deadline == Timestamp::MAX {
             Timestamp::MAX
         } else {
-            (min_deadline - est - allowance).max(exec_start)
+            (min_deadline - est - NETWORK_ALLOWANCE).max(exec_start)
         };
         let window = TimeWindow {
             earliest: exec_start,
@@ -827,31 +679,10 @@ impl ClockworkScheduler {
             window,
             est,
         );
-        let expected_completion = exec_start + est;
-        let track = self.tracker.get_mut(gpu_ref).expect("gpu exists");
-        track.note_infer_sent(
-            OutstandingAction {
-                id: action_id,
-                model: model_id,
-                expected_completion,
-                is_load: false,
-            },
-            exec_start,
-            est,
-        );
-        let exec_free_at = track.exec_free_at;
-        if let Some(idx) = self.tracker.gpu_index(gpu_ref) {
-            self.exec_ready.update(idx, exec_free_at);
-        }
-        self.in_flight.insert(
-            action_id,
-            InFlightBatch {
-                requests,
-                expected_completion,
-            },
-        );
+        self.tracker
+            .note_infer_sent(gpu_ref, action_id, model_id, exec_start, est);
+        self.in_flight.insert(action_id, requests);
         self.stats.infer_actions += 1;
-        let _ = now;
     }
 
     /// Demand (outstanding estimated execution time) per queued model,
@@ -889,7 +720,7 @@ impl ClockworkScheduler {
             for &model_id in &models {
                 let recent = self.cold_rejections[&model_id]
                     .iter()
-                    .filter(|&&t| t + self.config.load_priority_horizon >= now)
+                    .filter(|&&t| t + LOAD_PRIORITY_HORIZON >= now)
                     .count() as u64;
                 if recent == 0 {
                     continue;
@@ -906,37 +737,33 @@ impl ClockworkScheduler {
 
     /// Load priority of each queued model with respect to one GPU
     /// (Appendix B): demand minus the GPU capacity already allocated to it
-    /// elsewhere. Holder lookups come from the persistent residency index,
+    /// elsewhere. Holder lookups come from the tracker's residency index,
     /// and per-GPU loads accumulate into a dense scratch vector, so the pass
-    /// is linear in (demand models + their holders) rather than models ×
-    /// GPUs.
+    /// is linear in (demand models + the GPUs holding them) rather than
+    /// models × GPUs.
     fn load_priorities_into(
         &self,
         demands: &[(ModelId, Nanos)],
         gpu_load: &mut Vec<f64>,
         out: &mut Vec<(ModelId, f64)>,
     ) {
-        let capacity = self.config.load_priority_horizon.as_secs_f64();
+        let capacity = LOAD_PRIORITY_HORIZON.as_secs_f64();
         gpu_load.clear();
         gpu_load.resize(self.tracker.len(), 0.0);
         out.clear();
         for &(model_id, demand) in demands {
-            let Some(holders) = self.holders.get(&model_id) else {
-                continue;
-            };
-            let share = demand.as_secs_f64() / holders.len() as f64;
-            for &(idx, _) in holders {
+            let holding = self.tracker.gpus_with_model(model_id);
+            let share = demand.as_secs_f64() / holding.len().max(1) as f64;
+            for &idx in holding {
                 gpu_load[idx] += share;
             }
         }
         for &(model_id, demand) in demands {
+            let holding = self.tracker.gpus_with_model(model_id);
+            let share = demand.as_secs_f64() / holding.len().max(1) as f64;
             let mut served = 0.0;
-            if let Some(holders) = self.holders.get(&model_id) {
-                let share = demand.as_secs_f64() / holders.len() as f64;
-                for &(idx, _) in holders {
-                    let load = gpu_load[idx].max(1e-12);
-                    served += share * (capacity / load);
-                }
+            for &idx in holding {
+                served += share * (capacity / gpu_load[idx].max(1e-12));
             }
             out.push((model_id, demand.as_secs_f64() - served));
         }
@@ -950,19 +777,20 @@ impl ClockworkScheduler {
     }
 
     /// Tops up LOAD schedules on every actionable GPU (see
-    /// [`ClockworkScheduler::schedule_infers`] for the index discipline),
+    /// [`ClockworkScheduler::schedule_infers`] for the visiting order),
     /// evicting LRU models when needed.
     fn schedule_loads(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
         if self.queued_models.is_empty() && self.cold_rejections.is_empty() {
             return;
         }
-        let horizon = now + self.config.lookahead;
+        let horizon = now + LOOKAHEAD;
         let mut demands = std::mem::take(&mut self.scratch_demands);
         self.model_demands_into(now, &mut demands);
         let mut gpu_load = std::mem::take(&mut self.scratch_gpu_load);
         let mut priorities = std::mem::take(&mut self.scratch_priorities);
         let mut gpu_indices = std::mem::take(&mut self.scratch_gpu_idx);
-        self.load_ready.actionable_into(horizon, &mut gpu_indices);
+        self.tracker
+            .actionable_into(Executor::Load, horizon, &mut gpu_indices);
         // Priorities depend only on `demands` (fixed for the pass) and on
         // residency, so they are computed lazily once and reused across GPUs
         // and slots — `dispatch_load` is the only thing that can change
@@ -971,8 +799,8 @@ impl ClockworkScheduler {
         // the identical sorted list, so this is decision-preserving.
         let mut priorities_fresh = false;
         'gpus: for &gpu_idx in &gpu_indices {
-            let gpu_ref = self.tracker.gpus()[gpu_idx].gpu_ref;
-            while let Some(load_slot) = self.tracker.get(gpu_ref).map(|t| t.next_load_slot(now)) {
+            loop {
+                let load_slot = self.tracker.next_slot(Executor::Load, gpu_idx, now);
                 if load_slot >= horizon {
                     break;
                 }
@@ -988,16 +816,18 @@ impl ClockworkScheduler {
                 }
                 // Highest-priority model with positive unfulfilled demand that
                 // is not already available on this GPU.
-                let avail = &self.avail_by_gpu[gpu_idx];
+                let track = &self.tracker.gpus()[gpu_idx];
                 let candidate = priorities
                     .iter()
-                    .find(|(model_id, priority)| *priority > 0.0 && !avail.contains(model_id))
+                    .find(|&&(model_id, priority)| {
+                        priority > 0.0 && !track.has_or_loading(model_id)
+                    })
                     .map(|&(model_id, _)| model_id);
                 let Some(model_id) = candidate else {
                     break;
                 };
                 priorities_fresh = false;
-                if !self.dispatch_load(now, gpu_ref, model_id, load_slot, ctx) {
+                if !self.dispatch_load(track.gpu_ref, model_id, load_slot, ctx) {
                     break;
                 }
             }
@@ -1010,7 +840,6 @@ impl ClockworkScheduler {
 
     fn dispatch_load(
         &mut self,
-        now: Timestamp,
         gpu_ref: GpuRef,
         model_id: ModelId,
         load_slot: Timestamp,
@@ -1029,36 +858,26 @@ impl ClockworkScheduler {
         if let Some(track) = self.tracker.get(gpu_ref) {
             protect.extend(track.outstanding.values().map(|o| o.model));
         }
-        let mut room = true;
-        loop {
-            let track = self.tracker.get(gpu_ref).expect("gpu exists");
-            let pages = track.pages_for(weights_bytes);
-            if pages <= track.free_pages {
-                break;
-            }
-            let Some(victim) = track.lru_candidate(&protect) else {
-                room = false;
-                break;
-            };
-            let track = self.tracker.get_mut(gpu_ref).expect("gpu exists");
-            track.note_unload_sent(victim);
-            self.index_remove_holder(victim, gpu_ref);
-            ctx.send_action(
-                gpu_ref.worker,
-                gpu_ref.gpu,
-                ActionKind::Unload { model: victim },
-                TimeWindow::always(),
-                Nanos::from_micros(5),
-            );
-            self.stats.unload_actions += 1;
-        }
+        let unloads = &mut self.stats.unload_actions;
+        let room = self
+            .tracker
+            .evict_until_fits(gpu_ref, weights_bytes, &protect, |victim| {
+                ctx.send_action(
+                    gpu_ref.worker,
+                    gpu_ref.gpu,
+                    ActionKind::Unload { model: victim },
+                    TimeWindow::always(),
+                    Nanos::from_micros(5),
+                );
+                *unloads += 1;
+            });
         self.scratch_protect = protect;
         if !room {
             return false;
         }
         let window = TimeWindow {
             earliest: load_slot,
-            latest: load_slot + self.config.load_window,
+            latest: load_slot + LOAD_WINDOW,
         };
         let action_id = ctx.send_action(
             gpu_ref.worker,
@@ -1067,32 +886,13 @@ impl ClockworkScheduler {
             window,
             est,
         );
-        let expected_completion = load_slot + est;
-        let track = self.tracker.get_mut(gpu_ref).expect("gpu exists");
-        let pages = track.pages_for(weights_bytes);
-        track.note_load_sent(
-            OutstandingAction {
-                id: action_id,
-                model: model_id,
-                expected_completion,
-                is_load: true,
-            },
-            pages,
-            load_slot,
-            est,
-        );
-        let load_free_at = track.load_free_at;
-        if let Some(idx) = self.tracker.gpu_index(gpu_ref) {
-            self.load_ready.update(idx, load_free_at);
-        }
-        self.index_add_holder(model_id, gpu_ref);
-        self.in_flight_loads.insert(action_id, expected_completion);
+        self.tracker
+            .note_load_sent(gpu_ref, action_id, model_id, weights_bytes, load_slot, est);
         self.stats.load_actions += 1;
         // The cold-start demand that motivated this LOAD is now being acted
         // upon; future cold rejections will re-register if the model is ever
         // evicted again.
         self.cold_rejections.remove(&model_id);
-        let _ = now;
         true
     }
 
@@ -1120,7 +920,7 @@ impl ClockworkScheduler {
     pub fn has_outstanding_work(&self) -> bool {
         !self.queued_models.is_empty()
             || !self.in_flight.is_empty()
-            || !self.in_flight_loads.is_empty()
+            || self.tracker.outstanding_loads() > 0
     }
 
     /// Recomputes the journal's clean horizon after a completed pass: the
@@ -1139,33 +939,32 @@ impl ClockworkScheduler {
             self.journal.mark_clean_until(Timestamp::MAX);
             return;
         }
-        let lookahead = self.config.lookahead;
-        let horizon = now + lookahead;
+        let horizon = now + LOOKAHEAD;
         let mut edge = Timestamp::MAX;
         if !self.queued_models.is_empty() {
             // An INFER executor crossing into the lookahead horizon opens a
             // slot for the queued work.
-            if let Some(free_at) = self.exec_ready.next_beyond(horizon) {
-                edge = edge.min(free_at - lookahead);
+            if let Some(free_at) = self.tracker.next_beyond(Executor::Infer, horizon) {
+                edge = edge.min(free_at - LOOKAHEAD);
             }
             // The earliest queued deadline can lapse (`max_est1` bounds the
             // per-model estimate the expiry cutoff uses).
             if let Some(&(hint, _)) = self.urgency.iter().next() {
                 if hint != Timestamp::MAX {
-                    edge = edge.min(hint - self.max_est1 - self.config.network_allowance);
+                    edge = edge.min(hint - self.max_est1 - NETWORK_ALLOWANCE);
                 }
             }
         }
         // A LOAD executor crossing into the horizon opens a load slot (cold
         // demand alone is enough for the load pass to act).
-        if let Some(free_at) = self.load_ready.next_beyond(horizon) {
-            edge = edge.min(free_at - lookahead);
+        if let Some(free_at) = self.tracker.next_beyond(Executor::Load, horizon) {
+            edge = edge.min(free_at - LOOKAHEAD);
         }
         // Cold-rejection demand ages out of the priority horizon, which can
         // reorder LOAD priorities.
         for history in self.cold_rejections.values() {
             if let Some(&front) = history.front() {
-                edge = edge.min(front + self.config.load_priority_horizon);
+                edge = edge.min(front + LOAD_PRIORITY_HORIZON);
             }
         }
         self.journal.mark_clean_until(edge);
@@ -1181,9 +980,7 @@ impl ClockworkScheduler {
             worker: result.worker,
             gpu: result.gpu,
         };
-        if let Some(track) = self.tracker.get_mut(gpu_ref) {
-            track.note_infer_result(result.action_id);
-        }
+        self.tracker.note_infer_result(gpu_ref, result.action_id);
         let Some(batch) = self.in_flight.remove(&result.action_id) else {
             return;
         };
@@ -1196,16 +993,7 @@ impl ClockworkScheduler {
                 // The batch-1 estimate may have moved; keep the expiry bound
                 // a running maximum over every model's current estimate.
                 self.max_est1 = self.max_est1.max(self.exec_estimate(result.model, 1));
-                if self.config.record_predictions {
-                    self.predictions.push(PredictionRecord {
-                        is_load: false,
-                        predicted: result.expected_duration,
-                        measured: timing.device_duration,
-                        predicted_completion: batch.expected_completion,
-                        actual_completion: timing.end,
-                    });
-                }
-                for pending in &batch.requests {
+                for pending in &batch {
                     self.stats.completed += 1;
                     ctx.send_response(Response {
                         request: pending.request.id,
@@ -1223,7 +1011,7 @@ impl ClockworkScheduler {
                 }
             }
             ActionOutcome::Error { at, .. } => {
-                self.requeue_or_reject(now, batch.requests, *at, RejectReason::WorkerRejected, ctx);
+                self.requeue_or_reject(now, batch, *at, RejectReason::WorkerRejected, ctx);
             }
         }
     }
@@ -1244,7 +1032,7 @@ impl ClockworkScheduler {
         for pending in requests {
             let min_exec = self.exec_estimate(pending.request.model, 1);
             let still_possible = pending.deadline == Timestamp::MAX
-                || now + min_exec + self.config.network_allowance < pending.deadline;
+                || now + min_exec + NETWORK_ALLOWANCE < pending.deadline;
             if still_possible {
                 let model = pending.request.model;
                 let entry = self.models.get_mut(&model).expect("model exists");
@@ -1260,119 +1048,41 @@ impl ClockworkScheduler {
         }
     }
 
-    /// Handles one GPU dying (alone or as part of a worker crash): resolves
-    /// every outstanding action on it — the worker will never answer them —
-    /// invalidates the residency indices and cached demand that pointed at
-    /// it, and parks the GPU out of both scheduling indices until recovery.
-    fn note_gpu_failed(&mut self, now: Timestamp, gpu_ref: GpuRef, ctx: &mut SchedulerCtx) {
-        let Some(gpu_idx) = self.tracker.gpu_index(gpu_ref) else {
-            return;
-        };
-        // Resolve outstanding actions in action-id (issue) order so requeue
-        // order — and therefore the digest — is deterministic.
-        let mut lost: Vec<OutstandingAction> = self
-            .tracker
-            .get(gpu_ref)
-            .map(|t| t.outstanding.values().copied().collect())
-            .unwrap_or_default();
-        lost.sort_unstable_by_key(|o| o.id);
-        for o in &lost {
-            if o.is_load {
-                self.in_flight_loads.remove(&o.id);
-            } else if let Some(batch) = self.in_flight.remove(&o.id) {
-                self.requeue_or_reject(now, batch.requests, now, RejectReason::WorkerFailed, ctx);
-            }
-        }
-        // Drop the GPU from both residency indices.
-        let held: Vec<ModelId> = self.avail_by_gpu[gpu_idx].iter().copied().collect();
-        for model in held {
-            self.index_remove_holder(model, gpu_ref);
-        }
-        // Wipe the tracker's view; the GPU is cold and unschedulable.
-        if let Some(track) = self.tracker.get_mut(gpu_ref) {
-            track.note_fault(now);
-        }
-        self.exec_ready.update(gpu_idx, Timestamp::MAX);
-        self.load_ready.update(gpu_idx, Timestamp::MAX);
-    }
-
-    /// Re-admits a recovered GPU as cold capacity. Spurious recoveries —
-    /// e.g. a `GpuRecover` whose failure window was already superseded by a
-    /// worker restart — are no-ops so they cannot push the GPU's free times
-    /// (and its place in the scheduling indices) into the future.
-    fn note_gpu_recovered(&mut self, now: Timestamp, gpu_ref: GpuRef) {
-        let Some(gpu_idx) = self.tracker.gpu_index(gpu_ref) else {
-            return;
-        };
-        if let Some(track) = self.tracker.get_mut(gpu_ref) {
-            if track.alive {
-                return;
-            }
-            track.note_recovered(now);
-            self.exec_ready.update(gpu_idx, track.exec_free_at);
-            self.load_ready.update(gpu_idx, track.load_free_at);
-        }
-    }
-
-    /// The GPUs of one worker, in registration order.
-    fn worker_gpu_refs(&mut self, worker: WorkerId) -> Vec<GpuRef> {
-        let mut refs = std::mem::take(&mut self.scratch_gpus);
-        refs.clear();
-        refs.extend(
-            self.tracker
-                .gpus()
-                .iter()
-                .filter(|g| g.gpu_ref.worker == worker)
-                .map(|g| g.gpu_ref),
-        );
-        refs
-    }
-
     fn handle_load_result(&mut self, result: &ActionResult) {
         let gpu_ref = GpuRef {
             worker: result.worker,
             gpu: result.gpu,
         };
-        let success = result.is_success();
-        if let Some(track) = self.tracker.get_mut(gpu_ref) {
-            // A stale result (its action was already resolved by a fault)
-            // must not touch the residency indices either: the entry it
-            // would remove may belong to a newer LOAD of the same model
-            // issued after the GPU recovered.
-            let applied = track.note_load_result(result.action_id, result.model, success);
-            if applied && !success {
-                // The model never became resident; drop it from the indices.
-                self.index_remove_holder(result.model, gpu_ref);
-            }
-        }
-        let expected_completion = self.in_flight_loads.remove(&result.action_id);
+        // The tracker ignores a stale result (its action was already
+        // resolved by a fault); the measurement is still a measurement.
+        self.tracker
+            .note_load_result(gpu_ref, result.action_id, result.model, result.is_success());
         if let ActionOutcome::Success(timing) = &result.outcome {
             self.profiler
                 .record(ProfileKey::load(result.model), timing.device_duration);
-            if self.config.record_predictions {
-                self.predictions.push(PredictionRecord {
-                    is_load: true,
-                    predicted: result.expected_duration,
-                    measured: timing.device_duration,
-                    predicted_completion: expected_completion.unwrap_or(timing.end),
-                    actual_completion: timing.end,
-                });
-            }
         }
     }
 }
 
 impl Scheduler for ClockworkScheduler {
     fn add_gpu(&mut self, gpu_ref: GpuRef, total_pages: u64, page_size: u64) {
-        ClockworkScheduler::add_gpu(self, gpu_ref, total_pages, page_size);
+        self.tracker.add_gpu(gpu_ref, total_pages, page_size);
+        // Fresh cold capacity is immediately actionable; the next tick must
+        // run a full pass (no `schedule()` runs on this path).
+        self.journal.note_change();
     }
 
+    /// Registers a model, seeding its execution profiles from the compiled
+    /// latency table and its LOAD profile from the given estimate.
     fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_seed: Nanos) {
-        ClockworkScheduler::add_model(self, id, spec, load_seed);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
+        for profile in &spec.batch_profiles {
+            self.profiler
+                .seed(ProfileKey::exec(id, profile.batch), profile.latency);
+        }
+        self.profiler.seed(ProfileKey::load(id), load_seed);
+        self.models.insert(id, ModelEntry::new(spec));
+        self.max_est1 = self.max_est1.max(self.exec_estimate(id, 1));
+        self.journal.note_change();
     }
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
@@ -1389,7 +1099,7 @@ impl Scheduler for ClockworkScheduler {
             });
             return;
         }
-        let cold = !self.holders.contains_key(&request.model);
+        let cold = self.tracker.gpus_with_model(request.model).is_empty();
         if cold {
             self.stats.cold_requests += 1;
         }
@@ -1421,9 +1131,9 @@ impl Scheduler for ClockworkScheduler {
             } else {
                 self.amortized_admission_estimate(request.model, exec)
             };
-            let best_case = priced_exec + load + self.config.network_allowance;
+            let best_case = priced_exec + load + NETWORK_ALLOWANCE;
             if now + best_case > deadline {
-                let warm_case = exec + self.config.network_allowance;
+                let warm_case = exec + NETWORK_ALLOWANCE;
                 let doomed_only_by_cold_start = cold && now + warm_case <= deadline;
                 // Estimate-bearing rejection span: only the admission path
                 // knows the best-case serving estimate that doomed the
@@ -1456,7 +1166,7 @@ impl Scheduler for ClockworkScheduler {
             // scaled bar crosses first and the discount tier is shed while
             // strict traffic is still admitted. All-strict workloads never
             // reach this branch.
-            if self.config.tier_aware && request.tier == Tier::BestEffort {
+            if request.tier == Tier::BestEffort {
                 // The per-model amortized estimate is blind to cross-model
                 // GPU contention: under a fleet-wide burst every model's own
                 // queue stays shallow while the GPUs drown in aggregate
@@ -1476,7 +1186,7 @@ impl Scheduler for ClockworkScheduler {
                 let scaled = Nanos::from_nanos(
                     (best_case + pressure)
                         .as_nanos()
-                        .saturating_mul(self.config.best_effort_headroom_milli)
+                        .saturating_mul(BEST_EFFORT_HEADROOM_MILLI)
                         / 1000,
                 );
                 if now + scaled > deadline {
@@ -1503,7 +1213,7 @@ impl Scheduler for ClockworkScheduler {
             } else {
                 Nanos::ZERO
             };
-            let estimate = exec + load + self.config.network_allowance;
+            let estimate = exec + load + NETWORK_ALLOWANCE;
             ctx.trace(TraceEvent::Admitted {
                 request: request.id.0,
                 model: request.model.0,
@@ -1554,63 +1264,22 @@ impl Scheduler for ClockworkScheduler {
         TickOutcome::Full
     }
 
+    /// The one fault path all four disciplines share: the tracker applies
+    /// the transition, the scheduler resolves the actions that died with the
+    /// capacity (a crashed worker never reports anything, so the controller
+    /// synthesises the failure itself). Link faults lose nothing here; the
+    /// scheduler observes their effects as late-arriving results and
+    /// window-elapsed rejections through the normal result path.
     fn on_fault(&mut self, now: Timestamp, fault: &FaultKind, ctx: &mut SchedulerCtx) {
-        match *fault {
-            FaultKind::WorkerCrash { worker } => {
-                self.down_workers.insert(WorkerId(worker));
-                let refs = self.worker_gpu_refs(WorkerId(worker));
-                for &gpu_ref in &refs {
-                    self.note_gpu_failed(now, gpu_ref, ctx);
-                }
-                self.scratch_gpus = refs;
+        let mut lost = self.tracker.apply_fault(now, fault);
+        // Requeue order is part of the frozen digests: per GPU in
+        // registration order, by action id (issue order) within a GPU — not
+        // the global action-id order the baselines resolve in.
+        lost.sort_unstable_by_key(|&(gpu_idx, action)| (gpu_idx, action.id));
+        for (_, action) in lost {
+            if let Some(batch) = self.in_flight.remove(&action.id) {
+                self.requeue_or_reject(now, batch, now, RejectReason::WorkerFailed, ctx);
             }
-            FaultKind::WorkerRestart { worker } => {
-                // A restart replaces the machine: every GPU of the worker
-                // comes back cold, superseding any individual GPU failure
-                // whose window overlapped the downtime (the worker side
-                // clears its per-GPU failed flags the same way).
-                self.down_workers.remove(&WorkerId(worker));
-                let refs = self.worker_gpu_refs(WorkerId(worker));
-                for &gpu_ref in &refs {
-                    self.note_gpu_recovered(now, gpu_ref);
-                }
-                self.scratch_gpus = refs;
-            }
-            FaultKind::GpuFail { worker, gpu } => {
-                self.note_gpu_failed(
-                    now,
-                    GpuRef {
-                        worker: WorkerId(worker),
-                        gpu: GpuId(gpu),
-                    },
-                    ctx,
-                );
-            }
-            FaultKind::GpuRecover { worker, gpu } => {
-                // While the whole worker is down, a single-GPU recovery
-                // cannot make the GPU reachable — leave it parked; the
-                // worker restart will re-admit every GPU.
-                if !self.down_workers.contains(&WorkerId(worker)) {
-                    self.note_gpu_recovered(
-                        now,
-                        GpuRef {
-                            worker: WorkerId(worker),
-                            gpu: GpuId(gpu),
-                        },
-                    );
-                }
-            }
-            // Link faults are a transport matter: the scheduler observes
-            // their effects as late-arriving results and window-elapsed
-            // rejections, which the normal result path already handles.
-            FaultKind::LinkDegrade { .. }
-            | FaultKind::LinkRestore { .. }
-            | FaultKind::PartitionStart { .. }
-            | FaultKind::PartitionEnd { .. } => {}
-            // The joined worker's GPUs were announced through `add_gpu`
-            // before this hook fired; the schedule() below starts placing
-            // work on the cold capacity.
-            FaultKind::WorkerJoin { .. } => {}
         }
         self.schedule(now, ctx);
     }
@@ -1641,10 +1310,7 @@ impl Scheduler for ClockworkScheduler {
                 now
             }
         };
-        let interval = self.config.tick_interval.as_nanos();
-        if interval == 0 {
-            return Some(now);
-        }
+        let interval = TICK_INTERVAL.as_nanos();
         // Earliest instant a pass could be productive. A dirty journal means
         // "the very next grid point"; a clean one lets the whole provably
         // no-op prefix of the grid go unscheduled.
@@ -1669,7 +1335,7 @@ impl Scheduler for ClockworkScheduler {
         } else {
             k + 1
         };
-        Some(anchor + self.config.tick_interval * next)
+        Some(anchor + TICK_INTERVAL * next)
     }
 
     fn sched_profile(&self) -> SchedProfile {
@@ -2060,7 +1726,7 @@ mod tests {
         let tick = s.next_tick(Timestamp::ZERO).expect("queued work pending");
         assert!(tick > Timestamp::ZERO);
         assert_eq!(
-            tick.as_nanos() % s.config().tick_interval.as_nanos(),
+            tick.as_nanos() % TICK_INTERVAL.as_nanos(),
             0,
             "ticks stay on the fixed-cadence grid"
         );
@@ -2118,35 +1784,6 @@ mod tests {
     }
 
     #[test]
-    fn prediction_records_are_collected_when_enabled() {
-        let config = ClockworkSchedulerConfig {
-            record_predictions: true,
-            ..Default::default()
-        };
-        let mut s = ClockworkScheduler::new(config);
-        s.add_gpu(gref(), 100, PAGE);
-        s.add_model(ModelId(1), resnet(), Nanos::from_millis_f64(8.33));
-        let mut ctx = SchedulerCtx::new();
-        s.on_request(Timestamp::ZERO, request(1, 1, 0, 100), &mut ctx);
-        for (id, a) in ctx.take_actions().iter().map(|(_, a)| (a.id, a.clone())) {
-            let dur = if a.kind.type_name() == "LOAD" {
-                8_400
-            } else {
-                2_650
-            };
-            s.on_result(
-                Timestamp::from_millis(15),
-                &success_result(id, &a, 10, dur),
-                &mut ctx,
-            );
-        }
-        assert!(s.predictions().len() >= 2);
-        for p in s.predictions() {
-            assert!(p.duration_error_ns().abs() < 1_000_000, "{p:?}");
-        }
-    }
-
-    #[test]
     fn worker_crash_resolves_in_flight_actions_and_clears_residency() {
         let mut s = scheduler_with_one_gpu(100);
         let mut ctx = SchedulerCtx::new();
@@ -2166,7 +1803,7 @@ mod tests {
         assert!(ctx.take_responses().is_empty());
         let track = s.tracker().get(gref()).unwrap();
         assert!(!track.alive);
-        assert!(track.resident.is_empty() && track.loading.is_empty());
+        assert!(track.models.is_empty());
         assert_eq!(track.free_pages, track.total_pages, "reservations returned");
         // While the fleet is dead, no actions are issued even on a tick.
         let _ = ctx.take_actions();
@@ -2222,6 +1859,82 @@ mod tests {
         assert_eq!(s.stats().rejected_worker_failed, 1);
         assert_eq!(s.queued_requests(), 0);
         assert_eq!(s.in_flight_batches(), 0);
+    }
+
+    #[test]
+    fn crash_requeues_per_gpu_in_registration_order_then_by_action_id() {
+        // Pinned, because the frozen digests depend on it: the lost batches
+        // of a crashed worker are resolved GPU by GPU in registration order
+        // and by action id within a GPU — NOT in the global action-id order
+        // the baselines use. Two GPUs of one worker hold interleaved action
+        // ids for the same model: ids ascend r1, r2 (gpu 0), r3 (gpu 1), r4
+        // (gpu 0 again, once its executor is back inside the lookahead).
+        let gpu1 = GpuRef {
+            worker: WorkerId(0),
+            gpu: GpuId(1),
+        };
+        let mut s = ClockworkScheduler::new(ClockworkSchedulerConfig {
+            batching: false,
+            ..Default::default()
+        });
+        s.add_gpu(gref(), 100, PAGE);
+        s.add_gpu(gpu1, 100, PAGE);
+        s.add_model(ModelId(1), resnet(), Nanos::from_millis_f64(8.33));
+        let mut ctx = SchedulerCtx::new();
+        // Warm the model on both GPUs without going through the scheduler's
+        // own LOAD placement.
+        for (id, gpu) in [(900, gref()), (901, gpu1)] {
+            s.tracker.note_load_sent(
+                gpu,
+                ActionId(id),
+                ModelId(1),
+                7 * PAGE,
+                Timestamp::ZERO,
+                Nanos::from_millis(8),
+            );
+            s.tracker
+                .note_load_result(gpu, ActionId(id), ModelId(1), true);
+        }
+        for (id, at_ms) in [(1, 10), (2, 10), (3, 10), (4, 13)] {
+            let at = Timestamp::from_millis(at_ms);
+            s.on_request(at, request(id, 1, at_ms, 5_000), &mut ctx);
+        }
+        let placed: Vec<(GpuId, Vec<u64>)> = ctx
+            .take_actions()
+            .into_iter()
+            .filter_map(|(_, a)| match a.kind {
+                ActionKind::Infer { request_ids, .. } => Some((a.gpu, request_ids)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            placed,
+            vec![
+                (GpuId(0), vec![1]),
+                (GpuId(0), vec![2]),
+                (GpuId(1), vec![3]),
+                (GpuId(0), vec![4])
+            ],
+            "setup: interleaved action ids across the worker's two GPUs"
+        );
+        s.on_fault(
+            Timestamp::from_millis(14),
+            &FaultKind::WorkerCrash { worker: 0 },
+            &mut ctx,
+        );
+        assert!(
+            ctx.take_responses().is_empty(),
+            "plenty of slack: all requeued"
+        );
+        // Each lost batch is pushed to the queue's head in resolution order
+        // r1, r2, r4 (gpu 0), r3 (gpu 1), so the queue reads r3, r4, r2, r1.
+        // Global action-id order would leave r4, r3, r2, r1.
+        let queue: Vec<u64> = s.models[&ModelId(1)]
+            .queue
+            .iter()
+            .map(|p| p.request.id.0)
+            .collect();
+        assert_eq!(queue, vec![3, 4, 2, 1]);
     }
 
     #[test]
@@ -2313,28 +2026,5 @@ mod tests {
             )),
             "shed response must carry the BestEffortShed reason"
         );
-
-        // With tier-awareness off the same best-effort request is admitted:
-        // the shed branch is opt-out without touching plain admission.
-        let mut blind = ClockworkScheduler::new(ClockworkSchedulerConfig {
-            tier_aware: false,
-            ..ClockworkSchedulerConfig::default()
-        });
-        blind.add_gpu(gref(), 200, PAGE);
-        blind.add_model(ModelId(1), resnet(), Nanos::from_millis_f64(8.33));
-        let mut ctx = SchedulerCtx::new();
-        blind.on_request(Timestamp::ZERO, request(1, 1, 0, 10_000), &mut ctx);
-        for i in 0..24 {
-            blind.on_request(
-                Timestamp::from_millis(1),
-                request(10 + i, 1, 1, 10_000),
-                &mut ctx,
-            );
-        }
-        let mut be = request(101, 1, 2, 300);
-        be.tier = Tier::BestEffort;
-        blind.on_request(Timestamp::from_millis(2), be, &mut ctx);
-        assert_eq!(blind.stats().rejected_shed, 0);
-        assert_eq!(blind.stats().admitted, 26);
     }
 }

@@ -48,4 +48,4 @@ pub use registry::{
 };
 pub use request::{InferenceRequest, RejectReason, RequestId, RequestOutcome, Response};
 pub use scheduler::{Scheduler, SchedulerCtx, TickOutcome};
-pub use worker_state::{FreeAtIndex, GpuTrack, WorkerStateTracker};
+pub use worker_state::{GpuTrack, WorkerStateTracker};

@@ -221,7 +221,7 @@ mod tests {
     fn re_registration_replaces_in_place() {
         let mut registry = SchedulerRegistry::builtin();
         let tuned = ClockworkSchedulerConfig {
-            record_predictions: true,
+            batching: false,
             ..Default::default()
         };
         registry.register(Box::new(ClockworkFactory::new(tuned)));
@@ -230,12 +230,9 @@ mod tests {
             vec!["clockwork", "fifo"],
             "replacement keeps order and does not duplicate"
         );
-        let factory = registry.get("clockwork").unwrap();
-        let built = factory.build();
-        let concrete = built
-            .as_any()
-            .downcast_ref::<ClockworkScheduler>()
-            .expect("clockwork factory builds ClockworkScheduler");
-        assert!(concrete.config().record_predictions);
+        // The replacement is what builds now: a scheduler with batching off
+        // reports itself as the no-batch discipline.
+        let built = registry.get("clockwork").unwrap().build();
+        assert_eq!(built.name(), "clockwork-nobatch");
     }
 }

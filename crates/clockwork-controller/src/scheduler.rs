@@ -218,11 +218,6 @@ pub trait Scheduler {
     /// A short human-readable name (used in experiment output). Required so
     /// experiment output can never show an anonymous discipline.
     fn name(&self) -> &'static str;
-
-    /// The scheduler as `Any`, for experiment code that needs to reach a
-    /// concrete discipline's extra surface (e.g. the Clockwork scheduler's
-    /// recorded predictions) behind the trait object.
-    fn as_any(&self) -> &dyn std::any::Any;
 }
 
 #[cfg(test)]

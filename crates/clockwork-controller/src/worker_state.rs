@@ -8,8 +8,17 @@
 //! an estimate of when each executor will next be available. Together with
 //! the action profiles this is enough to predict when any candidate action
 //! would complete.
+//!
+//! **Ownership rule:** every per-GPU fact lives here; schedulers hold policy
+//! state only. Residency (per GPU and, inverted, per model), page
+//! reservations, executor free times, outstanding actions, liveness and the
+//! worker-down set all change through [`WorkerStateTracker`]'s `note_*`,
+//! [`WorkerStateTracker::evict_until_fits`] and
+//! [`WorkerStateTracker::apply_fault`] methods and nowhere else — callers
+//! only ever hold `&GpuTrack` — so the indices cannot drift from the tracks
+//! they summarise and no discipline keeps a second copy.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use clockwork_model::ModelId;
 use clockwork_sim::engine::FaultKind;
@@ -44,7 +53,26 @@ pub struct OutstandingAction {
     pub is_load: bool,
 }
 
-/// The tracked state of one GPU.
+/// One model's claim on a GPU's weights cache.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Residency {
+    /// Pages reserved for the model's weights.
+    pub pages: u64,
+    /// Whether the LOAD is still outstanding (false = confirmed resident).
+    pub loading: bool,
+}
+
+/// Which of a GPU's two executors a readiness query is about.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Executor {
+    /// The INFER executor.
+    Infer,
+    /// The LOAD executor.
+    Load,
+}
+
+/// The tracked state of one GPU. Plain data: all mutation goes through the
+/// owning [`WorkerStateTracker`].
 #[derive(Clone, Debug)]
 pub struct GpuTrack {
     /// Which GPU this is.
@@ -55,18 +83,11 @@ pub struct GpuTrack {
     pub free_pages: u64,
     /// Page size in bytes.
     pub page_size: u64,
-    /// Models whose weights are resident (LOAD confirmed complete).
-    pub resident: HashSet<ModelId>,
-    /// Models for which a LOAD is outstanding.
-    pub loading: HashSet<ModelId>,
-    /// Pages held by each resident or loading model.
-    pub pages_held: HashMap<ModelId, u64>,
+    /// Models resident or loading here, in ascending `ModelId` order (the
+    /// order candidate scans visit them in).
+    pub models: BTreeMap<ModelId, Residency>,
     /// Last time an INFER was scheduled per model (drives LRU eviction).
     pub last_used: HashMap<ModelId, Timestamp>,
-    /// Estimated time at which the INFER executor is next free.
-    pub exec_free_at: Timestamp,
-    /// Estimated time at which the LOAD executor is next free.
-    pub load_free_at: Timestamp,
     /// Outstanding actions on this GPU.
     pub outstanding: HashMap<ActionId, OutstandingAction>,
     /// Whether the GPU (and its worker) is up. Dead GPUs receive no work.
@@ -74,57 +95,28 @@ pub struct GpuTrack {
 }
 
 impl GpuTrack {
-    /// Creates the track for a GPU with the given cache geometry.
-    pub fn new(gpu_ref: GpuRef, total_pages: u64, page_size: u64) -> Self {
+    fn new(gpu_ref: GpuRef, total_pages: u64, page_size: u64) -> Self {
         GpuTrack {
             gpu_ref,
             total_pages,
             free_pages: total_pages,
             page_size,
-            resident: HashSet::new(),
-            loading: HashSet::new(),
-            pages_held: HashMap::new(),
+            models: BTreeMap::new(),
             last_used: HashMap::new(),
-            exec_free_at: Timestamp::ZERO,
-            load_free_at: Timestamp::ZERO,
             outstanding: HashMap::new(),
             alive: true,
         }
     }
 
-    /// Resets the track after the GPU (or its whole worker) died: residency,
-    /// page reservations and outstanding actions are gone, the memory comes
-    /// back empty, and the GPU is unschedulable until [`GpuTrack::note_recovered`].
-    /// The caller is responsible for resolving the outstanding actions (they
-    /// will never produce a result) *before* calling this.
-    pub fn note_fault(&mut self, now: Timestamp) {
-        self.resident.clear();
-        self.loading.clear();
-        self.pages_held.clear();
-        self.last_used.clear();
-        self.outstanding.clear();
-        self.free_pages = self.total_pages;
-        self.exec_free_at = now;
-        self.load_free_at = now;
-        self.alive = false;
-    }
-
-    /// Marks the GPU usable again after a fault, cold (nothing resident).
-    pub fn note_recovered(&mut self, now: Timestamp) {
-        self.alive = true;
-        self.exec_free_at = self.exec_free_at.max(now);
-        self.load_free_at = self.load_free_at.max(now);
-    }
-
     /// Whether a model is usable for INFER scheduling on this GPU (resident,
     /// or a LOAD is already on its way).
     pub fn has_or_loading(&self, model: ModelId) -> bool {
-        self.resident.contains(&model) || self.loading.contains(&model)
+        self.models.contains_key(&model)
     }
 
     /// Whether the model is confirmed resident.
     pub fn is_resident(&self, model: ModelId) -> bool {
-        self.resident.contains(&model)
+        self.models.get(&model).is_some_and(|r| !r.loading)
     }
 
     /// Number of pages a weights blob of `bytes` needs on this GPU.
@@ -135,94 +127,18 @@ impl GpuTrack {
         bytes.div_ceil(self.page_size).max(1)
     }
 
-    /// The time an INFER could start if sent now, given outstanding work.
-    pub fn next_exec_slot(&self, now: Timestamp) -> Timestamp {
-        self.exec_free_at.max(now)
-    }
-
-    /// The time a LOAD could start if sent now, given outstanding work.
-    pub fn next_load_slot(&self, now: Timestamp) -> Timestamp {
-        self.load_free_at.max(now)
-    }
-
-    /// Marks an INFER as scheduled: occupies the executor and touches LRU.
-    pub fn note_infer_sent(
-        &mut self,
-        action: OutstandingAction,
-        start: Timestamp,
-        duration: Nanos,
-    ) {
-        self.exec_free_at = self.exec_free_at.max(start + duration);
-        self.last_used.insert(action.model, start);
-        self.outstanding.insert(action.id, action);
-    }
-
-    /// Marks a LOAD as scheduled: reserves pages, occupies the load executor.
-    pub fn note_load_sent(
-        &mut self,
-        action: OutstandingAction,
-        pages: u64,
-        start: Timestamp,
-        duration: Nanos,
-    ) {
-        self.free_pages = self.free_pages.saturating_sub(pages);
-        self.pages_held.insert(action.model, pages);
-        self.loading.insert(action.model);
-        self.load_free_at = self.load_free_at.max(start + duration);
-        self.last_used.entry(action.model).or_insert(start);
-        self.outstanding.insert(action.id, action);
-    }
-
-    /// Marks an UNLOAD as sent: frees pages immediately (UNLOAD always
-    /// succeeds and is metadata-only).
-    pub fn note_unload_sent(&mut self, model: ModelId) {
-        if let Some(pages) = self.pages_held.remove(&model) {
-            self.free_pages = (self.free_pages + pages).min(self.total_pages);
-        }
-        self.resident.remove(&model);
-        self.loading.remove(&model);
-        self.last_used.remove(&model);
-    }
-
-    /// Records a LOAD result. A result whose action is no longer outstanding
-    /// is stale — e.g. it was produced just before the GPU crashed and the
-    /// crash already resolved the action — and is ignored entirely, so it
-    /// cannot resurrect residency on a GPU whose memory is gone. Returns
-    /// whether the result was applied (false = stale), so callers keep their
-    /// own side tables (residency indices) in lockstep with this track.
-    pub fn note_load_result(&mut self, id: ActionId, model: ModelId, success: bool) -> bool {
-        if self.outstanding.remove(&id).is_none() {
-            return false;
-        }
-        self.loading.remove(&model);
-        if success {
-            self.resident.insert(model);
-        } else {
-            // The worker did not allocate pages; return our reservation.
-            if let Some(pages) = self.pages_held.remove(&model) {
-                self.free_pages = (self.free_pages + pages).min(self.total_pages);
-            }
-        }
-        true
-    }
-
-    /// Records an INFER result (success or failure frees the executor claim).
-    pub fn note_infer_result(&mut self, id: ActionId) {
-        self.outstanding.remove(&id);
-    }
-
     /// The least-recently-used resident model, excluding `protect`ed ones.
     pub fn lru_candidate(&self, protect: &HashSet<ModelId>) -> Option<ModelId> {
-        self.resident
+        self.models
             .iter()
-            .filter(|m| !protect.contains(m) && !self.loading.contains(m))
+            .filter(|(m, r)| !r.loading && !protect.contains(m))
+            .map(|(&m, _)| m)
             .min_by_key(|m| {
                 (
                     self.last_used.get(m).copied().unwrap_or(Timestamp::ZERO),
-                    **m,
+                    *m,
                 )
             })
-            .copied()
     }
 
     /// Fraction of pages in use.
@@ -234,14 +150,25 @@ impl GpuTrack {
     }
 }
 
-/// The controller's view of every GPU in the cluster.
+/// The controller's view of every GPU in the cluster, and the only owner of
+/// per-GPU state (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct WorkerStateTracker {
     gpus: Vec<GpuTrack>,
     index: HashMap<GpuRef, usize>,
+    /// Estimated time each GPU's executors are next free, as dense columns
+    /// (`[Executor::Infer, Executor::Load]`, each by registration index) so
+    /// the readiness queries are a linear scan over `u64`s.
+    free_at: [Vec<Timestamp>; 2],
+    /// GPUs (by registration index, ascending) on which each model is
+    /// resident or loading: the inverse of [`GpuTrack::models`].
+    holders: HashMap<ModelId, Vec<usize>>,
+    /// LOAD actions outstanding across the fleet.
+    outstanding_loads: usize,
     /// Workers currently crashed. While a worker is down, a lone GPU
     /// recovery cannot make its GPUs reachable — only the worker restart
-    /// re-admits them.
+    /// re-admits them (the worker would silently drop actions sent earlier,
+    /// leaking their requests).
     down_workers: HashSet<WorkerId>,
 }
 
@@ -251,22 +178,19 @@ impl WorkerStateTracker {
         Self::default()
     }
 
-    /// Registers a GPU.
+    /// Registers a GPU, alive, empty and free at time zero.
     pub fn add_gpu(&mut self, gpu_ref: GpuRef, total_pages: u64, page_size: u64) {
-        let idx = self.gpus.len();
+        self.index.insert(gpu_ref, self.gpus.len());
         self.gpus
             .push(GpuTrack::new(gpu_ref, total_pages, page_size));
-        self.index.insert(gpu_ref, idx);
+        for column in &mut self.free_at {
+            column.push(Timestamp::ZERO);
+        }
     }
 
-    /// All tracked GPUs.
+    /// All tracked GPUs, in registration order.
     pub fn gpus(&self) -> &[GpuTrack] {
         &self.gpus
-    }
-
-    /// Mutable access to all tracked GPUs.
-    pub fn gpus_mut(&mut self) -> &mut [GpuTrack] {
-        &mut self.gpus
     }
 
     /// Number of GPUs.
@@ -285,189 +209,323 @@ impl WorkerStateTracker {
     }
 
     /// The dense registration index of a GPU (its position in
-    /// [`WorkerStateTracker::gpus`]), usable as a key into per-GPU side
-    /// tables that want `Vec` indexing instead of hash lookups.
+    /// [`WorkerStateTracker::gpus`]).
     pub fn gpu_index(&self, gpu_ref: GpuRef) -> Option<usize> {
         self.index.get(&gpu_ref).copied()
     }
 
-    /// Mutable lookup by reference.
-    pub fn get_mut(&mut self, gpu_ref: GpuRef) -> Option<&mut GpuTrack> {
-        match self.index.get(&gpu_ref) {
-            Some(&i) => self.gpus.get_mut(i),
-            None => None,
+    /// Registration indices of the GPUs on which a model is resident or
+    /// loading, ascending. Empty means the model is cold everywhere.
+    pub fn gpus_with_model(&self, model: ModelId) -> &[usize] {
+        self.holders.get(&model).map_or(&[], Vec::as_slice)
+    }
+
+    /// Number of LOAD actions outstanding across the fleet.
+    pub fn outstanding_loads(&self) -> usize {
+        self.outstanding_loads
+    }
+
+    /// The time an action could start on GPU `idx`'s executor if sent now,
+    /// given outstanding work.
+    pub fn next_slot(&self, executor: Executor, idx: usize, now: Timestamp) -> Timestamp {
+        self.free_at[executor as usize][idx].max(now)
+    }
+
+    /// Collects the registration indices of every live GPU whose executor
+    /// frees up strictly before `horizon` into `out`, ascending — so a pass
+    /// visits exactly the GPUs that can accept work, in the order a full
+    /// scan would.
+    pub fn actionable_into(&self, executor: Executor, horizon: Timestamp, out: &mut Vec<usize>) {
+        out.clear();
+        let free_at = &self.free_at[executor as usize];
+        out.extend((0..free_at.len()).filter(|&i| free_at[i] < horizon && self.gpus[i].alive));
+    }
+
+    /// The earliest executor free time at or after `horizon` among live
+    /// GPUs: the next instant at which pure time passage makes a currently
+    /// non-actionable GPU actionable.
+    pub fn next_beyond(&self, executor: Executor, horizon: Timestamp) -> Option<Timestamp> {
+        let free_at = &self.free_at[executor as usize];
+        (0..free_at.len())
+            .filter(|&i| free_at[i] >= horizon && self.gpus[i].alive)
+            .map(|i| free_at[i])
+            .min()
+    }
+
+    /// The live GPU outside `exclude` whose INFER executor frees up soonest.
+    pub fn least_loaded_gpu(&self, now: Timestamp, exclude: &[GpuRef]) -> Option<GpuRef> {
+        self.gpus
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.alive && !exclude.contains(&g.gpu_ref))
+            .min_by_key(|&(i, g)| (self.next_slot(Executor::Infer, i, now), g.gpu_ref))
+            .map(|(_, g)| g.gpu_ref)
+    }
+
+    /// Marks an INFER as sent: occupies the executor from `start` for
+    /// `duration` and touches LRU. Unknown GPUs are ignored, here and in
+    /// every other `note_*`.
+    pub fn note_infer_sent(
+        &mut self,
+        gpu_ref: GpuRef,
+        id: ActionId,
+        model: ModelId,
+        start: Timestamp,
+        duration: Nanos,
+    ) {
+        let Some(idx) = self.gpu_index(gpu_ref) else {
+            return;
+        };
+        self.occupy(Executor::Infer, idx, id, model, start + duration);
+        self.gpus[idx].last_used.insert(model, start);
+    }
+
+    /// Marks a LOAD as sent: reserves the pages `weights_bytes` needs,
+    /// occupies the load executor, and lists the GPU among the model's
+    /// holders.
+    pub fn note_load_sent(
+        &mut self,
+        gpu_ref: GpuRef,
+        id: ActionId,
+        model: ModelId,
+        weights_bytes: u64,
+        start: Timestamp,
+        duration: Nanos,
+    ) {
+        let Some(idx) = self.gpu_index(gpu_ref) else {
+            return;
+        };
+        self.occupy(Executor::Load, idx, id, model, start + duration);
+        self.outstanding_loads += 1;
+        let track = &mut self.gpus[idx];
+        let pages = track.pages_for(weights_bytes);
+        track.free_pages = track.free_pages.saturating_sub(pages);
+        track.models.insert(
+            model,
+            Residency {
+                pages,
+                loading: true,
+            },
+        );
+        // `or_insert`, and neither a failed LOAD nor its result clears the
+        // stamp: a re-LOAD after a failure keeps the older LRU position.
+        // The frozen digests depend on it; do not "fix" it in passing.
+        track.last_used.entry(model).or_insert(start);
+        let holders = self.holders.entry(model).or_default();
+        if let Err(pos) = holders.binary_search(&idx) {
+            holders.insert(pos, idx);
         }
     }
 
-    /// GPUs on which a model is resident or loading.
-    pub fn gpus_with_model(&self, model: ModelId) -> Vec<GpuRef> {
-        self.gpus
-            .iter()
-            .filter(|g| g.has_or_loading(model))
-            .map(|g| g.gpu_ref)
-            .collect()
+    fn occupy(
+        &mut self,
+        executor: Executor,
+        idx: usize,
+        id: ActionId,
+        model: ModelId,
+        expected_completion: Timestamp,
+    ) {
+        let free_at = &mut self.free_at[executor as usize][idx];
+        *free_at = (*free_at).max(expected_completion);
+        self.gpus[idx].outstanding.insert(
+            id,
+            OutstandingAction {
+                id,
+                model,
+                expected_completion,
+                is_load: executor == Executor::Load,
+            },
+        );
     }
 
-    /// Whether the model is resident or loading anywhere in the cluster.
-    pub fn model_available_somewhere(&self, model: ModelId) -> bool {
-        self.gpus.iter().any(|g| g.has_or_loading(model))
+    /// Marks an UNLOAD as sent: frees the pages immediately (UNLOAD always
+    /// succeeds and is metadata-only). Unloading something the GPU does not
+    /// hold is harmless.
+    pub fn note_unload_sent(&mut self, gpu_ref: GpuRef, model: ModelId) {
+        if let Some(idx) = self.gpu_index(gpu_ref) {
+            self.drop_residency(idx, model);
+            self.gpus[idx].last_used.remove(&model);
+        }
     }
 
-    /// The GPU whose INFER executor frees up soonest.
-    pub fn least_loaded_gpu(&self, now: Timestamp) -> Option<GpuRef> {
-        self.gpus
-            .iter()
-            .min_by_key(|g| (g.next_exec_slot(now), g.gpu_ref))
-            .map(|g| g.gpu_ref)
+    /// Drops a model's residency entry on a GPU, if it has one, and returns
+    /// its pages to the pool.
+    fn drop_residency(&mut self, idx: usize, model: ModelId) {
+        let track = &mut self.gpus[idx];
+        if let Some(held) = track.models.remove(&model) {
+            track.free_pages = (track.free_pages + held.pages).min(track.total_pages);
+            self.unlist_holder(idx, model);
+        }
     }
 
-    /// Applies a fleet fault to the tracked GPUs — the minimal fault
-    /// awareness a scheduler needs to stop placing work on dead capacity and
-    /// to re-admit recovered capacity cold.
+    fn unlist_holder(&mut self, idx: usize, model: ModelId) {
+        let holders = self.holders.get_mut(&model);
+        holders
+            .expect("a held model is listed")
+            .retain(|&i| i != idx);
+    }
+
+    /// Records a LOAD result and hands back the action it resolves. `None`
+    /// means the result is stale — its action is no longer outstanding,
+    /// e.g. it was produced just before the GPU crashed and the crash
+    /// already resolved the action — and was ignored entirely, so it cannot
+    /// resurrect residency on a GPU whose memory is gone (or clobber a newer
+    /// LOAD of the same model issued after the GPU recovered).
+    pub fn note_load_result(
+        &mut self,
+        gpu_ref: GpuRef,
+        id: ActionId,
+        model: ModelId,
+        success: bool,
+    ) -> Option<OutstandingAction> {
+        let idx = self.gpu_index(gpu_ref)?;
+        let action = self.gpus[idx].outstanding.remove(&id)?;
+        self.outstanding_loads -= usize::from(action.is_load);
+        if success {
+            if let Some(held) = self.gpus[idx].models.get_mut(&model) {
+                held.loading = false;
+            }
+        } else {
+            // The worker did not allocate pages; return our reservation.
+            self.drop_residency(idx, model);
+        }
+        Some(action)
+    }
+
+    /// Records an INFER result (success or failure frees the executor claim).
+    pub fn note_infer_result(&mut self, gpu_ref: GpuRef, id: ActionId) {
+        if let Some(idx) = self.gpu_index(gpu_ref) {
+            self.gpus[idx].outstanding.remove(&id);
+        }
+    }
+
+    /// Makes room for a weights blob of `weights_bytes` on a GPU: evicts
+    /// least-recently-used resident models outside `protect`, calling
+    /// `unload` for each victim (so the caller sends the UNLOAD action),
+    /// until the blob fits. Returns whether it fits; `false` means victims
+    /// ran out first — whatever was evicted stays evicted.
+    pub fn evict_until_fits(
+        &mut self,
+        gpu_ref: GpuRef,
+        weights_bytes: u64,
+        protect: &HashSet<ModelId>,
+        mut unload: impl FnMut(ModelId),
+    ) -> bool {
+        let Some(idx) = self.gpu_index(gpu_ref) else {
+            return false;
+        };
+        let pages = self.gpus[idx].pages_for(weights_bytes);
+        loop {
+            let track = &self.gpus[idx];
+            if pages <= track.free_pages {
+                return true;
+            }
+            let Some(victim) = track.lru_candidate(protect) else {
+                return false;
+            };
+            self.note_unload_sent(gpu_ref, victim);
+            unload(victim);
+        }
+    }
+
+    /// Applies a fleet fault — the one fault transition every discipline
+    /// shares.
     ///
-    /// Failures mark the affected GPU(s) dead (wiping residency and page
-    /// reservations) and return the ids of their outstanding actions, sorted,
-    /// which will never produce a result; the caller resolves them (requeue
-    /// or reject) in that deterministic order. Recoveries re-admit GPUs with
-    /// nothing resident. A GPU recovery naming a GPU of a crashed worker is
-    /// ignored — the machine is gone; only its restart brings the GPUs back.
-    /// Link faults are a transport matter and touch nothing here.
-    pub fn apply_fault(&mut self, now: Timestamp, fault: &FaultKind) -> Vec<ActionId> {
+    /// Failures mark the affected GPU(s) dead, wipe their residency, page
+    /// reservations and outstanding actions, and return those actions — which
+    /// will never produce a result — each with its GPU's registration
+    /// index, in ascending action-id order; the caller resolves them
+    /// (requeue or reject) in whatever deterministic order its digest was
+    /// frozen with. Recoveries re-admit dead GPUs cold (nothing resident); a
+    /// recovery naming a GPU that is already alive — e.g. a `GpuRecover`
+    /// whose failure window a worker restart already superseded — is a
+    /// no-op, and one naming a GPU of a crashed worker is ignored: the
+    /// machine is gone, only its restart brings the GPUs back. Link faults
+    /// are a transport matter, and a join's GPUs were already registered
+    /// through `add_gpu`; neither touches anything here.
+    pub fn apply_fault(
+        &mut self,
+        now: Timestamp,
+        fault: &FaultKind,
+    ) -> Vec<(usize, OutstandingAction)> {
         let worker = WorkerId(fault.worker());
+        let on_worker = |g: &GpuTrack| g.gpu_ref.worker == worker;
         let mut lost = Vec::new();
         match *fault {
             FaultKind::WorkerCrash { .. } => {
                 self.down_workers.insert(worker);
-                for track in &mut self.gpus {
-                    if track.gpu_ref.worker == worker {
-                        lost.extend(track.outstanding.keys().copied());
-                        track.note_fault(now);
+                for idx in 0..self.gpus.len() {
+                    if on_worker(&self.gpus[idx]) {
+                        self.fail_gpu(idx, now, &mut lost);
                     }
                 }
             }
             FaultKind::WorkerRestart { .. } => {
                 self.down_workers.remove(&worker);
-                for track in &mut self.gpus {
-                    if track.gpu_ref.worker == worker {
-                        track.note_recovered(now);
+                for idx in 0..self.gpus.len() {
+                    if on_worker(&self.gpus[idx]) {
+                        self.recover_gpu(idx, now);
                     }
                 }
             }
             FaultKind::GpuFail { gpu, .. } => {
-                if let Some(track) = self.get_mut(GpuRef {
-                    worker,
-                    gpu: GpuId(gpu),
-                }) {
-                    lost.extend(track.outstanding.keys().copied());
-                    track.note_fault(now);
+                let gpu = GpuId(gpu);
+                if let Some(idx) = self.gpu_index(GpuRef { worker, gpu }) {
+                    self.fail_gpu(idx, now, &mut lost);
                 }
             }
             FaultKind::GpuRecover { gpu, .. } => {
+                let gpu = GpuId(gpu);
                 if !self.down_workers.contains(&worker) {
-                    if let Some(track) = self.get_mut(GpuRef {
-                        worker,
-                        gpu: GpuId(gpu),
-                    }) {
-                        track.note_recovered(now);
+                    if let Some(idx) = self.gpu_index(GpuRef { worker, gpu }) {
+                        self.recover_gpu(idx, now);
                     }
                 }
             }
             FaultKind::LinkDegrade { .. }
             | FaultKind::LinkRestore { .. }
             | FaultKind::PartitionStart { .. }
-            | FaultKind::PartitionEnd { .. } => {}
-            // A join loses nothing; the new GPUs were already registered
-            // through `add_gpu` and start alive and empty.
-            FaultKind::WorkerJoin { .. } => {}
+            | FaultKind::PartitionEnd { .. }
+            | FaultKind::WorkerJoin { .. } => {}
         }
-        lost.sort_unstable();
+        lost.sort_unstable_by_key(|&(_, action)| action.id);
         lost
     }
-}
 
-/// An index of per-GPU "next actionable" times.
-///
-/// The scheduling passes used to scan every GPU per event just to discover
-/// that most executors are busy past the lookahead horizon. This index keeps
-/// each GPU's next-free time in a sorted set so a pass can pull exactly the
-/// GPUs that are actionable before the horizon — in ascending registration
-/// order, which keeps the visiting order (and therefore every scheduling
-/// decision and the determinism digest) identical to the full scan's.
-///
-/// Dead GPUs are parked at [`Timestamp::MAX`], which doubles as the
-/// "never actionable" sentinel.
-#[derive(Clone, Debug, Default)]
-pub struct FreeAtIndex {
-    by_time: BTreeSet<(Timestamp, u32)>,
-    current: Vec<Timestamp>,
-}
-
-impl FreeAtIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        FreeAtIndex::default()
-    }
-
-    /// Registers the next GPU (dense indices, in registration order),
-    /// initially free at time zero.
-    pub fn push_gpu(&mut self) {
-        let idx = self.current.len() as u32;
-        self.current.push(Timestamp::ZERO);
-        self.by_time.insert((Timestamp::ZERO, idx));
-    }
-
-    /// Number of GPUs registered.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// Whether no GPUs are registered.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
-    }
-
-    /// The currently indexed free time of a GPU.
-    pub fn free_at(&self, idx: usize) -> Timestamp {
-        self.current[idx]
-    }
-
-    /// Moves a GPU to a new free time.
-    pub fn update(&mut self, idx: usize, free_at: Timestamp) {
-        let old = self.current[idx];
-        if old == free_at {
-            return;
+    /// The GPU died: its memory comes back empty, its outstanding actions
+    /// move to `lost`, and it is unschedulable until it recovers.
+    fn fail_gpu(&mut self, idx: usize, now: Timestamp, lost: &mut Vec<(usize, OutstandingAction)>) {
+        for model in std::mem::take(&mut self.gpus[idx].models).into_keys() {
+            self.unlist_holder(idx, model);
         }
-        self.by_time.remove(&(old, idx as u32));
-        self.by_time.insert((free_at, idx as u32));
-        self.current[idx] = free_at;
+        let track = &mut self.gpus[idx];
+        for (_, action) in track.outstanding.drain() {
+            self.outstanding_loads -= usize::from(action.is_load);
+            lost.push((idx, action));
+        }
+        track.last_used.clear();
+        track.free_pages = track.total_pages;
+        track.alive = false;
+        for column in &mut self.free_at {
+            column[idx] = now;
+        }
     }
 
-    /// Collects the dense indices of every GPU whose free time is strictly
-    /// before `horizon`, sorted ascending (registration order), into `out`.
-    pub fn actionable_into(&self, horizon: Timestamp, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend(
-            self.by_time
-                .range(..(horizon, 0u32))
-                .map(|&(_, idx)| idx as usize),
-        );
-        out.sort_unstable();
-    }
-
-    /// The earliest indexed free time at or after `horizon`, skipping the
-    /// [`Timestamp::MAX`] parked sentinel: the next instant at which pure
-    /// time passage makes a currently non-actionable GPU actionable.
-    pub fn next_beyond(&self, horizon: Timestamp) -> Option<Timestamp> {
-        self.by_time
-            .range((horizon, 0u32)..)
-            .map(|&(t, _)| t)
-            .find(|&t| t != Timestamp::MAX)
+    fn recover_gpu(&mut self, idx: usize, now: Timestamp) {
+        if !self.gpus[idx].alive {
+            self.gpus[idx].alive = true;
+            for column in &mut self.free_at {
+                column[idx] = column[idx].max(now);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const PAGE: u64 = 16 * 1024 * 1024;
 
     fn gref(w: u32, g: u32) -> GpuRef {
         GpuRef {
@@ -476,13 +534,43 @@ mod tests {
         }
     }
 
-    fn outstanding(id: u64, model: u32, done_ms: u64, is_load: bool) -> OutstandingAction {
-        OutstandingAction {
-            id: ActionId(id),
-            model: ModelId(model),
-            expected_completion: Timestamp::from_millis(done_ms),
-            is_load,
-        }
+    fn ms(t: u64) -> Timestamp {
+        Timestamp::from_millis(t)
+    }
+
+    /// A tracker with one GPU `gref(0, 0)` of `pages` pages.
+    fn one_gpu(pages: u64) -> WorkerStateTracker {
+        let mut t = WorkerStateTracker::new();
+        t.add_gpu(gref(0, 0), pages, PAGE);
+        t
+    }
+
+    /// Sends a LOAD of `pages` pages for `model` at time zero (8 ms long).
+    fn load(t: &mut WorkerStateTracker, gpu: GpuRef, id: u64, model: u32, pages: u64) {
+        t.note_load_sent(
+            gpu,
+            ActionId(id),
+            ModelId(model),
+            pages * PAGE,
+            Timestamp::ZERO,
+            Nanos::from_millis(8),
+        );
+    }
+
+    fn infer(t: &mut WorkerStateTracker, gpu: GpuRef, id: u64, model: u32, start_ms: u64) {
+        t.note_infer_sent(
+            gpu,
+            ActionId(id),
+            ModelId(model),
+            ms(start_ms),
+            Nanos::from_millis(3),
+        );
+    }
+
+    fn actionable(t: &WorkerStateTracker, executor: Executor, horizon_ms: u64) -> Vec<usize> {
+        let mut out = vec![99];
+        t.actionable_into(executor, ms(horizon_ms), &mut out);
+        out
     }
 
     #[test]
@@ -494,104 +582,110 @@ mod tests {
         t.add_gpu(gref(1, 0), 50, 16);
         assert_eq!(t.len(), 3);
         assert_eq!(t.get(gref(1, 0)).unwrap().total_pages, 50);
+        assert_eq!(t.gpu_index(gref(1, 0)), Some(2));
         assert!(t.get(gref(9, 9)).is_none());
         assert_eq!(format!("{}", gref(1, 0)), "w1/g0");
     }
 
     #[test]
     fn load_reserves_pages_and_result_confirms_residency() {
-        let mut g = GpuTrack::new(gref(0, 0), 10, 16 * 1024 * 1024);
+        let mut t = one_gpu(10);
         let model = ModelId(7);
-        let pages = g.pages_for(100 * 1024 * 1024);
-        assert_eq!(pages, 7);
-        g.note_load_sent(
-            outstanding(1, 7, 20, true),
-            pages,
-            Timestamp::from_millis(10),
+        assert_eq!(t.gpus()[0].pages_for(100 * 1024 * 1024), 7);
+        t.note_load_sent(
+            gref(0, 0),
+            ActionId(1),
+            model,
+            100 * 1024 * 1024,
+            ms(10),
             Nanos::from_millis(8),
         );
+        let g = &t.gpus()[0];
         assert_eq!(g.free_pages, 3);
         assert!(g.has_or_loading(model));
         assert!(!g.is_resident(model));
-        assert_eq!(g.load_free_at, Timestamp::from_millis(18));
-        g.note_load_result(ActionId(1), model, true);
+        assert_eq!(t.next_slot(Executor::Load, 0, Timestamp::ZERO), ms(18));
+        assert_eq!(t.gpus_with_model(model), [0]);
+        assert_eq!(t.outstanding_loads(), 1);
+        let resolved = t
+            .note_load_result(gref(0, 0), ActionId(1), model, true)
+            .expect("outstanding");
+        assert!(resolved.is_load);
+        assert_eq!(resolved.expected_completion, ms(18));
+        let g = &t.gpus()[0];
         assert!(g.is_resident(model));
         assert_eq!(g.free_pages, 3, "pages stay allocated after success");
         assert!(g.outstanding.is_empty());
+        assert_eq!(t.outstanding_loads(), 0);
     }
 
     #[test]
-    fn failed_load_returns_pages() {
-        let mut g = GpuTrack::new(gref(0, 0), 10, 16 * 1024 * 1024);
-        g.note_load_sent(
-            outstanding(1, 7, 20, true),
-            4,
-            Timestamp::ZERO,
+    fn failed_load_returns_pages_but_keeps_the_lru_stamp() {
+        let mut t = one_gpu(10);
+        load(&mut t, gref(0, 0), 1, 7, 4);
+        assert_eq!(t.gpus()[0].free_pages, 6);
+        assert!(t
+            .note_load_result(gref(0, 0), ActionId(1), ModelId(7), false)
+            .is_some());
+        assert_eq!(t.gpus()[0].free_pages, 10);
+        assert!(!t.gpus()[0].has_or_loading(ModelId(7)));
+        assert!(t.gpus_with_model(ModelId(7)).is_empty());
+        // Pinned quirk: the LRU stamp outlives the failed LOAD, and the
+        // re-LOAD's `or_insert` keeps it instead of stamping the new start.
+        t.note_load_sent(
+            gref(0, 0),
+            ActionId(2),
+            ModelId(7),
+            4 * PAGE,
+            ms(50),
             Nanos::from_millis(8),
         );
-        assert_eq!(g.free_pages, 6);
-        g.note_load_result(ActionId(1), ModelId(7), false);
-        assert_eq!(g.free_pages, 10);
-        assert!(!g.has_or_loading(ModelId(7)));
+        assert_eq!(
+            t.gpus()[0].last_used.get(&ModelId(7)),
+            Some(&Timestamp::ZERO)
+        );
     }
 
     #[test]
     fn unload_frees_pages_immediately() {
-        let mut g = GpuTrack::new(gref(0, 0), 10, 16 * 1024 * 1024);
-        g.note_load_sent(
-            outstanding(1, 7, 20, true),
-            4,
-            Timestamp::ZERO,
-            Nanos::from_millis(8),
-        );
-        g.note_load_result(ActionId(1), ModelId(7), true);
-        g.note_unload_sent(ModelId(7));
-        assert_eq!(g.free_pages, 10);
-        assert!(!g.is_resident(ModelId(7)));
+        let mut t = one_gpu(10);
+        load(&mut t, gref(0, 0), 1, 7, 4);
+        t.note_load_result(gref(0, 0), ActionId(1), ModelId(7), true);
+        t.note_unload_sent(gref(0, 0), ModelId(7));
+        assert_eq!(t.gpus()[0].free_pages, 10);
+        assert!(!t.gpus()[0].is_resident(ModelId(7)));
+        assert!(t.gpus_with_model(ModelId(7)).is_empty());
         // Unloading something unknown is harmless.
-        g.note_unload_sent(ModelId(99));
-        assert_eq!(g.free_pages, 10);
+        t.note_unload_sent(gref(0, 0), ModelId(99));
+        assert_eq!(t.gpus()[0].free_pages, 10);
     }
 
     #[test]
     fn infer_occupies_executor_and_touches_lru() {
-        let mut g = GpuTrack::new(gref(0, 0), 10, 16 * 1024 * 1024);
-        g.note_infer_sent(
-            outstanding(5, 3, 12, false),
-            Timestamp::from_millis(10),
-            Nanos::from_millis(3),
-        );
-        assert_eq!(g.exec_free_at, Timestamp::from_millis(13));
+        let mut t = one_gpu(10);
+        infer(&mut t, gref(0, 0), 5, 3, 10);
+        assert_eq!(t.next_slot(Executor::Infer, 0, ms(5)), ms(13));
+        assert_eq!(t.next_slot(Executor::Infer, 0, ms(20)), ms(20));
+        assert_eq!(t.gpus()[0].last_used.get(&ModelId(3)), Some(&ms(10)));
         assert_eq!(
-            g.next_exec_slot(Timestamp::from_millis(5)),
-            Timestamp::from_millis(13)
+            t.gpus()[0].outstanding[&ActionId(5)].expected_completion,
+            ms(13)
         );
-        assert_eq!(
-            g.next_exec_slot(Timestamp::from_millis(20)),
-            Timestamp::from_millis(20)
-        );
-        assert_eq!(
-            g.last_used.get(&ModelId(3)),
-            Some(&Timestamp::from_millis(10))
-        );
-        g.note_infer_result(ActionId(5));
-        assert!(g.outstanding.is_empty());
+        t.note_infer_result(gref(0, 0), ActionId(5));
+        assert!(t.gpus()[0].outstanding.is_empty());
     }
 
     #[test]
     fn lru_candidate_respects_protection_and_order() {
-        let mut g = GpuTrack::new(gref(0, 0), 20, 16 * 1024 * 1024);
+        let mut t = one_gpu(20);
         for (i, used_ms) in [(1u32, 30u64), (2, 10), (3, 20)] {
-            g.note_load_sent(
-                outstanding(u64::from(i), i, 5, true),
-                2,
-                Timestamp::ZERO,
-                Nanos::from_millis(1),
-            );
-            g.note_load_result(ActionId(u64::from(i)), ModelId(i), true);
-            g.last_used
-                .insert(ModelId(i), Timestamp::from_millis(used_ms));
+            load(&mut t, gref(0, 0), u64::from(i), i, 2);
+            t.note_load_result(gref(0, 0), ActionId(u64::from(i)), ModelId(i), true);
+            infer(&mut t, gref(0, 0), 10 + u64::from(i), i, used_ms);
         }
+        // A model that is still loading is never a candidate.
+        load(&mut t, gref(0, 0), 4, 4, 2);
+        let g = &t.gpus()[0];
         let none = HashSet::new();
         assert_eq!(g.lru_candidate(&none), Some(ModelId(2)));
         let protect: HashSet<ModelId> = [ModelId(2)].into_iter().collect();
@@ -601,103 +695,173 @@ mod tests {
     }
 
     #[test]
-    fn note_fault_wipes_state_and_note_recovered_restores_cold() {
-        let mut g = GpuTrack::new(gref(0, 0), 10, 16 * 1024 * 1024);
-        g.note_load_sent(
-            outstanding(1, 7, 20, true),
-            4,
-            Timestamp::ZERO,
-            Nanos::from_millis(8),
+    fn evict_until_fits_unloads_lru_victims_until_the_blob_fits() {
+        let mut t = one_gpu(10);
+        for (i, used_ms) in [(1u32, 30u64), (2, 10), (3, 20)] {
+            load(&mut t, gref(0, 0), u64::from(i), i, 3);
+            t.note_load_result(gref(0, 0), ActionId(u64::from(i)), ModelId(i), true);
+            infer(&mut t, gref(0, 0), 10 + u64::from(i), i, used_ms);
+        }
+        assert_eq!(t.gpus()[0].free_pages, 1);
+        let mut victims = Vec::new();
+        let protect: HashSet<ModelId> = [ModelId(3)].into_iter().collect();
+        // 5 pages: evicting model 2 (LRU) gives 4, then model 1 gives 7.
+        assert!(t.evict_until_fits(gref(0, 0), 5 * PAGE, &protect, |m| victims.push(m)));
+        assert_eq!(victims, vec![ModelId(2), ModelId(1)]);
+        assert_eq!(t.gpus()[0].free_pages, 7);
+        assert!(
+            t.gpus_with_model(ModelId(1)).is_empty() && t.gpus_with_model(ModelId(2)).is_empty()
         );
-        g.note_load_result(ActionId(1), ModelId(7), true);
-        g.note_infer_sent(
-            outstanding(2, 7, 30, false),
-            Timestamp::from_millis(10),
-            Nanos::from_millis(3),
+        // 9 pages cannot fit while model 3 is protected: nothing to evict.
+        assert!(!t.evict_until_fits(gref(0, 0), 9 * PAGE, &protect, |m| victims.push(m)));
+        assert_eq!(victims.len(), 2);
+        assert!(t.gpus()[0].is_resident(ModelId(3)));
+    }
+
+    #[test]
+    fn fault_wipes_state_and_recovery_restores_cold() {
+        let mut t = one_gpu(10);
+        load(&mut t, gref(0, 0), 1, 7, 4);
+        t.note_load_result(gref(0, 0), ActionId(1), ModelId(7), true);
+        infer(&mut t, gref(0, 0), 2, 7, 10);
+        load(&mut t, gref(0, 0), 3, 8, 2);
+        assert!(t.gpus()[0].alive);
+        let fail = FaultKind::GpuFail { worker: 0, gpu: 0 };
+        let lost = t.apply_fault(ms(20), &fail);
+        assert_eq!(
+            lost.iter().map(|&(i, a)| (i, a.id)).collect::<Vec<_>>(),
+            vec![(0, ActionId(2)), (0, ActionId(3))]
         );
-        assert!(g.alive);
-        g.note_fault(Timestamp::from_millis(20));
+        let g = &t.gpus()[0];
         assert!(!g.alive);
         assert_eq!(g.free_pages, 10);
-        assert!(g.resident.is_empty());
+        assert!(g.models.is_empty() && g.last_used.is_empty());
         assert!(g.outstanding.is_empty());
-        assert_eq!(g.exec_free_at, Timestamp::from_millis(20));
+        assert!(
+            t.gpus_with_model(ModelId(7)).is_empty() && t.gpus_with_model(ModelId(8)).is_empty()
+        );
+        assert_eq!(t.outstanding_loads(), 0);
+        assert_eq!(t.next_slot(Executor::Infer, 0, Timestamp::ZERO), ms(20));
         // A stale LOAD result (produced pre-crash) must not resurrect
         // residency on the wiped GPU, and must report that it was ignored.
-        assert!(!g.note_load_result(ActionId(1), ModelId(7), true));
-        assert!(!g.is_resident(ModelId(7)));
-        g.note_recovered(Timestamp::from_millis(50));
-        assert!(g.alive);
-        assert!(g.resident.is_empty(), "recovery is cold");
-        assert_eq!(g.exec_free_at, Timestamp::from_millis(50));
+        assert!(t
+            .note_load_result(gref(0, 0), ActionId(3), ModelId(8), true)
+            .is_none());
+        assert!(!t.gpus()[0].has_or_loading(ModelId(8)));
+        let recover = FaultKind::GpuRecover { worker: 0, gpu: 0 };
+        t.apply_fault(ms(50), &recover);
+        assert!(t.gpus()[0].alive);
+        assert!(t.gpus()[0].models.is_empty(), "recovery is cold");
+        assert_eq!(t.next_slot(Executor::Infer, 0, Timestamp::ZERO), ms(50));
+        assert_eq!(t.next_slot(Executor::Load, 0, Timestamp::ZERO), ms(50));
     }
 
     #[test]
-    fn free_at_index_tracks_actionable_gpus_in_registration_order() {
-        let mut index = FreeAtIndex::new();
-        assert!(index.is_empty());
-        for _ in 0..4 {
-            index.push_gpu();
+    fn spurious_recovery_of_a_live_gpu_is_a_no_op() {
+        // Pinned: a recovery whose failure window was already superseded
+        // (the GPU is alive) must not push the GPU's free times forward.
+        let mut t = one_gpu(10);
+        infer(&mut t, gref(0, 0), 1, 7, 0);
+        let before = t.clone();
+        for fault in [
+            FaultKind::GpuRecover { worker: 0, gpu: 0 },
+            FaultKind::WorkerRestart { worker: 0 },
+        ] {
+            assert!(t.apply_fault(ms(500), &fault).is_empty());
+            for executor in [Executor::Infer, Executor::Load] {
+                assert_eq!(
+                    t.next_slot(executor, 0, Timestamp::ZERO),
+                    before.next_slot(executor, 0, Timestamp::ZERO)
+                );
+            }
+            assert_eq!(t.gpus()[0].outstanding.len(), 1);
         }
-        assert_eq!(index.len(), 4);
-        index.update(0, Timestamp::from_millis(50));
-        index.update(2, Timestamp::from_millis(5));
-        index.update(3, Timestamp::MAX); // dead GPU
-        let mut out = Vec::new();
-        index.actionable_into(Timestamp::from_millis(10), &mut out);
-        assert_eq!(out, vec![1, 2], "free-at 0 and 5ms are actionable, sorted");
+    }
+
+    #[test]
+    fn actionable_gpus_come_back_live_and_in_registration_order() {
+        let mut t = WorkerStateTracker::new();
+        for g in 0..4 {
+            t.add_gpu(gref(g, 0), 10, PAGE);
+        }
+        // GPU 0 busy until 50 ms, GPU 2 until 5 ms, GPU 3 dead.
+        t.note_infer_sent(
+            gref(0, 0),
+            ActionId(1),
+            ModelId(1),
+            Timestamp::ZERO,
+            Nanos::from_millis(50),
+        );
+        t.note_infer_sent(
+            gref(2, 0),
+            ActionId(2),
+            ModelId(1),
+            Timestamp::ZERO,
+            Nanos::from_millis(5),
+        );
+        t.apply_fault(Timestamp::ZERO, &FaultKind::GpuFail { worker: 3, gpu: 0 });
+        assert_eq!(
+            actionable(&t, Executor::Infer, 10),
+            vec![1, 2],
+            "free-at 0 and 5ms are actionable, ascending; the dead GPU is not"
+        );
         // The horizon bound is strict: a GPU free exactly at the horizon is
         // not actionable, matching the scan's `slot >= horizon` break.
-        index.actionable_into(Timestamp::from_millis(5), &mut out);
-        assert_eq!(out, vec![1]);
-        index.update(3, Timestamp::ZERO); // recovered
-        index.actionable_into(Timestamp::from_millis(10), &mut out);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(index.free_at(0), Timestamp::from_millis(50));
+        assert_eq!(actionable(&t, Executor::Infer, 5), vec![1]);
+        // The LOAD executor is tracked separately.
+        assert_eq!(actionable(&t, Executor::Load, 5), vec![0, 1, 2]);
+        t.apply_fault(
+            Timestamp::ZERO,
+            &FaultKind::GpuRecover { worker: 3, gpu: 0 },
+        );
+        assert_eq!(actionable(&t, Executor::Infer, 10), vec![1, 2, 3]);
     }
 
     #[test]
-    fn free_at_index_next_beyond_skips_parked_gpus() {
-        let mut index = FreeAtIndex::new();
-        for _ in 0..3 {
-            index.push_gpu();
+    fn next_beyond_skips_dead_gpus() {
+        let mut t = WorkerStateTracker::new();
+        for g in 0..3 {
+            t.add_gpu(gref(g, 0), 10, PAGE);
         }
-        index.update(0, Timestamp::from_millis(50));
-        index.update(1, Timestamp::from_millis(5));
-        index.update(2, Timestamp::MAX); // dead GPU never becomes actionable
-        assert_eq!(
-            index.next_beyond(Timestamp::from_millis(10)),
-            Some(Timestamp::from_millis(50))
-        );
+        for (g, until_ms) in [(0, 50), (1, 5), (2, 70)] {
+            t.note_infer_sent(
+                gref(g, 0),
+                ActionId(u64::from(g)),
+                ModelId(1),
+                Timestamp::ZERO,
+                Nanos::from_millis(until_ms),
+            );
+        }
+        // A dead GPU never becomes actionable by time passing alone.
+        t.apply_fault(ms(70), &FaultKind::GpuFail { worker: 2, gpu: 0 });
+        assert_eq!(t.next_beyond(Executor::Infer, ms(10)), Some(ms(50)));
         // Inclusive at the horizon: a GPU free exactly at the horizon is the
         // first to become actionable once time passes it.
+        assert_eq!(t.next_beyond(Executor::Infer, ms(5)), Some(ms(5)));
+        assert_eq!(t.next_beyond(Executor::Infer, ms(51)), None);
+        assert_eq!(t.next_beyond(Executor::Load, ms(1)), None);
         assert_eq!(
-            index.next_beyond(Timestamp::from_millis(5)),
-            Some(Timestamp::from_millis(5))
+            WorkerStateTracker::new().next_beyond(Executor::Infer, Timestamp::ZERO),
+            None
         );
-        assert_eq!(index.next_beyond(Timestamp::from_millis(51)), None);
-        assert_eq!(FreeAtIndex::new().next_beyond(Timestamp::ZERO), None);
     }
 
     #[test]
     fn apply_fault_parks_capacity_and_returns_lost_actions_sorted() {
         let mut t = WorkerStateTracker::new();
-        t.add_gpu(gref(0, 0), 10, 16 * 1024 * 1024);
-        t.add_gpu(gref(0, 1), 10, 16 * 1024 * 1024);
-        t.add_gpu(gref(1, 0), 10, 16 * 1024 * 1024);
+        t.add_gpu(gref(0, 0), 10, PAGE);
+        t.add_gpu(gref(0, 1), 10, PAGE);
+        t.add_gpu(gref(1, 0), 10, PAGE);
         for (gpu, id) in [(gref(0, 0), 9u64), (gref(0, 0), 2), (gref(0, 1), 5)] {
-            t.get_mut(gpu).unwrap().note_infer_sent(
-                outstanding(id, 1, 50, false),
-                Timestamp::ZERO,
-                Nanos::from_millis(3),
-            );
+            infer(&mut t, gpu, id, 1, 0);
         }
-        let now = Timestamp::from_millis(10);
+        let now = ms(10);
         let lost = t.apply_fault(now, &FaultKind::WorkerCrash { worker: 0 });
         assert_eq!(
-            lost,
-            vec![ActionId(2), ActionId(5), ActionId(9)],
-            "lost ids cover every GPU of the worker, sorted"
+            lost.iter().map(|&(i, a)| (i, a.id)).collect::<Vec<_>>(),
+            vec![(0, ActionId(2)), (1, ActionId(5)), (0, ActionId(9))],
+            "lost actions cover every GPU of the worker, in action-id order, \
+             each with its GPU index"
         );
         assert!(!t.get(gref(0, 0)).unwrap().alive);
         assert!(!t.get(gref(0, 1)).unwrap().alive);
@@ -728,24 +892,34 @@ mod tests {
     #[test]
     fn cluster_queries() {
         let mut t = WorkerStateTracker::new();
-        t.add_gpu(gref(0, 0), 10, 16 * 1024 * 1024);
-        t.add_gpu(gref(1, 0), 10, 16 * 1024 * 1024);
-        t.get_mut(gref(1, 0)).unwrap().note_load_sent(
-            outstanding(1, 5, 8, true),
-            2,
-            Timestamp::ZERO,
-            Nanos::from_millis(8),
+        t.add_gpu(gref(0, 0), 10, PAGE);
+        t.add_gpu(gref(1, 0), 10, PAGE);
+        load(&mut t, gref(1, 0), 1, 5, 2);
+        assert_eq!(t.gpus_with_model(ModelId(5)), [1]);
+        assert!(t.gpus_with_model(ModelId(6)).is_empty());
+        load(&mut t, gref(0, 0), 2, 5, 2);
+        assert_eq!(
+            t.gpus_with_model(ModelId(5)),
+            [0, 1],
+            "ascending registration index"
         );
-        assert!(t.model_available_somewhere(ModelId(5)));
-        assert!(!t.model_available_somewhere(ModelId(6)));
-        assert_eq!(t.gpus_with_model(ModelId(5)), vec![gref(1, 0)]);
-        // Occupy gpu 0's exec engine; least loaded should be gpu 1.
-        t.get_mut(gref(0, 0)).unwrap().note_infer_sent(
-            outstanding(2, 5, 50, false),
+        // Occupy gpu 0's exec engine; least loaded should be gpu 1 — unless
+        // it is excluded or dead.
+        t.note_infer_sent(
+            gref(0, 0),
+            ActionId(3),
+            ModelId(5),
             Timestamp::ZERO,
             Nanos::from_millis(50),
         );
-        assert_eq!(t.least_loaded_gpu(Timestamp::ZERO), Some(gref(1, 0)));
-        assert!((t.get(gref(0, 0)).unwrap().occupancy() - 0.0).abs() < 1e-12);
+        assert_eq!(t.least_loaded_gpu(Timestamp::ZERO, &[]), Some(gref(1, 0)));
+        assert_eq!(
+            t.least_loaded_gpu(Timestamp::ZERO, &[gref(1, 0)]),
+            Some(gref(0, 0))
+        );
+        t.apply_fault(Timestamp::ZERO, &FaultKind::GpuFail { worker: 1, gpu: 0 });
+        assert_eq!(t.least_loaded_gpu(Timestamp::ZERO, &[]), Some(gref(0, 0)));
+        assert_eq!(t.least_loaded_gpu(Timestamp::ZERO, &[gref(0, 0)]), None);
+        assert!((t.get(gref(1, 0)).unwrap().occupancy() - 0.0).abs() < 1e-12);
     }
 }

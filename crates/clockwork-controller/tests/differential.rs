@@ -22,7 +22,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use clockwork_controller::clockwork_scheduler::{ClockworkScheduler, ClockworkSchedulerConfig};
+use clockwork_controller::clockwork_scheduler::{
+    ClockworkScheduler, ClockworkSchedulerConfig, TICK_INTERVAL,
+};
 use clockwork_controller::request::{InferenceRequest, RequestId};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx};
 use clockwork_controller::worker_state::GpuRef;
@@ -123,7 +125,7 @@ fn run_side(cadence: Cadence, workers: u32, gpus: u32, ops: &[(u64, ExternalOp)]
     let mut log = Vec::new();
     let mut next_request = 0u64;
     let mut tick_key: Option<(u64, u64)> = None;
-    let interval = ClockworkSchedulerConfig::default().tick_interval;
+    let interval = TICK_INTERVAL;
 
     let mut steps = 0u64;
     while let Some((&key, _)) = queue.iter().next() {

@@ -8,7 +8,7 @@
 //! end-to-end behaviour of the full scheduler is covered by the system-level
 //! tests in `tests/`.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -17,9 +17,10 @@ use clockwork_controller::clockwork_scheduler::{ClockworkScheduler, ClockworkSch
 use clockwork_controller::profile::{ActionProfiler, ProfileKey};
 use clockwork_controller::request::{InferenceRequest, RejectReason, RequestId, RequestOutcome};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx};
-use clockwork_controller::worker_state::{GpuRef, GpuTrack, OutstandingAction, WorkerStateTracker};
+use clockwork_controller::worker_state::{Executor, GpuRef, WorkerStateTracker};
 use clockwork_model::zoo::ModelZoo;
 use clockwork_model::{ModelId, Tier};
+use clockwork_sim::engine::FaultKind;
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionId, ActionKind, GpuId, WorkerId};
 
@@ -102,26 +103,274 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// GpuTrack / WorkerStateTracker
+// WorkerStateTracker
 // ----------------------------------------------------------------------
 
-/// One controller-side bookkeeping operation on a GPU track.
+const WORKERS: u32 = 3;
+const GPUS_PER_WORKER: u32 = 2;
+const GPUS: usize = (WORKERS * GPUS_PER_WORKER) as usize;
+
+/// One controller-side bookkeeping operation on a multi-GPU tracker. `gpu`
+/// is a registration index; faults may also name capacity that does not
+/// exist.
 #[derive(Clone, Debug)]
 enum TrackOp {
-    LoadSent { model: u32, pages: u64 },
-    LoadResult { model: u32, success: bool },
-    InferSent { model: u32 },
-    UnloadSent { model: u32 },
+    LoadSent {
+        gpu: usize,
+        model: u32,
+        pages: u64,
+    },
+    /// Resolves the pending LOAD of `(gpu, model)` if there is one;
+    /// otherwise replays a stale or never-issued id, which must be ignored.
+    LoadResult {
+        gpu: usize,
+        model: u32,
+        success: bool,
+    },
+    InferSent {
+        gpu: usize,
+        model: u32,
+    },
+    InferResult {
+        gpu: usize,
+    },
+    UnloadSent {
+        gpu: usize,
+        model: u32,
+    },
+    EvictUntilFits {
+        gpu: usize,
+        pages: u64,
+    },
+    Fault(FaultKind),
+}
+
+fn fault_kind() -> impl Strategy<Value = FaultKind> {
+    // One worker and one GPU index past the fleet, so unknown capacity is
+    // exercised too.
+    (0u32..9, 0..WORKERS + 1, 0..GPUS_PER_WORKER + 1).prop_map(|(kind, worker, gpu)| match kind {
+        0 => FaultKind::GpuFail { worker, gpu },
+        1 => FaultKind::GpuRecover { worker, gpu },
+        2 => FaultKind::WorkerCrash { worker },
+        3 => FaultKind::WorkerRestart { worker },
+        4 => FaultKind::LinkDegrade {
+            worker,
+            factor_milli: 4000,
+        },
+        5 => FaultKind::LinkRestore { worker },
+        6 => FaultKind::PartitionStart { worker },
+        7 => FaultKind::PartitionEnd { worker },
+        _ => FaultKind::WorkerJoin { worker },
+    })
 }
 
 fn track_op() -> impl Strategy<Value = TrackOp> {
+    let gpu = || 0..GPUS;
+    let model = || 0u32..16;
     prop_oneof![
-        (0u32..16, 1u64..40).prop_map(|(model, pages)| TrackOp::LoadSent { model, pages }),
-        (0u32..16, any::<bool>())
-            .prop_map(|(model, success)| TrackOp::LoadResult { model, success }),
-        (0u32..16).prop_map(|model| TrackOp::InferSent { model }),
-        (0u32..16).prop_map(|model| TrackOp::UnloadSent { model }),
+        (gpu(), model(), 1u64..40).prop_map(|(gpu, model, pages)| TrackOp::LoadSent {
+            gpu,
+            model,
+            pages
+        }),
+        (gpu(), model(), any::<bool>()).prop_map(|(gpu, model, success)| TrackOp::LoadResult {
+            gpu,
+            model,
+            success
+        }),
+        // Twice: INFERs only land on resident models, so most are skipped.
+        (gpu(), model()).prop_map(|(gpu, model)| TrackOp::InferSent { gpu, model }),
+        (gpu(), model()).prop_map(|(gpu, model)| TrackOp::InferSent { gpu, model }),
+        gpu().prop_map(|gpu| TrackOp::InferResult { gpu }),
+        (gpu(), model()).prop_map(|(gpu, model)| TrackOp::UnloadSent { gpu, model }),
+        (gpu(), 1u64..80).prop_map(|(gpu, pages)| TrackOp::EvictUntilFits { gpu, pages }),
+        fault_kind().prop_map(TrackOp::Fault),
     ]
+}
+
+/// The slow oracle: what one GPU's state must be, kept by the test from the
+/// operations alone, in the plainest containers available.
+#[derive(Clone, Debug, Default)]
+struct OracleGpu {
+    resident: HashSet<u32>,
+    /// model -> its pending LOAD's id.
+    loading: HashMap<u32, ActionId>,
+    /// model -> pages reserved, for resident and loading models alike.
+    pages: HashMap<u32, u64>,
+    infers: Vec<ActionId>,
+    free_at: [Timestamp; 2],
+    dead: bool,
+}
+
+impl OracleGpu {
+    /// The GPU died: returns the ids that were outstanding on it, sorted.
+    fn wipe(&mut self, now: Timestamp) -> Vec<ActionId> {
+        let mut lost: Vec<ActionId> = self.infers.drain(..).collect();
+        lost.extend(self.loading.drain().map(|(_, id)| id));
+        lost.sort_unstable();
+        self.resident.clear();
+        self.pages.clear();
+        self.free_at = [now; 2];
+        self.dead = true;
+        lost
+    }
+
+    fn recover(&mut self, now: Timestamp) {
+        if self.dead {
+            self.dead = false;
+            self.free_at = self.free_at.map(|t| t.max(now));
+        }
+    }
+}
+
+fn worker_of(gpu: usize) -> u32 {
+    gpu as u32 / GPUS_PER_WORKER
+}
+
+/// Applies `fault` to the oracle; returns the lost `(gpu, id)` pairs in
+/// action-id order — what `apply_fault` must hand back.
+fn oracle_fault(
+    oracle: &mut [OracleGpu],
+    down: &mut HashSet<u32>,
+    now: Timestamp,
+    fault: &FaultKind,
+) -> Vec<(usize, ActionId)> {
+    let named = |worker: u32, gpu: u32| {
+        (worker < WORKERS && gpu < GPUS_PER_WORKER)
+            .then(|| (worker * GPUS_PER_WORKER + gpu) as usize)
+    };
+    let mut lost = Vec::new();
+    match *fault {
+        FaultKind::WorkerCrash { worker } => {
+            down.insert(worker);
+            for (i, g) in oracle.iter_mut().enumerate() {
+                if worker_of(i) == worker {
+                    lost.extend(g.wipe(now).into_iter().map(|id| (i, id)));
+                }
+            }
+        }
+        FaultKind::WorkerRestart { worker } => {
+            down.remove(&worker);
+            for (i, g) in oracle.iter_mut().enumerate() {
+                if worker_of(i) == worker {
+                    g.recover(now);
+                }
+            }
+        }
+        FaultKind::GpuFail { worker, gpu } => {
+            if let Some(i) = named(worker, gpu) {
+                lost.extend(oracle[i].wipe(now).into_iter().map(|id| (i, id)));
+            }
+        }
+        FaultKind::GpuRecover { worker, gpu } => {
+            if let (false, Some(i)) = (down.contains(&worker), named(worker, gpu)) {
+                oracle[i].recover(now);
+            }
+        }
+        _ => {}
+    }
+    lost.sort_unstable_by_key(|&(_, id)| id);
+    lost
+}
+
+/// Every index and column of the tracker against a from-scratch scan.
+fn check_tracker_against_oracle(
+    tracker: &WorkerStateTracker,
+    oracle: &[OracleGpu],
+    total_pages: u64,
+    now: Timestamp,
+) {
+    for (i, (track, expect)) in tracker.gpus().iter().zip(oracle).enumerate() {
+        // Residency: the ordered per-GPU map is the sorted union of what
+        // the oracle holds, with the right loading flags and page counts.
+        let mut held: Vec<u32> = expect
+            .resident
+            .iter()
+            .chain(expect.loading.keys())
+            .copied()
+            .collect();
+        held.sort_unstable();
+        let listed: Vec<u32> = track.models.keys().map(|m| m.0).collect();
+        assert_eq!(&listed, &held, "gpu {} residency order", i);
+        assert!(
+            expect
+                .resident
+                .iter()
+                .all(|m| !expect.loading.contains_key(m)),
+            "a model cannot be both resident and loading"
+        );
+        for (m, r) in &track.models {
+            assert_eq!(r.loading, expect.loading.contains_key(&m.0));
+            assert_eq!(
+                r.pages, expect.pages[&m.0],
+                "resident/loading model holds its pages"
+            );
+            assert_eq!(track.is_resident(*m), expect.resident.contains(&m.0));
+            assert!(track.has_or_loading(*m));
+        }
+        // Pages are conserved.
+        let reserved: u64 = track.models.values().map(|r| r.pages).sum();
+        assert_eq!(
+            track.free_pages + reserved,
+            total_pages,
+            "pages leaked or double-counted"
+        );
+        assert!((0.0..=1.0).contains(&track.occupancy()));
+        // Outstanding actions and liveness.
+        let mut outstanding: Vec<ActionId> = track.outstanding.keys().copied().collect();
+        outstanding.sort_unstable();
+        let mut expected: Vec<ActionId> = expect
+            .infers
+            .iter()
+            .chain(expect.loading.values())
+            .copied()
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(outstanding, expected);
+        assert_eq!(track.alive, !expect.dead);
+        for (e, executor) in [Executor::Infer, Executor::Load].into_iter().enumerate() {
+            assert_eq!(
+                tracker.next_slot(executor, i, Timestamp::ZERO),
+                expect.free_at[e]
+            );
+        }
+    }
+    let loads: usize = oracle.iter().map(|g| g.loading.len()).sum();
+    assert_eq!(tracker.outstanding_loads(), loads);
+    // The holder list of every model is the ascending scan of the GPUs that
+    // hold it (this is what `gpus_with_model`/`model_available_somewhere`
+    // used to compute per call).
+    for m in 0..16u32 {
+        let scan: Vec<usize> = (0..GPUS)
+            .filter(|&i| tracker.gpus()[i].has_or_loading(ModelId(m)))
+            .collect();
+        assert_eq!(
+            tracker.gpus_with_model(ModelId(m)),
+            &scan[..],
+            "holders of model {}",
+            m
+        );
+    }
+    // Readiness queries against a filter/min over the oracle's columns, at
+    // horizons around the free times in play.
+    let mut actionable = Vec::new();
+    for (e, executor) in [Executor::Infer, Executor::Load].into_iter().enumerate() {
+        let mut horizons = vec![Timestamp::ZERO, now, now + Nanos::from_millis(5)];
+        horizons.extend(oracle.iter().map(|g| g.free_at[e]));
+        for horizon in horizons {
+            tracker.actionable_into(executor, horizon, &mut actionable);
+            let scan: Vec<usize> = (0..GPUS)
+                .filter(|&i| !oracle[i].dead && oracle[i].free_at[e] < horizon)
+                .collect();
+            assert_eq!(&actionable, &scan);
+            let beyond = oracle
+                .iter()
+                .filter(|g| !g.dead && g.free_at[e] >= horizon)
+                .map(|g| g.free_at[e])
+                .min();
+            assert_eq!(tracker.next_beyond(executor, horizon), beyond);
+        }
+    }
 }
 
 proptest! {
@@ -130,90 +379,146 @@ proptest! {
         ops in proptest::collection::vec(track_op(), 0..200),
         total_pages in 16u64..512,
     ) {
-        let mut track = GpuTrack::new(gref(0, 0), total_pages, PAGE);
+        let mut tracker = WorkerStateTracker::new();
+        for w in 0..WORKERS {
+            for g in 0..GPUS_PER_WORKER {
+                tracker.add_gpu(gref(w, g), total_pages, PAGE);
+            }
+        }
+        let refs: Vec<GpuRef> = tracker.gpus().iter().map(|t| t.gpu_ref).collect();
+        let mut oracle = vec![OracleGpu::default(); GPUS];
+        let mut down = HashSet::new();
+        // LOAD ids whose GPU died before the result arrived: replaying one
+        // must be ignored the way the scheduler relies on.
+        let mut stale: Vec<(usize, u32, ActionId)> = Vec::new();
         let mut now = Timestamp::ZERO;
         let mut next_action = 0u64;
-        // Maps model -> the LOAD action id we last sent for it, so results
-        // reference real outstanding actions the way the scheduler does.
-        let mut pending_load: std::collections::HashMap<u32, ActionId> = Default::default();
 
         for op in ops {
             now += Nanos::from_micros(100);
             match op {
-                TrackOp::LoadSent { model, pages } => {
-                    // The scheduler only sends a LOAD when the model is not
-                    // already resident or loading and enough pages are free.
+                TrackOp::LoadSent { gpu, model, pages } => {
+                    // The scheduler only sends a LOAD to a live GPU, when the
+                    // model is not already resident or loading there and
+                    // enough pages are free.
                     let m = ModelId(model);
-                    if track.has_or_loading(m) || pages > track.free_pages {
+                    let track = &tracker.gpus()[gpu];
+                    if !track.alive || track.has_or_loading(m) || pages > track.free_pages {
                         continue;
                     }
                     let id = ActionId(next_action);
                     next_action += 1;
-                    track.note_load_sent(
-                        OutstandingAction {
-                            id,
-                            model: m,
-                            expected_completion: now + Nanos::from_millis(8),
-                            is_load: true,
-                        },
-                        pages,
-                        now,
-                        Nanos::from_millis(8),
+                    let start = tracker.next_slot(Executor::Load, gpu, now);
+                    let stamp = tracker.gpus()[gpu].last_used.get(&m).copied();
+                    tracker.note_load_sent(refs[gpu], id, m, pages * PAGE, start, Nanos::from_millis(8));
+                    oracle[gpu].loading.insert(model, id);
+                    oracle[gpu].pages.insert(model, pages);
+                    oracle[gpu].free_at[1] = start + Nanos::from_millis(8);
+                    // Pinned: a LOAD never overwrites an older LRU stamp.
+                    prop_assert_eq!(
+                        tracker.gpus()[gpu].last_used[&m],
+                        stamp.unwrap_or(start)
                     );
-                    pending_load.insert(model, id);
                 }
-                TrackOp::LoadResult { model, success } => {
+                TrackOp::LoadResult { gpu, model, success } => {
                     let m = ModelId(model);
-                    let Some(id) = pending_load.remove(&model) else { continue };
-                    track.note_load_result(id, m, success);
-                    prop_assert_eq!(track.is_resident(m), success);
+                    // A stale id (its action was resolved by a fault), or
+                    // failing that one never issued, is ignored — even while
+                    // a newer LOAD of the same model is pending. The full
+                    // check sees an oracle this did not touch.
+                    let replay = stale
+                        .iter()
+                        .position(|&(g, sm, _)| g == gpu && sm == model)
+                        .map_or(ActionId(u64::MAX), |pos| stale.swap_remove(pos).2);
+                    prop_assert!(tracker.note_load_result(refs[gpu], replay, m, success).is_none());
+                    check_tracker_against_oracle(&tracker, &oracle, total_pages, now);
+                    if let Some(id) = oracle[gpu].loading.remove(&model) {
+                        let stamp = tracker.gpus()[gpu].last_used.get(&m).copied();
+                        let resolved = tracker.note_load_result(refs[gpu], id, m, success);
+                        prop_assert_eq!(
+                            resolved.map(|a| (a.id, a.model, a.is_load)),
+                            Some((id, m, true))
+                        );
+                        prop_assert_eq!(tracker.gpus()[gpu].is_resident(m), success);
+                        if success {
+                            oracle[gpu].resident.insert(model);
+                        } else {
+                            oracle[gpu].pages.remove(&model);
+                        }
+                        // Pinned: the LRU stamp outlives even a failed LOAD.
+                        prop_assert_eq!(tracker.gpus()[gpu].last_used.get(&m).copied(), stamp);
+                    }
                 }
-                TrackOp::InferSent { model } => {
+                TrackOp::InferSent { gpu, model } => {
                     let m = ModelId(model);
-                    if !track.is_resident(m) {
+                    if !tracker.gpus()[gpu].is_resident(m) {
                         continue;
                     }
                     let id = ActionId(next_action);
                     next_action += 1;
-                    let start = track.next_exec_slot(now);
+                    let start = tracker.next_slot(Executor::Infer, gpu, now);
                     prop_assert!(start >= now);
-                    track.note_infer_sent(
-                        OutstandingAction {
-                            id,
-                            model: m,
-                            expected_completion: start + Nanos::from_millis(3),
-                            is_load: false,
-                        },
-                        start,
-                        Nanos::from_millis(3),
+                    tracker.note_infer_sent(refs[gpu], id, m, start, Nanos::from_millis(3));
+                    prop_assert!(
+                        tracker.next_slot(Executor::Infer, gpu, now) >= start + Nanos::from_millis(3)
                     );
-                    prop_assert!(track.next_exec_slot(now) >= start + Nanos::from_millis(3));
+                    prop_assert_eq!(tracker.gpus()[gpu].last_used[&m], start);
+                    oracle[gpu].infers.push(id);
+                    oracle[gpu].free_at[0] = start + Nanos::from_millis(3);
                 }
-                TrackOp::UnloadSent { model } => {
+                TrackOp::InferResult { gpu } => {
+                    if oracle[gpu].infers.is_empty() {
+                        continue;
+                    }
+                    let id = oracle[gpu].infers.remove(0);
+                    tracker.note_infer_result(refs[gpu], id);
+                }
+                TrackOp::UnloadSent { gpu, model } => {
                     let m = ModelId(model);
                     // The scheduler never unloads a model that is still loading.
-                    if track.loading.contains(&m) {
+                    if oracle[gpu].loading.contains_key(&model) {
                         continue;
                     }
-                    track.note_unload_sent(m);
-                    pending_load.remove(&model);
-                    prop_assert!(!track.is_resident(m));
-                    prop_assert!(!track.has_or_loading(m));
+                    tracker.note_unload_sent(refs[gpu], m);
+                    oracle[gpu].resident.remove(&model);
+                    oracle[gpu].pages.remove(&model);
+                    prop_assert!(!tracker.gpus()[gpu].is_resident(m));
+                    prop_assert!(!tracker.gpus()[gpu].has_or_loading(m));
+                    prop_assert!(!tracker.gpus()[gpu].last_used.contains_key(&m));
+                }
+                TrackOp::EvictUntilFits { gpu, pages } => {
+                    let protect: HashSet<ModelId> = [ModelId(0)].into_iter().collect();
+                    let expect = &mut oracle[gpu];
+                    let fits = tracker.evict_until_fits(refs[gpu], pages * PAGE, &protect, |victim| {
+                        assert!(expect.resident.remove(&victim.0), "victim {victim} was not resident");
+                        assert_ne!(victim, ModelId(0), "protected model evicted");
+                        expect.pages.remove(&victim.0);
+                    });
+                    let track = &tracker.gpus()[gpu];
+                    prop_assert_eq!(fits, pages <= track.free_pages);
+                    // Eviction stops as soon as the blob fits, and gives up
+                    // only once no unprotected resident is left.
+                    prop_assert!(fits || track.lru_candidate(&protect).is_none());
+                }
+                TrackOp::Fault(fault) => {
+                    let pending: Vec<(usize, u32, ActionId)> = oracle
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(g, o)| o.loading.iter().map(move |(&m, &id)| (g, m, id)))
+                        .collect();
+                    let expected = oracle_fault(&mut oracle, &mut down, now, &fault);
+                    // The LOADs the fault resolved are stale from here on.
+                    stale.extend(
+                        pending
+                            .into_iter()
+                            .filter(|&(g, m, id)| oracle[g].loading.get(&m) != Some(&id)),
+                    );
+                    let lost = tracker.apply_fault(now, &fault);
+                    let lost: Vec<(usize, ActionId)> = lost.iter().map(|&(i, a)| (i, a.id)).collect();
+                    prop_assert_eq!(lost, expected, "{:?}", fault);
                 }
             }
-
-            // Invariants that must hold after every operation.
-            let held: u64 = track.pages_held.values().sum();
-            prop_assert_eq!(track.free_pages + held, total_pages,
-                "pages leaked or double-counted");
-            prop_assert!(track.free_pages <= total_pages);
-            prop_assert!(track.resident.is_disjoint(&track.loading),
-                "a model cannot be both resident and loading");
-            for m in track.resident.iter().chain(track.loading.iter()) {
-                prop_assert!(track.pages_held.contains_key(m),
-                    "resident/loading model {} holds no pages", m);
-            }
-            prop_assert!((0.0..=1.0).contains(&track.occupancy()));
+            check_tracker_against_oracle(&tracker, &oracle, total_pages, now);
         }
     }
 
@@ -222,33 +527,28 @@ proptest! {
         touches in proptest::collection::vec((0u32..8, 0u64..1_000_000u64), 1..60),
         protect_model in 0u32..8,
     ) {
-        let mut track = GpuTrack::new(gref(0, 0), 1024, PAGE);
+        let mut tracker = WorkerStateTracker::new();
+        tracker.add_gpu(gref(0, 0), 1024, PAGE);
         // Make all eight models resident.
         for m in 0..8u32 {
             let id = ActionId(m as u64);
-            track.note_load_sent(
-                OutstandingAction {
-                    id,
-                    model: ModelId(m),
-                    expected_completion: Timestamp::from_millis(1),
-                    is_load: true,
-                },
-                4,
+            tracker.note_load_sent(
+                gref(0, 0),
+                id,
+                ModelId(m),
+                4 * PAGE,
                 Timestamp::ZERO,
                 Nanos::from_millis(1),
             );
-            track.note_load_result(id, ModelId(m), true);
+            tracker.note_load_result(gref(0, 0), id, ModelId(m), true);
         }
         let mut last_used = [Timestamp::ZERO; 8];
         for (i, &(m, at)) in touches.iter().enumerate() {
             let start = Timestamp::from_nanos(at);
-            track.note_infer_sent(
-                OutstandingAction {
-                    id: ActionId(100 + i as u64),
-                    model: ModelId(m),
-                    expected_completion: start + Nanos::from_millis(3),
-                    is_load: false,
-                },
+            tracker.note_infer_sent(
+                gref(0, 0),
+                ActionId(100 + i as u64),
+                ModelId(m),
                 start,
                 Nanos::from_millis(3),
             );
@@ -258,7 +558,9 @@ proptest! {
         }
         let mut protect = HashSet::new();
         protect.insert(ModelId(protect_model));
-        let candidate = track.lru_candidate(&protect).expect("seven unprotected residents");
+        let candidate = tracker.gpus()[0]
+            .lru_candidate(&protect)
+            .expect("seven unprotected residents");
         prop_assert_ne!(candidate, ModelId(protect_model));
         let expected = (0..8u32)
             .filter(|&m| m != protect_model)
@@ -283,28 +585,25 @@ proptest! {
         let mut next_id = 0u64;
         for &(w, g, m) in &loads {
             let r = gref(w, g);
-            let track = tracker.get_mut(r).expect("gpu registered");
+            let track = tracker.get(r).expect("gpu registered");
             if track.has_or_loading(ModelId(m)) || track.free_pages < 4 {
                 continue;
             }
             let id = ActionId(next_id);
             next_id += 1;
-            track.note_load_sent(
-                OutstandingAction {
-                    id,
-                    model: ModelId(m),
-                    expected_completion: Timestamp::from_millis(1),
-                    is_load: true,
-                },
-                4,
-                Timestamp::ZERO,
-                Nanos::from_millis(1),
-            );
-            track.note_load_result(id, ModelId(m), true);
+            tracker.note_load_sent(r, id, ModelId(m), 4 * PAGE, Timestamp::ZERO, Nanos::from_millis(1));
+            tracker.note_load_result(r, id, ModelId(m), true);
         }
         let probe = ModelId(probe_model);
-        let holders = tracker.gpus_with_model(probe);
-        prop_assert_eq!(tracker.model_available_somewhere(probe), !holders.is_empty());
+        let holders: Vec<GpuRef> = tracker
+            .gpus_with_model(probe)
+            .iter()
+            .map(|&i| tracker.gpus()[i].gpu_ref)
+            .collect();
+        prop_assert_eq!(
+            tracker.gpus().iter().any(|t| t.has_or_loading(probe)),
+            !holders.is_empty()
+        );
         for r in &holders {
             prop_assert!(tracker.get(*r).unwrap().is_resident(probe));
         }
@@ -314,16 +613,17 @@ proptest! {
             }
         }
         // The least-loaded GPU is one of the registered GPUs and has the
-        // minimal next exec slot.
+        // minimal next exec slot; excluded GPUs are never chosen.
         let now = Timestamp::from_millis(5);
-        let least = tracker.least_loaded_gpu(now).expect("gpus registered");
-        let min_slot = tracker
-            .gpus()
-            .iter()
-            .map(|t| t.next_exec_slot(now))
-            .min()
-            .unwrap();
-        prop_assert_eq!(tracker.get(least).unwrap().next_exec_slot(now), min_slot);
+        let least = tracker.least_loaded_gpu(now, &[]).expect("gpus registered");
+        let slot = |r: GpuRef| tracker.next_slot(Executor::Infer, tracker.gpu_index(r).unwrap(), now);
+        let min_slot = tracker.gpus().iter().map(|t| slot(t.gpu_ref)).min().unwrap();
+        prop_assert_eq!(slot(least), min_slot);
+        if let Some(other) = tracker.least_loaded_gpu(now, &holders) {
+            prop_assert!(!holders.contains(&other));
+        } else {
+            prop_assert_eq!(holders.len(), 8);
+        }
     }
 }
 
