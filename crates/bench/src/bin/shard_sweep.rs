@@ -218,6 +218,7 @@ fn main() {
                 "      \"goodput\": {goodput},\n",
                 "      \"drained\": {drained},\n",
                 "      \"fleet_digest\": \"{digest:016x}\",\n",
+                "      \"sched\": {sched},\n",
                 "      \"per_shard\": [\n{per_shard}\n      ]\n",
                 "    }}"
             ),
@@ -234,6 +235,7 @@ fn main() {
             goodput = merged.metrics.goodput,
             drained = merged.drained(),
             digest = merged.digest,
+            sched = bench::sched_json(&merged.sched),
             per_shard = shard_json(&fleet),
         ));
     }

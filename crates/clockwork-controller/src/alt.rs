@@ -108,13 +108,7 @@ impl FifoScheduler {
                 let weights = spec.weights_bytes();
                 self.tracker
                     .evict_until_fits(gpu_ref, weights, &HashSet::new(), |victim| {
-                        ctx.send_action(
-                            gpu_ref.worker,
-                            gpu_ref.gpu,
-                            ActionKind::Unload { model: victim },
-                            TimeWindow::always(),
-                            Nanos::from_micros(5),
-                        );
+                        ctx.send_unload(gpu_ref, victim);
                     });
                 let load_id = ctx.send_action(
                     gpu_ref.worker,

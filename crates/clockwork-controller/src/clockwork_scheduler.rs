@@ -18,6 +18,30 @@
 //! on the GPUs where it is resident; UNLOAD victims are chosen
 //! least-recently-used. Admission control rejects requests whose SLO cannot
 //! be met even in the best case, before any work is wasted on them.
+//!
+//! Every callback runs the whole pass (expire → INFER → LOAD → INFER), so
+//! the pass re-derives only what moved since the last one. Three caches
+//! carry the rest over, and three signals invalidate them:
+//!
+//! * a model's **queue changed** (push, dispatch, expiry, requeue — always
+//!   through `note_queue_changed` + `resync_urgency`): its strategy list is
+//!   rebuilt on next use (`cache_dirty`), and its entry in the demand ledger
+//!   is re-estimated on next read, since the ledger is keyed by queue
+//!   length;
+//! * one of a model's **estimates moved** (the profiler's `model_epoch`, on
+//!   every seed or measurement of that model): both its strategy list
+//!   (`cache_epoch`) and its ledger entry (keyed by the epoch too) go stale
+//!   — other models' caches are untouched;
+//! * **residency changed** (a LOAD or eviction dispatched by the LOAD pass
+//!   itself): the pass-local LOAD priority list is recomputed before its
+//!   next use; between dispatches it is reused across GPUs and slots.
+//!
+//! Time passing alone invalidates none of them — what it can change
+//! (deadlines lapsing, executors entering the lookahead, cold rejections
+//! ageing out) is handled by the expiry pass and the journal's clean
+//! horizon. And when a pass has sent no action at all by the time its second
+//! INFER pass is due, that pass would see exactly the state the first one
+//! left and is skipped.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -33,6 +57,7 @@ use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
 
 use crate::batching;
 use crate::journal::{ChangeJournal, SchedProfile};
+use crate::model_table::ModelTable;
 use crate::profile::{ActionProfiler, ProfileKey};
 use crate::request::{InferenceRequest, RejectReason, RequestOutcome, Response};
 use crate::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
@@ -143,6 +168,14 @@ struct ModelEntry {
     strategies: Vec<(u32, Timestamp, Timestamp)>,
     cache_epoch: u64,
     cache_dirty: bool,
+    /// The demand ledger: the queue's LOAD demand (Appendix B) — the
+    /// per-request share of the estimated cost of the compiled batch
+    /// covering the whole queue, times the queue length. A function of the
+    /// queue's length and the model's estimates alone, so it is valid while
+    /// `demand_for` is still (queue length, profiler `model_epoch`); and
+    /// integer, so the cached value *is* the recomputed value.
+    demand: Nanos,
+    demand_for: (usize, u64),
     /// The model's compiled batch sizes, ascending — cached off the spec so
     /// the admission path's amortized-cost cover never allocates.
     supported: Vec<u32>,
@@ -159,6 +192,8 @@ impl ModelEntry {
             strategies: Vec::new(),
             cache_epoch: 0,
             cache_dirty: true,
+            demand: Nanos::ZERO,
+            demand_for: (0, 0),
             supported,
         }
     }
@@ -198,8 +233,12 @@ impl ModelEntry {
 /// The Clockwork scheduler.
 pub struct ClockworkScheduler {
     config: ClockworkSchedulerConfig,
-    models: HashMap<ModelId, ModelEntry>,
+    /// Per-model policy state, dense by model id (see [`ModelTable`]).
+    models: ModelTable<ModelEntry>,
     queued_models: BTreeSet<ModelId>,
+    /// Requests queued across all models, kept in step with the queues by
+    /// [`Self::resync_urgency`].
+    queued_total: usize,
     tracker: WorkerStateTracker,
     profiler: ActionProfiler,
     /// The requests riding on each INFER action that has not resolved yet.
@@ -209,7 +248,9 @@ pub struct ClockworkScheduler {
     /// priorities from estimated SLO violations, so these rejections must
     /// still register as demand — otherwise a model whose SLO is tighter than
     /// its own cold-start time is never loaded and never becomes servable.
-    cold_rejections: HashMap<ModelId, VecDeque<Timestamp>>,
+    /// Ordered, so every walk over it is in ascending `ModelId` order by
+    /// construction.
+    cold_rejections: BTreeMap<ModelId, VecDeque<Timestamp>>,
     stats: SchedulerStats,
     /// Change journal driving the early-out tick path: event-driven entry
     /// points mark it dirty, a completed pass marks it clean until the
@@ -253,11 +294,12 @@ impl ClockworkScheduler {
         ClockworkScheduler {
             profiler: ActionProfiler::new(),
             config,
-            models: HashMap::new(),
+            models: ModelTable::default(),
             queued_models: BTreeSet::new(),
+            queued_total: 0,
             tracker: WorkerStateTracker::new(),
             in_flight: HashMap::new(),
-            cold_rejections: HashMap::new(),
+            cold_rejections: BTreeMap::new(),
             stats: SchedulerStats::default(),
             journal: ChangeJournal::new(),
             profile: SchedProfile::default(),
@@ -287,7 +329,7 @@ impl ClockworkScheduler {
 
     /// Number of requests currently queued (not yet dispatched).
     pub fn queued_requests(&self) -> usize {
-        self.models.values().map(|m| m.queue.len()).sum()
+        self.queued_total
     }
 
     /// Number of INFER batches currently in flight.
@@ -304,7 +346,7 @@ impl ClockworkScheduler {
     fn exec_estimate(&self, model: ModelId, batch: u32) -> Nanos {
         Self::exec_estimate_with(
             &self.profiler,
-            self.models.get(&model).map(|e| e.spec.as_ref()),
+            self.models.get(model).map(|e| e.spec.as_ref()),
             model,
             batch,
         )
@@ -347,7 +389,7 @@ impl ClockworkScheduler {
     /// floor makes the empty-queue case exactly the legacy size-1 price, so
     /// batch-aware admission changes nothing until a backlog actually forms.
     fn amortized_admission_estimate(&self, model: ModelId, est1: Nanos) -> Nanos {
-        let Some(entry) = self.models.get(&model) else {
+        let Some(entry) = self.models.get(model) else {
             return est1;
         };
         let backlog = entry.queue.len() as u32 + 1;
@@ -428,15 +470,15 @@ impl ClockworkScheduler {
         for &model_id in &model_ids {
             let min_exec = self.exec_estimate(model_id, 1);
             let cutoff = now + min_exec + NETWORK_ALLOWANCE;
-            let (was_queued, old_hint) = {
-                let Some(entry) = self.models.get_mut(&model_id) else {
+            let (old_len, old_hint) = {
+                let Some(entry) = self.models.get_mut(model_id) else {
                     continue;
                 };
                 if cutoff <= entry.min_deadline_hint {
                     // No queued deadline can have lapsed yet.
                     continue;
                 }
-                let was_queued = !entry.queue.is_empty();
+                let old_len = entry.queue.len();
                 let old_hint = entry.min_deadline_hint;
                 expired.clear();
                 entry.queue.retain(|p| {
@@ -452,10 +494,10 @@ impl ClockworkScheduler {
                         entry.deadline_removed(p.deadline);
                     }
                 }
-                (was_queued, old_hint)
+                (old_len, old_hint)
             };
             if !expired.is_empty() {
-                self.resync_urgency(model_id, was_queued, old_hint);
+                self.resync_urgency(model_id, old_len, old_hint);
             }
             for p in expired.drain(..) {
                 self.reject(&p, now, RejectReason::DeadlineElapsed, ctx);
@@ -465,14 +507,15 @@ impl ClockworkScheduler {
         self.scratch_expired = expired;
     }
 
-    /// Re-syncs the urgency index and the queued-model set after `model`'s
-    /// queue or earliest deadline changed. `was_queued`/`old_hint` describe
-    /// the state *before* the mutation.
-    fn resync_urgency(&mut self, model: ModelId, was_queued: bool, old_hint: Timestamp) {
-        let entry = self.models.get(&model).expect("model exists");
+    /// Re-syncs the urgency index, the queued-model set and the queued-request
+    /// count after `model`'s queue or earliest deadline changed.
+    /// `old_len`/`old_hint` describe the queue *before* the mutation.
+    fn resync_urgency(&mut self, model: ModelId, old_len: usize, old_hint: Timestamp) {
+        let entry = self.models.get(model).expect("model exists");
+        self.queued_total = self.queued_total - old_len + entry.queue.len();
         let now_queued = !entry.queue.is_empty();
         let new_hint = entry.min_deadline_hint;
-        if was_queued {
+        if old_len > 0 {
             self.urgency.remove(&(old_hint, model));
         }
         if now_queued {
@@ -602,7 +645,7 @@ impl ClockworkScheduler {
                             None => exec_slot.max(now + LOAD_MARGIN),
                         }
                     };
-                    let Some(entry) = self.models.get_mut(&model_id) else {
+                    let Some(entry) = self.models.get_mut(model_id) else {
                         continue;
                     };
                     if Self::ensure_strategies(
@@ -643,8 +686,8 @@ impl ClockworkScheduler {
         ctx: &mut SchedulerCtx,
     ) {
         let est = self.exec_estimate(model_id, batch);
-        let entry = self.models.get_mut(&model_id).expect("model exists");
-        let was_queued = !entry.queue.is_empty();
+        let entry = self.models.get_mut(model_id).expect("model exists");
+        let old_len = entry.queue.len();
         let old_hint = entry.min_deadline_hint;
         let serve = (batch as usize).min(entry.queue.len());
         let requests: Vec<PendingRequest> = entry.queue.drain(..serve).collect();
@@ -652,7 +695,7 @@ impl ClockworkScheduler {
         for p in &requests {
             entry.deadline_removed(p.deadline);
         }
-        self.resync_urgency(model_id, was_queued, old_hint);
+        self.resync_urgency(model_id, old_len, old_hint);
         let min_deadline = requests
             .iter()
             .map(|p| p.deadline)
@@ -685,72 +728,99 @@ impl ClockworkScheduler {
         self.stats.infer_actions += 1;
     }
 
-    /// Demand (outstanding estimated execution time) per queued model,
-    /// written into `demands` in ascending `ModelId` order so every
-    /// downstream float accumulation is run-to-run deterministic.
-    fn model_demands_into(&mut self, now: Timestamp, demands: &mut Vec<(ModelId, Nanos)>) {
-        demands.clear();
-        let mut models = std::mem::take(&mut self.scratch_models);
-        models.clear();
-        models.extend(self.queued_models.iter().copied());
-        for &model_id in &models {
-            let Some(entry) = self.models.get(&model_id) else {
-                continue;
-            };
-            let count = entry.queue.len() as u32;
-            if count == 0 {
-                continue;
-            }
-            let batch = entry
-                .spec
-                .batch_for_count(count)
-                .map(|p| p.batch)
-                .unwrap_or(entry.spec.max_batch().max(1));
-            let per_request = self.exec_estimate(model_id, batch) / u64::from(batch.max(1));
-            demands.push((model_id, per_request * u64::from(count)));
+    /// A queue's LOAD demand, computed from scratch (see
+    /// [`ModelEntry::demand`]).
+    fn queue_demand(profiler: &ActionProfiler, model_id: ModelId, entry: &ModelEntry) -> Nanos {
+        let count = entry.queue.len() as u32;
+        if count == 0 {
+            return Nanos::ZERO;
         }
-        // Recent cold-start rejections are unfulfilled demand too (Appendix
-        // B's "estimated SLO violations"): without them a model whose SLO is
-        // tighter than its cold-start time would never be prioritised for a
-        // LOAD even though clients keep asking for it.
-        if !self.cold_rejections.is_empty() {
-            models.clear();
-            models.extend(self.cold_rejections.keys().copied());
-            models.sort_unstable();
-            for &model_id in &models {
-                let recent = self.cold_rejections[&model_id]
-                    .iter()
-                    .filter(|&&t| t + LOAD_PRIORITY_HORIZON >= now)
-                    .count() as u64;
-                if recent == 0 {
-                    continue;
-                }
-                let add = self.exec_estimate(model_id, 1) * recent;
-                match demands.binary_search_by_key(&model_id, |&(m, _)| m) {
-                    Ok(i) => demands[i].1 += add,
-                    Err(i) => demands.insert(i, (model_id, add)),
-                }
-            }
-        }
-        self.scratch_models = models;
+        let batch = entry
+            .spec
+            .batch_for_count(count)
+            .map(|p| p.batch)
+            .unwrap_or(entry.spec.max_batch().max(1));
+        let est = Self::exec_estimate_with(profiler, Some(&entry.spec), model_id, batch);
+        est / u64::from(batch.max(1)) * u64::from(count)
     }
 
-    /// Load priority of each queued model with respect to one GPU
-    /// (Appendix B): demand minus the GPU capacity already allocated to it
-    /// elsewhere. Holder lookups come from the tracker's residency index,
-    /// and per-GPU loads accumulate into a dense scratch vector, so the pass
-    /// is linear in (demand models + the GPUs holding them) rather than
-    /// models × GPUs.
-    fn load_priorities_into(
+    /// Adds the demand of recent cold-start rejections to `demands`: they
+    /// are unfulfilled demand too (Appendix B's "estimated SLO violations"),
+    /// and without them a model whose SLO is tighter than its cold-start
+    /// time would never be prioritised for a LOAD even though clients keep
+    /// asking for it.
+    fn add_cold_demands(&self, now: Timestamp, demands: &mut Vec<(ModelId, Nanos)>) {
+        for (&model_id, history) in &self.cold_rejections {
+            let recent = history
+                .iter()
+                .filter(|&&t| t + LOAD_PRIORITY_HORIZON >= now)
+                .count() as u64;
+            if recent == 0 {
+                continue;
+            }
+            let add = self.exec_estimate(model_id, 1) * recent;
+            match demands.binary_search_by_key(&model_id, |&(m, _)| m) {
+                Ok(i) => demands[i].1 += add,
+                Err(i) => demands.insert(i, (model_id, add)),
+            }
+        }
+    }
+
+    /// Demand (outstanding estimated execution time) per queued or recently
+    /// cold-rejected model, written into `demands` in ascending `ModelId`
+    /// order so every downstream float accumulation is run-to-run
+    /// deterministic. Queue demands are read off the ledger; only a model
+    /// whose queue length or estimates moved since the last pass is
+    /// re-estimated.
+    fn model_demands_into(&mut self, now: Timestamp, demands: &mut Vec<(ModelId, Nanos)>) {
+        demands.clear();
+        for &model_id in &self.queued_models {
+            let Some(entry) = self.models.get_mut(model_id) else {
+                continue;
+            };
+            if entry.queue.is_empty() {
+                continue;
+            }
+            let key = (entry.queue.len(), self.profiler.model_epoch(model_id));
+            if entry.demand_for != key {
+                entry.demand = Self::queue_demand(&self.profiler, model_id, entry);
+                entry.demand_for = key;
+            }
+            demands.push((model_id, entry.demand));
+        }
+        self.add_cold_demands(now, demands);
+    }
+
+    /// [`Self::model_demands_into`] with every queue demand re-estimated,
+    /// the ledger ignored: the oracle it is checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_demands(&self, now: Timestamp) -> Vec<(ModelId, Nanos)> {
+        let mut demands: Vec<(ModelId, Nanos)> = self
+            .queued_models
+            .iter()
+            .filter_map(|&m| Some((m, self.models.get(m)?)))
+            .filter(|(_, entry)| !entry.queue.is_empty())
+            .map(|(m, entry)| (m, Self::queue_demand(&self.profiler, m, entry)))
+            .collect();
+        self.add_cold_demands(now, &mut demands);
+        demands
+    }
+
+    /// Appendix B's load priority of each model in `demands`, in `demands`
+    /// order: demand minus the GPU capacity already allocated to the model
+    /// on the GPUs holding it. Holder lookups come from the tracker's
+    /// residency index, and per-GPU loads accumulate into a dense scratch
+    /// vector, so the walk is linear in (demand models + the GPUs holding
+    /// them) rather than models × GPUs.
+    fn for_each_load_priority(
         &self,
         demands: &[(ModelId, Nanos)],
         gpu_load: &mut Vec<f64>,
-        out: &mut Vec<(ModelId, f64)>,
+        mut emit: impl FnMut(ModelId, f64),
     ) {
         let capacity = LOAD_PRIORITY_HORIZON.as_secs_f64();
         gpu_load.clear();
         gpu_load.resize(self.tracker.len(), 0.0);
-        out.clear();
         for &(model_id, demand) in demands {
             let holding = self.tracker.gpus_with_model(model_id);
             let share = demand.as_secs_f64() / holding.len().max(1) as f64;
@@ -765,15 +835,59 @@ impl ClockworkScheduler {
             for &idx in holding {
                 served += share * (capacity / gpu_load[idx].max(1e-12));
             }
-            out.push((model_id, demand.as_secs_f64() - served));
+            emit(model_id, demand.as_secs_f64() - served);
         }
-        // Ties on priority break by ModelId so the ordering (and therefore
-        // the LOAD placement) is identical across runs.
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
+    }
+
+    /// The models in `demands` with a positive load priority, highest
+    /// first. `schedule_loads` never looks at a non-positive entry, so
+    /// those are dropped *before* the sort — on a warm fleet that is nearly
+    /// every entry of nearly every pass.
+    fn load_priorities_into(
+        &self,
+        demands: &[(ModelId, Nanos)],
+        gpu_load: &mut Vec<f64>,
+        out: &mut Vec<(ModelId, f64)>,
+    ) {
+        out.clear();
+        self.for_each_load_priority(demands, gpu_load, |model_id, priority| {
+            if priority > 0.0 {
+                out.push((model_id, priority));
+            }
         });
+        out.sort_by(Self::by_priority_then_id);
+    }
+
+    /// Highest priority first; ties break by `ModelId` so the ordering (and
+    /// therefore the LOAD placement) is identical across runs.
+    fn by_priority_then_id(a: &(ModelId, f64), b: &(ModelId, f64)) -> std::cmp::Ordering {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.0.cmp(&b.0))
+    }
+
+    /// Checks `priorities` against the oracle, bit for bit: it must be the
+    /// `> 0.0` prefix of the fully sorted list of *every* priority.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_priorities_match_oracle(
+        &self,
+        demands: &[(ModelId, Nanos)],
+        priorities: &[(ModelId, f64)],
+    ) {
+        let mut reference = Vec::with_capacity(demands.len());
+        self.for_each_load_priority(demands, &mut Vec::new(), |model_id, priority| {
+            reference.push((model_id, priority));
+        });
+        reference.sort_by(Self::by_priority_then_id);
+        let positive = reference.partition_point(|&(_, p)| p > 0.0);
+        let bits = |list: &[(ModelId, f64)]| -> Vec<(ModelId, u64)> {
+            list.iter().map(|&(m, p)| (m, p.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(priorities),
+            bits(&reference[..positive]),
+            "emitted LOAD priorities are not the positive prefix of the full list"
+        );
     }
 
     /// Tops up LOAD schedules on every actionable GPU (see
@@ -786,6 +900,12 @@ impl ClockworkScheduler {
         let horizon = now + LOOKAHEAD;
         let mut demands = std::mem::take(&mut self.scratch_demands);
         self.model_demands_into(now, &mut demands);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            demands,
+            self.reference_demands(now),
+            "demand ledger drifted"
+        );
         let mut gpu_load = std::mem::take(&mut self.scratch_gpu_load);
         let mut priorities = std::mem::take(&mut self.scratch_priorities);
         let mut gpu_indices = std::mem::take(&mut self.scratch_gpu_idx);
@@ -808,21 +928,21 @@ impl ClockworkScheduler {
                     self.load_priorities_into(&demands, &mut gpu_load, &mut priorities);
                     priorities_fresh = true;
                     self.profile.load_prio_recomputes += 1;
-                    // Sorted descending: if even the top priority is not
-                    // positive, no GPU anywhere can receive a LOAD this pass.
-                    if priorities.first().is_none_or(|&(_, p)| p <= 0.0) {
+                    #[cfg(debug_assertions)]
+                    self.assert_priorities_match_oracle(&demands, &priorities);
+                    // No model with positive unfulfilled demand: no GPU
+                    // anywhere can receive a LOAD this pass.
+                    if priorities.is_empty() {
                         break 'gpus;
                     }
                 }
-                // Highest-priority model with positive unfulfilled demand that
-                // is not already available on this GPU.
+                // Highest-priority model that is not already available on
+                // this GPU.
                 let track = &self.tracker.gpus()[gpu_idx];
                 let candidate = priorities
                     .iter()
-                    .find(|&&(model_id, priority)| {
-                        priority > 0.0 && !track.has_or_loading(model_id)
-                    })
-                    .map(|&(model_id, _)| model_id);
+                    .map(|&(model_id, _)| model_id)
+                    .find(|&model_id| !track.has_or_loading(model_id));
                 let Some(model_id) = candidate else {
                     break;
                 };
@@ -845,7 +965,7 @@ impl ClockworkScheduler {
         load_slot: Timestamp,
         ctx: &mut SchedulerCtx,
     ) -> bool {
-        let Some(entry) = self.models.get(&model_id) else {
+        let Some(entry) = self.models.get(model_id) else {
             return false;
         };
         let weights_bytes = entry.spec.weights_bytes();
@@ -862,13 +982,7 @@ impl ClockworkScheduler {
         let room = self
             .tracker
             .evict_until_fits(gpu_ref, weights_bytes, &protect, |victim| {
-                ctx.send_action(
-                    gpu_ref.worker,
-                    gpu_ref.gpu,
-                    ActionKind::Unload { model: victim },
-                    TimeWindow::always(),
-                    Nanos::from_micros(5),
-                );
+                ctx.send_unload(gpu_ref, victim);
                 *unloads += 1;
             });
         self.scratch_protect = protect;
@@ -896,13 +1010,44 @@ impl ClockworkScheduler {
         true
     }
 
+    /// Actions (INFER, LOAD, UNLOAD) sent so far.
+    fn actions_sent(&self) -> u64 {
+        self.stats.infer_actions + self.stats.load_actions + self.stats.unload_actions
+    }
+
     fn schedule(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
         self.expire_requests(now, ctx);
+        let sent_before = self.actions_sent();
         self.schedule_infers(now, ctx);
         self.schedule_loads(now, ctx);
-        // Loading decisions may enable further INFERs (cold models).
-        self.schedule_infers(now, ctx);
+        // Loading decisions may enable further INFERs (cold models), and so
+        // may the first pass's own dispatches: serving a queue's head on a
+        // later GPU can make its remainder feasible on an earlier one. But
+        // when nothing at all was sent, queues, residency and executor free
+        // times are exactly what the first pass just saw, and the second is
+        // a provable repeat.
+        if self.actions_sent() != sent_before {
+            self.schedule_infers(now, ctx);
+        } else {
+            #[cfg(debug_assertions)]
+            self.assert_infer_pass_is_a_repeat(now, ctx);
+        }
         self.refresh_clean_until(now);
+    }
+
+    /// Runs the INFER pass that [`Self::schedule`] skipped and checks that
+    /// it sends nothing; the self-profiling counters are put back so debug
+    /// and release builds report the same figures.
+    #[cfg(debug_assertions)]
+    fn assert_infer_pass_is_a_repeat(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
+        let (sent, profile) = (self.actions_sent(), self.profile);
+        self.schedule_infers(now, ctx);
+        assert_eq!(self.actions_sent(), sent, "skipped INFER pass had work");
+        assert_eq!(
+            self.profile.strategies_recomputed, profile.strategies_recomputed,
+            "skipped INFER pass rebuilt strategies"
+        );
+        self.profile = profile;
     }
 
     /// Runs one full scheduling pass unconditionally, bypassing the
@@ -1035,13 +1180,13 @@ impl ClockworkScheduler {
                 || now + min_exec + NETWORK_ALLOWANCE < pending.deadline;
             if still_possible {
                 let model = pending.request.model;
-                let entry = self.models.get_mut(&model).expect("model exists");
-                let was_queued = !entry.queue.is_empty();
+                let entry = self.models.get_mut(model).expect("model exists");
+                let old_len = entry.queue.len();
                 let old_hint = entry.min_deadline_hint;
                 entry.note_queue_changed();
                 entry.deadline_added(pending.deadline);
                 entry.queue.push_front(pending);
-                self.resync_urgency(model, was_queued, old_hint);
+                self.resync_urgency(model, old_len, old_hint);
             } else {
                 self.reject(&pending, at, reason, ctx);
             }
@@ -1086,7 +1231,7 @@ impl Scheduler for ClockworkScheduler {
     }
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
-        if !self.models.contains_key(&request.model) {
+        if self.models.get(request.model).is_none() {
             ctx.send_response(Response {
                 request: request.id,
                 model: request.model,
@@ -1174,14 +1319,8 @@ impl Scheduler for ClockworkScheduler {
                 // loss was a queue-deadline miss and not one request was
                 // shed). Fold the aggregate backlog's fair drain share into
                 // the best-effort bar; strict admission is untouched.
-                let queued: u64 = self.models.values().map(|e| e.queue.len() as u64).sum();
-                let alive = self
-                    .tracker
-                    .gpus()
-                    .iter()
-                    .filter(|g| g.alive)
-                    .count()
-                    .max(1) as u64;
+                let queued = self.queued_total as u64;
+                let alive = self.tracker.alive_gpus().max(1) as u64;
                 let pressure = Nanos::from_nanos(exec.as_nanos().saturating_mul(queued) / alive);
                 let scaled = Nanos::from_nanos(
                     (best_case + pressure)
@@ -1220,19 +1359,19 @@ impl Scheduler for ClockworkScheduler {
                 estimate: estimate.as_nanos(),
             });
         }
-        let entry = self.models.get_mut(&request.model).expect("checked above");
-        let was_queued = !entry.queue.is_empty();
+        let entry = self.models.get_mut(request.model).expect("checked above");
+        let old_len = entry.queue.len();
         let old_hint = entry.min_deadline_hint;
         entry.note_queue_changed();
         entry.deadline_added(pending.deadline);
         entry.queue.push_back(pending);
-        self.resync_urgency(request.model, was_queued, old_hint);
+        self.resync_urgency(request.model, old_len, old_hint);
         self.schedule(now, ctx);
         if ctx.tracing() {
             // If the dispatch pass left this request queued, the urgency
             // index deferred it — record when the model's queue next turns
             // urgent (its earliest queued deadline).
-            let entry = self.models.get(&request.model).expect("checked above");
+            let entry = self.models.get(request.model).expect("checked above");
             if entry.queue.back().map(|p| p.request.id) == Some(request.id) {
                 ctx.trace(TraceEvent::Deferred {
                     request: request.id.0,
@@ -1465,6 +1604,232 @@ mod tests {
             .find(|(_, a)| a.kind.type_name() == "INFER")
             .unwrap();
         assert!(infer.1.window.earliest >= load.1.window.earliest + load.1.expected_duration);
+        // Nothing was resident for the first INFER pass to consider: it is
+        // the second one, run because the LOAD pass sent something, that
+        // placed the INFER — skipping it here would swallow the request.
+        assert_eq!(s.sched_profile().candidates_scanned, 1);
+    }
+
+    /// Warms `model` on `gpu` behind the scheduler's back: LOAD sent and
+    /// confirmed at time zero.
+    fn warm(s: &mut ClockworkScheduler, gpu: GpuRef, action: u64, model: u32) {
+        s.tracker.note_load_sent(
+            gpu,
+            ActionId(action),
+            ModelId(model),
+            7 * PAGE,
+            Timestamp::ZERO,
+            Nanos::from_millis(8),
+        );
+        s.tracker
+            .note_load_result(gpu, ActionId(action), ModelId(model), true);
+    }
+
+    fn infers(actions: &[(WorkerId, clockwork_worker::Action)]) -> Vec<(GpuId, Vec<u64>)> {
+        actions
+            .iter()
+            .filter_map(|(_, a)| match &a.kind {
+                ActionKind::Infer { request_ids, .. } => Some((a.gpu, request_ids.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_pass_that_sends_nothing_skips_its_second_infer_pass() {
+        let mut ctx = SchedulerCtx::new();
+        // The (warm) executor frees up inside the lookahead but too late for
+        // the queued request's deadline, and no LOAD helps. The second INFER
+        // pass would rescan the same candidate and decide the same; it is
+        // skipped, so the candidate counts once.
+        let mut s = scheduler_with_one_gpu(100);
+        warm(&mut s, gref(), 900, 1);
+        s.on_request(Timestamp::ZERO, request(1, 1, 0, 100), &mut ctx);
+        assert_eq!(infers(&ctx.take_actions()).len(), 1);
+        let before = s.sched_profile();
+        s.on_request(Timestamp::ZERO, request(2, 1, 0, 4), &mut ctx);
+        assert!(ctx.take_actions().is_empty(), "nothing to send");
+        assert_eq!(s.queued_requests(), 1, "admitted and waiting");
+        let after = s.sched_profile();
+        assert_eq!(after.candidates_scanned, before.candidates_scanned + 1);
+        assert_eq!(
+            after.strategies_recomputed,
+            before.strategies_recomputed + 1
+        );
+    }
+
+    #[test]
+    fn a_later_gpus_dispatch_can_enable_an_earlier_gpu_in_the_same_pass() {
+        // Why the second INFER pass cannot be skipped merely because no LOAD
+        // was sent: GPU A (visited first) frees up later than GPU B. The
+        // queue's head has a deadline only B can meet, so the first pass
+        // finds nothing feasible on A and serves the head on B — after
+        // which the remainder (loose deadlines) *is* feasible on A, and the
+        // second pass of the same `schedule()` call must place it there.
+        let (gpu_a, gpu_b) = (
+            gref(),
+            GpuRef {
+                worker: WorkerId(0),
+                gpu: GpuId(1),
+            },
+        );
+        let mut s = ClockworkScheduler::with_defaults();
+        s.add_gpu(gpu_a, 100, PAGE);
+        s.add_gpu(gpu_b, 100, PAGE);
+        // Model 1 lives on A only and keeps it busy; model 2 is on both.
+        s.add_model(ModelId(1), resnet(), Nanos::from_millis_f64(8.33));
+        s.add_model(ModelId(2), resnet(), Nanos::from_millis_f64(8.33));
+        warm(&mut s, gpu_a, 900, 1);
+        warm(&mut s, gpu_a, 901, 2);
+        warm(&mut s, gpu_b, 902, 2);
+        let exec = s.exec_estimate(ModelId(2), 1);
+        assert!(exec > Nanos::from_millis(2) && exec < Nanos::from_millis(3));
+        let mut ctx = SchedulerCtx::new();
+        // Three back-to-back INFERs commit A until 3·exec; two commit B
+        // until 2 ms + 2·exec — earlier than A, both past the lookahead.
+        s.on_request(Timestamp::ZERO, request(1, 1, 0, 5_000), &mut ctx);
+        let at = Timestamp::from_millis(2);
+        for (id, model) in [(2, 1), (3, 1), (10, 2), (11, 2)] {
+            s.on_request(at, request(id, model, 2, 5_000), &mut ctx);
+        }
+        let placed = infers(&ctx.take_actions());
+        let gpus: Vec<GpuId> = placed.iter().map(|(gpu, _)| *gpu).collect();
+        assert_eq!(
+            gpus,
+            [GpuId(0), GpuId(0), GpuId(0), GpuId(1), GpuId(1)],
+            "setup: {placed:?}"
+        );
+        let a_free = Timestamp::ZERO + exec * 3;
+        let b_free = at + exec * 2;
+        assert!(b_free < a_free);
+        // Request 20's deadline admits a start at B's free time but not at
+        // A's; 21 and 22 are loose. All three queue: no executor is inside
+        // the lookahead yet.
+        let arrival = Timestamp::from_nanos(2_100_000);
+        let tight = b_free + Nanos::from_micros(300) + exec + NETWORK_ALLOWANCE;
+        assert!(tight - exec - NETWORK_ALLOWANCE < a_free);
+        s.on_request(
+            arrival,
+            InferenceRequest {
+                slo: tight - arrival,
+                arrival,
+                ..request(20, 2, 0, 0)
+            },
+            &mut ctx,
+        );
+        for id in [21, 22] {
+            s.on_request(
+                arrival,
+                InferenceRequest {
+                    arrival,
+                    ..request(id, 2, 0, 5_000)
+                },
+                &mut ctx,
+            );
+        }
+        assert!(ctx.take_actions().is_empty());
+        assert_eq!(s.queued_requests(), 3);
+        // One tick later both executors are inside the lookahead.
+        let outcome = s.on_tick(Timestamp::from_millis(3), &mut ctx);
+        assert_eq!(outcome, TickOutcome::Full);
+        let placed = infers(&ctx.take_actions());
+        assert!(
+            placed
+                .iter()
+                .any(|(gpu, ids)| *gpu == GpuId(1) && ids.contains(&20)),
+            "the head is served on B: {placed:?}"
+        );
+        assert!(
+            placed
+                .iter()
+                .any(|(gpu, ids)| *gpu == GpuId(0) && ids.contains(&22)),
+            "the remainder is placed on A in the same pass: {placed:?}"
+        );
+        assert!(ctx.take_responses().is_empty(), "nobody expired");
+        assert_eq!(s.stats().load_actions, 0, "no LOAD was involved");
+    }
+
+    #[test]
+    fn demand_ledger_and_positive_priorities_match_the_from_scratch_oracles() {
+        // An overloaded two-GPU fleet: deadline-free requests for model 1
+        // pile up behind one busy executor until the GPU holding it carries
+        // more demand than the priority horizon, which makes a *held* model's
+        // priority positive (and earns it a second replica); models 2 and 3
+        // are demanded while cold. After every callback the ledger must equal
+        // the re-estimated demands, and the emitted list must be, bit for
+        // bit, the positive prefix of the fully sorted priorities. Unlike the
+        // debug assertions inside the pass, this also runs in release builds.
+        fn check(s: &mut ClockworkScheduler, now: Timestamp) -> Vec<(ModelId, f64)> {
+            let (mut demands, mut gpu_load, mut priorities) = (Vec::new(), Vec::new(), Vec::new());
+            s.model_demands_into(now, &mut demands);
+            assert_eq!(demands, s.reference_demands(now), "at {now:?}");
+            s.load_priorities_into(&demands, &mut gpu_load, &mut priorities);
+            s.assert_priorities_match_oracle(&demands, &priorities);
+            priorities
+        }
+        let mut s = ClockworkScheduler::with_defaults();
+        s.add_gpu(gref(), 100, PAGE);
+        for m in 1..=3 {
+            s.add_model(ModelId(m), resnet(), Nanos::from_millis_f64(8.33));
+        }
+        let mut ctx = SchedulerCtx::new();
+        let no_deadline = |id: u64, model: u32, at: Timestamp| InferenceRequest {
+            id: RequestId(id),
+            model: ModelId(model),
+            arrival: at,
+            slo: Nanos::MAX,
+            tier: Tier::Strict,
+        };
+        let mut held_positive = false;
+        let mut pending = Vec::new();
+        for i in 0..240u64 {
+            let at = Timestamp::from_nanos(100_000 * i);
+            let model = if i % 40 == 39 {
+                2 + (i / 40 % 2) as u32
+            } else {
+                1
+            };
+            s.on_request(at, no_deadline(i, model, at), &mut ctx);
+            pending.extend(ctx.take_actions());
+            let priorities = check(&mut s, at);
+            held_positive |= priorities
+                .iter()
+                .any(|&(m, _)| !s.tracker.gpus_with_model(m).is_empty());
+            if i == 120 {
+                // A second, empty GPU joins: the over-demanded model spreads.
+                s.add_gpu(
+                    GpuRef {
+                        worker: WorkerId(1),
+                        gpu: GpuId(0),
+                    },
+                    100,
+                    PAGE,
+                );
+            }
+        }
+        assert!(held_positive, "no held model ever had a positive priority");
+        assert!(s.stats().load_actions >= 3, "{:?}", s.stats());
+        // Results move the estimates (profile epochs), which must refresh
+        // the ledger entries of exactly the models they concern.
+        let mut t_ms = 30;
+        while let Some((worker, action)) = pending.pop() {
+            if action.kind.type_name() == "UNLOAD" {
+                continue;
+            }
+            let at = Timestamp::from_millis(t_ms);
+            let mut result = success_result(action.id, &action, t_ms, 2_000 + 37 * t_ms);
+            result.worker = worker;
+            result.gpu = action.gpu;
+            s.on_result(at, &result, &mut ctx);
+            pending.extend(ctx.take_actions());
+            ctx.take_responses();
+            check(&mut s, at);
+            t_ms += 1;
+            if t_ms > 400 {
+                break;
+            }
+        }
+        assert!(s.stats().completed > 0);
     }
 
     #[test]
@@ -1883,32 +2248,14 @@ mod tests {
         let mut ctx = SchedulerCtx::new();
         // Warm the model on both GPUs without going through the scheduler's
         // own LOAD placement.
-        for (id, gpu) in [(900, gref()), (901, gpu1)] {
-            s.tracker.note_load_sent(
-                gpu,
-                ActionId(id),
-                ModelId(1),
-                7 * PAGE,
-                Timestamp::ZERO,
-                Nanos::from_millis(8),
-            );
-            s.tracker
-                .note_load_result(gpu, ActionId(id), ModelId(1), true);
-        }
+        warm(&mut s, gref(), 900, 1);
+        warm(&mut s, gpu1, 901, 1);
         for (id, at_ms) in [(1, 10), (2, 10), (3, 10), (4, 13)] {
             let at = Timestamp::from_millis(at_ms);
             s.on_request(at, request(id, 1, at_ms, 5_000), &mut ctx);
         }
-        let placed: Vec<(GpuId, Vec<u64>)> = ctx
-            .take_actions()
-            .into_iter()
-            .filter_map(|(_, a)| match a.kind {
-                ActionKind::Infer { request_ids, .. } => Some((a.gpu, request_ids)),
-                _ => None,
-            })
-            .collect();
         assert_eq!(
-            placed,
+            infers(&ctx.take_actions()),
             vec![
                 (GpuId(0), vec![1]),
                 (GpuId(0), vec![2]),
@@ -1929,7 +2276,10 @@ mod tests {
         // Each lost batch is pushed to the queue's head in resolution order
         // r1, r2, r4 (gpu 0), r3 (gpu 1), so the queue reads r3, r4, r2, r1.
         // Global action-id order would leave r4, r3, r2, r1.
-        let queue: Vec<u64> = s.models[&ModelId(1)]
+        let queue: Vec<u64> = s
+            .models
+            .get(ModelId(1))
+            .expect("registered")
             .queue
             .iter()
             .map(|p| p.request.id.0)

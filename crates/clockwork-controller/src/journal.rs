@@ -85,13 +85,17 @@ pub struct SchedProfile {
     /// Ticks answered by the early-out (no change journaled, clean horizon
     /// not reached).
     pub ticks_skipped: u64,
-    /// (model, GPU) candidate pairs examined while placing INFERs.
+    /// (model, GPU) candidate pairs examined while placing INFERs. A pass
+    /// that sends no action skips its second INFER pass — a provable repeat
+    /// of the first — so its candidates count once.
     pub candidates_scanned: u64,
     /// Per-model strategy-queue rebuilds (cache misses on queue or profile
     /// epoch).
     pub strategies_recomputed: u64,
-    /// LOAD-priority list recomputations (once per pass plus one per
-    /// residency-changing dispatch, instead of once per GPU slot).
+    /// LOAD-priority evaluations (once per pass with an open LOAD slot plus
+    /// one per residency-changing dispatch, instead of once per GPU slot).
+    /// An evaluation prices every demanded model but keeps — and sorts —
+    /// only the positive priorities, so most evaluations sort nothing.
     pub load_prio_recomputes: u64,
 }
 

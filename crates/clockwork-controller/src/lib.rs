@@ -34,6 +34,7 @@ pub mod alt;
 pub mod batching;
 pub mod clockwork_scheduler;
 pub mod journal;
+mod model_table;
 pub mod profile;
 pub mod registry;
 pub mod request;

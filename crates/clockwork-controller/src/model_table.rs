@@ -1,0 +1,86 @@
+//! A dense table keyed by [`ModelId`].
+//!
+//! Model ids are minted densely (`0..n`) by whoever registers the models,
+//! and the scheduler's per-model inner loops look several tables up per
+//! model per pass — so the controller's per-model state lives in id-indexed
+//! vectors instead of hash maps: a lookup is a bounds check, and walking a
+//! table visits models in ascending id order by construction. Sparse ids
+//! work too; the table just grows to the largest id inserted, so memory is
+//! O(largest id), not O(models).
+
+use clockwork_model::ModelId;
+
+/// A map from [`ModelId`] to `T`, stored as a vector indexed by the id.
+#[derive(Clone, Debug)]
+pub(crate) struct ModelTable<T> {
+    slots: Vec<Option<T>>,
+}
+
+impl<T> Default for ModelTable<T> {
+    fn default() -> Self {
+        ModelTable { slots: Vec::new() }
+    }
+}
+
+impl<T> ModelTable<T> {
+    /// The value stored for `id`, if any. Never allocates, whatever the id.
+    pub(crate) fn get(&self, id: ModelId) -> Option<&T> {
+        self.slots.get(id.index())?.as_ref()
+    }
+
+    /// Mutable access to the value stored for `id`, if any.
+    pub(crate) fn get_mut(&mut self, id: ModelId) -> Option<&mut T> {
+        self.slots.get_mut(id.index())?.as_mut()
+    }
+
+    /// Stores `value` for `id`, replacing any previous value.
+    pub(crate) fn insert(&mut self, id: ModelId, value: T) {
+        *self.slot(id) = Some(value);
+    }
+
+    /// The value stored for `id`, inserting the default first if absent.
+    pub(crate) fn get_or_default(&mut self, id: ModelId) -> &mut T
+    where
+        T: Default,
+    {
+        self.slot(id).get_or_insert_with(T::default)
+    }
+
+    /// The stored entries, in ascending id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ModelId, &T)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(index, slot)| Some((ModelId(index as u32), slot.as_ref()?)))
+    }
+
+    fn slot(&mut self, id: ModelId) -> &mut Option<T> {
+        let index = id.index();
+        if index >= self.slots.len() {
+            self.slots.resize_with(index + 1, || None);
+        }
+        &mut self.slots[index]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sparse_ids_grow_the_table_and_lookups_never_do() {
+        let mut t: ModelTable<u32> = ModelTable::default();
+        assert_eq!(t.get(ModelId(u32::MAX)), None, "lookup must not allocate");
+        t.insert(ModelId(7), 70);
+        *t.get_or_default(ModelId(2)) += 5;
+        *t.get_or_default(ModelId(7)) += 1;
+        assert_eq!(t.get(ModelId(7)), Some(&71));
+        assert_eq!(t.get(ModelId(2)), Some(&5));
+        assert_eq!(t.get(ModelId(3)), None);
+        assert_eq!(t.get_mut(ModelId(999)), None);
+        let entries = |t: &ModelTable<u32>| t.iter().map(|(id, &v)| (id.0, v)).collect::<Vec<_>>();
+        assert_eq!(entries(&t), vec![(2, 5), (7, 71)]);
+        t.insert(ModelId(2), 9);
+        assert_eq!(entries(&t), vec![(2, 9), (7, 71)]);
+    }
+}

@@ -9,13 +9,13 @@
 //! it errs on the side of slight over-prediction (Fig. 9 shows the resulting
 //! asymmetry).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use clockwork_metrics::OrderStatWindow;
 use clockwork_model::ModelId;
 use clockwork_sim::time::Nanos;
+
+use crate::model_table::ModelTable;
 
 /// Which kind of action a profile describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -58,16 +58,59 @@ impl ProfileKey {
     }
 }
 
-/// Rolling per-key duration estimator.
+/// One key's seed and rolling window. The window is boxed: most keys of a
+/// large zoo are seeded but never measured.
+#[derive(Clone, Debug, Default)]
+struct Profile {
+    seed: Option<Nanos>,
+    window: Option<Box<OrderStatWindow>>,
+}
+
+/// Everything profiled about one model: its epoch and its handful of keys
+/// (one LOAD, one EXEC per compiled batch size) — few enough that a linear
+/// scan beats hashing the key.
+#[derive(Clone, Debug, Default)]
+struct ModelProfiles {
+    epoch: u64,
+    profiles: Vec<(ProfileKind, u32, Profile)>,
+}
+
+impl ModelProfiles {
+    fn get(&self, key: ProfileKey) -> Option<&Profile> {
+        self.profiles
+            .iter()
+            .find(|(kind, batch, _)| *kind == key.kind && *batch == key.batch)
+            .map(|(_, _, profile)| profile)
+    }
+
+    fn get_or_default(&mut self, key: ProfileKey) -> &mut Profile {
+        let at = self
+            .profiles
+            .iter()
+            .position(|(kind, batch, _)| *kind == key.kind && *batch == key.batch)
+            .unwrap_or_else(|| {
+                // Exact capacity: a model's keys are seeded once and then
+                // live for the run, and doubling would leave a quarter of
+                // every model's vector unused across a zoo of thousands.
+                self.profiles.reserve_exact(1);
+                self.profiles
+                    .push((key.kind, key.batch, Profile::default()));
+                self.profiles.len() - 1
+            });
+        &mut self.profiles[at].2
+    }
+}
+
+/// Rolling per-key duration estimator. Keys are stored per model in a dense
+/// id-indexed table, so the estimate lookups under the scheduler's per-model
+/// loops never hash.
 #[derive(Clone, Debug)]
 pub struct ActionProfiler {
     window_size: usize,
     percentile: f64,
-    seeds: HashMap<ProfileKey, Nanos>,
-    windows: HashMap<ProfileKey, OrderStatWindow>,
+    models: ModelTable<ModelProfiles>,
     measurements: u64,
     epoch: u64,
-    model_epochs: HashMap<ModelId, u64>,
 }
 
 impl Default for ActionProfiler {
@@ -92,45 +135,46 @@ impl ActionProfiler {
         ActionProfiler {
             window_size,
             percentile,
-            seeds: HashMap::new(),
-            windows: HashMap::new(),
+            models: ModelTable::default(),
             measurements: 0,
             epoch: 0,
-            model_epochs: HashMap::new(),
         }
     }
 
     /// Installs a seed estimate for a key (from offline profiling or the
     /// compiled latency table). Overwrites any previous seed.
     pub fn seed(&mut self, key: ProfileKey, estimate: Nanos) {
-        self.bump_epochs(key.model);
-        self.seeds.insert(key, estimate);
+        self.touch(key).seed = Some(estimate);
     }
 
     /// Records a measured duration reported by a worker.
     pub fn record(&mut self, key: ProfileKey, measured: Nanos) {
         self.measurements += 1;
-        self.bump_epochs(key.model);
-        self.windows
-            .entry(key)
-            .or_insert_with(|| OrderStatWindow::new(self.window_size))
+        let window_size = self.window_size;
+        self.touch(key)
+            .window
+            .get_or_insert_with(|| Box::new(OrderStatWindow::new(window_size)))
             .push(measured);
     }
 
-    fn bump_epochs(&mut self, model: ModelId) {
+    /// The profile behind `key`, created if new, with the global and the
+    /// model's epoch advanced: every caller is about to change an estimate.
+    fn touch(&mut self, key: ProfileKey) -> &mut Profile {
         self.epoch += 1;
-        *self.model_epochs.entry(model).or_insert(0) += 1;
+        let model = self.models.get_or_default(key.model);
+        model.epoch += 1;
+        model.get_or_default(key)
     }
 
     /// The current estimate for a key: the rolling percentile if measurements
     /// exist, otherwise the seed, otherwise `None`.
     pub fn estimate(&self, key: ProfileKey) -> Option<Nanos> {
-        if let Some(w) = self.windows.get(&key) {
-            if let Some(p) = w.percentile(self.percentile) {
-                return Some(p);
-            }
-        }
-        self.seeds.get(&key).copied()
+        let profile = self.models.get(key.model)?.get(key)?;
+        profile
+            .window
+            .as_ref()
+            .and_then(|w| w.percentile(self.percentile))
+            .or(profile.seed)
     }
 
     /// Like [`estimate`](Self::estimate) but falls back to a caller-provided
@@ -156,15 +200,12 @@ impl ActionProfiler {
     /// measurements for other models does not invalidate caches derived from
     /// this one.
     pub fn model_epoch(&self, model: ModelId) -> u64 {
-        self.model_epochs.get(&model).copied().unwrap_or(0)
+        self.models.get(model).map_or(0, |m| m.epoch)
     }
 
     /// Number of keys with at least a seed or a measurement.
     pub fn key_count(&self) -> usize {
-        let mut keys: Vec<&ProfileKey> = self.seeds.keys().chain(self.windows.keys()).collect();
-        keys.sort_unstable_by_key(|k| (k.model, k.batch, matches!(k.kind, ProfileKind::Load)));
-        keys.dedup();
-        keys.len()
+        self.models.iter().map(|(_, m)| m.profiles.len()).sum()
     }
 }
 

@@ -78,6 +78,18 @@ impl SchedulerCtx {
         id
     }
 
+    /// Queues the UNLOAD of an evicted model: metadata-only on the worker, so
+    /// it may run at any time and is expected to take microseconds.
+    pub fn send_unload(&mut self, gpu_ref: GpuRef, model: ModelId) -> ActionId {
+        self.send_action(
+            gpu_ref.worker,
+            gpu_ref.gpu,
+            ActionKind::Unload { model },
+            TimeWindow::always(),
+            Nanos::from_micros(5),
+        )
+    }
+
     /// Queues an already-built action.
     pub fn send_prebuilt(&mut self, worker: WorkerId, action: Action) {
         self.actions.push((worker, action));

@@ -25,6 +25,8 @@ use clockwork_sim::engine::FaultKind;
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionId, GpuId, WorkerId};
 
+use crate::model_table::ModelTable;
+
 /// A (worker, GPU) pair — the unit of scheduling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GpuRef {
@@ -161,10 +163,14 @@ pub struct WorkerStateTracker {
     /// the readiness queries are a linear scan over `u64`s.
     free_at: [Vec<Timestamp>; 2],
     /// GPUs (by registration index, ascending) on which each model is
-    /// resident or loading: the inverse of [`GpuTrack::models`].
-    holders: HashMap<ModelId, Vec<usize>>,
+    /// resident or loading: the inverse of [`GpuTrack::models`], dense by
+    /// model id (the LOAD-priority pass looks it up per demanded model).
+    holders: ModelTable<Vec<usize>>,
     /// LOAD actions outstanding across the fleet.
     outstanding_loads: usize,
+    /// GPUs currently alive; changes only in `add_gpu`, `fail_gpu` and
+    /// `recover_gpu`.
+    alive_gpus: usize,
     /// Workers currently crashed. While a worker is down, a lone GPU
     /// recovery cannot make its GPUs reachable — only the worker restart
     /// re-admits them (the worker would silently drop actions sent earlier,
@@ -183,6 +189,7 @@ impl WorkerStateTracker {
         self.index.insert(gpu_ref, self.gpus.len());
         self.gpus
             .push(GpuTrack::new(gpu_ref, total_pages, page_size));
+        self.alive_gpus += 1;
         for column in &mut self.free_at {
             column.push(Timestamp::ZERO);
         }
@@ -217,7 +224,12 @@ impl WorkerStateTracker {
     /// Registration indices of the GPUs on which a model is resident or
     /// loading, ascending. Empty means the model is cold everywhere.
     pub fn gpus_with_model(&self, model: ModelId) -> &[usize] {
-        self.holders.get(&model).map_or(&[], Vec::as_slice)
+        self.holders.get(model).map_or(&[], Vec::as_slice)
+    }
+
+    /// Number of GPUs currently alive.
+    pub fn alive_gpus(&self) -> usize {
+        self.alive_gpus
     }
 
     /// Number of LOAD actions outstanding across the fleet.
@@ -311,7 +323,7 @@ impl WorkerStateTracker {
         // stamp: a re-LOAD after a failure keeps the older LRU position.
         // The frozen digests depend on it; do not "fix" it in passing.
         track.last_used.entry(model).or_insert(start);
-        let holders = self.holders.entry(model).or_default();
+        let holders = self.holders.get_or_default(model);
         if let Err(pos) = holders.binary_search(&idx) {
             holders.insert(pos, idx);
         }
@@ -359,7 +371,7 @@ impl WorkerStateTracker {
     }
 
     fn unlist_holder(&mut self, idx: usize, model: ModelId) {
-        let holders = self.holders.get_mut(&model);
+        let holders = self.holders.get_mut(model);
         holders
             .expect("a held model is listed")
             .retain(|&i| i != idx);
@@ -505,6 +517,7 @@ impl WorkerStateTracker {
         }
         track.last_used.clear();
         track.free_pages = track.total_pages;
+        self.alive_gpus -= usize::from(track.alive);
         track.alive = false;
         for column in &mut self.free_at {
             column[idx] = now;
@@ -514,6 +527,7 @@ impl WorkerStateTracker {
     fn recover_gpu(&mut self, idx: usize, now: Timestamp) {
         if !self.gpus[idx].alive {
             self.gpus[idx].alive = true;
+            self.alive_gpus += 1;
             for column in &mut self.free_at {
                 column[idx] = column[idx].max(now);
             }

@@ -16,6 +16,16 @@
 //! on `None`, FIFO order within a timestamp. Results are synthesized from
 //! each side's own actions (success at `window.earliest + expected_duration`)
 //! so a divergence cannot cancel itself out.
+//!
+//! The same sequences also drive the oracles *inside* the pass. In debug
+//! builds `ClockworkScheduler` checks, in every pass either side runs, the
+//! demand ledger against demands re-estimated from scratch, every emitted
+//! LOAD-priority list — bit for bit — against the positive prefix of the
+//! fully sorted list of all priorities, and, whenever the second INFER pass
+//! is skipped as a provable repeat, that running it anyway sends nothing and
+//! rebuilds no strategy. A drift panics inside the pass that caused it.
+//! Release runs of this suite compare the streams only (the scheduler's own
+//! unit tests run the ledger and priority oracles in release as well).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -294,6 +304,34 @@ proptest! {
         prop_assert_eq!(&gated, &oracle,
             "incremental scheduler diverged from the rebuild-per-tick oracle");
     }
+}
+
+/// Sustained overload of one model on a four-GPU fleet with SLOs loose
+/// enough to queue: the GPU holding the model carries more demand than the
+/// priority horizon, so a *held* model's LOAD priority turns positive and
+/// replicas spread — the regime where dropping non-positive priorities before
+/// the sort, the demand ledger and the skipped repeat pass all matter.
+#[test]
+fn differential_overload_spreads_replicas() {
+    let ops: Vec<(u64, ExternalOp)> = (0..400)
+        .map(|i| {
+            (
+                25,
+                ExternalOp::Request {
+                    model: if i % 50 == 49 { 1 + (i / 50) % 3 } else { 0 },
+                    slo_us: 400_000,
+                },
+            )
+        })
+        .collect();
+    let gated = run_side(Cadence::Gated, 2, 2, &ops);
+    let oracle = run_side(Cadence::Oracle, 2, 2, &ops);
+    assert_eq!(gated, oracle);
+    let loads_of_model_0 = gated.iter().filter(|l| l.contains("LOAD model=0")).count();
+    assert!(
+        loads_of_model_0 >= 2,
+        "the overloaded model never earned a replica — the scenario is vacuous"
+    );
 }
 
 /// A dense burst against one GPU: deep queues, batching, deadline expiry —

@@ -337,6 +337,11 @@ fn check_tracker_against_oracle(
     }
     let loads: usize = oracle.iter().map(|g| g.loading.len()).sum();
     assert_eq!(tracker.outstanding_loads(), loads);
+    // The alive counter is the scan it replaced on the admission path.
+    assert_eq!(
+        tracker.alive_gpus(),
+        oracle.iter().filter(|g| !g.dead).count()
+    );
     // The holder list of every model is the ascending scan of the GPUs that
     // hold it (this is what `gpus_with_model`/`model_available_somewhere`
     // used to compute per call).
