@@ -173,6 +173,8 @@ impl FaultKind {
     }
 }
 
+const RUN_ENDED_EARLY: &str = "a sorted run's source yields as many entries as it reported";
+
 /// A handle identifying a scheduled event, usable for cancellation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
@@ -208,20 +210,48 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// A time-sorted batch kept beside the heap instead of heapified into it.
+///
+/// The earliest undelivered entry is materialised in `at` / `payload`; the
+/// rest are still in `rest`, which builds each one only when it becomes the
+/// head. The batch's ids and `seq` numbers were reserved as one block at
+/// submission, so the head's `seq` is all that is needed to order it against
+/// the heap exactly as if every entry had been pushed one by one.
+struct Run<E> {
+    at: Timestamp,
+    seq: u64,
+    payload: E,
+    rest: Box<dyn Iterator<Item = (Timestamp, E)> + Send>,
+    /// Entries `rest` still owes after the head.
+    owed: usize,
+}
+
 /// A deterministic, cancellable priority queue of timestamped events.
 ///
+/// Events pushed one at a time live in a binary heap; a batch submitted in
+/// time order ([`EventQueue::push_run`], or a sorted
+/// [`EventQueue::push_batch`]) stays a sorted run beside it, and delivery
+/// takes the smaller `(time, seq)` of the run's head and the heap's top. The
+/// heap therefore holds only what is in flight — a push or pop sifts
+/// `log(in-flight)` levels however many arrivals a replayed trace still has
+/// to deliver — and a run entry costs one comparison and no sift at all.
+///
 /// Event ids are dense (0, 1, 2, …), so liveness is tracked in a bitset of
-/// *dead* (delivered or cancelled) ids rather than a hash set of live ones:
-/// pushes touch only the heap, cancellation flips one bit (the tombstone),
-/// and delivery skips tombstoned entries when they surface. This removes a
-/// hash insert + remove from every scheduled event — the dominant constant
-/// factor of the simulation loop at fleet scale — at the cost of one bit per
-/// event ever scheduled.
+/// *dead* ids rather than a hash set of live ones: pushes touch only the
+/// heap, cancellation flips one bit (the tombstone), and delivery skips
+/// tombstoned heap entries when they surface — one bit per event ever
+/// scheduled instead of a hash insert + remove per event. Run entries hand
+/// out no [`EventId`], so nothing can cancel them: their ids are born dead
+/// and they are never probed.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
+    /// The pending sorted run, if any. At most one: a run submitted while
+    /// another is pending is spilled to the heap.
+    run: Option<Run<E>>,
     next_seq: u64,
     next_id: u64,
-    /// Bit `i` is set once event `i` has been delivered or cancelled.
+    /// Bit `i` is set once event `i` can no longer be cancelled: delivered,
+    /// cancelled, or a run entry.
     dead: Vec<u64>,
     /// Number of scheduled events that are neither delivered nor cancelled.
     live: usize,
@@ -242,6 +272,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            run: None,
             next_seq: 0,
             next_id: 0,
             dead: Vec::new(),
@@ -287,24 +318,74 @@ impl<E> EventQueue<E> {
 
     /// Schedules a batch of events in one call.
     ///
-    /// Equivalent to pushing each `(at, payload)` pair in order, but reserves
-    /// heap space up front so bulk submissions (e.g. replaying a pre-generated
-    /// trace) do not grow the heap one event at a time.
+    /// Equivalent to pushing each `(at, payload)` pair in order — same
+    /// delivery order, same counters. A batch whose times are non-decreasing
+    /// becomes a sorted run ([`EventQueue::push_run`]) and never enters the
+    /// heap; any other batch is pushed entry by entry.
     pub fn push_batch<I>(&mut self, events: I)
     where
         I: IntoIterator<Item = (Timestamp, E)>,
+        E: Send + 'static,
     {
-        let events = events.into_iter();
-        let (lower, _) = events.size_hint();
-        self.heap.reserve(lower);
-        for (at, payload) in events {
-            self.push(at, payload);
+        let events: Vec<(Timestamp, E)> = events.into_iter().collect();
+        if events.windows(2).all(|pair| pair[0].0 <= pair[1].0) {
+            self.push_run(events.into_iter());
+        } else {
+            self.heap.reserve(events.len());
+            for (at, payload) in events {
+                self.push(at, payload);
+            }
         }
     }
 
-    /// Schedules an event `delay` after `now`.
-    pub fn push_after(&mut self, now: Timestamp, delay: Nanos, payload: E) -> EventId {
-        self.push(now + delay, payload)
+    /// Schedules every event of `source`, whose times must be non-decreasing,
+    /// without heapifying them: the batch stays a sorted run beside the heap
+    /// and `source` is asked for each entry only when it becomes the run's
+    /// head, so a replayed trace can build its event payloads on demand.
+    ///
+    /// Equivalent to pushing each `(at, payload)` pair in order: the batch's
+    /// ids and tie-breaking sequence numbers are reserved here, as one block,
+    /// and [`EventQueue::len`] / [`EventQueue::pushed_total`] count the whole
+    /// batch from now on. Run entries return no [`EventId`] and cannot be
+    /// cancelled. A run submitted while another is still pending is spilled
+    /// to the heap entry by entry, which keeps the global `(time, seq)`
+    /// delivery order with one comparison per pop.
+    ///
+    /// # Panics
+    ///
+    /// When a pending run's source yields fewer entries than it reported, or
+    /// one earlier than its predecessor.
+    pub fn push_run<I>(&mut self, source: I)
+    where
+        I: ExactSizeIterator<Item = (Timestamp, E)> + Send + 'static,
+    {
+        if self.run.is_some() {
+            for (at, payload) in source {
+                self.push(at, payload);
+            }
+            return;
+        }
+        let len = source.len();
+        if len == 0 {
+            return;
+        }
+        let mut rest = Box::new(source);
+        let (at, payload) = rest.next().expect(RUN_ENDED_EARLY);
+        self.run = Some(Run {
+            at,
+            seq: self.next_seq,
+            payload,
+            rest,
+            owed: len - 1,
+        });
+        // No handle to a run entry exists, so its id is born dead: a foreign
+        // `EventId` must not be able to cancel what will still be delivered.
+        for id in self.next_id..self.next_id + len as u64 {
+            self.mark_dead(EventId(id));
+        }
+        self.next_id += len as u64;
+        self.next_seq += len as u64;
+        self.live += len;
     }
 
     /// Cancels a previously scheduled event.
@@ -341,35 +422,79 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest live event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Timestamp, E)> {
-        while let Some(ev) = self.heap.pop() {
+        self.pop_due(Timestamp::MAX)
+    }
+
+    /// Removes and returns the earliest event if it is scheduled at or before
+    /// `now`: one run-head-versus-heap-top comparison and, for a heap entry,
+    /// one tombstone probe per delivered event.
+    pub fn pop_due(&mut self, now: Timestamp) -> Option<(Timestamp, E)> {
+        loop {
+            let Some(top) = self.heap.peek() else {
+                return self.pop_run_due(now);
+            };
+            if let Some(run) = &self.run {
+                if (run.at, run.seq) < (top.at, top.seq) {
+                    return self.pop_run_due(now);
+                }
+            }
+            // A tombstone on top still bounds everything behind it, run
+            // head included, so "not due" needs no probe.
+            if top.at > now {
+                return None;
+            }
+            let ev = self.heap.pop().expect("peeked entry exists");
             if self.mark_dead(ev.id) {
                 self.live -= 1;
                 self.delivered += 1;
                 return Some((ev.at, ev.payload));
             }
         }
-        None
     }
 
-    /// Removes and returns the earliest event if it is scheduled at or before
-    /// `now`.
-    pub fn pop_due(&mut self, now: Timestamp) -> Option<(Timestamp, E)> {
-        match self.peek_time() {
-            Some(t) if t <= now => self.pop(),
-            _ => None,
+    /// Delivers the pending run's head if there is one and it is due by
+    /// `now`, materialising the entry behind it.
+    fn pop_run_due(&mut self, now: Timestamp) -> Option<(Timestamp, E)> {
+        let run = self.run.as_mut()?;
+        if run.at > now {
+            return None;
         }
+        self.live -= 1;
+        self.delivered += 1;
+        if run.owed == 0 {
+            return self.run.take().map(|run| (run.at, run.payload));
+        }
+        run.owed -= 1;
+        let (at, payload) = run.rest.next().expect(RUN_ENDED_EARLY);
+        assert!(at >= run.at, "a sorted run's source went back in time");
+        run.seq += 1;
+        Some((
+            std::mem::replace(&mut run.at, at),
+            std::mem::replace(&mut run.payload, payload),
+        ))
     }
 
     /// The timestamp of the earliest live event, without removing it.
     pub fn peek_time(&mut self) -> Option<Timestamp> {
         while let Some(ev) = self.heap.peek() {
-            if self.is_dead(ev.id) {
-                self.heap.pop();
-                continue;
+            if !self.is_dead(ev.id) {
+                break;
             }
-            return Some(ev.at);
+            self.heap.pop();
         }
-        None
+        let top = self.heap.peek().map(|ev| ev.at);
+        let head = self.run.as_ref().map(|run| run.at);
+        match (head, top) {
+            (Some(head), Some(top)) => Some(head.min(top)),
+            (head, top) => head.or(top),
+        }
+    }
+
+    /// Entries physically in the heap, tombstones included — a diagnostic
+    /// for how much of [`EventQueue::len`] is in flight rather than waiting
+    /// in a sorted run.
+    pub fn heap_len(&self) -> usize {
+        self.heap.len()
     }
 
     /// Number of live (not yet delivered, not cancelled) events.
@@ -439,55 +564,6 @@ impl SimClock {
     }
 }
 
-/// A simple driver that pops events in time order and hands them to a handler
-/// together with the advancing clock.
-///
-/// This is sufficient for self-contained simulations (unit tests, workload
-/// generators); the full system in the `clockwork` crate implements its own
-/// loop because it interleaves several event sources.
-pub struct SimDriver<E> {
-    /// The event queue that drives the simulation.
-    pub queue: EventQueue<E>,
-    /// The simulation clock, advanced as events are delivered.
-    pub clock: SimClock,
-}
-
-impl<E> Default for SimDriver<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> SimDriver<E> {
-    /// Creates an empty driver at time zero.
-    pub fn new() -> Self {
-        SimDriver {
-            queue: EventQueue::new(),
-            clock: SimClock::new(),
-        }
-    }
-
-    /// Runs until the queue is empty or `until` is reached, delivering each
-    /// event to `handler`. The handler may push further events.
-    pub fn run_until<F>(&mut self, until: Timestamp, mut handler: F) -> usize
-    where
-        F: FnMut(Timestamp, E, &mut EventQueue<E>),
-    {
-        let mut delivered = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event exists");
-            self.clock.advance_to(t);
-            handler(t, ev, &mut self.queue);
-            delivered += 1;
-        }
-        self.clock.advance_to(until.min(Timestamp::MAX));
-        delivered
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,16 +620,78 @@ mod tests {
 
     #[test]
     fn push_batch_matches_individual_pushes() {
+        // An unsorted batch takes the heap: descending times, each twice, so
+        // the ties must break by batch position.
         let mut q = EventQueue::new();
-        q.push_batch((0..50u32).map(|i| (Timestamp::from_millis(u64::from(100 - i)), i)));
-        assert_eq!(q.len(), 50);
+        q.push_batch((0..50u32).map(|i| (Timestamp::from_millis(u64::from(100 - i / 2)), i)));
+        assert_eq!((q.len(), q.heap_len()), (50, 50));
         let mut seen = Vec::new();
         while let Some((_, ev)) = q.pop() {
             seen.push(ev);
         }
-        // Earliest timestamps first: pushed in descending time order.
-        let expected: Vec<u32> = (0..50).rev().collect();
+        let expected: Vec<u32> = (0..25).rev().flat_map(|i| [2 * i, 2 * i + 1]).collect();
         assert_eq!(seen, expected);
+    }
+
+    #[test]
+    fn a_sorted_batch_never_enters_the_heap() {
+        let mut q = EventQueue::new();
+        let early = q.push(Timestamp::from_millis(7), u64::MAX);
+        q.push_batch((0..100_000u64).map(|i| (Timestamp::from_millis(i / 3), i)));
+        assert!(q.cancel(early));
+        assert_eq!(q.peek_time(), Some(Timestamp::ZERO));
+        assert_eq!((q.len(), q.heap_len()), (100_000, 0));
+        assert_eq!((q.pushed_total(), q.cancelled_total()), (100_001, 1));
+        for i in 0..100_000u64 {
+            assert_eq!(q.pop(), Some((Timestamp::from_millis(i / 3), i)));
+            assert_eq!(q.heap_len(), 0);
+        }
+        assert!(q.pop().is_none() && q.is_empty());
+        assert_eq!(q.delivered_total(), 100_000);
+    }
+
+    #[test]
+    fn run_entries_tie_with_heap_entries_by_submission_order() {
+        let t = Timestamp::from_millis(5);
+        let mut q = EventQueue::new();
+        q.push(t, "before");
+        q.push_batch([(t, "run 0"), (t, "run 1")]);
+        q.push(t, "after");
+        // A second sorted batch while the first is pending spills to the heap.
+        q.push_batch([(Timestamp::ZERO, "spilled early"), (t, "spilled tie")]);
+        assert_eq!(q.heap_len(), 4);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_due(t))
+            .map(|(_, p)| p)
+            .collect();
+        assert_eq!(
+            order,
+            [
+                "spilled early",
+                "before",
+                "run 0",
+                "run 1",
+                "after",
+                "spilled tie"
+            ]
+        );
+        assert_eq!(q.pushed_total(), q.delivered_total());
+    }
+
+    #[test]
+    fn run_ids_are_reserved_but_have_no_handle() {
+        let mut q = EventQueue::new();
+        let before: Vec<_> = (0..5).map(|i| q.push(Timestamp::ZERO, i)).collect();
+        // Ids 5..135: the block straddles three words of the bitset.
+        q.push_batch((5..135).map(|i| (Timestamp::ZERO, i)));
+        let after = q.push(Timestamp::ZERO, 135);
+        assert_eq!((before[4], after), (EventId(4), EventId(135)));
+        for id in 5..135 {
+            assert!(!q.cancel(EventId(id)), "run entry {id} was cancellable");
+        }
+        assert!(q.cancel(before[4]) && q.cancel(after));
+        assert_eq!((q.len(), q.cancelled_total()), (134, 2));
+        let delivered: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(delivered, (0..4).chain(5..135).collect::<Vec<_>>());
     }
 
     #[test]
@@ -611,13 +749,6 @@ mod tests {
     }
 
     #[test]
-    fn push_after_offsets_from_now() {
-        let mut q = EventQueue::new();
-        q.push_after(Timestamp::from_millis(10), Nanos::from_millis(5), ());
-        assert_eq!(q.peek_time(), Some(Timestamp::from_millis(15)));
-    }
-
-    #[test]
     fn clock_is_monotonic() {
         let mut c = SimClock::new();
         c.advance_to(Timestamp::from_millis(10));
@@ -627,39 +758,5 @@ mod tests {
             c.advance_by(Nanos::from_millis(3)),
             Timestamp::from_millis(13)
         );
-    }
-
-    #[test]
-    fn driver_delivers_in_order_and_supports_cascade() {
-        let mut d: SimDriver<u32> = SimDriver::new();
-        d.queue.push(Timestamp::from_millis(1), 1);
-        d.queue.push(Timestamp::from_millis(3), 3);
-        let mut seen = Vec::new();
-        let n = d.run_until(Timestamp::from_secs(1), |t, ev, q| {
-            seen.push((t, ev));
-            if ev == 1 {
-                q.push(t + Nanos::from_millis(1), 2);
-            }
-        });
-        assert_eq!(n, 3);
-        assert_eq!(
-            seen,
-            vec![
-                (Timestamp::from_millis(1), 1),
-                (Timestamp::from_millis(2), 2),
-                (Timestamp::from_millis(3), 3),
-            ]
-        );
-        assert_eq!(d.clock.now(), Timestamp::from_secs(1));
-    }
-
-    #[test]
-    fn driver_stops_at_until() {
-        let mut d: SimDriver<u32> = SimDriver::new();
-        d.queue.push(Timestamp::from_millis(1), 1);
-        d.queue.push(Timestamp::from_millis(100), 2);
-        let n = d.run_until(Timestamp::from_millis(50), |_, _, _| {});
-        assert_eq!(n, 1);
-        assert_eq!(d.queue.len(), 1);
     }
 }

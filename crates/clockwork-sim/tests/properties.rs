@@ -277,6 +277,91 @@ proptest! {
     }
 
     #[test]
+    fn event_queue_batches_match_the_push_everything_oracle(
+        // (op, time, batch times). Times are drawn from a range far smaller
+        // than the op count so ties between run entries and heap entries,
+        // and batches landing before times already popped, are the norm.
+        ops in proptest::collection::vec(
+            (0u8..11, 0u64..40, proptest::collection::vec(0u64..40, 0..12)),
+            1..160,
+        ),
+    ) {
+        // `real` takes every batch through `push_batch`; `oracle` pushes each
+        // entry on its own. Payloads number the entries in submission order.
+        let mut real: EventQueue<u32> = EventQueue::new();
+        let mut oracle: EventQueue<u32> = EventQueue::new();
+        let mut handles = Vec::new();
+        let mut next = 0u32;
+        let mut payloads = |n: usize| {
+            let first = next;
+            next += n as u32;
+            first..next
+        };
+        let at = Timestamp::from_nanos;
+        for (op, t, mut times) in ops {
+            let mut batch = |times: &[u64], real: &mut EventQueue<u32>| {
+                let entries: Vec<_> =
+                    times.iter().map(|&t| at(t)).zip(payloads(times.len())).collect();
+                for &(t, p) in &entries {
+                    oracle.push(t, p);
+                }
+                real.push_batch(entries);
+            };
+            match op {
+                0 => {
+                    let p = payloads(1).start;
+                    handles.push((real.push(at(t), p), oracle.push(at(t), p)));
+                }
+                // Unsorted (or, by chance, sorted or empty) as drawn.
+                1 => batch(&times, &mut real),
+                2 => {
+                    times.sort_unstable();
+                    batch(&times, &mut real);
+                }
+                // A second sorted batch while the first is still pending.
+                3 => {
+                    times.sort_unstable();
+                    batch(&times, &mut real);
+                    batch(&times, &mut real);
+                }
+                4 => batch(&vec![t; times.len()], &mut real),
+                5 => batch(&[], &mut real),
+                6 => {
+                    if !handles.is_empty() {
+                        let (a, b) = handles.swap_remove(t as usize % handles.len());
+                        prop_assert_eq!(real.cancel(a), oracle.cancel(b));
+                    }
+                }
+                7 => {
+                    if let Some((a, b)) = handles.pop() {
+                        let p = payloads(1).start;
+                        handles.push((
+                            real.reschedule(a, at(t), p),
+                            oracle.reschedule(b, at(t), p),
+                        ));
+                    }
+                }
+                8 => prop_assert_eq!(real.pop(), oracle.pop()),
+                9 => prop_assert_eq!(real.pop_due(at(t)), oracle.pop_due(at(t))),
+                _ => prop_assert_eq!(real.peek_time(), oracle.peek_time()),
+            }
+            prop_assert_eq!(real.len(), oracle.len());
+            prop_assert_eq!(real.pushed_total(), oracle.pushed_total());
+            prop_assert_eq!(real.delivered_total(), oracle.delivered_total());
+            prop_assert_eq!(real.cancelled_total(), oracle.cancelled_total());
+            prop_assert_eq!(
+                real.pushed_total(),
+                real.delivered_total() + real.cancelled_total() + real.len() as u64
+            );
+        }
+        while let Some(delivered) = oracle.pop() {
+            prop_assert_eq!(real.pop(), Some(delivered));
+        }
+        prop_assert_eq!(real.pop(), None);
+        prop_assert!(real.is_empty());
+    }
+
+    #[test]
     fn sim_clock_is_monotone_under_arbitrary_advances(steps in proptest::collection::vec(0u64..DAY_NS, 0..200)) {
         let mut clock = SimClock::new();
         let mut prev = clock.now();

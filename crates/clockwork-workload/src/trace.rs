@@ -7,6 +7,8 @@
 //! experiments are shrunk to simulation budgets (each figure binary's header
 //! comment in `crates/bench/src/bin/` records its scaling).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use clockwork_model::{ModelId, Tier};
@@ -27,16 +29,27 @@ pub struct TraceEvent {
 }
 
 /// A time-ordered sequence of request arrivals.
+///
+/// The events are immutable once built and held behind an [`Arc`], so a
+/// clone shares the storage: the serving system replays a trace from a clone
+/// instead of a copy.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    events: Arc<Vec<TraceEvent>>,
 }
 
 impl Trace {
     /// Creates a trace from events, sorting them by arrival time.
     pub fn new(mut events: Vec<TraceEvent>) -> Self {
         events.sort_by_key(|e| (e.at, e.model));
-        Trace { events }
+        Trace::presorted(events)
+    }
+
+    /// Wraps events that are already in arrival order.
+    fn presorted(events: Vec<TraceEvent>) -> Self {
+        Trace {
+            events: Arc::new(events),
+        }
     }
 
     /// The events, in arrival order.
@@ -78,14 +91,13 @@ impl Trace {
 
     /// Returns a copy truncated to arrivals before `cutoff`.
     pub fn truncated(&self, cutoff: Timestamp) -> Trace {
-        Trace {
-            events: self
-                .events
+        Trace::presorted(
+            self.events
                 .iter()
                 .copied()
                 .filter(|e| e.at < cutoff)
                 .collect(),
-        }
+        )
     }
 
     /// Returns a copy with all arrival times compressed by `factor` (2.0
@@ -94,21 +106,20 @@ impl Trace {
         if factor <= 0.0 {
             return self.clone();
         }
-        Trace {
-            events: self
-                .events
+        Trace::presorted(
+            self.events
                 .iter()
                 .map(|e| TraceEvent {
                     at: Timestamp::from_nanos((e.at.as_nanos() as f64 / factor).round() as u64),
                     ..*e
                 })
                 .collect(),
-        }
+        )
     }
 
     /// Merges two traces into one ordered trace.
     pub fn merged(&self, other: &Trace) -> Trace {
-        let mut events = self.events.clone();
+        let mut events = self.events.to_vec();
         events.extend(other.events.iter().copied());
         Trace::new(events)
     }
@@ -125,7 +136,7 @@ impl Trace {
         mut owner: impl FnMut(ModelId) -> usize,
     ) -> Vec<Trace> {
         let mut parts: Vec<Vec<TraceEvent>> = vec![Vec::new(); shards];
-        for e in &self.events {
+        for e in self.events.iter() {
             let shard = owner(e.model);
             assert!(
                 shard < shards,
@@ -136,7 +147,7 @@ impl Trace {
         }
         // Each partition is a subsequence of an ordered trace, so it is
         // already sorted; construct directly rather than re-sorting.
-        parts.into_iter().map(|events| Trace { events }).collect()
+        parts.into_iter().map(Trace::presorted).collect()
     }
 
     /// Returns a copy with every event's model id remapped. With a monotone
@@ -158,7 +169,7 @@ impl Trace {
     /// Serialises the trace to a simple CSV (`at_ns,model,slo_ns,tier`).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("at_ns,model,slo_ns,tier\n");
-        for e in &self.events {
+        for e in self.events.iter() {
             out.push_str(&format!(
                 "{},{},{},{}\n",
                 e.at.as_nanos(),

@@ -679,12 +679,21 @@ impl ServingSystem {
         specs.iter().map(|s| self.register_model(s)).collect()
     }
 
-    /// Submits every request of a trace in one batched push.
+    /// Submits every request of a trace.
+    ///
+    /// The arrivals are counted as scheduled from this call on
+    /// ([`ServingSystem::pending_events`], the event mix), but they stay in
+    /// the trace — shared with the caller's, not copied — as a sorted run
+    /// beside the event heap, and each becomes an event only when it is next
+    /// to be delivered. Delivery order and every counter are exactly those of
+    /// pushing each arrival as its own event here, in trace order.
     pub fn submit_trace(&mut self, trace: &Trace) {
         self.telemetry
             .event_mix
             .note_pushed_n(KIND_CLIENT_SUBMIT, trace.len() as u64);
-        self.queue.push_batch(trace.events().iter().map(|event| {
+        let trace = trace.clone();
+        self.queue.push_run((0..trace.len()).map(move |i| {
+            let event = &trace.events()[i];
             (
                 event.at,
                 SystemEvent::ClientSubmit {
@@ -887,7 +896,11 @@ impl ServingSystem {
             if self.tracer.is_some() {
                 self.trace_response(&response);
             }
-            let client = self.request_owner.remove(&response.request);
+            let client = if self.request_owner.is_empty() {
+                None
+            } else {
+                self.request_owner.remove(&response.request)
+            };
             let bytes = self
                 .models
                 .get(&response.model)
@@ -1185,6 +1198,13 @@ impl ServingSystem {
         self.queue.len() as u64
     }
 
+    /// How many of the pending events are physically in the event heap
+    /// (cancelled entries not yet discarded included): what is in flight,
+    /// as opposed to trace arrivals still waiting in their sorted run.
+    pub fn heap_len(&self) -> usize {
+        self.queue.heap_len()
+    }
+
     /// The event queue's own lifetime counters `(pushed, delivered,
     /// cancelled)`, independent of the per-kind telemetry mix. Tests use
     /// these to pin that the mix accounts for every push site.
@@ -1208,13 +1228,9 @@ impl ServingSystem {
     pub fn run_until_events(&mut self, until: Timestamp, max_events: u64) {
         let mut budget = max_events;
         while budget > 0 {
-            let Some(t) = self.queue.peek_time() else {
+            let Some((t, event)) = self.queue.pop_due(until) else {
                 break;
             };
-            if t > until {
-                break;
-            }
-            let (t, event) = self.queue.pop().expect("event exists");
             if t > self.now {
                 self.now = t;
             }

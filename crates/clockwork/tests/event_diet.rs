@@ -104,3 +104,105 @@ fn the_diet_does_not_change_serving_outcomes_accounting() {
     );
     assert!(m.satisfaction() > 0.5, "the fleet still serves its load");
 }
+
+// ---------------------------------------------------------------------
+// Trace arrivals stay a sorted run beside the event heap: `submit_trace`
+// must be indistinguishable — digest, event mix, queue counters — from
+// submitting every arrival as its own event, which is what it used to do.
+// ---------------------------------------------------------------------
+
+/// Hands a trace to the system whole, or one `submit_request` per arrival
+/// (the oracle: every arrival an event in the heap from the start).
+fn submit(system: &mut ServingSystem, trace: &Trace, per_arrival: bool) {
+    if per_arrival {
+        for e in trace.events() {
+            assert_eq!(e.tier, Tier::Strict, "submit_request is strict-only");
+            system.submit_request(e.at, e.model, e.slo);
+        }
+    } else {
+        system.submit_trace(trace);
+    }
+}
+
+/// Runs `spec` in 250 ms slices, checking the conservation identity at every
+/// slice boundary and submitting `late` (if any) at the half-way boundary.
+/// Returns the finished system and the largest `heap_len()` seen.
+fn run_sliced(
+    spec: &ScenarioSpec,
+    factory: &dyn SchedulerFactory,
+    per_arrival: bool,
+    late: Option<&Trace>,
+) -> (ServingSystem, usize) {
+    let trace = spec.generated_trace().expect("smoke is trace-driven");
+    let mut system = ServingSystem::from_spec(spec, factory);
+    submit(&mut system, &trace, per_arrival);
+    let horizon = spec.horizon();
+    let half = Timestamp::from_nanos(horizon.as_nanos() / 2);
+    let mut peak_heap = system.heap_len();
+    let mut until = Timestamp::ZERO;
+    while until < horizon {
+        until = (until + Nanos::from_millis(250)).min(horizon);
+        system.run_until(until);
+        peak_heap = peak_heap.max(system.heap_len());
+        let mix = system.telemetry().event_mix();
+        assert_eq!(
+            mix.pushed(),
+            mix.delivered() + mix.cancelled() + system.pending_events(),
+            "conservation identity violated mid-run at {until:?}"
+        );
+        if let (true, Some(late)) = (until == half, late) {
+            submit(&mut system, late, per_arrival);
+        }
+    }
+    (system, peak_heap)
+}
+
+#[test]
+fn submit_trace_matches_per_arrival_submission() {
+    let plain = ScenarioSpec::smoke(7);
+    let churned = plain.clone().with_faults(plain.scripted_churn());
+    // Arrivals over the same ten seconds, so a submission at the half-way
+    // mark has some already in the past and some still to come.
+    let first = plain.generated_trace().unwrap().len();
+    assert!(first > 3_000, "scenario too small to be meaningful");
+    let late = ScenarioSpec::smoke(8).generated_trace().unwrap();
+    assert!(late.events()[0].at < Timestamp::from_secs(6));
+    assert!(late.duration() > Timestamp::from_secs(6));
+    let factories: [&dyn SchedulerFactory; 2] = [&ClockworkFactory::default(), &FifoFactory];
+    for spec in [&plain, &churned] {
+        for factory in factories {
+            for late in [None, Some(&late)] {
+                let (lazy, lazy_peak) = run_sliced(spec, factory, false, late);
+                let (oracle, oracle_peak) = run_sliced(spec, factory, true, late);
+                let case = format!(
+                    "{} / {} faults / late trace: {}",
+                    factory.name(),
+                    spec.faults.len(),
+                    late.is_some()
+                );
+                assert_eq!(
+                    lazy.telemetry().response_digest(),
+                    oracle.telemetry().response_digest(),
+                    "{case}"
+                );
+                assert_eq!(
+                    lazy.telemetry().event_mix(),
+                    oracle.telemetry().event_mix(),
+                    "{case}"
+                );
+                assert_eq!(lazy.queue_counters(), oracle.queue_counters(), "{case}");
+                assert_eq!(lazy.pending_events(), oracle.pending_events(), "{case}");
+                let arrivals = lazy.telemetry().metrics().total_requests as usize;
+                assert_eq!(arrivals, first + late.map_or(0, Trace::len), "{case}");
+                if late.is_none() {
+                    // Only what is in flight is ever in the heap.
+                    assert!(
+                        lazy_peak < arrivals / 10 && oracle_peak > arrivals / 2,
+                        "{case}: heap peaked at {lazy_peak} (oracle {oracle_peak}) \
+                         for {arrivals} arrivals"
+                    );
+                }
+            }
+        }
+    }
+}
