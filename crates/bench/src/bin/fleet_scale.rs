@@ -8,9 +8,9 @@
 //! wall-clock events per second — alongside the usual serving metrics
 //! (goodput, SLO violation rate) and a peak-RSS proxy. Results are written
 //! to `BENCH_fleet.json` at the repo root; CI's `perf-smoke` job replays a
-//! fixed-work prefix (`--events 500000`) and fails the build if events/sec
-//! regresses more than 30 % below the checked-in baseline
-//! (`crates/bench/baseline/BENCH_fleet.json`).
+//! fixed-work prefix (`--events 500000`) as an event-conservation smoke.
+//! Events/sec is reported, not gated: the repo's wall-clock contract is the
+//! `benchmark/` package (`BENCHMARK.json`).
 //!
 //! The scenario itself is `ScenarioSpec::fleet_scale()`, shared with the
 //! `chaos_fleet` and `chaos_compare` harnesses so a chaos run differs from
@@ -25,7 +25,7 @@
 //! Usage:
 //! ```text
 //! cargo run --release -p bench --bin fleet_scale -- \
-//!     [--events N] [--out PATH] [--baseline PATH] [--seed N] \
+//!     [--events N] [--out PATH] [--seed N] \
 //!     [--expect-digest HEX] [--tick-profile]
 //! ```
 //!
@@ -35,16 +35,12 @@
 
 use clockwork::prelude::*;
 
-/// Maximum tolerated drop of events/sec below the baseline (CI gate).
-const REGRESSION_TOLERANCE: f64 = 0.30;
-
-const USAGE: &str = "fleet_scale [--events N] [--out PATH] [--baseline PATH] [--seed N] \
+const USAGE: &str = "fleet_scale [--events N] [--out PATH] [--seed N] \
                      [--expect-digest HEX] [--tick-profile]";
 
 struct Args {
     max_events: u64,
     out: String,
-    baseline: Option<String>,
     seed: u64,
     expect_digest: Option<u64>,
     tick_profile: bool,
@@ -55,7 +51,6 @@ impl Args {
         Ok(Args {
             max_events: cli.value("--events")?.unwrap_or(u64::MAX),
             out: cli.value("--out")?.unwrap_or("BENCH_fleet.json".into()),
-            baseline: cli.value("--baseline")?,
             seed: cli.value("--seed")?.unwrap_or(2020),
             expect_digest: cli.hex_u64("--expect-digest")?,
             tick_profile: cli.switch("--tick-profile"),
@@ -173,22 +168,6 @@ fn main() {
     }
     if let Some(expected) = args.expect_digest {
         if !bench::invariants::check_expected_digest(&run.discipline, expected, &run) {
-            failed = true;
-        }
-    }
-    if let Some(baseline_path) = &args.baseline {
-        let baseline = std::fs::read_to_string(baseline_path).expect("read baseline json");
-        let base_eps = bench::json_number(&baseline, "events_per_sec")
-            .expect("baseline json has no events_per_sec");
-        let floor = base_eps * (1.0 - REGRESSION_TOLERANCE);
-        println!(
-            "# perf gate: {events_per_sec:.0} events/sec vs baseline {base_eps:.0} (floor {floor:.0})"
-        );
-        if events_per_sec < floor {
-            eprintln!(
-                "PERF REGRESSION: {events_per_sec:.0} events/sec is more than {:.0}% below baseline {base_eps:.0}",
-                REGRESSION_TOLERANCE * 100.0
-            );
             failed = true;
         }
     }

@@ -334,18 +334,6 @@ pub fn peak_rss_kb() -> u64 {
     0
 }
 
-/// Extracts a numeric field from a flat JSON document without a JSON parser
-/// (the workspace builds offline; the bench schemas are flat and stable).
-pub fn json_number(doc: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,8 +363,6 @@ mod tests {
         assert!(analysis.final_availability > 0.99);
         assert!(analysis.pre.arrivals > 0);
         assert!(analysis.retention() > 0.0);
-        assert_eq!(json_number("{\"a\": 42.5, \"b\": 1}", "a"), Some(42.5));
-        assert_eq!(json_number("{\"a\": 1}", "missing"), None);
     }
 
     #[test]

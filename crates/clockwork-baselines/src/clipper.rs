@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use clockwork_controller::request::{InferenceRequest, RejectReason, RequestOutcome, Response};
+use clockwork_controller::request::{InferenceRequest, RejectReason, Response};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 use clockwork_controller::worker_state::{GpuRef, WorkerStateTracker};
 use clockwork_model::{ModelId, ModelSpec};
@@ -276,16 +276,11 @@ impl Scheduler for ClipperScheduler {
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
         let Some(state) = self.models.get_mut(&request.model) else {
-            ctx.send_response(Response {
-                request: request.id,
-                model: request.model,
-                arrival: request.arrival,
-                deadline: request.deadline(),
-                outcome: RequestOutcome::Rejected {
-                    at: now,
-                    reason: RejectReason::UnknownModel,
-                },
-            });
+            ctx.send_response(Response::rejected(
+                &request,
+                now,
+                RejectReason::UnknownModel,
+            ));
             return;
         };
         if request.has_slo() {
@@ -296,10 +291,7 @@ impl Scheduler for ClipperScheduler {
     }
 
     fn on_result(&mut self, now: Timestamp, result: &ActionResult, ctx: &mut SchedulerCtx) {
-        let gpu_ref = GpuRef {
-            worker: result.worker,
-            gpu: result.gpu,
-        };
+        let gpu_ref = GpuRef::of(result);
         match result.action_type {
             "LOAD" => {
                 // A result whose action is no longer outstanding is stale —
@@ -332,19 +324,7 @@ impl Scheduler for ClipperScheduler {
                     match &result.outcome {
                         ActionOutcome::Success(timing) => {
                             for r in &requests {
-                                ctx.send_response(Response {
-                                    request: r.id,
-                                    model: r.model,
-                                    arrival: r.arrival,
-                                    deadline: r.deadline(),
-                                    outcome: RequestOutcome::Success {
-                                        completed: timing.end,
-                                        batch: result.batch,
-                                        worker: result.worker,
-                                        gpu: result.gpu,
-                                        cold_start: false,
-                                    },
-                                });
+                                ctx.send_response(Response::success(r, result, timing.end, false));
                             }
                             if let Some(first) = requests.first() {
                                 self.adapt_batch(first.model, timing.end - first.arrival);

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use clockwork_controller::request::{InferenceRequest, RejectReason, RequestOutcome, Response};
+use clockwork_controller::request::{InferenceRequest, RejectReason, Response};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 use clockwork_controller::worker_state::{GpuRef, WorkerStateTracker};
 use clockwork_model::{ModelId, ModelSpec};
@@ -65,7 +65,6 @@ pub struct InfaasScheduler {
     models: BTreeMap<ModelId, ModelState>,
     tracker: WorkerStateTracker,
     in_flight: HashMap<clockwork_worker::ActionId, Vec<InferenceRequest>>,
-    load_targets: HashMap<clockwork_worker::ActionId, GpuRef>,
     load_estimates: HashMap<ModelId, Nanos>,
     next_gpu: usize,
 }
@@ -78,7 +77,6 @@ impl InfaasScheduler {
             models: BTreeMap::new(),
             tracker: WorkerStateTracker::new(),
             in_flight: HashMap::new(),
-            load_targets: HashMap::new(),
             load_estimates: HashMap::new(),
             next_gpu: 0,
         }
@@ -135,7 +133,6 @@ impl InfaasScheduler {
         );
         self.tracker
             .note_load_sent(gpu_ref, id, model_id, weights, now, load_est);
-        self.load_targets.insert(id, gpu_ref);
         self.models
             .get_mut(&model_id)
             .expect("model exists")
@@ -260,16 +257,11 @@ impl Scheduler for InfaasScheduler {
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
         let Some(state) = self.models.get_mut(&request.model) else {
-            ctx.send_response(Response {
-                request: request.id,
-                model: request.model,
-                arrival: request.arrival,
-                deadline: request.deadline(),
-                outcome: RequestOutcome::Rejected {
-                    at: now,
-                    reason: RejectReason::UnknownModel,
-                },
-            });
+            ctx.send_response(Response::rejected(
+                &request,
+                now,
+                RejectReason::UnknownModel,
+            ));
             return;
         };
         state.queue.push_back(request);
@@ -277,31 +269,25 @@ impl Scheduler for InfaasScheduler {
     }
 
     fn on_result(&mut self, now: Timestamp, result: &ActionResult, ctx: &mut SchedulerCtx) {
-        let gpu_ref = GpuRef {
-            worker: result.worker,
-            gpu: result.gpu,
-        };
+        let gpu_ref = GpuRef::of(result);
         match result.action_type {
             "LOAD" => {
                 // A result whose action is no longer outstanding is stale —
                 // the GPU died (and was wiped) after producing it; it must
                 // not resurrect a replica on capacity that no longer holds
-                // the weights.
+                // the weights. An applied one was outstanding on the GPU it
+                // reports, which is therefore the GPU the LOAD was sent to.
                 let applied = self.tracker.note_load_result(
                     gpu_ref,
                     result.action_id,
                     result.model,
                     result.is_success(),
                 );
-                let target = self
-                    .load_targets
-                    .remove(&result.action_id)
-                    .unwrap_or(gpu_ref);
                 if applied.is_some() {
                     if let Some(state) = self.models.get_mut(&result.model) {
-                        state.loading.retain(|g| *g != target);
-                        if result.is_success() && !state.replicas.contains(&target) {
-                            state.replicas.push(target);
+                        state.loading.retain(|g| *g != gpu_ref);
+                        if result.is_success() && !state.replicas.contains(&gpu_ref) {
+                            state.replicas.push(gpu_ref);
                         }
                     }
                 }
@@ -319,19 +305,7 @@ impl Scheduler for InfaasScheduler {
                     match &result.outcome {
                         ActionOutcome::Success(timing) => {
                             for r in &requests {
-                                ctx.send_response(Response {
-                                    request: r.id,
-                                    model: r.model,
-                                    arrival: r.arrival,
-                                    deadline: r.deadline(),
-                                    outcome: RequestOutcome::Success {
-                                        completed: timing.end,
-                                        batch: result.batch,
-                                        worker: result.worker,
-                                        gpu: result.gpu,
-                                        cold_start: false,
-                                    },
-                                });
+                                ctx.send_response(Response::success(r, result, timing.end, false));
                             }
                         }
                         ActionOutcome::Error { .. } => {
@@ -372,7 +346,6 @@ impl Scheduler for InfaasScheduler {
             state.loading.retain(alive);
         }
         for (_, action) in lost.iter().rev() {
-            self.load_targets.remove(&action.id);
             if let Some(requests) = self.in_flight.remove(&action.id) {
                 if let Some(first) = requests.first() {
                     if let Some(state) = self.models.get_mut(&first.model) {

@@ -21,7 +21,7 @@ use clockwork_model::{ModelId, ModelSpec};
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
 
-use crate::request::{InferenceRequest, RejectReason, RequestOutcome, Response};
+use crate::request::{InferenceRequest, RejectReason, Response};
 use crate::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 use crate::worker_state::{GpuRef, WorkerStateTracker};
 
@@ -77,16 +77,11 @@ impl FifoScheduler {
         // Dispatch everything immediately, round-robin, one request per INFER.
         while let Some(request) = self.queue.pop_front() {
             let Some(spec) = self.models.get(&request.model).cloned() else {
-                ctx.send_response(Response {
-                    request: request.id,
-                    model: request.model,
-                    arrival: request.arrival,
-                    deadline: request.deadline(),
-                    outcome: RequestOutcome::Rejected {
-                        at: now,
-                        reason: RejectReason::UnknownModel,
-                    },
-                });
+                ctx.send_response(Response::rejected(
+                    &request,
+                    now,
+                    RejectReason::UnknownModel,
+                ));
                 continue;
             };
             let gpu_ref = alive[self.next_gpu % alive.len()];
@@ -162,10 +157,7 @@ impl Scheduler for FifoScheduler {
     }
 
     fn on_result(&mut self, now: Timestamp, result: &ActionResult, ctx: &mut SchedulerCtx) {
-        let gpu_ref = GpuRef {
-            worker: result.worker,
-            gpu: result.gpu,
-        };
+        let gpu_ref = GpuRef::of(result);
         match result.action_type {
             "LOAD" => {
                 self.tracker.note_load_result(
@@ -178,25 +170,13 @@ impl Scheduler for FifoScheduler {
             "INFER" => {
                 self.tracker.note_infer_result(gpu_ref, result.action_id);
                 if let Some(request) = self.in_flight.remove(&result.action_id) {
-                    let outcome = match &result.outcome {
-                        ActionOutcome::Success(timing) => RequestOutcome::Success {
-                            completed: timing.end,
-                            batch: result.batch,
-                            worker: result.worker,
-                            gpu: result.gpu,
-                            cold_start: false,
-                        },
-                        ActionOutcome::Error { at, .. } => RequestOutcome::Rejected {
-                            at: *at,
-                            reason: RejectReason::WorkerRejected,
-                        },
-                    };
-                    ctx.send_response(Response {
-                        request: request.id,
-                        model: request.model,
-                        arrival: request.arrival,
-                        deadline: request.deadline(),
-                        outcome,
+                    ctx.send_response(match &result.outcome {
+                        ActionOutcome::Success(timing) => {
+                            Response::success(&request, result, timing.end, false)
+                        }
+                        ActionOutcome::Error { at, .. } => {
+                            Response::rejected(&request, *at, RejectReason::WorkerRejected)
+                        }
                     });
                 }
             }

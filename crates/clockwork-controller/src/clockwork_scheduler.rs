@@ -19,32 +19,39 @@
 //! least-recently-used. Admission control rejects requests whose SLO cannot
 //! be met even in the best case, before any work is wasted on them.
 //!
+//! The scheduler's state is two things, each with one owner: the mirror of
+//! the workers ([`WorkerStateTracker`]) and the queued requests
+//! (`RequestQueues`, crate-private). What is kept here is policy, plus what
+//! policy derives from those two.
+//!
 //! Every callback runs the whole pass (expire → INFER → LOAD → INFER), so
 //! the pass re-derives only what moved since the last one. Three caches
-//! carry the rest over, and three signals invalidate them:
+//! carry the rest over. The two per-model ones validate themselves by key —
+//! each remembers what it was built from and is rebuilt on the next read
+//! that finds the key moved; nothing marks them stale:
 //!
-//! * a model's **queue changed** (push, dispatch, expiry, requeue — always
-//!   through `note_queue_changed` + `resync_urgency`): its strategy list is
-//!   rebuilt on next use (`cache_dirty`), and its entry in the demand ledger
-//!   is re-estimated on next read, since the ledger is keyed by queue
-//!   length;
-//! * one of a model's **estimates moved** (the profiler's `model_epoch`, on
-//!   every seed or measurement of that model): both its strategy list
-//!   (`cache_epoch`) and its ledger entry (keyed by the epoch too) go stale
-//!   — other models' caches are untouched;
-//! * **residency changed** (a LOAD or eviction dispatched by the LOAD pass
-//!   itself): the pass-local LOAD priority list is recomputed before its
-//!   next use; between dispatches it is reused across GPUs and slots.
+//! * a model's **strategy list** is keyed by (queue version, profiler
+//!   `model_epoch`): `RequestQueues` bumps the version on every push,
+//!   dispatch, expiry and requeue of that model, and the profiler bumps the
+//!   epoch on every seed or measurement of it — other models' lists are
+//!   untouched by either;
+//! * a model's entry in the **demand ledger** is keyed by (queue length,
+//!   `model_epoch`), which is all its value depends on;
+//! * the pass-local **LOAD priority list** goes stale when residency changes
+//!   (a LOAD or eviction dispatched by the LOAD pass itself) and is
+//!   recomputed before its next use; between dispatches it is reused across
+//!   GPUs and slots.
 //!
 //! Time passing alone invalidates none of them — what it can change
 //! (deadlines lapsing, executors entering the lookahead, cold rejections
-//! ageing out) is handled by the expiry pass and the journal's clean
-//! horizon. And when a pass has sent no action at all by the time its second
-//! INFER pass is due, that pass would see exactly the state the first one
-//! left and is skipped.
+//! ageing out) is handled by the expiry pass and the clean horizon
+//! (`clean_until`, the earliest instant a tick could decide anything; a
+//! topology change resets it to zero). And when a pass has sent no action at
+//! all by the time its second INFER pass is due, that pass would see exactly
+//! the state the first one left and is skipped.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -56,10 +63,11 @@ use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
 
 use crate::batching;
-use crate::journal::{ChangeJournal, SchedProfile};
+use crate::journal::SchedProfile;
 use crate::model_table::ModelTable;
 use crate::profile::{ActionProfiler, ProfileKey};
-use crate::request::{InferenceRequest, RejectReason, RequestOutcome, Response};
+use crate::request::{InferenceRequest, RejectReason, Response};
+use crate::request_queues::{PendingRequest, RequestQueues};
 use crate::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 use crate::worker_state::{Executor, GpuRef, WorkerStateTracker};
 
@@ -137,25 +145,11 @@ pub struct SchedulerStats {
     pub cold_requests: u64,
 }
 
-#[derive(Clone, Debug)]
-struct PendingRequest {
-    request: InferenceRequest,
-    deadline: Timestamp,
-    cold: bool,
-}
-
+/// Per-model policy state: the spec and the two caches derived from the
+/// model's queue and estimates.
 #[derive(Clone, Debug)]
 struct ModelEntry {
     spec: Arc<ModelSpec>,
-    queue: VecDeque<PendingRequest>,
-    /// Multiset of the deadlines currently in `queue` (unbounded requests
-    /// contribute `Timestamp::MAX`), maintained incrementally on every
-    /// push/drain/expiry so the earliest deadline is the first key instead
-    /// of an O(queue-length) rescan.
-    deadlines: BTreeMap<Timestamp, u32>,
-    /// The earliest deadline in `queue` (`Timestamp::MAX` when empty or
-    /// all-unbounded); the cached first key of `deadlines`, always exact.
-    min_deadline_hint: Timestamp,
     /// Cached `(batch, required_start, suffix_max_required_start)` strategy
     /// candidates in ascending batch order, mirroring Appendix B's strategy
     /// queue. The third element is the maximum `required_start` from this
@@ -163,11 +157,10 @@ struct ModelEntry {
     /// is what lets [`ClockworkScheduler::strategy_for`] binary-search for
     /// the last feasible entry (`required_start` itself is *usually*
     /// non-increasing, but measured profiles can make a larger batch
-    /// faster). Valid while `cache_epoch` matches the profiler epoch and
-    /// `cache_dirty` is unset.
+    /// faster). Valid while `strategies_for` is still (queue version,
+    /// profiler `model_epoch`).
     strategies: Vec<(u32, Timestamp, Timestamp)>,
-    cache_epoch: u64,
-    cache_dirty: bool,
+    strategies_for: (u64, u64),
     /// The demand ledger: the queue's LOAD demand (Appendix B) — the
     /// per-request share of the estimated cost of the compiled batch
     /// covering the whole queue, times the queue length. A function of the
@@ -186,46 +179,13 @@ impl ModelEntry {
         let supported = spec.supported_batches();
         ModelEntry {
             spec,
-            queue: VecDeque::new(),
-            deadlines: BTreeMap::new(),
-            min_deadline_hint: Timestamp::MAX,
+            // A queue's version is 0 only while it has never held a request,
+            // and the strategies of such a queue are the empty list.
             strategies: Vec::new(),
-            cache_epoch: 0,
-            cache_dirty: true,
+            strategies_for: (0, 0),
             demand: Nanos::ZERO,
             demand_for: (0, 0),
             supported,
-        }
-    }
-
-    /// Notes that `queue` changed, invalidating the strategy cache.
-    fn note_queue_changed(&mut self) {
-        self.cache_dirty = true;
-    }
-
-    /// Records a deadline entering `queue`.
-    fn deadline_added(&mut self, deadline: Timestamp) {
-        *self.deadlines.entry(deadline).or_insert(0) += 1;
-        if deadline < self.min_deadline_hint {
-            self.min_deadline_hint = deadline;
-        }
-    }
-
-    /// Records a deadline leaving `queue` (dispatch or expiry).
-    fn deadline_removed(&mut self, deadline: Timestamp) {
-        if let Some(count) = self.deadlines.get_mut(&deadline) {
-            *count -= 1;
-            if *count == 0 {
-                self.deadlines.remove(&deadline);
-            }
-        }
-        if deadline <= self.min_deadline_hint {
-            self.min_deadline_hint = self
-                .deadlines
-                .keys()
-                .next()
-                .copied()
-                .unwrap_or(Timestamp::MAX);
         }
     }
 }
@@ -235,10 +195,8 @@ pub struct ClockworkScheduler {
     config: ClockworkSchedulerConfig,
     /// Per-model policy state, dense by model id (see [`ModelTable`]).
     models: ModelTable<ModelEntry>,
-    queued_models: BTreeSet<ModelId>,
-    /// Requests queued across all models, kept in step with the queues by
-    /// [`Self::resync_urgency`].
-    queued_total: usize,
+    /// Every admitted request not yet dispatched (see [`RequestQueues`]).
+    queues: RequestQueues,
     tracker: WorkerStateTracker,
     profiler: ActionProfiler,
     /// The requests riding on each INFER action that has not resolved yet.
@@ -252,19 +210,15 @@ pub struct ClockworkScheduler {
     /// construction.
     cold_rejections: BTreeMap<ModelId, VecDeque<Timestamp>>,
     stats: SchedulerStats,
-    /// Change journal driving the early-out tick path: event-driven entry
-    /// points mark it dirty, a completed pass marks it clean until the
-    /// earliest instant pure time passage could change a decision.
-    journal: ChangeJournal,
+    /// The clean horizon driving the early-out tick path: a completed pass
+    /// sets it to the earliest instant pure time passage could change a
+    /// decision ([`Timestamp::MAX`] when quiescent), and a tick before it is
+    /// a provable no-op. [`Timestamp::ZERO`] — at start, and after a topology
+    /// change that ran no pass — means the next tick must run one.
+    clean_until: Timestamp,
     /// Self-profiling counters exported through
     /// [`Scheduler::sched_profile`].
     profile: SchedProfile,
-    /// Per-model urgency index over the queued models:
-    /// `(min_deadline_hint, model)` kept in lock-step with the queues, so
-    /// the expiry pass visits only models whose earliest deadline is inside
-    /// the expiry window and the quiescence edge reads the global earliest
-    /// deadline in O(log n) — instead of rescanning every queued model.
-    urgency: BTreeSet<(Timestamp, ModelId)>,
     /// Running upper bound on every model's batch-1 execution estimate
     /// (never decreases), bounding how early any queued deadline can expire.
     max_est1: Nanos,
@@ -295,15 +249,13 @@ impl ClockworkScheduler {
             profiler: ActionProfiler::new(),
             config,
             models: ModelTable::default(),
-            queued_models: BTreeSet::new(),
-            queued_total: 0,
+            queues: RequestQueues::default(),
             tracker: WorkerStateTracker::new(),
             in_flight: HashMap::new(),
             cold_rejections: BTreeMap::new(),
             stats: SchedulerStats::default(),
-            journal: ChangeJournal::new(),
+            clean_until: Timestamp::ZERO,
             profile: SchedProfile::default(),
-            urgency: BTreeSet::new(),
             max_est1: Nanos::ZERO,
             tick_anchor: Cell::new(None),
             scratch_models: Vec::new(),
@@ -329,7 +281,7 @@ impl ClockworkScheduler {
 
     /// Number of requests currently queued (not yet dispatched).
     pub fn queued_requests(&self) -> usize {
-        self.queued_total
+        self.queues.total()
     }
 
     /// Number of INFER batches currently in flight.
@@ -392,7 +344,7 @@ impl ClockworkScheduler {
         let Some(entry) = self.models.get(model) else {
             return est1;
         };
-        let backlog = entry.queue.len() as u32 + 1;
+        let backlog = self.queues.len(model) as u32 + 1;
         let replicas = self.tracker.gpus_with_model(model).len() as u32;
         let spec = entry.spec.as_ref();
         let profiler = &self.profiler;
@@ -423,13 +375,7 @@ impl ClockworkScheduler {
             RejectReason::BestEffortShed => self.stats.rejected_shed += 1,
             RejectReason::UnknownModel => {}
         }
-        ctx.send_response(Response {
-            request: pending.request.id,
-            model: pending.request.model,
-            arrival: pending.request.arrival,
-            deadline: pending.deadline,
-            outcome: RequestOutcome::Rejected { at, reason },
-        });
+        ctx.send_response(Response::rejected(&pending.request, at, reason));
     }
 
     /// Drops queued requests that can no longer meet their deadline.
@@ -447,7 +393,7 @@ impl ClockworkScheduler {
                 !history.is_empty()
             });
         }
-        if self.urgency.is_empty() {
+        if self.queues.queued().is_empty() {
             return;
         }
         // Only models whose earliest deadline falls inside the conservative
@@ -459,71 +405,18 @@ impl ClockworkScheduler {
         let global_cutoff = now + self.max_est1 + NETWORK_ALLOWANCE;
         let mut model_ids = std::mem::take(&mut self.scratch_models);
         model_ids.clear();
-        model_ids.extend(
-            self.urgency
-                .iter()
-                .take_while(|&&(hint, _)| hint < global_cutoff)
-                .map(|&(_, model)| model),
-        );
+        model_ids.extend(self.queues.due_before(global_cutoff));
         model_ids.sort_unstable();
         let mut expired = std::mem::take(&mut self.scratch_expired);
         for &model_id in &model_ids {
-            let min_exec = self.exec_estimate(model_id, 1);
-            let cutoff = now + min_exec + NETWORK_ALLOWANCE;
-            let (old_len, old_hint) = {
-                let Some(entry) = self.models.get_mut(model_id) else {
-                    continue;
-                };
-                if cutoff <= entry.min_deadline_hint {
-                    // No queued deadline can have lapsed yet.
-                    continue;
-                }
-                let old_len = entry.queue.len();
-                let old_hint = entry.min_deadline_hint;
-                expired.clear();
-                entry.queue.retain(|p| {
-                    let doomed = p.deadline != Timestamp::MAX && cutoff > p.deadline;
-                    if doomed {
-                        expired.push(p.clone());
-                    }
-                    !doomed
-                });
-                if !expired.is_empty() {
-                    entry.note_queue_changed();
-                    for p in &expired {
-                        entry.deadline_removed(p.deadline);
-                    }
-                }
-                (old_len, old_hint)
-            };
-            if !expired.is_empty() {
-                self.resync_urgency(model_id, old_len, old_hint);
-            }
-            for p in expired.drain(..) {
-                self.reject(&p, now, RejectReason::DeadlineElapsed, ctx);
-            }
+            let cutoff = now + self.exec_estimate(model_id, 1) + NETWORK_ALLOWANCE;
+            self.queues.expire(model_id, cutoff, &mut expired);
+        }
+        for p in expired.drain(..) {
+            self.reject(&p, now, RejectReason::DeadlineElapsed, ctx);
         }
         self.scratch_models = model_ids;
         self.scratch_expired = expired;
-    }
-
-    /// Re-syncs the urgency index, the queued-model set and the queued-request
-    /// count after `model`'s queue or earliest deadline changed.
-    /// `old_len`/`old_hint` describe the queue *before* the mutation.
-    fn resync_urgency(&mut self, model: ModelId, old_len: usize, old_hint: Timestamp) {
-        let entry = self.models.get(model).expect("model exists");
-        self.queued_total = self.queued_total - old_len + entry.queue.len();
-        let now_queued = !entry.queue.is_empty();
-        let new_hint = entry.min_deadline_hint;
-        if old_len > 0 {
-            self.urgency.remove(&(old_hint, model));
-        }
-        if now_queued {
-            self.urgency.insert((new_hint, model));
-            self.queued_models.insert(model);
-        } else {
-            self.queued_models.remove(&model);
-        }
     }
 
     /// Estimated completion time of the LOAD currently in flight for a model
@@ -546,25 +439,22 @@ impl ClockworkScheduler {
     fn ensure_strategies(
         batching: bool,
         profiler: &ActionProfiler,
+        queues: &RequestQueues,
         model_id: ModelId,
         entry: &mut ModelEntry,
     ) -> bool {
-        let epoch = profiler.model_epoch(model_id);
-        if !entry.cache_dirty && entry.cache_epoch == epoch {
+        let key = (queues.version(model_id), profiler.model_epoch(model_id));
+        if entry.strategies_for == key {
             return false;
         }
-        entry.cache_dirty = false;
-        entry.cache_epoch = epoch;
+        entry.strategies_for = key;
         let ModelEntry {
-            spec,
-            queue,
-            strategies,
-            ..
+            spec, strategies, ..
         } = entry;
         batching::build_strategies(
-            queue.iter().map(|p| p.deadline),
+            queues.deadlines(model_id),
             spec.batch_profiles.iter().map(|p| p.batch),
-            queue.len() as u32,
+            queues.len(model_id) as u32,
             NETWORK_ALLOWANCE,
             batching,
             |batch| Self::exec_estimate_with(profiler, Some(spec), model_id, batch),
@@ -596,7 +486,7 @@ impl ClockworkScheduler {
     /// the order a full visit of the fleet would use, so decisions do not
     /// depend on how many GPUs were skipped.
     fn schedule_infers(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
-        if self.queued_models.is_empty() {
+        if self.queues.queued().is_empty() {
             return;
         }
         let horizon = now + LOOKAHEAD;
@@ -605,7 +495,7 @@ impl ClockworkScheduler {
             .actionable_into(Executor::Infer, horizon, &mut gpu_indices);
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         for &gpu_idx in &gpu_indices {
-            if self.queued_models.is_empty() {
+            if self.queues.queued().is_empty() {
                 break;
             }
             loop {
@@ -618,7 +508,7 @@ impl ClockworkScheduler {
                 // map; both iterate in ascending ModelId order, so the scan
                 // visits the same candidates in the same order either way.
                 candidates.clear();
-                let queued = &self.queued_models;
+                let queued = self.queues.queued();
                 let avail = &self.tracker.gpus()[gpu_idx].models;
                 if avail.len() <= queued.len() {
                     candidates.extend(
@@ -651,6 +541,7 @@ impl ClockworkScheduler {
                     if Self::ensure_strategies(
                         self.config.batching,
                         &self.profiler,
+                        &self.queues,
                         model_id,
                         entry,
                     ) {
@@ -686,16 +577,7 @@ impl ClockworkScheduler {
         ctx: &mut SchedulerCtx,
     ) {
         let est = self.exec_estimate(model_id, batch);
-        let entry = self.models.get_mut(model_id).expect("model exists");
-        let old_len = entry.queue.len();
-        let old_hint = entry.min_deadline_hint;
-        let serve = (batch as usize).min(entry.queue.len());
-        let requests: Vec<PendingRequest> = entry.queue.drain(..serve).collect();
-        entry.note_queue_changed();
-        for p in &requests {
-            entry.deadline_removed(p.deadline);
-        }
-        self.resync_urgency(model_id, old_len, old_hint);
+        let requests = self.queues.take_front(model_id, batch as usize);
         let min_deadline = requests
             .iter()
             .map(|p| p.deadline)
@@ -728,19 +610,22 @@ impl ClockworkScheduler {
         self.stats.infer_actions += 1;
     }
 
-    /// A queue's LOAD demand, computed from scratch (see
-    /// [`ModelEntry::demand`]).
-    fn queue_demand(profiler: &ActionProfiler, model_id: ModelId, entry: &ModelEntry) -> Nanos {
-        let count = entry.queue.len() as u32;
+    /// The LOAD demand of a queue of `count` requests, computed from scratch
+    /// (see [`ModelEntry::demand`]).
+    fn queue_demand(
+        profiler: &ActionProfiler,
+        model_id: ModelId,
+        spec: &ModelSpec,
+        count: u32,
+    ) -> Nanos {
         if count == 0 {
             return Nanos::ZERO;
         }
-        let batch = entry
-            .spec
+        let batch = spec
             .batch_for_count(count)
             .map(|p| p.batch)
-            .unwrap_or(entry.spec.max_batch().max(1));
-        let est = Self::exec_estimate_with(profiler, Some(&entry.spec), model_id, batch);
+            .unwrap_or(spec.max_batch().max(1));
+        let est = Self::exec_estimate_with(profiler, Some(spec), model_id, batch);
         est / u64::from(batch.max(1)) * u64::from(count)
     }
 
@@ -774,16 +659,15 @@ impl ClockworkScheduler {
     /// re-estimated.
     fn model_demands_into(&mut self, now: Timestamp, demands: &mut Vec<(ModelId, Nanos)>) {
         demands.clear();
-        for &model_id in &self.queued_models {
+        for &model_id in self.queues.queued() {
             let Some(entry) = self.models.get_mut(model_id) else {
                 continue;
             };
-            if entry.queue.is_empty() {
-                continue;
-            }
-            let key = (entry.queue.len(), self.profiler.model_epoch(model_id));
+            let len = self.queues.len(model_id);
+            let key = (len, self.profiler.model_epoch(model_id));
             if entry.demand_for != key {
-                entry.demand = Self::queue_demand(&self.profiler, model_id, entry);
+                entry.demand =
+                    Self::queue_demand(&self.profiler, model_id, &entry.spec, len as u32);
                 entry.demand_for = key;
             }
             demands.push((model_id, entry.demand));
@@ -796,11 +680,14 @@ impl ClockworkScheduler {
     #[cfg(any(test, debug_assertions))]
     fn reference_demands(&self, now: Timestamp) -> Vec<(ModelId, Nanos)> {
         let mut demands: Vec<(ModelId, Nanos)> = self
-            .queued_models
+            .queues
+            .queued()
             .iter()
             .filter_map(|&m| Some((m, self.models.get(m)?)))
-            .filter(|(_, entry)| !entry.queue.is_empty())
-            .map(|(m, entry)| (m, Self::queue_demand(&self.profiler, m, entry)))
+            .map(|(m, entry)| {
+                let len = self.queues.len(m) as u32;
+                (m, Self::queue_demand(&self.profiler, m, &entry.spec, len))
+            })
             .collect();
         self.add_cold_demands(now, &mut demands);
         demands
@@ -894,7 +781,7 @@ impl ClockworkScheduler {
     /// [`ClockworkScheduler::schedule_infers`] for the visiting order),
     /// evicting LRU models when needed.
     fn schedule_loads(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
-        if self.queued_models.is_empty() && self.cold_rejections.is_empty() {
+        if self.queues.queued().is_empty() && self.cold_rejections.is_empty() {
             return;
         }
         let horizon = now + LOOKAHEAD;
@@ -974,7 +861,7 @@ impl ClockworkScheduler {
         // queued requests and no outstanding work.
         let mut protect = std::mem::take(&mut self.scratch_protect);
         protect.clear();
-        protect.extend(self.queued_models.iter().copied());
+        protect.extend(self.queues.queued().iter().copied());
         if let Some(track) = self.tracker.get(gpu_ref) {
             protect.extend(track.outstanding.values().map(|o| o.model));
         }
@@ -1051,7 +938,7 @@ impl ClockworkScheduler {
     }
 
     /// Runs one full scheduling pass unconditionally, bypassing the
-    /// early-out journal. This is the rebuild-per-tick oracle surface the
+    /// early-out. This is the rebuild-per-tick oracle surface the
     /// differential tests drive; production paths go through the trait
     /// callbacks.
     pub fn run_full_pass(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
@@ -1063,30 +950,31 @@ impl ClockworkScheduler {
     /// kept its fixed-cadence chain alive. [`Scheduler::next_tick`] gates on
     /// it, and the differential tests use it to replay the legacy cadence.
     pub fn has_outstanding_work(&self) -> bool {
-        !self.queued_models.is_empty()
+        !self.queues.queued().is_empty()
             || !self.in_flight.is_empty()
             || self.tracker.outstanding_loads() > 0
     }
 
-    /// Recomputes the journal's clean horizon after a completed pass: the
+    /// Recomputes the clean horizon after a completed pass: the
     /// earliest future instant at which pure time passage — no request, no
     /// result, no fault — could make another pass produce a decision. Every
     /// time-driven enabler in the pass is covered by one edge below;
     /// everything else is monotone in `now` (rising `exec_start` only
     /// shrinks strategy feasibility; warm demand and residency only change
-    /// through journaled events). Edges err early, never late: a too-early
-    /// edge costs a no-op pass at a grid time the rebuild-every-tick
-    /// scheduler also ticked, a too-late edge would skip a decision.
+    /// through events, which run their own pass). Edges err early, never
+    /// late: a too-early edge costs a no-op pass at a grid time the
+    /// rebuild-every-tick scheduler also ticked, a too-late edge would skip
+    /// a decision.
     fn refresh_clean_until(&mut self, now: Timestamp) {
-        if self.queued_models.is_empty() && self.cold_rejections.is_empty() {
+        if self.queues.queued().is_empty() && self.cold_rejections.is_empty() {
             // Every stage of the pass early-returns in this state, at any
             // `now`: the scheduler is quiescent until an event arrives.
-            self.journal.mark_clean_until(Timestamp::MAX);
+            self.clean_until = Timestamp::MAX;
             return;
         }
         let horizon = now + LOOKAHEAD;
         let mut edge = Timestamp::MAX;
-        if !self.queued_models.is_empty() {
+        if !self.queues.queued().is_empty() {
             // An INFER executor crossing into the lookahead horizon opens a
             // slot for the queued work.
             if let Some(free_at) = self.tracker.next_beyond(Executor::Infer, horizon) {
@@ -1094,10 +982,8 @@ impl ClockworkScheduler {
             }
             // The earliest queued deadline can lapse (`max_est1` bounds the
             // per-model estimate the expiry cutoff uses).
-            if let Some(&(hint, _)) = self.urgency.iter().next() {
-                if hint != Timestamp::MAX {
-                    edge = edge.min(hint - self.max_est1 - NETWORK_ALLOWANCE);
-                }
+            if let Some(deadline) = self.queues.earliest().filter(|&d| d != Timestamp::MAX) {
+                edge = edge.min(deadline - self.max_est1 - NETWORK_ALLOWANCE);
             }
         }
         // A LOAD executor crossing into the horizon opens a load slot (cold
@@ -1112,7 +998,7 @@ impl ClockworkScheduler {
                 edge = edge.min(front + LOAD_PRIORITY_HORIZON);
             }
         }
-        self.journal.mark_clean_until(edge);
+        self.clean_until = edge;
     }
 
     fn handle_infer_result(
@@ -1121,11 +1007,8 @@ impl ClockworkScheduler {
         result: &ActionResult,
         ctx: &mut SchedulerCtx,
     ) {
-        let gpu_ref = GpuRef {
-            worker: result.worker,
-            gpu: result.gpu,
-        };
-        self.tracker.note_infer_result(gpu_ref, result.action_id);
+        self.tracker
+            .note_infer_result(GpuRef::of(result), result.action_id);
         let Some(batch) = self.in_flight.remove(&result.action_id) else {
             return;
         };
@@ -1140,19 +1023,12 @@ impl ClockworkScheduler {
                 self.max_est1 = self.max_est1.max(self.exec_estimate(result.model, 1));
                 for pending in &batch {
                     self.stats.completed += 1;
-                    ctx.send_response(Response {
-                        request: pending.request.id,
-                        model: pending.request.model,
-                        arrival: pending.request.arrival,
-                        deadline: pending.deadline,
-                        outcome: RequestOutcome::Success {
-                            completed: timing.end,
-                            batch: result.batch,
-                            worker: result.worker,
-                            gpu: result.gpu,
-                            cold_start: pending.cold,
-                        },
-                    });
+                    ctx.send_response(Response::success(
+                        &pending.request,
+                        result,
+                        timing.end,
+                        pending.cold,
+                    ));
                 }
             }
             ActionOutcome::Error { at, .. } => {
@@ -1179,14 +1055,7 @@ impl ClockworkScheduler {
             let still_possible = pending.deadline == Timestamp::MAX
                 || now + min_exec + NETWORK_ALLOWANCE < pending.deadline;
             if still_possible {
-                let model = pending.request.model;
-                let entry = self.models.get_mut(model).expect("model exists");
-                let old_len = entry.queue.len();
-                let old_hint = entry.min_deadline_hint;
-                entry.note_queue_changed();
-                entry.deadline_added(pending.deadline);
-                entry.queue.push_front(pending);
-                self.resync_urgency(model, old_len, old_hint);
+                self.queues.push_front(pending);
             } else {
                 self.reject(&pending, at, reason, ctx);
             }
@@ -1194,14 +1063,14 @@ impl ClockworkScheduler {
     }
 
     fn handle_load_result(&mut self, result: &ActionResult) {
-        let gpu_ref = GpuRef {
-            worker: result.worker,
-            gpu: result.gpu,
-        };
         // The tracker ignores a stale result (its action was already
         // resolved by a fault); the measurement is still a measurement.
-        self.tracker
-            .note_load_result(gpu_ref, result.action_id, result.model, result.is_success());
+        self.tracker.note_load_result(
+            GpuRef::of(result),
+            result.action_id,
+            result.model,
+            result.is_success(),
+        );
         if let ActionOutcome::Success(timing) = &result.outcome {
             self.profiler
                 .record(ProfileKey::load(result.model), timing.device_duration);
@@ -1214,7 +1083,7 @@ impl Scheduler for ClockworkScheduler {
         self.tracker.add_gpu(gpu_ref, total_pages, page_size);
         // Fresh cold capacity is immediately actionable; the next tick must
         // run a full pass (no `schedule()` runs on this path).
-        self.journal.note_change();
+        self.clean_until = Timestamp::ZERO;
     }
 
     /// Registers a model, seeding its execution profiles from the compiled
@@ -1227,21 +1096,16 @@ impl Scheduler for ClockworkScheduler {
         self.profiler.seed(ProfileKey::load(id), load_seed);
         self.models.insert(id, ModelEntry::new(spec));
         self.max_est1 = self.max_est1.max(self.exec_estimate(id, 1));
-        self.journal.note_change();
+        self.clean_until = Timestamp::ZERO;
     }
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
         if self.models.get(request.model).is_none() {
-            ctx.send_response(Response {
-                request: request.id,
-                model: request.model,
-                arrival: request.arrival,
-                deadline: request.deadline(),
-                outcome: RequestOutcome::Rejected {
-                    at: now,
-                    reason: RejectReason::UnknownModel,
-                },
-            });
+            ctx.send_response(Response::rejected(
+                &request,
+                now,
+                RejectReason::UnknownModel,
+            ));
             return;
         }
         let cold = self.tracker.gpus_with_model(request.model).is_empty();
@@ -1319,7 +1183,7 @@ impl Scheduler for ClockworkScheduler {
                 // loss was a queue-deadline miss and not one request was
                 // shed). Fold the aggregate backlog's fair drain share into
                 // the best-effort bar; strict admission is untouched.
-                let queued = self.queued_total as u64;
+                let queued = self.queues.total() as u64;
                 let alive = self.tracker.alive_gpus().max(1) as u64;
                 let pressure = Nanos::from_nanos(exec.as_nanos().saturating_mul(queued) / alive);
                 let scaled = Nanos::from_nanos(
@@ -1359,24 +1223,18 @@ impl Scheduler for ClockworkScheduler {
                 estimate: estimate.as_nanos(),
             });
         }
-        let entry = self.models.get_mut(request.model).expect("checked above");
-        let old_len = entry.queue.len();
-        let old_hint = entry.min_deadline_hint;
-        entry.note_queue_changed();
-        entry.deadline_added(pending.deadline);
-        entry.queue.push_back(pending);
-        self.resync_urgency(request.model, old_len, old_hint);
+        self.queues.push_back(pending);
         self.schedule(now, ctx);
         if ctx.tracing() {
             // If the dispatch pass left this request queued, the urgency
             // index deferred it — record when the model's queue next turns
             // urgent (its earliest queued deadline).
-            let entry = self.models.get(request.model).expect("checked above");
-            if entry.queue.back().map(|p| p.request.id) == Some(request.id) {
+            let last = self.queues.requests(request.model).next_back();
+            if last.map(|p| p.request.id) == Some(request.id) {
                 ctx.trace(TraceEvent::Deferred {
                     request: request.id.0,
                     model: request.model.0,
-                    until: entry.min_deadline_hint.as_nanos(),
+                    until: self.queues.min_deadline(request.model).as_nanos(),
                 });
             }
         }
@@ -1392,9 +1250,9 @@ impl Scheduler for ClockworkScheduler {
     }
 
     fn on_tick(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) -> TickOutcome {
-        if !self.journal.needs_pass(now) {
-            // Nothing changed since the last pass and no time edge was
-            // crossed: the pass would be a provable no-op. O(1).
+        if now < self.clean_until {
+            // Every event since the last pass ran its own and no time edge
+            // was crossed: the pass would be a provable no-op. O(1).
             self.profile.ticks_skipped += 1;
             return TickOutcome::Skipped;
         }
@@ -1430,9 +1288,9 @@ impl Scheduler for ClockworkScheduler {
     /// the chain started from idle. Deadline-expiry rejections are stamped
     /// with the tick time they run at, so productive passes must land on
     /// byte-identical instants — this returns only points of that grid,
-    /// skipping the prefix the journal proves would early-out, and `None`
-    /// when no grid point can ever be productive (quiescent, or settled
-    /// until the next event).
+    /// skipping the prefix the clean horizon proves would early-out, and
+    /// `None` when no grid point can ever be productive (quiescent, or
+    /// settled until the next event).
     fn next_tick(&self, now: Timestamp) -> Option<Timestamp> {
         if !self.has_outstanding_work() {
             // The legacy chain stopped here; the anchor resets exactly as
@@ -1450,26 +1308,20 @@ impl Scheduler for ClockworkScheduler {
             }
         };
         let interval = TICK_INTERVAL.as_nanos();
-        // Earliest instant a pass could be productive. A dirty journal means
-        // "the very next grid point"; a clean one lets the whole provably
-        // no-op prefix of the grid go unscheduled.
-        let earliest = if self.journal.is_dirty() {
-            now
-        } else {
-            let clean_until = self.journal.clean_until();
-            if clean_until == Timestamp::MAX {
-                // Busy but settled: every future tick would early-out until
-                // an event re-dirties the state — and that event's own pass
-                // restarts the chain.
-                return None;
-            }
-            clean_until
-        };
-        // First grid point strictly after `now` and not before `earliest`.
-        let base = earliest.max(now);
+        if self.clean_until == Timestamp::MAX {
+            // Busy but settled: every future tick would early-out until an
+            // event changes the state — and that event's own pass restarts
+            // the chain.
+            return None;
+        }
+        // First grid point strictly after `now` and not before the clean
+        // horizon: the whole provably no-op prefix of the grid goes
+        // unscheduled (a horizon already reached means "the very next grid
+        // point").
+        let base = self.clean_until.max(now);
         let elapsed = (base - anchor).as_nanos();
         let k = elapsed / interval;
-        let next = if base > now && elapsed % interval == 0 {
+        let next = if base > now && elapsed.is_multiple_of(interval) {
             k
         } else {
             k + 1
@@ -1495,7 +1347,7 @@ impl Scheduler for ClockworkScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RequestId;
+    use crate::request::{RequestId, RequestOutcome};
     use clockwork_model::zoo::ModelZoo;
     use clockwork_worker::{ActionId, ActionTiming, GpuId, WorkerId};
 
@@ -2099,6 +1951,37 @@ mod tests {
     }
 
     #[test]
+    fn a_topology_change_makes_the_next_tick_run_a_full_pass() {
+        let mut s = scheduler_with_one_gpu(100);
+        let mut ctx = SchedulerCtx::new();
+        // Fully planned (LOAD and INFER in flight, nothing queued): busy but
+        // settled, so ticks early-out and none is wanted.
+        s.on_request(Timestamp::ZERO, request(1, 1, 0, 100), &mut ctx);
+        assert_eq!(s.next_tick(Timestamp::ZERO), None);
+        let now = Timestamp::from_nanos(2_500_000);
+        assert_eq!(s.on_tick(now, &mut ctx), TickOutcome::Skipped);
+        // Neither registration runs a pass of its own, so each must make the
+        // next tick run one — and ask for it at the very next grid point.
+        let changes: [fn(&mut ClockworkScheduler); 2] = [
+            |s| {
+                let joined = GpuRef {
+                    worker: WorkerId(1),
+                    gpu: GpuId(0),
+                };
+                s.add_gpu(joined, 100, PAGE)
+            },
+            |s| s.add_model(ModelId(2), resnet(), Nanos::from_millis_f64(8.33)),
+        ];
+        for change in changes {
+            change(&mut s);
+            assert_eq!(s.next_tick(now), Some(Timestamp::from_millis(3)));
+            assert_eq!(s.on_tick(now, &mut ctx), TickOutcome::Full);
+            assert_eq!(s.on_tick(now, &mut ctx), TickOutcome::Skipped);
+            assert_eq!(s.next_tick(now), None, "settled again");
+        }
+    }
+
+    #[test]
     fn lru_unload_makes_room_when_cache_is_full() {
         // 8 pages: exactly one ResNet50 (7 pages) fits at a time.
         let mut s = ClockworkScheduler::with_defaults();
@@ -2277,11 +2160,8 @@ mod tests {
         // r1, r2, r4 (gpu 0), r3 (gpu 1), so the queue reads r3, r4, r2, r1.
         // Global action-id order would leave r4, r3, r2, r1.
         let queue: Vec<u64> = s
-            .models
-            .get(ModelId(1))
-            .expect("registered")
-            .queue
-            .iter()
+            .queues
+            .requests(ModelId(1))
             .map(|p| p.request.id.0)
             .collect();
         assert_eq!(queue, vec![3, 4, 2, 1]);

@@ -9,10 +9,14 @@
 //! * [`request`] — the client-facing request/response vocabulary.
 //! * [`profile`] — rolling per-(model, action, batch) duration estimates
 //!   (the last-10-measurements window of §5.3).
-//! * [`journal`] — the change journal and self-profiling counters behind
-//!   the incremental, early-out tick pipeline.
+//! * [`journal`] — the self-profiling counters of the incremental,
+//!   early-out tick pipeline.
 //! * [`worker_state`] — the controller's mirror of each worker's memory
-//!   state, outstanding actions, and executor availability.
+//!   state, outstanding actions, and executor availability; the one owner
+//!   of every per-GPU fact.
+//! * `request_queues` (crate-private) — the per-model queues of admitted
+//!   requests with their deadline, urgency and count indices; the one owner
+//!   of every queued-request fact.
 //! * [`scheduler`] — the `Scheduler` trait and the context through which
 //!   schedulers emit actions and responses.
 //! * [`registry`] — open registration of disciplines: `SchedulerFactory`
@@ -38,11 +42,12 @@ mod model_table;
 pub mod profile;
 pub mod registry;
 pub mod request;
+mod request_queues;
 pub mod scheduler;
 pub mod worker_state;
 
 pub use clockwork_scheduler::{ClockworkScheduler, ClockworkSchedulerConfig};
-pub use journal::{ChangeJournal, SchedProfile};
+pub use journal::SchedProfile;
 pub use profile::{ActionProfiler, ProfileKey, ProfileKind};
 pub use registry::{
     ClockworkFactory, ClockworkNoBatchFactory, FifoFactory, SchedulerFactory, SchedulerRegistry,

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use clockwork_model::{ModelId, Tier};
 use clockwork_sim::time::{Nanos, Timestamp};
-use clockwork_worker::{GpuId, WorkerId};
+use clockwork_worker::{ActionResult, GpuId, WorkerId};
 
 /// Identifier of a client request.
 #[derive(
@@ -169,6 +169,39 @@ pub struct Response {
 }
 
 impl Response {
+    /// The rejection of `request`, decided at `at`.
+    pub fn rejected(request: &InferenceRequest, at: Timestamp, reason: RejectReason) -> Self {
+        Response::of(request, RequestOutcome::Rejected { at, reason })
+    }
+
+    /// The success of `request`, served by the INFER that `result` reports
+    /// and available at the controller at `completed`.
+    pub fn success(
+        request: &InferenceRequest,
+        result: &ActionResult,
+        completed: Timestamp,
+        cold_start: bool,
+    ) -> Self {
+        let outcome = RequestOutcome::Success {
+            completed,
+            batch: result.batch,
+            worker: result.worker,
+            gpu: result.gpu,
+            cold_start,
+        };
+        Response::of(request, outcome)
+    }
+
+    fn of(request: &InferenceRequest, outcome: RequestOutcome) -> Self {
+        Response {
+            request: request.id,
+            model: request.model,
+            arrival: request.arrival,
+            deadline: request.deadline(),
+            outcome,
+        }
+    }
+
     /// End-to-end latency of a successful response.
     pub fn latency(&self) -> Option<Nanos> {
         self.outcome.completed_at().map(|done| done - self.arrival)

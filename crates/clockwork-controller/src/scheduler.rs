@@ -90,24 +90,9 @@ impl SchedulerCtx {
         )
     }
 
-    /// Queues an already-built action.
-    pub fn send_prebuilt(&mut self, worker: WorkerId, action: Action) {
-        self.actions.push((worker, action));
-    }
-
     /// Queues a response to a client.
     pub fn send_response(&mut self, response: Response) {
         self.responses.push(response);
-    }
-
-    /// Number of queued actions.
-    pub fn action_count(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// Number of queued responses.
-    pub fn response_count(&self) -> usize {
-        self.responses.len()
     }
 
     /// Drains the queued actions (called by the controller harness).
@@ -251,12 +236,10 @@ mod tests {
             Nanos::from_millis(8),
         );
         assert_ne!(id, b);
-        assert_eq!(ctx.action_count(), 1);
         let actions = ctx.take_actions();
         assert_eq!(actions.len(), 1);
         assert_eq!(actions[0].0, WorkerId(1));
         assert_eq!(actions[0].1.id, id);
-        assert_eq!(ctx.action_count(), 0);
         assert!(ctx.take_actions().is_empty());
     }
 
@@ -274,8 +257,7 @@ mod tests {
                 reason: crate::request::RejectReason::UnknownModel,
             },
         });
-        assert_eq!(ctx.response_count(), 1);
         assert_eq!(ctx.take_responses().len(), 1);
-        assert_eq!(ctx.response_count(), 0);
+        assert!(ctx.take_responses().is_empty());
     }
 }

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use clockwork_model::ModelId;
 use clockwork_sim::engine::FaultKind;
 use clockwork_sim::time::{Nanos, Timestamp};
-use clockwork_worker::{ActionId, GpuId, WorkerId};
+use clockwork_worker::{ActionId, ActionResult, GpuId, WorkerId};
 
 use crate::model_table::ModelTable;
 
@@ -34,6 +34,16 @@ pub struct GpuRef {
     pub worker: WorkerId,
     /// The GPU on that worker.
     pub gpu: GpuId,
+}
+
+impl GpuRef {
+    /// The GPU an action result came from.
+    pub fn of(result: &ActionResult) -> Self {
+        GpuRef {
+            worker: result.worker,
+            gpu: result.gpu,
+        }
+    }
 }
 
 impl std::fmt::Display for GpuRef {

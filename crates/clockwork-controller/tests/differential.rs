@@ -2,9 +2,9 @@
 //! rebuild-every-tick oracle.
 //!
 //! The incremental scheduler's whole correctness argument is "every tick the
-//! journal skips would have been a no-op, and `next_tick` only prunes grid
-//! points a full pass could not act on". This harness checks that claim the
-//! blunt way: drive two copies of [`ClockworkScheduler`] through the same
+//! clean horizon skips would have been a no-op, and `next_tick` only prunes
+//! grid points a full pass could not act on". This harness checks that claim
+//! the blunt way: drive two copies of [`ClockworkScheduler`] through the same
 //! random sequence of requests, synthesized results and fleet faults — one
 //! gated exactly the way the facade gates it (`next_tick` + keep-earlier
 //! tick reconciliation), the other running [`ClockworkScheduler::

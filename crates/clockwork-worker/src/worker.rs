@@ -203,11 +203,10 @@ struct GpuState {
 struct Completion {
     gpu_index: usize,
     result: ActionResult,
-    io_release: u64,
-    exec_finished: bool,
-    /// Weights reference to drop when the completion fires (successful
-    /// INFERs pin their model's pages for the duration of execution).
-    unpin: Option<ModelId>,
+    /// Set for a successful INFER, which holds three things on its GPU until
+    /// the completion fires: this many bytes of IO staging, one in-flight
+    /// EXEC slot, and a pin on its model's weight pages.
+    infer_io: Option<u64>,
 }
 
 /// A Clockwork worker.
@@ -636,18 +635,18 @@ impl Worker {
             return;
         };
         let gpu = &mut self.gpus[completion.gpu_index];
-        if completion.io_release > 0 {
-            gpu.io_cache.release(completion.io_release);
-        }
-        if completion.exec_finished && gpu.in_flight_execs > 0 {
-            gpu.in_flight_execs -= 1;
-        }
-        if let Some(model) = completion.unpin {
-            gpu.page_cache.unpin(model);
+        if let Some(io_bytes) = completion.infer_io {
+            gpu.io_cache.release(io_bytes);
+            gpu.in_flight_execs = gpu.in_flight_execs.saturating_sub(1);
+            gpu.page_cache.unpin(completion.result.model);
         }
         results.push(completion.result);
     }
 
+    /// Starts the next ready action of one executor. This is the one place
+    /// an action's fate becomes an [`ActionResult`] and a scheduled
+    /// completion: the `run_*` methods below do the action's work and report
+    /// what finished, or why nothing could start.
     fn start_next_action(&mut self, start: Timestamp, gpu_index: usize, is_load_executor: bool) {
         let queued = {
             let gpu = &mut self.gpus[gpu_index];
@@ -659,81 +658,64 @@ impl Worker {
             ex.pop_ready(start)
         };
         let Some(queued) = queued else { return };
-        let action = queued.action;
-        let received = queued.received;
-        match action.kind.clone() {
-            ActionKind::Load { model } => self.run_load(gpu_index, action, received, start, model),
+        let (action, received) = (queued.action, queued.received);
+        let action_type = action.kind.type_name();
+        let window = action.window;
+        let (model, batch, request_ids, finished) = match action.kind {
+            ActionKind::Load { model } => {
+                let finished = self.run_load(gpu_index, window, received, start, model);
+                (model, 1, vec![], finished.map(|timing| (timing, None)))
+            }
             ActionKind::Unload { model } => {
-                self.run_unload(gpu_index, action, received, start, model)
+                let timing = self.run_unload(gpu_index, received, start, model);
+                (model, 1, vec![], Ok((timing, None)))
             }
             ActionKind::Infer {
                 model,
                 batch,
                 request_ids,
-            } => self.run_infer(
-                gpu_index,
-                action,
-                received,
-                start,
-                model,
-                batch,
-                request_ids,
-            ),
-        }
-    }
-
-    fn make_result(
-        &self,
-        action: &Action,
-        model: ModelId,
-        batch: u32,
-        request_ids: Vec<u64>,
-        outcome: ActionOutcome,
-    ) -> ActionResult {
-        ActionResult {
+            } => {
+                let finished = self.run_infer(
+                    gpu_index,
+                    window,
+                    received,
+                    start,
+                    model,
+                    batch,
+                    &request_ids,
+                );
+                let finished = finished.map(|(timing, io_bytes)| (timing, Some(io_bytes)));
+                (model, batch, request_ids, finished)
+            }
+        };
+        let (at, outcome, infer_io) = match finished {
+            Ok((timing, infer_io)) => (timing.end, ActionOutcome::Success(timing), infer_io),
+            Err(error) => {
+                if error == ActionError::WindowElapsed {
+                    self.telemetry.counters.window_rejections += 1;
+                } else {
+                    self.telemetry.counters.failures += 1;
+                }
+                (start, ActionOutcome::Error { error, at: start }, None)
+            }
+        };
+        let result = ActionResult {
             action_id: action.id,
             worker: self.config.id,
             gpu: action.gpu,
             model,
-            action_type: action.kind.type_name(),
+            action_type,
             batch,
             request_ids,
             expected_duration: action.expected_duration,
             outcome,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fail(
-        &mut self,
-        gpu_index: usize,
-        action: &Action,
-        model: ModelId,
-        batch: u32,
-        request_ids: Vec<u64>,
-        at: Timestamp,
-        error: ActionError,
-    ) {
-        if error == ActionError::WindowElapsed {
-            self.telemetry.counters.window_rejections += 1;
-        } else {
-            self.telemetry.counters.failures += 1;
-        }
-        let result = self.make_result(
-            action,
-            model,
-            batch,
-            request_ids,
-            ActionOutcome::Error { error, at },
-        );
+        };
         self.completions.push(
             at,
             Completion {
                 gpu_index,
                 result,
-                io_release: 0,
-                exec_finished: false,
-                unpin: None,
+                infer_io,
             },
         );
     }
@@ -741,53 +723,25 @@ impl Worker {
     fn run_load(
         &mut self,
         gpu_index: usize,
-        action: Action,
+        window: TimeWindow,
         received: Timestamp,
         start: Timestamp,
         model: ModelId,
-    ) {
-        if action.window.expired(start) {
-            return self.fail(
-                gpu_index,
-                &action,
-                model,
-                1,
-                vec![],
-                start,
-                ActionError::WindowElapsed,
-            );
+    ) -> Result<ActionTiming, ActionError> {
+        if window.expired(start) {
+            return Err(ActionError::WindowElapsed);
         }
-        let Some(spec) = self.models.get(&model).cloned() else {
-            return self.fail(
-                gpu_index,
-                &action,
-                model,
-                1,
-                vec![],
-                start,
-                ActionError::UnknownModel,
-            );
-        };
+        let spec = self.models.get(&model).ok_or(ActionError::UnknownModel)?;
         let weights_bytes = spec.weights_bytes();
         let already_loaded = self.gpus[gpu_index].page_cache.contains(model);
         if !already_loaded {
-            let alloc = self.gpus[gpu_index]
+            self.gpus[gpu_index]
                 .page_cache
-                .allocate(model, weights_bytes, start);
-            if let Err(e) = alloc {
-                return self.fail(
-                    gpu_index,
-                    &action,
-                    model,
-                    1,
-                    vec![],
-                    start,
-                    ActionError::InsufficientPages {
-                        needed: e.needed,
-                        available: e.available,
-                    },
-                );
-            }
+                .allocate(model, weights_bytes, start)
+                .map_err(|e| ActionError::InsufficientPages {
+                    needed: e.needed,
+                    available: e.available,
+                })?;
         }
         // Copy weights over PCIe (a no-op copy if already resident).
         let base = if already_loaded {
@@ -802,125 +756,60 @@ impl Worker {
         self.telemetry
             .record_load(gpu_index, t_start, t_end, duration);
         self.telemetry.counters.loads_completed += 1;
-        let timing = ActionTiming {
+        Ok(ActionTiming {
             received,
             start: t_start,
             end: t_end,
             device_duration: duration,
-        };
-        let result = self.make_result(&action, model, 1, vec![], ActionOutcome::Success(timing));
-        self.completions.push(
-            t_end,
-            Completion {
-                gpu_index,
-                result,
-                io_release: 0,
-                exec_finished: false,
-                unpin: None,
-            },
-        );
+        })
     }
 
+    /// UNLOAD only updates metadata and always succeeds (§5.2).
     fn run_unload(
         &mut self,
         gpu_index: usize,
-        action: Action,
         received: Timestamp,
         start: Timestamp,
         model: ModelId,
-    ) {
-        // UNLOAD only updates metadata and always succeeds (§5.2).
+    ) -> ActionTiming {
         let gpu = &mut self.gpus[gpu_index];
         let _freed = gpu.page_cache.release(model);
         let duration = Nanos::from_micros(5);
         let end = start + duration;
         gpu.load_executor.occupy_until(end);
         self.telemetry.counters.unloads_completed += 1;
-        let timing = ActionTiming {
+        ActionTiming {
             received,
             start,
             end,
             device_duration: duration,
-        };
-        let result = self.make_result(&action, model, 1, vec![], ActionOutcome::Success(timing));
-        self.completions.push(
-            end,
-            Completion {
-                gpu_index,
-                result,
-                io_release: 0,
-                exec_finished: false,
-                unpin: None,
-            },
-        );
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
     fn run_infer(
         &mut self,
         gpu_index: usize,
-        action: Action,
+        window: TimeWindow,
         received: Timestamp,
         start: Timestamp,
         model: ModelId,
         batch: u32,
-        request_ids: Vec<u64>,
-    ) {
-        if action.window.expired(start) {
-            return self.fail(
-                gpu_index,
-                &action,
-                model,
-                batch,
-                request_ids,
-                start,
-                ActionError::WindowElapsed,
-            );
+        request_ids: &[u64],
+    ) -> Result<(ActionTiming, u64), ActionError> {
+        if window.expired(start) {
+            return Err(ActionError::WindowElapsed);
         }
-        let Some(spec) = self.models.get(&model).cloned() else {
-            return self.fail(
-                gpu_index,
-                &action,
-                model,
-                batch,
-                request_ids,
-                start,
-                ActionError::UnknownModel,
-            );
-        };
-        let Some(base_exec) = spec.exec_latency(batch) else {
-            return self.fail(
-                gpu_index,
-                &action,
-                model,
-                batch,
-                request_ids,
-                start,
-                ActionError::UnsupportedBatch { batch },
-            );
-        };
+        let spec = self.models.get(&model).ok_or(ActionError::UnknownModel)?;
+        let base_exec = spec
+            .exec_latency(batch)
+            .ok_or(ActionError::UnsupportedBatch { batch })?;
         if !self.gpus[gpu_index].page_cache.contains(model) {
-            return self.fail(
-                gpu_index,
-                &action,
-                model,
-                batch,
-                request_ids,
-                start,
-                ActionError::ModelNotLoaded,
-            );
+            return Err(ActionError::ModelNotLoaded);
         }
         let io_bytes = (spec.input_bytes() + spec.output_bytes()) * u64::from(batch);
         if self.gpus[gpu_index].io_cache.acquire(io_bytes).is_err() {
-            return self.fail(
-                gpu_index,
-                &action,
-                model,
-                batch,
-                request_ids,
-                start,
-                ActionError::IoCacheFull,
-            );
+            return Err(ActionError::IoCacheFull);
         }
 
         // INPUT: copy inputs host -> device on the input stream.
@@ -967,7 +856,7 @@ impl Worker {
                 .schedule(exec_end, output_duration, output_bytes);
 
         self.telemetry
-            .record_infer_completion(model, batch, &request_ids, output_done);
+            .record_infer_completion(model, batch, request_ids, output_done);
 
         let timing = ActionTiming {
             received,
@@ -975,23 +864,7 @@ impl Worker {
             end: output_done,
             device_duration: exec_duration,
         };
-        let result = self.make_result(
-            &action,
-            model,
-            batch,
-            request_ids,
-            ActionOutcome::Success(timing),
-        );
-        self.completions.push(
-            output_done,
-            Completion {
-                gpu_index,
-                result,
-                io_release: io_bytes,
-                exec_finished: true,
-                unpin: Some(model),
-            },
-        );
+        Ok((timing, io_bytes))
     }
 }
 

@@ -161,9 +161,9 @@ enum SystemEvent {
     Fault { kind: FaultKind },
 }
 
-// Dense event-kind indices for the telemetry event-mix counters. Kept as
-// consts (not an enum discriminant read) so the cancel paths, which know
-// their kind statically, pay no match.
+// Dense event-kind indices for the telemetry event-mix counters. Consts, so
+// the sites that count events they never build (a whole trace's arrivals,
+// the compiled fault plan) need no event in hand.
 const KIND_CLIENT_SUBMIT: usize = 0;
 const KIND_CONTROLLER_REQUEST: usize = 1;
 const KIND_WORKER_ACTION: usize = 2;
@@ -318,27 +318,10 @@ impl ServingSystem {
     ) -> Self {
         let rng = SimRng::seeded(config.seed);
         let workers: Vec<Worker> = (0..config.workers)
-            .map(|w| {
-                let wc = WorkerConfig::new(WorkerId(w))
-                    .with_gpus(config.gpus_per_worker)
-                    .with_exec_mode(exec_mode)
-                    .with_variance(config.variance)
-                    .with_weights_cache(config.weights_cache_bytes)
-                    .with_seed(config.seed ^ (u64::from(w) << 16));
-                Worker::new(wc)
-            })
+            .map(|w| Self::new_worker(&config, exec_mode, w))
             .collect();
         for worker in &workers {
-            for g in 0..worker.num_gpus() {
-                scheduler.add_gpu(
-                    GpuRef {
-                        worker: worker.id(),
-                        gpu: GpuId(g),
-                    },
-                    worker.total_pages(GpuId(g)),
-                    worker.config().page_size,
-                );
-            }
+            Self::announce_gpus(scheduler.as_mut(), worker);
         }
         let mut telemetry = SystemTelemetry::new(config.keep_responses);
         telemetry.event_mix = crate::telemetry::EventMix::with_kinds(&SystemEvent::KIND_LABELS);
@@ -389,6 +372,34 @@ impl ServingSystem {
             next_request_id: 0,
             now: Timestamp::ZERO,
             config,
+        }
+    }
+
+    /// Builds worker `id` with the cluster's GPU shape and execution mode:
+    /// cold, empty, and seeded from its fleet index.
+    fn new_worker(config: &SystemConfig, exec_mode: ExecMode, id: u32) -> Worker {
+        Worker::new(
+            WorkerConfig::new(WorkerId(id))
+                .with_gpus(config.gpus_per_worker)
+                .with_exec_mode(exec_mode)
+                .with_variance(config.variance)
+                .with_weights_cache(config.weights_cache_bytes)
+                .with_seed(config.seed ^ (u64::from(id) << 16)),
+        )
+    }
+
+    /// Announces every GPU of `worker` to the scheduler as schedulable
+    /// capacity.
+    fn announce_gpus(scheduler: &mut dyn Scheduler, worker: &Worker) {
+        for g in 0..worker.num_gpus() {
+            scheduler.add_gpu(
+                GpuRef {
+                    worker: worker.id(),
+                    gpu: GpuId(g),
+                },
+                worker.total_pages(GpuId(g)),
+                worker.config().page_size,
+            );
         }
     }
 
@@ -746,6 +757,32 @@ impl ServingSystem {
         self.queue.push(at, event)
     }
 
+    /// Reconciles the one queued event of a chain (a worker's wake, the
+    /// scheduler tick) with when the chain's next event is now `wanted`:
+    /// `queued` is the chain's handle, `keep` decides from (queued time,
+    /// wanted time) whether the queued event still serves, and the returned
+    /// handle replaces `queued`. A handle that no longer serves is cancelled
+    /// — never left to fire as a no-op — and `event` pushed in its place.
+    fn reschedule(
+        &mut self,
+        queued: Option<(Timestamp, EventId)>,
+        wanted: Option<Timestamp>,
+        keep: impl Fn(Timestamp, Timestamp) -> bool,
+        event: SystemEvent,
+    ) -> Option<(Timestamp, EventId)> {
+        match (queued, wanted) {
+            (Some((at, _)), Some(due)) if keep(at, due) => queued,
+            _ => {
+                if let Some((_, id)) = queued {
+                    let cancelled = self.queue.cancel(id);
+                    debug_assert!(cancelled, "event handle out of lockstep with the queue");
+                    self.telemetry.event_mix.note_cancelled(event.kind_index());
+                }
+                wanted.map(|due| (due, self.push_event(due, event)))
+            }
+        }
+    }
+
     /// Reconciles the single queued wake of a worker with the worker's
     /// current `next_wakeup`.
     ///
@@ -758,26 +795,13 @@ impl ServingSystem {
     /// re-armed the chain on delivery — ~95 % of all simulation events in the
     /// fleet scenario were such redundant wakes.
     fn schedule_worker_wake(&mut self, worker: usize) {
-        let desired = self.workers[worker].next_wakeup().map(|w| w.max(self.now));
-        match (desired, self.worker_wake_scheduled[worker]) {
-            (Some(due), Some((at, _))) if due == at => {}
-            (Some(due), prev) => {
-                if let Some((_, id)) = prev {
-                    let cancelled = self.queue.cancel(id);
-                    debug_assert!(cancelled, "wake handle out of lockstep with the queue");
-                    self.telemetry.event_mix.note_cancelled(KIND_WORKER_WAKE);
-                }
-                let id = self.push_event(due, SystemEvent::WorkerWake { worker });
-                self.worker_wake_scheduled[worker] = Some((due, id));
-            }
-            (None, Some((_, id))) => {
-                let cancelled = self.queue.cancel(id);
-                debug_assert!(cancelled, "wake handle out of lockstep with the queue");
-                self.telemetry.event_mix.note_cancelled(KIND_WORKER_WAKE);
-                self.worker_wake_scheduled[worker] = None;
-            }
-            (None, None) => {}
-        }
+        let wanted = self.workers[worker].next_wakeup().map(|w| w.max(self.now));
+        self.worker_wake_scheduled[worker] = self.reschedule(
+            self.worker_wake_scheduled[worker],
+            wanted,
+            |at, due| at == due,
+            SystemEvent::WorkerWake { worker },
+        );
     }
 
     /// Reconciles the single queued scheduler tick with `next_tick`.
@@ -789,25 +813,44 @@ impl ServingSystem {
     /// telemetry counts). The tick is cancelled outright when the scheduler
     /// reports quiescence (`next_tick` of `None`).
     fn schedule_tick(&mut self) {
-        let desired = self.scheduler.next_tick(self.now);
-        match (desired, self.tick_scheduled) {
-            (Some(tick), Some((at, _))) if at <= tick => {}
-            (Some(tick), prev) => {
-                if let Some((_, id)) = prev {
-                    let cancelled = self.queue.cancel(id);
-                    debug_assert!(cancelled, "tick handle out of lockstep with the queue");
-                    self.telemetry.event_mix.note_cancelled(KIND_SCHEDULER_TICK);
-                }
-                let id = self.push_event(tick, SystemEvent::SchedulerTick);
-                self.tick_scheduled = Some((tick, id));
-            }
-            (None, Some((_, id))) => {
-                let cancelled = self.queue.cancel(id);
-                debug_assert!(cancelled, "tick handle out of lockstep with the queue");
-                self.telemetry.event_mix.note_cancelled(KIND_SCHEDULER_TICK);
-                self.tick_scheduled = None;
-            }
-            (None, None) => {}
+        let wanted = self.scheduler.next_tick(self.now);
+        self.tick_scheduled = self.reschedule(
+            self.tick_scheduled,
+            wanted,
+            |at, tick| at <= tick,
+            SystemEvent::SchedulerTick,
+        );
+    }
+
+    /// Bytes of a message carrying `count` tensors of `model`, sized by
+    /// `tensor` (a model's input or output size); 1 kB for a model the
+    /// facade does not know.
+    fn payload_bytes(&self, model: ModelId, tensor: fn(&ModelSpec) -> u64, count: u32) -> u64 {
+        self.models
+            .get(&model)
+            .map(|m| tensor(m) * u64::from(count))
+            .unwrap_or(1_000)
+    }
+
+    /// Sends `event` over the controller↔worker link of `worker`: the
+    /// network delay of a `bytes`-sized message scaled by the link's
+    /// condition, and held rather than delivered while the link is
+    /// partitioned.
+    fn send_over_link(&mut self, worker: usize, bytes: u64, event: SystemEvent) {
+        let base = self.network.delay(bytes);
+        let delay = self.links[worker].scale(base);
+        if self.tracer.is_some() && delay != base {
+            self.trace(TraceEvent::LinkDelay {
+                worker: self.workers[worker].id().0,
+                base: base.as_nanos(),
+                actual: delay.as_nanos(),
+            });
+        }
+        if self.links[worker].partitioned {
+            self.links[worker].held.push((delay, event));
+        } else {
+            let at = self.now + delay;
+            self.push_event(at, event);
         }
     }
 
@@ -850,37 +893,19 @@ impl ServingSystem {
             // INFER inputs are forwarded through the controller (§7), so the
             // message size includes the batch's input tensors.
             let bytes = match &action.kind {
-                clockwork_worker::ActionKind::Infer { model, batch, .. } => {
-                    self.models
-                        .get(model)
-                        .map(|m| m.input_bytes() * u64::from(*batch))
-                        .unwrap_or(1_000)
-                        + 256
+                ActionKind::Infer { model, batch, .. } => {
+                    self.payload_bytes(*model, ModelSpec::input_bytes, *batch) + 256
                 }
                 _ => 256,
             };
             if self.tracer.is_some() {
                 self.trace_action_issue(worker_id, &action);
             }
-            let base = self.network.delay(bytes);
-            let delay = self.links[worker_index].scale(base);
-            if self.tracer.is_some() && delay != base {
-                self.trace(TraceEvent::LinkDelay {
-                    worker: worker_id.0,
-                    base: base.as_nanos(),
-                    actual: delay.as_nanos(),
-                });
-            }
             let event = SystemEvent::WorkerAction {
                 worker: worker_index,
                 action,
             };
-            if self.links[worker_index].partitioned {
-                self.links[worker_index].held.push((delay, event));
-            } else {
-                let at = self.now + delay;
-                self.push_event(at, event);
-            }
+            self.send_over_link(worker_index, bytes, event);
         }
         self.action_buf = actions;
         let mut responses = std::mem::take(&mut self.response_buf);
@@ -901,12 +926,7 @@ impl ServingSystem {
             } else {
                 self.request_owner.remove(&response.request)
             };
-            let bytes = self
-                .models
-                .get(&response.model)
-                .map(|m| m.output_bytes())
-                .unwrap_or(1_000)
-                + 128;
+            let bytes = self.payload_bytes(response.model, ModelSpec::output_bytes, 1) + 128;
             let delay = self.network.delay(bytes);
             let at = self.now + delay;
             self.push_event(at, SystemEvent::ClientResponse { response, client });
@@ -923,12 +943,8 @@ impl ServingSystem {
                 tier,
                 client,
             } => {
-                let bytes = self
-                    .models
-                    .get(&model)
-                    .map(|m| m.input_bytes())
-                    .unwrap_or(1_000);
-                let delay = self.network.delay(bytes + 128);
+                let bytes = self.payload_bytes(model, ModelSpec::input_bytes, 1) + 128;
+                let delay = self.network.delay(bytes);
                 let id = RequestId(self.next_request_id);
                 self.next_request_id += 1;
                 if let Some(client) = client {
@@ -982,30 +998,12 @@ impl ServingSystem {
                 for result in results.drain(..) {
                     let bytes = match result.action_type {
                         "INFER" => {
-                            self.models
-                                .get(&result.model)
-                                .map(|m| m.output_bytes() * u64::from(result.batch))
-                                .unwrap_or(1_000)
-                                + 128
+                            let batch = result.batch;
+                            self.payload_bytes(result.model, ModelSpec::output_bytes, batch) + 128
                         }
                         _ => 128,
                     };
-                    let base = self.network.delay(bytes);
-                    let delay = self.links[worker].scale(base);
-                    if self.tracer.is_some() && delay != base {
-                        self.trace(TraceEvent::LinkDelay {
-                            worker: self.workers[worker].id().0,
-                            base: base.as_nanos(),
-                            actual: delay.as_nanos(),
-                        });
-                    }
-                    let event = SystemEvent::ControllerResult { result };
-                    if self.links[worker].partitioned {
-                        self.links[worker].held.push((delay, event));
-                    } else {
-                        let at = self.now + delay;
-                        self.push_event(at, event);
-                    }
+                    self.send_over_link(worker, bytes, SystemEvent::ControllerResult { result });
                 }
                 self.result_buf = results;
                 self.schedule_worker_wake(worker);
@@ -1131,13 +1129,7 @@ impl ServingSystem {
         if self.worker_index.contains_key(&id) {
             return false;
         }
-        let wc = WorkerConfig::new(id)
-            .with_gpus(self.config.gpus_per_worker)
-            .with_exec_mode(self.exec_mode)
-            .with_variance(self.config.variance)
-            .with_weights_cache(self.config.weights_cache_bytes)
-            .with_seed(self.config.seed ^ (u64::from(worker) << 16));
-        let mut joined = Worker::new(wc);
+        let mut joined = Self::new_worker(&self.config, self.exec_mode, worker);
         // Known models land in the newcomer's host memory in id order — the
         // registration order is part of the deterministic execution.
         let mut ids: Vec<ModelId> = self.models.keys().copied().collect();
@@ -1147,16 +1139,7 @@ impl ServingSystem {
                 .register_model(model, Arc::clone(&self.models[&model]))
                 .expect("host memory exhausted while admitting a joined worker");
         }
-        for g in 0..joined.num_gpus() {
-            self.scheduler.add_gpu(
-                GpuRef {
-                    worker: id,
-                    gpu: GpuId(g),
-                },
-                joined.total_pages(GpuId(g)),
-                joined.config().page_size,
-            );
-        }
+        Self::announce_gpus(self.scheduler.as_mut(), &joined);
         let index = self.workers.len();
         self.workers.push(joined);
         self.worker_index.insert(id, index);
