@@ -18,17 +18,17 @@
 //! * dispatch is otherwise best-effort, leaving ordering and concurrency
 //!   decisions to the lower layers.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use clockwork_controller::request::{InferenceRequest, RejectReason, Response};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
-use clockwork_controller::worker_state::{GpuRef, WorkerStateTracker};
+use clockwork_controller::worker_state::{GpuRef, Placement, Resolved, WorkerStateTracker};
 use clockwork_model::{ModelId, ModelSpec};
 use clockwork_sim::time::{Nanos, Timestamp};
-use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
+use clockwork_worker::{ActionOutcome, ActionResult};
 
 /// Configuration of the Clipper-like discipline.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -61,14 +61,14 @@ impl Default for ClipperConfig {
     }
 }
 
+/// Policy state only: whether the model is loaded (or loading) at its home
+/// and how many of its INFERs are in flight are read off the tracker.
 struct ModelState {
     spec: Arc<ModelSpec>,
+    load_estimate: Nanos,
     queue: VecDeque<InferenceRequest>,
     home: Option<GpuRef>,
-    loaded: bool,
-    load_requested: bool,
     target_batch: u32,
-    outstanding: usize,
     slo_hint: Nanos,
 }
 
@@ -79,10 +79,10 @@ pub struct ClipperScheduler {
     // order decides which model claims shared capacity first — a HashMap
     // here would make the run a function of the hasher seed.
     models: BTreeMap<ModelId, ModelState>,
-    tracker: WorkerStateTracker,
-    in_flight: HashMap<clockwork_worker::ActionId, Vec<InferenceRequest>>,
+    /// The mirror of the workers; a dispatched batch rides on its INFER's
+    /// ledger entry.
+    tracker: WorkerStateTracker<Vec<InferenceRequest>>,
     next_home: usize,
-    load_estimates: HashMap<ModelId, Nanos>,
 }
 
 impl ClipperScheduler {
@@ -92,9 +92,7 @@ impl ClipperScheduler {
             config,
             models: BTreeMap::new(),
             tracker: WorkerStateTracker::new(),
-            in_flight: HashMap::new(),
             next_home: 0,
-            load_estimates: HashMap::new(),
         }
     }
 
@@ -116,21 +114,14 @@ impl ClipperScheduler {
         }
         // Homes are only handed out on live capacity; a model whose home GPU
         // died had its home cleared by `on_fault` and re-lands here.
-        let alive: Vec<GpuRef> = self
-            .tracker
-            .gpus()
-            .iter()
-            .filter(|g| g.alive)
-            .map(|g| g.gpu_ref)
-            .collect();
-        if alive.is_empty() {
+        let live = self.tracker.live_gpus();
+        if live.is_empty() {
             return None;
         }
-        let idx = self.next_home % alive.len();
+        let home = live[self.next_home % live.len()];
         self.next_home = self.next_home.wrapping_add(1);
-        let state = self.models.get_mut(&model)?;
-        state.home = Some(alive[idx]);
-        state.home
+        self.models.get_mut(&model)?.home = Some(home);
+        Some(home)
     }
 
     fn dispatch(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
@@ -139,47 +130,25 @@ impl ClipperScheduler {
             let Some(home) = self.assign_home(model_id) else {
                 continue;
             };
-            // Issue the one-time load if needed (eagerly, on first request).
-            let (needs_load, has_queue) = {
-                let state = self.models.get(&model_id).expect("model exists");
-                (
-                    !state.loaded && !state.load_requested && !state.queue.is_empty(),
-                    !state.queue.is_empty(),
-                )
-            };
-            if !has_queue {
+            let state = self.models.get_mut(&model_id).expect("model exists");
+            if state.queue.is_empty() {
                 continue;
             }
-            if needs_load {
-                let load_est = self
-                    .load_estimates
-                    .get(&model_id)
-                    .copied()
-                    .unwrap_or(Nanos::from_millis(10));
-                let weights = self.models[&model_id].spec.weights_bytes();
-                let id = ctx.send_action(
-                    home.worker,
-                    home.gpu,
-                    ActionKind::Load { model: model_id },
-                    TimeWindow::always(),
-                    load_est,
-                );
+            // Issue the one-time load if needed (eagerly, on first request):
+            // the home neither holds the model nor has a LOAD on its way.
+            let track = self.tracker.get(home).expect("homes come from the tracker");
+            let loaded = track.is_resident(model_id);
+            if !track.has_or_loading(model_id) {
+                let at = Placement::unbounded(home, now, state.load_estimate);
                 self.tracker
-                    .note_load_sent(home, id, model_id, weights, now, load_est);
-                self.models
-                    .get_mut(&model_id)
-                    .expect("model exists")
-                    .load_requested = true;
+                    .send_load(ctx, at, model_id, state.spec.weights_bytes());
             }
             // Dispatch batches up to the pipeline depth.
-            loop {
-                let state = self.models.get_mut(&model_id).expect("model exists");
-                if !state.loaded
-                    || state.queue.is_empty()
-                    || state.outstanding >= self.config.max_outstanding_per_model
-                {
-                    break;
-                }
+            while loaded
+                && !state.queue.is_empty()
+                && self.tracker.outstanding_infers_of(model_id)
+                    < self.config.max_outstanding_per_model
+            {
                 // Accumulation window: when the adaptive target wants a
                 // bigger batch than is queued, hold the queue until the
                 // oldest request has waited out the timeout. The 1 ms tick
@@ -218,21 +187,10 @@ impl ClipperScheduler {
                     .spec
                     .exec_latency(batch)
                     .unwrap_or(Nanos::from_millis(10));
-                state.outstanding += 1;
-                let id = ctx.send_action(
-                    home.worker,
-                    home.gpu,
-                    ActionKind::Infer {
-                        model: model_id,
-                        batch,
-                        request_ids: requests.iter().map(|r| r.id.0).collect(),
-                    },
-                    TimeWindow::always(),
-                    exec_est,
-                );
+                let at = Placement::unbounded(home, now, exec_est);
+                let request_ids = requests.iter().map(|r| r.id.0).collect();
                 self.tracker
-                    .note_infer_sent(home, id, model_id, now, exec_est);
-                self.in_flight.insert(id, requests);
+                    .send_infer(ctx, at, model_id, batch, request_ids, requests);
             }
         }
     }
@@ -258,17 +216,14 @@ impl Scheduler for ClipperScheduler {
     }
 
     fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_seed: Nanos) {
-        self.load_estimates.insert(id, load_seed);
         self.models.insert(
             id,
             ModelState {
                 spec,
+                load_estimate: load_seed,
                 queue: VecDeque::new(),
                 home: None,
-                loaded: false,
-                load_requested: false,
                 target_batch: 1,
-                outstanding: 0,
                 slo_hint: Nanos::from_millis(100),
             },
         );
@@ -291,57 +246,31 @@ impl Scheduler for ClipperScheduler {
     }
 
     fn on_result(&mut self, now: Timestamp, result: &ActionResult, ctx: &mut SchedulerCtx) {
-        let gpu_ref = GpuRef::of(result);
-        match result.action_type {
-            "LOAD" => {
-                // A result whose action is no longer outstanding is stale —
-                // the GPU died (and was wiped) after producing it. Applying
-                // it anyway would mark the model loaded on a home that no
-                // longer exists and wedge every future dispatch.
-                let applied = self.tracker.note_load_result(
-                    gpu_ref,
-                    result.action_id,
-                    result.model,
-                    result.is_success(),
-                );
-                if applied.is_some() {
-                    if let Some(state) = self.models.get_mut(&result.model) {
-                        state.loaded = result.is_success();
-                        state.load_requested = result.is_success();
+        // Only an INFER's riders need handling here. A LOAD result changes
+        // what the tracker says about the home, which is all `dispatch`
+        // reads; a stale one — the GPU died (and was wiped) after producing
+        // it — changes nothing, so it cannot mark the model loaded on a
+        // home that no longer exists, and a stale INFER's riders were
+        // already requeued (and uncounted) by `on_fault`.
+        if let Resolved::Infer(requests) = self.tracker.resolve(result) {
+            match &result.outcome {
+                ActionOutcome::Success(timing) => {
+                    for r in &requests {
+                        ctx.send_response(Response::success(r, result, timing.end, false));
+                    }
+                    if let Some(first) = requests.first() {
+                        self.adapt_batch(first.model, timing.end - first.arrival);
                     }
                 }
-            }
-            "INFER" => {
-                self.tracker.note_infer_result(gpu_ref, result.action_id);
-                if let Some(requests) = self.in_flight.remove(&result.action_id) {
-                    // The decrement sits behind the `in_flight` staleness
-                    // guard: a result from a batch that a fault already
-                    // resolved was decremented by `on_fault`, and counting
-                    // it twice would defeat the per-model outstanding cap.
+                ActionOutcome::Error { .. } => {
+                    // Best effort: retry by putting requests back.
                     if let Some(state) = self.models.get_mut(&result.model) {
-                        state.outstanding = state.outstanding.saturating_sub(1);
-                    }
-                    match &result.outcome {
-                        ActionOutcome::Success(timing) => {
-                            for r in &requests {
-                                ctx.send_response(Response::success(r, result, timing.end, false));
-                            }
-                            if let Some(first) = requests.first() {
-                                self.adapt_batch(first.model, timing.end - first.arrival);
-                            }
-                        }
-                        ActionOutcome::Error { .. } => {
-                            // Best effort: retry by putting requests back.
-                            if let Some(state) = self.models.get_mut(&result.model) {
-                                for r in requests.into_iter().rev() {
-                                    state.queue.push_front(r);
-                                }
-                            }
+                        for r in requests.into_iter().rev() {
+                            state.queue.push_front(r);
                         }
                     }
                 }
             }
-            _ => {}
         }
         self.dispatch(now, ctx);
     }
@@ -362,28 +291,22 @@ impl Scheduler for ClipperScheduler {
         // home that pointed at it so `assign_home` re-places the model on
         // live capacity (reloading from scratch).
         let lost = self.tracker.apply_fault(now, fault);
-        for (_, action) in lost.iter().rev() {
-            if let Some(requests) = self.in_flight.remove(&action.id) {
-                if let Some(first) = requests.first() {
-                    if let Some(state) = self.models.get_mut(&first.model) {
-                        state.outstanding = state.outstanding.saturating_sub(1);
-                        for r in requests.into_iter().rev() {
-                            state.queue.push_front(r);
-                        }
-                    }
+        for (_, action) in lost.into_iter().rev() {
+            if let (Some(requests), Some(state)) =
+                (action.riders, self.models.get_mut(&action.model))
+            {
+                for r in requests.into_iter().rev() {
+                    state.queue.push_front(r);
                 }
             }
         }
         let tracker = &self.tracker;
         for state in self.models.values_mut() {
-            let home_dead = state
+            if state
                 .home
-                .map(|h| tracker.get(h).map(|t| !t.alive).unwrap_or(true))
-                .unwrap_or(false);
-            if home_dead {
+                .is_some_and(|h| !tracker.get(h).is_some_and(|t| t.alive))
+            {
                 state.home = None;
-                state.loaded = false;
-                state.load_requested = false;
             }
         }
         self.dispatch(now, ctx);
@@ -438,7 +361,7 @@ mod tests {
     use clockwork_controller::request::RequestId;
     use clockwork_model::zoo::ModelZoo;
     use clockwork_model::Tier;
-    use clockwork_worker::{ActionTiming, GpuId, WorkerId};
+    use clockwork_worker::{ActionKind, ActionTiming, GpuId, WorkerId};
 
     const PAGE: u64 = 16 * 1024 * 1024;
 

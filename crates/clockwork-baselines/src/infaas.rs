@@ -13,17 +13,17 @@
 //! * like Clipper, **no admission control and no execution windows** — the
 //!   SLO steers policy but is never enforced per request.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use clockwork_controller::request::{InferenceRequest, RejectReason, Response};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
-use clockwork_controller::worker_state::{GpuRef, WorkerStateTracker};
+use clockwork_controller::worker_state::{GpuRef, Placement, Resolved, WorkerStateTracker};
 use clockwork_model::{ModelId, ModelSpec};
 use clockwork_sim::time::{Nanos, Timestamp};
-use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
+use clockwork_worker::{ActionOutcome, ActionResult};
 
 /// Configuration of the INFaaS-like discipline.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -46,12 +46,16 @@ impl Default for InfaasConfig {
     }
 }
 
+/// Policy state only: where the model is still loading and how many of its
+/// INFERs are in flight are read off the tracker.
 struct ModelState {
     spec: Arc<ModelSpec>,
+    load_estimate: Nanos,
     queue: VecDeque<InferenceRequest>,
+    /// The GPUs confirmed to hold the model, in the order their LOADs
+    /// completed: dispatch round-robins over it, so the order is policy
+    /// (and frozen in the digests), not a copy of the tracker's holder set.
     replicas: Vec<GpuRef>,
-    loading: Vec<GpuRef>,
-    outstanding: usize,
     next_replica: usize,
 }
 
@@ -63,10 +67,9 @@ pub struct InfaasScheduler {
     // first — a HashMap here would make the run a function of the hasher
     // seed.
     models: BTreeMap<ModelId, ModelState>,
-    tracker: WorkerStateTracker,
-    in_flight: HashMap<clockwork_worker::ActionId, Vec<InferenceRequest>>,
-    load_estimates: HashMap<ModelId, Nanos>,
-    next_gpu: usize,
+    /// The mirror of the workers; a dispatched batch rides on its INFER's
+    /// ledger entry.
+    tracker: WorkerStateTracker<Vec<InferenceRequest>>,
 }
 
 impl InfaasScheduler {
@@ -76,9 +79,6 @@ impl InfaasScheduler {
             config,
             models: BTreeMap::new(),
             tracker: WorkerStateTracker::new(),
-            in_flight: HashMap::new(),
-            load_estimates: HashMap::new(),
-            next_gpu: 0,
         }
     }
 
@@ -111,81 +111,28 @@ impl InfaasScheduler {
         by_queue.min(by_slo).max(1)
     }
 
-    fn issue_load(
-        &mut self,
-        now: Timestamp,
-        model_id: ModelId,
-        gpu_ref: GpuRef,
-        ctx: &mut SchedulerCtx,
-    ) {
-        let load_est = self
-            .load_estimates
-            .get(&model_id)
-            .copied()
-            .unwrap_or(Nanos::from_millis(10));
-        let weights = self.models[&model_id].spec.weights_bytes();
-        let id = ctx.send_action(
-            gpu_ref.worker,
-            gpu_ref.gpu,
-            ActionKind::Load { model: model_id },
-            TimeWindow::always(),
-            load_est,
-        );
-        self.tracker
-            .note_load_sent(gpu_ref, id, model_id, weights, now, load_est);
-        self.models
-            .get_mut(&model_id)
-            .expect("model exists")
-            .loading
-            .push(gpu_ref);
-    }
-
     fn maybe_replicate(&mut self, now: Timestamp, model_id: ModelId, ctx: &mut SchedulerCtx) {
-        let (queue_len, replicas, loading) = {
-            let state = &self.models[&model_id];
-            (state.queue.len(), state.replicas.len(), state.loading.len())
-        };
-        let total = replicas + loading;
-        let needs_first = total == 0 && queue_len > 0;
-        let needs_scale = queue_len >= self.config.replication_queue_threshold
-            && total < self.config.max_replicas;
+        let state = &self.models[&model_id];
+        // Every GPU that holds the model or has its LOAD on the way: the
+        // replicas plus the still-loading, straight off the tracker.
+        let holders = self.tracker.gpus_with_model(model_id);
+        let needs_first = holders.is_empty() && !state.queue.is_empty();
+        let needs_scale = state.queue.len() >= self.config.replication_queue_threshold
+            && holders.len() < self.config.max_replicas;
         if !(needs_first || needs_scale) {
             return;
         }
-        if self.tracker.is_empty() {
-            return;
-        }
         // Replicate onto the least-loaded GPU not already hosting the model.
-        let existing: Vec<GpuRef> = {
-            let state = &self.models[&model_id];
-            state
-                .replicas
-                .iter()
-                .chain(state.loading.iter())
-                .copied()
-                .collect()
-        };
         // Only live GPUs are replication targets; a dead GPU would swallow
         // the LOAD without ever answering.
-        let target = self.tracker.least_loaded_gpu(now, &existing).or_else(|| {
-            let alive: Vec<GpuRef> = self
-                .tracker
-                .gpus()
-                .iter()
-                .filter(|g| g.alive)
-                .map(|g| g.gpu_ref)
-                .collect();
-            if alive.is_empty() {
-                None
-            } else {
-                Some(alive[self.next_gpu % alive.len()])
-            }
-        });
-        self.next_gpu = self.next_gpu.wrapping_add(1);
-        if let Some(target) = target {
-            if !existing.contains(&target) {
-                self.issue_load(now, model_id, target, ctx);
-            }
+        let existing: Vec<GpuRef> = holders
+            .iter()
+            .map(|&idx| self.tracker.gpus()[idx].gpu_ref)
+            .collect();
+        if let Some(target) = self.tracker.least_loaded_gpu(now, &existing) {
+            let at = Placement::unbounded(target, now, state.load_estimate);
+            self.tracker
+                .send_load(ctx, at, model_id, state.spec.weights_bytes());
         }
     }
 
@@ -193,18 +140,12 @@ impl InfaasScheduler {
         let model_ids: Vec<ModelId> = self.models.keys().copied().collect();
         for model_id in model_ids {
             self.maybe_replicate(now, model_id, ctx);
-            loop {
-                let (ready, limit) = {
-                    let state = &self.models[&model_id];
-                    (
-                        !state.replicas.is_empty() && !state.queue.is_empty(),
-                        state.replicas.len() * self.config.max_outstanding_per_replica,
-                    )
-                };
-                if !ready || self.models[&model_id].outstanding >= limit.max(1) {
-                    break;
-                }
-                let state = self.models.get_mut(&model_id).expect("model exists");
+            let state = self.models.get_mut(&model_id).expect("model exists");
+            let limit = state.replicas.len() * self.config.max_outstanding_per_replica;
+            while !state.replicas.is_empty()
+                && !state.queue.is_empty()
+                && self.tracker.outstanding_infers_of(model_id) < limit.max(1)
+            {
                 let slo = state.queue.front().map(|r| r.slo).unwrap_or(Nanos::MAX);
                 let batch = Self::select_variant(&state.spec, state.queue.len(), slo);
                 let take = (batch as usize).min(state.queue.len());
@@ -215,21 +156,10 @@ impl InfaasScheduler {
                     .spec
                     .exec_latency(batch)
                     .unwrap_or(Nanos::from_millis(10));
-                state.outstanding += 1;
-                let id = ctx.send_action(
-                    replica.worker,
-                    replica.gpu,
-                    ActionKind::Infer {
-                        model: model_id,
-                        batch,
-                        request_ids: requests.iter().map(|r| r.id.0).collect(),
-                    },
-                    TimeWindow::always(),
-                    exec_est,
-                );
+                let at = Placement::unbounded(replica, now, exec_est);
+                let request_ids = requests.iter().map(|r| r.id.0).collect();
                 self.tracker
-                    .note_infer_sent(replica, id, model_id, now, exec_est);
-                self.in_flight.insert(id, requests);
+                    .send_infer(ctx, at, model_id, batch, request_ids, requests);
             }
         }
     }
@@ -241,15 +171,13 @@ impl Scheduler for InfaasScheduler {
     }
 
     fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_seed: Nanos) {
-        self.load_estimates.insert(id, load_seed);
         self.models.insert(
             id,
             ModelState {
                 spec,
+                load_estimate: load_seed,
                 queue: VecDeque::new(),
                 replicas: Vec::new(),
-                loading: Vec::new(),
-                outstanding: 0,
                 next_replica: 0,
             },
         );
@@ -269,56 +197,36 @@ impl Scheduler for InfaasScheduler {
     }
 
     fn on_result(&mut self, now: Timestamp, result: &ActionResult, ctx: &mut SchedulerCtx) {
-        let gpu_ref = GpuRef::of(result);
-        match result.action_type {
-            "LOAD" => {
-                // A result whose action is no longer outstanding is stale —
-                // the GPU died (and was wiped) after producing it; it must
-                // not resurrect a replica on capacity that no longer holds
-                // the weights. An applied one was outstanding on the GPU it
-                // reports, which is therefore the GPU the LOAD was sent to.
-                let applied = self.tracker.note_load_result(
-                    gpu_ref,
-                    result.action_id,
-                    result.model,
-                    result.is_success(),
-                );
-                if applied.is_some() {
-                    if let Some(state) = self.models.get_mut(&result.model) {
-                        state.loading.retain(|g| *g != gpu_ref);
-                        if result.is_success() && !state.replicas.contains(&gpu_ref) {
-                            state.replicas.push(gpu_ref);
-                        }
+        // A result whose action is no longer outstanding is stale — the GPU
+        // died (and was wiped) after producing it: a LOAD's must not
+        // resurrect a replica on capacity that no longer holds the weights,
+        // and an INFER's riders were already requeued (and uncounted) by
+        // `on_fault`. One that resolves was outstanding on the GPU it
+        // reports, which is therefore the GPU the action was sent to.
+        match self.tracker.resolve(result) {
+            Resolved::Load => {
+                let gpu_ref = GpuRef::of(result);
+                if let Some(state) = self.models.get_mut(&result.model) {
+                    if result.is_success() && !state.replicas.contains(&gpu_ref) {
+                        state.replicas.push(gpu_ref);
                     }
                 }
             }
-            "INFER" => {
-                self.tracker.note_infer_result(gpu_ref, result.action_id);
-                if let Some(requests) = self.in_flight.remove(&result.action_id) {
-                    // The decrement sits behind the `in_flight` staleness
-                    // guard: a result from a batch that a fault already
-                    // resolved was decremented by `on_fault`, and counting
-                    // it twice would defeat the per-replica outstanding cap.
-                    if let Some(state) = self.models.get_mut(&result.model) {
-                        state.outstanding = state.outstanding.saturating_sub(1);
+            Resolved::Infer(requests) => match &result.outcome {
+                ActionOutcome::Success(timing) => {
+                    for r in &requests {
+                        ctx.send_response(Response::success(r, result, timing.end, false));
                     }
-                    match &result.outcome {
-                        ActionOutcome::Success(timing) => {
-                            for r in &requests {
-                                ctx.send_response(Response::success(r, result, timing.end, false));
-                            }
-                        }
-                        ActionOutcome::Error { .. } => {
-                            if let Some(state) = self.models.get_mut(&result.model) {
-                                for r in requests.into_iter().rev() {
-                                    state.queue.push_front(r);
-                                }
-                            }
+                }
+                ActionOutcome::Error { .. } => {
+                    if let Some(state) = self.models.get_mut(&result.model) {
+                        for r in requests.into_iter().rev() {
+                            state.queue.push_front(r);
                         }
                     }
                 }
-            }
-            _ => {}
+            },
+            Resolved::Stale => {}
         }
         self.dispatch(now, ctx);
     }
@@ -341,19 +249,16 @@ impl Scheduler for InfaasScheduler {
         let lost = self.tracker.apply_fault(now, fault);
         let tracker = &self.tracker;
         for state in self.models.values_mut() {
-            let alive = |g: &GpuRef| tracker.get(*g).map(|t| t.alive).unwrap_or(false);
-            state.replicas.retain(alive);
-            state.loading.retain(alive);
+            state
+                .replicas
+                .retain(|g| tracker.get(*g).is_some_and(|t| t.alive));
         }
-        for (_, action) in lost.iter().rev() {
-            if let Some(requests) = self.in_flight.remove(&action.id) {
-                if let Some(first) = requests.first() {
-                    if let Some(state) = self.models.get_mut(&first.model) {
-                        state.outstanding = state.outstanding.saturating_sub(1);
-                        for r in requests.into_iter().rev() {
-                            state.queue.push_front(r);
-                        }
-                    }
+        for (_, action) in lost.into_iter().rev() {
+            if let (Some(requests), Some(state)) =
+                (action.riders, self.models.get_mut(&action.model))
+            {
+                for r in requests.into_iter().rev() {
+                    state.queue.push_front(r);
                 }
             }
         }
@@ -409,7 +314,7 @@ mod tests {
     use clockwork_controller::request::RequestId;
     use clockwork_model::zoo::ModelZoo;
     use clockwork_model::Tier;
-    use clockwork_worker::{ActionTiming, GpuId, WorkerId};
+    use clockwork_worker::{ActionKind, ActionTiming, GpuId, WorkerId};
 
     const PAGE: u64 = 16 * 1024 * 1024;
 

@@ -14,26 +14,27 @@
 //! the same [`Scheduler`] trait, so they are interchangeable in the system
 //! harness and the comparison isolates policy, not plumbing.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use clockwork_model::{ModelId, ModelSpec};
 use clockwork_sim::time::{Nanos, Timestamp};
-use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
+use clockwork_worker::{ActionOutcome, ActionResult};
 
 use crate::request::{InferenceRequest, RejectReason, Response};
 use crate::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
-use crate::worker_state::{GpuRef, WorkerStateTracker};
+use crate::worker_state::{GpuRef, Placement, Resolved, WorkerStateTracker};
 
 /// A deliberately naive scheduler: FIFO dispatch, batch size 1, round-robin
 /// GPU selection, on-demand loads, no admission control, unbounded windows.
 pub struct FifoScheduler {
-    models: HashMap<ModelId, Arc<ModelSpec>>,
-    tracker: WorkerStateTracker,
+    /// Each model's spec and LOAD-duration estimate.
+    models: HashMap<ModelId, (Arc<ModelSpec>, Nanos)>,
+    /// The mirror of the workers; a dispatched request rides on its INFER's
+    /// ledger entry.
+    tracker: WorkerStateTracker<InferenceRequest>,
     queue: VecDeque<InferenceRequest>,
-    in_flight: HashMap<clockwork_worker::ActionId, InferenceRequest>,
     next_gpu: usize,
-    load_estimates: HashMap<ModelId, Nanos>,
 }
 
 impl Default for FifoScheduler {
@@ -49,9 +50,7 @@ impl FifoScheduler {
             models: HashMap::new(),
             tracker: WorkerStateTracker::new(),
             queue: VecDeque::new(),
-            in_flight: HashMap::new(),
             next_gpu: 0,
-            load_estimates: HashMap::new(),
         }
     }
 
@@ -64,19 +63,12 @@ impl FifoScheduler {
         // Round-robin only over live capacity; dead GPUs would swallow the
         // action without ever answering. With no live GPU at all the queue
         // simply waits for a recovery.
-        let alive: Vec<GpuRef> = self
-            .tracker
-            .gpus()
-            .iter()
-            .filter(|g| g.alive)
-            .map(|g| g.gpu_ref)
-            .collect();
-        if alive.is_empty() {
+        if self.tracker.live_gpus().is_empty() {
             return;
         }
         // Dispatch everything immediately, round-robin, one request per INFER.
         while let Some(request) = self.queue.pop_front() {
-            let Some(spec) = self.models.get(&request.model).cloned() else {
+            let Some((spec, load_est)) = self.models.get(&request.model) else {
                 ctx.send_response(Response::rejected(
                     &request,
                     now,
@@ -84,7 +76,8 @@ impl FifoScheduler {
                 ));
                 continue;
             };
-            let gpu_ref = alive[self.next_gpu % alive.len()];
+            let live = self.tracker.live_gpus();
+            let gpu_ref = live[self.next_gpu % live.len()];
             self.next_gpu = self.next_gpu.wrapping_add(1);
             let exec_est = spec.exec_latency(1).unwrap_or(Nanos::from_millis(10));
             // Load on demand if the GPU does not already hold the model,
@@ -95,48 +88,15 @@ impl FifoScheduler {
                 .get(gpu_ref)
                 .is_some_and(|t| t.has_or_loading(request.model));
             if needs_load {
-                let load_est = self
-                    .load_estimates
-                    .get(&request.model)
-                    .copied()
-                    .unwrap_or(Nanos::from_millis(10));
                 let weights = spec.weights_bytes();
                 self.tracker
-                    .evict_until_fits(gpu_ref, weights, &HashSet::new(), |victim| {
-                        ctx.send_unload(gpu_ref, victim);
-                    });
-                let load_id = ctx.send_action(
-                    gpu_ref.worker,
-                    gpu_ref.gpu,
-                    ActionKind::Load {
-                        model: request.model,
-                    },
-                    TimeWindow::always(),
-                    load_est,
-                );
-                self.tracker.note_load_sent(
-                    gpu_ref,
-                    load_id,
-                    request.model,
-                    weights,
-                    now,
-                    load_est,
-                );
+                    .evict_until_fits(ctx, gpu_ref, weights, |_, _| false);
+                let at = Placement::unbounded(gpu_ref, now, *load_est);
+                self.tracker.send_load(ctx, at, request.model, weights);
             }
-            let infer_id = ctx.send_action(
-                gpu_ref.worker,
-                gpu_ref.gpu,
-                ActionKind::Infer {
-                    model: request.model,
-                    batch: 1,
-                    request_ids: vec![request.id.0],
-                },
-                TimeWindow::always(),
-                exec_est,
-            );
+            let at = Placement::unbounded(gpu_ref, now, exec_est);
             self.tracker
-                .note_infer_sent(gpu_ref, infer_id, request.model, now, exec_est);
-            self.in_flight.insert(infer_id, request);
+                .send_infer(ctx, at, request.model, 1, vec![request.id.0], request);
         }
     }
 }
@@ -147,8 +107,7 @@ impl Scheduler for FifoScheduler {
     }
 
     fn add_model(&mut self, id: ModelId, spec: Arc<ModelSpec>, load_seed: Nanos) {
-        self.load_estimates.insert(id, load_seed);
-        self.models.insert(id, spec);
+        self.models.insert(id, (spec, load_seed));
     }
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
@@ -157,30 +116,15 @@ impl Scheduler for FifoScheduler {
     }
 
     fn on_result(&mut self, now: Timestamp, result: &ActionResult, ctx: &mut SchedulerCtx) {
-        let gpu_ref = GpuRef::of(result);
-        match result.action_type {
-            "LOAD" => {
-                self.tracker.note_load_result(
-                    gpu_ref,
-                    result.action_id,
-                    result.model,
-                    result.is_success(),
-                );
-            }
-            "INFER" => {
-                self.tracker.note_infer_result(gpu_ref, result.action_id);
-                if let Some(request) = self.in_flight.remove(&result.action_id) {
-                    ctx.send_response(match &result.outcome {
-                        ActionOutcome::Success(timing) => {
-                            Response::success(&request, result, timing.end, false)
-                        }
-                        ActionOutcome::Error { at, .. } => {
-                            Response::rejected(&request, *at, RejectReason::WorkerRejected)
-                        }
-                    });
+        if let Resolved::Infer(request) = self.tracker.resolve(result) {
+            ctx.send_response(match &result.outcome {
+                ActionOutcome::Success(timing) => {
+                    Response::success(&request, result, timing.end, false)
                 }
-            }
-            _ => {}
+                ActionOutcome::Error { at, .. } => {
+                    Response::rejected(&request, *at, RejectReason::WorkerRejected)
+                }
+            });
         }
         self.dispatch(now, ctx);
     }
@@ -201,10 +145,8 @@ impl Scheduler for FifoScheduler {
         // in-flight actions died with the GPU. Reverse id order + push_front
         // restores the lost requests at the head in their original order.
         let lost = self.tracker.apply_fault(now, fault);
-        for (_, action) in lost.iter().rev() {
-            if let Some(request) = self.in_flight.remove(&action.id) {
-                self.queue.push_front(request);
-            }
+        for request in lost.into_iter().rev().filter_map(|(_, a)| a.riders) {
+            self.queue.push_front(request);
         }
         self.dispatch(now, ctx);
     }
@@ -228,7 +170,7 @@ mod tests {
     use crate::request::RequestId;
     use clockwork_model::zoo::ModelZoo;
     use clockwork_model::Tier;
-    use clockwork_worker::{ActionTiming, GpuId, WorkerId};
+    use clockwork_worker::{ActionKind, ActionTiming, GpuId, WorkerId};
 
     const PAGE: u64 = 16 * 1024 * 1024;
 

@@ -20,8 +20,9 @@
 //! be met even in the best case, before any work is wasted on them.
 //!
 //! The scheduler's state is two things, each with one owner: the mirror of
-//! the workers ([`WorkerStateTracker`]) and the queued requests
-//! (`RequestQueues`, crate-private). What is kept here is policy, plus what
+//! the workers with the ledger of in-flight actions ([`WorkerStateTracker`])
+//! and the queued requests (`RequestQueues`, crate-private) — a request is
+//! always in exactly one of the two. What is kept here is policy, plus what
 //! policy derives from those two.
 //!
 //! Every callback runs the whole pass (expire → INFER → LOAD → INFER), so
@@ -51,7 +52,7 @@
 //! the state the first one left and is skipped.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -60,7 +61,7 @@ use clockwork_metrics::trace::TraceEvent;
 use clockwork_model::{ModelId, ModelSpec, Tier};
 use clockwork_sim::engine::FaultKind;
 use clockwork_sim::time::{Nanos, Timestamp};
-use clockwork_worker::{ActionKind, ActionOutcome, ActionResult, TimeWindow};
+use clockwork_worker::{ActionOutcome, ActionResult, TimeWindow};
 
 use crate::batching;
 use crate::journal::SchedProfile;
@@ -69,7 +70,7 @@ use crate::profile::{ActionProfiler, ProfileKey};
 use crate::request::{InferenceRequest, RejectReason, Response};
 use crate::request_queues::{PendingRequest, RequestQueues};
 use crate::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
-use crate::worker_state::{Executor, GpuRef, WorkerStateTracker};
+use crate::worker_state::{Executor, GpuRef, Placement, Resolved, WorkerStateTracker};
 
 /// How much work to keep outstanding per executor (§5.3: 5 ms).
 const LOOKAHEAD: Nanos = Nanos::from_millis(5);
@@ -197,10 +198,10 @@ pub struct ClockworkScheduler {
     models: ModelTable<ModelEntry>,
     /// Every admitted request not yet dispatched (see [`RequestQueues`]).
     queues: RequestQueues,
-    tracker: WorkerStateTracker,
+    /// The mirror of the workers; every dispatched request rides on its
+    /// INFER's entry in the tracker's ledger until that resolves.
+    tracker: WorkerStateTracker<Vec<PendingRequest>>,
     profiler: ActionProfiler,
-    /// The requests riding on each INFER action that has not resolved yet.
-    in_flight: HashMap<clockwork_worker::ActionId, Vec<PendingRequest>>,
     /// Recent requests rejected up-front *only because their model was cold*
     /// (they would have fit their SLO on a warm GPU). Appendix B drives LOAD
     /// priorities from estimated SLO violations, so these rejections must
@@ -239,7 +240,6 @@ pub struct ClockworkScheduler {
     scratch_demands: Vec<(ModelId, Nanos)>,
     scratch_priorities: Vec<(ModelId, f64)>,
     scratch_gpu_load: Vec<f64>,
-    scratch_protect: HashSet<ModelId>,
 }
 
 impl ClockworkScheduler {
@@ -251,7 +251,6 @@ impl ClockworkScheduler {
             models: ModelTable::default(),
             queues: RequestQueues::default(),
             tracker: WorkerStateTracker::new(),
-            in_flight: HashMap::new(),
             cold_rejections: BTreeMap::new(),
             stats: SchedulerStats::default(),
             clean_until: Timestamp::ZERO,
@@ -265,7 +264,6 @@ impl ClockworkScheduler {
             scratch_demands: Vec::new(),
             scratch_priorities: Vec::new(),
             scratch_gpu_load: Vec::new(),
-            scratch_protect: HashSet::new(),
         }
     }
 
@@ -286,13 +284,7 @@ impl ClockworkScheduler {
 
     /// Number of INFER batches currently in flight.
     pub fn in_flight_batches(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// The controller's view of the cluster (read-only, for tests and the
-    /// experiment harness).
-    pub fn tracker(&self) -> &WorkerStateTracker {
-        &self.tracker
+        self.tracker.outstanding_infers()
     }
 
     fn exec_estimate(&self, model: ModelId, batch: u32) -> Nanos {
@@ -425,7 +417,7 @@ impl ClockworkScheduler {
         self.tracker.gpus()[gpu_idx]
             .outstanding
             .values()
-            .filter(|o| o.is_load && o.model == model)
+            .filter(|o| o.is_load() && o.model == model)
             .map(|o| o.expected_completion)
             .max()
     }
@@ -593,20 +585,14 @@ impl ClockworkScheduler {
             latest,
         };
         let request_ids: Vec<u64> = requests.iter().map(|p| p.request.id.0).collect();
-        let action_id = ctx.send_action(
-            gpu_ref.worker,
-            gpu_ref.gpu,
-            ActionKind::Infer {
-                model: model_id,
-                batch,
-                request_ids,
-            },
+        let at = Placement {
+            gpu: gpu_ref,
             window,
-            est,
-        );
+            start: exec_start,
+            duration: est,
+        };
         self.tracker
-            .note_infer_sent(gpu_ref, action_id, model_id, exec_start, est);
-        self.in_flight.insert(action_id, requests);
+            .send_infer(ctx, at, model_id, batch, request_ids, requests);
         self.stats.infer_actions += 1;
     }
 
@@ -858,37 +844,24 @@ impl ClockworkScheduler {
         let weights_bytes = entry.spec.weights_bytes();
         let est = self.load_estimate(model_id);
         // Make room first: evict least-recently-used models that have no
-        // queued requests and no outstanding work.
-        let mut protect = std::mem::take(&mut self.scratch_protect);
-        protect.clear();
-        protect.extend(self.queues.queued().iter().copied());
-        if let Some(track) = self.tracker.get(gpu_ref) {
-            protect.extend(track.outstanding.values().map(|o| o.model));
-        }
-        let unloads = &mut self.stats.unload_actions;
-        let room = self
-            .tracker
-            .evict_until_fits(gpu_ref, weights_bytes, &protect, |victim| {
-                ctx.send_unload(gpu_ref, victim);
-                *unloads += 1;
-            });
-        self.scratch_protect = protect;
+        // queued requests and no outstanding work on this GPU.
+        let queued = self.queues.queued();
+        let (room, unloads) =
+            self.tracker
+                .evict_until_fits(ctx, gpu_ref, weights_bytes, |track, model| {
+                    queued.contains(&model) || track.outstanding.values().any(|o| o.model == model)
+                });
+        self.stats.unload_actions += unloads as u64;
         if !room {
             return false;
         }
-        let window = TimeWindow {
-            earliest: load_slot,
-            latest: load_slot + LOAD_WINDOW,
+        let at = Placement {
+            gpu: gpu_ref,
+            window: TimeWindow::starting_at(load_slot, LOAD_WINDOW),
+            start: load_slot,
+            duration: est,
         };
-        let action_id = ctx.send_action(
-            gpu_ref.worker,
-            gpu_ref.gpu,
-            ActionKind::Load { model: model_id },
-            window,
-            est,
-        );
-        self.tracker
-            .note_load_sent(gpu_ref, action_id, model_id, weights_bytes, load_slot, est);
+        self.tracker.send_load(ctx, at, model_id, weights_bytes);
         self.stats.load_actions += 1;
         // The cold-start demand that motivated this LOAD is now being acted
         // upon; future cold rejections will re-register if the model is ever
@@ -951,7 +924,7 @@ impl ClockworkScheduler {
     /// it, and the differential tests use it to replay the legacy cadence.
     pub fn has_outstanding_work(&self) -> bool {
         !self.queues.queued().is_empty()
-            || !self.in_flight.is_empty()
+            || self.tracker.outstanding_infers() > 0
             || self.tracker.outstanding_loads() > 0
     }
 
@@ -1005,13 +978,9 @@ impl ClockworkScheduler {
         &mut self,
         now: Timestamp,
         result: &ActionResult,
+        batch: Vec<PendingRequest>,
         ctx: &mut SchedulerCtx,
     ) {
-        self.tracker
-            .note_infer_result(GpuRef::of(result), result.action_id);
-        let Some(batch) = self.in_flight.remove(&result.action_id) else {
-            return;
-        };
         match &result.outcome {
             ActionOutcome::Success(timing) => {
                 self.profiler.record(
@@ -1059,21 +1028,6 @@ impl ClockworkScheduler {
             } else {
                 self.reject(&pending, at, reason, ctx);
             }
-        }
-    }
-
-    fn handle_load_result(&mut self, result: &ActionResult) {
-        // The tracker ignores a stale result (its action was already
-        // resolved by a fault); the measurement is still a measurement.
-        self.tracker.note_load_result(
-            GpuRef::of(result),
-            result.action_id,
-            result.model,
-            result.is_success(),
-        );
-        if let ActionOutcome::Success(timing) = &result.outcome {
-            self.profiler
-                .record(ProfileKey::load(result.model), timing.device_duration);
         }
     }
 }
@@ -1184,7 +1138,7 @@ impl Scheduler for ClockworkScheduler {
                 // shed). Fold the aggregate backlog's fair drain share into
                 // the best-effort bar; strict admission is untouched.
                 let queued = self.queues.total() as u64;
-                let alive = self.tracker.alive_gpus().max(1) as u64;
+                let alive = self.tracker.live_gpus().len().max(1) as u64;
                 let pressure = Nanos::from_nanos(exec.as_nanos().saturating_mul(queued) / alive);
                 let scaled = Nanos::from_nanos(
                     (best_case + pressure)
@@ -1241,10 +1195,18 @@ impl Scheduler for ClockworkScheduler {
     }
 
     fn on_result(&mut self, now: Timestamp, result: &ActionResult, ctx: &mut SchedulerCtx) {
-        match result.action_type {
-            "INFER" => self.handle_infer_result(now, result, ctx),
-            "LOAD" => self.handle_load_result(result),
-            _ => {}
+        if let Resolved::Infer(batch) = self.tracker.resolve(result) {
+            self.handle_infer_result(now, result, batch, ctx);
+        } else if let ("LOAD", ActionOutcome::Success(timing)) =
+            (result.action_type, &result.outcome)
+        {
+            // Read off the result's own type, not the ledger — the one
+            // place that still is: a stale LOAD result (its action already
+            // resolved by a fault) changed nothing in the tracker, but its
+            // measurement is still a measurement, and the frozen digests
+            // were taken with it in the profile.
+            self.profiler
+                .record(ProfileKey::load(result.model), timing.device_duration);
         }
         self.schedule(now, ctx);
     }
@@ -1272,9 +1234,9 @@ impl Scheduler for ClockworkScheduler {
         // Requeue order is part of the frozen digests: per GPU in
         // registration order, by action id (issue order) within a GPU — not
         // the global action-id order the baselines resolve in.
-        lost.sort_unstable_by_key(|&(gpu_idx, action)| (gpu_idx, action.id));
+        lost.sort_unstable_by_key(|(gpu_idx, action)| (*gpu_idx, action.id));
         for (_, action) in lost {
-            if let Some(batch) = self.in_flight.remove(&action.id) {
+            if let Some(batch) = action.riders {
                 self.requeue_or_reject(now, batch, now, RejectReason::WorkerFailed, ctx);
             }
         }
@@ -1349,7 +1311,7 @@ mod tests {
     use super::*;
     use crate::request::{RequestId, RequestOutcome};
     use clockwork_model::zoo::ModelZoo;
-    use clockwork_worker::{ActionId, ActionTiming, GpuId, WorkerId};
+    use clockwork_worker::{ActionId, ActionKind, ActionTiming, GpuId, WorkerId};
 
     const PAGE: u64 = 16 * 1024 * 1024;
 
@@ -1463,18 +1425,15 @@ mod tests {
     }
 
     /// Warms `model` on `gpu` behind the scheduler's back: LOAD sent and
-    /// confirmed at time zero.
-    fn warm(s: &mut ClockworkScheduler, gpu: GpuRef, action: u64, model: u32) {
-        s.tracker.note_load_sent(
-            gpu,
-            ActionId(action),
-            ModelId(model),
-            7 * PAGE,
-            Timestamp::ZERO,
-            Nanos::from_millis(8),
-        );
-        s.tracker
-            .note_load_result(gpu, ActionId(action), ModelId(model), true);
+    /// confirmed at time zero, through a context of its own.
+    fn warm(s: &mut ClockworkScheduler, gpu: GpuRef, model: u32) {
+        let mut ctx = SchedulerCtx::new();
+        let at = Placement::unbounded(gpu, Timestamp::ZERO, Nanos::from_millis(8));
+        s.tracker.send_load(&mut ctx, at, ModelId(model), 7 * PAGE);
+        let (_, load) = ctx.take_actions().remove(0);
+        let mut loaded = success_result(load.id, &load, 0, 8_000);
+        (loaded.worker, loaded.gpu) = (gpu.worker, gpu.gpu);
+        assert!(matches!(s.tracker.resolve(&loaded), Resolved::Load));
     }
 
     fn infers(actions: &[(WorkerId, clockwork_worker::Action)]) -> Vec<(GpuId, Vec<u64>)> {
@@ -1495,7 +1454,7 @@ mod tests {
         // pass would rescan the same candidate and decide the same; it is
         // skipped, so the candidate counts once.
         let mut s = scheduler_with_one_gpu(100);
-        warm(&mut s, gref(), 900, 1);
+        warm(&mut s, gref(), 1);
         s.on_request(Timestamp::ZERO, request(1, 1, 0, 100), &mut ctx);
         assert_eq!(infers(&ctx.take_actions()).len(), 1);
         let before = s.sched_profile();
@@ -1531,9 +1490,9 @@ mod tests {
         // Model 1 lives on A only and keeps it busy; model 2 is on both.
         s.add_model(ModelId(1), resnet(), Nanos::from_millis_f64(8.33));
         s.add_model(ModelId(2), resnet(), Nanos::from_millis_f64(8.33));
-        warm(&mut s, gpu_a, 900, 1);
-        warm(&mut s, gpu_a, 901, 2);
-        warm(&mut s, gpu_b, 902, 2);
+        warm(&mut s, gpu_a, 1);
+        warm(&mut s, gpu_a, 2);
+        warm(&mut s, gpu_b, 2);
         let exec = s.exec_estimate(ModelId(2), 1);
         assert!(exec > Nanos::from_millis(2) && exec < Nanos::from_millis(3));
         let mut ctx = SchedulerCtx::new();
@@ -1858,7 +1817,7 @@ mod tests {
             .find(|(_, a)| a.kind.type_name() == "LOAD")
             .map(|(_, a)| (a.id, a.clone()))
             .unwrap();
-        let free_before = s.tracker().get(gref()).unwrap().free_pages;
+        let free_before = s.tracker.get(gref()).unwrap().free_pages;
         assert_eq!(free_before, 0, "all 7 pages reserved for the load");
         // The worker reports failure.
         let result = ActionResult {
@@ -1872,7 +1831,7 @@ mod tests {
             ..success_result(load_id, &load_action, 0, 8_330)
         };
         s.on_result(Timestamp::from_millis(1), &result, &mut ctx);
-        assert_eq!(s.tracker().get(gref()).unwrap().free_pages, 7);
+        assert_eq!(s.tracker.get(gref()).unwrap().free_pages, 7);
     }
 
     #[test]
@@ -2049,7 +2008,7 @@ mod tests {
         assert_eq!(s.in_flight_batches(), 0);
         assert!(s.queued_requests() >= 1);
         assert!(ctx.take_responses().is_empty());
-        let track = s.tracker().get(gref()).unwrap();
+        let track = s.tracker.get(gref()).unwrap();
         assert!(!track.alive);
         assert!(track.models.is_empty());
         assert_eq!(track.free_pages, track.total_pages, "reservations returned");
@@ -2131,8 +2090,8 @@ mod tests {
         let mut ctx = SchedulerCtx::new();
         // Warm the model on both GPUs without going through the scheduler's
         // own LOAD placement.
-        warm(&mut s, gref(), 900, 1);
-        warm(&mut s, gpu1, 901, 1);
+        warm(&mut s, gref(), 1);
+        warm(&mut s, gpu1, 1);
         for (id, at_ms) in [(1, 10), (2, 10), (3, 10), (4, 13)] {
             let at = Timestamp::from_millis(at_ms);
             s.on_request(at, request(id, 1, at_ms, 5_000), &mut ctx);

@@ -13,12 +13,13 @@
 //!   early-out tick pipeline.
 //! * [`worker_state`] — the controller's mirror of each worker's memory
 //!   state, outstanding actions, and executor availability; the one owner
-//!   of every per-GPU fact.
+//!   of every per-GPU fact, and the ledger of in-flight actions — the only
+//!   way to send one, carrying the requests that ride on each INFER.
 //! * `request_queues` (crate-private) — the per-model queues of admitted
 //!   requests with their deadline, urgency and count indices; the one owner
 //!   of every queued-request fact.
-//! * [`scheduler`] — the `Scheduler` trait and the context through which
-//!   schedulers emit actions and responses.
+//! * [`scheduler`] — the `Scheduler` trait and the context that collects
+//!   what schedulers emit: responses directly, actions through the tracker.
 //! * [`registry`] — open registration of disciplines: `SchedulerFactory`
 //!   and `SchedulerRegistry`, so experiment harnesses construct any
 //!   registered discipline as a `Box<dyn Scheduler>` by name.

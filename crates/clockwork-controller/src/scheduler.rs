@@ -3,8 +3,10 @@
 //! The controller separates mechanism from policy: a thin layer handles
 //! networking, forwarding inputs, timestamping and timeouts, while all choice
 //! is concentrated behind the [`Scheduler`] trait — `onRequest` and
-//! `onResult` callbacks that may emit actions to workers and responses to
-//! clients through a [`SchedulerCtx`]. Different scheduler implementations
+//! `onResult` callbacks that may emit responses to clients through a
+//! [`SchedulerCtx`] and actions to workers through the scheduler's
+//! [`WorkerStateTracker`](crate::worker_state::WorkerStateTracker), which
+//! writes them into the same context. Different scheduler implementations
 //! (the Clockwork scheduler, the ablation schedulers, the baseline
 //! disciplines) drop into the same harness.
 
@@ -13,7 +15,7 @@ use std::sync::Arc;
 use clockwork_metrics::trace::TraceEvent;
 use clockwork_model::{ModelId, ModelSpec};
 use clockwork_sim::time::Timestamp;
-use clockwork_worker::{Action, ActionId, ActionKind, GpuId, TimeWindow, WorkerId};
+use clockwork_worker::{Action, ActionId, ActionKind, TimeWindow, WorkerId};
 
 use clockwork_sim::time::Nanos;
 
@@ -48,46 +50,30 @@ impl SchedulerCtx {
         SchedulerCtx::default()
     }
 
-    /// Mints a fresh action id.
-    pub fn new_action_id(&mut self) -> ActionId {
-        let id = ActionId(self.next_action_id);
-        self.next_action_id += 1;
-        id
-    }
-
-    /// Builds and queues an action for a worker, returning its id.
-    pub fn send_action(
+    /// Mints, builds and queues an action for a worker, returning its id.
+    /// Crate-private: a discipline sends through its tracker, which notes
+    /// the action in the same call — so no action can leave the controller
+    /// that the mirror has not seen.
+    pub(crate) fn send_action(
         &mut self,
-        worker: WorkerId,
-        gpu: GpuId,
+        to: GpuRef,
         kind: ActionKind,
         window: TimeWindow,
         expected_duration: Nanos,
     ) -> ActionId {
-        let id = self.new_action_id();
+        let id = ActionId(self.next_action_id);
+        self.next_action_id += 1;
         self.actions.push((
-            worker,
+            to.worker,
             Action {
                 id,
-                gpu,
+                gpu: to.gpu,
                 kind,
                 window,
                 expected_duration,
             },
         ));
         id
-    }
-
-    /// Queues the UNLOAD of an evicted model: metadata-only on the worker, so
-    /// it may run at any time and is expected to take microseconds.
-    pub fn send_unload(&mut self, gpu_ref: GpuRef, model: ModelId) -> ActionId {
-        self.send_action(
-            gpu_ref.worker,
-            gpu_ref.gpu,
-            ActionKind::Unload { model },
-            TimeWindow::always(),
-            Nanos::from_micros(5),
-        )
     }
 
     /// Queues a response to a client.
@@ -221,25 +207,25 @@ pub trait Scheduler {
 mod tests {
     use super::*;
     use clockwork_model::ModelId;
+    use clockwork_worker::GpuId;
 
     #[test]
     fn context_mints_unique_ids_and_drains() {
         let mut ctx = SchedulerCtx::new();
-        let a = ctx.new_action_id();
-        let b = ctx.new_action_id();
+        let mut send = |worker| {
+            let to = GpuRef {
+                worker: WorkerId(worker),
+                gpu: GpuId(0),
+            };
+            let load = ActionKind::Load { model: ModelId(3) };
+            ctx.send_action(to, load, TimeWindow::always(), Nanos::from_millis(8))
+        };
+        let (a, b) = (send(0), send(1));
         assert_ne!(a, b);
-        let id = ctx.send_action(
-            WorkerId(1),
-            GpuId(0),
-            ActionKind::Load { model: ModelId(3) },
-            TimeWindow::always(),
-            Nanos::from_millis(8),
-        );
-        assert_ne!(id, b);
         let actions = ctx.take_actions();
-        assert_eq!(actions.len(), 1);
-        assert_eq!(actions[0].0, WorkerId(1));
-        assert_eq!(actions[0].1.id, id);
+        assert_eq!(actions.len(), 2);
+        assert_eq!(actions[1].0, WorkerId(1));
+        assert_eq!(actions[1].1.id, b);
         assert!(ctx.take_actions().is_empty());
     }
 

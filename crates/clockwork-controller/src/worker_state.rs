@@ -11,21 +11,34 @@
 //!
 //! **Ownership rule:** every per-GPU fact lives here; schedulers hold policy
 //! state only. Residency (per GPU and, inverted, per model), page
-//! reservations, executor free times, outstanding actions, liveness and the
-//! worker-down set all change through [`WorkerStateTracker`]'s `note_*`,
-//! [`WorkerStateTracker::evict_until_fits`] and
-//! [`WorkerStateTracker::apply_fault`] methods and nowhere else — callers
-//! only ever hold `&GpuTrack` — so the indices cannot drift from the tracks
-//! they summarise and no discipline keeps a second copy.
+//! reservations, executor free times, liveness and the worker-down set all
+//! change through [`WorkerStateTracker`]'s `send_*`,
+//! [`WorkerStateTracker::resolve`], [`WorkerStateTracker::evict_until_fits`]
+//! and [`WorkerStateTracker::apply_fault`] methods and nowhere else —
+//! callers only ever hold `&GpuTrack` — so the indices cannot drift from the
+//! tracks they summarise and no discipline keeps a second copy.
+//!
+//! **In-flight actions** are the same rule applied to what "workers only do
+//! what they are told" rests on: the tracker is the ledger of every action
+//! sent and not heard back about, and the only way to send one. A `send_*`
+//! mints the action, queues it on the [`SchedulerCtx`] and enters it in the
+//! ledger in one call (this module is the only non-test caller of
+//! `SchedulerCtx::send_action`, which is crate-private); an INFER's entry
+//! carries its *riders* — the requests it will answer, of whatever type `R`
+//! the discipline queues — and they come back exactly once, from
+//! [`WorkerStateTracker::resolve`] or in [`WorkerStateTracker::apply_fault`]'s
+//! lost list. A request is therefore always in one of two places: the
+//! discipline's queue or this ledger.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use clockwork_model::ModelId;
 use clockwork_sim::engine::FaultKind;
 use clockwork_sim::time::{Nanos, Timestamp};
-use clockwork_worker::{ActionId, ActionResult, GpuId, WorkerId};
+use clockwork_worker::{ActionId, ActionKind, ActionResult, GpuId, TimeWindow, WorkerId};
 
 use crate::model_table::ModelTable;
+use crate::scheduler::SchedulerCtx;
 
 /// A (worker, GPU) pair — the unit of scheduling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -52,17 +65,69 @@ impl std::fmt::Display for GpuRef {
     }
 }
 
+/// Where and when a LOAD or INFER is sent to run.
+#[derive(Clone, Copy, Debug)]
+pub struct Placement {
+    /// The GPU it is sent to.
+    pub gpu: GpuRef,
+    /// The execution window the worker enforces.
+    pub window: TimeWindow,
+    /// When the controller expects it to start: its executor is claimed
+    /// from here.
+    pub start: Timestamp,
+    /// The predicted duration, sent with the action; `start + duration` is
+    /// the expected completion.
+    pub duration: Nanos,
+}
+
+impl Placement {
+    /// A placement without an execution window (the baselines never set
+    /// one).
+    pub fn unbounded(gpu: GpuRef, start: Timestamp, duration: Nanos) -> Self {
+        Placement {
+            gpu,
+            window: TimeWindow::always(),
+            start,
+            duration,
+        }
+    }
+}
+
 /// An action the controller has sent and not yet heard back about.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OutstandingAction {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OutstandingAction<R> {
     /// The action id.
     pub id: ActionId,
     /// The model it concerns.
     pub model: ModelId,
     /// The controller's predicted completion time.
     pub expected_completion: Timestamp,
-    /// Whether it is a LOAD (false = INFER; UNLOADs are not tracked).
-    pub is_load: bool,
+    /// What rides on an INFER — the requests it will answer; `None` for a
+    /// LOAD (UNLOADs are not tracked).
+    pub riders: Option<R>,
+}
+
+impl<R> OutstandingAction<R> {
+    /// Whether it is a LOAD (false = INFER).
+    pub fn is_load(&self) -> bool {
+        self.riders.is_none()
+    }
+}
+
+/// What [`WorkerStateTracker::resolve`] made of an action result.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Resolved<R> {
+    /// It resolved an outstanding INFER: here are its riders.
+    Infer(R),
+    /// It resolved an outstanding LOAD, and residency now reflects it.
+    Load,
+    /// Its action is not outstanding and nothing changed: an UNLOAD's result
+    /// (never tracked), a replay, or a result produced just before its GPU
+    /// crashed, when the crash already resolved the action — so it cannot
+    /// resurrect residency on a GPU whose memory is gone (or clobber a newer
+    /// LOAD of the same model issued after the GPU recovered), and its
+    /// riders were already handed back with the fault.
+    Stale,
 }
 
 /// One model's claim on a GPU's weights cache.
@@ -86,7 +151,7 @@ pub enum Executor {
 /// The tracked state of one GPU. Plain data: all mutation goes through the
 /// owning [`WorkerStateTracker`].
 #[derive(Clone, Debug)]
-pub struct GpuTrack {
+pub struct GpuTrack<R> {
     /// Which GPU this is.
     pub gpu_ref: GpuRef,
     /// Total pages in the weights cache.
@@ -100,13 +165,13 @@ pub struct GpuTrack {
     pub models: BTreeMap<ModelId, Residency>,
     /// Last time an INFER was scheduled per model (drives LRU eviction).
     pub last_used: HashMap<ModelId, Timestamp>,
-    /// Outstanding actions on this GPU.
-    pub outstanding: HashMap<ActionId, OutstandingAction>,
+    /// Outstanding actions on this GPU, each INFER with its riders.
+    pub outstanding: HashMap<ActionId, OutstandingAction<R>>,
     /// Whether the GPU (and its worker) is up. Dead GPUs receive no work.
     pub alive: bool,
 }
 
-impl GpuTrack {
+impl<R> GpuTrack<R> {
     fn new(gpu_ref: GpuRef, total_pages: u64, page_size: u64) -> Self {
         GpuTrack {
             gpu_ref,
@@ -139,11 +204,12 @@ impl GpuTrack {
         bytes.div_ceil(self.page_size).max(1)
     }
 
-    /// The least-recently-used resident model, excluding `protect`ed ones.
-    pub fn lru_candidate(&self, protect: &HashSet<ModelId>) -> Option<ModelId> {
+    /// The least-recently-used resident model that `protect` does not hold
+    /// back.
+    pub fn lru_candidate(&self, protect: impl Fn(ModelId) -> bool) -> Option<ModelId> {
         self.models
             .iter()
-            .filter(|(m, r)| !r.loading && !protect.contains(m))
+            .filter(|(&m, r)| !r.loading && !protect(m))
             .map(|(&m, _)| m)
             .min_by_key(|m| {
                 (
@@ -162,11 +228,12 @@ impl GpuTrack {
     }
 }
 
-/// The controller's view of every GPU in the cluster, and the only owner of
-/// per-GPU state (see the module docs).
-#[derive(Clone, Debug, Default)]
-pub struct WorkerStateTracker {
-    gpus: Vec<GpuTrack>,
+/// The controller's view of every GPU in the cluster: the only owner of
+/// per-GPU state and the ledger of in-flight actions (see the module docs).
+/// `R` is what a discipline lets ride on an INFER.
+#[derive(Clone, Debug)]
+pub struct WorkerStateTracker<R> {
+    gpus: Vec<GpuTrack<R>>,
     index: HashMap<GpuRef, usize>,
     /// Estimated time each GPU's executors are next free, as dense columns
     /// (`[Executor::Infer, Executor::Load]`, each by registration index) so
@@ -178,9 +245,14 @@ pub struct WorkerStateTracker {
     holders: ModelTable<Vec<usize>>,
     /// LOAD actions outstanding across the fleet.
     outstanding_loads: usize,
-    /// GPUs currently alive; changes only in `add_gpu`, `fail_gpu` and
-    /// `recover_gpu`.
-    alive_gpus: usize,
+    /// INFER actions outstanding across the fleet, and per model. Exact
+    /// arithmetic: a count that drifts from the ledger underflows, which a
+    /// debug build turns into a panic.
+    outstanding_infers: usize,
+    infers_by_model: ModelTable<usize>,
+    /// The GPUs currently alive, in registration order; changes only in
+    /// `add_gpu`, `fail_gpu` and `recover_gpu`.
+    live: Vec<GpuRef>,
     /// Workers currently crashed. While a worker is down, a lone GPU
     /// recovery cannot make its GPUs reachable — only the worker restart
     /// re-admits them (the worker would silently drop actions sent earlier,
@@ -188,7 +260,23 @@ pub struct WorkerStateTracker {
     down_workers: HashSet<WorkerId>,
 }
 
-impl WorkerStateTracker {
+impl<R> Default for WorkerStateTracker<R> {
+    fn default() -> Self {
+        WorkerStateTracker {
+            gpus: Vec::new(),
+            index: HashMap::new(),
+            free_at: Default::default(),
+            holders: ModelTable::default(),
+            outstanding_loads: 0,
+            outstanding_infers: 0,
+            infers_by_model: ModelTable::default(),
+            live: Vec::new(),
+            down_workers: HashSet::new(),
+        }
+    }
+}
+
+impl<R> WorkerStateTracker<R> {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         Self::default()
@@ -199,14 +287,14 @@ impl WorkerStateTracker {
         self.index.insert(gpu_ref, self.gpus.len());
         self.gpus
             .push(GpuTrack::new(gpu_ref, total_pages, page_size));
-        self.alive_gpus += 1;
+        self.live.push(gpu_ref);
         for column in &mut self.free_at {
             column.push(Timestamp::ZERO);
         }
     }
 
     /// All tracked GPUs, in registration order.
-    pub fn gpus(&self) -> &[GpuTrack] {
+    pub fn gpus(&self) -> &[GpuTrack<R>] {
         &self.gpus
     }
 
@@ -221,7 +309,7 @@ impl WorkerStateTracker {
     }
 
     /// Looks a GPU up by reference.
-    pub fn get(&self, gpu_ref: GpuRef) -> Option<&GpuTrack> {
+    pub fn get(&self, gpu_ref: GpuRef) -> Option<&GpuTrack<R>> {
         self.index.get(&gpu_ref).map(|&i| &self.gpus[i])
     }
 
@@ -231,20 +319,39 @@ impl WorkerStateTracker {
         self.index.get(&gpu_ref).copied()
     }
 
+    /// The registration index of a GPU an action is being sent to. Every GPU
+    /// a discipline names comes from this tracker, so an unknown one is a
+    /// routing bug — and noting nothing while the action goes out anyway
+    /// would leave the mirror silently wrong.
+    fn sent_to(&self, gpu_ref: GpuRef) -> usize {
+        self.gpu_index(gpu_ref)
+            .unwrap_or_else(|| panic!("action sent to unknown GPU {gpu_ref}"))
+    }
+
     /// Registration indices of the GPUs on which a model is resident or
     /// loading, ascending. Empty means the model is cold everywhere.
     pub fn gpus_with_model(&self, model: ModelId) -> &[usize] {
         self.holders.get(model).map_or(&[], Vec::as_slice)
     }
 
-    /// Number of GPUs currently alive.
-    pub fn alive_gpus(&self) -> usize {
-        self.alive_gpus
+    /// The GPUs currently alive, in registration order.
+    pub fn live_gpus(&self) -> &[GpuRef] {
+        &self.live
     }
 
     /// Number of LOAD actions outstanding across the fleet.
     pub fn outstanding_loads(&self) -> usize {
         self.outstanding_loads
+    }
+
+    /// Number of INFER actions outstanding across the fleet.
+    pub fn outstanding_infers(&self) -> usize {
+        self.outstanding_infers
+    }
+
+    /// Number of INFER actions outstanding for one model, fleet-wide.
+    pub fn outstanding_infers_of(&self, model: ModelId) -> usize {
+        self.infers_by_model.get(model).copied().unwrap_or(0)
     }
 
     /// The time an action could start on GPU `idx`'s executor if sent now,
@@ -284,40 +391,40 @@ impl WorkerStateTracker {
             .map(|(_, g)| g.gpu_ref)
     }
 
-    /// Marks an INFER as sent: occupies the executor from `start` for
-    /// `duration` and touches LRU. Unknown GPUs are ignored, here and in
-    /// every other `note_*`.
-    pub fn note_infer_sent(
+    /// Sends an INFER with its riders: claims the INFER executor from
+    /// `at.start` for `at.duration`, touches LRU and counts it. Panics on a
+    /// GPU the tracker does not know, as does every other `send_*`.
+    pub fn send_infer(
         &mut self,
-        gpu_ref: GpuRef,
-        id: ActionId,
+        ctx: &mut SchedulerCtx,
+        at: Placement,
         model: ModelId,
-        start: Timestamp,
-        duration: Nanos,
-    ) {
-        let Some(idx) = self.gpu_index(gpu_ref) else {
-            return;
+        batch: u32,
+        request_ids: Vec<u64>,
+        riders: R,
+    ) -> ActionId {
+        let kind = ActionKind::Infer {
+            model,
+            batch,
+            request_ids,
         };
-        self.occupy(Executor::Infer, idx, id, model, start + duration);
-        self.gpus[idx].last_used.insert(model, start);
+        let (idx, id) = self.send(ctx, at, kind, Some(riders));
+        self.outstanding_infers += 1;
+        *self.infers_by_model.get_or_default(model) += 1;
+        self.gpus[idx].last_used.insert(model, at.start);
+        id
     }
 
-    /// Marks a LOAD as sent: reserves the pages `weights_bytes` needs,
-    /// occupies the load executor, and lists the GPU among the model's
-    /// holders.
-    pub fn note_load_sent(
+    /// Sends a LOAD: reserves the pages `weights_bytes` needs, claims the
+    /// LOAD executor, and lists the GPU among the model's holders.
+    pub fn send_load(
         &mut self,
-        gpu_ref: GpuRef,
-        id: ActionId,
+        ctx: &mut SchedulerCtx,
+        at: Placement,
         model: ModelId,
         weights_bytes: u64,
-        start: Timestamp,
-        duration: Nanos,
-    ) {
-        let Some(idx) = self.gpu_index(gpu_ref) else {
-            return;
-        };
-        self.occupy(Executor::Load, idx, id, model, start + duration);
+    ) -> ActionId {
+        let (idx, id) = self.send(ctx, at, ActionKind::Load { model }, None);
         self.outstanding_loads += 1;
         let track = &mut self.gpus[idx];
         let pages = track.pages_for(weights_bytes);
@@ -332,21 +439,32 @@ impl WorkerStateTracker {
         // `or_insert`, and neither a failed LOAD nor its result clears the
         // stamp: a re-LOAD after a failure keeps the older LRU position.
         // The frozen digests depend on it; do not "fix" it in passing.
-        track.last_used.entry(model).or_insert(start);
+        track.last_used.entry(model).or_insert(at.start);
         let holders = self.holders.get_or_default(model);
         if let Err(pos) = holders.binary_search(&idx) {
             holders.insert(pos, idx);
         }
+        id
     }
 
-    fn occupy(
+    /// The one place a tracked action leaves the controller: mints it,
+    /// queues it for its worker, claims its executor until the expected
+    /// completion and enters it in the ledger (riders ⇔ INFER).
+    fn send(
         &mut self,
-        executor: Executor,
-        idx: usize,
-        id: ActionId,
-        model: ModelId,
-        expected_completion: Timestamp,
-    ) {
+        ctx: &mut SchedulerCtx,
+        at: Placement,
+        kind: ActionKind,
+        riders: Option<R>,
+    ) -> (usize, ActionId) {
+        let idx = self.sent_to(at.gpu);
+        let executor = match riders {
+            Some(_) => Executor::Infer,
+            None => Executor::Load,
+        };
+        let model = kind.model();
+        let id = ctx.send_action(at.gpu, kind, at.window, at.duration);
+        let expected_completion = at.start + at.duration;
         let free_at = &mut self.free_at[executor as usize][idx];
         *free_at = (*free_at).max(expected_completion);
         self.gpus[idx].outstanding.insert(
@@ -355,19 +473,22 @@ impl WorkerStateTracker {
                 id,
                 model,
                 expected_completion,
-                is_load: executor == Executor::Load,
+                riders,
             },
         );
+        (idx, id)
     }
 
-    /// Marks an UNLOAD as sent: frees the pages immediately (UNLOAD always
-    /// succeeds and is metadata-only). Unloading something the GPU does not
-    /// hold is harmless.
-    pub fn note_unload_sent(&mut self, gpu_ref: GpuRef, model: ModelId) {
-        if let Some(idx) = self.gpu_index(gpu_ref) {
-            self.drop_residency(idx, model);
-            self.gpus[idx].last_used.remove(&model);
-        }
+    /// Sends an UNLOAD and frees the pages immediately: it always succeeds
+    /// and is metadata-only on the worker, so it may run at any time, is
+    /// expected to take microseconds and is not tracked. Unloading
+    /// something the GPU does not hold is harmless.
+    pub fn send_unload(&mut self, ctx: &mut SchedulerCtx, gpu_ref: GpuRef, model: ModelId) {
+        let idx = self.sent_to(gpu_ref);
+        let (unload, anytime) = (ActionKind::Unload { model }, TimeWindow::always());
+        ctx.send_action(gpu_ref, unload, anytime, Nanos::from_micros(5));
+        self.drop_residency(idx, model);
+        self.gpus[idx].last_used.remove(&model);
     }
 
     /// Drops a model's residency entry on a GPU, if it has one, and returns
@@ -387,66 +508,71 @@ impl WorkerStateTracker {
             .retain(|&i| i != idx);
     }
 
-    /// Records a LOAD result and hands back the action it resolves. `None`
-    /// means the result is stale — its action is no longer outstanding,
-    /// e.g. it was produced just before the GPU crashed and the crash
-    /// already resolved the action — and was ignored entirely, so it cannot
-    /// resurrect residency on a GPU whose memory is gone (or clobber a newer
-    /// LOAD of the same model issued after the GPU recovered).
-    pub fn note_load_result(
-        &mut self,
-        gpu_ref: GpuRef,
-        id: ActionId,
-        model: ModelId,
-        success: bool,
-    ) -> Option<OutstandingAction> {
-        let idx = self.gpu_index(gpu_ref)?;
-        let action = self.gpus[idx].outstanding.remove(&id)?;
-        self.outstanding_loads -= usize::from(action.is_load);
-        if success {
-            if let Some(held) = self.gpus[idx].models.get_mut(&model) {
-                held.loading = false;
-            }
+    /// Takes an action that left the ledger out of the counts.
+    fn uncount(&mut self, action: &OutstandingAction<R>) {
+        if action.is_load() {
+            self.outstanding_loads -= 1;
         } else {
-            // The worker did not allocate pages; return our reservation.
-            self.drop_residency(idx, model);
-        }
-        Some(action)
-    }
-
-    /// Records an INFER result (success or failure frees the executor claim).
-    pub fn note_infer_result(&mut self, gpu_ref: GpuRef, id: ActionId) {
-        if let Some(idx) = self.gpu_index(gpu_ref) {
-            self.gpus[idx].outstanding.remove(&id);
+            self.outstanding_infers -= 1;
+            *self
+                .infers_by_model
+                .get_mut(action.model)
+                .expect("counted when sent") -= 1;
         }
     }
 
-    /// Makes room for a weights blob of `weights_bytes` on a GPU: evicts
-    /// least-recently-used resident models outside `protect`, calling
-    /// `unload` for each victim (so the caller sends the UNLOAD action),
-    /// until the blob fits. Returns whether it fits; `false` means victims
-    /// ran out first — whatever was evicted stays evicted.
+    /// Records an action result, told apart by what the ledger knows about
+    /// its id rather than by what the result says it is. An INFER (success
+    /// or failure) gives up its executor claim and its riders; a successful
+    /// LOAD confirms residency and a failed one returns the reservation (the
+    /// worker did not allocate pages); anything else is [`Resolved::Stale`].
+    pub fn resolve(&mut self, result: &ActionResult) -> Resolved<R> {
+        let Some(idx) = self.gpu_index(GpuRef::of(result)) else {
+            return Resolved::Stale;
+        };
+        let Some(action) = self.gpus[idx].outstanding.remove(&result.action_id) else {
+            return Resolved::Stale;
+        };
+        self.uncount(&action);
+        match action.riders {
+            Some(riders) => Resolved::Infer(riders),
+            None => {
+                if !result.is_success() {
+                    self.drop_residency(idx, action.model);
+                } else if let Some(held) = self.gpus[idx].models.get_mut(&action.model) {
+                    held.loading = false;
+                }
+                Resolved::Load
+            }
+        }
+    }
+
+    /// Makes room for a weights blob of `weights_bytes` on a GPU: sends an
+    /// UNLOAD for the least-recently-used resident model that
+    /// `protect(track, model)` does not hold back, again and again, until
+    /// the blob fits. Returns whether it fits — `false` means victims ran
+    /// out first, and whatever was evicted stays evicted — and how many
+    /// UNLOADs were sent.
     pub fn evict_until_fits(
         &mut self,
+        ctx: &mut SchedulerCtx,
         gpu_ref: GpuRef,
         weights_bytes: u64,
-        protect: &HashSet<ModelId>,
-        mut unload: impl FnMut(ModelId),
-    ) -> bool {
-        let Some(idx) = self.gpu_index(gpu_ref) else {
-            return false;
-        };
+        protect: impl Fn(&GpuTrack<R>, ModelId) -> bool,
+    ) -> (bool, usize) {
+        let idx = self.sent_to(gpu_ref);
         let pages = self.gpus[idx].pages_for(weights_bytes);
+        let mut unloads = 0;
         loop {
             let track = &self.gpus[idx];
             if pages <= track.free_pages {
-                return true;
+                return (true, unloads);
             }
-            let Some(victim) = track.lru_candidate(protect) else {
-                return false;
+            let Some(victim) = track.lru_candidate(|m| protect(track, m)) else {
+                return (false, unloads);
             };
-            self.note_unload_sent(gpu_ref, victim);
-            unload(victim);
+            self.send_unload(ctx, gpu_ref, victim);
+            unloads += 1;
         }
     }
 
@@ -455,23 +581,23 @@ impl WorkerStateTracker {
     ///
     /// Failures mark the affected GPU(s) dead, wipe their residency, page
     /// reservations and outstanding actions, and return those actions — which
-    /// will never produce a result — each with its GPU's registration
-    /// index, in ascending action-id order; the caller resolves them
-    /// (requeue or reject) in whatever deterministic order its digest was
-    /// frozen with. Recoveries re-admit dead GPUs cold (nothing resident); a
-    /// recovery naming a GPU that is already alive — e.g. a `GpuRecover`
-    /// whose failure window a worker restart already superseded — is a
-    /// no-op, and one naming a GPU of a crashed worker is ignored: the
-    /// machine is gone, only its restart brings the GPUs back. Link faults
-    /// are a transport matter, and a join's GPUs were already registered
-    /// through `add_gpu`; neither touches anything here.
+    /// will never produce a result — each with its riders and its GPU's
+    /// registration index, in ascending action-id order; the caller resolves
+    /// them (requeue or reject) in whatever deterministic order its digest
+    /// was frozen with. Recoveries re-admit dead GPUs cold (nothing
+    /// resident); a recovery naming a GPU that is already alive — e.g. a
+    /// `GpuRecover` whose failure window a worker restart already
+    /// superseded — is a no-op, and one naming a GPU of a crashed worker is
+    /// ignored: the machine is gone, only its restart brings the GPUs back.
+    /// Link faults are a transport matter, and a join's GPUs were already
+    /// registered through `add_gpu`; neither touches anything here.
     pub fn apply_fault(
         &mut self,
         now: Timestamp,
         fault: &FaultKind,
-    ) -> Vec<(usize, OutstandingAction)> {
+    ) -> Vec<(usize, OutstandingAction<R>)> {
         let worker = WorkerId(fault.worker());
-        let on_worker = |g: &GpuTrack| g.gpu_ref.worker == worker;
+        let on_worker = |g: &GpuTrack<R>| g.gpu_ref.worker == worker;
         let mut lost = Vec::new();
         match *fault {
             FaultKind::WorkerCrash { .. } => {
@@ -510,25 +636,32 @@ impl WorkerStateTracker {
             | FaultKind::PartitionEnd { .. }
             | FaultKind::WorkerJoin { .. } => {}
         }
-        lost.sort_unstable_by_key(|&(_, action)| action.id);
+        lost.sort_unstable_by_key(|(_, action)| action.id);
         lost
     }
 
     /// The GPU died: its memory comes back empty, its outstanding actions
     /// move to `lost`, and it is unschedulable until it recovers.
-    fn fail_gpu(&mut self, idx: usize, now: Timestamp, lost: &mut Vec<(usize, OutstandingAction)>) {
+    fn fail_gpu(
+        &mut self,
+        idx: usize,
+        now: Timestamp,
+        lost: &mut Vec<(usize, OutstandingAction<R>)>,
+    ) {
         for model in std::mem::take(&mut self.gpus[idx].models).into_keys() {
             self.unlist_holder(idx, model);
         }
-        let track = &mut self.gpus[idx];
-        for (_, action) in track.outstanding.drain() {
-            self.outstanding_loads -= usize::from(action.is_load);
+        for (_, action) in std::mem::take(&mut self.gpus[idx].outstanding) {
+            self.uncount(&action);
             lost.push((idx, action));
         }
+        let track = &mut self.gpus[idx];
         track.last_used.clear();
         track.free_pages = track.total_pages;
-        self.alive_gpus -= usize::from(track.alive);
-        track.alive = false;
+        if track.alive {
+            track.alive = false;
+            self.live.retain(|&g| g != track.gpu_ref);
+        }
         for column in &mut self.free_at {
             column[idx] = now;
         }
@@ -537,7 +670,8 @@ impl WorkerStateTracker {
     fn recover_gpu(&mut self, idx: usize, now: Timestamp) {
         if !self.gpus[idx].alive {
             self.gpus[idx].alive = true;
-            self.alive_gpus += 1;
+            let pos = self.live.partition_point(|g| self.index[g] < idx);
+            self.live.insert(pos, self.gpus[idx].gpu_ref);
             for column in &mut self.free_at {
                 column[idx] = column[idx].max(now);
             }
@@ -548,6 +682,7 @@ impl WorkerStateTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clockwork_worker::{ActionError, ActionOutcome, ActionTiming};
 
     const PAGE: u64 = 16 * 1024 * 1024;
 
@@ -562,36 +697,88 @@ mod tests {
         Timestamp::from_millis(t)
     }
 
+    /// Riders are plain tags here: what comes back must be what went in.
+    type Tracker = WorkerStateTracker<u64>;
+
     /// A tracker with one GPU `gref(0, 0)` of `pages` pages.
-    fn one_gpu(pages: u64) -> WorkerStateTracker {
-        let mut t = WorkerStateTracker::new();
+    fn one_gpu(pages: u64) -> Tracker {
+        let mut t = Tracker::new();
         t.add_gpu(gref(0, 0), pages, PAGE);
         t
     }
 
     /// Sends a LOAD of `pages` pages for `model` at time zero (8 ms long).
-    fn load(t: &mut WorkerStateTracker, gpu: GpuRef, id: u64, model: u32, pages: u64) {
-        t.note_load_sent(
-            gpu,
-            ActionId(id),
-            ModelId(model),
-            pages * PAGE,
-            Timestamp::ZERO,
-            Nanos::from_millis(8),
-        );
+    fn load(
+        t: &mut Tracker,
+        ctx: &mut SchedulerCtx,
+        gpu: GpuRef,
+        model: u32,
+        pages: u64,
+    ) -> ActionId {
+        let at = Placement::unbounded(gpu, Timestamp::ZERO, Nanos::from_millis(8));
+        t.send_load(ctx, at, ModelId(model), pages * PAGE)
     }
 
-    fn infer(t: &mut WorkerStateTracker, gpu: GpuRef, id: u64, model: u32, start_ms: u64) {
-        t.note_infer_sent(
-            gpu,
-            ActionId(id),
-            ModelId(model),
-            ms(start_ms),
-            Nanos::from_millis(3),
-        );
+    /// Sends a 3 ms INFER for `model` starting at `start_ms`, ridden by the
+    /// tag `100 + model`.
+    fn infer(
+        t: &mut Tracker,
+        ctx: &mut SchedulerCtx,
+        gpu: GpuRef,
+        model: u32,
+        start_ms: u64,
+    ) -> ActionId {
+        infer_for(t, ctx, gpu, model, start_ms, 3)
     }
 
-    fn actionable(t: &WorkerStateTracker, executor: Executor, horizon_ms: u64) -> Vec<usize> {
+    fn infer_for(
+        t: &mut Tracker,
+        ctx: &mut SchedulerCtx,
+        gpu: GpuRef,
+        model: u32,
+        start_ms: u64,
+        dur_ms: u64,
+    ) -> ActionId {
+        let at = Placement::unbounded(gpu, ms(start_ms), Nanos::from_millis(dur_ms));
+        t.send_infer(ctx, at, ModelId(model), 1, vec![7], 100 + u64::from(model))
+    }
+
+    /// A worker's report on action `id`. Model and type are deliberately
+    /// wrong: `resolve` goes by what the ledger knows about the id.
+    fn result(gpu: GpuRef, id: ActionId, success: bool) -> ActionResult {
+        let outcome = if success {
+            ActionOutcome::Success(ActionTiming {
+                received: Timestamp::ZERO,
+                start: Timestamp::ZERO,
+                end: ms(8),
+                device_duration: Nanos::from_millis(8),
+            })
+        } else {
+            ActionOutcome::Error {
+                error: ActionError::WindowElapsed,
+                at: ms(8),
+            }
+        };
+        ActionResult {
+            action_id: id,
+            worker: gpu.worker,
+            gpu: gpu.gpu,
+            model: ModelId(999),
+            action_type: "UNLOAD",
+            batch: 1,
+            request_ids: vec![],
+            expected_duration: Nanos::ZERO,
+            outcome,
+        }
+    }
+
+    /// Sends a LOAD at time zero and confirms it.
+    fn warm(t: &mut Tracker, ctx: &mut SchedulerCtx, gpu: GpuRef, model: u32, pages: u64) {
+        let id = load(t, ctx, gpu, model, pages);
+        assert_eq!(t.resolve(&result(gpu, id, true)), Resolved::Load);
+    }
+
+    fn actionable(t: &Tracker, executor: Executor, horizon_ms: u64) -> Vec<usize> {
         let mut out = vec![99];
         t.actionable_into(executor, ms(horizon_ms), &mut out);
         out
@@ -599,7 +786,7 @@ mod tests {
 
     #[test]
     fn add_and_lookup_gpus() {
-        let mut t = WorkerStateTracker::new();
+        let mut t = Tracker::new();
         assert!(t.is_empty());
         t.add_gpu(gref(0, 0), 100, 16);
         t.add_gpu(gref(0, 1), 100, 16);
@@ -614,56 +801,54 @@ mod tests {
     #[test]
     fn load_reserves_pages_and_result_confirms_residency() {
         let mut t = one_gpu(10);
+        let mut ctx = SchedulerCtx::new();
         let model = ModelId(7);
         assert_eq!(t.gpus()[0].pages_for(100 * 1024 * 1024), 7);
-        t.note_load_sent(
-            gref(0, 0),
-            ActionId(1),
-            model,
-            100 * 1024 * 1024,
-            ms(10),
-            Nanos::from_millis(8),
+        let at = Placement::unbounded(gref(0, 0), ms(10), Nanos::from_millis(8));
+        let id = t.send_load(&mut ctx, at, model, 100 * 1024 * 1024);
+        // The send is the action: minted, addressed and queued in one call.
+        let sent = ctx.take_actions();
+        assert_eq!(sent.len(), 1);
+        assert_eq!((sent[0].0, sent[0].1.gpu), (WorkerId(0), GpuId(0)));
+        assert_eq!(
+            (sent[0].1.id, &sent[0].1.kind),
+            (id, &ActionKind::Load { model })
         );
+        assert_eq!(sent[0].1.expected_duration, Nanos::from_millis(8));
         let g = &t.gpus()[0];
         assert_eq!(g.free_pages, 3);
         assert!(g.has_or_loading(model));
         assert!(!g.is_resident(model));
+        assert!(g.outstanding[&id].is_load());
+        assert_eq!(g.outstanding[&id].expected_completion, ms(18));
         assert_eq!(t.next_slot(Executor::Load, 0, Timestamp::ZERO), ms(18));
         assert_eq!(t.gpus_with_model(model), [0]);
         assert_eq!(t.outstanding_loads(), 1);
-        let resolved = t
-            .note_load_result(gref(0, 0), ActionId(1), model, true)
-            .expect("outstanding");
-        assert!(resolved.is_load);
-        assert_eq!(resolved.expected_completion, ms(18));
+        assert_eq!(t.resolve(&result(gref(0, 0), id, true)), Resolved::Load);
         let g = &t.gpus()[0];
         assert!(g.is_resident(model));
         assert_eq!(g.free_pages, 3, "pages stay allocated after success");
         assert!(g.outstanding.is_empty());
         assert_eq!(t.outstanding_loads(), 0);
+        // A replay of the same result finds nothing to resolve.
+        assert_eq!(t.resolve(&result(gref(0, 0), id, false)), Resolved::Stale);
+        assert!(t.gpus()[0].is_resident(model));
     }
 
     #[test]
     fn failed_load_returns_pages_but_keeps_the_lru_stamp() {
         let mut t = one_gpu(10);
-        load(&mut t, gref(0, 0), 1, 7, 4);
+        let mut ctx = SchedulerCtx::new();
+        let id = load(&mut t, &mut ctx, gref(0, 0), 7, 4);
         assert_eq!(t.gpus()[0].free_pages, 6);
-        assert!(t
-            .note_load_result(gref(0, 0), ActionId(1), ModelId(7), false)
-            .is_some());
+        assert_eq!(t.resolve(&result(gref(0, 0), id, false)), Resolved::Load);
         assert_eq!(t.gpus()[0].free_pages, 10);
         assert!(!t.gpus()[0].has_or_loading(ModelId(7)));
         assert!(t.gpus_with_model(ModelId(7)).is_empty());
         // Pinned quirk: the LRU stamp outlives the failed LOAD, and the
         // re-LOAD's `or_insert` keeps it instead of stamping the new start.
-        t.note_load_sent(
-            gref(0, 0),
-            ActionId(2),
-            ModelId(7),
-            4 * PAGE,
-            ms(50),
-            Nanos::from_millis(8),
-        );
+        let at = Placement::unbounded(gref(0, 0), ms(50), Nanos::from_millis(8));
+        t.send_load(&mut ctx, at, ModelId(7), 4 * PAGE);
         assert_eq!(
             t.gpus()[0].last_used.get(&ModelId(7)),
             Some(&Timestamp::ZERO)
@@ -673,88 +858,149 @@ mod tests {
     #[test]
     fn unload_frees_pages_immediately() {
         let mut t = one_gpu(10);
-        load(&mut t, gref(0, 0), 1, 7, 4);
-        t.note_load_result(gref(0, 0), ActionId(1), ModelId(7), true);
-        t.note_unload_sent(gref(0, 0), ModelId(7));
+        let mut ctx = SchedulerCtx::new();
+        warm(&mut t, &mut ctx, gref(0, 0), 7, 4);
+        let _ = ctx.take_actions();
+        t.send_unload(&mut ctx, gref(0, 0), ModelId(7));
         assert_eq!(t.gpus()[0].free_pages, 10);
         assert!(!t.gpus()[0].is_resident(ModelId(7)));
         assert!(t.gpus_with_model(ModelId(7)).is_empty());
         // Unloading something unknown is harmless.
-        t.note_unload_sent(gref(0, 0), ModelId(99));
+        t.send_unload(&mut ctx, gref(0, 0), ModelId(99));
         assert_eq!(t.gpus()[0].free_pages, 10);
+        let kinds: Vec<ActionKind> = ctx
+            .take_actions()
+            .into_iter()
+            .map(|(_, a)| a.kind)
+            .collect();
+        let unload = |m| ActionKind::Unload { model: ModelId(m) };
+        assert_eq!(kinds, vec![unload(7), unload(99)]);
+        assert!(
+            t.gpus()[0].outstanding.is_empty(),
+            "UNLOADs are not tracked"
+        );
     }
 
     #[test]
     fn infer_occupies_executor_and_touches_lru() {
         let mut t = one_gpu(10);
-        infer(&mut t, gref(0, 0), 5, 3, 10);
+        let mut ctx = SchedulerCtx::new();
+        let id = infer(&mut t, &mut ctx, gref(0, 0), 3, 10);
         assert_eq!(t.next_slot(Executor::Infer, 0, ms(5)), ms(13));
         assert_eq!(t.next_slot(Executor::Infer, 0, ms(20)), ms(20));
         assert_eq!(t.gpus()[0].last_used.get(&ModelId(3)), Some(&ms(10)));
+        assert_eq!(t.gpus()[0].outstanding[&id].expected_completion, ms(13));
+        assert_eq!(t.gpus()[0].outstanding[&id].riders, Some(103));
         assert_eq!(
-            t.gpus()[0].outstanding[&ActionId(5)].expected_completion,
-            ms(13)
+            (t.outstanding_infers(), t.outstanding_infers_of(ModelId(3))),
+            (1, 1)
         );
-        t.note_infer_result(gref(0, 0), ActionId(5));
+        assert_eq!(t.outstanding_infers_of(ModelId(4)), 0);
+        let (_, sent) = ctx.take_actions().remove(0);
+        let kind = ActionKind::Infer {
+            model: ModelId(3),
+            batch: 1,
+            request_ids: vec![7],
+        };
+        assert_eq!((sent.id, sent.kind), (id, kind));
+        // Success or failure, the result hands the riders back — once.
+        assert_eq!(
+            t.resolve(&result(gref(0, 0), id, false)),
+            Resolved::Infer(103)
+        );
         assert!(t.gpus()[0].outstanding.is_empty());
+        assert_eq!(
+            (t.outstanding_infers(), t.outstanding_infers_of(ModelId(3))),
+            (0, 0)
+        );
+        assert_eq!(t.resolve(&result(gref(0, 0), id, false)), Resolved::Stale);
+        // A result naming a GPU the tracker never heard of is stale too.
+        assert_eq!(t.resolve(&result(gref(9, 9), id, true)), Resolved::Stale);
+    }
+
+    #[test]
+    #[should_panic(expected = "action sent to unknown GPU w9/g9")]
+    fn sending_to_an_unknown_gpu_panics() {
+        infer(&mut one_gpu(10), &mut SchedulerCtx::new(), gref(9, 9), 1, 0);
+    }
+
+    /// Models 1, 2, 3 resident on `gref(0, 0)` with `pages` pages each, last
+    /// used at 30, 10 and 20 ms.
+    fn three_residents(pages: u64, total: u64) -> (Tracker, SchedulerCtx) {
+        let (mut t, mut ctx) = (one_gpu(total), SchedulerCtx::new());
+        for (model, used_ms) in [(1u32, 30u64), (2, 10), (3, 20)] {
+            warm(&mut t, &mut ctx, gref(0, 0), model, pages);
+            infer(&mut t, &mut ctx, gref(0, 0), model, used_ms);
+        }
+        let _ = ctx.take_actions();
+        (t, ctx)
     }
 
     #[test]
     fn lru_candidate_respects_protection_and_order() {
-        let mut t = one_gpu(20);
-        for (i, used_ms) in [(1u32, 30u64), (2, 10), (3, 20)] {
-            load(&mut t, gref(0, 0), u64::from(i), i, 2);
-            t.note_load_result(gref(0, 0), ActionId(u64::from(i)), ModelId(i), true);
-            infer(&mut t, gref(0, 0), 10 + u64::from(i), i, used_ms);
-        }
+        let (mut t, mut ctx) = three_residents(2, 20);
         // A model that is still loading is never a candidate.
-        load(&mut t, gref(0, 0), 4, 4, 2);
+        load(&mut t, &mut ctx, gref(0, 0), 4, 2);
         let g = &t.gpus()[0];
-        let none = HashSet::new();
-        assert_eq!(g.lru_candidate(&none), Some(ModelId(2)));
-        let protect: HashSet<ModelId> = [ModelId(2)].into_iter().collect();
-        assert_eq!(g.lru_candidate(&protect), Some(ModelId(3)));
-        let all: HashSet<ModelId> = [ModelId(1), ModelId(2), ModelId(3)].into_iter().collect();
-        assert_eq!(g.lru_candidate(&all), None);
+        assert_eq!(g.lru_candidate(|_| false), Some(ModelId(2)));
+        assert_eq!(g.lru_candidate(|m| m == ModelId(2)), Some(ModelId(3)));
+        assert_eq!(g.lru_candidate(|m| m.0 <= 3), None);
     }
 
     #[test]
     fn evict_until_fits_unloads_lru_victims_until_the_blob_fits() {
-        let mut t = one_gpu(10);
-        for (i, used_ms) in [(1u32, 30u64), (2, 10), (3, 20)] {
-            load(&mut t, gref(0, 0), u64::from(i), i, 3);
-            t.note_load_result(gref(0, 0), ActionId(u64::from(i)), ModelId(i), true);
-            infer(&mut t, gref(0, 0), 10 + u64::from(i), i, used_ms);
-        }
+        let (mut t, mut ctx) = three_residents(3, 10);
         assert_eq!(t.gpus()[0].free_pages, 1);
-        let mut victims = Vec::new();
-        let protect: HashSet<ModelId> = [ModelId(3)].into_iter().collect();
+        // The predicate sees the track: model 3 is protected by name, and
+        // what has an action outstanding here would be — nothing does.
+        let outstanding = std::cell::Cell::new(usize::MAX);
+        let protect = |track: &GpuTrack<u64>, m: ModelId| {
+            outstanding.set(track.outstanding.len());
+            m == ModelId(3)
+        };
         // 5 pages: evicting model 2 (LRU) gives 4, then model 1 gives 7.
-        assert!(t.evict_until_fits(gref(0, 0), 5 * PAGE, &protect, |m| victims.push(m)));
-        assert_eq!(victims, vec![ModelId(2), ModelId(1)]);
+        assert_eq!(
+            t.evict_until_fits(&mut ctx, gref(0, 0), 5 * PAGE, protect),
+            (true, 2)
+        );
+        assert_eq!(outstanding.get(), 3);
+        let victims: Vec<ActionKind> = ctx
+            .take_actions()
+            .into_iter()
+            .map(|(_, a)| a.kind)
+            .collect();
+        let unload = |m| ActionKind::Unload { model: ModelId(m) };
+        assert_eq!(victims, vec![unload(2), unload(1)]);
         assert_eq!(t.gpus()[0].free_pages, 7);
         assert!(
             t.gpus_with_model(ModelId(1)).is_empty() && t.gpus_with_model(ModelId(2)).is_empty()
         );
         // 9 pages cannot fit while model 3 is protected: nothing to evict.
-        assert!(!t.evict_until_fits(gref(0, 0), 9 * PAGE, &protect, |m| victims.push(m)));
-        assert_eq!(victims.len(), 2);
+        assert_eq!(
+            t.evict_until_fits(&mut ctx, gref(0, 0), 9 * PAGE, protect),
+            (false, 0)
+        );
+        assert!(ctx.take_actions().is_empty());
         assert!(t.gpus()[0].is_resident(ModelId(3)));
     }
 
     #[test]
     fn fault_wipes_state_and_recovery_restores_cold() {
         let mut t = one_gpu(10);
-        load(&mut t, gref(0, 0), 1, 7, 4);
-        t.note_load_result(gref(0, 0), ActionId(1), ModelId(7), true);
-        infer(&mut t, gref(0, 0), 2, 7, 10);
-        load(&mut t, gref(0, 0), 3, 8, 2);
+        let mut ctx = SchedulerCtx::new();
+        warm(&mut t, &mut ctx, gref(0, 0), 7, 4);
+        let lost_infer = infer(&mut t, &mut ctx, gref(0, 0), 7, 10);
+        let lost_load = load(&mut t, &mut ctx, gref(0, 0), 8, 2);
         assert!(t.gpus()[0].alive);
+        assert_eq!(t.live_gpus(), [gref(0, 0)]);
         let fail = FaultKind::GpuFail { worker: 0, gpu: 0 };
         let lost = t.apply_fault(ms(20), &fail);
+        // Each lost action comes back with its riders (a LOAD has none).
         assert_eq!(
-            lost.iter().map(|&(i, a)| (i, a.id)).collect::<Vec<_>>(),
-            vec![(0, ActionId(2)), (0, ActionId(3))]
+            lost.iter()
+                .map(|(i, a)| (*i, a.id, a.riders))
+                .collect::<Vec<_>>(),
+            vec![(0, lost_infer, Some(107)), (0, lost_load, None)]
         );
         let g = &t.gpus()[0];
         assert!(!g.alive);
@@ -764,17 +1010,26 @@ mod tests {
         assert!(
             t.gpus_with_model(ModelId(7)).is_empty() && t.gpus_with_model(ModelId(8)).is_empty()
         );
-        assert_eq!(t.outstanding_loads(), 0);
+        assert_eq!((t.outstanding_loads(), t.outstanding_infers()), (0, 0));
+        assert_eq!(t.outstanding_infers_of(ModelId(7)), 0);
+        assert!(t.live_gpus().is_empty());
         assert_eq!(t.next_slot(Executor::Infer, 0, Timestamp::ZERO), ms(20));
-        // A stale LOAD result (produced pre-crash) must not resurrect
-        // residency on the wiped GPU, and must report that it was ignored.
-        assert!(t
-            .note_load_result(gref(0, 0), ActionId(3), ModelId(8), true)
-            .is_none());
+        // Stale results (produced pre-crash) must not resurrect residency
+        // on the wiped GPU or hand the riders out a second time, and must
+        // report that they were ignored.
+        assert_eq!(
+            t.resolve(&result(gref(0, 0), lost_load, true)),
+            Resolved::Stale
+        );
+        assert_eq!(
+            t.resolve(&result(gref(0, 0), lost_infer, true)),
+            Resolved::Stale
+        );
         assert!(!t.gpus()[0].has_or_loading(ModelId(8)));
         let recover = FaultKind::GpuRecover { worker: 0, gpu: 0 };
         t.apply_fault(ms(50), &recover);
         assert!(t.gpus()[0].alive);
+        assert_eq!(t.live_gpus(), [gref(0, 0)]);
         assert!(t.gpus()[0].models.is_empty(), "recovery is cold");
         assert_eq!(t.next_slot(Executor::Infer, 0, Timestamp::ZERO), ms(50));
         assert_eq!(t.next_slot(Executor::Load, 0, Timestamp::ZERO), ms(50));
@@ -785,7 +1040,7 @@ mod tests {
         // Pinned: a recovery whose failure window was already superseded
         // (the GPU is alive) must not push the GPU's free times forward.
         let mut t = one_gpu(10);
-        infer(&mut t, gref(0, 0), 1, 7, 0);
+        infer(&mut t, &mut SchedulerCtx::new(), gref(0, 0), 7, 0);
         let before = t.clone();
         for fault in [
             FaultKind::GpuRecover { worker: 0, gpu: 0 },
@@ -799,30 +1054,20 @@ mod tests {
                 );
             }
             assert_eq!(t.gpus()[0].outstanding.len(), 1);
+            assert_eq!(t.live_gpus(), [gref(0, 0)]);
         }
     }
 
     #[test]
     fn actionable_gpus_come_back_live_and_in_registration_order() {
-        let mut t = WorkerStateTracker::new();
+        let mut t = Tracker::new();
+        let mut ctx = SchedulerCtx::new();
         for g in 0..4 {
             t.add_gpu(gref(g, 0), 10, PAGE);
         }
         // GPU 0 busy until 50 ms, GPU 2 until 5 ms, GPU 3 dead.
-        t.note_infer_sent(
-            gref(0, 0),
-            ActionId(1),
-            ModelId(1),
-            Timestamp::ZERO,
-            Nanos::from_millis(50),
-        );
-        t.note_infer_sent(
-            gref(2, 0),
-            ActionId(2),
-            ModelId(1),
-            Timestamp::ZERO,
-            Nanos::from_millis(5),
-        );
+        infer_for(&mut t, &mut ctx, gref(0, 0), 1, 0, 50);
+        infer_for(&mut t, &mut ctx, gref(2, 0), 1, 0, 5);
         t.apply_fault(Timestamp::ZERO, &FaultKind::GpuFail { worker: 3, gpu: 0 });
         assert_eq!(
             actionable(&t, Executor::Infer, 10),
@@ -843,18 +1088,13 @@ mod tests {
 
     #[test]
     fn next_beyond_skips_dead_gpus() {
-        let mut t = WorkerStateTracker::new();
+        let mut t = Tracker::new();
+        let mut ctx = SchedulerCtx::new();
         for g in 0..3 {
             t.add_gpu(gref(g, 0), 10, PAGE);
         }
         for (g, until_ms) in [(0, 50), (1, 5), (2, 70)] {
-            t.note_infer_sent(
-                gref(g, 0),
-                ActionId(u64::from(g)),
-                ModelId(1),
-                Timestamp::ZERO,
-                Nanos::from_millis(until_ms),
-            );
+            infer_for(&mut t, &mut ctx, gref(g, 0), 1, 0, until_ms);
         }
         // A dead GPU never becomes actionable by time passing alone.
         t.apply_fault(ms(70), &FaultKind::GpuFail { worker: 2, gpu: 0 });
@@ -865,45 +1105,53 @@ mod tests {
         assert_eq!(t.next_beyond(Executor::Infer, ms(51)), None);
         assert_eq!(t.next_beyond(Executor::Load, ms(1)), None);
         assert_eq!(
-            WorkerStateTracker::new().next_beyond(Executor::Infer, Timestamp::ZERO),
+            Tracker::new().next_beyond(Executor::Infer, Timestamp::ZERO),
             None
         );
     }
 
     #[test]
     fn apply_fault_parks_capacity_and_returns_lost_actions_sorted() {
-        let mut t = WorkerStateTracker::new();
+        let mut t = Tracker::new();
+        let mut ctx = SchedulerCtx::new();
         t.add_gpu(gref(0, 0), 10, PAGE);
         t.add_gpu(gref(0, 1), 10, PAGE);
         t.add_gpu(gref(1, 0), 10, PAGE);
-        for (gpu, id) in [(gref(0, 0), 9u64), (gref(0, 0), 2), (gref(0, 1), 5)] {
-            infer(&mut t, gpu, id, 1, 0);
-        }
+        let ids: Vec<ActionId> = [gref(0, 0), gref(0, 1), gref(0, 0), gref(1, 0)]
+            .into_iter()
+            .map(|gpu| infer(&mut t, &mut ctx, gpu, 1, 0))
+            .collect();
+        assert_eq!(t.outstanding_infers_of(ModelId(1)), 4);
         let now = ms(10);
         let lost = t.apply_fault(now, &FaultKind::WorkerCrash { worker: 0 });
         assert_eq!(
-            lost.iter().map(|&(i, a)| (i, a.id)).collect::<Vec<_>>(),
-            vec![(0, ActionId(2)), (1, ActionId(5)), (0, ActionId(9))],
+            lost.iter().map(|(i, a)| (*i, a.id)).collect::<Vec<_>>(),
+            vec![(0, ids[0]), (1, ids[1]), (0, ids[2])],
             "lost actions cover every GPU of the worker, in action-id order, \
              each with its GPU index"
         );
+        assert_eq!(t.outstanding_infers_of(ModelId(1)), 1, "the survivor's");
         assert!(!t.get(gref(0, 0)).unwrap().alive);
         assert!(!t.get(gref(0, 1)).unwrap().alive);
         assert!(t.get(gref(1, 0)).unwrap().alive, "other workers untouched");
+        assert_eq!(t.live_gpus(), [gref(1, 0)]);
         // A lone GPU recovery cannot revive a GPU of a crashed worker.
         t.apply_fault(now, &FaultKind::GpuRecover { worker: 0, gpu: 0 });
         assert!(!t.get(gref(0, 0)).unwrap().alive);
-        // The restart re-admits every GPU, cold.
+        // The restart re-admits every GPU, cold, back in registration order.
         let lost = t.apply_fault(now, &FaultKind::WorkerRestart { worker: 0 });
         assert!(lost.is_empty());
         assert!(t.get(gref(0, 0)).unwrap().alive);
         assert!(t.get(gref(0, 1)).unwrap().alive);
+        assert_eq!(t.live_gpus(), [gref(0, 0), gref(0, 1), gref(1, 0)]);
         // Single-GPU failure and standalone recovery.
-        let lost = t.apply_fault(now, &FaultKind::GpuFail { worker: 1, gpu: 0 });
+        let lost = t.apply_fault(now, &FaultKind::GpuFail { worker: 0, gpu: 1 });
         assert!(lost.is_empty());
-        assert!(!t.get(gref(1, 0)).unwrap().alive);
-        t.apply_fault(now, &FaultKind::GpuRecover { worker: 1, gpu: 0 });
-        assert!(t.get(gref(1, 0)).unwrap().alive);
+        assert!(!t.get(gref(0, 1)).unwrap().alive);
+        assert_eq!(t.live_gpus(), [gref(0, 0), gref(1, 0)]);
+        t.apply_fault(now, &FaultKind::GpuRecover { worker: 0, gpu: 1 });
+        assert!(t.get(gref(0, 1)).unwrap().alive);
+        assert_eq!(t.live_gpus(), [gref(0, 0), gref(0, 1), gref(1, 0)]);
         // Link faults touch nothing.
         t.apply_fault(now, &FaultKind::PartitionStart { worker: 1 });
         assert!(t.get(gref(1, 0)).unwrap().alive);
@@ -915,13 +1163,14 @@ mod tests {
 
     #[test]
     fn cluster_queries() {
-        let mut t = WorkerStateTracker::new();
+        let mut t = Tracker::new();
+        let mut ctx = SchedulerCtx::new();
         t.add_gpu(gref(0, 0), 10, PAGE);
         t.add_gpu(gref(1, 0), 10, PAGE);
-        load(&mut t, gref(1, 0), 1, 5, 2);
+        load(&mut t, &mut ctx, gref(1, 0), 5, 2);
         assert_eq!(t.gpus_with_model(ModelId(5)), [1]);
         assert!(t.gpus_with_model(ModelId(6)).is_empty());
-        load(&mut t, gref(0, 0), 2, 5, 2);
+        load(&mut t, &mut ctx, gref(0, 0), 5, 2);
         assert_eq!(
             t.gpus_with_model(ModelId(5)),
             [0, 1],
@@ -929,13 +1178,7 @@ mod tests {
         );
         // Occupy gpu 0's exec engine; least loaded should be gpu 1 — unless
         // it is excluded or dead.
-        t.note_infer_sent(
-            gref(0, 0),
-            ActionId(3),
-            ModelId(5),
-            Timestamp::ZERO,
-            Nanos::from_millis(50),
-        );
+        infer_for(&mut t, &mut ctx, gref(0, 0), 5, 0, 50);
         assert_eq!(t.least_loaded_gpu(Timestamp::ZERO, &[]), Some(gref(1, 0)));
         assert_eq!(
             t.least_loaded_gpu(Timestamp::ZERO, &[gref(1, 0)]),

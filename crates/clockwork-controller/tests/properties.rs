@@ -17,12 +17,16 @@ use clockwork_controller::clockwork_scheduler::{ClockworkScheduler, ClockworkSch
 use clockwork_controller::profile::{ActionProfiler, ProfileKey};
 use clockwork_controller::request::{InferenceRequest, RejectReason, RequestId, RequestOutcome};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx};
-use clockwork_controller::worker_state::{Executor, GpuRef, WorkerStateTracker};
+use clockwork_controller::worker_state::{
+    Executor, GpuRef, Placement, Resolved, WorkerStateTracker,
+};
 use clockwork_model::zoo::ModelZoo;
 use clockwork_model::{ModelId, Tier};
 use clockwork_sim::engine::FaultKind;
 use clockwork_sim::time::{Nanos, Timestamp};
-use clockwork_worker::{ActionId, ActionKind, GpuId, WorkerId};
+use clockwork_worker::{
+    ActionError, ActionId, ActionKind, ActionOutcome, ActionResult, ActionTiming, GpuId, WorkerId,
+};
 
 const PAGE: u64 = 16 * 1024 * 1024;
 
@@ -120,19 +124,24 @@ enum TrackOp {
         model: u32,
         pages: u64,
     },
-    /// Resolves the pending LOAD of `(gpu, model)` if there is one;
-    /// otherwise replays a stale or never-issued id, which must be ignored.
+    /// Replays a stale or never-issued LOAD id, which must be ignored, then
+    /// resolves the pending LOAD `model` lands on (see [`landing`]), if any.
     LoadResult {
         gpu: usize,
         model: u32,
         success: bool,
     },
+    /// Sends an INFER that `riders` fresh riders ride on.
     InferSent {
         gpu: usize,
         model: u32,
+        riders: usize,
     },
+    /// Resolves the oldest INFER outstanding on `gpu` if there is one, after
+    /// replaying one a fault already resolved (if any): that must be stale.
     InferResult {
         gpu: usize,
+        success: bool,
     },
     UnloadSent {
         gpu: usize,
@@ -178,10 +187,18 @@ fn track_op() -> impl Strategy<Value = TrackOp> {
             model,
             success
         }),
-        // Twice: INFERs only land on resident models, so most are skipped.
-        (gpu(), model()).prop_map(|(gpu, model)| TrackOp::InferSent { gpu, model }),
-        (gpu(), model()).prop_map(|(gpu, model)| TrackOp::InferSent { gpu, model }),
-        gpu().prop_map(|gpu| TrackOp::InferResult { gpu }),
+        // Twice, so that faults and evictions find INFERs outstanding.
+        (gpu(), model(), 1usize..4).prop_map(|(gpu, model, riders)| TrackOp::InferSent {
+            gpu,
+            model,
+            riders
+        }),
+        (gpu(), model(), 1usize..4).prop_map(|(gpu, model, riders)| TrackOp::InferSent {
+            gpu,
+            model,
+            riders
+        }),
+        (gpu(), any::<bool>()).prop_map(|(gpu, success)| TrackOp::InferResult { gpu, success }),
         (gpu(), model()).prop_map(|(gpu, model)| TrackOp::UnloadSent { gpu, model }),
         (gpu(), 1u64..80).prop_map(|(gpu, pages)| TrackOp::EvictUntilFits { gpu, pages }),
         fault_kind().prop_map(TrackOp::Fault),
@@ -197,17 +214,29 @@ struct OracleGpu {
     loading: HashMap<u32, ActionId>,
     /// model -> pages reserved, for resident and loading models alike.
     pages: HashMap<u32, u64>,
-    infers: Vec<ActionId>,
+    /// The outstanding INFERs, oldest first: id, model, riders.
+    infers: Vec<(ActionId, u32, Riders)>,
     free_at: [Timestamp; 2],
     dead: bool,
 }
 
+/// What rides on an INFER in this test: tokens minted once each, so one
+/// coming back twice — or not at all — is visible.
+type Riders = Vec<u64>;
+type Tracker = WorkerStateTracker<Riders>;
+/// A lost action as `apply_fault` reports it, riders and all.
+type Lost = (usize, ActionId, Option<Riders>);
+
 impl OracleGpu {
-    /// The GPU died: returns the ids that were outstanding on it, sorted.
-    fn wipe(&mut self, now: Timestamp) -> Vec<ActionId> {
-        let mut lost: Vec<ActionId> = self.infers.drain(..).collect();
-        lost.extend(self.loading.drain().map(|(_, id)| id));
-        lost.sort_unstable();
+    /// The GPU died: returns what was outstanding on it — each INFER with
+    /// its riders, each LOAD with none.
+    fn wipe(&mut self, now: Timestamp) -> Vec<(ActionId, Option<Riders>)> {
+        let mut lost: Vec<_> = self
+            .infers
+            .drain(..)
+            .map(|(id, _, riders)| (id, Some(riders)))
+            .collect();
+        lost.extend(self.loading.drain().map(|(_, id)| (id, None)));
         self.resident.clear();
         self.pages.clear();
         self.free_at = [now; 2];
@@ -227,14 +256,14 @@ fn worker_of(gpu: usize) -> u32 {
     gpu as u32 / GPUS_PER_WORKER
 }
 
-/// Applies `fault` to the oracle; returns the lost `(gpu, id)` pairs in
-/// action-id order — what `apply_fault` must hand back.
+/// Applies `fault` to the oracle; returns the lost actions in action-id
+/// order — what `apply_fault` must hand back.
 fn oracle_fault(
     oracle: &mut [OracleGpu],
     down: &mut HashSet<u32>,
     now: Timestamp,
     fault: &FaultKind,
-) -> Vec<(usize, ActionId)> {
+) -> Vec<Lost> {
     let named = |worker: u32, gpu: u32| {
         (worker < WORKERS && gpu < GPUS_PER_WORKER)
             .then(|| (worker * GPUS_PER_WORKER + gpu) as usize)
@@ -245,7 +274,7 @@ fn oracle_fault(
             down.insert(worker);
             for (i, g) in oracle.iter_mut().enumerate() {
                 if worker_of(i) == worker {
-                    lost.extend(g.wipe(now).into_iter().map(|id| (i, id)));
+                    lost.extend(g.wipe(now).into_iter().map(|(id, riders)| (i, id, riders)));
                 }
             }
         }
@@ -259,7 +288,12 @@ fn oracle_fault(
         }
         FaultKind::GpuFail { worker, gpu } => {
             if let Some(i) = named(worker, gpu) {
-                lost.extend(oracle[i].wipe(now).into_iter().map(|id| (i, id)));
+                lost.extend(
+                    oracle[i]
+                        .wipe(now)
+                        .into_iter()
+                        .map(|(id, riders)| (i, id, riders)),
+                );
             }
         }
         FaultKind::GpuRecover { worker, gpu } => {
@@ -269,13 +303,63 @@ fn oracle_fault(
         }
         _ => {}
     }
-    lost.sort_unstable_by_key(|&(_, id)| id);
+    lost.sort_unstable_by_key(|&(_, id, _)| id);
     lost
+}
+
+/// A worker's report on action `id`. Model and type are deliberately wrong:
+/// `resolve` must go by what the ledger knows about the id.
+fn report(gpu: GpuRef, id: ActionId, success: bool) -> ActionResult {
+    let at = Timestamp::from_millis(1);
+    let outcome = if success {
+        ActionOutcome::Success(ActionTiming {
+            received: at,
+            start: at,
+            end: at,
+            device_duration: Nanos::from_millis(1),
+        })
+    } else {
+        let error = ActionError::WindowElapsed;
+        ActionOutcome::Error { error, at }
+    };
+    ActionResult {
+        action_id: id,
+        worker: gpu.worker,
+        gpu: gpu.gpu,
+        model: ModelId(u32::MAX),
+        action_type: "UNLOAD",
+        batch: 1,
+        request_ids: vec![],
+        expected_duration: Nanos::ZERO,
+        outcome,
+    }
+}
+
+/// `named` if it is among `present`, else the `named`-th of them in
+/// ascending order (`named` itself when there are none): lets a random
+/// result or INFER land on state that exists instead of being skipped.
+fn landing(named: u32, present: impl Iterator<Item = u32>) -> u32 {
+    let mut present: Vec<u32> = present.collect();
+    present.sort_unstable();
+    if present.is_empty() || present.contains(&named) {
+        named
+    } else {
+        present[named as usize % present.len()]
+    }
+}
+
+/// The one action the last `send_*` queued, checked against what was asked.
+fn sent(ctx: &mut SchedulerCtx, gpu: GpuRef, id: ActionId) -> ActionKind {
+    let mut actions = ctx.take_actions();
+    assert_eq!(actions.len(), 1, "one send, one action");
+    let (worker, action) = actions.remove(0);
+    assert_eq!((worker, action.gpu, action.id), (gpu.worker, gpu.gpu, id));
+    action.kind
 }
 
 /// Every index and column of the tracker against a from-scratch scan.
 fn check_tracker_against_oracle(
-    tracker: &WorkerStateTracker,
+    tracker: &Tracker,
     oracle: &[OracleGpu],
     total_pages: u64,
     now: Timestamp,
@@ -316,17 +400,23 @@ fn check_tracker_against_oracle(
             "pages leaked or double-counted"
         );
         assert!((0.0..=1.0).contains(&track.occupancy()));
-        // Outstanding actions and liveness.
-        let mut outstanding: Vec<ActionId> = track.outstanding.keys().copied().collect();
+        // The ledger: every outstanding action, each INFER still carrying
+        // exactly the riders it was sent with.
+        let mut outstanding: Vec<(ActionId, u32, Option<&Riders>)> = track
+            .outstanding
+            .values()
+            .map(|a| (a.id, a.model.0, a.riders.as_ref()))
+            .collect();
         outstanding.sort_unstable();
-        let mut expected: Vec<ActionId> = expect
+        let mut expected: Vec<(ActionId, u32, Option<&Riders>)> = expect
             .infers
             .iter()
-            .chain(expect.loading.values())
-            .copied()
+            .map(|(id, m, riders)| (*id, *m, Some(riders)))
+            .chain(expect.loading.iter().map(|(m, id)| (*id, *m, None)))
             .collect();
         expected.sort_unstable();
         assert_eq!(outstanding, expected);
+        assert!(track.outstanding.iter().all(|(id, a)| *id == a.id));
         assert_eq!(track.alive, !expect.dead);
         for (e, executor) in [Executor::Infer, Executor::Load].into_iter().enumerate() {
             assert_eq!(
@@ -337,11 +427,24 @@ fn check_tracker_against_oracle(
     }
     let loads: usize = oracle.iter().map(|g| g.loading.len()).sum();
     assert_eq!(tracker.outstanding_loads(), loads);
-    // The alive counter is the scan it replaced on the admission path.
-    assert_eq!(
-        tracker.alive_gpus(),
-        oracle.iter().filter(|g| !g.dead).count()
-    );
+    // The INFER counts, fleet-wide and per model, are a scan of the ledger.
+    let infers = |m: Option<u32>| -> usize {
+        let all = oracle.iter().flat_map(|g| &g.infers);
+        all.filter(|i| m.is_none_or(|m| i.1 == m)).count()
+    };
+    assert_eq!(tracker.outstanding_infers(), infers(None));
+    for m in 0..16u32 {
+        let counted = tracker.outstanding_infers_of(ModelId(m));
+        assert_eq!(counted, infers(Some(m)), "INFERs of model {}", m);
+    }
+    // The live list is the scan it replaced, in registration order.
+    let live: Vec<GpuRef> = tracker
+        .gpus()
+        .iter()
+        .filter(|t| t.alive)
+        .map(|t| t.gpu_ref)
+        .collect();
+    assert_eq!(tracker.live_gpus(), &live[..]);
     // The holder list of every model is the ascending scan of the GPUs that
     // hold it (this is what `gpus_with_model`/`model_available_somewhere`
     // used to compute per call).
@@ -384,7 +487,7 @@ proptest! {
         ops in proptest::collection::vec(track_op(), 0..200),
         total_pages in 16u64..512,
     ) {
-        let mut tracker = WorkerStateTracker::new();
+        let mut tracker = Tracker::new();
         for w in 0..WORKERS {
             for g in 0..GPUS_PER_WORKER {
                 tracker.add_gpu(gref(w, g), total_pages, PAGE);
@@ -393,11 +496,16 @@ proptest! {
         let refs: Vec<GpuRef> = tracker.gpus().iter().map(|t| t.gpu_ref).collect();
         let mut oracle = vec![OracleGpu::default(); GPUS];
         let mut down = HashSet::new();
-        // LOAD ids whose GPU died before the result arrived: replaying one
-        // must be ignored the way the scheduler relies on.
-        let mut stale: Vec<(usize, u32, ActionId)> = Vec::new();
+        // Ids whose GPU died before the result arrived, by GPU, with the
+        // LOAD's model (`None` = an INFER): replaying one must be ignored
+        // the way the schedulers rely on.
+        let mut stale: Vec<(usize, Option<u32>, ActionId)> = Vec::new();
         let mut now = Timestamp::ZERO;
-        let mut next_action = 0u64;
+        let mut ctx = SchedulerCtx::new();
+        // Every rider is minted once and is riding until it comes back;
+        // `remove` failing means it came back twice.
+        let mut next_rider = 0u64;
+        let mut riding: HashSet<u64> = HashSet::new();
 
         for op in ops {
             now += Nanos::from_micros(100);
@@ -411,11 +519,11 @@ proptest! {
                     if !track.alive || track.has_or_loading(m) || pages > track.free_pages {
                         continue;
                     }
-                    let id = ActionId(next_action);
-                    next_action += 1;
                     let start = tracker.next_slot(Executor::Load, gpu, now);
                     let stamp = tracker.gpus()[gpu].last_used.get(&m).copied();
-                    tracker.note_load_sent(refs[gpu], id, m, pages * PAGE, start, Nanos::from_millis(8));
+                    let at = Placement::unbounded(refs[gpu], start, Nanos::from_millis(8));
+                    let id = tracker.send_load(&mut ctx, at, m, pages * PAGE);
+                    prop_assert_eq!(sent(&mut ctx, refs[gpu], id), ActionKind::Load { model: m });
                     oracle[gpu].loading.insert(model, id);
                     oracle[gpu].pages.insert(model, pages);
                     oracle[gpu].free_at[1] = start + Nanos::from_millis(8);
@@ -426,6 +534,7 @@ proptest! {
                     );
                 }
                 TrackOp::LoadResult { gpu, model, success } => {
+                    let model = landing(model, oracle[gpu].loading.keys().copied());
                     let m = ModelId(model);
                     // A stale id (its action was resolved by a fault), or
                     // failing that one never issued, is ignored — even while
@@ -433,17 +542,14 @@ proptest! {
                     // check sees an oracle this did not touch.
                     let replay = stale
                         .iter()
-                        .position(|&(g, sm, _)| g == gpu && sm == model)
+                        .position(|&(g, sm, _)| g == gpu && sm == Some(model))
                         .map_or(ActionId(u64::MAX), |pos| stale.swap_remove(pos).2);
-                    prop_assert!(tracker.note_load_result(refs[gpu], replay, m, success).is_none());
+                    prop_assert_eq!(tracker.resolve(&report(refs[gpu], replay, success)), Resolved::Stale);
                     check_tracker_against_oracle(&tracker, &oracle, total_pages, now);
                     if let Some(id) = oracle[gpu].loading.remove(&model) {
                         let stamp = tracker.gpus()[gpu].last_used.get(&m).copied();
-                        let resolved = tracker.note_load_result(refs[gpu], id, m, success);
-                        prop_assert_eq!(
-                            resolved.map(|a| (a.id, a.model, a.is_load)),
-                            Some((id, m, true))
-                        );
+                        let result = report(refs[gpu], id, success);
+                        prop_assert_eq!(tracker.resolve(&result), Resolved::Load);
                         prop_assert_eq!(tracker.gpus()[gpu].is_resident(m), success);
                         if success {
                             oracle[gpu].resident.insert(model);
@@ -452,31 +558,53 @@ proptest! {
                         }
                         // Pinned: the LRU stamp outlives even a failed LOAD.
                         prop_assert_eq!(tracker.gpus()[gpu].last_used.get(&m).copied(), stamp);
+                        // And the same result again is a replay.
+                        prop_assert_eq!(tracker.resolve(&result), Resolved::Stale);
                     }
                 }
-                TrackOp::InferSent { gpu, model } => {
+                TrackOp::InferSent { gpu, model, riders } => {
+                    let model = landing(model, oracle[gpu].resident.iter().copied());
                     let m = ModelId(model);
                     if !tracker.gpus()[gpu].is_resident(m) {
                         continue;
                     }
-                    let id = ActionId(next_action);
-                    next_action += 1;
+                    let riders: Riders = (next_rider..next_rider + riders as u64).collect();
+                    next_rider += riders.len() as u64;
+                    riding.extend(&riders);
                     let start = tracker.next_slot(Executor::Infer, gpu, now);
                     prop_assert!(start >= now);
-                    tracker.note_infer_sent(refs[gpu], id, m, start, Nanos::from_millis(3));
+                    let at = Placement::unbounded(refs[gpu], start, Nanos::from_millis(3));
+                    let batch = riders.len() as u32;
+                    let id = tracker.send_infer(&mut ctx, at, m, batch, riders.clone(), riders.clone());
+                    let kind = ActionKind::Infer { model: m, batch, request_ids: riders.clone() };
+                    prop_assert_eq!(sent(&mut ctx, refs[gpu], id), kind);
                     prop_assert!(
                         tracker.next_slot(Executor::Infer, gpu, now) >= start + Nanos::from_millis(3)
                     );
                     prop_assert_eq!(tracker.gpus()[gpu].last_used[&m], start);
-                    oracle[gpu].infers.push(id);
+                    oracle[gpu].infers.push((id, model, riders));
                     oracle[gpu].free_at[0] = start + Nanos::from_millis(3);
                 }
-                TrackOp::InferResult { gpu } => {
+                TrackOp::InferResult { gpu, success } => {
+                    // A result produced before the crash that resolved its
+                    // INFER: the riders already came back with the fault.
+                    if let Some(pos) = stale.iter().position(|&(g, m, _)| g == gpu && m.is_none()) {
+                        let result = report(refs[gpu], stale.swap_remove(pos).2, success);
+                        prop_assert_eq!(tracker.resolve(&result), Resolved::Stale);
+                        check_tracker_against_oracle(&tracker, &oracle, total_pages, now);
+                    }
                     if oracle[gpu].infers.is_empty() {
                         continue;
                     }
-                    let id = oracle[gpu].infers.remove(0);
-                    tracker.note_infer_result(refs[gpu], id);
+                    let (id, _, riders) = oracle[gpu].infers.remove(0);
+                    let result = report(refs[gpu], id, success);
+                    // Success or failure, the riders come back — once.
+                    let resolved = tracker.resolve(&result);
+                    for rider in &riders {
+                        prop_assert!(riding.remove(rider), "rider {} came back twice", rider);
+                    }
+                    prop_assert_eq!(resolved, Resolved::Infer(riders));
+                    prop_assert_eq!(tracker.resolve(&result), Resolved::Stale);
                 }
                 TrackOp::UnloadSent { gpu, model } => {
                     let m = ModelId(model);
@@ -484,7 +612,10 @@ proptest! {
                     if oracle[gpu].loading.contains_key(&model) {
                         continue;
                     }
-                    tracker.note_unload_sent(refs[gpu], m);
+                    tracker.send_unload(&mut ctx, refs[gpu], m);
+                    let (worker, unload) = ctx.take_actions().remove(0);
+                    prop_assert_eq!((worker, unload.gpu), (refs[gpu].worker, refs[gpu].gpu));
+                    prop_assert_eq!(unload.kind, ActionKind::Unload { model: m });
                     oracle[gpu].resident.remove(&model);
                     oracle[gpu].pages.remove(&model);
                     prop_assert!(!tracker.gpus()[gpu].is_resident(m));
@@ -492,38 +623,60 @@ proptest! {
                     prop_assert!(!tracker.gpus()[gpu].last_used.contains_key(&m));
                 }
                 TrackOp::EvictUntilFits { gpu, pages } => {
-                    let protect: HashSet<ModelId> = [ModelId(0)].into_iter().collect();
+                    // Protected: model 0, and whatever an INFER is
+                    // outstanding for on this GPU (read off the track).
+                    let busy: HashSet<u32> = oracle[gpu].infers.iter().map(|i| i.1).collect();
+                    let (fits, unloads) =
+                        tracker.evict_until_fits(&mut ctx, refs[gpu], pages * PAGE, |track, m| {
+                            m == ModelId(0) || track.outstanding.values().any(|a| a.model == m)
+                        });
+                    let victims = ctx.take_actions();
+                    prop_assert_eq!(victims.len(), unloads, "one UNLOAD per victim");
                     let expect = &mut oracle[gpu];
-                    let fits = tracker.evict_until_fits(refs[gpu], pages * PAGE, &protect, |victim| {
-                        assert!(expect.resident.remove(&victim.0), "victim {victim} was not resident");
-                        assert_ne!(victim, ModelId(0), "protected model evicted");
+                    for (worker, unload) in victims {
+                        prop_assert_eq!((worker, unload.gpu), (refs[gpu].worker, refs[gpu].gpu));
+                        let ActionKind::Unload { model: victim } = unload.kind else {
+                            panic!("eviction sent {:?}", unload.kind);
+                        };
+                        prop_assert!(expect.resident.remove(&victim.0), "victim {} was not resident", victim);
+                        prop_assert!(victim != ModelId(0) && !busy.contains(&victim.0), "protected model evicted");
                         expect.pages.remove(&victim.0);
-                    });
+                    }
                     let track = &tracker.gpus()[gpu];
                     prop_assert_eq!(fits, pages <= track.free_pages);
                     // Eviction stops as soon as the blob fits, and gives up
                     // only once no unprotected resident is left.
-                    prop_assert!(fits || track.lru_candidate(&protect).is_none());
+                    let spared = |m: ModelId| m == ModelId(0) || busy.contains(&m.0);
+                    prop_assert!(fits || track.lru_candidate(spared).is_none());
                 }
                 TrackOp::Fault(fault) => {
-                    let pending: Vec<(usize, u32, ActionId)> = oracle
+                    let loads: HashMap<ActionId, u32> = oracle
                         .iter()
-                        .enumerate()
-                        .flat_map(|(g, o)| o.loading.iter().map(move |(&m, &id)| (g, m, id)))
+                        .flat_map(|g| g.loading.iter().map(|(&m, &id)| (id, m)))
                         .collect();
                     let expected = oracle_fault(&mut oracle, &mut down, now, &fault);
-                    // The LOADs the fault resolved are stale from here on.
-                    stale.extend(
-                        pending
-                            .into_iter()
-                            .filter(|&(g, m, id)| oracle[g].loading.get(&m) != Some(&id)),
-                    );
-                    let lost = tracker.apply_fault(now, &fault);
-                    let lost: Vec<(usize, ActionId)> = lost.iter().map(|&(i, a)| (i, a.id)).collect();
-                    prop_assert_eq!(lost, expected, "{:?}", fault);
+                    let lost: Vec<Lost> = tracker
+                        .apply_fault(now, &fault)
+                        .into_iter()
+                        .map(|(i, a)| (i, a.id, a.riders))
+                        .collect();
+                    prop_assert_eq!(&lost, &expected, "{:?}", fault);
+                    // The fault hands every lost rider back, and the actions
+                    // it resolved are stale from here on.
+                    for (gpu, id, riders) in lost {
+                        prop_assert_eq!(riders.is_none(), loads.contains_key(&id));
+                        for rider in riders.iter().flatten() {
+                            prop_assert!(riding.remove(rider), "rider {} came back twice", rider);
+                        }
+                        stale.push((gpu, loads.get(&id).copied(), id));
+                    }
                 }
             }
             check_tracker_against_oracle(&tracker, &oracle, total_pages, now);
+            // Never neither: a rider is either still in the ledger (the
+            // check above matched it to the oracle's) or has come back.
+            let in_ledger: usize = oracle.iter().flat_map(|g| &g.infers).map(|i| i.2.len()).sum();
+            prop_assert_eq!(riding.len(), in_ledger);
         }
     }
 
@@ -532,39 +685,26 @@ proptest! {
         touches in proptest::collection::vec((0u32..8, 0u64..1_000_000u64), 1..60),
         protect_model in 0u32..8,
     ) {
-        let mut tracker = WorkerStateTracker::new();
+        let mut tracker = WorkerStateTracker::<()>::new();
+        let mut ctx = SchedulerCtx::new();
         tracker.add_gpu(gref(0, 0), 1024, PAGE);
         // Make all eight models resident.
         for m in 0..8u32 {
-            let id = ActionId(m as u64);
-            tracker.note_load_sent(
-                gref(0, 0),
-                id,
-                ModelId(m),
-                4 * PAGE,
-                Timestamp::ZERO,
-                Nanos::from_millis(1),
-            );
-            tracker.note_load_result(gref(0, 0), id, ModelId(m), true);
+            let at = Placement::unbounded(gref(0, 0), Timestamp::ZERO, Nanos::from_millis(1));
+            let id = tracker.send_load(&mut ctx, at, ModelId(m), 4 * PAGE);
+            tracker.resolve(&report(gref(0, 0), id, true));
         }
         let mut last_used = [Timestamp::ZERO; 8];
-        for (i, &(m, at)) in touches.iter().enumerate() {
+        for &(m, at) in &touches {
             let start = Timestamp::from_nanos(at);
-            tracker.note_infer_sent(
-                gref(0, 0),
-                ActionId(100 + i as u64),
-                ModelId(m),
-                start,
-                Nanos::from_millis(3),
-            );
+            let at = Placement::unbounded(gref(0, 0), start, Nanos::from_millis(3));
+            tracker.send_infer(&mut ctx, at, ModelId(m), 1, vec![], ());
             // The track records the start time of the most recently
             // *scheduled* INFER, mirroring §5.3's "last used" bookkeeping.
             last_used[m as usize] = start;
         }
-        let mut protect = HashSet::new();
-        protect.insert(ModelId(protect_model));
         let candidate = tracker.gpus()[0]
-            .lru_candidate(&protect)
+            .lru_candidate(|m| m == ModelId(protect_model))
             .expect("seven unprotected residents");
         prop_assert_ne!(candidate, ModelId(protect_model));
         let expected = (0..8u32)
@@ -580,24 +720,23 @@ proptest! {
         loads in proptest::collection::vec((0u32..4, 0u32..2, 0u32..12), 0..60),
         probe_model in 0u32..12,
     ) {
-        let mut tracker = WorkerStateTracker::new();
+        let mut tracker = WorkerStateTracker::<()>::new();
+        let mut ctx = SchedulerCtx::new();
         for w in 0..4u32 {
             for g in 0..2u32 {
                 tracker.add_gpu(gref(w, g), 256, PAGE);
             }
         }
         prop_assert_eq!(tracker.len(), 8);
-        let mut next_id = 0u64;
         for &(w, g, m) in &loads {
             let r = gref(w, g);
             let track = tracker.get(r).expect("gpu registered");
             if track.has_or_loading(ModelId(m)) || track.free_pages < 4 {
                 continue;
             }
-            let id = ActionId(next_id);
-            next_id += 1;
-            tracker.note_load_sent(r, id, ModelId(m), 4 * PAGE, Timestamp::ZERO, Nanos::from_millis(1));
-            tracker.note_load_result(r, id, ModelId(m), true);
+            let at = Placement::unbounded(r, Timestamp::ZERO, Nanos::from_millis(1));
+            let id = tracker.send_load(&mut ctx, at, ModelId(m), 4 * PAGE);
+            tracker.resolve(&report(r, id, true));
         }
         let probe = ModelId(probe_model);
         let holders: Vec<GpuRef> = tracker

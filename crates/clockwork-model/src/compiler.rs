@@ -122,11 +122,6 @@ impl Compiler {
         }
     }
 
-    /// Creates a compiler for a specific GPU target.
-    pub fn for_target(target: GpuTarget) -> Self {
-        Compiler { target }
-    }
-
     /// The target this compiler generates kernels for.
     pub fn target(&self) -> &GpuTarget {
         &self.target

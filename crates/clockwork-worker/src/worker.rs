@@ -489,8 +489,17 @@ impl Worker {
     /// Submits an action, received at `now`. A dead worker (or a failed GPU)
     /// drops the action silently — it cannot acknowledge anything, and the
     /// controller resolves the action when it processes the fault.
+    ///
+    /// Panics on a GPU this worker does not have: that is a routing bug, and
+    /// running the action on some other GPU while its result echoes the one
+    /// the controller named would leave the controller's mirror silently
+    /// wrong.
     pub fn submit(&mut self, now: Timestamp, action: Action) {
-        let gpu_index = (action.gpu.0 as usize).min(self.gpus.len().saturating_sub(1));
+        let gpu_index = action.gpu.0 as usize;
+        if gpu_index >= self.gpus.len() {
+            let (id, gpu, worker) = (action.id, action.gpu, self.id());
+            panic!("action {id:?} submitted for unknown {gpu:?} on worker {worker:?}");
+        }
         if !self.alive || self.gpus[gpu_index].failed {
             self.telemetry.counters.dropped_actions += 1;
             return;
@@ -1043,6 +1052,16 @@ mod tests {
     fn free_pages_panics_on_unknown_gpu() {
         let w = Worker::new(quiet_config());
         let _ = w.free_pages(GpuId(99));
+    }
+
+    #[test]
+    #[should_panic(expected = "submitted for unknown")]
+    fn submit_panics_on_unknown_gpu() {
+        let mut w = Worker::new(quiet_config());
+        let window = TimeWindow::always();
+        let unload = ActionKind::Unload { model: ModelId(0) };
+        let action = make_action(1, GpuId(99), unload, window, Nanos::ZERO);
+        w.submit(Timestamp::ZERO, action);
     }
 
     #[test]

@@ -56,14 +56,6 @@ impl SystemBuilder {
         SystemBuilder::default()
     }
 
-    /// Starts from an explicit configuration.
-    pub fn from_config(config: SystemConfig) -> Self {
-        SystemBuilder {
-            config,
-            factory: None,
-        }
-    }
-
     /// Sets the number of workers.
     pub fn workers(mut self, workers: u32) -> Self {
         self.config.workers = workers;
@@ -685,11 +677,6 @@ impl ServingSystem {
         (0..copies).map(|_| self.register_model(spec)).collect()
     }
 
-    /// Registers one instance for each spec in a slice.
-    pub fn register_all(&mut self, specs: &[&ModelSpec]) -> Vec<ModelId> {
-        specs.iter().map(|s| self.register_model(s)).collect()
-    }
-
     /// Submits every request of a trace.
     ///
     /// The arrivals are counted as scheduled from this call on
@@ -1149,13 +1136,6 @@ impl ServingSystem {
         true
     }
 
-    /// Schedules a fault at a virtual time while the system is running; the
-    /// equivalent of one entry of a [`FaultPlan`] (see
-    /// [`SystemBuilder::faults`] for whole-plan scheduling).
-    pub fn inject_fault(&mut self, at: Timestamp, kind: FaultKind) {
-        self.push_event(at, SystemEvent::Fault { kind });
-    }
-
     /// `(alive, total)` GPU counts across the fleet — the availability that
     /// fault telemetry records per event.
     pub fn gpu_availability(&self) -> (u32, u32) {
@@ -1226,12 +1206,6 @@ impl ServingSystem {
         if drained && until > self.now && until != Timestamp::MAX {
             self.now = until;
         }
-    }
-
-    /// Runs for a duration of virtual time from the current instant.
-    pub fn run_for(&mut self, duration: Nanos) {
-        let until = self.now + duration;
-        self.run_until(until);
     }
 
     /// Runs until every event has been processed (all trace requests answered
