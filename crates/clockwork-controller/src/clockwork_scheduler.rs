@@ -50,6 +50,16 @@
 //! topology change resets it to zero). And when a pass has sent no action at
 //! all by the time its second INFER pass is due, that pass would see exactly
 //! the state the first one left and is skipped.
+//!
+//! Each stage costs what can act, not what is registered. The INFER pass
+//! visits the GPUs that hold (or are loading) a model with queued requests
+//! and are free inside the lookahead — Appendix B puts a model's strategies
+//! only on the GPUs where it is loaded — found from the queued models'
+//! holder lists, so an idle GPU holding nothing that waits is never looked
+//! at. The LOAD pass prices nothing unless some LOAD executor is inside the
+//! lookahead, and lists GPUs only once a model has come back with a positive
+//! priority. An eviction asks whether a model is protected only when it
+//! would otherwise be the least recently used so far.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -470,11 +480,54 @@ impl ClockworkScheduler {
         batching::largest_feasible(&entry.strategies, exec_start)
     }
 
-    /// Tops up INFER schedules on every actionable GPU.
+    /// The GPUs an INFER pass can act on, in registration order: those that
+    /// hold (or are loading) a model with queued requests, are alive, and
+    /// whose INFER executor frees up before `horizon`. Seeded from what is
+    /// queued — Appendix B puts a model's strategies only on the GPUs where
+    /// it is loaded — so the cost is the queued models' holder lists, not
+    /// the fleet: on a warm fleet nearly every GPU is idle enough to act and
+    /// almost none of them holds anything that is waiting (the waiting
+    /// models sit on GPUs claimed past the lookahead).
+    fn infer_gpus_into(&self, horizon: Timestamp, out: &mut Vec<usize>) {
+        out.clear();
+        for &model_id in self.queues.queued() {
+            let holders = self.tracker.gpus_with_model(model_id);
+            out.extend(
+                holders
+                    .iter()
+                    .filter(|&&idx| self.tracker.actionable(Executor::Infer, idx, horizon)),
+            );
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// [`Self::infer_gpus_into`] from the other side, the oracle it is
+    /// checked against: scan the whole fleet for actionable GPUs and keep
+    /// those whose residency intersects the queued set.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_infer_gpus(&self, horizon: Timestamp) -> Vec<usize> {
+        let mut actionable = Vec::new();
+        self.tracker
+            .actionable_into(Executor::Infer, horizon, &mut actionable);
+        let queued = self.queues.queued();
+        actionable.retain(|&idx| {
+            let held = &self.tracker.gpus()[idx].models;
+            held.keys().any(|m| queued.contains(m))
+        });
+        actionable
+    }
+
+    /// Tops up INFER schedules on the GPUs that hold queued work (see
+    /// [`Self::infer_gpus_into`]).
     ///
-    /// "Actionable" comes from the tracker's readiness scan: a GPU whose
-    /// executor is already committed past the lookahead horizon — or that is
-    /// dead — is never visited. The scan yields registration order, exactly
+    /// A GPU whose executor is already committed past the lookahead horizon
+    /// — or that is dead, or holds nothing that is queued — is never
+    /// visited: its slot loop would find no candidate. The list is a
+    /// snapshot taken before the first dispatch, which is sound because
+    /// during the pass queues only shrink, residency does not change and
+    /// executor free times only rise, so no GPU outside it can gain a
+    /// candidate or become actionable. It is in registration order, exactly
     /// the order a full visit of the fleet would use, so decisions do not
     /// depend on how many GPUs were skipped.
     fn schedule_infers(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
@@ -483,8 +536,13 @@ impl ClockworkScheduler {
         }
         let horizon = now + LOOKAHEAD;
         let mut gpu_indices = std::mem::take(&mut self.scratch_gpu_idx);
-        self.tracker
-            .actionable_into(Executor::Infer, horizon, &mut gpu_indices);
+        self.infer_gpus_into(horizon, &mut gpu_indices);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            gpu_indices,
+            self.reference_infer_gpus(horizon),
+            "INFER visit list is not the actionable GPUs holding queued work"
+        );
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         for &gpu_idx in &gpu_indices {
             if self.queues.queued().is_empty() {
@@ -763,14 +821,36 @@ impl ClockworkScheduler {
         );
     }
 
-    /// Tops up LOAD schedules on every actionable GPU (see
-    /// [`ClockworkScheduler::schedule_infers`] for the visiting order),
-    /// evicting LRU models when needed.
+    /// One evaluation of the LOAD priorities, counted, and checked against
+    /// the oracle in debug builds — every evaluation goes through here.
+    fn evaluate_load_priorities(
+        &mut self,
+        demands: &[(ModelId, Nanos)],
+        gpu_load: &mut Vec<f64>,
+        priorities: &mut Vec<(ModelId, f64)>,
+    ) {
+        self.load_priorities_into(demands, gpu_load, priorities);
+        self.profile.load_prio_recomputes += 1;
+        #[cfg(debug_assertions)]
+        self.assert_priorities_match_oracle(demands, priorities);
+    }
+
+    /// Tops up LOAD schedules, evicting LRU models when needed. It asks
+    /// "does any model want a GPU" before it asks "which GPUs could take
+    /// one": nothing is priced unless some LOAD executor is inside the
+    /// lookahead, and the actionable GPUs (visited in the order of
+    /// [`ClockworkScheduler::schedule_infers`]) are listed only once a model
+    /// has come back with a positive priority — on a warm fleet nearly every
+    /// pass ends at that first evaluation.
     fn schedule_loads(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
         if self.queues.queued().is_empty() && self.cold_rejections.is_empty() {
             return;
         }
         let horizon = now + LOOKAHEAD;
+        let tracker = &self.tracker;
+        if !(0..tracker.len()).any(|idx| tracker.actionable(Executor::Load, idx, horizon)) {
+            return;
+        }
         let mut demands = std::mem::take(&mut self.scratch_demands);
         self.model_demands_into(now, &mut demands);
         #[cfg(debug_assertions)]
@@ -779,18 +859,24 @@ impl ClockworkScheduler {
             self.reference_demands(now),
             "demand ledger drifted"
         );
+        // Priorities depend only on `demands` (fixed for the pass) and on
+        // residency, so one evaluation is reused across GPUs and slots —
+        // `dispatch_load` is the only thing that can change residency
+        // mid-pass (it evicts/loads even when it returns `false`), and it
+        // marks them stale. Recomputing from unchanged inputs yields the
+        // identical sorted list, so this is decision-preserving.
         let mut gpu_load = std::mem::take(&mut self.scratch_gpu_load);
         let mut priorities = std::mem::take(&mut self.scratch_priorities);
+        self.evaluate_load_priorities(&demands, &mut gpu_load, &mut priorities);
+        let mut priorities_fresh = true;
+        // The list is shared with the INFER pass: emptied first, so with no
+        // positive priority the loop below has nothing to visit.
         let mut gpu_indices = std::mem::take(&mut self.scratch_gpu_idx);
-        self.tracker
-            .actionable_into(Executor::Load, horizon, &mut gpu_indices);
-        // Priorities depend only on `demands` (fixed for the pass) and on
-        // residency, so they are computed lazily once and reused across GPUs
-        // and slots — `dispatch_load` is the only thing that can change
-        // residency mid-pass (it evicts/loads even when it returns `false`),
-        // and it marks them stale. Recomputing from unchanged inputs yields
-        // the identical sorted list, so this is decision-preserving.
-        let mut priorities_fresh = false;
+        gpu_indices.clear();
+        if !priorities.is_empty() {
+            self.tracker
+                .actionable_into(Executor::Load, horizon, &mut gpu_indices);
+        }
         'gpus: for &gpu_idx in &gpu_indices {
             loop {
                 let load_slot = self.tracker.next_slot(Executor::Load, gpu_idx, now);
@@ -798,11 +884,8 @@ impl ClockworkScheduler {
                     break;
                 }
                 if !priorities_fresh {
-                    self.load_priorities_into(&demands, &mut gpu_load, &mut priorities);
+                    self.evaluate_load_priorities(&demands, &mut gpu_load, &mut priorities);
                     priorities_fresh = true;
-                    self.profile.load_prio_recomputes += 1;
-                    #[cfg(debug_assertions)]
-                    self.assert_priorities_match_oracle(&demands, &priorities);
                     // No model with positive unfulfilled demand: no GPU
                     // anywhere can receive a LOAD this pass.
                     if priorities.is_empty() {
@@ -1417,7 +1500,13 @@ mod tests {
             .iter()
             .find(|(_, a)| a.kind.type_name() == "INFER")
             .unwrap();
-        assert!(infer.1.window.earliest >= load.1.window.earliest + load.1.expected_duration);
+        // The GPU is listed for the INFER pass while its only copy of the
+        // model is still loading, and the INFER starts one margin after the
+        // LOAD's expected completion.
+        assert_eq!(
+            infer.1.window.earliest,
+            load.1.window.earliest + load.1.expected_duration + LOAD_MARGIN
+        );
         // Nothing was resident for the first INFER pass to consider: it is
         // the second one, run because the LOAD pass sent something, that
         // placed the INFER — skipping it here would swallow the request.
@@ -1558,6 +1647,170 @@ mod tests {
         );
         assert!(ctx.take_responses().is_empty(), "nobody expired");
         assert_eq!(s.stats().load_actions, 0, "no LOAD was involved");
+    }
+
+    /// Queues a request without running a pass.
+    fn enqueue(s: &mut ClockworkScheduler, id: u64, model: u32) {
+        let request = request(id, model, 0, 5_000);
+        s.queues.push_back(PendingRequest {
+            deadline: request.deadline(),
+            request,
+            cold: false,
+        });
+    }
+
+    /// The INFER visit list at `horizon`, checked against the full scan.
+    fn infer_gpus(s: &ClockworkScheduler, horizon: Timestamp) -> Vec<usize> {
+        let mut listed = Vec::new();
+        s.infer_gpus_into(horizon, &mut listed);
+        assert_eq!(listed, s.reference_infer_gpus(horizon), "at {horizon:?}");
+        listed
+    }
+
+    /// Two workers of two GPUs each, registration indices 0..4.
+    fn four_gpus(s: &mut ClockworkScheduler) -> [GpuRef; 4] {
+        let gpus = [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(worker, gpu)| GpuRef {
+            worker: WorkerId(worker),
+            gpu: GpuId(gpu),
+        });
+        for gpu in gpus {
+            s.add_gpu(gpu, 100, PAGE);
+        }
+        gpus
+    }
+
+    #[test]
+    fn the_infer_pass_lists_the_actionable_holders_of_queued_models() {
+        let mut s = ClockworkScheduler::with_defaults();
+        let gpus = four_gpus(&mut s);
+        for m in 1..=4 {
+            s.add_model(ModelId(m), resnet(), Nanos::from_millis_f64(8.33));
+        }
+        // Model 1 on three GPUs, 2 on the fourth, 3 beside 1 on the second.
+        for (gpu, model) in [(0, 1), (1, 1), (2, 1), (3, 2), (1, 3)] {
+            warm(&mut s, gpus[gpu], model);
+        }
+        let horizon = Timestamp::ZERO + LOOKAHEAD;
+        assert!(infer_gpus(&s, horizon).is_empty(), "nothing is queued");
+        // Each holder once, in registration order — also the one that holds
+        // two queued models; the GPU holding nothing queued is left out.
+        enqueue(&mut s, 1, 1);
+        enqueue(&mut s, 2, 3);
+        assert_eq!(infer_gpus(&s, horizon), [0, 1, 2]);
+        // A holder claimed past the lookahead is not listed until the
+        // horizon reaches its free time.
+        let mut ctx = SchedulerCtx::new();
+        let busy = Placement::unbounded(gpus[1], Timestamp::ZERO, Nanos::from_millis(20));
+        s.tracker
+            .send_infer(&mut ctx, busy, ModelId(3), 1, vec![], vec![]);
+        assert_eq!(infer_gpus(&s, horizon), [0, 2]);
+        assert_eq!(infer_gpus(&s, Timestamp::from_millis(20)), [0, 2]);
+        assert_eq!(infer_gpus(&s, Timestamp::from_millis(21)), [0, 1, 2]);
+        // A holder whose copy is still loading counts.
+        enqueue(&mut s, 3, 4);
+        let load = Placement::unbounded(gpus[3], Timestamp::ZERO, Nanos::from_millis(8));
+        s.tracker.send_load(&mut ctx, load, ModelId(4), 7 * PAGE);
+        assert_eq!(infer_gpus(&s, horizon), [0, 2, 3]);
+        // A dead GPU is not listed: the crash wiped it from the holder
+        // lists, although its executors read free again.
+        s.tracker
+            .apply_fault(Timestamp::ZERO, &FaultKind::WorkerCrash { worker: 1 });
+        assert_eq!(s.tracker.gpus_with_model(ModelId(1)), [0, 1]);
+        assert!(s.tracker.gpus_with_model(ModelId(4)).is_empty());
+        assert_eq!(infer_gpus(&s, horizon), [0]);
+    }
+
+    #[test]
+    fn a_dispatch_that_empties_the_queue_leaves_the_later_listed_gpus_untouched() {
+        let mut s = ClockworkScheduler::with_defaults();
+        let gpus = four_gpus(&mut s);
+        s.add_model(ModelId(1), resnet(), Nanos::from_millis_f64(8.33));
+        for gpu in [0, 2, 3] {
+            warm(&mut s, gpus[gpu], 1);
+        }
+        enqueue(&mut s, 1, 1);
+        assert_eq!(infer_gpus(&s, Timestamp::ZERO + LOOKAHEAD), [0, 2, 3]);
+        let mut ctx = SchedulerCtx::new();
+        s.run_full_pass(Timestamp::ZERO, &mut ctx);
+        // The first listed GPU took the only request; the other two were
+        // listed before that and must cost nothing.
+        assert_eq!(infers(&ctx.take_actions()), [(GpuId(0), vec![1])]);
+        assert_eq!(s.sched_profile().candidates_scanned, 1);
+        assert_eq!(s.sched_profile().strategies_recomputed, 1);
+    }
+
+    #[test]
+    fn the_infer_visit_list_matches_the_full_scan_under_load_and_faults() {
+        // The in-pass assertion compares the two at the pass's own horizon
+        // in debug builds; this drives a busy, faulty little fleet and
+        // compares them after every callback at horizons on both sides of
+        // every executor's free time, in release builds too.
+        fn check(s: &ClockworkScheduler, now: Timestamp, seen: &mut [usize; 2]) {
+            let mut actionable = Vec::new();
+            for ahead_ms in [0, 1, 5, 8, 20, 1_000] {
+                let horizon = now + Nanos::from_millis(ahead_ms);
+                let listed = infer_gpus(s, horizon);
+                s.tracker
+                    .actionable_into(Executor::Infer, horizon, &mut actionable);
+                seen[0] += usize::from(!listed.is_empty());
+                seen[1] += usize::from(listed.len() < actionable.len());
+            }
+        }
+        let mut s = ClockworkScheduler::with_defaults();
+        let gpus = four_gpus(&mut s);
+        for m in 0..6 {
+            s.add_model(ModelId(m), resnet(), Nanos::from_millis_f64(8.33));
+        }
+        // Two models a GPU, every model on one or two GPUs.
+        for (gpu, model) in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (2, 4), (3, 4)] {
+            warm(&mut s, gpus[gpu], model);
+        }
+        let mut ctx = SchedulerCtx::new();
+        let mut seen = [0; 2];
+        let mut pending: VecDeque<(WorkerId, clockwork_worker::Action)> = VecDeque::new();
+        for i in 0..400u64 {
+            let now = Timestamp::from_nanos(250_000 * i);
+            // Model 5 is cold and gets loaded; the SLOs straddle what the
+            // backlog allows, so queues both drain and expire.
+            let (model, slo_ms) = ((i * 7 % 6) as u32, [15, 40, 400][(i % 3) as usize]);
+            let arrival = InferenceRequest {
+                arrival: now,
+                ..request(i, model, 0, slo_ms)
+            };
+            s.on_request(now, arrival, &mut ctx);
+            check(&s, now, &mut seen);
+            match i {
+                150 => s.on_fault(now, &FaultKind::GpuFail { worker: 0, gpu: 1 }, &mut ctx),
+                200 => s.on_fault(now, &FaultKind::WorkerCrash { worker: 1 }, &mut ctx),
+                250 => s.on_fault(now, &FaultKind::WorkerRestart { worker: 1 }, &mut ctx),
+                300 => s.on_fault(now, &FaultKind::GpuRecover { worker: 0, gpu: 1 }, &mut ctx),
+                _ if i % 4 == 0 => {
+                    s.on_tick(now, &mut ctx);
+                }
+                _ => {}
+            }
+            check(&s, now, &mut seen);
+            pending.extend(ctx.take_actions());
+            // Results come back three actions behind the sends.
+            while pending.len() > 3 {
+                let (worker, action) = pending.pop_front().unwrap();
+                if action.kind.type_name() == "UNLOAD" {
+                    continue;
+                }
+                let mut result = success_result(action.id, &action, i / 4, 2_500);
+                (result.worker, result.gpu) = (worker, action.gpu);
+                s.on_result(now, &result, &mut ctx);
+                check(&s, now, &mut seen);
+                pending.extend(ctx.take_actions());
+            }
+            ctx.take_responses();
+        }
+        assert!(s.stats().completed > 100, "{:?}", s.stats());
+        assert!(s.stats().load_actions > 0, "{:?}", s.stats());
+        assert!(s.stats().rejected_deadline > 0, "{:?}", s.stats());
+        // Not vacuous: lists were often non-empty, and often shorter than
+        // the actionable fleet.
+        assert!(seen[0] > 100 && seen[1] > 100, "{seen:?}");
     }
 
     #[test]

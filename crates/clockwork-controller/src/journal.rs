@@ -17,9 +17,12 @@ pub struct SchedProfile {
     pub ticks_full: u64,
     /// Ticks answered by the early-out (clean horizon not reached).
     pub ticks_skipped: u64,
-    /// (model, GPU) candidate pairs examined while placing INFERs. A pass
-    /// that sends no action skips its second INFER pass — a provable repeat
-    /// of the first — so its candidates count once.
+    /// (model, GPU) candidate pairs examined while placing INFERs: per slot
+    /// tried, the queued models the GPU holds. Only GPUs holding a queued
+    /// model are visited, and an unvisited GPU would have added zero, so
+    /// the count is that of a visit to the whole fleet. A pass that sends
+    /// no action skips its second INFER pass — a provable repeat of the
+    /// first — so its candidates count once.
     pub candidates_scanned: u64,
     /// Per-model strategy-queue rebuilds (cache misses on queue or profile
     /// epoch).

@@ -163,8 +163,11 @@ pub struct GpuTrack<R> {
     /// Models resident or loading here, in ascending `ModelId` order (the
     /// order candidate scans visit them in).
     pub models: BTreeMap<ModelId, Residency>,
-    /// Last time an INFER was scheduled per model (drives LRU eviction).
-    pub last_used: HashMap<ModelId, Timestamp>,
+    /// Last time an INFER was scheduled per model (drives LRU eviction), in
+    /// ascending `ModelId` order like `models`, so [`GpuTrack::lru_candidate`]
+    /// reads the two side by side. A stamp can outlive its residency (a
+    /// failed LOAD keeps it), so its keys are not a subset of `models`'.
+    pub last_used: BTreeMap<ModelId, Timestamp>,
     /// Outstanding actions on this GPU, each INFER with its riders.
     pub outstanding: HashMap<ActionId, OutstandingAction<R>>,
     /// Whether the GPU (and its worker) is up. Dead GPUs receive no work.
@@ -179,7 +182,7 @@ impl<R> GpuTrack<R> {
             free_pages: total_pages,
             page_size,
             models: BTreeMap::new(),
-            last_used: HashMap::new(),
+            last_used: BTreeMap::new(),
             outstanding: HashMap::new(),
             alive: true,
         }
@@ -205,18 +208,27 @@ impl<R> GpuTrack<R> {
     }
 
     /// The least-recently-used resident model that `protect` does not hold
-    /// back.
+    /// back: the minimum `(last_used, id)`, a model never stamped counting
+    /// as used at time zero. One walk over `models` merge-joined with
+    /// `last_used` — a stamp whose model is no longer held is stepped over
+    /// — and `protect` is asked only about a model that would otherwise
+    /// become the minimum so far, which on a full cache is a handful of the
+    /// residents.
     pub fn lru_candidate(&self, protect: impl Fn(ModelId) -> bool) -> Option<ModelId> {
-        self.models
-            .iter()
-            .filter(|(&m, r)| !r.loading && !protect(m))
-            .map(|(&m, _)| m)
-            .min_by_key(|m| {
-                (
-                    self.last_used.get(m).copied().unwrap_or(Timestamp::ZERO),
-                    *m,
-                )
-            })
+        let mut stamps = self.last_used.iter().peekable();
+        let mut best: Option<(Timestamp, ModelId)> = None;
+        for (&model, held) in &self.models {
+            while stamps.next_if(|&(&stamped, _)| stamped < model).is_some() {}
+            let stamp = stamps
+                .next_if(|&(&stamped, _)| stamped == model)
+                .map_or(Timestamp::ZERO, |(_, &at)| at);
+            let key = (stamp, model);
+            if held.loading || best.is_some_and(|best| key >= best) || protect(model) {
+                continue;
+            }
+            best = Some(key);
+        }
+        best.map(|(_, model)| model)
     }
 
     /// Fraction of pages in use.
@@ -360,14 +372,20 @@ impl<R> WorkerStateTracker<R> {
         self.free_at[executor as usize][idx].max(now)
     }
 
-    /// Collects the registration indices of every live GPU whose executor
-    /// frees up strictly before `horizon` into `out`, ascending — so a pass
-    /// visits exactly the GPUs that can accept work, in the order a full
-    /// scan would.
+    /// Whether GPU `idx` can accept work on `executor` in a pass looking as
+    /// far as `horizon`: it is alive and the executor frees up strictly
+    /// before then. The per-GPU form of [`Self::actionable_into`], for a pass
+    /// that already knows which GPUs it cares about.
+    pub fn actionable(&self, executor: Executor, idx: usize, horizon: Timestamp) -> bool {
+        self.free_at[executor as usize][idx] < horizon && self.gpus[idx].alive
+    }
+
+    /// Collects the registration indices of every [actionable](Self::actionable)
+    /// GPU into `out`, ascending — so a pass visits exactly the GPUs that
+    /// can accept work, in the order a full scan would.
     pub fn actionable_into(&self, executor: Executor, horizon: Timestamp, out: &mut Vec<usize>) {
         out.clear();
-        let free_at = &self.free_at[executor as usize];
-        out.extend((0..free_at.len()).filter(|&i| free_at[i] < horizon && self.gpus[i].alive));
+        out.extend((0..self.gpus.len()).filter(|&i| self.actionable(executor, i, horizon)));
     }
 
     /// The earliest executor free time at or after `horizon` among live

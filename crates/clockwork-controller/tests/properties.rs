@@ -682,37 +682,83 @@ proptest! {
 
     #[test]
     fn gpu_track_lru_candidate_is_least_recently_used_resident(
-        touches in proptest::collection::vec((0u32..8, 0u64..1_000_000u64), 1..60),
-        protect_model in 0u32..8,
+        ops in proptest::collection::vec((0u32..5, 0u32..8, 0u64..12), 1..80),
+        protected in 0u32..256,
+        quirk in (0u32..8, 0u64..12, 0u64..12),
     ) {
+        // One GPU, eight models. The test keeps its own copy of what is
+        // held (`None` absent, `Some(loading)`), which LOAD is outstanding
+        // and every stamp, under the tracker's documented rules: an INFER
+        // overwrites the stamp, a LOAD sets it only if there is none, an
+        // UNLOAD clears it, a failed LOAD leaves it behind. Stamps come
+        // from a dozen values so ties are the norm, and any set of models
+        // may be protected.
+        let gpu = gref(0, 0);
         let mut tracker = WorkerStateTracker::<()>::new();
         let mut ctx = SchedulerCtx::new();
-        tracker.add_gpu(gref(0, 0), 1024, PAGE);
-        // Make all eight models resident.
-        for m in 0..8u32 {
-            let at = Placement::unbounded(gref(0, 0), Timestamp::ZERO, Nanos::from_millis(1));
-            let id = tracker.send_load(&mut ctx, at, ModelId(m), 4 * PAGE);
-            tracker.resolve(&report(gref(0, 0), id, true));
+        tracker.add_gpu(gpu, 1024, PAGE);
+        let mut held: [Option<bool>; 8] = [None; 8];
+        let mut loads: [Option<ActionId>; 8] = [None; 8];
+        let mut stamps: [Option<Timestamp>; 8] = [None; 8];
+        let protect = |m: ModelId| protected >> m.0 & 1 == 1;
+        let stamp_of = |tick: u64| Timestamp::from_millis(1 + tick);
+        // The quirk first, so every case has it: a LOAD that fails leaves
+        // its stamp with no residency under it, and the re-sent LOAD keeps
+        // that older stamp. Then the random operations.
+        let (quirk, first, second) = quirk;
+        let script = [(0, quirk, first), (2, quirk, 0), (0, quirk, second), (1, quirk, 0)];
+        for (step, (kind, model, tick)) in script.into_iter().chain(ops).enumerate() {
+            let (m, i) = (ModelId(model), model as usize);
+            let at = Placement::unbounded(gpu, stamp_of(tick), Nanos::from_millis(3));
+            match (kind, held[i]) {
+                (0, None) => {
+                    loads[i] = Some(tracker.send_load(&mut ctx, at, m, 4 * PAGE));
+                    held[i] = Some(true);
+                    stamps[i].get_or_insert(at.start);
+                }
+                (1 | 2, Some(true)) => {
+                    let id = loads[i].take().expect("a loading model has a LOAD outstanding");
+                    let success = kind == 1;
+                    prop_assert_eq!(tracker.resolve(&report(gpu, id, success)), Resolved::Load);
+                    held[i] = success.then_some(false);
+                }
+                (3, Some(_)) => {
+                    tracker.send_infer(&mut ctx, at, m, 1, vec![], ());
+                    // The track records the start time of the most recently
+                    // *scheduled* INFER, mirroring §5.3's "last used"
+                    // bookkeeping.
+                    stamps[i] = Some(at.start);
+                }
+                (4, Some(false)) => {
+                    tracker.send_unload(&mut ctx, gpu, m);
+                    held[i] = None;
+                    stamps[i] = None;
+                }
+                _ => continue,
+            }
+            let track = &tracker.gpus()[0];
+            let stamped: Vec<(ModelId, Timestamp)> =
+                track.last_used.iter().map(|(&m, &at)| (m, at)).collect();
+            let expected: Vec<(ModelId, Timestamp)> = (0..8u32)
+                .filter_map(|m| Some((ModelId(m), stamps[m as usize]?)))
+                .collect();
+            prop_assert_eq!(stamped, expected, "stamps, orphaned ones included");
+            match step {
+                1 => prop_assert!(!track.has_or_loading(m) && stamps[i] == Some(stamp_of(first))),
+                3 => prop_assert!(track.is_resident(m) && stamps[i] == Some(stamp_of(first))),
+                _ => {}
+            }
+            // The oracle, over the test's own copy of the state: filter,
+            // then the minimum `(stamp or zero, id)`.
+            let oracle = |protect: &dyn Fn(ModelId) -> bool| {
+                (0..8u32)
+                    .map(ModelId)
+                    .filter(|&m| held[m.0 as usize] == Some(false) && !protect(m))
+                    .min_by_key(|&m| (stamps[m.0 as usize].unwrap_or(Timestamp::ZERO), m))
+            };
+            prop_assert_eq!(track.lru_candidate(protect), oracle(&protect));
+            prop_assert_eq!(track.lru_candidate(|_| false), oracle(&|_| false));
         }
-        let mut last_used = [Timestamp::ZERO; 8];
-        for &(m, at) in &touches {
-            let start = Timestamp::from_nanos(at);
-            let at = Placement::unbounded(gref(0, 0), start, Nanos::from_millis(3));
-            tracker.send_infer(&mut ctx, at, ModelId(m), 1, vec![], ());
-            // The track records the start time of the most recently
-            // *scheduled* INFER, mirroring §5.3's "last used" bookkeeping.
-            last_used[m as usize] = start;
-        }
-        let candidate = tracker.gpus()[0]
-            .lru_candidate(|m| m == ModelId(protect_model))
-            .expect("seven unprotected residents");
-        prop_assert_ne!(candidate, ModelId(protect_model));
-        let expected = (0..8u32)
-            .filter(|&m| m != protect_model)
-            .min_by_key(|&m| (last_used[m as usize], ModelId(m)))
-            .map(ModelId)
-            .unwrap();
-        prop_assert_eq!(candidate, expected);
     }
 
     #[test]
