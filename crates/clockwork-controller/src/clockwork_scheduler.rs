@@ -51,15 +51,31 @@
 //! all by the time its second INFER pass is due, that pass would see exactly
 //! the state the first one left and is skipped.
 //!
-//! Each stage costs what can act, not what is registered. The INFER pass
-//! visits the GPUs that hold (or are loading) a model with queued requests
-//! and are free inside the lookahead — Appendix B puts a model's strategies
-//! only on the GPUs where it is loaded — found from the queued models'
-//! holder lists, so an idle GPU holding nothing that waits is never looked
-//! at. The LOAD pass prices nothing unless some LOAD executor is inside the
-//! lookahead, and lists GPUs only once a model has come back with a positive
-//! priority. An eviction asks whether a model is protected only when it
-//! would otherwise be the least recently used so far.
+//! Each stage costs what can act, not what is registered — and not what is
+//! queued either. Both passes start from the per-GPU ledger of waiting work
+//! (`WaitingLedger`, crate-private: per GPU, how many queued models it holds
+//! and an integer upper bound on the demand shares charged to it — the
+//! paper's `l_g`, updated as requests arrive and complete). The INFER pass
+//! visits the GPUs the ledger lists as holding (or loading) a queued model
+//! that are free inside the lookahead — Appendix B puts a model's strategies
+//! only on the GPUs where it is loaded — so an idle GPU holding nothing that
+//! waits is never looked at and no queued model's holder list is walked.
+//! The LOAD pass prices nothing unless a queued model has no holder, some
+//! GPU is charged beyond the priority horizon or a cold rejection is on
+//! record (otherwise no priority can be positive), nor unless some LOAD
+//! executor is inside the lookahead, and lists GPUs only once a model has
+//! come back with a positive priority. An eviction asks whether a model is
+//! protected only when it would otherwise be the least recently used so far.
+//!
+//! That ledger is the one structure here that is *pushed to* rather than
+//! validated by key — visiting its keys is the cost it removes. The
+//! scheduler moves a model's charge wherever that model's (queue length,
+//! `model_epoch`) can move: every queue mutation goes through `with_queue`,
+//! every profiler measurement is followed by `recharge`; a holder-list
+//! change (the tracker's `holders_epoch`) rebuilds it whole. It is kept
+//! honest by its oracle, not by trust: debug builds compare it with a
+//! from-scratch rebuild before every read, and re-run the full evaluation
+//! behind every skipped LOAD pass.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -80,6 +96,9 @@ use crate::profile::{ActionProfiler, ProfileKey};
 use crate::request::{InferenceRequest, RejectReason, Response};
 use crate::request_queues::{PendingRequest, RequestQueues};
 use crate::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
+#[cfg(any(test, debug_assertions))]
+use crate::waiting_ledger::LedgerTotals;
+use crate::waiting_ledger::WaitingLedger;
 use crate::worker_state::{Executor, GpuRef, Placement, Resolved, WorkerStateTracker};
 
 /// How much work to keep outstanding per executor (§5.3: 5 ms).
@@ -97,6 +116,16 @@ const LOAD_WINDOW: Nanos = Nanos::from_millis(20);
 /// Horizon over which GPU capacity is compared against model demand when
 /// computing load priorities (Appendix B).
 const LOAD_PRIORITY_HORIZON: Nanos = Nanos::from_millis(100);
+/// The per-GPU bound on charged demand shares (see [`WaitingLedger`]) up to
+/// which no load priority can be positive: the horizon less a 10⁻⁶ margin.
+/// The bound is an integer sum of rounded-up shares, so it is at least the
+/// float `gpu_load` the priorities divide by, up to the ≈ 10⁻¹³ relative
+/// error of summing a few hundred doubles; at or below this limit every
+/// `capacity / gpu_load` factor is therefore above 1 + 10⁻⁶, which swamps the
+/// rounding of `demand / n` summed `n` times, and `served > demand`.
+const LOAD_PRICELESS_BOUND: Nanos = Nanos::from_nanos(
+    LOAD_PRIORITY_HORIZON.as_nanos() - LOAD_PRIORITY_HORIZON.as_nanos() / 1_000_000,
+);
 /// Headroom multiplier (in thousandths) applied to the pressure-adjusted
 /// best-case serving estimate of best-effort requests at admission: a
 /// best-effort request is admitted only if *six times* its best case —
@@ -212,6 +241,10 @@ pub struct ClockworkScheduler {
     /// INFER's entry in the tracker's ledger until that resolves.
     tracker: WorkerStateTracker<Vec<PendingRequest>>,
     profiler: ActionProfiler,
+    /// Per GPU, the waiting work it holds (see [`WaitingLedger`]): pushed to
+    /// by [`Self::recharge`], rebuilt by [`Self::sync_ledger`] when a holder
+    /// list moved, and both passes start from it.
+    ledger: WaitingLedger,
     /// Recent requests rejected up-front *only because their model was cold*
     /// (they would have fit their SLO on a warm GPU). Appendix B drives LOAD
     /// priorities from estimated SLO violations, so these rejections must
@@ -261,6 +294,7 @@ impl ClockworkScheduler {
             models: ModelTable::default(),
             queues: RequestQueues::default(),
             tracker: WorkerStateTracker::new(),
+            ledger: WaitingLedger::new(LOAD_PRICELESS_BOUND),
             cold_rejections: BTreeMap::new(),
             stats: SchedulerStats::default(),
             clean_until: Timestamp::ZERO,
@@ -412,7 +446,9 @@ impl ClockworkScheduler {
         let mut expired = std::mem::take(&mut self.scratch_expired);
         for &model_id in &model_ids {
             let cutoff = now + self.exec_estimate(model_id, 1) + NETWORK_ALLOWANCE;
-            self.queues.expire(model_id, cutoff, &mut expired);
+            self.with_queue(model_id, |queues| {
+                queues.expire(model_id, cutoff, &mut expired)
+            });
         }
         for p in expired.drain(..) {
             self.reject(&p, now, RejectReason::DeadlineElapsed, ctx);
@@ -480,26 +516,113 @@ impl ClockworkScheduler {
         batching::largest_feasible(&entry.strategies, exec_start)
     }
 
+    /// The one way a queue of this scheduler changes: runs one of
+    /// [`RequestQueues`]' four mutators on `model_id`'s queue, then moves the
+    /// model's charge on the ledger to what the queue now demands.
+    fn with_queue<T>(&mut self, model_id: ModelId, op: impl FnOnce(&mut RequestQueues) -> T) -> T {
+        let out = op(&mut self.queues);
+        self.recharge(model_id);
+        out
+    }
+
+    /// What the ledger is keyed by as a whole: the holder lists and how many
+    /// GPUs they index.
+    fn ledger_key(&self) -> (u64, usize) {
+        (self.tracker.holders_epoch(), self.tracker.len())
+    }
+
+    /// Moves `model_id`'s charge on the ledger to its queue's present LOAD
+    /// demand, over its present holders. Called wherever the model's
+    /// `(queue length, model_epoch)` can have moved; O(|holders|). When a
+    /// holder list has moved since the ledger was built nothing is charged —
+    /// the rebuild that is due ([`Self::sync_ledger`]) reads every queue
+    /// itself.
+    fn recharge(&mut self, model_id: ModelId) {
+        if !self.ledger.is_built_on(self.ledger_key()) {
+            return;
+        }
+        let demand = Self::queued_demand(&self.profiler, &self.queues, &mut self.models, model_id);
+        let holders = self.tracker.gpus_with_model(model_id);
+        self.ledger.recharge(model_id, holders, demand);
+    }
+
+    /// Brings the ledger up to date before a pass reads it: rebuilt from the
+    /// queued set when a holder list or the GPU count moved since it was
+    /// built, untouched otherwise — and, in debug builds, checked against
+    /// the from-scratch oracle either way.
+    fn sync_ledger(&mut self) {
+        let key = self.ledger_key();
+        if !self.ledger.is_built_on(key) {
+            self.ledger.reset(key);
+            for &model_id in self.queues.queued() {
+                let demand =
+                    Self::queued_demand(&self.profiler, &self.queues, &mut self.models, model_id);
+                let holders = self.tracker.gpus_with_model(model_id);
+                self.ledger.recharge(model_id, holders, demand);
+            }
+        }
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.ledger.totals(),
+            self.reference_ledger(),
+            "per-GPU ledger of waiting work drifted"
+        );
+    }
+
+    /// The ledger computed the slow way, the oracle it is checked against:
+    /// every queue demand re-estimated, every holder list walked, and the
+    /// fleet-wide facts read off the finished columns rather than kept in
+    /// step with them.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_ledger(&self) -> LedgerTotals {
+        let mut totals = LedgerTotals {
+            counts: vec![0; self.tracker.len()],
+            bounds: vec![0; self.tracker.len()],
+            ..LedgerTotals::default()
+        };
+        for &model_id in self.queues.queued() {
+            let Some(entry) = self.models.get(model_id) else {
+                continue;
+            };
+            let len = self.queues.len(model_id) as u32;
+            let demand = Self::queue_demand(&self.profiler, model_id, &entry.spec, len);
+            let holders = self.tracker.gpus_with_model(model_id);
+            totals.no_holder += usize::from(holders.is_empty());
+            for &idx in holders {
+                totals.counts[idx] += 1;
+                totals.bounds[idx] += demand.as_nanos().div_ceil(holders.len() as u64);
+            }
+        }
+        totals.listed = (0..self.tracker.len())
+            .filter(|&idx| totals.counts[idx] > 0)
+            .collect();
+        totals.over_bound = totals
+            .bounds
+            .iter()
+            .filter(|&&bound| bound > LOAD_PRICELESS_BOUND.as_nanos())
+            .count();
+        totals
+    }
+
     /// The GPUs an INFER pass can act on, in registration order: those that
     /// hold (or are loading) a model with queued requests, are alive, and
-    /// whose INFER executor frees up before `horizon`. Seeded from what is
-    /// queued — Appendix B puts a model's strategies only on the GPUs where
-    /// it is loaded — so the cost is the queued models' holder lists, not
-    /// the fleet: on a warm fleet nearly every GPU is idle enough to act and
+    /// whose INFER executor frees up before `horizon`. Appendix B puts a
+    /// model's strategies only on the GPUs where it is loaded, and the
+    /// ledger lists exactly those GPUs, ascending and once each — so the
+    /// cost is that list, not the fleet and not the queued models' holder
+    /// lists: on a warm fleet nearly every GPU is idle enough to act and
     /// almost none of them holds anything that is waiting (the waiting
-    /// models sit on GPUs claimed past the lookahead).
+    /// models sit on a few GPUs claimed past the lookahead). The ledger must
+    /// be [in sync](Self::sync_ledger).
     fn infer_gpus_into(&self, horizon: Timestamp, out: &mut Vec<usize>) {
         out.clear();
-        for &model_id in self.queues.queued() {
-            let holders = self.tracker.gpus_with_model(model_id);
-            out.extend(
-                holders
-                    .iter()
-                    .filter(|&&idx| self.tracker.actionable(Executor::Infer, idx, horizon)),
-            );
-        }
-        out.sort_unstable();
-        out.dedup();
+        out.extend(
+            self.ledger
+                .listed()
+                .iter()
+                .copied()
+                .filter(|&idx| self.tracker.actionable(Executor::Infer, idx, horizon)),
+        );
     }
 
     /// [`Self::infer_gpus_into`] from the other side, the oracle it is
@@ -535,6 +658,7 @@ impl ClockworkScheduler {
             return;
         }
         let horizon = now + LOOKAHEAD;
+        self.sync_ledger();
         let mut gpu_indices = std::mem::take(&mut self.scratch_gpu_idx);
         self.infer_gpus_into(horizon, &mut gpu_indices);
         #[cfg(debug_assertions)]
@@ -627,7 +751,9 @@ impl ClockworkScheduler {
         ctx: &mut SchedulerCtx,
     ) {
         let est = self.exec_estimate(model_id, batch);
-        let requests = self.queues.take_front(model_id, batch as usize);
+        let requests = self.with_queue(model_id, |queues| {
+            queues.take_front(model_id, batch as usize)
+        });
         let min_deadline = requests
             .iter()
             .map(|p| p.deadline)
@@ -673,6 +799,25 @@ impl ClockworkScheduler {
         est / u64::from(batch.max(1)) * u64::from(count)
     }
 
+    /// A model's queue demand read off the demand ledger — re-estimated only
+    /// when its queue length or estimates moved since it was last read —
+    /// or `None` when nothing is queued for it (or it is not registered).
+    fn queued_demand(
+        profiler: &ActionProfiler,
+        queues: &RequestQueues,
+        models: &mut ModelTable<ModelEntry>,
+        model_id: ModelId,
+    ) -> Option<Nanos> {
+        let len = queues.len(model_id);
+        let entry = models.get_mut(model_id).filter(|_| len > 0)?;
+        let key = (len, profiler.model_epoch(model_id));
+        if entry.demand_for != key {
+            entry.demand = Self::queue_demand(profiler, model_id, &entry.spec, len as u32);
+            entry.demand_for = key;
+        }
+        Some(entry.demand)
+    }
+
     /// Adds the demand of recent cold-start rejections to `demands`: they
     /// are unfulfilled demand too (Appendix B's "estimated SLO violations"),
     /// and without them a model whose SLO is tighter than its cold-start
@@ -704,17 +849,9 @@ impl ClockworkScheduler {
     fn model_demands_into(&mut self, now: Timestamp, demands: &mut Vec<(ModelId, Nanos)>) {
         demands.clear();
         for &model_id in self.queues.queued() {
-            let Some(entry) = self.models.get_mut(model_id) else {
-                continue;
-            };
-            let len = self.queues.len(model_id);
-            let key = (len, self.profiler.model_epoch(model_id));
-            if entry.demand_for != key {
-                entry.demand =
-                    Self::queue_demand(&self.profiler, model_id, &entry.spec, len as u32);
-                entry.demand_for = key;
-            }
-            demands.push((model_id, entry.demand));
+            let demand =
+                Self::queued_demand(&self.profiler, &self.queues, &mut self.models, model_id);
+            demands.extend(demand.map(|demand| (model_id, demand)));
         }
         self.add_cold_demands(now, demands);
     }
@@ -835,15 +972,49 @@ impl ClockworkScheduler {
         self.assert_priorities_match_oracle(demands, priorities);
     }
 
+    /// Whether the ledger proves that no load priority is positive: no cold
+    /// rejection adds demand beyond the queues', every queued model has a
+    /// holder, and every GPU's charged shares sum to less than the capacity
+    /// they are measured against. Then each `capacity / gpu_load[g]` factor
+    /// in [`Self::for_each_load_priority`] exceeds 1, so every model is
+    /// `served` more than it demands (see [`LOAD_PRICELESS_BOUND`] for the
+    /// rounding). In particular true when nothing is queued. The ledger
+    /// must be [in sync](Self::sync_ledger).
+    fn loads_are_priceless(&self) -> bool {
+        self.cold_rejections.is_empty() && self.ledger.all_within_limit()
+    }
+
+    /// Runs the evaluation a priceless LOAD pass skipped and checks that it
+    /// yields no positive priority — uncounted, so debug and release builds
+    /// report the same figures.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_loads_are_priceless(&mut self, now: Timestamp) {
+        let mut demands = std::mem::take(&mut self.scratch_demands);
+        let mut priorities = std::mem::take(&mut self.scratch_priorities);
+        self.model_demands_into(now, &mut demands);
+        self.load_priorities_into(&demands, &mut Vec::new(), &mut priorities);
+        assert!(
+            priorities.is_empty(),
+            "skipped LOAD pass had positive priorities: {priorities:?}"
+        );
+        self.scratch_demands = demands;
+        self.scratch_priorities = priorities;
+    }
+
     /// Tops up LOAD schedules, evicting LRU models when needed. It asks
-    /// "does any model want a GPU" before it asks "which GPUs could take
-    /// one": nothing is priced unless some LOAD executor is inside the
-    /// lookahead, and the actionable GPUs (visited in the order of
-    /// [`ClockworkScheduler::schedule_infers`]) are listed only once a model
-    /// has come back with a positive priority — on a warm fleet nearly every
-    /// pass ends at that first evaluation.
+    /// "can any model want a GPU" before anything else, and the ledger
+    /// answers in O(1): unless a queued model has no holder, a GPU is
+    /// charged more than the priority horizon, or a cold rejection is on
+    /// record, no priority is positive and nothing is priced — on a warm
+    /// fleet that is nearly every pass. Otherwise nothing is priced unless
+    /// some LOAD executor is inside the lookahead, and the actionable GPUs
+    /// (visited in the order of [`ClockworkScheduler::schedule_infers`]) are
+    /// listed only once a model has come back with a positive priority.
     fn schedule_loads(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
-        if self.queues.queued().is_empty() && self.cold_rejections.is_empty() {
+        self.sync_ledger();
+        if self.loads_are_priceless() {
+            #[cfg(debug_assertions)]
+            self.assert_loads_are_priceless(now);
             return;
         }
         let horizon = now + LOOKAHEAD;
@@ -1070,6 +1241,7 @@ impl ClockworkScheduler {
                     ProfileKey::exec(result.model, result.batch),
                     timing.device_duration,
                 );
+                self.recharge(result.model);
                 // The batch-1 estimate may have moved; keep the expiry bound
                 // a running maximum over every model's current estimate.
                 self.max_est1 = self.max_est1.max(self.exec_estimate(result.model, 1));
@@ -1107,7 +1279,7 @@ impl ClockworkScheduler {
             let still_possible = pending.deadline == Timestamp::MAX
                 || now + min_exec + NETWORK_ALLOWANCE < pending.deadline;
             if still_possible {
-                self.queues.push_front(pending);
+                self.with_queue(pending.request.model, |queues| queues.push_front(pending));
             } else {
                 self.reject(&pending, at, reason, ctx);
             }
@@ -1132,6 +1304,8 @@ impl Scheduler for ClockworkScheduler {
         }
         self.profiler.seed(ProfileKey::load(id), load_seed);
         self.models.insert(id, ModelEntry::new(spec));
+        // Re-registering a model that has a queue re-seeds its estimates.
+        self.recharge(id);
         self.max_est1 = self.max_est1.max(self.exec_estimate(id, 1));
         self.clean_until = Timestamp::ZERO;
     }
@@ -1260,7 +1434,7 @@ impl Scheduler for ClockworkScheduler {
                 estimate: estimate.as_nanos(),
             });
         }
-        self.queues.push_back(pending);
+        self.with_queue(request.model, |queues| queues.push_back(pending));
         self.schedule(now, ctx);
         if ctx.tracing() {
             // If the dispatch pass left this request queued, the urgency
@@ -1290,6 +1464,7 @@ impl Scheduler for ClockworkScheduler {
             // were taken with it in the profile.
             self.profiler
                 .record(ProfileKey::load(result.model), timing.device_duration);
+            self.recharge(result.model);
         }
         self.schedule(now, ctx);
     }
@@ -1649,32 +1824,38 @@ mod tests {
         assert_eq!(s.stats().load_actions, 0, "no LOAD was involved");
     }
 
-    /// Queues a request without running a pass.
+    /// Queues a request without running a pass — through the path every
+    /// queue change takes, so the ledger sees it.
     fn enqueue(s: &mut ClockworkScheduler, id: u64, model: u32) {
         let request = request(id, model, 0, 5_000);
-        s.queues.push_back(PendingRequest {
+        let pending = PendingRequest {
             deadline: request.deadline(),
             request,
             cold: false,
-        });
+        };
+        s.with_queue(request.model, |queues| queues.push_back(pending));
     }
 
-    /// The INFER visit list at `horizon`, checked against the full scan.
-    fn infer_gpus(s: &ClockworkScheduler, horizon: Timestamp) -> Vec<usize> {
+    /// The INFER visit list at `horizon`, checked against the full scan;
+    /// the ledger it is read off is first checked against its rebuild.
+    fn infer_gpus(s: &mut ClockworkScheduler, horizon: Timestamp) -> Vec<usize> {
+        s.sync_ledger();
+        assert_eq!(s.ledger.totals(), s.reference_ledger(), "at {horizon:?}");
         let mut listed = Vec::new();
         s.infer_gpus_into(horizon, &mut listed);
         assert_eq!(listed, s.reference_infer_gpus(horizon), "at {horizon:?}");
         listed
     }
 
-    /// Two workers of two GPUs each, registration indices 0..4.
-    fn four_gpus(s: &mut ClockworkScheduler) -> [GpuRef; 4] {
+    /// Two workers of two GPUs of `pages` pages each, registration indices
+    /// 0..4.
+    fn four_gpus(s: &mut ClockworkScheduler, pages: u64) -> [GpuRef; 4] {
         let gpus = [(0, 0), (0, 1), (1, 0), (1, 1)].map(|(worker, gpu)| GpuRef {
             worker: WorkerId(worker),
             gpu: GpuId(gpu),
         });
         for gpu in gpus {
-            s.add_gpu(gpu, 100, PAGE);
+            s.add_gpu(gpu, pages, PAGE);
         }
         gpus
     }
@@ -1682,7 +1863,7 @@ mod tests {
     #[test]
     fn the_infer_pass_lists_the_actionable_holders_of_queued_models() {
         let mut s = ClockworkScheduler::with_defaults();
-        let gpus = four_gpus(&mut s);
+        let gpus = four_gpus(&mut s, 100);
         for m in 1..=4 {
             s.add_model(ModelId(m), resnet(), Nanos::from_millis_f64(8.33));
         }
@@ -1691,45 +1872,45 @@ mod tests {
             warm(&mut s, gpus[gpu], model);
         }
         let horizon = Timestamp::ZERO + LOOKAHEAD;
-        assert!(infer_gpus(&s, horizon).is_empty(), "nothing is queued");
+        assert!(infer_gpus(&mut s, horizon).is_empty(), "nothing is queued");
         // Each holder once, in registration order — also the one that holds
         // two queued models; the GPU holding nothing queued is left out.
         enqueue(&mut s, 1, 1);
         enqueue(&mut s, 2, 3);
-        assert_eq!(infer_gpus(&s, horizon), [0, 1, 2]);
+        assert_eq!(infer_gpus(&mut s, horizon), [0, 1, 2]);
         // A holder claimed past the lookahead is not listed until the
         // horizon reaches its free time.
         let mut ctx = SchedulerCtx::new();
         let busy = Placement::unbounded(gpus[1], Timestamp::ZERO, Nanos::from_millis(20));
         s.tracker
             .send_infer(&mut ctx, busy, ModelId(3), 1, vec![], vec![]);
-        assert_eq!(infer_gpus(&s, horizon), [0, 2]);
-        assert_eq!(infer_gpus(&s, Timestamp::from_millis(20)), [0, 2]);
-        assert_eq!(infer_gpus(&s, Timestamp::from_millis(21)), [0, 1, 2]);
+        assert_eq!(infer_gpus(&mut s, horizon), [0, 2]);
+        assert_eq!(infer_gpus(&mut s, Timestamp::from_millis(20)), [0, 2]);
+        assert_eq!(infer_gpus(&mut s, Timestamp::from_millis(21)), [0, 1, 2]);
         // A holder whose copy is still loading counts.
         enqueue(&mut s, 3, 4);
         let load = Placement::unbounded(gpus[3], Timestamp::ZERO, Nanos::from_millis(8));
         s.tracker.send_load(&mut ctx, load, ModelId(4), 7 * PAGE);
-        assert_eq!(infer_gpus(&s, horizon), [0, 2, 3]);
+        assert_eq!(infer_gpus(&mut s, horizon), [0, 2, 3]);
         // A dead GPU is not listed: the crash wiped it from the holder
         // lists, although its executors read free again.
         s.tracker
             .apply_fault(Timestamp::ZERO, &FaultKind::WorkerCrash { worker: 1 });
         assert_eq!(s.tracker.gpus_with_model(ModelId(1)), [0, 1]);
         assert!(s.tracker.gpus_with_model(ModelId(4)).is_empty());
-        assert_eq!(infer_gpus(&s, horizon), [0]);
+        assert_eq!(infer_gpus(&mut s, horizon), [0]);
     }
 
     #[test]
     fn a_dispatch_that_empties_the_queue_leaves_the_later_listed_gpus_untouched() {
         let mut s = ClockworkScheduler::with_defaults();
-        let gpus = four_gpus(&mut s);
+        let gpus = four_gpus(&mut s, 100);
         s.add_model(ModelId(1), resnet(), Nanos::from_millis_f64(8.33));
         for gpu in [0, 2, 3] {
             warm(&mut s, gpus[gpu], 1);
         }
         enqueue(&mut s, 1, 1);
-        assert_eq!(infer_gpus(&s, Timestamp::ZERO + LOOKAHEAD), [0, 2, 3]);
+        assert_eq!(infer_gpus(&mut s, Timestamp::ZERO + LOOKAHEAD), [0, 2, 3]);
         let mut ctx = SchedulerCtx::new();
         s.run_full_pass(Timestamp::ZERO, &mut ctx);
         // The first listed GPU took the only request; the other two were
@@ -1745,7 +1926,7 @@ mod tests {
         // in debug builds; this drives a busy, faulty little fleet and
         // compares them after every callback at horizons on both sides of
         // every executor's free time, in release builds too.
-        fn check(s: &ClockworkScheduler, now: Timestamp, seen: &mut [usize; 2]) {
+        fn check(s: &mut ClockworkScheduler, now: Timestamp, seen: &mut [usize; 2]) {
             let mut actionable = Vec::new();
             for ahead_ms in [0, 1, 5, 8, 20, 1_000] {
                 let horizon = now + Nanos::from_millis(ahead_ms);
@@ -1757,7 +1938,7 @@ mod tests {
             }
         }
         let mut s = ClockworkScheduler::with_defaults();
-        let gpus = four_gpus(&mut s);
+        let gpus = four_gpus(&mut s, 100);
         for m in 0..6 {
             s.add_model(ModelId(m), resnet(), Nanos::from_millis_f64(8.33));
         }
@@ -1778,7 +1959,7 @@ mod tests {
                 ..request(i, model, 0, slo_ms)
             };
             s.on_request(now, arrival, &mut ctx);
-            check(&s, now, &mut seen);
+            check(&mut s, now, &mut seen);
             match i {
                 150 => s.on_fault(now, &FaultKind::GpuFail { worker: 0, gpu: 1 }, &mut ctx),
                 200 => s.on_fault(now, &FaultKind::WorkerCrash { worker: 1 }, &mut ctx),
@@ -1789,7 +1970,7 @@ mod tests {
                 }
                 _ => {}
             }
-            check(&s, now, &mut seen);
+            check(&mut s, now, &mut seen);
             pending.extend(ctx.take_actions());
             // Results come back three actions behind the sends.
             while pending.len() > 3 {
@@ -1800,7 +1981,7 @@ mod tests {
                 let mut result = success_result(action.id, &action, i / 4, 2_500);
                 (result.worker, result.gpu) = (worker, action.gpu);
                 s.on_result(now, &result, &mut ctx);
-                check(&s, now, &mut seen);
+                check(&mut s, now, &mut seen);
                 pending.extend(ctx.take_actions());
             }
             ctx.take_responses();
@@ -1811,6 +1992,203 @@ mod tests {
         // Not vacuous: lists were often non-empty, and often shorter than
         // the actionable fleet.
         assert!(seen[0] > 100 && seen[1] > 100, "{seen:?}");
+    }
+
+    /// What [`the_ledger_matches_its_rebuild_under_load_eviction_and_faults`]
+    /// must have seen for its comparisons to mean anything.
+    #[derive(Debug, Default)]
+    struct LedgerSightings {
+        /// Checks of a ledger that no rebuild had just made true.
+        pushed: usize,
+        /// Checks with a queued model held nowhere / a GPU over the bound.
+        no_holder: usize,
+        over_bound: usize,
+        /// Passes over a non-empty queue that the ledger proved priceless
+        /// and that priced nothing / passes that did price.
+        skipped: usize,
+        priced: usize,
+    }
+
+    #[test]
+    fn the_ledger_matches_its_rebuild_under_load_eviction_and_faults() {
+        // The ledger is pushed to, not validated by key, so this is what
+        // keeps it honest in release builds too (debug builds also assert
+        // inside every pass): a small overloaded fleet with room for two
+        // models a GPU, so LOADs evict; results three actions behind the
+        // sends, every fifth LOAD failing; faults; a GPU joining mid-run.
+        // After every callback the ledger must equal its from-scratch
+        // rebuild, and a ledger that says "priceless" must be right.
+        fn check(s: &mut ClockworkScheduler, now: Timestamp, seen: &mut LedgerSightings) {
+            seen.pushed += usize::from(s.ledger.is_built_on(s.ledger_key()));
+            s.sync_ledger();
+            let totals = s.ledger.totals();
+            assert_eq!(totals, s.reference_ledger(), "at {now:?}");
+            seen.no_holder += usize::from(totals.no_holder > 0);
+            seen.over_bound += usize::from(totals.over_bound > 0);
+            if s.loads_are_priceless() {
+                s.assert_loads_are_priceless(now);
+            }
+        }
+        /// One more pass at `now`, watched: priceless going in (the INFER
+        /// pass before the LOAD pass can only shrink queues) means nothing
+        /// is priced.
+        fn pass(
+            s: &mut ClockworkScheduler,
+            now: Timestamp,
+            ctx: &mut SchedulerCtx,
+            seen: &mut LedgerSightings,
+        ) {
+            s.sync_ledger();
+            let priceless = s.loads_are_priceless();
+            let queued = !s.queues.queued().is_empty();
+            let before = s.sched_profile().load_prio_recomputes;
+            s.run_full_pass(now, ctx);
+            let priced = s.sched_profile().load_prio_recomputes > before;
+            assert!(!(priceless && priced), "a priceless pass priced at {now:?}");
+            seen.skipped += usize::from(priceless && queued);
+            seen.priced += usize::from(priced);
+        }
+        let mut s = ClockworkScheduler::with_defaults();
+        let gpus = four_gpus(&mut s, 15);
+        for m in 0..8 {
+            s.add_model(ModelId(m), resnet(), Nanos::from_millis_f64(8.33));
+        }
+        for (gpu, model) in [(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (2, 4), (3, 4)] {
+            warm(&mut s, gpus[gpu], model);
+        }
+        let mut ctx = SchedulerCtx::new();
+        let mut seen = LedgerSightings::default();
+        let mut pending: VecDeque<(WorkerId, clockwork_worker::Action)> = VecDeque::new();
+        let mut loads_resolved = 0;
+        for i in 0..600u64 {
+            let now = Timestamp::from_nanos(250_000 * i);
+            // Models 5–7 start cold; tight SLOs expire in the queue, loose
+            // ones wait behind the busy executors. While half the fleet is
+            // down a burst of SLO-less requests for one model carries its
+            // holder over the bound.
+            let burst = (300..304).contains(&i);
+            for k in 0..if burst { 40 } else { 1 } {
+                let (model, slo) = if burst {
+                    (0, Nanos::MAX)
+                } else {
+                    let slo_ms = [15, 40, 400][(i % 3) as usize];
+                    ((i * 7 % 8) as u32, Nanos::from_millis(slo_ms))
+                };
+                let arrival = InferenceRequest {
+                    arrival: now,
+                    slo,
+                    ..request(100 * i + k, model, 0, 0)
+                };
+                s.on_request(now, arrival, &mut ctx);
+                check(&mut s, now, &mut seen);
+            }
+            pass(&mut s, now, &mut ctx, &mut seen);
+            check(&mut s, now, &mut seen);
+            match i {
+                120 => {
+                    let joined = GpuRef {
+                        worker: WorkerId(2),
+                        gpu: GpuId(0),
+                    };
+                    s.add_gpu(joined, 15, PAGE);
+                }
+                200 => s.on_fault(now, &FaultKind::GpuFail { worker: 0, gpu: 1 }, &mut ctx),
+                260 => s.on_fault(now, &FaultKind::WorkerCrash { worker: 1 }, &mut ctx),
+                380 => s.on_fault(now, &FaultKind::WorkerRestart { worker: 1 }, &mut ctx),
+                440 => s.on_fault(now, &FaultKind::GpuRecover { worker: 0, gpu: 1 }, &mut ctx),
+                _ if i % 4 == 0 => {
+                    s.on_tick(now, &mut ctx);
+                }
+                _ => {}
+            }
+            check(&mut s, now, &mut seen);
+            pending.extend(ctx.take_actions());
+            while pending.len() > 3 {
+                let (worker, action) = pending.pop_front().unwrap();
+                if action.kind.type_name() == "UNLOAD" {
+                    continue;
+                }
+                let mut result = success_result(action.id, &action, i / 4, 2_500 + 10 * (i % 50));
+                (result.worker, result.gpu) = (worker, action.gpu);
+                if action.kind.type_name() == "LOAD" {
+                    loads_resolved += 1;
+                    if loads_resolved % 5 == 0 {
+                        result.outcome = ActionOutcome::Error {
+                            error: clockwork_worker::ActionError::WindowElapsed,
+                            at: now,
+                        };
+                    }
+                }
+                s.on_result(now, &result, &mut ctx);
+                check(&mut s, now, &mut seen);
+                pending.extend(ctx.take_actions());
+            }
+            ctx.take_responses();
+        }
+        let stats = s.stats();
+        assert!(stats.completed > 100, "{stats:?}");
+        assert!(stats.rejected_deadline > 0, "{stats:?}");
+        assert!(stats.load_actions >= 10, "{stats:?}");
+        assert!(stats.unload_actions > 0, "{stats:?}");
+        // Not vacuous: it was mostly the pushed-to ledger that was compared
+        // (each LOAD and eviction forced a rebuild in between), and both
+        // reasons to price and both kinds of pass occurred.
+        assert!(seen.pushed > 1_000, "{seen:?}");
+        assert!(seen.no_holder > 10 && seen.over_bound > 10, "{seen:?}");
+        assert!(seen.skipped > 10 && seen.priced > 10, "{seen:?}");
+    }
+
+    #[test]
+    fn a_gpu_charged_up_to_the_bound_skips_the_load_pass_and_one_ns_more_prices_it() {
+        // One model held by n GPUs, one request queued, its batch-1 estimate
+        // — which is then its whole demand d — swept ns by ns across n times
+        // the bound and n times the horizon. Each GPU is charged ceil(d / n):
+        // the pass must price exactly when that exceeds the bound, and
+        // wherever the float priorities do come out positive (d / n above
+        // the horizon; d / 3 · 3 < d is the rounding the margin below it
+        // absorbs) the pass must have priced.
+        let (limit, horizon) = (
+            LOAD_PRICELESS_BOUND.as_nanos(),
+            LOAD_PRIORITY_HORIZON.as_nanos(),
+        );
+        assert_eq!(horizon - limit, 100, "10⁻⁶ of the horizon");
+        for n in [1u64, 3, 7] {
+            let mut s = ClockworkScheduler::with_defaults();
+            s.add_model(ModelId(1), resnet(), Nanos::from_millis_f64(8.33));
+            for gpu in 0..n as u32 {
+                let gpu = GpuRef {
+                    worker: WorkerId(0),
+                    gpu: GpuId(gpu),
+                };
+                s.add_gpu(gpu, 100, PAGE);
+                warm(&mut s, gpu, 1);
+            }
+            enqueue(&mut s, 1, 1);
+            let mut ctx = SchedulerCtx::new();
+            // Past the warming LOADs: every LOAD executor is free.
+            let now = Timestamp::from_millis(10);
+            let mut positive = 0;
+            for centre in [limit, horizon] {
+                for d in n * centre - 2 * n..=n * centre + 2 * n {
+                    s.profiler
+                        .seed(ProfileKey::exec(ModelId(1), 1), Nanos::from_nanos(d));
+                    s.recharge(ModelId(1));
+                    let before = s.sched_profile().load_prio_recomputes;
+                    s.schedule_loads(now, &mut ctx);
+                    let priced = s.sched_profile().load_prio_recomputes > before;
+                    assert_eq!(priced, d.div_ceil(n) > limit, "n = {n}, d = {d}");
+                    assert_eq!(s.ledger.totals().bounds, vec![d.div_ceil(n); n as usize]);
+                    assert!(ctx.take_actions().is_empty(), "every GPU holds the model");
+                    let (mut demands, mut priorities) = (Vec::new(), Vec::new());
+                    s.model_demands_into(now, &mut demands);
+                    assert_eq!(demands, [(ModelId(1), Nanos::from_nanos(d))]);
+                    s.load_priorities_into(&demands, &mut Vec::new(), &mut priorities);
+                    assert!(priorities.is_empty() || priced, "n = {n}, d = {d}");
+                    positive += priorities.len();
+                }
+            }
+            assert!(positive > 0, "the sweep never reached a positive priority");
+        }
     }
 
     #[test]

@@ -27,10 +27,12 @@ pub struct SchedProfile {
     /// Per-model strategy-queue rebuilds (cache misses on queue or profile
     /// epoch).
     pub strategies_recomputed: u64,
-    /// LOAD-priority evaluations (once per pass with an open LOAD slot plus
-    /// one per residency-changing dispatch, instead of once per GPU slot).
-    /// An evaluation prices every demanded model but keeps — and sorts —
-    /// only the positive priorities, so most evaluations sort nothing.
+    /// LOAD-priority evaluations actually run; a pass the per-GPU ledger of
+    /// waiting work proves priceless (every queued model held somewhere, no
+    /// GPU charged beyond the priority horizon, no cold rejection on record)
+    /// runs none. A priced pass runs one, plus one per residency-changing
+    /// dispatch. An evaluation prices every demanded model but keeps — and
+    /// sorts — only the positive priorities.
     pub load_prio_recomputes: u64,
 }
 

@@ -18,6 +18,10 @@
 //! * `request_queues` (crate-private) — the per-model queues of admitted
 //!   requests with their deadline, urgency and count indices; the one owner
 //!   of every queued-request fact.
+//! * `waiting_ledger` (crate-private) — per GPU, the queued models it holds
+//!   and the LOAD demand they charge to it, kept up to date by the Clockwork
+//!   scheduler as queues and estimates move; both of its passes start from
+//!   it.
 //! * [`scheduler`] — the `Scheduler` trait and the context that collects
 //!   what schedulers emit: responses directly, actions through the tracker.
 //! * [`registry`] — open registration of disciplines: `SchedulerFactory`
@@ -45,6 +49,7 @@ pub mod registry;
 pub mod request;
 mod request_queues;
 pub mod scheduler;
+mod waiting_ledger;
 pub mod worker_state;
 
 pub use clockwork_scheduler::{ClockworkScheduler, ClockworkSchedulerConfig};

@@ -16,7 +16,11 @@
 //! [`WorkerStateTracker::resolve`], [`WorkerStateTracker::evict_until_fits`]
 //! and [`WorkerStateTracker::apply_fault`] methods and nowhere else —
 //! callers only ever hold `&GpuTrack` — so the indices cannot drift from the
-//! tracks they summarise and no discipline keeps a second copy.
+//! tracks they summarise and no discipline keeps a second copy. The inverted
+//! index — a model's *holders* — changes in exactly two places (`send_load`
+//! lists a GPU, `unlist_holder` takes one off), and each bumps
+//! [`WorkerStateTracker::holders_epoch`], so whatever a discipline sums over
+//! the holder lists knows when to rebuild without visiting them.
 //!
 //! **In-flight actions** are the same rule applied to what "workers only do
 //! what they are told" rests on: the tracker is the ledger of every action
@@ -255,6 +259,9 @@ pub struct WorkerStateTracker<R> {
     /// resident or loading: the inverse of [`GpuTrack::models`], dense by
     /// model id (the LOAD-priority pass looks it up per demanded model).
     holders: ModelTable<Vec<usize>>,
+    /// Bumped whenever any model's holder list changes — in `send_load`'s
+    /// insert and in `unlist_holder`, the only two places one does.
+    holders_epoch: u64,
     /// LOAD actions outstanding across the fleet.
     outstanding_loads: usize,
     /// INFER actions outstanding across the fleet, and per model. Exact
@@ -279,6 +286,7 @@ impl<R> Default for WorkerStateTracker<R> {
             index: HashMap::new(),
             free_at: Default::default(),
             holders: ModelTable::default(),
+            holders_epoch: 0,
             outstanding_loads: 0,
             outstanding_infers: 0,
             infers_by_model: ModelTable::default(),
@@ -344,6 +352,15 @@ impl<R> WorkerStateTracker<R> {
     /// loading, ascending. Empty means the model is cold everywhere.
     pub fn gpus_with_model(&self, model: ModelId) -> &[usize] {
         self.holders.get(model).map_or(&[], Vec::as_slice)
+    }
+
+    /// How many times any model's holder list ([`Self::gpus_with_model`]) has
+    /// changed. Never repeats, so something summed over the holder lists —
+    /// the scheduler's per-GPU ledger of waiting work — is current exactly
+    /// while the epoch it was built at still equals this (and the GPU count
+    /// has not moved).
+    pub fn holders_epoch(&self) -> u64 {
+        self.holders_epoch
     }
 
     /// The GPUs currently alive, in registration order.
@@ -461,6 +478,7 @@ impl<R> WorkerStateTracker<R> {
         let holders = self.holders.get_or_default(model);
         if let Err(pos) = holders.binary_search(&idx) {
             holders.insert(pos, idx);
+            self.holders_epoch += 1;
         }
         id
     }
@@ -519,11 +537,14 @@ impl<R> WorkerStateTracker<R> {
         }
     }
 
+    /// Takes GPU `idx` off `model`'s holder list: with `send_load`'s insert,
+    /// one of the two places a holder list changes.
     fn unlist_holder(&mut self, idx: usize, model: ModelId) {
         let holders = self.holders.get_mut(model);
         holders
             .expect("a held model is listed")
             .retain(|&i| i != idx);
+        self.holders_epoch += 1;
     }
 
     /// Takes an action that left the ledger out of the counts.

@@ -506,6 +506,12 @@ proptest! {
         // `remove` failing means it came back twice.
         let mut next_rider = 0u64;
         let mut riding: HashSet<u64> = HashSet::new();
+        // What is summed over the holder lists is keyed by `holders_epoch`:
+        // it must move whenever any list does.
+        let holder_lists = |t: &Tracker| -> Vec<Vec<usize>> {
+            (0..16).map(|m| t.gpus_with_model(ModelId(m)).to_vec()).collect()
+        };
+        let mut holders_at = (tracker.holders_epoch(), holder_lists(&tracker));
 
         for op in ops {
             now += Nanos::from_micros(100);
@@ -673,6 +679,13 @@ proptest! {
                 }
             }
             check_tracker_against_oracle(&tracker, &oracle, total_pages, now);
+            let holders_now = (tracker.holders_epoch(), holder_lists(&tracker));
+            prop_assert!(holders_now.0 >= holders_at.0);
+            prop_assert!(
+                holders_now.0 != holders_at.0 || holders_now.1 == holders_at.1,
+                "a holder list moved under epoch {}", holders_now.0
+            );
+            holders_at = holders_now;
             // Never neither: a rider is either still in the ledger (the
             // check above matched it to the oracle's) or has come back.
             let in_ledger: usize = oracle.iter().flat_map(|g| &g.infers).map(|i| i.2.len()).sum();

@@ -79,6 +79,33 @@ fn full_passes_are_far_fewer_than_the_legacy_one_per_grid_point() {
 }
 
 #[test]
+fn load_priorities_are_evaluated_about_as_often_as_loads_are_sent() {
+    // Every event's pass used to price every queued model at least once —
+    // tens of thousands of evaluations here, nearly all of them finding no
+    // positive priority. The per-GPU ledger of waiting work proves most
+    // passes priceless up front, so what is left is an evaluation or two
+    // per LOAD actually sent (one finds the model, one after the dispatch
+    // finds nothing more) plus the few passes where a GPU really is charged
+    // beyond the priority horizon.
+    let system = run_fleet_smoke(7);
+    let loads: u64 = system
+        .workers()
+        .iter()
+        .map(|w| w.telemetry().counters.loads_completed)
+        .sum();
+    assert!(
+        loads >= 10,
+        "scenario too small to be meaningful: {loads} LOADs"
+    );
+    let evaluations = system.sched_profile().load_prio_recomputes;
+    assert!(evaluations >= loads, "a LOAD is sent only after pricing");
+    assert!(
+        evaluations <= 4 * loads,
+        "{evaluations} LOAD-priority evaluations for {loads} LOADs — the ledger is not skipping"
+    );
+}
+
+#[test]
 fn the_tick_diet_does_not_change_serving_outcomes() {
     // Pruned ticks remove passes, not work: every request still gets exactly
     // one response and the fleet still serves its load.
