@@ -61,7 +61,7 @@ fn ls_satisfaction(
     // the satisfaction of the latency-sensitive clients alone.
     let bc_successes: u64 = bc_models
         .iter()
-        .filter_map(|id| system.telemetry().per_model_successes().get(id))
+        .filter_map(|&id| system.telemetry().per_model_successes().get(id))
         .sum();
     let ls_total = trace.len() as u64;
     let ls_goodput = m.goodput.saturating_sub(bc_successes);

@@ -7,7 +7,7 @@
 //! `clockwork_workload::azure`) and scaled to 8 minutes, ~200 model instances
 //! and ~800 r/s so it replays in a few minutes of host time on a single core.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use clockwork::prelude::*;
 
@@ -96,7 +96,7 @@ fn main() {
         m.latency.max().as_millis_f64(),
         m.cold_start_fraction()
     );
-    let models_with_cold: HashSet<ModelId> =
+    let models_with_cold: BTreeSet<ModelId> =
         generator.functions().iter().map(|f| f.model).collect();
     println!(
         "# distinct models in workload: {} (cold-start fraction of successes: {:.1}%)",

@@ -34,6 +34,7 @@
 //! ```
 
 use clockwork::prelude::*;
+use clockwork_controller::RejectReason;
 use clockwork_shard::{FleetReport, ShardAssignment, ShardedExperiment, ShardedSpec};
 
 const USAGE: &str = "shard_sweep [--shards 1,2,4,8] [--duration-secs N] [--seed N] \
@@ -90,8 +91,9 @@ fn sharded_spec(args: &Args, shards: u32) -> ShardedSpec {
 }
 
 /// Gates one fleet run: every shard is held to the universal single-run
-/// invariants (`bench::invariants`), and the front door must have lost
-/// nothing — the one check that only exists for a fleet.
+/// invariants (`bench::invariants`), the front door must have lost nothing
+/// — the one check that only exists for a fleet — and `rejected_by_reason`
+/// must account for every rejection.
 fn check_fleet(label: &str, fleet: &FleetReport, merged: &RunOutcome, spec: &ScenarioSpec) -> bool {
     let mut ok = true;
     for s in &fleet.shards {
@@ -105,7 +107,37 @@ fn check_fleet(label: &str, fleet: &FleetReport, merged: &RunOutcome, spec: &Sce
         );
         ok = false;
     }
+    let by_reason: u64 = rejected_by_reason(merged).iter().map(|&(_, n)| n).sum();
+    if by_reason != merged.rejected() {
+        eprintln!(
+            "[{label}] UNLISTED REJECT REASON: {by_reason} of {} rejections under a known key",
+            merged.rejected()
+        );
+        ok = false;
+    }
     ok
+}
+
+/// Every reject reason, in declaration order: the keys of a row's
+/// `rejected_by_reason`. `check_fleet` fails the run if a rejection is
+/// counted under a key this list lacks.
+const REJECT_REASONS: [RejectReason; 6] = [
+    RejectReason::CannotMeetSlo,
+    RejectReason::DeadlineElapsed,
+    RejectReason::UnknownModel,
+    RejectReason::WorkerRejected,
+    RejectReason::WorkerFailed,
+    RejectReason::BestEffortShed,
+];
+
+fn rejected_by_reason(run: &RunOutcome) -> Vec<(&'static str, u64)> {
+    REJECT_REASONS
+        .iter()
+        .map(|reason| {
+            let key = reason.as_str();
+            (key, run.metrics.rejections.get(key).copied().unwrap_or(0))
+        })
+        .collect()
 }
 
 fn shard_json(fleet: &FleetReport) -> String {
@@ -216,6 +248,9 @@ fn main() {
                 "      \"successes\": {successes},\n",
                 "      \"rejected\": {rejected},\n",
                 "      \"goodput\": {goodput},\n",
+                "      \"rejected_by_reason\": {{ {by_reason} }},\n",
+                "      \"cold_start_fraction\": {cold:.6},\n",
+                "      \"mean_batch\": {mean_batch:.6},\n",
                 "      \"drained\": {drained},\n",
                 "      \"fleet_digest\": \"{digest:016x}\",\n",
                 "      \"sched\": {sched},\n",
@@ -233,6 +268,13 @@ fn main() {
             successes = merged.metrics.successes,
             rejected = merged.rejected(),
             goodput = merged.metrics.goodput,
+            by_reason = rejected_by_reason(&merged)
+                .iter()
+                .map(|(key, n)| format!("\"{key}\": {n}"))
+                .collect::<Vec<_>>()
+                .join(", "),
+            cold = merged.metrics.cold_start_fraction(),
+            mean_batch = merged.metrics.mean_batch,
             drained = merged.drained(),
             digest = merged.digest,
             sched = bench::sched_json(&merged.sched),

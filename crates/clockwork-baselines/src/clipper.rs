@@ -18,7 +18,7 @@
 //! * dispatch is otherwise best-effort, leaving ordering and concurrency
 //!   decisions to the lower layers.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use clockwork_controller::request::{InferenceRequest, RejectReason, Response};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 use clockwork_controller::worker_state::{GpuRef, Placement, Resolved, WorkerStateTracker};
-use clockwork_model::{ModelId, ModelSpec};
+use clockwork_model::{ModelId, ModelSpec, ModelTable};
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionOutcome, ActionResult};
 
@@ -75,10 +75,9 @@ struct ModelState {
 /// The Clipper-like scheduler.
 pub struct ClipperScheduler {
     config: ClipperConfig,
-    // Ordered by ModelId: dispatch visits models in map order, and that
-    // order decides which model claims shared capacity first — a HashMap
-    // here would make the run a function of the hasher seed.
-    models: BTreeMap<ModelId, ModelState>,
+    // Dispatch visits models in the table's (ascending id) order, and that
+    // order decides which model claims shared capacity first.
+    models: ModelTable<ModelState>,
     /// The mirror of the workers; a dispatched batch rides on its INFER's
     /// ledger entry.
     tracker: WorkerStateTracker<Vec<InferenceRequest>>,
@@ -90,7 +89,7 @@ impl ClipperScheduler {
     pub fn new(config: ClipperConfig) -> Self {
         ClipperScheduler {
             config,
-            models: BTreeMap::new(),
+            models: ModelTable::default(),
             tracker: WorkerStateTracker::new(),
             next_home: 0,
         }
@@ -103,13 +102,13 @@ impl ClipperScheduler {
 
     /// The current adaptive batch size of a model (for tests).
     pub fn target_batch(&self, model: ModelId) -> Option<u32> {
-        self.models.get(&model).map(|m| m.target_batch)
+        self.models.get(model).map(|m| m.target_batch)
     }
 
     fn assign_home(&mut self, model: ModelId) -> Option<GpuRef> {
         // An already-assigned home is always live — `on_fault` clears homes
         // on dead capacity — so the common dispatch path pays no scan.
-        if let Some(home) = self.models.get(&model)?.home {
+        if let Some(home) = self.models.get(model)?.home {
             return Some(home);
         }
         // Homes are only handed out on live capacity; a model whose home GPU
@@ -120,17 +119,17 @@ impl ClipperScheduler {
         }
         let home = live[self.next_home % live.len()];
         self.next_home = self.next_home.wrapping_add(1);
-        self.models.get_mut(&model)?.home = Some(home);
+        self.models.get_mut(model)?.home = Some(home);
         Some(home)
     }
 
     fn dispatch(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
-        let model_ids: Vec<ModelId> = self.models.keys().copied().collect();
+        let model_ids: Vec<ModelId> = self.models.iter().map(|(id, _)| id).collect();
         for model_id in model_ids {
             let Some(home) = self.assign_home(model_id) else {
                 continue;
             };
-            let state = self.models.get_mut(&model_id).expect("model exists");
+            let state = self.models.get_mut(model_id).expect("model exists");
             if state.queue.is_empty() {
                 continue;
             }
@@ -196,7 +195,7 @@ impl ClipperScheduler {
     }
 
     fn adapt_batch(&mut self, model: ModelId, observed_latency: Nanos) {
-        let Some(state) = self.models.get_mut(&model) else {
+        let Some(state) = self.models.get_mut(model) else {
             return;
         };
         if observed_latency <= state.slo_hint {
@@ -230,7 +229,7 @@ impl Scheduler for ClipperScheduler {
     }
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
-        let Some(state) = self.models.get_mut(&request.model) else {
+        let Some(state) = self.models.get_mut(request.model) else {
             ctx.send_response(Response::rejected(
                 &request,
                 now,
@@ -264,7 +263,7 @@ impl Scheduler for ClipperScheduler {
                 }
                 ActionOutcome::Error { .. } => {
                     // Best effort: retry by putting requests back.
-                    if let Some(state) = self.models.get_mut(&result.model) {
+                    if let Some(state) = self.models.get_mut(result.model) {
                         for r in requests.into_iter().rev() {
                             state.queue.push_front(r);
                         }
@@ -293,7 +292,7 @@ impl Scheduler for ClipperScheduler {
         let lost = self.tracker.apply_fault(now, fault);
         for (_, action) in lost.into_iter().rev() {
             if let (Some(requests), Some(state)) =
-                (action.riders, self.models.get_mut(&action.model))
+                (action.riders, self.models.get_mut(action.model))
             {
                 for r in requests.into_iter().rev() {
                     state.queue.push_front(r);

@@ -13,7 +13,7 @@
 //! * like Clipper, **no admission control and no execution windows** — the
 //!   SLO steers policy but is never enforced per request.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 use clockwork_controller::request::{InferenceRequest, RejectReason, Response};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 use clockwork_controller::worker_state::{GpuRef, Placement, Resolved, WorkerStateTracker};
-use clockwork_model::{ModelId, ModelSpec};
+use clockwork_model::{ModelId, ModelSpec, ModelTable};
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionOutcome, ActionResult};
 
@@ -62,11 +62,10 @@ struct ModelState {
 /// The INFaaS-like scheduler.
 pub struct InfaasScheduler {
     config: InfaasConfig,
-    // Ordered by ModelId: dispatch and replication visit models in map
+    // Dispatch and replication visit models in the table's (ascending id)
     // order, and that order decides which model claims shared capacity
-    // first — a HashMap here would make the run a function of the hasher
-    // seed.
-    models: BTreeMap<ModelId, ModelState>,
+    // first.
+    models: ModelTable<ModelState>,
     /// The mirror of the workers; a dispatched batch rides on its INFER's
     /// ledger entry.
     tracker: WorkerStateTracker<Vec<InferenceRequest>>,
@@ -77,7 +76,7 @@ impl InfaasScheduler {
     pub fn new(config: InfaasConfig) -> Self {
         InfaasScheduler {
             config,
-            models: BTreeMap::new(),
+            models: ModelTable::default(),
             tracker: WorkerStateTracker::new(),
         }
     }
@@ -90,7 +89,7 @@ impl InfaasScheduler {
     /// Number of replicas (loaded GPUs) a model currently has.
     pub fn replica_count(&self, model: ModelId) -> usize {
         self.models
-            .get(&model)
+            .get(model)
             .map(|m| m.replicas.len())
             .unwrap_or(0)
     }
@@ -112,7 +111,7 @@ impl InfaasScheduler {
     }
 
     fn maybe_replicate(&mut self, now: Timestamp, model_id: ModelId, ctx: &mut SchedulerCtx) {
-        let state = &self.models[&model_id];
+        let state = self.models.get(model_id).expect("model exists");
         // Every GPU that holds the model or has its LOAD on the way: the
         // replicas plus the still-loading, straight off the tracker.
         let holders = self.tracker.gpus_with_model(model_id);
@@ -137,10 +136,10 @@ impl InfaasScheduler {
     }
 
     fn dispatch(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
-        let model_ids: Vec<ModelId> = self.models.keys().copied().collect();
+        let model_ids: Vec<ModelId> = self.models.iter().map(|(id, _)| id).collect();
         for model_id in model_ids {
             self.maybe_replicate(now, model_id, ctx);
-            let state = self.models.get_mut(&model_id).expect("model exists");
+            let state = self.models.get_mut(model_id).expect("model exists");
             let limit = state.replicas.len() * self.config.max_outstanding_per_replica;
             while !state.replicas.is_empty()
                 && !state.queue.is_empty()
@@ -184,7 +183,7 @@ impl Scheduler for InfaasScheduler {
     }
 
     fn on_request(&mut self, now: Timestamp, request: InferenceRequest, ctx: &mut SchedulerCtx) {
-        let Some(state) = self.models.get_mut(&request.model) else {
+        let Some(state) = self.models.get_mut(request.model) else {
             ctx.send_response(Response::rejected(
                 &request,
                 now,
@@ -206,7 +205,7 @@ impl Scheduler for InfaasScheduler {
         match self.tracker.resolve(result) {
             Resolved::Load => {
                 let gpu_ref = GpuRef::of(result);
-                if let Some(state) = self.models.get_mut(&result.model) {
+                if let Some(state) = self.models.get_mut(result.model) {
                     if result.is_success() && !state.replicas.contains(&gpu_ref) {
                         state.replicas.push(gpu_ref);
                     }
@@ -219,7 +218,7 @@ impl Scheduler for InfaasScheduler {
                     }
                 }
                 ActionOutcome::Error { .. } => {
-                    if let Some(state) = self.models.get_mut(&result.model) {
+                    if let Some(state) = self.models.get_mut(result.model) {
                         for r in requests.into_iter().rev() {
                             state.queue.push_front(r);
                         }
@@ -255,7 +254,7 @@ impl Scheduler for InfaasScheduler {
         }
         for (_, action) in lost.into_iter().rev() {
             if let (Some(requests), Some(state)) =
-                (action.riders, self.models.get_mut(&action.model))
+                (action.riders, self.models.get_mut(action.model))
             {
                 for r in requests.into_iter().rev() {
                     state.queue.push_front(r);

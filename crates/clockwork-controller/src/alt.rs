@@ -14,10 +14,10 @@
 //! the same [`Scheduler`] trait, so they are interchangeable in the system
 //! harness and the comparison isolates policy, not plumbing.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use clockwork_model::{ModelId, ModelSpec};
+use clockwork_model::{ModelId, ModelSpec, ModelTable};
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionOutcome, ActionResult};
 
@@ -29,7 +29,7 @@ use crate::worker_state::{GpuRef, Placement, Resolved, WorkerStateTracker};
 /// GPU selection, on-demand loads, no admission control, unbounded windows.
 pub struct FifoScheduler {
     /// Each model's spec and LOAD-duration estimate.
-    models: HashMap<ModelId, (Arc<ModelSpec>, Nanos)>,
+    models: ModelTable<(Arc<ModelSpec>, Nanos)>,
     /// The mirror of the workers; a dispatched request rides on its INFER's
     /// ledger entry.
     tracker: WorkerStateTracker<InferenceRequest>,
@@ -47,7 +47,7 @@ impl FifoScheduler {
     /// Creates an empty FIFO scheduler.
     pub fn new() -> Self {
         FifoScheduler {
-            models: HashMap::new(),
+            models: ModelTable::default(),
             tracker: WorkerStateTracker::new(),
             queue: VecDeque::new(),
             next_gpu: 0,
@@ -68,7 +68,7 @@ impl FifoScheduler {
         }
         // Dispatch everything immediately, round-robin, one request per INFER.
         while let Some(request) = self.queue.pop_front() {
-            let Some((spec, load_est)) = self.models.get(&request.model) else {
+            let Some((spec, load_est)) = self.models.get(request.model) else {
                 ctx.send_response(Response::rejected(
                     &request,
                     now,

@@ -84,17 +84,16 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use clockwork_metrics::trace::TraceEvent;
-use clockwork_model::{ModelId, ModelSpec, Tier};
+use clockwork_model::{ModelId, ModelSpec, ModelTable, Tier};
 use clockwork_sim::engine::FaultKind;
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionOutcome, ActionResult, TimeWindow};
 
 use crate::batching;
-use crate::journal::SchedProfile;
-use crate::model_table::ModelTable;
 use crate::profile::{ActionProfiler, ProfileKey};
 use crate::request::{InferenceRequest, RejectReason, Response};
 use crate::request_queues::{PendingRequest, RequestQueues};
+use crate::sched_profile::SchedProfile;
 use crate::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 #[cfg(any(test, debug_assertions))]
 use crate::waiting_ledger::LedgerTotals;

@@ -9,7 +9,7 @@
 //! * [`request`] — the client-facing request/response vocabulary.
 //! * [`profile`] — rolling per-(model, action, batch) duration estimates
 //!   (the last-10-measurements window of §5.3).
-//! * [`journal`] — the self-profiling counters of the incremental,
+//! * [`sched_profile`] — the self-profiling counters of the incremental,
 //!   early-out tick pipeline.
 //! * [`worker_state`] — the controller's mirror of each worker's memory
 //!   state, outstanding actions, and executor availability; the one owner
@@ -42,22 +42,21 @@
 pub mod alt;
 pub mod batching;
 pub mod clockwork_scheduler;
-pub mod journal;
-mod model_table;
 pub mod profile;
 pub mod registry;
 pub mod request;
 mod request_queues;
+pub mod sched_profile;
 pub mod scheduler;
 mod waiting_ledger;
 pub mod worker_state;
 
 pub use clockwork_scheduler::{ClockworkScheduler, ClockworkSchedulerConfig};
-pub use journal::SchedProfile;
 pub use profile::{ActionProfiler, ProfileKey, ProfileKind};
 pub use registry::{
     ClockworkFactory, ClockworkNoBatchFactory, FifoFactory, SchedulerFactory, SchedulerRegistry,
 };
 pub use request::{InferenceRequest, RejectReason, RequestId, RequestOutcome, Response};
+pub use sched_profile::SchedProfile;
 pub use scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 pub use worker_state::{GpuTrack, WorkerStateTracker};

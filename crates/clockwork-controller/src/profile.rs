@@ -12,10 +12,8 @@
 use serde::{Deserialize, Serialize};
 
 use clockwork_metrics::OrderStatWindow;
-use clockwork_model::ModelId;
+use clockwork_model::{ModelId, ModelTable};
 use clockwork_sim::time::Nanos;
-
-use crate::model_table::ModelTable;
 
 /// Which kind of action a profile describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -20,10 +20,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use clockwork_model::ModelId;
+use clockwork_model::{ModelId, ModelTable};
 use clockwork_sim::time::Timestamp;
 
-use crate::model_table::ModelTable;
 use crate::request::InferenceRequest;
 
 /// An admitted request waiting for (or riding on) an INFER.

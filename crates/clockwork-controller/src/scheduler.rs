@@ -19,8 +19,8 @@ use clockwork_worker::{Action, ActionId, ActionKind, TimeWindow, WorkerId};
 
 use clockwork_sim::time::Nanos;
 
-use crate::journal::SchedProfile;
 use crate::request::{InferenceRequest, Response};
+use crate::sched_profile::SchedProfile;
 use crate::worker_state::GpuRef;
 
 /// What a tick actually did, reported back to the harness so telemetry can

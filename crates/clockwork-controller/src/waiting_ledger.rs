@@ -28,10 +28,8 @@
 //!
 //! [`RequestQueues`]: crate::request_queues::RequestQueues
 
-use clockwork_model::ModelId;
+use clockwork_model::{ModelId, ModelTable};
 use clockwork_sim::time::Nanos;
-
-use crate::model_table::ModelTable;
 
 /// Everything a pass reads off the ledger, as plain data: what the ledger
 /// holds and what its from-scratch oracle rebuilds, compared with

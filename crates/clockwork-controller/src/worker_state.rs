@@ -36,12 +36,11 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use clockwork_model::ModelId;
+use clockwork_model::{ModelId, ModelTable};
 use clockwork_sim::engine::FaultKind;
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionId, ActionKind, ActionResult, GpuId, TimeWindow, WorkerId};
 
-use crate::model_table::ModelTable;
 use crate::scheduler::SchedulerCtx;
 
 /// A (worker, GPU) pair — the unit of scheduling.

@@ -10,6 +10,9 @@
 //!
 //! * [`spec`] — [`ModelSpec`]: the per-model facts the serving system needs
 //!   (IO sizes, weight size, per-batch execution latency profile).
+//! * [`model_table`] — [`ModelTable`]: the one container for "a value per
+//!   registered model", an id-indexed vector every layer above uses for its
+//!   registry (catalog, worker host memory, scheduler state, telemetry).
 //! * [`zoo`] — the 60+ model table of Appendix A, transcribed from the paper,
 //!   used as ground truth by the simulator and the experiments.
 //! * [`source`] — an abstract, ONNX-like model description
@@ -24,6 +27,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod compiler;
+pub mod model_table;
 pub mod profiler;
 pub mod source;
 pub mod spec;
@@ -31,6 +35,7 @@ pub mod tier;
 pub mod zoo;
 
 pub use compiler::{CompiledModel, Compiler};
+pub use model_table::ModelTable;
 pub use spec::{BatchProfile, ModelId, ModelSpec};
 pub use tier::Tier;
 pub use zoo::ModelZoo;

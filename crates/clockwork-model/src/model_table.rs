@@ -1,18 +1,21 @@
 //! A dense table keyed by [`ModelId`].
 //!
 //! Model ids are minted densely (`0..n`) by whoever registers the models,
-//! and the scheduler's per-model inner loops look several tables up per
-//! model per pass — so the controller's per-model state lives in id-indexed
-//! vectors instead of hash maps: a lookup is a bounds check, and walking a
-//! table visits models in ascending id order by construction. Sparse ids
-//! work too; the table just grows to the largest id inserted, so memory is
-//! O(largest id), not O(models).
+//! and every layer keeps "a value per registered model": the facade's
+//! catalog, each worker's host copy of it, every scheduler's per-model
+//! state (whose inner loops look several tables up per model per pass), the
+//! telemetry's per-model counts. All of them are this one id-indexed vector
+//! instead of a map: a lookup is a bounds check, and walking a table visits
+//! models in ascending id order by construction — no hasher seed, no sort.
+//! Sparse ids work too; the table just grows to the largest id inserted, so
+//! memory is O(largest id), not O(models). A *sparse subset* of the models
+//! (what one GPU holds, say) is not this table's job; that is a `BTreeMap`.
 
-use clockwork_model::ModelId;
+use crate::spec::ModelId;
 
 /// A map from [`ModelId`] to `T`, stored as a vector indexed by the id.
 #[derive(Clone, Debug)]
-pub(crate) struct ModelTable<T> {
+pub struct ModelTable<T> {
     slots: Vec<Option<T>>,
 }
 
@@ -24,34 +27,54 @@ impl<T> Default for ModelTable<T> {
 
 impl<T> ModelTable<T> {
     /// The value stored for `id`, if any. Never allocates, whatever the id.
-    pub(crate) fn get(&self, id: ModelId) -> Option<&T> {
+    pub fn get(&self, id: ModelId) -> Option<&T> {
         self.slots.get(id.index())?.as_ref()
     }
 
     /// Mutable access to the value stored for `id`, if any.
-    pub(crate) fn get_mut(&mut self, id: ModelId) -> Option<&mut T> {
+    pub fn get_mut(&mut self, id: ModelId) -> Option<&mut T> {
         self.slots.get_mut(id.index())?.as_mut()
     }
 
     /// Stores `value` for `id`, replacing any previous value.
-    pub(crate) fn insert(&mut self, id: ModelId, value: T) {
+    pub fn insert(&mut self, id: ModelId, value: T) {
         *self.slot(id) = Some(value);
     }
 
     /// The value stored for `id`, inserting the default first if absent.
-    pub(crate) fn get_or_default(&mut self, id: ModelId) -> &mut T
+    pub fn get_or_default(&mut self, id: ModelId) -> &mut T
     where
         T: Default,
     {
         self.slot(id).get_or_insert_with(T::default)
     }
 
+    /// Number of ids that have a value.
+    pub fn len(&self) -> usize {
+        self.values().count()
+    }
+
+    /// Whether no id has a value.
+    pub fn is_empty(&self) -> bool {
+        self.values().next().is_none()
+    }
+
     /// The stored entries, in ascending id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (ModelId, &T)> {
+    pub fn iter(&self) -> impl Iterator<Item = (ModelId, &T)> {
         self.slots
             .iter()
             .enumerate()
             .filter_map(|(index, slot)| Some((ModelId(index as u32), slot.as_ref()?)))
+    }
+
+    /// The stored values, in ascending id order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().flatten()
+    }
+
+    /// Mutable access to the stored values, in ascending id order.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().flatten()
     }
 
     fn slot(&mut self, id: ModelId) -> &mut Option<T> {

@@ -1,4 +1,5 @@
-//! Property-based tests for the model catalogue, compiler, and profiler.
+//! Property-based tests for the model catalogue, compiler, profiler and the
+//! id-indexed model table.
 //!
 //! The Appendix A zoo is the ground truth every experiment is seeded from, so
 //! these tests pin down its internal consistency (batch latencies behave like
@@ -6,12 +7,15 @@
 //! invariants (deterministic output, kernels for every requested batch size,
 //! a memory plan large enough for the weights it describes).
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use clockwork_model::compiler::Compiler;
 use clockwork_model::source::ModelSource;
 use clockwork_model::spec::ModelSpec;
 use clockwork_model::zoo::ModelZoo;
+use clockwork_model::{ModelId, ModelTable};
 use clockwork_sim::pcie::PcieLink;
 use clockwork_sim::time::Nanos;
 
@@ -228,5 +232,44 @@ proptest! {
         prop_assert!(big.parameter_count() > small.parameter_count());
         prop_assert!(big.weights_bytes() > small.weights_bytes());
         prop_assert!(big.flops() > small.flops());
+    }
+
+    // ------------------------------------------------------------------
+    // The model table
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn model_table_matches_an_ordered_map(ops in proptest::collection::vec((0u8..4, 0u32..48, any::<u32>()), 0..200)) {
+        let mut table: ModelTable<u32> = ModelTable::default();
+        let mut oracle: BTreeMap<ModelId, u32> = BTreeMap::new();
+        for (op, id, value) in ops {
+            let id = ModelId(id);
+            match op {
+                0 => {
+                    table.insert(id, value);
+                    oracle.insert(id, value);
+                }
+                1 => {
+                    let (t, o) = (table.get_or_default(id), oracle.entry(id).or_default());
+                    prop_assert_eq!(*t, *o);
+                    *t = t.wrapping_add(value);
+                    *o = o.wrapping_add(value);
+                }
+                2 => {
+                    let (t, o) = (table.get_mut(id), oracle.get_mut(&id));
+                    prop_assert_eq!(t.as_deref(), o.as_deref());
+                    if let (Some(t), Some(o)) = (t, o) {
+                        *t ^= value;
+                        *o ^= value;
+                    }
+                }
+                _ => prop_assert_eq!(table.get(id), oracle.get(&id)),
+            }
+            prop_assert_eq!(table.len(), oracle.len());
+            prop_assert_eq!(table.is_empty(), oracle.is_empty());
+        }
+        prop_assert!(table.iter().eq(oracle.iter().map(|(&id, v)| (id, v))));
+        prop_assert!(table.values().eq(oracle.values()));
+        prop_assert!(table.values_mut().map(|v| *v).eq(oracle.values().copied()));
     }
 }

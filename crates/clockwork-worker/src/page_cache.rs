@@ -15,7 +15,7 @@
 //! baselines (and the controller's own LRU policy for UNLOAD) can query a
 //! victim.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -62,7 +62,7 @@ pub struct PageCache {
     page_size: u64,
     total_pages: u64,
     free_pages: u64,
-    resident: HashMap<ModelId, Residency>,
+    resident: BTreeMap<ModelId, Residency>,
 }
 
 impl PageCache {
@@ -77,7 +77,7 @@ impl PageCache {
             page_size,
             total_pages,
             free_pages: total_pages,
-            resident: HashMap::new(),
+            resident: BTreeMap::new(),
         }
     }
 
@@ -121,7 +121,7 @@ impl PageCache {
         self.resident.len()
     }
 
-    /// The resident models (unordered).
+    /// The resident models, in ascending id order.
     pub fn resident_models(&self) -> Vec<ModelId> {
         self.resident.keys().copied().collect()
     }
@@ -481,10 +481,12 @@ mod tests {
     #[test]
     fn resident_models_lists_everything() {
         let mut c = cache_with_pages(10);
-        c.allocate(ModelId(5), 16 * MB, Timestamp::ZERO).unwrap();
-        c.allocate(ModelId(7), 16 * MB, Timestamp::ZERO).unwrap();
-        let mut models = c.resident_models();
-        models.sort();
-        assert_eq!(models, vec![ModelId(5), ModelId(7)]);
+        for id in [7, 5, 9, 1] {
+            c.allocate(ModelId(id), 16 * MB, Timestamp::ZERO).unwrap();
+        }
+        let ids = |c: &PageCache| c.resident_models().iter().map(|m| m.0).collect::<Vec<_>>();
+        assert_eq!(ids(&c), vec![1, 5, 7, 9], "ascending, not insertion order");
+        c.release(ModelId(5));
+        assert_eq!(ids(&c), vec![1, 7, 9]);
     }
 }

@@ -30,13 +30,12 @@
 //!   observes the same fault event, is responsible for resolving the actions
 //!   it will now never hear back about.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use clockwork_model::ModelId;
-use clockwork_model::ModelSpec;
+use clockwork_model::{ModelId, ModelSpec, ModelTable};
 use clockwork_sim::engine::EventQueue;
 use clockwork_sim::gpu::{GpuSpec, GpuTimingModel};
 use clockwork_sim::memory::MemoryPool;
@@ -212,7 +211,7 @@ struct Completion {
 /// A Clockwork worker.
 pub struct Worker {
     config: WorkerConfig,
-    models: HashMap<ModelId, Arc<ModelSpec>>,
+    models: ModelTable<Arc<ModelSpec>>,
     host_memory: MemoryPool,
     gpus: Vec<GpuState>,
     completions: EventQueue<Completion>,
@@ -249,7 +248,7 @@ impl Worker {
         let variance = ExternalVariance::new(config.variance, root.derive(7));
         Worker {
             host_memory: MemoryPool::new(config.host_memory_bytes),
-            models: HashMap::new(),
+            models: ModelTable::default(),
             gpus,
             completions: EventQueue::new(),
             variance,
@@ -278,7 +277,7 @@ impl Worker {
     /// Registers a model's weights in host memory (worker startup pre-loads
     /// every model from disk, §5.1).
     pub fn register_model(&mut self, id: ModelId, spec: Arc<ModelSpec>) -> Result<(), WorkerError> {
-        if self.models.contains_key(&id) {
+        if self.has_model(id) {
             return Err(WorkerError::DuplicateModel(id));
         }
         let bytes = spec.weights_bytes();
@@ -294,7 +293,7 @@ impl Worker {
 
     /// Whether a model is registered (present in host memory).
     pub fn has_model(&self, id: ModelId) -> bool {
-        self.models.contains_key(&id)
+        self.models.get(id).is_some()
     }
 
     /// Number of registered models.
@@ -304,7 +303,7 @@ impl Worker {
 
     /// The spec of a registered model.
     pub fn model_spec(&self, id: ModelId) -> Option<&Arc<ModelSpec>> {
-        self.models.get(&id)
+        self.models.get(id)
     }
 
     /// Host memory still available for model registration.
@@ -740,7 +739,7 @@ impl Worker {
         if window.expired(start) {
             return Err(ActionError::WindowElapsed);
         }
-        let spec = self.models.get(&model).ok_or(ActionError::UnknownModel)?;
+        let spec = self.models.get(model).ok_or(ActionError::UnknownModel)?;
         let weights_bytes = spec.weights_bytes();
         let already_loaded = self.gpus[gpu_index].page_cache.contains(model);
         if !already_loaded {
@@ -809,7 +808,7 @@ impl Worker {
         if window.expired(start) {
             return Err(ActionError::WindowElapsed);
         }
-        let spec = self.models.get(&model).ok_or(ActionError::UnknownModel)?;
+        let spec = self.models.get(model).ok_or(ActionError::UnknownModel)?;
         let base_exec = spec
             .exec_latency(batch)
             .ok_or(ActionError::UnsupportedBatch { batch })?;

@@ -312,7 +312,7 @@ mod tests {
     fn cold_functions_generate_few_requests() {
         let gen = AzureTraceGenerator::new(small_config());
         let trace = gen.generate();
-        let cold_models: std::collections::HashSet<ModelId> = gen
+        let cold_models: std::collections::BTreeSet<ModelId> = gen
             .functions()
             .iter()
             .filter(|f| f.class == FunctionClass::Cold)

@@ -21,7 +21,7 @@ use clockwork_controller::worker_state::GpuRef;
 use clockwork_controller::SchedProfile;
 use clockwork_faults::FaultPlan;
 use clockwork_metrics::trace::{RingTracer, TraceEvent, Tracer};
-use clockwork_model::{ModelId, ModelSpec, Tier};
+use clockwork_model::{ModelId, ModelSpec, ModelTable, Tier};
 use clockwork_sim::engine::{EventId, EventQueue, FaultKind};
 use clockwork_sim::network::NetworkModel;
 use clockwork_sim::rng::SimRng;
@@ -253,7 +253,7 @@ pub struct ServingSystem {
     /// and the entire population of legacy scenarios) are never inserted,
     /// so the set stays empty and costs one lookup per response at most.
     best_effort: HashSet<RequestId>,
-    models: HashMap<ModelId, Arc<ModelSpec>>,
+    models: ModelTable<Arc<ModelSpec>>,
     /// Dense worker lookup by id, so routing an action is one hash probe
     /// instead of a scan over the fleet.
     worker_index: HashMap<WorkerId, usize>,
@@ -348,7 +348,7 @@ impl ServingSystem {
             clients: Vec::new(),
             request_owner: HashMap::new(),
             best_effort: HashSet::new(),
-            models: HashMap::new(),
+            models: ModelTable::default(),
             worker_index,
             links: (0..worker_count).map(|_| LinkState::healthy()).collect(),
             action_buf: Vec::new(),
@@ -814,7 +814,7 @@ impl ServingSystem {
     /// facade does not know.
     fn payload_bytes(&self, model: ModelId, tensor: fn(&ModelSpec) -> u64, count: u32) -> u64 {
         self.models
-            .get(&model)
+            .get(model)
             .map(|m| tensor(m) * u64::from(count))
             .unwrap_or(1_000)
     }
@@ -1119,11 +1119,9 @@ impl ServingSystem {
         let mut joined = Self::new_worker(&self.config, self.exec_mode, worker);
         // Known models land in the newcomer's host memory in id order — the
         // registration order is part of the deterministic execution.
-        let mut ids: Vec<ModelId> = self.models.keys().copied().collect();
-        ids.sort_unstable();
-        for model in ids {
+        for (model, spec) in self.models.iter() {
             joined
-                .register_model(model, Arc::clone(&self.models[&model]))
+                .register_model(model, Arc::clone(spec))
                 .expect("host memory exhausted while admitting a joined worker");
         }
         Self::announce_gpus(self.scheduler.as_mut(), &joined);

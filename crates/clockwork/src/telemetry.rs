@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use clockwork_controller::request::{RejectReason, RequestOutcome, Response};
 use clockwork_metrics::{LatencyHistogram, Summary, TimeSeries};
-use clockwork_model::{ModelId, Tier};
+use clockwork_model::{ModelTable, Tier};
 use clockwork_sim::engine::FaultKind;
 use clockwork_sim::hash::Fnv1a;
 use clockwork_sim::time::{Nanos, Timestamp};
@@ -310,7 +310,7 @@ pub struct SystemTelemetry {
     pub batch_series: TimeSeries,
     /// Latency (ms) samples per second (gauge, for max/percentile plots).
     pub latency_series: TimeSeries,
-    per_model_success: HashMap<ModelId, u64>,
+    per_model_success: ModelTable<u64>,
     /// Per-tier outcome counters, indexed by [`Tier::index`]. Deliberately
     /// NOT folded into the determinism digest: the tier annotation must not
     /// change the digest of a run whose scheduling decisions are unchanged.
@@ -354,7 +354,7 @@ impl SystemTelemetry {
             cold_start_series: TimeSeries::per_second(),
             batch_series: TimeSeries::per_second(),
             latency_series: TimeSeries::per_second(),
-            per_model_success: HashMap::new(),
+            per_model_success: ModelTable::default(),
             tiers: [TierOutcomes::default(); Tier::COUNT],
             faults: Vec::new(),
             event_mix: EventMix::default(),
@@ -470,7 +470,7 @@ impl SystemTelemetry {
                     self.goodput_latency.record(latency);
                     self.goodput_series.record_event(*completed);
                 }
-                *self.per_model_success.entry(response.model).or_insert(0) += 1;
+                *self.per_model_success.get_or_default(response.model) += 1;
                 self.advance(*completed);
             }
             RequestOutcome::Rejected { at, reason } => {
@@ -570,7 +570,7 @@ impl SystemTelemetry {
     }
 
     /// Successful-response counts per model.
-    pub fn per_model_successes(&self) -> &HashMap<ModelId, u64> {
+    pub fn per_model_successes(&self) -> &ModelTable<u64> {
         &self.per_model_success
     }
 
@@ -605,6 +605,7 @@ impl SystemTelemetry {
 mod tests {
     use super::*;
     use clockwork_controller::request::{RejectReason, RequestId};
+    use clockwork_model::ModelId;
     use clockwork_worker::{GpuId, WorkerId};
 
     fn success(arrival_ms: u64, completed_ms: u64, deadline_ms: u64, cold: bool) -> Response {
@@ -651,7 +652,8 @@ mod tests {
         assert_eq!(m.mean_batch, 4.0);
         assert!((m.cold_start_fraction() - 0.5).abs() < 1e-9);
         assert_eq!(t.responses().len(), 3);
-        assert_eq!(t.per_model_successes().get(&ModelId(1)), Some(&2));
+        assert_eq!(t.per_model_successes().get(ModelId(1)), Some(&2));
+        assert_eq!(t.per_model_successes().len(), 1);
         assert!(m.goodput_rate() > 0.0);
         assert!(m.throughput_rate() >= m.goodput_rate());
     }

@@ -376,6 +376,9 @@ fn joined_worker_is_admitted_cold_and_serves_traffic() {
     assert_eq!(system.gpu_availability(), (2, 2), "joined capacity counts");
     let joined = &system.workers()[1];
     assert_eq!(joined.id(), WorkerId(1));
+    // Its host memory holds exactly the catalog at the time of the join.
+    assert_eq!(joined.model_count(), ids.len());
+    assert!(joined.has_model(ids[0]) && joined.has_model(ids[ids.len() - 1]));
     let served = joined.telemetry().counters.requests_served;
     assert!(served > 0, "the joined worker must serve traffic");
     assert!(
