@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use clockwork_sim::pcie::PcieLink;
-use clockwork_sim::time::Nanos;
+use clockwork_sim::time::{round_to_u64, Nanos};
 
 /// The batch sizes Clockwork compiles kernels for by default (§5.1).
 pub const DEFAULT_BATCH_SIZES: [u32; 5] = [1, 2, 4, 8, 16];
@@ -99,17 +99,17 @@ impl ModelSpec {
 
     /// Input tensor size in bytes.
     pub fn input_bytes(&self) -> u64 {
-        (self.input_kb * 1024.0).round() as u64
+        round_to_u64(self.input_kb * 1024.0)
     }
 
     /// Output tensor size in bytes.
     pub fn output_bytes(&self) -> u64 {
-        (self.output_kb * 1024.0).round() as u64
+        round_to_u64(self.output_kb * 1024.0)
     }
 
     /// Weights blob size in bytes.
     pub fn weights_bytes(&self) -> u64 {
-        (self.weights_mb * 1024.0 * 1024.0).round() as u64
+        round_to_u64(self.weights_mb * 1024.0 * 1024.0)
     }
 
     /// The batch sizes this model has kernels for, in ascending order.

@@ -176,30 +176,36 @@ impl FaultKind {
 const RUN_ENDED_EARLY: &str = "a sorted run's source yields as many entries as it reported";
 
 /// A handle identifying a scheduled event, usable for cancellation.
+///
+/// Opaque: the slab slot the event's payload was written to and the event's
+/// sequence number. A sequence number is never reused, so a handle outlives
+/// its event harmlessly — once the slot is vacated or recycled the pair no
+/// longer matches anything.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+pub struct EventId {
+    slot: u32,
+    seq: u64,
+}
 
-struct Scheduled<E> {
+/// What the heap orders: when, the tie-break, and where the payload sits.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key {
     at: Timestamp,
     seq: u64,
-    id: EventId,
-    payload: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
+// A sift copies one entry per level, and entries past the size the compiler
+// copies inline go through a libc `memcpy` call each time.
+const _: () = assert!(std::mem::size_of::<Key>() <= 24);
 
-impl<E> PartialOrd for Scheduled<E> {
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<E> Ord for Scheduled<E> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest event pops first.
         // Ties break by insertion order (seq) for determinism.
@@ -210,13 +216,20 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// One slab slot: the payload of the heap entry with sequence number `seq`,
+/// until it is delivered or cancelled.
+struct Slot<E> {
+    seq: u64,
+    payload: Option<E>,
+}
+
 /// A time-sorted batch kept beside the heap instead of heapified into it.
 ///
 /// The earliest undelivered entry is materialised in `at` / `payload`; the
 /// rest are still in `rest`, which builds each one only when it becomes the
-/// head. The batch's ids and `seq` numbers were reserved as one block at
-/// submission, so the head's `seq` is all that is needed to order it against
-/// the heap exactly as if every entry had been pushed one by one.
+/// head. The batch's `seq` numbers were reserved as one block at submission,
+/// so the head's `seq` is all that is needed to order it against the heap
+/// exactly as if every entry had been pushed one by one.
 struct Run<E> {
     at: Timestamp,
     seq: u64,
@@ -236,23 +249,26 @@ struct Run<E> {
 /// `log(in-flight)` levels however many arrivals a replayed trace still has
 /// to deliver — and a run entry costs one comparison and no sift at all.
 ///
-/// Event ids are dense (0, 1, 2, …), so liveness is tracked in a bitset of
-/// *dead* ids rather than a hash set of live ones: pushes touch only the
-/// heap, cancellation flips one bit (the tombstone), and delivery skips
-/// tombstoned heap entries when they surface — one bit per event ever
-/// scheduled instead of a hash insert + remove per event. Run entries hand
-/// out no [`EventId`], so nothing can cancel them: their ids are born dead
-/// and they are never probed.
+/// Ordering and storage are separate: the heap sifts three-word keys
+/// `(time, seq, slot)`, and each payload is written once into a slab slot
+/// and read once when it is delivered. The slot also records the `seq` of
+/// its occupant, which makes the slab the liveness record: cancellation
+/// drops the payload and frees the slot at once, and a key whose slot no
+/// longer holds its `seq` is a tombstone, discarded when it surfaces. Slots
+/// are recycled, so the queue's memory follows the events in flight, not the
+/// events ever scheduled. Run entries take no slot and hand out no
+/// [`EventId`], so nothing can cancel them.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    heap: BinaryHeap<Key>,
+    /// Payloads of the live heap entries, each stamped with its occupant.
+    slab: Vec<Slot<E>>,
+    /// Vacant slab slots, reused last-freed first.
+    free: Vec<u32>,
     /// The pending sorted run, if any. At most one: a run submitted while
     /// another is pending is spilled to the heap.
     run: Option<Run<E>>,
+    /// The next event's sequence number: one per event ever scheduled.
     next_seq: u64,
-    next_id: u64,
-    /// Bit `i` is set once event `i` can no longer be cancelled: delivered,
-    /// cancelled, or a run entry.
-    dead: Vec<u64>,
     /// Number of scheduled events that are neither delivered nor cancelled.
     live: usize,
     /// Events delivered by `pop` so far.
@@ -272,48 +288,57 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             run: None,
             next_seq: 0,
-            next_id: 0,
-            dead: Vec::new(),
             live: 0,
             delivered: 0,
             cancelled: 0,
         }
     }
 
-    fn is_dead(&self, id: EventId) -> bool {
-        let (word, bit) = (id.0 / 64, id.0 % 64);
-        self.dead
-            .get(word as usize)
-            .is_some_and(|w| w & (1 << bit) != 0)
+    /// Whether `slot` still holds the payload of event `seq`.
+    fn holds(&self, slot: u32, seq: u64) -> bool {
+        self.slab
+            .get(slot as usize)
+            .is_some_and(|s| s.seq == seq && s.payload.is_some())
     }
 
-    /// Marks an id dead; returns `false` if it already was.
-    fn mark_dead(&mut self, id: EventId) -> bool {
-        let (word, bit) = ((id.0 / 64) as usize, id.0 % 64);
-        if word >= self.dead.len() {
-            self.dead.resize(word + 1, 0);
+    /// Takes event `seq`'s payload out of `slot` and frees the slot, if the
+    /// slot still holds it.
+    fn vacate(&mut self, slot: u32, seq: u64) -> Option<E> {
+        let entry = self.slab.get_mut(slot as usize)?;
+        if entry.seq != seq {
+            return None;
         }
-        let fresh = self.dead[word] & (1 << bit) == 0;
-        self.dead[word] |= 1 << bit;
-        fresh
+        let payload = entry.payload.take()?;
+        self.free.push(slot);
+        Some(payload)
     }
 
     /// Schedules an event at an absolute virtual time.
     pub fn push(&mut self, at: Timestamp, payload: E) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live += 1;
-        self.heap.push(Scheduled {
-            at,
+        let entry = Slot {
             seq,
-            id,
-            payload,
-        });
-        id
+            payload: Some(payload),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = entry;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("under 2^32 events in flight");
+                self.slab.push(entry);
+                slot
+            }
+        };
+        self.heap.push(Key { at, seq, slot });
+        EventId { slot, seq }
     }
 
     /// Schedules a batch of events in one call.
@@ -344,9 +369,10 @@ impl<E> EventQueue<E> {
     /// head, so a replayed trace can build its event payloads on demand.
     ///
     /// Equivalent to pushing each `(at, payload)` pair in order: the batch's
-    /// ids and tie-breaking sequence numbers are reserved here, as one block,
-    /// and [`EventQueue::len`] / [`EventQueue::pushed_total`] count the whole
-    /// batch from now on. Run entries return no [`EventId`] and cannot be
+    /// tie-breaking sequence numbers are reserved here, as one block, and
+    /// [`EventQueue::len`] / [`EventQueue::pushed_total`] count the whole
+    /// batch from now on. Run entries occupy no slab slot, so no
+    /// [`EventId`] — issued or forged — names one and they cannot be
     /// cancelled. A run submitted while another is still pending is spilled
     /// to the heap entry by entry, which keeps the global `(time, seq)`
     /// delivery order with one comparison per pop.
@@ -378,32 +404,23 @@ impl<E> EventQueue<E> {
             rest,
             owed: len - 1,
         });
-        // No handle to a run entry exists, so its id is born dead: a foreign
-        // `EventId` must not be able to cancel what will still be delivered.
-        for id in self.next_id..self.next_id + len as u64 {
-            self.mark_dead(EventId(id));
-        }
-        self.next_id += len as u64;
         self.next_seq += len as u64;
         self.live += len;
     }
 
     /// Cancels a previously scheduled event.
     ///
-    /// Returns `true` if the event had not yet been delivered or cancelled.
-    /// The entry stays in the heap as a tombstone and is discarded when it
-    /// surfaces.
+    /// Returns `true` if the event had not yet been delivered or cancelled —
+    /// that is, if its slab slot still holds it. The payload is dropped and
+    /// the slot freed here; the event's key stays in the heap as a tombstone
+    /// and is discarded when it surfaces.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_id {
-            return false; // never scheduled
-        }
-        if self.mark_dead(id) {
+        let hit = self.vacate(id.slot, id.seq).is_some();
+        if hit {
             self.live -= 1;
             self.cancelled += 1;
-            true
-        } else {
-            false
         }
+        hit
     }
 
     /// Moves a scheduled event: cancels `prev` (a no-op if it was already
@@ -411,10 +428,11 @@ impl<E> EventQueue<E> {
     /// returning the new handle.
     ///
     /// This is the decrease-key of the tombstone scheme — the superseded
-    /// entry stays in the heap as a tombstone instead of being sifted out, so
-    /// a reschedule costs one bitset flip plus one push. Equivalent to
-    /// `cancel(prev)` followed by `push(at, payload)`; at most one of the two
-    /// entries is ever delivered.
+    /// key stays in the heap instead of being sifted out, and the new event
+    /// usually takes over the slot the old one just freed, so a reschedule
+    /// costs one slot write plus one push. Equivalent to `cancel(prev)`
+    /// followed by `push(at, payload)`; at most one of the two entries is
+    /// ever delivered.
     pub fn reschedule(&mut self, prev: EventId, at: Timestamp, payload: E) -> EventId {
         self.cancel(prev);
         self.push(at, payload)
@@ -427,10 +445,10 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event if it is scheduled at or before
     /// `now`: one run-head-versus-heap-top comparison and, for a heap entry,
-    /// one tombstone probe per delivered event.
+    /// one slab read per delivered event.
     pub fn pop_due(&mut self, now: Timestamp) -> Option<(Timestamp, E)> {
         loop {
-            let Some(top) = self.heap.peek() else {
+            let Some(&top) = self.heap.peek() else {
                 return self.pop_run_due(now);
             };
             if let Some(run) = &self.run {
@@ -443,11 +461,11 @@ impl<E> EventQueue<E> {
             if top.at > now {
                 return None;
             }
-            let ev = self.heap.pop().expect("peeked entry exists");
-            if self.mark_dead(ev.id) {
+            self.heap.pop();
+            if let Some(payload) = self.vacate(top.slot, top.seq) {
                 self.live -= 1;
                 self.delivered += 1;
-                return Some((ev.at, ev.payload));
+                return Some((top.at, payload));
             }
         }
     }
@@ -476,8 +494,8 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the earliest live event, without removing it.
     pub fn peek_time(&mut self) -> Option<Timestamp> {
-        while let Some(ev) = self.heap.peek() {
-            if !self.is_dead(ev.id) {
+        while let Some(&top) = self.heap.peek() {
+            if self.holds(top.slot, top.seq) {
                 break;
             }
             self.heap.pop();
@@ -513,7 +531,7 @@ impl<E> EventQueue<E> {
     /// cancelled_total + len()` at every instant — the conservation identity
     /// the perf harnesses assert over a whole run.
     pub fn pushed_total(&self) -> u64 {
-        self.next_id
+        self.next_seq
     }
 
     /// Total events delivered by [`EventQueue::pop`].
@@ -567,6 +585,439 @@ impl SimClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    use std::sync::Arc;
+
+    /// The queue [`EventQueue`] replaced, kept as its oracle: the heap holds
+    /// whole events, ids are dense (an event's id is its `seq`) and liveness
+    /// is a bitset of *dead* ids — one bit per event ever scheduled, run
+    /// entries' bits set at submission because no handle to them exists.
+    mod reference {
+        use super::super::{Run, RUN_ENDED_EARLY};
+        use crate::time::Timestamp;
+        use std::cmp::Ordering;
+        use std::collections::BinaryHeap;
+
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub struct EventId(pub u64);
+
+        struct Scheduled<E> {
+            at: Timestamp,
+            seq: u64,
+            id: EventId,
+            payload: E,
+        }
+
+        impl<E> PartialEq for Scheduled<E> {
+            fn eq(&self, other: &Self) -> bool {
+                self.at == other.at && self.seq == other.seq
+            }
+        }
+        impl<E> Eq for Scheduled<E> {}
+
+        impl<E> PartialOrd for Scheduled<E> {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        impl<E> Ord for Scheduled<E> {
+            fn cmp(&self, other: &Self) -> Ordering {
+                other
+                    .at
+                    .cmp(&self.at)
+                    .then_with(|| other.seq.cmp(&self.seq))
+            }
+        }
+
+        pub struct EventQueue<E> {
+            heap: BinaryHeap<Scheduled<E>>,
+            run: Option<Run<E>>,
+            next_seq: u64,
+            next_id: u64,
+            dead: Vec<u64>,
+            live: usize,
+            delivered: u64,
+            cancelled: u64,
+        }
+
+        impl<E> EventQueue<E> {
+            pub fn new() -> Self {
+                EventQueue {
+                    heap: BinaryHeap::new(),
+                    run: None,
+                    next_seq: 0,
+                    next_id: 0,
+                    dead: Vec::new(),
+                    live: 0,
+                    delivered: 0,
+                    cancelled: 0,
+                }
+            }
+
+            fn is_dead(&self, id: EventId) -> bool {
+                let (word, bit) = (id.0 / 64, id.0 % 64);
+                self.dead
+                    .get(word as usize)
+                    .is_some_and(|w| w & (1 << bit) != 0)
+            }
+
+            fn mark_dead(&mut self, id: EventId) -> bool {
+                let (word, bit) = ((id.0 / 64) as usize, id.0 % 64);
+                if word >= self.dead.len() {
+                    self.dead.resize(word + 1, 0);
+                }
+                let fresh = self.dead[word] & (1 << bit) == 0;
+                self.dead[word] |= 1 << bit;
+                fresh
+            }
+
+            pub fn push(&mut self, at: Timestamp, payload: E) -> EventId {
+                let id = EventId(self.next_id);
+                self.next_id += 1;
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.live += 1;
+                self.heap.push(Scheduled {
+                    at,
+                    seq,
+                    id,
+                    payload,
+                });
+                id
+            }
+
+            pub fn push_batch<I>(&mut self, events: I)
+            where
+                I: IntoIterator<Item = (Timestamp, E)>,
+                E: Send + 'static,
+            {
+                let events: Vec<(Timestamp, E)> = events.into_iter().collect();
+                if events.windows(2).all(|pair| pair[0].0 <= pair[1].0) {
+                    self.push_run(events.into_iter());
+                } else {
+                    for (at, payload) in events {
+                        self.push(at, payload);
+                    }
+                }
+            }
+
+            pub fn push_run<I>(&mut self, source: I)
+            where
+                I: ExactSizeIterator<Item = (Timestamp, E)> + Send + 'static,
+            {
+                if self.run.is_some() {
+                    for (at, payload) in source {
+                        self.push(at, payload);
+                    }
+                    return;
+                }
+                let len = source.len();
+                if len == 0 {
+                    return;
+                }
+                let mut rest = Box::new(source);
+                let (at, payload) = rest.next().expect(RUN_ENDED_EARLY);
+                self.run = Some(Run {
+                    at,
+                    seq: self.next_seq,
+                    payload,
+                    rest,
+                    owed: len - 1,
+                });
+                for id in self.next_id..self.next_id + len as u64 {
+                    self.mark_dead(EventId(id));
+                }
+                self.next_id += len as u64;
+                self.next_seq += len as u64;
+                self.live += len;
+            }
+
+            pub fn cancel(&mut self, id: EventId) -> bool {
+                if id.0 >= self.next_id {
+                    return false; // never scheduled
+                }
+                if self.mark_dead(id) {
+                    self.live -= 1;
+                    self.cancelled += 1;
+                    true
+                } else {
+                    false
+                }
+            }
+
+            pub fn reschedule(&mut self, prev: EventId, at: Timestamp, payload: E) -> EventId {
+                self.cancel(prev);
+                self.push(at, payload)
+            }
+
+            pub fn pop(&mut self) -> Option<(Timestamp, E)> {
+                self.pop_due(Timestamp::MAX)
+            }
+
+            pub fn pop_due(&mut self, now: Timestamp) -> Option<(Timestamp, E)> {
+                loop {
+                    let Some(top) = self.heap.peek() else {
+                        return self.pop_run_due(now);
+                    };
+                    if let Some(run) = &self.run {
+                        if (run.at, run.seq) < (top.at, top.seq) {
+                            return self.pop_run_due(now);
+                        }
+                    }
+                    if top.at > now {
+                        return None;
+                    }
+                    let ev = self.heap.pop().expect("peeked entry exists");
+                    if self.mark_dead(ev.id) {
+                        self.live -= 1;
+                        self.delivered += 1;
+                        return Some((ev.at, ev.payload));
+                    }
+                }
+            }
+
+            fn pop_run_due(&mut self, now: Timestamp) -> Option<(Timestamp, E)> {
+                let run = self.run.as_mut()?;
+                if run.at > now {
+                    return None;
+                }
+                self.live -= 1;
+                self.delivered += 1;
+                if run.owed == 0 {
+                    return self.run.take().map(|run| (run.at, run.payload));
+                }
+                run.owed -= 1;
+                let (at, payload) = run.rest.next().expect(RUN_ENDED_EARLY);
+                assert!(at >= run.at, "a sorted run's source went back in time");
+                run.seq += 1;
+                Some((
+                    std::mem::replace(&mut run.at, at),
+                    std::mem::replace(&mut run.payload, payload),
+                ))
+            }
+
+            pub fn peek_time(&mut self) -> Option<Timestamp> {
+                while let Some(ev) = self.heap.peek() {
+                    if !self.is_dead(ev.id) {
+                        break;
+                    }
+                    self.heap.pop();
+                }
+                let top = self.heap.peek().map(|ev| ev.at);
+                let head = self.run.as_ref().map(|run| run.at);
+                match (head, top) {
+                    (Some(head), Some(top)) => Some(head.min(top)),
+                    (head, top) => head.or(top),
+                }
+            }
+
+            pub fn heap_len(&self) -> usize {
+                self.heap.len()
+            }
+
+            pub fn len(&self) -> usize {
+                self.live
+            }
+
+            pub fn pushed_total(&self) -> u64 {
+                self.next_id
+            }
+
+            pub fn delivered_total(&self) -> u64 {
+                self.delivered
+            }
+
+            pub fn cancelled_total(&self) -> u64 {
+                self.cancelled
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn every_step_matches_the_reference_queue(
+            // (op, time, batch times, pick). Times are drawn from a range far
+            // smaller than the op count, so ties, tombstones on top and
+            // batches landing before times already popped are the norm.
+            ops in proptest::collection::vec(
+                (
+                    0u8..14,
+                    0u64..40,
+                    proptest::collection::vec(0u64..40, 0..12),
+                    any::<prop::sample::Index>(),
+                ),
+                1..200,
+            ),
+        ) {
+            let mut real: EventQueue<u32> = EventQueue::new();
+            let mut oracle: reference::EventQueue<u32> = reference::EventQueue::new();
+            // Every handle ever issued, whatever became of its event. The
+            // reference numbers events densely, so its id is the handle's seq.
+            let mut issued: Vec<EventId> = Vec::new();
+            let twin = |id: EventId| reference::EventId(id.seq);
+            // Sequence numbers that went to a sorted run: reserved, never in
+            // a slot, and no handle to them was ever issued.
+            let mut run_seqs: Vec<u64> = Vec::new();
+            let mut next_payload = 0u32;
+            let at = Timestamp::from_nanos;
+            for (op, t, mut times, pick) in ops {
+                // Ops 2..=5 submit `times` as batches, payloads numbering the
+                // entries in submission order: 2 as drawn (unsorted, or sorted
+                // by chance), 3 sorted, 4 sorted through `push_run`, 5 sorted
+                // and twice over, so that the second one spills to the heap.
+                let (sorted, via_run, twice) = (matches!(op, 3..=5), op == 4, op == 5);
+                if sorted {
+                    times.sort_unstable();
+                }
+                match op {
+                    0 | 1 => {
+                        issued.push(real.push(at(t), next_payload));
+                        oracle.push(at(t), next_payload);
+                        next_payload += 1;
+                    }
+                    2..=5 => {
+                        for _ in 0..=usize::from(twice) {
+                            let entries: Vec<_> = times
+                                .iter()
+                                .map(|&t| at(t))
+                                .zip(next_payload..)
+                                .collect();
+                            next_payload += entries.len() as u32;
+                            if real.run.is_none() && times.windows(2).all(|w| w[0] <= w[1]) {
+                                let first = real.pushed_total();
+                                run_seqs.extend(first..first + entries.len() as u64);
+                            }
+                            if via_run {
+                                real.push_run(entries.clone().into_iter());
+                                oracle.push_run(entries.into_iter());
+                            } else {
+                                real.push_batch(entries.clone());
+                                oracle.push_batch(entries);
+                            }
+                        }
+                    }
+                    // A handle whose event is live, delivered or cancelled.
+                    6 | 7 => {
+                        if !issued.is_empty() {
+                            let id = issued[pick.index(issued.len())];
+                            prop_assert_eq!(real.cancel(id), oracle.cancel(twin(id)));
+                        }
+                    }
+                    // Never-issued handles: a sequence number from the future,
+                    // or a run entry's, paired with any slot in or out of range.
+                    8 | 9 => {
+                        let slot = pick.index(real.slab.len() + 2) as u32;
+                        let seq = match run_seqs.get(t as usize % run_seqs.len().max(1)) {
+                            Some(&seq) if op == 9 => seq,
+                            _ => real.pushed_total() + t,
+                        };
+                        let forged = EventId { slot, seq };
+                        prop_assert!(!real.cancel(forged));
+                        prop_assert!(!oracle.cancel(twin(forged)));
+                    }
+                    10 => {
+                        if !issued.is_empty() {
+                            let prev = issued[pick.index(issued.len())];
+                            issued.push(real.reschedule(prev, at(t), next_payload));
+                            oracle.reschedule(twin(prev), at(t), next_payload);
+                            next_payload += 1;
+                        }
+                    }
+                    11 => prop_assert_eq!(real.pop_due(at(t)), oracle.pop_due(at(t))),
+                    12 => prop_assert_eq!(real.pop(), oracle.pop()),
+                    _ => prop_assert_eq!(real.peek_time(), oracle.peek_time()),
+                }
+                prop_assert_eq!(real.len(), oracle.len());
+                prop_assert_eq!(real.heap_len(), oracle.heap_len());
+                prop_assert_eq!(real.pushed_total(), oracle.pushed_total());
+                prop_assert_eq!(real.delivered_total(), oracle.delivered_total());
+                prop_assert_eq!(real.cancelled_total(), oracle.cancelled_total());
+                // No slot leaks: the occupied ones are the live events that
+                // are not waiting in the run.
+                let in_run = real.run.as_ref().map_or(0, |run| run.owed + 1);
+                prop_assert_eq!(real.slab.len() - real.free.len(), real.len() - in_run);
+            }
+            while let Some(delivered) = oracle.pop() {
+                prop_assert_eq!(real.pop(), Some(delivered));
+            }
+            prop_assert_eq!(real.pop(), None);
+            prop_assert_eq!(real.free.len(), real.slab.len());
+        }
+    }
+
+    #[test]
+    fn a_recycled_slot_is_not_its_previous_occupant() {
+        let ms = Timestamp::from_millis;
+        let mut q = EventQueue::new();
+        let stale = q.push(ms(5), "cancelled");
+        q.push(ms(7), "bystander");
+        assert!(q.cancel(stale));
+        // Push until the freed slot comes back, under a new sequence number.
+        let fresh = loop {
+            let id = q.push(ms(9), "new occupant");
+            if id.slot == stale.slot {
+                break id;
+            }
+        };
+        assert_ne!(fresh.seq, stale.seq);
+        assert!(
+            !q.cancel(stale),
+            "a stale handle cancelled the new occupant"
+        );
+        // The stale key (5 ms) is still in the heap and must read as a
+        // tombstone, not as the slot's new occupant.
+        assert_eq!((q.len(), q.heap_len()), (2, 3));
+        assert_eq!(q.peek_time(), Some(ms(7)));
+        let delivered: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(delivered, [(ms(7), "bystander"), (ms(9), "new occupant")]);
+        assert!(!q.cancel(fresh), "already delivered");
+        assert_eq!(
+            (q.pushed_total(), q.delivered_total(), q.cancelled_total()),
+            (3, 2, 1)
+        );
+    }
+
+    /// A payload that counts its drops.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Relaxed);
+        }
+    }
+
+    #[test]
+    fn every_payload_is_dropped_exactly_once() {
+        let ms = Timestamp::from_millis;
+        let drops = Arc::new(AtomicUsize::new(0));
+        let payload = || Counted(Arc::clone(&drops));
+        let mut q = EventQueue::new();
+        let ids: Vec<_> = (0..10).map(|i| q.push(ms(10 + i), payload())).collect();
+        q.push_batch((0..5).map(|i| (ms(12 + i), payload())).collect::<Vec<_>>());
+        // Cancelled: dropped at once, not when the tombstone surfaces.
+        assert!(q.cancel(ids[0]) && q.cancel(ids[4]) && q.cancel(ids[9]));
+        assert_eq!(drops.load(Relaxed), 3);
+        q.reschedule(ids[1], ms(30), payload());
+        assert_eq!(drops.load(Relaxed), 4);
+        // Delivered: the queue hands the payload over and keeps no copy.
+        for dropped in 4..10 {
+            let delivered = q.pop().expect("live events remain");
+            assert_eq!(drops.load(Relaxed), dropped);
+            drop(delivered);
+        }
+        assert_eq!(drops.load(Relaxed), 10);
+        // Replaced in place while holding heap and run entries — what
+        // `Worker::crash` does to its queue of completions.
+        assert_eq!(q.len(), 6);
+        q = EventQueue::new();
+        assert_eq!(drops.load(Relaxed), 16);
+        // Left in a queue that goes out of scope.
+        q.push(ms(1), payload());
+        drop(q);
+        assert_eq!(drops.load(Relaxed), 17);
+    }
 
     #[test]
     fn events_pop_in_time_order() {
@@ -606,7 +1057,11 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "a");
         assert_eq!(q.pop().unwrap().1, "c");
         assert!(!q.cancel(a), "cancelling a delivered event is a no-op");
-        assert!(!q.cancel(EventId(999)), "unknown ids are rejected");
+        let unknown = EventId {
+            slot: 999,
+            seq: 999,
+        };
+        assert!(!q.cancel(unknown), "unknown ids are rejected");
     }
 
     #[test]
@@ -681,12 +1136,16 @@ mod tests {
     fn run_ids_are_reserved_but_have_no_handle() {
         let mut q = EventQueue::new();
         let before: Vec<_> = (0..5).map(|i| q.push(Timestamp::ZERO, i)).collect();
-        // Ids 5..135: the block straddles three words of the bitset.
+        // Sequence numbers 5..135 go to the run, which takes no slot.
         q.push_batch((5..135).map(|i| (Timestamp::ZERO, i)));
         let after = q.push(Timestamp::ZERO, 135);
-        assert_eq!((before[4], after), (EventId(4), EventId(135)));
-        for id in 5..135 {
-            assert!(!q.cancel(EventId(id)), "run entry {id} was cancellable");
+        assert_eq!(before[4], EventId { slot: 4, seq: 4 });
+        assert_eq!(after, EventId { slot: 5, seq: 135 });
+        for seq in 5..135 {
+            for slot in 0..7 {
+                let forged = EventId { slot, seq };
+                assert!(!q.cancel(forged), "run entry {seq} was cancellable");
+            }
         }
         assert!(q.cancel(before[4]) && q.cancel(after));
         assert_eq!((q.len(), q.cancelled_total()), (134, 2));
@@ -700,7 +1159,11 @@ mod tests {
         let a = q.push(Timestamp::from_millis(1), 1);
         assert_eq!(q.pop().unwrap().1, 1);
         assert!(!q.cancel(a), "delivered events cannot be cancelled");
-        assert!(!q.cancel(EventId(u64::MAX)), "unknown ids are rejected");
+        let unknown = EventId {
+            slot: u32::MAX,
+            seq: u64::MAX,
+        };
+        assert!(!q.cancel(unknown), "unknown ids are rejected");
         assert!(q.is_empty());
     }
 

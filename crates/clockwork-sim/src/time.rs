@@ -50,21 +50,21 @@ impl Nanos {
     ///
     /// Negative values saturate to zero.
     pub fn from_millis_f64(ms: f64) -> Self {
-        Nanos(to_nanos_u64(ms * 1e6))
+        Nanos(round_to_u64(ms * 1e6))
     }
 
     /// Creates a duration from a floating point number of microseconds.
     ///
     /// Negative values saturate to zero.
     pub fn from_micros_f64(us: f64) -> Self {
-        Nanos(to_nanos_u64(us * 1e3))
+        Nanos(round_to_u64(us * 1e3))
     }
 
     /// Creates a duration from a floating point number of seconds.
     ///
     /// Negative values saturate to zero.
     pub fn from_secs_f64(s: f64) -> Self {
-        Nanos(to_nanos_u64(s * 1e9))
+        Nanos(round_to_u64(s * 1e9))
     }
 
     /// The raw nanosecond count.
@@ -104,7 +104,7 @@ impl Nanos {
 
     /// Multiplies the duration by a floating point factor, saturating at zero.
     pub fn mul_f64(self, factor: f64) -> Nanos {
-        Nanos(to_nanos_u64(self.0 as f64 * factor))
+        Nanos(round_to_u64(self.0 as f64 * factor))
     }
 
     /// Returns the larger of two durations.
@@ -126,13 +126,22 @@ impl Nanos {
     }
 }
 
-fn to_nanos_u64(v: f64) -> u64 {
-    if v.is_nan() || v <= 0.0 {
-        0
-    } else if v >= u64::MAX as f64 {
-        u64::MAX
+/// `v.round() as u64` — nearest integer, halves away from zero, saturating
+/// (NaN and negatives to 0, `2^64` and above to `u64::MAX`) — without the
+/// call: on the default x86-64 target `f64::round` is a software routine.
+///
+/// Exact, not approximate: the cast truncates, the fractional part of a
+/// double below `2^53` is itself a double, and doubles from `2^53` up are
+/// integers already.
+pub fn round_to_u64(v: f64) -> u64 {
+    if (0.0..9_223_372_036_854_775_808.0).contains(&v) {
+        // Below 2^63 the signed conversions do, one instruction each way
+        // where the unsigned ones take a dozen.
+        let whole = v as i64;
+        (whole + i64::from(v - whole as f64 >= 0.5)) as u64
     } else {
-        v.round() as u64
+        // NaN, negatives, and doubles from 2^63 up, which have no fraction.
+        v as u64
     }
 }
 
@@ -314,6 +323,38 @@ impl Sub<Timestamp> for Timestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_to_u64_matches_round_at_the_edges() {
+        let below_2_64 = f64::from_bits((u64::MAX as f64).to_bits() - 1);
+        let edges = [
+            (0.0, 0),
+            (-0.0, 0),
+            (0.49999999999999994, 0),
+            (0.5, 1),
+            (1.5, 2),
+            (2.5, 3),
+            (4503599627370495.5, 1 << 52), // 2^52 - 1 + 0.5, the last half
+            ((1u64 << 52) as f64 - 1.0, (1 << 52) - 1),
+            ((1u64 << 52) as f64 + 1.0, (1 << 52) + 1),
+            ((1u64 << 53) as f64, 1 << 53),
+            ((1u64 << 63) as f64 - 1024.0, (1 << 63) - 1024), // the last double below 2^63
+            ((1u64 << 63) as f64, 1 << 63),
+            (below_2_64, u64::MAX - 2047),
+            (u64::MAX as f64, u64::MAX),
+            (f64::MAX, u64::MAX),
+            (f64::INFINITY, u64::MAX),
+            (f64::NEG_INFINITY, 0),
+            (f64::NAN, 0),
+            (-0.5, 0),
+            (-1.5, 0),
+            (-1e300, 0),
+        ];
+        for (v, expected) in edges {
+            assert_eq!(round_to_u64(v), expected, "{v:e}");
+            assert_eq!(v.round() as u64, expected, "{v:e} against f64::round");
+        }
+    }
 
     #[test]
     fn nanos_constructors() {

@@ -14,7 +14,7 @@ use clockwork_sim::memory::MemoryPool;
 use clockwork_sim::network::{NetworkConfig, NetworkModel};
 use clockwork_sim::pcie::{LinkScheduler, PcieLink};
 use clockwork_sim::rng::SimRng;
-use clockwork_sim::time::{Nanos, Timestamp};
+use clockwork_sim::time::{round_to_u64, Nanos, Timestamp};
 use clockwork_sim::variance::{ExternalVariance, VarianceConfig};
 
 // Bound raw nanosecond values well below u64::MAX so additive properties are
@@ -105,6 +105,24 @@ proptest! {
     #[test]
     fn timestamp_ordering_is_preserved_by_translation(a in timestamp(), b in timestamp(), d in nanos()) {
         prop_assert_eq!(a <= b, a + d <= b + d);
+    }
+
+    #[test]
+    fn round_to_u64_is_round_then_cast(
+        bits in any::<u64>(),
+        // Biased exponents 2^-3 ..= 2^65 — where rounding has something to
+        // decide — under a random sign and mantissa.
+        exponent in 1020u64..1089,
+        half in 0u64..(1 << 52),
+    ) {
+        let near_integers = f64::from_bits((bits & !(0x7ff << 52)) | (exponent << 52));
+        let on_a_half = half as f64 + 0.5;
+        for v in [f64::from_bits(bits), near_integers, on_a_half, -on_a_half] {
+            // Each value with its neighbours on either side.
+            for v in [f64::from_bits(v.to_bits().wrapping_sub(1)), v, f64::from_bits(v.to_bits().wrapping_add(1))] {
+                prop_assert_eq!(round_to_u64(v), v.round() as u64, "v = {:e} ({:#x})", v, v.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -47,13 +47,23 @@ impl std::fmt::Display for InsufficientPages {
 impl std::error::Error for InsufficientPages {}
 
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-struct Residency {
+pub(crate) struct Residency {
     pages: u64,
     last_used: Timestamp,
     loaded_at: Timestamp,
     /// In-flight references (executing INFERs holding the weights). A model
     /// cannot be unloaded while its reference count is above zero.
     refs: u32,
+}
+
+impl Residency {
+    /// [`PageCache::touch`] and [`PageCache::pin`] on an entry already in
+    /// hand: what an INFER does to its model's weights once its kernel is
+    /// scheduled.
+    pub(crate) fn touch_and_pin(&mut self, now: Timestamp) {
+        self.last_used = self.last_used.max(now);
+        self.refs += 1;
+    }
 }
 
 /// A fixed-size paged cache for model weights on one GPU.
@@ -192,6 +202,13 @@ impl PageCache {
             }
             None => false,
         }
+    }
+
+    /// A resident model's entry, for a caller that checks residency first and
+    /// acts on it later: [`Residency::touch_and_pin`] then costs no second
+    /// descent of the table. `None` if the model is not resident.
+    pub(crate) fn resident_mut(&mut self, model: ModelId) -> Option<&mut Residency> {
+        self.resident.get_mut(&model)
     }
 
     /// Drops a reference taken by [`PageCache::pin`]. Unknown or unpinned
@@ -430,6 +447,24 @@ mod tests {
         c.unpin(ModelId(1)); // unpin below zero saturates
         assert_eq!(c.ref_count(ModelId(1)), 0);
         assert_eq!(c.release(ModelId(1)), 1);
+    }
+
+    #[test]
+    fn touch_and_pin_is_touch_then_pin() {
+        let mut one = cache_with_pages(4);
+        one.allocate(ModelId(1), 16 * MB, Timestamp::from_millis(5))
+            .unwrap();
+        let mut two = one.clone();
+        // Later, earlier (does not move the model backwards) and equal times.
+        for ms in [9, 3, 9] {
+            let now = Timestamp::from_millis(ms);
+            one.resident_mut(ModelId(1)).unwrap().touch_and_pin(now);
+            two.touch(ModelId(1), now);
+            assert!(two.pin(ModelId(1)));
+            assert_eq!(one, two);
+        }
+        assert_eq!(one.ref_count(ModelId(1)), 3);
+        assert!(one.resident_mut(ModelId(9)).is_none());
     }
 
     #[test]

@@ -812,56 +812,49 @@ impl Worker {
         let base_exec = spec
             .exec_latency(batch)
             .ok_or(ActionError::UnsupportedBatch { batch })?;
-        if !self.gpus[gpu_index].page_cache.contains(model) {
+        let gpu = &mut self.gpus[gpu_index];
+        let Some(weights) = gpu.page_cache.resident_mut(model) else {
             return Err(ActionError::ModelNotLoaded);
-        }
+        };
         let io_bytes = (spec.input_bytes() + spec.output_bytes()) * u64::from(batch);
-        if self.gpus[gpu_index].io_cache.acquire(io_bytes).is_err() {
+        if gpu.io_cache.acquire(io_bytes).is_err() {
             return Err(ActionError::IoCacheFull);
         }
 
         // INPUT: copy inputs host -> device on the input stream.
         let input_bytes = spec.input_bytes() * u64::from(batch);
         let input_duration = self.config.pcie.transfer_duration(input_bytes);
-        let (_, input_done) =
-            self.gpus[gpu_index]
-                .input_link
-                .schedule(start, input_duration, input_bytes);
+        let (_, input_done) = gpu.input_link.schedule(start, input_duration, input_bytes);
 
         // EXEC: run the kernel, one at a time (or concurrently for baselines).
-        let concurrency = self.gpus[gpu_index].in_flight_execs + 1;
+        let concurrency = gpu.in_flight_execs + 1;
         let exec_base = match self.config.exec_mode {
-            ExecMode::Exclusive => self.gpus[gpu_index].timing.exec_duration(base_exec),
-            ExecMode::Concurrent { .. } => self.gpus[gpu_index]
-                .timing
-                .exec_duration_concurrent(base_exec, concurrency),
+            ExecMode::Exclusive => gpu.timing.exec_duration(base_exec),
+            ExecMode::Concurrent { .. } => {
+                gpu.timing.exec_duration_concurrent(base_exec, concurrency)
+            }
         };
         let exec_duration = self.variance.perturb(start, exec_base);
         let exec_start = input_done;
         let exec_end = exec_start + exec_duration;
-        {
-            let gpu = &mut self.gpus[gpu_index];
-            gpu.timing.occupy(exec_start, exec_duration);
-            gpu.in_flight_execs += 1;
-            if matches!(self.config.exec_mode, ExecMode::Exclusive) {
-                gpu.infer_executor.occupy_until(exec_end);
-            }
-            gpu.page_cache.touch(model, exec_end);
-            // Hold the weights for the in-flight execution: an UNLOAD
-            // arriving before the completion fires must not free (or
-            // double-account) the pages under the running kernel.
-            gpu.page_cache.pin(model);
+        gpu.timing.occupy(exec_start, exec_duration);
+        gpu.in_flight_execs += 1;
+        if matches!(self.config.exec_mode, ExecMode::Exclusive) {
+            gpu.infer_executor.occupy_until(exec_end);
         }
+        // Hold the weights for the in-flight execution: an UNLOAD
+        // arriving before the completion fires must not free (or
+        // double-account) the pages under the running kernel.
+        weights.touch_and_pin(exec_end);
         self.telemetry
             .record_exec(gpu_index, exec_start, exec_end, exec_duration);
 
         // OUTPUT: copy outputs device -> host on the output stream.
         let output_bytes = spec.output_bytes() * u64::from(batch);
         let output_duration = self.config.pcie.transfer_duration(output_bytes);
-        let (_, output_done) =
-            self.gpus[gpu_index]
-                .output_link
-                .schedule(exec_end, output_duration, output_bytes);
+        let (_, output_done) = gpu
+            .output_link
+            .schedule(exec_end, output_duration, output_bytes);
 
         self.telemetry
             .record_infer_completion(model, batch, request_ids, output_done);
@@ -1119,6 +1112,33 @@ mod tests {
             ActionOutcome::Error { error, .. } => assert_eq!(*error, ActionError::ModelNotLoaded),
             other => panic!("expected error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_missing_model_is_reported_before_a_full_io_cache() {
+        // No room for even one request's inputs and outputs.
+        let mut cfg = quiet_config();
+        cfg.io_cache_bytes = 1;
+        let mut w = Worker::new(cfg);
+        w.register_model(ModelId(1), resnet()).unwrap();
+        w.submit(Timestamp::ZERO, infer_action(1, ModelId(1), 1, vec![1]));
+        let mut results = drain(&mut w, Timestamp::from_millis(10));
+        w.submit(Timestamp::from_millis(10), load_action(2, ModelId(1)));
+        let later = Timestamp::from_millis(30);
+        w.submit(later, infer_action(3, ModelId(1), 1, vec![2]));
+        results.extend(drain(&mut w, Timestamp::from_millis(100)));
+        let error = |id: u64| {
+            let result = results.iter().find(|r| r.action_id.0 == id).unwrap();
+            match &result.outcome {
+                ActionOutcome::Error { error, .. } => error.clone(),
+                other => panic!("expected error, got {other:?}"),
+            }
+        };
+        assert_eq!(error(1), ActionError::ModelNotLoaded);
+        assert_eq!(error(3), ActionError::IoCacheFull);
+        // The refused INFER looked the weights up but took no reference.
+        assert_eq!(w.gpus[0].page_cache.ref_count(ModelId(1)), 0);
+        assert_eq!(w.gpus[0].in_flight_execs, 0);
     }
 
     #[test]
