@@ -53,29 +53,42 @@
 //!
 //! Each stage costs what can act, not what is registered — and not what is
 //! queued either. Both passes start from the per-GPU ledger of waiting work
-//! (`WaitingLedger`, crate-private: per GPU, how many queued models it holds
-//! and an integer upper bound on the demand shares charged to it — the
-//! paper's `l_g`, updated as requests arrive and complete). The INFER pass
-//! visits the GPUs the ledger lists as holding (or loading) a queued model
-//! that are free inside the lookahead — Appendix B puts a model's strategies
-//! only on the GPUs where it is loaded — so an idle GPU holding nothing that
-//! waits is never looked at and no queued model's holder list is walked.
-//! The LOAD pass prices nothing unless a queued model has no holder, some
-//! GPU is charged beyond the priority horizon or a cold rejection is on
-//! record (otherwise no priority can be positive), nor unless some LOAD
-//! executor is inside the lookahead, and lists GPUs only once a model has
-//! come back with a positive priority. An eviction asks whether a model is
-//! protected only when it would otherwise be the least recently used so far.
+//! (`WaitingLedger`, crate-private: per GPU, the ascending list of the queued
+//! models it holds and an integer upper bound on the demand shares charged to
+//! it — the paper's per-GPU strategy queues and `l_g`, updated as requests
+//! arrive and complete). The INFER pass visits the GPUs the ledger lists as
+//! holding (or loading) a queued model that are free inside the lookahead —
+//! Appendix B puts a model's strategies only on the GPUs where it is loaded —
+//! and reads each one's candidates off its list, so an idle GPU holding
+//! nothing that waits is never looked at, no queued model's holder list is
+//! walked and no residency map is intersected with the queued set. The LOAD
+//! pass prices nothing unless a queued model has no holder, some GPU is
+//! charged beyond the priority horizon or a cold rejection is on record
+//! (otherwise no priority can be positive), nor unless some LOAD executor is
+//! inside the lookahead; when it prices, it prices only the unheld models
+//! and those waiting on an over-charged GPU — the rest are served more than
+//! they demand — summing the load of just the GPUs that hold one of them
+//! (a cold rejection adds demand the ledger does not carry: then every
+//! demanded model is priced, the walk every localised evaluation is checked
+//! against in debug builds); and it lists GPUs only once a model has come
+//! back with a positive priority. The clean horizon's "next executor to
+//! enter the lookahead" reads the tracker's list of executors claimed past
+//! the last horizon asked about, not the fleet. An eviction asks whether a
+//! model is protected only when it would otherwise be the least recently
+//! used so far.
 //!
 //! That ledger is the one structure here that is *pushed to* rather than
 //! validated by key — visiting its keys is the cost it removes. The
-//! scheduler moves a model's charge wherever that model's (queue length,
-//! `model_epoch`) can move: every queue mutation goes through `with_queue`,
-//! every profiler measurement is followed by `recharge`; a holder-list
-//! change (the tracker's `holders_epoch`) rebuilds it whole. It is kept
-//! honest by its oracle, not by trust: debug builds compare it with a
-//! from-scratch rebuild before every read, and re-run the full evaluation
-//! behind every skipped LOAD pass.
+//! scheduler moves a model's charge, and its place on its holders' lists,
+//! wherever that model's (queue length, `model_epoch`) can move: every queue
+//! mutation goes through `with_queue`, every profiler measurement is
+//! followed by `recharge`; a holder-list change (the tracker's
+//! `holders_epoch`) rebuilds it whole. It is kept honest by its oracle, not
+//! by trust: debug builds compare every list with a from-scratch rebuild
+//! before every read, the candidates of every INFER slot with the
+//! intersection they replaced, and every priced LOAD evaluation with the
+//! full walk, bit for bit; and they re-run the full evaluation behind every
+//! skipped LOAD pass.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -280,6 +293,8 @@ pub struct ClockworkScheduler {
     /// `(model, whether its LOAD here is still outstanding)`.
     scratch_candidates: Vec<(ModelId, bool)>,
     scratch_demands: Vec<(ModelId, Nanos)>,
+    /// The models a localised LOAD evaluation prices.
+    scratch_priced: Vec<ModelId>,
     scratch_priorities: Vec<(ModelId, f64)>,
     scratch_gpu_load: Vec<f64>,
 }
@@ -305,6 +320,7 @@ impl ClockworkScheduler {
             scratch_expired: Vec::new(),
             scratch_candidates: Vec::new(),
             scratch_demands: Vec::new(),
+            scratch_priced: Vec::new(),
             scratch_priorities: Vec::new(),
             scratch_gpu_load: Vec::new(),
         }
@@ -552,13 +568,13 @@ impl ClockworkScheduler {
     fn sync_ledger(&mut self) {
         let key = self.ledger_key();
         if !self.ledger.is_built_on(key) {
-            self.ledger.reset(key);
-            for &model_id in self.queues.queued() {
-                let demand =
-                    Self::queued_demand(&self.profiler, &self.queues, &mut self.models, model_id);
-                let holders = self.tracker.gpus_with_model(model_id);
-                self.ledger.recharge(model_id, holders, demand);
-            }
+            let (profiler, queues, models) = (&self.profiler, &self.queues, &mut self.models);
+            let tracker = &self.tracker;
+            let queued = queues.queued().iter().filter_map(|&model_id| {
+                let demand = Self::queued_demand(profiler, queues, models, model_id)?;
+                Some((model_id, tracker.gpus_with_model(model_id), demand))
+            });
+            self.ledger.rebuild(key, queued);
         }
         #[cfg(debug_assertions)]
         assert_eq!(
@@ -570,12 +586,12 @@ impl ClockworkScheduler {
 
     /// The ledger computed the slow way, the oracle it is checked against:
     /// every queue demand re-estimated, every holder list walked, and the
-    /// fleet-wide facts read off the finished columns rather than kept in
+    /// fleet-wide lists read off the finished columns rather than kept in
     /// step with them.
     #[cfg(any(test, debug_assertions))]
     fn reference_ledger(&self) -> LedgerTotals {
         let mut totals = LedgerTotals {
-            counts: vec![0; self.tracker.len()],
+            waiting: vec![Vec::new(); self.tracker.len()],
             bounds: vec![0; self.tracker.len()],
             ..LedgerTotals::default()
         };
@@ -586,20 +602,22 @@ impl ClockworkScheduler {
             let len = self.queues.len(model_id) as u32;
             let demand = Self::queue_demand(&self.profiler, model_id, &entry.spec, len);
             let holders = self.tracker.gpus_with_model(model_id);
-            totals.no_holder += usize::from(holders.is_empty());
+            if holders.is_empty() {
+                totals.unheld.push(model_id);
+            }
             for &idx in holders {
-                totals.counts[idx] += 1;
+                totals.waiting[idx].push(model_id);
                 totals.bounds[idx] += demand.as_nanos().div_ceil(holders.len() as u64);
             }
         }
-        totals.listed = (0..self.tracker.len())
-            .filter(|&idx| totals.counts[idx] > 0)
+        let gpus = 0..self.tracker.len();
+        totals.listed = gpus
+            .clone()
+            .filter(|&idx| !totals.waiting[idx].is_empty())
             .collect();
-        totals.over_bound = totals
-            .bounds
-            .iter()
-            .filter(|&&bound| bound > LOAD_PRICELESS_BOUND.as_nanos())
-            .count();
+        totals.over_limit = gpus
+            .filter(|&idx| totals.bounds[idx] > LOAD_PRICELESS_BOUND.as_nanos())
+            .collect();
         totals
     }
 
@@ -640,6 +658,24 @@ impl ClockworkScheduler {
         actionable
     }
 
+    /// The INFER candidates on GPU `gpu_idx` — `(model, whether its LOAD
+    /// here is still outstanding)`, ascending — computed the way they were
+    /// before the ledger kept them, the oracle its `waiting` list is checked
+    /// against: the queued set intersected with the GPU's residency map,
+    /// walking the smaller of the two.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_candidates(&self, gpu_idx: usize) -> Vec<(ModelId, bool)> {
+        let queued = self.queues.queued();
+        let avail = &self.tracker.gpus()[gpu_idx].models;
+        if avail.len() <= queued.len() {
+            let held = avail.iter().filter(|(m, _)| queued.contains(m));
+            held.map(|(&m, held)| (m, held.loading)).collect()
+        } else {
+            let held = queued.iter().filter_map(|&m| Some((m, avail.get(&m)?)));
+            held.map(|(m, held)| (m, held.loading)).collect()
+        }
+    }
+
     /// Tops up INFER schedules on the GPUs that hold queued work (see
     /// [`Self::infer_gpus_into`]).
     ///
@@ -676,27 +712,19 @@ impl ClockworkScheduler {
                 if exec_slot >= horizon {
                     break;
                 }
-                // Candidate models: queued requests + weights available here.
-                // Walk the smaller of the queued set and this GPU's residency
-                // map; both iterate in ascending ModelId order, so the scan
-                // visits the same candidates in the same order either way.
+                // Candidate models: queued requests + weights available
+                // here — the ledger's list for this GPU, ascending, kept in
+                // step by the dispatches of this very loop.
                 candidates.clear();
-                let queued = self.queues.queued();
                 let avail = &self.tracker.gpus()[gpu_idx].models;
-                if avail.len() <= queued.len() {
-                    candidates.extend(
-                        avail
-                            .iter()
-                            .filter(|(m, _)| queued.contains(m))
-                            .map(|(&m, held)| (m, held.loading)),
-                    );
-                } else {
-                    candidates.extend(
-                        queued
-                            .iter()
-                            .filter_map(|&m| avail.get(&m).map(|held| (m, held.loading))),
-                    );
-                }
+                let waiting = self.ledger.waiting(gpu_idx);
+                candidates.extend(waiting.iter().map(|&m| (m, avail[&m].loading)));
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    candidates,
+                    self.reference_candidates(gpu_idx),
+                    "the ledger's waiting list is not the queued models GPU {gpu_idx} holds"
+                );
                 let mut best: Option<(ModelId, u32, Timestamp, Timestamp)> = None;
                 self.profile.candidates_scanned += candidates.len() as u64;
                 for &(model_id, loading) in &candidates {
@@ -859,51 +887,124 @@ impl ClockworkScheduler {
     /// the ledger ignored: the oracle it is checked against.
     #[cfg(any(test, debug_assertions))]
     fn reference_demands(&self, now: Timestamp) -> Vec<(ModelId, Nanos)> {
-        let mut demands: Vec<(ModelId, Nanos)> = self
-            .queues
-            .queued()
-            .iter()
+        let mut demands = self.reference_queue_demands();
+        self.add_cold_demands(now, &mut demands);
+        demands
+    }
+
+    /// The queues' part of [`Self::reference_demands`] — all of it while no
+    /// cold rejection is on record.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_queue_demands(&self) -> Vec<(ModelId, Nanos)> {
+        let queued = self.queues.queued().iter();
+        queued
             .filter_map(|&m| Some((m, self.models.get(m)?)))
             .map(|(m, entry)| {
                 let len = self.queues.len(m) as u32;
                 (m, Self::queue_demand(&self.profiler, m, &entry.spec, len))
             })
-            .collect();
-        self.add_cold_demands(now, &mut demands);
-        demands
+            .collect()
+    }
+
+    /// Appendix B's load priority of one model: its demand minus the GPU
+    /// capacity already allocated to it on the GPUs `holding` it, each of
+    /// which serves the model in proportion to its share of `gpu_load` there.
+    /// The one copy of the arithmetic, so the full and the localised walk
+    /// agree bit for bit.
+    fn load_priority(
+        demand: Nanos,
+        holding: &[usize],
+        mut gpu_load: impl FnMut(usize) -> f64,
+    ) -> f64 {
+        let capacity = LOAD_PRIORITY_HORIZON.as_secs_f64();
+        let share = Self::demand_share(demand, holding);
+        let mut served = 0.0;
+        for &idx in holding {
+            served += share * (capacity / gpu_load(idx).max(1e-12));
+        }
+        demand.as_secs_f64() - served
+    }
+
+    /// What a model demanding `demand` adds to the load of each of the GPUs
+    /// `holding` it.
+    fn demand_share(demand: Nanos, holding: &[usize]) -> f64 {
+        demand.as_secs_f64() / holding.len().max(1) as f64
     }
 
     /// Appendix B's load priority of each model in `demands`, in `demands`
-    /// order: demand minus the GPU capacity already allocated to the model
-    /// on the GPUs holding it. Holder lookups come from the tracker's
-    /// residency index, and per-GPU loads accumulate into a dense scratch
-    /// vector, so the walk is linear in (demand models + the GPUs holding
-    /// them) rather than models × GPUs.
+    /// order. Holder lookups come from the tracker's residency index, and
+    /// per-GPU loads accumulate into a dense scratch vector, so the walk is
+    /// linear in (demand models + the GPUs holding them) rather than models
+    /// × GPUs. This is the full walk: what runs when a cold rejection adds
+    /// demand the ledger does not carry, and the oracle behind every
+    /// [localised](Self::localised_load_priorities_into) evaluation.
     fn for_each_load_priority(
         &self,
         demands: &[(ModelId, Nanos)],
         gpu_load: &mut Vec<f64>,
         mut emit: impl FnMut(ModelId, f64),
     ) {
-        let capacity = LOAD_PRIORITY_HORIZON.as_secs_f64();
         gpu_load.clear();
         gpu_load.resize(self.tracker.len(), 0.0);
         for &(model_id, demand) in demands {
             let holding = self.tracker.gpus_with_model(model_id);
-            let share = demand.as_secs_f64() / holding.len().max(1) as f64;
+            let share = Self::demand_share(demand, holding);
             for &idx in holding {
                 gpu_load[idx] += share;
             }
         }
         for &(model_id, demand) in demands {
             let holding = self.tracker.gpus_with_model(model_id);
-            let share = demand.as_secs_f64() / holding.len().max(1) as f64;
-            let mut served = 0.0;
-            for &idx in holding {
-                served += share * (capacity / gpu_load[idx].max(1e-12));
-            }
-            emit(model_id, demand.as_secs_f64() - served);
+            emit(
+                model_id,
+                Self::load_priority(demand, holding, |idx| gpu_load[idx]),
+            );
         }
+    }
+
+    /// The positive load priorities, highest first, priced off the ledger
+    /// alone: only the models it says can have one (`priced` — those held
+    /// nowhere or waiting on a GPU over the limit, see
+    /// [`WaitingLedger::priced_into`]) are priced, and only the GPUs holding
+    /// one of those have their load summed. A GPU's load is the sum over
+    /// its `waiting` list, ascending, of the same shares of the same
+    /// demands [the full walk](Self::for_each_load_priority) adds in the
+    /// same order, so each priority is the full walk's bit for bit. Sound
+    /// only while the queues are all the demand there is (no cold rejection
+    /// on record) and the ledger is [in sync](Self::sync_ledger).
+    fn localised_load_priorities_into(
+        &self,
+        priced: &mut Vec<ModelId>,
+        gpu_load: &mut Vec<f64>,
+        out: &mut Vec<(ModelId, f64)>,
+    ) {
+        /// Marks a GPU whose load has not been asked for (a load is ≥ 0).
+        const UNSUMMED: f64 = -1.0;
+        let charged = |model_id| {
+            let charge = self.ledger.charge(model_id);
+            charge.expect("every model on a list of the ledger is charged")
+        };
+        self.ledger.priced_into(priced);
+        gpu_load.clear();
+        gpu_load.resize(self.tracker.len(), UNSUMMED);
+        out.clear();
+        for &model_id in priced.iter() {
+            let holding = self.tracker.gpus_with_model(model_id);
+            let priority = Self::load_priority(charged(model_id), holding, |idx| {
+                if gpu_load[idx] < 0.0 {
+                    gpu_load[idx] = 0.0;
+                    for &waiting in self.ledger.waiting(idx) {
+                        let holding = self.tracker.gpus_with_model(waiting);
+                        gpu_load[idx] += Self::demand_share(charged(waiting), holding);
+                    }
+                }
+                gpu_load[idx]
+            });
+            if priority > 0.0 {
+                out.push((model_id, priority));
+            }
+        }
+        out.sort_by(Self::by_priority_then_id);
     }
 
     /// The models in `demands` with a positive load priority, highest
@@ -959,14 +1060,26 @@ impl ClockworkScheduler {
 
     /// One evaluation of the LOAD priorities, counted, and checked against
     /// the oracle in debug builds — every evaluation goes through here.
+    /// With `demands` it is the full walk over them; without, it is priced
+    /// off the ledger, which is first brought in sync — a re-evaluation
+    /// follows a `dispatch_load`, which moved a holder list.
     fn evaluate_load_priorities(
         &mut self,
-        demands: &[(ModelId, Nanos)],
+        demands: Option<&[(ModelId, Nanos)]>,
         gpu_load: &mut Vec<f64>,
         priorities: &mut Vec<(ModelId, f64)>,
     ) {
-        self.load_priorities_into(demands, gpu_load, priorities);
         self.profile.load_prio_recomputes += 1;
+        let Some(demands) = demands else {
+            self.sync_ledger();
+            let mut priced = std::mem::take(&mut self.scratch_priced);
+            self.localised_load_priorities_into(&mut priced, gpu_load, priorities);
+            self.scratch_priced = priced;
+            #[cfg(debug_assertions)]
+            self.assert_priorities_match_oracle(&self.reference_queue_demands(), priorities);
+            return;
+        };
+        self.load_priorities_into(demands, gpu_load, priorities);
         #[cfg(debug_assertions)]
         self.assert_priorities_match_oracle(demands, priorities);
     }
@@ -1006,7 +1119,10 @@ impl ClockworkScheduler {
     /// charged more than the priority horizon, or a cold rejection is on
     /// record, no priority is positive and nothing is priced — on a warm
     /// fleet that is nearly every pass. Otherwise nothing is priced unless
-    /// some LOAD executor is inside the lookahead, and the actionable GPUs
+    /// some LOAD executor is inside the lookahead; what is priced is then
+    /// the neighbourhood of the over-charged GPUs and the unheld models
+    /// ([`Self::localised_load_priorities_into`]) — every demanded model
+    /// only while a cold rejection is on record — and the actionable GPUs
     /// (visited in the order of [`ClockworkScheduler::schedule_infers`]) are
     /// listed only once a model has come back with a positive priority.
     fn schedule_loads(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
@@ -1021,23 +1137,32 @@ impl ClockworkScheduler {
         if !(0..tracker.len()).any(|idx| tracker.actionable(Executor::Load, idx, horizon)) {
             return;
         }
+        // The queues are all the demand there is unless a cold rejection is
+        // on record; then the ledger carries every term, and only what it
+        // says can have a positive priority is priced. With one on record
+        // the full walk runs, over demands fixed for the pass.
         let mut demands = std::mem::take(&mut self.scratch_demands);
-        self.model_demands_into(now, &mut demands);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            demands,
-            self.reference_demands(now),
-            "demand ledger drifted"
-        );
-        // Priorities depend only on `demands` (fixed for the pass) and on
-        // residency, so one evaluation is reused across GPUs and slots —
-        // `dispatch_load` is the only thing that can change residency
-        // mid-pass (it evicts/loads even when it returns `false`), and it
-        // marks them stale. Recomputing from unchanged inputs yields the
-        // identical sorted list, so this is decision-preserving.
+        let localised = self.cold_rejections.is_empty();
+        if !localised {
+            self.model_demands_into(now, &mut demands);
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                demands,
+                self.reference_demands(now),
+                "demand ledger drifted"
+            );
+        }
+        let demands_walked = (!localised).then_some(demands.as_slice());
+        // Priorities depend only on the demands (fixed for the pass: queues
+        // and estimates do not move inside it) and on residency, so one
+        // evaluation is reused across GPUs and slots — `dispatch_load` is
+        // the only thing that can change residency mid-pass (it evicts/loads
+        // even when it returns `false`), and it marks them stale.
+        // Recomputing from unchanged inputs yields the identical sorted
+        // list, so this is decision-preserving.
         let mut gpu_load = std::mem::take(&mut self.scratch_gpu_load);
         let mut priorities = std::mem::take(&mut self.scratch_priorities);
-        self.evaluate_load_priorities(&demands, &mut gpu_load, &mut priorities);
+        self.evaluate_load_priorities(demands_walked, &mut gpu_load, &mut priorities);
         let mut priorities_fresh = true;
         // The list is shared with the INFER pass: emptied first, so with no
         // positive priority the loop below has nothing to visit.
@@ -1054,7 +1179,7 @@ impl ClockworkScheduler {
                     break;
                 }
                 if !priorities_fresh {
-                    self.evaluate_load_priorities(&demands, &mut gpu_load, &mut priorities);
+                    self.evaluate_load_priorities(demands_walked, &mut gpu_load, &mut priorities);
                     priorities_fresh = true;
                     // No model with positive unfulfilled demand: no GPU
                     // anywhere can receive a LOAD this pass.
@@ -1999,9 +2124,12 @@ mod tests {
     struct LedgerSightings {
         /// Checks of a ledger that no rebuild had just made true.
         pushed: usize,
-        /// Checks with a queued model held nowhere / a GPU over the bound.
+        /// Checks with a queued model held nowhere / a GPU over the bound /
+        /// a GPU holding several queued models (so the order of its list
+        /// is compared, not just its content).
         no_holder: usize,
         over_bound: usize,
+        shared_gpu: usize,
         /// Passes over a non-empty queue that the ledger proved priceless
         /// and that priced nothing / passes that did price.
         skipped: usize,
@@ -2022,8 +2150,18 @@ mod tests {
             s.sync_ledger();
             let totals = s.ledger.totals();
             assert_eq!(totals, s.reference_ledger(), "at {now:?}");
-            seen.no_holder += usize::from(totals.no_holder > 0);
-            seen.over_bound += usize::from(totals.over_bound > 0);
+            seen.no_holder += usize::from(!totals.unheld.is_empty());
+            seen.over_bound += usize::from(!totals.over_limit.is_empty());
+            seen.shared_gpu += usize::from(totals.waiting.iter().any(|list| list.len() > 1));
+            // What each pass reads is what it used to compute: the INFER
+            // candidates per listed GPU, and the priced LOAD priorities.
+            for &gpu_idx in s.ledger.listed() {
+                let avail = &s.tracker.gpus()[gpu_idx].models;
+                let waiting = s.ledger.waiting(gpu_idx).iter();
+                let candidates: Vec<_> = waiting.map(|&m| (m, avail[&m].loading)).collect();
+                assert_eq!(candidates, s.reference_candidates(gpu_idx), "at {now:?}");
+            }
+            assert_localised_pricing_is_the_full_walk(s, now);
             if s.loads_are_priceless() {
                 s.assert_loads_are_priceless(now);
             }
@@ -2134,7 +2272,162 @@ mod tests {
         // reasons to price and both kinds of pass occurred.
         assert!(seen.pushed > 1_000, "{seen:?}");
         assert!(seen.no_holder > 10 && seen.over_bound > 10, "{seen:?}");
+        assert!(seen.shared_gpu > 100, "{seen:?}");
         assert!(seen.skipped > 10 && seen.priced > 10, "{seen:?}");
+    }
+
+    /// Prices the LOAD pass both ways on the scheduler's present state and
+    /// compares them bit for bit; returns the priorities and how many models
+    /// the localised walk priced. With a cold rejection on record the
+    /// localised walk is not sound (and not used): then only the full walk
+    /// is checked, against its own oracle.
+    fn assert_localised_pricing_is_the_full_walk(
+        s: &mut ClockworkScheduler,
+        now: Timestamp,
+    ) -> (Vec<(ModelId, f64)>, usize) {
+        let bits = |list: &[(ModelId, f64)]| -> Vec<(ModelId, u64)> {
+            list.iter().map(|&(m, p)| (m, p.to_bits())).collect()
+        };
+        s.sync_ledger();
+        let (mut demands, mut full) = (Vec::new(), Vec::new());
+        s.model_demands_into(now, &mut demands);
+        assert_eq!(demands, s.reference_demands(now), "at {now:?}");
+        s.load_priorities_into(&demands, &mut Vec::new(), &mut full);
+        s.assert_priorities_match_oracle(&demands, &full);
+        if !s.cold_rejections.is_empty() {
+            return (full, 0);
+        }
+        let (mut priced, mut localised) = (Vec::new(), Vec::new());
+        // Dirty scratch: whatever a previous evaluation left must not leak.
+        let mut gpu_load = vec![0.25; 3];
+        s.localised_load_priorities_into(&mut priced, &mut gpu_load, &mut localised);
+        assert_eq!(bits(&localised), bits(&full), "at {now:?}");
+        assert!(priced.len() <= demands.len());
+        (full, priced.len())
+    }
+
+    #[test]
+    fn localised_pricing_matches_the_full_walk_over_random_queues_and_holders() {
+        use clockwork_sim::rng::SimRng;
+        // 24 models over 10 GPUs of room for four each, random holder lists
+        // (some models held nowhere), random SLO-less queues deep enough that
+        // a few GPUs go over the limit while most stay idle. Each round then
+        // walks the ways a pass can find the state moved between two reads:
+        // a queue grown, a GPU failed (its models unlisted, `holders_epoch`
+        // moved), a full pass with LOADs and evictions dispatched mid-pass
+        // (in debug builds every re-evaluation inside it is checked against
+        // the full walk too), and a cold rejection on record.
+        let mut rng = SimRng::seeded(24);
+        let mut sightings = [0usize; 6];
+        for round in 0..40u64 {
+            let mut s = ClockworkScheduler::with_defaults();
+            let mut gpus = Vec::new();
+            for w in 0..5 {
+                for g in 0..2 {
+                    let gpu = GpuRef {
+                        worker: WorkerId(w),
+                        gpu: GpuId(g),
+                    };
+                    s.add_gpu(gpu, 30, PAGE);
+                    gpus.push(gpu);
+                }
+            }
+            for m in 0..24 {
+                s.add_model(ModelId(m), resnet(), Nanos::from_millis_f64(8.33));
+            }
+            for m in 0..24 {
+                let copies = [0, 1, 1, 2, 3][rng.index(5)];
+                for _ in 0..copies {
+                    // Skewed towards the first GPUs, so some run hot.
+                    let span = 3 + rng.index(gpus.len() - 2);
+                    let gpu = gpus[rng.index(span)];
+                    let track = s.tracker.get(gpu).unwrap();
+                    if !track.has_or_loading(ModelId(m)) && track.free_pages >= 7 {
+                        warm(&mut s, gpu, m);
+                    }
+                }
+            }
+            let no_slo = |id: u64, model: u32| InferenceRequest {
+                slo: Nanos::MAX,
+                ..request(id, model, 0, 0)
+            };
+            let mut ctx = SchedulerCtx::new();
+            let mut next_id = 1_000 * round;
+            let mut enqueue_some = |s: &mut ClockworkScheduler, rng: &mut SimRng, most: usize| {
+                for _ in 0..1 + rng.index(most) {
+                    let model = rng.index(24) as u32;
+                    for _ in 0..1 + rng.index(240) {
+                        let request = no_slo(next_id, model);
+                        let pending = PendingRequest {
+                            deadline: request.deadline(),
+                            request,
+                            cold: false,
+                        };
+                        s.with_queue(request.model, |queues| queues.push_back(pending));
+                        next_id += 1;
+                    }
+                }
+            };
+            let now = Timestamp::from_millis(10);
+            let look = |s: &mut ClockworkScheduler, sightings: &mut [usize; 6]| {
+                let (priorities, priced) = assert_localised_pricing_is_the_full_walk(s, now);
+                let totals = s.ledger.totals();
+                let held_positive = priorities
+                    .iter()
+                    .any(|&(m, _)| !s.tracker.gpus_with_model(m).is_empty());
+                // A positive model with a holder over the limit and another
+                // that holds nothing else that waits.
+                let straddles = priorities.iter().any(|&(m, _)| {
+                    let holders = s.tracker.gpus_with_model(m);
+                    holders.iter().any(|g| totals.over_limit.contains(g))
+                        && holders.iter().any(|&g| totals.waiting[g] == [m])
+                });
+                sightings[0] += usize::from(!totals.unheld.is_empty());
+                sightings[1] += usize::from(held_positive);
+                sightings[2] += usize::from(straddles);
+                sightings[3] += usize::from(0 < priced && priced < s.queues.queued().len());
+            };
+            enqueue_some(&mut s, &mut rng, 12);
+            look(&mut s, &mut sightings);
+            enqueue_some(&mut s, &mut rng, 3);
+            look(&mut s, &mut sightings);
+            // A GPU fails between two reads.
+            let victim = gpus[rng.index(gpus.len())];
+            let epoch = s.tracker.holders_epoch();
+            let fault = FaultKind::GpuFail {
+                worker: victim.worker.0,
+                gpu: victim.gpu.0,
+            };
+            s.tracker.apply_fault(now, &fault);
+            if s.tracker.holders_epoch() != epoch {
+                assert!(!s.ledger.is_built_on(s.ledger_key()));
+                sightings[4] += 1;
+            }
+            look(&mut s, &mut sightings);
+            // LOADs (and the evictions that make room) dispatched mid-pass.
+            let loads = s.stats().load_actions;
+            s.run_full_pass(now, &mut ctx);
+            look(&mut s, &mut sightings);
+            sightings[5] += usize::from(s.stats().load_actions > loads + 1);
+            // A cold rejection on record: the pass takes the full walk, and
+            // its added demand shows in the priorities.
+            let cold = (0..24).find(|&m| s.tracker.gpus_with_model(ModelId(m)).is_empty());
+            if let Some(cold) = cold {
+                let history = s.cold_rejections.entry(ModelId(cold)).or_default();
+                history.push_back(now);
+                let (priorities, _) = assert_localised_pricing_is_the_full_walk(&mut s, now);
+                assert!(priorities.iter().any(|&(m, _)| m == ModelId(cold)));
+                s.run_full_pass(now, &mut ctx);
+            }
+            ctx.take_actions();
+            ctx.take_responses();
+        }
+        // Not vacuous: every case the walk must get right was met, and the
+        // localised walk usually priced a strict subset of what waits.
+        let [unheld, held_positive, straddles, subset, failed, mid_pass] = sightings;
+        assert!(unheld > 50 && held_positive > 50, "{sightings:?}");
+        assert!(straddles > 20 && subset > 40, "{sightings:?}");
+        assert!(failed > 20 && mid_pass > 10, "{sightings:?}");
     }
 
     #[test]
@@ -2198,16 +2491,10 @@ mod tests {
         // priority positive (and earns it a second replica); models 2 and 3
         // are demanded while cold. After every callback the ledger must equal
         // the re-estimated demands, and the emitted list must be, bit for
-        // bit, the positive prefix of the fully sorted priorities. Unlike the
-        // debug assertions inside the pass, this also runs in release builds.
-        fn check(s: &mut ClockworkScheduler, now: Timestamp) -> Vec<(ModelId, f64)> {
-            let (mut demands, mut gpu_load, mut priorities) = (Vec::new(), Vec::new(), Vec::new());
-            s.model_demands_into(now, &mut demands);
-            assert_eq!(demands, s.reference_demands(now), "at {now:?}");
-            s.load_priorities_into(&demands, &mut gpu_load, &mut priorities);
-            s.assert_priorities_match_oracle(&demands, &priorities);
-            priorities
-        }
+        // bit, the positive prefix of the fully sorted priorities — and what
+        // the localised walk prices off the waiting ledger. Unlike the debug
+        // assertions inside the pass, this also runs in release builds.
+        let check = assert_localised_pricing_is_the_full_walk;
         let mut s = ClockworkScheduler::with_defaults();
         s.add_gpu(gref(), 100, PAGE);
         for m in 1..=3 {
@@ -2232,7 +2519,7 @@ mod tests {
             };
             s.on_request(at, no_deadline(i, model, at), &mut ctx);
             pending.extend(ctx.take_actions());
-            let priorities = check(&mut s, at);
+            let (priorities, _) = check(&mut s, at);
             held_positive |= priorities
                 .iter()
                 .any(|&(m, _)| !s.tracker.gpus_with_model(m).is_empty());

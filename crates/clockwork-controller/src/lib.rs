@@ -18,10 +18,10 @@
 //! * `request_queues` (crate-private) — the per-model queues of admitted
 //!   requests with their deadline, urgency and count indices; the one owner
 //!   of every queued-request fact.
-//! * `waiting_ledger` (crate-private) — per GPU, the queued models it holds
-//!   and the LOAD demand they charge to it, kept up to date by the Clockwork
-//!   scheduler as queues and estimates move; both of its passes start from
-//!   it.
+//! * `waiting_ledger` (crate-private) — per GPU, the list of the queued
+//!   models it holds and the LOAD demand they charge to it, kept up to date
+//!   by the Clockwork scheduler as queues and estimates move; both of its
+//!   passes start from it and read their candidates off it.
 //! * [`scheduler`] — the `Scheduler` trait and the context that collects
 //!   what schedulers emit: responses directly, actions through the tracker.
 //! * [`registry`] — open registration of disciplines: `SchedulerFactory`

@@ -18,11 +18,13 @@ pub struct SchedProfile {
     /// Ticks answered by the early-out (clean horizon not reached).
     pub ticks_skipped: u64,
     /// (model, GPU) candidate pairs examined while placing INFERs: per slot
-    /// tried, the queued models the GPU holds. Only GPUs holding a queued
-    /// model are visited, and an unvisited GPU would have added zero, so
-    /// the count is that of a visit to the whole fleet. A pass that sends
-    /// no action skips its second INFER pass — a provable repeat of the
-    /// first — so its candidates count once.
+    /// tried, the queued models the GPU holds — the length of the GPU's
+    /// list on the ledger of waiting work, read, not computed by
+    /// intersecting its residency with the queued set. Only GPUs holding a
+    /// queued model are visited, and an unvisited GPU would have added
+    /// zero, so the count is that of a visit to the whole fleet. A pass
+    /// that sends no action skips its second INFER pass — a provable repeat
+    /// of the first — so its candidates count once.
     pub candidates_scanned: u64,
     /// Per-model strategy-queue rebuilds (cache misses on queue or profile
     /// epoch).
@@ -31,8 +33,12 @@ pub struct SchedProfile {
     /// waiting work proves priceless (every queued model held somewhere, no
     /// GPU charged beyond the priority horizon, no cold rejection on record)
     /// runs none. A priced pass runs one, plus one per residency-changing
-    /// dispatch. An evaluation prices every demanded model but keeps — and
-    /// sorts — only the positive priorities.
+    /// dispatch. An evaluation prices only the models that can come out
+    /// positive — those held nowhere and those waiting on a GPU charged
+    /// beyond the horizon — and sums the load of only the GPUs holding one
+    /// of them; while a cold rejection is on record it prices every
+    /// demanded model. Either way it keeps — and sorts — only the positive
+    /// priorities, and counts once.
     pub load_prio_recomputes: u64,
 }
 

@@ -20,7 +20,12 @@
 //! index — a model's *holders* — changes in exactly two places (`send_load`
 //! lists a GPU, `unlist_holder` takes one off), and each bumps
 //! [`WorkerStateTracker::holders_epoch`], so whatever a discipline sums over
-//! the holder lists knows when to rebuild without visiting them.
+//! the holder lists knows when to rebuild without visiting them. The
+//! executor free times have a derived index too — per executor, the GPUs
+//! claimed past the last horizon [`WorkerStateTracker::next_beyond`] was
+//! asked about — entered where a free time can rise and pruned by the query
+//! itself, so "which executor enters the lookahead next" costs the busy
+//! executors, not the fleet.
 //!
 //! **In-flight actions** are the same rule applied to what "workers only do
 //! what they are told" rests on: the tracker is the ledger of every action
@@ -34,6 +39,7 @@
 //! lost list. A request is therefore always in one of two places: the
 //! discipline's queue or this ledger.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use clockwork_model::{ModelId, ModelTable};
@@ -163,8 +169,10 @@ pub struct GpuTrack<R> {
     pub free_pages: u64,
     /// Page size in bytes.
     pub page_size: u64,
-    /// Models resident or loading here, in ascending `ModelId` order (the
-    /// order candidate scans visit them in).
+    /// Models resident or loading here, in ascending `ModelId` order: the
+    /// scheduler's candidate scan probes it once per queued model the GPU
+    /// holds (for `loading`), and eviction walks it side by side with
+    /// `last_used`.
     pub models: BTreeMap<ModelId, Residency>,
     /// Last time an INFER was scheduled per model (drives LRU eviction), in
     /// ascending `ModelId` order like `models`, so [`GpuTrack::lru_candidate`]
@@ -243,6 +251,70 @@ impl<R> GpuTrack<R> {
     }
 }
 
+/// The GPUs of one executor column that may be free only at or after a
+/// watermark — the short list [`WorkerStateTracker::next_beyond`] reads
+/// instead of scanning the fleet. Derived from the `free_at` column and
+/// never the owner of anything: *every live* GPU whose free time is at or
+/// past `watermark` is on `gpus` (once — `listed` is the membership flag).
+/// A GPU enters where a live GPU's free time can rise or a GPU comes back
+/// to life (`send`, `recover_gpu`); one whose free time has fallen below
+/// the watermark (`fail_gpu` resets it to the instant of the failure) or
+/// that died stays on the list, unread, until a query prunes it. A query
+/// at or above the watermark drops what is below its horizon and raises
+/// the watermark to it; a query below the watermark rebuilds the list from
+/// the column. It starts at [`Timestamp::MAX`] over nothing, so a
+/// discipline that never asks pays one comparison per send.
+#[derive(Clone, Debug)]
+struct BusyList {
+    watermark: Timestamp,
+    gpus: Vec<usize>,
+    listed: Vec<bool>,
+}
+
+impl Default for BusyList {
+    fn default() -> Self {
+        BusyList {
+            watermark: Timestamp::MAX,
+            gpus: Vec::new(),
+            listed: Vec::new(),
+        }
+    }
+}
+
+impl BusyList {
+    /// GPU `idx`'s free time is now `free_at`: lists it if that is at or
+    /// past the watermark and it is not listed yet.
+    fn note(&mut self, idx: usize, free_at: Timestamp) {
+        if free_at >= self.watermark && !self.listed[idx] {
+            self.listed[idx] = true;
+            self.gpus.push(idx);
+        }
+    }
+
+    /// Moves the watermark to `horizon` and leaves exactly the GPUs of
+    /// `column` at or past it candidates: pruned in place when the
+    /// watermark rises, rebuilt from the column when it falls.
+    fn settle(&mut self, column: &[Timestamp], horizon: Timestamp) {
+        let BusyList {
+            watermark,
+            gpus,
+            listed,
+        } = self;
+        if horizon < *watermark {
+            gpus.clear();
+            gpus.extend((0..column.len()).filter(|&idx| column[idx] >= horizon));
+            listed.clear();
+            listed.extend(column.iter().map(|&free_at| free_at >= horizon));
+        } else {
+            gpus.retain(|&idx| {
+                listed[idx] = column[idx] >= horizon;
+                listed[idx]
+            });
+        }
+        *watermark = horizon;
+    }
+}
+
 /// The controller's view of every GPU in the cluster: the only owner of
 /// per-GPU state and the ledger of in-flight actions (see the module docs).
 /// `R` is what a discipline lets ride on an INFER.
@@ -252,8 +324,14 @@ pub struct WorkerStateTracker<R> {
     index: HashMap<GpuRef, usize>,
     /// Estimated time each GPU's executors are next free, as dense columns
     /// (`[Executor::Infer, Executor::Load]`, each by registration index) so
-    /// the readiness queries are a linear scan over `u64`s.
+    /// the per-GPU readiness queries are an index and the fleet-wide ones a
+    /// linear scan over `u64`s. Changes only in `send`, `fail_gpu` and
+    /// `recover_gpu`.
     free_at: [Vec<Timestamp>; 2],
+    /// Per executor, the GPUs that may be busy past a watermark: what
+    /// [`Self::next_beyond`] reads instead of the column — and prunes, from
+    /// behind `&self`, hence the cell.
+    busy: [RefCell<BusyList>; 2],
     /// GPUs (by registration index, ascending) on which each model is
     /// resident or loading: the inverse of [`GpuTrack::models`], dense by
     /// model id (the LOAD-priority pass looks it up per demanded model).
@@ -284,6 +362,7 @@ impl<R> Default for WorkerStateTracker<R> {
             gpus: Vec::new(),
             index: HashMap::new(),
             free_at: Default::default(),
+            busy: Default::default(),
             holders: ModelTable::default(),
             holders_epoch: 0,
             outstanding_loads: 0,
@@ -307,8 +386,11 @@ impl<R> WorkerStateTracker<R> {
         self.gpus
             .push(GpuTrack::new(gpu_ref, total_pages, page_size));
         self.live.push(gpu_ref);
-        for column in &mut self.free_at {
+        for (column, busy) in self.free_at.iter_mut().zip(&mut self.busy) {
             column.push(Timestamp::ZERO);
+            let busy = busy.get_mut();
+            busy.listed.push(false);
+            busy.note(column.len() - 1, Timestamp::ZERO);
         }
     }
 
@@ -406,8 +488,28 @@ impl<R> WorkerStateTracker<R> {
 
     /// The earliest executor free time at or after `horizon` among live
     /// GPUs: the next instant at which pure time passage makes a currently
-    /// non-actionable GPU actionable.
+    /// non-actionable GPU actionable. Read off the executor's busy list
+    /// (see `BusyList`), so the cost is the GPUs claimed past the last
+    /// horizon asked about, not the fleet — a scheduler asks at `now` plus
+    /// its lookahead, which only rises, and almost every executor is free
+    /// before that. Any horizon gets the answer of the filter-and-minimum
+    /// over the whole column (asserted in debug builds); one below the last
+    /// rebuilds the list first.
     pub fn next_beyond(&self, executor: Executor, horizon: Timestamp) -> Option<Timestamp> {
+        let free_at = &self.free_at[executor as usize];
+        let mut busy = self.busy[executor as usize].borrow_mut();
+        busy.settle(free_at, horizon);
+        let live = busy.gpus.iter().filter(|&&idx| self.gpus[idx].alive);
+        let next = live.map(|&idx| free_at[idx]).min();
+        #[cfg(debug_assertions)]
+        assert_eq!(next, self.reference_next_beyond(executor, horizon));
+        next
+    }
+
+    /// [`Self::next_beyond`] the slow way, the oracle it is checked against:
+    /// filter the whole column, take the minimum.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_next_beyond(&self, executor: Executor, horizon: Timestamp) -> Option<Timestamp> {
         let free_at = &self.free_at[executor as usize];
         (0..free_at.len())
             .filter(|&i| free_at[i] >= horizon && self.gpus[i].alive)
@@ -502,6 +604,7 @@ impl<R> WorkerStateTracker<R> {
         let expected_completion = at.start + at.duration;
         let free_at = &mut self.free_at[executor as usize][idx];
         *free_at = (*free_at).max(expected_completion);
+        self.busy[executor as usize].get_mut().note(idx, *free_at);
         self.gpus[idx].outstanding.insert(
             id,
             OutstandingAction {
@@ -710,8 +813,9 @@ impl<R> WorkerStateTracker<R> {
             self.gpus[idx].alive = true;
             let pos = self.live.partition_point(|g| self.index[g] < idx);
             self.live.insert(pos, self.gpus[idx].gpu_ref);
-            for column in &mut self.free_at {
+            for (column, busy) in self.free_at.iter_mut().zip(&mut self.busy) {
                 column[idx] = column[idx].max(now);
+                busy.get_mut().note(idx, column[idx]);
             }
         }
     }
@@ -1146,6 +1250,172 @@ mod tests {
             Tracker::new().next_beyond(Executor::Infer, Timestamp::ZERO),
             None
         );
+    }
+
+    #[test]
+    fn the_busy_list_holds_what_is_claimed_past_the_last_horizon_asked() {
+        let mut t = Tracker::new();
+        let mut ctx = SchedulerCtx::new();
+        for g in 0..4 {
+            t.add_gpu(gref(g, 0), 10, PAGE);
+        }
+        let busy = |t: &Tracker| {
+            let list = t.busy[Executor::Infer as usize].borrow();
+            let mut gpus = list.gpus.clone();
+            gpus.sort_unstable();
+            (list.watermark, gpus)
+        };
+        // Nobody has asked: nothing is listed, whatever is sent.
+        infer_for(&mut t, &mut ctx, gref(0, 0), 1, 0, 50);
+        assert_eq!(busy(&t), (Timestamp::MAX, vec![]));
+        // The first query builds the list from the column.
+        assert_eq!(t.next_beyond(Executor::Infer, ms(10)), Some(ms(50)));
+        assert_eq!(busy(&t), (ms(10), vec![0]));
+        // A send past the watermark enters its GPU, once; one below it
+        // does not.
+        infer_for(&mut t, &mut ctx, gref(1, 0), 1, 0, 30);
+        infer_for(&mut t, &mut ctx, gref(1, 0), 1, 30, 10);
+        infer_for(&mut t, &mut ctx, gref(2, 0), 1, 0, 5);
+        assert_eq!(busy(&t), (ms(10), vec![0, 1]));
+        // A rising horizon prunes what it passes...
+        assert_eq!(t.next_beyond(Executor::Infer, ms(45)), Some(ms(50)));
+        assert_eq!(busy(&t), (ms(45), vec![0]));
+        // ...and a pruned GPU re-enters with its next claim.
+        infer_for(&mut t, &mut ctx, gref(1, 0), 1, 40, 20);
+        assert_eq!(busy(&t), (ms(45), vec![0, 1]));
+        // A dead GPU stays listed, unread, until a query passes the instant
+        // it failed at; recovering re-enters it at the recovery instant.
+        t.apply_fault(ms(46), &FaultKind::GpuFail { worker: 0, gpu: 0 });
+        assert_eq!(t.next_beyond(Executor::Infer, ms(45)), Some(ms(60)));
+        assert_eq!(t.next_beyond(Executor::Infer, ms(47)), Some(ms(60)));
+        assert_eq!(busy(&t), (ms(47), vec![1]));
+        t.apply_fault(ms(48), &FaultKind::GpuRecover { worker: 0, gpu: 0 });
+        assert_eq!(busy(&t), (ms(47), vec![0, 1]));
+        assert_eq!(t.next_beyond(Executor::Infer, ms(47)), Some(ms(48)));
+        // A falling horizon rebuilds: GPU 2's 5 ms claim is back in view.
+        assert_eq!(t.next_beyond(Executor::Infer, ms(1)), Some(ms(5)));
+        assert_eq!(busy(&t), (ms(1), vec![0, 1, 2]));
+        // The LOAD column has a list of its own.
+        assert_eq!(t.busy[Executor::Load as usize].borrow().gpus, [0; 0]);
+    }
+
+    mod busy_list {
+        use super::*;
+        use proptest::prelude::*;
+
+        const GPUS: u32 = 6;
+
+        #[derive(Clone, Copy, Debug)]
+        enum Op {
+            Send {
+                gpu: u32,
+                load: bool,
+                start_ms: u64,
+                dur_ms: u64,
+            },
+            Fault(FaultKind),
+            Ask {
+                load: bool,
+                horizon_ms: u64,
+            },
+            Advance(u64),
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            // Three workers of two GPUs.
+            let gpu = || 0..GPUS;
+            let send = |load| {
+                (gpu(), 0u64..40, 1u64..30).prop_map(move |(gpu, start_ms, dur_ms)| Op::Send {
+                    gpu,
+                    load,
+                    start_ms,
+                    dur_ms,
+                })
+            };
+            prop_oneof![
+                send(false),
+                send(false),
+                send(true),
+                (any::<bool>(), 0u64..80)
+                    .prop_map(|(load, horizon_ms)| Op::Ask { load, horizon_ms }),
+                (any::<bool>(), 0u64..80)
+                    .prop_map(|(load, horizon_ms)| Op::Ask { load, horizon_ms }),
+                (0u64..6).prop_map(Op::Advance),
+                gpu().prop_map(|g| Op::Fault(FaultKind::GpuFail {
+                    worker: g / 2,
+                    gpu: g % 2
+                })),
+                gpu().prop_map(|g| Op::Fault(FaultKind::GpuRecover {
+                    worker: g / 2,
+                    gpu: g % 2
+                })),
+                (0..GPUS / 2).prop_map(|worker| Op::Fault(FaultKind::WorkerCrash { worker })),
+                (0..GPUS / 2).prop_map(|worker| Op::Fault(FaultKind::WorkerRestart { worker })),
+            ]
+        }
+
+        proptest! {
+            /// `next_beyond` is the filter-and-minimum over the column at
+            /// every horizon — asked in any order, rising (the pruning
+            /// path) and falling (the rebuild) — under sends on both
+            /// executors, failures and recoveries; and after every
+            /// operation the list still holds every live GPU at or past its
+            /// watermark, each once.
+            #[test]
+            fn next_beyond_is_the_filter_min_at_rising_and_falling_horizons(
+                ops in proptest::collection::vec(op(), 0..150),
+            ) {
+                let mut t = Tracker::new();
+                let mut ctx = SchedulerCtx::new();
+                let mut now = 0;
+                for op in ops {
+                    // A GPU joins mid-run, free at zero.
+                    if t.len() < GPUS as usize {
+                        t.add_gpu(gref(t.len() as u32 / 2, t.len() as u32 % 2), 10, PAGE);
+                    }
+                    let known = |gpu: u32| (gpu as usize) < t.len();
+                    match op {
+                        Op::Send { gpu, load, start_ms, dur_ms } if known(gpu) => {
+                            let gpu = gref(gpu / 2, gpu % 2);
+                            let at = Placement::unbounded(
+                                gpu,
+                                ms(now + start_ms),
+                                Nanos::from_millis(dur_ms),
+                            );
+                            if load {
+                                t.send_load(&mut ctx, at, ModelId(1), PAGE);
+                            } else {
+                                t.send_infer(&mut ctx, at, ModelId(1), 1, vec![], 0);
+                            }
+                        }
+                        Op::Send { .. } => {}
+                        Op::Fault(fault) => {
+                            t.apply_fault(ms(now), &fault);
+                        }
+                        Op::Advance(by_ms) => now += by_ms,
+                        Op::Ask { load, horizon_ms } => {
+                            let executor = if load { Executor::Load } else { Executor::Infer };
+                            let horizon = ms(now + horizon_ms);
+                            prop_assert_eq!(
+                                t.next_beyond(executor, horizon),
+                                t.reference_next_beyond(executor, horizon)
+                            );
+                        }
+                    }
+                    ctx.take_actions();
+                    for executor in [Executor::Infer, Executor::Load] {
+                        let busy = t.busy[executor as usize].borrow();
+                        let column = &t.free_at[executor as usize];
+                        for (idx, track) in t.gpus().iter().enumerate() {
+                            let times = busy.gpus.iter().filter(|&&g| g == idx).count();
+                            prop_assert_eq!(times, usize::from(busy.listed[idx]));
+                            let past = column[idx] >= busy.watermark && track.alive;
+                            prop_assert!(!past || busy.listed[idx], "GPU {} unlisted", idx);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
