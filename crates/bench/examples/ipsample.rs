@@ -3,14 +3,22 @@
 //! instruction pointer, then the return addresses up the frame-pointer
 //! chain, in hex. The command must be built with frame pointers and at
 //! fixed addresses; `crates/bench/README.md` ("Profiling without perf") has
-//! the build line and how to symbolise the output.
+//! the build line.
 //!
 //! ```text
 //! cargo run --release -p bench --example ipsample -- <interval-us> <out> <command> [args...]
+//! cargo run --release -p bench --example ipsample -- report <binary> <samples> [root] [top]
 //! ```
 //!
 //! Only the command's main thread is sampled, and a sample costs it a stop,
 //! so shares are trustworthy and absolute times are not.
+//!
+//! `report` symbolises a sample file against the binary that produced it
+//! (`nm -C -n`: each address belongs to the last symbol at or below it),
+//! keeps the samples with a `root` frame on the stack (default
+//! `run_until_events`: the loop, not set-up or the report), and prints the
+//! `top` (default 25) functions by inclusive share — counted once per
+//! sample — and by self share, the sampled instruction's function.
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
@@ -93,8 +101,15 @@ mod sampler {
 
     pub fn main() -> Result<(), String> {
         let args: Vec<String> = std::env::args().skip(1).collect();
+        if let [mode, rest @ ..] = args.as_slice() {
+            if mode == "report" {
+                return report::main(rest);
+            }
+        }
         let [interval_us, out, command, rest @ ..] = args.as_slice() else {
-            return Err("usage: ipsample <interval-us> <out> <command> [args...]".into());
+            return Err("usage: ipsample <interval-us> <out> <command> [args...] \
+                        | report <binary> <samples> [root] [top]"
+                .into());
         };
         let interval = Duration::from_micros(interval_us.parse().map_err(|e| format!("{e}"))?);
         let out = std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?;
@@ -130,6 +145,106 @@ mod sampler {
         out.flush().map_err(|e| e.to_string())?;
         eprintln!("ipsample: {samples} samples");
         Ok(())
+    }
+
+    /// `ipsample report`: a sample file, symbolised and summed.
+    mod report {
+        use std::collections::HashMap;
+        use std::process::Command;
+
+        /// The binary's sized function symbols, ascending by address: start,
+        /// end and name. (The unsized ones are a few start-up stubs.)
+        fn symbols(binary: &str) -> Result<Vec<(u64, u64, String)>, String> {
+            let nm = Command::new("nm").args(["-C", "-n", "-S", binary]).output();
+            let nm = nm.map_err(|e| format!("nm: {e}"))?;
+            if !nm.status.success() {
+                let why = String::from_utf8_lossy(&nm.stderr);
+                return Err(format!("nm {binary}: {}", why.trim()));
+            }
+            let hex = |field: &str| u64::from_str_radix(field, 16).ok();
+            let mut symbols = Vec::new();
+            for line in String::from_utf8_lossy(&nm.stdout).lines() {
+                let mut fields = line.splitn(4, ' ');
+                let (Some(start), Some(size)) = (fields.next(), fields.next()) else {
+                    continue;
+                };
+                if let (Some(start), Some(size), Some("T" | "t" | "W" | "w"), Some(name)) =
+                    (hex(start), hex(size), fields.next(), fields.next())
+                {
+                    symbols.push((start, start + size, without_hash(name).to_string()));
+                }
+            }
+            Ok(symbols)
+        }
+
+        /// A Rust symbol without its `::h<16 hex digits>` suffix, so the
+        /// copies of one function in different crates read as one.
+        fn without_hash(name: &str) -> &str {
+            match name.rsplit_once("::h") {
+                Some((head, hash))
+                    if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) =>
+                {
+                    head
+                }
+                _ => name,
+            }
+        }
+
+        pub fn main(args: &[String]) -> Result<(), String> {
+            let [binary, samples, rest @ ..] = args else {
+                return Err("usage: ipsample report <binary> <samples> [root] [top]".into());
+            };
+            let root = rest.first().map_or("run_until_events", String::as_str);
+            let top = rest.get(1).map_or(Ok(25), |n| n.parse::<usize>());
+            let top = top.map_err(|e| format!("top: {e}"))?;
+            let symbols = symbols(binary)?;
+            // Past the end of the symbol below it: a shared library's code
+            // (libc's `memcpy`, say), not the binary's.
+            let name_of = |addr: u64| {
+                let above = symbols.partition_point(|&(start, _, _)| start <= addr);
+                match above.checked_sub(1).map(|i| &symbols[i]) {
+                    Some((_, end, name)) if addr < *end => name.as_str(),
+                    _ => "[outside the binary]",
+                }
+            };
+            let samples =
+                std::fs::read_to_string(samples).map_err(|e| format!("{samples}: {e}"))?;
+            let (mut total, mut kept) = (0usize, 0usize);
+            let mut inclusive: HashMap<&str, usize> = HashMap::new();
+            let mut own: HashMap<&str, usize> = HashMap::new();
+            for line in samples.lines() {
+                total += 1;
+                // A return address is one past its call: step back into it.
+                let hex = line.split_whitespace().enumerate();
+                let mut frames: Vec<&str> = hex
+                    .filter_map(|(depth, hex)| {
+                        let addr = u64::from_str_radix(hex, 16).ok()?;
+                        Some(name_of(addr.saturating_sub(u64::from(depth > 0))))
+                    })
+                    .collect();
+                if !frames.iter().any(|frame| frame.contains(root)) {
+                    continue;
+                }
+                kept += 1;
+                *own.entry(frames[0]).or_default() += 1;
+                frames.sort_unstable();
+                frames.dedup();
+                for frame in frames {
+                    *inclusive.entry(frame).or_default() += 1;
+                }
+            }
+            println!("{kept} of {total} samples have `{root}` on the stack");
+            for (share, counts) in [("inclusive", &inclusive), ("self", &own)] {
+                let mut rows: Vec<(&str, usize)> = counts.iter().map(|(&f, &n)| (f, n)).collect();
+                rows.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+                println!("\n{share:>9}  function");
+                for (function, n) in rows.into_iter().take(top) {
+                    let percent = 100.0 * n as f64 / kept.max(1) as f64;
+                    println!("{percent:>7.1} %  {function}");
+                }
+            }
+            Ok(())
+        }
     }
 }
 

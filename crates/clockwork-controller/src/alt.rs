@@ -81,8 +81,9 @@ impl FifoScheduler {
             self.next_gpu = self.next_gpu.wrapping_add(1);
             let exec_est = spec.exec_latency(1).unwrap_or(Nanos::from_millis(10));
             // Load on demand if the GPU does not already hold the model,
-            // evicting LRU models until the load fits (and loading anyway,
-            // over-reserving, when nothing is left to evict).
+            // evicting LRU models until the load fits (and loading anyway
+            // when nothing is left to evict: the tracker then reserves only
+            // the pages that are free).
             let needs_load = !self
                 .tracker
                 .get(gpu_ref)

@@ -61,7 +61,7 @@
 //! Appendix B puts a model's strategies only on the GPUs where it is loaded —
 //! and reads each one's candidates off its list, so an idle GPU holding
 //! nothing that waits is never looked at, no queued model's holder list is
-//! walked and no residency map is intersected with the queued set. The LOAD
+//! walked and no residency table is intersected with the queued set. The LOAD
 //! pass prices nothing unless a queued model has no holder, some GPU is
 //! charged beyond the priority horizon or a cold rejection is on record
 //! (otherwise no priority can be positive), nor unless some LOAD executor is
@@ -652,8 +652,8 @@ impl ClockworkScheduler {
             .actionable_into(Executor::Infer, horizon, &mut actionable);
         let queued = self.queues.queued();
         actionable.retain(|&idx| {
-            let held = &self.tracker.gpus()[idx].models;
-            held.keys().any(|m| queued.contains(m))
+            let mut held = self.tracker.gpus()[idx].held();
+            held.any(|(m, _)| queued.contains(&m))
         });
         actionable
     }
@@ -661,17 +661,19 @@ impl ClockworkScheduler {
     /// The INFER candidates on GPU `gpu_idx` — `(model, whether its LOAD
     /// here is still outstanding)`, ascending — computed the way they were
     /// before the ledger kept them, the oracle its `waiting` list is checked
-    /// against: the queued set intersected with the GPU's residency map,
+    /// against: the queued set intersected with the GPU's residency table,
     /// walking the smaller of the two.
     #[cfg(any(test, debug_assertions))]
     fn reference_candidates(&self, gpu_idx: usize) -> Vec<(ModelId, bool)> {
         let queued = self.queues.queued();
-        let avail = &self.tracker.gpus()[gpu_idx].models;
-        if avail.len() <= queued.len() {
-            let held = avail.iter().filter(|(m, _)| queued.contains(m));
-            held.map(|(&m, held)| (m, held.loading)).collect()
+        let track = &self.tracker.gpus()[gpu_idx];
+        if track.table().len() <= queued.len() {
+            let held = track.held().filter(|(m, _)| queued.contains(m));
+            held.map(|(m, held)| (m, held.loading)).collect()
         } else {
-            let held = queued.iter().filter_map(|&m| Some((m, avail.get(&m)?)));
+            let held = queued
+                .iter()
+                .filter_map(|&m| Some((m, track.residency(m)?)));
             held.map(|(m, held)| (m, held.loading)).collect()
         }
     }
@@ -716,9 +718,10 @@ impl ClockworkScheduler {
                 // here — the ledger's list for this GPU, ascending, kept in
                 // step by the dispatches of this very loop.
                 candidates.clear();
-                let avail = &self.tracker.gpus()[gpu_idx].models;
+                let track = &self.tracker.gpus()[gpu_idx];
                 let waiting = self.ledger.waiting(gpu_idx);
-                candidates.extend(waiting.iter().map(|&m| (m, avail[&m].loading)));
+                let loading = |m| track.residency(m).expect("a waiting model is held").loading;
+                candidates.extend(waiting.iter().map(|&m| (m, loading(m))));
                 #[cfg(debug_assertions)]
                 assert_eq!(
                     candidates,
@@ -2156,9 +2159,10 @@ mod tests {
             // What each pass reads is what it used to compute: the INFER
             // candidates per listed GPU, and the priced LOAD priorities.
             for &gpu_idx in s.ledger.listed() {
-                let avail = &s.tracker.gpus()[gpu_idx].models;
+                let track = &s.tracker.gpus()[gpu_idx];
                 let waiting = s.ledger.waiting(gpu_idx).iter();
-                let candidates: Vec<_> = waiting.map(|&m| (m, avail[&m].loading)).collect();
+                let loading = |m| track.residency(m).expect("a waiting model is held").loading;
+                let candidates: Vec<_> = waiting.map(|&m| (m, loading(m))).collect();
                 assert_eq!(candidates, s.reference_candidates(gpu_idx), "at {now:?}");
             }
             assert_localised_pricing_is_the_full_walk(s, now);
@@ -2927,7 +2931,7 @@ mod tests {
         assert!(ctx.take_responses().is_empty());
         let track = s.tracker.get(gref()).unwrap();
         assert!(!track.alive);
-        assert!(track.models.is_empty());
+        assert!(track.table().is_empty());
         assert_eq!(track.free_pages, track.total_pages, "reservations returned");
         // While the fleet is dead, no actions are issued even on a tick.
         let _ = ctx.take_actions();

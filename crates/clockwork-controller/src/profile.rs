@@ -8,6 +8,10 @@
 //! type, model and batch size, and predicts with a rolling 99th percentile so
 //! it errs on the side of slight over-prediction (Fig. 9 shows the resulting
 //! asymmetry).
+//!
+//! Estimates are read far more often than measurements arrive, so each key
+//! stores its current estimate and rewrites it when a seed or a measurement
+//! changes it; a read never touches the window.
 
 use serde::{Deserialize, Serialize};
 
@@ -56,11 +60,14 @@ impl ProfileKey {
     }
 }
 
-/// One key's seed and rolling window. The window is boxed: most keys of a
-/// large zoo are seeded but never measured.
+/// One key's current estimate and rolling window. The estimate is the
+/// seed until the first measurement and the window's percentile from then
+/// on, written when either changes so that a read — many per scheduling
+/// pass — is one field. The window is boxed: most keys of a large zoo are
+/// seeded but never measured.
 #[derive(Clone, Debug, Default)]
 struct Profile {
-    seed: Option<Nanos>,
+    estimate: Option<Nanos>,
     window: Option<Box<OrderStatWindow>>,
 }
 
@@ -140,19 +147,25 @@ impl ActionProfiler {
     }
 
     /// Installs a seed estimate for a key (from offline profiling or the
-    /// compiled latency table). Overwrites any previous seed.
+    /// compiled latency table). Overwrites any previous seed; once the key
+    /// has measurements they outrank every seed, so it changes nothing.
     pub fn seed(&mut self, key: ProfileKey, estimate: Nanos) {
-        self.touch(key).seed = Some(estimate);
+        let profile = self.touch(key);
+        if profile.window.is_none() {
+            profile.estimate = Some(estimate);
+        }
     }
 
     /// Records a measured duration reported by a worker.
     pub fn record(&mut self, key: ProfileKey, measured: Nanos) {
         self.measurements += 1;
-        let window_size = self.window_size;
-        self.touch(key)
+        let (window_size, percentile) = (self.window_size, self.percentile);
+        let profile = self.touch(key);
+        let window = profile
             .window
-            .get_or_insert_with(|| Box::new(OrderStatWindow::new(window_size)))
-            .push(measured);
+            .get_or_insert_with(|| Box::new(OrderStatWindow::new(window_size)));
+        window.push(measured);
+        profile.estimate = window.percentile(percentile);
     }
 
     /// The profile behind `key`, created if new, with the global and the
@@ -167,12 +180,7 @@ impl ActionProfiler {
     /// The current estimate for a key: the rolling percentile if measurements
     /// exist, otherwise the seed, otherwise `None`.
     pub fn estimate(&self, key: ProfileKey) -> Option<Nanos> {
-        let profile = self.models.get(key.model)?.get(key)?;
-        profile
-            .window
-            .as_ref()
-            .and_then(|w| w.percentile(self.percentile))
-            .or(profile.seed)
+        self.models.get(key.model)?.get(key)?.estimate
     }
 
     /// Like [`estimate`](Self::estimate) but falls back to a caller-provided
@@ -280,5 +288,80 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn zero_window_panics() {
         let _ = ActionProfiler::with_params(0, 99.0);
+    }
+
+    #[test]
+    fn a_seed_after_measurements_changes_no_estimate_but_moves_the_epochs() {
+        let mut p = ActionProfiler::new();
+        let key = ProfileKey::exec(ModelId(4), 2);
+        p.record(key, Nanos::from_millis(6));
+        let epochs = (p.epoch(), p.model_epoch(ModelId(4)));
+        p.seed(key, Nanos::from_millis(1));
+        assert_eq!(p.estimate(key), Some(Nanos::from_millis(6)));
+        assert_eq!(
+            (p.epoch(), p.model_epoch(ModelId(4))),
+            (epochs.0 + 1, epochs.1 + 1)
+        );
+    }
+
+    /// The stored estimate against the one PR 24 derived on every read:
+    /// the percentile of the window, recomputed from the raw measurements,
+    /// or else the last seed.
+    mod recomputed {
+        use super::*;
+        use clockwork_metrics::percentile::percentile_nanos;
+        use proptest::prelude::*;
+
+        #[derive(Clone, Copy, Debug)]
+        enum Op {
+            Seed { key: usize, ms: u64 },
+            Record { key: usize, us: u64 },
+        }
+
+        fn keys() -> [ProfileKey; 4] {
+            [
+                ProfileKey::load(ModelId(0)),
+                ProfileKey::exec(ModelId(0), 1),
+                ProfileKey::exec(ModelId(0), 8),
+                ProfileKey::load(ModelId(3)),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn estimate_is_the_window_percentile_or_else_the_seed(
+                window in 1usize..12,
+                percentile in 0.0f64..100.0,
+                ops in proptest::collection::vec(
+                    prop_oneof![
+                        (0usize..4, 1u64..50).prop_map(|(key, ms)| Op::Seed { key, ms }),
+                        (0usize..4, 1u64..50_000).prop_map(|(key, us)| Op::Record { key, us }),
+                        (0usize..4, 1u64..50_000).prop_map(|(key, us)| Op::Record { key, us }),
+                    ],
+                    0..120,
+                ),
+            ) {
+                let mut p = ActionProfiler::with_params(window, percentile);
+                let mut seeds: [Option<Nanos>; 4] = [None; 4];
+                let mut measured: [Vec<Nanos>; 4] = Default::default();
+                for op in ops {
+                    match op {
+                        Op::Seed { key, ms } => {
+                            p.seed(keys()[key], Nanos::from_millis(ms));
+                            seeds[key] = Some(Nanos::from_millis(ms));
+                        }
+                        Op::Record { key, us } => {
+                            p.record(keys()[key], Nanos::from_micros(us));
+                            measured[key].push(Nanos::from_micros(us));
+                        }
+                    }
+                    for (key, profile_key) in keys().into_iter().enumerate() {
+                        let recent = &measured[key][measured[key].len().saturating_sub(window)..];
+                        let expected = percentile_nanos(recent, percentile).or(seeds[key]);
+                        prop_assert_eq!(p.estimate(profile_key), expected);
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,6 +9,14 @@
 //! the action profiles this is enough to predict when any candidate action
 //! would complete.
 //!
+//! A GPU's memory state is one table ([`GpuTrack::table`]): one row per
+//! model the GPU has stamped, ascending by id, carrying the model's LRU stamp
+//! and, while it holds pages there, its [`Residency`]. A look-up is a binary
+//! search and choosing an UNLOAD victim ([`GpuTrack::lru_candidate`]) is one
+//! walk of contiguous memory. Page accounting is exact: a residency records
+//! the pages its LOAD took from the free count, and whatever drops or
+//! replaces it returns exactly those.
+//!
 //! **Ownership rule:** every per-GPU fact lives here; schedulers hold policy
 //! state only. Residency (per GPU and, inverted, per model), page
 //! reservations, executor free times, liveness and the worker-down set all
@@ -40,7 +48,7 @@
 //! discipline's queue or this ledger.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use clockwork_model::{ModelId, ModelTable};
 use clockwork_sim::engine::FaultKind;
@@ -142,10 +150,26 @@ pub enum Resolved<R> {
 /// One model's claim on a GPU's weights cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Residency {
-    /// Pages reserved for the model's weights.
+    /// Pages reserved for the model's weights: exactly what its LOAD took
+    /// from the GPU's free pages, and what dropping it gives back.
     pub pages: u64,
     /// Whether the LOAD is still outstanding (false = confirmed resident).
     pub loading: bool,
+}
+
+/// One row of a GPU's residency table: a model the GPU has stamped, with
+/// its LRU stamp and, while it holds pages here, its residency. A stamp can
+/// outlive its residency — a failed LOAD keeps it — but never the other way
+/// round: every LOAD stamps the model if it is not stamped yet.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stamped {
+    /// The model.
+    pub model: ModelId,
+    /// When the last INFER of it was scheduled here (or its first LOAD,
+    /// if no INFER has been): what LRU eviction orders by.
+    pub stamp: Timestamp,
+    /// Its claim on the weights cache, if any.
+    pub residency: Option<Residency>,
 }
 
 /// Which of a GPU's two executors a readiness query is about.
@@ -169,16 +193,12 @@ pub struct GpuTrack<R> {
     pub free_pages: u64,
     /// Page size in bytes.
     pub page_size: u64,
-    /// Models resident or loading here, in ascending `ModelId` order: the
-    /// scheduler's candidate scan probes it once per queued model the GPU
-    /// holds (for `loading`), and eviction walks it side by side with
-    /// `last_used`.
-    pub models: BTreeMap<ModelId, Residency>,
-    /// Last time an INFER was scheduled per model (drives LRU eviction), in
-    /// ascending `ModelId` order like `models`, so [`GpuTrack::lru_candidate`]
-    /// reads the two side by side. A stamp can outlive its residency (a
-    /// failed LOAD keeps it), so its keys are not a subset of `models`'.
-    pub last_used: BTreeMap<ModelId, Timestamp>,
+    /// The residency table: every stamped model, in ascending `ModelId`
+    /// order, with its LRU stamp and residency side by side — a look-up is
+    /// a binary search, and eviction one walk of contiguous memory. Read
+    /// through [`GpuTrack::residency`], [`GpuTrack::stamp`] and
+    /// [`GpuTrack::table`].
+    table: Vec<Stamped>,
     /// Outstanding actions on this GPU, each INFER with its riders.
     pub outstanding: HashMap<ActionId, OutstandingAction<R>>,
     /// Whether the GPU (and its worker) is up. Dead GPUs receive no work.
@@ -192,22 +212,49 @@ impl<R> GpuTrack<R> {
             total_pages,
             free_pages: total_pages,
             page_size,
-            models: BTreeMap::new(),
-            last_used: BTreeMap::new(),
+            table: Vec::new(),
             outstanding: HashMap::new(),
             alive: true,
         }
     }
 
+    /// Where `model`'s row is in the table, or where it would go.
+    fn find(&self, model: ModelId) -> Result<usize, usize> {
+        self.table.binary_search_by_key(&model, |entry| entry.model)
+    }
+
+    /// The model's claim on this GPU's weights cache, if it has one.
+    pub fn residency(&self, model: ModelId) -> Option<Residency> {
+        self.table[self.find(model).ok()?].residency
+    }
+
+    /// The model's LRU stamp here, if it has one — a model that no longer
+    /// holds pages may (see [`Stamped`]).
+    pub fn stamp(&self, model: ModelId) -> Option<Timestamp> {
+        Some(self.table[self.find(model).ok()?].stamp)
+    }
+
+    /// The residency table: every stamped model, ascending by id.
+    pub fn table(&self) -> &[Stamped] {
+        &self.table
+    }
+
+    /// The models resident or loading here, ascending by id, with their
+    /// claims.
+    pub fn held(&self) -> impl Iterator<Item = (ModelId, Residency)> + '_ {
+        let held = |entry: &Stamped| Some((entry.model, entry.residency?));
+        self.table.iter().filter_map(held)
+    }
+
     /// Whether a model is usable for INFER scheduling on this GPU (resident,
     /// or a LOAD is already on its way).
     pub fn has_or_loading(&self, model: ModelId) -> bool {
-        self.models.contains_key(&model)
+        self.residency(model).is_some()
     }
 
     /// Whether the model is confirmed resident.
     pub fn is_resident(&self, model: ModelId) -> bool {
-        self.models.get(&model).is_some_and(|r| !r.loading)
+        self.residency(model).is_some_and(|r| !r.loading)
     }
 
     /// Number of pages a weights blob of `bytes` needs on this GPU.
@@ -219,22 +266,18 @@ impl<R> GpuTrack<R> {
     }
 
     /// The least-recently-used resident model that `protect` does not hold
-    /// back: the minimum `(last_used, id)`, a model never stamped counting
-    /// as used at time zero. One walk over `models` merge-joined with
-    /// `last_used` — a stamp whose model is no longer held is stepped over
-    /// — and `protect` is asked only about a model that would otherwise
-    /// become the minimum so far, which on a full cache is a handful of the
-    /// residents.
+    /// back: the minimum `(stamp, id)`. One walk of the table, in id order —
+    /// a row without a residency is stepped over — and `protect` is asked
+    /// only about a model that would otherwise become the minimum so far,
+    /// which on a full cache is a handful of the residents.
     pub fn lru_candidate(&self, protect: impl Fn(ModelId) -> bool) -> Option<ModelId> {
-        let mut stamps = self.last_used.iter().peekable();
         let mut best: Option<(Timestamp, ModelId)> = None;
-        for (&model, held) in &self.models {
-            while stamps.next_if(|&(&stamped, _)| stamped < model).is_some() {}
-            let stamp = stamps
-                .next_if(|&(&stamped, _)| stamped == model)
-                .map_or(Timestamp::ZERO, |(_, &at)| at);
-            let key = (stamp, model);
-            if held.loading || best.is_some_and(|best| key >= best) || protect(model) {
+        for entry in &self.table {
+            let Some(held) = entry.residency else {
+                continue;
+            };
+            let key = (entry.stamp, entry.model);
+            if held.loading || best.is_some_and(|best| key >= best) || protect(entry.model) {
                 continue;
             }
             best = Some(key);
@@ -333,7 +376,7 @@ pub struct WorkerStateTracker<R> {
     /// behind `&self`, hence the cell.
     busy: [RefCell<BusyList>; 2],
     /// GPUs (by registration index, ascending) on which each model is
-    /// resident or loading: the inverse of [`GpuTrack::models`], dense by
+    /// resident or loading: the inverse of [`GpuTrack::held`], dense by
     /// model id (the LOAD-priority pass looks it up per demanded model).
     holders: ModelTable<Vec<usize>>,
     /// Bumped whenever any model's holder list changes — in `send_load`'s
@@ -547,12 +590,27 @@ impl<R> WorkerStateTracker<R> {
         let (idx, id) = self.send(ctx, at, kind, Some(riders));
         self.outstanding_infers += 1;
         *self.infers_by_model.get_or_default(model) += 1;
-        self.gpus[idx].last_used.insert(model, at.start);
+        let track = &mut self.gpus[idx];
+        match track.find(model) {
+            Ok(row) => track.table[row].stamp = at.start,
+            Err(row) => track.table.insert(
+                row,
+                Stamped {
+                    model,
+                    stamp: at.start,
+                    residency: None,
+                },
+            ),
+        }
         id
     }
 
     /// Sends a LOAD: reserves the pages `weights_bytes` needs, claims the
-    /// LOAD executor, and lists the GPU among the model's holders.
+    /// LOAD executor, and lists the GPU among the model's holders. The
+    /// reservation is what is free, if that is less (a discipline may load
+    /// with nothing left to evict), and a LOAD of a model the GPU already
+    /// holds gives the old reservation back first — so the pages free plus
+    /// the pages reserved always add up to the GPU's total.
     pub fn send_load(
         &mut self,
         ctx: &mut SchedulerCtx,
@@ -563,19 +621,31 @@ impl<R> WorkerStateTracker<R> {
         let (idx, id) = self.send(ctx, at, ActionKind::Load { model }, None);
         self.outstanding_loads += 1;
         let track = &mut self.gpus[idx];
-        let pages = track.pages_for(weights_bytes);
-        track.free_pages = track.free_pages.saturating_sub(pages);
-        track.models.insert(
-            model,
-            Residency {
-                pages,
-                loading: true,
-            },
-        );
-        // `or_insert`, and neither a failed LOAD nor its result clears the
-        // stamp: a re-LOAD after a failure keeps the older LRU position.
-        // The frozen digests depend on it; do not "fix" it in passing.
-        track.last_used.entry(model).or_insert(at.start);
+        let row = match track.find(model) {
+            Ok(row) => row,
+            Err(row) => {
+                // Stamped only if not stamped yet, and neither a failed
+                // LOAD nor its result clears the stamp: a re-LOAD after a
+                // failure keeps the older LRU position. The frozen digests
+                // depend on it; do not "fix" it in passing.
+                let entry = Stamped {
+                    model,
+                    stamp: at.start,
+                    residency: None,
+                };
+                track.table.insert(row, entry);
+                row
+            }
+        };
+        if let Some(replaced) = track.table[row].residency {
+            track.free_pages += replaced.pages;
+        }
+        let pages = track.pages_for(weights_bytes).min(track.free_pages);
+        track.free_pages -= pages;
+        track.table[row].residency = Some(Residency {
+            pages,
+            loading: true,
+        });
         let holders = self.holders.get_or_default(model);
         if let Err(pos) = holders.binary_search(&idx) {
             holders.insert(pos, idx);
@@ -625,16 +695,20 @@ impl<R> WorkerStateTracker<R> {
         let idx = self.sent_to(gpu_ref);
         let (unload, anytime) = (ActionKind::Unload { model }, TimeWindow::always());
         ctx.send_action(gpu_ref, unload, anytime, Nanos::from_micros(5));
-        self.drop_residency(idx, model);
-        self.gpus[idx].last_used.remove(&model);
+        let track = &mut self.gpus[idx];
+        if let Ok(row) = track.find(model) {
+            let dropped = track.table.remove(row).residency;
+            self.give_back(idx, model, dropped);
+        }
     }
 
-    /// Drops a model's residency entry on a GPU, if it has one, and returns
-    /// its pages to the pool.
-    fn drop_residency(&mut self, idx: usize, model: ModelId) {
-        let track = &mut self.gpus[idx];
-        if let Some(held) = track.models.remove(&model) {
-            track.free_pages = (track.free_pages + held.pages).min(track.total_pages);
+    /// Returns a dropped residency's pages to the pool — exactly what its
+    /// LOAD took — and takes the GPU off the model's holder list.
+    fn give_back(&mut self, idx: usize, model: ModelId, dropped: Option<Residency>) {
+        if let Some(held) = dropped {
+            let track = &mut self.gpus[idx];
+            track.free_pages += held.pages;
+            debug_assert!(track.free_pages <= track.total_pages, "pages minted");
             self.unlist_holder(idx, model);
         }
     }
@@ -678,10 +752,15 @@ impl<R> WorkerStateTracker<R> {
         match action.riders {
             Some(riders) => Resolved::Infer(riders),
             None => {
-                if !result.is_success() {
-                    self.drop_residency(idx, action.model);
-                } else if let Some(held) = self.gpus[idx].models.get_mut(&action.model) {
-                    held.loading = false;
+                let track = &mut self.gpus[idx];
+                if let Ok(row) = track.find(action.model) {
+                    let residency = &mut track.table[row].residency;
+                    if !result.is_success() {
+                        let dropped = residency.take();
+                        self.give_back(idx, action.model, dropped);
+                    } else if let Some(held) = residency {
+                        held.loading = false;
+                    }
                 }
                 Resolved::Load
             }
@@ -789,15 +868,15 @@ impl<R> WorkerStateTracker<R> {
         now: Timestamp,
         lost: &mut Vec<(usize, OutstandingAction<R>)>,
     ) {
-        for model in std::mem::take(&mut self.gpus[idx].models).into_keys() {
-            self.unlist_holder(idx, model);
+        let table = std::mem::take(&mut self.gpus[idx].table);
+        for entry in table.iter().filter(|entry| entry.residency.is_some()) {
+            self.unlist_holder(idx, entry.model);
         }
         for (_, action) in std::mem::take(&mut self.gpus[idx].outstanding) {
             self.uncount(&action);
             lost.push((idx, action));
         }
         let track = &mut self.gpus[idx];
-        track.last_used.clear();
         track.free_pages = track.total_pages;
         if track.alive {
             track.alive = false;
@@ -991,10 +1070,7 @@ mod tests {
         // re-LOAD's `or_insert` keeps it instead of stamping the new start.
         let at = Placement::unbounded(gref(0, 0), ms(50), Nanos::from_millis(8));
         t.send_load(&mut ctx, at, ModelId(7), 4 * PAGE);
-        assert_eq!(
-            t.gpus()[0].last_used.get(&ModelId(7)),
-            Some(&Timestamp::ZERO)
-        );
+        assert_eq!(t.gpus()[0].stamp(ModelId(7)), Some(Timestamp::ZERO));
     }
 
     #[test]
@@ -1030,7 +1106,7 @@ mod tests {
         let id = infer(&mut t, &mut ctx, gref(0, 0), 3, 10);
         assert_eq!(t.next_slot(Executor::Infer, 0, ms(5)), ms(13));
         assert_eq!(t.next_slot(Executor::Infer, 0, ms(20)), ms(20));
-        assert_eq!(t.gpus()[0].last_used.get(&ModelId(3)), Some(&ms(10)));
+        assert_eq!(t.gpus()[0].stamp(ModelId(3)), Some(ms(10)));
         assert_eq!(t.gpus()[0].outstanding[&id].expected_completion, ms(13));
         assert_eq!(t.gpus()[0].outstanding[&id].riders, Some(103));
         assert_eq!(
@@ -1147,7 +1223,7 @@ mod tests {
         let g = &t.gpus()[0];
         assert!(!g.alive);
         assert_eq!(g.free_pages, 10);
-        assert!(g.models.is_empty() && g.last_used.is_empty());
+        assert!(g.table().is_empty(), "residencies and stamps alike");
         assert!(g.outstanding.is_empty());
         assert!(
             t.gpus_with_model(ModelId(7)).is_empty() && t.gpus_with_model(ModelId(8)).is_empty()
@@ -1172,7 +1248,7 @@ mod tests {
         t.apply_fault(ms(50), &recover);
         assert!(t.gpus()[0].alive);
         assert_eq!(t.live_gpus(), [gref(0, 0)]);
-        assert!(t.gpus()[0].models.is_empty(), "recovery is cold");
+        assert!(t.gpus()[0].table().is_empty(), "recovery is cold");
         assert_eq!(t.next_slot(Executor::Infer, 0, Timestamp::ZERO), ms(50));
         assert_eq!(t.next_slot(Executor::Load, 0, Timestamp::ZERO), ms(50));
     }

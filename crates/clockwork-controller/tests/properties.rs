@@ -209,11 +209,12 @@ fn track_op() -> impl Strategy<Value = TrackOp> {
 /// operations alone, in the plainest containers available.
 #[derive(Clone, Debug, Default)]
 struct OracleGpu {
-    resident: HashSet<u32>,
-    /// model -> its pending LOAD's id.
-    loading: HashMap<u32, ActionId>,
-    /// model -> pages reserved, for resident and loading models alike.
-    pages: HashMap<u32, u64>,
+    /// model -> (pages reserved, whether it is loading rather than
+    /// confirmed resident), for every model holding pages here.
+    held: HashMap<u32, (u64, bool)>,
+    /// The outstanding LOADs, oldest first: id, model. A model may have
+    /// more than one (a LOAD of a model already held).
+    loads: Vec<(ActionId, u32)>,
     /// The outstanding INFERs, oldest first: id, model, riders.
     infers: Vec<(ActionId, u32, Riders)>,
     free_at: [Timestamp; 2],
@@ -236,9 +237,8 @@ impl OracleGpu {
             .drain(..)
             .map(|(id, _, riders)| (id, Some(riders)))
             .collect();
-        lost.extend(self.loading.drain().map(|(_, id)| (id, None)));
-        self.resident.clear();
-        self.pages.clear();
+        lost.extend(self.loads.drain(..).map(|(id, _)| (id, None)));
+        self.held.clear();
         self.free_at = [now; 2];
         self.dead = true;
         lost
@@ -249,6 +249,14 @@ impl OracleGpu {
             self.dead = false;
             self.free_at = self.free_at.map(|t| t.max(now));
         }
+    }
+
+    /// The models confirmed resident.
+    fn resident(&self) -> impl Iterator<Item = u32> + '_ {
+        self.held
+            .iter()
+            .filter(|(_, &(_, loading))| !loading)
+            .map(|(&m, _)| m)
     }
 }
 
@@ -365,35 +373,24 @@ fn check_tracker_against_oracle(
     now: Timestamp,
 ) {
     for (i, (track, expect)) in tracker.gpus().iter().zip(oracle).enumerate() {
-        // Residency: the ordered per-GPU map is the sorted union of what
-        // the oracle holds, with the right loading flags and page counts.
-        let mut held: Vec<u32> = expect
-            .resident
-            .iter()
-            .chain(expect.loading.keys())
-            .copied()
-            .collect();
+        // Residency: the ascending table's held rows are the sorted set of
+        // what the oracle holds, with the right loading flags and page
+        // counts.
+        let mut held: Vec<u32> = expect.held.keys().copied().collect();
         held.sort_unstable();
-        let listed: Vec<u32> = track.models.keys().map(|m| m.0).collect();
+        let listed: Vec<u32> = track.held().map(|(m, _)| m.0).collect();
         assert_eq!(&listed, &held, "gpu {} residency order", i);
-        assert!(
-            expect
-                .resident
-                .iter()
-                .all(|m| !expect.loading.contains_key(m)),
-            "a model cannot be both resident and loading"
-        );
-        for (m, r) in &track.models {
-            assert_eq!(r.loading, expect.loading.contains_key(&m.0));
-            assert_eq!(
-                r.pages, expect.pages[&m.0],
-                "resident/loading model holds its pages"
-            );
-            assert_eq!(track.is_resident(*m), expect.resident.contains(&m.0));
-            assert!(track.has_or_loading(*m));
+        for (m, r) in track.held() {
+            let (pages, loading) = expect.held[&m.0];
+            assert_eq!(r.loading, loading);
+            assert_eq!(r.pages, pages, "resident/loading model holds its pages");
+            assert_eq!(track.residency(m), Some(r));
+            assert_eq!(track.is_resident(m), !loading);
+            assert!(track.has_or_loading(m));
         }
-        // Pages are conserved.
-        let reserved: u64 = track.models.values().map(|r| r.pages).sum();
+        // Pages are conserved, exactly: what is free and what is reserved
+        // add up to the GPU, with no clamp to hide a mint or a leak.
+        let reserved: u64 = track.held().map(|(_, r)| r.pages).sum();
         assert_eq!(
             track.free_pages + reserved,
             total_pages,
@@ -412,7 +409,7 @@ fn check_tracker_against_oracle(
             .infers
             .iter()
             .map(|(id, m, riders)| (*id, *m, Some(riders)))
-            .chain(expect.loading.iter().map(|(m, id)| (*id, *m, None)))
+            .chain(expect.loads.iter().map(|(id, m)| (*id, *m, None)))
             .collect();
         expected.sort_unstable();
         assert_eq!(outstanding, expected);
@@ -425,7 +422,7 @@ fn check_tracker_against_oracle(
             );
         }
     }
-    let loads: usize = oracle.iter().map(|g| g.loading.len()).sum();
+    let loads: usize = oracle.iter().map(|g| g.loads.len()).sum();
     assert_eq!(tracker.outstanding_loads(), loads);
     // The INFER counts, fleet-wide and per model, are a scan of the ledger.
     let infers = |m: Option<u32>| -> usize {
@@ -517,30 +514,32 @@ proptest! {
             now += Nanos::from_micros(100);
             match op {
                 TrackOp::LoadSent { gpu, model, pages } => {
-                    // The scheduler only sends a LOAD to a live GPU, when the
-                    // model is not already resident or loading there and
-                    // enough pages are free.
+                    // The schedulers only send a LOAD to a live GPU — but
+                    // may send one with fewer pages free than it needs (the
+                    // FIFO discipline loads anyway when nothing is left to
+                    // evict), or of a model the GPU already holds.
                     let m = ModelId(model);
-                    let track = &tracker.gpus()[gpu];
-                    if !track.alive || track.has_or_loading(m) || pages > track.free_pages {
+                    if !tracker.gpus()[gpu].alive {
                         continue;
                     }
                     let start = tracker.next_slot(Executor::Load, gpu, now);
-                    let stamp = tracker.gpus()[gpu].last_used.get(&m).copied();
+                    let stamp = tracker.gpus()[gpu].stamp(m);
                     let at = Placement::unbounded(refs[gpu], start, Nanos::from_millis(8));
                     let id = tracker.send_load(&mut ctx, at, m, pages * PAGE);
                     prop_assert_eq!(sent(&mut ctx, refs[gpu], id), ActionKind::Load { model: m });
-                    oracle[gpu].loading.insert(model, id);
-                    oracle[gpu].pages.insert(model, pages);
-                    oracle[gpu].free_at[1] = start + Nanos::from_millis(8);
+                    // The reservation replaces the model's old one, if any,
+                    // and is what is free if that is less than it needs.
+                    let expect = &mut oracle[gpu];
+                    let others: u64 =
+                        expect.held.iter().filter(|(&h, _)| h != model).map(|(_, h)| h.0).sum();
+                    expect.held.insert(model, (pages.min(total_pages - others), true));
+                    expect.loads.push((id, model));
+                    expect.free_at[1] = start + Nanos::from_millis(8);
                     // Pinned: a LOAD never overwrites an older LRU stamp.
-                    prop_assert_eq!(
-                        tracker.gpus()[gpu].last_used[&m],
-                        stamp.unwrap_or(start)
-                    );
+                    prop_assert_eq!(tracker.gpus()[gpu].stamp(m), Some(stamp.unwrap_or(start)));
                 }
                 TrackOp::LoadResult { gpu, model, success } => {
-                    let model = landing(model, oracle[gpu].loading.keys().copied());
+                    let model = landing(model, oracle[gpu].loads.iter().map(|&(_, m)| m));
                     let m = ModelId(model);
                     // A stale id (its action was resolved by a fault), or
                     // failing that one never issued, is ignored — even while
@@ -552,24 +551,31 @@ proptest! {
                         .map_or(ActionId(u64::MAX), |pos| stale.swap_remove(pos).2);
                     prop_assert_eq!(tracker.resolve(&report(refs[gpu], replay, success)), Resolved::Stale);
                     check_tracker_against_oracle(&tracker, &oracle, total_pages, now);
-                    if let Some(id) = oracle[gpu].loading.remove(&model) {
-                        let stamp = tracker.gpus()[gpu].last_used.get(&m).copied();
+                    // The model's oldest LOAD: a success confirms whatever
+                    // residency the model has (a newer LOAD's included), a
+                    // failure drops it and returns its pages.
+                    let expect = &mut oracle[gpu];
+                    if let Some(pos) = expect.loads.iter().position(|&(_, lm)| lm == model) {
+                        let (id, _) = expect.loads.remove(pos);
+                        let stamp = tracker.gpus()[gpu].stamp(m);
                         let result = report(refs[gpu], id, success);
                         prop_assert_eq!(tracker.resolve(&result), Resolved::Load);
-                        prop_assert_eq!(tracker.gpus()[gpu].is_resident(m), success);
-                        if success {
-                            oracle[gpu].resident.insert(model);
-                        } else {
-                            oracle[gpu].pages.remove(&model);
+                        if !success {
+                            expect.held.remove(&model);
+                        } else if let Some(held) = expect.held.get_mut(&model) {
+                            held.1 = false;
                         }
+                        let resident = expect.held.get(&model).is_some_and(|h| !h.1);
+                        prop_assert_eq!(tracker.gpus()[gpu].is_resident(m), resident);
+                        prop_assert!(success || !tracker.gpus()[gpu].has_or_loading(m));
                         // Pinned: the LRU stamp outlives even a failed LOAD.
-                        prop_assert_eq!(tracker.gpus()[gpu].last_used.get(&m).copied(), stamp);
+                        prop_assert_eq!(tracker.gpus()[gpu].stamp(m), stamp);
                         // And the same result again is a replay.
                         prop_assert_eq!(tracker.resolve(&result), Resolved::Stale);
                     }
                 }
                 TrackOp::InferSent { gpu, model, riders } => {
-                    let model = landing(model, oracle[gpu].resident.iter().copied());
+                    let model = landing(model, oracle[gpu].resident());
                     let m = ModelId(model);
                     if !tracker.gpus()[gpu].is_resident(m) {
                         continue;
@@ -587,7 +593,7 @@ proptest! {
                     prop_assert!(
                         tracker.next_slot(Executor::Infer, gpu, now) >= start + Nanos::from_millis(3)
                     );
-                    prop_assert_eq!(tracker.gpus()[gpu].last_used[&m], start);
+                    prop_assert_eq!(tracker.gpus()[gpu].stamp(m), Some(start));
                     oracle[gpu].infers.push((id, model, riders));
                     oracle[gpu].free_at[0] = start + Nanos::from_millis(3);
                 }
@@ -615,18 +621,17 @@ proptest! {
                 TrackOp::UnloadSent { gpu, model } => {
                     let m = ModelId(model);
                     // The scheduler never unloads a model that is still loading.
-                    if oracle[gpu].loading.contains_key(&model) {
+                    if oracle[gpu].held.get(&model).is_some_and(|h| h.1) {
                         continue;
                     }
                     tracker.send_unload(&mut ctx, refs[gpu], m);
                     let (worker, unload) = ctx.take_actions().remove(0);
                     prop_assert_eq!((worker, unload.gpu), (refs[gpu].worker, refs[gpu].gpu));
                     prop_assert_eq!(unload.kind, ActionKind::Unload { model: m });
-                    oracle[gpu].resident.remove(&model);
-                    oracle[gpu].pages.remove(&model);
+                    oracle[gpu].held.remove(&model);
                     prop_assert!(!tracker.gpus()[gpu].is_resident(m));
                     prop_assert!(!tracker.gpus()[gpu].has_or_loading(m));
-                    prop_assert!(!tracker.gpus()[gpu].last_used.contains_key(&m));
+                    prop_assert_eq!(tracker.gpus()[gpu].stamp(m), None);
                 }
                 TrackOp::EvictUntilFits { gpu, pages } => {
                     // Protected: model 0, and whatever an INFER is
@@ -644,9 +649,9 @@ proptest! {
                         let ActionKind::Unload { model: victim } = unload.kind else {
                             panic!("eviction sent {:?}", unload.kind);
                         };
-                        prop_assert!(expect.resident.remove(&victim.0), "victim {} was not resident", victim);
+                        let held = expect.held.remove(&victim.0);
+                        prop_assert!(held.is_some_and(|h| !h.1), "victim {} was not resident", victim);
                         prop_assert!(victim != ModelId(0) && !busy.contains(&victim.0), "protected model evicted");
-                        expect.pages.remove(&victim.0);
                     }
                     let track = &tracker.gpus()[gpu];
                     prop_assert_eq!(fits, pages <= track.free_pages);
@@ -658,7 +663,7 @@ proptest! {
                 TrackOp::Fault(fault) => {
                     let loads: HashMap<ActionId, u32> = oracle
                         .iter()
-                        .flat_map(|g| g.loading.iter().map(|(&m, &id)| (id, m)))
+                        .flat_map(|g| g.loads.iter().copied())
                         .collect();
                     let expected = oracle_fault(&mut oracle, &mut down, now, &fault);
                     let lost: Vec<Lost> = tracker
@@ -751,7 +756,7 @@ proptest! {
             }
             let track = &tracker.gpus()[0];
             let stamped: Vec<(ModelId, Timestamp)> =
-                track.last_used.iter().map(|(&m, &at)| (m, at)).collect();
+                track.table().iter().map(|row| (row.model, row.stamp)).collect();
             let expected: Vec<(ModelId, Timestamp)> = (0..8u32)
                 .filter_map(|m| Some((ModelId(m), stamps[m as usize]?)))
                 .collect();
@@ -826,6 +831,267 @@ proptest! {
             prop_assert!(!holders.contains(&other));
         } else {
             prop_assert_eq!(holders.len(), 8);
+        }
+    }
+}
+
+/// The residency table against the structure it replaced: the pair of
+/// `BTreeMap`s `GpuTrack` kept until PR 25 — residencies by model and LRU
+/// stamps by model — with the same writers and `lru_candidate` as the merge
+/// walk of the two. The page arithmetic is the exact one on both sides; what
+/// is kept is the structure.
+mod two_maps {
+    use std::cell::Cell;
+    use std::collections::BTreeMap;
+
+    use clockwork_controller::worker_state::Residency;
+
+    use super::*;
+
+    const MODELS: u32 = 12;
+
+    #[derive(Debug, Default)]
+    struct TwinTrack {
+        models: BTreeMap<ModelId, Residency>,
+        last_used: BTreeMap<ModelId, Timestamp>,
+        free_pages: u64,
+    }
+
+    impl TwinTrack {
+        fn infer(&mut self, model: ModelId, start: Timestamp) {
+            self.last_used.insert(model, start);
+        }
+
+        fn load(&mut self, model: ModelId, pages: u64, start: Timestamp) {
+            if let Some(replaced) = self.models.get(&model) {
+                self.free_pages += replaced.pages;
+            }
+            let pages = pages.min(self.free_pages);
+            self.free_pages -= pages;
+            let loading = true;
+            self.models.insert(model, Residency { pages, loading });
+            self.last_used.entry(model).or_insert(start);
+        }
+
+        fn resolve_load(&mut self, model: ModelId, success: bool) {
+            if !success {
+                self.drop_residency(model);
+            } else if let Some(held) = self.models.get_mut(&model) {
+                held.loading = false;
+            }
+        }
+
+        fn drop_residency(&mut self, model: ModelId) {
+            if let Some(held) = self.models.remove(&model) {
+                self.free_pages += held.pages;
+            }
+        }
+
+        fn unload(&mut self, model: ModelId) {
+            self.drop_residency(model);
+            self.last_used.remove(&model);
+        }
+
+        fn wipe(&mut self, total_pages: u64) {
+            self.models.clear();
+            self.last_used.clear();
+            self.free_pages = total_pages;
+        }
+
+        /// PR 24's `lru_candidate`, verbatim but for the field names.
+        fn lru_candidate(&self, protect: impl Fn(ModelId) -> bool) -> Option<ModelId> {
+            let mut stamps = self.last_used.iter().peekable();
+            let mut best: Option<(Timestamp, ModelId)> = None;
+            for (&model, held) in &self.models {
+                while stamps.next_if(|&(&stamped, _)| stamped < model).is_some() {}
+                let stamp = stamps
+                    .next_if(|&(&stamped, _)| stamped == model)
+                    .map_or(Timestamp::ZERO, |(_, &at)| at);
+                let key = (stamp, model);
+                if held.loading || best.is_some_and(|best| key >= best) || protect(model) {
+                    continue;
+                }
+                best = Some(key);
+            }
+            best.map(|(_, model)| model)
+        }
+
+        /// `evict_until_fits` over the twin: whether the blob fits, and the
+        /// victims in order.
+        fn evict(&mut self, pages: u64, protect: impl Fn(ModelId) -> bool) -> (bool, Vec<ModelId>) {
+            let mut victims = Vec::new();
+            loop {
+                if pages <= self.free_pages {
+                    return (true, victims);
+                }
+                let Some(victim) = self.lru_candidate(&protect) else {
+                    return (false, victims);
+                };
+                self.unload(victim);
+                victims.push(victim);
+            }
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Load {
+            model: u32,
+            pages: u64,
+            tick: u64,
+        },
+        Infer {
+            model: u32,
+            tick: u64,
+        },
+        /// Resolves the `nth` outstanding LOAD (modulo how many there are).
+        LoadResult {
+            nth: usize,
+            success: bool,
+        },
+        Unload {
+            model: u32,
+        },
+        Evict {
+            pages: u64,
+            protected: u32,
+        },
+        Fault(FaultKind),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let model = || 0..MODELS;
+        let load = || {
+            (model(), 1u64..12, 0u64..16).prop_map(|(model, pages, tick)| Op::Load {
+                model,
+                pages,
+                tick,
+            })
+        };
+        let infer = || (model(), 0u64..16).prop_map(|(model, tick)| Op::Infer { model, tick });
+        prop_oneof![
+            load(),
+            load(),
+            infer(),
+            infer(),
+            (0usize..8, any::<bool>()).prop_map(|(nth, success)| Op::LoadResult { nth, success }),
+            (0usize..8).prop_map(|nth| Op::LoadResult { nth, success: true }),
+            model().prop_map(|model| Op::Unload { model }),
+            (1u64..48, 0u32..1 << MODELS)
+                .prop_map(|(pages, protected)| Op::Evict { pages, protected }),
+            prop_oneof![
+                Just(FaultKind::GpuFail { worker: 0, gpu: 0 }),
+                Just(FaultKind::GpuRecover { worker: 0, gpu: 0 }),
+                Just(FaultKind::WorkerCrash { worker: 0 }),
+                Just(FaultKind::WorkerRestart { worker: 0 }),
+            ]
+            .prop_map(Op::Fault),
+        ]
+    }
+
+    /// `track.lru_candidate` or the twin's under `protect`, and how many
+    /// times it asked.
+    fn counted(
+        pick: impl Fn(&dyn Fn(ModelId) -> bool) -> Option<ModelId>,
+        mask: u32,
+    ) -> (Option<ModelId>, u32) {
+        let asked = Cell::new(0);
+        let victim = pick(&|m: ModelId| {
+            asked.set(asked.get() + 1);
+            mask >> m.0 & 1 == 1
+        });
+        (victim, asked.get())
+    }
+
+    proptest! {
+        /// After every operation the table and the two maps agree on every
+        /// model's residency and stamp and on the free pages, and
+        /// `lru_candidate` — alone and inside `evict_until_fits` — picks
+        /// the same victims under a random `protect`, asking it the same
+        /// number of times.
+        #[test]
+        fn the_table_answers_what_the_two_maps_did(
+            ops in proptest::collection::vec(op(), 0..160),
+            total_pages in 8u64..64,
+            masks in proptest::collection::vec(0u32..1 << MODELS, 4),
+        ) {
+            let gpu = gref(0, 0);
+            let mut t = WorkerStateTracker::<()>::new();
+            t.add_gpu(gpu, total_pages, PAGE);
+            let mut twin = TwinTrack { free_pages: total_pages, ..TwinTrack::default() };
+            let mut ctx = SchedulerCtx::new();
+            let mut loads: Vec<(ActionId, ModelId)> = Vec::new();
+            let stamp_of = |tick: u64| Timestamp::from_millis(1 + tick);
+            for op in ops {
+                match op {
+                    Op::Load { model, pages, tick } => {
+                        let (m, start) = (ModelId(model), stamp_of(tick));
+                        let at = Placement::unbounded(gpu, start, Nanos::from_millis(8));
+                        loads.push((t.send_load(&mut ctx, at, m, pages * PAGE), m));
+                        twin.load(m, pages, start);
+                    }
+                    Op::Infer { model, tick } => {
+                        let (m, start) = (ModelId(model), stamp_of(tick));
+                        let at = Placement::unbounded(gpu, start, Nanos::from_millis(3));
+                        t.send_infer(&mut ctx, at, m, 1, vec![], ());
+                        twin.infer(m, start);
+                    }
+                    Op::LoadResult { nth, success } => {
+                        if loads.is_empty() {
+                            continue;
+                        }
+                        let (id, m) = loads.remove(nth % loads.len());
+                        prop_assert_eq!(t.resolve(&report(gpu, id, success)), Resolved::Load);
+                        twin.resolve_load(m, success);
+                    }
+                    Op::Unload { model } => {
+                        t.send_unload(&mut ctx, gpu, ModelId(model));
+                        twin.unload(ModelId(model));
+                    }
+                    Op::Evict { pages, protected } => {
+                        let protect = |m: ModelId| protected >> m.0 & 1 == 1;
+                        let (asked, twin_asked) = (Cell::new(0), Cell::new(0));
+                        let (fits, unloads) =
+                            t.evict_until_fits(&mut ctx, gpu, pages * PAGE, |_, m| {
+                                asked.set(asked.get() + 1);
+                                protect(m)
+                            });
+                        let (twin_fits, twin_victims) = twin.evict(pages, |m| {
+                            twin_asked.set(twin_asked.get() + 1);
+                            protect(m)
+                        });
+                        let victims: Vec<ModelId> =
+                            ctx.take_actions().into_iter().map(|(_, a)| a.kind.model()).collect();
+                        prop_assert_eq!(fits, twin_fits);
+                        prop_assert_eq!(unloads, victims.len());
+                        prop_assert_eq!(victims, twin_victims);
+                        prop_assert_eq!(asked.get(), twin_asked.get(), "protect calls");
+                    }
+                    Op::Fault(fault) => {
+                        t.apply_fault(Timestamp::from_millis(100), &fault);
+                        if matches!(fault, FaultKind::GpuFail { .. } | FaultKind::WorkerCrash { .. }) {
+                            twin.wipe(total_pages);
+                            loads.clear();
+                        }
+                    }
+                }
+                ctx.take_actions();
+                let track = &t.gpus()[0];
+                prop_assert_eq!(track.free_pages, twin.free_pages);
+                for m in (0..MODELS).map(ModelId) {
+                    let held = twin.models.get(&m).copied();
+                    prop_assert_eq!(track.residency(m), held);
+                    prop_assert_eq!(track.stamp(m), twin.last_used.get(&m).copied());
+                    prop_assert_eq!(track.has_or_loading(m), held.is_some());
+                    prop_assert_eq!(track.is_resident(m), held.is_some_and(|r| !r.loading));
+                }
+                for &mask in &masks {
+                    prop_assert_eq!(
+                        counted(|protect| track.lru_candidate(protect), mask),
+                        counted(|protect| twin.lru_candidate(protect), mask)
+                    );
+                }
+            }
         }
     }
 }

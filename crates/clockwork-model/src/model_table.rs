@@ -9,7 +9,8 @@
 //! models in ascending id order by construction — no hasher seed, no sort.
 //! Sparse ids work too; the table just grows to the largest id inserted, so
 //! memory is O(largest id), not O(models). A *sparse subset* of the models
-//! (what one GPU holds, say) is not this table's job; that is a `BTreeMap`.
+//! (what one GPU holds, say) is not this table's job; that is a `Vec` kept
+//! sorted by id and binary-searched.
 
 use crate::spec::ModelId;
 

@@ -11,11 +11,12 @@
 //!   removing the variable-latency allocator from the critical path (C1).
 //!
 //! Admission and eviction decisions belong to the controller; the cache
-//! nevertheless maintains a least-recently-used order so best-effort
-//! baselines (and the controller's own LRU policy for UNLOAD) can query a
-//! victim.
-
-use std::collections::BTreeMap;
+//! nevertheless keeps each resident's last use so best-effort baselines (and
+//! the controller's own LRU policy for UNLOAD) can query a victim.
+//!
+//! The residents are one `Vec` sorted by model id: a look-up — two per
+//! INFER — is a binary search over contiguous memory, and a LOAD or UNLOAD
+//! shifts at most the GPU's few hundred residents.
 
 use serde::{Deserialize, Serialize};
 
@@ -72,7 +73,8 @@ pub struct PageCache {
     page_size: u64,
     total_pages: u64,
     free_pages: u64,
-    resident: BTreeMap<ModelId, Residency>,
+    /// The resident models and their entries, ascending by id.
+    resident: Vec<(ModelId, Residency)>,
 }
 
 impl PageCache {
@@ -87,8 +89,18 @@ impl PageCache {
             page_size,
             total_pages,
             free_pages: total_pages,
-            resident: BTreeMap::new(),
+            resident: Vec::new(),
         }
+    }
+
+    /// Where `model`'s entry is, or where it would go.
+    fn find(&self, model: ModelId) -> Result<usize, usize> {
+        self.resident.binary_search_by_key(&model, |&(id, _)| id)
+    }
+
+    fn get_mut(&mut self, model: ModelId) -> Option<&mut Residency> {
+        let at = self.find(model).ok()?;
+        Some(&mut self.resident[at].1)
     }
 
     /// Creates a cache with the default 16 MiB page size.
@@ -123,7 +135,7 @@ impl PageCache {
 
     /// Whether a model's weights are resident.
     pub fn contains(&self, model: ModelId) -> bool {
-        self.resident.contains_key(&model)
+        self.find(model).is_ok()
     }
 
     /// Number of models currently resident.
@@ -133,7 +145,7 @@ impl PageCache {
 
     /// The resident models, in ascending id order.
     pub fn resident_models(&self) -> Vec<ModelId> {
-        self.resident.keys().copied().collect()
+        self.resident.iter().map(|&(id, _)| id).collect()
     }
 
     /// Allocates pages for a model's weights.
@@ -147,11 +159,14 @@ impl PageCache {
         weights_bytes: u64,
         now: Timestamp,
     ) -> Result<u64, InsufficientPages> {
-        if self.resident.contains_key(&model) {
-            // Re-loading a resident model costs nothing; treat as touch.
-            self.touch(model, now);
-            return Ok(0);
-        }
+        let at = match self.find(model) {
+            Ok(_) => {
+                // Re-loading a resident model costs nothing; treat as touch.
+                self.touch(model, now);
+                return Ok(0);
+            }
+            Err(at) => at,
+        };
         let needed = self.pages_for(weights_bytes).max(1);
         if needed > self.free_pages {
             return Err(InsufficientPages {
@@ -160,15 +175,13 @@ impl PageCache {
             });
         }
         self.free_pages -= needed;
-        self.resident.insert(
-            model,
-            Residency {
-                pages: needed,
-                last_used: now,
-                loaded_at: now,
-                refs: 0,
-            },
-        );
+        let entry = Residency {
+            pages: needed,
+            last_used: now,
+            loaded_at: now,
+            refs: 0,
+        };
+        self.resident.insert(at, (model, entry));
         Ok(needed)
     }
 
@@ -178,16 +191,15 @@ impl PageCache {
     /// racing an executing INFER can never free weights out from under the
     /// kernel (and can never double-count the pages when the INFER finishes).
     pub fn release(&mut self, model: ModelId) -> u64 {
-        if self.resident.get(&model).is_some_and(|r| r.refs > 0) {
+        let Ok(at) = self.find(model) else {
+            return 0;
+        };
+        if self.resident[at].1.refs > 0 {
             return 0;
         }
-        match self.resident.remove(&model) {
-            Some(r) => {
-                self.free_pages += r.pages;
-                r.pages
-            }
-            None => 0,
-        }
+        let (_, r) = self.resident.remove(at);
+        self.free_pages += r.pages;
+        r.pages
     }
 
     /// Takes a reference on a resident model's weights (an INFER starting
@@ -195,7 +207,7 @@ impl PageCache {
     /// resident. While the reference is held, [`PageCache::release`] refuses
     /// to free the pages and the LRU queries skip the model.
     pub fn pin(&mut self, model: ModelId) -> bool {
-        match self.resident.get_mut(&model) {
+        match self.get_mut(model) {
             Some(r) => {
                 r.refs += 1;
                 true
@@ -208,7 +220,7 @@ impl PageCache {
     /// acts on it later: [`Residency::touch_and_pin`] then costs no second
     /// descent of the table. `None` if the model is not resident.
     pub(crate) fn resident_mut(&mut self, model: ModelId) -> Option<&mut Residency> {
-        self.resident.get_mut(&model)
+        self.get_mut(model)
     }
 
     /// Drops a reference taken by [`PageCache::pin`]. Unknown or unpinned
@@ -216,7 +228,7 @@ impl PageCache {
     /// reference with it), so a completion drained after recovery may
     /// legitimately unpin a model the fresh cache has never seen.
     pub fn unpin(&mut self, model: ModelId) {
-        if let Some(r) = self.resident.get_mut(&model) {
+        if let Some(r) = self.get_mut(model) {
             r.refs = r.refs.saturating_sub(1);
         }
     }
@@ -224,7 +236,7 @@ impl PageCache {
     /// The number of in-flight references currently pinning a model
     /// (0 if not resident).
     pub fn ref_count(&self, model: ModelId) -> u32 {
-        self.resident.get(&model).map_or(0, |r| r.refs)
+        self.find(model).map_or(0, |at| self.resident[at].1.refs)
     }
 
     /// Pages held by resident models, recomputed from the residency table
@@ -232,12 +244,12 @@ impl PageCache {
     /// invariant `free_pages + held_pages == total_pages` actually
     /// cross-checks the two accountings instead of restating one of them.
     pub fn held_pages(&self) -> u64 {
-        self.resident.values().map(|r| r.pages).sum()
+        self.resident.iter().map(|(_, r)| r.pages).sum()
     }
 
     /// Marks a model as used at `now` (INFER touches its weights).
     pub fn touch(&mut self, model: ModelId, now: Timestamp) {
-        if let Some(r) = self.resident.get_mut(&model) {
+        if let Some(r) = self.get_mut(model) {
             if now > r.last_used {
                 r.last_used = now;
             }
@@ -251,8 +263,8 @@ impl PageCache {
         self.resident
             .iter()
             .filter(|(_, r)| r.refs == 0)
-            .min_by_key(|(id, r)| (r.last_used, **id))
-            .map(|(id, _)| *id)
+            .min_by_key(|(id, r)| (r.last_used, *id))
+            .map(|&(id, _)| id)
     }
 
     /// The least recently used resident models, excluding `protect` and any
@@ -260,12 +272,12 @@ impl PageCache {
     /// `pages_needed`. Returns `None` if even evicting everything else would
     /// not free enough.
     pub fn lru_victims_for(&self, pages_needed: u64, protect: &[ModelId]) -> Option<Vec<ModelId>> {
-        let mut candidates: Vec<(&ModelId, &Residency)> = self
+        let mut candidates: Vec<&(ModelId, Residency)> = self
             .resident
             .iter()
             .filter(|(id, r)| !protect.contains(id) && r.refs == 0)
             .collect();
-        candidates.sort_by_key(|(id, r)| (r.last_used, **id));
+        candidates.sort_by_key(|(id, r)| (r.last_used, *id));
         let mut freed = self.free_pages;
         let mut victims = Vec::new();
         for (id, r) in candidates {

@@ -326,3 +326,198 @@ proptest! {
         prop_assert!(exec.pop_ready(feasible).is_some());
     }
 }
+
+/// The sorted `Vec` against the structure it replaced: `PageCache` as it was
+/// until PR 25, over a `BTreeMap`, driven through every public method with
+/// the same random operations.
+mod btree_twin {
+    use std::collections::BTreeMap;
+
+    use clockwork_worker::page_cache::InsufficientPages;
+
+    use super::*;
+
+    const MODELS: u32 = 10;
+    const MB: u64 = 1024 * 1024;
+
+    struct Entry {
+        pages: u64,
+        last_used: Timestamp,
+        refs: u32,
+    }
+
+    struct Twin {
+        free_pages: u64,
+        resident: BTreeMap<ModelId, Entry>,
+    }
+
+    impl Twin {
+        fn allocate(
+            &mut self,
+            model: ModelId,
+            bytes: u64,
+            now: Timestamp,
+        ) -> Result<u64, InsufficientPages> {
+            if self.resident.contains_key(&model) {
+                self.touch(model, now);
+                return Ok(0);
+            }
+            let needed = bytes.div_ceil(PAGE).max(1);
+            if needed > self.free_pages {
+                let available = self.free_pages;
+                return Err(InsufficientPages { needed, available });
+            }
+            self.free_pages -= needed;
+            let entry = Entry {
+                pages: needed,
+                last_used: now,
+                refs: 0,
+            };
+            self.resident.insert(model, entry);
+            Ok(needed)
+        }
+
+        fn release(&mut self, model: ModelId) -> u64 {
+            if self.resident.get(&model).is_some_and(|r| r.refs > 0) {
+                return 0;
+            }
+            let Some(r) = self.resident.remove(&model) else {
+                return 0;
+            };
+            self.free_pages += r.pages;
+            r.pages
+        }
+
+        fn pin(&mut self, model: ModelId) -> bool {
+            let Some(r) = self.resident.get_mut(&model) else {
+                return false;
+            };
+            r.refs += 1;
+            true
+        }
+
+        fn unpin(&mut self, model: ModelId) {
+            if let Some(r) = self.resident.get_mut(&model) {
+                r.refs = r.refs.saturating_sub(1);
+            }
+        }
+
+        fn touch(&mut self, model: ModelId, now: Timestamp) {
+            if let Some(r) = self.resident.get_mut(&model) {
+                r.last_used = r.last_used.max(now);
+            }
+        }
+
+        fn lru_victim(&self) -> Option<ModelId> {
+            let unpinned = self.resident.iter().filter(|(_, r)| r.refs == 0);
+            unpinned
+                .min_by_key(|(id, r)| (r.last_used, **id))
+                .map(|(id, _)| *id)
+        }
+
+        fn lru_victims_for(&self, pages_needed: u64, protect: &[ModelId]) -> Option<Vec<ModelId>> {
+            let mut candidates: Vec<(&ModelId, &Entry)> = self
+                .resident
+                .iter()
+                .filter(|(id, r)| !protect.contains(id) && r.refs == 0)
+                .collect();
+            candidates.sort_by_key(|(id, r)| (r.last_used, **id));
+            let mut freed = self.free_pages;
+            let mut victims = Vec::new();
+            for (id, r) in candidates {
+                if freed >= pages_needed {
+                    break;
+                }
+                freed += r.pages;
+                victims.push(*id);
+            }
+            (freed >= pages_needed).then_some(victims)
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Allocate { model: u32, mb: u64, ms: u64 },
+        Release { model: u32 },
+        Pin { model: u32 },
+        Unpin { model: u32 },
+        Touch { model: u32, ms: u64 },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let model = || 0..MODELS;
+        let allocate = || {
+            (model(), 1u64..120, 0u64..20).prop_map(|(model, mb, ms)| Op::Allocate {
+                model,
+                mb,
+                ms,
+            })
+        };
+        prop_oneof![
+            allocate(),
+            allocate(),
+            model().prop_map(|model| Op::Release { model }),
+            model().prop_map(|model| Op::Pin { model }),
+            model().prop_map(|model| Op::Unpin { model }),
+            (model(), 0u64..20).prop_map(|(model, ms)| Op::Touch { model, ms }),
+            (model(), 0u64..20).prop_map(|(model, ms)| Op::Touch { model, ms }),
+        ]
+    }
+
+    proptest! {
+        /// After every operation both caches return the same from every
+        /// mutator and every query, the LRU ones under random protect sets
+        /// and page counts.
+        #[test]
+        fn every_method_answers_what_the_btree_cache_did(
+            ops in proptest::collection::vec(op(), 0..160),
+            pages in 4u64..40,
+            asks in proptest::collection::vec((0u64..48, 0u32..1 << MODELS), 3),
+        ) {
+            let mut c = PageCache::new(pages * PAGE, PAGE);
+            let mut twin = Twin { free_pages: pages, resident: BTreeMap::new() };
+            for op in ops {
+                match op {
+                    Op::Allocate { model, mb, ms } => {
+                        let (m, now) = (ModelId(model), Timestamp::from_millis(ms));
+                        prop_assert_eq!(c.allocate(m, mb * MB, now), twin.allocate(m, mb * MB, now));
+                    }
+                    Op::Release { model } => {
+                        prop_assert_eq!(c.release(ModelId(model)), twin.release(ModelId(model)));
+                    }
+                    Op::Pin { model } => {
+                        prop_assert_eq!(c.pin(ModelId(model)), twin.pin(ModelId(model)));
+                    }
+                    Op::Unpin { model } => {
+                        c.unpin(ModelId(model));
+                        twin.unpin(ModelId(model));
+                    }
+                    Op::Touch { model, ms } => {
+                        c.touch(ModelId(model), Timestamp::from_millis(ms));
+                        twin.touch(ModelId(model), Timestamp::from_millis(ms));
+                    }
+                }
+                let held: Vec<ModelId> = twin.resident.keys().copied().collect();
+                prop_assert_eq!(c.resident_models(), held);
+                prop_assert_eq!(c.resident_count(), twin.resident.len());
+                prop_assert_eq!(c.free_pages(), twin.free_pages);
+                prop_assert_eq!(c.used_pages(), pages - twin.free_pages);
+                let twin_held: u64 = twin.resident.values().map(|r| r.pages).sum();
+                prop_assert_eq!(c.held_pages(), twin_held);
+                for m in (0..MODELS).map(ModelId) {
+                    prop_assert_eq!(c.contains(m), twin.resident.contains_key(&m));
+                    prop_assert_eq!(c.ref_count(m), twin.resident.get(&m).map_or(0, |r| r.refs));
+                }
+                prop_assert_eq!(c.lru_victim(), twin.lru_victim());
+                for &(needed, mask) in &asks {
+                    let protect: Vec<ModelId> =
+                        (0..MODELS).filter(|m| mask >> m & 1 == 1).map(ModelId).collect();
+                    prop_assert_eq!(
+                        c.lru_victims_for(needed, &protect),
+                        twin.lru_victims_for(needed, &protect)
+                    );
+                }
+            }
+        }
+    }
+}
