@@ -26,6 +26,8 @@ use clockwork::prelude::*;
 use clockwork_baselines::register_baselines;
 use clockwork_metrics::percentile::percentile_f64;
 
+const USAGE: &str = "fig9_prediction_error [--duration-secs N]";
+
 fn error_summary(label: &str, errors_us: &[f64]) {
     if errors_us.is_empty() {
         println!("{label}: no samples");
@@ -111,20 +113,9 @@ fn harvest(report: &RunReport) -> PredictionErrors {
 }
 
 fn main() {
-    let mut duration_secs: u64 = 5 * 60;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--duration-secs" => {
-                duration_secs = it
-                    .next()
-                    .expect("missing value for --duration-secs")
-                    .parse()
-                    .expect("--duration-secs: integer")
-            }
-            other => panic!("unknown flag {other}"),
-        }
-    }
+    let duration_secs: u64 = bench::cli::parse(USAGE, |cli| {
+        Ok(cli.value("--duration-secs")?.unwrap_or(5 * 60))
+    });
 
     let spec = ScenarioSpec {
         name: "fig9_prediction_error".to_string(),

@@ -30,14 +30,13 @@ pub struct SchedProfile {
     /// epoch).
     pub strategies_recomputed: u64,
     /// LOAD-priority evaluations actually run; a pass the per-GPU ledger of
-    /// waiting work proves priceless (every queued model held somewhere, no
-    /// GPU charged beyond the priority horizon, no cold rejection on record)
-    /// runs none. A priced pass runs one, plus one per residency-changing
-    /// dispatch. An evaluation prices only the models that can come out
-    /// positive — those held nowhere and those waiting on a GPU charged
-    /// beyond the horizon — and sums the load of only the GPUs holding one
-    /// of them; while a cold rejection is on record it prices every
-    /// demanded model. Either way it keeps — and sorts — only the positive
+    /// waiting work proves priceless (every demanded model — queued or
+    /// cold-rejected — held somewhere, no GPU charged beyond the priority
+    /// horizon) runs none. A priced pass runs one, plus one per
+    /// residency-changing dispatch. An evaluation prices only the models
+    /// that can come out positive — those held nowhere and those waiting on
+    /// a GPU charged beyond the horizon — sums the load of only the GPUs
+    /// holding one of them, keeps — and sorts — only the positive
     /// priorities, and counts once.
     pub load_prio_recomputes: u64,
 }

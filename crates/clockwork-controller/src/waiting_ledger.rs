@@ -3,37 +3,44 @@
 //! requests arrive and complete, instead of re-deriving them from the
 //! queued set).
 //!
-//! Every queued model charges its LOAD demand, split evenly and rounded up,
-//! to the GPUs that hold (or are loading) it. Per GPU that gives the
-//! ascending list of the queued models it holds — `waiting[g]`, which is
-//! both the INFER pass's candidate list on that GPU and the terms of
-//! Appendix B's `gpu_load[g]` — and an integer upper bound in ns on the
-//! demand shares the load priority would charge to it. Fleet-wide it gives
-//! three more ascending lists: the GPUs that hold anything that waits, the
-//! queued models held nowhere, and the GPUs whose bound exceeds the capacity
-//! the priorities are measured against. The INFER pass starts from the
-//! first and reads its candidates off `waiting[g]`; the LOAD pass prices
-//! nothing while the other two are empty, and otherwise prices only the
-//! models they name ([`WaitingLedger::priced_into`]) — any other queued
-//! model has every holder within the limit, is served more than it demands,
-//! and cannot have a positive priority.
+//! A model's **charge** is its LOAD demand in ns, the `demand_m` of Appendix
+//! B's priorities: its queue's demand plus a batch-1 execution per request
+//! rejected only because the model was cold and not yet aged out of the
+//! priority horizon — `None` when the model has neither. The ledger stores
+//! every model's present charge; it is the scheduler's one cache of demand,
+//! and it never expires: whatever moves a demand recharges the model.
+//!
+//! Every charge is split evenly, rounded up, over the GPUs that hold (or are
+//! loading) the model. Per GPU that gives the ascending list of the charged
+//! models it holds — `waiting[g]`, which is both the INFER pass's candidate
+//! list on that GPU and the terms of Appendix B's `gpu_load[g]` — and an
+//! integer upper bound in ns on the demand shares the load priority would
+//! charge to it. A cold-rejected model is held nowhere (its record is made
+//! only while it has no holder and dropped by the LOAD that gives it one), so
+//! only queued models appear on a GPU's list. Fleet-wide it gives three more
+//! ascending lists: the GPUs that hold anything that waits, the charged
+//! models held nowhere, and the GPUs whose bound exceeds the capacity the
+//! priorities are measured against. The INFER pass starts from the first and
+//! reads its candidates off `waiting[g]`; the LOAD pass prices nothing while
+//! the other two are empty, and otherwise prices only the models they name
+//! ([`WaitingLedger::priced_into`]) — any other charged model has every
+//! holder within the limit, is served more than it demands, and cannot have a
+//! positive priority.
 //!
 //! **Ownership rule — and the one exception to "validate by key".** The
-//! ledger is derived from the two owners ([`RequestQueues`] and the
-//! tracker's holder lists), but unlike the strategy lists and the per-model
-//! demands it is *pushed to*, not validated by visiting its keys: visiting
-//! every queued model is the cost it exists to remove. What keeps it honest
-//! is therefore the oracle, not trust. The lists have the same three
-//! writers the counts they replaced had: the scheduler moves a model's
-//! charge — and with it the model's place on its holders' lists — at every
-//! place that model's `(queue length, model_epoch)` can move (`with_queue`,
-//! and the `recharge` after every profiler measurement); the ledger as a
-//! whole is keyed by the tracker's `holders_epoch` and the GPU count, and
-//! rebuilt from the queued set when either moved; and in debug builds every
-//! read is preceded by an `assert_eq!` of every list against a from-scratch
-//! rebuild ([`LedgerTotals`]). A charge remembers the generation (rebuild)
-//! it was made in, so a charge that predates a rebuild is void rather than
-//! refunded against a holder list it was not made on.
+//! ledger is derived from the scheduler's owners ([`RequestQueues`], the
+//! record of cold rejections and the tracker's holder lists), but unlike the
+//! strategy lists it is *pushed to*, not validated by visiting its keys:
+//! visiting every queued model is the cost it exists to remove. What keeps it
+//! honest is therefore the oracle, not trust. The scheduler recharges a model
+//! at every place its demand can move (`with_queue`, `with_cold_history`, and
+//! the `recharge` after every profiler measurement). The charge is always
+//! stored; the per-GPU columns and lists move with it only while they are
+//! built on the tracker's current `(holders_epoch, GPU count)`. When either
+//! moved, the next read rebuilds them by spreading the stored charges over
+//! the present holder lists. In debug builds every read is preceded by an
+//! `assert_eq!` of every charge and list against a from-scratch rebuild
+//! ([`LedgerTotals`]).
 //!
 //! [`RequestQueues`]: crate::request_queues::RequestQueues
 
@@ -46,13 +53,15 @@ use clockwork_sim::time::Nanos;
 #[cfg(any(test, debug_assertions))]
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct LedgerTotals {
-    /// Per GPU, the queued models it holds or is loading, ascending.
+    /// Every charged model with its charge, ascending.
+    pub(crate) charges: Vec<(ModelId, Nanos)>,
+    /// Per GPU, the charged models it holds or is loading, ascending.
     pub(crate) waiting: Vec<Vec<ModelId>>,
     /// Per GPU, `Σ ceil(demand_m / |holders(m)|)` in ns over those models.
     pub(crate) bounds: Vec<u64>,
     /// The GPUs whose list is non-empty, ascending.
     pub(crate) listed: Vec<usize>,
-    /// Queued models held nowhere, ascending.
+    /// Charged models held nowhere, ascending.
     pub(crate) unheld: Vec<ModelId>,
     /// GPUs whose bound exceeds the limit, ascending.
     pub(crate) over_limit: Vec<usize>,
@@ -68,12 +77,8 @@ pub(crate) struct WaitingLedger {
     over_limit: Vec<usize>,
     /// The bound above which a GPU counts as over capacity, in ns.
     limit: u64,
-    /// Per model, `(demand charged in ns, generation it was charged in)`;
-    /// the charge stands only while that generation is the current one.
-    charges: ModelTable<(u64, u64)>,
-    /// Counts the rebuilds. Starts at 1, so a default `(0, 0)` slot is no
-    /// charge.
-    generation: u64,
+    /// Per model, its present charge.
+    charges: ModelTable<Option<Nanos>>,
     /// The `(holders_epoch, GPU count)` the columns were built on.
     built_on: (u64, usize),
 }
@@ -91,6 +96,24 @@ fn unlist<T: Ord + Copy + std::fmt::Debug>(sorted: &mut Vec<T>, item: T) {
     sorted.remove(pos);
 }
 
+/// The union of two ascending sequences, ascending, each item once.
+pub(crate) fn merged<T: Ord + Copy>(
+    a: impl IntoIterator<Item = T>,
+    b: impl IntoIterator<Item = T>,
+) -> impl Iterator<Item = T> {
+    let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+    std::iter::from_fn(move || {
+        let next = match (a.peek(), b.peek()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) | (None, Some(&x)) => x,
+            (None, None) => return None,
+        };
+        a.next_if_eq(&next);
+        b.next_if_eq(&next);
+        Some(next)
+    })
+}
+
 impl WaitingLedger {
     /// An empty ledger over no GPUs; a GPU is over capacity when its bound
     /// exceeds `limit`.
@@ -103,30 +126,28 @@ impl WaitingLedger {
             over_limit: Vec::new(),
             limit: limit.as_nanos(),
             charges: ModelTable::default(),
-            generation: 1,
             built_on: (0, 0),
         }
     }
 
     /// Whether the columns were built on `key` — the tracker's
-    /// `(holders_epoch, GPU count)`. When not, charges are pointless (the
-    /// holder lists they would walk are not the ones the columns were
-    /// charged on) and the next read must [`rebuild`](Self::rebuild) first.
+    /// `(holders_epoch, GPU count)`. When not, the next read must
+    /// [`rebuild`](Self::rebuild) them first.
     pub(crate) fn is_built_on(&self, key: (u64, usize)) -> bool {
         self.built_on == key
     }
 
-    /// Rebuilds the ledger on `key` from `queued` — every queued model with
-    /// its holders and its demand, in ascending model order — and voids
-    /// every earlier charge by moving to a new generation. A rebuild follows
-    /// every LOAD and eviction, so it is one pass: the per-GPU lists are
+    /// Rebuilds the columns on `key` from the stored charges, spread over
+    /// `charged` — every charged model with its present holders, in
+    /// ascending model order. A rebuild follows every LOAD and eviction, so
+    /// it is one pass that re-estimates nothing: the per-GPU lists are
     /// emptied in place (only the listed GPUs' are touched, and they keep
     /// their capacity) and appended to, and the fleet-wide lists are read
     /// off the finished columns.
     pub(crate) fn rebuild<'a>(
         &mut self,
         key: (u64, usize),
-        queued: impl IntoIterator<Item = (ModelId, &'a [usize], Nanos)>,
+        charged: impl IntoIterator<Item = (ModelId, &'a [usize])>,
     ) {
         for &gpu in &self.listed {
             self.waiting[gpu].clear();
@@ -135,18 +156,17 @@ impl WaitingLedger {
         self.bounds.clear();
         self.bounds.resize(key.1, 0);
         self.unheld.clear();
-        self.generation += 1;
         self.built_on = key;
-        for (model, holders, demand) in queued {
-            let demand = demand.as_nanos();
-            *self.charges.get_or_default(model) = (demand, self.generation);
+        for (model, holders) in charged {
+            let charge = self.charge(model).expect("a rebuilt model is charged");
+            let share = charge.as_nanos().div_ceil(holders.len().max(1) as u64);
             if holders.is_empty() {
                 self.unheld.push(model);
             }
             for &gpu in holders {
                 debug_assert!(self.waiting[gpu].last() < Some(&model), "not ascending");
                 self.waiting[gpu].push(model);
-                self.bounds[gpu] += demand.div_ceil(holders.len() as u64);
+                self.bounds[gpu] += share;
             }
         }
         let (waiting, bounds, limit) = (&self.waiting, &self.bounds, self.limit);
@@ -158,19 +178,23 @@ impl WaitingLedger {
             .extend((0..key.1).filter(|&gpu| bounds[gpu] > limit));
     }
 
-    /// Moves `model`'s charge to `demand` — `None` when its queue is empty —
-    /// split over `holders`, which must be the list its standing charge (if
-    /// any) was made on: O(|holders|), plus a sorted insert or removal per
-    /// holder when the model starts or stops waiting.
-    pub(crate) fn recharge(&mut self, model: ModelId, holders: &[usize], demand: Option<Nanos>) {
-        let slot = self.charges.get_or_default(model);
-        let old = (slot.1 == self.generation).then_some(slot.0);
-        let new = demand.map(Nanos::as_nanos);
-        if old == new {
+    /// Stores `demand` as `model`'s charge — `None` when nothing of it waits
+    /// — and, while the columns are built on `key`, moves its shares and its
+    /// place on the lists over `holders`, the list the standing charge was
+    /// spread over: O(|holders|), plus a sorted insert or removal per holder
+    /// when the model starts or stops waiting.
+    pub(crate) fn recharge(
+        &mut self,
+        key: (u64, usize),
+        model: ModelId,
+        holders: &[usize],
+        demand: Option<Nanos>,
+    ) {
+        let old = std::mem::replace(self.charges.get_or_default(model), demand);
+        if old == demand || !self.is_built_on(key) {
             return;
         }
-        *slot = new.map_or((0, 0), |demand| (demand, self.generation));
-        let (was, is) = (old.is_some(), new.is_some());
+        let (was, is) = (old.is_some(), demand.is_some());
         if holders.is_empty() {
             match (was, is) {
                 (false, true) => list(&mut self.unheld, model),
@@ -180,8 +204,8 @@ impl WaitingLedger {
             return;
         }
         let n = holders.len() as u64;
-        let share = |demand: Option<u64>| demand.map_or(0, |d| d.div_ceil(n));
-        let (old_share, new_share) = (share(old), share(new));
+        let share = |demand: Option<Nanos>| demand.map_or(0, |d| d.as_nanos().div_ceil(n));
+        let (old_share, new_share) = (share(old), share(demand));
         for &gpu in holders {
             let before = self.bounds[gpu];
             let after = before + new_share - old_share;
@@ -216,19 +240,18 @@ impl WaitingLedger {
         &self.waiting[gpu]
     }
 
-    /// The demand `model` is charged for, `None` when it is not queued.
+    /// The demand `model` is charged for, `None` when nothing of it waits.
     pub(crate) fn charge(&self, model: ModelId) -> Option<Nanos> {
-        let &(demand, generation) = self.charges.get(model)?;
-        (generation == self.generation).then_some(Nanos::from_nanos(demand))
+        self.charges.get(model).copied().flatten()
     }
 
-    /// Whether every queued model is held somewhere and no GPU carries a
+    /// Whether every charged model is held somewhere and no GPU carries a
     /// bound above the limit.
     pub(crate) fn all_within_limit(&self) -> bool {
         self.unheld.is_empty() && self.over_limit.is_empty()
     }
 
-    /// The only queued models whose load priority can be positive, written
+    /// The only charged models whose load priority can be positive, written
     /// into `out` ascending: those held nowhere and those waiting on a GPU
     /// over the limit.
     pub(crate) fn priced_into(&self, out: &mut Vec<ModelId>) {
@@ -244,7 +267,11 @@ impl WaitingLedger {
     /// A copy of everything a pass reads, for comparison with the oracle.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn totals(&self) -> LedgerTotals {
+        let charges = self.charges.iter();
         LedgerTotals {
+            charges: charges
+                .filter_map(|(m, &charge)| Some((m, charge?)))
+                .collect(),
             waiting: self.waiting.clone(),
             bounds: self.bounds.clone(),
             listed: self.listed.clone(),
@@ -264,6 +291,11 @@ mod tests {
         l
     }
 
+    /// Recharges on the key the columns are built on.
+    fn charge(l: &mut WaitingLedger, model: u32, holders: &[usize], demand: Option<Nanos>) {
+        l.recharge(l.built_on, ModelId(model), holders, demand);
+    }
+
     fn ns(n: u64) -> Option<Nanos> {
         Some(Nanos::from_nanos(n))
     }
@@ -275,9 +307,9 @@ mod tests {
     #[test]
     fn a_charge_is_split_rounded_up_and_moves_with_the_demand() {
         let mut l = ledger(4);
-        l.recharge(ModelId(2), &[2], ns(60));
-        l.recharge(ModelId(1), &[0, 2, 3], ns(100));
-        l.recharge(ModelId(3), &[], ns(5));
+        charge(&mut l, 2, &[2], ns(60));
+        charge(&mut l, 1, &[0, 2, 3], ns(100));
+        charge(&mut l, 3, &[], ns(5));
         let t = l.totals();
         // ceil(100 / 3) = 34 on each of the three holders.
         assert_eq!(t.bounds, [34, 0, 94, 34]);
@@ -285,22 +317,23 @@ mod tests {
         assert_eq!(t.waiting, [ids(&[1]), ids(&[]), ids(&[1, 2]), ids(&[1])]);
         assert_eq!(t.listed, [0, 2, 3]);
         assert_eq!((t.unheld, t.over_limit), (ids(&[3]), vec![]));
-        assert!(!l.all_within_limit(), "a queued model has no holder");
+        assert!(!l.all_within_limit(), "a charged model has no holder");
         assert_eq!(l.charge(ModelId(1)), ns(100));
         assert_eq!(l.charge(ModelId(4)), None);
         // Growing one share carries GPU 2 over the limit, and only it: what
         // can be priced is what waits there plus the unheld model.
-        l.recharge(ModelId(1), &[0, 2, 3], ns(121));
+        charge(&mut l, 1, &[0, 2, 3], ns(121));
         assert_eq!(l.totals().bounds, [41, 0, 101, 41]);
         assert_eq!(l.totals().over_limit, [2]);
         let mut priced = ids(&[9]);
         l.priced_into(&mut priced);
         assert_eq!(priced, ids(&[1, 2, 3]));
         // Emptying queues takes the charges back out, exactly.
-        l.recharge(ModelId(2), &[2], None);
-        l.recharge(ModelId(3), &[], None);
-        l.recharge(ModelId(3), &[], None);
+        charge(&mut l, 2, &[2], None);
+        charge(&mut l, 3, &[], None);
+        charge(&mut l, 3, &[], None);
         let t = l.totals();
+        assert_eq!(t.charges, [(ModelId(1), Nanos::from_nanos(121))]);
         assert_eq!(t.bounds, [41, 0, 41, 41]);
         assert_eq!(t.waiting, [ids(&[1]), ids(&[]), ids(&[1]), ids(&[1])]);
         assert_eq!((t.unheld, t.over_limit), (vec![], vec![]));
@@ -308,52 +341,63 @@ mod tests {
         assert_eq!(l.charge(ModelId(2)), None);
         l.priced_into(&mut priced);
         assert!(priced.is_empty());
-        l.recharge(ModelId(1), &[0, 2, 3], None);
+        charge(&mut l, 1, &[0, 2, 3], None);
         assert_eq!(l.totals().bounds, [0; 4]);
         assert!(l.listed().is_empty());
         assert!((0..4).all(|gpu| l.waiting(gpu).is_empty()));
     }
 
     #[test]
-    fn a_charge_from_before_a_rebuild_is_void() {
+    fn a_rebuild_spreads_the_stored_charges_over_the_present_holders() {
         let mut l = ledger(2);
-        l.recharge(ModelId(1), &[0], ns(70));
-        l.recharge(ModelId(2), &[0, 1], ns(250));
-        l.recharge(ModelId(3), &[], ns(5));
+        charge(&mut l, 1, &[0], ns(70));
+        charge(&mut l, 2, &[0, 1], ns(250));
+        charge(&mut l, 3, &[], ns(5));
         assert!(l.is_built_on((1, 2)) && !l.is_built_on((2, 2)) && !l.is_built_on((1, 3)));
-        assert_eq!(l.totals().over_limit, [0, 1]);
-        // The holder list moved and a GPU joined: the rebuild starts from
-        // nothing — no entry of the previous generation is left on any
-        // list, the joined GPU's included — and the old charge is not
-        // refunded against the new list.
-        l.rebuild((2, 3), []);
-        assert_eq!(l.totals(), ledger(3).totals());
-        assert_eq!(l.charge(ModelId(1)), None);
-        l.recharge(ModelId(1), &[1, 2], ns(70));
-        assert_eq!(l.totals().bounds, [0, 35, 35]);
-        assert_eq!(l.totals().waiting, [ids(&[]), ids(&[1]), ids(&[1])]);
-        assert_eq!(l.listed(), [1, 2]);
-        // A rebuild from the queued set is what charging each model in turn
-        // gives, and a charge made in it can be moved like any other.
+        let built = l.totals();
+        assert_eq!(built.over_limit, [0, 1]);
+        // A holder list moved and a GPU joined. Until the rebuild a charge
+        // is stored and nothing else moves: the columns were spread over
+        // holder lists that are gone.
+        let key = (2, 3);
+        l.recharge(key, ModelId(1), &[2], ns(80));
+        l.recharge(key, ModelId(4), &[], ns(9));
+        l.recharge(key, ModelId(3), &[], None);
+        assert_eq!(l.charge(ModelId(1)), ns(80));
+        assert_eq!(l.charge(ModelId(3)), None);
+        assert_eq!(l.totals().bounds, built.bounds);
+        assert_eq!(l.totals().unheld, built.unheld);
+        // The rebuild starts from nothing — no entry of the old columns is
+        // left on any list, the joined GPU's included — and spreads each
+        // stored charge over the present list: what charging each model in
+        // turn on a fresh ledger gives.
         let (one, two): (&[usize], &[usize]) = (&[2], &[0, 2]);
-        let queued = [(1, one, 70), (2, two, 250), (3, &[][..], 5)];
-        l.rebuild(
-            (3, 3),
-            queued.map(|(m, holders, d)| (ModelId(m), holders, Nanos::from_nanos(d))),
-        );
-        let mut charged = ledger(3);
-        for (m, holders, d) in queued {
-            charged.recharge(ModelId(m), holders, ns(d));
+        let charged = [(1, one), (2, two), (4, &[][..])];
+        l.rebuild(key, charged.map(|(m, holders)| (ModelId(m), holders)));
+        let mut fresh = ledger(3);
+        for (m, holders) in charged {
+            charge(&mut fresh, m, holders, l.charge(ModelId(m)));
         }
-        assert_eq!(l.totals(), charged.totals());
-        assert_eq!(l.totals().over_limit, [0, 2]);
-        l.recharge(ModelId(2), two, ns(50));
-        assert_eq!(l.totals().bounds, [25, 0, 95]);
-        assert_eq!(l.totals().over_limit, [0; 0]);
-        // A model not recharged by the rebuild (no longer queued) stays
-        // uncharged when told so again.
-        l.rebuild((4, 3), []);
-        l.recharge(ModelId(1), &[1, 2], None);
-        assert_eq!(l.totals(), ledger(3).totals());
+        assert_eq!(l.totals(), fresh.totals());
+        assert_eq!(l.totals().bounds, [125, 0, 205]);
+        assert_eq!(l.totals().waiting, [ids(&[2]), ids(&[]), ids(&[1, 2])]);
+        assert_eq!(
+            (l.totals().unheld, l.totals().over_limit),
+            (ids(&[4]), vec![0, 2])
+        );
+        // A charge made on the rebuilt columns moves like any other.
+        l.recharge(key, ModelId(2), two, ns(50));
+        assert_eq!(l.totals().bounds, [25, 0, 105]);
+        assert_eq!(l.totals().over_limit, [2]);
+    }
+
+    #[test]
+    fn merged_is_the_ascending_union() {
+        let union =
+            |a: &[u32], b: &[u32]| merged(a.iter().copied(), b.iter().copied()).collect::<Vec<_>>();
+        assert_eq!(union(&[1, 3, 5], &[2, 3, 6]), [1, 2, 3, 5, 6]);
+        assert_eq!(union(&[], &[4, 7]), [4, 7]);
+        assert_eq!(union(&[4, 7], &[]), [4, 7]);
+        assert!(union(&[], &[]).is_empty());
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! The same sequences also drive the oracles *inside* the pass. In debug
 //! builds `ClockworkScheduler` checks, in every pass either side runs, the
-//! demand ledger against demands re-estimated from scratch, every emitted
+//! ledger's charges against demands re-estimated from scratch, every emitted
 //! LOAD-priority list — bit for bit — against the positive prefix of the
 //! fully sorted list of all priorities, and, whenever the second INFER pass
 //! is skipped as a provable repeat, that running it anyway sends nothing and
@@ -310,7 +310,7 @@ proptest! {
 /// enough to queue: the GPU holding the model carries more demand than the
 /// priority horizon, so a *held* model's LOAD priority turns positive and
 /// replicas spread — the regime where dropping non-positive priorities before
-/// the sort, the demand ledger and the skipped repeat pass all matter.
+/// the sort, the ledger's charges and the skipped repeat pass all matter.
 #[test]
 fn differential_overload_spreads_replicas() {
     let ops: Vec<(u64, ExternalOp)> = (0..400)

@@ -11,17 +11,17 @@
 //! * [`Summary`] — streaming count/mean/min/max.
 //! * [`TimeSeries`] — fixed-interval bucketed counters and gauges.
 //! * [`UtilizationTracker`] — busy-interval accounting per time bucket.
+//! * [`OrderStatWindow`] — a sliding window kept sorted, so a percentile of
+//!   the last N samples (the controller's rolling action profiles) is one
+//!   index.
 //! * [`percentile`] — exact percentiles over small sample vectors.
-//! * [`csv`] — a tiny CSV writer used by the benchmark harness so results can
-//!   be plotted without extra dependencies.
-//! * [`trace`] — structured request-lifecycle spans ([`TraceEvent`]) behind a
-//!   zero-cost-when-off [`Tracer`] trait, with a bounded [`RingTracer`] and
-//!   deterministic JSONL export for SLO-blame attribution.
+//! * [`trace`] — structured request-lifecycle spans ([`TraceEvent`]) recorded
+//!   into a bounded [`RingTracer`], with deterministic JSONL export for
+//!   SLO-blame attribution.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod csv;
 pub mod histogram;
 pub mod orderstat;
 pub mod percentile;
@@ -34,5 +34,5 @@ pub use histogram::LatencyHistogram;
 pub use orderstat::OrderStatWindow;
 pub use summary::Summary;
 pub use timeseries::TimeSeries;
-pub use trace::{NoopTracer, RingTracer, TraceEvent, TraceRecord, Tracer};
+pub use trace::{RingTracer, TraceEvent, TraceRecord};
 pub use utilization::UtilizationTracker;

@@ -15,16 +15,14 @@
 //! additional events through the same channel, guarded by a boolean so the
 //! off path costs one predictable branch.
 //!
-//! Two [`Tracer`] implementations ship:
-//!
-//! * [`NoopTracer`] — the default. Both methods are empty `#[inline]` bodies,
-//!   so with tracing off every emission site compiles down to nothing and
-//!   run digests stay byte-identical to an untraced build.
-//! * [`RingTracer`] — a bounded ring. At capacity it drops the *oldest*
-//!   spans and counts them in [`RingTracer::dropped_spans`]; truncation is
-//!   never silent, mirroring the event-mix conservation discipline. Exports
-//!   deterministically as JSONL (sim-time stamps, insertion order) with an
-//!   FNV-1a digest over the exported bytes for same-seed comparisons.
+//! The sink is [`RingTracer`], a bounded ring. Tracing off means no ring at
+//! all — the facade holds an `Option` of one and every emission site tests
+//! it — so an untraced run pays one branch per site and its digest is
+//! byte-identical to a traced one. At capacity the ring drops the *oldest*
+//! spans and counts them in [`RingTracer::dropped_spans`]; truncation is
+//! never silent, mirroring the event-mix conservation discipline. It exports
+//! deterministically as JSONL (sim-time stamps, insertion order) with an
+//! FNV-1a digest over the exported bytes for same-seed comparisons.
 //!
 //! Identifiers are plain integers (request ids, model ids, worker/GPU
 //! indices) rather than the typed ids of the higher crates: this crate sits
@@ -461,33 +459,6 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// A sink for lifecycle events.
-///
-/// The default methods are no-ops, so [`NoopTracer`] (an empty struct using
-/// only the defaults) compiles away entirely — the zero-cost-when-off
-/// guarantee the digest-identity tests pin down.
-pub trait Tracer {
-    /// Whether this tracer records anything. Emission sites that must build
-    /// an event (clone a member list, format a label) check this first so
-    /// the off path pays one branch, not an allocation.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Records one event observed at simulation time `at` (nanoseconds).
-    #[inline]
-    fn record(&mut self, at: u64, event: TraceEvent) {
-        let _ = (at, event);
-    }
-}
-
-/// The do-nothing tracer: tracing off.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {}
-
 /// A bounded in-memory trace: the most recent `capacity` spans, oldest
 /// dropped first, every drop counted. Exports as deterministic JSONL.
 #[derive(Clone, Debug)]
@@ -507,9 +478,14 @@ impl RingTracer {
         }
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Records one event observed at simulation time `at` (nanoseconds),
+    /// dropping the oldest span first when the ring is full.
+    pub fn record(&mut self, at: u64, event: TraceEvent) {
+        if self.records.len() == self.capacity {
+            self.records.pop_front();
+            self.dropped += 1;
+        }
+        self.records.push_back(TraceRecord { at, event });
     }
 
     /// The retained spans, oldest first.
@@ -562,21 +538,6 @@ impl RingTracer {
     }
 }
 
-impl Tracer for RingTracer {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, at: u64, event: TraceEvent) {
-        if self.records.len() == self.capacity {
-            self.records.pop_front();
-            self.dropped += 1;
-        }
-        self.records.push_back(TraceRecord { at, event });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,16 +551,9 @@ mod tests {
     }
 
     #[test]
-    fn noop_tracer_is_disabled_and_inert() {
-        let mut t = NoopTracer;
-        assert!(!t.enabled());
-        t.record(5, enqueued(1));
-    }
-
-    #[test]
     fn ring_records_in_order() {
         let mut t = RingTracer::new(8);
-        assert!(t.enabled());
+        assert!(t.is_empty());
         for i in 0..3 {
             t.record(i, enqueued(i));
         }

@@ -2,8 +2,8 @@
 //!
 //! The experiments in the paper run for minutes to hours of wall-clock time;
 //! we replay them in virtual time instead. [`EventQueue`] is a priority queue
-//! of timestamped events with deterministic FIFO tie-breaking, and
-//! [`SimClock`] tracks the current virtual instant.
+//! of timestamped events with deterministic FIFO tie-breaking; the loop that
+//! pops it keeps the current virtual instant itself.
 //!
 //! Higher layers (the system assembly in the `clockwork` crate) define their
 //! own event payload type and drive the loop:
@@ -28,7 +28,7 @@ use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{Nanos, Timestamp};
+use crate::time::Timestamp;
 
 /// A fleet-churn fault delivered by the simulation.
 ///
@@ -542,43 +542,6 @@ impl<E> EventQueue<E> {
     /// Total events cancelled before delivery.
     pub fn cancelled_total(&self) -> u64 {
         self.cancelled
-    }
-}
-
-/// The virtual clock of a simulation.
-///
-/// The clock only moves forward; [`SimClock::advance_to`] with an earlier
-/// timestamp is a no-op, which makes it safe to advance from out-of-order
-/// notification sources.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SimClock {
-    now: Timestamp,
-}
-
-impl SimClock {
-    /// Creates a clock at time zero.
-    pub fn new() -> Self {
-        SimClock {
-            now: Timestamp::ZERO,
-        }
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> Timestamp {
-        self.now
-    }
-
-    /// Advances the clock to `t` if `t` is in the future.
-    pub fn advance_to(&mut self, t: Timestamp) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Advances the clock by a duration and returns the new time.
-    pub fn advance_by(&mut self, d: Nanos) -> Timestamp {
-        self.now += d;
-        self.now
     }
 }
 
@@ -1209,17 +1172,5 @@ mod tests {
         q.push(Timestamp::from_millis(10), 1);
         assert!(q.pop_due(Timestamp::from_millis(5)).is_none());
         assert!(q.pop_due(Timestamp::from_millis(10)).is_some());
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let mut c = SimClock::new();
-        c.advance_to(Timestamp::from_millis(10));
-        c.advance_to(Timestamp::from_millis(5));
-        assert_eq!(c.now(), Timestamp::from_millis(10));
-        assert_eq!(
-            c.advance_by(Nanos::from_millis(3)),
-            Timestamp::from_millis(13)
-        );
     }
 }

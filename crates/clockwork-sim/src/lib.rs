@@ -7,8 +7,8 @@
 //! * [`time`] — virtual time ([`Nanos`] durations and [`Timestamp`] instants).
 //! * [`rng`] — a small, fully deterministic PCG-based random number generator
 //!   so every experiment is reproducible bit-for-bit.
-//! * [`engine`] — a discrete-event simulation core ([`EventQueue`],
-//!   [`SimClock`]) that lets hours of trace be replayed in seconds.
+//! * [`engine`] — a discrete-event simulation core ([`EventQueue`]) that lets
+//!   hours of trace be replayed in seconds.
 //! * [`hash`] — the one FNV-1a behind every determinism digest.
 //! * [`gpu`] — a GPU timing model with the paper's key property: one-at-a-time
 //!   kernel execution is deterministic, concurrent execution gains a little
@@ -36,7 +36,7 @@ pub mod rng;
 pub mod time;
 pub mod variance;
 
-pub use engine::{EventQueue, SimClock};
+pub use engine::EventQueue;
 pub use gpu::{GpuSpec, GpuTimingModel};
 pub use memory::MemoryPool;
 pub use network::NetworkModel;

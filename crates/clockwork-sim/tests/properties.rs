@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use clockwork_sim::engine::{EventQueue, SimClock};
+use clockwork_sim::engine::EventQueue;
 use clockwork_sim::gpu::{ConcurrencyModel, ExecNoise, GpuSpec, GpuTimingModel};
 use clockwork_sim::memory::MemoryPool;
 use clockwork_sim::network::{NetworkConfig, NetworkModel};
@@ -135,7 +135,7 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // Event queue and clock
+    // Event queue
     // ------------------------------------------------------------------
 
     #[test]
@@ -377,18 +377,6 @@ proptest! {
         }
         prop_assert_eq!(real.pop(), None);
         prop_assert!(real.is_empty());
-    }
-
-    #[test]
-    fn sim_clock_is_monotone_under_arbitrary_advances(steps in proptest::collection::vec(0u64..DAY_NS, 0..200)) {
-        let mut clock = SimClock::new();
-        let mut prev = clock.now();
-        for s in steps {
-            clock.advance_to(Timestamp::from_nanos(s));
-            prop_assert!(clock.now() >= prev);
-            prop_assert!(clock.now() >= Timestamp::from_nanos(s).min(clock.now()));
-            prev = clock.now();
-        }
     }
 
     // ------------------------------------------------------------------

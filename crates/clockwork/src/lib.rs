@@ -58,7 +58,7 @@ pub use telemetry::{
 // *workload* trace entry — already owns that name in the prelude, so the
 // lifecycle span enum is re-exported here as `LifecycleEvent`).
 pub use clockwork_metrics::trace::TraceEvent as LifecycleEvent;
-pub use clockwork_metrics::trace::{RingTracer, TraceRecord, Tracer};
+pub use clockwork_metrics::trace::{RingTracer, TraceRecord};
 
 /// Convenience re-exports for examples, tests and benchmarks.
 pub mod prelude {
@@ -79,7 +79,7 @@ pub mod prelude {
     };
     pub use clockwork_faults::{ChurnConfig, FaultKind, FaultPlan};
     pub use clockwork_metrics::trace::TraceEvent as LifecycleEvent;
-    pub use clockwork_metrics::trace::{RingTracer, TraceRecord, Tracer};
+    pub use clockwork_metrics::trace::{RingTracer, TraceRecord};
     pub use clockwork_model::{zoo::ModelZoo, ModelId, ModelSpec, Tier};
     pub use clockwork_sim::rng::SimRng;
     pub use clockwork_sim::time::{Nanos, Timestamp};

@@ -20,7 +20,7 @@ use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 use clockwork_controller::worker_state::GpuRef;
 use clockwork_controller::SchedProfile;
 use clockwork_faults::FaultPlan;
-use clockwork_metrics::trace::{RingTracer, TraceEvent, Tracer};
+use clockwork_metrics::trace::{RingTracer, TraceEvent};
 use clockwork_model::{ModelId, ModelSpec, ModelTable, Tier};
 use clockwork_sim::engine::{EventId, EventQueue, FaultKind};
 use clockwork_sim::network::NetworkModel;

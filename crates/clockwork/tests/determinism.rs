@@ -52,6 +52,35 @@ fn smoke_digests_match_the_golden_constants() {
     assert_eq!(run_fleet_smoke(7, SMOKE_CAP), (GOLDEN_CAPPED, SMOKE_CAP));
 }
 
+/// A cell that lives on the cold path: one GPU, four ResNet50 copies, sixteen
+/// closed-loop clients each and a 10 ms SLO — below a cold start (≈ 11 ms),
+/// above a warm one — so most arrivals for a model that is not resident are
+/// rejected only because it is cold, and those rejections are what drives its
+/// LOAD priority (Appendix B).
+fn cold_path_cell() -> ScenarioSpec {
+    ScenarioSpec {
+        name: "cold_path".to_string(),
+        workers: 1,
+        gpus_per_worker: 1,
+        models: 4,
+        model_set: ModelSet::Resnet50Copies,
+        workload: WorkloadSpec::ClosedLoop { concurrency: 16 },
+        slo_ms: 10,
+        duration_secs: 2,
+        drain_secs: 0,
+        variance: VarianceConfig::none(),
+        ..ScenarioSpec::smoke(60)
+    }
+}
+
+#[test]
+fn the_cold_path_digest_matches_its_golden_constant() {
+    let report = Experiment::new(cold_path_cell()).run(&ClockworkFactory::default());
+    // Four LOAD evaluations, each priced with cold-rejection demand on record.
+    assert_eq!(report.sched_stats().load_prio_recomputes, 4);
+    assert_eq!(report.digest(), 0xf770_262f_90b4_53d2);
+}
+
 #[test]
 fn smoke_mode_is_fixed_work_and_deterministic() {
     let (digest_a, events_a) = run_fleet_smoke(7, SMOKE_CAP);
