@@ -35,6 +35,7 @@
 //! at full sweep scale. CI's smoke step runs the sweep at `--duration-secs
 //! 10` with this flag on.
 
+use clockwork::json::Value;
 use clockwork::prelude::*;
 use clockwork_baselines::register_baselines;
 
@@ -64,6 +65,32 @@ impl Args {
             check_determinism: cli.switch("--check-determinism"),
         })
     }
+}
+
+fn cell_json(run: &RunOutcome) -> (&str, Value) {
+    let m = &run.metrics;
+    let p50_ms = m.latency.percentile(50.0).as_millis_f64();
+    let p99_ms = m.latency.percentile(99.0).as_millis_f64();
+    let json = Value::obj([
+        ("total", m.total_requests.into()),
+        ("successes", m.successes.into()),
+        ("rejected", run.rejected().into()),
+        ("goodput", m.goodput.into()),
+        ("goodput_rps", Value::fixed(m.goodput_rate(), 1)),
+        ("satisfaction", Value::fixed(m.satisfaction(), 4)),
+        ("p50_ms", Value::fixed(p50_ms, 2)),
+        ("p99_ms", Value::fixed(p99_ms, 2)),
+        ("mean_batch", Value::fixed(m.mean_batch, 3)),
+        ("cold_fraction", Value::fixed(m.cold_start_fraction(), 4)),
+        ("identity_ok", run.identity_ok().into()),
+        ("drained", run.drained().into()),
+        ("live_events", run.live_events.into()),
+        ("events_processed", run.events_processed.into()),
+        ("wall_secs", Value::fixed(run.wall_secs, 3)),
+        ("sched", bench::sched_json(&run.sched)),
+        ("digest", bench::digest_json(run.digest)),
+    ]);
+    (&run.discipline, json)
 }
 
 fn main() {
@@ -199,93 +226,27 @@ fn main() {
         }
     }
 
-    let load_objects: Vec<String> = rows
+    let loads = MULTIPLIERS
         .iter()
-        .enumerate()
-        .map(|(i, load_rows)| {
-            let discipline_objects: Vec<String> = load_rows
-                .iter()
-                .map(|run| {
-                    let m = &run.metrics;
-                    format!(
-                        concat!(
-                            "        \"{name}\": {{\n",
-                            "          \"total\": {total},\n",
-                            "          \"successes\": {successes},\n",
-                            "          \"rejected\": {rejected},\n",
-                            "          \"goodput\": {goodput},\n",
-                            "          \"goodput_rps\": {goodput_rps:.1},\n",
-                            "          \"satisfaction\": {satisfaction:.4},\n",
-                            "          \"p50_ms\": {p50:.2},\n",
-                            "          \"p99_ms\": {p99:.2},\n",
-                            "          \"mean_batch\": {mean_batch:.3},\n",
-                            "          \"cold_fraction\": {cold:.4},\n",
-                            "          \"identity_ok\": {identity_ok},\n",
-                            "          \"drained\": {drained},\n",
-                            "          \"live_events\": {live},\n",
-                            "          \"events_processed\": {events},\n",
-                            "          \"wall_secs\": {wall:.3},\n",
-                            "          \"sched\": {sched},\n",
-                            "          \"digest\": \"{digest:016x}\"\n",
-                            "        }}"
-                        ),
-                        name = run.discipline,
-                        total = m.total_requests,
-                        successes = m.successes,
-                        rejected = run.rejected(),
-                        goodput = m.goodput,
-                        goodput_rps = m.goodput_rate(),
-                        satisfaction = m.satisfaction(),
-                        p50 = m.latency.percentile(50.0).as_millis_f64(),
-                        p99 = m.latency.percentile(99.0).as_millis_f64(),
-                        mean_batch = m.mean_batch,
-                        cold = m.cold_start_fraction(),
-                        identity_ok = run.identity_ok(),
-                        drained = run.drained(),
-                        live = run.live_events,
-                        events = run.events_processed,
-                        wall = run.wall_secs,
-                        sched = bench::sched_json(&run.sched),
-                        digest = run.digest,
-                    )
-                })
-                .collect();
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"multiplier\": {multiplier},\n",
-                    "      \"offered_rps\": {offered:.1},\n",
-                    "      \"disciplines\": {{\n",
-                    "{disciplines}\n",
-                    "      }}\n",
-                    "    }}"
-                ),
-                multiplier = MULTIPLIERS[i],
-                offered = args.base_rate * MULTIPLIERS[i],
-                disciplines = discipline_objects.join(",\n"),
-            )
-        })
-        .collect();
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scenario\": {scenario},\n",
-            "  \"base_rate_rps\": {base_rate:.1},\n",
-            "  \"multipliers\": [1.0, 2.0, 5.0, 10.0],\n",
-            "  \"determinism_checked\": {determinism},\n",
-            "  \"loads\": [\n",
-            "{loads}\n",
-            "  ]\n",
-            "}}\n",
+        .zip(&rows)
+        .map(|(&multiplier, load_rows)| {
+            Value::obj([
+                ("multiplier", multiplier.into()),
+                ("offered_rps", Value::fixed(args.base_rate * multiplier, 1)),
+                ("disciplines", Value::obj(load_rows.iter().map(cell_json))),
+            ])
+        });
+    let doc = Value::obj([
+        ("scenario", bench::scenario_json(&base, args.max_events)),
+        ("base_rate_rps", Value::fixed(args.base_rate, 1)),
+        (
+            "multipliers",
+            MULTIPLIERS.iter().map(|&m| Value::fixed(m, 1)).collect(),
         ),
-        scenario = bench::scenario_json(&base, args.max_events),
-        base_rate = args.base_rate,
-        determinism = args.check_determinism,
-        loads = load_objects.join(",\n"),
-    );
-    std::fs::write(&args.out, &json).expect("write results json");
-    println!("# wrote {}", args.out);
+        ("determinism_checked", args.check_determinism.into()),
+        ("loads", loads.collect()),
+    ]);
+    bench::write_json(&args.out, &doc);
 
     if failed {
         std::process::exit(1);

@@ -35,6 +35,7 @@
 //! catch tick-pipeline regressions that an absolute wall cap would miss on
 //! slower runners.
 
+use clockwork::json::Value;
 use clockwork::prelude::*;
 use clockwork_baselines::register_baselines;
 
@@ -166,89 +167,46 @@ fn main() {
         }
     }
 
-    let discipline_objects: Vec<String> = rows
-        .iter()
-        .map(|(run, analysis)| {
-            format!(
-                concat!(
-                    "    \"{name}\": {{\n",
-                    "      \"total\": {total},\n",
-                    "      \"successes\": {successes},\n",
-                    "      \"rejected\": {rejected},\n",
-                    "      \"goodput\": {goodput},\n",
-                    "      \"goodput_rps\": {goodput_rps:.1},\n",
-                    "      \"satisfaction\": {{ \"pre\": {pre:.4}, \"churn\": {churn:.4}, \"post\": {post:.4}, \"retention\": {retention:.4} }},\n",
-                    "      \"availability\": {{ \"min\": {avail_min:.4}, \"final\": {avail_final:.4} }},\n",
-                    "      \"recovery_secs\": {recovery:.1},\n",
-                    "      \"identity_ok\": {identity_ok},\n",
-                    "      \"drained\": {drained},\n",
-                    "      \"live_events\": {live},\n",
-                    "      \"events_processed\": {events},\n",
-                    "      \"wall_secs\": {wall:.3},\n",
-                    "      \"sched\": {sched},\n",
-                    "      \"digest\": \"{digest:016x}\"\n",
-                    "    }}"
-                ),
-                name = run.discipline,
-                total = run.metrics.total_requests,
-                successes = run.metrics.successes,
-                rejected = run.rejected(),
-                goodput = run.metrics.goodput,
-                goodput_rps = run.metrics.goodput_rate(),
-                pre = analysis.pre.satisfaction(),
-                churn = analysis.churn.satisfaction(),
-                post = analysis.post.satisfaction(),
-                retention = analysis.retention(),
-                avail_min = analysis.min_availability,
-                avail_final = analysis.final_availability,
-                recovery = analysis.recovery_secs,
-                identity_ok = run.identity_ok(),
-                drained = run.drained(),
-                live = run.live_events,
-                events = run.events_processed,
-                wall = run.wall_secs,
-                sched = bench::sched_json(&run.sched),
-                digest = run.digest,
-            )
-        })
-        .collect();
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scenario\": {scenario},\n",
-            "  \"churn\": {{\n",
-            "    \"worker_crashes\": {crashes},\n",
-            "    \"gpu_failures\": {gpu_failures},\n",
-            "    \"partitions\": {partitions},\n",
-            "    \"link_degradations\": {degradations},\n",
-            "    \"first_fault_secs\": {first_fault:.3},\n",
-            "    \"last_recovery_secs\": {last_recovery:.3}\n",
-            "  }},\n",
-            "  \"steady_fraction_of_arrivals\": {steady:.2},\n",
-            "  \"disciplines\": {{\n",
-            "{disciplines}\n",
-            "  }}\n",
-            "}}\n",
+    let disciplines = rows.iter().map(|(run, analysis)| {
+        let satisfaction = Value::obj([
+            ("pre", Value::fixed(analysis.pre.satisfaction(), 4)),
+            ("churn", Value::fixed(analysis.churn.satisfaction(), 4)),
+            ("post", Value::fixed(analysis.post.satisfaction(), 4)),
+            ("retention", Value::fixed(analysis.retention(), 4)),
+        ]);
+        let availability = Value::obj([
+            ("min", Value::fixed(analysis.min_availability, 4)),
+            ("final", Value::fixed(analysis.final_availability, 4)),
+        ]);
+        let cell = Value::obj([
+            ("total", run.metrics.total_requests.into()),
+            ("successes", run.metrics.successes.into()),
+            ("rejected", run.rejected().into()),
+            ("goodput", run.metrics.goodput.into()),
+            ("goodput_rps", Value::fixed(run.metrics.goodput_rate(), 1)),
+            ("satisfaction", satisfaction),
+            ("availability", availability),
+            ("recovery_secs", Value::fixed(analysis.recovery_secs, 1)),
+            ("identity_ok", run.identity_ok().into()),
+            ("drained", run.drained().into()),
+            ("live_events", run.live_events.into()),
+            ("events_processed", run.events_processed.into()),
+            ("wall_secs", Value::fixed(run.wall_secs, 3)),
+            ("sched", bench::sched_json(&run.sched)),
+            ("digest", bench::digest_json(run.digest)),
+        ]);
+        (run.discipline.as_str(), cell)
+    });
+    let doc = Value::obj([
+        ("scenario", bench::scenario_json(&spec, args.max_events)),
+        ("churn", bench::churn_json(&plan)),
+        (
+            "steady_fraction_of_arrivals",
+            Value::fixed(bench::STEADY_FRACTION, 2),
         ),
-        scenario = bench::scenario_json(&spec, args.max_events),
-        crashes = plan.worker_crashes(),
-        gpu_failures = plan.gpu_failures(),
-        partitions = plan.partitions(),
-        degradations = plan.link_degradations(),
-        first_fault = plan
-            .first_at()
-            .map(|t| t.as_nanos() as f64 / 1e9)
-            .unwrap_or(0.0),
-        last_recovery = plan
-            .last_recovery_at()
-            .map(|t| t.as_nanos() as f64 / 1e9)
-            .unwrap_or(0.0),
-        steady = bench::STEADY_FRACTION,
-        disciplines = discipline_objects.join(",\n"),
-    );
-    std::fs::write(&args.out, &json).expect("write results json");
-    println!("# wrote {}", args.out);
+        ("disciplines", Value::obj(disciplines)),
+    ]);
+    bench::write_json(&args.out, &doc);
 
     if failed {
         std::process::exit(1);

@@ -30,6 +30,7 @@
 //! together); CI runs a short full run twice via `--check-determinism` so
 //! the accounting identity and digest stability are both exercised cheaply.
 
+use clockwork::json::Value;
 use clockwork::prelude::*;
 
 const USAGE: &str = "chaos_fleet [--events N] [--out PATH] [--seed N] [--duration-secs N] \
@@ -154,92 +155,64 @@ fn main() {
     if !bench::report_event_mix(&run) {
         failed = true;
     }
-    let events_json = bench::event_mix_json(&run);
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scenario\": {scenario},\n",
-            "  \"discipline\": \"{discipline}\",\n",
-            "  \"churn\": {{\n",
-            "    \"worker_crashes\": {crashes},\n",
-            "    \"gpu_failures\": {gpu_failures},\n",
-            "    \"partitions\": {partitions},\n",
-            "    \"link_degradations\": {degradations},\n",
-            "    \"first_fault_secs\": {first_fault:.3},\n",
-            "    \"last_recovery_secs\": {last_recovery:.3}\n",
-            "  }},\n",
-            "  \"phases\": {{\n",
-            "    \"pre\": {{ \"secs\": {pre_secs:.1}, \"arrivals\": {pre_arrivals}, \"goodput\": {pre_goodput}, \"goodput_rps\": {pre_rate:.1}, \"satisfaction\": {pre_sat:.4} }},\n",
-            "    \"churn\": {{ \"secs\": {churn_secs:.1}, \"arrivals\": {churn_arrivals}, \"goodput\": {churn_goodput}, \"goodput_rps\": {churn_rate:.1}, \"satisfaction\": {churn_sat:.4} }},\n",
-            "    \"post\": {{ \"secs\": {post_secs:.1}, \"arrivals\": {post_arrivals}, \"goodput\": {post_goodput}, \"goodput_rps\": {post_rate:.1}, \"satisfaction\": {post_sat:.4} }},\n",
-            "    \"churn_satisfaction_retention\": {retention:.4}\n",
-            "  }},\n",
-            "  \"availability\": {{ \"min\": {avail_min:.4}, \"final\": {avail_final:.4} }},\n",
-            "  \"recovery\": {{ \"recovery_secs\": {recovery:.1}, \"steady_fraction_of_arrivals\": {steady:.2} }},\n",
-            "  \"accounting\": {{\n",
-            "    \"total\": {total},\n",
-            "    \"successes\": {successes},\n",
-            "    \"rejected\": {rejected},\n",
-            "    \"goodput\": {goodput},\n",
-            "    \"identity_ok\": {identity_ok},\n",
-            "    \"drained\": {drained}\n",
-            "  }},\n",
-            "  \"perf\": {{\n",
-            "    \"events_processed\": {events},\n",
-            "    \"wall_secs\": {wall:.3},\n",
-            "    \"events_per_sec\": {eps:.0},\n",
-            "    \"peak_rss_kb\": {rss}\n",
-            "  }},\n",
-            "  \"events\": {events_json},\n",
-            "  \"sched\": {sched_json},\n",
-            "  \"digest\": \"{digest:016x}\"\n",
-            "}}\n",
+    let phase = |p: &bench::PhaseStats| {
+        Value::obj([
+            ("secs", Value::fixed(p.secs, 1)),
+            ("arrivals", p.arrivals.into()),
+            ("goodput", p.goodput.into()),
+            ("goodput_rps", Value::fixed(p.rate(), 1)),
+            ("satisfaction", Value::fixed(p.satisfaction(), 4)),
+        ])
+    };
+    let phases = Value::obj([
+        ("pre", phase(&analysis.pre)),
+        ("churn", phase(&analysis.churn)),
+        ("post", phase(&analysis.post)),
+        (
+            "churn_satisfaction_retention",
+            Value::fixed(analysis.retention(), 4),
         ),
-        scenario = bench::scenario_json(&spec, args.max_events),
-        discipline = run.discipline,
-        crashes = plan.worker_crashes(),
-        gpu_failures = plan.gpu_failures(),
-        partitions = plan.partitions(),
-        degradations = plan.link_degradations(),
-        first_fault = analysis.first_fault_secs,
-        last_recovery = analysis.last_recovery_secs,
-        pre_secs = analysis.pre.secs,
-        pre_arrivals = analysis.pre.arrivals,
-        pre_goodput = analysis.pre.goodput,
-        pre_rate = analysis.pre.rate(),
-        pre_sat = analysis.pre.satisfaction(),
-        churn_secs = analysis.churn.secs,
-        churn_arrivals = analysis.churn.arrivals,
-        churn_goodput = analysis.churn.goodput,
-        churn_rate = analysis.churn.rate(),
-        churn_sat = analysis.churn.satisfaction(),
-        post_secs = analysis.post.secs,
-        post_arrivals = analysis.post.arrivals,
-        post_goodput = analysis.post.goodput,
-        post_rate = analysis.post.rate(),
-        post_sat = analysis.post.satisfaction(),
-        retention = analysis.retention(),
-        avail_min = analysis.min_availability,
-        avail_final = analysis.final_availability,
-        recovery = analysis.recovery_secs,
-        steady = bench::STEADY_FRACTION,
-        total = m.total_requests,
-        successes = m.successes,
-        rejected = rejected,
-        goodput = m.goodput,
-        identity_ok = run.identity_ok(),
-        drained = run.drained(),
-        events = run.events_processed,
-        wall = run.wall_secs,
-        eps = events_per_sec,
-        rss = bench::peak_rss_kb(),
-        events_json = events_json,
-        sched_json = bench::sched_json(&run.sched),
-        digest = run.digest,
-    );
-    std::fs::write(&args.out, &json).expect("write results json");
-    println!("# wrote {}", args.out);
+    ]);
+    let availability = Value::obj([
+        ("min", Value::fixed(analysis.min_availability, 4)),
+        ("final", Value::fixed(analysis.final_availability, 4)),
+    ]);
+    let recovery = Value::obj([
+        ("recovery_secs", Value::fixed(analysis.recovery_secs, 1)),
+        (
+            "steady_fraction_of_arrivals",
+            Value::fixed(bench::STEADY_FRACTION, 2),
+        ),
+    ]);
+    let accounting = Value::obj([
+        ("total", m.total_requests.into()),
+        ("successes", m.successes.into()),
+        ("rejected", rejected.into()),
+        ("goodput", m.goodput.into()),
+        ("identity_ok", run.identity_ok().into()),
+        ("drained", run.drained().into()),
+    ]);
+    let perf = Value::obj([
+        ("events_processed", run.events_processed.into()),
+        ("wall_secs", Value::fixed(run.wall_secs, 3)),
+        ("events_per_sec", Value::fixed(events_per_sec, 0)),
+        ("peak_rss_kb", bench::peak_rss_kb().into()),
+    ]);
+    let doc = Value::obj([
+        ("scenario", bench::scenario_json(&spec, args.max_events)),
+        ("discipline", label.into()),
+        ("churn", bench::churn_json(&plan)),
+        ("phases", phases),
+        ("availability", availability),
+        ("recovery", recovery),
+        ("accounting", accounting),
+        ("perf", perf),
+        ("events", bench::event_mix_json(&run)),
+        ("sched", bench::sched_json(&run.sched)),
+        ("digest", bench::digest_json(run.digest)),
+    ]);
+    bench::write_json(&args.out, &doc);
 
     if failed {
         std::process::exit(1);

@@ -33,6 +33,7 @@
 //! (candidates scanned, strategy rebuilds, load-priority recomputes) derived
 //! from the scheduler's self-profiling counters.
 
+use clockwork::json::Value;
 use clockwork::prelude::*;
 
 const USAGE: &str = "fleet_scale [--events N] [--out PATH] [--seed N] \
@@ -85,19 +86,19 @@ fn main() {
     let digest = run.digest;
     let m = &run.metrics;
     let slo_violation_rate = 1.0 - m.satisfaction();
+    let p50_ms = m.latency.percentile(50.0).as_millis_f64();
+    let p99_ms = m.latency.percentile(99.0).as_millis_f64();
     let rss_kb = bench::peak_rss_kb();
 
     bench::section("fleet_scale results");
     println!(
-        "discipline={} submitted={} requests={} goodput={} goodput_rps={:.1} slo_violation_rate={:.4} p50_ms={:.2} p99_ms={:.2}",
+        "discipline={} submitted={} requests={} goodput={} goodput_rps={:.1} slo_violation_rate={:.4} p50_ms={p50_ms:.2} p99_ms={p99_ms:.2}",
         run.discipline,
         run.submitted,
         m.total_requests,
         m.goodput,
         m.goodput_rate(),
         slo_violation_rate,
-        m.latency.percentile(50.0).as_millis_f64(),
-        m.latency.percentile(99.0).as_millis_f64(),
     );
     println!(
         "events={events} wall_secs={wall_secs:.2} events_per_sec={events_per_sec:.0} peak_rss_kb={rss_kb}"
@@ -108,7 +109,6 @@ fn main() {
     // regression shows up here as worker_wake dominating `delivered`, and a
     // missing cancel shows up as a conservation violation.
     let mix_ok = bench::report_event_mix(&run);
-    let events_json = bench::event_mix_json(&run);
 
     let sched = &run.sched;
     bench::section("scheduler self-profiling");
@@ -132,34 +132,56 @@ fn main() {
         );
     }
 
-    let json = format!(
-        "{{\n  \"scenario\": {{\n    \"workers\": {workers},\n    \"gpus_per_worker\": {gpus},\n    \"models\": {models},\n    \"functions\": {functions},\n    \"duration_secs\": {duration},\n    \"target_rate\": {rate},\n    \"slo_ms\": {slo},\n    \"seed\": {seed},\n    \"smoke\": {smoke},\n    \"max_events\": {max_events}\n  }},\n  \"discipline\": \"{discipline}\",\n  \"serving\": {{\n    \"requests\": {requests},\n    \"goodput\": {goodput},\n    \"goodput_rps\": {goodput_rps:.1},\n    \"slo_violation_rate\": {slo_violation_rate:.6},\n    \"p50_ms\": {p50:.3},\n    \"p99_ms\": {p99:.3},\n    \"cold_start_fraction\": {cold:.6}\n  }},\n  \"perf\": {{\n    \"events_processed\": {events},\n    \"wall_secs\": {wall_secs:.3},\n    \"events_per_sec\": {events_per_sec:.0},\n    \"peak_rss_kb\": {rss_kb}\n  }},\n  \"events\": {events_json},\n  \"sched\": {sched_json},\n  \"digest\": \"{digest:016x}\"\n}}\n",
-        workers = spec.workers,
-        gpus = spec.gpus_per_worker,
-        models = spec.models,
-        functions = match spec.workload {
-            WorkloadSpec::Azure { functions, .. } => functions,
-            _ => 0,
-        },
-        duration = spec.duration_secs,
-        rate = match spec.workload {
-            WorkloadSpec::Azure { target_rate, .. } => target_rate,
-            _ => 0.0,
-        },
-        slo = spec.slo_ms,
-        seed = args.seed,
-        max_events = if smoke { args.max_events } else { 0 },
-        discipline = run.discipline,
-        requests = m.total_requests,
-        goodput = m.goodput,
-        goodput_rps = m.goodput_rate(),
-        p50 = m.latency.percentile(50.0).as_millis_f64(),
-        p99 = m.latency.percentile(99.0).as_millis_f64(),
-        cold = m.cold_start_fraction(),
-        sched_json = bench::sched_json(sched),
-    );
-    std::fs::write(&args.out, &json).expect("write results json");
-    println!("# wrote {}", args.out);
+    // The fleet scenario echo predates `bench::scenario_json`: no name, and
+    // a `smoke` flag.
+    let (functions, target_rate) = match spec.workload {
+        WorkloadSpec::Azure {
+            functions,
+            target_rate,
+        } => (functions, target_rate),
+        _ => (0, 0.0),
+    };
+    let max_events = if smoke { args.max_events } else { 0 };
+    let scenario = Value::obj([
+        ("workers", spec.workers.into()),
+        ("gpus_per_worker", spec.gpus_per_worker.into()),
+        ("models", spec.models.into()),
+        ("functions", functions.into()),
+        ("duration_secs", spec.duration_secs.into()),
+        ("target_rate", target_rate.into()),
+        ("slo_ms", spec.slo_ms.into()),
+        ("seed", spec.seed.into()),
+        ("smoke", smoke.into()),
+        ("max_events", max_events.into()),
+    ]);
+    let serving = Value::obj([
+        ("requests", m.total_requests.into()),
+        ("goodput", m.goodput.into()),
+        ("goodput_rps", Value::fixed(m.goodput_rate(), 1)),
+        ("slo_violation_rate", Value::fixed(slo_violation_rate, 6)),
+        ("p50_ms", Value::fixed(p50_ms, 3)),
+        ("p99_ms", Value::fixed(p99_ms, 3)),
+        (
+            "cold_start_fraction",
+            Value::fixed(m.cold_start_fraction(), 6),
+        ),
+    ]);
+    let perf = Value::obj([
+        ("events_processed", events.into()),
+        ("wall_secs", Value::fixed(wall_secs, 3)),
+        ("events_per_sec", Value::fixed(events_per_sec, 0)),
+        ("peak_rss_kb", rss_kb.into()),
+    ]);
+    let doc = Value::obj([
+        ("scenario", scenario),
+        ("discipline", run.discipline.as_str().into()),
+        ("serving", serving),
+        ("perf", perf),
+        ("events", bench::event_mix_json(&run)),
+        ("sched", bench::sched_json(sched)),
+        ("digest", bench::digest_json(digest)),
+    ]);
+    bench::write_json(&args.out, &doc);
 
     let mut failed = false;
     if !mix_ok {

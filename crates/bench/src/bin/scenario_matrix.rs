@@ -29,6 +29,7 @@
 //!     [--duration-secs N] [--seed N] [--out PATH] [--check-determinism]
 //! ```
 
+use clockwork::json::Value;
 use clockwork::prelude::*;
 use clockwork_baselines::register_baselines;
 
@@ -75,49 +76,35 @@ fn scenarios(args: &Args) -> Vec<ScenarioSpec> {
         .collect()
 }
 
-fn tier_json(t: &TierOutcomes) -> String {
-    format!(
-        "{{ \"submitted\": {}, \"successes\": {}, \"goodput\": {}, \"rejected\": {}, \"shed\": {}, \"retention\": {:.4} }}",
-        t.submitted,
-        t.successes,
-        t.goodput,
-        t.rejected,
-        t.shed,
-        t.retention(),
-    )
+fn tier_json(t: &TierOutcomes) -> Value {
+    Value::obj([
+        ("submitted", t.submitted.into()),
+        ("successes", t.successes.into()),
+        ("goodput", t.goodput.into()),
+        ("rejected", t.rejected.into()),
+        ("shed", t.shed.into()),
+        ("retention", Value::fixed(t.retention(), 4)),
+    ])
 }
 
-fn cell_json(cell: &RunOutcome) -> String {
+fn cell_json(cell: &RunOutcome) -> (&str, Value) {
     let m = &cell.metrics;
-    format!(
-        concat!(
-            "      \"{name}\": {{\n",
-            "        \"total\": {total},\n",
-            "        \"successes\": {successes},\n",
-            "        \"rejected\": {rejected},\n",
-            "        \"goodput\": {goodput},\n",
-            "        \"satisfaction\": {satisfaction:.4},\n",
-            "        \"drained\": {drained},\n",
-            "        \"wall_secs\": {wall:.3},\n",
-            "        \"tiers\": {{\n",
-            "          \"strict\": {strict},\n",
-            "          \"best_effort\": {best_effort}\n",
-            "        }},\n",
-            "        \"digest\": \"{digest:016x}\"\n",
-            "      }}"
-        ),
-        name = cell.discipline,
-        total = m.total_requests,
-        successes = m.successes,
-        rejected = cell.rejected(),
-        goodput = m.goodput,
-        satisfaction = m.satisfaction(),
-        drained = cell.drained(),
-        wall = cell.wall_secs,
-        strict = tier_json(m.tier(Tier::Strict)),
-        best_effort = tier_json(m.tier(Tier::BestEffort)),
-        digest = cell.digest,
-    )
+    let tiers = Value::obj([
+        ("strict", tier_json(m.tier(Tier::Strict))),
+        ("best_effort", tier_json(m.tier(Tier::BestEffort))),
+    ]);
+    let json = Value::obj([
+        ("total", m.total_requests.into()),
+        ("successes", m.successes.into()),
+        ("rejected", cell.rejected().into()),
+        ("goodput", m.goodput.into()),
+        ("satisfaction", Value::fixed(m.satisfaction(), 4)),
+        ("drained", cell.drained().into()),
+        ("wall_secs", Value::fixed(cell.wall_secs, 3)),
+        ("tiers", tiers),
+        ("digest", bench::digest_json(cell.digest)),
+    ]);
+    (&cell.discipline, json)
 }
 
 fn main() {
@@ -146,7 +133,7 @@ fn main() {
     );
 
     let mut failed = false;
-    let mut scenario_objects: Vec<String> = Vec::new();
+    let mut scenario_objects = Vec::new();
     for spec in &scenarios {
         let experiment = Experiment::new(spec.clone());
         bench::section(&format!("{}: per-discipline outcomes", spec.name));
@@ -212,21 +199,15 @@ fn main() {
             }
         }
 
-        let discipline_objects: Vec<String> = cells.iter().map(cell_json).collect();
-        scenario_objects.push(format!(
-            "    \"{name}\": {{\n      \"scenario\": {scenario},\n      \"disciplines\": {{\n{cells}\n      }}\n    }}",
-            name = spec.name,
-            scenario = bench::scenario_json(spec, u64::MAX),
-            cells = discipline_objects.join(",\n"),
-        ));
+        let scenario = Value::obj([
+            ("scenario", bench::scenario_json(spec, u64::MAX)),
+            ("disciplines", Value::obj(cells.iter().map(cell_json))),
+        ]);
+        scenario_objects.push((spec.name.as_str(), scenario));
     }
 
-    let json = format!(
-        "{{\n  \"scenarios\": {{\n{}\n  }}\n}}\n",
-        scenario_objects.join(",\n"),
-    );
-    std::fs::write(&args.out, &json).expect("write results json");
-    println!("# wrote {}", args.out);
+    let doc = Value::obj([("scenarios", Value::obj(scenario_objects))]);
+    bench::write_json(&args.out, &doc);
 
     if failed {
         std::process::exit(1);

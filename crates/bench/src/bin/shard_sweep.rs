@@ -33,9 +33,12 @@
 //!     [--router hash|load] [--out PATH] [--check-determinism]
 //! ```
 
+use clockwork::json::Value;
 use clockwork::prelude::*;
 use clockwork_controller::RejectReason;
-use clockwork_shard::{FleetReport, ShardAssignment, ShardedExperiment, ShardedSpec};
+use clockwork_shard::{
+    FleetReport, ShardAssignment, ShardRunStats, ShardedExperiment, ShardedSpec,
+};
 
 const USAGE: &str = "shard_sweep [--shards 1,2,4,8] [--duration-secs N] [--seed N] \
                      [--router hash|load] [--out PATH] [--check-determinism]";
@@ -140,28 +143,20 @@ fn rejected_by_reason(run: &RunOutcome) -> Vec<(&'static str, u64)> {
         .collect()
 }
 
-fn shard_json(fleet: &FleetReport) -> String {
-    let rows: Vec<String> = fleet
-        .shards
-        .iter()
-        .map(|s| {
-            let run = &s.outcome;
-            format!(
-                "        {{ \"shard\": {}, \"workers\": {}, \"models\": {}, \"submitted\": {}, \"successes\": {}, \"rejected\": {}, \"goodput\": {}, \"events\": {}, \"wall_secs\": {:.3}, \"digest\": \"{:016x}\" }}",
-                s.shard,
-                s.workers,
-                s.models,
-                run.submitted,
-                run.metrics.successes,
-                run.rejected(),
-                run.metrics.goodput,
-                run.events_processed,
-                run.wall_secs,
-                run.digest,
-            )
-        })
-        .collect();
-    rows.join(",\n")
+fn shard_json(s: &ShardRunStats) -> Value {
+    let run = &s.outcome;
+    Value::obj([
+        ("shard", s.shard.into()),
+        ("workers", s.workers.into()),
+        ("models", s.models.into()),
+        ("submitted", run.submitted.into()),
+        ("successes", run.metrics.successes.into()),
+        ("rejected", run.rejected().into()),
+        ("goodput", run.metrics.goodput.into()),
+        ("events", run.events_processed.into()),
+        ("wall_secs", Value::fixed(run.wall_secs, 3)),
+        ("digest", bench::digest_json(run.digest)),
+    ])
 }
 
 fn main() {
@@ -183,7 +178,7 @@ fn main() {
     );
 
     let mut failed = false;
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows = Vec::new();
     let mut baseline_wall: Option<f64> = None;
     bench::section("shard sweep");
     println!(
@@ -234,52 +229,40 @@ fn main() {
             evps,
             format!("{:016x}", merged.digest),
         );
-        rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"shards\": {shards},\n",
-                "      \"wall_secs\": {wall:.3},\n",
-                "      \"speedup\": {speedup:.3},\n",
-                "      \"max_shard_wall_secs\": {max_wall:.3},\n",
-                "      \"sum_shard_wall_secs\": {sum_wall:.3},\n",
-                "      \"events\": {events},\n",
-                "      \"events_per_sec\": {evps:.0},\n",
-                "      \"total\": {total},\n",
-                "      \"successes\": {successes},\n",
-                "      \"rejected\": {rejected},\n",
-                "      \"goodput\": {goodput},\n",
-                "      \"rejected_by_reason\": {{ {by_reason} }},\n",
-                "      \"cold_start_fraction\": {cold:.6},\n",
-                "      \"mean_batch\": {mean_batch:.6},\n",
-                "      \"drained\": {drained},\n",
-                "      \"fleet_digest\": \"{digest:016x}\",\n",
-                "      \"sched\": {sched},\n",
-                "      \"per_shard\": [\n{per_shard}\n      ]\n",
-                "    }}"
+        let by_reason = rejected_by_reason(&merged).into_iter();
+        let m = &merged.metrics;
+        rows.push(Value::obj([
+            ("shards", shards.into()),
+            ("wall_secs", Value::fixed(fleet.wall_secs, 3)),
+            ("speedup", Value::fixed(speedup, 3)),
+            (
+                "max_shard_wall_secs",
+                Value::fixed(fleet.max_shard_wall(), 3),
             ),
-            shards = shards,
-            wall = fleet.wall_secs,
-            speedup = speedup,
-            max_wall = fleet.max_shard_wall(),
-            sum_wall = fleet.sum_shard_wall(),
-            events = merged.events_processed,
-            evps = evps,
-            total = merged.metrics.total_requests,
-            successes = merged.metrics.successes,
-            rejected = merged.rejected(),
-            goodput = merged.metrics.goodput,
-            by_reason = rejected_by_reason(&merged)
-                .iter()
-                .map(|(key, n)| format!("\"{key}\": {n}"))
-                .collect::<Vec<_>>()
-                .join(", "),
-            cold = merged.metrics.cold_start_fraction(),
-            mean_batch = merged.metrics.mean_batch,
-            drained = merged.drained(),
-            digest = merged.digest,
-            sched = bench::sched_json(&merged.sched),
-            per_shard = shard_json(&fleet),
-        ));
+            (
+                "sum_shard_wall_secs",
+                Value::fixed(fleet.sum_shard_wall(), 3),
+            ),
+            ("events", merged.events_processed.into()),
+            ("events_per_sec", Value::fixed(evps, 0)),
+            ("total", m.total_requests.into()),
+            ("successes", m.successes.into()),
+            ("rejected", merged.rejected().into()),
+            ("goodput", m.goodput.into()),
+            (
+                "rejected_by_reason",
+                Value::obj(by_reason.map(|(key, n)| (key, n.into()))),
+            ),
+            (
+                "cold_start_fraction",
+                Value::fixed(m.cold_start_fraction(), 6),
+            ),
+            ("mean_batch", Value::fixed(m.mean_batch, 6)),
+            ("drained", merged.drained().into()),
+            ("fleet_digest", bench::digest_json(merged.digest)),
+            ("sched", bench::sched_json(&merged.sched)),
+            ("per_shard", fleet.shards.iter().map(shard_json).collect()),
+        ]));
     }
 
     let router = match args.router {
@@ -287,13 +270,12 @@ fn main() {
         ShardAssignment::LoadAware => "load",
         ShardAssignment::Explicit(_) => "explicit",
     };
-    let json = format!(
-        "{{\n  \"scenario\": {scenario},\n  \"router\": \"{router}\",\n  \"sweep\": [\n{rows}\n  ]\n}}\n",
-        scenario = bench::scenario_json(&base, u64::MAX),
-        rows = rows.join(",\n"),
-    );
-    std::fs::write(&args.out, &json).expect("write results json");
-    println!("# wrote {}", args.out);
+    let doc = Value::obj([
+        ("scenario", bench::scenario_json(&base, u64::MAX)),
+        ("router", router.into()),
+        ("sweep", Value::Arr(rows)),
+    ]);
+    bench::write_json(&args.out, &doc);
 
     if failed {
         std::process::exit(1);

@@ -30,6 +30,7 @@
 
 use std::collections::HashMap;
 
+use clockwork::json::Value;
 use clockwork::prelude::*;
 use clockwork::scenario::DEFAULT_TRACE_CAPACITY;
 use clockwork_baselines::register_baselines;
@@ -407,62 +408,41 @@ fn check_cell(scenario: &str, cell: &BlameCell) -> bool {
     ok
 }
 
-fn cell_json(cell: &BlameCell) -> String {
-    let stage_objects: Vec<String> = STAGES
+fn cell_json(cell: &BlameCell) -> (&str, Value) {
+    let trace = Value::obj([
+        ("spans", cell.spans.into()),
+        ("dropped_spans", cell.dropped_spans.into()),
+        ("digest", bench::digest_json(cell.trace_digest)),
+    ]);
+    let stages = STAGES.iter().zip(&cell.stages).map(|(&name, stage)| {
+        let times = Value::obj([
+            ("mean_ms", Value::fixed(stage.mean_ms(), 3)),
+            ("max_ms", Value::fixed(stage.max_ms(), 3)),
+        ]);
+        (name, times)
+    });
+    let violation_blame = STAGES
         .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            format!(
-                "        \"{name}\": {{ \"mean_ms\": {:.3}, \"max_ms\": {:.3} }}",
-                cell.stages[i].mean_ms(),
-                cell.stages[i].max_ms()
-            )
-        })
-        .collect();
-    let blame_fields: Vec<String> = STAGES
-        .iter()
-        .enumerate()
-        .map(|(i, name)| format!("\"{name}\": {}", cell.violation_blame[i]))
-        .collect();
-    let rejection_fields: Vec<String> = cell
+        .zip(cell.violation_blame)
+        .map(|(&name, count)| (name, count.into()))
+        .chain([("unattributed", cell.unattributed.into())]);
+    let rejection_blame = cell
         .rejection_blame
         .iter()
-        .map(|(category, count)| format!("\"{category}\": {count}"))
-        .collect();
-    format!(
-        concat!(
-            "    \"{name}\": {{\n",
-            "      \"total\": {total},\n",
-            "      \"successes\": {successes},\n",
-            "      \"rejected\": {rejected},\n",
-            "      \"goodput\": {goodput},\n",
-            "      \"violations\": {violations},\n",
-            "      \"trace\": {{ \"spans\": {spans}, \"dropped_spans\": {dropped}, \"digest\": \"{tdigest:016x}\" }},\n",
-            "      \"stages\": {{\n{stages}\n      }},\n",
-            "      \"violation_blame\": {{ {blame}, \"unattributed\": {unattributed} }},\n",
-            "      \"rejection_blame\": {{{rejections}}},\n",
-            "      \"digest\": \"{digest:016x}\"\n",
-            "    }}"
-        ),
-        name = cell.run.discipline,
-        total = cell.run.metrics.total_requests,
-        successes = cell.run.metrics.successes,
-        rejected = cell.run.rejected(),
-        goodput = cell.run.metrics.goodput,
-        violations = cell.violations,
-        spans = cell.spans,
-        dropped = cell.dropped_spans,
-        tdigest = cell.trace_digest,
-        stages = stage_objects.join(",\n"),
-        blame = blame_fields.join(", "),
-        unattributed = cell.unattributed,
-        rejections = if rejection_fields.is_empty() {
-            String::new()
-        } else {
-            format!(" {} ", rejection_fields.join(", "))
-        },
-        digest = cell.run.digest,
-    )
+        .map(|&(category, n)| (category, n.into()));
+    let json = Value::obj([
+        ("total", cell.run.metrics.total_requests.into()),
+        ("successes", cell.run.metrics.successes.into()),
+        ("rejected", cell.run.rejected().into()),
+        ("goodput", cell.run.metrics.goodput.into()),
+        ("violations", cell.violations.into()),
+        ("trace", trace),
+        ("stages", Value::obj(stages)),
+        ("violation_blame", Value::obj(violation_blame)),
+        ("rejection_blame", Value::obj(rejection_blame)),
+        ("digest", bench::digest_json(cell.run.digest)),
+    ]);
+    (&cell.run.discipline, json)
 }
 
 fn main() {
@@ -498,7 +478,11 @@ fn main() {
     );
 
     let mut failed = false;
-    let mut scenario_objects: Vec<String> = Vec::new();
+    let mut doc = vec![
+        ("stages", STAGES.iter().map(|&s| Value::from(s)).collect()),
+        ("trace_capacity", args.trace_capacity.into()),
+        ("determinism_checked", args.check_determinism.into()),
+    ];
     for spec in &scenarios {
         let experiment = Experiment::new(spec.clone());
         bench::section(&format!(
@@ -560,30 +544,14 @@ fn main() {
             );
             cells.push(cell);
         }
-        let discipline_objects: Vec<String> = cells.iter().map(cell_json).collect();
-        scenario_objects.push(format!(
-            "  \"{name}\": {{\n  \"scenario\": {scenario},\n  \"disciplines\": {{\n{cells}\n  }}\n  }}",
-            name = spec.name,
-            scenario = bench::scenario_json(spec, u64::MAX),
-            cells = discipline_objects.join(",\n"),
-        ));
+        let scenario = Value::obj([
+            ("scenario", bench::scenario_json(spec, u64::MAX)),
+            ("disciplines", Value::obj(cells.iter().map(cell_json))),
+        ]);
+        doc.push((spec.name.as_str(), scenario));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"stages\": [\"queue_wait\", \"cold_load\", \"batch_wait\", \"execution\", \"network\"],\n",
-            "  \"trace_capacity\": {capacity},\n",
-            "  \"determinism_checked\": {checked},\n",
-            "{scenarios}\n",
-            "}}\n",
-        ),
-        capacity = args.trace_capacity,
-        checked = args.check_determinism,
-        scenarios = scenario_objects.join(",\n"),
-    );
-    std::fs::write(&args.out, &json).expect("write results json");
-    println!("# wrote {}", args.out);
+    bench::write_json(&args.out, &Value::obj(doc));
 
     if failed {
         std::process::exit(1);

@@ -10,6 +10,7 @@
 //! event-mix printer, the `BENCH_*.json` plumbing, and the flag parser
 //! ([`cli`]) the harness binaries share.
 
+use clockwork::json::Value;
 use clockwork::prelude::*;
 
 pub mod cli;
@@ -131,13 +132,23 @@ impl ChaosAnalysis {
     }
 }
 
+/// The churn window of a fault plan: its first fault, and its last recovery
+/// — or the first fault again when nothing recovers, so the churn phase is
+/// empty rather than negative.
+fn fault_window(plan: &FaultPlan) -> (Timestamp, Timestamp) {
+    let first_fault = plan.first_at().unwrap_or(Timestamp::ZERO);
+    (first_fault, plan.last_recovery_at().unwrap_or(first_fault))
+}
+
+fn secs(t: Timestamp) -> f64 {
+    t.as_nanos() as f64 / 1e9
+}
+
 /// Computes the chaos phase/availability/recovery analysis of a finished
 /// run against the scenario's fault plan.
 pub fn analyze_chaos(report: &RunReport, spec: &ScenarioSpec) -> ChaosAnalysis {
     let telemetry = report.telemetry();
-    let plan = &spec.faults;
-    let first_fault = plan.first_at().unwrap_or(Timestamp::ZERO);
-    let last_recovery = plan.last_recovery_at().unwrap_or(first_fault);
+    let (first_fault, last_recovery) = fault_window(&spec.faults);
     let end = Timestamp::ZERO + spec.duration();
     let tick = Nanos::from_secs(1);
 
@@ -146,8 +157,8 @@ pub fn analyze_chaos(report: &RunReport, spec: &ScenarioSpec) -> ChaosAnalysis {
         arrivals: telemetry.arrivals_between(from, to),
         goodput: telemetry.goodput_between(from, to),
     };
-    let first_fault_secs = first_fault.as_nanos() as f64 / 1e9;
-    let last_recovery_secs = last_recovery.as_nanos() as f64 / 1e9;
+    let first_fault_secs = secs(first_fault);
+    let last_recovery_secs = secs(last_recovery);
     let pre = phase(Timestamp::ZERO, first_fault - tick, first_fault_secs);
     let churn = phase(
         first_fault,
@@ -176,7 +187,7 @@ pub fn analyze_chaos(report: &RunReport, spec: &ScenarioSpec) -> ChaosAnalysis {
         }
         if goodput.count_at(bucket) as f64 >= STEADY_FRACTION * offered as f64 {
             let bucket_start = bucket as f64; // 1 s buckets
-            recovery_secs = (bucket_start - last_recovery.as_nanos() as f64 / 1e9).max(0.0);
+            recovery_secs = (bucket_start - last_recovery_secs).max(0.0);
             break;
         }
     }
@@ -221,47 +232,42 @@ pub fn report_event_mix(run: &RunOutcome) -> bool {
     invariants::check_event_mix(&run.discipline, run)
 }
 
-/// Renders the event mix as the `"events"` object of the `BENCH_*.json`
-/// schemas (see `crates/bench/README.md`), indented to sit at the top level
-/// of the document.
-pub fn event_mix_json(run: &RunOutcome) -> String {
-    let (mix, live) = (&run.mix, run.live_events);
-    let mut by_kind = String::new();
-    let mut first = true;
-    for e in mix.entries() {
-        if e.pushed == 0 && e.delivered == 0 && e.cancelled == 0 {
-            continue;
-        }
-        if !first {
-            by_kind.push_str(",\n");
-        }
-        first = false;
-        by_kind.push_str(&format!(
-            "      \"{}\": {{ \"pushed\": {}, \"delivered\": {}, \"cancelled\": {} }}",
-            e.kind, e.pushed, e.delivered, e.cancelled
-        ));
-    }
-    format!(
-        "{{\n    \"pushed\": {},\n    \"delivered\": {},\n    \"cancelled\": {},\n    \"live\": {live},\n    \"noop_wakes\": {},\n    \"by_kind\": {{\n{by_kind}\n    }}\n  }}",
-        mix.pushed(),
-        mix.delivered(),
-        mix.cancelled(),
-        mix.noop_wakes(),
-    )
+/// The event mix as the `"events"` object of the `BENCH_*.json` schemas
+/// (see `crates/bench/README.md`); `by_kind` lists the kinds that occurred.
+pub fn event_mix_json(run: &RunOutcome) -> Value {
+    let mix = &run.mix;
+    let by_kind = mix
+        .entries()
+        .iter()
+        .filter(|e| e.pushed != 0 || e.delivered != 0 || e.cancelled != 0)
+        .map(|e| {
+            let counts = Value::obj([
+                ("pushed", e.pushed.into()),
+                ("delivered", e.delivered.into()),
+                ("cancelled", e.cancelled.into()),
+            ]);
+            (e.kind, counts)
+        });
+    Value::obj([
+        ("pushed", mix.pushed().into()),
+        ("delivered", mix.delivered().into()),
+        ("cancelled", mix.cancelled().into()),
+        ("live", run.live_events.into()),
+        ("noop_wakes", mix.noop_wakes().into()),
+        ("by_kind", Value::obj(by_kind)),
+    ])
 }
 
-/// Renders the scheduler self-profiling counters as the `"sched"` object of
-/// the `BENCH_*.json` schemas (see `crates/bench/README.md`), indented to
-/// nest one level deep (per-discipline rows) or at the top level.
-pub fn sched_json(sched: &SchedProfile) -> String {
-    format!(
-        "{{ \"ticks_full\": {}, \"ticks_skipped\": {}, \"candidates_scanned\": {}, \"strategies_recomputed\": {}, \"load_prio_recomputes\": {} }}",
-        sched.ticks_full,
-        sched.ticks_skipped,
-        sched.candidates_scanned,
-        sched.strategies_recomputed,
-        sched.load_prio_recomputes,
-    )
+/// The scheduler self-profiling counters as the `"sched"` object of the
+/// `BENCH_*.json` schemas (see `crates/bench/README.md`).
+pub fn sched_json(sched: &SchedProfile) -> Value {
+    Value::obj([
+        ("ticks_full", sched.ticks_full.into()),
+        ("ticks_skipped", sched.ticks_skipped.into()),
+        ("candidates_scanned", sched.candidates_scanned.into()),
+        ("strategies_recomputed", sched.strategies_recomputed.into()),
+        ("load_prio_recomputes", sched.load_prio_recomputes.into()),
+    ])
 }
 
 /// Prints one scheduler self-profiling row: how many ticks did real work vs
@@ -288,9 +294,10 @@ pub fn report_sched_profile(label: &str, sched: &SchedProfile) {
     );
 }
 
-/// Renders a [`ScenarioSpec`] as the `"scenario"` object shared by the
-/// `BENCH_*.json` schemas. `max_events` is 0 for uncapped (full) runs.
-pub fn scenario_json(spec: &ScenarioSpec, max_events: u64) -> String {
+/// A [`ScenarioSpec`] as the `"scenario"` object shared by the
+/// `BENCH_*.json` schemas. `max_events` is `u64::MAX` for uncapped (full)
+/// runs, written as 0.
+pub fn scenario_json(spec: &ScenarioSpec, max_events: u64) -> Value {
     let (functions, target_rate) = match spec.workload {
         WorkloadSpec::Azure {
             functions,
@@ -300,18 +307,51 @@ pub fn scenario_json(spec: &ScenarioSpec, max_events: u64) -> String {
         WorkloadSpec::ClosedLoop { .. } => (0, 0.0),
         WorkloadSpec::Shaped { base_rate, .. } => (0, base_rate),
     };
-    format!(
-        "{{\n    \"name\": \"{name}\",\n    \"workers\": {workers},\n    \"gpus_per_worker\": {gpus},\n    \"models\": {models},\n    \"functions\": {functions},\n    \"duration_secs\": {duration},\n    \"target_rate\": {rate},\n    \"slo_ms\": {slo},\n    \"seed\": {seed},\n    \"max_events\": {max_events}\n  }}",
-        name = spec.name,
-        workers = spec.workers,
-        gpus = spec.gpus_per_worker,
-        models = spec.models,
-        duration = spec.duration_secs,
-        rate = target_rate,
-        slo = spec.slo_ms,
-        seed = spec.seed,
-        max_events = if max_events == u64::MAX { 0 } else { max_events },
-    )
+    let max_events = if max_events == u64::MAX {
+        0
+    } else {
+        max_events
+    };
+    Value::obj([
+        ("name", spec.name.as_str().into()),
+        ("workers", spec.workers.into()),
+        ("gpus_per_worker", spec.gpus_per_worker.into()),
+        ("models", spec.models.into()),
+        ("functions", functions.into()),
+        ("duration_secs", spec.duration_secs.into()),
+        ("target_rate", target_rate.into()),
+        ("slo_ms", spec.slo_ms.into()),
+        ("seed", spec.seed.into()),
+        ("max_events", max_events.into()),
+    ])
+}
+
+/// The `"churn"` object of `BENCH_chaos.json` and `BENCH_chaos_compare.json`:
+/// the plan's fault counts and the window [`analyze_chaos`] splits its
+/// phases at.
+pub fn churn_json(plan: &FaultPlan) -> Value {
+    let (first_fault, last_recovery) = fault_window(plan);
+    Value::obj([
+        ("worker_crashes", plan.worker_crashes().into()),
+        ("gpu_failures", plan.gpu_failures().into()),
+        ("partitions", plan.partitions().into()),
+        ("link_degradations", plan.link_degradations().into()),
+        ("first_fault_secs", Value::fixed(secs(first_fault), 3)),
+        ("last_recovery_secs", Value::fixed(secs(last_recovery), 3)),
+    ])
+}
+
+/// A run's 16-hex-digit FNV-1a digest, as the `BENCH_*.json` schemas write
+/// it.
+pub fn digest_json(digest: u64) -> Value {
+    Value::Str(format!("{digest:016x}"))
+}
+
+/// Writes `doc` to `path` in the artifact layout ([`Value::to_pretty`]) and
+/// says so on stdout.
+pub fn write_json(path: &str, doc: &Value) {
+    std::fs::write(path, doc.to_pretty() + "\n").expect("write results json");
+    println!("# wrote {path}");
 }
 
 /// Peak resident-set size in kilobytes, read from `/proc/self/status`
@@ -363,6 +403,41 @@ mod tests {
         assert!(analysis.final_availability > 0.99);
         assert!(analysis.pre.arrivals > 0);
         assert!(analysis.retention() > 0.0);
+    }
+
+    #[test]
+    fn churn_block_matches_the_analysis_when_nothing_recovers() {
+        let mut spec = ScenarioSpec {
+            workers: 2,
+            gpus_per_worker: 1,
+            models: 4,
+            duration_secs: 3,
+            ..ScenarioSpec::smoke(5)
+        };
+        spec.faults = FaultPlan::new().crash_worker(Timestamp::from_secs(1), 1);
+        let report = Experiment::new(spec.clone()).run(&ClockworkFactory::default());
+        let analysis = analyze_chaos(&report, &spec);
+        let churn = churn_json(&spec.faults);
+        // No restart: the window closes at the first fault, in the block and
+        // in the phases alike (not at 0, which would put the churn phase
+        // before the fault).
+        assert_eq!(analysis.last_recovery_secs, 1.0);
+        for (key, secs) in [
+            ("first_fault_secs", analysis.first_fault_secs),
+            ("last_recovery_secs", analysis.last_recovery_secs),
+        ] {
+            assert_eq!(churn.get(key), Ok(&Value::fixed(secs, 3)), "{key}");
+        }
+        assert_eq!(churn.get("worker_crashes"), Ok(&Value::from(1u64)));
+    }
+
+    #[test]
+    fn scenario_block_keeps_a_hostile_name() {
+        let name = "hostile \"quoted\"\nname";
+        let spec = ScenarioSpec::smoke(1).named(name);
+        let text = scenario_json(&spec, u64::MAX).to_pretty();
+        let back = clockwork::json::parse(&text).expect("the scenario block parses");
+        assert_eq!(back.get("name").and_then(|v| v.as_str("name")), Ok(name));
     }
 
     #[test]

@@ -41,6 +41,7 @@
 
 pub mod config;
 pub mod experiment;
+pub mod json;
 pub mod outcome;
 pub mod scenario;
 pub mod system;

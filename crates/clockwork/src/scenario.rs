@@ -8,9 +8,10 @@
 //! headline comparison (the same chaos scenario across Clockwork, FIFO,
 //! Clipper and INFaaS).
 //!
-//! Specs are serde-serializable plain-old data, so they can be stored
-//! alongside results: a `BENCH_*.json` document that embeds its spec is a
-//! complete, replayable description of the experiment that produced it.
+//! Specs are plain-old data with a JSON form ([`ScenarioSpec::to_json`] /
+//! [`ScenarioSpec::from_json`], through [`crate::json`]), so they can be
+//! stored alongside results: a document that embeds its spec is a complete,
+//! replayable description of the experiment that produced it.
 //!
 //! [`ServingSystem::from_spec`] builds the cluster (discipline injected);
 //! [`Experiment`](crate::experiment::Experiment) owns the full
@@ -19,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 
 use clockwork_controller::registry::SchedulerFactory;
-use clockwork_faults::FaultPlan;
+use clockwork_faults::{FaultKind, FaultPlan};
 use clockwork_model::zoo::ModelZoo;
 use clockwork_model::ModelId;
 use clockwork_sim::rng::SimRng;
@@ -31,6 +32,7 @@ use clockwork_workload::{
 };
 
 use crate::config::SystemConfig;
+use crate::json::{self, Value};
 use crate::system::ServingSystem;
 
 /// Which model population a scenario registers.
@@ -577,12 +579,14 @@ impl ScenarioSpec {
     /// harness writes the offending spec through this so failures arrive
     /// with their minimized repro attached.
     pub fn to_json(&self) -> String {
-        json::spec_to_json(self)
+        spec_value(self).to_compact()
     }
 
-    /// Parses a spec previously written by [`ScenarioSpec::to_json`].
+    /// Parses a spec previously written by [`ScenarioSpec::to_json`]. Any
+    /// field order is accepted; a missing, mistyped or unknown-variant field
+    /// is an error naming it.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, String> {
-        json::spec_from_json(text)
+        spec_from_value(&json::parse(text)?)
     }
 
     /// The cluster configuration this spec describes.
@@ -637,558 +641,261 @@ impl ServingSystem {
     }
 }
 
-/// Hand-written JSON round-trip for [`ScenarioSpec`].
-///
-/// The writer emits a stable field order; the reader is a small
-/// recursive-descent JSON parser that accepts any field order and rejects
-/// malformed documents with a path-qualified error. Numbers are kept as raw
-/// tokens until a field asks for `u64` or `f64`, so 64-bit timestamps and
-/// seeds round-trip without passing through `f64`.
-mod json {
-    use super::*;
-    use clockwork_faults::FaultKind;
+// The spec's JSON form: `spec_value` writes the members in a fixed order,
+// `spec_from_value` reads them in any order. Durations and timestamps are
+// integer nanoseconds.
 
-    // ---------------------------------------------------------------- value
+fn spec_value(spec: &ScenarioSpec) -> Value {
+    let model_set = match spec.model_set {
+        ModelSet::ZooCycle => "zoo_cycle",
+        ModelSet::Resnet50Copies => "resnet50_copies",
+    };
+    let v = &spec.variance;
+    let throttle = v
+        .throttle_mean_interval
+        .map_or(Value::Null, |interval| interval.as_nanos().into());
+    let variance = Value::obj([
+        ("spike_probability", v.spike_probability.into()),
+        ("max_spike_ns", v.max_spike.as_nanos().into()),
+        ("throttle_mean_interval_ns", throttle),
+        (
+            "throttle_duration_ns",
+            v.throttle_duration.as_nanos().into(),
+        ),
+        ("throttle_factor", v.throttle_factor.into()),
+    ]);
+    let faults = spec.faults.events().iter();
+    let faults = faults.map(|e| fault_value(e.at, &e.kind)).collect();
+    Value::obj([
+        ("name", spec.name.as_str().into()),
+        ("workers", spec.workers.into()),
+        ("gpus_per_worker", spec.gpus_per_worker.into()),
+        ("models", spec.models.into()),
+        ("model_set", model_set.into()),
+        ("workload", workload_value(&spec.workload)),
+        ("slo_ms", spec.slo_ms.into()),
+        ("duration_secs", spec.duration_secs.into()),
+        ("drain_secs", spec.drain_secs.into()),
+        ("seed", spec.seed.into()),
+        ("workload_seed", spec.workload_seed.into()),
+        ("variance", variance),
+        ("keep_responses", spec.keep_responses.into()),
+        ("faults", faults),
+        ("trace", spec.trace.into()),
+        ("trace_capacity", spec.trace_capacity.into()),
+    ])
+}
 
-    enum Value {
-        Null,
-        Bool(bool),
-        Num(String),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        fn get<'a>(&'a self, key: &str) -> Result<&'a Value, String> {
-            match self {
-                Value::Obj(fields) => fields
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| format!("missing field `{key}`")),
-                _ => Err(format!("expected object around `{key}`")),
-            }
+fn workload_value(workload: &WorkloadSpec) -> Value {
+    let kind = |name: &str| ("kind", Value::from(name));
+    match *workload {
+        WorkloadSpec::Azure {
+            functions,
+            target_rate,
+        } => Value::obj([
+            kind("azure"),
+            ("functions", functions.into()),
+            ("target_rate", target_rate.into()),
+        ]),
+        WorkloadSpec::OpenLoop { rate_per_model } => {
+            Value::obj([kind("open_loop"), ("rate_per_model", rate_per_model.into())])
         }
-
-        fn as_u64(&self, key: &str) -> Result<u64, String> {
-            match self {
-                Value::Num(raw) => raw
-                    .parse::<u64>()
-                    .map_err(|_| format!("`{key}`: not a u64: {raw}")),
-                _ => Err(format!("`{key}`: expected a number")),
-            }
+        WorkloadSpec::ClosedLoop { concurrency } => {
+            Value::obj([kind("closed_loop"), ("concurrency", concurrency.into())])
         }
-
-        fn as_f64(&self, key: &str) -> Result<f64, String> {
-            match self {
-                Value::Num(raw) => raw
-                    .parse::<f64>()
-                    .map_err(|_| format!("`{key}`: not a number: {raw}")),
-                _ => Err(format!("`{key}`: expected a number")),
-            }
-        }
-
-        fn as_bool(&self, key: &str) -> Result<bool, String> {
-            match self {
-                Value::Bool(b) => Ok(*b),
-                _ => Err(format!("`{key}`: expected a bool")),
-            }
-        }
-
-        fn as_str(&self, key: &str) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err(format!("`{key}`: expected a string")),
-            }
-        }
-
-        fn as_arr(&self, key: &str) -> Result<&[Value], String> {
-            match self {
-                Value::Arr(items) => Ok(items),
-                _ => Err(format!("`{key}`: expected an array")),
-            }
-        }
-    }
-
-    fn u64_of(v: &Value, key: &str) -> Result<u64, String> {
-        v.get(key)?.as_u64(key)
-    }
-
-    fn f64_of(v: &Value, key: &str) -> Result<f64, String> {
-        v.get(key)?.as_f64(key)
-    }
-
-    // --------------------------------------------------------------- parser
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Parser<'a> {
-        fn skip_ws(&mut self) {
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".to_string())
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek()? == b {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected `{}` at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                _ => self.number(),
-            }
-        }
-
-        fn literal(&mut self, text: &str, value: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-                self.pos += text.len();
-                Ok(value)
-            } else {
-                Err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            if self.pos == start {
-                return Err(format!("expected a value at byte {start}"));
-            }
-            let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| "invalid utf-8 in number".to_string())?;
-            raw.parse::<f64>()
-                .map_err(|_| format!("malformed number: {raw}"))?;
-            Ok(Value::Num(raw.to_string()))
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let b = *self
-                    .bytes
-                    .get(self.pos)
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                self.pos += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let esc = *self
-                            .bytes
-                            .get(self.pos)
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| format!("bad \\u escape: {hex}"))?;
-                                self.pos += 4;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| format!("bad codepoint {code}"))?,
-                                );
-                            }
-                            _ => return Err(format!("unknown escape \\{}", esc as char)),
-                        }
-                    }
-                    _ => {
-                        // Re-assemble multi-byte UTF-8 sequences verbatim.
-                        let len = match b {
-                            _ if b < 0x80 => 1,
-                            _ if b >> 5 == 0b110 => 2,
-                            _ if b >> 4 == 0b1110 => 3,
-                            _ => 4,
-                        };
-                        let start = self.pos - 1;
-                        let chunk = self
-                            .bytes
-                            .get(start..start + len)
-                            .and_then(|c| std::str::from_utf8(c).ok())
-                            .ok_or_else(|| "invalid utf-8 in string".to_string())?;
-                        out.push_str(chunk);
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    other => return Err(format!("expected `,` or `]`, got `{}`", other as char)),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    other => return Err(format!("expected `,` or `}}`, got `{}`", other as char)),
-                }
-            }
+        WorkloadSpec::Shaped {
+            base_rate,
+            profile,
+            popularity,
+            tiers,
+        } => {
+            let profile = match profile {
+                RateProfile::Constant => Value::obj([kind("constant")]),
+                RateProfile::Diurnal { amplitude, cycles } => Value::obj([
+                    kind("diurnal"),
+                    ("amplitude", amplitude.into()),
+                    ("cycles", cycles.into()),
+                ]),
+                RateProfile::FlashCrowd {
+                    start_frac,
+                    len_frac,
+                    multiplier,
+                } => Value::obj([
+                    kind("flash_crowd"),
+                    ("start_frac", start_frac.into()),
+                    ("len_frac", len_frac.into()),
+                    ("multiplier", multiplier.into()),
+                ]),
+            };
+            let popularity = match popularity {
+                PopularityModel::Uniform => Value::obj([kind("uniform")]),
+                PopularityModel::Zipf {
+                    exponent_milli,
+                    drift_segments,
+                } => Value::obj([
+                    kind("zipf"),
+                    ("exponent_milli", exponent_milli.into()),
+                    ("drift_segments", drift_segments.into()),
+                ]),
+            };
+            let tiers = Value::obj([
+                ("strict_share_milli", tiers.strict_share_milli.into()),
+                ("best_effort_slo_ms", tiers.best_effort_slo_ms.into()),
+            ]);
+            Value::obj([
+                kind("shaped"),
+                ("base_rate", base_rate.into()),
+                ("profile", profile),
+                ("popularity", popularity),
+                ("tiers", tiers),
+            ])
         }
     }
+}
 
-    fn parse(text: &str) -> Result<Value, String> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", parser.pos));
+fn fault_value(at: Timestamp, kind: &FaultKind) -> Value {
+    let mut members = vec![
+        ("at_ns", at.as_nanos().into()),
+        ("kind", kind.label().into()),
+        ("worker", kind.worker().into()),
+    ];
+    match *kind {
+        FaultKind::GpuFail { gpu, .. } | FaultKind::GpuRecover { gpu, .. } => {
+            members.push(("gpu", gpu.into()));
         }
-        Ok(value)
-    }
-
-    // --------------------------------------------------------------- writer
-
-    fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
+        FaultKind::LinkDegrade { factor_milli, .. } => {
+            members.push(("factor_milli", factor_milli.into()));
         }
-        out
+        _ => {}
     }
+    Value::obj(members)
+}
 
-    fn workload_to_json(workload: &WorkloadSpec) -> String {
-        match *workload {
-            WorkloadSpec::Azure {
-                functions,
-                target_rate,
-            } => {
-                format!(r#"{{"kind":"azure","functions":{functions},"target_rate":{target_rate}}}"#)
-            }
-            WorkloadSpec::OpenLoop { rate_per_model } => {
-                format!(r#"{{"kind":"open_loop","rate_per_model":{rate_per_model}}}"#)
-            }
-            WorkloadSpec::ClosedLoop { concurrency } => {
-                format!(r#"{{"kind":"closed_loop","concurrency":{concurrency}}}"#)
-            }
-            WorkloadSpec::Shaped {
-                base_rate,
+fn u64_of(v: &Value, key: &str) -> Result<u64, String> {
+    v.get(key)?.as_u64(key)
+}
+
+fn f64_of(v: &Value, key: &str) -> Result<f64, String> {
+    v.get(key)?.as_f64(key)
+}
+
+fn workload_from_value(v: &Value) -> Result<WorkloadSpec, String> {
+    match v.get("kind")?.as_str("workload.kind")? {
+        "azure" => Ok(WorkloadSpec::Azure {
+            functions: u64_of(v, "functions")? as usize,
+            target_rate: f64_of(v, "target_rate")?,
+        }),
+        "open_loop" => Ok(WorkloadSpec::OpenLoop {
+            rate_per_model: f64_of(v, "rate_per_model")?,
+        }),
+        "closed_loop" => Ok(WorkloadSpec::ClosedLoop {
+            concurrency: u64_of(v, "concurrency")? as u32,
+        }),
+        "shaped" => {
+            let profile = v.get("profile")?;
+            let profile = match profile.get("kind")?.as_str("profile.kind")? {
+                "constant" => RateProfile::Constant,
+                "diurnal" => RateProfile::Diurnal {
+                    amplitude: f64_of(profile, "amplitude")?,
+                    cycles: f64_of(profile, "cycles")?,
+                },
+                "flash_crowd" => RateProfile::FlashCrowd {
+                    start_frac: f64_of(profile, "start_frac")?,
+                    len_frac: f64_of(profile, "len_frac")?,
+                    multiplier: f64_of(profile, "multiplier")?,
+                },
+                other => return Err(format!("unknown rate profile `{other}`")),
+            };
+            let popularity = v.get("popularity")?;
+            let popularity = match popularity.get("kind")?.as_str("popularity.kind")? {
+                "uniform" => PopularityModel::Uniform,
+                "zipf" => PopularityModel::Zipf {
+                    exponent_milli: u64_of(popularity, "exponent_milli")? as u32,
+                    drift_segments: u64_of(popularity, "drift_segments")? as u32,
+                },
+                other => return Err(format!("unknown popularity model `{other}`")),
+            };
+            let tiers = v.get("tiers")?;
+            Ok(WorkloadSpec::Shaped {
+                base_rate: f64_of(v, "base_rate")?,
                 profile,
                 popularity,
-                tiers,
-            } => {
-                let profile = match profile {
-                    RateProfile::Constant => r#"{"kind":"constant"}"#.to_string(),
-                    RateProfile::Diurnal { amplitude, cycles } => {
-                        format!(r#"{{"kind":"diurnal","amplitude":{amplitude},"cycles":{cycles}}}"#)
-                    }
-                    RateProfile::FlashCrowd {
-                        start_frac,
-                        len_frac,
-                        multiplier,
-                    } => format!(
-                        r#"{{"kind":"flash_crowd","start_frac":{start_frac},"len_frac":{len_frac},"multiplier":{multiplier}}}"#
-                    ),
-                };
-                let popularity = match popularity {
-                    PopularityModel::Uniform => r#"{"kind":"uniform"}"#.to_string(),
-                    PopularityModel::Zipf {
-                        exponent_milli,
-                        drift_segments,
-                    } => format!(
-                        r#"{{"kind":"zipf","exponent_milli":{exponent_milli},"drift_segments":{drift_segments}}}"#
-                    ),
-                };
-                format!(
-                    r#"{{"kind":"shaped","base_rate":{base_rate},"profile":{profile},"popularity":{popularity},"tiers":{{"strict_share_milli":{},"best_effort_slo_ms":{}}}}}"#,
-                    tiers.strict_share_milli, tiers.best_effort_slo_ms
-                )
-            }
+                tiers: TierMix {
+                    strict_share_milli: u64_of(tiers, "strict_share_milli")? as u32,
+                    best_effort_slo_ms: u64_of(tiers, "best_effort_slo_ms")?,
+                },
+            })
         }
+        other => Err(format!("unknown workload kind `{other}`")),
     }
+}
 
-    fn fault_to_json(at: Timestamp, kind: &FaultKind) -> String {
-        let at = at.as_nanos();
-        match *kind {
-            FaultKind::GpuFail { worker, gpu } => {
-                format!(r#"{{"at_ns":{at},"kind":"gpu_fail","worker":{worker},"gpu":{gpu}}}"#)
-            }
-            FaultKind::GpuRecover { worker, gpu } => {
-                format!(r#"{{"at_ns":{at},"kind":"gpu_recover","worker":{worker},"gpu":{gpu}}}"#)
-            }
-            FaultKind::WorkerCrash { worker } => {
-                format!(r#"{{"at_ns":{at},"kind":"worker_crash","worker":{worker}}}"#)
-            }
-            FaultKind::WorkerRestart { worker } => {
-                format!(r#"{{"at_ns":{at},"kind":"worker_restart","worker":{worker}}}"#)
-            }
-            FaultKind::LinkDegrade {
-                worker,
-                factor_milli,
-            } => format!(
-                r#"{{"at_ns":{at},"kind":"link_degrade","worker":{worker},"factor_milli":{factor_milli}}}"#
-            ),
-            FaultKind::LinkRestore { worker } => {
-                format!(r#"{{"at_ns":{at},"kind":"link_restore","worker":{worker}}}"#)
-            }
-            FaultKind::PartitionStart { worker } => {
-                format!(r#"{{"at_ns":{at},"kind":"partition_start","worker":{worker}}}"#)
-            }
-            FaultKind::PartitionEnd { worker } => {
-                format!(r#"{{"at_ns":{at},"kind":"partition_end","worker":{worker}}}"#)
-            }
-            FaultKind::WorkerJoin { worker } => {
-                format!(r#"{{"at_ns":{at},"kind":"worker_join","worker":{worker}}}"#)
-            }
-        }
+fn fault_from_value(v: &Value) -> Result<(Timestamp, FaultKind), String> {
+    let at = Timestamp::from_nanos(u64_of(v, "at_ns")?);
+    let worker = u64_of(v, "worker")? as u32;
+    let kind = match v.get("kind")?.as_str("fault.kind")? {
+        "gpu_fail" => FaultKind::GpuFail {
+            worker,
+            gpu: u64_of(v, "gpu")? as u32,
+        },
+        "gpu_recover" => FaultKind::GpuRecover {
+            worker,
+            gpu: u64_of(v, "gpu")? as u32,
+        },
+        "worker_crash" => FaultKind::WorkerCrash { worker },
+        "worker_restart" => FaultKind::WorkerRestart { worker },
+        "link_degrade" => FaultKind::LinkDegrade {
+            worker,
+            factor_milli: u64_of(v, "factor_milli")? as u32,
+        },
+        "link_restore" => FaultKind::LinkRestore { worker },
+        "partition_start" => FaultKind::PartitionStart { worker },
+        "partition_end" => FaultKind::PartitionEnd { worker },
+        "worker_join" => FaultKind::WorkerJoin { worker },
+        other => return Err(format!("unknown fault kind `{other}`")),
+    };
+    Ok((at, kind))
+}
+
+fn spec_from_value(root: &Value) -> Result<ScenarioSpec, String> {
+    let variance = root.get("variance")?;
+    let throttle = match variance.get("throttle_mean_interval_ns")? {
+        Value::Null => None,
+        v => Some(Nanos::from_nanos(v.as_u64("throttle_mean_interval_ns")?)),
+    };
+    let mut faults = FaultPlan::new();
+    for item in root.get("faults")?.as_arr("faults")? {
+        let (at, kind) = fault_from_value(item)?;
+        faults.push(at, kind);
     }
-
-    pub(super) fn spec_to_json(spec: &ScenarioSpec) -> String {
-        let model_set = match spec.model_set {
-            ModelSet::ZooCycle => "zoo_cycle",
-            ModelSet::Resnet50Copies => "resnet50_copies",
-        };
-        let throttle = match spec.variance.throttle_mean_interval {
-            Some(interval) => interval.as_nanos().to_string(),
-            None => "null".to_string(),
-        };
-        let variance = format!(
-            r#"{{"spike_probability":{},"max_spike_ns":{},"throttle_mean_interval_ns":{},"throttle_duration_ns":{},"throttle_factor":{}}}"#,
-            spec.variance.spike_probability,
-            spec.variance.max_spike.as_nanos(),
-            throttle,
-            spec.variance.throttle_duration.as_nanos(),
-            spec.variance.throttle_factor,
-        );
-        let faults: Vec<String> = spec
-            .faults
-            .events()
-            .iter()
-            .map(|e| fault_to_json(e.at, &e.kind))
-            .collect();
-        format!(
-            concat!(
-                r#"{{"name":"{name}","workers":{workers},"gpus_per_worker":{gpus},"#,
-                r#""models":{models},"model_set":"{model_set}","workload":{workload},"#,
-                r#""slo_ms":{slo_ms},"duration_secs":{duration},"drain_secs":{drain},"#,
-                r#""seed":{seed},"workload_seed":{workload_seed},"variance":{variance},"#,
-                r#""keep_responses":{keep},"faults":[{faults}],"trace":{trace},"#,
-                r#""trace_capacity":{trace_capacity}}}"#
-            ),
-            name = escape(&spec.name),
-            workers = spec.workers,
-            gpus = spec.gpus_per_worker,
-            models = spec.models,
-            model_set = model_set,
-            workload = workload_to_json(&spec.workload),
-            slo_ms = spec.slo_ms,
-            duration = spec.duration_secs,
-            drain = spec.drain_secs,
-            seed = spec.seed,
-            workload_seed = spec.workload_seed,
-            variance = variance,
-            keep = spec.keep_responses,
-            faults = faults.join(","),
-            trace = spec.trace,
-            trace_capacity = spec.trace_capacity,
-        )
-    }
-
-    // --------------------------------------------------------------- reader
-
-    fn workload_from_value(v: &Value) -> Result<WorkloadSpec, String> {
-        match v.get("kind")?.as_str("workload.kind")? {
-            "azure" => Ok(WorkloadSpec::Azure {
-                functions: u64_of(v, "functions")? as usize,
-                target_rate: f64_of(v, "target_rate")?,
-            }),
-            "open_loop" => Ok(WorkloadSpec::OpenLoop {
-                rate_per_model: f64_of(v, "rate_per_model")?,
-            }),
-            "closed_loop" => Ok(WorkloadSpec::ClosedLoop {
-                concurrency: u64_of(v, "concurrency")? as u32,
-            }),
-            "shaped" => {
-                let profile = v.get("profile")?;
-                let profile = match profile.get("kind")?.as_str("profile.kind")? {
-                    "constant" => RateProfile::Constant,
-                    "diurnal" => RateProfile::Diurnal {
-                        amplitude: f64_of(profile, "amplitude")?,
-                        cycles: f64_of(profile, "cycles")?,
-                    },
-                    "flash_crowd" => RateProfile::FlashCrowd {
-                        start_frac: f64_of(profile, "start_frac")?,
-                        len_frac: f64_of(profile, "len_frac")?,
-                        multiplier: f64_of(profile, "multiplier")?,
-                    },
-                    other => return Err(format!("unknown rate profile `{other}`")),
-                };
-                let popularity = v.get("popularity")?;
-                let popularity = match popularity.get("kind")?.as_str("popularity.kind")? {
-                    "uniform" => PopularityModel::Uniform,
-                    "zipf" => PopularityModel::Zipf {
-                        exponent_milli: u64_of(popularity, "exponent_milli")? as u32,
-                        drift_segments: u64_of(popularity, "drift_segments")? as u32,
-                    },
-                    other => return Err(format!("unknown popularity model `{other}`")),
-                };
-                let tiers = v.get("tiers")?;
-                Ok(WorkloadSpec::Shaped {
-                    base_rate: f64_of(v, "base_rate")?,
-                    profile,
-                    popularity,
-                    tiers: TierMix {
-                        strict_share_milli: u64_of(tiers, "strict_share_milli")? as u32,
-                        best_effort_slo_ms: u64_of(tiers, "best_effort_slo_ms")?,
-                    },
-                })
-            }
-            other => Err(format!("unknown workload kind `{other}`")),
-        }
-    }
-
-    fn fault_from_value(v: &Value) -> Result<(Timestamp, FaultKind), String> {
-        let at = Timestamp::from_nanos(u64_of(v, "at_ns")?);
-        let worker = u64_of(v, "worker")? as u32;
-        let kind = match v.get("kind")?.as_str("fault.kind")? {
-            "gpu_fail" => FaultKind::GpuFail {
-                worker,
-                gpu: u64_of(v, "gpu")? as u32,
-            },
-            "gpu_recover" => FaultKind::GpuRecover {
-                worker,
-                gpu: u64_of(v, "gpu")? as u32,
-            },
-            "worker_crash" => FaultKind::WorkerCrash { worker },
-            "worker_restart" => FaultKind::WorkerRestart { worker },
-            "link_degrade" => FaultKind::LinkDegrade {
-                worker,
-                factor_milli: u64_of(v, "factor_milli")? as u32,
-            },
-            "link_restore" => FaultKind::LinkRestore { worker },
-            "partition_start" => FaultKind::PartitionStart { worker },
-            "partition_end" => FaultKind::PartitionEnd { worker },
-            "worker_join" => FaultKind::WorkerJoin { worker },
-            other => return Err(format!("unknown fault kind `{other}`")),
-        };
-        Ok((at, kind))
-    }
-
-    pub(super) fn spec_from_json(text: &str) -> Result<ScenarioSpec, String> {
-        let root = parse(text)?;
-        let variance = root.get("variance")?;
-        let throttle = match variance.get("throttle_mean_interval_ns")? {
-            Value::Null => None,
-            v => Some(Nanos::from_nanos(v.as_u64("throttle_mean_interval_ns")?)),
-        };
-        let mut faults = FaultPlan::new();
-        for item in root.get("faults")?.as_arr("faults")? {
-            let (at, kind) = fault_from_value(item)?;
-            faults.push(at, kind);
-        }
-        Ok(ScenarioSpec {
-            name: root.get("name")?.as_str("name")?.to_string(),
-            workers: u64_of(&root, "workers")? as u32,
-            gpus_per_worker: u64_of(&root, "gpus_per_worker")? as u32,
-            models: u64_of(&root, "models")? as usize,
-            model_set: match root.get("model_set")?.as_str("model_set")? {
-                "zoo_cycle" => ModelSet::ZooCycle,
-                "resnet50_copies" => ModelSet::Resnet50Copies,
-                other => return Err(format!("unknown model set `{other}`")),
-            },
-            workload: workload_from_value(root.get("workload")?)?,
-            slo_ms: u64_of(&root, "slo_ms")?,
-            duration_secs: u64_of(&root, "duration_secs")?,
-            drain_secs: u64_of(&root, "drain_secs")?,
-            seed: u64_of(&root, "seed")?,
-            workload_seed: u64_of(&root, "workload_seed")?,
-            variance: VarianceConfig {
-                spike_probability: f64_of(variance, "spike_probability")?,
-                max_spike: Nanos::from_nanos(u64_of(variance, "max_spike_ns")?),
-                throttle_mean_interval: throttle,
-                throttle_duration: Nanos::from_nanos(u64_of(variance, "throttle_duration_ns")?),
-                throttle_factor: f64_of(variance, "throttle_factor")?,
-            },
-            keep_responses: root.get("keep_responses")?.as_bool("keep_responses")?,
-            faults,
-            trace: root.get("trace")?.as_bool("trace")?,
-            trace_capacity: u64_of(&root, "trace_capacity")? as usize,
-        })
-    }
+    Ok(ScenarioSpec {
+        name: root.get("name")?.as_str("name")?.to_string(),
+        workers: u64_of(root, "workers")? as u32,
+        gpus_per_worker: u64_of(root, "gpus_per_worker")? as u32,
+        models: u64_of(root, "models")? as usize,
+        model_set: match root.get("model_set")?.as_str("model_set")? {
+            "zoo_cycle" => ModelSet::ZooCycle,
+            "resnet50_copies" => ModelSet::Resnet50Copies,
+            other => return Err(format!("unknown model set `{other}`")),
+        },
+        workload: workload_from_value(root.get("workload")?)?,
+        slo_ms: u64_of(root, "slo_ms")?,
+        duration_secs: u64_of(root, "duration_secs")?,
+        drain_secs: u64_of(root, "drain_secs")?,
+        seed: u64_of(root, "seed")?,
+        workload_seed: u64_of(root, "workload_seed")?,
+        variance: VarianceConfig {
+            spike_probability: f64_of(variance, "spike_probability")?,
+            max_spike: Nanos::from_nanos(u64_of(variance, "max_spike_ns")?),
+            throttle_mean_interval: throttle,
+            throttle_duration: Nanos::from_nanos(u64_of(variance, "throttle_duration_ns")?),
+            throttle_factor: f64_of(variance, "throttle_factor")?,
+        },
+        keep_responses: root.get("keep_responses")?.as_bool("keep_responses")?,
+        faults,
+        trace: root.get("trace")?.as_bool("trace")?,
+        trace_capacity: u64_of(root, "trace_capacity")? as usize,
+    })
 }
 
 #[cfg(test)]
