@@ -8,6 +8,7 @@
 //! ```text
 //! cargo run --release -p bench --example ipsample -- <interval-us> <out> <command> [args...]
 //! cargo run --release -p bench --example ipsample -- report <binary> <samples> [root] [top]
+//! cargo run --release -p bench --example ipsample -- report <binary> <samples> callers <fn> [root]
 //! ```
 //!
 //! Only the command's main thread is sampled, and a sample costs it a stop,
@@ -18,7 +19,12 @@
 //! keeps the samples with a `root` frame on the stack (default
 //! `run_until_events`: the loop, not set-up or the report), and prints the
 //! `top` (default 25) functions by inclusive share — counted once per
-//! sample — and by self share, the sampled instruction's function.
+//! sample — and by self share, the sampled instruction's function. A
+//! function compiled more than once (one copy per monomorphisation, say)
+//! prints as `name @0xaddr`, one row per copy. `callers <fn>` splits the
+//! samples with `fn` on the stack by the nearest caller of `fn` that is not
+//! library code (`core`, `alloc`, `std`, `hashbrown`, or outside the
+//! binary).
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sampler {
@@ -99,6 +105,10 @@ mod sampler {
         frames
     }
 
+    const USAGE: &str = "usage: ipsample <interval-us> <out> <command> [args...] \
+                         | report <binary> <samples> [root] [top] \
+                         | report <binary> <samples> callers <fn> [root]";
+
     pub fn main() -> Result<(), String> {
         let args: Vec<String> = std::env::args().skip(1).collect();
         if let [mode, rest @ ..] = args.as_slice() {
@@ -107,9 +117,7 @@ mod sampler {
             }
         }
         let [interval_us, out, command, rest @ ..] = args.as_slice() else {
-            return Err("usage: ipsample <interval-us> <out> <command> [args...] \
-                        | report <binary> <samples> [root] [top]"
-                .into());
+            return Err(USAGE.into());
         };
         let interval = Duration::from_micros(interval_us.parse().map_err(|e| format!("{e}"))?);
         let out = std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?;
@@ -153,7 +161,10 @@ mod sampler {
         use std::process::Command;
 
         /// The binary's sized function symbols, ascending by address: start,
-        /// end and name. (The unsized ones are a few start-up stubs.)
+        /// end and name. (The unsized ones are a few start-up stubs.) A name
+        /// several symbols share — one generic function's monomorphisations,
+        /// or one function's copies in different crates — gets each copy's
+        /// address appended, so their samples are not summed as one.
         fn symbols(binary: &str) -> Result<Vec<(u64, u64, String)>, String> {
             let nm = Command::new("nm").args(["-C", "-n", "-S", binary]).output();
             let nm = nm.map_err(|e| format!("nm: {e}"))?;
@@ -174,11 +185,19 @@ mod sampler {
                     symbols.push((start, start + size, without_hash(name).to_string()));
                 }
             }
+            let mut copies: HashMap<String, usize> = HashMap::new();
+            for (_, _, name) in &symbols {
+                *copies.entry(name.clone()).or_default() += 1;
+            }
+            for (start, _, name) in &mut symbols {
+                if copies[name.as_str()] > 1 {
+                    *name = format!("{name} @{start:#x}");
+                }
+            }
             Ok(symbols)
         }
 
-        /// A Rust symbol without its `::h<16 hex digits>` suffix, so the
-        /// copies of one function in different crates read as one.
+        /// A Rust symbol without its `::h<16 hex digits>` suffix.
         fn without_hash(name: &str) -> &str {
             match name.rsplit_once("::h") {
                 Some((head, hash))
@@ -190,12 +209,29 @@ mod sampler {
             }
         }
 
+        /// Whether a frame is library code rather than this workspace's.
+        fn is_library(frame: &str) -> bool {
+            let path = frame.trim_start_matches('<');
+            ["core::", "alloc::", "std::", "hashbrown::", "[outside"]
+                .iter()
+                .any(|prefix| path.starts_with(prefix))
+        }
+
         pub fn main(args: &[String]) -> Result<(), String> {
             let [binary, samples, rest @ ..] = args else {
-                return Err("usage: ipsample report <binary> <samples> [root] [top]".into());
+                return Err(super::USAGE.into());
+            };
+            // `callers <fn> [root]`, or `[root] [top]`.
+            let (callee, rest) = match rest {
+                [mode, callee, rest @ ..] if mode == "callers" => (Some(callee.as_str()), rest),
+                [mode] if mode == "callers" => return Err(super::USAGE.into()),
+                _ => (None, rest),
             };
             let root = rest.first().map_or("run_until_events", String::as_str);
-            let top = rest.get(1).map_or(Ok(25), |n| n.parse::<usize>());
+            let top = match callee {
+                Some(_) => Ok(usize::MAX),
+                None => rest.get(1).map_or(Ok(25), |n| n.parse::<usize>()),
+            };
             let top = top.map_err(|e| format!("top: {e}"))?;
             let symbols = symbols(binary)?;
             // Past the end of the symbol below it: a shared library's code
@@ -212,6 +248,7 @@ mod sampler {
             let (mut total, mut kept) = (0usize, 0usize);
             let mut inclusive: HashMap<&str, usize> = HashMap::new();
             let mut own: HashMap<&str, usize> = HashMap::new();
+            let mut callers: HashMap<&str, usize> = HashMap::new();
             for line in samples.lines() {
                 total += 1;
                 // A return address is one past its call: step back into it.
@@ -226,6 +263,19 @@ mod sampler {
                     continue;
                 }
                 kept += 1;
+                if let Some(callee) = callee {
+                    // The innermost frame of `callee`, then the first frame
+                    // above it that is neither `callee` nor library code.
+                    if let Some(at) = frames.iter().position(|f| f.contains(callee)) {
+                        let caller = frames[at..]
+                            .iter()
+                            .find(|f| !f.contains(callee) && !is_library(f))
+                            .copied()
+                            .unwrap_or("[no caller in the binary]");
+                        *callers.entry(caller).or_default() += 1;
+                    }
+                    continue;
+                }
                 *own.entry(frames[0]).or_default() += 1;
                 frames.sort_unstable();
                 frames.dedup();
@@ -234,7 +284,16 @@ mod sampler {
                 }
             }
             println!("{kept} of {total} samples have `{root}` on the stack");
-            for (share, counts) in [("inclusive", &inclusive), ("self", &own)] {
+            let tables = match callee {
+                Some(callee) => {
+                    let with: usize = callers.values().sum();
+                    let percent = 100.0 * with as f64 / kept.max(1) as f64;
+                    println!("{percent:.1} % have `{callee}` on the stack too, by caller:");
+                    vec![("caller", &callers)]
+                }
+                None => vec![("inclusive", &inclusive), ("self", &own)],
+            };
+            for (share, counts) in tables {
                 let mut rows: Vec<(&str, usize)> = counts.iter().map(|(&f, &n)| (f, n)).collect();
                 rows.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
                 println!("\n{share:>9}  function");

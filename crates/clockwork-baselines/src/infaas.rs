@@ -424,7 +424,7 @@ mod tests {
             s.on_request(Timestamp::ZERO, request(i, 1_000), &mut ctx);
         }
         let actions = ctx.take_actions();
-        let load_workers: std::collections::HashSet<WorkerId> = actions
+        let load_workers: std::collections::BTreeSet<WorkerId> = actions
             .iter()
             .filter(|(_, a)| a.kind.type_name() == "LOAD")
             .map(|(w, _)| *w)

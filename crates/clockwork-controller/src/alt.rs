@@ -234,7 +234,7 @@ mod tests {
             .filter(|(_, a)| a.kind.type_name() == "LOAD")
             .count();
         assert_eq!(loads, 2, "each GPU loads the model on demand");
-        let workers: std::collections::HashSet<WorkerId> =
+        let workers: std::collections::BTreeSet<WorkerId> =
             actions.iter().map(|(w, _)| *w).collect();
         assert_eq!(workers.len(), 2);
     }
@@ -309,7 +309,7 @@ mod tests {
         let _ = ctx.take_actions();
         s.on_request(Timestamp::from_millis(4), request(4, 1), &mut ctx);
         s.on_request(Timestamp::from_millis(4), request(5, 1), &mut ctx);
-        let workers: std::collections::HashSet<WorkerId> =
+        let workers: std::collections::BTreeSet<WorkerId> =
             ctx.take_actions().iter().map(|(w, _)| *w).collect();
         assert!(
             workers.contains(&WorkerId(0)),

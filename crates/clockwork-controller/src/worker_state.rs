@@ -48,10 +48,10 @@
 //! discipline's queue or this ledger.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
 
 use clockwork_model::{ModelId, ModelTable};
 use clockwork_sim::engine::FaultKind;
+use clockwork_sim::hash::{IdMap, IdSet};
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionId, ActionKind, ActionResult, GpuId, TimeWindow, WorkerId};
 
@@ -200,7 +200,7 @@ pub struct GpuTrack<R> {
     /// [`GpuTrack::table`].
     table: Vec<Stamped>,
     /// Outstanding actions on this GPU, each INFER with its riders.
-    pub outstanding: HashMap<ActionId, OutstandingAction<R>>,
+    pub outstanding: IdMap<ActionId, OutstandingAction<R>>,
     /// Whether the GPU (and its worker) is up. Dead GPUs receive no work.
     pub alive: bool,
 }
@@ -213,7 +213,7 @@ impl<R> GpuTrack<R> {
             free_pages: total_pages,
             page_size,
             table: Vec::new(),
-            outstanding: HashMap::new(),
+            outstanding: IdMap::default(),
             alive: true,
         }
     }
@@ -364,7 +364,7 @@ impl BusyList {
 #[derive(Clone, Debug)]
 pub struct WorkerStateTracker<R> {
     gpus: Vec<GpuTrack<R>>,
-    index: HashMap<GpuRef, usize>,
+    index: IdMap<GpuRef, usize>,
     /// Estimated time each GPU's executors are next free, as dense columns
     /// (`[Executor::Infer, Executor::Load]`, each by registration index) so
     /// the per-GPU readiness queries are an index and the fleet-wide ones a
@@ -396,14 +396,14 @@ pub struct WorkerStateTracker<R> {
     /// recovery cannot make its GPUs reachable — only the worker restart
     /// re-admits them (the worker would silently drop actions sent earlier,
     /// leaking their requests).
-    down_workers: HashSet<WorkerId>,
+    down_workers: IdSet<WorkerId>,
 }
 
 impl<R> Default for WorkerStateTracker<R> {
     fn default() -> Self {
         WorkerStateTracker {
             gpus: Vec::new(),
-            index: HashMap::new(),
+            index: IdMap::default(),
             free_at: Default::default(),
             busy: Default::default(),
             holders: ModelTable::default(),
@@ -412,7 +412,7 @@ impl<R> Default for WorkerStateTracker<R> {
             outstanding_infers: 0,
             infers_by_model: ModelTable::default(),
             live: Vec::new(),
-            down_workers: HashSet::new(),
+            down_workers: IdSet::default(),
         }
     }
 }

@@ -5,6 +5,12 @@
 //! of timestamped events with deterministic FIFO tie-breaking; the loop that
 //! pops it keeps the current virtual instant itself.
 //!
+//! Events come from three sources, delivered as one stream in `(time, seq)`
+//! order: one-shot events in a binary heap ([`EventQueue::push`]), a sorted
+//! run beside it ([`EventQueue::push_run`]), and re-armable timers
+//! ([`EventQueue::arm`]) — one pending event per timer, moved rather than
+//! cancelled and re-pushed when its time changes.
+//!
 //! Higher layers (the system assembly in the `clockwork` crate) define their
 //! own event payload type and drive the loop:
 //!
@@ -239,25 +245,135 @@ struct Run<E> {
     owed: usize,
 }
 
+/// A re-armable timer of one [`EventQueue`], from [`EventQueue::add_timer`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct TimerId(u32);
+
+/// An event's place in the delivery order, `(time, seq)` packed into one
+/// integer so that ordering two is one integer comparison.
+#[inline]
+fn order(at: Timestamp, seq: u64) -> u128 {
+    u128::from(at.as_nanos()) << 64 | u128::from(seq)
+}
+
+/// The place of an idle timer or an empty source: after every event, even
+/// one at [`Timestamp::MAX`], because no event gets the last `seq`.
+const NEVER: u128 = u128::MAX;
+
+/// The instant an [`order`] stands for.
+fn time_of(order: u128) -> Timestamp {
+    Timestamp::from_nanos((order >> 64) as u64)
+}
+
+/// The timers: a complete binary tree over the timer slots in which every
+/// internal node names whichever of its two children's timers is due first,
+/// so the root names the earliest. Nodes are 1-based (node `n`'s children
+/// are `2n` and `2n + 1`), and leaf `width + i` names timer `i`.
+struct Timers<E> {
+    /// `2 * width` timer indices; node 0 is unused.
+    tree: Vec<u32>,
+    /// Each slot's [`order`], [`NEVER`] while idle; `width` of them, the
+    /// slots past the last timer idle for good.
+    keys: Vec<u128>,
+    /// Each timer's pending payload, `None` while it is idle.
+    payloads: Vec<Option<E>>,
+}
+
+impl<E> Timers<E> {
+    fn new() -> Self {
+        Timers {
+            tree: vec![0; 2],
+            keys: vec![NEVER],
+            payloads: Vec::new(),
+        }
+    }
+
+    /// The earliest armed timer and its [`order`] ([`NEVER`] if none is).
+    #[inline]
+    fn first(&self) -> (TimerId, u128) {
+        let timer = self.tree[1];
+        (TimerId(timer), self.keys[timer as usize])
+    }
+
+    /// Of two timers, the one due first.
+    #[inline]
+    fn earlier(&self, a: u32, b: u32) -> u32 {
+        if self.keys[a as usize] <= self.keys[b as usize] {
+            a
+        } else {
+            b
+        }
+    }
+
+    /// Adds an idle timer, doubling the tree when every slot is taken.
+    fn add(&mut self) -> TimerId {
+        let timer = u32::try_from(self.payloads.len()).expect("under 2^32 timers");
+        let width = self.keys.len();
+        if timer as usize == width {
+            self.keys.resize(2 * width, NEVER);
+            self.tree = vec![0; 4 * width];
+            for slot in 0..2 * width {
+                self.tree[2 * width + slot] = slot as u32;
+            }
+            for node in (1..2 * width).rev() {
+                self.tree[node] = self.earlier(self.tree[2 * node], self.tree[2 * node + 1]);
+            }
+        }
+        self.payloads.push(None);
+        TimerId(timer)
+    }
+
+    /// Sets `timer`'s [`order`] and replays its matches up to the root.
+    fn set(&mut self, timer: TimerId, order: u128) {
+        self.keys[timer.0 as usize] = order;
+        let mut node = (self.keys.len() + timer.0 as usize) / 2;
+        while node > 0 {
+            self.tree[node] = self.earlier(self.tree[2 * node], self.tree[2 * node + 1]);
+            node /= 2;
+        }
+    }
+}
+
 /// A deterministic, cancellable priority queue of timestamped events.
 ///
-/// Events pushed one at a time live in a binary heap; a batch submitted in
-/// time order ([`EventQueue::push_run`], or a sorted
-/// [`EventQueue::push_batch`]) stays a sorted run beside it, and delivery
-/// takes the smaller `(time, seq)` of the run's head and the heap's top. The
-/// heap therefore holds only what is in flight — a push or pop sifts
-/// `log(in-flight)` levels however many arrivals a replayed trace still has
-/// to deliver — and a run entry costs one comparison and no sift at all.
+/// Three sources feed one delivery order, the `(time, seq)` of every event:
 ///
-/// Ordering and storage are separate: the heap sifts three-word keys
+/// * **The heap** holds events pushed one at a time ([`EventQueue::push`]):
+///   what is in flight.
+/// * **The run** is a batch submitted in time order
+///   ([`EventQueue::push_run`], or a sorted [`EventQueue::push_batch`]) and
+///   kept beside the heap, so a run entry costs one comparison and no sift,
+///   however many arrivals a replayed trace still has to deliver.
+/// * **The timers** ([`EventQueue::add_timer`]) each hold at most one
+///   pending event, re-armed in place when its time moves: a tournament
+///   tree over the timer slots whose root names the earliest armed timer,
+///   so arming, disarming and firing each rewrite one timer's key and the
+///   `log(timers)` nodes above it. A periodic or self-rescheduling event —
+///   a worker's wake, a scheduler tick — lives here and never piles
+///   tombstones into the heap.
+///
+/// [`EventQueue::pop_due`] delivers the least of the run's head, the heap's
+/// top and the tree's root. Every event takes one sequence number when it is
+/// scheduled — a run reserves its block at submission, [`EventQueue::arm`]
+/// takes one per arming — so the order is exactly that of pushing every
+/// event, and of cancelling and re-pushing a timer's event to move it.
+///
+/// Counting follows the same equivalence, and the counters satisfy
+/// `pushed_total == delivered_total + cancelled_total + len()` throughout:
+/// a push, a run entry and an arming each count one push; re-arming an
+/// armed timer also counts one cancellation, and [`EventQueue::disarm`] of
+/// an armed timer counts one; a delivery from any source counts one.
+/// [`EventQueue::len`] and [`EventQueue::peek_time`] include armed timers.
+///
+/// In the heap, ordering and storage are separate: it sifts three-word keys
 /// `(time, seq, slot)`, and each payload is written once into a slab slot
 /// and read once when it is delivered. The slot also records the `seq` of
 /// its occupant, which makes the slab the liveness record: cancellation
 /// drops the payload and frees the slot at once, and a key whose slot no
 /// longer holds its `seq` is a tombstone, discarded when it surfaces. Slots
 /// are recycled, so the queue's memory follows the events in flight, not the
-/// events ever scheduled. Run entries take no slot and hand out no
-/// [`EventId`], so nothing can cancel them.
+/// events ever scheduled. Run entries and timers take no slot and hand out
+/// no [`EventId`], so [`EventQueue::cancel`] reaches neither.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Key>,
     /// Payloads of the live heap entries, each stamped with its occupant.
@@ -267,6 +383,7 @@ pub struct EventQueue<E> {
     /// The pending sorted run, if any. At most one: a run submitted while
     /// another is pending is spilled to the heap.
     run: Option<Run<E>>,
+    timers: Timers<E>,
     /// The next event's sequence number: one per event ever scheduled.
     next_seq: u64,
     /// Number of scheduled events that are neither delivered nor cancelled.
@@ -291,6 +408,7 @@ impl<E> EventQueue<E> {
             slab: Vec::new(),
             free: Vec::new(),
             run: None,
+            timers: Timers::new(),
             next_seq: 0,
             live: 0,
             delivered: 0,
@@ -438,36 +556,109 @@ impl<E> EventQueue<E> {
         self.push(at, payload)
     }
 
+    /// Adds an idle timer: a slot for at most one pending event, armed and
+    /// re-armed with [`EventQueue::arm`]. Timers can be added at any time.
+    pub fn add_timer(&mut self) -> TimerId {
+        self.timers.add()
+    }
+
+    /// Schedules `timer`'s event at `at`, replacing its pending one if it
+    /// has one.
+    ///
+    /// Equivalent to cancelling the pending event and pushing `payload` at
+    /// `at`: the event takes the next sequence number, and the counters see
+    /// one push, plus one cancellation when the timer was armed.
+    ///
+    /// # Panics
+    ///
+    /// On a timer this queue did not add.
+    pub fn arm(&mut self, timer: TimerId, at: Timestamp, payload: E) {
+        let pending = &mut self.timers.payloads[timer.0 as usize];
+        if pending.is_some() {
+            self.cancelled += 1;
+        } else {
+            self.live += 1;
+        }
+        *pending = Some(payload);
+        self.timers.set(timer, order(at, self.next_seq));
+        self.next_seq += 1;
+    }
+
+    /// Cancels `timer`'s pending event. Returns `true`, counting one
+    /// cancellation, if the timer was armed.
+    ///
+    /// # Panics
+    ///
+    /// On a timer this queue did not add.
+    pub fn disarm(&mut self, timer: TimerId) -> bool {
+        if self.timers.payloads[timer.0 as usize].take().is_none() {
+            return false;
+        }
+        self.live -= 1;
+        self.cancelled += 1;
+        self.timers.set(timer, NEVER);
+        true
+    }
+
+    /// When `timer`'s pending event is due, or `None` if the timer is idle —
+    /// never armed, disarmed, or fired since it was last armed.
+    ///
+    /// # Panics
+    ///
+    /// On a timer this queue did not add.
+    pub fn timer_due(&self, timer: TimerId) -> Option<Timestamp> {
+        let key = self.timers.keys[timer.0 as usize];
+        (key != NEVER).then(|| time_of(key))
+    }
+
     /// Removes and returns the earliest live event, or `None` if empty.
     pub fn pop(&mut self) -> Option<(Timestamp, E)> {
         self.pop_due(Timestamp::MAX)
     }
 
     /// Removes and returns the earliest event if it is scheduled at or before
-    /// `now`: one run-head-versus-heap-top comparison and, for a heap entry,
-    /// one slab read per delivered event.
+    /// `now`: the least `(time, seq)` of the run's head, the heap's top and
+    /// the timers' root, and for a heap entry one slab read per delivered
+    /// event.
     pub fn pop_due(&mut self, now: Timestamp) -> Option<(Timestamp, E)> {
         loop {
-            let Some(&top) = self.heap.peek() else {
-                return self.pop_run_due(now);
-            };
-            if let Some(run) = &self.run {
-                if (run.at, run.seq) < (top.at, top.seq) {
-                    return self.pop_run_due(now);
-                }
-            }
-            // A tombstone on top still bounds everything behind it, run
-            // head included, so "not due" needs no probe.
-            if top.at > now {
+            let top = self.heap.peek().map_or(NEVER, |top| order(top.at, top.seq));
+            let head = self
+                .run
+                .as_ref()
+                .map_or(NEVER, |run| order(run.at, run.seq));
+            let timer = self.timers.first().1;
+            let first = top.min(head).min(timer);
+            // A tombstone on top still bounds everything behind it, so "not
+            // due" needs no probe.
+            if first == NEVER || time_of(first) > now {
                 return None;
             }
-            self.heap.pop();
+            if first == head {
+                return self.pop_run_due(now);
+            }
+            if first == timer {
+                return Some(self.fire());
+            }
+            let top = self.heap.pop().expect("the heap's top was peeked");
             if let Some(payload) = self.vacate(top.slot, top.seq) {
                 self.live -= 1;
                 self.delivered += 1;
                 return Some((top.at, payload));
             }
         }
+    }
+
+    /// Delivers the earliest armed timer's event, leaving the timer idle.
+    fn fire(&mut self) -> (Timestamp, E) {
+        let (timer, key) = self.timers.first();
+        let payload = self.timers.payloads[timer.0 as usize]
+            .take()
+            .expect("an armed timer holds its payload");
+        self.timers.set(timer, NEVER);
+        self.live -= 1;
+        self.delivered += 1;
+        (time_of(key), payload)
     }
 
     /// Delivers the pending run's head if there is one and it is due by
@@ -492,7 +683,8 @@ impl<E> EventQueue<E> {
         ))
     }
 
-    /// The timestamp of the earliest live event, without removing it.
+    /// The timestamp of the earliest live event, armed timers included,
+    /// without removing it.
     pub fn peek_time(&mut self) -> Option<Timestamp> {
         while let Some(&top) = self.heap.peek() {
             if self.holds(top.slot, top.seq) {
@@ -502,20 +694,27 @@ impl<E> EventQueue<E> {
         }
         let top = self.heap.peek().map(|ev| ev.at);
         let head = self.run.as_ref().map(|run| run.at);
-        match (head, top) {
+        let earliest = match (head, top) {
             (Some(head), Some(top)) => Some(head.min(top)),
             (head, top) => head.or(top),
+        };
+        let timer = self.timers.first().1;
+        if timer == NEVER {
+            return earliest;
         }
+        let timer = time_of(timer);
+        Some(earliest.map_or(timer, |at| at.min(timer)))
     }
 
     /// Entries physically in the heap, tombstones included — a diagnostic
-    /// for how much of [`EventQueue::len`] is in flight rather than waiting
-    /// in a sorted run.
+    /// for how much of [`EventQueue::len`] is one-shot events in flight,
+    /// rather than arrivals waiting in a sorted run or armed timers.
     pub fn heap_len(&self) -> usize {
         self.heap.len()
     }
 
-    /// Number of live (not yet delivered, not cancelled) events.
+    /// Number of live (not yet delivered, not cancelled) events, armed
+    /// timers included.
     pub fn len(&self) -> usize {
         self.live
     }
@@ -798,6 +997,9 @@ mod tests {
         }
     }
 
+    /// A reference timer's pending event: its due time, handle and payload.
+    type Pending = Option<(Timestamp, reference::EventId, u32)>;
+
     proptest! {
         #[test]
         fn every_step_matches_the_reference_queue(
@@ -806,13 +1008,16 @@ mod tests {
             // batches landing before times already popped are the norm.
             ops in proptest::collection::vec(
                 (
-                    0u8..14,
+                    0u8..19,
                     0u64..40,
                     proptest::collection::vec(0u64..40, 0..12),
                     any::<prop::sample::Index>(),
                 ),
                 1..200,
             ),
+            // Without timers the heaps of both queues hold the same entries,
+            // so their lengths are compared too.
+            timers_on in any::<bool>(),
         ) {
             let mut real: EventQueue<u32> = EventQueue::new();
             let mut oracle: reference::EventQueue<u32> = reference::EventQueue::new();
@@ -823,9 +1028,25 @@ mod tests {
             // Sequence numbers that went to a sorted run: reserved, never in
             // a slot, and no handle to them was ever issued.
             let mut run_seqs: Vec<u64> = Vec::new();
+            // The reference keeps a timer the way the serving loop once kept
+            // a worker's wake: the due time and handle of its one pending
+            // event, cancelled and re-pushed to move it, and forgotten once
+            // that event is delivered — recognised by its payload, which no
+            // other event has.
+            let mut timers: Vec<(TimerId, Pending)> = Vec::new();
+            let forget = |timers: &mut Vec<(TimerId, Pending)>, popped: Option<(Timestamp, u32)>| {
+                if let Some((_, payload)) = popped {
+                    for (_, pending) in timers.iter_mut() {
+                        if pending.is_some_and(|(_, _, p)| p == payload) {
+                            *pending = None;
+                        }
+                    }
+                }
+            };
             let mut next_payload = 0u32;
             let at = Timestamp::from_nanos;
             for (op, t, mut times, pick) in ops {
+                let op = if timers_on { op } else { op % 14 };
                 // Ops 2..=5 submit `times` as batches, payloads numbering the
                 // entries in submission order: 2 as drawn (unsorted, or sorted
                 // by chance), 3 sorted, 4 sorted through `push_run`, 5 sorted
@@ -888,22 +1109,69 @@ mod tests {
                             next_payload += 1;
                         }
                     }
-                    11 => prop_assert_eq!(real.pop_due(at(t)), oracle.pop_due(at(t))),
-                    12 => prop_assert_eq!(real.pop(), oracle.pop()),
-                    _ => prop_assert_eq!(real.peek_time(), oracle.peek_time()),
+                    11 => {
+                        let popped = oracle.pop_due(at(t));
+                        prop_assert_eq!(real.pop_due(at(t)), popped);
+                        forget(&mut timers, popped);
+                    }
+                    12 => {
+                        let popped = oracle.pop();
+                        prop_assert_eq!(real.pop(), popped);
+                        forget(&mut timers, popped);
+                    }
+                    13 => prop_assert_eq!(real.peek_time(), oracle.peek_time()),
+                    14 => timers.push((real.add_timer(), None)),
+                    // Arm, idle or armed, at a time before, at or after
+                    // anything pending.
+                    15 | 16 => {
+                        if !timers.is_empty() {
+                            let k = pick.index(timers.len());
+                            let (timer, pending) = &mut timers[k];
+                            real.arm(*timer, at(t), next_payload);
+                            if let Some((_, id, _)) = pending.take() {
+                                prop_assert!(oracle.cancel(id));
+                            }
+                            let id = oracle.push(at(t), next_payload);
+                            *pending = Some((at(t), id, next_payload));
+                            next_payload += 1;
+                        }
+                    }
+                    17 => {
+                        if !timers.is_empty() {
+                            let k = pick.index(timers.len());
+                            let (timer, pending) = &mut timers[k];
+                            let was_armed = pending.take().is_some_and(|(_, id, _)| oracle.cancel(id));
+                            prop_assert_eq!(real.disarm(*timer), was_armed);
+                        }
+                    }
+                    _ => {
+                        for &(timer, pending) in &timers {
+                            prop_assert_eq!(real.timer_due(timer), pending.map(|(due, _, _)| due));
+                        }
+                    }
                 }
                 prop_assert_eq!(real.len(), oracle.len());
-                prop_assert_eq!(real.heap_len(), oracle.heap_len());
+                if timers_on {
+                    // The reference's heap also holds the timers' events and
+                    // their tombstones.
+                    prop_assert!(real.heap_len() <= oracle.heap_len());
+                } else {
+                    prop_assert_eq!(real.heap_len(), oracle.heap_len());
+                }
                 prop_assert_eq!(real.pushed_total(), oracle.pushed_total());
                 prop_assert_eq!(real.delivered_total(), oracle.delivered_total());
                 prop_assert_eq!(real.cancelled_total(), oracle.cancelled_total());
                 // No slot leaks: the occupied ones are the live events that
-                // are not waiting in the run.
+                // are neither waiting in the run nor armed timers.
                 let in_run = real.run.as_ref().map_or(0, |run| run.owed + 1);
-                prop_assert_eq!(real.slab.len() - real.free.len(), real.len() - in_run);
+                let armed = timers.iter().filter(|(_, pending)| pending.is_some()).count();
+                prop_assert_eq!(real.slab.len() - real.free.len(), real.len() - in_run - armed);
             }
             while let Some(delivered) = oracle.pop() {
                 prop_assert_eq!(real.pop(), Some(delivered));
+            }
+            for (timer, _) in timers {
+                prop_assert_eq!(real.timer_due(timer), None);
             }
             prop_assert_eq!(real.pop(), None);
             prop_assert_eq!(real.free.len(), real.slab.len());
@@ -1093,6 +1361,75 @@ mod tests {
             ]
         );
         assert_eq!(q.pushed_total(), q.delivered_total());
+    }
+
+    #[test]
+    fn timers_heap_and_run_entries_due_together_pop_in_seq_order() {
+        let t = Timestamp::from_millis(5);
+        let mut q = EventQueue::new();
+        let (early, late) = (q.add_timer(), q.add_timer());
+        q.arm(late, t, "late timer");
+        q.push(t, "heap 0");
+        q.push_batch([(t, "run 0"), (t, "run 1")]);
+        q.arm(early, Timestamp::from_millis(9), "moved away");
+        q.push(t, "heap 1");
+        // Re-arming takes a fresh seq: this timer now ties after "heap 1".
+        q.arm(early, t, "early timer");
+        q.push(t, "heap 2");
+        assert_eq!((q.len(), q.heap_len()), (7, 3));
+        assert_eq!(q.timer_due(early), Some(t));
+        assert_eq!(q.peek_time(), Some(t));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop_due(t))
+            .map(|(_, p)| p)
+            .collect();
+        assert_eq!(
+            order,
+            [
+                "late timer",
+                "heap 0",
+                "run 0",
+                "run 1",
+                "heap 1",
+                "early timer",
+                "heap 2"
+            ]
+        );
+        assert_eq!((q.timer_due(early), q.timer_due(late)), (None, None));
+        assert!(!q.disarm(early), "a fired timer is idle");
+        // Eight pushes (one re-arm among them), seven delivered.
+        assert_eq!(
+            (q.pushed_total(), q.delivered_total(), q.cancelled_total()),
+            (8, 7, 1)
+        );
+    }
+
+    #[test]
+    fn adding_timers_keeps_every_armed_one() {
+        let ms = Timestamp::from_millis;
+        let mut q = EventQueue::new();
+        let mut timers = Vec::new();
+        // Each addition past a power of two doubles the tree while the
+        // earlier timers are armed, some earlier and some later than the
+        // newcomers.
+        for i in 0..37u64 {
+            let timer = q.add_timer();
+            q.arm(timer, ms(100 - i * 2 % 50), i);
+            timers.push(timer);
+        }
+        assert!(q.disarm(timers[3]));
+        assert_eq!(q.len(), 36);
+        for (i, &timer) in timers.iter().enumerate() {
+            let due = (i != 3).then(|| ms(100 - i as u64 * 2 % 50));
+            assert_eq!(q.timer_due(timer), due);
+        }
+        let mut expected: Vec<_> = (0..37u64)
+            .filter(|&i| i != 3)
+            .map(|i| (ms(100 - i * 2 % 50), i))
+            .collect();
+        expected.sort();
+        let delivered: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(delivered, expected);
+        assert!(q.is_empty() && q.peek_time().is_none());
     }
 
     #[test]

@@ -30,13 +30,12 @@
 //!   observes the same fault event, is responsible for resolving the actions
 //!   it will now never hear back about.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use clockwork_model::{ModelId, ModelSpec, ModelTable};
-use clockwork_sim::engine::EventQueue;
 use clockwork_sim::gpu::{GpuSpec, GpuTimingModel};
 use clockwork_sim::memory::MemoryPool;
 use clockwork_sim::pcie::{LinkScheduler, PcieLink};
@@ -198,6 +197,14 @@ struct GpuState {
     failed: bool,
 }
 
+/// Files `item` at `at` in a timeline kept in ascending time order, after
+/// every entry due at or before `at`: entries due at the same instant leave
+/// in the order they were filed.
+fn file_in_order<T>(timeline: &mut VecDeque<(Timestamp, T)>, at: Timestamp, item: T) {
+    let pos = timeline.partition_point(|(due, _)| *due <= at);
+    timeline.insert(pos, (at, item));
+}
+
 /// A completion scheduled inside the worker.
 struct Completion {
     gpu_index: usize,
@@ -214,7 +221,10 @@ pub struct Worker {
     models: ModelTable<Arc<ModelSpec>>,
     host_memory: MemoryPool,
     gpus: Vec<GpuState>,
-    completions: EventQueue<Completion>,
+    /// Started actions' completions, in the order they fire: by time, then
+    /// by when they were filed ([`file_in_order`]). Short: only actions
+    /// already started are here, a few per GPU.
+    completions: VecDeque<(Timestamp, Completion)>,
     variance: ExternalVariance,
     telemetry: WorkerTelemetry,
     /// Whether the worker process is up (false between crash and restart).
@@ -250,7 +260,7 @@ impl Worker {
             host_memory: MemoryPool::new(config.host_memory_bytes),
             models: ModelTable::default(),
             gpus,
-            completions: EventQueue::new(),
+            completions: VecDeque::new(),
             variance,
             telemetry,
             alive: true,
@@ -433,7 +443,7 @@ impl Worker {
     pub fn crash(&mut self, now: Timestamp) {
         self.alive = false;
         self.telemetry.counters.crashes += 1;
-        self.completions = EventQueue::new();
+        self.completions.clear();
         self.active_gpus.clear();
         for gpu in &mut self.gpus {
             Self::reset_gpu(&self.config, gpu);
@@ -464,18 +474,10 @@ impl Worker {
         Self::reset_gpu(&self.config, state);
         self.telemetry.counters.gpu_failures += 1;
         self.active_gpus.remove(&gpu.0);
-        // Drop the failed GPU's pending completions; the relative order of
-        // the survivors is preserved (they re-enter in pop order, and the
-        // queue tie-breaks by insertion).
-        let mut kept = Vec::new();
-        while let Some((t, completion)) = self.completions.pop() {
-            if completion.gpu_index != gi {
-                kept.push((t, completion));
-            }
-        }
-        for (t, completion) in kept {
-            self.completions.push(t, completion);
-        }
+        // Drop the failed GPU's pending completions; the survivors keep
+        // their order.
+        self.completions
+            .retain(|(_, completion)| completion.gpu_index != gi);
     }
 
     /// Recovers a failed GPU with an empty (cold) weights cache.
@@ -533,7 +535,7 @@ impl Worker {
         if !self.alive {
             return None;
         }
-        let mut best = self.completions.peek_time();
+        let mut best = self.completions.front().map(|&(at, _)| at);
         let gpus = &self.gpus;
         self.active_gpus.retain(|&gi| {
             let gpu = &gpus[gi as usize];
@@ -587,7 +589,11 @@ impl Worker {
         let mut steps = 0u64;
         loop {
             // Completions due?
-            let completion_time = self.completions.peek_time().filter(|&t| t <= now);
+            let completion_time = self
+                .completions
+                .front()
+                .map(|&(at, _)| at)
+                .filter(|&t| t <= now);
             // Action starts due? Only GPUs in the ready-set can have any;
             // ascending index order preserves the strict-minimum tie-break
             // the full scan had (lowest GPU index wins, LOAD before INFER).
@@ -639,7 +645,7 @@ impl Worker {
     }
 
     fn finish_completion(&mut self, results: &mut Vec<ActionResult>) {
-        let Some((_, completion)) = self.completions.pop() else {
+        let Some((_, completion)) = self.completions.pop_front() else {
             return;
         };
         let gpu = &mut self.gpus[completion.gpu_index];
@@ -718,14 +724,12 @@ impl Worker {
             expected_duration: action.expected_duration,
             outcome,
         };
-        self.completions.push(
-            at,
-            Completion {
-                gpu_index,
-                result,
-                infer_io,
-            },
-        );
+        let completion = Completion {
+            gpu_index,
+            result,
+            infer_io,
+        };
+        file_in_order(&mut self.completions, at, completion);
     }
 
     fn run_load(
@@ -1614,5 +1618,81 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// The completion timeline against what it replaced: an `EventQueue` of
+    /// completions, emptied and refilled in pop order to drop a failed GPU's
+    /// entries.
+    mod event_queue_twin {
+        use std::collections::VecDeque;
+
+        use clockwork_sim::engine::EventQueue;
+        use clockwork_sim::time::Timestamp;
+        use proptest::prelude::*;
+
+        use super::super::file_in_order;
+
+        const GPUS: u32 = 3;
+
+        #[derive(Clone, Copy, Debug)]
+        enum Op {
+            File { ms: u64, gpu: u32 },
+            Pop,
+            Peek,
+            FailGpu { gpu: u32 },
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            // Six instants for up to 200 entries: most are ties.
+            let file = || (0u64..6, 0..GPUS).prop_map(|(ms, gpu)| Op::File { ms, gpu });
+            prop_oneof![
+                file(),
+                file(),
+                Just(Op::Pop),
+                Just(Op::Peek),
+                (0..GPUS).prop_map(|gpu| Op::FailGpu { gpu }),
+            ]
+        }
+
+        proptest! {
+            /// Entries are `(gpu, filing number)`, so a pop names exactly
+            /// which entry left.
+            #[test]
+            fn the_timeline_pops_and_keeps_what_the_event_queue_did(
+                ops in proptest::collection::vec(op(), 0..200),
+            ) {
+                let mut timeline: VecDeque<(Timestamp, (u32, usize))> = VecDeque::new();
+                let mut twin: EventQueue<(u32, usize)> = EventQueue::new();
+                for (n, op) in ops.into_iter().enumerate() {
+                    match op {
+                        Op::File { ms, gpu } => {
+                            let at = Timestamp::from_millis(ms);
+                            file_in_order(&mut timeline, at, (gpu, n));
+                            twin.push(at, (gpu, n));
+                        }
+                        Op::Pop => prop_assert_eq!(timeline.pop_front(), twin.pop()),
+                        Op::Peek => {
+                            let next = timeline.front().map(|&(at, _)| at);
+                            prop_assert_eq!(next, twin.peek_time());
+                        }
+                        Op::FailGpu { gpu } => {
+                            timeline.retain(|&(_, (g, _))| g != gpu);
+                            let mut kept = Vec::new();
+                            while let Some((at, entry)) = twin.pop() {
+                                if entry.0 != gpu {
+                                    kept.push((at, entry));
+                                }
+                            }
+                            for (at, entry) in kept {
+                                twin.push(at, entry);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(timeline.len(), twin.len());
+                }
+                let rest: Vec<_> = std::iter::from_fn(|| twin.pop()).collect();
+                prop_assert_eq!(Vec::from(timeline), rest);
+            }
+        }
     }
 }

@@ -11,7 +11,6 @@
 //! and workers are distinct machines, every hop pays a network delay, and the
 //! controller is the only component that makes decisions.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use clockwork_controller::registry::{ClockworkFactory, SchedulerFactory};
@@ -22,7 +21,8 @@ use clockwork_controller::SchedProfile;
 use clockwork_faults::FaultPlan;
 use clockwork_metrics::trace::{RingTracer, TraceEvent};
 use clockwork_model::{ModelId, ModelSpec, ModelTable, Tier};
-use clockwork_sim::engine::{EventId, EventQueue, FaultKind};
+use clockwork_sim::engine::{EventQueue, FaultKind, TimerId};
+use clockwork_sim::hash::{IdMap, IdSet};
 use clockwork_sim::network::NetworkModel;
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
@@ -237,26 +237,24 @@ pub struct ServingSystem {
     exec_mode: ExecMode,
     ctx: SchedulerCtx,
     workers: Vec<Worker>,
-    /// Handle of the one queued wake per worker: `(due, event id)`. A wake
-    /// that needs to move — earlier because new work arrived, later or away
-    /// because a fault took work with it — cancels this entry instead of
-    /// piling a duplicate onto the chain.
-    worker_wake_scheduled: Vec<Option<(Timestamp, EventId)>>,
-    /// Handle of the one queued scheduler tick, same discipline.
-    tick_scheduled: Option<(Timestamp, EventId)>,
+    /// Each worker's wake timer: at most one `WorkerWake` per worker is
+    /// pending, moved in place when the worker's next wakeup moves.
+    worker_wakes: Vec<TimerId>,
+    /// The scheduler tick's timer.
+    tick: TimerId,
     network: NetworkModel,
     queue: EventQueue<SystemEvent>,
     telemetry: SystemTelemetry,
     clients: Vec<ClosedLoopClient>,
-    request_owner: HashMap<RequestId, usize>,
+    request_owner: IdMap<RequestId, usize>,
     /// Ids of in-flight best-effort requests. Strict requests (the default
     /// and the entire population of legacy scenarios) are never inserted,
     /// so the set stays empty and costs one lookup per response at most.
-    best_effort: HashSet<RequestId>,
+    best_effort: IdSet<RequestId>,
     models: ModelTable<Arc<ModelSpec>>,
     /// Dense worker lookup by id, so routing an action is one hash probe
     /// instead of a scan over the fleet.
-    worker_index: HashMap<WorkerId, usize>,
+    worker_index: IdMap<WorkerId, usize>,
     /// Per-worker controller↔worker link condition (degradation/partition).
     links: Vec<LinkState>,
     /// Reusable buffers the scheduler outputs are drained into each pass.
@@ -330,6 +328,8 @@ impl ServingSystem {
             telemetry.event_mix.note_pushed(KIND_FAULT);
             queue.push(event.at, SystemEvent::Fault { kind: event.kind });
         }
+        let worker_wakes = (0..worker_count).map(|_| queue.add_timer()).collect();
+        let tick = queue.add_timer();
         let tracer = config
             .trace_capacity
             .map(|cap| Box::new(RingTracer::new(cap)));
@@ -341,13 +341,13 @@ impl ServingSystem {
             exec_mode,
             ctx,
             workers,
-            worker_wake_scheduled: vec![None; worker_count],
-            tick_scheduled: None,
+            worker_wakes,
+            tick,
             queue,
             telemetry,
             clients: Vec::new(),
-            request_owner: HashMap::new(),
-            best_effort: HashSet::new(),
+            request_owner: IdMap::default(),
+            best_effort: IdSet::default(),
             models: ModelTable::default(),
             worker_index,
             links: (0..worker_count).map(|_| LinkState::healthy()).collect(),
@@ -739,70 +739,74 @@ impl ServingSystem {
     /// Schedules an event and counts the push in the telemetry event mix.
     /// Every push goes through here so the mix stays conservation-complete
     /// (`pushed == delivered + cancelled + live`).
-    fn push_event(&mut self, at: Timestamp, event: SystemEvent) -> EventId {
+    fn push_event(&mut self, at: Timestamp, event: SystemEvent) {
         self.telemetry.event_mix.note_pushed(event.kind_index());
-        self.queue.push(at, event)
+        self.queue.push(at, event);
     }
 
-    /// Reconciles the one queued event of a chain (a worker's wake, the
-    /// scheduler tick) with when the chain's next event is now `wanted`:
-    /// `queued` is the chain's handle, `keep` decides from (queued time,
-    /// wanted time) whether the queued event still serves, and the returned
-    /// handle replaces `queued`. A handle that no longer serves is cancelled
-    /// — never left to fire as a no-op — and `event` pushed in its place.
+    /// Reconciles `timer` with when its event is now `wanted`: `keep`
+    /// decides from (armed time, wanted time) whether the pending event
+    /// still serves; one that does not is disarmed — never left to fire as
+    /// a no-op — or re-armed at the wanted time. The event mix counts what
+    /// the queue counts: re-arming an armed timer is one cancellation and
+    /// one push.
     fn reschedule(
         &mut self,
-        queued: Option<(Timestamp, EventId)>,
+        timer: TimerId,
         wanted: Option<Timestamp>,
         keep: impl Fn(Timestamp, Timestamp) -> bool,
         event: SystemEvent,
-    ) -> Option<(Timestamp, EventId)> {
-        match (queued, wanted) {
-            (Some((at, _)), Some(due)) if keep(at, due) => queued,
-            _ => {
-                if let Some((_, id)) = queued {
-                    let cancelled = self.queue.cancel(id);
-                    debug_assert!(cancelled, "event handle out of lockstep with the queue");
-                    self.telemetry.event_mix.note_cancelled(event.kind_index());
-                }
-                wanted.map(|due| (due, self.push_event(due, event)))
+    ) {
+        let armed = self.queue.timer_due(timer);
+        if let (Some(at), Some(due)) = (armed, wanted) {
+            if keep(at, due) {
+                return;
+            }
+        }
+        let kind = event.kind_index();
+        if armed.is_some() {
+            self.telemetry.event_mix.note_cancelled(kind);
+        }
+        match wanted {
+            Some(due) => {
+                self.telemetry.event_mix.note_pushed(kind);
+                self.queue.arm(timer, due, event);
+            }
+            None => {
+                self.queue.disarm(timer);
             }
         }
     }
 
-    /// Reconciles the single queued wake of a worker with the worker's
-    /// current `next_wakeup`.
+    /// Points a worker's wake timer at the worker's current `next_wakeup`.
     ///
-    /// At most one `WorkerWake` per worker is ever live in the queue. When
-    /// the wanted wake time is unchanged, nothing is touched; when it moved
-    /// (earlier because new work arrived, later or away because work was
-    /// consumed or lost to a fault) the stale wake is cancelled and a fresh
-    /// one pushed. Before this discipline every "earlier wake" push left the
-    /// superseded later wake in the queue, and each of those no-op wakes
-    /// re-armed the chain on delivery — ~95 % of all simulation events in the
-    /// fleet scenario were such redundant wakes.
+    /// The timer holds the worker's one pending `WorkerWake`. An unchanged
+    /// wakeup leaves it alone; one that moved — earlier because new work
+    /// arrived, later or away because work was consumed or lost to a fault —
+    /// re-arms or disarms it, so a wake is delivered only when the worker
+    /// asked for one at that instant.
     fn schedule_worker_wake(&mut self, worker: usize) {
         let wanted = self.workers[worker].next_wakeup().map(|w| w.max(self.now));
-        self.worker_wake_scheduled[worker] = self.reschedule(
-            self.worker_wake_scheduled[worker],
+        self.reschedule(
+            self.worker_wakes[worker],
             wanted,
             |at, due| at == due,
             SystemEvent::WorkerWake { worker },
         );
     }
 
-    /// Reconciles the single queued scheduler tick with `next_tick`.
+    /// Points the tick timer at the scheduler's `next_tick`.
     ///
     /// Unlike wakes, a tick never needs to move later: an incremental
     /// scheduler may answer with a *later* grid point after new work
-    /// settled, but the already-queued earlier tick is kept — it lands on
+    /// settled, but the already-armed earlier tick is kept — it lands on
     /// the same tick grid and at worst early-outs (an O(1) skipped tick the
-    /// telemetry counts). The tick is cancelled outright when the scheduler
+    /// telemetry counts). The timer is disarmed outright when the scheduler
     /// reports quiescence (`next_tick` of `None`).
     fn schedule_tick(&mut self) {
         let wanted = self.scheduler.next_tick(self.now);
-        self.tick_scheduled = self.reschedule(
-            self.tick_scheduled,
+        self.reschedule(
+            self.tick,
             wanted,
             |at, tick| at <= tick,
             SystemEvent::SchedulerTick,
@@ -970,9 +974,6 @@ impl ServingSystem {
                 self.schedule_worker_wake(worker);
             }
             SystemEvent::WorkerWake { worker } => {
-                // The fired wake is the one queued wake this worker had; its
-                // handle is now spent.
-                self.worker_wake_scheduled[worker] = None;
                 let mut results = std::mem::take(&mut self.result_buf);
                 results.clear();
                 let steps = self.workers[worker].poll_into(self.now, &mut results);
@@ -1022,7 +1023,6 @@ impl ServingSystem {
                 self.install_model(id, spec);
             }
             SystemEvent::SchedulerTick => {
-                self.tick_scheduled = None;
                 let outcome = self.scheduler.on_tick(self.now, &mut self.ctx);
                 self.telemetry
                     .note_tick_outcome(outcome == TickOutcome::Full);
@@ -1052,8 +1052,8 @@ impl ServingSystem {
         match kind {
             FaultKind::WorkerCrash { .. } => {
                 self.workers[idx].crash(self.now);
-                // The dead worker will never act again: its queued wake (if
-                // any) is cancelled rather than left to fire as a no-op.
+                // The dead worker will never act again: its pending wake (if
+                // any) is disarmed rather than left to fire as a no-op.
                 self.schedule_worker_wake(idx);
             }
             FaultKind::WorkerRestart { .. } => {
@@ -1128,7 +1128,7 @@ impl ServingSystem {
         let index = self.workers.len();
         self.workers.push(joined);
         self.worker_index.insert(id, index);
-        self.worker_wake_scheduled.push(None);
+        self.worker_wakes.push(self.queue.add_timer());
         self.links.push(LinkState::healthy());
         self.member_seen.push(0);
         true
@@ -1160,8 +1160,10 @@ impl ServingSystem {
     }
 
     /// How many of the pending events are physically in the event heap
-    /// (cancelled entries not yet discarded included): what is in flight,
-    /// as opposed to trace arrivals still waiting in their sorted run.
+    /// (cancelled entries not yet discarded included): the one-shot events
+    /// in flight — messages, faults, uploads, closed-loop submissions — as
+    /// opposed to trace arrivals still waiting in their sorted run and the
+    /// wake and tick timers.
     pub fn heap_len(&self) -> usize {
         self.queue.heap_len()
     }

@@ -3,9 +3,10 @@
 //! Before PR 4, every "earlier wake" push left the superseded later wake in
 //! the queue, and each of those no-op wakes re-armed the chain on delivery —
 //! ~95 % of all simulation events in the fleet scenario were redundant
-//! `WorkerWake`s (~29 M of 30.5 M). With cancellable wake/tick handles the
-//! loop schedules at most one wake per worker and one tick, superseding
-//! stale entries via `EventQueue::cancel`. These tests pin the diet down:
+//! `WorkerWake`s (~29 M of 30.5 M). Now each worker's wake and the tick are
+//! re-armable timers of the event queue (`EventQueue::arm`): at most one
+//! wake per worker and one tick are ever pending, moved in place when their
+//! time changes. These tests pin the diet down:
 //! the no-op-wake ratio is bounded, wakes no longer dominate the event
 //! stream, and the event-mix counters obey their conservation identity.
 
