@@ -1560,10 +1560,8 @@ impl Scheduler for ClockworkScheduler {
         if now < self.clean_until {
             // Every event since the last pass ran its own and no time edge
             // was crossed: the pass would be a provable no-op. O(1).
-            self.profile.ticks_skipped += 1;
             return TickOutcome::Skipped;
         }
-        self.profile.ticks_full += 1;
         self.schedule(now, ctx);
         TickOutcome::Full
     }

@@ -13,9 +13,12 @@
 /// into run telemetry and the `sched` object of the bench JSON artifacts.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedProfile {
-    /// Ticks that ran the full scheduling pass.
+    /// Ticks that ran the full scheduling pass. Counted by the driver from
+    /// the [`TickOutcome`](crate::TickOutcome) each tick returns; a
+    /// scheduler reports 0.
     pub ticks_full: u64,
-    /// Ticks answered by the early-out (clean horizon not reached).
+    /// Ticks answered by the early-out (clean horizon not reached), counted
+    /// the same way.
     pub ticks_skipped: u64,
     /// (model, GPU) candidate pairs examined while placing INFERs: per slot
     /// tried, the queued models the GPU holds — the length of the GPU's

@@ -193,7 +193,9 @@ pub trait Scheduler {
     fn next_tick(&self, now: Timestamp) -> Option<Timestamp>;
 
     /// The scheduler's self-profiling counters. Disciplines without an
-    /// incremental core report the default (all-zero) profile.
+    /// incremental core report the default (all-zero) profile. The tick
+    /// counts are left at zero: the driver counts the [`TickOutcome`] each
+    /// `on_tick` returns.
     fn sched_profile(&self) -> SchedProfile {
         SchedProfile::default()
     }

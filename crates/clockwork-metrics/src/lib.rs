@@ -2,15 +2,15 @@
 //!
 //! Every figure in the paper's evaluation is built from the same handful of
 //! statistics: latency percentiles and CDFs scaled to emphasise the tail
-//! (Figs. 2a, 5, 9), goodput/throughput time series (Figs. 6, 8), resource
-//! utilization over time (Fig. 6 d–e), and batch-size / cold-start counters
-//! (Fig. 8 c–e). This crate provides those building blocks:
+//! (Figs. 2a, 5, 9), goodput/throughput time series (Figs. 6, 8), and
+//! batch-size / cold-start counters (Fig. 8 c–e). This crate provides those
+//! building blocks (resource utilization is a busy-time sum the worker keeps
+//! itself):
 //!
 //! * [`LatencyHistogram`] — a log-bucketed histogram with accurate tail
 //!   percentiles and CDF export, cheap enough to record every request.
 //! * [`Summary`] — streaming count/mean/min/max.
 //! * [`TimeSeries`] — fixed-interval bucketed counters and gauges.
-//! * [`UtilizationTracker`] — busy-interval accounting per time bucket.
 //! * [`OrderStatWindow`] — a sliding window kept sorted, so a percentile of
 //!   the last N samples (the controller's rolling action profiles) is one
 //!   index.
@@ -28,11 +28,9 @@ pub mod percentile;
 pub mod summary;
 pub mod timeseries;
 pub mod trace;
-pub mod utilization;
 
 pub use histogram::LatencyHistogram;
 pub use orderstat::OrderStatWindow;
 pub use summary::Summary;
 pub use timeseries::TimeSeries;
 pub use trace::{RingTracer, TraceEvent, TraceRecord};
-pub use utilization::UtilizationTracker;

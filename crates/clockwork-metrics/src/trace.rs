@@ -187,8 +187,9 @@ pub enum TraceEvent {
         /// The delay actually paid, nanoseconds.
         actual: u64,
     },
-    /// One request's completion inside a (possibly batched) INFER, as
-    /// recorded by the worker's per-member completion ring.
+    /// One request's completion inside a (possibly batched) successful
+    /// INFER, recorded when the worker hands the INFER's result over — at
+    /// `completed`.
     MemberDone {
         /// The request served.
         request: u64,
@@ -503,18 +504,10 @@ impl RingTracer {
         self.records.is_empty()
     }
 
-    /// Spans lost to capacity (ring overflow) or to upstream bounded logs
-    /// (see [`RingTracer::note_dropped`]). Surfaced in `BENCH_blame.json`
-    /// so truncation is never silent.
+    /// Spans lost to ring overflow: the oldest, dropped to make room.
+    /// Surfaced in `BENCH_blame.json` so truncation is never silent.
     pub fn dropped_spans(&self) -> u64 {
         self.dropped
-    }
-
-    /// Counts spans an upstream bounded buffer lost before this tracer
-    /// could observe them (e.g. a worker's member-completion ring wrapping
-    /// between polls).
-    pub fn note_dropped(&mut self, n: u64) {
-        self.dropped += n;
     }
 
     /// The retained spans as JSONL: one `{"at":..,"ev":"..",..}` object per
@@ -573,8 +566,6 @@ mod tests {
         assert_eq!(t.dropped_spans(), 6, "every drop counted");
         let oldest = t.records().next().expect("non-empty").at;
         assert_eq!(oldest, 6, "oldest spans dropped first");
-        t.note_dropped(3);
-        assert_eq!(t.dropped_spans(), 9, "upstream drops accumulate");
     }
 
     #[test]

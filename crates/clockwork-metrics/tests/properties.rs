@@ -12,7 +12,6 @@ use clockwork_metrics::orderstat::OrderStatWindow;
 use clockwork_metrics::percentile::{percentile_nanos, SlidingWindow};
 use clockwork_metrics::summary::Summary;
 use clockwork_metrics::timeseries::TimeSeries;
-use clockwork_metrics::utilization::UtilizationTracker;
 use clockwork_sim::time::{Nanos, Timestamp};
 
 const HOUR_NS: u64 = 3_600_000_000_000;
@@ -326,38 +325,5 @@ proptest! {
         prop_assert!((ts.total_sum() - total).abs() <= 1e-6 * (1.0 + total));
         let bucketed: f64 = (0..ts.len()).map(|i| ts.sum_at(i)).sum();
         prop_assert!((bucketed - total).abs() <= 1e-6 * (1.0 + total));
-    }
-
-    // ------------------------------------------------------------------
-    // UtilizationTracker
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn utilization_stays_in_unit_interval_for_serial_busy_spans(
-        spans in proptest::collection::vec((0u64..HOUR_NS, 1u64..500_000_000u64), 1..200),
-    ) {
-        let mut tracker = UtilizationTracker::per_second();
-        // Serialise the spans the way a single GPU would: each starts no
-        // earlier than the previous one ended.
-        let mut sorted = spans.clone();
-        sorted.sort_by_key(|(s, _)| *s);
-        let mut cursor = Timestamp::ZERO;
-        let mut total = Nanos::ZERO;
-        let mut horizon = Timestamp::ZERO;
-        for (start, dur) in sorted {
-            let s = Timestamp::from_nanos(start).max(cursor);
-            let e = s + Nanos::from_nanos(dur);
-            tracker.record_busy(s, e);
-            cursor = e;
-            total += Nanos::from_nanos(dur);
-            horizon = e;
-        }
-        prop_assert_eq!(tracker.total_busy(), total);
-        for i in 0..tracker.len() {
-            let u = tracker.utilization_at(i);
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&u), "bucket {} utilization {}", i, u);
-        }
-        let mean = tracker.mean_utilization(horizon);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&mean));
     }
 }

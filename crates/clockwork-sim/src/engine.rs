@@ -541,21 +541,6 @@ impl<E> EventQueue<E> {
         hit
     }
 
-    /// Moves a scheduled event: cancels `prev` (a no-op if it was already
-    /// delivered or cancelled) and schedules `payload` at `at` in its place,
-    /// returning the new handle.
-    ///
-    /// This is the decrease-key of the tombstone scheme — the superseded
-    /// key stays in the heap instead of being sifted out, and the new event
-    /// usually takes over the slot the old one just freed, so a reschedule
-    /// costs one slot write plus one push. Equivalent to `cancel(prev)`
-    /// followed by `push(at, payload)`; at most one of the two entries is
-    /// ever delivered.
-    pub fn reschedule(&mut self, prev: EventId, at: Timestamp, payload: E) -> EventId {
-        self.cancel(prev);
-        self.push(at, payload)
-    }
-
     /// Adds an idle timer: a slot for at most one pending event, armed and
     /// re-armed with [`EventQueue::arm`]. Timers can be added at any time.
     pub fn add_timer(&mut self) -> TimerId {
@@ -909,11 +894,6 @@ mod tests {
                 }
             }
 
-            pub fn reschedule(&mut self, prev: EventId, at: Timestamp, payload: E) -> EventId {
-                self.cancel(prev);
-                self.push(at, payload)
-            }
-
             pub fn pop(&mut self) -> Option<(Timestamp, E)> {
                 self.pop_due(Timestamp::MAX)
             }
@@ -1008,7 +988,7 @@ mod tests {
             // batches landing before times already popped are the norm.
             ops in proptest::collection::vec(
                 (
-                    0u8..19,
+                    0u8..18,
                     0u64..40,
                     proptest::collection::vec(0u64..40, 0..12),
                     any::<prop::sample::Index>(),
@@ -1046,7 +1026,7 @@ mod tests {
             let mut next_payload = 0u32;
             let at = Timestamp::from_nanos;
             for (op, t, mut times, pick) in ops {
-                let op = if timers_on { op } else { op % 14 };
+                let op = if timers_on { op } else { op % 13 };
                 // Ops 2..=5 submit `times` as batches, payloads numbering the
                 // entries in submission order: 2 as drawn (unsorted, or sorted
                 // by chance), 3 sorted, 4 sorted through `push_run`, 5 sorted
@@ -1102,28 +1082,20 @@ mod tests {
                         prop_assert!(!oracle.cancel(twin(forged)));
                     }
                     10 => {
-                        if !issued.is_empty() {
-                            let prev = issued[pick.index(issued.len())];
-                            issued.push(real.reschedule(prev, at(t), next_payload));
-                            oracle.reschedule(twin(prev), at(t), next_payload);
-                            next_payload += 1;
-                        }
-                    }
-                    11 => {
                         let popped = oracle.pop_due(at(t));
                         prop_assert_eq!(real.pop_due(at(t)), popped);
                         forget(&mut timers, popped);
                     }
-                    12 => {
+                    11 => {
                         let popped = oracle.pop();
                         prop_assert_eq!(real.pop(), popped);
                         forget(&mut timers, popped);
                     }
-                    13 => prop_assert_eq!(real.peek_time(), oracle.peek_time()),
-                    14 => timers.push((real.add_timer(), None)),
+                    12 => prop_assert_eq!(real.peek_time(), oracle.peek_time()),
+                    13 => timers.push((real.add_timer(), None)),
                     // Arm, idle or armed, at a time before, at or after
                     // anything pending.
-                    15 | 16 => {
+                    14 | 15 => {
                         if !timers.is_empty() {
                             let k = pick.index(timers.len());
                             let (timer, pending) = &mut timers[k];
@@ -1136,7 +1108,7 @@ mod tests {
                             next_payload += 1;
                         }
                     }
-                    17 => {
+                    16 => {
                         if !timers.is_empty() {
                             let k = pick.index(timers.len());
                             let (timer, pending) = &mut timers[k];
@@ -1230,7 +1202,8 @@ mod tests {
         // Cancelled: dropped at once, not when the tombstone surfaces.
         assert!(q.cancel(ids[0]) && q.cancel(ids[4]) && q.cancel(ids[9]));
         assert_eq!(drops.load(Relaxed), 3);
-        q.reschedule(ids[1], ms(30), payload());
+        assert!(q.cancel(ids[1]));
+        q.push(ms(30), payload());
         assert_eq!(drops.load(Relaxed), 4);
         // Delivered: the queue hands the payload over and keeps no copy.
         for dropped in 4..10 {
@@ -1468,30 +1441,14 @@ mod tests {
     }
 
     #[test]
-    fn reschedule_supersedes_the_previous_entry() {
-        let mut q = EventQueue::new();
-        let a = q.push(Timestamp::from_millis(50), "late");
-        q.push(Timestamp::from_millis(20), "other");
-        let b = q.reschedule(a, Timestamp::from_millis(5), "early");
-        assert_ne!(a, b);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap(), (Timestamp::from_millis(5), "early"));
-        assert_eq!(q.pop().unwrap().1, "other");
-        assert!(q.pop().is_none(), "the superseded entry is never delivered");
-        // Rescheduling a delivered event degenerates to a plain push.
-        let c = q.reschedule(b, Timestamp::from_millis(9), "again");
-        assert_eq!(q.len(), 1);
-        assert!(q.cancel(c));
-    }
-
-    #[test]
     fn counters_satisfy_conservation() {
         let mut q = EventQueue::new();
         let ids: Vec<_> = (0..10u64)
             .map(|i| q.push(Timestamp::from_millis(i), i))
             .collect();
         assert!(q.cancel(ids[3]));
-        let moved = q.reschedule(ids[7], Timestamp::from_millis(99), 77);
+        assert!(q.cancel(ids[7]));
+        let moved = q.push(Timestamp::from_millis(99), 77);
         assert_eq!(q.pushed_total(), 11);
         assert_eq!(q.cancelled_total(), 2);
         while q.pop().is_some() {}

@@ -19,7 +19,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::rng::SimRng;
-use crate::time::{Nanos, Timestamp};
+use crate::time::Nanos;
 
 /// Static description of a simulated GPU device.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -162,19 +162,12 @@ impl ConcurrencyModel {
 pub struct GpuTimingModel {
     spec: GpuSpec,
     rng: SimRng,
-    busy_until: Timestamp,
-    busy_accum: Nanos,
 }
 
 impl GpuTimingModel {
     /// Creates a timing model for the given device, seeded deterministically.
     pub fn new(spec: GpuSpec, rng: SimRng) -> Self {
-        GpuTimingModel {
-            spec,
-            rng,
-            busy_until: Timestamp::ZERO,
-            busy_accum: Nanos::ZERO,
-        }
+        GpuTimingModel { spec, rng }
     }
 
     /// The device specification.
@@ -212,36 +205,6 @@ impl GpuTimingModel {
         // Isolated-execution noise still applies underneath.
         d = self.exec_duration(d);
         d
-    }
-
-    /// Marks the device busy for `[start, start + duration)` and returns the
-    /// completion time. Used for utilization accounting.
-    pub fn occupy(&mut self, start: Timestamp, duration: Nanos) -> Timestamp {
-        let end = start + duration;
-        if end > self.busy_until {
-            self.busy_until = end;
-        }
-        self.busy_accum += duration;
-        end
-    }
-
-    /// The earliest time at which the device is free given everything that
-    /// has been `occupy`-ed so far.
-    pub fn busy_until(&self) -> Timestamp {
-        self.busy_until
-    }
-
-    /// Total busy time accumulated so far.
-    pub fn total_busy(&self) -> Nanos {
-        self.busy_accum
-    }
-
-    /// Utilization over `[0, now]` as a fraction in `[0, 1]`.
-    pub fn utilization(&self, now: Timestamp) -> f64 {
-        if now == Timestamp::ZERO {
-            return 0.0;
-        }
-        (self.busy_accum.as_nanos() as f64 / now.as_nanos() as f64).min(1.0)
     }
 }
 
@@ -355,21 +318,6 @@ mod tests {
         assert_eq!(m1, base);
         assert!(m4 > base * 3);
         assert!(m16 > m4 * 3);
-    }
-
-    #[test]
-    fn occupancy_accounting() {
-        let mut gpu = model(ExecNoise::none());
-        let t0 = Timestamp::from_millis(10);
-        let end = gpu.occupy(t0, Nanos::from_millis(5));
-        assert_eq!(end, Timestamp::from_millis(15));
-        assert_eq!(gpu.busy_until(), Timestamp::from_millis(15));
-        gpu.occupy(Timestamp::from_millis(12), Nanos::from_millis(1));
-        assert_eq!(gpu.busy_until(), Timestamp::from_millis(15));
-        assert_eq!(gpu.total_busy(), Nanos::from_millis(6));
-        let util = gpu.utilization(Timestamp::from_millis(20));
-        assert!((util - 0.3).abs() < 1e-9);
-        assert_eq!(gpu.utilization(Timestamp::ZERO), 0.0);
     }
 
     #[test]

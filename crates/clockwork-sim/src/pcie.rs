@@ -72,14 +72,12 @@ impl PcieLink {
 
 /// FIFO serialisation of transfers on a single link direction.
 ///
-/// The scheduler tracks when the link next becomes free and accumulates busy
-/// time for utilization reporting (Fig. 6d plots PCIe utilization).
+/// The scheduler tracks when the link next becomes free. What it was busy
+/// with is the worker's to report: each transfer's interval is returned to
+/// the caller.
 #[derive(Clone, Debug, Default)]
 pub struct LinkScheduler {
     busy_until: Timestamp,
-    busy_accum: Nanos,
-    transfers: u64,
-    bytes_moved: u64,
 }
 
 impl LinkScheduler {
@@ -90,18 +88,10 @@ impl LinkScheduler {
 
     /// Schedules a transfer requested at `now` taking `duration`, returning
     /// its `(start, end)` interval. Transfers are serialised FIFO.
-    pub fn schedule(
-        &mut self,
-        now: Timestamp,
-        duration: Nanos,
-        bytes: u64,
-    ) -> (Timestamp, Timestamp) {
+    pub fn schedule(&mut self, now: Timestamp, duration: Nanos) -> (Timestamp, Timestamp) {
         let start = now.max(self.busy_until);
         let end = start + duration;
         self.busy_until = end;
-        self.busy_accum += duration;
-        self.transfers += 1;
-        self.bytes_moved += bytes;
         (start, end)
     }
 
@@ -113,29 +103,6 @@ impl LinkScheduler {
     /// The queueing delay a transfer requested at `now` would experience.
     pub fn queue_delay(&self, now: Timestamp) -> Nanos {
         self.busy_until.since(now)
-    }
-
-    /// Total busy time accumulated so far.
-    pub fn total_busy(&self) -> Nanos {
-        self.busy_accum
-    }
-
-    /// Number of transfers scheduled so far.
-    pub fn transfer_count(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total bytes moved so far.
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
-    }
-
-    /// Utilization over `[0, now]` as a fraction in `[0, 1]`.
-    pub fn utilization(&self, now: Timestamp) -> f64 {
-        if now == Timestamp::ZERO {
-            return 0.0;
-        }
-        (self.busy_accum.as_nanos() as f64 / now.as_nanos() as f64).min(1.0)
     }
 }
 
@@ -193,26 +160,22 @@ mod tests {
     fn link_scheduler_serialises_fifo() {
         let mut sched = LinkScheduler::new();
         let t0 = Timestamp::from_millis(0);
-        let (s1, e1) = sched.schedule(t0, Nanos::from_millis(10), 100);
-        let (s2, e2) = sched.schedule(t0, Nanos::from_millis(5), 50);
+        let (s1, e1) = sched.schedule(t0, Nanos::from_millis(10));
+        let (s2, e2) = sched.schedule(t0, Nanos::from_millis(5));
         assert_eq!(s1, t0);
         assert_eq!(e1, Timestamp::from_millis(10));
         assert_eq!(s2, Timestamp::from_millis(10), "second transfer queues");
         assert_eq!(e2, Timestamp::from_millis(15));
-        assert_eq!(sched.transfer_count(), 2);
-        assert_eq!(sched.bytes_moved(), 150);
         assert_eq!(sched.queue_delay(t0), Nanos::from_millis(15));
     }
 
     #[test]
     fn link_scheduler_idles_between_transfers() {
         let mut sched = LinkScheduler::new();
-        sched.schedule(Timestamp::from_millis(0), Nanos::from_millis(5), 1);
-        let (s, e) = sched.schedule(Timestamp::from_millis(100), Nanos::from_millis(5), 1);
+        sched.schedule(Timestamp::from_millis(0), Nanos::from_millis(5));
+        let (s, e) = sched.schedule(Timestamp::from_millis(100), Nanos::from_millis(5));
         assert_eq!(s, Timestamp::from_millis(100));
         assert_eq!(e, Timestamp::from_millis(105));
-        assert_eq!(sched.total_busy(), Nanos::from_millis(10));
-        let util = sched.utilization(Timestamp::from_millis(105));
-        assert!((util - 10.0 / 105.0).abs() < 1e-9);
+        assert_eq!(sched.queue_delay(Timestamp::from_millis(105)), Nanos::ZERO);
     }
 }

@@ -3,16 +3,14 @@
 //! Workers report the measured duration of every action back to the
 //! controller (that is part of the action protocol, handled in
 //! [`crate::action::ActionResult`]); in addition they keep local aggregate
-//! statistics — GPU and PCIe utilization over time, action counts, rejection
-//! counts — which the evaluation harness reads to produce Fig. 6 (d)/(e) and
-//! the summary tables.
-
-use std::collections::VecDeque;
+//! statistics — GPU and PCIe busy time, action counts, rejection counts —
+//! which the evaluation harness reads to produce Fig. 6 (d)/(e) and the
+//! summary tables. Which requests an INFER served, and when, is the result's
+//! to say: this block keeps only counts of them.
 
 use serde::{Deserialize, Serialize};
 
-use clockwork_metrics::{LatencyHistogram, Summary, UtilizationTracker};
-use clockwork_model::ModelId;
+use clockwork_metrics::LatencyHistogram;
 use clockwork_sim::time::{Nanos, Timestamp};
 
 /// Aggregate counters for one worker.
@@ -22,13 +20,16 @@ pub struct WorkerCounters {
     pub loads_completed: u64,
     /// UNLOAD actions completed.
     pub unloads_completed: u64,
-    /// INFER actions completed successfully.
+    /// INFER actions completed successfully: counted when the completion
+    /// fires, so an INFER a crash or GPU failure destroyed mid-flight is
+    /// not among them.
     pub infers_completed: u64,
     /// Successful INFER actions that carried two or more requests.
     pub batched_infers: u64,
-    /// Individual requests served (sum of members of successful INFERs).
-    /// Always the sum of [`MemberCompletion`]s recorded — exactly-once
-    /// accounting stays per-request even when the action was batched.
+    /// Individual requests served: the members of every successful INFER,
+    /// counted with it. Exactly once per request, even when the action was
+    /// batched — a request whose INFER was destroyed is counted by the
+    /// worker that serves it after the controller requeues it.
     pub requests_served: u64,
     /// Actions rejected because their window elapsed.
     pub window_rejections: u64,
@@ -50,49 +51,19 @@ impl WorkerCounters {
     }
 }
 
-/// One request's completion inside a (possibly batched) INFER action.
-///
-/// Batched execution must not blur per-request accounting: every member of
-/// every successful INFER produces one of these, carrying the identity the
-/// controller's exactly-once bookkeeping and the response digest key off.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemberCompletion {
-    /// The request served.
-    pub request_id: u64,
-    /// The model the batch executed.
-    pub model: ModelId,
-    /// Size of the batch this member rode in.
-    pub batch: u32,
-    /// When the action's outputs finished copying back to the host.
-    pub completed: Timestamp,
-}
-
-/// How many recent [`MemberCompletion`]s each worker retains. A bounded
-/// ring, not a full log: the lifetime sums live in [`WorkerCounters`], the
-/// ring exists so tests and post-mortems can inspect exactly which
-/// requests the latest batches carried.
-pub const MEMBER_LOG_CAP: usize = 1024;
-
-/// Utilization and latency telemetry for one worker.
+/// Busy-time and latency telemetry for one worker.
 #[derive(Clone, Debug)]
 pub struct WorkerTelemetry {
     /// Counter block.
     pub counters: WorkerCounters,
-    /// GPU busy-time per second, per GPU.
-    pub gpu_utilization: Vec<UtilizationTracker>,
-    /// PCIe (weights transfer) busy-time per second, per GPU.
-    pub pcie_utilization: Vec<UtilizationTracker>,
+    /// Per GPU, the summed `end − start` of every EXEC.
+    gpu_busy: Vec<Nanos>,
+    /// Per GPU, the summed `end − start` of every weights transfer.
+    pcie_busy: Vec<Nanos>,
     /// Measured EXEC durations.
     pub exec_durations: LatencyHistogram,
     /// Measured LOAD durations.
     pub load_durations: LatencyHistogram,
-    /// Batch size of every successful INFER (count/mean/min/max).
-    pub batch_occupancy: Summary,
-    /// The most recent [`MEMBER_LOG_CAP`] per-member completion records.
-    member_log: VecDeque<MemberCompletion>,
-    /// Lifetime count of member completions ever recorded (including those
-    /// the bounded ring has since evicted).
-    members_total: u64,
 }
 
 impl WorkerTelemetry {
@@ -100,110 +71,85 @@ impl WorkerTelemetry {
     pub fn new(num_gpus: usize) -> Self {
         WorkerTelemetry {
             counters: WorkerCounters::default(),
-            gpu_utilization: (0..num_gpus)
-                .map(|_| UtilizationTracker::per_second())
-                .collect(),
-            pcie_utilization: (0..num_gpus)
-                .map(|_| UtilizationTracker::per_second())
-                .collect(),
+            gpu_busy: vec![Nanos::ZERO; num_gpus],
+            pcie_busy: vec![Nanos::ZERO; num_gpus],
             exec_durations: LatencyHistogram::new(),
             load_durations: LatencyHistogram::new(),
-            batch_occupancy: Summary::new(),
-            member_log: VecDeque::new(),
-            members_total: 0,
         }
     }
 
-    /// Records the completion of a successful INFER: one
-    /// [`MemberCompletion`] per request in the batch, the batch-occupancy
-    /// sample, and the per-request counters. `request_ids` is the action's
-    /// member list in submission order; an empty list (a probe INFER with
-    /// no attached requests) still counts as one served request, matching
-    /// the controller's accounting.
-    pub fn record_infer_completion(
-        &mut self,
-        model: ModelId,
-        batch: u32,
-        request_ids: &[u64],
-        completed: Timestamp,
-    ) {
+    /// Records the completion of a successful INFER carrying `members`
+    /// requests. A probe INFER with no attached requests still counts as one
+    /// served request, matching the controller's accounting.
+    pub fn record_infer_completion(&mut self, members: usize) {
         self.counters.infers_completed += 1;
-        self.counters.requests_served += request_ids.len().max(1) as u64;
-        if request_ids.len() >= 2 {
+        self.counters.requests_served += members.max(1) as u64;
+        if members >= 2 {
             self.counters.batched_infers += 1;
         }
-        self.batch_occupancy.record(batch as f64);
-        for &request_id in request_ids {
-            if self.member_log.len() == MEMBER_LOG_CAP {
-                self.member_log.pop_front();
-            }
-            self.member_log.push_back(MemberCompletion {
-                request_id,
-                model,
-                batch,
-                completed,
-            });
-            self.members_total += 1;
-        }
-    }
-
-    /// The retained per-member completion records, oldest first.
-    pub fn member_log(&self) -> impl Iterator<Item = &MemberCompletion> {
-        self.member_log.iter()
-    }
-
-    /// Lifetime member completions recorded, including records the bounded
-    /// ring has evicted. A cursor over this count lets a consumer detect how
-    /// many records it lost between polls.
-    pub fn members_recorded(&self) -> u64 {
-        self.members_total
-    }
-
-    /// The most recent `n` member completions, oldest first. Callers polling
-    /// with a [`WorkerTelemetry::members_recorded`] cursor read exactly the
-    /// records added since their last poll (clamped to what the ring still
-    /// holds).
-    pub fn member_log_tail(&self, n: usize) -> impl Iterator<Item = &MemberCompletion> {
-        let start = self.member_log.len().saturating_sub(n);
-        self.member_log.iter().skip(start)
     }
 
     /// Records a completed EXEC on `gpu` busy over `[start, end)`.
     pub fn record_exec(&mut self, gpu: usize, start: Timestamp, end: Timestamp, duration: Nanos) {
-        if let Some(u) = self.gpu_utilization.get_mut(gpu) {
-            u.record_busy(start, end);
-        }
+        add_busy(&mut self.gpu_busy, gpu, start, end);
         self.exec_durations.record(duration);
     }
 
     /// Records a completed weights transfer on `gpu` busy over `[start, end)`.
     pub fn record_load(&mut self, gpu: usize, start: Timestamp, end: Timestamp, duration: Nanos) {
-        if let Some(u) = self.pcie_utilization.get_mut(gpu) {
-            u.record_busy(start, end);
-        }
+        add_busy(&mut self.pcie_busy, gpu, start, end);
         self.load_durations.record(duration);
+    }
+
+    /// GPU utilization of one GPU over `[0, horizon]` (0 for a GPU this
+    /// worker does not have).
+    pub fn gpu_utilization(&self, gpu: usize, horizon: Timestamp) -> f64 {
+        self.gpu_busy
+            .get(gpu)
+            .map_or(0.0, |&b| utilization(b, horizon))
+    }
+
+    /// PCIe (weights link) utilization of one GPU over `[0, horizon]`.
+    pub fn pcie_utilization(&self, gpu: usize, horizon: Timestamp) -> f64 {
+        self.pcie_busy
+            .get(gpu)
+            .map_or(0.0, |&b| utilization(b, horizon))
     }
 
     /// Mean GPU utilization across all GPUs over `[0, horizon]`.
     pub fn mean_gpu_utilization(&self, horizon: Timestamp) -> f64 {
-        mean_utilization(&self.gpu_utilization, horizon)
+        mean_utilization(&self.gpu_busy, horizon)
     }
 
     /// Mean PCIe utilization across all GPUs over `[0, horizon]`.
     pub fn mean_pcie_utilization(&self, horizon: Timestamp) -> f64 {
-        mean_utilization(&self.pcie_utilization, horizon)
+        mean_utilization(&self.pcie_busy, horizon)
     }
 }
 
-fn mean_utilization(trackers: &[UtilizationTracker], horizon: Timestamp) -> f64 {
-    if trackers.is_empty() {
+/// Adds `[start, end)` to `gpu`'s sum; empty or inverted intervals and
+/// unknown GPUs add nothing.
+fn add_busy(busy: &mut [Nanos], gpu: usize, start: Timestamp, end: Timestamp) {
+    if let Some(b) = busy.get_mut(gpu) {
+        if end > start {
+            *b += end - start;
+        }
+    }
+}
+
+/// The busy fraction of `[0, horizon]`, capped at 1.
+fn utilization(busy: Nanos, horizon: Timestamp) -> f64 {
+    if horizon == Timestamp::ZERO {
         return 0.0;
     }
-    trackers
-        .iter()
-        .map(|t| t.mean_utilization(horizon))
-        .sum::<f64>()
-        / trackers.len() as f64
+    (busy.as_nanos() as f64 / horizon.as_nanos() as f64).min(1.0)
+}
+
+fn mean_utilization(busy: &[Nanos], horizon: Timestamp) -> f64 {
+    if busy.is_empty() {
+        return 0.0;
+    }
+    busy.iter().map(|&b| utilization(b, horizon)).sum::<f64>() / busy.len() as f64
 }
 
 #[cfg(test)]
@@ -263,28 +209,5 @@ mod tests {
     fn empty_telemetry_reports_zero_utilization() {
         let t = WorkerTelemetry::new(0);
         assert_eq!(t.mean_gpu_utilization(Timestamp::from_secs(1)), 0.0);
-    }
-
-    #[test]
-    fn member_cursor_survives_ring_eviction() {
-        let mut t = WorkerTelemetry::new(1);
-        let ids: Vec<u64> = (0..MEMBER_LOG_CAP as u64 + 10).collect();
-        t.record_infer_completion(ModelId(1), 4, &ids, Timestamp::from_millis(1));
-        assert_eq!(t.members_recorded(), ids.len() as u64);
-        assert_eq!(t.member_log().count(), MEMBER_LOG_CAP, "ring stays bounded");
-        // A consumer whose cursor lags by 3 reads exactly the last 3 records.
-        let tail: Vec<u64> = t.member_log_tail(3).map(|m| m.request_id).collect();
-        assert_eq!(
-            tail,
-            vec![
-                ids.len() as u64 - 3,
-                ids.len() as u64 - 2,
-                ids.len() as u64 - 1
-            ]
-        );
-        // A consumer who fell further behind than the ring holds can tell:
-        // members_recorded - cursor exceeds the ring length.
-        let lost = t.members_recorded() - t.member_log().count() as u64;
-        assert_eq!(lost, 10);
     }
 }

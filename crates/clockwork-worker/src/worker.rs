@@ -30,7 +30,7 @@
 //!   observes the same fault event, is responsible for resolving the actions
 //!   it will now never hear back about.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -229,11 +229,6 @@ pub struct Worker {
     telemetry: WorkerTelemetry,
     /// Whether the worker process is up (false between crash and restart).
     alive: bool,
-    /// GPUs with at least one queued action. The poll loop and wake-up
-    /// computation scan only this ready-set instead of every executor on
-    /// every GPU per wake; a GPU drops out once both its executor queues
-    /// drain.
-    active_gpus: BTreeSet<u32>,
 }
 
 impl Worker {
@@ -264,7 +259,6 @@ impl Worker {
             variance,
             telemetry,
             alive: true,
-            active_gpus: BTreeSet::new(),
             config,
         }
     }
@@ -385,16 +379,12 @@ impl Worker {
 
     /// GPU utilization of a GPU so far (fraction of `[0, now]` busy).
     pub fn gpu_utilization(&self, gpu: GpuId, now: Timestamp) -> f64 {
-        self.gpu(gpu)
-            .map(|g| g.timing.utilization(now))
-            .unwrap_or(0.0)
+        self.telemetry.gpu_utilization(gpu.0 as usize, now)
     }
 
     /// PCIe (weights link) utilization of a GPU so far.
     pub fn pcie_utilization(&self, gpu: GpuId, now: Timestamp) -> f64 {
-        self.gpu(gpu)
-            .map(|g| g.load_link.utilization(now))
-            .unwrap_or(0.0)
+        self.telemetry.pcie_utilization(gpu.0 as usize, now)
     }
 
     fn gpu(&self, gpu: GpuId) -> Option<&GpuState> {
@@ -444,7 +434,6 @@ impl Worker {
         self.alive = false;
         self.telemetry.counters.crashes += 1;
         self.completions.clear();
-        self.active_gpus.clear();
         for gpu in &mut self.gpus {
             Self::reset_gpu(&self.config, gpu);
         }
@@ -473,7 +462,6 @@ impl Worker {
         state.failed = true;
         Self::reset_gpu(&self.config, state);
         self.telemetry.counters.gpu_failures += 1;
-        self.active_gpus.remove(&gpu.0);
         // Drop the failed GPU's pending completions; the survivors keep
         // their order.
         self.completions
@@ -514,7 +502,6 @@ impl Worker {
                 gpu.infer_executor.push(action, now);
             }
         }
-        self.active_gpus.insert(gpu_index as u32);
     }
 
     /// The next virtual time at which this worker has something to do.
@@ -528,21 +515,14 @@ impl Worker {
     ///
     /// The driving event loop schedules exactly one wake per worker at this
     /// time (superseding any previously queued wake), so the answer must be
-    /// tight: failed GPUs and GPUs whose executor queues have drained are
-    /// pruned from the ready-set here rather than waiting for the next poll,
-    /// and contribute no wake at all.
-    pub fn next_wakeup(&mut self) -> Option<Timestamp> {
+    /// tight: a GPU whose executor queues are empty — a failed GPU's always
+    /// are — contributes no wake at all.
+    pub fn next_wakeup(&self) -> Option<Timestamp> {
         if !self.alive {
             return None;
         }
         let mut best = self.completions.front().map(|&(at, _)| at);
-        let gpus = &self.gpus;
-        self.active_gpus.retain(|&gi| {
-            let gpu = &gpus[gi as usize];
-            !(gpu.failed || gpu.load_executor.is_empty() && gpu.infer_executor.is_empty())
-        });
-        for &gi in &self.active_gpus {
-            let gpu = &self.gpus[gi as usize];
+        for gpu in &self.gpus {
             let infer_blocked = match self.config.exec_mode {
                 ExecMode::Exclusive => false,
                 ExecMode::Concurrent { max_concurrent } => gpu.in_flight_execs >= max_concurrent,
@@ -574,9 +554,8 @@ impl Worker {
     /// Like [`Worker::poll`], but appends the results to a caller-provided
     /// buffer. The driving event loop wakes workers once per simulation
     /// event at fleet scale; reusing one buffer across wakes keeps the
-    /// steady-state poll allocation-free, and the ready-set of GPUs with
-    /// queued work keeps each scan proportional to the GPUs that can actually
-    /// make progress rather than to every executor on the worker.
+    /// steady-state poll allocation-free. Each step scans the worker's GPUs
+    /// (a handful) in index order.
     ///
     /// Returns the number of progress steps taken (actions started plus
     /// completions finished). A zero return means the poll found nothing
@@ -594,18 +573,10 @@ impl Worker {
                 .front()
                 .map(|&(at, _)| at)
                 .filter(|&t| t <= now);
-            // Action starts due? Only GPUs in the ready-set can have any;
-            // ascending index order preserves the strict-minimum tie-break
-            // the full scan had (lowest GPU index wins, LOAD before INFER).
+            // Action starts due? On a strict minimum the lowest GPU index
+            // wins, and LOAD before INFER.
             let mut start: Option<(Timestamp, usize, bool)> = None; // (time, gpu, is_load_executor)
-            let mut drained = false;
-            for &gi_u in &self.active_gpus {
-                let gi = gi_u as usize;
-                let gpu = &self.gpus[gi];
-                if gpu.load_executor.is_empty() && gpu.infer_executor.is_empty() {
-                    drained = true;
-                    continue;
-                }
+            for (gi, gpu) in self.gpus.iter().enumerate() {
                 if let Some(t) = gpu.load_executor.next_start_time() {
                     if t <= now && start.map(|(bt, _, _)| t < bt).unwrap_or(true) {
                         start = Some((t, gi, true));
@@ -624,13 +595,6 @@ impl Worker {
                         }
                     }
                 }
-            }
-            if drained {
-                let gpus = &self.gpus;
-                self.active_gpus.retain(|&gi| {
-                    let gpu = &gpus[gi as usize];
-                    !(gpu.load_executor.is_empty() && gpu.infer_executor.is_empty())
-                });
             }
 
             match (completion_time, start) {
@@ -653,6 +617,8 @@ impl Worker {
             gpu.io_cache.release(io_bytes);
             gpu.in_flight_execs = gpu.in_flight_execs.saturating_sub(1);
             gpu.page_cache.unpin(completion.result.model);
+            let members = completion.result.request_ids.len();
+            self.telemetry.record_infer_completion(members);
         }
         results.push(completion.result);
     }
@@ -689,15 +655,7 @@ impl Worker {
                 batch,
                 request_ids,
             } => {
-                let finished = self.run_infer(
-                    gpu_index,
-                    window,
-                    received,
-                    start,
-                    model,
-                    batch,
-                    &request_ids,
-                );
+                let finished = self.run_infer(gpu_index, window, received, start, model, batch);
                 let finished = finished.map(|(timing, io_bytes)| (timing, Some(io_bytes)));
                 (model, batch, request_ids, finished)
             }
@@ -763,7 +721,7 @@ impl Worker {
         };
         let duration = self.variance.perturb(start, base);
         let gpu = &mut self.gpus[gpu_index];
-        let (t_start, t_end) = gpu.load_link.schedule(start, duration, weights_bytes);
+        let (t_start, t_end) = gpu.load_link.schedule(start, duration);
         gpu.load_executor.occupy_until(t_end);
         self.telemetry
             .record_load(gpu_index, t_start, t_end, duration);
@@ -798,7 +756,6 @@ impl Worker {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_infer(
         &mut self,
         gpu_index: usize,
@@ -807,7 +764,6 @@ impl Worker {
         start: Timestamp,
         model: ModelId,
         batch: u32,
-        request_ids: &[u64],
     ) -> Result<(ActionTiming, u64), ActionError> {
         if window.expired(start) {
             return Err(ActionError::WindowElapsed);
@@ -828,7 +784,7 @@ impl Worker {
         // INPUT: copy inputs host -> device on the input stream.
         let input_bytes = spec.input_bytes() * u64::from(batch);
         let input_duration = self.config.pcie.transfer_duration(input_bytes);
-        let (_, input_done) = gpu.input_link.schedule(start, input_duration, input_bytes);
+        let (_, input_done) = gpu.input_link.schedule(start, input_duration);
 
         // EXEC: run the kernel, one at a time (or concurrently for baselines).
         let concurrency = gpu.in_flight_execs + 1;
@@ -841,7 +797,6 @@ impl Worker {
         let exec_duration = self.variance.perturb(start, exec_base);
         let exec_start = input_done;
         let exec_end = exec_start + exec_duration;
-        gpu.timing.occupy(exec_start, exec_duration);
         gpu.in_flight_execs += 1;
         if matches!(self.config.exec_mode, ExecMode::Exclusive) {
             gpu.infer_executor.occupy_until(exec_end);
@@ -856,12 +811,7 @@ impl Worker {
         // OUTPUT: copy outputs device -> host on the output stream.
         let output_bytes = spec.output_bytes() * u64::from(batch);
         let output_duration = self.config.pcie.transfer_duration(output_bytes);
-        let (_, output_done) = gpu
-            .output_link
-            .schedule(exec_end, output_duration, output_bytes);
-
-        self.telemetry
-            .record_infer_completion(model, batch, request_ids, output_done);
+        let (_, output_done) = gpu.output_link.schedule(exec_end, output_duration);
 
         let timing = ActionTiming {
             received,
@@ -1406,35 +1356,40 @@ mod tests {
         );
         w.submit(Timestamp::ZERO, infer_action(3, ModelId(1), 1, vec![14]));
         let results = drain(&mut w, Timestamp::from_secs(1));
-        let telemetry = w.telemetry();
+        let counters = &w.telemetry().counters;
         // Exactly-once accounting stays per-request: the batch-4 action is
-        // one INFER but four served requests, each with its own record
-        // carrying the batch it rode in and the action's completion time.
-        assert_eq!(telemetry.counters.infers_completed, 2);
-        assert_eq!(telemetry.counters.batched_infers, 1);
-        assert_eq!(telemetry.counters.requests_served, 5);
-        let members: Vec<_> = telemetry.member_log().collect();
-        assert_eq!(members.len() as u64, telemetry.counters.requests_served);
-        assert_eq!(
-            members.iter().map(|m| m.request_id).collect::<Vec<_>>(),
-            vec![10, 11, 12, 13, 14]
-        );
-        assert!(members[..4].iter().all(|m| m.batch == 4));
-        assert_eq!(members[4].batch, 1);
-        // Every member of one batch shares the action's completion instant,
-        // and it matches the ActionResult the controller sees.
-        let batch_result = results
+        // one INFER but four served requests, each named by the action's
+        // result with the batch it rode in.
+        assert_eq!(counters.infers_completed, 2);
+        assert_eq!(counters.batched_infers, 1);
+        assert_eq!(counters.requests_served, 5);
+        let infers: Vec<_> = results
             .iter()
-            .find(|r| r.request_ids.len() == 4)
-            .expect("batch result present");
-        let end = match &batch_result.outcome {
-            ActionOutcome::Success(t) => t.end,
-            other => panic!("expected success, got {other:?}"),
-        };
-        assert!(members[..4].iter().all(|m| m.completed == end));
-        // Occupancy summary saw both batch sizes.
-        assert_eq!(telemetry.batch_occupancy.count(), 2);
-        assert_eq!(telemetry.batch_occupancy.max(), 4.0);
+            .filter(|r| r.action_type == "INFER")
+            .collect();
+        assert!(infers.iter().all(|r| r.is_success()));
+        let members: Vec<u64> = infers.iter().flat_map(|r| r.request_ids.clone()).collect();
+        assert_eq!(members.len() as u64, counters.requests_served);
+        assert_eq!(members, vec![10, 11, 12, 13, 14]);
+        let batches: Vec<u32> = infers.iter().map(|r| r.batch).collect();
+        assert_eq!(batches, vec![4, 1]);
+    }
+
+    #[test]
+    fn an_infer_a_crash_destroys_serves_no_request() {
+        let mut w = Worker::new(quiet_config());
+        w.register_model(ModelId(1), resnet()).unwrap();
+        w.submit(Timestamp::ZERO, load_action(1, ModelId(1)));
+        drain(&mut w, Timestamp::from_millis(15));
+        // The INFER starts at 20 ms and would complete about 3 ms later.
+        let infer = infer_action(2, ModelId(1), 1, vec![7]);
+        w.submit(Timestamp::from_millis(20), infer);
+        assert!(drain(&mut w, Timestamp::from_millis(20)).is_empty());
+        assert_eq!(w.weights_refs(GpuId(0), ModelId(1)), 1, "it is executing");
+        w.crash(Timestamp::from_millis(21));
+        let counters = &w.telemetry().counters;
+        assert_eq!(counters.infers_completed, 0);
+        assert_eq!(counters.requests_served, 0);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The worker's predictability rests on a handful of invariants: the paged
 //! weights cache conserves pages and never evicts on its own, the IO staging
 //! area never over-commits, executors dequeue chronologically and never start
-//! an action before its `earliest` bound, and execution windows behave like
-//! closed intervals. These properties are exercised here over arbitrary
-//! operation sequences.
+//! an action before its `earliest` bound, execution windows behave like
+//! closed intervals, and busy time reads as a utilization in `[0, 1]`.
+//! These properties are exercised here over arbitrary operation sequences.
 
 use proptest::prelude::*;
 
@@ -15,6 +15,7 @@ use clockwork_worker::action::{Action, ActionId, ActionKind, GpuId, TimeWindow};
 use clockwork_worker::executor::Executor;
 use clockwork_worker::io_cache::IoCache;
 use clockwork_worker::page_cache::PageCache;
+use clockwork_worker::telemetry::WorkerTelemetry;
 
 const DAY_NS: u64 = 86_400_000_000_000;
 const PAGE: u64 = 16 * 1024 * 1024;
@@ -324,6 +325,42 @@ proptest! {
             prop_assert!(exec.pop_ready(feasible - Nanos::from_nanos(1)).is_none());
         }
         prop_assert!(exec.pop_ready(feasible).is_some());
+    }
+
+    // ------------------------------------------------------------------
+    // WorkerTelemetry
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn utilization_stays_in_unit_interval_for_serial_busy_spans(
+        spans in proptest::collection::vec((0u64..DAY_NS, 1u64..500_000_000u64), 1..200),
+    ) {
+        let mut telemetry = WorkerTelemetry::new(1);
+        // Serialise the spans the way a single GPU would: each starts no
+        // earlier than the previous one ended.
+        let mut sorted = spans;
+        sorted.sort_by_key(|(s, _)| *s);
+        let mut cursor = Timestamp::ZERO;
+        let mut total = Nanos::ZERO;
+        for (start, dur) in sorted {
+            let s = Timestamp::from_nanos(start).max(cursor);
+            let e = s + Nanos::from_nanos(dur);
+            telemetry.record_exec(0, s, e, e - s);
+            telemetry.record_load(0, s, e, e - s);
+            cursor = e;
+            total += Nanos::from_nanos(dur);
+        }
+        // The horizon the busy time is measured over is the last span's end.
+        let exact = total.as_nanos() as f64 / cursor.as_nanos() as f64;
+        for u in [
+            telemetry.gpu_utilization(0, cursor),
+            telemetry.mean_gpu_utilization(cursor),
+            telemetry.pcie_utilization(0, cursor),
+            telemetry.mean_pcie_utilization(cursor),
+        ] {
+            prop_assert!((0.0..=1.0 + 1e-9).contains(&u), "utilization {}", u);
+            prop_assert_eq!(u, exact.min(1.0));
+        }
     }
 }
 

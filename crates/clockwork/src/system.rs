@@ -26,7 +26,6 @@ use clockwork_sim::hash::{IdMap, IdSet};
 use clockwork_sim::network::NetworkModel;
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
-use clockwork_worker::telemetry::MemberCompletion;
 use clockwork_worker::{
     Action, ActionKind, ActionOutcome, ActionResult, ExecMode, GpuId, Worker, WorkerConfig,
     WorkerId,
@@ -265,21 +264,13 @@ pub struct ServingSystem {
     /// one. `None` is the no-op path: no event is ever built and the run is
     /// byte-identical to an untraced build.
     tracer: Option<Box<RingTracer>>,
-    /// Per-worker cursor into [`WorkerTelemetry::members_recorded`]
-    /// (`clockwork_worker::telemetry`): how many member completions of that
-    /// worker the tracer has already observed. The gap between a poll's
-    /// count and this cursor is the tail to emit; any part of the gap the
-    /// bounded member ring no longer holds is counted as dropped spans.
-    member_seen: Vec<u64>,
-    /// Reusable drain buffers for scheduler-emitted trace events and member
-    /// completion tails (only touched on traced runs).
+    /// Reusable drain buffer for scheduler-emitted trace events (only
+    /// touched on traced runs).
     trace_buf: Vec<TraceEvent>,
-    member_buf: Vec<MemberCompletion>,
     /// Request ids whose estimate-bearing `Rejected` span the scheduler
     /// emitted in the current drain pass; the facade skips its own
     /// estimate-free span for these so every rejection traces exactly once.
     sched_rejected: Vec<u64>,
-    events_processed: u64,
     next_model_id: u32,
     next_request_id: u64,
     now: Timestamp,
@@ -355,11 +346,8 @@ impl ServingSystem {
             response_buf: Vec::new(),
             result_buf: Vec::new(),
             tracer,
-            member_seen: vec![0; worker_count],
             trace_buf: Vec::new(),
-            member_buf: Vec::new(),
             sched_rejected: Vec::new(),
-            events_processed: 0,
             next_model_id: 0,
             next_request_id: 0,
             now: Timestamp::ZERO,
@@ -426,15 +414,17 @@ impl ServingSystem {
         self.exec_mode
     }
 
-    /// The scheduler's self-profiling counters with the facade's
-    /// authoritative tick counts folded in: the scheduler reports what its
-    /// passes scanned and recomputed, the facade counts every delivered
-    /// tick by its [`TickOutcome`] (which also covers disciplines without
+    /// The scheduler's self-profiling counters with the tick counts folded
+    /// in: the scheduler reports what its passes scanned and recomputed; the
+    /// event mix counts every delivered tick, and the ones whose
+    /// [`TickOutcome`] was `Skipped` (which also covers disciplines without
     /// an incremental core).
     pub fn sched_profile(&self) -> SchedProfile {
+        let mix = self.telemetry.event_mix();
+        let skipped = mix.noop_ticks();
         SchedProfile {
-            ticks_full: self.telemetry.sched_ticks_full(),
-            ticks_skipped: self.telemetry.sched_ticks_skipped(),
+            ticks_full: mix.entries()[KIND_SCHEDULER_TICK].delivered - skipped,
+            ticks_skipped: skipped,
             ..self.scheduler.sched_profile()
         }
     }
@@ -598,36 +588,22 @@ impl ServingSystem {
         }
     }
 
-    /// Emits the per-member batch spans a worker's completion ring recorded
-    /// since the last poll, advancing this worker's cursor. Members the
-    /// bounded ring evicted before this poll are counted as dropped spans
-    /// rather than silently lost. Only called on traced runs.
-    fn trace_members(&mut self, worker: usize) {
-        let telemetry = self.workers[worker].telemetry();
-        let total = telemetry.members_recorded();
-        let new = total - self.member_seen[worker];
-        if new == 0 {
+    /// Emits one `MemberDone` span per request a successful INFER served,
+    /// as the worker hands its result over — at the INFER's completion.
+    /// Only called on traced runs.
+    fn trace_members(&mut self, result: &ActionResult) {
+        let (ActionOutcome::Success(timing), "INFER") = (&result.outcome, result.action_type)
+        else {
             return;
-        }
-        self.member_seen[worker] = total;
-        let mut members = std::mem::take(&mut self.member_buf);
-        members.clear();
-        members.extend(telemetry.member_log_tail(new as usize).copied());
-        let lost = new - members.len() as u64;
-        if lost > 0 {
-            if let Some(tracer) = self.tracer.as_mut() {
-                tracer.note_dropped(lost);
-            }
-        }
-        for member in members.drain(..) {
+        };
+        for &request in &result.request_ids {
             self.trace(TraceEvent::MemberDone {
-                request: member.request_id,
-                model: member.model.0,
-                batch: member.batch,
-                completed: member.completed.as_nanos(),
+                request,
+                model: result.model.0,
+                batch: result.batch,
+                completed: timing.end.as_nanos(),
             });
         }
-        self.member_buf = members;
     }
 
     /// Registers one model instance and returns its id.
@@ -980,10 +956,10 @@ impl ServingSystem {
                 if steps == 0 {
                     self.telemetry.event_mix.note_noop_wake();
                 }
-                if self.tracer.is_some() {
-                    self.trace_members(worker);
-                }
                 for result in results.drain(..) {
+                    if self.tracer.is_some() {
+                        self.trace_members(&result);
+                    }
                     let bytes = match result.action_type {
                         "INFER" => {
                             let batch = result.batch;
@@ -1024,8 +1000,9 @@ impl ServingSystem {
             }
             SystemEvent::SchedulerTick => {
                 let outcome = self.scheduler.on_tick(self.now, &mut self.ctx);
-                self.telemetry
-                    .note_tick_outcome(outcome == TickOutcome::Full);
+                if outcome == TickOutcome::Skipped {
+                    self.telemetry.event_mix.note_noop_tick();
+                }
                 self.drain_ctx();
             }
             SystemEvent::Fault { kind } => {
@@ -1130,7 +1107,6 @@ impl ServingSystem {
         self.worker_index.insert(id, index);
         self.worker_wakes.push(self.queue.add_timer());
         self.links.push(LinkState::healthy());
-        self.member_seen.push(0);
         true
     }
 
@@ -1150,7 +1126,7 @@ impl ServingSystem {
     /// measure of how much work a run performed; perf harnesses divide it by
     /// elapsed host time to get events/sec).
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.queue.delivered_total()
     }
 
     /// Number of events still scheduled (pushed but neither delivered nor
@@ -1197,7 +1173,6 @@ impl ServingSystem {
             if t > self.now {
                 self.now = t;
             }
-            self.events_processed += 1;
             budget -= 1;
             self.telemetry.event_mix.note_delivered(event.kind_index());
             self.handle_event(event);

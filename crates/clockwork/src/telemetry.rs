@@ -65,6 +65,7 @@ pub struct EventMixEntry {
 pub struct EventMix {
     entries: Vec<EventMixEntry>,
     noop_wakes: u64,
+    noop_ticks: u64,
 }
 
 impl EventMix {
@@ -79,6 +80,7 @@ impl EventMix {
                 })
                 .collect(),
             noop_wakes: 0,
+            noop_ticks: 0,
         }
     }
 
@@ -100,6 +102,10 @@ impl EventMix {
 
     pub(crate) fn note_noop_wake(&mut self) {
         self.noop_wakes += 1;
+    }
+
+    pub(crate) fn note_noop_tick(&mut self) {
+        self.noop_ticks += 1;
     }
 
     /// Per-kind counters, in the event loop's kind order.
@@ -140,6 +146,13 @@ impl EventMix {
         self.noop_wakes
     }
 
+    /// Scheduler ticks that were delivered but early-outed
+    /// ([`TickOutcome::Skipped`](clockwork_controller::TickOutcome)); the
+    /// other delivered ticks ran a full pass.
+    pub fn noop_ticks(&self) -> u64 {
+        self.noop_ticks
+    }
+
     /// Adds another system's counters kind by kind (every system counts the
     /// same kinds in the same order).
     pub fn merge(&mut self, other: &EventMix) {
@@ -151,6 +164,7 @@ impl EventMix {
             mine.cancelled += theirs.cancelled;
         }
         self.noop_wakes += other.noop_wakes;
+        self.noop_ticks += other.noop_ticks;
     }
 }
 
@@ -187,7 +201,7 @@ impl TierOutcomes {
 }
 
 /// Aggregated metrics of one experiment run.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExperimentMetrics {
     /// Total requests submitted to the controller.
     pub total_requests: u64,
@@ -290,13 +304,11 @@ impl ExperimentMetrics {
 pub struct SystemTelemetry {
     keep_responses: bool,
     responses: Vec<Response>,
-    total_requests: u64,
-    successes: u64,
-    goodput: u64,
-    cold_starts: u64,
-    rejections: HashMap<&'static str, u64>,
-    latency: LatencyHistogram,
-    goodput_latency: LatencyHistogram,
+    /// The run's aggregate metrics as they accrue, `mean_batch` aside: that
+    /// is read off `batch_sizes`. The per-tier counters are deliberately NOT
+    /// folded into the determinism digest: the tier annotation must not
+    /// change the digest of a run whose scheduling decisions are unchanged.
+    metrics: ExperimentMetrics,
     batch_sizes: Summary,
     /// Requests submitted per second.
     pub request_series: TimeSeries,
@@ -311,20 +323,9 @@ pub struct SystemTelemetry {
     /// Latency (ms) samples per second (gauge, for max/percentile plots).
     pub latency_series: TimeSeries,
     per_model_success: ModelTable<u64>,
-    /// Per-tier outcome counters, indexed by [`Tier::index`]. Deliberately
-    /// NOT folded into the determinism digest: the tier annotation must not
-    /// change the digest of a run whose scheduling decisions are unchanged.
-    tiers: [TierOutcomes; Tier::COUNT],
     faults: Vec<FaultRecord>,
     /// Event-mix counters, maintained by the driving event loop.
     pub(crate) event_mix: EventMix,
-    /// Scheduler ticks that ran a full pass, counted from the
-    /// [`TickOutcome`](clockwork_controller::TickOutcome) each delivered
-    /// tick reports.
-    sched_ticks_full: u64,
-    /// Scheduler ticks answered by the early-out.
-    sched_ticks_skipped: u64,
-    horizon: Timestamp,
     digest: Fnv1a,
 }
 
@@ -340,13 +341,7 @@ impl SystemTelemetry {
         SystemTelemetry {
             keep_responses,
             responses: Vec::new(),
-            total_requests: 0,
-            successes: 0,
-            goodput: 0,
-            cold_starts: 0,
-            rejections: HashMap::new(),
-            latency: LatencyHistogram::new(),
-            goodput_latency: LatencyHistogram::new(),
+            metrics: ExperimentMetrics::default(),
             batch_sizes: Summary::new(),
             request_series: TimeSeries::per_second(),
             throughput_series: TimeSeries::per_second(),
@@ -355,12 +350,8 @@ impl SystemTelemetry {
             batch_series: TimeSeries::per_second(),
             latency_series: TimeSeries::per_second(),
             per_model_success: ModelTable::default(),
-            tiers: [TierOutcomes::default(); Tier::COUNT],
             faults: Vec::new(),
             event_mix: EventMix::default(),
-            sched_ticks_full: 0,
-            sched_ticks_skipped: 0,
-            horizon: Timestamp::ZERO,
             digest: Fnv1a::new(),
         }
     }
@@ -369,30 +360,6 @@ impl SystemTelemetry {
     /// the driving event loop maintained during the run.
     pub fn event_mix(&self) -> &EventMix {
         &self.event_mix
-    }
-
-    /// Counts one delivered scheduler tick by what it did (`full` ran the
-    /// whole pass, otherwise it early-outed).
-    pub(crate) fn note_tick_outcome(&mut self, full: bool) {
-        if full {
-            self.sched_ticks_full += 1;
-        } else {
-            self.sched_ticks_skipped += 1;
-        }
-    }
-
-    /// Delivered scheduler ticks that ran a full pass.
-    pub fn sched_ticks_full(&self) -> u64 {
-        self.sched_ticks_full
-    }
-
-    /// Delivered scheduler ticks answered by the early-out. A healthy
-    /// incremental scheduler keeps this small: most skippable ticks are
-    /// never scheduled at all (`next_tick` returns the first productive
-    /// grid point), so only races between a queued tick and an intervening
-    /// event land here.
-    pub fn sched_ticks_skipped(&self) -> u64 {
-        self.sched_ticks_skipped
     }
 
     #[inline]
@@ -412,15 +379,15 @@ impl SystemTelemetry {
     }
 
     fn advance(&mut self, t: Timestamp) {
-        if t > self.horizon && t != Timestamp::MAX {
-            self.horizon = t;
+        if t > self.metrics.horizon && t != Timestamp::MAX {
+            self.metrics.horizon = t;
         }
     }
 
     /// Records that a request arrived at the controller.
     pub fn record_arrival(&mut self, at: Timestamp, tier: Tier) {
-        self.total_requests += 1;
-        self.tiers[tier.index()].submitted += 1;
+        self.metrics.total_requests += 1;
+        self.metrics.tiers[tier.index()].submitted += 1;
         self.request_series.record_event(at);
         self.advance(at);
     }
@@ -436,6 +403,7 @@ impl SystemTelemetry {
     pub fn record_response_with_tier(&mut self, response: &Response, tier: Tier) {
         self.digest_fold(response.request.0);
         self.digest_fold(u64::from(response.model.0));
+        let tier = tier.index();
         match &response.outcome {
             RequestOutcome::Success {
                 completed,
@@ -450,10 +418,11 @@ impl SystemTelemetry {
                 self.digest_fold(u64::from(worker.0));
                 self.digest_fold(u64::from(gpu.0));
                 self.digest_fold(u64::from(*cold_start));
-                self.successes += 1;
-                self.tiers[tier.index()].successes += 1;
+                let m = &mut self.metrics;
+                m.successes += 1;
+                m.tiers[tier].successes += 1;
                 let latency = *completed - response.arrival;
-                self.latency.record(latency);
+                m.latency.record(latency);
                 self.latency_series
                     .record_value(*completed, latency.as_millis_f64());
                 self.throughput_series.record_event(*completed);
@@ -461,13 +430,13 @@ impl SystemTelemetry {
                 self.batch_series
                     .record_value(*completed, f64::from(*batch));
                 if *cold_start {
-                    self.cold_starts += 1;
+                    m.cold_starts += 1;
                     self.cold_start_series.record_event(*completed);
                 }
                 if response.met_slo() {
-                    self.goodput += 1;
-                    self.tiers[tier.index()].goodput += 1;
-                    self.goodput_latency.record(latency);
+                    m.goodput += 1;
+                    m.tiers[tier].goodput += 1;
+                    m.goodput_latency.record(latency);
                     self.goodput_series.record_event(*completed);
                 }
                 *self.per_model_success.get_or_default(response.model) += 1;
@@ -477,10 +446,11 @@ impl SystemTelemetry {
                 self.digest_fold(2);
                 self.digest_fold(at.as_nanos());
                 self.digest_fold(*reason as u64);
-                *self.rejections.entry(reason.as_str()).or_insert(0) += 1;
-                self.tiers[tier.index()].rejected += 1;
+                let m = &mut self.metrics;
+                *m.rejections.entry(reason.as_str()).or_insert(0) += 1;
+                m.tiers[tier].rejected += 1;
                 if *reason == RejectReason::BestEffortShed {
-                    self.tiers[tier.index()].shed += 1;
+                    m.tiers[tier].shed += 1;
                 }
                 self.advance(*at);
             }
@@ -566,7 +536,7 @@ impl SystemTelemetry {
 
     /// End-to-end latency distribution of completed requests.
     pub fn latency_histogram(&self) -> &LatencyHistogram {
-        &self.latency
+        &self.metrics.latency
     }
 
     /// Successful-response counts per model.
@@ -576,27 +546,19 @@ impl SystemTelemetry {
 
     /// Per-tier outcome counters, indexed by [`Tier::index`].
     pub fn tier_outcomes(&self) -> &[TierOutcomes; Tier::COUNT] {
-        &self.tiers
+        &self.metrics.tiers
     }
 
     /// Latency of all completed requests at a percentile.
     pub fn latency_percentile(&self, p: f64) -> Nanos {
-        self.latency.percentile(p)
+        self.metrics.latency.percentile(p)
     }
 
     /// Finalises the aggregate metrics.
     pub fn metrics(&self) -> ExperimentMetrics {
         ExperimentMetrics {
-            total_requests: self.total_requests,
-            successes: self.successes,
-            goodput: self.goodput,
-            rejections: self.rejections.clone(),
-            latency: self.latency.clone(),
-            goodput_latency: self.goodput_latency.clone(),
             mean_batch: self.batch_sizes.mean(),
-            cold_starts: self.cold_starts,
-            horizon: self.horizon,
-            tiers: self.tiers,
+            ..self.metrics.clone()
         }
     }
 }

@@ -10,11 +10,15 @@
 //! untraced run of the same spec, and an untraced run carries no tracer
 //! at all.
 //!
+//! A third makes the per-member spans trustworthy: a `MemberDone` is a
+//! completion — recorded when the worker hands a successful INFER's result
+//! over, never for an INFER a fault destroyed mid-flight.
+//!
 //! Baseline disciplines are exercised in the bench crate (the facade does
 //! not link `clockwork-baselines`); the registry's built-ins plus the
 //! no-batch ablation cover all three code paths that emit spans here.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use clockwork::prelude::*;
 
@@ -173,4 +177,69 @@ fn traced_runs_are_deterministic() {
     assert_eq!(ta.digest(), tb.digest(), "same seed, same span stream");
     assert_eq!(ta.len(), tb.len());
     assert_eq!(a.digest(), b.digest());
+}
+
+#[test]
+fn every_member_done_span_is_a_completion() {
+    // The scripted churn crashes a worker and fails GPUs while INFERs are
+    // executing on them.
+    let smoke = ScenarioSpec::smoke(7).named("trace_churn");
+    let spec = smoke
+        .clone()
+        .with_faults(smoke.scripted_churn())
+        .with_trace(true);
+    let mut registry = SchedulerRegistry::builtin();
+    registry.register(Box::new(ClockworkNoBatchFactory::default()));
+    for factory in registry.iter() {
+        let report = Experiment::new(spec.clone()).run(factory);
+        let name = factory.name();
+        assert!(report.drained(), "{name}: the run drains");
+        let tracer = report.trace().expect("spec asked for tracing");
+        assert_eq!(
+            tracer.dropped_spans(),
+            0,
+            "{name}: smoke run must fit the ring"
+        );
+        let mut terminal: HashMap<(u64, u32, u64), u32> = HashMap::new();
+        for record in tracer.records() {
+            if let LifecycleEvent::Completed {
+                request,
+                batch,
+                completed,
+                ..
+            }
+            | LifecycleEvent::DeadlineMissed {
+                request,
+                batch,
+                completed,
+                ..
+            } = record.event
+            {
+                *terminal.entry((request, batch, completed)).or_default() += 1;
+            }
+        }
+        let mut members = 0;
+        for record in tracer.records() {
+            if let LifecycleEvent::MemberDone {
+                request,
+                batch,
+                completed,
+                ..
+            } = record.event
+            {
+                members += 1;
+                assert_eq!(
+                    record.at, completed,
+                    "{name}: request {request}'s member span is recorded at its completion"
+                );
+                assert_eq!(
+                    terminal.get(&(request, batch, completed)),
+                    Some(&1),
+                    "{name}: request {request}'s member span (batch {batch}, at {completed}) \
+                     matches exactly one terminal span"
+                );
+            }
+        }
+        assert!(members > 0, "{name}: INFERs completed");
+    }
 }
