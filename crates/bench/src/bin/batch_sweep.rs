@@ -25,8 +25,7 @@
 //! Usage:
 //! ```text
 //! cargo run --release -p bench --bin batch_sweep -- \
-//!     [--duration-secs N] [--events N] [--out PATH] [--seed N] \
-//!     [--base-rate R] [--check-determinism]
+//!     [--duration-secs N] [--seed N] [--out PATH] [--check-determinism]
 //! ```
 //!
 //! `--check-determinism` reruns every (discipline, load) cell and fails the
@@ -37,35 +36,9 @@
 
 use clockwork::json::Value;
 use clockwork::prelude::*;
-use clockwork_baselines::register_baselines;
 
 /// The offered-load multipliers swept over the base rate.
 const MULTIPLIERS: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
-
-const USAGE: &str = "batch_sweep [--duration-secs N] [--events N] [--out PATH] [--seed N] \
-                     [--base-rate R] [--check-determinism]";
-
-struct Args {
-    max_events: u64,
-    out: String,
-    seed: u64,
-    duration_secs: u64,
-    base_rate: f64,
-    check_determinism: bool,
-}
-
-impl Args {
-    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
-        Ok(Args {
-            max_events: cli.value("--events")?.unwrap_or(u64::MAX),
-            out: cli.value("--out")?.unwrap_or("BENCH_batch.json".into()),
-            seed: cli.value("--seed")?.unwrap_or(2020),
-            duration_secs: cli.value("--duration-secs")?.unwrap_or(30),
-            base_rate: cli.value("--base-rate")?.unwrap_or(1_500.0),
-            check_determinism: cli.switch("--check-determinism"),
-        })
-    }
-}
 
 fn cell_json(run: &RunOutcome) -> (&str, Value) {
     let m = &run.metrics;
@@ -94,28 +67,29 @@ fn cell_json(run: &RunOutcome) -> (&str, Value) {
 }
 
 fn main() {
-    let args = bench::cli::parse(USAGE, Args::parse);
-    let mut registry = SchedulerRegistry::builtin();
-    registry.register(Box::new(ClockworkNoBatchFactory::default()));
-    register_baselines(&mut registry);
+    let args = bench::cli::MatrixArgs::parse("batch_sweep", "BENCH_batch.json");
+    let registry = bench::disciplines();
 
-    let base = ScenarioSpec::fleet_scale()
-        .named("batch_sweep")
-        .with_seed(args.seed)
-        .with_duration_secs(args.duration_secs);
-    let base_rate = match base.workload {
-        WorkloadSpec::Azure { target_rate, .. } => target_rate,
-        _ => unreachable!("fleet_scale is an Azure workload"),
+    let base = args.apply(
+        ScenarioSpec::fleet_scale()
+            .named("batch_sweep")
+            .with_duration_secs(30),
+    );
+    let WorkloadSpec::Azure {
+        target_rate: base_rate,
+        ..
+    } = base.workload
+    else {
+        unreachable!("fleet_scale is an Azure workload")
     };
-    let scale = args.base_rate / base_rate;
 
     println!(
         "# batch-sweep: {} disciplines ({}) x {} loads ({} r/s base, {}s each{})",
         registry.len(),
         registry.names().join(", "),
         MULTIPLIERS.len(),
-        args.base_rate,
-        args.duration_secs,
+        base_rate,
+        base.duration_secs,
         if args.check_determinism {
             ", determinism checked"
         } else {
@@ -128,24 +102,15 @@ fn main() {
     // full `ServingSystem` drops before the next one starts.
     let mut rows: Vec<Vec<RunOutcome>> = Vec::new();
     for &multiplier in &MULTIPLIERS {
-        let spec = base.clone().with_rate_multiplier(scale * multiplier);
-        let experiment = Experiment::new(spec.clone());
+        let experiment = Experiment::new(base.clone().with_rate_multiplier(multiplier));
         let mut load_rows: Vec<RunOutcome> = Vec::new();
         for factory in registry.iter() {
-            let label = factory.name();
-            println!("# running {label} at {multiplier}x...");
-            let run = experiment.run_capped(factory, args.max_events).outcome();
-            let cell = format!("{label} @{multiplier}x");
-            if !bench::invariants::check_outcome(&cell, &run, &spec) {
-                failed = true;
-            }
-            if args.check_determinism {
-                let rerun = experiment.run_capped(factory, args.max_events).outcome();
-                if !bench::invariants::check_determinism(&cell, &run, &rerun) {
-                    failed = true;
-                }
-            }
-            load_rows.push(run);
+            let label = format!("{} @{multiplier}x", factory.name());
+            println!("# running {label}...");
+            let (report, ok) =
+                bench::run_cell(&label, &experiment, factory, args.check_determinism);
+            failed |= !ok;
+            load_rows.push(report.outcome());
         }
         rows.push(load_rows);
     }
@@ -156,7 +121,7 @@ fn main() {
         println!();
         println!(
             "-- {multiplier}x offered load ({:.0} r/s) --",
-            args.base_rate * multiplier
+            base_rate * multiplier
         );
         println!(
             "{:<18} {:>9} {:>9} {:>9} {:>9} {:>6} {:>9} {:>9} {:>7}",
@@ -232,13 +197,13 @@ fn main() {
         .map(|(&multiplier, load_rows)| {
             Value::obj([
                 ("multiplier", multiplier.into()),
-                ("offered_rps", Value::fixed(args.base_rate * multiplier, 1)),
+                ("offered_rps", Value::fixed(base_rate * multiplier, 1)),
                 ("disciplines", Value::obj(load_rows.iter().map(cell_json))),
             ])
         });
     let doc = Value::obj([
-        ("scenario", bench::scenario_json(&base, args.max_events)),
-        ("base_rate_rps", Value::fixed(args.base_rate, 1)),
+        ("scenario", bench::scenario_json(&base)),
+        ("base_rate_rps", Value::fixed(base_rate, 1)),
         (
             "multipliers",
             MULTIPLIERS.iter().map(|&m| Value::fixed(m, 1)).collect(),

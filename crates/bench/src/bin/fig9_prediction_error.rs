@@ -23,7 +23,6 @@
 use std::collections::HashMap;
 
 use clockwork::prelude::*;
-use clockwork_baselines::register_baselines;
 use clockwork_metrics::percentile::percentile_f64;
 
 const USAGE: &str = "fig9_prediction_error [--duration-secs N]";
@@ -140,12 +139,9 @@ fn main() {
     .with_trace(true)
     .with_trace_capacity(1 << 22);
 
-    let mut registry = SchedulerRegistry::builtin();
-    registry.register(Box::new(ClockworkNoBatchFactory::default()));
-    register_baselines(&mut registry);
     let experiment = Experiment::new(spec);
 
-    for factory in registry.iter() {
+    for factory in bench::disciplines().iter() {
         let report = experiment.run(factory);
         let tracer = report.trace().expect("traced");
         let errors = harvest(&report);

@@ -31,50 +31,6 @@
 
 use clockwork::json::Value;
 use clockwork::prelude::*;
-use clockwork_baselines::register_baselines;
-
-const USAGE: &str =
-    "scenario_matrix [--duration-secs N] [--seed N] [--out PATH] [--check-determinism]";
-
-struct Args {
-    duration_secs: Option<u64>,
-    seed: Option<u64>,
-    out: String,
-    check_determinism: bool,
-}
-
-impl Args {
-    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
-        Ok(Args {
-            duration_secs: cli.value("--duration-secs")?,
-            seed: cli.value("--seed")?,
-            out: cli.value("--out")?.unwrap_or("BENCH_scenarios.json".into()),
-            check_determinism: cli.switch("--check-determinism"),
-        })
-    }
-}
-
-/// The zoo presets with the CLI overrides applied. Fault plans that scale
-/// with duration are regenerated after the override, mirroring how
-/// `chaos_fleet` rescales its scripted churn.
-fn scenarios(args: &Args) -> Vec<ScenarioSpec> {
-    ScenarioSpec::zoo()
-        .into_iter()
-        .map(|mut spec| {
-            if let Some(secs) = args.duration_secs {
-                let rescale_churn = !spec.faults.is_empty();
-                spec = spec.with_duration_secs(secs);
-                if rescale_churn {
-                    spec.faults = spec.zoo_faults();
-                }
-            }
-            if let Some(seed) = args.seed {
-                spec = spec.with_seed(seed);
-            }
-            spec
-        })
-        .collect()
-}
 
 fn tier_json(t: &TierOutcomes) -> Value {
     Value::obj([
@@ -108,12 +64,18 @@ fn cell_json(cell: &RunOutcome) -> (&str, Value) {
 }
 
 fn main() {
-    let args = bench::cli::parse(USAGE, Args::parse);
-    let scenarios = scenarios(&args);
-
-    let mut registry = SchedulerRegistry::builtin();
-    registry.register(Box::new(ClockworkNoBatchFactory::default()));
-    register_baselines(&mut registry);
+    let args = bench::cli::MatrixArgs::parse("scenario_matrix", "BENCH_scenarios.json");
+    // The zoo presets with the overrides applied; a fault plan that scales
+    // with duration is regenerated to fit.
+    let scenarios: Vec<ScenarioSpec> = ScenarioSpec::zoo()
+        .into_iter()
+        .map(|preset| {
+            let mut spec = args.apply(preset);
+            spec.faults = spec.zoo_faults();
+            spec
+        })
+        .collect();
+    let registry = bench::disciplines();
 
     println!(
         "# scenario-matrix: {} disciplines ({}) x {} zoo scenarios ({}){}",
@@ -146,16 +108,10 @@ fn main() {
         let mut cells: Vec<RunOutcome> = Vec::new();
         for factory in registry.iter() {
             let label = format!("{}/{}", spec.name, factory.name());
-            let cell = experiment.run(factory).outcome();
-            if !bench::invariants::check_outcome(&label, &cell, spec) {
-                failed = true;
-            }
-            if args.check_determinism {
-                let rerun = experiment.run(factory).outcome();
-                if !bench::invariants::check_determinism(&label, &cell, &rerun) {
-                    failed = true;
-                }
-            }
+            let (report, ok) =
+                bench::run_cell(&label, &experiment, factory, args.check_determinism);
+            failed |= !ok;
+            let cell = report.outcome();
             let m = &cell.metrics;
             println!(
                 "{:<18} {:>8} {:>8} {:>9} {:>6} {:>10.4} {:>10.4} {:>8.4}",
@@ -200,7 +156,7 @@ fn main() {
         }
 
         let scenario = Value::obj([
-            ("scenario", bench::scenario_json(spec, u64::MAX)),
+            ("scenario", bench::scenario_json(spec)),
             ("disciplines", Value::obj(cells.iter().map(cell_json))),
         ]);
         scenario_objects.push((spec.name.as_str(), scenario));

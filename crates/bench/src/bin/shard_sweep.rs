@@ -40,56 +40,36 @@ use clockwork_shard::{
     FleetReport, ShardAssignment, ShardRunStats, ShardedExperiment, ShardedSpec,
 };
 
-const USAGE: &str = "shard_sweep [--shards 1,2,4,8] [--duration-secs N] [--seed N] \
-                     [--router hash|load] [--out PATH] [--check-determinism]";
-
-struct Args {
-    shards: Vec<u32>,
-    duration_secs: Option<u64>,
-    seed: Option<u64>,
-    router: ShardAssignment,
-    out: String,
-    check_determinism: bool,
+/// The sweep's own flags beside the shared ones: `--shards` (comma-separated
+/// shard counts) and `--router hash|load`.
+fn sweep_flags(cli: &mut bench::cli::Cli) -> Result<(Vec<u32>, ShardAssignment), String> {
+    let shards = match cli.value::<String>("--shards")? {
+        None => vec![1, 2, 4, 8],
+        Some(list) => list
+            .split(',')
+            .map(|s| {
+                s.trim()
+                    .parse()
+                    .map_err(|e| format!("--shards: {e}: `{s}`"))
+            })
+            .collect::<Result<_, _>>()?,
+    };
+    let router = match cli.value::<String>("--router")?.as_deref() {
+        None | Some("hash") => ShardAssignment::HashByModel,
+        Some("load") => ShardAssignment::LoadAware,
+        Some(other) => return Err(format!("--router: expected hash or load, got `{other}`")),
+    };
+    Ok((shards, router))
 }
 
-impl Args {
-    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
-        let shards = match cli.value::<String>("--shards")? {
-            None => vec![1, 2, 4, 8],
-            Some(list) => list
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}: `{s}`"))
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        let router = match cli.value::<String>("--router")?.as_deref() {
-            None | Some("hash") => ShardAssignment::HashByModel,
-            Some("load") => ShardAssignment::LoadAware,
-            Some(other) => return Err(format!("--router: expected hash or load, got `{other}`")),
-        };
-        Ok(Args {
-            shards,
-            duration_secs: cli.value("--duration-secs")?,
-            seed: cli.value("--seed")?,
-            router,
-            out: cli.value("--out")?.unwrap_or("BENCH_shard.json".into()),
-            check_determinism: cli.switch("--check-determinism"),
-        })
-    }
-}
-
-fn sharded_spec(args: &Args, shards: u32) -> ShardedSpec {
+fn sharded_spec(
+    args: &bench::cli::MatrixArgs,
+    router: &ShardAssignment,
+    shards: u32,
+) -> ShardedSpec {
     let mut spec = ShardedSpec::shard_fleet(shards);
-    spec.assignment = args.router.clone();
-    if let Some(secs) = args.duration_secs {
-        spec.base = spec.base.clone().with_duration_secs(secs);
-    }
-    if let Some(seed) = args.seed {
-        spec.base = spec.base.clone().with_seed(seed);
-    }
+    spec.assignment = router.clone();
+    spec.base = args.apply(spec.base);
     spec
 }
 
@@ -160,13 +140,18 @@ fn shard_json(s: &ShardRunStats) -> Value {
 }
 
 fn main() {
-    let args = bench::cli::parse(USAGE, Args::parse);
+    let (args, (shard_counts, router)) = bench::cli::MatrixArgs::parse_with(
+        "shard_sweep",
+        "BENCH_shard.json",
+        "[--shards 1,2,4,8] [--router hash|load]",
+        sweep_flags,
+    );
     let factory = ClockworkFactory::default();
-    let base = sharded_spec(&args, 1).base;
+    let base = sharded_spec(&args, &router, 1).base;
     println!(
         "# shard-sweep: {} over shard counts {:?} ({} workers x {} GPUs, {} models{})",
         base.name,
-        args.shards,
+        shard_counts,
         base.workers,
         base.gpus_per_worker,
         base.models,
@@ -194,9 +179,9 @@ fn main() {
         "evps",
         "fleet_digest"
     );
-    for &shards in &args.shards {
+    for &shards in &shard_counts {
         let label = format!("shard_sweep/{shards}");
-        let experiment = ShardedExperiment::new(sharded_spec(&args, shards));
+        let experiment = ShardedExperiment::new(sharded_spec(&args, &router, shards));
         let fleet = experiment.run(&factory);
         // The fleet as one run; its digest is the fleet digest.
         let merged = fleet.merged();
@@ -265,13 +250,13 @@ fn main() {
         ]));
     }
 
-    let router = match args.router {
+    let router = match router {
         ShardAssignment::HashByModel => "hash",
         ShardAssignment::LoadAware => "load",
         ShardAssignment::Explicit(_) => "explicit",
     };
     let doc = Value::obj([
-        ("scenario", bench::scenario_json(&base, u64::MAX)),
+        ("scenario", bench::scenario_json(&base)),
         ("router", router.into()),
         ("sweep", Value::Arr(rows)),
     ]);

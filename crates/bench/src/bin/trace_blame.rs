@@ -17,15 +17,14 @@
 //! rejections, and at most 1 % of violations+rejections may remain
 //! unattributed — any violation exits non-zero. `--check-determinism`
 //! reruns every cell and requires identical trace digests and response
-//! digests.
+//! digests. Every run's span ring holds `DEFAULT_TRACE_CAPACITY` spans.
 //!
 //! Results go to `BENCH_blame.json` (schema in `crates/bench/README.md`).
 //!
 //! Usage:
 //! ```text
 //! cargo run --release -p bench --bin trace_blame -- \
-//!     [--duration-secs N] [--seed N] [--out PATH] \
-//!     [--trace-capacity N] [--check-determinism]
+//!     [--duration-secs N] [--seed N] [--out PATH] [--check-determinism]
 //! ```
 
 use std::collections::HashMap;
@@ -33,32 +32,6 @@ use std::collections::HashMap;
 use clockwork::json::Value;
 use clockwork::prelude::*;
 use clockwork::scenario::DEFAULT_TRACE_CAPACITY;
-use clockwork_baselines::register_baselines;
-
-const USAGE: &str = "trace_blame [--duration-secs N] [--seed N] [--out PATH] \
-                     [--trace-capacity N] [--check-determinism]";
-
-struct Args {
-    duration_secs: u64,
-    seed: u64,
-    out: String,
-    trace_capacity: usize,
-    check_determinism: bool,
-}
-
-impl Args {
-    fn parse(cli: &mut bench::cli::Cli) -> Result<Args, String> {
-        Ok(Args {
-            duration_secs: cli.value("--duration-secs")?.unwrap_or(10),
-            seed: cli.value("--seed")?.unwrap_or(2020),
-            out: cli.value("--out")?.unwrap_or("BENCH_blame.json".into()),
-            trace_capacity: cli
-                .value("--trace-capacity")?
-                .unwrap_or(DEFAULT_TRACE_CAPACITY),
-            check_determinism: cli.switch("--check-determinism"),
-        })
-    }
-}
 
 /// The blame stages a completed request's latency decomposes into, in the
 /// fixed tie-break order used when two stages are equally dominant.
@@ -446,41 +419,38 @@ fn cell_json(cell: &BlameCell) -> (&str, Value) {
 }
 
 fn main() {
-    let args = bench::cli::parse(USAGE, Args::parse);
+    let args = bench::cli::MatrixArgs::parse("trace_blame", "BENCH_blame.json");
 
     let base = |name: &str, multiplier: f64, churn: bool| {
-        let mut spec = ScenarioSpec::fleet_scale()
+        let preset = ScenarioSpec::fleet_scale()
             .named(name)
-            .with_seed(args.seed)
-            .with_duration_secs(args.duration_secs)
+            .with_duration_secs(10);
+        let mut spec = args
+            .apply(preset)
             .with_rate_multiplier(multiplier)
-            .with_trace(true)
-            .with_trace_capacity(args.trace_capacity);
+            .with_trace(true);
         if churn {
             spec.faults = spec.scripted_churn();
         }
         spec
     };
     let scenarios = [base("overload_5x", 5.0, false), base("chaos", 1.0, true)];
-
-    let mut registry = SchedulerRegistry::builtin();
-    registry.register(Box::new(ClockworkNoBatchFactory::default()));
-    register_baselines(&mut registry);
+    let registry = bench::disciplines();
 
     println!(
         "# trace-blame: {} disciplines ({}) x {} scenarios, {}s, seed {}, trace capacity {}",
         registry.len(),
         registry.names().join(", "),
         scenarios.len(),
-        args.duration_secs,
-        args.seed,
-        args.trace_capacity,
+        scenarios[0].duration_secs,
+        scenarios[0].seed,
+        DEFAULT_TRACE_CAPACITY,
     );
 
     let mut failed = false;
     let mut doc = vec![
         ("stages", STAGES.iter().map(|&s| Value::from(s)).collect()),
-        ("trace_capacity", args.trace_capacity.into()),
+        ("trace_capacity", DEFAULT_TRACE_CAPACITY.into()),
         ("determinism_checked", args.check_determinism.into()),
     ];
     for spec in &scenarios {
@@ -505,29 +475,11 @@ fn main() {
         );
         let mut cells: Vec<BlameCell> = Vec::new();
         for factory in registry.iter() {
-            let report = experiment.run(factory);
+            let label = format!("{}/{}", spec.name, factory.name());
+            let (report, ok) =
+                bench::run_cell(&label, &experiment, factory, args.check_determinism);
             let cell = analyze_cell(&report);
-            let label = format!("{}/{}", spec.name, cell.run.discipline);
-            if !bench::invariants::check_outcome(&label, &cell.run, spec) {
-                failed = true;
-            }
-            if !check_cell(&spec.name, &cell) {
-                failed = true;
-            }
-            if args.check_determinism {
-                let rerun = experiment.run(factory);
-                let recell = analyze_cell(&rerun);
-                if !bench::invariants::check_determinism(&label, &cell.run, &recell.run) {
-                    failed = true;
-                }
-                if recell.trace_digest != cell.trace_digest {
-                    eprintln!(
-                        "[{label}] DETERMINISM VIOLATION: trace digest {:016x} != rerun {:016x}",
-                        cell.trace_digest, recell.trace_digest,
-                    );
-                    failed = true;
-                }
-            }
+            failed |= !ok | !check_cell(&spec.name, &cell);
             println!(
                 "{:<18} {:>8} {:>8} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8}",
                 cell.run.discipline,
@@ -545,7 +497,7 @@ fn main() {
             cells.push(cell);
         }
         let scenario = Value::obj([
-            ("scenario", bench::scenario_json(spec, u64::MAX)),
+            ("scenario", bench::scenario_json(spec)),
             ("disciplines", Value::obj(cells.iter().map(cell_json))),
         ]);
         doc.push((spec.name.as_str(), scenario));

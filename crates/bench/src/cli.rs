@@ -5,10 +5,12 @@
 //! rejects whatever is left. A repeated flag's last value wins. Every
 //! failure (unknown flag, missing value, unparsable value) is a message, and
 //! [`parse`] turns it into `error: …` plus the usage line on stderr and
-//! exit status 2.
+//! exit status 2. The matrix binaries share one flag set, [`MatrixArgs`].
 
 use std::fmt::Display;
 use std::str::FromStr;
+
+use clockwork::prelude::ScenarioSpec;
 
 /// The arguments not yet claimed by a flag.
 pub struct Cli {
@@ -24,7 +26,8 @@ impl Cli {
     }
 
     /// Claims every `flag VALUE` pair and parses the last value, `None`
-    /// when the flag is absent.
+    /// when the flag is absent. A value may not start with `--`: that is
+    /// the next flag, and the value is missing.
     pub fn value<T>(&mut self, flag: &str) -> Result<Option<T>, String>
     where
         T: FromStr,
@@ -33,10 +36,10 @@ impl Cli {
         let mut last = None;
         while let Some(at) = self.args.iter().position(|a| a == flag) {
             self.args.remove(at);
-            if at == self.args.len() {
-                return Err(format!("missing value for {flag}"));
+            match self.args.get(at) {
+                Some(next) if !next.starts_with("--") => last = Some(self.args.remove(at)),
+                _ => return Err(format!("missing value for {flag}")),
             }
-            last = Some(self.args.remove(at));
         }
         last.map(|raw| raw.parse().map_err(|e| format!("{flag}: {e}: `{raw}`")))
             .transpose()
@@ -47,16 +50,6 @@ impl Cli {
         let before = self.args.len();
         self.args.retain(|a| a != flag);
         self.args.len() != before
-    }
-
-    /// [`Cli::value`] for a 64-bit hex digest, with or without `0x`.
-    pub fn hex_u64(&mut self, flag: &str) -> Result<Option<u64>, String> {
-        self.value::<String>(flag)?
-            .map(|raw| {
-                u64::from_str_radix(raw.trim_start_matches("0x"), 16)
-                    .map_err(|e| format!("{flag}: {e}: `{raw}`"))
-            })
-            .transpose()
     }
 
     /// Rejects whatever no flag claimed.
@@ -81,12 +74,86 @@ pub fn parse<A>(usage: &str, build: impl FnOnce(&mut Cli) -> Result<A, String>) 
     }
 }
 
+/// The flags the matrix binaries (`chaos_compare`, `batch_sweep`,
+/// `scenario_matrix`, `trace_blame`, and `shard_sweep` beside its own two)
+/// share. An absent `--duration-secs` or `--seed` keeps the scenario's own.
+#[derive(Debug, PartialEq)]
+pub struct MatrixArgs {
+    /// `--duration-secs N`, at least 1.
+    pub duration_secs: Option<u64>,
+    /// `--seed N`: the system and workload seed.
+    pub seed: Option<u64>,
+    /// `--out PATH`: where the artifact goes.
+    pub out: String,
+    /// `--check-determinism`: rerun every cell and compare digests.
+    pub check_determinism: bool,
+}
+
+impl MatrixArgs {
+    /// The shared flags as a usage fragment.
+    const USAGE: &'static str = "[--duration-secs N] [--seed N] [--out PATH] [--check-determinism]";
+
+    /// Claims the shared flags; `default_out` is the artifact path when
+    /// `--out` is absent.
+    fn claim(cli: &mut Cli, default_out: &str) -> Result<MatrixArgs, String> {
+        let duration_secs = cli.value("--duration-secs")?;
+        if duration_secs == Some(0) {
+            return Err("--duration-secs: a run needs at least 1 second: `0`".into());
+        }
+        Ok(MatrixArgs {
+            duration_secs,
+            seed: cli.value("--seed")?,
+            out: cli.value("--out")?.unwrap_or_else(|| default_out.into()),
+            check_determinism: cli.switch("--check-determinism"),
+        })
+    }
+
+    /// Parses the process arguments of `binary`: the shared flags plus
+    /// whatever `extra` claims (listed in `extra_usage`), exiting 2 on any
+    /// error.
+    pub fn parse_with<A>(
+        binary: &str,
+        default_out: &str,
+        extra_usage: &str,
+        extra: impl FnOnce(&mut Cli) -> Result<A, String>,
+    ) -> (MatrixArgs, A) {
+        let usage = format!("{binary} {} {extra_usage}", MatrixArgs::USAGE);
+        parse(usage.trim_end(), |cli| {
+            Ok((MatrixArgs::claim(cli, default_out)?, extra(cli)?))
+        })
+    }
+
+    /// [`MatrixArgs::parse_with`] for a binary with no flags of its own.
+    pub fn parse(binary: &str, default_out: &str) -> MatrixArgs {
+        MatrixArgs::parse_with(binary, default_out, "", |_| Ok(())).0
+    }
+
+    /// `spec` with the `--duration-secs` and `--seed` overrides applied.
+    /// Regenerate a duration-scaled fault plan afterwards.
+    pub fn apply(&self, mut spec: ScenarioSpec) -> ScenarioSpec {
+        if let Some(secs) = self.duration_secs {
+            spec = spec.with_duration_secs(secs);
+        }
+        if let Some(seed) = self.seed {
+            spec = spec.with_seed(seed);
+        }
+        spec
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn cli(args: &[&str]) -> Cli {
         Cli::new(args.iter().map(|a| a.to_string()))
+    }
+
+    /// The shared flags as `args` would set them, or the parse error.
+    pub(crate) fn matrix(args: &[&str]) -> Result<MatrixArgs, String> {
+        let mut c = cli(args);
+        let parsed = MatrixArgs::claim(&mut c, "BENCH_x.json")?;
+        c.finish().map(|()| parsed)
     }
 
     #[test]
@@ -108,17 +175,13 @@ mod tests {
     }
 
     #[test]
-    fn hex_digests_parse_with_and_without_prefix() {
-        let mut c = cli(&["--a", "0x9097142c5c551b0e", "--b", "4d230fcbe9fc37ac"]);
-        assert_eq!(c.hex_u64("--a"), Ok(Some(0x9097_142c_5c55_1b0e)));
-        assert_eq!(c.hex_u64("--b"), Ok(Some(0x4d23_0fcb_e9fc_37ac)));
-        assert!(cli(&["--a", "xyz"]).hex_u64("--a").is_err());
-    }
-
-    #[test]
     fn every_error_kind_is_a_message_not_a_panic() {
         let missing = cli(&["--seed"]).value::<u64>("--seed").unwrap_err();
         assert_eq!(missing, "missing value for --seed");
+        // The next flag is not a value: `--out` must not swallow the
+        // switch (and write a file named after it).
+        let swallowed = cli(&["--out", "--check-determinism"]).value::<String>("--out");
+        assert_eq!(swallowed, Err("missing value for --out".to_string()));
         let unparsable = cli(&["--seed", "abc"]).value::<u64>("--seed").unwrap_err();
         assert!(unparsable.starts_with("--seed: ") && unparsable.ends_with("`abc`"));
         let unknown = cli(&["--sed", "7"]).finish().unwrap_err();
@@ -126,5 +189,48 @@ mod tests {
         let mut c = cli(&["--seed", "7", "stray"]);
         assert_eq!(c.value::<u64>("--seed"), Ok(Some(7)));
         assert_eq!(c.finish().unwrap_err(), "unknown argument `stray`");
+    }
+
+    #[test]
+    fn matrix_flags_default_and_override() {
+        let defaults = matrix(&[]).unwrap();
+        assert_eq!(
+            defaults,
+            MatrixArgs {
+                duration_secs: None,
+                seed: None,
+                out: "BENCH_x.json".into(),
+                check_determinism: false,
+            }
+        );
+        let fleet = ScenarioSpec::fleet_scale();
+        assert_eq!(defaults.apply(fleet.clone()), fleet);
+        let set = matrix(&[
+            "--check-determinism",
+            "--duration-secs",
+            "10",
+            "--seed",
+            "3",
+            "--out",
+            "y.json",
+        ])
+        .unwrap();
+        assert!(set.check_determinism);
+        assert_eq!(set.out, "y.json");
+        let spec = set.apply(fleet);
+        assert_eq!(
+            (spec.duration_secs, spec.seed, spec.workload_seed),
+            (10, 3, 3)
+        );
+    }
+
+    #[test]
+    fn a_zero_second_run_is_rejected() {
+        let zero = matrix(&["--duration-secs", "0"]).unwrap_err();
+        assert!(zero.starts_with("--duration-secs: "), "{zero}");
+        assert_eq!(
+            matrix(&["--duration-secs", "1"]).unwrap().duration_secs,
+            Some(1)
+        );
     }
 }

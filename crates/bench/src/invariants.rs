@@ -18,10 +18,11 @@
 //!
 //! Each check prints a loud `VIOLATION` line to stderr and returns `false`
 //! on failure; the binaries fold the result into their exit status so CI
-//! fails on any violation, and the proptest fuzz harness asserts on the same
-//! functions verbatim. The checks read a plain-data [`RunOutcome`], so one
-//! shard of a fleet, a whole fleet (`FleetReport::merged`) and a single
-//! unsharded run are all held to the same functions.
+//! fails on any violation, and the fuzz and zoo tests assert on the same
+//! functions through the same cell runner ([`crate::run_cell`]). The checks
+//! read a plain-data [`RunOutcome`], so one shard of a fleet, a whole fleet
+//! (`FleetReport::merged`) and a single unsharded run are all held to the
+//! same functions.
 
 use clockwork::prelude::*;
 
@@ -93,19 +94,6 @@ pub fn check_determinism(label: &str, first: &RunOutcome, rerun: &RunOutcome) ->
     eprintln!(
         "[{label}] DETERMINISM VIOLATION: digest {:016x} != rerun {:016x}",
         first.digest, rerun.digest
-    );
-    false
-}
-
-/// The golden-digest gate behind `--expect-digest`.
-pub fn check_expected_digest(label: &str, expected: u64, run: &RunOutcome) -> bool {
-    if expected == run.digest {
-        println!("# digest matches expected value");
-        return true;
-    }
-    eprintln!(
-        "[{label}] DIGEST MISMATCH: expected {expected:016x}, got {:016x}",
-        run.digest
     );
     false
 }

@@ -5,16 +5,67 @@
 //! schemas). Since the experiment-API redesign the heavy lifting lives in
 //! the facade: a declarative [`ScenarioSpec`] describes the experiment, a
 //! [`SchedulerRegistry`] names the disciplines, and [`Experiment::run`] owns
-//! the build/submit/run loop. What remains here is reporting: summary rows,
-//! chaos-phase analysis shared by `chaos_fleet` and `chaos_compare`, the
-//! event-mix printer, the `BENCH_*.json` plumbing, and the flag parser
-//! ([`cli`]) the harness binaries share.
+//! the build/submit/run loop. What remains here is the matrix binaries' one
+//! discipline list ([`disciplines`]) and cell runner ([`run_cell`]),
+//! reporting (summary rows, the chaos-phase analysis, the `BENCH_*.json`
+//! plumbing), and the flag parser ([`cli`]) the harness binaries share.
 
 use clockwork::json::Value;
 use clockwork::prelude::*;
+use clockwork_baselines::register_baselines;
 
 pub mod cli;
 pub mod invariants;
+
+/// The five disciplines every matrix binary compares, in row order: the
+/// built-in registry (`clockwork`, `fifo`), `clockwork-nobatch` (the same
+/// scheduler pinned to batch size 1) and the Clipper- and INFaaS-like
+/// baselines.
+pub fn disciplines() -> SchedulerRegistry {
+    let mut registry = SchedulerRegistry::builtin();
+    registry.register(Box::new(ClockworkNoBatchFactory::default()));
+    register_baselines(&mut registry);
+    registry
+}
+
+/// Runs one cell of a matrix — `factory` on `experiment` — and holds it to
+/// [`invariants::check_outcome`]. With `check_determinism` the cell runs
+/// again and must reproduce its response digest, and its trace digest when
+/// the spec is traced. Returns the first run and whether every check
+/// passed; violations are printed under `label`.
+pub fn run_cell(
+    label: &str,
+    experiment: &Experiment,
+    factory: &dyn SchedulerFactory,
+    check_determinism: bool,
+) -> (RunReport, bool) {
+    let report = experiment.run(factory);
+    let run = report.outcome();
+    let mut ok = invariants::check_outcome(label, &run, experiment.spec());
+    if check_determinism {
+        let rerun = experiment.run(factory);
+        ok &= invariants::check_determinism(label, &run, &rerun.outcome());
+        let trace_digest = |r: &RunReport| r.trace().map(|t| t.digest());
+        if let (Some(first), Some(again)) = (trace_digest(&report), trace_digest(&rerun)) {
+            if first != again {
+                eprintln!(
+                    "[{label}] DETERMINISM VIOLATION: trace digest {first:016x} != rerun {again:016x}"
+                );
+                ok = false;
+            }
+        }
+    }
+    (report, ok)
+}
+
+/// The scenario `chaos_compare` runs: [`ScenarioSpec::chaos_fleet`] under
+/// its own name, with the flag overrides applied before the scripted churn
+/// is laid over it, so the churn scales with `--duration-secs`.
+pub fn chaos_compare_spec(args: &cli::MatrixArgs) -> ScenarioSpec {
+    let mut spec = args.apply(ScenarioSpec::fleet_scale().named("chaos_compare"));
+    spec.faults = spec.scripted_churn();
+    spec
+}
 
 /// The CSV header matching [`summary_csv_row`].
 pub const SUMMARY_CSV_HEADER: &str =
@@ -95,9 +146,9 @@ impl PhaseStats {
     }
 }
 
-/// The chaos figures shared by `chaos_fleet` and `chaos_compare`: phase
-/// breakdown around the fault window, the availability floor, and the
-/// recovery time from the last repair until goodput tracks offered load.
+/// The chaos figures of one `chaos_compare` row: phase breakdown around the
+/// fault window, the availability floor, and the recovery time from the
+/// last repair until goodput tracks offered load.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosAnalysis {
     /// When the first fault fires, in virtual seconds.
@@ -204,34 +255,6 @@ pub fn analyze_chaos(report: &RunReport, spec: &ScenarioSpec) -> ChaosAnalysis {
     }
 }
 
-/// Prints the event-mix summary (pushed/delivered/cancelled per event kind,
-/// plus the no-op-wake count) and checks the conservation identity
-/// `pushed == delivered + cancelled + live`. Returns `false` — after
-/// printing a loud violation — when the identity does not hold; the perf
-/// harnesses fold that into their exit status so CI fails on it.
-pub fn report_event_mix(run: &RunOutcome) -> bool {
-    let (mix, live) = (&run.mix, run.live_events);
-    section("event mix");
-    for e in mix.entries() {
-        if e.pushed == 0 && e.delivered == 0 && e.cancelled == 0 {
-            continue;
-        }
-        println!(
-            "{:<20} pushed={:<10} delivered={:<10} cancelled={}",
-            e.kind, e.pushed, e.delivered, e.cancelled
-        );
-    }
-    println!(
-        "total: pushed={} delivered={} cancelled={} live={} noop_wakes={}",
-        mix.pushed(),
-        mix.delivered(),
-        mix.cancelled(),
-        live,
-        mix.noop_wakes()
-    );
-    invariants::check_event_mix(&run.discipline, run)
-}
-
 /// The event mix as the `"events"` object of the `BENCH_*.json` schemas
 /// (see `crates/bench/README.md`); `by_kind` lists the kinds that occurred.
 pub fn event_mix_json(run: &RunOutcome) -> Value {
@@ -282,7 +305,7 @@ pub fn report_sched_profile(label: &str, sched: &SchedProfile) {
         0.0
     };
     println!(
-        "{:<12} ticks={:<9} full={:<9} skipped={:<9} ({:>5.1}% early-out) candidates={:<11} strat_rebuilds={:<9} load_prio={}",
+        "{:<18} ticks={:<9} full={:<9} skipped={:<9} ({:>5.1}% early-out) candidates={:<11} strat_rebuilds={:<9} load_prio={}",
         label,
         ticks,
         sched.ticks_full,
@@ -295,9 +318,8 @@ pub fn report_sched_profile(label: &str, sched: &SchedProfile) {
 }
 
 /// A [`ScenarioSpec`] as the `"scenario"` object shared by the
-/// `BENCH_*.json` schemas. `max_events` is `u64::MAX` for uncapped (full)
-/// runs, written as 0.
-pub fn scenario_json(spec: &ScenarioSpec, max_events: u64) -> Value {
+/// `BENCH_*.json` schemas.
+pub fn scenario_json(spec: &ScenarioSpec) -> Value {
     let (functions, target_rate) = match spec.workload {
         WorkloadSpec::Azure {
             functions,
@@ -306,11 +328,6 @@ pub fn scenario_json(spec: &ScenarioSpec, max_events: u64) -> Value {
         WorkloadSpec::OpenLoop { rate_per_model } => (0, rate_per_model * spec.models as f64),
         WorkloadSpec::ClosedLoop { .. } => (0, 0.0),
         WorkloadSpec::Shaped { base_rate, .. } => (0, base_rate),
-    };
-    let max_events = if max_events == u64::MAX {
-        0
-    } else {
-        max_events
     };
     Value::obj([
         ("name", spec.name.as_str().into()),
@@ -322,13 +339,11 @@ pub fn scenario_json(spec: &ScenarioSpec, max_events: u64) -> Value {
         ("target_rate", target_rate.into()),
         ("slo_ms", spec.slo_ms.into()),
         ("seed", spec.seed.into()),
-        ("max_events", max_events.into()),
     ])
 }
 
-/// The `"churn"` object of `BENCH_chaos.json` and `BENCH_chaos_compare.json`:
-/// the plan's fault counts and the window [`analyze_chaos`] splits its
-/// phases at.
+/// The `"churn"` object of `BENCH_chaos_compare.json`: the plan's fault
+/// counts and the window [`analyze_chaos`] splits its phases at.
 pub fn churn_json(plan: &FaultPlan) -> Value {
     let (first_fault, last_recovery) = fault_window(plan);
     Value::obj([
@@ -432,10 +447,34 @@ mod tests {
     }
 
     #[test]
+    fn chaos_compare_runs_the_chaos_fleet_preset() {
+        // At default flags `chaos_compare` runs exactly the `chaos_fleet`
+        // preset, under its own name.
+        let spec = chaos_compare_spec(&cli::tests::matrix(&[]).unwrap());
+        assert_eq!(
+            spec.named("chaos_fleet").to_json(),
+            ScenarioSpec::chaos_fleet().to_json()
+        );
+        // A shortened run carries the churn scaled to its own length.
+        let short = chaos_compare_spec(&cli::tests::matrix(&["--duration-secs", "10"]).unwrap());
+        let expected = ScenarioSpec::fleet_scale().with_duration_secs(10);
+        assert_eq!(short.duration_secs, 10);
+        assert_eq!(short.faults, expected.scripted_churn());
+    }
+
+    #[test]
+    fn disciplines_lists_all_five_in_row_order() {
+        assert_eq!(
+            disciplines().names().join(" "),
+            "clockwork fifo clockwork-nobatch clipper infaas"
+        );
+    }
+
+    #[test]
     fn scenario_block_keeps_a_hostile_name() {
         let name = "hostile \"quoted\"\nname";
         let spec = ScenarioSpec::smoke(1).named(name);
-        let text = scenario_json(&spec, u64::MAX).to_pretty();
+        let text = scenario_json(&spec).to_pretty();
         let back = clockwork::json::parse(&text).expect("the scenario block parses");
         assert_eq!(back.get("name").and_then(|v| v.as_str("name")), Ok(name));
     }

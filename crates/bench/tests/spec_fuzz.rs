@@ -9,7 +9,7 @@
 //! clockwork-nobatch, fifo, and the Clipper- and INFaaS-like baselines.
 //!
 //! The assertions are exactly the universal invariants every bench harness
-//! enforces (`bench::invariants`, reused verbatim): exactly-once accounting
+//! enforces (`bench::run_cell`, reused verbatim): exactly-once accounting
 //! when drained, no SLO over-delivery, event-mix conservation, and digest
 //! stability across two same-seed runs. No discipline-specific behavior is
 //! asserted — the point is that *no* reachable scenario can make any
@@ -22,7 +22,6 @@
 //! from the property name, so reruns also reproduce in place.
 
 use clockwork::prelude::*;
-use clockwork_baselines::register_baselines;
 use proptest::prelude::*;
 
 fn rate_profile() -> impl Strategy<Value = RateProfile> {
@@ -175,24 +174,13 @@ proptest! {
 
     #[test]
     fn every_discipline_upholds_universal_invariants(spec in spec()) {
-        let mut registry = SchedulerRegistry::builtin();
-        registry.register(Box::new(ClockworkNoBatchFactory::default()));
-        register_baselines(&mut registry);
-
         let experiment = Experiment::new(spec.clone());
-        for factory in registry.iter() {
+        for factory in bench::disciplines().iter() {
             let label = format!("fuzz/{}", factory.name());
-            let report = experiment.run(factory);
+            let (_, ok) = bench::run_cell(&label, &experiment, factory, true);
             prop_assert!(
-                bench::invariants::check_run(&label, &report, &spec),
-                "[{}] invariant violation; minimized repro spec:\n{}",
-                label,
-                spec.to_json()
-            );
-            let rerun = experiment.run(factory);
-            prop_assert!(
-                bench::invariants::check_determinism(&label, &report.outcome(), &rerun.outcome()),
-                "[{}] nondeterminism; minimized repro spec:\n{}",
+                ok,
+                "[{}] invariant violation or nondeterminism; minimized repro spec:\n{}",
                 label,
                 spec.to_json()
             );

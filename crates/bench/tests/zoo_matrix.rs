@@ -11,35 +11,23 @@
 //! bench smoke.
 
 use clockwork::prelude::*;
-use clockwork_baselines::register_baselines;
 
 #[test]
 fn every_zoo_preset_runs_clean_under_every_discipline() {
-    let mut registry = SchedulerRegistry::builtin();
-    registry.register(Box::new(ClockworkNoBatchFactory::default()));
-    register_baselines(&mut registry);
-
     let mut failures: Vec<String> = Vec::new();
     for preset in ScenarioSpec::zoo() {
         // Shorten for test speed; duration-scaled fault plans are
         // regenerated so the churn still lands inside the run, exactly as
         // `scenario_matrix --duration-secs` does.
-        let rescale_churn = !preset.faults.is_empty();
         let mut spec = preset.with_duration_secs(4);
-        if rescale_churn {
-            spec.faults = spec.zoo_faults();
-        }
+        spec.faults = spec.zoo_faults();
 
         let experiment = Experiment::new(spec.clone());
-        for factory in registry.iter() {
+        for factory in bench::disciplines().iter() {
             let label = format!("{}/{}", spec.name, factory.name());
-            let report = experiment.run(factory);
-            if !bench::invariants::check_run(&label, &report, &spec) {
-                failures.push(format!("{label}: invariant violation"));
-            }
-            let rerun = experiment.run(factory);
-            if !bench::invariants::check_determinism(&label, &report.outcome(), &rerun.outcome()) {
-                failures.push(format!("{label}: digest not stable across replays"));
+            let (report, ok) = bench::run_cell(&label, &experiment, factory, true);
+            if !ok {
+                failures.push(format!("{label}: invariant violation or unstable digest"));
             }
             if report.metrics().total_requests == 0 {
                 failures.push(format!("{label}: preset generated no traffic"));

@@ -144,11 +144,11 @@ pub struct ScenarioSpec {
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 21;
 
 impl ScenarioSpec {
-    /// The fleet-scale scenario shared by the `fleet_scale` perf harness,
-    /// the `chaos_fleet` chaos harness and the `chaos_compare` comparison:
-    /// 20 workers × 4 GPUs, 200 model instances cycling through the
-    /// Appendix A zoo, and an open-loop Azure-derived trace at 1 500 r/s for
-    /// 120 virtual seconds.
+    /// The fleet-scale scenario shared by the benchmark's `fleet_steady`
+    /// workload and the `chaos_compare`, `batch_sweep` and `trace_blame`
+    /// harnesses: 20 workers × 4 GPUs, 200 model instances cycling through
+    /// the Appendix A zoo, and an open-loop Azure-derived trace at 1 500 r/s
+    /// for 120 virtual seconds.
     pub fn fleet_scale() -> Self {
         ScenarioSpec {
             name: "fleet_scale".to_string(),

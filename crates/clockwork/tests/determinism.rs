@@ -40,8 +40,8 @@ fn same_seed_same_digest() {
 const SMOKE_CAP: u64 = 20_000;
 
 // The smoke scenario's digests, pinned across commits: a refactor that moves
-// a byte of the response stream fails here, in tier-1, not only in the
-// ~90 s `--expect-digest` runs. Refresh them (with `SMOKE_CAP` and the BENCH
+// a byte of the response stream fails here, in tier-1, not only in CI's
+// full-run digest checks. Refresh them (with `SMOKE_CAP` and the BENCH
 // baselines) only in a commit that means to change scheduling decisions.
 const GOLDEN_FULL: (u64, u64) = (0x03ae_1a15_fb97_4da4, 38_868);
 const GOLDEN_CAPPED: u64 = 0x31e0_736e_2922_0b81;
