@@ -318,6 +318,62 @@ mod tests {
     }
 
     #[test]
+    fn a_discipline_that_never_asks_which_holder_moved_records_nothing() {
+        // Room for one model on each of two GPUs, and three models asked for
+        // in turn: every request evicts (an UNLOAD) and loads on demand, and
+        // every third LOAD fails. Each is a holder-list change the tracker
+        // counts, but fifo never asks which one moved, so none is recorded.
+        let mut s = FifoScheduler::new();
+        s.add_gpu(gref(0), 10, PAGE);
+        s.add_gpu(gref(1), 10, PAGE);
+        for m in 0..3 {
+            s.add_model(ModelId(m), resnet(), Nanos::from_millis(8));
+        }
+        let mut ctx = SchedulerCtx::new();
+        let mut loads = 0;
+        for i in 0..300u64 {
+            let now = Timestamp::from_millis(i);
+            s.on_request(now, request(i, (i % 3) as u32), &mut ctx);
+            for (worker, action) in ctx.take_actions() {
+                if action.kind.type_name() != "LOAD" {
+                    continue;
+                }
+                loads += 1;
+                let outcome = if loads % 3 == 0 {
+                    ActionOutcome::Error {
+                        error: clockwork_worker::ActionError::WindowElapsed,
+                        at: now,
+                    }
+                } else {
+                    ActionOutcome::Success(ActionTiming {
+                        received: now,
+                        start: now,
+                        end: now,
+                        device_duration: Nanos::from_millis(8),
+                    })
+                };
+                let result = ActionResult {
+                    action_id: action.id,
+                    worker,
+                    gpu: action.gpu,
+                    model: action.kind.model(),
+                    action_type: "LOAD",
+                    batch: 1,
+                    request_ids: vec![],
+                    expected_duration: action.expected_duration,
+                    outcome,
+                };
+                s.on_result(now, &result, &mut ctx);
+            }
+        }
+        assert!(loads >= 300, "{loads} LOADs");
+        // Each copy joined a holder list and, but for the two still
+        // resident, left it again.
+        assert!(s.tracker.holders_epoch() >= 2 * loads - 2);
+        assert_eq!(s.tracker.recorded_holder_moves(), 0);
+    }
+
+    #[test]
     fn unknown_models_are_rejected() {
         let mut s = FifoScheduler::new();
         s.add_gpu(gref(0), 100, PAGE);

@@ -52,25 +52,26 @@
 //! queued either. Both passes start from the per-GPU ledger of waiting work
 //! (`WaitingLedger`, crate-private: every model's LOAD demand — its queue's
 //! plus that of its recent cold rejections — and, per GPU, the ascending list
-//! of the queued models it holds and an integer upper bound on the demand
-//! shares charged to it — the paper's per-GPU strategy queues and `l_g`,
-//! updated as requests arrive and complete). The INFER pass visits the GPUs
-//! the ledger lists as holding (or loading) a queued model that are free
-//! inside the lookahead — Appendix B puts a model's strategies only on the
-//! GPUs where it is loaded — and reads each one's candidates off its list, so
-//! an idle GPU holding nothing that waits is never looked at, no queued
-//! model's holder list is walked and no residency table is intersected with
-//! the queued set. The LOAD pass prices nothing unless a demanded model has
-//! no holder or some GPU is charged beyond the priority horizon (otherwise no
-//! priority can be positive), nor unless some LOAD executor is inside the
-//! lookahead; when it prices, it prices only the unheld models and those
-//! waiting on an over-charged GPU — the rest are served more than they
-//! demand — summing the load of just the GPUs that hold one of them; and it
-//! lists GPUs only once a model has come back with a positive priority. The
-//! clean horizon's "next executor to enter the lookahead" reads the tracker's
-//! list of executors claimed past the last horizon asked about, not the
-//! fleet. An eviction asks whether a model is protected only when it would
-//! otherwise be the least recently used so far.
+//! of the queued models it holds, an integer upper bound on the demand shares
+//! charged to it and, once summed, its load — the paper's per-GPU strategy
+//! queues and `l_g`, updated as requests arrive, complete and move). The
+//! INFER pass visits the GPUs the ledger lists as holding (or loading) a
+//! queued model that are free inside the lookahead — Appendix B puts a
+//! model's strategies only on the GPUs where it is loaded — and reads each
+//! one's candidates off its list, so an idle GPU holding nothing that waits
+//! is never looked at, no queued model's holder list is walked and no
+//! residency table is intersected with the queued set. The LOAD pass prices
+//! nothing unless a demanded model has no holder or some GPU is charged
+//! beyond the priority horizon (otherwise no priority can be positive), nor
+//! unless some LOAD executor is inside the lookahead; when it prices, it
+//! prices only the unheld models and those waiting on an over-charged GPU —
+//! the rest are served more than they demand — reading the load of just the
+//! GPUs that hold one of them, kept from the last evaluation unless one of
+//! its terms moved; and it lists GPUs only once a model has come back with a
+//! positive priority. The clean horizon's "next executor to enter the
+//! lookahead" reads the tracker's list of executors claimed past the last
+//! horizon asked about, not the fleet. An eviction asks whether a model is
+//! protected only when it would otherwise be the least recently used so far.
 //!
 //! That ledger is the one structure here that is *pushed to* rather than
 //! validated by key — visiting its keys is the cost it removes — and its
@@ -78,10 +79,14 @@
 //! model wherever its demand can move: every queue mutation goes through
 //! `with_queue`, every change to its record of cold rejections through
 //! `with_cold_history`, every profiler measurement is followed by
-//! `recharge`; a holder-list change (the tracker's `holders_epoch`) makes the
-//! next read spread the stored charges over the new lists. It is kept honest
-//! by its oracle, not by trust: debug builds compare every charge and list
-//! with a from-scratch rebuild before every read, the candidates of every
+//! `recharge`. A holder-list change (the tracker's `holders_epoch`) is
+//! replayed from the tracker's record of which model moved and how, before
+//! the next recharge or read: that model's shares move from its old holders
+//! to its new ones, so a LOAD or an eviction costs the holders of what moved.
+//! Only a GPU joining or failing, or a gap in the record, makes the next read
+//! spread the stored charges over the lists afresh. It is kept honest by its
+//! oracle, not by trust: debug builds compare every charge, list and kept
+//! load with a from-scratch rebuild before every read, the candidates of every
 //! INFER slot with the intersection they replaced, and every priced LOAD
 //! evaluation with the full walk over every demanded model, bit for bit; and
 //! they re-run the full walk behind every skipped LOAD pass.
@@ -107,7 +112,7 @@ use crate::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 #[cfg(any(test, debug_assertions))]
 use crate::waiting_ledger::LedgerTotals;
 use crate::waiting_ledger::{merged, WaitingLedger};
-use crate::worker_state::{Executor, GpuRef, Placement, Resolved, WorkerStateTracker};
+use crate::worker_state::{Executor, GpuRef, HolderMove, Placement, Resolved, WorkerStateTracker};
 
 /// How much work to keep outstanding per executor (§5.3: 5 ms).
 const LOOKAHEAD: Nanos = Nanos::from_millis(5);
@@ -240,9 +245,10 @@ pub struct ClockworkScheduler {
     tracker: WorkerStateTracker<Vec<PendingRequest>>,
     profiler: ActionProfiler,
     /// Every model's demand and, per GPU, the waiting work it holds (see
-    /// [`WaitingLedger`]): pushed to by [`Self::recharge`], re-spread by
-    /// [`Self::sync_ledger`] when a holder list moved, and both passes start
-    /// from it.
+    /// [`WaitingLedger`]): pushed to by [`Self::recharge`], moved with the
+    /// holder lists by [`Self::replay_holder_moves`] (rebuilt by
+    /// [`Self::sync_ledger`] when they cannot be replayed), and both passes
+    /// start from it.
     ledger: WaitingLedger,
     /// Recent requests rejected up-front *only because their model was cold*
     /// (they would have fit their SLO on a warm GPU). Appendix B drives LOAD
@@ -284,7 +290,8 @@ pub struct ClockworkScheduler {
     /// The models a localised LOAD evaluation prices.
     scratch_priced: Vec<ModelId>,
     scratch_priorities: Vec<(ModelId, f64)>,
-    scratch_gpu_load: Vec<f64>,
+    /// The holder moves the ledger replays.
+    scratch_moves: Vec<HolderMove>,
 }
 
 impl ClockworkScheduler {
@@ -309,7 +316,7 @@ impl ClockworkScheduler {
             scratch_candidates: Vec::new(),
             scratch_priced: Vec::new(),
             scratch_priorities: Vec::new(),
-            scratch_gpu_load: Vec::new(),
+            scratch_moves: Vec::new(),
         }
     }
 
@@ -560,20 +567,42 @@ impl ClockworkScheduler {
 
     /// Moves `model_id`'s charge on the ledger to its present
     /// [demand](Self::demand), over its present holders. Called wherever
-    /// that demand can have moved; O(|holders|). When a holder list has
-    /// moved since the ledger was built only the charge is stored — the
-    /// rebuild that is due ([`Self::sync_ledger`]) spreads it.
+    /// that demand can have moved; O(|holders|). The holder moves since the
+    /// ledger was built are replayed first, so the charge taken off is the
+    /// one the columns spread; when they cannot be, only the charge is
+    /// stored — the rebuild that is due ([`Self::sync_ledger`]) spreads it.
     fn recharge(&mut self, model_id: ModelId) {
+        self.replay_holder_moves();
         let (key, demand) = (self.ledger_key(), self.demand(model_id));
         let holders = self.tracker.gpus_with_model(model_id);
         self.ledger.recharge(key, model_id, holders, demand);
     }
 
-    /// Brings the ledger up to date before a pass reads it: the stored
-    /// charges spread over the present holder lists when a holder list or
-    /// the GPU count moved since it was built, untouched otherwise — and, in
-    /// debug builds, checked against the from-scratch oracle either way.
+    /// When a holder list moved since the ledger was built, hands the
+    /// tracker's record of the moves to the ledger to move just those
+    /// models ([`WaitingLedger::replay`]). Leaves the ledger behind when the
+    /// record has a gap or a GPU joined.
+    fn replay_holder_moves(&mut self) {
+        let key = self.ledger_key();
+        if self.ledger.is_built_on(key) {
+            return;
+        }
+        let mut moves = std::mem::take(&mut self.scratch_moves);
+        let since = self.ledger.built_on().0;
+        if self.tracker.holder_moves_since(since, &mut moves) {
+            let tracker = &self.tracker;
+            self.ledger
+                .replay(key, &mut moves, |m| tracker.gpus_with_model(m));
+        }
+        self.scratch_moves = moves;
+    }
+
+    /// Brings the ledger up to date before a pass reads it: the holder moves
+    /// since it was built replayed, or, when they cannot be, the stored
+    /// charges spread over the present holder lists — and, in debug builds,
+    /// checked against the from-scratch oracle either way.
     fn sync_ledger(&mut self) {
+        self.replay_holder_moves();
         let key = self.ledger_key();
         if !self.ledger.is_built_on(key) {
             let tracker = &self.tracker;
@@ -598,9 +627,10 @@ impl ClockworkScheduler {
     }
 
     /// The ledger computed the slow way, the oracle it is checked against:
-    /// every demand re-estimated, every holder list walked, and the
-    /// fleet-wide lists read off the finished columns rather than kept in
-    /// step with them.
+    /// every demand re-estimated, every holder list walked, the fleet-wide
+    /// lists read off the finished columns rather than kept in step with
+    /// them, and each GPU's load summed the way the full walk sums it — for
+    /// the GPUs whose load the ledger keeps, the rest being `None` there.
     #[cfg(any(test, debug_assertions))]
     fn reference_ledger(&self) -> LedgerTotals {
         let mut totals = LedgerTotals {
@@ -608,6 +638,7 @@ impl ClockworkScheduler {
             bounds: vec![0; self.tracker.len()],
             ..LedgerTotals::default()
         };
+        let mut loads = vec![0.0; self.tracker.len()];
         let demanded = merged(
             self.queues.queued().iter().copied(),
             self.cold_rejections.keys().copied(),
@@ -624,8 +655,12 @@ impl ClockworkScheduler {
             for &idx in holders {
                 totals.waiting[idx].push(model_id);
                 totals.bounds[idx] += demand.as_nanos().div_ceil(holders.len() as u64);
+                loads[idx] += Self::demand_share(demand, holders);
             }
         }
+        let kept = self.ledger.kept_loads();
+        let loads = loads.iter().zip(kept);
+        totals.loads = loads.map(|(l, kept)| kept.then(|| l.to_bits())).collect();
         let gpus = 0..self.tracker.len();
         totals.listed = gpus
             .clone()
@@ -969,40 +1004,29 @@ impl ClockworkScheduler {
     /// alone: only the models it says can have one (`priced` — those held
     /// nowhere or waiting on a GPU over the limit, see
     /// [`WaitingLedger::priced_into`]) are priced, and only the GPUs holding
-    /// one of those have their load summed. A GPU's load is the sum over
-    /// its `waiting` list, ascending, of the same shares of the same
-    /// demands [the full walk](Self::for_each_load_priority) adds in the
-    /// same order — a cold-rejected model is held nowhere, so it adds to no
-    /// GPU's load there either — and each priority is the full walk's bit
-    /// for bit. The ledger must be [in sync](Self::sync_ledger).
+    /// one of those have their load read. A GPU's load is the ledger's
+    /// [sum](WaitingLedger::load) over its `waiting` list, ascending, of the
+    /// same shares of the same demands [the full
+    /// walk](Self::for_each_load_priority) adds in the same order — a
+    /// cold-rejected model is held nowhere, so it adds to no GPU's load there
+    /// either — kept until one of its terms moves, and each priority is the
+    /// full walk's bit for bit. The ledger must be [in
+    /// sync](Self::sync_ledger).
     fn localised_load_priorities_into(
-        &self,
+        &mut self,
         priced: &mut Vec<ModelId>,
-        gpu_load: &mut Vec<f64>,
         out: &mut Vec<(ModelId, f64)>,
     ) {
-        /// Marks a GPU whose load has not been asked for (a load is ≥ 0).
-        const UNSUMMED: f64 = -1.0;
-        let charged = |model_id| {
-            let charge = self.ledger.charge(model_id);
-            charge.expect("every model on a list of the ledger is charged")
-        };
-        self.ledger.priced_into(priced);
-        gpu_load.clear();
-        gpu_load.resize(self.tracker.len(), UNSUMMED);
+        let (ledger, tracker) = (&mut self.ledger, &self.tracker);
+        let share =
+            |model_id, charge| Self::demand_share(charge, tracker.gpus_with_model(model_id));
+        ledger.priced_into(priced);
         out.clear();
         for &model_id in priced.iter() {
-            let holding = self.tracker.gpus_with_model(model_id);
-            let priority = Self::load_priority(charged(model_id), holding, |idx| {
-                if gpu_load[idx] < 0.0 {
-                    gpu_load[idx] = 0.0;
-                    for &waiting in self.ledger.waiting(idx) {
-                        let holding = self.tracker.gpus_with_model(waiting);
-                        gpu_load[idx] += Self::demand_share(charged(waiting), holding);
-                    }
-                }
-                gpu_load[idx]
-            });
+            let charge = ledger.charge(model_id);
+            let charge = charge.expect("every model on a list of the ledger is charged");
+            let holding = tracker.gpus_with_model(model_id);
+            let priority = Self::load_priority(charge, holding, |idx| ledger.load(idx, share));
             if priority > 0.0 {
                 out.push((model_id, priority));
             }
@@ -1042,16 +1066,11 @@ impl ClockworkScheduler {
     /// Only the positive priorities are kept: `schedule_loads` never looks
     /// at the rest.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
-    fn evaluate_load_priorities(
-        &mut self,
-        now: Timestamp,
-        gpu_load: &mut Vec<f64>,
-        priorities: &mut Vec<(ModelId, f64)>,
-    ) {
+    fn evaluate_load_priorities(&mut self, now: Timestamp, priorities: &mut Vec<(ModelId, f64)>) {
         self.profile.load_prio_recomputes += 1;
         self.sync_ledger();
         let mut priced = std::mem::take(&mut self.scratch_priced);
-        self.localised_load_priorities_into(&mut priced, gpu_load, priorities);
+        self.localised_load_priorities_into(&mut priced, priorities);
         self.scratch_priced = priced;
         #[cfg(debug_assertions)]
         {
@@ -1119,9 +1138,8 @@ impl ClockworkScheduler {
         // when it returns `false`, and drops the cold record of what it
         // loads), and it marks them stale. Recomputing from unchanged inputs
         // yields the identical sorted list, so this is decision-preserving.
-        let mut gpu_load = std::mem::take(&mut self.scratch_gpu_load);
         let mut priorities = std::mem::take(&mut self.scratch_priorities);
-        self.evaluate_load_priorities(now, &mut gpu_load, &mut priorities);
+        self.evaluate_load_priorities(now, &mut priorities);
         let mut priorities_fresh = true;
         // The list is shared with the INFER pass: emptied first, so with no
         // positive priority the loop below has nothing to visit.
@@ -1138,7 +1156,7 @@ impl ClockworkScheduler {
                     break;
                 }
                 if !priorities_fresh {
-                    self.evaluate_load_priorities(now, &mut gpu_load, &mut priorities);
+                    self.evaluate_load_priorities(now, &mut priorities);
                     priorities_fresh = true;
                     // No model with positive unfulfilled demand: no GPU
                     // anywhere can receive a LOAD this pass.
@@ -1162,7 +1180,6 @@ impl ClockworkScheduler {
                 }
             }
         }
-        self.scratch_gpu_load = gpu_load;
         self.scratch_priorities = priorities;
         self.scratch_gpu_idx = gpu_indices;
     }
@@ -2095,6 +2112,10 @@ mod tests {
         /// and that priced nothing / passes that did price.
         skipped: usize,
         priced: usize,
+        /// Times the columns caught up with the holder lists by moving the
+        /// models that moved / by a rebuild (a GPU joined, a GPU failed).
+        moved_in_place: usize,
+        rebuilt: usize,
     }
 
     #[test]
@@ -2229,20 +2250,25 @@ mod tests {
         assert!(stats.rejected_deadline > 0, "{stats:?}");
         assert!(stats.load_actions >= 10, "{stats:?}");
         assert!(stats.unload_actions > 0, "{stats:?}");
-        // Not vacuous: it was mostly the pushed-to ledger that was compared
-        // (each LOAD and eviction forced a rebuild in between), and both
-        // reasons to price and both kinds of pass occurred.
+        // Not vacuous: it was mostly the pushed-to ledger that was compared,
+        // both reasons to price and both kinds of pass occurred, and the
+        // columns followed the holder lists both ways — each LOAD and
+        // eviction moved in place, the joined and the failed GPUs rebuilt.
+        (seen.moved_in_place, seen.rebuilt) = s.ledger.paths;
         assert!(seen.pushed > 1_000, "{seen:?}");
         assert!(seen.no_holder > 10 && seen.over_bound > 10, "{seen:?}");
         assert!(seen.shared_gpu > 100, "{seen:?}");
         assert!(seen.skipped > 10 && seen.priced > 10, "{seen:?}");
+        assert!(seen.moved_in_place > 10 && seen.rebuilt >= 3, "{seen:?}");
     }
 
     /// Prices the LOAD pass both ways on the scheduler's present state — off
     /// the ledger, and by the full walk over every demand re-estimated — and
     /// compares them bit for bit, after checking every charge and list of
-    /// the ledger against its rebuild; returns the priorities and how many
-    /// models the localised walk priced.
+    /// the ledger against its rebuild. It prices twice, the second time off
+    /// the loads the first kept, and checks the kept loads against the full
+    /// walk's after each. Returns the priorities and how many models the
+    /// localised walk priced.
     fn assert_localised_pricing_is_the_full_walk(
         s: &mut ClockworkScheduler,
         now: Timestamp,
@@ -2254,10 +2280,11 @@ mod tests {
         assert_eq!(s.ledger.totals(), s.reference_ledger(), "at {now:?}");
         let full = s.reference_priorities(now);
         let (mut priced, mut localised) = (Vec::new(), Vec::new());
-        // Dirty scratch: whatever a previous evaluation left must not leak.
-        let mut gpu_load = vec![0.25; 3];
-        s.localised_load_priorities_into(&mut priced, &mut gpu_load, &mut localised);
-        assert_eq!(bits(&localised), bits(&full), "at {now:?}");
+        for _ in 0..2 {
+            s.localised_load_priorities_into(&mut priced, &mut localised);
+            assert_eq!(bits(&localised), bits(&full), "at {now:?}");
+            assert_eq!(s.ledger.totals(), s.reference_ledger(), "at {now:?}");
+        }
         assert!(priced.len() <= s.reference_demands(now).len());
         (full, priced.len())
     }

@@ -28,7 +28,9 @@
 //! index — a model's *holders* — changes in exactly two places (`send_load`
 //! lists a GPU, `unlist_holder` takes one off), and each bumps
 //! [`WorkerStateTracker::holders_epoch`], so whatever a discipline sums over
-//! the holder lists knows when to rebuild without visiting them. The
+//! the holder lists knows when it is stale without visiting them — and, once
+//! it has asked, [`WorkerStateTracker::holder_moves_since`] says which model
+//! moved and how, so it can move that model's terms instead of rebuilding. The
 //! executor free times have a derived index too — per executor, the GPUs
 //! claimed past the last horizon [`WorkerStateTracker::next_beyond`] was
 //! asked about — entered where a free time can rise and pruned by the query
@@ -358,6 +360,29 @@ impl BusyList {
     }
 }
 
+/// One change to a model's holder list ([`WorkerStateTracker::gpus_with_model`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HolderMove {
+    /// The model whose list changed.
+    pub model: ModelId,
+    /// The GPU, by registration index, that joined or left it.
+    pub gpu: usize,
+    /// Whether it joined (a LOAD was sent) rather than left.
+    pub joined: bool,
+}
+
+/// Every holder change since epoch `from`, oldest first — what
+/// [`WorkerStateTracker::holder_moves_since`] hands out. Derived and never the
+/// owner of anything. It starts from no epoch, recording nothing, so a
+/// discipline that never asks pays one comparison per holder change; a query
+/// restarts it at the present epoch. A failed GPU unlists its whole table at
+/// once, and that stops it again: a gap, after which the reader rebuilds.
+#[derive(Clone, Debug, Default)]
+struct HolderMoves {
+    from: Option<u64>,
+    moves: Vec<HolderMove>,
+}
+
 /// The controller's view of every GPU in the cluster: the only owner of
 /// per-GPU state and the ledger of in-flight actions (see the module docs).
 /// `R` is what a discipline lets ride on an INFER.
@@ -380,8 +405,11 @@ pub struct WorkerStateTracker<R> {
     /// model id (the LOAD-priority pass looks it up per demanded model).
     holders: ModelTable<Vec<usize>>,
     /// Bumped whenever any model's holder list changes — in `send_load`'s
-    /// insert and in `unlist_holder`, the only two places one does.
+    /// insert and in `unlist_holder`, the only two places one does, both
+    /// through `moved_holder`.
     holders_epoch: u64,
+    /// The changes since the last reader asked, once one has.
+    holder_moves: HolderMoves,
     /// LOAD actions outstanding across the fleet.
     outstanding_loads: usize,
     /// INFER actions outstanding across the fleet, and per model. Exact
@@ -408,6 +436,7 @@ impl<R> Default for WorkerStateTracker<R> {
             busy: Default::default(),
             holders: ModelTable::default(),
             holders_epoch: 0,
+            holder_moves: HolderMoves::default(),
             outstanding_loads: 0,
             outstanding_infers: 0,
             infers_by_model: ModelTable::default(),
@@ -485,6 +514,30 @@ impl<R> WorkerStateTracker<R> {
     /// has not moved).
     pub fn holders_epoch(&self) -> u64 {
         self.holders_epoch
+    }
+
+    /// Moves into `out`, oldest first, every holder-list change since
+    /// `epoch` — a past [`Self::holders_epoch`] — and records afresh from the
+    /// present one. `false`, with `out` empty, when the record does not reach
+    /// back to `epoch`: it starts only once asked, and a failed GPU unlisting
+    /// its whole table stops it.
+    pub fn holder_moves_since(&mut self, epoch: u64, out: &mut Vec<HolderMove>) -> bool {
+        let record = &mut self.holder_moves;
+        out.clear();
+        let complete = record.from == Some(epoch);
+        if complete {
+            debug_assert_eq!(record.moves.len() as u64, self.holders_epoch - epoch);
+            std::mem::swap(out, &mut record.moves);
+        }
+        record.moves.clear();
+        record.from = Some(self.holders_epoch);
+        complete
+    }
+
+    /// How many holder changes are on record: none unless someone asks.
+    #[cfg(test)]
+    pub(crate) fn recorded_holder_moves(&self) -> usize {
+        self.holder_moves.moves.len()
     }
 
     /// The GPUs currently alive, in registration order.
@@ -649,7 +702,7 @@ impl<R> WorkerStateTracker<R> {
         let holders = self.holders.get_or_default(model);
         if let Err(pos) = holders.binary_search(&idx) {
             holders.insert(pos, idx);
-            self.holders_epoch += 1;
+            self.moved_holder(model, idx, true);
         }
         id
     }
@@ -720,7 +773,17 @@ impl<R> WorkerStateTracker<R> {
         holders
             .expect("a held model is listed")
             .retain(|&i| i != idx);
+        self.moved_holder(model, idx, false);
+    }
+
+    /// Counts a holder-list change and, while someone is reading the record
+    /// of them, records it.
+    fn moved_holder(&mut self, model: ModelId, gpu: usize, joined: bool) {
         self.holders_epoch += 1;
+        if self.holder_moves.from.is_some() {
+            let moved = HolderMove { model, gpu, joined };
+            self.holder_moves.moves.push(moved);
+        }
     }
 
     /// Takes an action that left the ledger out of the counts.
@@ -861,13 +924,16 @@ impl<R> WorkerStateTracker<R> {
     }
 
     /// The GPU died: its memory comes back empty, its outstanding actions
-    /// move to `lost`, and it is unschedulable until it recovers.
+    /// move to `lost`, and it is unschedulable until it recovers. Its whole
+    /// table leaves the holder lists at once, unrecorded: a reader of the
+    /// record rebuilds.
     fn fail_gpu(
         &mut self,
         idx: usize,
         now: Timestamp,
         lost: &mut Vec<(usize, OutstandingAction<R>)>,
     ) {
+        self.holder_moves = HolderMoves::default();
         let table = std::mem::take(&mut self.gpus[idx].table);
         for entry in table.iter().filter(|entry| entry.residency.is_some()) {
             self.unlist_holder(idx, entry.model);

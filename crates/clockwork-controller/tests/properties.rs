@@ -504,14 +504,18 @@ proptest! {
         let mut next_rider = 0u64;
         let mut riding: HashSet<u64> = HashSet::new();
         // What is summed over the holder lists is keyed by `holders_epoch`:
-        // it must move whenever any list does.
+        // it must move whenever any list does. And the record of moves,
+        // asked for after every operation, must say how.
         let holder_lists = |t: &Tracker| -> Vec<Vec<usize>> {
             (0..16).map(|m| t.gpus_with_model(ModelId(m)).to_vec()).collect()
         };
         let mut holders_at = (tracker.holders_epoch(), holder_lists(&tracker));
+        let mut moves = Vec::new();
+        prop_assert!(!tracker.holder_moves_since(holders_at.0, &mut moves), "nobody asked yet");
 
         for op in ops {
             now += Nanos::from_micros(100);
+            let fault = matches!(op, TrackOp::Fault(_));
             match op {
                 TrackOp::LoadSent { gpu, model, pages } => {
                     // The schedulers only send a LOAD to a live GPU — but
@@ -690,6 +694,24 @@ proptest! {
                 holders_now.0 != holders_at.0 || holders_now.1 == holders_at.1,
                 "a holder list moved under epoch {}", holders_now.0
             );
+            // The lists before with the recorded moves applied in order are
+            // the lists after — unless a GPU failed, which unlists its whole
+            // table unrecorded.
+            if tracker.holder_moves_since(holders_at.0, &mut moves) {
+                let mut replayed = holders_at.1.clone();
+                for moved in &moves {
+                    let list = &mut replayed[moved.model.0 as usize];
+                    prop_assert_eq!(list.contains(&moved.gpu), !moved.joined);
+                    list.retain(|&gpu| gpu != moved.gpu);
+                    if moved.joined {
+                        list.push(moved.gpu);
+                        list.sort_unstable();
+                    }
+                }
+                prop_assert_eq!(&replayed, &holders_now.1);
+            } else {
+                prop_assert!(fault, "a gap in the record with no GPU failed");
+            }
             holders_at = holders_now;
             // Never neither: a rider is either still in the ledger (the
             // check above matched it to the oracle's) or has come back.
