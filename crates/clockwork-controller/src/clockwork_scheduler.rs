@@ -67,11 +67,14 @@
 //! prices only the unheld models and those waiting on an over-charged GPU —
 //! the rest are served more than they demand — reading the load of just the
 //! GPUs that hold one of them, kept from the last evaluation unless one of
-//! its terms moved; and it lists GPUs only once a model has come back with a
-//! positive priority. The clean horizon's "next executor to enter the
-//! lookahead" reads the tracker's list of executors claimed past the last
-//! horizon asked about, not the fleet. An eviction asks whether a model is
-//! protected only when it would otherwise be the least recently used so far.
+//! its terms moved; and it visits GPUs only once a model has come back with a
+//! positive priority, stopping as soon as the priorities run dry. The expiry
+//! pass expires only the queues whose earliest deadline falls before their
+//! own cutoff, read off the urgency index. The clean horizon's "next executor to
+//! enter the lookahead" reads the top of the tracker's heap of claims past
+//! the last horizon asked about, not the fleet. An eviction asks whether a
+//! model is protected only when it would otherwise be the least recently used
+//! so far.
 //!
 //! That ledger is the one structure here that is *pushed to* rather than
 //! validated by key — visiting its keys is the cost it removes — and its
@@ -89,7 +92,9 @@
 //! load with a from-scratch rebuild before every read, the candidates of every
 //! INFER slot with the intersection they replaced, and every priced LOAD
 //! evaluation with the full walk over every demanded model, bit for bit; and
-//! they re-run the full walk behind every skipped LOAD pass.
+//! they re-run the full walk behind every skipped LOAD pass. The expiry list
+//! and the LOAD pass's visit are checked the same way, against a scan of
+//! every queued model and a snapshot of the actionable GPUs.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -423,7 +428,44 @@ impl ClockworkScheduler {
         ctx.send_response(Response::rejected(&pending.request, at, reason));
     }
 
-    /// Drops queued requests that can no longer meet their deadline.
+    /// The instant before which a queued deadline of `model_id` has lapsed
+    /// at `now`: not even a batch-1 execution and the network allowance fit.
+    fn expiry_cutoff(&self, now: Timestamp, model_id: ModelId) -> Timestamp {
+        now + self.exec_estimate(model_id, 1) + NETWORK_ALLOWANCE
+    }
+
+    /// Collects into `out`, ascending, the queued models with a request that
+    /// has lapsed at `now` — those whose earliest deadline is before their
+    /// own [cutoff](Self::expiry_cutoff), exactly the queues
+    /// `RequestQueues::expire` drops anything from. The urgency index
+    /// yields the models due before the widest cutoff (`max_est1` bounds
+    /// every model's estimate) with their earliest deadlines, without
+    /// touching the rest of the queued set, and only those past their own
+    /// cutoff are kept and sorted — rejections go out in ascending
+    /// `ModelId` order, the order the full scan over the queued set used.
+    fn lapsing_into(&self, now: Timestamp, out: &mut Vec<ModelId>) {
+        let widest = now + self.max_est1 + NETWORK_ALLOWANCE;
+        let due = self.queues.due_before(widest);
+        let lapsed =
+            due.filter(|&(deadline, model_id)| deadline < self.expiry_cutoff(now, model_id));
+        out.clear();
+        out.extend(lapsed.map(|(_, model_id)| model_id));
+        out.sort_unstable();
+    }
+
+    /// [`Self::lapsing_into`] the slow way, the oracle it is checked
+    /// against: every queued model whose earliest deadline is before its
+    /// cutoff, in the queued set's ascending order.
+    #[cfg(any(test, debug_assertions))]
+    fn reference_lapsing(&self, now: Timestamp) -> Vec<ModelId> {
+        let queued = self.queues.queued().iter().copied();
+        queued
+            .filter(|&m| self.queues.min_deadline(m) < self.expiry_cutoff(now, m))
+            .collect()
+    }
+
+    /// Drops queued requests that can no longer meet their deadline, and
+    /// ages the record of cold rejections.
     fn expire_requests(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
         // Forget cold-rejection demand that has aged out of the priority
         // horizon, so long-idle models do not keep attracting LOADs. Every
@@ -448,19 +490,16 @@ impl ClockworkScheduler {
             self.scratch_models = model_ids;
             return;
         }
-        // Only models whose earliest deadline falls inside the conservative
-        // expiry window (`max_est1` bounds every per-model estimate) can have
-        // lapsed requests; the urgency index yields exactly those without
-        // touching the rest of the queued set. Rejections must still be
-        // emitted in ascending `ModelId` order — the order the full scan over
-        // the queued set produced — so the candidate list is re-sorted.
-        let global_cutoff = now + self.max_est1 + NETWORK_ALLOWANCE;
-        model_ids.clear();
-        model_ids.extend(self.queues.due_before(global_cutoff));
-        model_ids.sort_unstable();
+        self.lapsing_into(now, &mut model_ids);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            model_ids,
+            self.reference_lapsing(now),
+            "the expiry list is not the queued models that lapse"
+        );
         let mut expired = std::mem::take(&mut self.scratch_expired);
         for &model_id in &model_ids {
-            let cutoff = now + self.exec_estimate(model_id, 1) + NETWORK_ALLOWANCE;
+            let cutoff = self.expiry_cutoff(now, model_id);
             self.with_queue(model_id, |queues| {
                 queues.expire(model_id, cutoff, &mut expired)
             });
@@ -1117,9 +1156,16 @@ impl ClockworkScheduler {
     /// Otherwise nothing is priced unless some LOAD executor is inside the
     /// lookahead; what is priced is then the neighbourhood of the
     /// over-charged GPUs and the unheld models
-    /// ([`Self::localised_load_priorities_into`]), and the actionable GPUs
-    /// (visited in the order of [`ClockworkScheduler::schedule_infers`]) are
-    /// listed only once a model has come back with a positive priority.
+    /// ([`Self::localised_load_priorities_into`]). Only once a model has come
+    /// back with a positive priority are the GPUs visited, in registration
+    /// order (the order of [`ClockworkScheduler::schedule_infers`]), each
+    /// skipped unless it is [actionable](WorkerStateTracker::actionable)
+    /// when reached — and the visit stops once the priorities run dry, so a
+    /// pass that places one LOAD does not scan the rest of the fleet. That
+    /// is the visit a snapshot of the actionable GPUs taken up front would
+    /// make: a dispatch moves only its own GPU's LOAD executor and table, so
+    /// no GPU further on changes whether it is actionable (asserted in debug
+    /// builds).
     fn schedule_loads(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
         self.sync_ledger();
         if self.loads_are_priceless() {
@@ -1141,15 +1187,22 @@ impl ClockworkScheduler {
         let mut priorities = std::mem::take(&mut self.scratch_priorities);
         self.evaluate_load_priorities(now, &mut priorities);
         let mut priorities_fresh = true;
-        // The list is shared with the INFER pass: emptied first, so with no
-        // positive priority the loop below has nothing to visit.
-        let mut gpu_indices = std::mem::take(&mut self.scratch_gpu_idx);
-        gpu_indices.clear();
-        if !priorities.is_empty() {
-            self.tracker
-                .actionable_into(Executor::Load, horizon, &mut gpu_indices);
-        }
-        'gpus: for &gpu_idx in &gpu_indices {
+        let gpus = if priorities.is_empty() {
+            0..0
+        } else {
+            0..self.tracker.len()
+        };
+        #[cfg(debug_assertions)]
+        let (mut snapshot, mut visited) = (Vec::new(), Vec::new());
+        #[cfg(debug_assertions)]
+        self.tracker
+            .actionable_into(Executor::Load, horizon, &mut snapshot);
+        'gpus: for gpu_idx in gpus {
+            if !self.tracker.actionable(Executor::Load, gpu_idx, horizon) {
+                continue;
+            }
+            #[cfg(debug_assertions)]
+            visited.push(gpu_idx);
             loop {
                 let load_slot = self.tracker.next_slot(Executor::Load, gpu_idx, now);
                 if load_slot >= horizon {
@@ -1180,8 +1233,15 @@ impl ClockworkScheduler {
                 }
             }
         }
+        // Priorities are empty at the end only when they ran dry and the
+        // visit stopped early; otherwise it must have seen every GPU.
+        #[cfg(debug_assertions)]
+        assert!(
+            snapshot.starts_with(&visited)
+                && (priorities.is_empty() || visited.len() == snapshot.len()),
+            "the LOAD pass visited {visited:?} of the actionable {snapshot:?}"
+        );
         self.scratch_priorities = priorities;
-        self.scratch_gpu_idx = gpu_indices;
     }
 
     fn dispatch_load(
@@ -2027,9 +2087,11 @@ mod tests {
         // The in-pass assertion compares the two at the pass's own horizon
         // in debug builds; this drives a busy, faulty little fleet and
         // compares them after every callback at horizons on both sides of
-        // every executor's free time, in release builds too.
-        fn check(s: &mut ClockworkScheduler, now: Timestamp, seen: &mut [usize; 2]) {
-            let mut actionable = Vec::new();
+        // every executor's free time, in release builds too — and the
+        // expiry list with its scan of every queued model at the same
+        // instants.
+        fn check(s: &mut ClockworkScheduler, now: Timestamp, seen: &mut [usize; 4]) {
+            let (mut actionable, mut lapsing) = (Vec::new(), Vec::new());
             for ahead_ms in [0, 1, 5, 8, 20, 1_000] {
                 let horizon = now + Nanos::from_millis(ahead_ms);
                 let listed = infer_gpus(s, horizon);
@@ -2037,6 +2099,11 @@ mod tests {
                     .actionable_into(Executor::Infer, horizon, &mut actionable);
                 seen[0] += usize::from(!listed.is_empty());
                 seen[1] += usize::from(listed.len() < actionable.len());
+                s.lapsing_into(horizon, &mut lapsing);
+                assert_eq!(lapsing, s.reference_lapsing(horizon), "at {horizon:?}");
+                seen[2] += usize::from(!lapsing.is_empty());
+                let widest = horizon + s.max_est1 + NETWORK_ALLOWANCE;
+                seen[3] += usize::from(s.queues.due_before(widest).count() > lapsing.len());
             }
         }
         let mut s = ClockworkScheduler::with_defaults();
@@ -2049,7 +2116,7 @@ mod tests {
             warm(&mut s, gpus[gpu], model);
         }
         let mut ctx = SchedulerCtx::new();
-        let mut seen = [0; 2];
+        let mut seen = [0; 4];
         let mut pending: VecDeque<(WorkerId, clockwork_worker::Action)> = VecDeque::new();
         for i in 0..400u64 {
             let now = Timestamp::from_nanos(250_000 * i);
@@ -2091,9 +2158,11 @@ mod tests {
         assert!(s.stats().completed > 100, "{:?}", s.stats());
         assert!(s.stats().load_actions > 0, "{:?}", s.stats());
         assert!(s.stats().rejected_deadline > 0, "{:?}", s.stats());
-        // Not vacuous: lists were often non-empty, and often shorter than
-        // the actionable fleet.
+        // Not vacuous: visit lists were often non-empty, and often shorter
+        // than the actionable fleet; expiry lists were often non-empty, and
+        // often shorter than what the widest cutoff lets through.
         assert!(seen[0] > 100 && seen[1] > 100, "{seen:?}");
+        assert!(seen[2] > 100 && seen[3] > 50, "{seen:?}");
     }
 
     /// What [`the_ledger_matches_its_rebuild_under_load_eviction_and_faults`]

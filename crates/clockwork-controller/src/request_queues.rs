@@ -229,13 +229,17 @@ impl RequestQueues {
         self.urgency.first().map(|&(deadline, _)| deadline)
     }
 
-    /// The queued models whose earliest deadline is before `cutoff`, most
-    /// urgent first — the only ones an expiry at `cutoff` can touch.
-    pub(crate) fn due_before(&self, cutoff: Timestamp) -> impl Iterator<Item = ModelId> + '_ {
+    /// `(earliest deadline, model)` of every queued model whose earliest
+    /// deadline is before `cutoff`, most urgent first — the only ones an
+    /// expiry at `cutoff` can touch.
+    pub(crate) fn due_before(
+        &self,
+        cutoff: Timestamp,
+    ) -> impl Iterator<Item = (Timestamp, ModelId)> + '_ {
         self.urgency
             .iter()
-            .take_while(move |&&(deadline, _)| deadline < cutoff)
-            .map(|&(_, model)| model)
+            .copied()
+            .take_while(move |&(deadline, _)| deadline < cutoff)
     }
 
     /// How many times `model`'s queue has changed. Never repeats, so a value
@@ -392,11 +396,8 @@ mod tests {
                 // With the largest cutoff only the no-SLO queues stay out.
                 let cutoffs = [0, 2, 4, 7].map(Timestamp::from_millis);
                 for cutoff in cutoffs.into_iter().chain([Timestamp::MAX]) {
-                    let due: Vec<ModelId> = urgency
-                        .iter()
-                        .filter(|&&(d, _)| d < cutoff)
-                        .map(|&(_, m)| m)
-                        .collect();
+                    let due: Vec<(Timestamp, ModelId)> =
+                        urgency.iter().copied().filter(|&(d, _)| d < cutoff).collect();
                     prop_assert_eq!(
                         queues.due_before(cutoff).collect::<Vec<_>>(),
                         due,
