@@ -11,6 +11,10 @@
 //! Functions are mapped onto model instances round-robin, several functions
 //! per model, exactly as the paper maps 4–5 function workloads onto each of
 //! its 4 026 model instances.
+//!
+//! Arrivals are emitted in order, one minute at a time: every function draws
+//! its minute, the minute alone is sorted, and the next minute follows, so
+//! [`Trace::new`] has nothing left to sort.
 
 use serde::{Deserialize, Serialize};
 
@@ -18,7 +22,7 @@ use clockwork_model::{ModelId, Tier};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{sort_arrivals, Trace, TraceEvent};
 
 /// The workload classes observed in the MAF trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -176,24 +180,37 @@ impl AzureTraceGenerator {
         }
     }
 
-    /// Generates the trace.
+    /// Generates the trace, one minute at a time.
+    ///
+    /// Each function draws from its own stream, `derive(function index)`,
+    /// so visiting the functions minute by minute draws the same numbers as
+    /// visiting them one function at a time. Each minute is drawn function
+    /// by function and then stable-sorted on its own, which is the order a
+    /// stable sort of the whole trace gives, with one exception: two
+    /// arrivals of one model at the same nanosecond on either side of a
+    /// minute boundary (an offset that rounds up to the next minute) keep
+    /// minute order. Both carry the same SLO and tier, so the trace is the
+    /// same either way.
     pub fn generate(&self) -> Trace {
         let rng = SimRng::seeded(self.config.seed ^ 0x5117);
         let total_weight: f64 = self.functions.iter().map(|f| f.weight).sum();
         let minutes = (self.config.duration.as_secs_f64() / 60.0).ceil() as u64;
         let per_minute_budget = self.config.target_rate * 60.0;
+        let end = Timestamp::ZERO + self.config.duration;
+        let mut rngs: Vec<SimRng> = (0..self.functions.len())
+            .map(|fi| rng.derive(fi as u64))
+            .collect();
         let mut events = Vec::new();
-        for (fi, f) in self.functions.iter().enumerate() {
-            let mut frng = rng.derive(fi as u64);
-            let base_per_minute = per_minute_budget * f.weight / total_weight;
-            for minute in 0..minutes {
-                let mult = Self::class_multiplier(f.class, minute, &mut frng);
-                let mean = base_per_minute * mult;
-                let count = frng.poisson_count(mean);
+        for minute in 0..minutes {
+            let start = events.len();
+            for (f, frng) in self.functions.iter().zip(&mut rngs) {
+                let base_per_minute = per_minute_budget * f.weight / total_weight;
+                let mult = Self::class_multiplier(f.class, minute, frng);
+                let count = frng.poisson_count(base_per_minute * mult);
                 for _ in 0..count {
                     let offset = Nanos::from_secs_f64(frng.uniform() * 60.0);
                     let at = Timestamp::from_secs(minute * 60) + offset;
-                    if at < Timestamp::ZERO + self.config.duration {
+                    if at < end {
                         events.push(TraceEvent {
                             at,
                             model: f.model,
@@ -203,6 +220,7 @@ impl AzureTraceGenerator {
                     }
                 }
             }
+            sort_arrivals(&mut events[start..]);
         }
         Trace::new(events)
     }
@@ -220,6 +238,76 @@ mod tests {
             target_rate: 500.0,
             slo: Nanos::from_millis(100),
             seed: 42,
+        }
+    }
+
+    /// The function-major generator with one stable sort of the whole trace:
+    /// the reference [`AzureTraceGenerator::generate`] must reproduce.
+    fn whole_sort_reference(gen: &AzureTraceGenerator) -> Trace {
+        let config = gen.config();
+        let rng = SimRng::seeded(config.seed ^ 0x5117);
+        let total_weight: f64 = gen.functions().iter().map(|f| f.weight).sum();
+        let minutes = (config.duration.as_secs_f64() / 60.0).ceil() as u64;
+        let per_minute_budget = config.target_rate * 60.0;
+        let mut events = Vec::new();
+        for (fi, f) in gen.functions().iter().enumerate() {
+            let mut frng = rng.derive(fi as u64);
+            let base_per_minute = per_minute_budget * f.weight / total_weight;
+            for minute in 0..minutes {
+                let mult = AzureTraceGenerator::class_multiplier(f.class, minute, &mut frng);
+                let mean = base_per_minute * mult;
+                let count = frng.poisson_count(mean);
+                for _ in 0..count {
+                    let offset = Nanos::from_secs_f64(frng.uniform() * 60.0);
+                    let at = Timestamp::from_secs(minute * 60) + offset;
+                    if at < Timestamp::ZERO + config.duration {
+                        events.push(TraceEvent {
+                            at,
+                            model: f.model,
+                            slo: config.slo,
+                            tier: Tier::Strict,
+                        });
+                    }
+                }
+            }
+        }
+        events.sort_by_key(|e| (e.at, e.model));
+        Trace::new(events)
+    }
+
+    #[test]
+    fn minute_major_generation_matches_the_whole_sort() {
+        let matches = |config: AzureTraceConfig| {
+            let gen = AzureTraceGenerator::new(config);
+            assert_eq!(gen.generate(), whole_sort_reference(&gen), "{config:?}");
+        };
+        // Durations that end mid-minute, including inside the first one.
+        for duration_ms in [400, 61_500, 179_900] {
+            for seed in 0..20 {
+                matches(AzureTraceConfig {
+                    functions: 60 + 7 * seed as usize,
+                    models: 1 + seed as usize % 4 * 10,
+                    duration: Nanos::from_millis(duration_ms),
+                    target_rate: 200.0,
+                    seed,
+                    ..small_config()
+                });
+            }
+        }
+        // Zero and negative rates, no functions, and no models (every
+        // function then maps to model 0).
+        for (functions, models, target_rate) in [
+            (50, 10, 0.0),
+            (50, 10, -5.0),
+            (0, 10, 500.0),
+            (50, 0, 500.0),
+        ] {
+            matches(AzureTraceConfig {
+                functions,
+                models,
+                target_rate,
+                ..small_config()
+            });
         }
     }
 

@@ -4,13 +4,15 @@
 //! Poisson inter-arrival times: requests arrive at a fixed average rate
 //! regardless of how the system is doing, which is what exposes SLO
 //! violations under overload. [`OpenLoopClient`] pre-generates a [`Trace`]
-//! so experiments remain deterministic for a given seed.
+//! so experiments remain deterministic for a given seed. Many clients'
+//! arrivals are emitted in order, one time segment at a time, so
+//! [`Trace::new`] has nothing left to sort.
 
 use clockwork_model::{ModelId, Tier};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{sort_arrivals, Trace, TraceEvent};
 
 /// An open-loop Poisson request generator for one model instance.
 #[derive(Clone, Debug)]
@@ -55,7 +57,64 @@ impl OpenLoopClient {
 
     /// Generates a combined trace for many clients, one per model, each with
     /// the given per-client rate.
+    ///
+    /// Client `i` draws its arrivals from `rng.derive(i + 1)`, as
+    /// [`OpenLoopClient::generate`] would. They are emitted one time segment
+    /// at a time: every client adds its arrivals before the segment's end,
+    /// in client order, and the segment alone is stable-sorted. A segment is
+    /// long enough that each client expects about one arrival in it, and at
+    /// least a second, so a pass over the clients costs about what it emits.
+    /// Segments split time at whole nanoseconds, so the trace is exactly the
+    /// stable sort of all clients' arrivals.
     pub fn generate_many(
+        models: &[ModelId],
+        rate_per_client: f64,
+        slo: Nanos,
+        duration: Nanos,
+        rng: &mut SimRng,
+    ) -> Trace {
+        let mut events = Vec::new();
+        if rate_per_client <= 0.0 {
+            return Trace::new(events);
+        }
+        // Each client's stream and its next arrival.
+        let mut clients: Vec<(SimRng, Timestamp)> = (0..models.len())
+            .map(|i| {
+                let mut client_rng = rng.derive(i as u64 + 1);
+                let first = Timestamp::ZERO + client_rng.poisson_gap(rate_per_client);
+                (client_rng, first)
+            })
+            .collect();
+        let segment = Nanos::from_secs_f64((1.0 / rate_per_client).max(1.0));
+        let end = Timestamp::ZERO + duration;
+        let mut seg_end = Timestamp::ZERO;
+        while seg_end < end {
+            seg_end = (seg_end + segment).min(end);
+            let start = events.len();
+            for ((client_rng, next), &model) in clients.iter_mut().zip(models) {
+                while *next < seg_end {
+                    events.push(TraceEvent {
+                        at: *next,
+                        model,
+                        slo,
+                        tier: Tier::Strict,
+                    });
+                    *next += client_rng.poisson_gap(rate_per_client);
+                }
+            }
+            sort_arrivals(&mut events[start..]);
+        }
+        Trace::new(events)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One trace per client, concatenated and stable-sorted as a whole: the
+    /// reference [`OpenLoopClient::generate_many`] must reproduce.
+    fn whole_sort_reference(
         models: &[ModelId],
         rate_per_client: f64,
         slo: Nanos,
@@ -68,13 +127,40 @@ impl OpenLoopClient {
             let client = OpenLoopClient::new(model, rate_per_client, slo);
             all.extend(client.generate(duration, &mut client_rng).events().to_vec());
         }
+        all.sort_by_key(|e| (e.at, e.model));
         Trace::new(all)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn segmented_generation_matches_the_whole_sort() {
+        let model_sets: [Vec<ModelId>; 4] = [
+            vec![],
+            vec![ModelId(4)],
+            (0..24).map(ModelId).collect(),
+            // Repeated ids: several clients share a model.
+            [3, 1, 3, 0, 1, 3].map(ModelId).to_vec(),
+        ];
+        // Rates on both sides of one arrival per client per second, which
+        // sets the segment length, and rates that generate nothing.
+        let rates = [0.05, 0.7, 2.5, 12.0, 0.0, -1.0];
+        for seed in 0..20 {
+            for models in &model_sets {
+                for rate in rates {
+                    for duration_ms in [400, 61_500, 179_900] {
+                        let duration = Nanos::from_millis(duration_ms);
+                        let slo = Nanos::from_millis(100);
+                        let mut rng = SimRng::seeded(seed);
+                        assert_eq!(
+                            OpenLoopClient::generate_many(models, rate, slo, duration, &mut rng),
+                            whole_sort_reference(models, rate, slo, duration, &mut rng),
+                            "{} clients at {rate} r/s, {duration_ms} ms, seed {seed}",
+                            models.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn rate_is_respected_on_average() {

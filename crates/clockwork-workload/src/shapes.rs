@@ -13,7 +13,8 @@
 //! seed (`rng.derive(segment_index)`), so every segment is independently
 //! reproducible — extending the duration of a spec leaves all earlier
 //! segments byte-identical, and a flash-crowd window can be regenerated in
-//! isolation.
+//! isolation. Each segment is sorted as soon as it is drawn, so arrivals are
+//! emitted in order and [`Trace::new`] has nothing left to sort.
 
 use serde::{Deserialize, Serialize};
 
@@ -21,7 +22,7 @@ use clockwork_model::{ModelId, Tier};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{sort_arrivals, Trace, TraceEvent};
 
 /// How the aggregate request rate evolves over the trace duration.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -192,7 +193,11 @@ impl ShapedWorkload {
     /// `strict_slo` is attached to strict-tier requests; best-effort
     /// requests carry the mix's `best_effort_slo_ms`. Each one-second
     /// segment uses `rng.derive(segment_index)`, so segment `k` of a longer
-    /// run is identical to segment `k` of a shorter one.
+    /// run is identical to segment `k` of a shorter one. Each segment is
+    /// stable-sorted on its own, which is the order a stable sort of the
+    /// whole trace gives: an arrival whose offset rounds up to the next
+    /// segment's start stays in its own segment, where the whole sort's
+    /// input also had it.
     pub fn generate(
         &self,
         models: &[ModelId],
@@ -217,6 +222,7 @@ impl ShapedWorkload {
             let rate = self.base_rate * self.profile.multiplier_at(frac);
             let count = seg_rng.poisson_count(rate * seg_len);
             let cdf = self.popularity.cdf(models.len(), segment);
+            let start = events.len();
             for _ in 0..count {
                 let at = seg_start + Nanos::from_secs_f64(seg_rng.uniform() * seg_len);
                 if at >= Timestamp::ZERO + duration {
@@ -237,6 +243,7 @@ impl ShapedWorkload {
                     tier,
                 });
             }
+            sort_arrivals(&mut events[start..]);
         }
         Trace::new(events)
     }
@@ -245,6 +252,109 @@ impl ShapedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator with one stable sort of the whole trace: the reference
+    /// [`ShapedWorkload::generate`] must reproduce.
+    fn whole_sort_reference(
+        shape: &ShapedWorkload,
+        models: &[ModelId],
+        strict_slo: Nanos,
+        duration: Nanos,
+        rng: &SimRng,
+    ) -> Trace {
+        let mut events = Vec::new();
+        if models.is_empty() || shape.base_rate <= 0.0 || duration == Nanos::ZERO {
+            return Trace::new(events);
+        }
+        let total_secs = duration.as_secs_f64();
+        let segments = total_secs.ceil() as u64;
+        let be_slo = Nanos::from_millis(shape.tiers.best_effort_slo_ms);
+        for segment in 0..segments {
+            let mut seg_rng = rng.derive(segment);
+            let seg_start = Timestamp::from_secs(segment);
+            let seg_len = (total_secs - segment as f64).min(1.0);
+            let frac = (segment as f64 + 0.5 * seg_len) / total_secs;
+            let rate = shape.base_rate * shape.profile.multiplier_at(frac);
+            let count = seg_rng.poisson_count(rate * seg_len);
+            let cdf = shape.popularity.cdf(models.len(), segment);
+            for _ in 0..count {
+                let at = seg_start + Nanos::from_secs_f64(seg_rng.uniform() * seg_len);
+                if at >= Timestamp::ZERO + duration {
+                    continue;
+                }
+                let pick = seg_rng.uniform();
+                let idx = cdf.partition_point(|&c| c < pick).min(models.len() - 1);
+                let strict = seg_rng.uniform() * 1000.0 < shape.tiers.strict_share_milli as f64;
+                let (tier, slo) = if strict || !shape.tiers.is_tiered() {
+                    (Tier::Strict, strict_slo)
+                } else {
+                    (Tier::BestEffort, be_slo)
+                };
+                events.push(TraceEvent {
+                    at,
+                    model: models[idx],
+                    slo,
+                    tier,
+                });
+            }
+        }
+        events.sort_by_key(|e| (e.at, e.model));
+        Trace::new(events)
+    }
+
+    #[test]
+    fn segment_sorted_generation_matches_the_whole_sort() {
+        let tiered_zipf = ShapedWorkload {
+            base_rate: 40.0,
+            profile: RateProfile::FlashCrowd {
+                start_frac: 0.3,
+                len_frac: 0.2,
+                multiplier: 10.0,
+            },
+            popularity: PopularityModel::Zipf {
+                exponent_milli: 1100,
+                drift_segments: 3,
+            },
+            tiers: TierMix {
+                strict_share_milli: 600,
+                best_effort_slo_ms: 250,
+            },
+        };
+        let diurnal = ShapedWorkload {
+            profile: RateProfile::Diurnal {
+                amplitude: 0.7,
+                cycles: 2.0,
+            },
+            ..ShapedWorkload::constant(30.0)
+        };
+        let shapes = [
+            tiered_zipf,
+            diurnal,
+            ShapedWorkload::constant(0.0),
+            ShapedWorkload::constant(-3.0),
+        ];
+        let model_sets = [models(0), models(1), models(8)];
+        for seed in 0..20 {
+            let rng = SimRng::seeded(seed);
+            for shape in &shapes {
+                for model_set in &model_sets {
+                    for duration_ms in [400, 61_500, 179_900] {
+                        let args = (
+                            model_set.as_slice(),
+                            Nanos::from_millis(100),
+                            Nanos::from_millis(duration_ms),
+                        );
+                        assert_eq!(
+                            shape.generate(args.0, args.1, args.2, &rng),
+                            whole_sort_reference(shape, args.0, args.1, args.2, &rng),
+                            "{shape:?} over {} models, {duration_ms} ms, seed {seed}",
+                            model_set.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn models(n: u32) -> Vec<ModelId> {
         (0..n).map(ModelId).collect()

@@ -6,6 +6,11 @@
 //! and truncated in duration, which is how the paper's 8-hour / 1.5×-rate
 //! experiments are shrunk to simulation budgets (each figure binary's header
 //! comment in `crates/bench/src/bin/` records its scaling).
+//!
+//! Every generator in this crate emits its arrivals in order, one time
+//! segment at a time, sorting only the segment it has just drawn, so
+//! [`Trace::new`] sorts only input that is not already in arrival order and
+//! building a trace never holds a second copy of it.
 
 use std::sync::Arc;
 
@@ -39,9 +44,13 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates a trace from events, sorting them by arrival time.
+    /// Creates a trace from events, stable-sorting them by arrival time and
+    /// then model. Input already in that order is kept as it is, without the
+    /// sort's scratch buffer.
     pub fn new(mut events: Vec<TraceEvent>) -> Self {
-        events.sort_by_key(|e| (e.at, e.model));
+        if !events.is_sorted_by_key(arrival_order) {
+            sort_arrivals(&mut events);
+        }
         Trace::presorted(events)
     }
 
@@ -106,7 +115,9 @@ impl Trace {
         if factor <= 0.0 {
             return self.clone();
         }
-        Trace::presorted(
+        // Rounding keeps times in order but can tie two arrivals of
+        // different models, so the model order is restored by `new`.
+        Trace::new(
             self.events
                 .iter()
                 .map(|e| TraceEvent {
@@ -117,11 +128,23 @@ impl Trace {
         )
     }
 
-    /// Merges two traces into one ordered trace.
+    /// Merges two traces into one ordered trace. On equal arrival time and
+    /// model, `self`'s events come first.
     pub fn merged(&self, other: &Trace) -> Trace {
-        let mut events = self.events.to_vec();
-        events.extend(other.events.iter().copied());
-        Trace::new(events)
+        let (mut a, mut b) = (self.events(), other.events());
+        let mut events = Vec::with_capacity(a.len() + b.len());
+        while let (Some(x), Some(y)) = (a.first(), b.first()) {
+            if arrival_order(y) < arrival_order(x) {
+                events.push(*y);
+                b = &b[1..];
+            } else {
+                events.push(*x);
+                a = &a[1..];
+            }
+        }
+        events.extend_from_slice(a);
+        events.extend_from_slice(b);
+        Trace::presorted(events)
     }
 
     /// Splits the trace into `shards` traces by a model-owner function,
@@ -230,6 +253,17 @@ impl Trace {
     }
 }
 
+/// The order of a trace: arrival time, then model.
+fn arrival_order(e: &TraceEvent) -> (Timestamp, ModelId) {
+    (e.at, e.model)
+}
+
+/// Stable-sorts arrivals into trace order. Generators call it on the
+/// segment they have just drawn, so its scratch buffer is one segment long.
+pub(crate) fn sort_arrivals(events: &mut [TraceEvent]) {
+    events.sort_by_key(arrival_order);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,12 +357,31 @@ mod tests {
     }
 
     #[test]
+    fn scaling_that_ties_two_arrivals_keeps_model_order() {
+        let at = |ns, model| TraceEvent {
+            at: Timestamp::from_nanos(ns),
+            ..event(0, model)
+        };
+        // 1 ns and 2 ns both halve to 1 ns (0.5 rounds up).
+        let scaled = Trace::new(vec![at(1, 5), at(2, 3)]).rate_scaled(2.0);
+        assert_eq!(scaled, Trace::new(vec![at(1, 3), at(1, 5)]));
+        assert_eq!(scaled.events()[0].model, ModelId(3));
+    }
+
+    #[test]
     fn merging_interleaves() {
         let a = Trace::new(vec![event(10, 1), event(30, 1)]);
         let b = Trace::new(vec![event(20, 2)]);
         let m = a.merged(&b);
         assert_eq!(m.len(), 3);
         assert_eq!(m.events()[1].model, ModelId(2));
+        // On a tie in time and model the receiver's event comes first, as a
+        // stable sort of the two concatenated would put it.
+        let mut slow = event(10, 1);
+        slow.slo = Nanos::from_millis(900);
+        let c = Trace::new(vec![slow]);
+        assert_eq!(a.merged(&c).events()[..2], [event(10, 1), slow]);
+        assert_eq!(c.merged(&a).events()[..2], [slow, event(10, 1)]);
     }
 
     #[test]

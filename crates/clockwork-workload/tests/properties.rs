@@ -68,11 +68,13 @@ proptest! {
     fn trace_truncation_keeps_exactly_the_prefix(events in arb_events(), cutoff in 0u64..HOUR_NS) {
         let trace = Trace::new(events);
         let cutoff = Timestamp::from_nanos(cutoff);
-        let truncated = trace.truncated(cutoff);
-        let expected = trace.events().iter().filter(|e| e.at <= cutoff).count();
-        prop_assert_eq!(truncated.len(), expected);
-        for e in truncated.events() {
-            prop_assert!(e.at <= cutoff);
+        // Cutting exactly at an arrival drops it: the cutoff is exclusive.
+        let tie = trace.events().get(trace.len() / 2).map_or(cutoff, |e| e.at);
+        for cut in [cutoff, tie] {
+            let truncated = trace.truncated(cut);
+            let expected = trace.events().iter().filter(|e| e.at < cut).count();
+            prop_assert_eq!(truncated.len(), expected);
+            prop_assert_eq!(truncated.events(), &trace.events()[..expected]);
         }
     }
 
@@ -100,6 +102,17 @@ proptest! {
         let ta = Trace::new(a);
         let tb = Trace::new(b);
         let merged = ta.merged(&tb);
+        // The same trace as sorting the two concatenated, ties included.
+        prop_assert_eq!(&merged, &Trace::new([ta.events(), tb.events()].concat()));
+        // Every event of a copy that differs only in SLO ties with its
+        // original, and the receiver's side comes first.
+        let twin: Vec<TraceEvent> = ta
+            .events()
+            .iter()
+            .map(|e| TraceEvent { slo: e.slo + Nanos::from_nanos(1), ..*e })
+            .collect();
+        let with_twin = ta.merged(&Trace::new(twin.clone()));
+        prop_assert_eq!(with_twin, Trace::new([ta.events(), &twin].concat()));
         prop_assert_eq!(merged.len(), ta.len() + tb.len());
         prop_assert!(merged.duration() >= ta.duration());
         prop_assert!(merged.duration() >= tb.duration());
