@@ -134,9 +134,14 @@ impl ActionProfiler {
     /// Creates a profiler with an explicit window size and percentile.
     ///
     /// # Panics
-    /// Panics if `window_size` is zero.
+    /// Panics if `window_size` is zero, or if `percentile` is NaN or outside
+    /// `[0, 100]`: a NaN rank would read every window's minimum.
     pub fn with_params(window_size: usize, percentile: f64) -> Self {
         assert!(window_size > 0, "profile window must be non-empty");
+        assert!(
+            (0.0..=100.0).contains(&percentile),
+            "profile percentile must be in [0, 100], got {percentile}"
+        );
         ActionProfiler {
             window_size,
             percentile,
@@ -288,6 +293,24 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn zero_window_panics() {
         let _ = ActionProfiler::with_params(0, 99.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "profile percentile")]
+    fn nan_percentile_panics() {
+        let _ = ActionProfiler::with_params(10, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "profile percentile")]
+    fn negative_percentile_panics() {
+        let _ = ActionProfiler::with_params(10, -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "profile percentile")]
+    fn percentile_above_100_panics() {
+        let _ = ActionProfiler::with_params(10, 101.0);
     }
 
     #[test]

@@ -30,7 +30,14 @@ use crate::percentile::percentile_of_sorted;
 /// O(n)-in-capacity element shift, so this is built for small windows
 /// queried far more often than they are written (the profiler's default is
 /// 10 samples).
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// There is no `Default`: a window's capacity must be chosen, and a
+/// zero-capacity window could never take a sample.
+///
+/// ```compile_fail
+/// let _ = clockwork_metrics::OrderStatWindow::default();
+/// ```
+#[derive(Clone, Debug, PartialEq)]
 pub struct OrderStatWindow {
     capacity: usize,
     /// Samples in arrival order (front = oldest), driving eviction.
