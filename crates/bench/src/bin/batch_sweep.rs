@@ -40,6 +40,17 @@ use clockwork::prelude::*;
 /// The offered-load multipliers swept over the base rate.
 const MULTIPLIERS: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
 
+/// The rate one load actually offered: its arrivals over the run's
+/// duration. Every discipline at a load runs the same trace, so each must
+/// have seen the same total; `None` if they disagree.
+fn offered_rps(load_rows: &[RunOutcome], duration_secs: u64) -> Option<f64> {
+    let arrivals = load_rows.first()?.metrics.total_requests;
+    load_rows
+        .iter()
+        .all(|run| run.metrics.total_requests == arrivals)
+        .then(|| arrivals as f64 / duration_secs as f64)
+}
+
 fn cell_json(run: &RunOutcome) -> (&str, Value) {
     let m = &run.metrics;
     let p50_ms = m.latency.percentile(50.0).as_millis_f64();
@@ -115,13 +126,28 @@ fn main() {
         rows.push(load_rows);
     }
 
+    let offered: Vec<f64> = rows
+        .iter()
+        .zip(MULTIPLIERS)
+        .map(|(load_rows, multiplier)| {
+            offered_rps(load_rows, base.duration_secs).unwrap_or_else(|| {
+                eprintln!(
+                    "OFFERED-LOAD VIOLATION at {multiplier}x: disciplines saw different totals"
+                );
+                failed = true;
+                f64::NAN
+            })
+        })
+        .collect();
+
     bench::section("batch_sweep results (same trace per load, policy is the only difference)");
     for (i, load_rows) in rows.iter().enumerate() {
         let multiplier = MULTIPLIERS[i];
         println!();
         println!(
-            "-- {multiplier}x offered load ({:.0} r/s) --",
-            base_rate * multiplier
+            "-- {multiplier}x load ({:.0} r/s target, {:.0} r/s offered) --",
+            base_rate * multiplier,
+            offered[i]
         );
         println!(
             "{:<18} {:>9} {:>9} {:>9} {:>9} {:>6} {:>9} {:>9} {:>7}",
@@ -191,16 +217,14 @@ fn main() {
         }
     }
 
-    let loads = MULTIPLIERS
-        .iter()
-        .zip(&rows)
-        .map(|(&multiplier, load_rows)| {
-            Value::obj([
-                ("multiplier", multiplier.into()),
-                ("offered_rps", Value::fixed(base_rate * multiplier, 1)),
-                ("disciplines", Value::obj(load_rows.iter().map(cell_json))),
-            ])
-        });
+    let loads = (0..MULTIPLIERS.len()).map(|i| {
+        Value::obj([
+            ("multiplier", MULTIPLIERS[i].into()),
+            ("target_rps", Value::fixed(base_rate * MULTIPLIERS[i], 1)),
+            ("offered_rps", Value::fixed(offered[i], 1)),
+            ("disciplines", Value::obj(rows[i].iter().map(cell_json))),
+        ])
+    });
     let doc = Value::obj([
         ("scenario", bench::scenario_json(&base)),
         ("base_rate_rps", Value::fixed(base_rate, 1)),
@@ -215,5 +239,31 @@ fn main() {
 
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn offered_rps_is_arrivals_over_duration() {
+        let spec = ScenarioSpec::smoke(7).with_duration_secs(3);
+        let registry = bench::disciplines();
+        let experiment = Experiment::new(spec.clone());
+        let runs: Vec<RunOutcome> = ["clockwork", "fifo"]
+            .iter()
+            .map(|name| experiment.run(registry.get(name).unwrap()).outcome())
+            .collect();
+        let arrivals = runs[0].submitted;
+        assert!(arrivals > 0);
+        assert_eq!(
+            offered_rps(&runs, spec.duration_secs),
+            Some(arrivals as f64 / 3.0)
+        );
+        // A discipline that saw a different total fails the load.
+        let mut short = runs.clone();
+        short[1].metrics.total_requests -= 1;
+        assert_eq!(offered_rps(&short, spec.duration_secs), None);
     }
 }

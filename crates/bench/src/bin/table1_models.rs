@@ -2,32 +2,25 @@
 //!
 //! Reproduces the per-model table: IO sizes, weight sizes, PCIe transfer time
 //! and GPU execution latency at batch sizes 1–16. The execution latencies are
-//! the zoo's ground truth passed through the profiling step (so they include
-//! the simulator's measurement path), and the transfer column is produced by
-//! the PCIe model — the rightmost column reports its deviation from the
-//! paper's measured value.
+//! the zoo's transcribed Appendix A values, exactly what the simulator is fed
+//! (`fig2_predictability` shows the execution noise around them), and the
+//! transfer column is produced by the PCIe model — the rightmost column
+//! reports its deviation from the paper's measured value.
 
-use clockwork_model::profiler::{profile_model, ProfilerConfig};
 use clockwork_model::zoo::ModelZoo;
-use clockwork_sim::gpu::{GpuSpec, GpuTimingModel};
 use clockwork_sim::pcie::PcieLink;
-use clockwork_sim::rng::SimRng;
 
 fn main() {
     let zoo = ModelZoo::new();
     let link = PcieLink::v100_pcie3();
-    let mut gpu = GpuTimingModel::new(GpuSpec::tesla_v100(), SimRng::seeded(1));
-    let profiler_config = ProfilerConfig::default();
 
     println!("family,model,input_kb,output_kb,weights_mb,transfer_ms,transfer_err_pct,b1_ms,b2_ms,b4_ms,b8_ms,b16_ms");
     for spec in zoo.all() {
-        let profile = profile_model(spec, &mut gpu, &profiler_config);
         let transfer = spec.weights_transfer_duration(&link).as_millis_f64();
         let reported = zoo.reported_transfer_ms(&spec.name).unwrap_or(transfer);
         let err_pct = (transfer - reported) / reported * 100.0;
         let lat = |batch: u32| {
-            profile
-                .estimate(batch)
+            spec.exec_latency(batch)
                 .map(|l| l.as_millis_f64())
                 .unwrap_or(f64::NAN)
         };

@@ -1,13 +1,13 @@
 //! Rolling action-duration profiles (§5.3 "action profiles").
 //!
 //! The controller predicts how long every action will take before sending it.
-//! Predictions come from two sources: a *seed* estimate produced by the
-//! offline profiling step (or derived from the model's compiled latency
-//! table), and a rolling window of the most recent measurements reported by
-//! workers — the paper uses the last 10 measurements, stratified by action
-//! type, model and batch size, and predicts with a rolling 99th percentile so
-//! it errs on the side of slight over-prediction (Fig. 9 shows the resulting
-//! asymmetry).
+//! Predictions come from two sources: a *seed* estimate — the model's
+//! latency table for an INFER (what the paper's offline profiling step
+//! measures), its weights' transfer time for a LOAD — and a rolling window of
+//! the most recent measurements reported by workers — the paper uses the last
+//! 10 measurements, stratified by action type, model and batch size, and
+//! predicts with a rolling 99th percentile so it errs on the side of slight
+//! over-prediction (Fig. 9 shows the resulting asymmetry).
 //!
 //! Estimates are read far more often than measurements arrive, so each key
 //! stores its current estimate and rewrites it when a seed or a measurement
@@ -151,9 +151,9 @@ impl ActionProfiler {
         }
     }
 
-    /// Installs a seed estimate for a key (from offline profiling or the
-    /// compiled latency table). Overwrites any previous seed; once the key
-    /// has measurements they outrank every seed, so it changes nothing.
+    /// Installs a seed estimate for a key. Overwrites any previous seed; once
+    /// the key has measurements they outrank every seed, so it changes
+    /// nothing.
     pub fn seed(&mut self, key: ProfileKey, estimate: Nanos) {
         let profile = self.touch(key);
         if profile.window.is_none() {

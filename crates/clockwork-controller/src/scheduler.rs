@@ -76,6 +76,12 @@ impl SchedulerCtx {
         id
     }
 
+    /// Actions minted so far by this context: every INFER, LOAD and UNLOAD
+    /// goes through [`Self::send_action`], which mints exactly one id.
+    pub(crate) fn actions_sent(&self) -> u64 {
+        self.next_action_id
+    }
+
     /// Queues a response to a client.
     pub fn send_response(&mut self, response: Response) {
         self.responses.push(response);

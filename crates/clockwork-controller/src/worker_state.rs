@@ -859,28 +859,25 @@ impl<R> WorkerStateTracker<R> {
     /// UNLOAD for the least-recently-used resident model that
     /// `protect(track, model)` does not hold back, again and again, until
     /// the blob fits. Returns whether it fits — `false` means victims ran
-    /// out first, and whatever was evicted stays evicted — and how many
-    /// UNLOADs were sent.
+    /// out first, and whatever was evicted stays evicted.
     pub fn evict_until_fits(
         &mut self,
         ctx: &mut SchedulerCtx,
         gpu_ref: GpuRef,
         weights_bytes: u64,
         protect: impl Fn(&GpuTrack<R>, ModelId) -> bool,
-    ) -> (bool, usize) {
+    ) -> bool {
         let idx = self.sent_to(gpu_ref);
         let pages = self.gpus[idx].pages_for(weights_bytes);
-        let mut unloads = 0;
         loop {
             let track = &self.gpus[idx];
             if pages <= track.free_pages {
-                return (true, unloads);
+                return true;
             }
             let Some(victim) = track.lru_candidate(|m| protect(track, m)) else {
-                return (false, unloads);
+                return false;
             };
             self.send_unload(ctx, gpu_ref, victim);
-            unloads += 1;
         }
     }
 
@@ -1269,10 +1266,7 @@ mod tests {
             m == ModelId(3)
         };
         // 5 pages: evicting model 2 (LRU) gives 4, then model 1 gives 7.
-        assert_eq!(
-            t.evict_until_fits(&mut ctx, gref(0, 0), 5 * PAGE, protect),
-            (true, 2)
-        );
+        assert!(t.evict_until_fits(&mut ctx, gref(0, 0), 5 * PAGE, protect));
         assert_eq!(outstanding.get(), 3);
         let victims: Vec<ActionKind> = ctx
             .take_actions()
@@ -1286,10 +1280,7 @@ mod tests {
             t.gpus_with_model(ModelId(1)).is_empty() && t.gpus_with_model(ModelId(2)).is_empty()
         );
         // 9 pages cannot fit while model 3 is protected: nothing to evict.
-        assert_eq!(
-            t.evict_until_fits(&mut ctx, gref(0, 0), 9 * PAGE, protect),
-            (false, 0)
-        );
+        assert!(!t.evict_until_fits(&mut ctx, gref(0, 0), 9 * PAGE, protect));
         assert!(ctx.take_actions().is_empty());
         assert!(t.gpus()[0].is_resident(ModelId(3)));
     }

@@ -641,12 +641,11 @@ proptest! {
                     // Protected: model 0, and whatever an INFER is
                     // outstanding for on this GPU (read off the track).
                     let busy: HashSet<u32> = oracle[gpu].infers.iter().map(|i| i.1).collect();
-                    let (fits, unloads) =
+                    let fits =
                         tracker.evict_until_fits(&mut ctx, refs[gpu], pages * PAGE, |track, m| {
                             m == ModelId(0) || track.outstanding.values().any(|a| a.model == m)
                         });
                     let victims = ctx.take_actions();
-                    prop_assert_eq!(victims.len(), unloads, "one UNLOAD per victim");
                     let expect = &mut oracle[gpu];
                     for (worker, unload) in victims {
                         prop_assert_eq!((worker, unload.gpu), (refs[gpu].worker, refs[gpu].gpu));
@@ -1073,7 +1072,7 @@ mod two_maps {
                     Op::Evict { pages, protected } => {
                         let protect = |m: ModelId| protected >> m.0 & 1 == 1;
                         let (asked, twin_asked) = (Cell::new(0), Cell::new(0));
-                        let (fits, unloads) =
+                        let fits =
                             t.evict_until_fits(&mut ctx, gpu, pages * PAGE, |_, m| {
                                 asked.set(asked.get() + 1);
                                 protect(m)
@@ -1085,7 +1084,6 @@ mod two_maps {
                         let victims: Vec<ModelId> =
                             ctx.take_actions().into_iter().map(|(_, a)| a.kind.model()).collect();
                         prop_assert_eq!(fits, twin_fits);
-                        prop_assert_eq!(unloads, victims.len());
                         prop_assert_eq!(victims, twin_victims);
                         prop_assert_eq!(asked.get(), twin_asked.get(), "protect calls");
                     }

@@ -4,9 +4,8 @@
 //! abstract exchange format (ONNX/NNEF in the paper), the system compiles
 //! them with TVM, and the serving layer only ever deals with the compiled
 //! artifacts — a weights blob, per-batch-size kernels with known execution
-//! latency, and static memory requirements (§5.1).
-//!
-//! This crate provides the equivalent pipeline:
+//! latency, and static memory requirements (§5.1). This reproduction starts
+//! from those artifacts: a model is registered as its [`ModelSpec`].
 //!
 //! * [`spec`] — [`ModelSpec`]: the per-model facts the serving system needs
 //!   (IO sizes, weight size, per-batch execution latency profile).
@@ -15,26 +14,15 @@
 //!   registry (catalog, worker host memory, scheduler state, telemetry).
 //! * [`zoo`] — the 60+ model table of Appendix A, transcribed from the paper,
 //!   used as ground truth by the simulator and the experiments.
-//! * [`source`] — an abstract, ONNX-like model description
-//!   ([`source::ModelSource`]) that users "upload".
-//! * [`compiler`] — a deterministic TVM-stand-in that turns a
-//!   [`source::ModelSource`] into a [`compiler::CompiledModel`]: weights
-//!   blob descriptor, per-batch kernels, and a static memory plan.
-//! * [`profiler`] — the brief profiling step that produces seed estimates of
-//!   execution time for the controller.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod compiler;
 pub mod model_table;
-pub mod profiler;
-pub mod source;
 pub mod spec;
 pub mod tier;
 pub mod zoo;
 
-pub use compiler::{CompiledModel, Compiler};
 pub use model_table::ModelTable;
 pub use spec::{BatchProfile, ModelId, ModelSpec};
 pub use tier::Tier;

@@ -12,9 +12,6 @@ use serde::{Deserialize, Serialize};
 use clockwork_sim::pcie::PcieLink;
 use clockwork_sim::time::{round_to_u64, Nanos};
 
-/// The batch sizes Clockwork compiles kernels for by default (§5.1).
-pub const DEFAULT_BATCH_SIZES: [u32; 5] = [1, 2, 4, 8, 16];
-
 /// Identifier of a model *instance* registered with the serving system.
 ///
 /// Experiments frequently register many instances of the same underlying
@@ -155,7 +152,7 @@ impl ModelSpec {
     }
 
     /// Per-request execution cost at a given batch size (latency divided by
-    /// batch), used by the load scheduler's demand estimates.
+    /// batch), which batching lowers.
     pub fn per_request_cost(&self, batch: u32) -> Option<Nanos> {
         self.exec_latency(batch)
             .map(|l| l / u64::from(batch.max(1)))
@@ -172,26 +169,6 @@ impl ModelSpec {
     /// Duration of copying the weights over a PCIe link.
     pub fn weights_transfer_duration(&self, link: &PcieLink) -> Nanos {
         link.transfer_duration(self.weights_bytes())
-    }
-
-    /// Duration of copying one input tensor over a PCIe link.
-    pub fn input_transfer_duration(&self, link: &PcieLink) -> Nanos {
-        link.transfer_duration(self.input_bytes())
-    }
-
-    /// Duration of copying one output tensor over a PCIe link.
-    pub fn output_transfer_duration(&self, link: &PcieLink) -> Nanos {
-        link.transfer_duration(self.output_bytes())
-    }
-
-    /// Throughput in requests per second when executing back-to-back batches
-    /// of the given size (ignores loads and IO, which overlap execution).
-    pub fn throughput_at_batch(&self, batch: u32) -> Option<f64> {
-        let latency = self.exec_latency(batch)?;
-        if latency.is_zero() {
-            return None;
-        }
-        Some(batch as f64 / latency.as_secs_f64())
     }
 }
 
@@ -284,20 +261,6 @@ mod tests {
         let link = PcieLink::v100_pcie3();
         let w = m.weights_transfer_duration(&link).as_millis_f64();
         assert!((w - 8.33).abs() < 0.2, "weights transfer {w} ms");
-        let i = m.input_transfer_duration(&link);
-        let o = m.output_transfer_duration(&link);
-        assert!(i < Nanos::from_millis(1), "input transfer {i}");
-        assert!(o < i);
-    }
-
-    #[test]
-    fn throughput_at_batch() {
-        let m = resnet50();
-        let t1 = m.throughput_at_batch(1).unwrap();
-        let t16 = m.throughput_at_batch(16).unwrap();
-        assert!((t1 - 383.1).abs() < 1.0, "b1 throughput {t1}");
-        assert!(t16 > 1000.0, "b16 throughput {t16}");
-        assert!(m.throughput_at_batch(3).is_none());
     }
 
     #[test]

@@ -1,18 +1,14 @@
-//! Property-based tests for the model catalogue, compiler, profiler and the
+//! Property-based tests for the model catalogue, the spec helpers and the
 //! id-indexed model table.
 //!
 //! The Appendix A zoo is the ground truth every experiment is seeded from, so
 //! these tests pin down its internal consistency (batch latencies behave like
-//! real kernels, page math never under-counts) and the synthetic compiler's
-//! invariants (deterministic output, kernels for every requested batch size,
-//! a memory plan large enough for the weights it describes).
+//! real kernels, page math never under-counts).
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use clockwork_model::compiler::Compiler;
-use clockwork_model::source::ModelSource;
 use clockwork_model::spec::ModelSpec;
 use clockwork_model::zoo::ModelZoo;
 use clockwork_model::{ModelId, ModelTable};
@@ -169,69 +165,6 @@ proptest! {
         let pages = spec.weights_pages(page);
         prop_assert!(pages * page >= spec.weights_bytes());
         prop_assert!((pages.saturating_sub(1)) * page < spec.weights_bytes());
-    }
-
-    #[test]
-    fn throughput_at_batch_matches_latency(spec in arb_spec(), pick in any::<prop::sample::Index>()) {
-        let batches = spec.supported_batches();
-        let b = batches[pick.index(batches.len())];
-        let tput = spec.throughput_at_batch(b).unwrap();
-        let lat = spec.exec_latency(b).unwrap();
-        let expected = b as f64 / lat.as_secs_f64();
-        prop_assert!((tput - expected).abs() <= 1e-6 * expected.max(1.0));
-    }
-
-    // ------------------------------------------------------------------
-    // Compiler
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn compiler_emits_kernels_for_every_requested_batch(stages in 1u32..12, batches in proptest::collection::btree_set(1u32..64, 1..8)) {
-        let source = ModelSource::resnet_like("prop_resnet", stages);
-        let requested: Vec<u32> = batches.into_iter().collect();
-        let compiled = Compiler::new().compile_for_batches(&source, &requested);
-        prop_assert_eq!(compiled.kernels.len(), requested.len());
-        for &b in &requested {
-            let k = compiled.kernel(b).expect("kernel for requested batch");
-            prop_assert_eq!(k.batch, b);
-            prop_assert!(k.estimated_latency > Nanos::ZERO);
-        }
-        // Kernel latency estimates grow with batch size.
-        for w in compiled.kernels.windows(2) {
-            prop_assert!(w[0].batch < w[1].batch);
-            prop_assert!(w[0].estimated_latency <= w[1].estimated_latency);
-        }
-        // The memory plan accounts for at least the weights and IO tensors.
-        prop_assert_eq!(compiled.memory_plan.weights_bytes, source.weights_bytes());
-        prop_assert!(compiled.memory_plan.input_bytes >= source.input_bytes());
-        prop_assert!(compiled.memory_plan.output_bytes >= source.output_bytes());
-        prop_assert_eq!(compiled.weights.bytes, source.weights_bytes());
-    }
-
-    #[test]
-    fn compiler_is_deterministic(stages in 1u32..12) {
-        let source = ModelSource::resnet_like("prop_resnet", stages);
-        let a = Compiler::new().compile(&source);
-        let b = Compiler::new().compile(&source);
-        prop_assert_eq!(a.weights.checksum, b.weights.checksum);
-        prop_assert_eq!(a.kernels.len(), b.kernels.len());
-        for (ka, kb) in a.kernels.iter().zip(&b.kernels) {
-            prop_assert_eq!(ka.batch, kb.batch);
-            prop_assert_eq!(ka.estimated_latency, kb.estimated_latency);
-        }
-    }
-
-    #[test]
-    fn mlp_sources_scale_with_architecture(input in 1u32..2048, hidden in proptest::collection::vec(1u32..2048, 1..5), output in 1u32..512) {
-        let small = ModelSource::mlp("small", input, &hidden, output);
-        let mut wider: Vec<u32> = hidden.clone();
-        for h in &mut wider {
-            *h *= 2;
-        }
-        let big = ModelSource::mlp("big", input, &wider, output);
-        prop_assert!(big.parameter_count() > small.parameter_count());
-        prop_assert!(big.weights_bytes() > small.weights_bytes());
-        prop_assert!(big.flops() > small.flops());
     }
 
     // ------------------------------------------------------------------

@@ -1,18 +1,22 @@
-//! End-to-end integration tests across crates: model zoo → compiler/profiler
-//! → worker → controller → system, exercised through the public API.
+//! End-to-end integration tests across crates: model zoo → worker →
+//! controller → system, exercised through the public API.
 
 use clockwork::prelude::*;
-use clockwork_model::compiler::Compiler;
-use clockwork_model::source::ModelSource;
 
 #[test]
-fn user_uploaded_model_is_compiled_and_served() {
-    // A user "uploads" an abstract model; we compile it and serve it like any
-    // zoo model.
-    let source = ModelSource::resnet_like("tenant_model", 4);
-    let compiled = Compiler::new().compile(&source);
+fn a_hand_built_model_spec_is_served() {
+    // A model outside the zoo, described by its spec alone, is served like
+    // any zoo model.
+    let spec = ModelSpec::from_millis(
+        "tenant_model",
+        "Tenant",
+        588.0,
+        3.9,
+        45.0,
+        &[(1, 1.6), (2, 2.3), (4, 3.5), (8, 5.9), (16, 10.4)],
+    );
     let mut system = SystemBuilder::new().seed(100).build();
-    let model = system.register_model(&compiled.spec);
+    let model = system.register_model(&spec);
     for i in 0..50u64 {
         system.submit_request(
             Timestamp::from_millis(i * 20),
