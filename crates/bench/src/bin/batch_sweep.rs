@@ -40,17 +40,6 @@ use clockwork::prelude::*;
 /// The offered-load multipliers swept over the base rate.
 const MULTIPLIERS: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
 
-/// The rate one load actually offered: its arrivals over the run's
-/// duration. Every discipline at a load runs the same trace, so each must
-/// have seen the same total; `None` if they disagree.
-fn offered_rps(load_rows: &[RunOutcome], duration_secs: u64) -> Option<f64> {
-    let arrivals = load_rows.first()?.metrics.total_requests;
-    load_rows
-        .iter()
-        .all(|run| run.metrics.total_requests == arrivals)
-        .then(|| arrivals as f64 / duration_secs as f64)
-}
-
 fn cell_json(run: &RunOutcome) -> (&str, Value) {
     let m = &run.metrics;
     let p50_ms = m.latency.percentile(50.0).as_millis_f64();
@@ -130,7 +119,9 @@ fn main() {
         .iter()
         .zip(MULTIPLIERS)
         .map(|(load_rows, multiplier)| {
-            offered_rps(load_rows, base.duration_secs).unwrap_or_else(|| {
+            // Every discipline at a load runs the same trace.
+            let totals = load_rows.iter().map(|run| run.metrics.total_requests);
+            bench::offered_rps(totals, base.duration_secs).unwrap_or_else(|| {
                 eprintln!(
                     "OFFERED-LOAD VIOLATION at {multiplier}x: disciplines saw different totals"
                 );
@@ -257,13 +248,15 @@ mod tests {
             .collect();
         let arrivals = runs[0].submitted;
         assert!(arrivals > 0);
+        let totals = runs.iter().map(|r| r.metrics.total_requests);
         assert_eq!(
-            offered_rps(&runs, spec.duration_secs),
+            bench::offered_rps(totals, spec.duration_secs),
             Some(arrivals as f64 / 3.0)
         );
         // A discipline that saw a different total fails the load.
         let mut short = runs.clone();
         short[1].metrics.total_requests -= 1;
-        assert_eq!(offered_rps(&short, spec.duration_secs), None);
+        let totals = short.iter().map(|r| r.metrics.total_requests);
+        assert_eq!(bench::offered_rps(totals, spec.duration_secs), None);
     }
 }

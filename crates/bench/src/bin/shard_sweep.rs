@@ -24,6 +24,11 @@
 //! sharded runner to the unsharded oracle by construction (see the
 //! `shard_equivalence` tests).
 //!
+//! Every row splits the same trace, so every row must see the same total;
+//! that total over the duration is the `offered_rps` written beside the
+//! configured `target_rate`, and a row that saw another total fails the
+//! sweep.
+//!
 //! Results go to `BENCH_shard.json` (schema in `crates/bench/README.md`).
 //!
 //! Usage:
@@ -164,6 +169,7 @@ fn main() {
 
     let mut failed = false;
     let mut rows = Vec::new();
+    let mut totals = Vec::new();
     let mut baseline_wall: Option<f64> = None;
     bench::section("shard sweep");
     println!(
@@ -216,6 +222,7 @@ fn main() {
         );
         let by_reason = rejected_by_reason(&merged).into_iter();
         let m = &merged.metrics;
+        totals.push(m.total_requests);
         rows.push(Value::obj([
             ("shards", shards.into()),
             ("wall_secs", Value::fixed(fleet.wall_secs, 3)),
@@ -250,6 +257,14 @@ fn main() {
         ]));
     }
 
+    let offered =
+        bench::offered_rps(totals.iter().copied(), base.duration_secs).unwrap_or_else(|| {
+            eprintln!("OFFERED-LOAD VIOLATION: shard counts saw different totals {totals:?}");
+            failed = true;
+            f64::NAN
+        });
+    println!("# offered {offered:.1} r/s over {} s", base.duration_secs);
+
     let router = match router {
         ShardAssignment::HashByModel => "hash",
         ShardAssignment::LoadAware => "load",
@@ -257,6 +272,7 @@ fn main() {
     };
     let doc = Value::obj([
         ("scenario", bench::scenario_json(&base)),
+        ("offered_rps", Value::fixed(offered, 1)),
         ("router", router.into()),
         ("sweep", Value::Arr(rows)),
     ]);
@@ -264,5 +280,31 @@ fn main() {
 
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_shard_count_offers_the_same_arrivals() {
+        let spec = ScenarioSpec::smoke(7).with_duration_secs(3);
+        let factory = ClockworkFactory::default();
+        let totals: Vec<u64> = [1, 2]
+            .iter()
+            .map(|&shards| {
+                let sharded = ShardedSpec::new(spec.clone(), shards, ShardAssignment::HashByModel);
+                let fleet = ShardedExperiment::new(sharded).run(&factory);
+                fleet.merged().metrics.total_requests
+            })
+            .collect();
+        assert!(totals[0] > 0);
+        assert_eq!(
+            bench::offered_rps(totals.iter().copied(), spec.duration_secs),
+            Some(totals[0] as f64 / 3.0)
+        );
+        // A row that saw a different total fails the sweep.
+        assert_eq!(bench::offered_rps([totals[0], totals[1] - 1], 3), None);
     }
 }

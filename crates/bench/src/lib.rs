@@ -356,6 +356,17 @@ pub fn churn_json(plan: &FaultPlan) -> Value {
     ])
 }
 
+/// The rate a set of runs actually offered: their arrivals over the run
+/// duration. Runs of one trace must all have seen the same total; `None` if
+/// they disagree or there are none.
+pub fn offered_rps(totals: impl IntoIterator<Item = u64>, duration_secs: u64) -> Option<f64> {
+    let mut totals = totals.into_iter();
+    let arrivals = totals.next()?;
+    totals
+        .all(|total| total == arrivals)
+        .then(|| arrivals as f64 / duration_secs as f64)
+}
+
 /// A run's 16-hex-digit FNV-1a digest, as the `BENCH_*.json` schemas write
 /// it.
 pub fn digest_json(digest: u64) -> Value {

@@ -185,12 +185,10 @@ impl AzureTraceGenerator {
     /// Each function draws from its own stream, `derive(function index)`,
     /// so visiting the functions minute by minute draws the same numbers as
     /// visiting them one function at a time. Each minute is drawn function
-    /// by function and then stable-sorted on its own, which is the order a
-    /// stable sort of the whole trace gives, with one exception: two
-    /// arrivals of one model at the same nanosecond on either side of a
-    /// minute boundary (an offset that rounds up to the next minute) keep
-    /// minute order. Both carry the same SLO and tier, so the trace is the
-    /// same either way.
+    /// by function and then sorted on its own. Arrival order is total, so
+    /// the trace is the sort of all its arrivals: only an offset that
+    /// rounds up to the next minute can leave two minutes out of order,
+    /// and [`Trace::new`] sorts what they leave.
     pub fn generate(&self) -> Trace {
         let rng = SimRng::seeded(self.config.seed ^ 0x5117);
         let total_weight: f64 = self.functions.iter().map(|f| f.weight).sum();
@@ -229,6 +227,7 @@ impl AzureTraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::arrival_order;
 
     fn small_config() -> AzureTraceConfig {
         AzureTraceConfig {
@@ -241,7 +240,7 @@ mod tests {
         }
     }
 
-    /// The function-major generator with one stable sort of the whole trace:
+    /// The function-major generator with one sort of the whole trace:
     /// the reference [`AzureTraceGenerator::generate`] must reproduce.
     fn whole_sort_reference(gen: &AzureTraceGenerator) -> Trace {
         let config = gen.config();
@@ -271,7 +270,7 @@ mod tests {
                 }
             }
         }
-        events.sort_by_key(|e| (e.at, e.model));
+        events.sort_by_key(arrival_order);
         Trace::new(events)
     }
 

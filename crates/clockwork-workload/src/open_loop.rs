@@ -61,11 +61,11 @@ impl OpenLoopClient {
     /// Client `i` draws its arrivals from `rng.derive(i + 1)`, as
     /// [`OpenLoopClient::generate`] would. They are emitted one time segment
     /// at a time: every client adds its arrivals before the segment's end,
-    /// in client order, and the segment alone is stable-sorted. A segment is
+    /// in client order, and the segment alone is sorted. A segment is
     /// long enough that each client expects about one arrival in it, and at
     /// least a second, so a pass over the clients costs about what it emits.
     /// Segments split time at whole nanoseconds, so the trace is exactly the
-    /// stable sort of all clients' arrivals.
+    /// sort of all clients' arrivals.
     pub fn generate_many(
         models: &[ModelId],
         rate_per_client: f64,
@@ -111,8 +111,9 @@ impl OpenLoopClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::arrival_order;
 
-    /// One trace per client, concatenated and stable-sorted as a whole: the
+    /// One trace per client, concatenated and sorted as a whole: the
     /// reference [`OpenLoopClient::generate_many`] must reproduce.
     fn whole_sort_reference(
         models: &[ModelId],
@@ -127,7 +128,7 @@ mod tests {
             let client = OpenLoopClient::new(model, rate_per_client, slo);
             all.extend(client.generate(duration, &mut client_rng).events().to_vec());
         }
-        all.sort_by_key(|e| (e.at, e.model));
+        all.sort_by_key(arrival_order);
         Trace::new(all)
     }
 

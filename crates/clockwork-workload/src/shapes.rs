@@ -194,10 +194,10 @@ impl ShapedWorkload {
     /// requests carry the mix's `best_effort_slo_ms`. Each one-second
     /// segment uses `rng.derive(segment_index)`, so segment `k` of a longer
     /// run is identical to segment `k` of a shorter one. Each segment is
-    /// stable-sorted on its own, which is the order a stable sort of the
-    /// whole trace gives: an arrival whose offset rounds up to the next
-    /// segment's start stays in its own segment, where the whole sort's
-    /// input also had it.
+    /// sorted on its own. Arrival order is total, so the trace is the sort
+    /// of all its arrivals: only an offset that rounds up to the next
+    /// segment's start can leave two segments out of order, and
+    /// [`Trace::new`] sorts what they leave.
     pub fn generate(
         &self,
         models: &[ModelId],
@@ -252,8 +252,9 @@ impl ShapedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::arrival_order;
 
-    /// The generator with one stable sort of the whole trace: the reference
+    /// The generator with one sort of the whole trace: the reference
     /// [`ShapedWorkload::generate`] must reproduce.
     fn whole_sort_reference(
         shape: &ShapedWorkload,
@@ -298,7 +299,7 @@ mod tests {
                 });
             }
         }
-        events.sort_by_key(|e| (e.at, e.model));
+        events.sort_by_key(arrival_order);
         Trace::new(events)
     }
 

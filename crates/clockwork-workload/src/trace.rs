@@ -7,10 +7,11 @@
 //! experiments are shrunk to simulation budgets (each figure binary's header
 //! comment in `crates/bench/src/bin/` records its scaling).
 //!
-//! Every generator in this crate emits its arrivals in order, one time
-//! segment at a time, sorting only the segment it has just drawn, so
-//! [`Trace::new`] sorts only input that is not already in arrival order and
-//! building a trace never holds a second copy of it.
+//! Arrival order is total (time, model, SLO, tier): events that tie are
+//! identical, so every sort gives the same bytes and none needs a buffer.
+//! Every generator in this crate emits its arrivals in order, sorting only
+//! the time segment it has just drawn, so [`Trace::new`] sorts only input
+//! that is not already in order and a trace is never held twice.
 
 use std::sync::Arc;
 
@@ -44,9 +45,9 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Creates a trace from events, stable-sorting them by arrival time and
-    /// then model. Input already in that order is kept as it is, without the
-    /// sort's scratch buffer.
+    /// Creates a trace from events, sorting them in place into arrival
+    /// order (time, model, SLO, tier). Input already in that order is kept
+    /// as it is.
     pub fn new(mut events: Vec<TraceEvent>) -> Self {
         if !events.is_sorted_by_key(arrival_order) {
             sort_arrivals(&mut events);
@@ -110,13 +111,14 @@ impl Trace {
     }
 
     /// Returns a copy with all arrival times compressed by `factor` (2.0
-    /// doubles the request rate). Factors below or equal to zero are ignored.
+    /// doubles the request rate). Factors that are not finite and positive
+    /// are ignored.
     pub fn rate_scaled(&self, factor: f64) -> Trace {
-        if factor <= 0.0 {
+        if !(factor.is_finite() && factor > 0.0) {
             return self.clone();
         }
         // Rounding keeps times in order but can tie two arrivals of
-        // different models, so the model order is restored by `new`.
+        // different models, so arrival order is restored by `new`.
         Trace::new(
             self.events
                 .iter()
@@ -128,8 +130,8 @@ impl Trace {
         )
     }
 
-    /// Merges two traces into one ordered trace. On equal arrival time and
-    /// model, `self`'s events come first.
+    /// Merges two traces into one ordered trace: the trace [`Trace::new`]
+    /// makes of the two concatenated.
     pub fn merged(&self, other: &Trace) -> Trace {
         let (mut a, mut b) = (self.events(), other.events());
         let mut events = Vec::with_capacity(a.len() + b.len());
@@ -175,8 +177,8 @@ impl Trace {
 
     /// Returns a copy with every event's model id remapped. With a monotone
     /// map (as when compacting a shard's owned models to dense local ids)
-    /// the `(at, model)` event order is preserved byte for byte; a
-    /// non-monotone map still yields a valid trace via re-sorting.
+    /// the event order is preserved byte for byte; a non-monotone map still
+    /// yields a valid trace via re-sorting.
     pub fn with_models_mapped(&self, mut map: impl FnMut(ModelId) -> ModelId) -> Trace {
         Trace::new(
             self.events
@@ -207,7 +209,8 @@ impl Trace {
     /// Parses a trace from the CSV format produced by [`Trace::to_csv`].
     ///
     /// The `tier` column is optional: three-field lines (the pre-tier
-    /// format) parse as [`Tier::Strict`].
+    /// format) parse as [`Tier::Strict`]. A tier other than 0 (strict) or 1
+    /// (best effort) is an error.
     pub fn from_csv(text: &str) -> Result<Trace, String> {
         let mut events = Vec::new();
         for (i, line) in text.lines().enumerate() {
@@ -234,13 +237,10 @@ impl Trace {
                 .trim()
                 .parse()
                 .map_err(|e| format!("line {}: bad slo: {e}", i + 1))?;
-            let tier = match fields.get(3) {
-                Some(raw) => Tier::from_index(
-                    raw.trim()
-                        .parse()
-                        .map_err(|e| format!("line {}: bad tier: {e}", i + 1))?,
-                ),
+            let tier = match fields.get(3).map(|raw| raw.trim().parse()) {
                 None => Tier::Strict,
+                Some(Ok(index @ (0 | 1))) => Tier::from_index(index),
+                Some(_) => return Err(format!("line {}: bad tier: expected 0 or 1", i + 1)),
             };
             events.push(TraceEvent {
                 at: Timestamp::from_nanos(at),
@@ -253,15 +253,16 @@ impl Trace {
     }
 }
 
-/// The order of a trace: arrival time, then model.
-fn arrival_order(e: &TraceEvent) -> (Timestamp, ModelId) {
-    (e.at, e.model)
+/// The order of a trace: arrival time, then model, SLO and tier. It is
+/// total over distinct events, so equal keys mean identical events.
+pub(crate) fn arrival_order(e: &TraceEvent) -> (Timestamp, ModelId, Nanos, Tier) {
+    (e.at, e.model, e.slo, e.tier)
 }
 
-/// Stable-sorts arrivals into trace order. Generators call it on the
-/// segment they have just drawn, so its scratch buffer is one segment long.
+/// Sorts arrivals into trace order in place. Generators call it on the
+/// segment they have just drawn.
 pub(crate) fn sort_arrivals(events: &mut [TraceEvent]) {
-    events.sort_by_key(arrival_order);
+    events.sort_unstable_by_key(arrival_order);
 }
 
 #[cfg(test)]
@@ -353,7 +354,9 @@ mod tests {
         assert_eq!(first_half.len(), 50);
         let double = t.rate_scaled(2.0);
         assert_eq!(double.duration(), Timestamp::from_millis(495));
-        assert_eq!(t.rate_scaled(0.0), t, "invalid factors are ignored");
+        for invalid in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(t.rate_scaled(invalid), t, "factor {invalid} is ignored");
+        }
     }
 
     #[test]
@@ -375,13 +378,13 @@ mod tests {
         let m = a.merged(&b);
         assert_eq!(m.len(), 3);
         assert_eq!(m.events()[1].model, ModelId(2));
-        // On a tie in time and model the receiver's event comes first, as a
-        // stable sort of the two concatenated would put it.
+        // On a tie in time and model the shorter SLO comes first, from
+        // either side.
         let mut slow = event(10, 1);
         slow.slo = Nanos::from_millis(900);
         let c = Trace::new(vec![slow]);
         assert_eq!(a.merged(&c).events()[..2], [event(10, 1), slow]);
-        assert_eq!(c.merged(&a).events()[..2], [slow, event(10, 1)]);
+        assert_eq!(c.merged(&a).events()[..2], [event(10, 1), slow]);
     }
 
     #[test]
@@ -406,6 +409,10 @@ mod tests {
         assert!(Trace::from_csv("at_ns,model,slo_ns\n1,2\n").is_err());
         assert!(Trace::from_csv("at_ns,model,slo_ns\nx,2,3\n").is_err());
         assert!(Trace::from_csv("at_ns,model,slo_ns,tier\n1,2,3,x\n").is_err());
+        for tier in ["2", "7", "-1"] {
+            let err = Trace::from_csv(&format!("at_ns,model,slo_ns,tier\n1,2,3,1\n4,5,6,{tier}\n"));
+            assert_eq!(err, Err("line 3: bad tier: expected 0 or 1".to_string()));
+        }
         let empty = Trace::from_csv("at_ns,model,slo_ns\n").unwrap();
         assert!(empty.is_empty());
     }

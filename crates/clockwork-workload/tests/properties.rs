@@ -13,6 +13,7 @@ use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_workload::azure::{AzureTraceConfig, AzureTraceGenerator};
 use clockwork_workload::closed_loop::ClosedLoopClient;
 use clockwork_workload::open_loop::OpenLoopClient;
+use clockwork_workload::shapes;
 use clockwork_workload::trace::{Trace, TraceEvent};
 
 const HOUR_NS: u64 = 3_600_000_000_000;
@@ -104,15 +105,16 @@ proptest! {
         let merged = ta.merged(&tb);
         // The same trace as sorting the two concatenated, ties included.
         prop_assert_eq!(&merged, &Trace::new([ta.events(), tb.events()].concat()));
-        // Every event of a copy that differs only in SLO ties with its
-        // original, and the receiver's side comes first.
+        // A copy that differs only in SLO ties with its original on time
+        // and model, and merges into the same trace from either side.
         let twin: Vec<TraceEvent> = ta
             .events()
             .iter()
             .map(|e| TraceEvent { slo: e.slo + Nanos::from_nanos(1), ..*e })
             .collect();
         let with_twin = ta.merged(&Trace::new(twin.clone()));
-        prop_assert_eq!(with_twin, Trace::new([ta.events(), &twin].concat()));
+        prop_assert_eq!(&with_twin, &Trace::new([ta.events(), &twin].concat()));
+        prop_assert_eq!(with_twin, Trace::new(twin).merged(&ta));
         prop_assert_eq!(merged.len(), ta.len() + tb.len());
         prop_assert!(merged.duration() >= ta.duration());
         prop_assert!(merged.duration() >= tb.duration());
@@ -269,5 +271,88 @@ proptest! {
         let realised = trace.mean_rate();
         prop_assert!(realised > rate * 0.2 && realised < rate * 10.0,
             "target {} r/s but realised {} r/s", rate, realised);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Generator properties over five seeds
+// ----------------------------------------------------------------------
+
+const SEEDS: [u64; 5] = [2020, 4242, 0, 7, 42];
+
+/// Whether a trace is in arrival order: time, then model, SLO and tier.
+fn in_arrival_order(trace: &Trace) -> bool {
+    trace
+        .events()
+        .is_sorted_by_key(|e| (e.at, e.model, e.slo, e.tier))
+}
+
+#[test]
+fn azure_traces_keep_their_rate_and_their_hourly_burst_over_two_hours() {
+    for seed in SEEDS {
+        // The fleet's function mix at 100 r/s.
+        let config = AzureTraceConfig {
+            functions: 800,
+            models: 200,
+            duration: Nanos::from_minutes(120),
+            target_rate: 100.0,
+            slo: Nanos::from_millis(100),
+            seed,
+        };
+        let trace = AzureTraceGenerator::new(config).generate();
+        assert!(in_arrival_order(&trace), "seed {seed}");
+        let rate = trace.len() as f64 / config.duration.as_secs_f64();
+        assert!(
+            (rate / config.target_rate - 1.0).abs() <= 0.05,
+            "seed {seed}: {rate} r/s against a target of {}",
+            config.target_rate
+        );
+        let mut per_minute = [0u64; 120];
+        for e in trace.events() {
+            per_minute[(e.at.as_nanos() / 60_000_000_000) as usize] += 1;
+        }
+        // Minute 0 of each hour carries the hourly spike: the busiest
+        // minute of its hour, at about twice the target.
+        let target_per_minute = config.target_rate * 60.0;
+        for (hour, minutes) in per_minute.chunks(60).enumerate() {
+            let burst = minutes[0] as f64 / target_per_minute;
+            assert!(
+                (1.5..=2.5).contains(&burst),
+                "seed {seed}, hour {hour}: minute 0 at {burst}x the target"
+            );
+            assert!(
+                minutes[1..].iter().all(|&n| n < minutes[0]),
+                "seed {seed}, hour {hour}: minute 0 is not the busiest"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_generator_emits_arrival_order() {
+    let models: Vec<ModelId> = (0..40).map(ModelId).collect();
+    let tiered = shapes::ShapedWorkload {
+        popularity: shapes::PopularityModel::Zipf {
+            exponent_milli: 1100,
+            drift_segments: 5,
+        },
+        tiers: shapes::TierMix {
+            strict_share_milli: 600,
+            best_effort_slo_ms: 250,
+        },
+        ..shapes::ShapedWorkload::constant(400.0)
+    };
+    for seed in SEEDS {
+        let slo = Nanos::from_millis(100);
+        let duration = Nanos::from_secs(60);
+        let open_loop =
+            OpenLoopClient::generate_many(&models, 5.0, slo, duration, &mut SimRng::seeded(seed));
+        assert!(in_arrival_order(&open_loop), "open loop, seed {seed}");
+        let shaped = tiered.generate(&models, slo, duration, &SimRng::seeded(seed));
+        assert!(in_arrival_order(&shaped), "shaped, seed {seed}");
+        assert!(
+            shaped.events().iter().any(|e| e.tier == Tier::BestEffort),
+            "the tiered mix produced no best-effort arrival, seed {seed}"
+        );
     }
 }
