@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see this crate's `README.md` for the index and the `BENCH_*.json`
-//! schemas). Since the experiment-API redesign the heavy lifting lives in
+//! `paper` regenerates the paper's tables and figures; the matrix binaries
+//! beside it write the `BENCH_*.json` artifacts (see this crate's
+//! `README.md` for the index and the schemas). The heavy lifting lives in
 //! the facade: a declarative [`ScenarioSpec`] describes the experiment, a
 //! [`SchedulerRegistry`] names the disciplines, and [`Experiment::run`] owns
 //! the build/submit/run loop. What remains here is the matrix binaries' one
@@ -23,7 +23,7 @@ pub mod invariants;
 /// baselines.
 pub fn disciplines() -> SchedulerRegistry {
     let mut registry = SchedulerRegistry::builtin();
-    registry.register(Box::new(ClockworkNoBatchFactory::default()));
+    registry.register(Box::new(ClockworkNoBatchFactory));
     register_baselines(&mut registry);
     registry
 }
@@ -90,29 +90,7 @@ pub fn summary_csv_row(label: &str, m: &ExperimentMetrics) -> String {
     )
 }
 
-/// Runs a closed-loop workload (the §6.1 setup: `concurrency` requests in
-/// flight per model) against a system for a virtual duration. Used by the
-/// binaries whose workload mixes ad-hoc traffic on top of a trace; pure
-/// closed-loop scenarios express this as [`WorkloadSpec::ClosedLoop`]
-/// instead.
-pub fn run_closed_loop(
-    system: &mut ServingSystem,
-    models: &[ModelId],
-    concurrency: u32,
-    slo: Nanos,
-    duration: Nanos,
-) {
-    for (i, &model) in models.iter().enumerate() {
-        system.add_closed_loop_client(
-            ClosedLoopClient::new(model, concurrency, slo),
-            Timestamp::from_nanos(i as u64 * 1_000),
-        );
-    }
-    system.run_until(Timestamp::ZERO + duration);
-}
-
-/// Prints a section header so the output of an experiment binary reads like
-/// the corresponding figure.
+/// Prints a section header so a figure's output reads like the paper's.
 pub fn section(title: &str) {
     println!();
     println!("## {title}");

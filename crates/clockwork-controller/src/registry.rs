@@ -149,24 +149,8 @@ impl SchedulerFactory for ClockworkFactory {
 /// comparator for the batching figure (`batch_sweep`) and the ablation knob
 /// behind it — register it alongside [`ClockworkFactory`] to measure what
 /// batch-amortized execution alone buys.
-#[derive(Clone, Copy, Debug)]
-pub struct ClockworkNoBatchFactory {
-    /// Configuration every built scheduler starts from (`batching` is
-    /// forced off in [`Default`], and callers should keep it off — the
-    /// name would lie otherwise).
-    pub config: ClockworkSchedulerConfig,
-}
-
-impl Default for ClockworkNoBatchFactory {
-    fn default() -> Self {
-        ClockworkNoBatchFactory {
-            config: ClockworkSchedulerConfig {
-                batching: false,
-                ..ClockworkSchedulerConfig::default()
-            },
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ClockworkNoBatchFactory;
 
 impl SchedulerFactory for ClockworkNoBatchFactory {
     fn name(&self) -> &'static str {
@@ -174,7 +158,10 @@ impl SchedulerFactory for ClockworkNoBatchFactory {
     }
 
     fn build(&self) -> Box<dyn Scheduler> {
-        Box::new(ClockworkScheduler::new(self.config))
+        Box::new(ClockworkScheduler::new(ClockworkSchedulerConfig {
+            batching: false,
+            ..ClockworkSchedulerConfig::default()
+        }))
     }
 }
 

@@ -4,8 +4,8 @@
 //! (open-loop, Azure-like) produce a [`Trace`], and the system harness replays
 //! it against whichever scheduler is under test. Traces can be scaled in rate
 //! and truncated in duration, which is how the paper's 8-hour / 1.5×-rate
-//! experiments are shrunk to simulation budgets (each figure binary's header
-//! comment in `crates/bench/src/bin/` records its scaling).
+//! experiments are shrunk to simulation budgets (each figure's doc comment in
+//! `crates/bench/src/bin/paper.rs` records its scaling).
 //!
 //! Arrival order is total (time, model, SLO, tier): events that tie are
 //! identical, so every sort gives the same bytes and none needs a buffer.

@@ -30,11 +30,12 @@ fn main() {
         config.functions
     );
 
-    let mut system = SystemBuilder::new()
-        .workers(3)
-        .seed(3)
-        .drop_raw_responses()
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 3,
+        seed: 3,
+        keep_responses: false,
+        ..Default::default()
+    });
     for i in 0..config.models {
         // Cycle through the zoo so the cluster serves heterogeneous models.
         system.register_model(&zoo.all()[i % zoo.len()]);

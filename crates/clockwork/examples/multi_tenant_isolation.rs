@@ -14,11 +14,12 @@ use clockwork::prelude::*;
 
 fn run(with_batch_clients: bool) -> (f64, f64) {
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new()
-        .workers(2)
-        .seed(44)
-        .drop_raw_responses()
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 2,
+        seed: 44,
+        keep_responses: false,
+        ..Default::default()
+    });
     let ls_models = system.register_copies(zoo.resnet50(), 4);
     let bc_models = system.register_copies(zoo.resnet50(), 8);
     let duration = Nanos::from_secs(10);

@@ -13,11 +13,11 @@ use clockwork::prelude::*;
 fn main() {
     // 1. Build a cluster: one worker machine with one simulated Tesla V100,
     //    driven by the Clockwork scheduler.
-    let mut system = SystemBuilder::new()
-        .workers(1)
-        .discipline(Box::new(ClockworkFactory::default()))
-        .seed(1)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        seed: 1,
+        ..Default::default()
+    });
 
     // 2. Upload a model. The zoo carries the 60+ models of the paper's
     //    Appendix A with their measured execution profiles.

@@ -3,8 +3,8 @@
 //! [`SystemConfig`] describes the *cluster*: machines, GPUs, memory, network,
 //! variance, faults and seed. It deliberately does not name a serving
 //! discipline — disciplines are constructed behind the
-//! [`Scheduler`](clockwork_controller::Scheduler) trait and handed to the
-//! [`SystemBuilder`](crate::SystemBuilder) via a
+//! [`Scheduler`](clockwork_controller::Scheduler) trait and handed to
+//! [`ServingSystem::with_factory`](crate::ServingSystem::with_factory) via a
 //! [`SchedulerFactory`](clockwork_controller::SchedulerFactory), so the
 //! facade never depends on any concrete discipline crate.
 

@@ -12,10 +12,10 @@
 //! use clockwork::prelude::*;
 //!
 //! // One worker with one (simulated) V100, the Clockwork scheduler.
-//! let mut system = SystemBuilder::new()
-//!     .workers(1)
-//!     .discipline(Box::new(ClockworkFactory::default()))
-//!     .build();
+//! let mut system = ServingSystem::with_factory(
+//!     SystemConfig { workers: 1, ..Default::default() },
+//!     &ClockworkFactory::default(),
+//! );
 //!
 //! // Register 3 copies of ResNet50 from the Appendix A model zoo.
 //! let zoo = ModelZoo::new();
@@ -51,7 +51,7 @@ pub use config::SystemConfig;
 pub use experiment::{Experiment, RunReport};
 pub use outcome::RunOutcome;
 pub use scenario::{ModelSet, ScenarioSpec, WorkloadSpec};
-pub use system::{ServingSystem, SystemBuilder};
+pub use system::ServingSystem;
 pub use telemetry::{
     EventMix, EventMixEntry, ExperimentMetrics, FaultRecord, SystemTelemetry, TierOutcomes,
 };
@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::experiment::{Experiment, RunReport};
     pub use crate::outcome::RunOutcome;
     pub use crate::scenario::{ModelSet, ScenarioSpec, WorkloadSpec};
-    pub use crate::system::{ServingSystem, SystemBuilder};
+    pub use crate::system::ServingSystem;
     pub use crate::telemetry::{
         EventMix, EventMixEntry, ExperimentMetrics, FaultRecord, SystemTelemetry, TierOutcomes,
     };

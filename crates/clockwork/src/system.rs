@@ -1,7 +1,7 @@
 //! The serving system: controller + workers + network in one event loop.
 //!
-//! [`SystemBuilder`] assembles a cluster from a [`SystemConfig`];
-//! [`ServingSystem`] then runs it in virtual time. Requests enter either from
+//! [`ServingSystem`] assembles a cluster from a [`SystemConfig`] and runs it
+//! in virtual time. Requests enter either from
 //! a pre-generated [`Trace`] (open-loop and Azure-like workloads) or from
 //! interactive [`ClosedLoopClient`]s; actions and results travel over the
 //! simulated network; workers execute them with the timing models of
@@ -18,7 +18,6 @@ use clockwork_controller::request::{InferenceRequest, RequestId, RequestOutcome,
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 use clockwork_controller::worker_state::GpuRef;
 use clockwork_controller::SchedProfile;
-use clockwork_faults::FaultPlan;
 use clockwork_metrics::trace::{RingTracer, TraceEvent};
 use clockwork_model::{ModelId, ModelSpec, ModelTable, Tier};
 use clockwork_sim::engine::{EventQueue, FaultKind, TimerId};
@@ -34,93 +33,6 @@ use clockwork_workload::{ClosedLoopClient, Trace};
 
 use crate::config::SystemConfig;
 use crate::telemetry::SystemTelemetry;
-
-/// Builder for a [`ServingSystem`].
-///
-/// The discipline is supplied as a [`SchedulerFactory`] — the facade only
-/// knows the [`Scheduler`] trait, so any registered discipline (built-in,
-/// baseline, or user-provided) plugs in the same way. Without an explicit
-/// [`SystemBuilder::discipline`] call the Clockwork scheduler with its
-/// default configuration is used.
-#[derive(Default)]
-pub struct SystemBuilder {
-    config: SystemConfig,
-    factory: Option<Box<dyn SchedulerFactory>>,
-}
-
-impl SystemBuilder {
-    /// Starts from the default configuration (one worker, one GPU, the
-    /// Clockwork scheduler, an ideal 100 µs network).
-    pub fn new() -> Self {
-        SystemBuilder::default()
-    }
-
-    /// Sets the number of workers.
-    pub fn workers(mut self, workers: u32) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Sets the number of GPUs per worker.
-    pub fn gpus_per_worker(mut self, gpus: u32) -> Self {
-        self.config.gpus_per_worker = gpus;
-        self
-    }
-
-    /// Sets the serving discipline via its factory.
-    pub fn discipline(mut self, factory: Box<dyn SchedulerFactory>) -> Self {
-        self.factory = Some(factory);
-        self
-    }
-
-    /// Sets the per-GPU weights cache size in bytes.
-    pub fn weights_cache_bytes(mut self, bytes: u64) -> Self {
-        self.config.weights_cache_bytes = bytes;
-        self
-    }
-
-    /// Applies an external-variance profile to every worker.
-    pub fn variance(mut self, variance: clockwork_sim::variance::VarianceConfig) -> Self {
-        self.config.variance = variance;
-        self
-    }
-
-    /// Overrides the worker execution mode.
-    pub fn exec_mode(mut self, mode: clockwork_worker::ExecMode) -> Self {
-        self.config.exec_mode = Some(mode);
-        self
-    }
-
-    /// Sets the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Disables raw per-response storage (for very large traces).
-    pub fn drop_raw_responses(mut self) -> Self {
-        self.config.keep_responses = false;
-        self
-    }
-
-    /// Schedules a fault plan: fleet churn (worker crashes, GPU failures,
-    /// link degradation, partitions and elastic worker joins) compiled into
-    /// simulation events. Every discipline is fault-aware — Clockwork and
-    /// the baselines alike resolve dead capacity and re-admit recovered
-    /// capacity cold — so any plan may be combined with any scheduler.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.config.faults = plan;
-        self
-    }
-
-    /// Builds the system.
-    pub fn build(self) -> ServingSystem {
-        match self.factory {
-            Some(factory) => ServingSystem::with_factory(self.config, factory.as_ref()),
-            None => ServingSystem::new(self.config),
-        }
-    }
-}
 
 enum SystemEvent {
     /// A request leaves a client (trace replay or closed-loop resubmission).
@@ -1201,7 +1113,7 @@ mod tests {
     #[test]
     fn single_request_round_trip() {
         let zoo = ModelZoo::new();
-        let mut system = SystemBuilder::new().build();
+        let mut system = ServingSystem::new(SystemConfig::default());
         let model = system.register_model(zoo.resnet50());
         system.submit_request(Timestamp::ZERO, model, Nanos::from_millis(100));
         system.run_to_completion();
@@ -1218,7 +1130,10 @@ mod tests {
     #[test]
     fn warm_requests_meet_tight_slos() {
         let zoo = ModelZoo::new();
-        let mut system = SystemBuilder::new().seed(7).build();
+        let mut system = ServingSystem::new(SystemConfig {
+            seed: 7,
+            ..Default::default()
+        });
         let model = system.register_model(zoo.resnet50());
         // Warm up.
         system.submit_request(Timestamp::ZERO, model, Nanos::from_millis(100));
@@ -1243,7 +1158,10 @@ mod tests {
     #[test]
     fn open_loop_workload_on_multiple_models() {
         let zoo = ModelZoo::new();
-        let mut system = SystemBuilder::new().seed(11).build();
+        let mut system = ServingSystem::new(SystemConfig {
+            seed: 11,
+            ..Default::default()
+        });
         let models = system.register_copies(zoo.resnet50(), 4);
         let trace = OpenLoopClient::generate_many(
             &models,
@@ -1268,7 +1186,10 @@ mod tests {
     #[test]
     fn closed_loop_clients_sustain_throughput() {
         let zoo = ModelZoo::new();
-        let mut system = SystemBuilder::new().seed(13).build();
+        let mut system = ServingSystem::new(SystemConfig {
+            seed: 13,
+            ..Default::default()
+        });
         let model = system.register_model(zoo.resnet50());
         system.add_closed_loop_client(
             ClosedLoopClient::new(model, 8, Nanos::from_millis(250)),
@@ -1289,8 +1210,12 @@ mod tests {
     fn fifo_ablation_serves_but_with_less_goodput_under_load() {
         use clockwork_controller::registry::FifoFactory;
         let zoo = ModelZoo::new();
-        let run = |factory: Box<dyn SchedulerFactory>| {
-            let mut system = SystemBuilder::new().discipline(factory).seed(17).build();
+        let run = |factory: &dyn SchedulerFactory| {
+            let config = SystemConfig {
+                seed: 17,
+                ..Default::default()
+            };
+            let mut system = ServingSystem::with_factory(config, factory);
             let models = system.register_copies(zoo.resnet50(), 4);
             let trace = OpenLoopClient::generate_many(
                 &models,
@@ -1303,8 +1228,8 @@ mod tests {
             system.run_until(Timestamp::from_secs(4));
             system.telemetry().metrics()
         };
-        let clockwork = run(Box::<ClockworkFactory>::default());
-        let fifo = run(Box::new(FifoFactory));
+        let clockwork = run(&ClockworkFactory::default());
+        let fifo = run(&FifoFactory);
         assert!(clockwork.satisfaction() >= fifo.satisfaction());
         assert!(fifo.successes > 0, "fifo still serves requests");
     }
@@ -1313,7 +1238,11 @@ mod tests {
     fn multi_worker_clusters_scale_throughput() {
         let zoo = ModelZoo::new();
         let run = |workers: u32| {
-            let mut system = SystemBuilder::new().workers(workers).seed(19).build();
+            let mut system = ServingSystem::new(SystemConfig {
+                workers,
+                seed: 19,
+                ..Default::default()
+            });
             let models = system.register_copies(zoo.resnet50(), workers as usize * 2);
             for (i, m) in models.iter().enumerate() {
                 system.add_closed_loop_client(

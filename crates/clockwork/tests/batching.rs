@@ -28,7 +28,7 @@ fn low_load_spec(seed: u64) -> ScenarioSpec {
 fn batching_is_digest_identical_to_unbatched_at_low_load() {
     let experiment = Experiment::new(low_load_spec(11));
     let with_batching = experiment.run(&ClockworkFactory::default());
-    let without = experiment.run(&ClockworkNoBatchFactory::default());
+    let without = experiment.run(&ClockworkNoBatchFactory);
     assert!(with_batching.drained() && without.drained());
     assert_eq!(
         with_batching.digest(),
@@ -55,7 +55,7 @@ fn batching_outserves_unbatched_under_overload() {
         .with_rate_multiplier(5.0);
     let experiment = Experiment::new(spec);
     let with_batching = experiment.run(&ClockworkFactory::default());
-    let without = experiment.run(&ClockworkNoBatchFactory::default());
+    let without = experiment.run(&ClockworkNoBatchFactory);
     for report in [&with_batching, &without] {
         assert!(report.mix_conserved(), "event conservation must hold");
         assert!(!report.overdelivered(), "no duplicate responses");

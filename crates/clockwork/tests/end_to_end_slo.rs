@@ -8,7 +8,10 @@ use clockwork::prelude::*;
 #[test]
 fn warm_models_meet_10ms_slos_at_moderate_rate() {
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new().seed(200).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        seed: 200,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 2);
     // Warm-up requests with a loose SLO.
     for &id in &ids {
@@ -53,7 +56,10 @@ fn warm_models_meet_10ms_slos_at_moderate_rate() {
 #[test]
 fn completed_requests_stay_close_to_their_slo() {
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new().seed(201).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        seed: 201,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 8);
     let trace = OpenLoopClient::generate_many(
         &ids,
@@ -83,7 +89,11 @@ fn completed_requests_stay_close_to_their_slo() {
 #[test]
 fn overload_sheds_load_instead_of_missing_slos() {
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new().seed(202).drop_raw_responses().build();
+    let mut system = ServingSystem::new(SystemConfig {
+        seed: 202,
+        keep_responses: false,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 4);
     // ~1500 r/s of batch-1-ish demand on a single GPU is far beyond capacity.
     let trace = OpenLoopClient::generate_many(
@@ -113,7 +123,11 @@ fn slo_multiplier_sweep_matches_fig7_shape() {
     let zoo = ModelZoo::new();
     let base_ms = 2.61;
     let satisfaction_at = |mult: f64| {
-        let mut system = SystemBuilder::new().seed(203).drop_raw_responses().build();
+        let mut system = ServingSystem::new(SystemConfig {
+            seed: 203,
+            keep_responses: false,
+            ..Default::default()
+        });
         let ids = system.register_copies(zoo.resnet50(), 4);
         let trace = OpenLoopClient::generate_many(
             &ids,

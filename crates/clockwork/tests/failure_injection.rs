@@ -33,11 +33,12 @@ fn hostile_external_variance_degrades_gracefully() {
     // (VarianceConfig::hostile). Accounting identities and the "no silent SLO
     // miss" rule must survive; goodput may drop.
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new()
-        .workers(1)
-        .variance(clockwork_sim::variance::VarianceConfig::hostile())
-        .seed(11)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        variance: clockwork_sim::variance::VarianceConfig::hostile(),
+        seed: 11,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 4);
     let trace = open_loop_trace(&ids, 40.0, Nanos::from_millis(100), Nanos::from_secs(4), 99);
     let submitted = trace.len() as u64;
@@ -75,11 +76,12 @@ fn hostile_variance_runs_are_still_deterministic() {
     // must agree byte-for-byte even in a hostile environment.
     let run = || {
         let zoo = ModelZoo::new();
-        let mut system = SystemBuilder::new()
-            .workers(1)
-            .variance(clockwork_sim::variance::VarianceConfig::hostile())
-            .seed(1234)
-            .build();
+        let mut system = ServingSystem::new(SystemConfig {
+            workers: 1,
+            variance: clockwork_sim::variance::VarianceConfig::hostile(),
+            seed: 1234,
+            ..Default::default()
+        });
         let ids = system.register_copies(zoo.resnet50(), 3);
         let trace = open_loop_trace(&ids, 50.0, Nanos::from_millis(50), Nanos::from_secs(3), 7);
         system.submit_trace(&trace);
@@ -98,11 +100,12 @@ fn tiny_weights_cache_forces_evictions_without_stalling() {
     let zoo = ModelZoo::new();
     let spec = zoo.resnet50();
     let two_models = 2 * spec.weights_bytes() + 64 * 1024 * 1024;
-    let mut system = SystemBuilder::new()
-        .workers(1)
-        .weights_cache_bytes(two_models)
-        .seed(5)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        weights_cache_bytes: two_models,
+        seed: 5,
+        ..Default::default()
+    });
     let ids = system.register_copies(spec, 8);
     let trace = open_loop_trace(&ids, 8.0, Nanos::from_millis(250), Nanos::from_secs(5), 21);
     let submitted = trace.len() as u64;
@@ -132,7 +135,11 @@ fn overload_is_shed_by_rejection_not_by_latency() {
     // stay pinned at or below the SLO.
     let zoo = ModelZoo::new();
     let slo = Nanos::from_millis(100);
-    let mut system = SystemBuilder::new().workers(1).seed(17).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        seed: 17,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 6);
     let trace = open_loop_trace(&ids, 280.0, slo, Nanos::from_secs(4), 3);
     system.submit_trace(&trace);
@@ -181,7 +188,11 @@ fn cold_start_storm_saturates_pcie_but_every_request_is_answered() {
     // everything complete; the point is that the burst of LOADs neither
     // wedges the pipeline nor loses requests.
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new().workers(1).seed(23).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        seed: 23,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 40);
     let mut events = Vec::new();
     for (i, &m) in ids.iter().enumerate() {
@@ -219,7 +230,11 @@ fn impossible_then_feasible_requests_do_not_poison_the_scheduler() {
     // requests that follow must be completely unaffected (no stale state, no
     // leftover strategies, no blocked executors).
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new().workers(1).seed(31).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        seed: 31,
+        ..Default::default()
+    });
     let id = system.register_model(zoo.resnet50());
 
     let mut events = Vec::new();
@@ -271,16 +286,18 @@ fn multi_gpu_workers_share_the_load() {
     // actually absorb work (the scheduler balances across GPU executors, not
     // just across workers).
     let zoo = ModelZoo::new();
-    let mut single = SystemBuilder::new()
-        .workers(1)
-        .gpus_per_worker(1)
-        .seed(41)
-        .build();
-    let mut dual = SystemBuilder::new()
-        .workers(1)
-        .gpus_per_worker(2)
-        .seed(41)
-        .build();
+    let mut single = ServingSystem::new(SystemConfig {
+        workers: 1,
+        gpus_per_worker: 1,
+        seed: 41,
+        ..Default::default()
+    });
+    let mut dual = ServingSystem::new(SystemConfig {
+        workers: 1,
+        gpus_per_worker: 2,
+        seed: 41,
+        ..Default::default()
+    });
 
     let run = |system: &mut ServingSystem| {
         let ids = system.register_copies(zoo.resnet50(), 8);

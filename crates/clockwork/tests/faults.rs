@@ -39,11 +39,12 @@ fn worker_crash_preserves_exactly_once_accounting() {
     let zoo = ModelZoo::new();
     let plan =
         FaultPlan::new().crash_worker_for(Timestamp::from_millis(800), 1, Nanos::from_millis(700));
-    let mut system = SystemBuilder::new()
-        .workers(4)
-        .seed(61)
-        .faults(plan)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 4,
+        seed: 61,
+        faults: plan,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 8);
     let trace = open_loop_trace(&ids, 60.0, Nanos::from_millis(100), Nanos::from_secs(3), 41);
     let submitted = trace.len() as u64;
@@ -78,11 +79,12 @@ fn worker_crash_preserves_exactly_once_accounting() {
 fn same_seed_and_plan_are_deterministic_and_plans_differ_in_digest() {
     let run = |plan: FaultPlan| {
         let zoo = ModelZoo::new();
-        let mut system = SystemBuilder::new()
-            .workers(2)
-            .seed(77)
-            .faults(plan)
-            .build();
+        let mut system = ServingSystem::new(SystemConfig {
+            workers: 2,
+            seed: 77,
+            faults: plan,
+            ..Default::default()
+        });
         let ids = system.register_copies(zoo.resnet50(), 4);
         let trace = open_loop_trace(&ids, 80.0, Nanos::from_millis(100), Nanos::from_secs(2), 9);
         system.submit_trace(&trace);
@@ -116,7 +118,12 @@ fn recovered_worker_is_cold_and_first_request_pays_the_transfer() {
     let zoo = ModelZoo::new();
     let plan =
         FaultPlan::new().crash_worker_for(Timestamp::from_millis(200), 0, Nanos::from_millis(100));
-    let mut system = SystemBuilder::new().workers(1).seed(5).faults(plan).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        seed: 5,
+        faults: plan,
+        ..Default::default()
+    });
     let model = system.register_model(zoo.resnet50());
     // Warm-up request, finished well before the crash.
     system.submit_request(Timestamp::ZERO, model, Nanos::from_millis(100));
@@ -163,12 +170,13 @@ fn permanent_gpu_failure_reroutes_to_surviving_capacity() {
     // accounting identity intact.
     let zoo = ModelZoo::new();
     let plan = FaultPlan::new().fail_gpu(Timestamp::from_millis(600), 0, 1);
-    let mut system = SystemBuilder::new()
-        .workers(2)
-        .gpus_per_worker(2)
-        .seed(29)
-        .faults(plan)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 2,
+        gpus_per_worker: 2,
+        seed: 29,
+        faults: plan,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 6);
     let trace = open_loop_trace(&ids, 60.0, Nanos::from_millis(100), Nanos::from_secs(3), 17);
     let submitted = trace.len() as u64;
@@ -222,13 +230,14 @@ fn overlapping_gpu_and_worker_fault_windows_stay_consistent() {
                                                                                     // the cold demand must be routed onto its empty caches.
     let spec = zoo.resnet50();
     let two_models = 2 * spec.weights_bytes() + 64 * 1024 * 1024;
-    let mut system = SystemBuilder::new()
-        .workers(2)
-        .gpus_per_worker(2)
-        .weights_cache_bytes(two_models)
-        .seed(47)
-        .faults(plan)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 2,
+        gpus_per_worker: 2,
+        weights_cache_bytes: two_models,
+        seed: 47,
+        faults: plan,
+        ..Default::default()
+    });
     let ids = system.register_copies(spec, 6);
     let trace = open_loop_trace(
         &ids,
@@ -285,11 +294,12 @@ fn partition_holds_messages_without_losing_requests() {
     // run still drains completely and every request is answered exactly once.
     let zoo = ModelZoo::new();
     let plan = FaultPlan::new().partition(Timestamp::from_millis(700), 0, Nanos::from_millis(400));
-    let mut system = SystemBuilder::new()
-        .workers(2)
-        .seed(83)
-        .faults(plan)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 2,
+        seed: 83,
+        faults: plan,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 4);
     let trace = open_loop_trace(&ids, 80.0, Nanos::from_millis(100), Nanos::from_secs(3), 19);
     let submitted = trace.len() as u64;
@@ -320,11 +330,12 @@ fn link_degradation_degrades_goodput_not_accounting() {
         10.0,
         Nanos::from_millis(800),
     );
-    let mut system = SystemBuilder::new()
-        .workers(2)
-        .seed(37)
-        .faults(plan)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 2,
+        seed: 37,
+        faults: plan,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 4);
     let trace = open_loop_trace(&ids, 80.0, Nanos::from_millis(100), Nanos::from_secs(3), 23);
     let submitted = trace.len() as u64;
@@ -348,11 +359,12 @@ fn joined_worker_is_admitted_cold_and_serves_traffic() {
     let join_at = Timestamp::from_millis(800);
     let plan = FaultPlan::new().join_worker(join_at, 1);
     assert_eq!(plan.worker_joins(), 1);
-    let mut system = SystemBuilder::new()
-        .workers(1)
-        .seed(73)
-        .faults(plan)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        seed: 73,
+        faults: plan,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 6);
     // Heavily overloaded for a single GPU (~2400 r/s offered), so the
     // scheduler's demand-driven LOAD pass must replicate onto the joined
@@ -404,11 +416,12 @@ fn joining_an_occupied_fleet_index_is_ignored() {
     // machine, no double-registered GPUs, no fault record.
     let zoo = ModelZoo::new();
     let plan = FaultPlan::new().join_worker(Timestamp::from_millis(100), 0);
-    let mut system = SystemBuilder::new()
-        .workers(1)
-        .seed(74)
-        .faults(plan)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        seed: 74,
+        faults: plan,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 2);
     let trace = open_loop_trace(&ids, 40.0, Nanos::from_millis(100), Nanos::from_secs(1), 52);
     system.submit_trace(&trace);

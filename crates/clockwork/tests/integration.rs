@@ -15,7 +15,10 @@ fn a_hand_built_model_spec_is_served() {
         45.0,
         &[(1, 1.6), (2, 2.3), (4, 3.5), (8, 5.9), (16, 10.4)],
     );
-    let mut system = SystemBuilder::new().seed(100).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        seed: 100,
+        ..Default::default()
+    });
     let model = system.register_model(&spec);
     for i in 0..50u64 {
         system.submit_request(
@@ -34,7 +37,10 @@ fn a_hand_built_model_spec_is_served() {
 fn heterogeneous_zoo_models_share_one_gpu() {
     // Ten different model varieties on one GPU, all warm after first use.
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new().seed(101).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        seed: 101,
+        ..Default::default()
+    });
     let ids: Vec<ModelId> = zoo.all()[..10]
         .iter()
         .map(|s| system.register_model(s))
@@ -64,7 +70,10 @@ fn heterogeneous_zoo_models_share_one_gpu() {
 #[test]
 fn admission_control_rejects_impossible_slos_without_wasting_work() {
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new().seed(102).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        seed: 102,
+        ..Default::default()
+    });
     let model = system.register_model(zoo.resnet50());
     // 1 ms SLO on a cold model is impossible (load alone takes ~8 ms).
     system.submit_request(Timestamp::ZERO, model, Nanos::from_millis(1));
@@ -76,7 +85,10 @@ fn admission_control_rejects_impossible_slos_without_wasting_work() {
 
 #[test]
 fn requests_for_unknown_models_are_answered_not_dropped() {
-    let mut system = SystemBuilder::new().seed(103).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        seed: 103,
+        ..Default::default()
+    });
     system.submit_request(Timestamp::ZERO, ModelId(999), Nanos::from_millis(100));
     system.run_to_completion();
     let m = system.telemetry().metrics();
@@ -89,10 +101,11 @@ fn memory_pressure_forces_cold_starts_but_not_slo_violations() {
     // A weights cache that only fits ~2 ResNet50s serving 6 models: most
     // requests are cold starts, but a generous 150 ms SLO is still met.
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new()
-        .weights_cache_bytes(16 * 16 * 1024 * 1024) // 16 pages = 2 ResNet50s
-        .seed(104)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        weights_cache_bytes: 16 * 16 * 1024 * 1024, // 16 pages = 2 ResNet50s
+        seed: 104,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 6);
     let mut t = Timestamp::from_millis(0);
     for round in 0..30u64 {
@@ -120,7 +133,10 @@ fn memory_pressure_forces_cold_starts_but_not_slo_violations() {
 fn deterministic_runs_for_identical_seeds() {
     let zoo = ModelZoo::new();
     let run = || {
-        let mut system = SystemBuilder::new().seed(105).build();
+        let mut system = ServingSystem::new(SystemConfig {
+            seed: 105,
+            ..Default::default()
+        });
         let ids = system.register_copies(zoo.resnet50(), 3);
         let trace = OpenLoopClient::generate_many(
             &ids,
@@ -140,11 +156,12 @@ fn deterministic_runs_for_identical_seeds() {
 #[test]
 fn multi_gpu_workers_spread_load() {
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new()
-        .workers(1)
-        .gpus_per_worker(2)
-        .seed(106)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        gpus_per_worker: 2,
+        seed: 106,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), 4);
     for (i, &m) in ids.iter().enumerate() {
         system.add_closed_loop_client(
@@ -169,7 +186,10 @@ fn models_uploaded_at_runtime_become_servable_after_the_transfer() {
     // model uploaded mid-run is unknown (and rejected) until its weights
     // reach the workers, and served normally afterwards.
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new().seed(104).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        seed: 104,
+        ..Default::default()
+    });
     let resident = system.register_model(zoo.resnet50());
     let uploaded = system.upload_model(Timestamp::from_millis(500), zoo.resnet50());
 

@@ -48,7 +48,11 @@ fn workload_case() -> impl Strategy<Value = WorkloadCase> {
 /// case's requests, and returns the system after completion.
 fn run_case(case: &WorkloadCase) -> (ServingSystem, Vec<ModelId>) {
     let zoo = ModelZoo::new();
-    let mut system = SystemBuilder::new().workers(1).seed(case.seed).build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        seed: case.seed,
+        ..Default::default()
+    });
     let ids = system.register_copies(zoo.resnet50(), case.models as usize);
     let events: Vec<TraceEvent> = case
         .requests
@@ -136,7 +140,7 @@ proptest! {
         // latency: nothing can be served within such an SLO, and Clockwork's
         // admission control must reject rather than serve late.
         let zoo = ModelZoo::new();
-        let mut system = SystemBuilder::new().workers(1).seed(case.seed).build();
+        let mut system = ServingSystem::new(SystemConfig {workers: 1, seed: case.seed, ..Default::default() });
         let ids = system.register_copies(zoo.resnet50(), case.models as usize);
         let events: Vec<TraceEvent> = case
             .requests
@@ -182,7 +186,7 @@ proptest! {
         // Requests without an SLO (batch clients, §6.4) may be delayed
         // arbitrarily but must never be rejected by admission control.
         let zoo = ModelZoo::new();
-        let mut system = SystemBuilder::new().workers(1).seed(case.seed).build();
+        let mut system = ServingSystem::new(SystemConfig {workers: 1, seed: case.seed, ..Default::default() });
         let ids = system.register_copies(zoo.resnet50(), case.models as usize);
         let events: Vec<TraceEvent> = case
             .requests

@@ -9,11 +9,11 @@ use clockwork::prelude::*;
 /// complete, serve every submitted request, and meet the SLO almost always.
 #[test]
 fn single_worker_resnet50_open_loop_smoke() {
-    let mut system = SystemBuilder::new()
-        .workers(1)
-        .discipline(Box::new(ClockworkFactory::default()))
-        .seed(1)
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        seed: 1,
+        ..Default::default()
+    });
 
     let zoo = ModelZoo::new();
     let models = system.register_copies(zoo.resnet50(), 3);

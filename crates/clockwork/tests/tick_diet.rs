@@ -24,12 +24,13 @@ fn run_fleet_smoke(seed: u64) -> ServingSystem {
         seed,
     };
     let trace = AzureTraceGenerator::new(config).generate();
-    let mut system = SystemBuilder::new()
-        .workers(4)
-        .gpus_per_worker(2)
-        .seed(seed)
-        .drop_raw_responses()
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 4,
+        gpus_per_worker: 2,
+        seed,
+        keep_responses: false,
+        ..Default::default()
+    });
     let varieties = zoo.all();
     for i in 0..config.models {
         system.register_model(&varieties[i % varieties.len()]);

@@ -80,7 +80,7 @@ fn count_spans(tracer: &RingTracer) -> SpanCounts {
 fn every_outcome_has_exactly_one_terminal_span() {
     let experiment = Experiment::new(overloaded_spec(21));
     let mut registry = SchedulerRegistry::builtin();
-    registry.register(Box::new(ClockworkNoBatchFactory::default()));
+    registry.register(Box::new(ClockworkNoBatchFactory));
     for factory in registry.iter() {
         let report = experiment.run(factory);
         let tracer = report.trace().expect("spec asked for tracing");
@@ -147,7 +147,7 @@ fn tracing_is_pure_observation() {
     let traced_spec = overloaded_spec(22);
     let untraced_spec = traced_spec.clone().with_trace(false);
     let mut registry = SchedulerRegistry::builtin();
-    registry.register(Box::new(ClockworkNoBatchFactory::default()));
+    registry.register(Box::new(ClockworkNoBatchFactory));
     for factory in registry.iter() {
         let traced = Experiment::new(traced_spec.clone()).run(factory);
         let untraced = Experiment::new(untraced_spec.clone()).run(factory);
@@ -189,7 +189,7 @@ fn every_member_done_span_is_a_completion() {
         .with_faults(smoke.scripted_churn())
         .with_trace(true);
     let mut registry = SchedulerRegistry::builtin();
-    registry.register(Box::new(ClockworkNoBatchFactory::default()));
+    registry.register(Box::new(ClockworkNoBatchFactory));
     for factory in registry.iter() {
         let report = Experiment::new(spec.clone()).run(factory);
         let name = factory.name();

@@ -13,11 +13,12 @@ fn azure_system(models: usize, seed: u64) -> (ServingSystem, Trace) {
         seed,
     };
     let trace = AzureTraceGenerator::new(config).generate();
-    let mut system = SystemBuilder::new()
-        .workers(2)
-        .seed(seed)
-        .drop_raw_responses()
-        .build();
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 2,
+        seed,
+        keep_responses: false,
+        ..Default::default()
+    });
     for i in 0..models {
         system.register_model(&zoo.all()[i % zoo.len()]);
     }
