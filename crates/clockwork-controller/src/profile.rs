@@ -63,12 +63,13 @@ impl ProfileKey {
 /// One key's current estimate and rolling window. The estimate is the
 /// seed until the first measurement and the window's percentile from then
 /// on, written when either changes so that a read — many per scheduling
-/// pass — is one field. The window is boxed: most keys of a large zoo are
-/// seeded but never measured.
-#[derive(Clone, Debug, Default)]
+/// pass — is one field. Most keys of a large zoo are seeded but never
+/// measured, so the window is created by the first measurement, as one
+/// allocation.
+#[derive(Clone, Debug)]
 struct Profile {
-    estimate: Option<Nanos>,
-    window: Option<Box<OrderStatWindow>>,
+    estimate: Nanos,
+    window: Option<OrderStatWindow>,
 }
 
 /// Everything profiled about one model: its epoch and its handful of keys
@@ -88,7 +89,8 @@ impl ModelProfiles {
             .map(|(_, _, profile)| profile)
     }
 
-    fn get_or_default(&mut self, key: ProfileKey) -> &mut Profile {
+    /// The profile behind `key`, created with `estimate` if new.
+    fn get_or_insert(&mut self, key: ProfileKey, estimate: Nanos) -> &mut Profile {
         let at = self
             .profiles
             .iter()
@@ -98,8 +100,11 @@ impl ModelProfiles {
                 // live for the run, and doubling would leave a quarter of
                 // every model's vector unused across a zoo of thousands.
                 self.profiles.reserve_exact(1);
-                self.profiles
-                    .push((key.kind, key.batch, Profile::default()));
+                let profile = Profile {
+                    estimate,
+                    window: None,
+                };
+                self.profiles.push((key.kind, key.batch, profile));
                 self.profiles.len() - 1
             });
         &mut self.profiles[at].2
@@ -155,9 +160,9 @@ impl ActionProfiler {
     /// the key has measurements they outrank every seed, so it changes
     /// nothing.
     pub fn seed(&mut self, key: ProfileKey, estimate: Nanos) {
-        let profile = self.touch(key);
+        let profile = self.touch(key, estimate);
         if profile.window.is_none() {
-            profile.estimate = Some(estimate);
+            profile.estimate = estimate;
         }
     }
 
@@ -165,27 +170,30 @@ impl ActionProfiler {
     pub fn record(&mut self, key: ProfileKey, measured: Nanos) {
         self.measurements += 1;
         let (window_size, percentile) = (self.window_size, self.percentile);
-        let profile = self.touch(key);
+        let profile = self.touch(key, measured);
         let window = profile
             .window
-            .get_or_insert_with(|| Box::new(OrderStatWindow::new(window_size)));
+            .get_or_insert_with(|| OrderStatWindow::new(window_size));
         window.push(measured);
-        profile.estimate = window.percentile(percentile);
+        profile.estimate = window
+            .percentile(percentile)
+            .expect("the window holds the sample just pushed");
     }
 
-    /// The profile behind `key`, created if new, with the global and the
-    /// model's epoch advanced: every caller is about to change an estimate.
-    fn touch(&mut self, key: ProfileKey) -> &mut Profile {
+    /// The profile behind `key`, created with `estimate` if new, with the
+    /// global and the model's epoch advanced: every caller is about to
+    /// change an estimate.
+    fn touch(&mut self, key: ProfileKey, estimate: Nanos) -> &mut Profile {
         self.epoch += 1;
         let model = self.models.get_or_default(key.model);
         model.epoch += 1;
-        model.get_or_default(key)
+        model.get_or_insert(key, estimate)
     }
 
     /// The current estimate for a key: the rolling percentile if measurements
     /// exist, otherwise the seed, otherwise `None`.
     pub fn estimate(&self, key: ProfileKey) -> Option<Nanos> {
-        self.models.get(key.model)?.get(key)?.estimate
+        Some(self.models.get(key.model)?.get(key)?.estimate)
     }
 
     /// Like [`estimate`](Self::estimate) but falls back to a caller-provided
@@ -353,7 +361,7 @@ mod tests {
         proptest! {
             #[test]
             fn estimate_is_the_window_percentile_or_else_the_seed(
-                window in 1usize..12,
+                window in 1usize..64,
                 percentile in 0.0f64..100.0,
                 ops in proptest::collection::vec(
                     prop_oneof![
@@ -361,7 +369,7 @@ mod tests {
                         (0usize..4, 1u64..50_000).prop_map(|(key, us)| Op::Record { key, us }),
                         (0usize..4, 1u64..50_000).prop_map(|(key, us)| Op::Record { key, us }),
                     ],
-                    0..120,
+                    0..800,
                 ),
             ) {
                 let mut p = ActionProfiler::with_params(window, percentile);

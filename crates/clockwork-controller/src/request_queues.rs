@@ -19,6 +19,7 @@
 //! was built at.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::mem;
 
 use clockwork_model::{ModelId, ModelTable};
 use clockwork_sim::time::Timestamp;
@@ -84,12 +85,20 @@ impl ModelQueue {
     }
 }
 
+/// A drained queue's FIFO and deadline map, kept allocated for the next
+/// queue that fills.
+type Buffers = (VecDeque<PendingRequest>, BTreeMap<Timestamp, u32>);
+
 /// Every model's queue of admitted requests, with the indices the scheduling
 /// pass reads instead of rescanning them. See the module docs for the
 /// ownership rule.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct RequestQueues {
     models: ModelTable<ModelQueue>,
+    /// The buffers of queues that drained. An empty queue holds none, so
+    /// the buffers live cost what the most queues ever non-empty at once
+    /// took, not what every model that ever queued did.
+    spare: Vec<Buffers>,
     /// The models with a non-empty queue, in ascending id order.
     queued: BTreeSet<ModelId>,
     /// `(earliest deadline, model)` of every queued model.
@@ -162,12 +171,22 @@ impl RequestQueues {
     /// The one mutation path: runs `op` on `model`'s queue, then brings the
     /// version, the total, the queued set and the urgency index in step with
     /// what it left. An `op` either adds or removes requests, so the queue
-    /// changed exactly when its length did.
+    /// changed exactly when its length did. An empty queue borrows spare
+    /// buffers before `op` runs and hands them back if it is empty after.
     fn change<R>(&mut self, model: ModelId, op: impl FnOnce(&mut ModelQueue) -> R) -> R {
         let queue = self.models.get_or_default(model);
         let (old_len, old_min) = (queue.fifo.len(), queue.min_deadline);
+        if old_len == 0 {
+            if let Some((fifo, deadlines)) = self.spare.pop() {
+                (queue.fifo, queue.deadlines) = (fifo, deadlines);
+            }
+        }
         let out = op(queue);
         let (len, min) = (queue.fifo.len(), queue.min_deadline);
+        if len == 0 && queue.fifo.capacity() > 0 {
+            let buffers = (mem::take(&mut queue.fifo), mem::take(&mut queue.deadlines));
+            self.spare.push(buffers);
+        }
         if len == old_len {
             return out;
         }
@@ -406,6 +425,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_drained_queue_hands_its_buffers_to_the_next_that_fills() {
+        let mut queues = RequestQueues::default();
+        let (a, b) = (ModelId(0), ModelId(1));
+        for id in 0..40 {
+            queues.push_back(pending(id, a.0, Timestamp::from_millis(id % 6 + 1)));
+        }
+        let capacity = queues.models.get(a).unwrap().fifo.capacity();
+        assert_eq!(queues.take_front(a, 40).len(), 40);
+        assert_eq!(queues.models.get(a).unwrap().fifo.capacity(), 0);
+        assert_eq!(
+            queues.spare.len(),
+            1,
+            "the drained queue's buffers are spare"
+        );
+
+        queues.push_back(pending(40, b.0, Timestamp::from_millis(1)));
+        let queue = queues.models.get(b).unwrap();
+        assert_eq!(queue.fifo.capacity(), capacity, "B took A's FIFO");
+        assert_eq!(queue.deadlines.len(), 1);
+        assert!(queues.spare.is_empty());
+        assert_eq!((queues.len(a), queues.len(b), queues.total()), (0, 1, 1));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   percentiles and CDF export, cheap enough to record every request.
 //! * [`Summary`] — streaming count/mean/min/max.
 //! * [`TimeSeries`] — fixed-interval bucketed counters and gauges.
-//! * [`OrderStatWindow`] — a sliding window kept sorted, so a percentile of
-//!   the last N samples (the controller's rolling action profiles) is one
-//!   index.
+//! * [`OrderStatWindow`] — a sliding window kept sorted in one allocation,
+//!   so a percentile of the last N samples (the controller's rolling action
+//!   profiles) is one index.
 //! * [`percentile`] — exact percentiles over small sample vectors.
 //! * [`trace`] — structured request-lifecycle spans ([`TraceEvent`]) recorded
 //!   into a bounded [`RingTracer`], with deterministic JSONL export for

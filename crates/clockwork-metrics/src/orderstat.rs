@@ -2,21 +2,17 @@
 //!
 //! The controller's rolling action profiles (§5.3) ask for a percentile of
 //! the last N measurements on every scheduling decision — many thousands of
-//! times per simulated second at fleet scale.
-//! [`SlidingWindow`](crate::percentile::SlidingWindow) answers that query by cloning and
-//! sorting the window each time, which dominated the scheduler's hot path.
-//! [`OrderStatWindow`] keeps the window sorted as samples arrive instead:
-//! inserts and evictions locate their slot by O(log n) binary search (the
-//! slot shift itself is an O(n) memmove — cheap at profile window sizes,
-//! quadratic territory if the capacity is ever scaled to many thousands),
-//! and any percentile query is a single index into the sorted buffer.
+//! times per simulated second at fleet scale. [`OrderStatWindow`] keeps the
+//! window sorted as samples arrive, so any percentile query is a single
+//! index into the sorted samples: inserts and evictions locate their slot by
+//! O(log n) binary search (the slot shift itself is an O(n) memmove — cheap
+//! at profile window sizes, quadratic territory if the capacity is ever
+//! scaled to many thousands).
 //!
 //! The window is exact: for the same stream of samples it returns bit-for-bit
 //! the same nearest-rank percentiles as
 //! [`crate::percentile::percentile_nanos`] (a property test in
 //! `tests/properties.rs` pins this equivalence down).
-
-use std::collections::VecDeque;
 
 use clockwork_sim::time::Nanos;
 
@@ -25,11 +21,11 @@ use crate::percentile::percentile_of_sorted;
 /// A bounded window of the most recent samples with binary-searched ordered
 /// maintenance and O(1) percentile queries.
 ///
-/// Samples are evicted oldest-first once `capacity` is reached, exactly like
-/// `SlidingWindow`; the difference is purely in query cost. Pushes pay an
-/// O(n)-in-capacity element shift, so this is built for small windows
+/// Samples are evicted oldest-first once `capacity` is reached. Pushes pay
+/// an O(n)-in-capacity element shift, so this is built for small windows
 /// queried far more often than they are written (the profiler's default is
-/// 10 samples).
+/// 10 samples). The whole window is one allocation: a controller holds one
+/// per measured (model, action, batch) key, thousands of them at zoo scale.
 ///
 /// There is no `Default`: a window's capacity must be chosen, and a
 /// zero-capacity window could never take a sample.
@@ -39,13 +35,12 @@ use crate::percentile::percentile_of_sorted;
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct OrderStatWindow {
-    capacity: usize,
-    /// Samples in arrival order (front = oldest), driving eviction.
-    recency: VecDeque<Nanos>,
-    /// The same samples in ascending order, driving percentile queries.
-    sorted: Vec<Nanos>,
-    /// Running sum of the window, so `mean` is O(1) too.
-    sum: u128,
+    /// `capacity` slots of samples in arrival order (oldest first), driving
+    /// eviction, then `capacity` slots of the same samples ascending,
+    /// driving percentile queries. The first `len` slots of each half are
+    /// filled.
+    samples: Box<[Nanos]>,
+    len: usize,
 }
 
 impl OrderStatWindow {
@@ -56,72 +51,77 @@ impl OrderStatWindow {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "order-stat window capacity must be positive");
         OrderStatWindow {
-            capacity,
-            recency: VecDeque::with_capacity(capacity),
-            sorted: Vec::with_capacity(capacity),
-            sum: 0,
+            samples: vec![Nanos::ZERO; 2 * capacity].into_boxed_slice(),
+            len: 0,
         }
     }
 
     /// Adds a sample, evicting the oldest if the window is full.
     pub fn push(&mut self, sample: Nanos) {
-        if self.recency.len() == self.capacity {
-            let evicted = self.recency.pop_front().expect("window is full");
-            let at = self.sorted.partition_point(|&v| v < evicted);
-            debug_assert!(self.sorted.get(at) == Some(&evicted));
-            self.sorted.remove(at);
-            self.sum -= evicted.as_nanos() as u128;
+        let capacity = self.samples.len() / 2;
+        let (arrivals, sorted) = self.samples.split_at_mut(capacity);
+        if self.len == capacity {
+            let evicted = arrivals[0];
+            arrivals.copy_within(1.., 0);
+            let at = sorted.partition_point(|&v| v < evicted);
+            debug_assert!(sorted[at] == evicted);
+            sorted.copy_within(at + 1.., at);
+            self.len -= 1;
         }
-        self.recency.push_back(sample);
-        let at = self.sorted.partition_point(|&v| v <= sample);
-        self.sorted.insert(at, sample);
-        self.sum += sample.as_nanos() as u128;
+        arrivals[self.len] = sample;
+        let at = sorted[..self.len].partition_point(|&v| v <= sample);
+        sorted.copy_within(at..self.len, at + 1);
+        sorted[at] = sample;
+        self.len += 1;
+    }
+
+    /// The samples held, ascending.
+    fn sorted(&self) -> &[Nanos] {
+        let capacity = self.samples.len() / 2;
+        &self.samples[capacity..capacity + self.len]
     }
 
     /// Number of samples currently held.
     pub fn len(&self) -> usize {
-        self.recency.len()
+        self.len
     }
 
     /// Whether the window holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.recency.is_empty()
+        self.len == 0
     }
 
     /// The exact nearest-rank percentile of the window, or `None` if empty.
-    ///
-    /// Unlike `SlidingWindow::percentile` this neither clones nor sorts: the
-    /// window is already ordered, so the query is one index computation.
+    /// The window is already ordered, so the query is one index computation.
     pub fn percentile(&self, p: f64) -> Option<Nanos> {
-        if self.sorted.is_empty() {
+        if self.is_empty() {
             return None;
         }
-        Some(percentile_of_sorted(&self.sorted, p))
+        Some(percentile_of_sorted(self.sorted(), p))
     }
 
     /// The maximum sample in the window, or `None` if empty.
     pub fn max(&self) -> Option<Nanos> {
-        self.sorted.last().copied()
+        self.sorted().last().copied()
     }
 
     /// The minimum sample in the window, or `None` if empty.
     pub fn min(&self) -> Option<Nanos> {
-        self.sorted.first().copied()
+        self.sorted().first().copied()
     }
 
     /// The most recent sample, or `None` if empty.
     pub fn latest(&self) -> Option<Nanos> {
-        self.recency.back().copied()
+        self.len.checked_sub(1).map(|last| self.samples[last])
     }
 
     /// The mean of the samples in the window, or `None` if empty.
     pub fn mean(&self) -> Option<Nanos> {
-        if self.recency.is_empty() {
+        if self.is_empty() {
             return None;
         }
-        Some(Nanos::from_nanos(
-            (self.sum / self.recency.len() as u128) as u64,
-        ))
+        let sum: u128 = self.sorted().iter().map(|v| v.as_nanos() as u128).sum();
+        Some(Nanos::from_nanos((sum / self.len as u128) as u64))
     }
 }
 

@@ -48,71 +48,6 @@ pub fn percentile_f64(samples: &[f64], p: f64) -> Option<f64> {
     Some(sorted[rank.clamp(1, sorted.len()) - 1])
 }
 
-/// A bounded window of the most recent samples, used for the controller's
-/// rolling action profiles.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SlidingWindow {
-    capacity: usize,
-    samples: std::collections::VecDeque<Nanos>,
-}
-
-impl SlidingWindow {
-    /// Creates a window keeping at most `capacity` samples.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "sliding window capacity must be positive");
-        SlidingWindow {
-            capacity,
-            samples: std::collections::VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Adds a sample, evicting the oldest if the window is full.
-    pub fn push(&mut self, sample: Nanos) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(sample);
-    }
-
-    /// Number of samples currently held.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the window holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The exact percentile of the samples in the window, or `None` if empty.
-    pub fn percentile(&self, p: f64) -> Option<Nanos> {
-        let v: Vec<Nanos> = self.samples.iter().copied().collect();
-        percentile_nanos(&v, p)
-    }
-
-    /// The maximum sample in the window, or `None` if empty.
-    pub fn max(&self) -> Option<Nanos> {
-        self.samples.iter().copied().max()
-    }
-
-    /// The most recent sample, or `None` if empty.
-    pub fn latest(&self) -> Option<Nanos> {
-        self.samples.back().copied()
-    }
-
-    /// The mean of the samples in the window, or `None` if empty.
-    pub fn mean(&self) -> Option<Nanos> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let sum: u128 = self.samples.iter().map(|n| n.as_nanos() as u128).sum();
-        Some(Nanos::from_nanos((sum / self.samples.len() as u128) as u64))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,37 +92,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn percentile_of_sorted_empty_panics() {
         let _ = percentile_of_sorted(&[], 50.0);
-    }
-
-    #[test]
-    fn sliding_window_evicts_oldest() {
-        let mut w = SlidingWindow::new(3);
-        assert!(w.is_empty());
-        for ms in 1..=5u64 {
-            w.push(Nanos::from_millis(ms));
-        }
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.max(), Some(Nanos::from_millis(5)));
-        assert_eq!(w.latest(), Some(Nanos::from_millis(5)));
-        // Window holds {3, 4, 5}.
-        assert_eq!(w.percentile(0.0), Some(Nanos::from_millis(3)));
-        assert_eq!(w.mean(), Some(Nanos::from_millis(4)));
-    }
-
-    #[test]
-    fn sliding_window_percentile_matches_paper_usage() {
-        // The controller uses a rolling window of the last 10 measurements
-        // and predicts with a high percentile (p99 ≈ max for 10 samples).
-        let mut w = SlidingWindow::new(10);
-        for us in [100u64, 101, 99, 100, 102, 100, 100, 98, 101, 100] {
-            w.push(Nanos::from_micros(us));
-        }
-        assert_eq!(w.percentile(99.0), Some(Nanos::from_micros(102)));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_window_panics() {
-        let _ = SlidingWindow::new(0);
     }
 }

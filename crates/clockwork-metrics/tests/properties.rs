@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use clockwork_metrics::histogram::LatencyHistogram;
 use clockwork_metrics::orderstat::OrderStatWindow;
-use clockwork_metrics::percentile::{percentile_nanos, SlidingWindow};
+use clockwork_metrics::percentile::percentile_nanos;
 use clockwork_metrics::summary::Summary;
 use clockwork_metrics::timeseries::TimeSeries;
 use clockwork_sim::time::{Nanos, Timestamp};
@@ -180,25 +180,6 @@ proptest! {
         prop_assert!(percentile_nanos(&[], 50.0).is_none());
     }
 
-    #[test]
-    fn sliding_window_keeps_at_most_capacity_and_tracks_extremes(values in samples(), capacity in 1usize..64) {
-        let mut r = SlidingWindow::new(capacity);
-        for &v in &values {
-            r.push(Nanos::from_nanos(v));
-        }
-        prop_assert!(r.len() <= capacity);
-        prop_assert!(!r.is_empty());
-        prop_assert_eq!(r.latest(), Some(Nanos::from_nanos(*values.last().unwrap())));
-        if let Some(p100) = r.percentile(100.0) {
-            prop_assert!(p100 <= Nanos::from_nanos(*values.iter().max().unwrap()));
-        }
-        if let Some(mean) = r.mean() {
-            let lo = *values.iter().min().unwrap();
-            let hi = *values.iter().max().unwrap();
-            prop_assert!(mean.as_nanos() >= lo && mean.as_nanos() <= hi);
-        }
-    }
-
     // ------------------------------------------------------------------
     // OrderStatWindow
     // ------------------------------------------------------------------
@@ -235,25 +216,6 @@ proptest! {
         let sum: u128 = reference.iter().map(|n| n.as_nanos() as u128).sum();
         let mean = Nanos::from_nanos((sum / reference.len() as u128) as u64);
         prop_assert_eq!(w.mean(), Some(mean));
-    }
-
-    // The two window implementations agree sample for sample, so the
-    // profiler switch cannot have changed any estimate.
-    #[test]
-    fn orderstat_window_matches_sliding_window(values in samples(), capacity in 1usize..32) {
-        let mut fast = OrderStatWindow::new(capacity);
-        let mut slow = SlidingWindow::new(capacity);
-        for &v in &values {
-            let sample = Nanos::from_nanos(v);
-            fast.push(sample);
-            slow.push(sample);
-            for p in [0.0, 50.0, 99.0, 100.0] {
-                prop_assert_eq!(fast.percentile(p), slow.percentile(p));
-            }
-            prop_assert_eq!(fast.mean(), slow.mean());
-            prop_assert_eq!(fast.latest(), slow.latest());
-            prop_assert_eq!(fast.max(), slow.max());
-        }
     }
 
     // ------------------------------------------------------------------

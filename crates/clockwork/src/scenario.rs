@@ -17,12 +17,14 @@
 //! [`Experiment`](crate::experiment::Experiment) owns the full
 //! submit/run/drain loop on top.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use clockwork_controller::registry::SchedulerFactory;
 use clockwork_faults::{FaultKind, FaultPlan};
 use clockwork_model::zoo::ModelZoo;
-use clockwork_model::ModelId;
+use clockwork_model::{ModelId, ModelSpec};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_sim::variance::VarianceConfig;
@@ -624,18 +626,13 @@ impl ServingSystem {
     ) -> ServingSystem {
         let mut system = ServingSystem::with_factory(spec.system_config(), factory);
         let zoo = ModelZoo::new();
-        match spec.model_set {
-            ModelSet::ZooCycle => {
-                let varieties = zoo.all();
-                for global in population {
-                    system.register_model(&varieties[global as usize % varieties.len()]);
-                }
-            }
-            ModelSet::Resnet50Copies => {
-                for _ in population {
-                    system.register_model(zoo.resnet50());
-                }
-            }
+        // Every instance of a variety shares the variety's one spec.
+        let varieties: Vec<Arc<ModelSpec>> = match spec.model_set {
+            ModelSet::ZooCycle => zoo.all().iter().cloned().map(Arc::new).collect(),
+            ModelSet::Resnet50Copies => vec![Arc::new(zoo.resnet50().clone())],
+        };
+        for global in population {
+            system.register_shared(Arc::clone(&varieties[global as usize % varieties.len()]));
         }
         system
     }

@@ -520,9 +520,15 @@ impl ServingSystem {
 
     /// Registers one model instance and returns its id.
     pub fn register_model(&mut self, spec: &ModelSpec) -> ModelId {
+        self.register_shared(Arc::new(spec.clone()))
+    }
+
+    /// Registers one instance of a spec that other instances may share, so
+    /// a thousand copies of a model hold one spec, not a thousand.
+    pub(crate) fn register_shared(&mut self, spec: Arc<ModelSpec>) -> ModelId {
         let id = ModelId(self.next_model_id);
         self.next_model_id += 1;
-        self.install_model(id, Arc::new(spec.clone()));
+        self.install_model(id, spec);
         id
     }
 
@@ -562,7 +568,10 @@ impl ServingSystem {
     /// Registers `copies` instances of the same model (the paper's
     /// experiments duplicate one model many times) and returns their ids.
     pub fn register_copies(&mut self, spec: &ModelSpec, copies: usize) -> Vec<ModelId> {
-        (0..copies).map(|_| self.register_model(spec)).collect()
+        let spec = Arc::new(spec.clone());
+        (0..copies)
+            .map(|_| self.register_shared(Arc::clone(&spec)))
+            .collect()
     }
 
     /// Submits every request of a trace.
