@@ -1,0 +1,91 @@
+//! Resident memory after each stage of one run, for memory claims.
+//!
+//! ```bash
+//! cargo run --release -p bench --example rss_stages -- SCENARIO \
+//!     [--every-ms N] [--seed N] [--workload-seed N]
+//! ```
+//!
+//! `SCENARIO` is a preset — `fleet_scale`, `flagship_slice` (200 workers ×
+//! 4 GPUs, 2 000 models, 1 s) or `cold_churn` (3 000 models on 4 × 2 GPUs
+//! with the scripted churn) — or the path of a `ScenarioSpec` JSON file.
+//! The Clockwork scheduler serves it. The probe prints `VmRSS` and `VmHWM`
+//! from `/proc/self/status` after trace generation, build and submit, then
+//! after every `N` simulated ms of the run (default 100), up to the horizon.
+//! Linux only: elsewhere the readings print as 0.
+
+use clockwork::prelude::*;
+use clockwork_shard::ShardedSpec;
+
+const USAGE: &str = "usage: rss_stages SCENARIO [--every-ms N] [--seed N] [--workload-seed N]";
+
+/// A `/proc/self/status` field in MB, or 0 where it cannot be read.
+fn status_mb(field: &str) -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix(field)?.strip_prefix(':'))
+        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or(0.0);
+    kb / 1024.0
+}
+
+fn print_stage(stage: &str) {
+    let (rss, hwm) = (status_mb("VmRSS"), status_mb("VmHWM"));
+    println!("{stage:<16} VmRSS {rss:>8.2} MB   VmHWM {hwm:>8.2} MB");
+}
+
+fn scenario(name: &str) -> Result<ScenarioSpec, String> {
+    Ok(match name {
+        "fleet_scale" => ScenarioSpec::fleet_scale(),
+        "flagship_slice" => ShardedSpec::shard_fleet(1).base.with_duration_secs(1),
+        "cold_churn" => {
+            let mut spec = ScenarioSpec {
+                workers: 4,
+                gpus_per_worker: 2,
+                models: 3_000,
+                workload: WorkloadSpec::OpenLoop {
+                    rate_per_model: 0.2,
+                },
+                duration_secs: 600,
+                ..ScenarioSpec::fleet_scale()
+            };
+            spec.faults = spec.scripted_churn();
+            spec
+        }
+        path => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            ScenarioSpec::from_json(&text)?
+        }
+    })
+}
+
+fn main() -> Result<(), String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flag = |name: &str| -> Result<Option<u64>, String> {
+        let Some(at) = args.iter().position(|a| a == name) else {
+            return Ok(None);
+        };
+        let value = args.get(at + 1).ok_or(format!("{name} needs a value"))?;
+        value.parse().map(Some).map_err(|e| format!("{name}: {e}"))
+    };
+    let name = args.first().ok_or(USAGE)?;
+    let mut spec = scenario(name)?;
+    spec.seed = flag("--seed")?.unwrap_or(spec.seed);
+    spec.workload_seed = flag("--workload-seed")?.unwrap_or(spec.workload_seed);
+    let every = Nanos::from_millis(flag("--every-ms")?.unwrap_or(100).max(1));
+
+    print_stage("start");
+    let trace = spec.arrivals();
+    print_stage("trace");
+    let mut system = ServingSystem::from_spec(&spec, &ClockworkFactory::default());
+    print_stage("build");
+    system.submit_trace(&trace);
+    print_stage("submit");
+    let mut at = Timestamp::ZERO;
+    while at < spec.horizon() {
+        at = (at + every).min(spec.horizon());
+        system.run_until(at);
+        print_stage(&format!("run {} ms", at.as_nanos() / 1_000_000));
+    }
+    Ok(())
+}

@@ -17,6 +17,7 @@ use std::time::Instant;
 use bench::invariants;
 use clockwork::prelude::*;
 use clockwork_baselines::register_baselines;
+use clockwork_controller::RejectReason;
 use clockwork_metrics::percentile::percentile_f64;
 use clockwork_metrics::LatencyHistogram;
 use clockwork_sim::gpu::{GpuSpec, GpuTimingModel};
@@ -679,12 +680,14 @@ fn table1() -> bool {
 /// §6.5 scale table: 10 workers × 2 GPUs under a scaled Azure-like trace
 /// (~1 500 r/s, 4 minutes), once at a 100 ms and once at a 25 ms SLO. The
 /// 100 ms run should miss essentially nothing; the 25 ms run rejects a
-/// small share up front and keeps the served tail under the SLO.
+/// small share up front (`cannot_meet_slo`, the only reason
+/// `rejected_upfront` counts) and keeps the served tail under the SLO.
 fn table_scale() -> bool {
     let mut ok = true;
     bench::section("Section 6.5 table: 10 workers x 2 GPUs, scaled Azure-like trace");
     println!(
-        "slo_ms,goodput_rps,missed_slo_after_admission,rejected_upfront,p50_ms,p9999_ms,max_ms"
+        "slo_ms,goodput_rps,missed_slo_after_admission,rejected_upfront,p50_ms,p9999_ms,max_ms,\
+         rejected_by_reason"
     );
     for slo_ms in [100u64, 25] {
         let spec = ScenarioSpec {
@@ -706,19 +709,36 @@ fn table_scale() -> bool {
         let report = Experiment::new(spec.clone()).run(&ClockworkFactory::default());
         ok &= invariants::check_run(&format!("table_scale/slo{slo_ms}ms"), &report, &spec);
         let m = report.metrics();
-        let rejected: u64 = m.rejections.values().sum();
+        let upfront = m.rejections.get(RejectReason::CannotMeetSlo.as_str());
         println!(
-            "{slo_ms},{:.0},{},{rejected},{:.2},{:.2},{:.2}",
+            "{slo_ms},{:.0},{},{},{:.2},{:.2},{:.2},{}",
             m.goodput_rate(),
             m.successes - m.goodput,
+            upfront.unwrap_or(&0),
             m.latency.percentile(50.0).as_millis_f64(),
             m.latency.percentile(99.99).as_millis_f64(),
-            m.latency.max().as_millis_f64()
+            m.latency.max().as_millis_f64(),
+            rejected_by_reason(&m)
         );
     }
     println!("# paper: 100 ms -> 6174 r/s, 0 missed, P50 6.28 ms, P99.99 49.92 ms");
     println!("#        25 ms -> 6060 r/s, 361 missed (0.00002%), P50 5.77 ms, P99.99 21.60 ms");
     ok
+}
+
+/// A run's rejections by reason, in reason-name order, as one CSV field:
+/// `reason=count` pairs joined by `;`, or `none`.
+fn rejected_by_reason(m: &ExperimentMetrics) -> String {
+    let mut reasons: Vec<_> = m.rejections.iter().collect();
+    reasons.sort_unstable();
+    if reasons.is_empty() {
+        return "none".to_string();
+    }
+    let pairs: Vec<String> = reasons
+        .iter()
+        .map(|(reason, count)| format!("{reason}={count}"))
+        .collect();
+    pairs.join(";")
 }
 
 /// Ablation: the four consolidation-of-choice mechanisms (§4–5) removed one
@@ -765,7 +785,7 @@ fn ablation() -> bool {
     let mut ok = true;
 
     bench::section("Ablation: contribution of each consolidation-of-choice mechanism");
-    println!("{}", bench::SUMMARY_CSV_HEADER);
+    println!("{},rejected_by_reason", bench::SUMMARY_CSV_HEADER);
     for (label, factory, exec_mode) in rows {
         let config = SystemConfig {
             exec_mode,
@@ -773,13 +793,7 @@ fn ablation() -> bool {
         };
         let mut system = ServingSystem::with_factory(config, factory);
         let models = system.register_copies(ModelZoo::new().resnet50(), spec.models);
-        let trace = OpenLoopClient::generate_many(
-            &models,
-            rate_per_model,
-            spec.slo(),
-            spec.duration(),
-            &mut SimRng::seeded(spec.workload_seed),
-        );
+        let trace = spec.arrivals();
         system.submit_trace(&trace);
         for (i, &model) in models[..2].iter().enumerate() {
             system.add_closed_loop_client(
@@ -789,7 +803,12 @@ fn ablation() -> bool {
         }
         let report = run_to_horizon(system, &spec, trace.len() as u64);
         ok &= invariants::check_run(&format!("ablation/{label}"), &report, &spec);
-        println!("{}", bench::summary_csv_row(label, &report.metrics()));
+        let m = report.metrics();
+        println!(
+            "{},{}",
+            bench::summary_csv_row(label, &m),
+            rejected_by_reason(&m)
+        );
     }
     println!("# expected shape: removing admission control and batching hurts goodput under");
     println!("# overload; concurrent EXEC inflates tail latency; FIFO does both.");

@@ -218,7 +218,11 @@ struct Completion {
 /// A Clockwork worker.
 pub struct Worker {
     config: WorkerConfig,
-    models: ModelTable<Arc<ModelSpec>>,
+    /// The registered models' specs; `None` before the first registration.
+    /// A worker of a serving system reads the one catalog the system shares
+    /// with every worker ([`Worker::register_shared`]), and
+    /// [`Worker::register_model`] copies a shared table before writing it.
+    models: Option<Arc<ModelTable<Arc<ModelSpec>>>>,
     host_memory: MemoryPool,
     gpus: Vec<GpuState>,
     /// Started actions' completions, in the order they fire: by time, then
@@ -253,7 +257,7 @@ impl Worker {
         let variance = ExternalVariance::new(config.variance, root.derive(7));
         Worker {
             host_memory: MemoryPool::new(config.host_memory_bytes),
-            models: ModelTable::default(),
+            models: None,
             gpus,
             completions: VecDeque::new(),
             variance,
@@ -279,7 +283,8 @@ impl Worker {
     }
 
     /// Registers a model's weights in host memory (worker startup pre-loads
-    /// every model from disk, §5.1).
+    /// every model from disk, §5.1). A table shared with other holders is
+    /// copied before the write, so they do not see the model.
     pub fn register_model(&mut self, id: ModelId, spec: Arc<ModelSpec>) -> Result<(), WorkerError> {
         if self.has_model(id) {
             return Err(WorkerError::DuplicateModel(id));
@@ -291,23 +296,77 @@ impl Worker {
                 requested: e.requested,
                 available: e.available,
             })?;
-        self.models.insert(id, spec);
+        Arc::make_mut(self.models.get_or_insert_with(Arc::default)).insert(id, spec);
         Ok(())
+    }
+
+    /// Registers `added`, models of `catalog` this worker does not hold yet,
+    /// and from then on reads every model from `catalog` itself, shared with
+    /// its other holders: [`Worker::register_model`] in bulk, with no table
+    /// of the worker's own. Host memory is charged for each added model in
+    /// the order given, and the first that does not fit fails with the error
+    /// `register_model` would return for it; on any error nothing is charged
+    /// and nothing changes. `catalog` must hold every model this worker
+    /// holds: a shared catalog only grows.
+    ///
+    /// Panics if an added model is not in `catalog`.
+    pub fn register_shared(
+        &mut self,
+        catalog: &Arc<ModelTable<Arc<ModelSpec>>>,
+        added: impl IntoIterator<Item = ModelId>,
+    ) -> Result<(), WorkerError> {
+        let available = self.host_memory.available();
+        let mut charged = 0u64;
+        for id in added {
+            if self.has_model(id) {
+                return Err(WorkerError::DuplicateModel(id));
+            }
+            let spec = catalog
+                .get(id)
+                .unwrap_or_else(|| panic!("added {id} is not in the catalog"));
+            let requested = spec.weights_bytes();
+            if requested > available - charged {
+                return Err(WorkerError::HostMemoryExhausted {
+                    requested,
+                    available: available - charged,
+                });
+            }
+            charged += requested;
+        }
+        self.host_memory
+            .allocate(charged)
+            .expect("the added models were checked to fit");
+        self.models = Some(Arc::clone(catalog));
+        Ok(())
+    }
+
+    /// Lets go of the model table, so that the owner of a catalog the
+    /// workers share can grow it in place before a
+    /// [`Worker::register_shared`] rather than copy it. Host memory stays
+    /// charged; until that registration the worker knows no model.
+    pub fn release_models(&mut self) {
+        self.models = None;
+    }
+
+    /// The table the worker reads its models from, if it has registered any:
+    /// the catalog a serving system shares, or the worker's own.
+    pub fn model_table(&self) -> Option<&Arc<ModelTable<Arc<ModelSpec>>>> {
+        self.models.as_ref()
     }
 
     /// Whether a model is registered (present in host memory).
     pub fn has_model(&self, id: ModelId) -> bool {
-        self.models.get(id).is_some()
+        self.model_spec(id).is_some()
     }
 
     /// Number of registered models.
     pub fn model_count(&self) -> usize {
-        self.models.len()
+        self.models.as_ref().map_or(0, |table| table.len())
     }
 
     /// The spec of a registered model.
     pub fn model_spec(&self, id: ModelId) -> Option<&Arc<ModelSpec>> {
-        self.models.get(id)
+        self.models.as_ref()?.get(id)
     }
 
     /// Host memory still available for model registration.
@@ -701,7 +760,11 @@ impl Worker {
         if window.expired(start) {
             return Err(ActionError::WindowElapsed);
         }
-        let spec = self.models.get(model).ok_or(ActionError::UnknownModel)?;
+        let spec = self
+            .models
+            .as_ref()
+            .and_then(|table| table.get(model))
+            .ok_or(ActionError::UnknownModel)?;
         let weights_bytes = spec.weights_bytes();
         let already_loaded = self.gpus[gpu_index].page_cache.contains(model);
         if !already_loaded {
@@ -768,7 +831,11 @@ impl Worker {
         if window.expired(start) {
             return Err(ActionError::WindowElapsed);
         }
-        let spec = self.models.get(model).ok_or(ActionError::UnknownModel)?;
+        let spec = self
+            .models
+            .as_ref()
+            .and_then(|table| table.get(model))
+            .ok_or(ActionError::UnknownModel)?;
         let base_exec = spec
             .exec_latency(batch)
             .ok_or(ActionError::UnsupportedBatch { batch })?;
@@ -1025,6 +1092,86 @@ mod tests {
         w.register_model(ModelId(1), resnet()).unwrap();
         let err = w.register_model(ModelId(2), resnet()).unwrap_err();
         assert!(matches!(err, WorkerError::HostMemoryExhausted { .. }));
+    }
+
+    /// A catalog of the zoo's models, cycled, as a serving system builds it.
+    fn zoo_catalog(models: u32) -> Arc<ModelTable<Arc<ModelSpec>>> {
+        let zoo = ModelZoo::new();
+        let mut table = ModelTable::default();
+        for m in 0..models {
+            table.insert(
+                ModelId(m),
+                Arc::new(zoo.all()[m as usize % zoo.len()].clone()),
+            );
+        }
+        Arc::new(table)
+    }
+
+    #[test]
+    fn register_model_copies_a_shared_catalog_before_writing() {
+        let catalog = zoo_catalog(6);
+        let ids = || (0..6).map(ModelId);
+        let mut a = Worker::new(quiet_config());
+        let mut b = Worker::new(quiet_config());
+        a.register_shared(&catalog, ids()).unwrap();
+        b.register_shared(&catalog, ids()).unwrap();
+        assert!(Arc::ptr_eq(a.model_table().unwrap(), &catalog));
+        assert_eq!(
+            a.register_shared(&catalog, [ModelId(2)]),
+            Err(WorkerError::DuplicateModel(ModelId(2)))
+        );
+
+        a.register_model(ModelId(9), resnet()).unwrap();
+        assert!(a.has_model(ModelId(9)) && a.has_model(ModelId(5)));
+        assert_eq!(a.model_count(), 7);
+        assert!(!Arc::ptr_eq(a.model_table().unwrap(), &catalog));
+        assert!(!b.has_model(ModelId(9)));
+        assert_eq!(b.model_count(), 6);
+        assert_eq!(catalog.len(), 6);
+        assert!(Arc::ptr_eq(b.model_table().unwrap(), &catalog));
+    }
+
+    #[test]
+    fn shared_registration_fails_where_one_by_one_registration_does() {
+        let catalog = zoo_catalog(40);
+        let weights: Vec<u64> = catalog.values().map(|s| s.weights_bytes()).collect();
+        // Room for the first 29 models and part of the 30th.
+        let mut cfg = quiet_config();
+        cfg.host_memory_bytes = weights[..29].iter().sum::<u64>() + weights[29] / 2;
+
+        let mut one_by_one = Worker::new(cfg.clone());
+        let (failed_at, expected) = catalog
+            .iter()
+            .find_map(|(id, spec)| {
+                let err = one_by_one.register_model(id, Arc::clone(spec)).err()?;
+                Some((id, err))
+            })
+            .expect("the catalog overflows host memory");
+        assert_eq!(failed_at, ModelId(29));
+
+        let mut shared = Worker::new(cfg.clone());
+        let err = shared
+            .register_shared(&catalog, catalog.iter().map(|(id, _)| id))
+            .unwrap_err();
+        assert_eq!(err, expected);
+        assert_eq!(
+            err,
+            WorkerError::HostMemoryExhausted {
+                requested: weights[29],
+                available: cfg.host_memory_bytes - weights[..29].iter().sum::<u64>(),
+            }
+        );
+        // A failed bulk registration charges and registers nothing.
+        assert_eq!(shared.host_memory_available(), cfg.host_memory_bytes);
+        assert_eq!(shared.model_count(), 0);
+        // The models that fit register in bulk, and fill the same memory.
+        shared
+            .register_shared(&catalog, (0..29).map(ModelId))
+            .unwrap();
+        assert_eq!(
+            shared.host_memory_available(),
+            one_by_one.host_memory_available()
+        );
     }
 
     #[test]

@@ -13,9 +13,8 @@ use std::time::Instant;
 
 use clockwork_controller::registry::SchedulerFactory;
 use clockwork_model::ModelId;
-use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::Timestamp;
-use clockwork_workload::{ClosedLoopClient, OpenLoopClient, Trace};
+use clockwork_workload::{ClosedLoopClient, Trace};
 
 use crate::outcome::RunOutcome;
 use crate::scenario::{ScenarioSpec, WorkloadSpec};
@@ -47,25 +46,8 @@ impl Experiment {
     /// `max_events` delivered simulation events — the fixed-work smoke mode
     /// perf gates rely on.
     pub fn run_capped(&self, factory: &dyn SchedulerFactory, max_events: u64) -> RunReport {
-        let spec = &self.spec;
-        let population: Vec<u32> = (0..spec.models as u32).collect();
-        let trace = match spec.workload {
-            WorkloadSpec::Azure { .. } | WorkloadSpec::Shaped { .. } => spec
-                .generated_trace()
-                .expect("pre-generated workload has a trace"),
-            WorkloadSpec::OpenLoop { rate_per_model } => {
-                let models: Vec<ModelId> = population.iter().map(|&m| ModelId(m)).collect();
-                OpenLoopClient::generate_many(
-                    &models,
-                    rate_per_model,
-                    spec.slo(),
-                    spec.duration(),
-                    &mut SimRng::seeded(spec.workload_seed),
-                )
-            }
-            // Closed-loop clients generate their load inside the run.
-            WorkloadSpec::ClosedLoop { .. } => Trace::default(),
-        };
+        let population: Vec<u32> = (0..self.spec.models as u32).collect();
+        let trace = self.spec.arrivals();
         self.run_prepared(factory, &population, &trace, max_events)
     }
 

@@ -29,8 +29,8 @@ use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_sim::variance::VarianceConfig;
 use clockwork_workload::{
-    AzureTraceConfig, AzureTraceGenerator, PopularityModel, RateProfile, ShapedWorkload, TierMix,
-    Trace,
+    AzureTraceConfig, AzureTraceGenerator, OpenLoopClient, PopularityModel, RateProfile,
+    ShapedWorkload, TierMix, Trace,
 };
 
 use crate::config::SystemConfig;
@@ -574,6 +574,27 @@ impl ScenarioSpec {
         }
     }
 
+    /// Every arrival of the whole model population, as
+    /// [`Experiment::run`](crate::experiment::Experiment::run) submits them:
+    /// the pre-generated trace, or one open-loop client per model. Closed-loop
+    /// scenarios return an empty trace; their clients generate their load
+    /// inside the run.
+    pub fn arrivals(&self) -> Trace {
+        match self.workload {
+            WorkloadSpec::OpenLoop { rate_per_model } => {
+                let models: Vec<ModelId> = (0..self.models as u32).map(ModelId).collect();
+                OpenLoopClient::generate_many(
+                    &models,
+                    rate_per_model,
+                    self.slo(),
+                    self.duration(),
+                    &mut SimRng::seeded(self.workload_seed),
+                )
+            }
+            _ => self.generated_trace().unwrap_or_default(),
+        }
+    }
+
     /// Serializes the spec to a self-contained JSON document —
     /// [`ScenarioSpec::from_json`] inverts it exactly. Stored alongside
     /// results, the document is a complete, replayable description of the
@@ -631,9 +652,11 @@ impl ServingSystem {
             ModelSet::ZooCycle => zoo.all().iter().cloned().map(Arc::new).collect(),
             ModelSet::Resnet50Copies => vec![Arc::new(zoo.resnet50().clone())],
         };
-        for global in population {
-            system.register_shared(Arc::clone(&varieties[global as usize % varieties.len()]));
-        }
+        system.register_shared(
+            population
+                .into_iter()
+                .map(|global| Arc::clone(&varieties[global as usize % varieties.len()])),
+        );
         system
     }
 }

@@ -162,7 +162,9 @@ pub struct ServingSystem {
     /// and the entire population of legacy scenarios) are never inserted,
     /// so the set stays empty and costs one lookup per response at most.
     best_effort: IdSet<RequestId>,
-    models: ModelTable<Arc<ModelSpec>>,
+    /// The model catalog: the one table of registered models, shared by
+    /// every worker ([`Worker::register_shared`]).
+    models: Arc<ModelTable<Arc<ModelSpec>>>,
     /// Dense worker lookup by id, so routing an action is one hash probe
     /// instead of a scan over the fleet.
     worker_index: IdMap<WorkerId, usize>,
@@ -251,7 +253,7 @@ impl ServingSystem {
             clients: Vec::new(),
             request_owner: IdMap::default(),
             best_effort: IdSet::default(),
-            models: ModelTable::default(),
+            models: Arc::default(),
             worker_index,
             links: (0..worker_count).map(|_| LinkState::healthy()).collect(),
             action_buf: Vec::new(),
@@ -520,16 +522,26 @@ impl ServingSystem {
 
     /// Registers one model instance and returns its id.
     pub fn register_model(&mut self, spec: &ModelSpec) -> ModelId {
-        self.register_shared(Arc::new(spec.clone()))
+        self.register_shared([Arc::new(spec.clone())])[0]
     }
 
-    /// Registers one instance of a spec that other instances may share, so
-    /// a thousand copies of a model hold one spec, not a thousand.
-    pub(crate) fn register_shared(&mut self, spec: Arc<ModelSpec>) -> ModelId {
-        let id = ModelId(self.next_model_id);
-        self.next_model_id += 1;
-        self.install_model(id, spec);
-        id
+    /// Registers one instance per spec, in order, and returns their ids.
+    /// Instances may share a spec, so a thousand copies of a model hold one
+    /// spec, not a thousand.
+    pub(crate) fn register_shared(
+        &mut self,
+        specs: impl IntoIterator<Item = Arc<ModelSpec>>,
+    ) -> Vec<ModelId> {
+        let added: Vec<(ModelId, Arc<ModelSpec>)> = specs
+            .into_iter()
+            .map(|spec| {
+                let id = ModelId(self.next_model_id);
+                self.next_model_id += 1;
+                (id, spec)
+            })
+            .collect();
+        self.install_models(&added);
+        added.into_iter().map(|(id, _)| id).collect()
     }
 
     /// Uploads a model at a virtual time while the system is running (§5.1
@@ -551,27 +563,34 @@ impl ServingSystem {
         id
     }
 
-    /// Makes a model known to every worker (host memory), the scheduler and
+    /// Makes models known to every worker (host memory), the scheduler and
     /// the telemetry layer. Shared by start-of-run registration and runtime
-    /// uploads.
-    fn install_model(&mut self, id: ModelId, spec: Arc<ModelSpec>) {
+    /// uploads. The workers let go of the catalog first, so it grows in place
+    /// rather than being copied, and then share the grown table again.
+    fn install_models(&mut self, added: &[(ModelId, Arc<ModelSpec>)]) {
+        for worker in &mut self.workers {
+            worker.release_models();
+        }
+        let catalog = Arc::make_mut(&mut self.models);
+        for (id, spec) in added {
+            catalog.insert(*id, Arc::clone(spec));
+        }
         for worker in &mut self.workers {
             worker
-                .register_model(id, Arc::clone(&spec))
+                .register_shared(&self.models, added.iter().map(|(id, _)| *id))
                 .expect("host memory exhausted while registering models");
         }
-        let load_seed = spec.weights_transfer_duration(&self.workers[0].config().pcie);
-        self.scheduler.add_model(id, Arc::clone(&spec), load_seed);
-        self.models.insert(id, spec);
+        let pcie = &self.workers[0].config().pcie;
+        for (id, spec) in added {
+            let load_seed = spec.weights_transfer_duration(pcie);
+            self.scheduler.add_model(*id, Arc::clone(spec), load_seed);
+        }
     }
 
     /// Registers `copies` instances of the same model (the paper's
     /// experiments duplicate one model many times) and returns their ids.
     pub fn register_copies(&mut self, spec: &ModelSpec, copies: usize) -> Vec<ModelId> {
-        let spec = Arc::new(spec.clone());
-        (0..copies)
-            .map(|_| self.register_shared(Arc::clone(&spec)))
-            .collect()
+        self.register_shared(std::iter::repeat_n(Arc::new(spec.clone()), copies))
     }
 
     /// Submits every request of a trace.
@@ -917,7 +936,7 @@ impl ServingSystem {
                 let _ = response;
             }
             SystemEvent::ModelUpload { id, spec } => {
-                self.install_model(id, spec);
+                self.install_models(&[(id, spec)]);
             }
             SystemEvent::SchedulerTick => {
                 let outcome = self.scheduler.on_tick(self.now, &mut self.ctx);
@@ -1017,11 +1036,9 @@ impl ServingSystem {
         let mut joined = Self::new_worker(&self.config, self.exec_mode, worker);
         // Known models land in the newcomer's host memory in id order — the
         // registration order is part of the deterministic execution.
-        for (model, spec) in self.models.iter() {
-            joined
-                .register_model(model, Arc::clone(spec))
-                .expect("host memory exhausted while admitting a joined worker");
-        }
+        joined
+            .register_shared(&self.models, self.models.iter().map(|(model, _)| model))
+            .expect("host memory exhausted while admitting a joined worker");
         Self::announce_gpus(self.scheduler.as_mut(), &joined);
         let index = self.workers.len();
         self.workers.push(joined);
