@@ -48,6 +48,7 @@ fn cell_json(run: &RunOutcome) -> (&str, Value) {
         ("total", m.total_requests.into()),
         ("successes", m.successes.into()),
         ("rejected", run.rejected().into()),
+        ("rejected_by_reason", bench::rejected_by_reason_json(m)),
         ("goodput", m.goodput.into()),
         ("goodput_rps", Value::fixed(m.goodput_rate(), 1)),
         ("satisfaction", Value::fixed(m.satisfaction(), 4)),
@@ -141,7 +142,7 @@ fn main() {
             offered[i]
         );
         println!(
-            "{:<18} {:>9} {:>9} {:>9} {:>9} {:>6} {:>9} {:>9} {:>7}",
+            "{:<18} {:>9} {:>9} {:>9} {:>9} {:>6} {:>9} {:>9} {:>7}  rejected_by_reason",
             "discipline",
             "total",
             "goodput",
@@ -155,7 +156,7 @@ fn main() {
         for run in load_rows {
             let m = &run.metrics;
             println!(
-                "{:<18} {:>9} {:>9} {:>9} {:>9.1} {:>6.3} {:>9.2} {:>9.2} {:>7}",
+                "{:<18} {:>9} {:>9} {:>9} {:>9.1} {:>6.3} {:>9.2} {:>9.2} {:>7}  {}",
                 run.discipline,
                 m.total_requests,
                 m.goodput,
@@ -165,6 +166,7 @@ fn main() {
                 m.latency.percentile(99.0).as_millis_f64(),
                 m.mean_batch,
                 run.backlog(),
+                bench::rejected_by_reason_field(m),
             );
         }
     }

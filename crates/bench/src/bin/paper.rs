@@ -718,27 +718,12 @@ fn table_scale() -> bool {
             m.latency.percentile(50.0).as_millis_f64(),
             m.latency.percentile(99.99).as_millis_f64(),
             m.latency.max().as_millis_f64(),
-            rejected_by_reason(&m)
+            bench::rejected_by_reason_field(&m)
         );
     }
     println!("# paper: 100 ms -> 6174 r/s, 0 missed, P50 6.28 ms, P99.99 49.92 ms");
     println!("#        25 ms -> 6060 r/s, 361 missed (0.00002%), P50 5.77 ms, P99.99 21.60 ms");
     ok
-}
-
-/// A run's rejections by reason, in reason-name order, as one CSV field:
-/// `reason=count` pairs joined by `;`, or `none`.
-fn rejected_by_reason(m: &ExperimentMetrics) -> String {
-    let mut reasons: Vec<_> = m.rejections.iter().collect();
-    reasons.sort_unstable();
-    if reasons.is_empty() {
-        return "none".to_string();
-    }
-    let pairs: Vec<String> = reasons
-        .iter()
-        .map(|(reason, count)| format!("{reason}={count}"))
-        .collect();
-    pairs.join(";")
 }
 
 /// Ablation: the four consolidation-of-choice mechanisms (§4–5) removed one
@@ -807,7 +792,7 @@ fn ablation() -> bool {
         println!(
             "{},{}",
             bench::summary_csv_row(label, &m),
-            rejected_by_reason(&m)
+            bench::rejected_by_reason_field(&m)
         );
     }
     println!("# expected shape: removing admission control and batching hurts goodput under");

@@ -40,7 +40,6 @@
 
 use clockwork::json::Value;
 use clockwork::prelude::*;
-use clockwork_controller::RejectReason;
 use clockwork_shard::{
     FleetReport, ShardAssignment, ShardRunStats, ShardedExperiment, ShardedSpec,
 };
@@ -95,7 +94,10 @@ fn check_fleet(label: &str, fleet: &FleetReport, merged: &RunOutcome, spec: &Sce
         );
         ok = false;
     }
-    let by_reason: u64 = rejected_by_reason(merged).iter().map(|&(_, n)| n).sum();
+    let by_reason: u64 = bench::rejected_by_reason(&merged.metrics)
+        .iter()
+        .map(|&(_, n)| n)
+        .sum();
     if by_reason != merged.rejected() {
         eprintln!(
             "[{label}] UNLISTED REJECT REASON: {by_reason} of {} rejections under a known key",
@@ -104,28 +106,6 @@ fn check_fleet(label: &str, fleet: &FleetReport, merged: &RunOutcome, spec: &Sce
         ok = false;
     }
     ok
-}
-
-/// Every reject reason, in declaration order: the keys of a row's
-/// `rejected_by_reason`. `check_fleet` fails the run if a rejection is
-/// counted under a key this list lacks.
-const REJECT_REASONS: [RejectReason; 6] = [
-    RejectReason::CannotMeetSlo,
-    RejectReason::DeadlineElapsed,
-    RejectReason::UnknownModel,
-    RejectReason::WorkerRejected,
-    RejectReason::WorkerFailed,
-    RejectReason::BestEffortShed,
-];
-
-fn rejected_by_reason(run: &RunOutcome) -> Vec<(&'static str, u64)> {
-    REJECT_REASONS
-        .iter()
-        .map(|reason| {
-            let key = reason.as_str();
-            (key, run.metrics.rejections.get(key).copied().unwrap_or(0))
-        })
-        .collect()
 }
 
 fn shard_json(s: &ShardRunStats) -> Value {
@@ -220,7 +200,6 @@ fn main() {
             evps,
             format!("{:016x}", merged.digest),
         );
-        let by_reason = rejected_by_reason(&merged).into_iter();
         let m = &merged.metrics;
         totals.push(m.total_requests);
         rows.push(Value::obj([
@@ -241,10 +220,7 @@ fn main() {
             ("successes", m.successes.into()),
             ("rejected", merged.rejected().into()),
             ("goodput", m.goodput.into()),
-            (
-                "rejected_by_reason",
-                Value::obj(by_reason.map(|(key, n)| (key, n.into()))),
-            ),
+            ("rejected_by_reason", bench::rejected_by_reason_json(m)),
             (
                 "cold_start_fraction",
                 Value::fixed(m.cold_start_fraction(), 6),

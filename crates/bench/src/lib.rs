@@ -13,6 +13,7 @@
 use clockwork::json::Value;
 use clockwork::prelude::*;
 use clockwork_baselines::register_baselines;
+use clockwork_controller::RejectReason;
 
 pub mod cli;
 pub mod invariants;
@@ -343,6 +344,54 @@ pub fn offered_rps(totals: impl IntoIterator<Item = u64>, duration_secs: u64) ->
     totals
         .all(|total| total == arrivals)
         .then(|| arrivals as f64 / duration_secs as f64)
+}
+
+/// Every reject reason, in declaration order: the keys of a row's
+/// `rejected_by_reason`.
+const REJECT_REASONS: [RejectReason; 6] = [
+    RejectReason::CannotMeetSlo,
+    RejectReason::DeadlineElapsed,
+    RejectReason::UnknownModel,
+    RejectReason::WorkerRejected,
+    RejectReason::WorkerFailed,
+    RejectReason::BestEffortShed,
+];
+
+/// A run's rejections under every reject reason, in declaration order,
+/// zeros included. They sum to the run's rejections unless one is counted
+/// under a key the list of reasons lacks.
+pub fn rejected_by_reason(m: &ExperimentMetrics) -> Vec<(&'static str, u64)> {
+    REJECT_REASONS
+        .iter()
+        .map(|reason| {
+            let key = reason.as_str();
+            (key, m.rejections.get(key).copied().unwrap_or(0))
+        })
+        .collect()
+}
+
+/// [`rejected_by_reason`] as one CSV field or table cell: the non-zero
+/// `reason=count` pairs joined by `;`, or `none`.
+pub fn rejected_by_reason_field(m: &ExperimentMetrics) -> String {
+    let pairs: Vec<String> = rejected_by_reason(m)
+        .into_iter()
+        .filter(|&(_, count)| count > 0)
+        .map(|(reason, count)| format!("{reason}={count}"))
+        .collect();
+    if pairs.is_empty() {
+        return "none".to_string();
+    }
+    pairs.join(";")
+}
+
+/// [`rejected_by_reason`] as the `BENCH_*.json` schemas write it: an
+/// object with every reason's count.
+pub fn rejected_by_reason_json(m: &ExperimentMetrics) -> Value {
+    Value::obj(
+        rejected_by_reason(m)
+            .into_iter()
+            .map(|(reason, count)| (reason, count.into())),
+    )
 }
 
 /// A run's 16-hex-digit FNV-1a digest, as the `BENCH_*.json` schemas write

@@ -303,38 +303,50 @@ impl Worker {
     /// Registers `added`, models of `catalog` this worker does not hold yet,
     /// and from then on reads every model from `catalog` itself, shared with
     /// its other holders: [`Worker::register_model`] in bulk, with no table
-    /// of the worker's own. Host memory is charged for each added model in
-    /// the order given, and the first that does not fit fails with the error
+    /// of the worker's own. `added_bytes` is the added models' weights
+    /// summed, which a caller registering them on many workers takes once
+    /// for all of them. Host memory is charged for each added model in the
+    /// order given, and the first that does not fit fails with the error
     /// `register_model` would return for it; on any error nothing is charged
     /// and nothing changes. `catalog` must hold every model this worker
     /// holds: a shared catalog only grows.
     ///
-    /// Panics if an added model is not in `catalog`.
+    /// A worker that holds no table and has room for `added_bytes` looks at
+    /// no added model, so registering a catalog on a fleet costs one pass
+    /// over the catalog, not one per worker. Otherwise (and always in a
+    /// debug build) each model is checked in order.
+    ///
+    /// Panics if a checked model is not in `catalog`, or if the checked
+    /// models' weights do not sum to `added_bytes`.
     pub fn register_shared(
         &mut self,
         catalog: &Arc<ModelTable<Arc<ModelSpec>>>,
         added: impl IntoIterator<Item = ModelId>,
+        added_bytes: u64,
     ) -> Result<(), WorkerError> {
         let available = self.host_memory.available();
-        let mut charged = 0u64;
-        for id in added {
-            if self.has_model(id) {
-                return Err(WorkerError::DuplicateModel(id));
+        if added_bytes > available || self.models.is_some() || cfg!(debug_assertions) {
+            let mut charged = 0u64;
+            for id in added {
+                if self.has_model(id) {
+                    return Err(WorkerError::DuplicateModel(id));
+                }
+                let spec = catalog
+                    .get(id)
+                    .unwrap_or_else(|| panic!("added {id} is not in the catalog"));
+                let requested = spec.weights_bytes();
+                if requested > available - charged {
+                    return Err(WorkerError::HostMemoryExhausted {
+                        requested,
+                        available: available - charged,
+                    });
+                }
+                charged += requested;
             }
-            let spec = catalog
-                .get(id)
-                .unwrap_or_else(|| panic!("added {id} is not in the catalog"));
-            let requested = spec.weights_bytes();
-            if requested > available - charged {
-                return Err(WorkerError::HostMemoryExhausted {
-                    requested,
-                    available: available - charged,
-                });
-            }
-            charged += requested;
+            assert_eq!(charged, added_bytes, "added_bytes is not the added weights");
         }
         self.host_memory
-            .allocate(charged)
+            .allocate(added_bytes)
             .expect("the added models were checked to fit");
         self.models = Some(Arc::clone(catalog));
         Ok(())
@@ -1107,17 +1119,28 @@ mod tests {
         Arc::new(table)
     }
 
+    fn weights_of(
+        catalog: &ModelTable<Arc<ModelSpec>>,
+        ids: impl IntoIterator<Item = ModelId>,
+    ) -> u64 {
+        ids.into_iter()
+            .map(|id| catalog.get(id).unwrap().weights_bytes())
+            .sum()
+    }
+
     #[test]
     fn register_model_copies_a_shared_catalog_before_writing() {
         let catalog = zoo_catalog(6);
         let ids = || (0..6).map(ModelId);
         let mut a = Worker::new(quiet_config());
         let mut b = Worker::new(quiet_config());
-        a.register_shared(&catalog, ids()).unwrap();
-        b.register_shared(&catalog, ids()).unwrap();
+        let all = weights_of(&catalog, ids());
+        a.register_shared(&catalog, ids(), all).unwrap();
+        b.register_shared(&catalog, ids(), all).unwrap();
         assert!(Arc::ptr_eq(a.model_table().unwrap(), &catalog));
+        let two = weights_of(&catalog, [ModelId(2)]);
         assert_eq!(
-            a.register_shared(&catalog, [ModelId(2)]),
+            a.register_shared(&catalog, [ModelId(2)], two),
             Err(WorkerError::DuplicateModel(ModelId(2)))
         );
 
@@ -1151,7 +1174,11 @@ mod tests {
 
         let mut shared = Worker::new(cfg.clone());
         let err = shared
-            .register_shared(&catalog, catalog.iter().map(|(id, _)| id))
+            .register_shared(
+                &catalog,
+                catalog.iter().map(|(id, _)| id),
+                weights.iter().sum(),
+            )
             .unwrap_err();
         assert_eq!(err, expected);
         assert_eq!(
@@ -1166,7 +1193,7 @@ mod tests {
         assert_eq!(shared.model_count(), 0);
         // The models that fit register in bulk, and fill the same memory.
         shared
-            .register_shared(&catalog, (0..29).map(ModelId))
+            .register_shared(&catalog, (0..29).map(ModelId), weights[..29].iter().sum())
             .unwrap();
         assert_eq!(
             shared.host_memory_available(),

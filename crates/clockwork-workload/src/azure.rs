@@ -189,6 +189,10 @@ impl AzureTraceGenerator {
     /// the trace is the sort of all its arrivals: only an offset that
     /// rounds up to the next minute can leave two minutes out of order,
     /// and [`Trace::new`] sorts what they leave.
+    ///
+    /// A minute cut by the trace's end still draws every offset, so each
+    /// stream stays where it was; but an offset that lands past the end is
+    /// dropped before it is converted to a timestamp.
     pub fn generate(&self) -> Trace {
         let rng = SimRng::seeded(self.config.seed ^ 0x5117);
         let total_weight: f64 = self.functions.iter().map(|f| f.weight).sum();
@@ -201,13 +205,22 @@ impl AzureTraceGenerator {
         let mut events = Vec::new();
         for minute in 0..minutes {
             let start = events.len();
+            let minute_start = Timestamp::from_secs(minute * 60);
+            // Capped above any offset (at most 60 s), so it stays a whole
+            // number of nanoseconds below 2^53, exact in an f64.
+            let room = (end - minute_start).min(Nanos::from_minutes(2)).as_nanos() as f64;
             for (f, frng) in self.functions.iter().zip(&mut rngs) {
                 let base_per_minute = per_minute_budget * f.weight / total_weight;
                 let mult = Self::class_multiplier(f.class, minute, frng);
                 let count = frng.poisson_count(base_per_minute * mult);
                 for _ in 0..count {
-                    let offset = Nanos::from_secs_f64(frng.uniform() * 60.0);
-                    let at = Timestamp::from_secs(minute * 60) + offset;
+                    let u = frng.uniform();
+                    if lands_past(u, room) {
+                        continue;
+                    }
+                    let at = minute_start + Nanos::from_secs_f64(u * 60.0);
+                    // An offset within half a nanosecond of the room rounds
+                    // up onto the end.
                     if at < end {
                         events.push(TraceEvent {
                             at,
@@ -222,6 +235,17 @@ impl AzureTraceGenerator {
         }
         Trace::new(events)
     }
+}
+
+/// Whether an arrival drawn at `u` (a uniform draw, the fraction of its
+/// minute) lands at or past the end of a trace that leaves `room` whole
+/// nanoseconds of the minute, read before the offset `(u · 60) · 1e9` is
+/// rounded: it does when the offset is at or past `room`. Rounding never
+/// takes a value at or above a whole number below it, so every arrival
+/// this drops is one the end drops. Those within half a nanosecond below
+/// `room` round up onto the end, and are left for the caller's own test.
+fn lands_past(u: f64, room: f64) -> bool {
+    u * 60.0 * 1e9 >= room
 }
 
 #[cfg(test)]
@@ -280,13 +304,26 @@ mod tests {
             let gen = AzureTraceGenerator::new(config);
             assert_eq!(gen.generate(), whole_sort_reference(&gen), "{config:?}");
         };
-        // Durations that end mid-minute, including inside the first one.
-        for duration_ms in [400, 61_500, 179_900] {
+        // Durations that end mid-minute, including inside the first one, a
+        // nanosecond either side of a whole minute, and on it.
+        let minute = Nanos::from_minutes(1);
+        let durations = [
+            Nanos::from_nanos(1),
+            Nanos::from_millis(1),
+            Nanos::from_millis(400),
+            Nanos::from_secs(1),
+            minute - Nanos::from_nanos(1),
+            minute,
+            minute + Nanos::from_nanos(1),
+            Nanos::from_millis(61_500),
+            Nanos::from_millis(179_900),
+        ];
+        for duration in durations {
             for seed in 0..20 {
                 matches(AzureTraceConfig {
                     functions: 60 + 7 * seed as usize,
                     models: 1 + seed as usize % 4 * 10,
-                    duration: Nanos::from_millis(duration_ms),
+                    duration,
                     target_rate: 200.0,
                     seed,
                     ..small_config()
@@ -308,6 +345,53 @@ mod tests {
                 ..small_config()
             });
         }
+    }
+
+    /// `lands_past` against the exact path, `minute_start + offset < end`,
+    /// at the draws either side of where the offset crosses `room − 0.5`
+    /// (where rounding starts to put it on the end) and `room`.
+    #[test]
+    fn lands_past_drops_only_what_the_end_drops() {
+        let offset = |u: f64| u * 60.0 * 1e9;
+        // The least `u` whose offset is at or past `target`: offsets rise
+        // with `u`, so walk from an estimate to the crossing.
+        let crossing = |target: f64| {
+            let mut u = target / 6e10;
+            while offset(u) >= target {
+                u = f64::from_bits(u.to_bits() - 1);
+            }
+            while offset(u) < target {
+                u = f64::from_bits(u.to_bits() + 1);
+            }
+            u
+        };
+        let minute_start = Timestamp::from_secs(120);
+        let (mut fired, mut rounded_up) = (0, 0);
+        for room_ns in [1, 1_000_000, 1_000_000_000, 59_999_999_999, 60_000_000_000] {
+            let end = minute_start + Nanos::from_nanos(room_ns);
+            let room = room_ns as f64;
+            for target in [room - 0.5, room] {
+                let at = crossing(target);
+                for step in -4i64..=4 {
+                    let u = f64::from_bits(at.to_bits().wrapping_add_signed(step));
+                    let kept = minute_start + Nanos::from_secs_f64(u * 60.0) < end;
+                    let cut = lands_past(u, room);
+                    let case = format!("room {room_ns} ns, u {u:e}, offset {:e}", offset(u));
+                    // Sound: every arrival the cut drops, the end drops.
+                    assert!(!(cut && kept), "cut a kept arrival: {case}");
+                    // Tight: it drops exactly the offsets whose whole
+                    // nanoseconds are at or past the room.
+                    assert_eq!(cut, offset(u) as u64 >= room_ns, "{case}");
+                    fired += usize::from(cut);
+                    rounded_up += usize::from(!cut && !kept);
+                }
+            }
+        }
+        // Both sides of both crossings were visited.
+        assert!(
+            fired > 0 && rounded_up > 0,
+            "{fired} cut, {rounded_up} rounded up"
+        );
     }
 
     #[test]

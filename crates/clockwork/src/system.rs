@@ -566,18 +566,21 @@ impl ServingSystem {
     /// Makes models known to every worker (host memory), the scheduler and
     /// the telemetry layer. Shared by start-of-run registration and runtime
     /// uploads. The workers let go of the catalog first, so it grows in place
-    /// rather than being copied, and then share the grown table again.
+    /// rather than being copied, and then share the grown table again. The
+    /// added weights are summed once for the whole fleet.
     fn install_models(&mut self, added: &[(ModelId, Arc<ModelSpec>)]) {
         for worker in &mut self.workers {
             worker.release_models();
         }
         let catalog = Arc::make_mut(&mut self.models);
+        let mut added_bytes = 0;
         for (id, spec) in added {
             catalog.insert(*id, Arc::clone(spec));
+            added_bytes += spec.weights_bytes();
         }
         for worker in &mut self.workers {
             worker
-                .register_shared(&self.models, added.iter().map(|(id, _)| *id))
+                .register_shared(&self.models, added.iter().map(|(id, _)| *id), added_bytes)
                 .expect("host memory exhausted while registering models");
         }
         let pcie = &self.workers[0].config().pcie;
@@ -1036,8 +1039,13 @@ impl ServingSystem {
         let mut joined = Self::new_worker(&self.config, self.exec_mode, worker);
         // Known models land in the newcomer's host memory in id order — the
         // registration order is part of the deterministic execution.
+        let catalog_bytes = self.models.values().map(|spec| spec.weights_bytes()).sum();
         joined
-            .register_shared(&self.models, self.models.iter().map(|(model, _)| model))
+            .register_shared(
+                &self.models,
+                self.models.iter().map(|(model, _)| model),
+                catalog_bytes,
+            )
             .expect("host memory exhausted while admitting a joined worker");
         Self::announce_gpus(self.scheduler.as_mut(), &joined);
         let index = self.workers.len();

@@ -3,7 +3,10 @@
 //! A built system's workers read the same `Arc`'d table, a model uploaded
 //! mid-run lands in it for every worker — those admitted by a `WorkerJoin`
 //! before the upload and after it alike — and each worker still charges its
-//! own host memory for every model.
+//! own host memory for every model. Registration sums the added weights
+//! once for the fleet, and a population that does not fit still fails at
+//! the model, and with the figures, that charging one model at a time
+//! gives.
 
 use std::sync::Arc;
 
@@ -121,4 +124,72 @@ fn an_upload_serves_on_workers_joined_before_and_after_it() {
             joined.id()
         );
     }
+}
+
+#[test]
+fn a_population_beyond_host_memory_fails_at_the_model_it_always_did() {
+    let spec = ScenarioSpec {
+        workers: 2,
+        models: 20_000,
+        ..ScenarioSpec::fleet_scale()
+    };
+    let panic = std::panic::catch_unwind(|| {
+        ServingSystem::from_spec(&spec, &ClockworkFactory::default());
+    })
+    .expect_err("20 000 zoo models overflow a worker's host memory");
+    let message = panic.downcast_ref::<String>().expect("a formatted panic");
+    // The figures registration gave when every worker charged one model at
+    // a time.
+    assert!(
+        message.ends_with("HostMemoryExhausted { requested: 252182528, available: 7654718 }"),
+        "{message}"
+    );
+    // They are those of the first model, in registration order, that does
+    // not fit in what the models before it left.
+    let zoo = ModelZoo::new();
+    let capacity = WorkerConfig::new(WorkerId(0)).host_memory_bytes;
+    let mut left = capacity;
+    let (failed_at, requested) = (0..spec.models)
+        .map(|m| (m, zoo.all()[m % zoo.len()].weights_bytes()))
+        .find(|&(_, bytes)| {
+            let fits = bytes <= left;
+            left -= if fits { bytes } else { 0 };
+            !fits
+        })
+        .unwrap();
+    assert_eq!(
+        (failed_at, requested, left),
+        (6_053, 252_182_528, 7_654_718)
+    );
+}
+
+#[test]
+fn a_worker_joined_after_an_upload_is_charged_for_every_model() {
+    let ms = Timestamp::from_millis;
+    let mut system = ServingSystem::new(SystemConfig {
+        workers: 1,
+        faults: FaultPlan::new().join_worker(ms(500), 1),
+        ..Default::default()
+    });
+    let zoo = ModelZoo::new();
+    let (resident, uploaded) = (zoo.resnet50(), &zoo.all()[7]);
+    assert_ne!(resident.weights_bytes(), uploaded.weights_bytes());
+    let resident_id = system.register_model(resident);
+    let uploaded_id = system.upload_model(ms(100), uploaded);
+    system.run_until(ms(1_000));
+
+    let workers = system.workers();
+    assert_eq!(workers.len(), 2);
+    let joined = &workers[1];
+    assert!(joined.has_model(resident_id) && joined.has_model(uploaded_id));
+    let charged = joined.config().host_memory_bytes - joined.host_memory_available();
+    assert_eq!(
+        charged,
+        resident.weights_bytes() + uploaded.weights_bytes(),
+        "the joined worker holds the uploaded model's weights too"
+    );
+    assert_eq!(
+        joined.host_memory_available(),
+        workers[0].host_memory_available()
+    );
 }
