@@ -5,13 +5,16 @@
 //!     [--every-ms N] [--seed N] [--workload-seed N]
 //! ```
 //!
-//! `SCENARIO` is a preset — `fleet_scale`, `flagship_slice` (200 workers ×
-//! 4 GPUs, 2 000 models, 1 s) or `cold_churn` (3 000 models on 4 × 2 GPUs
-//! with the scripted churn) — or the path of a `ScenarioSpec` JSON file.
-//! The Clockwork scheduler serves it. The probe prints `VmRSS` and `VmHWM`
-//! from `/proc/self/status` after trace generation, build and submit, then
-//! after every `N` simulated ms of the run (default 100), up to the horizon.
-//! Linux only: elsewhere the readings print as 0.
+//! `SCENARIO` is a preset, one per benchmark workload — `fleet_scale`,
+//! `flagship_slice` (200 workers × 4 GPUs, 2 000 models, 1 s),
+//! `cold_churn` (3 000 models on 4 × 2 GPUs with the scripted churn) or
+//! `substrate_fifo` (`fleet_scale` at 480 s) — or the path of a
+//! `ScenarioSpec` JSON file. The Clockwork scheduler serves it, except
+//! `substrate_fifo`, which FIFO serves, as in the benchmark. The probe
+//! prints `VmRSS` and `VmHWM` from `/proc/self/status` after trace
+//! generation, build and submit, then after every `N` simulated ms of the
+//! run (default 100), up to the horizon. Linux only: elsewhere the readings
+//! print as 0.
 
 use clockwork::prelude::*;
 use clockwork_shard::ShardedSpec;
@@ -37,6 +40,7 @@ fn print_stage(stage: &str) {
 fn scenario(name: &str) -> Result<ScenarioSpec, String> {
     Ok(match name {
         "fleet_scale" => ScenarioSpec::fleet_scale(),
+        "substrate_fifo" => ScenarioSpec::fleet_scale().with_duration_secs(480),
         "flagship_slice" => ShardedSpec::shard_fleet(1).base.with_duration_secs(1),
         "cold_churn" => {
             let mut spec = ScenarioSpec {
@@ -70,6 +74,10 @@ fn main() -> Result<(), String> {
     };
     let name = args.first().ok_or(USAGE)?;
     let mut spec = scenario(name)?;
+    let factory: Box<dyn SchedulerFactory> = match name.as_str() {
+        "substrate_fifo" => Box::new(FifoFactory),
+        _ => Box::new(ClockworkFactory::default()),
+    };
     spec.seed = flag("--seed")?.unwrap_or(spec.seed);
     spec.workload_seed = flag("--workload-seed")?.unwrap_or(spec.workload_seed);
     let every = Nanos::from_millis(flag("--every-ms")?.unwrap_or(100).max(1));
@@ -77,7 +85,7 @@ fn main() -> Result<(), String> {
     print_stage("start");
     let trace = spec.arrivals();
     print_stage("trace");
-    let mut system = ServingSystem::from_spec(&spec, &ClockworkFactory::default());
+    let mut system = ServingSystem::from_spec(&spec, factory.as_ref());
     print_stage("build");
     system.submit_trace(&trace);
     print_stage("submit");

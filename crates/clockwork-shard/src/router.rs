@@ -125,7 +125,7 @@ fn hash_shard(model: u32, shards: u32) -> u32 {
 /// construction; models absent from the trace pack last with weight zero.
 fn load_aware_table(trace: &Trace, shards: u32, models: usize) -> Vec<u32> {
     let mut counts = vec![0u64; models];
-    for e in trace.events() {
+    for e in trace.iter() {
         let m = e.model.0 as usize;
         assert!(
             m < models,
@@ -249,7 +249,7 @@ mod tests {
         let parts = router.route(&trace);
         assert_eq!(parts.iter().map(Trace::len).sum::<usize>(), trace.len());
         for (s, part) in parts.iter().enumerate() {
-            for e in part.events() {
+            for e in part.iter() {
                 assert_eq!(router.shard_of(e.model) as usize, s);
             }
         }

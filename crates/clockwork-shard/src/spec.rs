@@ -298,7 +298,7 @@ mod tests {
         );
         for plan in &plans {
             // Local ids are dense: every event references a registered model.
-            for e in plan.trace.events() {
+            for e in plan.trace.iter() {
                 assert!((e.model.0 as usize) < plan.owned.len());
             }
         }

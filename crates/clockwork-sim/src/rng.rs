@@ -79,6 +79,27 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
+    /// Moves the stream past `draws` [`SimRng::uniform`] draws without
+    /// making them: the generator is then where drawing them would leave
+    /// it. A draw takes two steps of the underlying linear congruential
+    /// generator, and `n` steps compose into one affine map, built by
+    /// squaring in O(log n) multiplications.
+    pub fn skip_uniforms(&mut self, draws: u64) {
+        let (mut mult, mut plus) = (1u64, 0u64);
+        let (mut step_mult, mut step_plus) = (PCG_MULT, self.inc);
+        let mut steps = draws.wrapping_mul(2);
+        while steps > 0 {
+            if steps & 1 == 1 {
+                mult = mult.wrapping_mul(step_mult);
+                plus = plus.wrapping_mul(step_mult).wrapping_add(step_plus);
+            }
+            step_plus = step_mult.wrapping_add(1).wrapping_mul(step_plus);
+            step_mult = step_mult.wrapping_mul(step_mult);
+            steps >>= 1;
+        }
+        self.state = mult.wrapping_mul(self.state).wrapping_add(plus);
+    }
+
     /// A uniform sample in `[lo, hi)`. Returns `lo` when the range is empty.
     pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
         if hi <= lo {
@@ -231,6 +252,28 @@ mod tests {
         let mut d = root.derive(1);
         for _ in 0..16 {
             assert_eq!(c.next_u64(), d.next_u64());
+        }
+    }
+
+    #[test]
+    fn skipping_draws_leaves_the_stream_where_drawing_them_does() {
+        for (seed, draws) in [
+            (0, 0),
+            (1, 1),
+            (2, 2),
+            (3, 7),
+            (4, 64),
+            (5, 1_000),
+            (6, 65_537),
+        ] {
+            let mut drawn = SimRng::seeded(seed).derive(draws);
+            let mut skipped = drawn.clone();
+            for _ in 0..draws {
+                drawn.uniform();
+            }
+            skipped.skip_uniforms(draws);
+            assert_eq!(skipped, drawn, "{draws} draws");
+            assert_eq!(skipped.next_u64(), drawn.next_u64());
         }
     }
 

@@ -13,8 +13,8 @@
 //! its 4 026 model instances.
 //!
 //! Arrivals are emitted in order, one minute at a time: every function draws
-//! its minute, the minute alone is sorted, and the next minute follows, so
-//! [`Trace::new`] has nothing left to sort.
+//! its minute, the minute alone is sorted in place as packed keys, and the
+//! next minute follows.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +22,7 @@ use clockwork_model::{ModelId, Tier};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 
-use crate::trace::{sort_arrivals, Trace, TraceEvent};
+use crate::trace::{SegmentWriter, Trace};
 
 /// The workload classes observed in the MAF trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -180,19 +180,35 @@ impl AzureTraceGenerator {
         }
     }
 
+    /// How many arrivals a function of `class` draws from its stream in
+    /// `minute`, at `base_per_minute` before the class's multiplier.
+    fn draw_count(
+        class: FunctionClass,
+        base_per_minute: f64,
+        minute: u64,
+        frng: &mut SimRng,
+    ) -> u64 {
+        let mult = Self::class_multiplier(class, minute, frng);
+        frng.poisson_count(base_per_minute * mult)
+    }
+
     /// Generates the trace, one minute at a time.
     ///
     /// Each function draws from its own stream, `derive(function index)`,
     /// so visiting the functions minute by minute draws the same numbers as
     /// visiting them one function at a time. Each minute is drawn function
-    /// by function and then sorted on its own. Arrival order is total, so
-    /// the trace is the sort of all its arrivals: only an offset that
-    /// rounds up to the next minute can leave two minutes out of order,
-    /// and [`Trace::new`] sorts what they leave.
+    /// by function and then sorted on its own, as packed keys: an offset
+    /// into the minute (36 bits hold up to 60 s) above a model id, which
+    /// leaves 28 bits for the model id. Arrival order is total, so the trace
+    /// is the sort of all its arrivals.
     ///
     /// A minute cut by the trace's end still draws every offset, so each
     /// stream stays where it was; but an offset that lands past the end is
     /// dropped before it is converted to a timestamp.
+    ///
+    /// # Panics
+    ///
+    /// When the configured models' ids do not fit those 28 bits.
     pub fn generate(&self) -> Trace {
         let rng = SimRng::seeded(self.config.seed ^ 0x5117);
         let total_weight: f64 = self.functions.iter().map(|f| f.weight).sum();
@@ -202,40 +218,60 @@ impl AzureTraceGenerator {
         let mut rngs: Vec<SimRng> = (0..self.functions.len())
             .map(|fi| rng.derive(fi as u64))
             .collect();
-        let mut events = Vec::new();
+        let max_model = self.config.models.max(1) as u64 - 1;
+        let classes = vec![(self.config.slo, Tier::Strict)];
+        let mut writer = SegmentWriter::new(MINUTE.as_nanos(), max_model, classes)
+            .unwrap_or_else(|e| panic!("an Azure trace over {} models: {e}", self.config.models));
+        // A minute the end does not cut keeps every arrival it draws, but
+        // one that rounds onto the end: copies of the streams that draw the
+        // counts and skip the offsets bound those minutes' arrivals, so the
+        // time column is allocated once for them.
+        let whole_minutes = self.config.duration.as_nanos() / MINUTE.as_nanos();
+        let mut counting = rngs.clone();
+        let mut bound = 0;
+        for minute in 0..whole_minutes {
+            for (f, frng) in self.functions.iter().zip(&mut counting) {
+                let base_per_minute = per_minute_budget * f.weight / total_weight;
+                let count = Self::draw_count(f.class, base_per_minute, minute, frng);
+                frng.skip_uniforms(count);
+                bound += count;
+            }
+        }
+        writer.reserve(bound as usize);
         for minute in 0..minutes {
-            let start = events.len();
             let minute_start = Timestamp::from_secs(minute * 60);
             // Capped above any offset (at most 60 s), so it stays a whole
             // number of nanoseconds below 2^53, exact in an f64.
             let room = (end - minute_start).min(Nanos::from_minutes(2)).as_nanos() as f64;
             for (f, frng) in self.functions.iter().zip(&mut rngs) {
                 let base_per_minute = per_minute_budget * f.weight / total_weight;
-                let mult = Self::class_multiplier(f.class, minute, frng);
-                let count = frng.poisson_count(base_per_minute * mult);
+                let count = Self::draw_count(f.class, base_per_minute, minute, frng);
                 for _ in 0..count {
                     let u = frng.uniform();
                     if lands_past(u, room) {
                         continue;
                     }
-                    let at = minute_start + Nanos::from_secs_f64(u * 60.0);
+                    let offset = Nanos::from_secs_f64(u * 60.0);
                     // An offset within half a nanosecond of the room rounds
                     // up onto the end.
-                    if at < end {
-                        events.push(TraceEvent {
-                            at,
-                            model: f.model,
-                            slo: self.config.slo,
-                            tier: Tier::Strict,
-                        });
+                    if minute_start + offset < end {
+                        writer.push(offset.as_nanos(), f.model, 0);
                     }
                 }
             }
-            sort_arrivals(&mut events[start..]);
+            writer.close_segment(minute_start);
+            debug_assert!(
+                minute + 1 != whole_minutes || rngs == counting,
+                "skipping the offsets left the counting streams elsewhere than drawing them"
+            );
         }
-        Trace::new(events)
+        writer.finish()
     }
 }
+
+/// The length of the trace's segments, a minute: every offset of one is at
+/// most this long.
+const MINUTE: Nanos = Nanos::from_minutes(1);
 
 /// Whether an arrival drawn at `u` (a uniform draw, the fraction of its
 /// minute) lands at or past the end of a trace that leaves `room` whole
@@ -251,7 +287,7 @@ fn lands_past(u: f64, room: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::arrival_order;
+    use crate::trace::{arrival_order, TraceEvent};
 
     fn small_config() -> AzureTraceConfig {
         AzureTraceConfig {
@@ -264,9 +300,10 @@ mod tests {
         }
     }
 
-    /// The function-major generator with one sort of the whole trace:
-    /// the reference [`AzureTraceGenerator::generate`] must reproduce.
-    fn whole_sort_reference(gen: &AzureTraceGenerator) -> Trace {
+    /// The function-major generator with one sort of the whole trace, as
+    /// events: the reference [`AzureTraceGenerator::generate`] must
+    /// reproduce event for event.
+    fn whole_sort_reference(gen: &AzureTraceGenerator) -> Vec<TraceEvent> {
         let config = gen.config();
         let rng = SimRng::seeded(config.seed ^ 0x5117);
         let total_weight: f64 = gen.functions().iter().map(|f| f.weight).sum();
@@ -295,14 +332,16 @@ mod tests {
             }
         }
         events.sort_by_key(arrival_order);
-        Trace::new(events)
+        events
     }
 
     #[test]
     fn minute_major_generation_matches_the_whole_sort() {
         let matches = |config: AzureTraceConfig| {
             let gen = AzureTraceGenerator::new(config);
-            assert_eq!(gen.generate(), whole_sort_reference(&gen), "{config:?}");
+            let trace = gen.generate();
+            let events: Vec<TraceEvent> = trace.iter().collect();
+            assert_eq!(events, whole_sort_reference(&gen), "{config:?}");
         };
         // Durations that end mid-minute, including inside the first one, a
         // nanosecond either side of a whole minute, and on it.
@@ -394,6 +433,23 @@ mod tests {
         );
     }
 
+    /// 60 s of offset take 36 bits of a key, which leaves 28 for model ids.
+    #[test]
+    #[should_panic(expected = "an Azure trace over 268435457 models")]
+    fn model_ids_beyond_the_key_budget_are_rejected() {
+        let fits = AzureTraceConfig {
+            functions: 10,
+            models: 1 << 28,
+            ..small_config()
+        };
+        assert!(!AzureTraceGenerator::new(fits).generate().is_empty());
+        AzureTraceGenerator::new(AzureTraceConfig {
+            models: (1 << 28) + 1,
+            ..fits
+        })
+        .generate();
+    }
+
     #[test]
     fn mixture_sums_to_one() {
         let total: f64 = FunctionClass::mixture().iter().map(|(_, p)| p).sum();
@@ -440,7 +496,7 @@ mod tests {
         let gen = AzureTraceGenerator::new(small_config());
         let trace = gen.generate();
         let mut per_model = std::collections::HashMap::new();
-        for e in trace.events() {
+        for e in trace.iter() {
             *per_model.entry(e.model).or_insert(0u64) += 1;
         }
         let mut counts: Vec<u64> = per_model.values().copied().collect();
@@ -464,7 +520,7 @@ mod tests {
         // Count arrivals per minute; minute 60 should be noticeably above the
         // surrounding minutes because hourly-periodic functions spike there.
         let mut per_minute = vec![0u64; 121];
-        for e in trace.events() {
+        for e in trace.iter() {
             let m = (e.at.as_secs_f64() / 60.0) as usize;
             if m < per_minute.len() {
                 per_minute[m] += 1;
@@ -504,7 +560,6 @@ mod tests {
             return; // mixture did not produce a cold-only model this seed
         }
         let cold_requests = trace
-            .events()
             .iter()
             .filter(|e| cold_only.contains(&e.model))
             .count();

@@ -5,14 +5,16 @@
 //! regardless of how the system is doing, which is what exposes SLO
 //! violations under overload. [`OpenLoopClient`] pre-generates a [`Trace`]
 //! so experiments remain deterministic for a given seed. Many clients'
-//! arrivals are emitted in order, one time segment at a time, so
-//! [`Trace::new`] has nothing left to sort.
+//! arrivals are emitted in order, one time segment at a time, each segment
+//! sorted in place as packed keys.
+
+use std::borrow::BorrowMut;
 
 use clockwork_model::{ModelId, Tier};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 
-use crate::trace::{sort_arrivals, Trace, TraceEvent};
+use crate::trace::{SegmentWriter, Trace};
 
 /// An open-loop Poisson request generator for one model instance.
 #[derive(Clone, Debug)]
@@ -37,35 +39,24 @@ impl OpenLoopClient {
 
     /// Generates this client's arrivals over `[0, duration)`.
     pub fn generate(&self, duration: Nanos, rng: &mut SimRng) -> Trace {
-        let mut events = Vec::new();
         if self.rate_per_sec <= 0.0 {
-            return Trace::new(events);
+            return Trace::default();
         }
-        let mut t = Timestamp::ZERO + rng.poisson_gap(self.rate_per_sec);
-        let end = Timestamp::ZERO + duration;
-        while t < end {
-            events.push(TraceEvent {
-                at: t,
-                model: self.model,
-                slo: self.slo,
-                tier: Tier::Strict,
-            });
-            t += rng.poisson_gap(self.rate_per_sec);
-        }
-        Trace::new(events)
+        let first = Timestamp::ZERO + rng.poisson_gap(self.rate_per_sec);
+        write_segments(
+            &mut [(rng, first)],
+            &[self.model],
+            self.rate_per_sec,
+            self.slo,
+            duration,
+        )
     }
 
     /// Generates a combined trace for many clients, one per model, each with
     /// the given per-client rate.
     ///
     /// Client `i` draws its arrivals from `rng.derive(i + 1)`, as
-    /// [`OpenLoopClient::generate`] would. They are emitted one time segment
-    /// at a time: every client adds its arrivals before the segment's end,
-    /// in client order, and the segment alone is sorted. A segment is
-    /// long enough that each client expects about one arrival in it, and at
-    /// least a second, so a pass over the clients costs about what it emits.
-    /// Segments split time at whole nanoseconds, so the trace is exactly the
-    /// sort of all clients' arrivals.
+    /// [`OpenLoopClient::generate`] would.
     pub fn generate_many(
         models: &[ModelId],
         rate_per_client: f64,
@@ -73,9 +64,8 @@ impl OpenLoopClient {
         duration: Nanos,
         rng: &mut SimRng,
     ) -> Trace {
-        let mut events = Vec::new();
         if rate_per_client <= 0.0 {
-            return Trace::new(events);
+            return Trace::default();
         }
         // Each client's stream and its next arrival.
         let mut clients: Vec<(SimRng, Timestamp)> = (0..models.len())
@@ -85,64 +75,121 @@ impl OpenLoopClient {
                 (client_rng, first)
             })
             .collect();
-        let segment = Nanos::from_secs_f64((1.0 / rate_per_client).max(1.0));
-        let end = Timestamp::ZERO + duration;
-        let mut seg_end = Timestamp::ZERO;
-        while seg_end < end {
-            seg_end = (seg_end + segment).min(end);
-            let start = events.len();
-            for ((client_rng, next), &model) in clients.iter_mut().zip(models) {
-                while *next < seg_end {
-                    events.push(TraceEvent {
-                        at: *next,
-                        model,
-                        slo,
-                        tier: Tier::Strict,
-                    });
-                    *next += client_rng.poisson_gap(rate_per_client);
-                }
-            }
-            sort_arrivals(&mut events[start..]);
-        }
-        Trace::new(events)
+        write_segments(&mut clients, models, rate_per_client, slo, duration)
     }
+}
+
+/// The longest segment: its offsets take at most 32 bits, which leaves 32
+/// for any model id.
+const MAX_SEGMENT: Nanos = Nanos::from_nanos(1 << 32);
+
+/// Writes the arrivals before `duration` of clients, each a stream and its
+/// next arrival, for `models` (one per client) at `rate` each, one time
+/// segment at a time: every client adds its arrivals before the segment's
+/// end, in client order, and the segment alone is sorted, as keys packing
+/// an offset into the segment above a model id. A segment is long enough
+/// that each client expects about one arrival in it, and at least a
+/// second, so a pass over the clients costs about what it emits; but at
+/// most [`MAX_SEGMENT`]. Segments split time at whole nanoseconds, so the
+/// trace is exactly the sort of all clients' arrivals.
+fn write_segments(
+    clients: &mut [(impl BorrowMut<SimRng>, Timestamp)],
+    models: &[ModelId],
+    rate: f64,
+    slo: Nanos,
+    duration: Nanos,
+) -> Trace {
+    let segment = Nanos::from_secs_f64((1.0 / rate).max(1.0)).min(MAX_SEGMENT);
+    let max_model = models.iter().map(|m| u64::from(m.0)).max().unwrap_or(0);
+    let classes = vec![(slo, Tier::Strict)];
+    let mut writer = SegmentWriter::new(segment.as_nanos() - 1, max_model, classes)
+        .expect("32 bits of offset leave 32 for any model id");
+    // The clients' arrivals number about a Poisson count: room for six
+    // standard deviations above its mean makes a second allocation of the
+    // time column a one-in-a-billion event.
+    let mean = rate * duration.as_secs_f64() * clients.len() as f64;
+    writer.reserve((mean + 6.0 * mean.sqrt()).ceil() as usize);
+    let end = Timestamp::ZERO + duration;
+    let mut seg_end = Timestamp::ZERO;
+    while seg_end < end {
+        let seg_start = seg_end;
+        seg_end = (seg_end + segment).min(end);
+        for ((client_rng, next), &model) in clients.iter_mut().zip(models) {
+            while *next < seg_end {
+                writer.push((*next - seg_start).as_nanos(), model, 0);
+                *next += client_rng.borrow_mut().poisson_gap(rate);
+            }
+        }
+        writer.close_segment(seg_start);
+    }
+    writer.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::arrival_order;
+    use crate::trace::{arrival_order, TraceEvent};
 
-    /// One trace per client, concatenated and sorted as a whole: the
-    /// reference [`OpenLoopClient::generate_many`] must reproduce.
+    /// One client's arrivals drawn one at a time, as events: the reference
+    /// [`OpenLoopClient::generate`] must reproduce.
+    fn client_reference(
+        client: &OpenLoopClient,
+        duration: Nanos,
+        rng: &mut SimRng,
+    ) -> Vec<TraceEvent> {
+        let mut events = Vec::new();
+        if client.rate_per_sec <= 0.0 {
+            return events;
+        }
+        let mut t = Timestamp::ZERO + rng.poisson_gap(client.rate_per_sec);
+        while t < Timestamp::ZERO + duration {
+            events.push(TraceEvent {
+                at: t,
+                model: client.model,
+                slo: client.slo,
+                tier: Tier::Strict,
+            });
+            t += rng.poisson_gap(client.rate_per_sec);
+        }
+        events
+    }
+
+    /// Every client's reference arrivals, concatenated and sorted as a
+    /// whole: the reference [`OpenLoopClient::generate_many`] must
+    /// reproduce event for event.
     fn whole_sort_reference(
         models: &[ModelId],
         rate_per_client: f64,
         slo: Nanos,
         duration: Nanos,
         rng: &mut SimRng,
-    ) -> Trace {
+    ) -> Vec<TraceEvent> {
         let mut all = Vec::new();
         for (i, &model) in models.iter().enumerate() {
             let mut client_rng = rng.derive(i as u64 + 1);
             let client = OpenLoopClient::new(model, rate_per_client, slo);
-            all.extend(client.generate(duration, &mut client_rng).events().to_vec());
+            all.extend(client_reference(&client, duration, &mut client_rng));
         }
         all.sort_by_key(arrival_order);
-        Trace::new(all)
+        all
     }
 
     #[test]
     fn segmented_generation_matches_the_whole_sort() {
-        let model_sets: [Vec<ModelId>; 4] = [
+        let model_sets: [Vec<ModelId>; 5] = [
             vec![],
             vec![ModelId(4)],
             (0..24).map(ModelId).collect(),
             // Repeated ids: several clients share a model.
             [3, 1, 3, 0, 1, 3].map(ModelId).to_vec(),
+            // Unsorted, sparse ids up to the widest a key holds.
+            [u32::MAX, 7, 1 << 31, 0, 90_001, u32::MAX - 1]
+                .map(ModelId)
+                .to_vec(),
         ];
         // Rates on both sides of one arrival per client per second, which
-        // sets the segment length, and rates that generate nothing.
+        // sets the segment length (at 0.05 r/s it is the longest), and
+        // rates that generate nothing.
         let rates = [0.05, 0.7, 2.5, 12.0, 0.0, -1.0];
         for seed in 0..20 {
             for models in &model_sets {
@@ -151,8 +198,10 @@ mod tests {
                         let duration = Nanos::from_millis(duration_ms);
                         let slo = Nanos::from_millis(100);
                         let mut rng = SimRng::seeded(seed);
+                        let trace =
+                            OpenLoopClient::generate_many(models, rate, slo, duration, &mut rng);
                         assert_eq!(
-                            OpenLoopClient::generate_many(models, rate, slo, duration, &mut rng),
+                            trace.iter().collect::<Vec<_>>(),
                             whole_sort_reference(models, rate, slo, duration, &mut rng),
                             "{} clients at {rate} r/s, {duration_ms} ms, seed {seed}",
                             models.len()
@@ -160,6 +209,26 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_client_matches_its_draws() {
+        for (seed, rate, secs) in [(1, 200.0, 30), (2, 0.3, 40), (3, 5.0, 9), (4, 0.0, 5)] {
+            let client = OpenLoopClient::new(ModelId(seed as u32 * 1_000), rate, Nanos::MAX);
+            let duration = Nanos::from_secs(secs);
+            let (mut a, mut b) = (SimRng::seeded(seed), SimRng::seeded(seed));
+            let trace = client.generate(duration, &mut a);
+            assert_eq!(
+                trace.iter().collect::<Vec<_>>(),
+                client_reference(&client, duration, &mut b),
+                "seed {seed}"
+            );
+            assert_eq!(
+                a.next_u64(),
+                b.next_u64(),
+                "the caller's stream moved alike"
+            );
         }
     }
 
@@ -185,10 +254,10 @@ mod tests {
         let client = OpenLoopClient::new(ModelId(1), 1000.0, Nanos::from_millis(10));
         let mut rng = SimRng::seeded(3);
         let trace = client.generate(Nanos::from_secs(20), &mut rng);
-        let gaps: Vec<f64> = trace
-            .events()
+        let times: Vec<Timestamp> = trace.iter().map(|e| e.at).collect();
+        let gaps: Vec<f64> = times
             .windows(2)
-            .map(|w| (w[1].at - w[0].at).as_secs_f64())
+            .map(|w| (w[1] - w[0]).as_secs_f64())
             .collect();
         let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
         let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gaps.len() as f64;

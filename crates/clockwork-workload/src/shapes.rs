@@ -13,8 +13,8 @@
 //! seed (`rng.derive(segment_index)`), so every segment is independently
 //! reproducible — extending the duration of a spec leaves all earlier
 //! segments byte-identical, and a flash-crowd window can be regenerated in
-//! isolation. Each segment is sorted as soon as it is drawn, so arrivals are
-//! emitted in order and [`Trace::new`] has nothing left to sort.
+//! isolation. Each segment is sorted in place as soon as it is drawn, so
+//! arrivals are emitted in order.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +22,7 @@ use clockwork_model::{ModelId, Tier};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 
-use crate::trace::{sort_arrivals, Trace, TraceEvent};
+use crate::trace::{SegmentWriter, Trace};
 
 /// How the aggregate request rate evolves over the trace duration.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -194,10 +194,9 @@ impl ShapedWorkload {
     /// requests carry the mix's `best_effort_slo_ms`. Each one-second
     /// segment uses `rng.derive(segment_index)`, so segment `k` of a longer
     /// run is identical to segment `k` of a shorter one. Each segment is
-    /// sorted on its own. Arrival order is total, so the trace is the sort
-    /// of all its arrivals: only an offset that rounds up to the next
-    /// segment's start can leave two segments out of order, and
-    /// [`Trace::new`] sorts what they leave.
+    /// sorted on its own, as keys packing an offset into the second (30
+    /// bits) above a model id (32) and, when the mix is tiered, a class bit.
+    /// Arrival order is total, so the trace is the sort of all its arrivals.
     pub fn generate(
         &self,
         models: &[ModelId],
@@ -205,67 +204,86 @@ impl ShapedWorkload {
         duration: Nanos,
         rng: &SimRng,
     ) -> Trace {
-        let mut events = Vec::new();
         if models.is_empty() || self.base_rate <= 0.0 || duration == Nanos::ZERO {
-            return Trace::new(events);
+            return Trace::default();
         }
         let total_secs = duration.as_secs_f64();
         let segments = total_secs.ceil() as u64;
         let be_slo = Nanos::from_millis(self.tiers.best_effort_slo_ms);
-        for segment in 0..segments {
+        // The class table ascends, so best effort ranks first when its SLO
+        // is the tighter one.
+        let strict_class = (strict_slo, Tier::Strict);
+        let be_class = (be_slo, Tier::BestEffort);
+        let (classes, strict_rank, be_rank) = if !self.tiers.is_tiered() {
+            (vec![strict_class], 0, 0)
+        } else if be_class < strict_class {
+            (vec![be_class, strict_class], 1, 0)
+        } else {
+            (vec![strict_class, be_class], 0, 1)
+        };
+        let max_model = models.iter().map(|m| u64::from(m.0)).max().unwrap_or(0);
+        let mut writer = SegmentWriter::new(SECOND.as_nanos(), max_model, classes)
+            .expect("30 bits of offset, 32 of model id and a class bit fit");
+        // A segment's stream, start, length and arrival count.
+        let open_segment = |segment: u64| {
             // Splitmix-derived sub-seed per segment: independent streams.
             let mut seg_rng = rng.derive(segment);
-            let seg_start = Timestamp::from_secs(segment);
             let seg_len = (total_secs - segment as f64).min(1.0);
             // Rate sampled at the segment midpoint.
             let frac = (segment as f64 + 0.5 * seg_len) / total_secs;
             let rate = self.base_rate * self.profile.multiplier_at(frac);
             let count = seg_rng.poisson_count(rate * seg_len);
+            (seg_rng, Timestamp::from_secs(segment), seg_len, count)
+        };
+        // Each segment draws its count first, so the counts bound the
+        // trace and the time column is allocated once.
+        let bound: u64 = (0..segments).map(|segment| open_segment(segment).3).sum();
+        writer.reserve(bound as usize);
+        for segment in 0..segments {
+            let (mut seg_rng, seg_start, seg_len, count) = open_segment(segment);
             let cdf = self.popularity.cdf(models.len(), segment);
-            let start = events.len();
             for _ in 0..count {
-                let at = seg_start + Nanos::from_secs_f64(seg_rng.uniform() * seg_len);
-                if at >= Timestamp::ZERO + duration {
+                let offset = Nanos::from_secs_f64(seg_rng.uniform() * seg_len);
+                if seg_start + offset >= Timestamp::ZERO + duration {
                     continue;
                 }
                 let pick = seg_rng.uniform();
                 let idx = cdf.partition_point(|&c| c < pick).min(models.len() - 1);
                 let strict = seg_rng.uniform() * 1000.0 < self.tiers.strict_share_milli as f64;
-                let (tier, slo) = if strict || !self.tiers.is_tiered() {
-                    (Tier::Strict, strict_slo)
+                let class = if strict || !self.tiers.is_tiered() {
+                    strict_rank
                 } else {
-                    (Tier::BestEffort, be_slo)
+                    be_rank
                 };
-                events.push(TraceEvent {
-                    at,
-                    model: models[idx],
-                    slo,
-                    tier,
-                });
+                writer.push(offset.as_nanos(), models[idx], class);
             }
-            sort_arrivals(&mut events[start..]);
+            writer.close_segment(seg_start);
         }
-        Trace::new(events)
+        writer.finish()
     }
 }
+
+/// The length of a segment: every offset of one is at most this long.
+const SECOND: Nanos = Nanos::from_secs(1);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::arrival_order;
+    use crate::trace::{arrival_order, TraceEvent};
 
-    /// The generator with one sort of the whole trace: the reference
-    /// [`ShapedWorkload::generate`] must reproduce.
+    /// The generator with one sort of the whole trace, as events: the
+    /// reference [`ShapedWorkload::generate`] must reproduce event for
+    /// event.
     fn whole_sort_reference(
         shape: &ShapedWorkload,
         models: &[ModelId],
         strict_slo: Nanos,
         duration: Nanos,
         rng: &SimRng,
-    ) -> Trace {
+    ) -> Vec<TraceEvent> {
         let mut events = Vec::new();
         if models.is_empty() || shape.base_rate <= 0.0 || duration == Nanos::ZERO {
-            return Trace::new(events);
+            return events;
         }
         let total_secs = duration.as_secs_f64();
         let segments = total_secs.ceil() as u64;
@@ -300,7 +318,7 @@ mod tests {
             }
         }
         events.sort_by_key(arrival_order);
-        Trace::new(events)
+        events
     }
 
     #[test]
@@ -328,8 +346,17 @@ mod tests {
             },
             ..ShapedWorkload::constant(30.0)
         };
+        // Best effort with the tighter SLO: its class ranks first.
+        let tiered_tight = ShapedWorkload {
+            tiers: TierMix {
+                strict_share_milli: 300,
+                best_effort_slo_ms: 40,
+            },
+            ..ShapedWorkload::constant(60.0)
+        };
         let shapes = [
             tiered_zipf,
+            tiered_tight,
             diurnal,
             ShapedWorkload::constant(0.0),
             ShapedWorkload::constant(-3.0),
@@ -345,8 +372,9 @@ mod tests {
                             Nanos::from_millis(100),
                             Nanos::from_millis(duration_ms),
                         );
+                        let trace = shape.generate(args.0, args.1, args.2, &rng);
                         assert_eq!(
-                            shape.generate(args.0, args.1, args.2, &rng),
+                            trace.iter().collect::<Vec<_>>(),
                             whole_sort_reference(shape, args.0, args.1, args.2, &rng),
                             "{shape:?} over {} models, {duration_ms} ms, seed {seed}",
                             model_set.len()
@@ -375,7 +403,7 @@ mod tests {
         let trace = gen(&ShapedWorkload::constant(500.0), 20, 1);
         let rate = trace.len() as f64 / 20.0;
         assert!((rate - 500.0).abs() < 50.0, "rate {rate}");
-        assert!(trace.events().iter().all(|e| e.tier == Tier::Strict));
+        assert!(trace.iter().all(|e| e.tier == Tier::Strict));
     }
 
     #[test]
@@ -408,13 +436,8 @@ mod tests {
         let short = gen(&shape, 5, 7);
         let long = gen(&shape, 10, 7);
         let cutoff = Timestamp::from_secs(5);
-        let long_prefix: Vec<TraceEvent> = long
-            .events()
-            .iter()
-            .copied()
-            .filter(|e| e.at < cutoff)
-            .collect();
-        assert_eq!(short.events(), long_prefix.as_slice());
+        let long_prefix: Vec<TraceEvent> = long.iter().filter(|e| e.at < cutoff).collect();
+        assert_eq!(short.iter().collect::<Vec<_>>(), long_prefix);
     }
 
     #[test]
@@ -432,7 +455,6 @@ mod tests {
         let trace = gen(&shape, 40, 9);
         let window = |from: u64, to: u64| {
             trace
-                .events()
                 .iter()
                 .filter(|e| e.at >= Timestamp::from_secs(from) && e.at < Timestamp::from_secs(to))
                 .count() as f64
@@ -459,7 +481,6 @@ mod tests {
         let trace = gen(&shape, 40, 11);
         let count = |from: u64, to: u64| {
             trace
-                .events()
                 .iter()
                 .filter(|e| e.at >= Timestamp::from_secs(from) && e.at < Timestamp::from_secs(to))
                 .count() as f64
@@ -483,7 +504,7 @@ mod tests {
             tiers: TierMix::ALL_STRICT,
         };
         let trace = gen(&shape, 10, 13);
-        for e in trace.events() {
+        for e in trace.iter() {
             per_model[e.model.0 as usize] += 1;
         }
         let hottest = *per_model.iter().max().unwrap() as f64;
@@ -503,7 +524,7 @@ mod tests {
         let trace = gen(&drifting, 16, 13);
         let hot_in = |from: u64, to: u64| {
             let mut counts = [0usize; 8];
-            for e in trace.events() {
+            for e in trace.iter() {
                 if e.at >= Timestamp::from_secs(from) && e.at < Timestamp::from_secs(to) {
                     counts[e.model.0 as usize] += 1;
                 }
@@ -530,14 +551,10 @@ mod tests {
             },
         };
         let trace = gen(&shape, 20, 17);
-        let strict = trace
-            .events()
-            .iter()
-            .filter(|e| e.tier == Tier::Strict)
-            .count() as f64;
+        let strict = trace.iter().filter(|e| e.tier == Tier::Strict).count() as f64;
         let share = strict / trace.len() as f64;
         assert!((share - 0.7).abs() < 0.05, "strict share {share}");
-        for e in trace.events() {
+        for e in trace.iter() {
             match e.tier {
                 Tier::Strict => assert_eq!(e.slo, Nanos::from_millis(100)),
                 Tier::BestEffort => assert_eq!(e.slo, Nanos::from_millis(250)),

@@ -1,14 +1,16 @@
 //! Generating a trace holds the trace once, not twice.
 //!
 //! A counting global allocator measures what each generator needs beyond
-//! the trace it returns: the heap's peak during generation minus the bytes
-//! the returned trace keeps. Generators emit in arrival order, sorting one
-//! time segment at a time and in place, so they need a small fraction of
-//! the trace even when one segment holds most of it, as the hourly burst
-//! of a two-minute Azure trace does. A stable sort needs a scratch buffer
-//! as long as what it sorts: two thirds of that Azure trace, and all of a
-//! shuffled one. The binary holds one test, so no other test allocates
-//! while it measures.
+//! the trace it returns: the heap's peak during generation minus what is
+//! live once it returns, the trace's own bytes ([`Trace::heap_bytes`]).
+//! Generators emit in arrival order, sorting one time segment at a time as
+//! packed keys in the trace's own time column, so they need a small
+//! fraction of the trace even when one segment holds most of it, as the
+//! hourly burst of a two-minute Azure trace does. A stable sort needs a
+//! scratch buffer as long as what it sorts: two thirds of that Azure trace,
+//! and all of a shuffled one given to [`Trace::new`], which must sort in
+//! place and then need nothing beyond its input and its output. The binary
+//! holds one test, so no other test allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -17,7 +19,7 @@ use clockwork_model::ModelId;
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::Nanos;
 use clockwork_workload::{AzureTraceConfig, AzureTraceGenerator, OpenLoopClient};
-use clockwork_workload::{ShapedWorkload, Trace};
+use clockwork_workload::{ShapedWorkload, Trace, TraceEvent};
 
 /// Bytes allocated and not yet freed.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -67,11 +69,11 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// Runs a generator and checks that its transient heap is under an eighth
-/// of the bytes its trace's events take.
+/// of the bytes its trace keeps.
 fn holds_the_trace_once(name: &str, generate: impl FnOnce() -> Trace) {
     PEAK.store(LIVE.load(Relaxed), Relaxed);
     let trace = generate();
-    let retained = std::mem::size_of_val(trace.events());
+    let retained = trace.heap_bytes();
     let transient = PEAK.load(Relaxed) - LIVE.load(Relaxed);
     assert!(
         (80_000..200_000).contains(&trace.len()),
@@ -84,6 +86,22 @@ fn holds_the_trace_once(name: &str, generate: impl FnOnce() -> Trace) {
         trace.len()
     );
     drop(trace);
+}
+
+/// Builds a trace from events the caller owns and checks that, beyond
+/// that input and the trace it becomes, building needs under an eighth of
+/// the trace's bytes: the input is sorted in place.
+fn sorts_in_place(name: &str, events: Vec<TraceEvent>) {
+    let start = LIVE.load(Relaxed);
+    PEAK.store(start, Relaxed);
+    let trace = Trace::new(events);
+    let output = trace.heap_bytes();
+    let beyond = PEAK.load(Relaxed) - start - output;
+    assert!(
+        beyond * 8 < output,
+        "{name}: building {} arrivals ({output} B kept) needed {beyond} B beyond its input",
+        trace.len()
+    );
 }
 
 #[test]
@@ -103,9 +121,9 @@ fn every_generator_holds_its_trace_once() {
     let fleet = azure(800, 200, 2, 750.0);
     holds_the_trace_once("azure burst", || fleet.generate());
     // A shuffled trace is one segment that is all of the trace.
-    let mut shuffled = fleet.generate().events().to_vec();
+    let mut shuffled: Vec<TraceEvent> = fleet.generate().iter().collect();
     SimRng::seeded(7).shuffle(&mut shuffled);
-    holds_the_trace_once("shuffled", || Trace::new(shuffled));
+    sorts_in_place("shuffled", shuffled);
     let models: Vec<ModelId> = (0..100).map(ModelId).collect();
     holds_the_trace_once("shaped", || {
         ShapedWorkload::constant(1_000.0).generate(

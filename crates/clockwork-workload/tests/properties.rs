@@ -18,19 +18,69 @@ use clockwork_workload::trace::{Trace, TraceEvent};
 
 const HOUR_NS: u64 = 3_600_000_000_000;
 
+/// Events spread over an hour, each with its own SLO, some with none
+/// ([`Nanos::MAX`]) and some best effort: a class table as long as the
+/// trace.
 fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
-    proptest::collection::vec((0u64..HOUR_NS, 0u32..50, 1u64..1_000_000_000u64), 0..300).prop_map(
-        |raw| {
-            raw.into_iter()
-                .map(|(at, model, slo)| TraceEvent {
-                    at: Timestamp::from_nanos(at),
-                    model: ModelId(model),
-                    slo: Nanos::from_nanos(slo),
-                    tier: Tier::Strict,
-                })
-                .collect()
-        },
+    proptest::collection::vec(
+        (0u64..HOUR_NS, 0u32..50, 1u64..1_000_000_000u64, 0u8..8),
+        0..300,
     )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|(at, model, slo, kind)| TraceEvent {
+                at: Timestamp::from_nanos(at),
+                model: ModelId(model),
+                slo: if kind % 4 == 0 {
+                    Nanos::MAX
+                } else {
+                    Nanos::from_nanos(slo)
+                },
+                tier: if kind >= 4 {
+                    Tier::BestEffort
+                } else {
+                    Tier::Strict
+                },
+            })
+            .collect()
+    })
+}
+
+/// Events crowded into a microsecond over a few models and classes, so
+/// that arrivals tie in time, and in time and model.
+fn arb_dense_events() -> impl Strategy<Value = Vec<TraceEvent>> {
+    proptest::collection::vec((0u64..1_000, 0u32..6, 0u8..4), 0..300).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(at, model, kind)| TraceEvent {
+                at: Timestamp::from_nanos(at),
+                model: ModelId(model * 1_000),
+                slo: Nanos::from_millis(if kind % 2 == 0 { 100 } else { 25 }),
+                tier: Tier::from_index(u64::from(kind / 2)),
+            })
+            .collect()
+    })
+}
+
+/// Either kind of event list.
+fn arb_any_events() -> impl Strategy<Value = Vec<TraceEvent>> {
+    prop_oneof![arb_events(), arb_dense_events()]
+}
+
+/// Arrival order: time, then model, SLO and tier.
+fn order(e: &TraceEvent) -> (Timestamp, ModelId, Nanos, Tier) {
+    (e.at, e.model, e.slo, e.tier)
+}
+
+/// The array-of-structs twin of a trace built from `events`: the events
+/// sorted the slow way.
+fn twin(mut events: Vec<TraceEvent>) -> Vec<TraceEvent> {
+    events.sort_by_key(order);
+    events
+}
+
+/// A trace's arrivals, read through its iterator.
+fn listed(trace: &Trace) -> Vec<TraceEvent> {
+    trace.iter().collect()
 }
 
 proptest! {
@@ -38,16 +88,98 @@ proptest! {
     // Trace algebra
     // ------------------------------------------------------------------
 
+    // Every operation on the columns against the same operation on the
+    // events' array-of-structs twin, event for event.
+
+    #[test]
+    fn columns_match_their_twin(events in arb_any_events()) {
+        let trace = Trace::new(events.clone());
+        let expected = twin(events);
+        prop_assert_eq!(listed(&trace), expected.clone());
+        prop_assert_eq!(trace.len(), expected.len());
+        for (i, e) in expected.iter().enumerate() {
+            prop_assert_eq!(trace.get(i), Some(*e));
+        }
+        prop_assert_eq!(trace.get(expected.len()), None);
+    }
+
+    #[test]
+    fn truncation_matches_its_twin(events in arb_any_events(), cut in 0u64..HOUR_NS) {
+        let trace = Trace::new(events.clone());
+        for cut in [cut, cut % 1_000] {
+            let cut = Timestamp::from_nanos(cut);
+            let expected: Vec<TraceEvent> =
+                twin(events.clone()).into_iter().filter(|e| e.at < cut).collect();
+            prop_assert_eq!(listed(&trace.truncated(cut)), expected);
+        }
+    }
+
+    #[test]
+    fn rate_scaling_matches_its_twin(events in arb_any_events(), factor in 0.1f64..10.0) {
+        let trace = Trace::new(events.clone());
+        let scaled: Vec<TraceEvent> = events
+            .iter()
+            .map(|e| TraceEvent {
+                at: Timestamp::from_nanos((e.at.as_nanos() as f64 / factor).round() as u64),
+                ..*e
+            })
+            .collect();
+        prop_assert_eq!(listed(&trace.rate_scaled(factor)), twin(scaled));
+    }
+
+    #[test]
+    fn merging_matches_its_twin(a in arb_any_events(), b in arb_any_events()) {
+        let merged = Trace::new(a.clone()).merged(&Trace::new(b.clone()));
+        prop_assert_eq!(listed(&merged), twin([a, b].concat()));
+    }
+
+    #[test]
+    fn partitioning_matches_its_twin(events in arb_any_events(), shards in 1usize..5) {
+        let owner = |m: ModelId| (m.0 as usize / 7 + m.0 as usize) % shards;
+        let parts = Trace::new(events.clone()).partitioned(shards, owner);
+        prop_assert_eq!(parts.len(), shards);
+        for (shard, part) in parts.iter().enumerate() {
+            let expected: Vec<TraceEvent> = twin(events.clone())
+                .into_iter()
+                .filter(|e| owner(e.model) == shard)
+                .collect();
+            prop_assert_eq!(listed(part), expected);
+        }
+    }
+
+    #[test]
+    fn model_mapping_matches_its_twin(events in arb_any_events(), salt in 0u32..64) {
+        let trace = Trace::new(events.clone());
+        // Monotone (a shard's dense local ids) and scrambling maps.
+        let maps: [&dyn Fn(ModelId) -> ModelId; 2] = [
+            &|m: ModelId| ModelId(m.0 / 3),
+            &|m: ModelId| ModelId((m.0 ^ salt).wrapping_mul(2_654_435_761) >> 7),
+        ];
+        for map in maps {
+            let mapped: Vec<TraceEvent> =
+                events.iter().map(|e| TraceEvent { model: map(e.model), ..*e }).collect();
+            prop_assert_eq!(listed(&trace.with_models_mapped(map)), twin(mapped));
+        }
+    }
+
+    #[test]
+    fn csv_round_trip_matches_its_twin(events in arb_any_events()) {
+        let parsed = Trace::from_csv(&Trace::new(events.clone()).to_csv())
+            .expect("our own CSV must parse");
+        prop_assert_eq!(listed(&parsed), twin(events));
+    }
+
     #[test]
     fn trace_is_sorted_and_preserves_every_event(events in arb_events()) {
         let trace = Trace::new(events.clone());
         prop_assert_eq!(trace.len(), events.len());
-        for w in trace.events().windows(2) {
+        let listed = listed(&trace);
+        for w in listed.windows(2) {
             prop_assert!(w[0].at <= w[1].at);
         }
         // Same multiset of events, just reordered.
         let mut original: Vec<_> = events.iter().map(|e| (e.at, e.model, e.slo)).collect();
-        let mut sorted: Vec<_> = trace.events().iter().map(|e| (e.at, e.model, e.slo)).collect();
+        let mut sorted: Vec<_> = listed.iter().map(|e| (e.at, e.model, e.slo)).collect();
         original.sort();
         sorted.sort();
         prop_assert_eq!(original, sorted);
@@ -56,7 +188,7 @@ proptest! {
         prop_assert_eq!(trace.duration(), expected_duration);
         // The model list is deduplicated and covers every referenced model.
         let models = trace.models();
-        for e in trace.events() {
+        for e in trace.iter() {
             prop_assert!(models.contains(&e.model));
         }
         let mut deduped = models.clone();
@@ -70,12 +202,12 @@ proptest! {
         let trace = Trace::new(events);
         let cutoff = Timestamp::from_nanos(cutoff);
         // Cutting exactly at an arrival drops it: the cutoff is exclusive.
-        let tie = trace.events().get(trace.len() / 2).map_or(cutoff, |e| e.at);
+        let tie = trace.get(trace.len() / 2).map_or(cutoff, |e| e.at);
         for cut in [cutoff, tie] {
             let truncated = trace.truncated(cut);
-            let expected = trace.events().iter().filter(|e| e.at < cut).count();
+            let expected = trace.iter().filter(|e| e.at < cut).count();
             prop_assert_eq!(truncated.len(), expected);
-            prop_assert_eq!(truncated.events(), &trace.events()[..expected]);
+            prop_assert_eq!(listed(&truncated), listed(&trace)[..expected].to_vec());
         }
     }
 
@@ -85,7 +217,7 @@ proptest! {
         let scaled = trace.rate_scaled(factor);
         prop_assert_eq!(scaled.len(), trace.len());
         // Scaling the rate by `factor` divides every arrival time by it.
-        for (orig, s) in trace.events().iter().zip(scaled.events()) {
+        for (orig, s) in trace.iter().zip(scaled.iter()) {
             prop_assert_eq!(orig.model, s.model);
             prop_assert_eq!(orig.slo, s.slo);
             let expected = orig.at.as_nanos() as f64 / factor;
@@ -104,21 +236,20 @@ proptest! {
         let tb = Trace::new(b);
         let merged = ta.merged(&tb);
         // The same trace as sorting the two concatenated, ties included.
-        prop_assert_eq!(&merged, &Trace::new([ta.events(), tb.events()].concat()));
+        prop_assert_eq!(&merged, &Trace::new([listed(&ta), listed(&tb)].concat()));
         // A copy that differs only in SLO ties with its original on time
         // and model, and merges into the same trace from either side.
-        let twin: Vec<TraceEvent> = ta
-            .events()
+        let slower: Vec<TraceEvent> = ta
             .iter()
-            .map(|e| TraceEvent { slo: e.slo + Nanos::from_nanos(1), ..*e })
+            .map(|e| TraceEvent { slo: Nanos::from_nanos(e.slo.as_nanos().saturating_add(1)), ..e })
             .collect();
-        let with_twin = ta.merged(&Trace::new(twin.clone()));
-        prop_assert_eq!(&with_twin, &Trace::new([ta.events(), &twin].concat()));
-        prop_assert_eq!(with_twin, Trace::new(twin).merged(&ta));
+        let with_slower = ta.merged(&Trace::new(slower.clone()));
+        prop_assert_eq!(&with_slower, &Trace::new([listed(&ta), slower.clone()].concat()));
+        prop_assert_eq!(with_slower, Trace::new(slower).merged(&ta));
         prop_assert_eq!(merged.len(), ta.len() + tb.len());
         prop_assert!(merged.duration() >= ta.duration());
         prop_assert!(merged.duration() >= tb.duration());
-        for w in merged.events().windows(2) {
+        for w in listed(&merged).windows(2) {
             prop_assert!(w[0].at <= w[1].at);
         }
     }
@@ -129,7 +260,7 @@ proptest! {
         let text = trace.to_csv();
         let parsed = Trace::from_csv(&text).expect("our own CSV must parse");
         prop_assert_eq!(parsed.len(), trace.len());
-        for (orig, p) in trace.events().iter().zip(parsed.events()) {
+        for (orig, p) in trace.iter().zip(parsed.iter()) {
             prop_assert_eq!(orig.at, p.at);
             prop_assert_eq!(orig.model, p.model);
             prop_assert_eq!(orig.slo, p.slo);
@@ -149,7 +280,7 @@ proptest! {
         let trace = client.generate(duration, &mut rng);
         // All events target the right model, carry the right SLO, and lie
         // within the requested duration.
-        for e in trace.events() {
+        for e in trace.iter() {
             prop_assert_eq!(e.model, ModelId(3));
             prop_assert_eq!(e.slo, slo);
             prop_assert!(e.at <= Timestamp::ZERO + duration);
@@ -177,10 +308,10 @@ proptest! {
             Nanos::from_secs(30),
             &mut rng,
         );
-        for e in trace.events() {
+        for e in trace.iter() {
             prop_assert!(models.contains(&e.model));
         }
-        for w in trace.events().windows(2) {
+        for w in listed(&trace).windows(2) {
             prop_assert!(w[0].at <= w[1].at);
         }
     }
@@ -250,16 +381,16 @@ proptest! {
         // Determinism: the same config yields byte-identical traces.
         let again = AzureTraceGenerator::new(config).generate();
         prop_assert_eq!(trace.len(), again.len());
-        prop_assert_eq!(trace.events(), again.events());
+        prop_assert_eq!(listed(&trace), listed(&again));
 
         // Shape: events are ordered, within duration, target known models,
         // and carry the configured SLO.
-        for e in trace.events() {
+        for e in trace.iter() {
             prop_assert!((e.model.0 as usize) < models);
             prop_assert_eq!(e.slo, config.slo);
             prop_assert!(e.at <= Timestamp::ZERO + config.duration);
         }
-        for w in trace.events().windows(2) {
+        for w in listed(&trace).windows(2) {
             prop_assert!(w[0].at <= w[1].at);
         }
         // The realised aggregate rate is in the same order of magnitude as
@@ -282,9 +413,7 @@ const SEEDS: [u64; 5] = [2020, 4242, 0, 7, 42];
 
 /// Whether a trace is in arrival order: time, then model, SLO and tier.
 fn in_arrival_order(trace: &Trace) -> bool {
-    trace
-        .events()
-        .is_sorted_by_key(|e| (e.at, e.model, e.slo, e.tier))
+    listed(trace).is_sorted_by_key(order)
 }
 
 #[test]
@@ -308,7 +437,7 @@ fn azure_traces_keep_their_rate_and_their_hourly_burst_over_two_hours() {
             config.target_rate
         );
         let mut per_minute = [0u64; 120];
-        for e in trace.events() {
+        for e in trace.iter() {
             per_minute[(e.at.as_nanos() / 60_000_000_000) as usize] += 1;
         }
         // Minute 0 of each hour carries the hourly spike: the busiest
@@ -351,7 +480,7 @@ fn every_generator_emits_arrival_order() {
         let shaped = tiered.generate(&models, slo, duration, &SimRng::seeded(seed));
         assert!(in_arrival_order(&shaped), "shaped, seed {seed}");
         assert!(
-            shaped.events().iter().any(|e| e.tier == Tier::BestEffort),
+            shaped.iter().any(|e| e.tier == Tier::BestEffort),
             "the tiered mix produced no best-effort arrival, seed {seed}"
         );
     }

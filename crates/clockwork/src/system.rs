@@ -610,7 +610,7 @@ impl ServingSystem {
             .note_pushed_n(KIND_CLIENT_SUBMIT, trace.len() as u64);
         let trace = trace.clone();
         self.queue.push_run((0..trace.len()).map(move |i| {
-            let event = &trace.events()[i];
+            let event = trace.get(i).expect("an index below the trace's length");
             (
                 event.at,
                 SystemEvent::ClientSubmit {

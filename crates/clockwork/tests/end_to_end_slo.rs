@@ -28,11 +28,10 @@ fn warm_models_meet_10ms_slos_at_moderate_rate() {
     // Shift the open-loop trace to start after warm-up.
     let shifted = Trace::new(
         trace
-            .events()
             .iter()
             .map(|e| TraceEvent {
                 at: e.at + Nanos::from_millis(100),
-                ..*e
+                ..e
             })
             .collect(),
     );

@@ -117,7 +117,7 @@ fn the_diet_does_not_change_serving_outcomes_accounting() {
 /// (the oracle: every arrival an event in the heap from the start).
 fn submit(system: &mut ServingSystem, trace: &Trace, per_arrival: bool) {
     if per_arrival {
-        for e in trace.events() {
+        for e in trace.iter() {
             assert_eq!(e.tier, Tier::Strict, "submit_request is strict-only");
             system.submit_request(e.at, e.model, e.slo);
         }
@@ -168,7 +168,7 @@ fn submit_trace_matches_per_arrival_submission() {
     let first = plain.generated_trace().unwrap().len();
     assert!(first > 3_000, "scenario too small to be meaningful");
     let late = ScenarioSpec::smoke(8).generated_trace().unwrap();
-    assert!(late.events()[0].at < Timestamp::from_secs(6));
+    assert!(late.get(0).expect("arrivals").at < Timestamp::from_secs(6));
     assert!(late.duration() > Timestamp::from_secs(6));
     let factories: [&dyn SchedulerFactory; 2] = [&ClockworkFactory::default(), &FifoFactory];
     for spec in [&plain, &churned] {

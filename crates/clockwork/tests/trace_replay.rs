@@ -64,8 +64,7 @@ fn scaling_a_trace_up_increases_load_and_cold_starts() {
         // Scaling compresses timing only: the set of models touched by the
         // trace itself is unchanged.
         let models = |t: &Trace| {
-            t.events()
-                .iter()
+            t.iter()
                 .map(|e| e.model)
                 .collect::<std::collections::BTreeSet<_>>()
         };
@@ -115,7 +114,7 @@ fn truncated_traces_replay_the_prefix_only() {
     let cut = Timestamp::from_secs(30);
     let truncated = trace.truncated(cut);
     assert!(truncated.len() < trace.len());
-    assert!(truncated.events().iter().all(|e| e.at < cut));
+    assert!(truncated.iter().all(|e| e.at < cut));
     system.submit_trace(&truncated);
     system.run_to_completion();
     assert_eq!(
