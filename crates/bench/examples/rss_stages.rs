@@ -13,8 +13,9 @@
 //! `substrate_fifo`, which FIFO serves, as in the benchmark. The probe
 //! prints `VmRSS` and `VmHWM` from `/proc/self/status` after trace
 //! generation, build and submit, then after every `N` simulated ms of the
-//! run (default 100), up to the horizon. Linux only: elsewhere the readings
-//! print as 0.
+//! run (default 100), up to the horizon. After generation it also prints
+//! the trace's own heap bytes (`Trace::heap_bytes`) and bytes per arrival.
+//! Linux only: elsewhere the readings print as 0.
 
 use clockwork::prelude::*;
 use clockwork_shard::ShardedSpec;
@@ -85,6 +86,13 @@ fn main() -> Result<(), String> {
     print_stage("start");
     let trace = spec.arrivals();
     print_stage("trace");
+    println!(
+        "{:<16} {} arrivals, {} B: {:.2} B per arrival",
+        "trace bytes",
+        trace.len(),
+        trace.heap_bytes(),
+        trace.heap_bytes() as f64 / trace.len().max(1) as f64
+    );
     let mut system = ServingSystem::from_spec(&spec, factory.as_ref());
     print_stage("build");
     system.submit_trace(&trace);

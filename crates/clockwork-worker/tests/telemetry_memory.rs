@@ -8,46 +8,14 @@
 //! of the fleet's memory before the first request arrives. The binary holds
 //! one test, so no other test allocates while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::telemetry::WorkerTelemetry;
 
-/// Bytes allocated and not yet freed.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
+#[path = "../../clockwork/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter only observes sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let moved = System.realloc(ptr, layout, new_size);
-        if !moved.is_null() {
-            LIVE.fetch_add(new_size, Relaxed);
-            LIVE.fetch_sub(layout.size(), Relaxed);
-        }
-        moved
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting_alloc::live_bytes;
 
 /// Counters for the octaves 1–100 ms touches (under 7 of them), rounded up
 /// to 8 octaves of 32 sub-buckets.
@@ -56,9 +24,9 @@ const EXEC_COUNTS_BOUND: usize = 8 * 32 * std::mem::size_of::<u64>();
 #[test]
 fn telemetry_holds_only_the_buckets_it_has_seen() {
     let mut rng = SimRng::seeded(7);
-    let before = LIVE.load(Relaxed);
+    let before = live_bytes();
     let mut telemetry = WorkerTelemetry::new(4);
-    let built = LIVE.load(Relaxed) - before;
+    let built = live_bytes() - before;
     assert!(
         built <= 1_024,
         "a 4-GPU worker's telemetry took {built} B before recording anything"
@@ -74,7 +42,7 @@ fn telemetry_holds_only_the_buckets_it_has_seen() {
         telemetry.record_exec((i % 4) as usize, at, at + d, d);
         at += d;
     }
-    let held = LIVE.load(Relaxed) - before - built;
+    let held = live_bytes() - before - built;
     assert_eq!(telemetry.exec_durations.count(), 10_000);
     assert!(
         held <= EXEC_COUNTS_BOUND,

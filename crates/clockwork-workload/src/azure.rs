@@ -72,6 +72,12 @@ pub struct AzureTraceConfig {
     pub seed: u64,
 }
 
+impl AzureTraceConfig {
+    /// The most models a trace can target: a minute's offset takes 36 bits
+    /// of an arrival's 64-bit sort key, which leaves 28 for the model id.
+    pub const MAX_MODELS: usize = 1 << 28;
+}
+
 impl Default for AzureTraceConfig {
     fn default() -> Self {
         AzureTraceConfig {
@@ -225,7 +231,7 @@ impl AzureTraceGenerator {
         // A minute the end does not cut keeps every arrival it draws, but
         // one that rounds onto the end: copies of the streams that draw the
         // counts and skip the offsets bound those minutes' arrivals, so the
-        // time column is allocated once for them.
+        // key buffer is allocated once for them.
         let whole_minutes = self.config.duration.as_nanos() / MINUTE.as_nanos();
         let mut counting = rngs.clone();
         let mut bound = 0;
@@ -369,6 +375,16 @@ mod tests {
                 });
             }
         }
+        // The most models a key holds: 36 bits of offset, so an epoch
+        // (2^36 ns, about 69 s) ends inside a minute.
+        for seed in 0..4 {
+            matches(AzureTraceConfig {
+                models: AzureTraceConfig::MAX_MODELS,
+                duration: Nanos::from_millis(179_900),
+                seed,
+                ..small_config()
+            });
+        }
         // Zero and negative rates, no functions, and no models (every
         // function then maps to model 0).
         for (functions, models, target_rate) in [
@@ -431,6 +447,17 @@ mod tests {
             fired > 0 && rounded_up > 0,
             "{fired} cut, {rounded_up} rounded up"
         );
+    }
+
+    /// The budget the generator's keys leave is the published one.
+    #[test]
+    fn max_models_is_what_a_minute_leaves_a_key() {
+        let fits = |models: usize| {
+            let classes = vec![(Nanos::from_millis(100), Tier::Strict)];
+            SegmentWriter::new(MINUTE.as_nanos(), models as u64 - 1, classes).is_ok()
+        };
+        assert!(fits(AzureTraceConfig::MAX_MODELS));
+        assert!(!fits(AzureTraceConfig::MAX_MODELS + 1));
     }
 
     /// 60 s of offset take 36 bits of a key, which leaves 28 for model ids.

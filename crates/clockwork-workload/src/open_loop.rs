@@ -106,7 +106,7 @@ fn write_segments(
         .expect("32 bits of offset leave 32 for any model id");
     // The clients' arrivals number about a Poisson count: room for six
     // standard deviations above its mean makes a second allocation of the
-    // time column a one-in-a-billion event.
+    // key buffer a one-in-a-billion event.
     let mean = rate * duration.as_secs_f64() * clients.len() as f64;
     writer.reserve((mean + 6.0 * mean.sqrt()).ceil() as usize);
     let end = Timestamp::ZERO + duration;

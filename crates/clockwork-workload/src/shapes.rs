@@ -236,7 +236,7 @@ impl ShapedWorkload {
             (seg_rng, Timestamp::from_secs(segment), seg_len, count)
         };
         // Each segment draws its count first, so the counts bound the
-        // trace and the time column is allocated once.
+        // trace and the key buffer is allocated once.
         let bound: u64 = (0..segments).map(|segment| open_segment(segment).3).sum();
         writer.reserve(bound as usize);
         for segment in 0..segments {
@@ -361,7 +361,10 @@ mod tests {
             ShapedWorkload::constant(0.0),
             ShapedWorkload::constant(-3.0),
         ];
-        let model_sets = [models(0), models(1), models(8)];
+        // Ids up to the widest a key holds leave a tiered trace's offset
+        // 31 bits, so its epochs (2^31 ns) end inside segments.
+        let wide = [u32::MAX, 5, 1 << 31].map(ModelId).to_vec();
+        let model_sets = [models(0), models(1), models(8), wide];
         for seed in 0..20 {
             let rng = SimRng::seeded(seed);
             for shape in &shapes {

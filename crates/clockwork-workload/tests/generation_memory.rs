@@ -4,7 +4,7 @@
 //! the trace it returns: the heap's peak during generation minus what is
 //! live once it returns, the trace's own bytes ([`Trace::heap_bytes`]).
 //! Generators emit in arrival order, sorting one time segment at a time as
-//! packed keys in the trace's own time column, so they need a small
+//! packed keys in the trace's own key buffer, so they need a small
 //! fraction of the trace even when one segment holds most of it, as the
 //! hourly burst of a two-minute Azure trace does. A stable sort needs a
 //! scratch buffer as long as what it sorts: two thirds of that Azure trace,
@@ -12,69 +12,24 @@
 //! place and then need nothing beyond its input and its output. The binary
 //! holds one test, so no other test allocates while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
 use clockwork_model::ModelId;
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::Nanos;
 use clockwork_workload::{AzureTraceConfig, AzureTraceGenerator, OpenLoopClient};
 use clockwork_workload::{ShapedWorkload, Trace, TraceEvent};
 
-/// Bytes allocated and not yet freed.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The most `LIVE` has been since it was last reset.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+#[path = "../../clockwork/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-struct Counting;
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            grew(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-
-    /// Counts only the change in size: a vector that doubles holds the new
-    /// buffer, not the old and the new, once the copy is done.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let moved = System.realloc(ptr, layout, new_size);
-        if !moved.is_null() {
-            match new_size.checked_sub(layout.size()) {
-                Some(more) => grew(more),
-                None => {
-                    LIVE.fetch_sub(layout.size() - new_size, Relaxed);
-                }
-            }
-        }
-        moved
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting_alloc::{live_bytes, peak_bytes, reset_peak};
 
 /// Runs a generator and checks that its transient heap is under an eighth
 /// of the bytes its trace keeps.
 fn holds_the_trace_once(name: &str, generate: impl FnOnce() -> Trace) {
-    PEAK.store(LIVE.load(Relaxed), Relaxed);
+    reset_peak();
     let trace = generate();
     let retained = trace.heap_bytes();
-    let transient = PEAK.load(Relaxed) - LIVE.load(Relaxed);
+    let transient = peak_bytes() - live_bytes();
     assert!(
         (80_000..200_000).contains(&trace.len()),
         "{name}: {} arrivals, outside the sized range",
@@ -92,11 +47,11 @@ fn holds_the_trace_once(name: &str, generate: impl FnOnce() -> Trace) {
 /// that input and the trace it becomes, building needs under an eighth of
 /// the trace's bytes: the input is sorted in place.
 fn sorts_in_place(name: &str, events: Vec<TraceEvent>) {
-    let start = LIVE.load(Relaxed);
-    PEAK.store(start, Relaxed);
+    let start = live_bytes();
+    reset_peak();
     let trace = Trace::new(events);
     let output = trace.heap_bytes();
-    let beyond = PEAK.load(Relaxed) - start - output;
+    let beyond = peak_bytes() - start - output;
     assert!(
         beyond * 8 < output,
         "{name}: building {} arrivals ({output} B kept) needed {beyond} B beyond its input",

@@ -61,9 +61,46 @@ fn arb_dense_events() -> impl Strategy<Value = Vec<TraceEvent>> {
     })
 }
 
-/// Either kind of event list.
+/// Events over model ids up to `u32::MAX` and up to 48 classes, so an
+/// arrival's offset keeps as few as 26 bits and an hour spans tens of
+/// thousands of epochs. Half the times fall on an epoch's first
+/// nanosecond, or the one before or after it, for every epoch length
+/// such ids and classes leave, and half the models are one of two ids
+/// next to `u32::MAX`, so those arrivals tie.
+fn arb_wide_events() -> impl Strategy<Value = Vec<TraceEvent>> {
+    proptest::collection::vec(
+        (
+            (0u64..HOUR_NS, 0u64..8, 26u32..33, 0u64..3),
+            (any::<u32>(), 0u32..4),
+            (1u64..25, 0u8..2),
+        ),
+        0..300,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(
+                |((at, epoch, bits, edge), (model, near_max), (slo, tier))| TraceEvent {
+                    at: Timestamp::from_nanos(if epoch < 4 {
+                        at
+                    } else {
+                        ((epoch - 3) << bits) + edge - 1
+                    }),
+                    model: ModelId(if near_max < 2 {
+                        model
+                    } else {
+                        u32::MAX - (near_max - 2)
+                    }),
+                    slo: Nanos::from_millis(slo),
+                    tier: Tier::from_index(u64::from(tier)),
+                },
+            )
+            .collect()
+    })
+}
+
+/// Any kind of event list.
 fn arb_any_events() -> impl Strategy<Value = Vec<TraceEvent>> {
-    prop_oneof![arb_events(), arb_dense_events()]
+    prop_oneof![arb_events(), arb_dense_events(), arb_wide_events()]
 }
 
 /// Arrival order: time, then model, SLO and tier.
@@ -88,11 +125,11 @@ proptest! {
     // Trace algebra
     // ------------------------------------------------------------------
 
-    // Every operation on the columns against the same operation on the
+    // Every operation on the keys against the same operation on the
     // events' array-of-structs twin, event for event.
 
     #[test]
-    fn columns_match_their_twin(events in arb_any_events()) {
+    fn keys_match_their_twin(events in arb_any_events()) {
         let trace = Trace::new(events.clone());
         let expected = twin(events);
         prop_assert_eq!(listed(&trace), expected.clone());

@@ -607,7 +607,8 @@ impl ScenarioSpec {
 
     /// Parses a spec previously written by [`ScenarioSpec::to_json`]. Any
     /// field order is accepted; a missing, mistyped or unknown-variant field
-    /// is an error naming it.
+    /// is an error naming it, and so is an Azure workload over more than
+    /// [`AzureTraceConfig::MAX_MODELS`] models.
     pub fn from_json(text: &str) -> Result<ScenarioSpec, String> {
         spec_from_value(&json::parse(text)?)
     }
@@ -888,7 +889,7 @@ fn spec_from_value(root: &Value) -> Result<ScenarioSpec, String> {
         let (at, kind) = fault_from_value(item)?;
         faults.push(at, kind);
     }
-    Ok(ScenarioSpec {
+    let spec = ScenarioSpec {
         name: root.get("name")?.as_str("name")?.to_string(),
         workers: u64_of(root, "workers")? as u32,
         gpus_per_worker: u64_of(root, "gpus_per_worker")? as u32,
@@ -915,7 +916,17 @@ fn spec_from_value(root: &Value) -> Result<ScenarioSpec, String> {
         faults,
         trace: root.get("trace")?.as_bool("trace")?,
         trace_capacity: u64_of(root, "trace_capacity")? as usize,
-    })
+    };
+    if matches!(spec.workload, WorkloadSpec::Azure { .. })
+        && spec.models > AzureTraceConfig::MAX_MODELS
+    {
+        return Err(format!(
+            "`models`: an Azure workload targets at most {} models, not {}",
+            AzureTraceConfig::MAX_MODELS,
+            spec.models
+        ));
+    }
+    Ok(spec)
 }
 
 #[cfg(test)]
@@ -1097,6 +1108,32 @@ mod tests {
         assert!(ScenarioSpec::from_json(&tampered).is_err());
         let trailing = format!("{good} extra");
         assert!(ScenarioSpec::from_json(&trailing).is_err());
+    }
+
+    /// An Azure population whose ids do not fit the generator's arrival
+    /// keys is an input error naming the field, not a panic at generation.
+    #[test]
+    fn an_azure_population_beyond_the_key_budget_is_rejected() {
+        let with_models = |models| {
+            ScenarioSpec {
+                models,
+                ..ScenarioSpec::smoke(7)
+            }
+            .to_json()
+        };
+        let most = AzureTraceConfig::MAX_MODELS;
+        assert!(ScenarioSpec::from_json(&with_models(most)).is_ok());
+        let err = ScenarioSpec::from_json(&with_models(most + 1)).unwrap_err();
+        assert!(err.starts_with("`models`:"), "{err}");
+        // Other workloads draw no Azure keys.
+        let open = ScenarioSpec {
+            models: most + 1,
+            workload: WorkloadSpec::OpenLoop {
+                rate_per_model: 1.0,
+            },
+            ..ScenarioSpec::smoke(7)
+        };
+        assert!(ScenarioSpec::from_json(&open.to_json()).is_ok());
     }
 
     #[test]

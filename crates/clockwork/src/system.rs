@@ -601,16 +601,15 @@ impl ServingSystem {
     /// The arrivals are counted as scheduled from this call on
     /// ([`ServingSystem::pending_events`], the event mix), but they stay in
     /// the trace — shared with the caller's, not copied — as a sorted run
-    /// beside the event heap, and each becomes an event only when it is next
-    /// to be delivered. Delivery order and every counter are exactly those of
-    /// pushing each arrival as its own event here, in trace order.
+    /// beside the event heap, and a cursor over the trace's keys decodes
+    /// each into an event only when it is next to be delivered. Delivery
+    /// order and every counter are exactly those of pushing each arrival as
+    /// its own event here, in trace order.
     pub fn submit_trace(&mut self, trace: &Trace) {
         self.telemetry
             .event_mix
             .note_pushed_n(KIND_CLIENT_SUBMIT, trace.len() as u64);
-        let trace = trace.clone();
-        self.queue.push_run((0..trace.len()).map(move |i| {
-            let event = trace.get(i).expect("an index below the trace's length");
+        self.queue.push_run(trace.iter().map(|event| {
             (
                 event.at,
                 SystemEvent::ClientSubmit {

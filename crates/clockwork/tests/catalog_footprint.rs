@@ -12,48 +12,12 @@
 //! every byte allocated during registration is counted too. The binary
 //! holds one test, so no other test allocates while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
 use clockwork::prelude::*;
 
-/// Bytes allocated and not yet freed.
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Bytes ever allocated, freed or not; a reallocation counts its new size.
-static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            LIVE_BYTES.fetch_add(layout.size(), Relaxed);
-            ALLOCATED_BYTES.fetch_add(layout.size(), Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let moved = System.realloc(ptr, layout, new_size);
-        if !moved.is_null() {
-            LIVE_BYTES.fetch_add(new_size, Relaxed);
-            LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
-            ALLOCATED_BYTES.fetch_add(new_size, Relaxed);
-        }
-        moved
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting_alloc::{allocated_bytes, live_bytes};
 
 const MODELS: usize = 2_000;
 const FLAGSHIP_WORKERS: u32 = 200;
@@ -85,11 +49,11 @@ struct Cost {
 }
 
 fn cost(build: impl FnOnce() -> ServingSystem) -> Cost {
-    let (live, allocated) = (LIVE_BYTES.load(Relaxed), ALLOCATED_BYTES.load(Relaxed));
+    let (live, allocated) = (live_bytes(), allocated_bytes());
     let system = build();
     let cost = Cost {
-        live: LIVE_BYTES.load(Relaxed) - live,
-        allocated: ALLOCATED_BYTES.load(Relaxed) - allocated,
+        live: live_bytes() - live,
+        allocated: allocated_bytes() - allocated,
     };
     drop(system);
     cost

@@ -11,8 +11,6 @@
 //! buffers go to the next queue that fills. The binary holds one test, so
 //! no other test allocates while it measures.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use clockwork::prelude::*;
@@ -21,43 +19,10 @@ use clockwork_model::ModelId;
 use clockwork_sim::rng::SimRng;
 use clockwork_workload::OpenLoopClient;
 
-/// Bytes allocated and not yet freed.
-static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Allocations made and not yet freed.
-static LIVE_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters only observe sizes.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
-        if !ptr.is_null() {
-            LIVE_BYTES.fetch_add(layout.size(), Relaxed);
-            LIVE_ALLOCATIONS.fetch_add(1, Relaxed);
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
-        LIVE_ALLOCATIONS.fetch_sub(1, Relaxed);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let moved = System.realloc(ptr, layout, new_size);
-        if !moved.is_null() {
-            LIVE_BYTES.fetch_add(new_size, Relaxed);
-            LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
-        }
-        moved
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
+use counting_alloc::{live_allocations, live_bytes};
 
 const MODELS: usize = 1_200;
 
@@ -92,14 +57,13 @@ fn a_served_zoo_model_costs_bytes_not_allocations() {
         &mut SimRng::seeded(spec.workload_seed),
     );
 
-    let (bytes, allocations) = (LIVE_BYTES.load(Relaxed), LIVE_ALLOCATIONS.load(Relaxed));
+    let (bytes, allocations) = (live_bytes(), live_allocations());
     let mut system = ServingSystem::from_spec(&spec, &ClockworkFactory::default());
     system.submit_trace(&trace);
     system.run_until(spec.horizon());
-    let per_model =
-        |live: &AtomicUsize, before: usize| (live.load(Relaxed) - before) as f64 / MODELS as f64;
-    let bytes = per_model(&LIVE_BYTES, bytes);
-    let allocations = per_model(&LIVE_ALLOCATIONS, allocations);
+    let per_model = |live: usize, before: usize| (live - before) as f64 / MODELS as f64;
+    let bytes = per_model(live_bytes(), bytes);
+    let allocations = per_model(live_allocations(), allocations);
 
     let served = system.telemetry().metrics().successes;
     assert!(
