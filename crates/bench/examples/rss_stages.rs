@@ -17,6 +17,8 @@
 //! the trace's own heap bytes (`Trace::heap_bytes`) and bytes per arrival.
 //! Linux only: elsewhere the readings print as 0.
 
+use std::io::{self, Write};
+
 use clockwork::prelude::*;
 use clockwork_shard::ShardedSpec;
 
@@ -33,9 +35,9 @@ fn status_mb(field: &str) -> f64 {
     kb / 1024.0
 }
 
-fn print_stage(stage: &str) {
+fn print_stage(out: &mut impl Write, stage: &str) -> io::Result<()> {
     let (rss, hwm) = (status_mb("VmRSS"), status_mb("VmHWM"));
-    println!("{stage:<16} VmRSS {rss:>8.2} MB   VmHWM {hwm:>8.2} MB");
+    writeln!(out, "{stage:<16} VmRSS {rss:>8.2} MB   VmHWM {hwm:>8.2} MB")
 }
 
 fn scenario(name: &str) -> Result<ScenarioSpec, String> {
@@ -82,26 +84,35 @@ fn main() -> Result<(), String> {
     spec.seed = flag("--seed")?.unwrap_or(spec.seed);
     spec.workload_seed = flag("--workload-seed")?.unwrap_or(spec.workload_seed);
     let every = Nanos::from_millis(flag("--every-ms")?.unwrap_or(100).max(1));
+    // A reader that closes the pipe early (`| head`) ends the probe quietly.
+    match probe(&spec, factory.as_ref(), every) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        result => result.map_err(|e| format!("stdout: {e}")),
+    }
+}
 
-    print_stage("start");
+fn probe(spec: &ScenarioSpec, factory: &dyn SchedulerFactory, every: Nanos) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    print_stage(&mut out, "start")?;
     let trace = spec.arrivals();
-    print_stage("trace");
-    println!(
+    print_stage(&mut out, "trace")?;
+    writeln!(
+        out,
         "{:<16} {} arrivals, {} B: {:.2} B per arrival",
         "trace bytes",
         trace.len(),
         trace.heap_bytes(),
         trace.heap_bytes() as f64 / trace.len().max(1) as f64
-    );
-    let mut system = ServingSystem::from_spec(&spec, factory.as_ref());
-    print_stage("build");
+    )?;
+    let mut system = ServingSystem::from_spec(spec, factory);
+    print_stage(&mut out, "build")?;
     system.submit_trace(&trace);
-    print_stage("submit");
+    print_stage(&mut out, "submit")?;
     let mut at = Timestamp::ZERO;
     while at < spec.horizon() {
         at = (at + every).min(spec.horizon());
         system.run_until(at);
-        print_stage(&format!("run {} ms", at.as_nanos() / 1_000_000));
+        print_stage(&mut out, &format!("run {} ms", at.as_nanos() / 1_000_000))?;
     }
     Ok(())
 }

@@ -80,7 +80,7 @@ fn run_to_horizon(mut system: ServingSystem, spec: &ScenarioSpec, submitted: u64
     }
 }
 
-/// One minute of a run's per-second series: counts as per-second rates,
+/// One minute of a run's per-second rows: counts as per-second rates,
 /// the mean of the per-second mean batch sizes, and the worst per-second
 /// mean latency.
 struct Minute {
@@ -101,11 +101,12 @@ fn per_minute(tel: &SystemTelemetry, minutes: u64) -> impl Iterator<Item = Minut
             max_latency_ms: 0.0,
         };
         for s in minute * 60..(minute + 1) * 60 {
-            m.goodput_rps += tel.goodput_series.count_at(s) as f64;
-            m.throughput_rps += tel.throughput_series.count_at(s) as f64;
-            m.cold_start_rps += tel.cold_start_series.count_at(s) as f64;
-            m.mean_batch += tel.batch_series.mean_at(s);
-            m.max_latency_ms = m.max_latency_ms.max(tel.latency_series.mean_at(s));
+            let row = tel.second(s);
+            m.goodput_rps += row.goodput as f64;
+            m.throughput_rps += row.successes as f64;
+            m.cold_start_rps += row.cold_starts as f64;
+            m.mean_batch += row.mean_batch();
+            m.max_latency_ms = m.max_latency_ms.max(row.mean_latency_ms());
         }
         m.goodput_rps /= 60.0;
         m.throughput_rps /= 60.0;

@@ -205,17 +205,15 @@ pub fn analyze_chaos(report: &RunReport, spec: &ScenarioSpec) -> ChaosAnalysis {
     // goodput is back to >= STEADY_FRACTION of the requests that arrived in
     // that bucket. The offered load is non-stationary, so steadiness is
     // relative to arrivals rather than to an absolute pre-churn rate.
-    let goodput = &telemetry.goodput_series;
-    let arrivals = &telemetry.request_series;
     let from_bucket = (last_recovery.as_nanos() / tick.as_nanos()) as usize;
     let to_bucket = (end.as_nanos() / tick.as_nanos()) as usize;
     let mut recovery_secs = -1.0;
     for bucket in from_bucket..=to_bucket {
-        let offered = arrivals.count_at(bucket);
-        if offered == 0 {
+        let row = telemetry.second(bucket);
+        if row.arrivals == 0 {
             continue;
         }
-        if goodput.count_at(bucket) as f64 >= STEADY_FRACTION * offered as f64 {
+        if row.goodput as f64 >= STEADY_FRACTION * row.arrivals as f64 {
             let bucket_start = bucket as f64; // 1 s buckets
             recovery_secs = (bucket_start - last_recovery_secs).max(0.0);
             break;

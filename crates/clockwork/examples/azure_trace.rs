@@ -50,9 +50,10 @@ fn main() {
         let mut cold = 0.0;
         let mut batch = 0.0;
         for s in minute * 60..(minute + 1) * 60 {
-            goodput += tel.goodput_series.count_at(s) as f64;
-            cold += tel.cold_start_series.count_at(s) as f64;
-            batch += tel.batch_series.mean_at(s);
+            let row = tel.second(s);
+            goodput += row.goodput as f64;
+            cold += row.cold_starts as f64;
+            batch += row.mean_batch();
         }
         println!(
             "{minute:>6}  {:>11.1}  {:>14.2}  {:>10.2}",

@@ -53,7 +53,8 @@ pub use outcome::RunOutcome;
 pub use scenario::{ModelSet, ScenarioSpec, WorkloadSpec};
 pub use system::ServingSystem;
 pub use telemetry::{
-    EventMix, EventMixEntry, ExperimentMetrics, FaultRecord, SystemTelemetry, TierOutcomes,
+    EventMix, EventMixEntry, ExperimentMetrics, FaultRecord, SecondRow, SystemTelemetry,
+    TierOutcomes,
 };
 // Request-lifecycle tracing surface (the workload crate's `TraceEvent` — a
 // *workload* trace entry — already owns that name in the prelude, so the
@@ -69,7 +70,8 @@ pub mod prelude {
     pub use crate::scenario::{ModelSet, ScenarioSpec, WorkloadSpec};
     pub use crate::system::ServingSystem;
     pub use crate::telemetry::{
-        EventMix, EventMixEntry, ExperimentMetrics, FaultRecord, SystemTelemetry, TierOutcomes,
+        EventMix, EventMixEntry, ExperimentMetrics, FaultRecord, SecondRow, SystemTelemetry,
+        TierOutcomes,
     };
     pub use clockwork_controller::registry::{
         ClockworkFactory, ClockworkNoBatchFactory, FifoFactory, SchedulerFactory, SchedulerRegistry,

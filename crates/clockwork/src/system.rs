@@ -50,11 +50,9 @@ enum SystemEvent {
     WorkerWake { worker: usize },
     /// A result reaches the controller.
     ControllerResult { result: ActionResult },
-    /// A response reaches the client that issued the request.
-    ClientResponse {
-        response: Response,
-        client: Option<usize>,
-    },
+    /// A response reaches the client that issued the request (`None` when
+    /// no closed-loop client waits on it).
+    ClientResponse { client: Option<usize> },
     /// A dynamically uploaded model's weights finish arriving at the workers
     /// (§5.1 "dynamic model loading over the network").
     ModelUpload { id: ModelId, spec: Arc<ModelSpec> },
@@ -838,7 +836,7 @@ impl ServingSystem {
             let bytes = self.payload_bytes(response.model, ModelSpec::output_bytes, 1) + 128;
             let delay = self.network.delay(bytes);
             let at = self.now + delay;
-            self.push_event(at, SystemEvent::ClientResponse { response, client });
+            self.push_event(at, SystemEvent::ClientResponse { client });
         }
         self.response_buf = responses;
         self.schedule_tick();
@@ -921,7 +919,7 @@ impl ServingSystem {
                 self.scheduler.on_result(self.now, &result, &mut self.ctx);
                 self.drain_ctx();
             }
-            SystemEvent::ClientResponse { response, client } => {
+            SystemEvent::ClientResponse { client } => {
                 if let Some(index) = client {
                     if let Some((at, model, slo)) = self.clients[index].on_response(self.now) {
                         self.push_event(
@@ -935,7 +933,6 @@ impl ServingSystem {
                         );
                     }
                 }
-                let _ = response;
             }
             SystemEvent::ModelUpload { id, spec } => {
                 self.install_models(&[(id, spec)]);

@@ -1,18 +1,21 @@
 //! End-to-end experiment telemetry.
 //!
-//! Every figure of the evaluation is computed from the per-request responses
-//! and per-interval series collected here: goodput (responses within SLO) and
-//! throughput over time, the latency distribution scaled to the tail, batch
-//! sizes, cold-start counts, and rejection breakdowns.
+//! Every figure of the evaluation is computed from what is collected here:
+//! the run's aggregate [`ExperimentMetrics`] (the latency distribution scaled
+//! to the tail, goodput, cold starts, batch sizes and rejection breakdowns),
+//! one [`SecondRow`] per second of virtual time (the time-series figures:
+//! arrivals, throughput, goodput, cold starts, batch size and latency per
+//! interval), the fault records of a chaos run and, when kept, the
+//! individual responses.
 
 use std::collections::HashMap;
 
 use clockwork_controller::request::{RejectReason, RequestOutcome, Response};
-use clockwork_metrics::{LatencyHistogram, Summary, TimeSeries};
+use clockwork_metrics::LatencyHistogram;
 use clockwork_model::{ModelTable, Tier};
 use clockwork_sim::engine::FaultKind;
 use clockwork_sim::hash::Fnv1a;
-use clockwork_sim::time::{Nanos, Timestamp};
+use clockwork_sim::time::Timestamp;
 
 /// One fleet fault observed by the system, with the availability it left
 /// behind — the per-phase availability timeline of a chaos run is read
@@ -299,29 +302,68 @@ impl ExperimentMetrics {
     }
 }
 
-/// Collects per-request outcomes and time series during a run.
+/// What one second of virtual time saw: the requests that arrived in it and
+/// the successful responses that completed in it.
+///
+/// The time-series figures (Figs. 6 and 8) and the chaos harness's phase
+/// windows are read off these rows; each row's counts sum to the run's
+/// [`ExperimentMetrics`] totals.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct SecondRow {
+    /// Requests that arrived at the controller.
+    pub arrivals: u64,
+    /// Successful responses.
+    pub successes: u64,
+    /// Successful responses that met their SLO.
+    pub goodput: u64,
+    /// Successful responses served from a cold model.
+    pub cold_starts: u64,
+    /// Sum of the successful responses' batch sizes.
+    pub batch_sum: u64,
+    /// Sum of the successful responses' latencies, in milliseconds.
+    pub latency_ms_sum: f64,
+}
+
+impl SecondRow {
+    /// Mean batch size of this second's successes (0 if there were none).
+    pub fn mean_batch(&self) -> f64 {
+        self.mean(self.batch_sum as f64)
+    }
+
+    /// Mean latency of this second's successes in milliseconds (0 if there
+    /// were none).
+    pub fn mean_latency_ms(&self) -> f64 {
+        self.mean(self.latency_ms_sum)
+    }
+
+    fn mean(&self, sum: f64) -> f64 {
+        if self.successes == 0 {
+            0.0
+        } else {
+            sum / self.successes as f64
+        }
+    }
+}
+
+/// The index of the second `at` falls in.
+fn second_of(at: Timestamp) -> usize {
+    (at.as_nanos() / 1_000_000_000) as usize
+}
+
+/// Collects per-request outcomes and per-second rows during a run.
 #[derive(Clone, Debug)]
 pub struct SystemTelemetry {
     keep_responses: bool,
     responses: Vec<Response>,
     /// The run's aggregate metrics as they accrue, `mean_batch` aside: that
-    /// is read off `batch_sizes`. The per-tier counters are deliberately NOT
-    /// folded into the determinism digest: the tier annotation must not
-    /// change the digest of a run whose scheduling decisions are unchanged.
+    /// is read off the rows' batch sums. The per-tier counters are
+    /// deliberately NOT folded into the determinism digest: the tier
+    /// annotation must not change the digest of a run whose scheduling
+    /// decisions are unchanged.
     metrics: ExperimentMetrics,
-    batch_sizes: Summary,
-    /// Requests submitted per second.
-    pub request_series: TimeSeries,
-    /// Successful responses per second.
-    pub throughput_series: TimeSeries,
-    /// SLO-met responses per second.
-    pub goodput_series: TimeSeries,
-    /// Cold-start responses per second.
-    pub cold_start_series: TimeSeries,
-    /// Mean batch size per second (gauge).
-    pub batch_series: TimeSeries,
-    /// Latency (ms) samples per second (gauge, for max/percentile plots).
-    pub latency_series: TimeSeries,
+    /// One row per second of virtual time, grown as far as the latest
+    /// arrival or completion.
+    seconds: Vec<SecondRow>,
     per_model_success: ModelTable<u64>,
     faults: Vec<FaultRecord>,
     /// Event-mix counters, maintained by the driving event loop.
@@ -342,13 +384,7 @@ impl SystemTelemetry {
             keep_responses,
             responses: Vec::new(),
             metrics: ExperimentMetrics::default(),
-            batch_sizes: Summary::new(),
-            request_series: TimeSeries::per_second(),
-            throughput_series: TimeSeries::per_second(),
-            goodput_series: TimeSeries::per_second(),
-            cold_start_series: TimeSeries::per_second(),
-            batch_series: TimeSeries::per_second(),
-            latency_series: TimeSeries::per_second(),
+            seconds: Vec::new(),
             per_model_success: ModelTable::default(),
             faults: Vec::new(),
             event_mix: EventMix::default(),
@@ -384,19 +420,21 @@ impl SystemTelemetry {
         }
     }
 
+    /// The row of the second `at` falls in, growing the table to reach it.
+    fn second_mut(&mut self, at: Timestamp) -> &mut SecondRow {
+        let index = second_of(at);
+        if index >= self.seconds.len() {
+            self.seconds.resize(index + 1, SecondRow::default());
+        }
+        &mut self.seconds[index]
+    }
+
     /// Records that a request arrived at the controller.
     pub fn record_arrival(&mut self, at: Timestamp, tier: Tier) {
         self.metrics.total_requests += 1;
         self.metrics.tiers[tier.index()].submitted += 1;
-        self.request_series.record_event(at);
+        self.second_mut(at).arrivals += 1;
         self.advance(at);
-    }
-
-    /// Records a response returned to a client, attributed to
-    /// [`Tier::Strict`]. Callers that know the tier (the facade event loop)
-    /// use [`SystemTelemetry::record_response_with_tier`].
-    pub fn record_response(&mut self, response: &Response) {
-        self.record_response_with_tier(response, Tier::Strict);
     }
 
     /// Records a response returned to a client of a known tier.
@@ -418,26 +456,23 @@ impl SystemTelemetry {
                 self.digest_fold(u64::from(worker.0));
                 self.digest_fold(u64::from(gpu.0));
                 self.digest_fold(u64::from(*cold_start));
+                let latency = *completed - response.arrival;
+                let met_slo = response.met_slo();
+                let row = self.second_mut(*completed);
+                row.successes += 1;
+                row.latency_ms_sum += latency.as_millis_f64();
+                row.batch_sum += u64::from(*batch);
+                row.cold_starts += u64::from(*cold_start);
+                row.goodput += u64::from(met_slo);
                 let m = &mut self.metrics;
                 m.successes += 1;
                 m.tiers[tier].successes += 1;
-                let latency = *completed - response.arrival;
                 m.latency.record(latency);
-                self.latency_series
-                    .record_value(*completed, latency.as_millis_f64());
-                self.throughput_series.record_event(*completed);
-                self.batch_sizes.record(f64::from(*batch));
-                self.batch_series
-                    .record_value(*completed, f64::from(*batch));
-                if *cold_start {
-                    m.cold_starts += 1;
-                    self.cold_start_series.record_event(*completed);
-                }
-                if response.met_slo() {
+                m.cold_starts += u64::from(*cold_start);
+                if met_slo {
                     m.goodput += 1;
                     m.tiers[tier].goodput += 1;
                     m.goodput_latency.record(latency);
-                    self.goodput_series.record_event(*completed);
                 }
                 *self.per_model_success.get_or_default(response.model) += 1;
                 self.advance(*completed);
@@ -507,26 +542,42 @@ impl SystemTelemetry {
             .unwrap_or(1.0)
     }
 
-    fn series_count_between(series: &TimeSeries, from: Timestamp, to: Timestamp) -> u64 {
-        if to < from {
-            return 0;
+    /// One row per second of the run so far, from second 0 to the last
+    /// second an arrival or completion fell in.
+    pub fn seconds(&self) -> &[SecondRow] {
+        &self.seconds
+    }
+
+    /// The row of second `index`; an empty row past the end of the run.
+    pub fn second(&self, index: usize) -> SecondRow {
+        self.seconds.get(index).copied().unwrap_or_default()
+    }
+
+    /// The rows of the seconds `[from, to]` overlaps (none if `to < from`).
+    fn seconds_between(&self, from: Timestamp, to: Timestamp) -> &[SecondRow] {
+        let end = (second_of(to) + 1).min(self.seconds.len());
+        if to < from || second_of(from) >= end {
+            return &[];
         }
-        let interval = series.interval().as_nanos().max(1);
-        let first = (from.as_nanos() / interval) as usize;
-        let last = (to.as_nanos() / interval) as usize;
-        (first..=last).map(|i| series.count_at(i)).sum()
+        &self.seconds[second_of(from)..end]
     }
 
     /// SLO-met responses completed in `[from, to]`, at the resolution of the
-    /// per-second goodput series — the phase metric of the chaos harness.
+    /// per-second rows — the phase metric of the chaos harness.
     pub fn goodput_between(&self, from: Timestamp, to: Timestamp) -> u64 {
-        Self::series_count_between(&self.goodput_series, from, to)
+        self.seconds_between(from, to)
+            .iter()
+            .map(|r| r.goodput)
+            .sum()
     }
 
     /// Requests that arrived at the controller in `[from, to]`, at the
-    /// resolution of the per-second arrival series.
+    /// resolution of the per-second rows.
     pub fn arrivals_between(&self, from: Timestamp, to: Timestamp) -> u64 {
-        Self::series_count_between(&self.request_series, from, to)
+        self.seconds_between(from, to)
+            .iter()
+            .map(|r| r.arrivals)
+            .sum()
     }
 
     /// All individual responses (empty if `keep_responses` was disabled).
@@ -544,20 +595,16 @@ impl SystemTelemetry {
         &self.per_model_success
     }
 
-    /// Per-tier outcome counters, indexed by [`Tier::index`].
-    pub fn tier_outcomes(&self) -> &[TierOutcomes; Tier::COUNT] {
-        &self.metrics.tiers
-    }
-
-    /// Latency of all completed requests at a percentile.
-    pub fn latency_percentile(&self, p: f64) -> Nanos {
-        self.metrics.latency.percentile(p)
-    }
-
     /// Finalises the aggregate metrics.
     pub fn metrics(&self) -> ExperimentMetrics {
+        let batch_sum: u64 = self.seconds.iter().map(|r| r.batch_sum).sum();
+        let mean_batch = if self.metrics.successes == 0 {
+            0.0
+        } else {
+            batch_sum as f64 / self.metrics.successes as f64
+        };
         ExperimentMetrics {
-            mean_batch: self.batch_sizes.mean(),
+            mean_batch,
             ..self.metrics.clone()
         }
     }
@@ -569,6 +616,7 @@ mod tests {
     use clockwork_controller::request::{RejectReason, RequestId};
     use clockwork_model::ModelId;
     use clockwork_worker::{GpuId, WorkerId};
+    use proptest::prelude::*;
 
     fn success(arrival_ms: u64, completed_ms: u64, deadline_ms: u64, cold: bool) -> Response {
         Response {
@@ -592,18 +640,21 @@ mod tests {
         t.record_arrival(Timestamp::from_millis(0), Tier::Strict);
         t.record_arrival(Timestamp::from_millis(1), Tier::Strict);
         t.record_arrival(Timestamp::from_millis(2), Tier::Strict);
-        t.record_response(&success(0, 10, 100, false)); // met SLO
-        t.record_response(&success(1, 500, 100, true)); // missed SLO
-        t.record_response(&Response {
-            request: RequestId(3),
-            model: ModelId(1),
-            arrival: Timestamp::from_millis(2),
-            deadline: Timestamp::from_millis(50),
-            outcome: RequestOutcome::Rejected {
-                at: Timestamp::from_millis(2),
-                reason: RejectReason::CannotMeetSlo,
+        t.record_response_with_tier(&success(0, 10, 100, false), Tier::Strict); // met SLO
+        t.record_response_with_tier(&success(1, 500, 100, true), Tier::Strict); // missed SLO
+        t.record_response_with_tier(
+            &Response {
+                request: RequestId(3),
+                model: ModelId(1),
+                arrival: Timestamp::from_millis(2),
+                deadline: Timestamp::from_millis(50),
+                outcome: RequestOutcome::Rejected {
+                    at: Timestamp::from_millis(2),
+                    reason: RejectReason::CannotMeetSlo,
+                },
             },
-        });
+            Tier::Strict,
+        );
         let m = t.metrics();
         assert_eq!(m.total_requests, 3);
         assert_eq!(m.successes, 2);
@@ -624,7 +675,7 @@ mod tests {
     fn keep_responses_flag_controls_raw_storage() {
         let mut t = SystemTelemetry::new(false);
         t.record_arrival(Timestamp::ZERO, Tier::Strict);
-        t.record_response(&success(0, 10, 100, false));
+        t.record_response_with_tier(&success(0, 10, 100, false), Tier::Strict);
         assert!(t.responses().is_empty());
         assert_eq!(t.metrics().successes, 1);
     }
@@ -642,8 +693,8 @@ mod tests {
     fn fault_records_fold_into_the_digest_and_track_availability() {
         let mut quiet = SystemTelemetry::new(false);
         let mut faulted = SystemTelemetry::new(false);
-        quiet.record_response(&success(0, 10, 100, false));
-        faulted.record_response(&success(0, 10, 100, false));
+        quiet.record_response_with_tier(&success(0, 10, 100, false), Tier::Strict);
+        faulted.record_response_with_tier(&success(0, 10, 100, false), Tier::Strict);
         assert_eq!(quiet.response_digest(), faulted.response_digest());
         faulted.record_fault(
             Timestamp::from_millis(20),
@@ -673,7 +724,10 @@ mod tests {
         let mut t = SystemTelemetry::new(false);
         for s in 0..10u64 {
             t.record_arrival(Timestamp::from_secs(s), Tier::Strict);
-            t.record_response(&success(s * 1000, s * 1000 + 10, s * 1000 + 100, false));
+            t.record_response_with_tier(
+                &success(s * 1000, s * 1000 + 10, s * 1000 + 100, false),
+                Tier::Strict,
+            );
         }
         assert_eq!(
             t.goodput_between(Timestamp::ZERO, Timestamp::from_secs(9)),
@@ -700,7 +754,7 @@ mod tests {
         let mut tiered = SystemTelemetry::new(false);
         strict.record_arrival(Timestamp::ZERO, Tier::Strict);
         tiered.record_arrival(Timestamp::ZERO, Tier::BestEffort);
-        strict.record_response(&success(0, 10, 100, false));
+        strict.record_response_with_tier(&success(0, 10, 100, false), Tier::Strict);
         tiered.record_response_with_tier(&success(0, 10, 100, false), Tier::BestEffort);
         assert_eq!(
             strict.response_digest(),
@@ -728,7 +782,7 @@ mod tests {
             },
             Tier::BestEffort,
         );
-        let be = shed.tier_outcomes()[Tier::BestEffort.index()];
+        let be = *shed.metrics().tier(Tier::BestEffort);
         assert_eq!(be.rejected, 1);
         assert_eq!(be.shed, 1);
         assert_eq!(be.retention(), 0.0);
@@ -744,9 +798,59 @@ mod tests {
         let mut t = SystemTelemetry::new(false);
         for i in 1..=100u64 {
             t.record_arrival(Timestamp::ZERO, Tier::Strict);
-            t.record_response(&success(0, i, 1_000, false));
+            t.record_response_with_tier(&success(0, i, 1_000, false), Tier::Strict);
         }
-        let p50 = t.latency_percentile(50.0).as_millis_f64();
+        let p50 = t.metrics().latency.percentile(50.0).as_millis_f64();
         assert!((p50 - 50.0).abs() < 3.0, "p50 {p50}");
+    }
+
+    proptest! {
+        #[test]
+        fn per_second_rows_conserve_the_recorded_totals(
+            events in proptest::collection::vec(
+                (0u64..20_000, 0u64..3_000, 0u64..400, 1u32..17, any::<bool>(), any::<bool>()),
+                0..300,
+            )
+        ) {
+            let mut t = SystemTelemetry::new(false);
+            for (i, &(arrival_ms, latency_ms, slo_ms, batch, cold, served)) in events.iter().enumerate() {
+                t.record_arrival(Timestamp::from_millis(arrival_ms), Tier::Strict);
+                let at = Timestamp::from_millis(arrival_ms + latency_ms);
+                let outcome = if served {
+                    RequestOutcome::Success {
+                        completed: at,
+                        batch,
+                        worker: WorkerId(0),
+                        gpu: GpuId(0),
+                        cold_start: cold,
+                    }
+                } else {
+                    RequestOutcome::Rejected { at, reason: RejectReason::CannotMeetSlo }
+                };
+                let response = Response {
+                    request: RequestId(i as u64),
+                    model: ModelId(0),
+                    arrival: Timestamp::from_millis(arrival_ms),
+                    deadline: Timestamp::from_millis(arrival_ms + slo_ms),
+                    outcome,
+                };
+                t.record_response_with_tier(&response, Tier::Strict);
+            }
+            // The rows partition the run: they sum to the aggregate
+            // counters, and their batch sums give the aggregate mean batch.
+            let m = t.metrics();
+            let sum = |field: fn(&SecondRow) -> u64| t.seconds().iter().map(field).sum::<u64>();
+            prop_assert_eq!(sum(|r| r.arrivals), m.total_requests);
+            prop_assert_eq!(sum(|r| r.successes), m.successes);
+            prop_assert_eq!(sum(|r| r.goodput), m.goodput);
+            prop_assert_eq!(sum(|r| r.cold_starts), m.cold_starts);
+            prop_assert_eq!(m.successes, events.iter().filter(|e| e.5).count() as u64);
+            if m.successes > 0 {
+                prop_assert_eq!(sum(|r| r.batch_sum) as f64 / m.successes as f64, m.mean_batch);
+            }
+            let end = Timestamp::from_secs(t.seconds().len() as u64);
+            prop_assert_eq!(t.arrivals_between(Timestamp::ZERO, end), m.total_requests);
+            prop_assert_eq!(t.goodput_between(Timestamp::ZERO, end), m.goodput);
+        }
     }
 }

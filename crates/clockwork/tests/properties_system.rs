@@ -6,7 +6,7 @@
 //! answered exactly once, no request is reported as meeting an SLO it missed,
 //! admission control never lets an impossible SLO "succeed", runs are
 //! deterministic given a seed, and accounting identities between telemetry
-//! counters always hold.
+//! counters (the per-second rows included) always hold.
 
 use std::collections::HashSet;
 
@@ -131,6 +131,23 @@ proptest! {
         prop_assert_eq!(metrics.goodput_latency.count(), metrics.goodput);
         if metrics.successes > 0 {
             prop_assert!(metrics.mean_batch >= 1.0);
+        }
+    }
+
+    #[test]
+    fn per_second_rows_conserve_the_run_totals(case in workload_case()) {
+        let (system, _) = run_case(&case);
+        let telemetry = system.telemetry();
+        let metrics = telemetry.metrics();
+        let rows = telemetry.seconds();
+        let sum = |field: fn(&SecondRow) -> u64| rows.iter().map(field).sum::<u64>();
+        prop_assert_eq!(sum(|r| r.arrivals), metrics.total_requests);
+        prop_assert_eq!(sum(|r| r.successes), metrics.successes);
+        prop_assert_eq!(sum(|r| r.goodput), metrics.goodput);
+        prop_assert_eq!(sum(|r| r.cold_starts), metrics.cold_starts);
+        if metrics.successes > 0 {
+            let mean = sum(|r| r.batch_sum) as f64 / metrics.successes as f64;
+            prop_assert_eq!(mean, metrics.mean_batch);
         }
     }
 
