@@ -2,14 +2,17 @@
 //!
 //! ```bash
 //! cargo run --release -p bench --example rss_stages -- SCENARIO \
-//!     [--every-ms N] [--seed N] [--workload-seed N]
+//!     [--every-ms N] [--seed N] [--workload-seed N] [--duration-secs N]
 //! ```
 //!
 //! `SCENARIO` is a preset, one per benchmark workload — `fleet_scale`,
 //! `flagship_slice` (200 workers × 4 GPUs, 2 000 models, 1 s),
 //! `cold_churn` (3 000 models on 4 × 2 GPUs with the scripted churn) or
 //! `substrate_fifo` (`fleet_scale` at 480 s) — or the path of a
-//! `ScenarioSpec` JSON file. The Clockwork scheduler serves it, except
+//! `ScenarioSpec` JSON file. `--duration-secs` runs it for `N` simulated
+//! seconds instead (`cold_churn`'s churn is scripted for that length), so
+//! two lengths of one scenario show whether its memory grows with its
+//! length. The Clockwork scheduler serves it, except
 //! `substrate_fifo`, which FIFO serves, as in the benchmark. The probe
 //! prints `VmRSS` and `VmHWM` from `/proc/self/status` after trace
 //! generation, build and submit, then after every `N` simulated ms of the
@@ -22,7 +25,8 @@ use std::io::{self, Write};
 use clockwork::prelude::*;
 use clockwork_shard::ShardedSpec;
 
-const USAGE: &str = "usage: rss_stages SCENARIO [--every-ms N] [--seed N] [--workload-seed N]";
+const USAGE: &str =
+    "usage: rss_stages SCENARIO [--every-ms N] [--seed N] [--workload-seed N] [--duration-secs N]";
 
 /// A `/proc/self/status` field in MB, or 0 where it cannot be read.
 fn status_mb(field: &str) -> f64 {
@@ -40,30 +44,33 @@ fn print_stage(out: &mut impl Write, stage: &str) -> io::Result<()> {
     writeln!(out, "{stage:<16} VmRSS {rss:>8.2} MB   VmHWM {hwm:>8.2} MB")
 }
 
-fn scenario(name: &str) -> Result<ScenarioSpec, String> {
-    Ok(match name {
+/// The scenario `name` names, run for `duration_secs` when given.
+fn scenario(name: &str, duration_secs: Option<u64>) -> Result<ScenarioSpec, String> {
+    let mut spec = match name {
         "fleet_scale" => ScenarioSpec::fleet_scale(),
         "substrate_fifo" => ScenarioSpec::fleet_scale().with_duration_secs(480),
         "flagship_slice" => ShardedSpec::shard_fleet(1).base.with_duration_secs(1),
-        "cold_churn" => {
-            let mut spec = ScenarioSpec {
-                workers: 4,
-                gpus_per_worker: 2,
-                models: 3_000,
-                workload: WorkloadSpec::OpenLoop {
-                    rate_per_model: 0.2,
-                },
-                duration_secs: 600,
-                ..ScenarioSpec::fleet_scale()
-            };
-            spec.faults = spec.scripted_churn();
-            spec
-        }
+        "cold_churn" => ScenarioSpec {
+            workers: 4,
+            gpus_per_worker: 2,
+            models: 3_000,
+            workload: WorkloadSpec::OpenLoop {
+                rate_per_model: 0.2,
+            },
+            duration_secs: 600,
+            ..ScenarioSpec::fleet_scale()
+        },
         path => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             ScenarioSpec::from_json(&text)?
         }
-    })
+    };
+    spec.duration_secs = duration_secs.unwrap_or(spec.duration_secs);
+    // The churn plan scales with the duration, so it follows it.
+    if name == "cold_churn" {
+        spec.faults = spec.scripted_churn();
+    }
+    Ok(spec)
 }
 
 fn main() -> Result<(), String> {
@@ -76,7 +83,7 @@ fn main() -> Result<(), String> {
         value.parse().map(Some).map_err(|e| format!("{name}: {e}"))
     };
     let name = args.first().ok_or(USAGE)?;
-    let mut spec = scenario(name)?;
+    let mut spec = scenario(name, flag("--duration-secs")?)?;
     let factory: Box<dyn SchedulerFactory> = match name.as_str() {
         "substrate_fifo" => Box::new(FifoFactory),
         _ => Box::new(ClockworkFactory::default()),

@@ -12,9 +12,12 @@
 //! per model, exactly as the paper maps 4–5 function workloads onto each of
 //! its 4 026 model instances.
 //!
-//! Arrivals are emitted in order, one minute at a time: every function draws
-//! its minute, the minute alone is sorted in place as packed keys, and the
-//! next minute follows.
+//! A generated trace is drawn in order, one minute at a time, whenever it is
+//! read: every function draws its minute, the minute alone is sorted in
+//! place as packed keys, and the next minute follows.
+
+use std::mem::size_of;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +25,7 @@ use clockwork_model::{ModelId, Tier};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 
-use crate::trace::{SegmentWriter, Trace};
+use crate::trace::{arc_bytes, KeyLayout, SegmentSource, Trace};
 
 /// The workload classes observed in the MAF trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -198,7 +201,8 @@ impl AzureTraceGenerator {
         frng.poisson_count(base_per_minute * mult)
     }
 
-    /// Generates the trace, one minute at a time.
+    /// Generates the trace: a recipe that draws it one minute at a time
+    /// whenever it is read.
     ///
     /// Each function draws from its own stream, `derive(function index)`,
     /// so visiting the functions minute by minute draws the same numbers as
@@ -208,76 +212,176 @@ impl AzureTraceGenerator {
     /// leaves 28 bits for the model id. Arrival order is total, so the trace
     /// is the sort of all its arrivals.
     ///
-    /// A minute cut by the trace's end still draws every offset, so each
-    /// stream stays where it was; but an offset that lands past the end is
-    /// dropped before it is converted to a timestamp.
+    /// Building the trace counts its arrivals and keeps none. Only the last
+    /// minute can lose arrivals to the end, so every minute before it
+    /// counts what its functions' Poisson counts say, and its streams skip
+    /// the offsets without drawing them. The last minute is drawn on those
+    /// copies of the streams and counted. A trace shorter than a minute is
+    /// that minute's keys, stored.
     ///
     /// # Panics
     ///
     /// When the configured models' ids do not fit those 28 bits.
     pub fn generate(&self) -> Trace {
+        let max_model = self.config.models.max(1) as u64 - 1;
+        let layout = KeyLayout::for_segments(MINUTE.as_nanos(), max_model, 1)
+            .unwrap_or_else(|e| panic!("an Azure trace over {} models: {e}", self.config.models));
         let rng = SimRng::seeded(self.config.seed ^ 0x5117);
-        let total_weight: f64 = self.functions.iter().map(|f| f.weight).sum();
-        let minutes = (self.config.duration.as_secs_f64() / 60.0).ceil() as u64;
-        let per_minute_budget = self.config.target_rate * 60.0;
-        let end = Timestamp::ZERO + self.config.duration;
-        let mut rngs: Vec<SimRng> = (0..self.functions.len())
+        let mut streams: Vec<SimRng> = (0..self.functions.len())
             .map(|fi| rng.derive(fi as u64))
             .collect();
-        let max_model = self.config.models.max(1) as u64 - 1;
+        let total_weight: f64 = self.functions.iter().map(|f| f.weight).sum();
+        let per_minute_budget = self.config.target_rate * 60.0;
+        let functions = self
+            .functions
+            .iter()
+            .map(|f| {
+                (
+                    f.class,
+                    per_minute_budget * f.weight / total_weight,
+                    f.model,
+                )
+            })
+            .collect();
+        let plan = Plan {
+            functions,
+            minutes: (self.config.duration.as_secs_f64() / 60.0).ceil() as u64,
+            end: Timestamp::ZERO + self.config.duration,
+            layout,
+        };
         let classes = vec![(self.config.slo, Tier::Strict)];
-        let mut writer = SegmentWriter::new(MINUTE.as_nanos(), max_model, classes)
-            .unwrap_or_else(|e| panic!("an Azure trace over {} models: {e}", self.config.models));
-        // A minute the end does not cut keeps every arrival it draws, but
-        // one that rounds onto the end: copies of the streams that draw the
-        // counts and skip the offsets bound those minutes' arrivals, so the
-        // key buffer is allocated once for them.
-        let whole_minutes = self.config.duration.as_nanos() / MINUTE.as_nanos();
-        let mut counting = rngs.clone();
-        let mut bound = 0;
-        for minute in 0..whole_minutes {
-            for (f, frng) in self.functions.iter().zip(&mut counting) {
-                let base_per_minute = per_minute_budget * f.weight / total_weight;
-                let count = Self::draw_count(f.class, base_per_minute, minute, frng);
+        if plan.minutes == 1 && self.config.duration < MINUTE {
+            // A trace inside its first minute is that minute's keys, drawn
+            // once and stored: a cursor would copy them into its buffer
+            // beside the kept ones.
+            return Trace::sorted(layout, classes, plan.cut_keys(0, &mut streams));
+        }
+        let mut counting = streams.clone();
+        let (mut len, mut widest) = (0, 0);
+        for minute in 0..plan.minutes.saturating_sub(1) {
+            let mut drawn = 0;
+            for (&(class, base_per_minute, _), frng) in plan.functions.iter().zip(&mut counting) {
+                let count = Self::draw_count(class, base_per_minute, minute, frng);
                 frng.skip_uniforms(count);
-                bound += count;
+                drawn += count as usize;
             }
+            len += drawn;
+            widest = widest.max(drawn);
         }
-        writer.reserve(bound as usize);
-        for minute in 0..minutes {
-            let minute_start = Timestamp::from_secs(minute * 60);
-            // Capped above any offset (at most 60 s), so it stays a whole
-            // number of nanoseconds below 2^53, exact in an f64.
-            let room = (end - minute_start).min(Nanos::from_minutes(2)).as_nanos() as f64;
-            for (f, frng) in self.functions.iter().zip(&mut rngs) {
-                let base_per_minute = per_minute_budget * f.weight / total_weight;
-                let count = Self::draw_count(f.class, base_per_minute, minute, frng);
-                for _ in 0..count {
-                    let u = frng.uniform();
-                    if lands_past(u, room) {
-                        continue;
-                    }
-                    let offset = Nanos::from_secs_f64(u * 60.0);
-                    // An offset within half a nanosecond of the room rounds
-                    // up onto the end.
-                    if minute_start + offset < end {
-                        writer.push(offset.as_nanos(), f.model, 0);
-                    }
-                }
-            }
-            writer.close_segment(minute_start);
-            debug_assert!(
-                minute + 1 != whole_minutes || rngs == counting,
-                "skipping the offsets left the counting streams elsewhere than drawing them"
-            );
+        if let Some(last) = plan.minutes.checked_sub(1) {
+            let mut drawn = 0;
+            plan.draw(last, &mut counting, |_, _| drawn += 1);
+            len += drawn;
+            widest = widest.max(drawn);
         }
-        writer.finish()
+        let minutes = Minutes {
+            plan: Arc::new(plan),
+            streams,
+            minute: 0,
+        };
+        Trace::drawn(minutes, layout, classes, len, widest)
     }
 }
 
 /// The length of the trace's segments, a minute: every offset of one is at
 /// most this long.
 const MINUTE: Nanos = Nanos::from_minutes(1);
+
+/// What every minute of a trace draws from.
+struct Plan {
+    /// Each function's class, its arrivals per minute before the class's
+    /// multiplier, and its model.
+    functions: Vec<(FunctionClass, f64, ModelId)>,
+    /// How many minutes the trace spans, the last perhaps in part.
+    minutes: u64,
+    /// The end of the trace.
+    end: Timestamp,
+    layout: KeyLayout,
+}
+
+impl Plan {
+    /// Draws `minute` from `streams`, one for each function, function by
+    /// function, and hands every arrival the end keeps to `keep`, as its
+    /// offset into the minute and its model.
+    ///
+    /// A minute cut by the trace's end still draws every offset, so each
+    /// stream stays where it was; but an offset that lands past the end is
+    /// dropped before it is converted to a timestamp.
+    fn draw(&self, minute: u64, streams: &mut [SimRng], mut keep: impl FnMut(u64, ModelId)) {
+        let minute_start = Timestamp::from_secs(minute * 60);
+        // Capped above any offset (at most 60 s), so it stays a whole
+        // number of nanoseconds below 2^53, exact in an f64.
+        let room = (self.end - minute_start)
+            .min(Nanos::from_minutes(2))
+            .as_nanos() as f64;
+        for (&(class, base_per_minute, model), frng) in self.functions.iter().zip(streams) {
+            let count = AzureTraceGenerator::draw_count(class, base_per_minute, minute, frng);
+            for _ in 0..count {
+                let u = frng.uniform();
+                if lands_past(u, room) {
+                    continue;
+                }
+                let offset = Nanos::from_secs_f64(u * 60.0);
+                // An offset within half a nanosecond of the room rounds up
+                // onto the end.
+                if minute_start + offset < self.end {
+                    keep(offset.as_nanos(), model);
+                }
+            }
+        }
+    }
+
+    /// The keys `minute` draws from `streams`, for a trace that ends inside
+    /// its first minute. Grown a sixteenth at a time: a minute cut early keeps a
+    /// sliver of what it draws, so no count bounds it ahead.
+    fn cut_keys(&self, minute: u64, streams: &mut [SimRng]) -> Vec<u64> {
+        let mut keys: Vec<u64> = Vec::new();
+        self.draw(minute, streams, |offset, model| {
+            if keys.len() == keys.capacity() {
+                keys.reserve_exact((keys.len() / 16).max(256));
+            }
+            keys.push(self.layout.pack(offset, model, 0))
+        });
+        keys.shrink_to_fit();
+        keys
+    }
+}
+
+/// An Azure trace's cursor through its minutes: each function's stream,
+/// where the next minute draws from.
+#[derive(Clone)]
+struct Minutes {
+    plan: Arc<Plan>,
+    streams: Vec<SimRng>,
+    /// The next minute to draw.
+    minute: u64,
+}
+
+impl SegmentSource for Minutes {
+    fn draw(&mut self, keys: &mut Vec<u64>) -> Option<(u64, u64)> {
+        let plan = &*self.plan;
+        let minute = self.minute;
+        if minute == plan.minutes {
+            return None;
+        }
+        self.minute += 1;
+        plan.draw(minute, &mut self.streams, |offset, model| {
+            keys.push(plan.layout.pack(offset, model, 0))
+        });
+        let start = Timestamp::from_secs(minute * 60).as_nanos();
+        Some((start, start + MINUTE.as_nanos()))
+    }
+
+    fn fork(&self) -> Box<dyn SegmentSource> {
+        Box::new(self.clone())
+    }
+
+    fn heap_bytes(&self) -> usize {
+        arc_bytes(&self.plan)
+            + self.streams.capacity() * size_of::<SimRng>()
+            + self.plan.functions.capacity() * size_of::<(FunctionClass, f64, ModelId)>()
+    }
+}
 
 /// Whether an arrival drawn at `u` (a uniform draw, the fraction of its
 /// minute) lands at or past the end of a trace that leaves `room` whole
@@ -453,8 +557,7 @@ mod tests {
     #[test]
     fn max_models_is_what_a_minute_leaves_a_key() {
         let fits = |models: usize| {
-            let classes = vec![(Nanos::from_millis(100), Tier::Strict)];
-            SegmentWriter::new(MINUTE.as_nanos(), models as u64 - 1, classes).is_ok()
+            KeyLayout::for_segments(MINUTE.as_nanos(), models as u64 - 1, 1).is_ok()
         };
         assert!(fits(AzureTraceConfig::MAX_MODELS));
         assert!(!fits(AzureTraceConfig::MAX_MODELS + 1));

@@ -3,18 +3,20 @@
 //! §6.3 drives each model instance with an independent open-loop client using
 //! Poisson inter-arrival times: requests arrive at a fixed average rate
 //! regardless of how the system is doing, which is what exposes SLO
-//! violations under overload. [`OpenLoopClient`] pre-generates a [`Trace`]
-//! so experiments remain deterministic for a given seed. Many clients'
-//! arrivals are emitted in order, one time segment at a time, each segment
-//! sorted in place as packed keys.
+//! violations under overload. [`OpenLoopClient`] generates a [`Trace`]
+//! that is a pure function of the seed, so experiments remain
+//! deterministic. Many clients' arrivals are drawn in order, one time
+//! segment at a time, each segment sorted in place as packed keys, whenever
+//! the trace is read.
 
-use std::borrow::BorrowMut;
+use std::mem::size_of;
+use std::sync::Arc;
 
 use clockwork_model::{ModelId, Tier};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 
-use crate::trace::{SegmentWriter, Trace};
+use crate::trace::{arc_bytes, KeyLayout, SegmentSource, Trace};
 
 /// An open-loop Poisson request generator for one model instance.
 #[derive(Clone, Debug)]
@@ -37,19 +39,23 @@ impl OpenLoopClient {
         }
     }
 
-    /// Generates this client's arrivals over `[0, duration)`.
+    /// Generates this client's arrivals over `[0, duration)`. `rng` moves
+    /// past every draw the arrivals take, as if they were drawn here.
     pub fn generate(&self, duration: Nanos, rng: &mut SimRng) -> Trace {
         if self.rate_per_sec <= 0.0 {
             return Trace::default();
         }
         let first = Timestamp::ZERO + rng.poisson_gap(self.rate_per_sec);
-        write_segments(
-            &mut [(rng, first)],
+        let clients = vec![(rng.clone(), first)];
+        let (trace, counted) = drawn(
+            clients,
             &[self.model],
             self.rate_per_sec,
             self.slo,
             duration,
-        )
+        );
+        *rng = counted.clients[0].0.clone();
+        trace
     }
 
     /// Generates a combined trace for many clients, one per model, each with
@@ -68,14 +74,14 @@ impl OpenLoopClient {
             return Trace::default();
         }
         // Each client's stream and its next arrival.
-        let mut clients: Vec<(SimRng, Timestamp)> = (0..models.len())
+        let clients: Vec<(SimRng, Timestamp)> = (0..models.len())
             .map(|i| {
                 let mut client_rng = rng.derive(i as u64 + 1);
                 let first = Timestamp::ZERO + client_rng.poisson_gap(rate_per_client);
                 (client_rng, first)
             })
             .collect();
-        write_segments(&mut clients, models, rate_per_client, slo, duration)
+        drawn(clients, models, rate_per_client, slo, duration).0
     }
 }
 
@@ -83,46 +89,113 @@ impl OpenLoopClient {
 /// for any model id.
 const MAX_SEGMENT: Nanos = Nanos::from_nanos(1 << 32);
 
-/// Writes the arrivals before `duration` of clients, each a stream and its
-/// next arrival, for `models` (one per client) at `rate` each, one time
-/// segment at a time: every client adds its arrivals before the segment's
-/// end, in client order, and the segment alone is sorted, as keys packing
-/// an offset into the segment above a model id. A segment is long enough
-/// that each client expects about one arrival in it, and at least a
-/// second, so a pass over the clients costs about what it emits; but at
-/// most [`MAX_SEGMENT`]. Segments split time at whole nanoseconds, so the
-/// trace is exactly the sort of all clients' arrivals.
-fn write_segments(
-    clients: &mut [(impl BorrowMut<SimRng>, Timestamp)],
+/// The trace of the arrivals before `duration` of clients, each a stream
+/// and its next arrival, for `models` (one per client) at `rate` each; and
+/// the clients where drawing the trace leaves them. Building it draws every
+/// gap, to count the arrivals, and keeps none.
+fn drawn(
+    clients: Vec<(SimRng, Timestamp)>,
     models: &[ModelId],
     rate: f64,
     slo: Nanos,
     duration: Nanos,
-) -> Trace {
+) -> (Trace, Segments) {
     let segment = Nanos::from_secs_f64((1.0 / rate).max(1.0)).min(MAX_SEGMENT);
     let max_model = models.iter().map(|m| u64::from(m.0)).max().unwrap_or(0);
-    let classes = vec![(slo, Tier::Strict)];
-    let mut writer = SegmentWriter::new(segment.as_nanos() - 1, max_model, classes)
+    let layout = KeyLayout::for_segments(segment.as_nanos() - 1, max_model, 1)
         .expect("32 bits of offset leave 32 for any model id");
-    // The clients' arrivals number about a Poisson count: room for six
-    // standard deviations above its mean makes a second allocation of the
-    // key buffer a one-in-a-billion event.
-    let mean = rate * duration.as_secs_f64() * clients.len() as f64;
-    writer.reserve((mean + 6.0 * mean.sqrt()).ceil() as usize);
-    let end = Timestamp::ZERO + duration;
-    let mut seg_end = Timestamp::ZERO;
-    while seg_end < end {
-        let seg_start = seg_end;
-        seg_end = (seg_end + segment).min(end);
-        for ((client_rng, next), &model) in clients.iter_mut().zip(models) {
-            while *next < seg_end {
-                writer.push((*next - seg_start).as_nanos(), model, 0);
-                *next += client_rng.borrow_mut().poisson_gap(rate);
+    let plan = Plan {
+        models: models.to_vec(),
+        rate,
+        segment,
+        end: Timestamp::ZERO + duration,
+        layout,
+    };
+    let segments = Segments {
+        plan: Arc::new(plan),
+        clients,
+        start: Timestamp::ZERO,
+    };
+    let mut counting = segments.clone();
+    let (mut len, mut widest) = (0, 0);
+    loop {
+        let mut drawn = 0;
+        if counting.advance(|_, _| drawn += 1).is_none() {
+            break;
+        }
+        len += drawn;
+        widest = widest.max(drawn);
+    }
+    let classes = vec![(slo, Tier::Strict)];
+    (
+        Trace::drawn(segments, layout, classes, len, widest),
+        counting,
+    )
+}
+
+/// What every segment of an open-loop trace draws from.
+struct Plan {
+    /// Each client's model.
+    models: Vec<ModelId>,
+    /// Each client's rate, in requests per second.
+    rate: f64,
+    /// A segment's length: long enough that each client expects about one
+    /// arrival in it, and at least a second, so a pass over the clients
+    /// costs about what it emits; but at most [`MAX_SEGMENT`].
+    segment: Nanos,
+    /// The end of the trace.
+    end: Timestamp,
+    layout: KeyLayout,
+}
+
+/// An open-loop trace's cursor through its segments: every client's stream
+/// and next arrival, and where the next segment starts.
+#[derive(Clone)]
+struct Segments {
+    plan: Arc<Plan>,
+    clients: Vec<(SimRng, Timestamp)>,
+    start: Timestamp,
+}
+
+impl Segments {
+    /// Draws the next segment: every client hands each of its arrivals
+    /// before the segment's end to `keep`, in client order, as its offset
+    /// into the segment and its model. Returns the segment's start and end,
+    /// or `None` past the trace's end. Segments split time at whole
+    /// nanoseconds, so the trace is exactly the sort of all clients'
+    /// arrivals.
+    fn advance(&mut self, mut keep: impl FnMut(u64, ModelId)) -> Option<(u64, u64)> {
+        let plan = &*self.plan;
+        if self.start >= plan.end {
+            return None;
+        }
+        let (start, end) = (self.start, (self.start + plan.segment).min(plan.end));
+        for ((client_rng, next), &model) in self.clients.iter_mut().zip(&plan.models) {
+            while *next < end {
+                keep((*next - start).as_nanos(), model);
+                *next += client_rng.poisson_gap(plan.rate);
             }
         }
-        writer.close_segment(seg_start);
+        self.start = end;
+        Some((start.as_nanos(), end.as_nanos()))
     }
-    writer.finish()
+}
+
+impl SegmentSource for Segments {
+    fn draw(&mut self, keys: &mut Vec<u64>) -> Option<(u64, u64)> {
+        let layout = self.plan.layout;
+        self.advance(|offset, model| keys.push(layout.pack(offset, model, 0)))
+    }
+
+    fn fork(&self) -> Box<dyn SegmentSource> {
+        Box::new(self.clone())
+    }
+
+    fn heap_bytes(&self) -> usize {
+        arc_bytes(&self.plan)
+            + self.clients.capacity() * size_of::<(SimRng, Timestamp)>()
+            + self.plan.models.capacity() * size_of::<ModelId>()
+    }
 }
 
 #[cfg(test)]

@@ -13,8 +13,11 @@
 //! seed (`rng.derive(segment_index)`), so every segment is independently
 //! reproducible — extending the duration of a spec leaves all earlier
 //! segments byte-identical, and a flash-crowd window can be regenerated in
-//! isolation. Each segment is sorted in place as soon as it is drawn, so
-//! arrivals are emitted in order.
+//! isolation. A generated trace draws each segment, and sorts it in place,
+//! when a reader reaches it, so arrivals are read in order.
+
+use std::mem::size_of;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +25,7 @@ use clockwork_model::{ModelId, Tier};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 
-use crate::trace::{SegmentWriter, Trace};
+use crate::trace::{arc_bytes, KeyLayout, SegmentSource, Trace};
 
 /// How the aggregate request rate evolves over the trace duration.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -188,7 +191,8 @@ impl ShapedWorkload {
         }
     }
 
-    /// Generates the trace over `[0, duration)`.
+    /// Generates the trace over `[0, duration)`: a recipe that draws it one
+    /// segment at a time whenever it is read.
     ///
     /// `strict_slo` is attached to strict-tier requests; best-effort
     /// requests carry the mix's `best_effort_slo_ms`. Each one-second
@@ -197,6 +201,10 @@ impl ShapedWorkload {
     /// sorted on its own, as keys packing an offset into the second (30
     /// bits) above a model id (32) and, when the mix is tiered, a class bit.
     /// Arrival order is total, so the trace is the sort of all its arrivals.
+    ///
+    /// Building the trace counts its arrivals and keeps none. Only the last
+    /// segment can lose arrivals to the end, so every segment before it
+    /// counts its Poisson count, its first draw, and the last is drawn.
     pub fn generate(
         &self,
         models: &[ModelId],
@@ -207,8 +215,6 @@ impl ShapedWorkload {
         if models.is_empty() || self.base_rate <= 0.0 || duration == Nanos::ZERO {
             return Trace::default();
         }
-        let total_secs = duration.as_secs_f64();
-        let segments = total_secs.ceil() as u64;
         let be_slo = Nanos::from_millis(self.tiers.best_effort_slo_ms);
         // The class table ascends, so best effort ranks first when its SLO
         // is the tighter one.
@@ -222,49 +228,121 @@ impl ShapedWorkload {
             (vec![strict_class, be_class], 0, 1)
         };
         let max_model = models.iter().map(|m| u64::from(m.0)).max().unwrap_or(0);
-        let mut writer = SegmentWriter::new(SECOND.as_nanos(), max_model, classes)
+        let layout = KeyLayout::for_segments(SECOND.as_nanos(), max_model, classes.len())
             .expect("30 bits of offset, 32 of model id and a class bit fit");
-        // A segment's stream, start, length and arrival count.
-        let open_segment = |segment: u64| {
-            // Splitmix-derived sub-seed per segment: independent streams.
-            let mut seg_rng = rng.derive(segment);
-            let seg_len = (total_secs - segment as f64).min(1.0);
-            // Rate sampled at the segment midpoint.
-            let frac = (segment as f64 + 0.5 * seg_len) / total_secs;
-            let rate = self.base_rate * self.profile.multiplier_at(frac);
-            let count = seg_rng.poisson_count(rate * seg_len);
-            (seg_rng, Timestamp::from_secs(segment), seg_len, count)
+        let total_secs = duration.as_secs_f64();
+        let plan = Plan {
+            shape: *self,
+            models: models.to_vec(),
+            ranks: [strict_rank, be_rank],
+            duration,
+            total_secs,
+            segments: total_secs.ceil() as u64,
+            rng: rng.clone(),
+            layout,
         };
-        // Each segment draws its count first, so the counts bound the
-        // trace and the key buffer is allocated once.
-        let bound: u64 = (0..segments).map(|segment| open_segment(segment).3).sum();
-        writer.reserve(bound as usize);
-        for segment in 0..segments {
-            let (mut seg_rng, seg_start, seg_len, count) = open_segment(segment);
-            let cdf = self.popularity.cdf(models.len(), segment);
-            for _ in 0..count {
-                let offset = Nanos::from_secs_f64(seg_rng.uniform() * seg_len);
-                if seg_start + offset >= Timestamp::ZERO + duration {
-                    continue;
-                }
-                let pick = seg_rng.uniform();
-                let idx = cdf.partition_point(|&c| c < pick).min(models.len() - 1);
-                let strict = seg_rng.uniform() * 1000.0 < self.tiers.strict_share_milli as f64;
-                let class = if strict || !self.tiers.is_tiered() {
-                    strict_rank
-                } else {
-                    be_rank
-                };
-                writer.push(offset.as_nanos(), models[idx], class);
-            }
-            writer.close_segment(seg_start);
+        let (mut len, mut widest) = (0, 0);
+        let last = plan.segments - 1;
+        for segment in 0..last {
+            let count = plan.open(segment).3 as usize;
+            len += count;
+            widest = widest.max(count);
         }
-        writer.finish()
+        let mut drawn = 0;
+        plan.draw(last, |_, _, _| drawn += 1);
+        len += drawn;
+        widest = widest.max(drawn);
+        let seconds = Seconds {
+            plan: Arc::new(plan),
+            segment: 0,
+        };
+        Trace::drawn(seconds, layout, classes, len, widest)
     }
 }
 
 /// The length of a segment: every offset of one is at most this long.
 const SECOND: Nanos = Nanos::from_secs(1);
+
+/// What every segment of a shaped trace draws from.
+struct Plan {
+    shape: ShapedWorkload,
+    models: Vec<ModelId>,
+    /// The class ranks of strict and of best-effort arrivals.
+    ranks: [u32; 2],
+    duration: Nanos,
+    /// The duration in seconds, and how many segments it spans, the last
+    /// perhaps in part.
+    total_secs: f64,
+    segments: u64,
+    /// The stream each segment's stream is derived from.
+    rng: SimRng,
+    layout: KeyLayout,
+}
+
+impl Plan {
+    /// A segment's stream, start, length and arrival count.
+    fn open(&self, segment: u64) -> (SimRng, Timestamp, f64, u64) {
+        // Splitmix-derived sub-seed per segment: independent streams.
+        let mut seg_rng = self.rng.derive(segment);
+        let seg_len = (self.total_secs - segment as f64).min(1.0);
+        // Rate sampled at the segment midpoint.
+        let frac = (segment as f64 + 0.5 * seg_len) / self.total_secs;
+        let rate = self.shape.base_rate * self.shape.profile.multiplier_at(frac);
+        let count = seg_rng.poisson_count(rate * seg_len);
+        (seg_rng, Timestamp::from_secs(segment), seg_len, count)
+    }
+
+    /// Draws `segment` and hands every arrival the end keeps to `keep`, as
+    /// its offset into the segment, its model and its class rank.
+    fn draw(&self, segment: u64, mut keep: impl FnMut(u64, ModelId, u32)) {
+        let (mut seg_rng, seg_start, seg_len, count) = self.open(segment);
+        let (models, tiers) = (&self.models, self.shape.tiers);
+        let cdf = self.shape.popularity.cdf(models.len(), segment);
+        for _ in 0..count {
+            let offset = Nanos::from_secs_f64(seg_rng.uniform() * seg_len);
+            if seg_start + offset >= Timestamp::ZERO + self.duration {
+                continue;
+            }
+            let pick = seg_rng.uniform();
+            let idx = cdf.partition_point(|&c| c < pick).min(models.len() - 1);
+            let strict = seg_rng.uniform() * 1000.0 < tiers.strict_share_milli as f64;
+            let class = self.ranks[usize::from(!strict && tiers.is_tiered())];
+            keep(offset.as_nanos(), models[idx], class);
+        }
+    }
+}
+
+/// A shaped trace's cursor through its segments.
+#[derive(Clone)]
+struct Seconds {
+    plan: Arc<Plan>,
+    /// The next segment to draw.
+    segment: u64,
+}
+
+impl SegmentSource for Seconds {
+    fn draw(&mut self, keys: &mut Vec<u64>) -> Option<(u64, u64)> {
+        let plan = &*self.plan;
+        let segment = self.segment;
+        if segment == plan.segments {
+            return None;
+        }
+        self.segment += 1;
+        plan.draw(segment, |offset, model, class| {
+            keys.push(plan.layout.pack(offset, model, class))
+        });
+        let start = Timestamp::from_secs(segment).as_nanos();
+        Some((start, start + SECOND.as_nanos()))
+    }
+
+    fn fork(&self) -> Box<dyn SegmentSource> {
+        Box::new(self.clone())
+    }
+
+    fn heap_bytes(&self) -> usize {
+        arc_bytes(&self.plan) + self.plan.models.capacity() * size_of::<ModelId>()
+    }
+}
 
 #[cfg(test)]
 mod tests {

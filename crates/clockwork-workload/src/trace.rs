@@ -7,32 +7,45 @@
 //! experiments are shrunk to simulation budgets (each figure's doc comment in
 //! `crates/bench/src/bin/paper.rs` records its scaling).
 //!
-//! A trace is stored as its arrivals' sort keys, one `u64` each (see
-//! [`KeyLayout`]): the arrival's offset from the start of its *epoch* in the
-//! high bits, then its model id, then its rank in a table of the trace's
-//! distinct `(SLO, tier)` classes. The model id and the class rank take the
-//! bits their largest value needs, and the offset takes every bit they
-//! leave, so an epoch is 2^(offset bits) ns: 2^56 ns (about 2.3 years) for
-//! 200 models and one class, 2^52 (52 days) for 3 000, 2^36 (69 s) for
-//! 2^28. A sparse table holds an `(epoch, first index)` row for each epoch
-//! that has an arrival, so an arrival costs 8 B however many classes the
-//! trace mixes. At worst, model ids up to `u32::MAX` and `c` classes leave
-//! 32 − ⌈log2 c⌉ bits of offset (2^32 ns, about 4.3 s, for one class; 2^26
-//! ns, 67 ms, for 64), and every arrival may open an epoch of its own: the
-//! table then holds a 16 B row per arrival, 24 B in all. The table never
-//! has more rows than the trace has arrivals.
+//! A trace is read as its arrivals' sort keys, one `u64` each (see
+//! `KeyLayout`): the arrival's offset from an origin in the high bits, then
+//! its model id, then its rank in a table of the trace's distinct
+//! `(SLO, tier)` classes. Among keys that share an origin, key order is
+//! arrival order. Arrival order is total (time, model, SLO, tier): events
+//! that tie are identical, so every sort gives the same bytes. A trace keeps
+//! its arrivals in one of two ways.
 //!
-//! Arrival order is total (time, model, SLO, tier): events that tie are
-//! identical, and within an epoch key order is arrival order, so every sort
-//! gives the same bytes and none needs a buffer. Every generator in this
-//! crate writes its arrivals one time segment at a time through a
-//! [`SegmentWriter`]: each arrival's key holds its offset into the segment,
-//! the segment's keys are sorted in place in the buffer that becomes the
-//! trace, and then rewritten in place as offsets into their epochs.
+//! - **Drawn.** A trace from a generator of this crate is its recipe, a
+//!   `SegmentSource`: the generator's config, the starting state of each of
+//!   its random streams, and the trace's exact length, counted when the
+//!   trace is built without keeping the arrivals. A cursor ([`Trace::iter`])
+//!   draws one time segment at a time into one buffer it reuses: each key's
+//!   origin is the segment's start, and the segment is sorted in place. An
+//!   arrival whose offset rounds onto the next segment's start is held back
+//!   and sorted with that segment. So reading a drawn trace holds its largest
+//!   segment's keys, however long it is. A random-access read
+//!   ([`Trace::get`], [`Trace::events`], [`Trace::duration`],
+//!   [`Trace::models`]) draws it once, through the same cursor, into a stored
+//!   block that the trace keeps.
+//! - **Stored.** [`Trace::new`], [`Trace::from_csv`] and every operation that
+//!   makes a trace of others ([`Trace::truncated`], [`Trace::rate_scaled`],
+//!   [`Trace::merged`], [`Trace::partitioned`], [`Trace::with_models_mapped`])
+//!   store the keys in one block, where an origin is the start of an
+//!   *epoch*. The model id and the class rank take the bits their largest
+//!   value needs, and the offset takes every bit they leave, so an epoch is
+//!   2^(offset bits) ns: 2^56 ns (about 2.3 years) for 200 models and one
+//!   class, 2^52 (52 days) for 3 000, 2^36 (69 s) for 2^28. A sparse table
+//!   holds an `(epoch, first index)` row for each epoch that has an arrival,
+//!   so an arrival costs 8 B however many classes the trace mixes. At worst,
+//!   model ids up to `u32::MAX` and `c` classes leave 32 − ⌈log2 c⌉ bits of
+//!   offset (2^32 ns, about 4.3 s, for one class; 2^26 ns, 67 ms, for 64),
+//!   and every arrival may open an epoch of its own: the table then holds a
+//!   16 B row per arrival, 24 B in all. The table never has more rows than
+//!   the trace has arrivals.
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::mem::size_of;
+use std::mem::{size_of, size_of_val};
 use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
@@ -56,20 +69,36 @@ pub struct TraceEvent {
 
 /// A request's `(SLO, tier)` pair: what an arrival carries besides its time
 /// and model.
-type Class = (Nanos, Tier);
+pub(crate) type Class = (Nanos, Tier);
 
 /// A time-ordered sequence of request arrivals.
 ///
-/// The keys are immutable once built and held behind an [`Arc`], so a clone
-/// shares the storage: the serving system replays a trace from a clone
-/// instead of a copy. Read it with [`Trace::iter`] or [`Trace::get`].
+/// A trace from a generator is drawn a segment at a time whenever it is
+/// read, and any other trace is a block of stored keys (see the module
+/// docs). Either is immutable once built and held behind an [`Arc`], so a
+/// clone shares it: the serving system replays a trace from a clone instead
+/// of a copy. Read it in order with [`Trace::iter`], which holds at most
+/// one segment of a drawn trace, or at random with [`Trace::get`], which
+/// draws a drawn trace into stored keys once.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Trace {
-    block: Arc<Block>,
+    inner: Arc<Inner>,
 }
 
-/// A trace's storage. Epochs ascend, and within an epoch the keys ascend,
-/// which is arrival order because `classes` ascends.
+/// What a trace holds: stored keys, or a recipe to draw them from.
+enum Inner {
+    Stored(Block),
+    Drawn(Drawn),
+}
+
+impl Default for Inner {
+    fn default() -> Inner {
+        Inner::Stored(Block::default())
+    }
+}
+
+/// A trace's stored keys. Epochs ascend, and within an epoch the keys
+/// ascend, which is arrival order because `classes` ascends.
 struct Block {
     /// Each arrival's key under `layout`.
     keys: Vec<u64>,
@@ -87,6 +116,49 @@ impl Default for Block {
         let layout = KeyLayout::new(0, 0).expect("one model and no class fit a key");
         Block::new(layout, Vec::new())
     }
+}
+
+/// A generated trace: the generator standing before its first segment, and
+/// what it counted when it built the trace.
+struct Drawn {
+    /// Every cursor draws from a fork of it.
+    source: Box<dyn SegmentSource>,
+    /// The layout of the keys the source draws.
+    layout: KeyLayout,
+    /// The classes a key's rank indexes, ascending.
+    classes: Vec<Class>,
+    /// How many arrivals the source draws.
+    len: usize,
+    /// The most arrivals one segment draws: a cursor's buffer is allocated
+    /// once, this long.
+    widest: usize,
+    /// The arrivals as stored keys, drawn by the first random-access read.
+    block: OnceLock<Block>,
+}
+
+/// A generator that draws its trace one time segment at a time, in order:
+/// what a drawn [`Trace`] keeps instead of its arrivals.
+pub(crate) trait SegmentSource: Send + Sync {
+    /// Draws the next segment: appends each of its arrivals' keys to `keys`,
+    /// with the arrival's offset from the segment's start, and returns the
+    /// segment's start and end in ns; `None` once every segment is drawn.
+    /// The keys need no order. Keys whose offsets reach the end are held
+    /// back and sorted with the next segment, which must start there.
+    fn draw(&mut self, keys: &mut Vec<u64>) -> Option<(u64, u64)>;
+
+    /// A copy that draws what this one has still to draw.
+    fn fork(&self) -> Box<dyn SegmentSource>;
+
+    /// The heap bytes the source holds beyond its own box, which the trace
+    /// counts: what its shared plan and its vectors hold (see
+    /// [`arc_bytes`]).
+    fn heap_bytes(&self) -> usize;
+}
+
+/// The bytes of the allocation an `Arc<T>` points to: its two reference
+/// counts and the `T`, without what the `T` itself holds on the heap.
+pub(crate) fn arc_bytes<T>(_: &Arc<T>) -> usize {
+    2 * size_of::<usize>() + size_of::<T>()
 }
 
 impl Trace {
@@ -107,23 +179,87 @@ impl Trace {
         block.finish()
     }
 
+    /// A trace drawn from `source` whenever it is read: `len` arrivals, at
+    /// most `widest` of them in one segment, keyed under `layout` with ranks
+    /// into `classes` (ascending, distinct). A source that draws nothing
+    /// makes the empty stored trace.
+    pub(crate) fn drawn(
+        source: impl SegmentSource + 'static,
+        layout: KeyLayout,
+        classes: Vec<Class>,
+        len: usize,
+        widest: usize,
+    ) -> Trace {
+        if len == 0 {
+            return Trace::default();
+        }
+        debug_assert!(classes.is_sorted(), "class table out of order");
+        Trace {
+            inner: Arc::new(Inner::Drawn(Drawn {
+                source: Box::new(source),
+                layout,
+                classes,
+                len,
+                widest,
+                block: OnceLock::new(),
+            })),
+        }
+    }
+
+    /// The stored trace of `keys`, under `layout` with ranks into
+    /// `classes` (ascending, distinct), whose offsets are times: sorts them
+    /// and splits them into epochs in place.
+    pub(crate) fn sorted(layout: KeyLayout, classes: Vec<Class>, mut keys: Vec<u64>) -> Trace {
+        keys.sort_unstable();
+        let mut block = Block::new(layout, classes);
+        for (i, key) in keys.iter_mut().enumerate() {
+            let (epoch, offset) = layout.split(layout.offset(*key));
+            block.open_epoch(epoch, i);
+            *key = layout.with_offset(*key, offset);
+        }
+        block.keys = keys;
+        block.finish()
+    }
+
     /// The arrival at `index`, or `None` past the end.
     pub fn get(&self, index: usize) -> Option<TraceEvent> {
-        let b = &*self.block;
+        let b = self.block();
         let &key = b.keys.get(index)?;
         let row = b.epochs.partition_point(|&(_, first)| first <= index) - 1;
-        Some(b.event(b.layout.time(b.epochs[row].0, key), key))
+        Some(event(
+            b.layout,
+            &b.classes,
+            b.layout.time(b.epochs[row].0, key),
+            key,
+        ))
     }
 
     /// The arrivals, in arrival order, from a cursor that shares the
-    /// trace's storage.
+    /// trace. Over a drawn trace, the cursor draws each segment into one
+    /// buffer when it reaches it, so it holds the largest segment's keys at
+    /// most; two cursors draw the same arrivals, each its own way along.
     pub fn iter(&self) -> Arrivals {
+        let reader = match &*self.inner {
+            Inner::Stored(_) => Reader::Stored {
+                row: 0,
+                epoch_end: 0,
+                epoch_start: 0,
+            },
+            Inner::Drawn(drawn) => Reader::Drawn(Segment {
+                source: drawn.source.fork(),
+                keys: Vec::with_capacity(drawn.widest),
+                at: 0,
+                cut: 0,
+                start: 0,
+                end: 0,
+                last: None,
+            }),
+        };
         Arrivals {
-            block: Arc::clone(&self.block),
+            inner: Arc::clone(&self.inner),
+            layout: self.inner.layout(),
             next: 0,
-            row: 0,
-            epoch_end: 0,
-            epoch_start: 0,
+            reader,
         }
     }
 
@@ -132,32 +268,35 @@ impl Trace {
     /// keys until the last clone drops. Prefer [`Trace::iter`], which
     /// builds nothing.
     pub fn events(&self) -> &[TraceEvent] {
-        self.block.view.get_or_init(|| self.iter().collect())
+        self.block().view.get_or_init(|| self.iter().collect())
     }
 
-    /// The heap bytes the trace holds: its keys, its epoch table and its
-    /// class table, the shared block with its two reference counts, and the
+    /// The heap bytes the trace holds: the shared box with its two
+    /// reference counts; a stored trace's keys, epoch table and class
+    /// table, or a drawn trace's source and class table and, once a
+    /// random-access read has drawn it, its stored keys; and the
     /// [`Trace::events`] view once built. Clones share all of it.
     pub fn heap_bytes(&self) -> usize {
-        let b = &*self.block;
-        2 * size_of::<usize>()
-            + size_of::<Block>()
-            + b.keys.capacity() * size_of::<u64>()
-            + b.epochs.capacity() * size_of::<(u64, usize)>()
-            + b.classes.capacity() * size_of::<Class>()
-            + b.view
-                .get()
-                .map_or(0, |view| view.capacity() * size_of::<TraceEvent>())
+        arc_bytes(&self.inner)
+            + match &*self.inner {
+                Inner::Stored(block) => block.heap_bytes(),
+                Inner::Drawn(drawn) => {
+                    size_of_val(&*drawn.source)
+                        + drawn.source.heap_bytes()
+                        + drawn.classes.capacity() * size_of::<Class>()
+                        + drawn.block.get().map_or(0, Block::heap_bytes)
+                }
+            }
     }
 
     /// Number of requests in the trace.
     pub fn len(&self) -> usize {
-        self.block.keys.len()
+        self.inner.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.block.keys.is_empty()
+        self.len() == 0
     }
 
     /// The arrival time of the last request, or zero for an empty trace.
@@ -177,8 +316,8 @@ impl Trace {
 
     /// The distinct models appearing in the trace.
     pub fn models(&self) -> Vec<ModelId> {
-        let layout = self.block.layout;
-        let mut models: Vec<ModelId> = self.block.keys.iter().map(|&k| layout.model(k)).collect();
+        let b = self.block();
+        let mut models: Vec<ModelId> = b.keys.iter().map(|&k| b.layout.model(k)).collect();
         models.sort_unstable();
         models.dedup();
         models
@@ -186,17 +325,11 @@ impl Trace {
 
     /// Returns a copy truncated to arrivals before `cutoff`.
     pub fn truncated(&self, cutoff: Timestamp) -> Trace {
-        let b = &*self.block;
         let cutoff = cutoff.as_nanos();
-        let keep = self.timed_keys().take_while(|&(at, _)| at < cutoff).count();
-        let mut out = Block::new(b.layout, b.classes.clone());
-        out.keys = b.keys[..keep].to_vec();
-        out.epochs = b
-            .epochs
-            .iter()
-            .copied()
-            .take_while(|&(_, first)| first < keep)
-            .collect();
+        let mut out = Block::new(self.inner.layout(), self.inner.classes().to_vec());
+        for (at, key) in self.timed_keys().take_while(|&(at, _)| at < cutoff) {
+            out.push_key(at, key);
+        }
         out.finish()
     }
 
@@ -207,8 +340,7 @@ impl Trace {
         if !(factor.is_finite() && factor > 0.0) {
             return self.clone();
         }
-        let b = &*self.block;
-        let mut out = Block::new(b.layout, b.classes.clone());
+        let mut out = Block::new(self.inner.layout(), self.inner.classes().to_vec());
         out.keys.reserve_exact(self.len());
         for (at, key) in self.timed_keys() {
             out.push_key((at as f64 / factor).round() as u64, key);
@@ -222,22 +354,22 @@ impl Trace {
     /// Merges two traces into one ordered trace: the trace [`Trace::new`]
     /// makes of the two concatenated.
     pub fn merged(&self, other: &Trace) -> Trace {
-        let (a, b) = (&*self.block, &*other.block);
-        let classes = class_table(a.classes.iter().chain(&b.classes).copied());
-        let max_model = a.layout.max_model().max(b.layout.max_model());
+        let (a, b) = (&*self.inner, &*other.inner);
+        let classes = class_table(a.classes().iter().chain(b.classes()).copied());
+        let max_model = a.layout().max_model().max(b.layout().max_model());
         let layout = KeyLayout::wide_enough(max_model, &classes);
         // Each side's arrivals as (time, model, class rank in `classes`).
         let side = |trace: &Trace| {
-            let block = &*trace.block;
-            let ranks: Vec<u32> = block.classes.iter().map(|&k| rank(&classes, k)).collect();
-            let layout = block.layout;
+            let inner = &*trace.inner;
+            let ranks: Vec<u32> = inner.classes().iter().map(|&k| rank(&classes, k)).collect();
+            let layout = inner.layout();
             trace
                 .timed_keys()
                 .map(move |(at, key)| (at, layout.model(key), ranks[layout.class(key) as usize]))
         };
         let (mut xs, mut ys) = (side(self).peekable(), side(other).peekable());
         let mut out = Block::new(layout, classes);
-        out.keys.reserve_exact(a.keys.len() + b.keys.len());
+        out.keys.reserve_exact(self.len() + other.len());
         while let Some((at, model, class)) = match (xs.peek(), ys.peek()) {
             (Some(x), Some(y)) if y < x => ys.next(),
             (Some(_), _) => xs.next(),
@@ -259,12 +391,12 @@ impl Trace {
         shards: usize,
         mut owner: impl FnMut(ModelId) -> usize,
     ) -> Vec<Trace> {
-        let b = &*self.block;
+        let layout = self.inner.layout();
         let mut parts: Vec<Block> = (0..shards)
-            .map(|_| Block::new(b.layout, b.classes.clone()))
+            .map(|_| Block::new(layout, self.inner.classes().to_vec()))
             .collect();
         for (at, key) in self.timed_keys() {
-            let model = b.layout.model(key);
+            let model = layout.model(key);
             let shard = owner(model);
             assert!(
                 shard < shards,
@@ -284,22 +416,35 @@ impl Trace {
     /// valid trace: only arrivals at one instant can change order, and they
     /// are re-sorted.
     pub fn with_models_mapped(&self, mut map: impl FnMut(ModelId) -> ModelId) -> Trace {
-        let b = &*self.block;
+        let layout = self.inner.layout();
         let from = self.models();
         let to: Vec<ModelId> = from.iter().map(|&m| map(m)).collect();
         let max_model = to.iter().map(|m| m.0).max().unwrap_or(0);
-        let mut out = Block::new(
-            KeyLayout::wide_enough(max_model, &b.classes),
-            b.classes.clone(),
-        );
+        let classes = self.inner.classes().to_vec();
+        let mut out = Block::new(KeyLayout::wide_enough(max_model, &classes), classes);
         out.keys.reserve_exact(self.len());
         for (at, key) in self.timed_keys() {
-            let index = from.binary_search(&b.layout.model(key));
+            let index = from.binary_search(&layout.model(key));
             let model = to[index.expect("every model is listed")];
-            out.push(at, model, b.layout.class(key));
+            out.push(at, model, layout.class(key));
         }
         out.sort_tied_runs(0);
         out.finish()
+    }
+
+    /// The stored keys: a drawn trace's are drawn on the first call.
+    fn block(&self) -> &Block {
+        match &*self.inner {
+            Inner::Stored(block) => block,
+            Inner::Drawn(drawn) => drawn.block.get_or_init(|| {
+                let mut block = Block::new(drawn.layout, drawn.classes.clone());
+                block.keys.reserve_exact(drawn.len);
+                for (at, key) in self.timed_keys() {
+                    block.push_key(at, key);
+                }
+                block.trimmed()
+            }),
+        }
     }
 
     /// Each arrival's time and key, in arrival order.
@@ -383,38 +528,158 @@ impl fmt::Debug for Trace {
     }
 }
 
+impl Inner {
+    /// The layout of the keys a cursor reads.
+    fn layout(&self) -> KeyLayout {
+        match self {
+            Inner::Stored(block) => block.layout,
+            Inner::Drawn(drawn) => drawn.layout,
+        }
+    }
+
+    /// The classes a key's rank indexes, ascending.
+    fn classes(&self) -> &[Class] {
+        match self {
+            Inner::Stored(block) => &block.classes,
+            Inner::Drawn(drawn) => &drawn.classes,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Inner::Stored(block) => block.keys.len(),
+            Inner::Drawn(drawn) => drawn.len,
+        }
+    }
+}
+
 /// A cursor over a trace's arrivals, in order. It holds a share of the
-/// trace's storage, so it outlives the [`Trace`] it came from, and decodes
-/// each arrival as it is reached.
+/// trace, so it outlives the [`Trace`] it came from, and decodes each
+/// arrival as it is reached.
 pub struct Arrivals {
-    block: Arc<Block>,
+    inner: Arc<Inner>,
+    /// The layout of the keys the cursor reads.
+    layout: KeyLayout,
     /// The index of the next arrival.
     next: usize,
-    /// The row of the epoch table the cursor enters next.
-    row: usize,
-    /// The index where the epoch the cursor is in ends: the first arrival
-    /// of row `row`.
-    epoch_end: usize,
-    /// The time the epoch the cursor is in starts at.
-    epoch_start: u64,
+    reader: Reader,
+}
+
+/// Where a cursor stands in the keys it reads.
+enum Reader {
+    /// In a stored block's epoch table.
+    Stored {
+        /// The row of the epoch table the cursor enters next.
+        row: usize,
+        /// The index where the epoch the cursor is in ends: the first
+        /// arrival of row `row`.
+        epoch_end: usize,
+        /// The time the epoch the cursor is in starts at.
+        epoch_start: u64,
+    },
+    /// In a drawn trace's segments.
+    Drawn(Segment),
+}
+
+/// The segment a cursor over a drawn trace is in: the cursor's own fork of
+/// the source, and one buffer, reused for every segment.
+struct Segment {
+    source: Box<dyn SegmentSource>,
+    /// The segment's keys, sorted, then the keys held back for the next.
+    keys: Vec<u64>,
+    /// The index of the next key to read.
+    at: usize,
+    /// The index where the keys held back begin.
+    cut: usize,
+    /// The segment's start and end, in ns.
+    start: u64,
+    end: u64,
+    /// The last arrival read before this segment, as its time and its key
+    /// without the offset: the segment's first must not precede it.
+    last: Option<(u64, u64)>,
 }
 
 impl Arrivals {
     /// The next arrival's time and key.
     fn next_timed(&mut self) -> Option<(u64, u64)> {
-        let b = &*self.block;
-        let &key = b.keys.get(self.next)?;
-        // Every row holds an arrival, so the cursor enters each in turn.
-        if self.next == self.epoch_end {
-            self.epoch_start = b.layout.time(b.epochs[self.row].0, 0);
-            self.row += 1;
-            self.epoch_end = b
-                .epochs
-                .get(self.row)
-                .map_or(usize::MAX, |&(_, first)| first);
-        }
+        let timed = match &mut self.reader {
+            Reader::Stored {
+                row,
+                epoch_end,
+                epoch_start,
+            } => {
+                let Inner::Stored(b) = &*self.inner else {
+                    unreachable!("a stored cursor reads a stored block");
+                };
+                let &key = b.keys.get(self.next)?;
+                // Every row holds an arrival, so the cursor enters each in
+                // turn.
+                if self.next == *epoch_end {
+                    *epoch_start = b.layout.time(b.epochs[*row].0, 0);
+                    *row += 1;
+                    *epoch_end = b.epochs.get(*row).map_or(usize::MAX, |&(_, first)| first);
+                }
+                (*epoch_start | b.layout.offset(key), key)
+            }
+            Reader::Drawn(segment) => {
+                let timed = segment.next(self.layout);
+                debug_assert!(
+                    timed.is_some() == (self.next < self.inner.len()),
+                    "a drawn trace of {} arrivals ended after {}",
+                    self.inner.len(),
+                    self.next
+                );
+                timed?
+            }
+        };
         self.next += 1;
-        Some((self.epoch_start | b.layout.offset(key), key))
+        Some(timed)
+    }
+}
+
+impl Segment {
+    /// The next arrival's time and key, drawing the next segment that has
+    /// any when this one is read.
+    fn next(&mut self, layout: KeyLayout) -> Option<(u64, u64)> {
+        while self.at == self.cut {
+            if !self.draw(layout) {
+                return None;
+            }
+        }
+        let key = self.keys[self.at];
+        self.at += 1;
+        Some((self.start + layout.offset(key), key))
+    }
+
+    /// Draws the next segment: carries the keys held back to the front of
+    /// the buffer, as offsets into the next segment, which starts where
+    /// this one ends, and sorts them with the segment's own. False past the
+    /// last segment.
+    fn draw(&mut self, layout: KeyLayout) -> bool {
+        if let Some(&key) = self.cut.checked_sub(1).map(|i| &self.keys[i]) {
+            self.last = Some(layout.arrival(self.start, key));
+        }
+        let (length, held) = (self.end - self.start, self.keys.len() - self.cut);
+        self.keys.copy_within(self.cut.., 0);
+        self.keys.truncate(held);
+        for key in &mut self.keys {
+            *key = layout.with_offset(*key, layout.offset(*key) - length);
+        }
+        let Some((start, end)) = self.source.draw(&mut self.keys) else {
+            debug_assert_eq!(held, 0, "arrivals held back past the last segment");
+            return false;
+        };
+        debug_assert!(held == 0 || start == self.end, "held back into a gap");
+        self.keys.sort_unstable();
+        self.cut = self
+            .keys
+            .partition_point(|&k| layout.offset(k) < end - start);
+        (self.at, self.start, self.end) = (0, start, end);
+        debug_assert!(
+            self.cut == 0 || self.last <= Some(layout.arrival(start, self.keys[0])),
+            "the segment from {start} ns starts before the last one ended"
+        );
+        true
     }
 }
 
@@ -423,11 +688,11 @@ impl Iterator for Arrivals {
 
     fn next(&mut self) -> Option<TraceEvent> {
         let (at, key) = self.next_timed()?;
-        Some(self.block.event(at, key))
+        Some(event(self.layout, self.inner.classes(), at, key))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.block.keys.len() - self.next;
+        let left = self.inner.len() - self.next;
         (left, Some(left))
     }
 }
@@ -448,15 +713,15 @@ impl Block {
         }
     }
 
-    /// The arrival at `at` ns whose key is `key`.
-    fn event(&self, at: u64, key: u64) -> TraceEvent {
-        let (slo, tier) = self.classes[self.layout.class(key) as usize];
-        TraceEvent {
-            at: Timestamp::from_nanos(at),
-            model: self.layout.model(key),
-            slo,
-            tier,
-        }
+    /// The heap bytes of the keys, the epoch and class tables and the view.
+    fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * size_of::<u64>()
+            + self.epochs.capacity() * size_of::<(u64, usize)>()
+            + self.classes.capacity() * size_of::<Class>()
+            + self
+                .view
+                .get()
+                .map_or(0, |view| view.capacity() * size_of::<TraceEvent>())
     }
 
     /// Opens a row for `epoch` at arrival `first`, unless the last row is
@@ -514,9 +779,8 @@ impl Block {
     }
 
     /// Drops the classes no arrival carries and renumbers the class ranks
-    /// left, trims every buffer to its length and shares the block as a
-    /// trace.
-    fn finish(mut self) -> Trace {
+    /// left, and trims every buffer to its length.
+    fn trimmed(mut self) -> Block {
         if self.keys.is_empty() {
             self.classes.clear();
         }
@@ -545,8 +809,13 @@ impl Block {
         self.keys.shrink_to_fit();
         self.epochs.shrink_to_fit();
         self.classes.shrink_to_fit();
+        self
+    }
+
+    /// Trims the block and shares it as a stored trace.
+    fn finish(self) -> Trace {
         Trace {
-            block: Arc::new(self),
+            inner: Arc::new(Inner::Stored(self.trimmed())),
         }
     }
 }
@@ -554,9 +823,9 @@ impl Block {
 /// How an arrival packs into a `u64` sort key: an offset in the high bits,
 /// then its model id, then its class rank in the low bits. Key order is
 /// then arrival order among arrivals whose offsets share an origin: a time
-/// segment's start while a generator sorts it, an epoch's start once it is
-/// in a trace. The offset takes every bit the model id and class rank
-/// leave, so an epoch is 2^[`KeyLayout::offset_bits`] ns.
+/// segment's start in a drawn trace, an epoch's start in a stored one. The
+/// offset takes every bit the model id and class rank leave, so an epoch is
+/// 2^[`KeyLayout::offset_bits`] ns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct KeyLayout {
     /// Bits below the offset: the model id's and the class rank's.
@@ -581,6 +850,28 @@ impl KeyLayout {
             offset_shift: model_bits + class_bits,
             class_bits,
         })
+    }
+
+    /// The layout of a generator's keys: offsets into its segments reach at
+    /// most `max_offset` ns, and arrivals carry model ids up to `max_model`
+    /// and one of `classes` class ranks. Fails when such a key does not fit
+    /// 64 bits.
+    pub(crate) fn for_segments(
+        max_offset: u64,
+        max_model: u64,
+        classes: usize,
+    ) -> Result<Self, String> {
+        let layout = KeyLayout::new(max_model, classes)?;
+        let offset_bits = u64::BITS - max_offset.leading_zeros();
+        if offset_bits > layout.offset_bits() {
+            return Err(format!(
+                "an arrival key needs {offset_bits} bits of offset (up to {max_offset} ns), \
+                 {} of model id (up to {max_model}) and {} of class: more than 64",
+                layout.offset_shift - layout.class_bits,
+                layout.class_bits
+            ));
+        }
+        Ok(layout)
     }
 
     /// The layout of a trace's keys: a model id is a `u32`, and a class
@@ -626,6 +917,12 @@ impl KeyLayout {
         (key & low_bits(self.class_bits)) as u32
     }
 
+    /// The arrival `key` packs, its offset taken from `origin`, as its time
+    /// and its model and class bits: arrival order, whatever the origin.
+    fn arrival(self, origin: u64, key: u64) -> (u64, u64) {
+        (origin + self.offset(key), key & low_bits(self.offset_shift))
+    }
+
     /// `key` with its offset replaced by `offset`.
     fn with_offset(self, key: u64, offset: u64) -> u64 {
         debug_assert!(offset >> self.offset_bits() == 0, "offset {offset}");
@@ -648,107 +945,21 @@ impl KeyLayout {
     }
 }
 
+/// The arrival at `at` ns whose key, under `layout`, is `key`, with a rank
+/// into `classes`.
+fn event(layout: KeyLayout, classes: &[Class], at: u64, key: u64) -> TraceEvent {
+    let (slo, tier) = classes[layout.class(key) as usize];
+    TraceEvent {
+        at: Timestamp::from_nanos(at),
+        model: layout.model(key),
+        slo,
+        tier,
+    }
+}
+
 /// A mask of the `bits` low bits, for `bits` below 64.
 fn low_bits(bits: u32) -> u64 {
     (1 << bits) - 1
-}
-
-/// Writes a trace one time segment at a time. Each arrival goes into the
-/// trace's key buffer keyed by its offset into the open segment, and
-/// closing the segment sorts its keys in place and rewrites them, in
-/// place, as offsets into their epochs. So no segment needs a buffer of
-/// its own, and the key buffer is the one buffer that grows: the allocator
-/// can extend it where it lies, and a generator that bounds its trace's
-/// length allocates it once.
-pub(crate) struct SegmentWriter {
-    block: Block,
-    /// How many keys the closed segments hold: where the open one begins.
-    closed: usize,
-}
-
-impl SegmentWriter {
-    /// A writer for segments whose offsets reach at most `max_offset` ns,
-    /// of arrivals for model ids up to `max_model` in one of `classes`
-    /// (ascending, distinct; a class rank is an index into it). Fails when
-    /// their key does not fit 64 bits.
-    pub(crate) fn new(
-        max_offset: u64,
-        max_model: u64,
-        classes: Vec<Class>,
-    ) -> Result<Self, String> {
-        let layout = KeyLayout::new(max_model, classes.len())?;
-        let offset_bits = u64::BITS - max_offset.leading_zeros();
-        if offset_bits > layout.offset_bits() {
-            return Err(format!(
-                "an arrival key needs {offset_bits} bits of offset (up to {max_offset} ns), \
-                 {} of model id (up to {max_model}) and {} of class: more than 64",
-                layout.offset_shift - layout.class_bits,
-                layout.class_bits
-            ));
-        }
-        Ok(SegmentWriter {
-            block: Block::new(layout, classes),
-            closed: 0,
-        })
-    }
-
-    /// Makes room for `arrivals` more arrivals at once. A generator that
-    /// can bound its trace's length ahead allocates the key buffer once;
-    /// [`SegmentWriter::finish`] trims what the bound overshot.
-    pub(crate) fn reserve(&mut self, arrivals: usize) {
-        self.block.keys.reserve_exact(arrivals);
-    }
-
-    /// Adds an arrival `offset` ns into the open segment. The key buffer
-    /// grows by a sixteenth at a time, so appends stay amortised while it
-    /// never holds more than about a sixteenth of itself spare.
-    pub(crate) fn push(&mut self, offset: u64, model: ModelId, class: u32) {
-        let keys = &mut self.block.keys;
-        if keys.len() == keys.capacity() {
-            keys.reserve_exact((keys.len() / 16).max(256));
-        }
-        keys.push(self.block.layout.pack(offset, model, class));
-    }
-
-    /// Closes the open segment, which starts at `start`: sorts its keys and
-    /// rewrites them as offsets into their epochs. An offset may round onto
-    /// the next segment's start, so the arrivals of the segment before at
-    /// this one's start are re-sorted with this one's own arrivals there.
-    pub(crate) fn close_segment(&mut self, start: Timestamp) {
-        let (block, closed) = (&mut self.block, self.closed);
-        let layout = block.layout;
-        let start = start.as_nanos();
-        let (epoch, cut) = layout.split(start);
-        let keys = &mut block.keys[closed..];
-        keys.sort_unstable();
-        // Adding the start moves each offset into the start's epoch. The
-        // offset bits wrap, so an arrival past that epoch's end, in the
-        // next one (a segment is shorter than an epoch), gets its offset
-        // into that epoch, below the start's own offset `cut`.
-        for key in keys.iter_mut() {
-            *key = key.wrapping_add(start << layout.offset_shift);
-        }
-        let wrapped = closed + keys.partition_point(|&k| layout.offset(k) >= cut);
-        if wrapped > closed {
-            block.open_epoch(epoch, closed);
-        }
-        if wrapped < block.keys.len() {
-            block.open_epoch(epoch + 1, wrapped);
-        }
-        // Only arrivals at this segment's start can tie with the last
-        // segment's.
-        let last = closed.checked_sub(1).map(|i| block.keys[i]);
-        if block.keys.get(closed).is_some_and(|&k| Some(k) < last) {
-            block.sort_tied_runs(closed);
-        }
-        self.closed = block.keys.len();
-    }
-
-    /// The trace written, every segment closed.
-    pub(crate) fn finish(self) -> Trace {
-        debug_assert_eq!(self.closed, self.block.keys.len(), "a segment left open");
-        self.block.finish()
-    }
 }
 
 /// The order of a trace: arrival time, then model, SLO and tier. It is
@@ -817,14 +1028,13 @@ mod tests {
         assert_eq!(t.iter().len(), 0);
         assert!(t.models().is_empty());
         assert_eq!(t, Trace::new(Vec::new()));
-        // Closed segments with no arrival, and every operation, make it.
-        let mut writer = SegmentWriter::new(1_000, 3, vec![class_of(&event(0, 0))]).unwrap();
-        writer.close_segment(Timestamp::ZERO);
-        writer.close_segment(Timestamp::from_nanos(1_000));
-        let written = writer.finish();
+        // Segments with no arrival, and every operation, make it.
+        let layout = KeyLayout::for_segments(1_000, 3, 1).unwrap();
+        let segments = vec![(0, 1_000, vec![]), (1_000, 2_000, vec![])];
+        let drawn = listed(layout, vec![class_of(&event(0, 0))], segments);
         let one = Trace::new(vec![event(5, 1)]);
         for empty in [
-            written,
+            drawn,
             one.truncated(Timestamp::ZERO),
             t.rate_scaled(2.0),
             t.merged(&t),
@@ -832,8 +1042,8 @@ mod tests {
             one.partitioned(2, |_| 1).swap_remove(0),
             Trace::from_csv("at_ns,model,slo_ns\n").unwrap(),
         ] {
-            assert!(empty.is_empty() && empty.block.epochs.is_empty());
-            assert!(empty.block.classes.is_empty());
+            assert!(empty.is_empty() && empty.block().epochs.is_empty());
+            assert!(empty.block().classes.is_empty());
             assert_eq!(empty, t);
         }
         assert_eq!(t.merged(&one), one);
@@ -878,16 +1088,16 @@ mod tests {
         let mut slow = event(30, 2);
         slow.slo = Nanos::MAX;
         let t = Trace::new(vec![event(10, 1), tiered, slow]);
-        assert_eq!(t.block.classes.len(), 3);
+        assert_eq!(t.block().classes.len(), 3);
         let head = t.truncated(Timestamp::from_millis(25));
-        assert_eq!(head.block.classes.len(), 2);
+        assert_eq!(head.block().classes.len(), 2);
         assert_eq!(events(&head), vec![event(10, 1), tiered]);
         let first = t.truncated(Timestamp::from_millis(15));
-        assert_eq!(first.block.classes.len(), 1);
+        assert_eq!(first.block().classes.len(), 1);
         assert_eq!(events(&first), vec![event(10, 1)]);
         let parts = t.partitioned(2, |m| m.0 as usize - 1);
         assert_eq!(events(&parts[1]), vec![tiered, slow]);
-        assert_eq!(parts[1].block.classes.len(), 2);
+        assert_eq!(parts[1].block().classes.len(), 2);
         assert_eq!(parts[0].merged(&parts[1]), t);
     }
 
@@ -1075,12 +1285,10 @@ mod tests {
                 assert_eq!(w[0].cmp(&w[1]), pair[0].cmp(&pair[1]), "{pair:?}");
             }
         }
-        let strict = || vec![class_of(&event(0, 0))];
-        assert!(SegmentWriter::new(minute, (1 << 28) - 1, strict()).is_ok());
-        assert!(SegmentWriter::new(minute, 1 << 28, strict()).is_err());
-        let two = vec![(Nanos::ZERO, Tier::Strict), (Nanos::ZERO, Tier::BestEffort)];
-        assert!(SegmentWriter::new(1_000_000_000, u64::from(u32::MAX), two.clone()).is_ok());
-        assert!(SegmentWriter::new(u64::from(u32::MAX), u64::from(u32::MAX), two).is_err());
+        assert!(KeyLayout::for_segments(minute, (1 << 28) - 1, 1).is_ok());
+        assert!(KeyLayout::for_segments(minute, 1 << 28, 1).is_err());
+        assert!(KeyLayout::for_segments(1_000_000_000, u64::from(u32::MAX), 2).is_ok());
+        assert!(KeyLayout::for_segments(u64::from(u32::MAX), u64::from(u32::MAX), 2).is_err());
         // 2^31 classes of u32 ids leave the offset one bit; 2^32, none.
         assert_eq!(
             KeyLayout::new(u64::from(u32::MAX), 1 << 31).map(KeyLayout::offset_bits),
@@ -1102,7 +1310,7 @@ mod tests {
     /// The epoch table a trace of `arrivals` (in arrival order) holds
     /// under the layout of `trace`.
     fn epoch_rows(trace: &Trace, arrivals: &[TraceEvent]) -> Vec<(u64, usize)> {
-        let bits = trace.block.layout.offset_bits();
+        let bits = trace.block().layout.offset_bits();
         let mut rows: Vec<(u64, usize)> = Vec::new();
         for (i, e) in arrivals.iter().enumerate() {
             let epoch = e.at.as_nanos() >> bits;
@@ -1128,8 +1336,8 @@ mod tests {
             at(3 * EPOCH + 5, 7),
         ];
         let trace = Trace::new(arrivals.clone());
-        assert_eq!(trace.block.layout.offset_bits(), 32);
-        assert_eq!(trace.block.epochs, vec![(0, 0), (1, 2), (3, 5)]);
+        assert_eq!(trace.block().layout.offset_bits(), 32);
+        assert_eq!(trace.block().epochs, vec![(0, 0), (1, 2), (3, 5)]);
         assert_eq!(events(&trace), arrivals);
         for (i, e) in arrivals.iter().enumerate() {
             assert_eq!(trace.get(i), Some(*e), "arrival {i}");
@@ -1138,7 +1346,7 @@ mod tests {
         for (cut, keep) in [(EPOCH - 1, 1), (EPOCH, 2), (EPOCH + 1, 4), (2 * EPOCH, 5)] {
             let head = trace.truncated(Timestamp::from_nanos(cut));
             assert_eq!(events(&head), arrivals[..keep], "cut at {cut}");
-            assert_eq!(head.block.epochs, epoch_rows(&head, &arrivals[..keep]));
+            assert_eq!(head.block().epochs, epoch_rows(&head, &arrivals[..keep]));
         }
         // Halving the times ties the three arrivals about the first edge.
         let mut halved: Vec<TraceEvent> = arrivals
@@ -1148,7 +1356,7 @@ mod tests {
         halved.sort_by_key(arrival_order);
         let scaled = trace.rate_scaled(2.0);
         assert_eq!(events(&scaled), halved);
-        assert_eq!(scaled.block.epochs, epoch_rows(&scaled, &halved));
+        assert_eq!(scaled.block().epochs, epoch_rows(&scaled, &halved));
         // Narrower ids widen the epoch until one holds the trace, and the
         // map's ties are re-sorted.
         let narrow = trace.with_models_mapped(|m| ModelId(2 - m.0 % 3));
@@ -1158,58 +1366,123 @@ mod tests {
             .collect();
         twin.sort_by_key(arrival_order);
         assert_eq!(events(&narrow), twin);
-        assert_eq!(narrow.block.epochs, vec![(0, 0)]);
+        assert_eq!(narrow.block().epochs, vec![(0, 0)]);
         let parts = trace.partitioned(2, |m| (m.0 % 2) as usize);
         assert_eq!(parts[0].merged(&parts[1]), trace);
         assert_eq!(narrow.merged(&trace).len(), 2 * arrivals.len());
     }
 
-    /// A segment that spans an epoch's start is split between the two
-    /// epochs, and arrivals tied at a segment's start are re-sorted,
-    /// whether the start is inside an epoch or opens one.
+    /// Segments listed in full: each one's start, end and keys.
+    #[derive(Clone)]
+    struct Listed {
+        segments: Arc<Vec<(u64, u64, Vec<u64>)>>,
+        next: usize,
+    }
+
+    impl SegmentSource for Listed {
+        fn draw(&mut self, keys: &mut Vec<u64>) -> Option<(u64, u64)> {
+            let (start, end, listed) = self.segments.get(self.next)?;
+            self.next += 1;
+            keys.extend_from_slice(listed);
+            Some((*start, *end))
+        }
+
+        fn fork(&self) -> Box<dyn SegmentSource> {
+            Box::new(self.clone())
+        }
+
+        fn heap_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    /// A segment's start, its end and its arrivals' offsets, model ids and
+    /// class ranks.
+    type Listing = (u64, u64, Vec<(u64, u32, u32)>);
+
+    /// The trace drawn from `segments`.
+    fn listed(layout: KeyLayout, classes: Vec<Class>, segments: Vec<Listing>) -> Trace {
+        let segments: Vec<(u64, u64, Vec<u64>)> = segments
+            .into_iter()
+            .map(|(start, end, arrivals)| {
+                let keys = arrivals
+                    .into_iter()
+                    .map(|(offset, model, class)| layout.pack(offset, ModelId(model), class))
+                    .collect();
+                (start, end, keys)
+            })
+            .collect();
+        let len = segments.iter().map(|(_, _, keys)| keys.len()).sum();
+        let widest = segments.iter().map(|(_, _, keys)| keys.len()).max();
+        let source = Listed {
+            segments: Arc::new(segments),
+            next: 0,
+        };
+        Trace::drawn(source, layout, classes, len, widest.unwrap_or(0))
+    }
+
+    /// A drawn trace whose segments span epochs' starts is stored as the
+    /// trace [`Trace::new`] makes of its arrivals, key for key, and its
+    /// arrivals tied at a segment's start are read in order, whether the
+    /// start is inside an epoch or opens one.
     #[test]
     fn segments_split_at_epoch_edges_and_keep_their_ties() {
+        /// Offsets and model ids.
+        type Arrivals<'a> = &'a [(u64, u32)];
         let strict = vec![class_of(&event(0, 0))];
-        let mut writer = SegmentWriter::new(EPOCH - 1, u64::from(u32::MAX), strict).unwrap();
+        let layout = KeyLayout::for_segments(EPOCH - 1, u64::from(u32::MAX), 1).unwrap();
         let q = EPOCH / 4;
-        // Each segment's start, and its arrivals' offsets and models.
-        let segments: [(u64, &[(u64, u32)]); 4] = [
+        // Each segment's start and end, and its arrivals' offsets and
+        // models.
+        let segments: [(u64, u64, Arrivals<'_>); 4] = [
             // Ends tied with the next segment's start, inside epoch 0.
-            (0, &[(3 * q, 9), (5, 1), (3 * q, 2)]),
+            (0, 3 * q, &[(3 * q, 9), (5, 1), (3 * q, 2)]),
             // Ends on epoch 0's last nanosecond and, tied with the next
             // segment's start, on epoch 1's first.
             (
                 3 * q,
+                EPOCH,
                 &[(0, 4), (q, 8), (q - 1, u32::MAX), (0, 1), (q, 6), (1, 0)],
             ),
             // Opens epoch 1 and ends on its last nanosecond.
-            (EPOCH, &[(0, 7), (EPOCH - 1, 5), (0, 0), (1, 3)]),
+            (EPOCH, 2 * EPOCH, &[(0, 7), (EPOCH - 1, 5), (0, 0), (1, 3)]),
             // Spans from epoch 2 into epoch 3.
-            (2 * EPOCH + q, &[(EPOCH - 1, 2), (2 * q, 1), (3 * q, 9)]),
+            (
+                2 * EPOCH + q,
+                3 * EPOCH + q,
+                &[(EPOCH - 1, 2), (2 * q, 1), (3 * q, 9)],
+            ),
         ];
         let mut twin = Vec::new();
-        for (start, arrivals) in segments {
+        for (start, _, arrivals) in segments {
             for &(offset, model) in arrivals {
-                writer.push(offset, ModelId(model), 0);
                 twin.push(at(start + offset, model));
             }
-            writer.close_segment(Timestamp::from_nanos(start));
         }
         twin.sort_by_key(arrival_order);
-        let trace = writer.finish();
+        let segments = segments
+            .iter()
+            .map(|&(start, end, arrivals)| {
+                let keys = arrivals.iter().map(|&(offset, model)| (offset, model, 0));
+                (start, end, keys.collect())
+            })
+            .collect();
+        let trace = listed(layout, strict, segments);
         assert_eq!(events(&trace), twin);
-        assert_eq!(trace.block.epochs, epoch_rows(&trace, &twin));
-        assert_eq!(trace.block.epochs.len(), 4);
+        assert_eq!(trace.block().epochs, epoch_rows(&trace, &twin));
+        assert_eq!(trace.block().epochs.len(), 4);
         let built = Trace::new(twin);
         assert_eq!(
-            trace.block.keys, built.block.keys,
+            trace.block().keys,
+            built.block().keys,
             "one trace, one set of keys"
         );
-        assert_eq!(trace.block.epochs, built.block.epochs);
+        assert_eq!(trace.block().epochs, built.block().epochs);
     }
 
     /// A segment's offset may round onto the next segment's start; the
-    /// arrivals at that instant still come out in arrival order.
+    /// arrival is held back, and the arrivals at that instant still come
+    /// out in arrival order, however often the trace is read.
     #[test]
     fn segments_tied_at_a_boundary_are_reordered() {
         let second = 1_000_000_000;
@@ -1217,32 +1490,30 @@ mod tests {
             (Nanos::from_millis(100), Tier::Strict),
             (Nanos::from_millis(250), Tier::BestEffort),
         ];
-        let mut writer = SegmentWriter::new(second, 9, classes).unwrap();
-        writer.push(second, ModelId(7), 1);
-        writer.push(5, ModelId(1), 0);
-        writer.push(second, ModelId(3), 0);
-        writer.close_segment(Timestamp::ZERO);
-        writer.push(0, ModelId(3), 1);
-        writer.push(0, ModelId(2), 0);
-        writer.push(9, ModelId(0), 0);
-        writer.close_segment(Timestamp::from_nanos(second));
-        let trace = writer.finish();
+        let layout = KeyLayout::for_segments(second, 9, classes.len()).unwrap();
+        let segments = vec![
+            (0, second, vec![(second, 7, 1), (5, 1, 0), (second, 3, 0)]),
+            (second, 2 * second, vec![(0, 3, 1), (0, 2, 0), (9, 0, 0)]),
+        ];
+        let trace = listed(layout, classes, segments);
         let at = |ns, model, tier| TraceEvent {
             at: Timestamp::from_nanos(ns),
             model: ModelId(model),
             slo: Nanos::from_millis(if tier == Tier::Strict { 100 } else { 250 }),
             tier,
         };
-        assert_eq!(
-            events(&trace),
-            vec![
-                at(5, 1, Tier::Strict),
-                at(second, 2, Tier::Strict),
-                at(second, 3, Tier::Strict),
-                at(second, 3, Tier::BestEffort),
-                at(second, 7, Tier::BestEffort),
-                at(second + 9, 0, Tier::Strict),
-            ]
-        );
+        let expected = vec![
+            at(5, 1, Tier::Strict),
+            at(second, 2, Tier::Strict),
+            at(second, 3, Tier::Strict),
+            at(second, 3, Tier::BestEffort),
+            at(second, 7, Tier::BestEffort),
+            at(second + 9, 0, Tier::Strict),
+        ];
+        assert_eq!(events(&trace), expected);
+        assert_eq!(events(&trace), expected, "read again");
+        assert_eq!(trace.iter().len(), expected.len());
+        assert_eq!(trace.events(), expected, "stored");
+        assert_eq!(trace.get(4), Some(expected[4]));
     }
 }

@@ -1,16 +1,18 @@
-//! Generating a trace holds the trace once, not twice.
+//! A generated trace holds its recipe, not its arrivals, and reading it
+//! holds one segment of them.
 //!
-//! A counting global allocator measures what each generator needs beyond
-//! the trace it returns: the heap's peak during generation minus what is
-//! live once it returns, the trace's own bytes ([`Trace::heap_bytes`]).
-//! Generators emit in arrival order, sorting one time segment at a time as
-//! packed keys in the trace's own key buffer, so they need a small
-//! fraction of the trace even when one segment holds most of it, as the
-//! hourly burst of a two-minute Azure trace does. A stable sort needs a
-//! scratch buffer as long as what it sorts: two thirds of that Azure trace,
-//! and all of a shuffled one given to [`Trace::new`], which must sort in
-//! place and then need nothing beyond its input and its output. The binary
-//! holds one test, so no other test allocates while it measures.
+//! A counting global allocator measures three things. Building a trace with
+//! a generator leaves live exactly what the trace reports holding
+//! ([`Trace::heap_bytes`]): its recipe, the generator's config and the
+//! starting state of its streams, which is under a byte per arrival here;
+//! and counting the arrivals needs no more than that again. Reading the
+//! trace through once peaks at its widest time segment's keys, 8 B each,
+//! plus a fork of the recipe: the cursor draws each segment into one buffer
+//! it reuses. A trace built from events the caller owns ([`Trace::new`])
+//! stores its keys, and sorts the events in place: it needs under an eighth
+//! of the keys beyond its input and its output, even for a shuffled trace
+//! that is one segment. The binary holds one test, so no other test
+//! allocates while it measures.
 
 use clockwork_model::ModelId;
 use clockwork_sim::rng::SimRng;
@@ -23,24 +25,66 @@ mod counting_alloc;
 
 use counting_alloc::{live_bytes, peak_bytes, reset_peak};
 
-/// Runs a generator and checks that its transient heap is under an eighth
-/// of the bytes its trace keeps.
-fn holds_the_trace_once(name: &str, generate: impl FnOnce() -> Trace) {
+/// Bytes building or reading a trace may need beyond its bounds: a shaped
+/// segment's popularity table and the cursor's own box.
+const SLACK: usize = 2_048;
+
+/// The most arrivals of `trace` in one of the segments `segment` long that
+/// tile time from zero, counted through a cursor.
+fn widest_segment(trace: &Trace, segment: Nanos) -> usize {
+    let mut counts = vec![0; 1];
+    for e in trace.iter() {
+        let index = (e.at.as_nanos() / segment.as_nanos()) as usize;
+        if index >= counts.len() {
+            counts.resize(index + 1, 0);
+        }
+        counts[index] += 1;
+    }
+    counts.into_iter().max().unwrap_or(0)
+}
+
+/// Runs a generator whose segments are `segment` long and checks what the
+/// trace holds, what building it needs and what reading it needs.
+fn holds_its_recipe(name: &str, segment: Nanos, generate: impl FnOnce() -> Trace) {
+    let start = live_bytes();
     reset_peak();
     let trace = generate();
-    let retained = trace.heap_bytes();
-    let transient = peak_bytes() - live_bytes();
+    let held = live_bytes() - start;
+    let building = peak_bytes() - live_bytes();
     assert!(
         (80_000..200_000).contains(&trace.len()),
         "{name}: {} arrivals, outside the sized range",
         trace.len()
     );
+    assert_eq!(
+        held,
+        trace.heap_bytes(),
+        "{name}: the trace holds what it reports"
+    );
     assert!(
-        transient * 8 < retained,
-        "{name}: generating {} arrivals ({retained} B kept) needed {transient} B more",
+        held < trace.len(),
+        "{name}: {} arrivals hold {held} B, a byte or more each",
         trace.len()
     );
-    drop(trace);
+    assert!(
+        building <= held + SLACK,
+        "{name}: counting {} arrivals needed {building} B beyond the {held} B kept",
+        trace.len()
+    );
+
+    let widest = widest_segment(&trace, segment);
+    let before = live_bytes();
+    reset_peak();
+    let read = trace.iter().count();
+    let reading = peak_bytes() - before;
+    assert_eq!(read, trace.len(), "{name}: the cursor read the length");
+    let bound = 8 * widest + held + SLACK;
+    assert!(
+        reading <= bound,
+        "{name}: reading {read} arrivals, at most {widest} a segment, needed {reading} B, \
+         more than {bound} B"
+    );
+    assert_eq!(trace.heap_bytes(), held, "{name}: reading kept nothing");
 }
 
 /// Builds a trace from events the caller owns and checks that, beyond
@@ -71,16 +115,18 @@ fn every_generator_holds_its_trace_once() {
             seed: 7,
         })
     };
-    holds_the_trace_once("azure", || azure(400, 100, 20, 80.0).generate());
+    let minute = Nanos::from_minutes(1);
+    let twenty_minutes = azure(400, 100, 20, 80.0);
+    holds_its_recipe("azure", minute, || twenty_minutes.generate());
     // The fleet's shape: minute 0, the hourly burst, is most of the trace.
     let fleet = azure(800, 200, 2, 750.0);
-    holds_the_trace_once("azure burst", || fleet.generate());
+    holds_its_recipe("azure burst", minute, || fleet.generate());
     // A shuffled trace is one segment that is all of the trace.
     let mut shuffled: Vec<TraceEvent> = fleet.generate().iter().collect();
     SimRng::seeded(7).shuffle(&mut shuffled);
     sorts_in_place("shuffled", shuffled);
     let models: Vec<ModelId> = (0..100).map(ModelId).collect();
-    holds_the_trace_once("shaped", || {
+    holds_its_recipe("shaped", Nanos::from_secs(1), || {
         ShapedWorkload::constant(1_000.0).generate(
             &models,
             Nanos::from_millis(100),
@@ -88,9 +134,10 @@ fn every_generator_holds_its_trace_once() {
             &SimRng::seeded(7),
         )
     });
-    // Many slow clients, the shape of a cold-start workload.
+    // Many slow clients, the shape of a cold-start workload: at 0.2 r/s a
+    // client expects one arrival in a 5 s segment.
     let clients: Vec<ModelId> = (0..3_000).map(ModelId).collect();
-    holds_the_trace_once("open loop", || {
+    holds_its_recipe("open loop", Nanos::from_secs(5), || {
         OpenLoopClient::generate_many(
             &clients,
             0.2,

@@ -522,3 +522,211 @@ fn every_generator_emits_arrival_order() {
         );
     }
 }
+
+// ----------------------------------------------------------------------
+// Streaming changes nothing: every generator's trace, read as its cursor
+// draws it segment by segment, is the trace it stores once drawn
+// ----------------------------------------------------------------------
+
+/// `SimRng`'s multiplier, and its inverse mod 2^64.
+const PCG_MULT: u64 = 6_364_136_223_846_793_005;
+
+fn inverse(odd: u64) -> u64 {
+    let mut x = odd;
+    for _ in 0..6 {
+        x = x.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(x)));
+    }
+    x
+}
+
+/// The seed `SimRng::new(seed, stream)` takes to stand at `state`: `new`
+/// steps from zero, adds the seed and steps again.
+fn seed_for(state: u64, stream: u64) -> u64 {
+    let inc = stream << 1 | 1;
+    state
+        .wrapping_sub(inc)
+        .wrapping_mul(inverse(PCG_MULT))
+        .wrapping_sub(inc)
+}
+
+/// The inverse of `x ^= x >> shift`.
+fn unshift(y: u64, shift: u32) -> u64 {
+    let mut x = y;
+    for _ in 0..64 / shift {
+        x = y ^ (x >> shift);
+    }
+    x
+}
+
+/// A state whose next uniform draw is within a ten-billionth of 1, so
+/// that `u · 60 s` rounds onto 60 s: a first output of all ones, and a
+/// second output that is almost so, found among the states that make the
+/// first one.
+fn state_before_one(stream: u64) -> u64 {
+    // Output bits 27..58 of `x ^ (x >> 18)`, rotated by bits 59..63 (here
+    // 0), are all ones when each of bits 58 down to 27 differs from the
+    // bit 18 above it.
+    let mut high = 0u64;
+    for bit in (27..59).rev() {
+        let above = if bit + 18 < 64 {
+            high >> (bit + 18) & 1
+        } else {
+            0
+        };
+        high |= (1 ^ above) << bit;
+    }
+    (0..1u64 << 27)
+        .map(|low| high | low)
+        .find(|&state| {
+            let u = SimRng::new(seed_for(state, stream), stream).uniform();
+            Nanos::from_secs_f64(u * 60.0) == Nanos::from_secs(60)
+        })
+        .expect("a state draws an offset that rounds onto the minute's end")
+}
+
+/// An Azure config of one function whose first offset of minute 0 rounds
+/// onto 60 s, minute 1's start: the seed that puts the function's stream
+/// (`seeded(seed ^ 0x5117).derive(0)`) some draws before such a state,
+/// as many as minute 0's count takes.
+fn azure_rounding_onto_a_minute() -> AzureTraceConfig {
+    let derived_stream = 0x1405_7b7e;
+    let target = state_before_one(derived_stream);
+    let inc = derived_stream << 1 | 1;
+    let mut state = target;
+    for draws in 1..=64 {
+        // Two steps of the generator back: one uniform draw.
+        for _ in 0..2 {
+            state = state.wrapping_sub(inc).wrapping_mul(inverse(PCG_MULT));
+        }
+        // Undo `derive(0)`'s SplitMix64 finaliser, then `seeded`.
+        let mut z = unshift(seed_for(state, derived_stream), 31);
+        z = unshift(z.wrapping_mul(inverse(0x94d0_49bb_1331_11eb)), 27);
+        z = unshift(z.wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9)), 30);
+        let config = AzureTraceConfig {
+            functions: 1,
+            models: 3,
+            duration: Nanos::from_minutes(2),
+            target_rate: 0.05,
+            slo: Nanos::from_millis(100),
+            seed: seed_for(z, 0xda3e_39cb_94b9_5bdb) ^ 0x5117,
+        };
+        // Counted without a cursor: minute 0's arrivals, less those its
+        // one-minute trace drops on its end.
+        let two = AzureTraceGenerator::new(config).generate();
+        let one = AzureTraceGenerator::new(AzureTraceConfig {
+            duration: Nanos::from_minutes(1),
+            ..config
+        })
+        .generate();
+        let minute_1 = two.iter().filter(|e| e.at > Timestamp::from_secs(60));
+        if two.len() - minute_1.count() > one.len() {
+            assert!(draws > 1, "{draws} draws");
+            return config;
+        }
+    }
+    panic!("no count of draws before the state put an arrival on minute 1's start");
+}
+
+/// Checks a generated trace read as it streams: the count read is its
+/// length, in arrival order, the same twice and from two clones on two
+/// threads, and event for event the stored block a random-access read
+/// then draws.
+fn streams_its_stored_keys(name: &str, trace: &Trace) {
+    let first = listed(trace);
+    prop_assert_eq!(first.len(), trace.len(), "{}: read the length", name);
+    prop_assert!(first.is_sorted_by_key(order), "{}: in arrival order", name);
+    prop_assert_eq!(&listed(trace), &first, "{}: read twice", name);
+    let threads = [trace.clone(), trace.clone()].map(|t| std::thread::spawn(move || listed(&t)));
+    for thread in threads {
+        prop_assert_eq!(
+            &thread.join().unwrap(),
+            &first,
+            "{}: read on a thread",
+            name
+        );
+    }
+    prop_assert_eq!(
+        trace.events(),
+        first.as_slice(),
+        "{}: the stored block",
+        name
+    );
+    for (i, e) in first.iter().enumerate().step_by(97) {
+        prop_assert_eq!(trace.get(i), Some(*e));
+    }
+    prop_assert_eq!(listed(trace), first, "{}: read once stored", name);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn streamed_traces_match_their_stored_keys(seed in any::<u64>()) {
+        let nanos = Nanos::from_nanos;
+        let minute = Nanos::from_minutes(1);
+        let durations = [
+            nanos(1),
+            Nanos::from_millis(1),
+            Nanos::from_millis(400),
+            minute - nanos(1),
+            minute,
+            minute + nanos(1),
+            Nanos::from_minutes(2),
+            Nanos::from_minutes(8),
+        ];
+        let longest = Nanos::from_minutes(8);
+        let models: Vec<ModelId> = (0..10).map(ModelId).collect();
+        let slo = Nanos::from_millis(100);
+        let azure = |duration| AzureTraceGenerator::new(AzureTraceConfig {
+            functions: 60,
+            models: 10,
+            duration,
+            target_rate: 20.0,
+            slo,
+            seed,
+        }).generate();
+        let open_loop = |duration| OpenLoopClient::generate_many(
+            &models, 2.0, slo, duration, &mut SimRng::seeded(seed),
+        );
+        let tiered = shapes::ShapedWorkload {
+            tiers: shapes::TierMix {
+                strict_share_milli: 600,
+                best_effort_slo_ms: 250,
+            },
+            ..shapes::ShapedWorkload::constant(20.0)
+        };
+        let shaped = |duration| tiered.generate(&models, slo, duration, &SimRng::seeded(seed));
+        let (azure_all, open_loop_all, shaped_all) =
+            (azure(longest), open_loop(longest), shaped(longest));
+        for duration in durations {
+            let cut = Timestamp::ZERO + duration;
+            for (name, trace, whole) in [
+                ("azure", azure(duration), Some(&azure_all)),
+                ("open loop", open_loop(duration), Some(&open_loop_all)),
+                // A shaped segment's count follows its length, so only
+                // whole seconds are a longer trace's prefix.
+                (
+                    "shaped",
+                    shaped(duration),
+                    (duration.as_nanos() % 1_000_000_000 == 0).then_some(&shaped_all),
+                ),
+            ] {
+                let name = format!("{name} over {duration:?}");
+                streams_its_stored_keys(&name, &trace);
+                // The minutes and clients a longer trace draws are the same.
+                if let Some(whole) = whole {
+                    prop_assert!(trace == whole.truncated(cut), "{}: a prefix", name);
+                }
+            }
+        }
+        prop_assert!(shaped_all.iter().any(|e| e.tier == Tier::BestEffort));
+        streams_its_stored_keys("empty", &azure(Nanos::ZERO));
+        prop_assert!(azure(Nanos::ZERO).is_empty());
+        // An offset that rounds onto the next minute's start is held back
+        // into that minute, read once and counted.
+        let rounding = AzureTraceGenerator::new(azure_rounding_onto_a_minute()).generate();
+        streams_its_stored_keys("azure, rounding onto a minute", &rounding);
+        let on_the_minute = Timestamp::from_secs(60);
+        prop_assert_eq!(rounding.iter().filter(|e| e.at == on_the_minute).count(), 1);
+    }
+}

@@ -599,8 +599,10 @@ impl ServingSystem {
     /// The arrivals are counted as scheduled from this call on
     /// ([`ServingSystem::pending_events`], the event mix), but they stay in
     /// the trace — shared with the caller's, not copied — as a sorted run
-    /// beside the event heap, and a cursor over the trace's keys decodes
-    /// each into an event only when it is next to be delivered. Delivery
+    /// beside the event heap, and a cursor over the trace ([`Trace::iter`])
+    /// decodes each into an event only when it is next to be delivered. A
+    /// generated trace's cursor draws each time segment when it reaches
+    /// it, so the run holds one segment's keys, not the trace's. Delivery
     /// order and every counter are exactly those of pushing each arrival as
     /// its own event here, in trace order.
     pub fn submit_trace(&mut self, trace: &Trace) {
