@@ -45,18 +45,14 @@ const FIGURES: [(&str, Figure); 9] = [
 ];
 
 fn main() {
-    let names: Vec<String> = std::env::args().skip(1).collect();
-    let mut selected = Vec::new();
-    for name in &names {
-        match FIGURES.iter().find(|(figure, _)| figure == name) {
-            Some(&(_, run)) => selected.push(run),
-            None => {
-                eprintln!("error: unknown figure `{name}`\nusage: {USAGE}");
-                std::process::exit(2);
-            }
+    let mut selected = bench::cli::parse(USAGE, |cli| {
+        let mut selected = Vec::new();
+        while let Some(&(_, run)) = cli.choice("figure", &FIGURES)? {
+            selected.push(run);
         }
-    }
-    if names.is_empty() {
+        Ok(selected)
+    });
+    if selected.is_empty() {
         selected = FIGURES.iter().map(|&(_, run)| run).collect();
     }
     // Run every figure, so every violation prints, not just the first.

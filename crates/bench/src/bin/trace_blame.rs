@@ -27,11 +27,15 @@
 //!     [--duration-secs N] [--seed N] [--out PATH] [--check-determinism]
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
+use bench::cli::MatrixArgs;
+use bench::grid::Grid;
 use clockwork::json::Value;
 use clockwork::prelude::*;
 use clockwork::scenario::DEFAULT_TRACE_CAPACITY;
+
+const USAGE: &str = "trace_blame [--duration-secs N] [--seed N] [--out PATH] [--check-determinism]";
 
 /// The blame stages a completed request's latency decomposes into, in the
 /// fixed tie-break order used when two stages are equally dominant.
@@ -43,38 +47,10 @@ const STAGES: [&str; 5] = [
     "network",
 ];
 
-/// One completed request's reconstructed stage breakdown, all nanoseconds.
-#[derive(Clone, Copy, Default)]
-struct StageBreakdown {
-    queue_wait: u64,
-    cold_load: u64,
-    batch_wait: u64,
-    execution: u64,
-    network: u64,
-}
-
-impl StageBreakdown {
-    fn stage(&self, name: &str) -> u64 {
-        match name {
-            "queue_wait" => self.queue_wait,
-            "cold_load" => self.cold_load,
-            "batch_wait" => self.batch_wait,
-            "execution" => self.execution,
-            "network" => self.network,
-            _ => unreachable!("unknown stage {name}"),
-        }
-    }
-
-    /// The dominant stage, ties resolved in [`STAGES`] order.
-    fn dominant(&self) -> &'static str {
-        let mut best = STAGES[0];
-        for &name in &STAGES[1..] {
-            if self.stage(name) > self.stage(best) {
-                best = name;
-            }
-        }
-        best
-    }
+/// The index in [`STAGES`] of the largest of one request's stage times,
+/// ties resolved in [`STAGES`] order.
+fn dominant(stages: &[u64; 5]) -> usize {
+    (1..stages.len()).fold(0, |best, i| if stages[i] > stages[best] { i } else { best })
 }
 
 /// Running mean/max over one stage across a cell's completed requests.
@@ -93,11 +69,7 @@ impl StageStats {
     }
 
     fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64 / 1e6
-        }
+        self.sum as f64 / self.count.max(1) as f64 / 1e6
     }
 
     fn max_ms(&self) -> f64 {
@@ -121,7 +93,7 @@ struct BlameCell {
     /// Violations whose span tree was too incomplete to decompose.
     unattributed: u64,
     /// Rejection counts by blame category.
-    rejection_blame: Vec<(&'static str, u64)>,
+    rejection_blame: BTreeMap<&'static str, u64>,
 }
 
 /// Maps a rejection reason key to its blame category.
@@ -155,7 +127,7 @@ fn analyze_cell(report: &RunReport) -> BlameCell {
     let mut loads: HashMap<(u32, u32, u32), Vec<(u64, u64)>> = HashMap::new();
     let mut terminal_spans = 0u64;
     let mut rejected_spans = 0u64;
-    let mut rejection_counts: HashMap<&'static str, u64> = HashMap::new();
+    let mut rejection_blame: BTreeMap<&'static str, u64> = BTreeMap::new();
     for record in tracer.records() {
         match &record.event {
             LifecycleEvent::Enqueued { request, .. } => {
@@ -196,7 +168,7 @@ fn analyze_cell(report: &RunReport) -> BlameCell {
             }
             LifecycleEvent::Rejected { reason, .. } => {
                 rejected_spans += 1;
-                *rejection_counts
+                *rejection_blame
                     .entry(rejection_category(reason))
                     .or_insert(0) += 1;
             }
@@ -215,40 +187,31 @@ fn analyze_cell(report: &RunReport) -> BlameCell {
     let mut violations = 0u64;
     let mut unattributed = 0u64;
     for record in tracer.records() {
-        let (request, model, arrival, completed, deadline, worker, gpu, cold, missed) =
-            match &record.event {
-                LifecycleEvent::Completed {
-                    request,
-                    model,
-                    arrival,
-                    completed,
-                    deadline,
-                    worker,
-                    gpu,
-                    cold,
-                    ..
-                } => (
-                    *request, *model, *arrival, *completed, *deadline, *worker, *gpu, *cold, false,
-                ),
-                LifecycleEvent::DeadlineMissed {
-                    request,
-                    model,
-                    arrival,
-                    completed,
-                    deadline,
-                    worker,
-                    gpu,
-                    cold,
-                    ..
-                } => (
-                    *request, *model, *arrival, *completed, *deadline, *worker, *gpu, *cold, true,
-                ),
-                _ => continue,
-            };
-        let _ = deadline;
-        if missed {
-            violations += 1;
+        let (LifecycleEvent::Completed {
+            request,
+            model,
+            arrival,
+            completed,
+            worker,
+            gpu,
+            cold,
+            ..
         }
+        | LifecycleEvent::DeadlineMissed {
+            request,
+            model,
+            arrival,
+            completed,
+            worker,
+            gpu,
+            cold,
+            ..
+        }) = record.event
+        else {
+            continue;
+        };
+        let missed = matches!(record.event, LifecycleEvent::DeadlineMissed { .. });
+        violations += u64::from(missed);
         // Reassemble the span tree; a hole (evicted span) leaves the
         // request unattributable.
         let tree = (|| {
@@ -291,35 +254,21 @@ fn analyze_cell(report: &RunReport) -> BlameCell {
                 .saturating_sub(batch_wait)
                 .saturating_sub(execution)
                 .saturating_sub(cold_load);
-            Some(StageBreakdown {
-                queue_wait,
-                cold_load,
-                batch_wait,
-                execution,
-                network,
-            })
+            // In `STAGES` order.
+            Some([queue_wait, cold_load, batch_wait, execution, network])
         })();
         match tree {
             Some(breakdown) => {
-                for (i, &name) in STAGES.iter().enumerate() {
-                    stages[i].record(breakdown.stage(name));
+                for (stats, time) in stages.iter_mut().zip(breakdown) {
+                    stats.record(time);
                 }
                 if missed {
-                    let dominant = breakdown.dominant();
-                    let i = STAGES.iter().position(|&s| s == dominant).expect("stage");
-                    violation_blame[i] += 1;
+                    violation_blame[dominant(&breakdown)] += 1;
                 }
             }
-            None => {
-                if missed {
-                    unattributed += 1;
-                }
-            }
+            None => unattributed += u64::from(missed),
         }
     }
-
-    let mut rejection_blame: Vec<(&'static str, u64)> = rejection_counts.into_iter().collect();
-    rejection_blame.sort_unstable();
 
     BlameCell {
         run: report.outcome(),
@@ -402,7 +351,7 @@ fn cell_json(cell: &BlameCell) -> (&str, Value) {
     let rejection_blame = cell
         .rejection_blame
         .iter()
-        .map(|&(category, n)| (category, n.into()));
+        .map(|(&category, &n)| (category, n.into()));
     let json = Value::obj([
         ("total", cell.run.metrics.total_requests.into()),
         ("successes", cell.run.metrics.successes.into()),
@@ -419,13 +368,15 @@ fn cell_json(cell: &BlameCell) -> (&str, Value) {
 }
 
 fn main() {
-    let args = bench::cli::MatrixArgs::parse("trace_blame", "BENCH_blame.json");
+    let args = bench::cli::parse(USAGE, MatrixArgs::claim);
+    let grid = Grid::new("trace-blame", "BENCH_blame.json", args);
 
     let base = |name: &str, multiplier: f64, churn: bool| {
         let preset = ScenarioSpec::fleet_scale()
             .named(name)
             .with_duration_secs(10);
-        let mut spec = args
+        let mut spec = grid
+            .args
             .apply(preset)
             .with_rate_multiplier(multiplier)
             .with_trace(true);
@@ -435,26 +386,20 @@ fn main() {
         spec
     };
     let scenarios = [base("overload_5x", 5.0, false), base("chaos", 1.0, true)];
-    let registry = bench::disciplines();
-
-    println!(
-        "# trace-blame: {} disciplines ({}) x {} scenarios, {}s, seed {}, trace capacity {}",
-        registry.len(),
-        registry.names().join(", "),
+    grid.header_disciplines(format_args!(
+        "{} scenarios, {}s, seed {}, trace capacity {}",
         scenarios.len(),
         scenarios[0].duration_secs,
         scenarios[0].seed,
         DEFAULT_TRACE_CAPACITY,
-    );
+    ));
 
-    let mut failed = false;
     let mut doc = vec![
         ("stages", STAGES.iter().map(|&s| Value::from(s)).collect()),
         ("trace_capacity", DEFAULT_TRACE_CAPACITY.into()),
-        ("determinism_checked", args.check_determinism.into()),
+        ("determinism_checked", grid.args.check_determinism.into()),
     ];
     for spec in &scenarios {
-        let experiment = Experiment::new(spec.clone());
         bench::section(&format!(
             "{}: dominant-stage blame per discipline",
             spec.name
@@ -473,13 +418,10 @@ fn main() {
             "unattr",
             "spans"
         );
-        let mut cells: Vec<BlameCell> = Vec::new();
-        for factory in registry.iter() {
-            let label = format!("{}/{}", spec.name, factory.name());
-            let (report, ok) =
-                bench::run_cell(&label, &experiment, factory, args.check_determinism);
-            let cell = analyze_cell(&report);
-            failed |= !ok | !check_cell(&spec.name, &cell);
+        let label = |name: &str| format!("{}/{name}", spec.name);
+        let (cells, _) = grid.disciplines(spec, false, label, |report| {
+            let cell = analyze_cell(report);
+            grid.gate(check_cell(&spec.name, &cell));
             println!(
                 "{:<18} {:>8} {:>8} {:>9} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} {:>8}",
                 cell.run.discipline,
@@ -494,18 +436,13 @@ fn main() {
                 cell.unattributed,
                 cell.spans,
             );
-            cells.push(cell);
-        }
+            cell
+        });
         let scenario = Value::obj([
             ("scenario", bench::scenario_json(spec)),
             ("disciplines", Value::obj(cells.iter().map(cell_json))),
         ]);
         doc.push((spec.name.as_str(), scenario));
     }
-
-    bench::write_json(&args.out, &Value::obj(doc));
-
-    if failed {
-        std::process::exit(1);
-    }
+    grid.finish(&Value::obj(doc));
 }

@@ -1,11 +1,13 @@
-//! The one flag parser behind the bench binaries.
+//! The one argument parser behind the bench binaries.
 //!
 //! A binary pulls each flag it knows out of a [`Cli`] — [`Cli::value`] for
-//! `--flag VALUE`, [`Cli::switch`] for bare flags — and [`parse`] then
+//! `--flag VALUE`, [`Cli::switch`] for bare flags — then its names with
+//! [`Cli::choice`] (`grid`'s grid, `paper`'s figures), and [`parse`] then
 //! rejects whatever is left. A repeated flag's last value wins. Every
-//! failure (unknown flag, missing value, unparsable value) is a message, and
-//! [`parse`] turns it into `error: …` plus the usage line on stderr and
-//! exit status 2. The matrix binaries share one flag set, [`MatrixArgs`].
+//! failure (unknown flag or name, missing value, unparsable value) is a
+//! message, and [`parse`] turns it into `error: …` plus the usage line on
+//! stderr and exit status 2. The matrix harnesses share one flag set,
+//! [`MatrixArgs`].
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -52,7 +54,24 @@ impl Cli {
         self.args.len() != before
     }
 
-    /// Rejects whatever no flag claimed.
+    /// Claims the first argument that is not a flag and returns its entry in
+    /// `choices`, `None` when every argument is claimed. A name that is not
+    /// in `choices` is an error naming `what`. Claim the flags first: a
+    /// flag's value is not a flag either.
+    pub fn choice<'c, T>(
+        &mut self,
+        what: &str,
+        choices: &'c [(&str, T)],
+    ) -> Result<Option<&'c (&'c str, T)>, String> {
+        let Some(at) = self.args.iter().position(|a| !a.starts_with("--")) else {
+            return Ok(None);
+        };
+        let name = self.args.remove(at);
+        let entry = choices.iter().find(|(choice, _)| *choice == name);
+        entry.map(Some).ok_or(format!("unknown {what} `{name}`"))
+    }
+
+    /// Rejects whatever no flag or name claimed.
     pub fn finish(self) -> Result<(), String> {
         match self.args.first() {
             None => Ok(()),
@@ -74,9 +93,9 @@ pub fn parse<A>(usage: &str, build: impl FnOnce(&mut Cli) -> Result<A, String>) 
     }
 }
 
-/// The flags the matrix binaries (`chaos_compare`, `batch_sweep`,
-/// `scenario_matrix`, `trace_blame`, and `shard_sweep` beside its own two)
-/// share. An absent `--duration-secs` or `--seed` keeps the scenario's own.
+/// The flags of the matrix harnesses, `grid` and `trace_blame`, and the
+/// only ones they take. An absent `--duration-secs` or `--seed` keeps the
+/// scenario's own, an absent `--out` the harness's own artifact path.
 #[derive(Debug, PartialEq)]
 pub struct MatrixArgs {
     /// `--duration-secs N`, at least 1.
@@ -84,18 +103,14 @@ pub struct MatrixArgs {
     /// `--seed N`: the system and workload seed.
     pub seed: Option<u64>,
     /// `--out PATH`: where the artifact goes.
-    pub out: String,
+    pub out: Option<String>,
     /// `--check-determinism`: rerun every cell and compare digests.
     pub check_determinism: bool,
 }
 
 impl MatrixArgs {
-    /// The shared flags as a usage fragment.
-    const USAGE: &'static str = "[--duration-secs N] [--seed N] [--out PATH] [--check-determinism]";
-
-    /// Claims the shared flags; `default_out` is the artifact path when
-    /// `--out` is absent.
-    fn claim(cli: &mut Cli, default_out: &str) -> Result<MatrixArgs, String> {
+    /// Claims the flags.
+    pub fn claim(cli: &mut Cli) -> Result<MatrixArgs, String> {
         let duration_secs = cli.value("--duration-secs")?;
         if duration_secs == Some(0) {
             return Err("--duration-secs: a run needs at least 1 second: `0`".into());
@@ -103,29 +118,9 @@ impl MatrixArgs {
         Ok(MatrixArgs {
             duration_secs,
             seed: cli.value("--seed")?,
-            out: cli.value("--out")?.unwrap_or_else(|| default_out.into()),
+            out: cli.value("--out")?,
             check_determinism: cli.switch("--check-determinism"),
         })
-    }
-
-    /// Parses the process arguments of `binary`: the shared flags plus
-    /// whatever `extra` claims (listed in `extra_usage`), exiting 2 on any
-    /// error.
-    pub fn parse_with<A>(
-        binary: &str,
-        default_out: &str,
-        extra_usage: &str,
-        extra: impl FnOnce(&mut Cli) -> Result<A, String>,
-    ) -> (MatrixArgs, A) {
-        let usage = format!("{binary} {} {extra_usage}", MatrixArgs::USAGE);
-        parse(usage.trim_end(), |cli| {
-            Ok((MatrixArgs::claim(cli, default_out)?, extra(cli)?))
-        })
-    }
-
-    /// [`MatrixArgs::parse_with`] for a binary with no flags of its own.
-    pub fn parse(binary: &str, default_out: &str) -> MatrixArgs {
-        MatrixArgs::parse_with(binary, default_out, "", |_| Ok(())).0
     }
 
     /// `spec` with the `--duration-secs` and `--seed` overrides applied.
@@ -152,7 +147,7 @@ pub(crate) mod tests {
     /// The shared flags as `args` would set them, or the parse error.
     pub(crate) fn matrix(args: &[&str]) -> Result<MatrixArgs, String> {
         let mut c = cli(args);
-        let parsed = MatrixArgs::claim(&mut c, "BENCH_x.json")?;
+        let parsed = MatrixArgs::claim(&mut c)?;
         c.finish().map(|()| parsed)
     }
 
@@ -199,7 +194,7 @@ pub(crate) mod tests {
             MatrixArgs {
                 duration_secs: None,
                 seed: None,
-                out: "BENCH_x.json".into(),
+                out: None,
                 check_determinism: false,
             }
         );
@@ -216,7 +211,7 @@ pub(crate) mod tests {
         ])
         .unwrap();
         assert!(set.check_determinism);
-        assert_eq!(set.out, "y.json");
+        assert_eq!(set.out.as_deref(), Some("y.json"));
         let spec = set.apply(fleet);
         assert_eq!(
             (spec.duration_secs, spec.seed, spec.workload_seed),
@@ -232,5 +227,24 @@ pub(crate) mod tests {
             matrix(&["--duration-secs", "1"]).unwrap().duration_secs,
             Some(1)
         );
+    }
+
+    #[test]
+    fn names_are_claimed_in_order_after_the_flags() {
+        const FIGURES: [(&str, u8); 3] = [("fig2", 2), ("fig5", 5), ("table1", 1)];
+        let mut c = cli(&["table1", "--seed", "7", "fig2", "table1"]);
+        assert_eq!(c.value::<u64>("--seed"), Ok(Some(7)));
+        let mut claimed = Vec::new();
+        while let Some(&(name, _)) = c.choice("figure", &FIGURES).unwrap() {
+            claimed.push(name);
+        }
+        assert_eq!(claimed, ["table1", "fig2", "table1"]);
+        assert_eq!(c.finish(), Ok(()));
+        let unknown = cli(&["fig99"]).choice("figure", &FIGURES);
+        assert_eq!(unknown, Err("unknown figure `fig99`".to_string()));
+        // A flag is never a name: it is left for `finish` to reject.
+        let mut c = cli(&["--fig2"]);
+        assert_eq!(c.choice("figure", &FIGURES), Ok(None));
+        assert_eq!(c.finish(), Err("unknown argument `--fig2`".to_string()));
     }
 }

@@ -1,14 +1,15 @@
 //! Shared helpers for the experiment binaries.
 //!
-//! `paper` regenerates the paper's tables and figures; the matrix binaries
-//! beside it write the `BENCH_*.json` artifacts (see this crate's
-//! `README.md` for the index and the schemas). The heavy lifting lives in
-//! the facade: a declarative [`ScenarioSpec`] describes the experiment, a
-//! [`SchedulerRegistry`] names the disciplines, and [`Experiment::run`] owns
-//! the build/submit/run loop. What remains here is the matrix binaries' one
-//! discipline list ([`disciplines`]) and cell runner ([`run_cell`]),
-//! reporting (summary rows, the chaos-phase analysis, the `BENCH_*.json`
-//! plumbing), and the flag parser ([`cli`]) the harness binaries share.
+//! `paper` regenerates the paper's tables and figures; the matrix harnesses
+//! beside it, `grid` and `trace_blame`, write the `BENCH_*.json` artifacts
+//! (see this crate's `README.md` for the index and the schemas). The heavy
+//! lifting lives in the facade: a declarative [`ScenarioSpec`] describes the
+//! experiment, a [`SchedulerRegistry`] names the disciplines, and
+//! [`Experiment::run`] owns the build/submit/run loop. What remains here is
+//! the harnesses' one discipline list ([`disciplines`]), cell runner
+//! ([`run_cell`]) and grid runner ([`grid`]), reporting (summary rows, the
+//! chaos-phase analysis, the `BENCH_*.json` plumbing), and the argument
+//! parser ([`cli`]) every binary shares.
 
 use clockwork::json::Value;
 use clockwork::prelude::*;
@@ -16,9 +17,10 @@ use clockwork_baselines::register_baselines;
 use clockwork_controller::RejectReason;
 
 pub mod cli;
+pub mod grid;
 pub mod invariants;
 
-/// The five disciplines every matrix binary compares, in row order: the
+/// The five disciplines every matrix harness compares, in row order: the
 /// built-in registry (`clockwork`, `fifo`), `clockwork-nobatch` (the same
 /// scheduler pinned to batch size 1) and the Clipper- and INFaaS-like
 /// baselines.
@@ -59,9 +61,9 @@ pub fn run_cell(
     (report, ok)
 }
 
-/// The scenario `chaos_compare` runs: [`ScenarioSpec::chaos_fleet`] under
-/// its own name, with the flag overrides applied before the scripted churn
-/// is laid over it, so the churn scales with `--duration-secs`.
+/// The scenario `grid chaos` runs: [`ScenarioSpec::chaos_fleet`] under the
+/// name `chaos_compare`, with the flag overrides applied before the scripted
+/// churn is laid over it, so the churn scales with `--duration-secs`.
 pub fn chaos_compare_spec(args: &cli::MatrixArgs) -> ScenarioSpec {
     let mut spec = args.apply(ScenarioSpec::fleet_scale().named("chaos_compare"));
     spec.faults = spec.scripted_churn();
@@ -125,7 +127,7 @@ impl PhaseStats {
     }
 }
 
-/// The chaos figures of one `chaos_compare` row: phase breakdown around the
+/// The chaos figures of one `grid chaos` row: phase breakdown around the
 /// fault window, the availability floor, and the recovery time from the
 /// last repair until goodput tracks offered load.
 #[derive(Clone, Copy, Debug)]
@@ -336,11 +338,10 @@ pub fn churn_json(plan: &FaultPlan) -> Value {
 /// The rate a set of runs actually offered: their arrivals over the run
 /// duration. Runs of one trace must all have seen the same total; `None` if
 /// they disagree or there are none.
-pub fn offered_rps(totals: impl IntoIterator<Item = u64>, duration_secs: u64) -> Option<f64> {
-    let mut totals = totals.into_iter();
-    let arrivals = totals.next()?;
-    totals
-        .all(|total| total == arrivals)
+pub fn offered_rps(totals: &[u64], duration_secs: u64) -> Option<f64> {
+    let (&arrivals, rest) = totals.split_first()?;
+    rest.iter()
+        .all(|&total| total == arrivals)
         .then(|| arrivals as f64 / duration_secs as f64)
 }
 
@@ -428,6 +429,7 @@ pub fn peak_rss_kb() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clockwork_shard::{ShardAssignment, ShardedExperiment, ShardedSpec};
 
     #[test]
     fn chaos_analysis_and_invariants_on_a_tiny_chaos_run() {
@@ -484,7 +486,7 @@ mod tests {
 
     #[test]
     fn chaos_compare_runs_the_chaos_fleet_preset() {
-        // At default flags `chaos_compare` runs exactly the `chaos_fleet`
+        // At default flags `grid chaos` runs exactly the `chaos_fleet`
         // preset, under its own name.
         let spec = chaos_compare_spec(&cli::tests::matrix(&[]).unwrap());
         assert_eq!(
@@ -496,6 +498,41 @@ mod tests {
         let expected = ScenarioSpec::fleet_scale().with_duration_secs(10);
         assert_eq!(short.duration_secs, 10);
         assert_eq!(short.faults, expected.scripted_churn());
+    }
+
+    #[test]
+    fn offered_rps_is_arrivals_over_duration() {
+        let spec = ScenarioSpec::smoke(7).with_duration_secs(3);
+        let experiment = Experiment::new(spec);
+        let registry = disciplines();
+        let arrivals = experiment.run(&ClockworkFactory::default()).submitted;
+        assert!(arrivals > 0);
+        let totals = ["clockwork", "fifo"].map(|name| {
+            experiment
+                .run(registry.get(name).unwrap())
+                .metrics()
+                .total_requests
+        });
+        assert_eq!(offered_rps(&totals, 3), Some(arrivals as f64 / 3.0));
+        // A discipline that saw a different total fails the load.
+        assert_eq!(offered_rps(&[totals[0], totals[1] - 1], 3), None);
+    }
+
+    #[test]
+    fn every_shard_count_offers_the_same_arrivals() {
+        let spec = ScenarioSpec::smoke(7).with_duration_secs(3);
+        let arrivals = Experiment::new(spec.clone())
+            .run(&ClockworkFactory::default())
+            .submitted;
+        assert!(arrivals > 0);
+        let totals = [1, 2].map(|shards| {
+            let sharded = ShardedSpec::new(spec.clone(), shards, ShardAssignment::HashByModel);
+            let fleet = ShardedExperiment::new(sharded).run(&ClockworkFactory::default());
+            fleet.merged().metrics.total_requests
+        });
+        assert_eq!(offered_rps(&totals, 3), Some(arrivals as f64 / 3.0));
+        // A shard count that saw a different total fails the sweep.
+        assert_eq!(offered_rps(&[totals[0], totals[1] - 1], 3), None);
     }
 
     #[test]

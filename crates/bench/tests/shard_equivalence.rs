@@ -123,7 +123,7 @@ fn losing_a_whole_shards_rack_keeps_the_fleet_accountable() {
 proptest! {
     #[test]
     fn hash_routing_is_total_for_any_population(models in 1usize..200, shards in 1u32..9) {
-        let router = FrontDoorRouter::build(&ShardAssignment::HashByModel, shards, models, None);
+        let router = FrontDoorRouter::build(&ShardAssignment::HashByModel, shards, models);
         prop_assert!(router.table().iter().all(|&s| s < shards));
         let owned_total: usize = (0..shards).map(|s| router.owned_models(s).len()).sum();
         prop_assert_eq!(owned_total, models, "every model owned exactly once");
@@ -140,7 +140,7 @@ proptest! {
             ..ScenarioSpec::smoke(seed)
         };
         let trace = spec.generated_trace().unwrap();
-        let router = FrontDoorRouter::build(&ShardAssignment::HashByModel, shards, spec.models, None);
+        let router = FrontDoorRouter::build(&ShardAssignment::HashByModel, shards, spec.models);
         let parts = router.route(&trace);
         prop_assert_eq!(parts.len(), shards as usize);
         let total: usize = parts.iter().map(|p| p.len()).sum();

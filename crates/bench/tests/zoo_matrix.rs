@@ -1,6 +1,6 @@
 //! Every workload-zoo preset under every registered discipline.
 //!
-//! The cheap, always-on counterpart of the `scenario_matrix` bench binary:
+//! The cheap, always-on counterpart of the bench's `grid scenarios`:
 //! each zoo scenario (shortened to a few virtual seconds, churn rescaled to
 //! fit) runs under all five disciplines and must uphold the universal
 //! invariants from `bench::invariants` — conservation, no over-delivery,
@@ -18,7 +18,7 @@ fn every_zoo_preset_runs_clean_under_every_discipline() {
     for preset in ScenarioSpec::zoo() {
         // Shorten for test speed; duration-scaled fault plans are
         // regenerated so the churn still lands inside the run, exactly as
-        // `scenario_matrix --duration-secs` does.
+        // `grid scenarios --duration-secs` does.
         let mut spec = preset.with_duration_secs(4);
         spec.faults = spec.zoo_faults();
 

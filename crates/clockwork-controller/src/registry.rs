@@ -146,7 +146,7 @@ impl SchedulerFactory for ClockworkFactory {
 /// Factory for the Clockwork scheduler with batch formation disabled: every
 /// INFER runs at batch size 1 and admission prices requests at the size-1
 /// kernel cost, exactly the pre-batching behavior. This is the honest
-/// comparator for the batching figure (`batch_sweep`) and the ablation knob
+/// comparator for the batching figure (`grid batch`) and the ablation knob
 /// behind it — register it alongside [`ClockworkFactory`] to measure what
 /// batch-amortized execution alone buys.
 #[derive(Clone, Copy, Debug, Default)]

@@ -11,7 +11,7 @@
 //! The pieces:
 //!
 //! - [`ShardAssignment`] / [`FrontDoorRouter`] — the total model → shard
-//!   table (hash, load-aware bin-packing, or explicit), and the
+//!   table (hash or explicit), and the
 //!   shard-stable trace partition it induces.
 //! - [`ShardedSpec`] — a [`ScenarioSpec`](clockwork::ScenarioSpec) plus a
 //!   shard count and assignment policy; [`ShardedSpec::shard_plans`]

@@ -5,8 +5,8 @@
 //! The front door is the piece in between: every request is routed to the
 //! one shard that owns its model, so shards never interact. The table is
 //! built once per experiment and is a pure function of the assignment
-//! policy, the model count and (for the load-aware policy) the trace — the
-//! same determinism contract every other component keeps.
+//! policy and the model count — the same determinism contract every other
+//! component keeps.
 
 use clockwork_model::ModelId;
 use clockwork_sim::hash::Fnv1a;
@@ -18,10 +18,6 @@ pub enum ShardAssignment {
     /// FNV-1a hash of the model id modulo the shard count — stateless and
     /// uniform in expectation, the production-style default.
     HashByModel,
-    /// Greedy bin-packing by per-model request counts from the trace:
-    /// models are placed heaviest-first onto the least-loaded shard, so a
-    /// skewed popularity distribution still yields balanced shards.
-    LoadAware,
     /// An explicit model → shard table (one entry per model). The escape
     /// hatch for experiments that pin the partition.
     Explicit(Vec<u32>),
@@ -36,26 +32,14 @@ pub struct FrontDoorRouter {
 }
 
 impl FrontDoorRouter {
-    /// Builds the table for `models` models over `shards` shards.
-    ///
-    /// `trace` feeds the load-aware policy its per-model request counts and
-    /// is ignored by the other policies. Panics when `shards` is zero, when
-    /// an explicit table has the wrong length or routes outside `0..shards`,
-    /// or when [`ShardAssignment::LoadAware`] is built without a trace.
-    pub fn build(
-        assignment: &ShardAssignment,
-        shards: u32,
-        models: usize,
-        trace: Option<&Trace>,
-    ) -> Self {
+    /// Builds the table for `models` models over `shards` shards. Panics
+    /// when `shards` is zero, or when an explicit table has the wrong length
+    /// or routes outside `0..shards`.
+    pub fn build(assignment: &ShardAssignment, shards: u32, models: usize) -> Self {
         assert!(shards > 0, "a fleet needs at least one shard");
         let table = match assignment {
             ShardAssignment::HashByModel => {
                 (0..models as u32).map(|m| hash_shard(m, shards)).collect()
-            }
-            ShardAssignment::LoadAware => {
-                let trace = trace.expect("load-aware routing needs the trace for model weights");
-                load_aware_table(trace, shards, models)
             }
             ShardAssignment::Explicit(table) => {
                 assert_eq!(
@@ -70,16 +54,6 @@ impl FrontDoorRouter {
             }
         };
         FrontDoorRouter { shards, table }
-    }
-
-    /// Number of shards the table routes into.
-    pub fn shards(&self) -> u32 {
-        self.shards
-    }
-
-    /// Number of models the table covers.
-    pub fn models(&self) -> usize {
-        self.table.len()
     }
 
     /// The owning shard of a model. Panics on models outside the table —
@@ -119,32 +93,6 @@ fn hash_shard(model: u32, shards: u32) -> u32 {
     (hash.finish() % u64::from(shards)) as u32
 }
 
-/// Greedy heaviest-first bin packing: count requests per model, place
-/// models in descending count order (model id breaks ties) onto the
-/// least-loaded shard (shard id breaks ties). Deterministic by
-/// construction; models absent from the trace pack last with weight zero.
-fn load_aware_table(trace: &Trace, shards: u32, models: usize) -> Vec<u32> {
-    let mut counts = vec![0u64; models];
-    for e in trace.iter() {
-        let m = e.model.0 as usize;
-        assert!(
-            m < models,
-            "trace references model {m} beyond the population"
-        );
-        counts[m] += 1;
-    }
-    let mut order: Vec<usize> = (0..models).collect();
-    order.sort_by_key(|&m| (std::cmp::Reverse(counts[m]), m));
-    let mut load = vec![0u64; shards as usize];
-    let mut table = vec![0u32; models];
-    for m in order {
-        let lightest = (0..shards).min_by_key(|&s| (load[s as usize], s)).unwrap();
-        table[m] = lightest;
-        load[lightest as usize] += counts[m];
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,8 +117,8 @@ mod tests {
 
     #[test]
     fn hash_routing_is_total_deterministic_and_roughly_uniform() {
-        let a = FrontDoorRouter::build(&ShardAssignment::HashByModel, 4, 400, None);
-        let b = FrontDoorRouter::build(&ShardAssignment::HashByModel, 4, 400, None);
+        let a = FrontDoorRouter::build(&ShardAssignment::HashByModel, 4, 400);
+        let b = FrontDoorRouter::build(&ShardAssignment::HashByModel, 4, 400);
         assert_eq!(a, b, "a pure function of (models, shards)");
         assert!(a.table().iter().all(|&s| s < 4));
         let mut owned_total = 0;
@@ -189,43 +137,18 @@ mod tests {
 
     #[test]
     fn one_shard_owns_everything() {
-        let router = FrontDoorRouter::build(&ShardAssignment::HashByModel, 1, 20, None);
+        let router = FrontDoorRouter::build(&ShardAssignment::HashByModel, 1, 20);
         assert_eq!(router.owned_models(0).len(), 20);
         let trace = trace_with_counts(&[3, 2, 1]);
-        let router = FrontDoorRouter::build(&ShardAssignment::HashByModel, 1, 3, None);
+        let router = FrontDoorRouter::build(&ShardAssignment::HashByModel, 1, 3);
         let parts = router.route(&trace);
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0], trace, "the 1-shard front door is the identity");
     }
 
     #[test]
-    fn load_aware_balances_a_skewed_population() {
-        // One hot model with 90 requests, nine cold ones with 10 each: hash
-        // routing could land several cold models with the hot one; the
-        // load-aware packer must put the hot model alone-ish.
-        let counts = [90, 10, 10, 10, 10, 10, 10, 10, 10, 10];
-        let trace = trace_with_counts(&counts);
-        let router =
-            FrontDoorRouter::build(&ShardAssignment::LoadAware, 2, counts.len(), Some(&trace));
-        let shard_load = |s: u32| -> u64 {
-            router
-                .owned_models(s)
-                .iter()
-                .map(|m| counts[m.0 as usize])
-                .sum()
-        };
-        let (a, b) = (shard_load(0), shard_load(1));
-        assert_eq!(a + b, 180);
-        assert!(a.abs_diff(b) <= 20, "loads {a} vs {b} should be near-even");
-        // Deterministic: same inputs, same table.
-        let again =
-            FrontDoorRouter::build(&ShardAssignment::LoadAware, 2, counts.len(), Some(&trace));
-        assert_eq!(router, again);
-    }
-
-    #[test]
     fn explicit_tables_are_validated() {
-        let router = FrontDoorRouter::build(&ShardAssignment::Explicit(vec![1, 0, 1]), 2, 3, None);
+        let router = FrontDoorRouter::build(&ShardAssignment::Explicit(vec![1, 0, 1]), 2, 3);
         assert_eq!(router.shard_of(ModelId(0)), 1);
         assert_eq!(router.owned_models(0), vec![ModelId(1)]);
     }
@@ -233,19 +156,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "routed to shard")]
     fn explicit_tables_must_stay_in_range() {
-        let _ = FrontDoorRouter::build(&ShardAssignment::Explicit(vec![0, 5]), 2, 2, None);
+        let _ = FrontDoorRouter::build(&ShardAssignment::Explicit(vec![0, 5]), 2, 2);
     }
 
     #[test]
     #[should_panic(expected = "cover every model")]
     fn explicit_tables_must_cover_the_population() {
-        let _ = FrontDoorRouter::build(&ShardAssignment::Explicit(vec![0]), 2, 2, None);
+        let _ = FrontDoorRouter::build(&ShardAssignment::Explicit(vec![0]), 2, 2);
     }
 
     #[test]
     fn routing_a_trace_loses_nothing() {
         let trace = trace_with_counts(&[5, 4, 3, 2, 1, 6, 7, 8]);
-        let router = FrontDoorRouter::build(&ShardAssignment::HashByModel, 3, 8, None);
+        let router = FrontDoorRouter::build(&ShardAssignment::HashByModel, 3, 8);
         let parts = router.route(&trace);
         assert_eq!(parts.iter().map(Trace::len).sum::<usize>(), trace.len());
         for (s, part) in parts.iter().enumerate() {

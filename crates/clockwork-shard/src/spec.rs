@@ -104,20 +104,9 @@ impl ShardedSpec {
         self
     }
 
-    /// Builds the front-door routing table for this spec. The load-aware
-    /// policy generates the base trace to weigh models; the other policies
-    /// need no trace.
+    /// Builds the front-door routing table for this spec.
     pub fn router(&self) -> FrontDoorRouter {
-        let trace = match self.assignment {
-            ShardAssignment::LoadAware => Some(self.pre_generated_trace()),
-            _ => None,
-        };
-        FrontDoorRouter::build(
-            &self.assignment,
-            self.shards,
-            self.base.models,
-            trace.as_ref(),
-        )
+        FrontDoorRouter::build(&self.assignment, self.shards, self.base.models)
     }
 
     /// Derives the per-shard scenarios: model slices from the router,
@@ -129,12 +118,7 @@ impl ShardedSpec {
     /// so the sharded runner reproduces the monolithic run byte for byte.
     pub fn shard_plans(&self) -> Vec<ShardPlan> {
         let trace = self.pre_generated_trace();
-        let router = FrontDoorRouter::build(
-            &self.assignment,
-            self.shards,
-            self.base.models,
-            Some(&trace),
-        );
+        let router = self.router();
         let parts = router.route(&trace);
         let fault_parts = self.partition_faults();
 

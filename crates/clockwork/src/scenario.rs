@@ -147,7 +147,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 21;
 
 impl ScenarioSpec {
     /// The fleet-scale scenario shared by the benchmark's `fleet_steady`
-    /// workload and the `chaos_compare`, `batch_sweep` and `trace_blame`
+    /// workload and the `grid chaos`, `grid batch` and `trace_blame`
     /// harnesses: 20 workers × 4 GPUs, 200 model instances cycling through
     /// the Appendix A zoo, and an open-loop Azure-derived trace at 1 500 r/s
     /// for 120 virtual seconds.
@@ -395,7 +395,7 @@ impl ScenarioSpec {
 
     /// The duration-scaled fault plan belonging to a zoo preset, dispatched
     /// by preset name — the regeneration hook harnesses use after shortening
-    /// a preset (`scenario_matrix --duration-secs`, the zoo-matrix tests):
+    /// a preset (`grid scenarios --duration-secs`, the zoo-matrix tests):
     /// `autoscale_churn` regenerates its elastic churn, `rack_outage` its
     /// rack failure, every other preset is fault-free.
     pub fn zoo_faults(&self) -> FaultPlan {
