@@ -14,13 +14,16 @@
 //! two lengths of one scenario show whether its memory grows with its
 //! length. The Clockwork scheduler serves it, except
 //! `substrate_fifo`, which FIFO serves, as in the benchmark. The probe
-//! prints `VmRSS` and `VmHWM` from `/proc/self/status` after trace
-//! generation, build and submit, then after every `N` simulated ms of the
-//! run (default 100), up to the horizon. After generation it also prints
-//! the trace's own heap bytes (`Trace::heap_bytes`) and bytes per arrival.
-//! Linux only: elsewhere the readings print as 0.
+//! prints, after trace generation, build and submit, then after every `N`
+//! simulated ms of the run (default 100), up to the horizon, one line: the
+//! stage, the host milliseconds it took (`Instant`, the probe's own reads
+//! excluded), and `VmRSS` and `VmHWM` from `/proc/self/status`, last. After
+//! generation it also prints the trace's own heap bytes
+//! (`Trace::heap_bytes`) and bytes per arrival. Linux only: elsewhere the
+//! memory readings print as 0.
 
 use std::io::{self, Write};
+use std::time::Instant;
 
 use clockwork::prelude::*;
 use clockwork_shard::ShardedSpec;
@@ -39,9 +42,18 @@ fn status_mb(field: &str) -> f64 {
     kb / 1024.0
 }
 
-fn print_stage(out: &mut impl Write, stage: &str) -> io::Result<()> {
+/// Prints `stage`, the host time since `since`, and the memory readings;
+/// then restarts `since`, so the next stage is not charged for this one's
+/// printing.
+fn print_stage(out: &mut impl Write, stage: &str, since: &mut Instant) -> io::Result<()> {
+    let ms = since.elapsed().as_secs_f64() * 1e3;
     let (rss, hwm) = (status_mb("VmRSS"), status_mb("VmHWM"));
-    writeln!(out, "{stage:<16} VmRSS {rss:>8.2} MB   VmHWM {hwm:>8.2} MB")
+    writeln!(
+        out,
+        "{stage:<16} {ms:>10.3} ms   VmRSS {rss:>8.2} MB   VmHWM {hwm:>8.2} MB"
+    )?;
+    *since = Instant::now();
+    Ok(())
 }
 
 /// The scenario `name` names, run for `duration_secs` when given.
@@ -100,9 +112,10 @@ fn main() -> Result<(), String> {
 
 fn probe(spec: &ScenarioSpec, factory: &dyn SchedulerFactory, every: Nanos) -> io::Result<()> {
     let mut out = io::stdout().lock();
-    print_stage(&mut out, "start")?;
+    let mut since = Instant::now();
+    print_stage(&mut out, "start", &mut since)?;
     let trace = spec.arrivals();
-    print_stage(&mut out, "trace")?;
+    print_stage(&mut out, "trace", &mut since)?;
     writeln!(
         out,
         "{:<16} {} arrivals, {} B: {:.2} B per arrival",
@@ -111,15 +124,20 @@ fn probe(spec: &ScenarioSpec, factory: &dyn SchedulerFactory, every: Nanos) -> i
         trace.heap_bytes(),
         trace.heap_bytes() as f64 / trace.len().max(1) as f64
     )?;
+    since = Instant::now();
     let mut system = ServingSystem::from_spec(spec, factory);
-    print_stage(&mut out, "build")?;
+    print_stage(&mut out, "build", &mut since)?;
     system.submit_trace(&trace);
-    print_stage(&mut out, "submit")?;
+    print_stage(&mut out, "submit", &mut since)?;
     let mut at = Timestamp::ZERO;
     while at < spec.horizon() {
         at = (at + every).min(spec.horizon());
         system.run_until(at);
-        print_stage(&mut out, &format!("run {} ms", at.as_nanos() / 1_000_000))?;
+        print_stage(
+            &mut out,
+            &format!("run {} ms", at.as_nanos() / 1_000_000),
+            &mut since,
+        )?;
     }
     Ok(())
 }

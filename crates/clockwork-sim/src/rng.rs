@@ -5,6 +5,13 @@
 //! thread-local or OS-seeded RNG. The generator is intentionally minimal: the
 //! simulation only needs uniform samples, exponential inter-arrival times
 //! (Poisson processes), and normal/lognormal noise factors.
+//!
+//! A 64-bit draw is two steps of the underlying linear congruential
+//! generator, its top word the first step's output and its low word the
+//! second's. The state advances by the two steps composed into one affine
+//! map, `state ↦ M² · state + (M + 1) · inc`, so the chain from one draw to
+//! the next is one multiply-add; the state between the two steps, which
+//! gives the low word, is computed beside it, off that chain.
 
 use serde::{Deserialize, Serialize};
 
@@ -22,6 +29,34 @@ pub struct SimRng {
 }
 
 const PCG_MULT: u64 = 6_364_136_223_846_793_005;
+
+/// `steps` steps of the generator as one affine map of the state,
+/// `state ↦ mult · state + sum · inc`, returned as `(mult, sum)`: `mult` is
+/// `PCG_MULT^steps` and `sum` is `1 + PCG_MULT + … + PCG_MULT^(steps − 1)`.
+/// Built by squaring, in O(log steps) multiplications.
+const fn lcg_power(mut steps: u64) -> (u64, u64) {
+    let (mut mult, mut sum) = (1u64, 0u64);
+    let (mut step_mult, mut step_sum) = (PCG_MULT, 1u64);
+    while steps > 0 {
+        if steps & 1 == 1 {
+            mult = mult.wrapping_mul(step_mult);
+            sum = sum.wrapping_mul(step_mult).wrapping_add(step_sum);
+        }
+        step_sum = step_mult.wrapping_add(1).wrapping_mul(step_sum);
+        step_mult = step_mult.wrapping_mul(step_mult);
+        steps >>= 1;
+    }
+    (mult, sum)
+}
+
+/// The two steps of one 64-bit draw as one map: `(M², M + 1)`.
+const DRAW: (u64, u64) = lcg_power(2);
+
+/// The PCG-XSH-RR output of the step from `state`.
+fn output(state: u64) -> u32 {
+    let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
+    xorshifted.rotate_right((state >> 59) as u32)
+}
 
 impl SimRng {
     /// Creates a generator from a seed and a stream identifier.
@@ -61,43 +96,68 @@ impl SimRng {
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
+        output(old)
     }
 
-    /// Next raw 64-bit output.
+    /// Moves the state one 64-bit draw on, both steps in one map, and
+    /// returns the state the draw started from.
+    fn advance_draw(&mut self) -> u64 {
+        let old = self.state;
+        self.state = DRAW
+            .0
+            .wrapping_mul(old)
+            .wrapping_add(DRAW.1.wrapping_mul(self.inc));
+        old
+    }
+
+    /// The low word of the draw that started from `old`: the output of the
+    /// state one step past it.
+    fn low_word(&self, old: u64) -> u32 {
+        output(old.wrapping_mul(PCG_MULT).wrapping_add(self.inc))
+    }
+
+    /// Next raw 64-bit output: the outputs of two steps, the first on top.
+    /// The state takes both steps in one multiply-add, `(M², (M + 1) · inc)`;
+    /// the state between them, whose output is the low word, is computed
+    /// beside it.
     pub fn next_u64(&mut self) -> u64 {
-        let hi = self.next_u32() as u64;
-        let lo = self.next_u32() as u64;
-        (hi << 32) | lo
+        let old = self.advance_draw();
+        (u64::from(output(old)) << 32) | u64::from(self.low_word(old))
     }
 
     /// A uniform sample in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
+        let old = self.advance_draw();
+        SimRng::uniform_from_words(output(old), self.low_word(old))
+    }
+
+    /// The [`SimRng::uniform`] sample whose raw draw has top word `hi` and
+    /// low word `lo`. It never falls as `(hi, lo)`, read as one number,
+    /// rises.
+    pub fn uniform_from_words(hi: u32, lo: u32) -> f64 {
         // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        let raw = (u64::from(hi) << 32) | u64::from(lo);
+        (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// [`SimRng::uniform`] when the draw's top word is below `limit`, and
+    /// `None` otherwise, decided before the low word or the `f64` is formed.
+    /// Either way the stream moves one draw on.
+    pub fn uniform_if_top_below(&mut self, limit: u64) -> Option<f64> {
+        let old = self.advance_draw();
+        let hi = output(old);
+        (u64::from(hi) < limit).then(|| SimRng::uniform_from_words(hi, self.low_word(old)))
     }
 
     /// Moves the stream past `draws` [`SimRng::uniform`] draws without
     /// making them: the generator is then where drawing them would leave
     /// it. A draw takes two steps of the underlying linear congruential
-    /// generator, and `n` steps compose into one affine map, built by
-    /// squaring in O(log n) multiplications.
+    /// generator, and `n` steps compose into one affine map.
     pub fn skip_uniforms(&mut self, draws: u64) {
-        let (mut mult, mut plus) = (1u64, 0u64);
-        let (mut step_mult, mut step_plus) = (PCG_MULT, self.inc);
-        let mut steps = draws.wrapping_mul(2);
-        while steps > 0 {
-            if steps & 1 == 1 {
-                mult = mult.wrapping_mul(step_mult);
-                plus = plus.wrapping_mul(step_mult).wrapping_add(step_plus);
-            }
-            step_plus = step_mult.wrapping_add(1).wrapping_mul(step_plus);
-            step_mult = step_mult.wrapping_mul(step_mult);
-            steps >>= 1;
-        }
-        self.state = mult.wrapping_mul(self.state).wrapping_add(plus);
+        let (mult, sum) = lcg_power(draws.wrapping_mul(2));
+        self.state = mult
+            .wrapping_mul(self.state)
+            .wrapping_add(sum.wrapping_mul(self.inc));
     }
 
     /// A uniform sample in `[lo, hi)`. Returns `lo` when the range is empty.
@@ -222,6 +282,65 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `next_u64` as it was first written, two `next_u32` steps: the twin
+    /// the one-map draw must match.
+    fn next_u64_by_steps(rng: &mut SimRng) -> u64 {
+        let hi = rng.next_u32() as u64;
+        let lo = rng.next_u32() as u64;
+        (hi << 32) | lo
+    }
+
+    proptest! {
+        #[test]
+        fn a_draw_is_the_two_steps_it_composes(
+            seed in any::<u64>(),
+            stream in any::<u64>(),
+            tag in any::<u64>(),
+            random_limit in 0u64..=1 << 32,
+            steps in 0u64..300,
+        ) {
+            let root = SimRng::new(seed, stream);
+            for start in [root.clone(), root.derive(tag)] {
+                let mut drawn = start.clone();
+                let mut twin = start.clone();
+                for _ in 0..64 {
+                    prop_assert_eq!(drawn.next_u64(), next_u64_by_steps(&mut twin));
+                }
+                prop_assert_eq!(&drawn, &twin);
+
+                let mut rng = start.clone();
+                for _ in 0..64 {
+                    let top = next_u64_by_steps(&mut rng.clone()) >> 32;
+                    for limit in [0, 1, random_limit, top, top + 1, 1 << 32] {
+                        let mut whole = rng.clone();
+                        let u = whole.uniform();
+                        let mut skipped = rng.clone();
+                        skipped.skip_uniforms(1);
+                        let mut filtered = rng.clone();
+                        let got = filtered.uniform_if_top_below(limit);
+                        prop_assert_eq!(got, (top < limit).then_some(u), "limit {}", limit);
+                        prop_assert_eq!(&filtered, &whole);
+                        prop_assert_eq!(&filtered, &skipped);
+                    }
+                    rng.uniform();
+                }
+
+                // The affine-power helper against stepping one at a time.
+                let (mult, sum) = lcg_power(steps);
+                let mut stepped = start.clone();
+                for _ in 0..steps {
+                    stepped.next_u32();
+                }
+                prop_assert_eq!(
+                    mult.wrapping_mul(start.state).wrapping_add(sum.wrapping_mul(start.inc)),
+                    stepped.state,
+                    "{} steps", steps
+                );
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

@@ -306,7 +306,9 @@ impl Plan {
     ///
     /// A minute cut by the trace's end still draws every offset, so each
     /// stream stays where it was; but an offset that lands past the end is
-    /// dropped before it is converted to a timestamp.
+    /// dropped before it is converted to a timestamp, and one whose draw's
+    /// top word is at or above the minute's [`top_word_limit`] before its
+    /// low word or `f64` is formed.
     fn draw(&self, minute: u64, streams: &mut [SimRng], mut keep: impl FnMut(u64, ModelId)) {
         let minute_start = Timestamp::from_secs(minute * 60);
         // Capped above any offset (at most 60 s), so it stays a whole
@@ -314,10 +316,13 @@ impl Plan {
         let room = (self.end - minute_start)
             .min(Nanos::from_minutes(2))
             .as_nanos() as f64;
+        let limit = top_word_limit(room);
         for (&(class, base_per_minute, model), frng) in self.functions.iter().zip(streams) {
             let count = AzureTraceGenerator::draw_count(class, base_per_minute, minute, frng);
             for _ in 0..count {
-                let u = frng.uniform();
+                let Some(u) = frng.uniform_if_top_below(limit) else {
+                    continue;
+                };
                 if lands_past(u, room) {
                     continue;
                 }
@@ -394,6 +399,25 @@ fn lands_past(u: f64, room: f64) -> bool {
     u * 60.0 * 1e9 >= room
 }
 
+/// The least top word `hi` whose draw `lands_past` the `room` whatever its
+/// low word, `2^32` when none does: the smallest `hi` with
+/// `lands_past(u(hi, 0), room)`, found by binary search on that predicate.
+/// A draw's `u` never falls as its words rise and `lands_past` never turns
+/// false as `u` rises, so every draw whose top word is at or above it is
+/// one `lands_past` drops.
+fn top_word_limit(room: f64) -> u64 {
+    let (mut below, mut at) = (0u64, 1u64 << 32);
+    while below < at {
+        let mid = below + (at - below) / 2;
+        if lands_past(SimRng::uniform_from_words(mid as u32, 0), room) {
+            at = mid;
+        } else {
+            below = mid + 1;
+        }
+    }
+    at
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,6 +485,9 @@ mod tests {
             Nanos::from_millis(1),
             Nanos::from_millis(400),
             Nanos::from_secs(1),
+            Nanos::from_secs(1) + Nanos::from_nanos(1),
+            Nanos::from_secs(30),
+            Nanos::from_secs(59),
             minute - Nanos::from_nanos(1),
             minute,
             minute + Nanos::from_nanos(1),
@@ -551,6 +578,37 @@ mod tests {
             fired > 0 && rounded_up > 0,
             "{fired} cut, {rounded_up} rounded up"
         );
+    }
+
+    /// `top_word_limit` at its edge: the draw that starts at the limit lands
+    /// past the room, and the last one below it does not.
+    #[test]
+    fn the_top_word_limit_is_the_first_that_lands_past() {
+        let u = |hi: u64| SimRng::uniform_from_words(hi as u32, 0);
+        for room_ns in [
+            1u64,
+            1_000_000,
+            1_000_000_000,
+            1_000_000_001,
+            59_999_999_999,
+            60_000_000_000,
+            120_000_000_000,
+        ] {
+            let room = room_ns as f64;
+            let limit = top_word_limit(room);
+            if limit < 1 << 32 {
+                assert!(
+                    lands_past(u(limit), room),
+                    "room {room_ns} ns, limit {limit}"
+                );
+            }
+            if limit > 0 {
+                assert!(
+                    !lands_past(u(limit - 1), room),
+                    "room {room_ns} ns, limit {limit}"
+                );
+            }
+        }
     }
 
     /// The budget the generator's keys leave is the published one.
