@@ -25,18 +25,42 @@ fn smoke_sharded(shards: u32) -> ShardedSpec {
     ShardedSpec::new(ScenarioSpec::smoke(7), shards, ShardAssignment::HashByModel)
 }
 
+/// The cold-start workload in miniature: one open-loop client per model,
+/// far more models than the GPUs' page cache holds, and the scripted churn
+/// of crashes, GPU failures, a partition and a degraded link.
+fn cold_churn_miniature() -> ScenarioSpec {
+    let mut spec = ScenarioSpec {
+        name: "cold_churn_miniature".to_string(),
+        workers: 4,
+        gpus_per_worker: 2,
+        models: 300,
+        workload: WorkloadSpec::OpenLoop {
+            rate_per_model: 0.2,
+        },
+        duration_secs: 30,
+        ..ScenarioSpec::smoke(7)
+    };
+    spec.faults = spec.scripted_churn();
+    spec
+}
+
 #[test]
 fn one_shard_fleet_is_byte_identical_to_the_unsharded_oracle() {
     let factory = ClockworkFactory::default();
-    let fleet = ShardedExperiment::new(smoke_sharded(1)).run(&factory);
-    let oracle = Experiment::new(ScenarioSpec::smoke(7)).run(&factory);
+    for base in [ScenarioSpec::smoke(7), cold_churn_miniature()] {
+        let sharded = ShardedSpec::new(base.clone(), 1, ShardAssignment::HashByModel);
+        let fleet = ShardedExperiment::new(sharded).run(&factory);
+        let oracle = Experiment::new(base.clone()).run(&factory);
 
-    assert_eq!(fleet.shards.len(), 1);
-    assert_eq!(
-        fleet.shards[0].outcome,
-        oracle.outcome(),
-        "the 1-shard outcome must equal the monolithic one, field for field"
-    );
+        assert_eq!(fleet.shards.len(), 1);
+        assert!(oracle.submitted > 0, "{}: the workload arrives", base.name);
+        assert_eq!(
+            fleet.shards[0].outcome,
+            oracle.outcome(),
+            "{}: the 1-shard outcome must equal the monolithic one, field for field",
+            base.name
+        );
+    }
 }
 
 #[test]

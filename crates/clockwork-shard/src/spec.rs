@@ -148,17 +148,19 @@ impl ShardedSpec {
             .collect()
     }
 
-    /// The base trace, which sharding requires up front: open- and
-    /// closed-loop workloads generate interactively inside the run and
-    /// cannot be split by the front door, so they panic here.
+    /// The base trace, which sharding requires up front: every arrival of
+    /// an Azure, shaped or open-loop workload ([`ScenarioSpec::arrivals`]).
+    /// A closed-loop workload generates its requests inside the run, where
+    /// the front door cannot split them, so it panics here.
     fn pre_generated_trace(&self) -> Trace {
-        self.base.generated_trace().unwrap_or_else(|| {
+        if let WorkloadSpec::ClosedLoop { .. } = self.base.workload {
             panic!(
-                "sharding requires a pre-generated workload (Azure or Shaped); \
-                 {:?} generates requests inside the run",
+                "sharding requires a pre-generated workload (Azure, shaped or open \
+                 loop); {:?} generates requests inside the run",
                 self.base.workload
-            )
-        })
+            );
+        }
+        self.base.arrivals()
     }
 
     /// The owning shard of a base-fleet worker index.

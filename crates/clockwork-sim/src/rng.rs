@@ -58,6 +58,35 @@ fn output(state: u64) -> u32 {
     xorshifted.rotate_right((state >> 59) as u32)
 }
 
+/// A 64-bit draw taken from a stream, whose words are formed when read
+/// ([`SimRng::split_draw`]).
+#[derive(Clone, Copy, Debug)]
+pub struct SplitDraw {
+    /// The draw's top word: the output of its first step.
+    top: u32,
+    /// The state the draw started from, and the stream's increment.
+    old: u64,
+    inc: u64,
+}
+
+impl SplitDraw {
+    /// The draw's top word: the output of its first step.
+    pub fn top(self) -> u32 {
+        self.top
+    }
+
+    /// The draw's low word: the output of the state one step past its
+    /// first.
+    fn low(self) -> u32 {
+        output(self.old.wrapping_mul(PCG_MULT).wrapping_add(self.inc))
+    }
+
+    /// The [`SimRng::uniform`] sample of the draw.
+    pub fn uniform(self) -> f64 {
+        SimRng::uniform_from_words(self.top, self.low())
+    }
+}
+
 impl SimRng {
     /// Creates a generator from a seed and a stream identifier.
     ///
@@ -99,36 +128,18 @@ impl SimRng {
         output(old)
     }
 
-    /// Moves the state one 64-bit draw on, both steps in one map, and
-    /// returns the state the draw started from.
-    fn advance_draw(&mut self) -> u64 {
-        let old = self.state;
-        self.state = DRAW
-            .0
-            .wrapping_mul(old)
-            .wrapping_add(DRAW.1.wrapping_mul(self.inc));
-        old
-    }
-
-    /// The low word of the draw that started from `old`: the output of the
-    /// state one step past it.
-    fn low_word(&self, old: u64) -> u32 {
-        output(old.wrapping_mul(PCG_MULT).wrapping_add(self.inc))
-    }
-
     /// Next raw 64-bit output: the outputs of two steps, the first on top.
     /// The state takes both steps in one multiply-add, `(M², (M + 1) · inc)`;
     /// the state between them, whose output is the low word, is computed
     /// beside it.
     pub fn next_u64(&mut self) -> u64 {
-        let old = self.advance_draw();
-        (u64::from(output(old)) << 32) | u64::from(self.low_word(old))
+        let draw = self.split_draw();
+        (u64::from(draw.top()) << 32) | u64::from(draw.low())
     }
 
     /// A uniform sample in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
-        let old = self.advance_draw();
-        SimRng::uniform_from_words(output(old), self.low_word(old))
+        self.split_draw().uniform()
     }
 
     /// The [`SimRng::uniform`] sample whose raw draw has top word `hi` and
@@ -140,13 +151,20 @@ impl SimRng {
         (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// [`SimRng::uniform`] when the draw's top word is below `limit`, and
-    /// `None` otherwise, decided before the low word or the `f64` is formed.
-    /// Either way the stream moves one draw on.
-    pub fn uniform_if_top_below(&mut self, limit: u64) -> Option<f64> {
-        let old = self.advance_draw();
-        let hi = output(old);
-        (u64::from(hi) < limit).then(|| SimRng::uniform_from_words(hi, self.low_word(old)))
+    /// Moves the stream one draw on, both steps in one map, and returns the
+    /// draw unformed: its top word is one output, and its low word and
+    /// [`SimRng::uniform`] sample are formed only when asked for.
+    pub fn split_draw(&mut self) -> SplitDraw {
+        let old = self.state;
+        self.state = DRAW
+            .0
+            .wrapping_mul(old)
+            .wrapping_add(DRAW.1.wrapping_mul(self.inc));
+        SplitDraw {
+            top: output(old),
+            old,
+            inc: self.inc,
+        }
     }
 
     /// Moves the stream past `draws` [`SimRng::uniform`] draws without
@@ -298,7 +316,6 @@ mod tests {
             seed in any::<u64>(),
             stream in any::<u64>(),
             tag in any::<u64>(),
-            random_limit in 0u64..=1 << 32,
             steps in 0u64..300,
         ) {
             let root = SimRng::new(seed, stream);
@@ -313,17 +330,16 @@ mod tests {
                 let mut rng = start.clone();
                 for _ in 0..64 {
                     let top = next_u64_by_steps(&mut rng.clone()) >> 32;
-                    for limit in [0, 1, random_limit, top, top + 1, 1 << 32] {
-                        let mut whole = rng.clone();
-                        let u = whole.uniform();
-                        let mut skipped = rng.clone();
-                        skipped.skip_uniforms(1);
-                        let mut filtered = rng.clone();
-                        let got = filtered.uniform_if_top_below(limit);
-                        prop_assert_eq!(got, (top < limit).then_some(u), "limit {}", limit);
-                        prop_assert_eq!(&filtered, &whole);
-                        prop_assert_eq!(&filtered, &skipped);
-                    }
+                    let mut whole = rng.clone();
+                    let u = whole.uniform();
+                    let mut skipped = rng.clone();
+                    skipped.skip_uniforms(1);
+                    let mut split = rng.clone();
+                    let draw = split.split_draw();
+                    prop_assert_eq!(u64::from(draw.top()), top);
+                    prop_assert_eq!(draw.uniform(), u);
+                    prop_assert_eq!(&split, &whole);
+                    prop_assert_eq!(&split, &skipped);
                     rng.uniform();
                 }
 

@@ -216,8 +216,9 @@ impl AzureTraceGenerator {
     /// minute can lose arrivals to the end, so every minute before it
     /// counts what its functions' Poisson counts say, and its streams skip
     /// the offsets without drawing them. The last minute is drawn on those
-    /// copies of the streams and counted. A trace shorter than a minute is
-    /// that minute's keys, stored.
+    /// copies of the streams and counted on its draws' top words where they
+    /// decide (`Plan::count`). A trace shorter than a minute is that
+    /// minute's keys, stored.
     ///
     /// # Panics
     ///
@@ -269,8 +270,7 @@ impl AzureTraceGenerator {
             widest = widest.max(drawn);
         }
         if let Some(last) = plan.minutes.checked_sub(1) {
-            let mut drawn = 0;
-            plan.draw(last, &mut counting, |_, _| drawn += 1);
+            let drawn = plan.count(last, &mut counting);
             len += drawn;
             widest = widest.max(drawn);
         }
@@ -310,30 +310,52 @@ impl Plan {
     /// top word is at or above the minute's [`top_word_limit`] before its
     /// low word or `f64` is formed.
     fn draw(&self, minute: u64, streams: &mut [SimRng], mut keep: impl FnMut(u64, ModelId)) {
-        let minute_start = Timestamp::from_secs(minute * 60);
-        // Capped above any offset (at most 60 s), so it stays a whole
-        // number of nanoseconds below 2^53, exact in an f64.
-        let room = (self.end - minute_start)
-            .min(Nanos::from_minutes(2))
-            .as_nanos() as f64;
-        let limit = top_word_limit(room);
+        let room = self.room(minute);
+        let limit = top_word_limit(room as f64);
         for (&(class, base_per_minute, model), frng) in self.functions.iter().zip(streams) {
             let count = AzureTraceGenerator::draw_count(class, base_per_minute, minute, frng);
             for _ in 0..count {
-                let Some(u) = frng.uniform_if_top_below(limit) else {
-                    continue;
-                };
-                if lands_past(u, room) {
+                let draw = frng.split_draw();
+                if u64::from(draw.top()) >= limit {
                     continue;
                 }
-                let offset = Nanos::from_secs_f64(u * 60.0);
-                // An offset within half a nanosecond of the room rounds up
-                // onto the end.
-                if minute_start + offset < self.end {
-                    keep(offset.as_nanos(), model);
+                if let Some(offset) = kept_offset(draw.uniform(), room) {
+                    keep(offset, model);
                 }
             }
         }
+    }
+
+    /// How many arrivals [`Plan::draw`] keeps of `minute`, drawing from
+    /// `streams` alike. A draw whose top word is below the minute's
+    /// [`top_word_kept`] is kept whatever its low word, so it counts before
+    /// its low word or `f64` is formed; one at or above [`top_word_limit`]
+    /// is dropped as `draw` drops it.
+    fn count(&self, minute: u64, streams: &mut [SimRng]) -> usize {
+        let room = self.room(minute);
+        let (kept, limit) = (top_word_kept(room), top_word_limit(room as f64));
+        let mut counted = 0;
+        for (&(class, base_per_minute, _), frng) in self.functions.iter().zip(streams) {
+            let count = AzureTraceGenerator::draw_count(class, base_per_minute, minute, frng);
+            for _ in 0..count {
+                let draw = frng.split_draw();
+                let top = u64::from(draw.top());
+                if top < kept || (top < limit && kept_offset(draw.uniform(), room).is_some()) {
+                    counted += 1;
+                }
+            }
+        }
+        counted
+    }
+
+    /// The whole nanoseconds of `minute` before the trace's end, capped at
+    /// two minutes, above any offset (at most 60 s): a whole number below
+    /// 2^53, exact in an f64.
+    fn room(&self, minute: u64) -> u64 {
+        let minute_start = Timestamp::from_secs(minute * 60);
+        (self.end - minute_start)
+            .min(Nanos::from_minutes(2))
+            .as_nanos()
     }
 
     /// The keys `minute` draws from `streams`, for a trace that ends inside
@@ -399,17 +421,43 @@ fn lands_past(u: f64, room: f64) -> bool {
     u * 60.0 * 1e9 >= room
 }
 
+/// The offset in ns of an arrival drawn at `u` into a minute that leaves
+/// `room` whole nanoseconds before the trace's end, when the end keeps it.
+/// An offset within half a nanosecond of the room rounds up onto the end.
+fn kept_offset(u: f64, room: u64) -> Option<u64> {
+    if lands_past(u, room as f64) {
+        return None;
+    }
+    let offset = Nanos::from_secs_f64(u * 60.0).as_nanos();
+    (offset < room).then_some(offset)
+}
+
+/// The least top word `hi` whose largest draw, with low word `u32::MAX`,
+/// the end does not keep in a minute that leaves it `room` ns, `2^32` when
+/// it keeps every draw. An arrival the end drops never comes back as `u`
+/// rises, so the end keeps every draw whose top word is below it.
+fn top_word_kept(room: u64) -> u64 {
+    least_top_word(|hi| kept_offset(SimRng::uniform_from_words(hi, u32::MAX), room).is_none())
+}
+
 /// The least top word `hi` whose draw `lands_past` the `room` whatever its
 /// low word, `2^32` when none does: the smallest `hi` with
-/// `lands_past(u(hi, 0), room)`, found by binary search on that predicate.
-/// A draw's `u` never falls as its words rise and `lands_past` never turns
-/// false as `u` rises, so every draw whose top word is at or above it is
-/// one `lands_past` drops.
+/// `lands_past(u(hi, 0), room)`. `lands_past` never turns false as `u`
+/// rises, so every draw whose top word is at or above it is one
+/// `lands_past` drops.
 fn top_word_limit(room: f64) -> u64 {
+    least_top_word(|hi| lands_past(SimRng::uniform_from_words(hi, 0), room))
+}
+
+/// The least top word for which `past` holds, `2^32` when it holds for
+/// none, found by binary search: `past` must never turn false as the top
+/// word rises, which holds of any test on a draw's `u` that never turns
+/// false as `u` rises, since `u` never falls as its words rise.
+fn least_top_word(past: impl Fn(u32) -> bool) -> u64 {
     let (mut below, mut at) = (0u64, 1u64 << 32);
     while below < at {
         let mid = below + (at - below) / 2;
-        if lands_past(SimRng::uniform_from_words(mid as u32, 0), room) {
+        if past(mid as u32) {
             at = mid;
         } else {
             below = mid + 1;
@@ -475,6 +523,7 @@ mod tests {
             let gen = AzureTraceGenerator::new(config);
             let trace = gen.generate();
             let events: Vec<TraceEvent> = trace.iter().collect();
+            assert_eq!(trace.len(), events.len(), "the count, {config:?}");
             assert_eq!(events, whole_sort_reference(&gen), "{config:?}");
         };
         // Durations that end mid-minute, including inside the first one, a
@@ -607,6 +656,42 @@ mod tests {
                     !lands_past(u(limit - 1), room),
                     "room {room_ns} ns, limit {limit}"
                 );
+            }
+        }
+    }
+
+    /// `top_word_kept` at its edge: the largest draw under the bound's top
+    /// word is one the end drops, and the largest draw below it is kept;
+    /// and no draw the bound keeps is one the limit drops.
+    #[test]
+    fn the_top_word_kept_is_the_first_whose_largest_draw_is_dropped() {
+        let u = |hi: u64| SimRng::uniform_from_words(hi as u32, u32::MAX);
+        for (room, expected) in [
+            (1u64, None),
+            (1_000_000, None),
+            (1_000_000_000, None),
+            (1_000_000_001, None),
+            (59_999_999_999, None),
+            // A whole minute drops only an offset that rounds onto 60 s.
+            (60_000_000_000, Some(u32::MAX as u64)),
+            (120_000_000_000, Some(1 << 32)),
+        ] {
+            let kept = top_word_kept(room);
+            if kept < 1 << 32 {
+                assert!(
+                    kept_offset(u(kept), room).is_none(),
+                    "room {room} ns, bound {kept}"
+                );
+            }
+            if kept > 0 {
+                assert!(
+                    kept_offset(u(kept - 1), room).is_some(),
+                    "room {room} ns, bound {kept}"
+                );
+            }
+            assert!(kept <= top_word_limit(room as f64), "room {room} ns");
+            if let Some(expected) = expected {
+                assert_eq!(kept, expected, "room {room} ns");
             }
         }
     }

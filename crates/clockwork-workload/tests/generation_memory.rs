@@ -146,4 +146,16 @@ fn every_generator_holds_its_trace_once() {
             &mut SimRng::seeded(7),
         )
     });
+    // Busier clients over more segments than one window of the count
+    // holds: the count carries each client's stream from window to window.
+    let clients: Vec<ModelId> = (0..300).map(ModelId).collect();
+    holds_its_recipe("open loop in windows", Nanos::from_secs(1), || {
+        OpenLoopClient::generate_many(
+            &clients,
+            1.0,
+            Nanos::from_millis(100),
+            Nanos::from_secs(400),
+            &mut SimRng::seeded(7),
+        )
+    });
 }
