@@ -278,7 +278,8 @@ fn fig6() -> bool {
             }
         }
     }
-    let trace = minor.merged(&Trace::new(major));
+    major.extend(minor.iter());
+    let trace = Trace::new(major);
     println!(
         "# {} requests over {} min ({} major models + 1 minor model)",
         trace.len(),

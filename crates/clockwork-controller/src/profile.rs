@@ -221,11 +221,6 @@ impl ActionProfiler {
     pub fn model_epoch(&self, model: ModelId) -> u64 {
         self.models.get(model).map_or(0, |m| m.epoch)
     }
-
-    /// Number of keys with at least a seed or a measurement.
-    pub fn key_count(&self) -> usize {
-        self.models.iter().map(|(_, m)| m.profiles.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -285,7 +280,6 @@ mod tests {
             Some(Nanos::from_millis(8))
         );
         assert_eq!(p.estimate(ProfileKey::exec(ModelId(2), 1)), None);
-        assert_eq!(p.key_count(), 3);
     }
 
     #[test]

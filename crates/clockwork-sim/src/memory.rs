@@ -47,11 +47,6 @@ impl MemoryPool {
         }
     }
 
-    /// Creates a pool sized in gibibytes.
-    pub fn with_gib(gib: u64) -> Self {
-        MemoryPool::new(gib * 1024 * 1024 * 1024)
-    }
-
     /// Total capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.capacity
@@ -144,12 +139,6 @@ mod tests {
         assert!(!pool.fits(151));
         let empty = MemoryPool::new(0);
         assert_eq!(empty.occupancy(), 1.0);
-    }
-
-    #[test]
-    fn gib_constructor() {
-        let pool = MemoryPool::with_gib(768);
-        assert_eq!(pool.capacity(), 768 * 1024 * 1024 * 1024);
     }
 
     #[test]

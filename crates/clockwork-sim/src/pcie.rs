@@ -46,14 +46,6 @@ impl PcieLink {
         }
     }
 
-    /// A link with the given bandwidth in GB/s and no fixed overhead.
-    pub fn with_bandwidth_gbps(gbps: f64) -> Self {
-        PcieLink {
-            bandwidth_bytes_per_sec: gbps * 1e9,
-            per_transfer_overhead: Nanos::ZERO,
-        }
-    }
-
     /// Duration of a transfer of `bytes` bytes on an otherwise idle link.
     pub fn transfer_duration(&self, bytes: u64) -> Nanos {
         if self.bandwidth_bytes_per_sec <= 0.0 {
@@ -61,12 +53,6 @@ impl PcieLink {
         }
         let secs = bytes as f64 / self.bandwidth_bytes_per_sec;
         self.per_transfer_overhead + Nanos::from_secs_f64(secs)
-    }
-
-    /// Duration of transferring a weights blob expressed in mebibytes, the
-    /// unit used by the Appendix A model table.
-    pub fn transfer_duration_mib(&self, mib: f64) -> Nanos {
-        self.transfer_duration((mib * MIB as f64) as u64)
     }
 }
 
@@ -99,22 +85,23 @@ impl LinkScheduler {
     pub fn busy_until(&self) -> Timestamp {
         self.busy_until
     }
-
-    /// The queueing delay a transfer requested at `now` would experience.
-    pub fn queue_delay(&self, now: Timestamp) -> Nanos {
-        self.busy_until.since(now)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The bytes of a weights blob of `mib` mebibytes, the unit of the
+    /// Appendix A model table.
+    fn mib(mib: f64) -> u64 {
+        (mib * MIB as f64) as u64
+    }
+
     #[test]
     fn resnet50_transfer_matches_appendix_a() {
         // Appendix A: resnet50_v1 weighs 102.3 MB and transfers in 8.33 ms.
         let link = PcieLink::v100_pcie3();
-        let d = link.transfer_duration_mib(102.3);
+        let d = link.transfer_duration(mib(102.3));
         let ms = d.as_millis_f64();
         assert!((ms - 8.33).abs() < 0.15, "transfer took {ms} ms");
     }
@@ -123,8 +110,8 @@ mod tests {
     fn small_and_large_models_bracket_the_table() {
         let link = PcieLink::v100_pcie3();
         // googlenet: 26.5 MB -> 2.16 ms; se_resnext101_64x4d: 352.5 MB -> 28.75 ms.
-        let small = link.transfer_duration_mib(26.5).as_millis_f64();
-        let large = link.transfer_duration_mib(352.5).as_millis_f64();
+        let small = link.transfer_duration(mib(26.5)).as_millis_f64();
+        let large = link.transfer_duration(mib(352.5)).as_millis_f64();
         assert!((small - 2.16).abs() < 0.1, "small {small}");
         assert!((large - 28.75).abs() < 0.6, "large {large}");
     }
@@ -150,13 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_bandwidth_constructor() {
-        let link = PcieLink::with_bandwidth_gbps(10.0);
-        let d = link.transfer_duration(10_000_000_000);
-        assert!((d.as_secs_f64() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn link_scheduler_serialises_fifo() {
         let mut sched = LinkScheduler::new();
         let t0 = Timestamp::from_millis(0);
@@ -166,7 +146,7 @@ mod tests {
         assert_eq!(e1, Timestamp::from_millis(10));
         assert_eq!(s2, Timestamp::from_millis(10), "second transfer queues");
         assert_eq!(e2, Timestamp::from_millis(15));
-        assert_eq!(sched.queue_delay(t0), Nanos::from_millis(15));
+        assert_eq!(sched.busy_until(), Timestamp::from_millis(15));
     }
 
     #[test]
@@ -176,6 +156,6 @@ mod tests {
         let (s, e) = sched.schedule(Timestamp::from_millis(100), Nanos::from_millis(5));
         assert_eq!(s, Timestamp::from_millis(100));
         assert_eq!(e, Timestamp::from_millis(105));
-        assert_eq!(sched.queue_delay(Timestamp::from_millis(105)), Nanos::ZERO);
+        assert_eq!(sched.busy_until(), Timestamp::from_millis(105));
     }
 }

@@ -286,15 +286,6 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Picks a random element of a slice, or `None` if it is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.index(items.len())])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -519,14 +510,5 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "shuffle should move things"
         );
-    }
-
-    #[test]
-    fn choose_handles_empty() {
-        let mut rng = SimRng::seeded(41);
-        let empty: [u32; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        let items = [1, 2, 3];
-        assert!(items.contains(rng.choose(&items).unwrap()));
     }
 }

@@ -53,13 +53,6 @@ impl Nanos {
         Nanos(round_to_u64(ms * 1e6))
     }
 
-    /// Creates a duration from a floating point number of microseconds.
-    ///
-    /// Negative values saturate to zero.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Nanos(round_to_u64(us * 1e3))
-    }
-
     /// Creates a duration from a floating point number of seconds.
     ///
     /// Negative values saturate to zero.
@@ -363,7 +356,6 @@ mod tests {
         assert_eq!(Nanos::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(Nanos::from_minutes(2).as_nanos(), 120_000_000_000);
         assert_eq!(Nanos::from_millis_f64(2.5).as_nanos(), 2_500_000);
-        assert_eq!(Nanos::from_micros_f64(1.5).as_nanos(), 1_500);
         assert_eq!(Nanos::from_secs_f64(0.001).as_nanos(), 1_000_000);
     }
 

@@ -25,9 +25,6 @@ pub struct ClosedLoopClient {
     /// The SLO attached to each request ([`Nanos::MAX`] for batch clients
     /// without an SLO).
     pub slo: Nanos,
-    /// Think time between receiving a response and submitting the next
-    /// request (zero in the paper's experiments).
-    pub think_time: Nanos,
     in_flight: u32,
     submitted: u64,
     completed: u64,
@@ -40,17 +37,10 @@ impl ClosedLoopClient {
             model,
             concurrency,
             slo,
-            think_time: Nanos::ZERO,
             in_flight: 0,
             submitted: 0,
             completed: 0,
         }
-    }
-
-    /// Sets a non-zero think time.
-    pub fn with_think_time(mut self, think_time: Nanos) -> Self {
-        self.think_time = think_time;
-        self
     }
 
     /// The initial submissions the client makes at experiment start: one per
@@ -66,8 +56,8 @@ impl ClosedLoopClient {
     }
 
     /// Notifies the client that one of its requests finished at `now`;
-    /// returns the submission that replaces it, if the client is still
-    /// below its concurrency target.
+    /// returns the submission that replaces it at `now`, if the client is
+    /// still below its concurrency target.
     pub fn on_response(&mut self, now: Timestamp) -> Option<(Timestamp, ModelId, Nanos)> {
         self.completed += 1;
         if self.in_flight == 0 {
@@ -76,7 +66,7 @@ impl ClosedLoopClient {
         }
         // The finished request leaves the window and is immediately replaced.
         self.submitted += 1;
-        Some((now + self.think_time, self.model, self.slo))
+        Some((now, self.model, self.slo))
     }
 
     /// Requests submitted so far.
@@ -124,16 +114,6 @@ mod tests {
         assert_eq!(c.submitted(), 14);
         assert_eq!(c.completed(), 10);
         assert_eq!(c.in_flight(), 4, "window size is maintained");
-    }
-
-    #[test]
-    fn think_time_delays_resubmission() {
-        let mut c =
-            ClosedLoopClient::new(ModelId(1), 1, Nanos::MAX).with_think_time(Nanos::from_millis(5));
-        c.initial_submissions(Timestamp::ZERO);
-        let (at, _, slo) = c.on_response(Timestamp::from_millis(10)).unwrap();
-        assert_eq!(at, Timestamp::from_millis(15));
-        assert_eq!(slo, Nanos::MAX);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! Traces decouple workload generation from the serving system: generators
 //! (open-loop, Azure-like) produce a [`Trace`], and the system harness replays
-//! it against whichever scheduler is under test. Traces can be scaled in rate
-//! and truncated in duration, which is how the paper's 8-hour / 1.5×-rate
-//! experiments are shrunk to simulation budgets (each figure's doc comment in
-//! `crates/bench/src/bin/paper.rs` records its scaling).
+//! it against whichever scheduler is under test. A trace is read in order,
+//! through its cursor ([`Trace::iter`]), as the paper's controller sees each
+//! request once, on arrival. The paper's 8-hour experiments are shrunk to
+//! simulation budgets by generating shorter traces (each figure's doc comment
+//! in `crates/bench/src/bin/paper.rs` records its scaling).
 //!
 //! A trace is read as its arrivals' sort keys, one `u64` each (see
 //! `KeyLayout`): the arrival's offset from an origin in the high bits, then
@@ -18,18 +19,14 @@
 //! - **Drawn.** A trace from a generator of this crate is its recipe, a
 //!   `SegmentSource`: the generator's config, the starting state of each of
 //!   its random streams, and the trace's exact length, counted when the
-//!   trace is built without keeping the arrivals. A cursor ([`Trace::iter`])
-//!   draws one time segment at a time into one buffer it reuses: each key's
-//!   origin is the segment's start, and the segment is sorted in place. An
-//!   arrival whose offset rounds onto the next segment's start is held back
-//!   and sorted with that segment. So reading a drawn trace holds its largest
-//!   segment's keys, however long it is. A random-access read
-//!   ([`Trace::get`], [`Trace::events`], [`Trace::duration`],
-//!   [`Trace::models`]) draws it once, through the same cursor, into a stored
-//!   block that the trace keeps.
-//! - **Stored.** [`Trace::new`], [`Trace::from_csv`] and every operation that
-//!   makes a trace of others ([`Trace::truncated`], [`Trace::rate_scaled`],
-//!   [`Trace::merged`], [`Trace::partitioned`], [`Trace::with_models_mapped`])
+//!   trace is built without keeping the arrivals. A cursor draws one time
+//!   segment at a time into one buffer it reuses: each key's origin is the
+//!   segment's start, and the segment is sorted in place. An arrival whose
+//!   offset rounds onto the next segment's start is held back and sorted
+//!   with that segment. So reading a drawn trace holds its largest segment's
+//!   keys, however long it is, and the trace itself stores no key.
+//! - **Stored.** [`Trace::new`], [`Trace::partitioned`],
+//!   [`Trace::with_models_mapped`] and an Azure trace shorter than a minute
 //!   store the keys in one block, where an origin is the start of an
 //!   *epoch*. The model id and the class rank take the bits their largest
 //!   value needs, and the offset takes every bit they leave, so an epoch is
@@ -42,6 +39,9 @@
 //!   and every arrival may open an epoch of its own: the table then holds a
 //!   16 B row per arrival, 24 B in all. The table never has more rows than
 //!   the trace has arrivals.
+//!
+//! Either kind builds the 24 B-per-arrival [`Trace::events`] view only when
+//! asked, from the cursor.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -78,8 +78,7 @@ pub(crate) type Class = (Nanos, Tier);
 /// docs). Either is immutable once built and held behind an [`Arc`], so a
 /// clone shares it: the serving system replays a trace from a clone instead
 /// of a copy. Read it in order with [`Trace::iter`], which holds at most
-/// one segment of a drawn trace, or at random with [`Trace::get`], which
-/// draws a drawn trace into stored keys once.
+/// one segment of a drawn trace.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Trace {
     inner: Arc<Inner>,
@@ -132,8 +131,8 @@ struct Drawn {
     /// The most arrivals one segment draws: a cursor's buffer is allocated
     /// once, this long.
     widest: usize,
-    /// The arrivals as stored keys, drawn by the first random-access read.
-    block: OnceLock<Block>,
+    /// The array-of-structs view [`Trace::events`] builds on first call.
+    view: OnceLock<Vec<TraceEvent>>,
 }
 
 /// A generator that draws its trace one time segment at a time, in order:
@@ -141,7 +140,8 @@ struct Drawn {
 pub(crate) trait SegmentSource: Send + Sync {
     /// Draws the next segment: appends each of its arrivals' keys to `keys`,
     /// with the arrival's offset from the segment's start, and returns the
-    /// segment's start and end in ns; `None` once every segment is drawn.
+    /// segment's start and end in ns; `None` once every segment is drawn,
+    /// and on every call after.
     /// The keys need no order. Keys whose offsets reach the end are held
     /// back and sorted with the next segment, which must start there.
     fn draw(&mut self, keys: &mut Vec<u64>) -> Option<(u64, u64)>;
@@ -201,7 +201,7 @@ impl Trace {
                 classes,
                 len,
                 widest,
-                block: OnceLock::new(),
+                view: OnceLock::new(),
             })),
         }
     }
@@ -219,19 +219,6 @@ impl Trace {
         }
         block.keys = keys;
         block.finish()
-    }
-
-    /// The arrival at `index`, or `None` past the end.
-    pub fn get(&self, index: usize) -> Option<TraceEvent> {
-        let b = self.block();
-        let &key = b.keys.get(index)?;
-        let row = b.epochs.partition_point(|&(_, first)| first <= index) - 1;
-        Some(event(
-            b.layout,
-            &b.classes,
-            b.layout.time(b.epochs[row].0, key),
-            key,
-        ))
     }
 
     /// The arrivals, in arrival order, from a cursor that shares the
@@ -264,27 +251,31 @@ impl Trace {
     }
 
     /// The arrivals as a slice of [`TraceEvent`]s: a compatibility view at
-    /// 24 B per arrival, built on the first call and kept beside the shared
-    /// keys until the last clone drops. Prefer [`Trace::iter`], which
-    /// builds nothing.
+    /// 24 B per arrival, collected from a cursor on the first call and kept
+    /// until the last clone drops. Prefer [`Trace::iter`], which builds
+    /// nothing.
     pub fn events(&self) -> &[TraceEvent] {
-        self.block().view.get_or_init(|| self.iter().collect())
+        self.inner.view().get_or_init(|| self.iter().collect())
     }
 
     /// The heap bytes the trace holds: the shared box with its two
     /// reference counts; a stored trace's keys, epoch table and class
-    /// table, or a drawn trace's source and class table and, once a
-    /// random-access read has drawn it, its stored keys; and the
+    /// table, or a drawn trace's source and class table; and the
     /// [`Trace::events`] view once built. Clones share all of it.
     pub fn heap_bytes(&self) -> usize {
+        let view = self
+            .inner
+            .view()
+            .get()
+            .map_or(0, |view| view.capacity() * size_of::<TraceEvent>());
         arc_bytes(&self.inner)
+            + view
             + match &*self.inner {
                 Inner::Stored(block) => block.heap_bytes(),
                 Inner::Drawn(drawn) => {
                     size_of_val(&*drawn.source)
                         + drawn.source.heap_bytes()
                         + drawn.classes.capacity() * size_of::<Class>()
-                        + drawn.block.get().map_or(0, Block::heap_bytes)
                 }
             }
     }
@@ -299,85 +290,13 @@ impl Trace {
         self.len() == 0
     }
 
-    /// The arrival time of the last request, or zero for an empty trace.
-    pub fn duration(&self) -> Timestamp {
-        let last = self.len().checked_sub(1).and_then(|i| self.get(i));
-        last.map_or(Timestamp::ZERO, |e| e.at)
-    }
-
-    /// Mean request rate over the trace duration, in requests per second.
-    pub fn mean_rate(&self) -> f64 {
-        let d = self.duration().as_secs_f64();
-        if d <= 0.0 {
-            return 0.0;
-        }
-        self.len() as f64 / d
-    }
-
     /// The distinct models appearing in the trace.
     pub fn models(&self) -> Vec<ModelId> {
-        let b = self.block();
-        let mut models: Vec<ModelId> = b.keys.iter().map(|&k| b.layout.model(k)).collect();
+        let layout = self.inner.layout();
+        let mut models: Vec<ModelId> = self.timed_keys().map(|(_, k)| layout.model(k)).collect();
         models.sort_unstable();
         models.dedup();
         models
-    }
-
-    /// Returns a copy truncated to arrivals before `cutoff`.
-    pub fn truncated(&self, cutoff: Timestamp) -> Trace {
-        let cutoff = cutoff.as_nanos();
-        let mut out = Block::new(self.inner.layout(), self.inner.classes().to_vec());
-        for (at, key) in self.timed_keys().take_while(|&(at, _)| at < cutoff) {
-            out.push_key(at, key);
-        }
-        out.finish()
-    }
-
-    /// Returns a copy with all arrival times compressed by `factor` (2.0
-    /// doubles the request rate). Factors that are not finite and positive
-    /// are ignored.
-    pub fn rate_scaled(&self, factor: f64) -> Trace {
-        if !(factor.is_finite() && factor > 0.0) {
-            return self.clone();
-        }
-        let mut out = Block::new(self.inner.layout(), self.inner.classes().to_vec());
-        out.keys.reserve_exact(self.len());
-        for (at, key) in self.timed_keys() {
-            out.push_key((at as f64 / factor).round() as u64, key);
-        }
-        // Rounding keeps times in order but can tie two arrivals of
-        // different models.
-        out.sort_tied_runs(0);
-        out.finish()
-    }
-
-    /// Merges two traces into one ordered trace: the trace [`Trace::new`]
-    /// makes of the two concatenated.
-    pub fn merged(&self, other: &Trace) -> Trace {
-        let (a, b) = (&*self.inner, &*other.inner);
-        let classes = class_table(a.classes().iter().chain(b.classes()).copied());
-        let max_model = a.layout().max_model().max(b.layout().max_model());
-        let layout = KeyLayout::wide_enough(max_model, &classes);
-        // Each side's arrivals as (time, model, class rank in `classes`).
-        let side = |trace: &Trace| {
-            let inner = &*trace.inner;
-            let ranks: Vec<u32> = inner.classes().iter().map(|&k| rank(&classes, k)).collect();
-            let layout = inner.layout();
-            trace
-                .timed_keys()
-                .map(move |(at, key)| (at, layout.model(key), ranks[layout.class(key) as usize]))
-        };
-        let (mut xs, mut ys) = (side(self).peekable(), side(other).peekable());
-        let mut out = Block::new(layout, classes);
-        out.keys.reserve_exact(self.len() + other.len());
-        while let Some((at, model, class)) = match (xs.peek(), ys.peek()) {
-            (Some(x), Some(y)) if y < x => ys.next(),
-            (Some(_), _) => xs.next(),
-            (None, _) => ys.next(),
-        } {
-            out.push(at, model, class);
-        }
-        out.finish()
     }
 
     /// Splits the trace into `shards` traces by a model-owner function,
@@ -428,90 +347,14 @@ impl Trace {
             let model = to[index.expect("every model is listed")];
             out.push(at, model, layout.class(key));
         }
-        out.sort_tied_runs(0);
+        out.sort_tied_runs();
         out.finish()
-    }
-
-    /// The stored keys: a drawn trace's are drawn on the first call.
-    fn block(&self) -> &Block {
-        match &*self.inner {
-            Inner::Stored(block) => block,
-            Inner::Drawn(drawn) => drawn.block.get_or_init(|| {
-                let mut block = Block::new(drawn.layout, drawn.classes.clone());
-                block.keys.reserve_exact(drawn.len);
-                for (at, key) in self.timed_keys() {
-                    block.push_key(at, key);
-                }
-                block.trimmed()
-            }),
-        }
     }
 
     /// Each arrival's time and key, in arrival order.
     fn timed_keys(&self) -> impl Iterator<Item = (u64, u64)> {
         let mut cursor = self.iter();
         std::iter::from_fn(move || cursor.next_timed())
-    }
-
-    /// Serialises the trace to a simple CSV (`at_ns,model,slo_ns,tier`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("at_ns,model,slo_ns,tier\n");
-        for e in self.iter() {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                e.at.as_nanos(),
-                e.model.0,
-                e.slo.as_nanos(),
-                e.tier.index()
-            ));
-        }
-        out
-    }
-
-    /// Parses a trace from the CSV format produced by [`Trace::to_csv`].
-    ///
-    /// The `tier` column is optional: three-field lines (the pre-tier
-    /// format) parse as [`Tier::Strict`]. A tier other than 0 (strict) or 1
-    /// (best effort) is an error.
-    pub fn from_csv(text: &str) -> Result<Trace, String> {
-        let mut events = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if i == 0 || line.trim().is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 3 && fields.len() != 4 {
-                return Err(format!(
-                    "line {}: expected 3 or 4 fields, got {}",
-                    i + 1,
-                    fields.len()
-                ));
-            }
-            let at: u64 = fields[0]
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad timestamp: {e}", i + 1))?;
-            let model: u32 = fields[1]
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad model id: {e}", i + 1))?;
-            let slo: u64 = fields[2]
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad slo: {e}", i + 1))?;
-            let tier = match fields.get(3).map(|raw| raw.trim().parse()) {
-                None => Tier::Strict,
-                Some(Ok(index @ (0 | 1))) => Tier::from_index(index),
-                Some(_) => return Err(format!("line {}: bad tier: expected 0 or 1", i + 1)),
-            };
-            events.push(TraceEvent {
-                at: Timestamp::from_nanos(at),
-                model: ModelId(model),
-                slo: Nanos::from_nanos(slo),
-                tier,
-            });
-        }
-        Ok(Trace::new(events))
     }
 }
 
@@ -549,6 +392,14 @@ impl Inner {
         match self {
             Inner::Stored(block) => block.keys.len(),
             Inner::Drawn(drawn) => drawn.len,
+        }
+    }
+
+    /// Where the [`Trace::events`] view is kept.
+    fn view(&self) -> &OnceLock<Vec<TraceEvent>> {
+        match self {
+            Inner::Stored(block) => &block.view,
+            Inner::Drawn(drawn) => &drawn.view,
         }
     }
 }
@@ -667,6 +518,9 @@ impl Segment {
         }
         let Some((start, end)) = self.source.draw(&mut self.keys) else {
             debug_assert_eq!(held, 0, "arrivals held back past the last segment");
+            // Read to its end: a later call asks the source again, and
+            // draws nothing.
+            (self.at, self.cut) = (0, 0);
             return false;
         };
         debug_assert!(held == 0 || start == self.end, "held back into a gap");
@@ -713,15 +567,11 @@ impl Block {
         }
     }
 
-    /// The heap bytes of the keys, the epoch and class tables and the view.
+    /// The heap bytes of the keys and the epoch and class tables.
     fn heap_bytes(&self) -> usize {
         self.keys.capacity() * size_of::<u64>()
             + self.epochs.capacity() * size_of::<(u64, usize)>()
             + self.classes.capacity() * size_of::<Class>()
-            + self
-                .view
-                .get()
-                .map_or(0, |view| view.capacity() * size_of::<TraceEvent>())
     }
 
     /// Opens a row for `epoch` at arrival `first`, unless the last row is
@@ -744,24 +594,20 @@ impl Block {
         self.keys.push(self.layout.with_offset(key, offset));
     }
 
-    /// Restores arrival order among the arrivals from index `from` on and
-    /// the ones before them, after writing that kept times ascending but
+    /// Restores arrival order after writing that kept times ascending but
     /// may have reordered arrivals at one instant: each run of equal times
     /// found out of order is sorted as keys.
-    fn sort_tied_runs(&mut self, from: usize) {
+    fn sort_tied_runs(&mut self) {
         let Block {
             keys: all,
             epochs,
             layout,
             ..
         } = self;
-        let row = epochs
-            .partition_point(|&(_, first)| first <= from)
-            .saturating_sub(1);
-        let ends = epochs[row..].iter().skip(1).map(|&(_, first)| first);
-        for (&(_, first), end) in epochs[row..].iter().zip(ends.chain([all.len()])) {
+        let ends = epochs.iter().skip(1).map(|&(_, first)| first);
+        for (&(_, first), end) in epochs.iter().zip(ends.chain([all.len()])) {
             let keys = &mut all[first..end];
-            let mut i = from.saturating_sub(first).max(1);
+            let mut i = 1;
             while i < keys.len() {
                 if keys[i - 1] <= keys[i] {
                     i += 1;
@@ -886,11 +732,6 @@ impl KeyLayout {
         u64::BITS - self.offset_shift
     }
 
-    /// The largest model id the layout holds.
-    fn max_model(self) -> u32 {
-        ((1u64 << (self.offset_shift - self.class_bits)) - 1) as u32
-    }
-
     /// The key of an arrival `offset` ns from its origin.
     pub(crate) fn pack(self, offset: u64, model: ModelId, class: u32) -> u64 {
         debug_assert!(
@@ -1006,26 +847,28 @@ mod tests {
         trace.iter().collect()
     }
 
+    /// The keys of a stored trace.
+    fn stored(trace: &Trace) -> &Block {
+        match &*trace.inner {
+            Inner::Stored(block) => block,
+            Inner::Drawn(_) => panic!("a drawn trace stores no keys"),
+        }
+    }
+
     #[test]
     fn events_are_sorted_by_time() {
         let t = Trace::new(vec![event(30, 1), event(10, 2), event(20, 1)]);
-        let times: Vec<u64> = t.iter().map(|e| e.at.as_nanos()).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(events(&t), vec![event(10, 2), event(20, 1), event(30, 1)]);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.duration(), Timestamp::from_millis(30));
         assert_eq!(t.models(), vec![ModelId(1), ModelId(2)]);
-        assert_eq!(t.get(1), Some(event(20, 1)));
-        assert_eq!(t.get(3), None);
     }
 
     #[test]
     fn empty_trace() {
         let t = Trace::default();
         assert!(t.is_empty());
-        assert_eq!(t.mean_rate(), 0.0);
-        assert_eq!(t.duration(), Timestamp::ZERO);
-        assert_eq!(t.get(0), None);
         assert_eq!(t.iter().len(), 0);
+        assert!(t.events().is_empty());
         assert!(t.models().is_empty());
         assert_eq!(t, Trace::new(Vec::new()));
         // Segments with no arrival, and every operation, make it.
@@ -1035,26 +878,13 @@ mod tests {
         let one = Trace::new(vec![event(5, 1)]);
         for empty in [
             drawn,
-            one.truncated(Timestamp::ZERO),
-            t.rate_scaled(2.0),
-            t.merged(&t),
             t.with_models_mapped(|m| m),
             one.partitioned(2, |_| 1).swap_remove(0),
-            Trace::from_csv("at_ns,model,slo_ns\n").unwrap(),
         ] {
-            assert!(empty.is_empty() && empty.block().epochs.is_empty());
-            assert!(empty.block().classes.is_empty());
+            assert!(empty.is_empty() && stored(&empty).epochs.is_empty());
+            assert!(stored(&empty).classes.is_empty());
             assert_eq!(empty, t);
         }
-        assert_eq!(t.merged(&one), one);
-    }
-
-    #[test]
-    fn mean_rate() {
-        let events: Vec<TraceEvent> = (1..=100).map(|i| event(i * 10, 1)).collect();
-        let t = Trace::new(events);
-        // 100 events over 1 second.
-        assert!((t.mean_rate() - 100.0).abs() < 1.0);
     }
 
     /// A trace holds 8 B per arrival however many classes it mixes, and
@@ -1085,20 +915,17 @@ mod tests {
     fn finishing_drops_unused_classes() {
         let mut tiered = event(20, 2);
         tiered.tier = Tier::BestEffort;
-        let mut slow = event(30, 2);
+        let mut slow = event(30, 3);
         slow.slo = Nanos::MAX;
         let t = Trace::new(vec![event(10, 1), tiered, slow]);
-        assert_eq!(t.block().classes.len(), 3);
-        let head = t.truncated(Timestamp::from_millis(25));
-        assert_eq!(head.block().classes.len(), 2);
-        assert_eq!(events(&head), vec![event(10, 1), tiered]);
-        let first = t.truncated(Timestamp::from_millis(15));
-        assert_eq!(first.block().classes.len(), 1);
-        assert_eq!(events(&first), vec![event(10, 1)]);
-        let parts = t.partitioned(2, |m| m.0 as usize - 1);
-        assert_eq!(events(&parts[1]), vec![tiered, slow]);
-        assert_eq!(parts[1].block().classes.len(), 2);
-        assert_eq!(parts[0].merged(&parts[1]), t);
+        assert_eq!(stored(&t).classes.len(), 3);
+        // The middle class goes to its own part, so the other part's last
+        // class moves down a rank.
+        let parts = t.partitioned(2, |m| usize::from(m.0 == 2));
+        assert_eq!(events(&parts[0]), vec![event(10, 1), slow]);
+        assert_eq!(stored(&parts[0]).classes.len(), 2);
+        assert_eq!(events(&parts[1]), vec![tiered]);
+        assert_eq!(stored(&parts[1]).classes.len(), 1);
     }
 
     #[test]
@@ -1113,7 +940,10 @@ mod tests {
             assert!(times.windows(2).all(|w| w[0] <= w[1]), "order preserved");
         }
         // Re-merging the partitions reproduces the original trace exactly.
-        assert_eq!(parts[0].merged(&parts[1]), t);
+        assert_eq!(
+            Trace::new([events(&parts[0]), events(&parts[1])].concat()),
+            t
+        );
         // Partitioning is per-model, so it commutes with popularity skew:
         // routing everything to one shard leaves the other empty.
         let all_one = t.partitioned(3, |_| 1);
@@ -1150,76 +980,6 @@ mod tests {
             .collect();
         twin.sort_by_key(arrival_order);
         assert_eq!(events(&reversed), twin);
-    }
-
-    #[test]
-    fn truncation_and_scaling() {
-        let t = Trace::new((0..100).map(|i| event(i * 10, 1)).collect());
-        let first_half = t.truncated(Timestamp::from_millis(500));
-        assert_eq!(first_half.len(), 50);
-        let double = t.rate_scaled(2.0);
-        assert_eq!(double.duration(), Timestamp::from_millis(495));
-        for invalid in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert_eq!(t.rate_scaled(invalid), t, "factor {invalid} is ignored");
-        }
-    }
-
-    #[test]
-    fn scaling_that_ties_two_arrivals_keeps_model_order() {
-        let at = |ns, model| TraceEvent {
-            at: Timestamp::from_nanos(ns),
-            ..event(0, model)
-        };
-        // 1 ns and 2 ns both halve to 1 ns (0.5 rounds up).
-        let scaled = Trace::new(vec![at(1, 5), at(2, 3)]).rate_scaled(2.0);
-        assert_eq!(scaled, Trace::new(vec![at(1, 3), at(1, 5)]));
-        assert_eq!(scaled.get(0).map(|e| e.model), Some(ModelId(3)));
-    }
-
-    #[test]
-    fn merging_interleaves() {
-        let a = Trace::new(vec![event(10, 1), event(30, 1)]);
-        let b = Trace::new(vec![event(20, 2)]);
-        let m = a.merged(&b);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.get(1).map(|e| e.model), Some(ModelId(2)));
-        // On a tie in time and model the shorter SLO comes first, from
-        // either side.
-        let mut slow = event(10, 1);
-        slow.slo = Nanos::from_millis(900);
-        let c = Trace::new(vec![slow]);
-        assert_eq!(events(&a.merged(&c))[..2], [event(10, 1), slow]);
-        assert_eq!(events(&c.merged(&a))[..2], [event(10, 1), slow]);
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let mut tiered = event(20, 2);
-        tiered.tier = Tier::BestEffort;
-        let t = Trace::new(vec![event(10, 1), tiered]);
-        let csv = t.to_csv();
-        let parsed = Trace::from_csv(&csv).unwrap();
-        assert_eq!(parsed, t);
-    }
-
-    #[test]
-    fn csv_without_tier_column_reads_strict() {
-        let parsed = Trace::from_csv("at_ns,model,slo_ns\n1000,2,3000\n").unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed.get(0).map(|e| e.tier), Some(Tier::Strict));
-    }
-
-    #[test]
-    fn csv_parse_errors_are_reported() {
-        assert!(Trace::from_csv("at_ns,model,slo_ns\n1,2\n").is_err());
-        assert!(Trace::from_csv("at_ns,model,slo_ns\nx,2,3\n").is_err());
-        assert!(Trace::from_csv("at_ns,model,slo_ns,tier\n1,2,3,x\n").is_err());
-        for tier in ["2", "7", "-1"] {
-            let err = Trace::from_csv(&format!("at_ns,model,slo_ns,tier\n1,2,3,1\n4,5,6,{tier}\n"));
-            assert_eq!(err, Err("line 3: bad tier: expected 0 or 1".to_string()));
-        }
-        let empty = Trace::from_csv("at_ns,model,slo_ns\n").unwrap();
-        assert!(empty.is_empty());
     }
 
     /// Keys round-trip and sort in arrival order at the edges of Azure's
@@ -1310,7 +1070,7 @@ mod tests {
     /// The epoch table a trace of `arrivals` (in arrival order) holds
     /// under the layout of `trace`.
     fn epoch_rows(trace: &Trace, arrivals: &[TraceEvent]) -> Vec<(u64, usize)> {
-        let bits = trace.block().layout.offset_bits();
+        let bits = stored(trace).layout.offset_bits();
         let mut rows: Vec<(u64, usize)> = Vec::new();
         for (i, e) in arrivals.iter().enumerate() {
             let epoch = e.at.as_nanos() >> bits;
@@ -1336,27 +1096,31 @@ mod tests {
             at(3 * EPOCH + 5, 7),
         ];
         let trace = Trace::new(arrivals.clone());
-        assert_eq!(trace.block().layout.offset_bits(), 32);
-        assert_eq!(trace.block().epochs, vec![(0, 0), (1, 2), (3, 5)]);
+        assert_eq!(stored(&trace).layout.offset_bits(), 32);
+        assert_eq!(stored(&trace).epochs, vec![(0, 0), (1, 2), (3, 5)]);
         assert_eq!(events(&trace), arrivals);
-        for (i, e) in arrivals.iter().enumerate() {
-            assert_eq!(trace.get(i), Some(*e), "arrival {i}");
+        assert_eq!(trace.events(), arrivals);
+        // Each part keeps a row for each epoch it has an arrival in.
+        let parts = trace.partitioned(2, |m| (m.0 % 2) as usize);
+        for (shard, part) in parts.iter().enumerate() {
+            let mine: Vec<TraceEvent> = arrivals
+                .iter()
+                .filter(|e| (e.model.0 % 2) as usize == shard)
+                .copied()
+                .collect();
+            assert_eq!(events(part), mine, "shard {shard}");
+            assert_eq!(stored(part).epochs, epoch_rows(part, &mine));
         }
-        assert_eq!(trace.duration(), Timestamp::from_nanos(3 * EPOCH + 5));
-        for (cut, keep) in [(EPOCH - 1, 1), (EPOCH, 2), (EPOCH + 1, 4), (2 * EPOCH, 5)] {
-            let head = trace.truncated(Timestamp::from_nanos(cut));
-            assert_eq!(events(&head), arrivals[..keep], "cut at {cut}");
-            assert_eq!(head.block().epochs, epoch_rows(&head, &arrivals[..keep]));
-        }
-        // Halving the times ties the three arrivals about the first edge.
-        let mut halved: Vec<TraceEvent> = arrivals
+        // Reversed ids keep the epochs and swap the two arrivals tied at
+        // epoch 1's first nanosecond.
+        let reversed = trace.with_models_mapped(|m| ModelId(widest - m.0));
+        let mut twin: Vec<TraceEvent> = arrivals
             .iter()
-            .map(|e| at((e.at.as_nanos() as f64 / 2.0).round() as u64, e.model.0))
+            .map(|e| at(e.at.as_nanos(), widest - e.model.0))
             .collect();
-        halved.sort_by_key(arrival_order);
-        let scaled = trace.rate_scaled(2.0);
-        assert_eq!(events(&scaled), halved);
-        assert_eq!(scaled.block().epochs, epoch_rows(&scaled, &halved));
+        twin.sort_by_key(arrival_order);
+        assert_eq!(events(&reversed), twin);
+        assert_eq!(stored(&reversed).epochs, stored(&trace).epochs);
         // Narrower ids widen the epoch until one holds the trace, and the
         // map's ties are re-sorted.
         let narrow = trace.with_models_mapped(|m| ModelId(2 - m.0 % 3));
@@ -1366,10 +1130,7 @@ mod tests {
             .collect();
         twin.sort_by_key(arrival_order);
         assert_eq!(events(&narrow), twin);
-        assert_eq!(narrow.block().epochs, vec![(0, 0)]);
-        let parts = trace.partitioned(2, |m| (m.0 % 2) as usize);
-        assert_eq!(parts[0].merged(&parts[1]), trace);
-        assert_eq!(narrow.merged(&trace).len(), 2 * arrivals.len());
+        assert_eq!(stored(&narrow).epochs, vec![(0, 0)]);
     }
 
     /// Segments listed in full: each one's start, end and keys.
@@ -1421,10 +1182,10 @@ mod tests {
         Trace::drawn(source, layout, classes, len, widest.unwrap_or(0))
     }
 
-    /// A drawn trace whose segments span epochs' starts is stored as the
-    /// trace [`Trace::new`] makes of its arrivals, key for key, and its
-    /// arrivals tied at a segment's start are read in order, whether the
-    /// start is inside an epoch or opens one.
+    /// A drawn trace whose segments span epochs' starts reads as the trace
+    /// [`Trace::new`] makes of its arrivals, which splits them at those
+    /// epochs' starts, and its arrivals tied at a segment's start are read
+    /// in order, whether the start is inside an epoch or opens one.
     #[test]
     fn segments_split_at_epoch_edges_and_keep_their_ties() {
         /// Offsets and model ids.
@@ -1469,15 +1230,11 @@ mod tests {
             .collect();
         let trace = listed(layout, strict, segments);
         assert_eq!(events(&trace), twin);
-        assert_eq!(trace.block().epochs, epoch_rows(&trace, &twin));
-        assert_eq!(trace.block().epochs.len(), 4);
-        let built = Trace::new(twin);
-        assert_eq!(
-            trace.block().keys,
-            built.block().keys,
-            "one trace, one set of keys"
-        );
-        assert_eq!(trace.block().epochs, built.block().epochs);
+        assert_eq!(trace.events(), twin);
+        let built = Trace::new(twin.clone());
+        assert_eq!(trace, built, "one trace, however it is kept");
+        assert_eq!(stored(&built).epochs, epoch_rows(&built, &twin));
+        assert_eq!(stored(&built).epochs.len(), 4);
     }
 
     /// A segment's offset may round onto the next segment's start; the
@@ -1513,7 +1270,10 @@ mod tests {
         assert_eq!(events(&trace), expected);
         assert_eq!(events(&trace), expected, "read again");
         assert_eq!(trace.iter().len(), expected.len());
-        assert_eq!(trace.events(), expected, "stored");
-        assert_eq!(trace.get(4), Some(expected[4]));
+        assert_eq!(trace.events(), expected, "the view");
+        assert_eq!(trace.iter().nth(4), Some(expected[4]), "a new cursor");
+        let mut cursor = trace.iter();
+        cursor.by_ref().for_each(drop);
+        assert_eq!(cursor.next(), None, "read past its end");
     }
 }

@@ -8,7 +8,9 @@
 //! and counting the arrivals needs no more than that again. Reading the
 //! trace through once peaks at its widest time segment's keys, 8 B each,
 //! plus a fork of the recipe: the cursor draws each segment into one buffer
-//! it reuses. A trace built from events the caller owns ([`Trace::new`])
+//! it reuses. Its [`Trace::events`] view is collected from a cursor: it
+//! adds 24 B per arrival to the trace, and no stored keys beside them. A
+//! trace built from events the caller owns ([`Trace::new`])
 //! stores its keys, and sorts the events in place: it needs under an eighth
 //! of the keys beyond its input and its output, even for a shuffled trace
 //! that is one segment. The binary holds one test, so no other test
@@ -85,6 +87,24 @@ fn holds_its_recipe(name: &str, segment: Nanos, generate: impl FnOnce() -> Trace
          more than {bound} B"
     );
     assert_eq!(trace.heap_bytes(), held, "{name}: reading kept nothing");
+
+    let before = live_bytes();
+    let view = trace.events();
+    let added = live_bytes() - before;
+    let view_bytes = 24 * trace.len();
+    assert_eq!(
+        added, view_bytes,
+        "{name}: the events view allocated {added} B"
+    );
+    assert_eq!(
+        trace.heap_bytes() - held,
+        view_bytes,
+        "{name}: the view is charged"
+    );
+    assert!(
+        trace.iter().eq(view.iter().copied()),
+        "{name}: the view is the cursor's"
+    );
 }
 
 /// Builds a trace from events the caller owns and checks that, beyond

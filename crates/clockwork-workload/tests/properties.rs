@@ -1,9 +1,9 @@
 //! Property-based tests for workload generation and trace handling.
 //!
 //! Every experiment in the repository is driven by a [`Trace`]; these tests
-//! pin down the trace algebra (ordering, scaling, truncation, merging, CSV
-//! round-trips) and the statistical sanity of the open-loop, closed-loop and
-//! Azure-like generators.
+//! pin down its keys (ordering, partitioning, model mapping, the cursor and
+//! the events view) and the statistical sanity of the open-loop,
+//! closed-loop and Azure-like generators.
 
 use proptest::prelude::*;
 
@@ -134,40 +134,7 @@ proptest! {
         let expected = twin(events);
         prop_assert_eq!(listed(&trace), expected.clone());
         prop_assert_eq!(trace.len(), expected.len());
-        for (i, e) in expected.iter().enumerate() {
-            prop_assert_eq!(trace.get(i), Some(*e));
-        }
-        prop_assert_eq!(trace.get(expected.len()), None);
-    }
-
-    #[test]
-    fn truncation_matches_its_twin(events in arb_any_events(), cut in 0u64..HOUR_NS) {
-        let trace = Trace::new(events.clone());
-        for cut in [cut, cut % 1_000] {
-            let cut = Timestamp::from_nanos(cut);
-            let expected: Vec<TraceEvent> =
-                twin(events.clone()).into_iter().filter(|e| e.at < cut).collect();
-            prop_assert_eq!(listed(&trace.truncated(cut)), expected);
-        }
-    }
-
-    #[test]
-    fn rate_scaling_matches_its_twin(events in arb_any_events(), factor in 0.1f64..10.0) {
-        let trace = Trace::new(events.clone());
-        let scaled: Vec<TraceEvent> = events
-            .iter()
-            .map(|e| TraceEvent {
-                at: Timestamp::from_nanos((e.at.as_nanos() as f64 / factor).round() as u64),
-                ..*e
-            })
-            .collect();
-        prop_assert_eq!(listed(&trace.rate_scaled(factor)), twin(scaled));
-    }
-
-    #[test]
-    fn merging_matches_its_twin(a in arb_any_events(), b in arb_any_events()) {
-        let merged = Trace::new(a.clone()).merged(&Trace::new(b.clone()));
-        prop_assert_eq!(listed(&merged), twin([a, b].concat()));
+        prop_assert_eq!(trace.events(), expected.as_slice());
     }
 
     #[test]
@@ -200,13 +167,6 @@ proptest! {
     }
 
     #[test]
-    fn csv_round_trip_matches_its_twin(events in arb_any_events()) {
-        let parsed = Trace::from_csv(&Trace::new(events.clone()).to_csv())
-            .expect("our own CSV must parse");
-        prop_assert_eq!(listed(&parsed), twin(events));
-    }
-
-    #[test]
     fn trace_is_sorted_and_preserves_every_event(events in arb_events()) {
         let trace = Trace::new(events.clone());
         prop_assert_eq!(trace.len(), events.len());
@@ -220,9 +180,9 @@ proptest! {
         original.sort();
         sorted.sort();
         prop_assert_eq!(original, sorted);
-        // Duration is the last arrival.
-        let expected_duration = events.iter().map(|e| e.at).max().unwrap_or(Timestamp::ZERO);
-        prop_assert_eq!(trace.duration(), expected_duration);
+        // The last arrival is the latest event.
+        let latest = events.iter().map(|e| e.at).max();
+        prop_assert_eq!(trace.iter().last().map(|e| e.at), latest);
         // The model list is deduplicated and covers every referenced model.
         let models = trace.models();
         for e in trace.iter() {
@@ -232,76 +192,6 @@ proptest! {
         deduped.sort();
         deduped.dedup();
         prop_assert_eq!(deduped.len(), models.len());
-    }
-
-    #[test]
-    fn trace_truncation_keeps_exactly_the_prefix(events in arb_events(), cutoff in 0u64..HOUR_NS) {
-        let trace = Trace::new(events);
-        let cutoff = Timestamp::from_nanos(cutoff);
-        // Cutting exactly at an arrival drops it: the cutoff is exclusive.
-        let tie = trace.get(trace.len() / 2).map_or(cutoff, |e| e.at);
-        for cut in [cutoff, tie] {
-            let truncated = trace.truncated(cut);
-            let expected = trace.iter().filter(|e| e.at < cut).count();
-            prop_assert_eq!(truncated.len(), expected);
-            prop_assert_eq!(listed(&truncated), listed(&trace)[..expected].to_vec());
-        }
-    }
-
-    #[test]
-    fn trace_rate_scaling_preserves_count_and_compresses_time(events in arb_events(), factor in 0.1f64..10.0) {
-        let trace = Trace::new(events);
-        let scaled = trace.rate_scaled(factor);
-        prop_assert_eq!(scaled.len(), trace.len());
-        // Scaling the rate by `factor` divides every arrival time by it.
-        for (orig, s) in trace.iter().zip(scaled.iter()) {
-            prop_assert_eq!(orig.model, s.model);
-            prop_assert_eq!(orig.slo, s.slo);
-            let expected = orig.at.as_nanos() as f64 / factor;
-            let got = s.at.as_nanos() as f64;
-            prop_assert!((got - expected).abs() <= expected * 1e-9 + 2.0,
-                "arrival {} scaled to {}, expected {}", orig.at, s.at, expected);
-        }
-        if factor > 1.0 {
-            prop_assert!(scaled.duration() <= trace.duration());
-        }
-    }
-
-    #[test]
-    fn trace_merge_is_a_union(a in arb_events(), b in arb_events()) {
-        let ta = Trace::new(a);
-        let tb = Trace::new(b);
-        let merged = ta.merged(&tb);
-        // The same trace as sorting the two concatenated, ties included.
-        prop_assert_eq!(&merged, &Trace::new([listed(&ta), listed(&tb)].concat()));
-        // A copy that differs only in SLO ties with its original on time
-        // and model, and merges into the same trace from either side.
-        let slower: Vec<TraceEvent> = ta
-            .iter()
-            .map(|e| TraceEvent { slo: Nanos::from_nanos(e.slo.as_nanos().saturating_add(1)), ..e })
-            .collect();
-        let with_slower = ta.merged(&Trace::new(slower.clone()));
-        prop_assert_eq!(&with_slower, &Trace::new([listed(&ta), slower.clone()].concat()));
-        prop_assert_eq!(with_slower, Trace::new(slower).merged(&ta));
-        prop_assert_eq!(merged.len(), ta.len() + tb.len());
-        prop_assert!(merged.duration() >= ta.duration());
-        prop_assert!(merged.duration() >= tb.duration());
-        for w in listed(&merged).windows(2) {
-            prop_assert!(w[0].at <= w[1].at);
-        }
-    }
-
-    #[test]
-    fn trace_csv_roundtrips(events in arb_events()) {
-        let trace = Trace::new(events);
-        let text = trace.to_csv();
-        let parsed = Trace::from_csv(&text).expect("our own CSV must parse");
-        prop_assert_eq!(parsed.len(), trace.len());
-        for (orig, p) in trace.iter().zip(parsed.iter()) {
-            prop_assert_eq!(orig.at, p.at);
-            prop_assert_eq!(orig.model, p.model);
-            prop_assert_eq!(orig.slo, p.slo);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -436,7 +326,8 @@ proptest! {
         // cold functions contribute a minimum trickle), so the band here is
         // wide; each experiment binary prints its realised rate.
         prop_assert!(!trace.is_empty());
-        let realised = trace.mean_rate();
+        let last = trace.iter().last().expect("arrivals").at;
+        let realised = trace.len() as f64 / last.as_secs_f64();
         prop_assert!(realised > rate * 0.2 && realised < rate * 10.0,
             "target {} r/s but realised {} r/s", rate, realised);
     }
@@ -525,7 +416,8 @@ fn every_generator_emits_arrival_order() {
 
 // ----------------------------------------------------------------------
 // Streaming changes nothing: every generator's trace, read as its cursor
-// draws it segment by segment, is the trace it stores once drawn
+// draws it segment by segment, is the same from every cursor and in its
+// events view
 // ----------------------------------------------------------------------
 
 /// `SimRng`'s multiplier, and its inverse mod 2^64.
@@ -628,9 +520,9 @@ fn azure_rounding_onto_a_minute() -> AzureTraceConfig {
 }
 
 /// Checks a generated trace read as it streams: the count read is its
-/// length, in arrival order, the same twice and from two clones on two
-/// threads, and event for event the stored block a random-access read
-/// then draws.
+/// length, in arrival order, the same twice, from two cursors read in turns
+/// and from two clones on two threads, and event for event its
+/// [`Trace::events`] view.
 fn streams_its_stored_keys(name: &str, trace: &Trace) {
     let first = listed(trace);
     prop_assert_eq!(first.len(), trace.len(), "{}: read the length", name);
@@ -648,13 +540,19 @@ fn streams_its_stored_keys(name: &str, trace: &Trace) {
     prop_assert_eq!(
         trace.events(),
         first.as_slice(),
-        "{}: the stored block",
+        "{}: the events view",
         name
     );
-    for (i, e) in first.iter().enumerate().step_by(97) {
-        prop_assert_eq!(trace.get(i), Some(*e));
+    // Two cursors read in turns, one 97 arrivals ahead of the other, each
+    // draw their own way along.
+    let mut ahead = trace.iter().skip(97);
+    for (i, e) in trace.iter().enumerate() {
+        prop_assert_eq!(e, first[i], "{}: the cursor behind", name);
+        if let Some(a) = ahead.next() {
+            prop_assert_eq!(a, first[i + 97], "{}: the cursor ahead", name);
+        }
     }
-    prop_assert_eq!(listed(trace), first, "{}: read once stored", name);
+    prop_assert_eq!(listed(trace), first, "{}: read once viewed", name);
 }
 
 proptest! {
@@ -715,7 +613,8 @@ proptest! {
                 streams_its_stored_keys(&name, &trace);
                 // The minutes and clients a longer trace draws are the same.
                 if let Some(whole) = whole {
-                    prop_assert!(trace == whole.truncated(cut), "{}: a prefix", name);
+                    let prefix = whole.iter().take_while(|e| e.at < cut);
+                    prop_assert!(trace.iter().eq(prefix), "{}: a prefix", name);
                 }
             }
         }

@@ -517,10 +517,14 @@ impl ScenarioSpec {
         Nanos::from_millis(self.slo_ms)
     }
 
-    /// Generates the Azure-derived trace of an
-    /// [`WorkloadSpec::Azure`] scenario (`None` for other workloads, whose
-    /// requests are generated per model by the experiment runner).
-    pub fn azure_trace(&self) -> Option<Trace> {
+    /// Generates the full up-front trace of any pre-generated workload:
+    /// [`WorkloadSpec::Azure`] and [`WorkloadSpec::Shaped`] scenarios
+    /// produce their whole trace here (a pure function of the spec).
+    /// Open-loop and closed-loop scenarios return `None`: an open-loop
+    /// scenario's requests are drawn by [`ScenarioSpec::arrivals`], one
+    /// client per model, and closed-loop clients generate theirs inside the
+    /// run.
+    pub fn generated_trace(&self) -> Option<Trace> {
         match self.workload {
             WorkloadSpec::Azure {
                 functions,
@@ -536,20 +540,6 @@ impl ScenarioSpec {
                 })
                 .generate(),
             ),
-            WorkloadSpec::OpenLoop { .. }
-            | WorkloadSpec::ClosedLoop { .. }
-            | WorkloadSpec::Shaped { .. } => None,
-        }
-    }
-
-    /// Generates the full up-front trace of any pre-generated workload:
-    /// [`WorkloadSpec::Azure`] and [`WorkloadSpec::Shaped`] scenarios
-    /// produce their whole trace here (a pure function of the spec);
-    /// open-loop and closed-loop scenarios return `None` — their requests
-    /// are generated per model by the experiment runner.
-    pub fn generated_trace(&self) -> Option<Trace> {
-        match self.workload {
-            WorkloadSpec::Azure { .. } => self.azure_trace(),
             WorkloadSpec::Shaped {
                 base_rate,
                 profile,
@@ -970,8 +960,8 @@ mod tests {
     #[test]
     fn azure_traces_are_deterministic_functions_of_the_spec() {
         let spec = ScenarioSpec::smoke(7);
-        let a = spec.azure_trace().expect("azure workload");
-        let b = spec.azure_trace().expect("azure workload");
+        let a = spec.generated_trace().expect("azure workload");
+        let b = spec.generated_trace().expect("azure workload");
         assert_eq!(a.len(), b.len());
         assert!(!a.is_empty());
     }

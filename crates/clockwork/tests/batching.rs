@@ -90,8 +90,8 @@ fn rate_multiplier_scales_offered_load() {
     };
     assert_eq!(r2, r1 * 2.0);
     // The generated trace really carries ~2× the requests.
-    let n1 = base.azure_trace().expect("azure").len();
-    let n2 = doubled.azure_trace().expect("azure").len();
+    let n1 = base.generated_trace().expect("azure").len();
+    let n2 = doubled.generated_trace().expect("azure").len();
     assert!(
         (n2 as f64) > 1.7 * n1 as f64 && (n2 as f64) < 2.3 * n1 as f64,
         "expected ~2x requests, got {n1} -> {n2}"

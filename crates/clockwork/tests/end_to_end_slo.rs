@@ -23,8 +23,7 @@ fn warm_models_meet_10ms_slos_at_moderate_rate() {
         Nanos::from_millis(10),
         Nanos::from_secs(5),
         &mut SimRng::seeded(1),
-    )
-    .rate_scaled(1.0);
+    );
     // Shift the open-loop trace to start after warm-up.
     let shifted = Trace::new(
         trace

@@ -21,8 +21,7 @@
 //! Each trace is served end to end (submitted, run to its horizon and
 //! reported) from a clone that shares it, and must hold no more afterwards:
 //! the 24 B-per-arrival [`Trace::events`] view is cached in the trace once
-//! built, and a generated trace keeps its keys once a random-access read
-//! draws them, so the serving path did neither. The binary holds one test,
+//! built, so the serving path did not build it. The binary holds one test,
 //! so no other test allocates while it measures.
 
 use clockwork::prelude::*;
