@@ -61,8 +61,8 @@ fn clockwork_beats_baselines_at_tight_slos() {
     // The Fig. 5 headline: below ~100 ms SLO the reactive baselines' goodput
     // collapses while Clockwork keeps serving.
     let clockwork = run_closed_loop(&ClockworkFactory::default(), 15, 50, 8);
-    let clipper = run_closed_loop(&ClipperFactory::default(), 15, 50, 8);
-    let infaas = run_closed_loop(&InfaasFactory::default(), 15, 50, 8);
+    let clipper = run_closed_loop(&ClipperFactory, 15, 50, 8);
+    let infaas = run_closed_loop(&InfaasFactory, 15, 50, 8);
     assert!(
         clockwork.goodput_rate() > clipper.goodput_rate(),
         "clockwork {} vs clipper {}",
@@ -89,7 +89,7 @@ fn baselines_tail_latency_exceeds_slo_under_pressure() {
     // Clockwork's stays pinned near it.
     let slo_ms = 50u64;
     let clockwork = run_closed_loop(&ClockworkFactory::default(), 15, slo_ms, 6);
-    let clipper = run_closed_loop(&ClipperFactory::default(), 15, slo_ms, 6);
+    let clipper = run_closed_loop(&ClipperFactory, 15, slo_ms, 6);
     let cw_p99 = clockwork.latency.percentile(99.0).as_millis_f64();
     let cl_p99 = clipper.latency.percentile(99.0).as_millis_f64();
     assert!(

@@ -7,10 +7,10 @@
 //!   (additively) while observed latency stays under the SLO and shrinks
 //!   (multiplicatively) when it overshoots — the SLO is a long-term average
 //!   target, not a per-request bound. Dispatch *accumulates*: while fewer
-//!   than `target_batch` requests are queued, the queue is held up to
-//!   [`ClipperConfig::batch_timeout`] (measured from the oldest request's
-//!   arrival) so the adaptive target actually translates into formed
-//!   batches instead of a stream of singletons;
+//!   than `target_batch` requests are queued, the queue is held up to 2 ms
+//!   (measured from the oldest request's arrival) so the adaptive target
+//!   actually translates into formed batches instead of a stream of
+//!   singletons;
 //! * **static model placement**: each model is pinned to a worker/GPU
 //!   (Clipper containers do not migrate), loaded on first use;
 //! * **no admission control** and **no execution windows**: every request is
@@ -21,8 +21,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use clockwork_controller::request::{InferenceRequest, RejectReason, Response};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 use clockwork_controller::worker_state::{GpuRef, Placement, Resolved, WorkerStateTracker};
@@ -30,36 +28,19 @@ use clockwork_model::{ModelId, ModelSpec, ModelTable};
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionOutcome, ActionResult};
 
-/// Configuration of the Clipper-like discipline.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ClipperConfig {
-    /// Maximum batch size the adaptive controller may reach.
-    pub max_batch: u32,
-    /// Additive increase step applied when latency is under the SLO.
-    pub batch_increase: u32,
-    /// Multiplicative decrease factor applied when latency overshoots.
-    pub batch_decrease: f64,
-    /// Maximum INFER actions in flight per model (pipeline depth).
-    pub max_outstanding_per_model: usize,
-    /// How long the queue may be held waiting for `target_batch` requests
-    /// to accumulate, measured from the oldest queued request's arrival.
-    /// Once the oldest request has waited this long — or the queue reaches
-    /// the target — whatever is queued is dispatched. Zero disables
-    /// accumulation (the pre-batching eager dispatch).
-    pub batch_timeout: Nanos,
-}
-
-impl Default for ClipperConfig {
-    fn default() -> Self {
-        ClipperConfig {
-            max_batch: 16,
-            batch_increase: 1,
-            batch_decrease: 0.5,
-            max_outstanding_per_model: 4,
-            batch_timeout: Nanos::from_millis(2),
-        }
-    }
-}
+/// Maximum batch size the adaptive controller may reach.
+const MAX_BATCH: u32 = 16;
+/// Additive increase step applied when latency is under the SLO.
+const BATCH_INCREASE: u32 = 1;
+/// Multiplicative decrease factor applied when latency overshoots.
+const BATCH_DECREASE: f64 = 0.5;
+/// Maximum INFER actions in flight per model (pipeline depth).
+const MAX_OUTSTANDING_PER_MODEL: usize = 4;
+/// How long the queue may be held waiting for `target_batch` requests to
+/// accumulate, measured from the oldest queued request's arrival. Once the
+/// oldest request has waited this long — or the queue reaches the target —
+/// whatever is queued is dispatched.
+const BATCH_TIMEOUT: Nanos = Nanos::from_millis(2);
 
 /// Policy state only: whether the model is loaded (or loading) at its home
 /// and how many of its INFERs are in flight are read off the tracker.
@@ -74,7 +55,6 @@ struct ModelState {
 
 /// The Clipper-like scheduler.
 pub struct ClipperScheduler {
-    config: ClipperConfig,
     // Dispatch visits models in the table's (ascending id) order, and that
     // order decides which model claims shared capacity first.
     models: ModelTable<ModelState>,
@@ -84,20 +64,20 @@ pub struct ClipperScheduler {
     next_home: usize,
 }
 
+impl Default for ClipperScheduler {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ClipperScheduler {
-    /// Creates a scheduler with the given configuration.
-    pub fn new(config: ClipperConfig) -> Self {
+    /// Creates a scheduler with no GPUs and no models.
+    pub fn new() -> Self {
         ClipperScheduler {
-            config,
             models: ModelTable::default(),
             tracker: WorkerStateTracker::new(),
             next_home: 0,
         }
-    }
-
-    /// Creates a scheduler with default settings.
-    pub fn with_defaults() -> Self {
-        Self::new(ClipperConfig::default())
     }
 
     /// The current adaptive batch size of a model (for tests).
@@ -145,8 +125,7 @@ impl ClipperScheduler {
             // Dispatch batches up to the pipeline depth.
             while loaded
                 && !state.queue.is_empty()
-                && self.tracker.outstanding_infers_of(model_id)
-                    < self.config.max_outstanding_per_model
+                && self.tracker.outstanding_infers_of(model_id) < MAX_OUTSTANDING_PER_MODEL
             {
                 // Accumulation window: when the adaptive target wants a
                 // bigger batch than is queued, hold the queue until the
@@ -155,13 +134,11 @@ impl ClipperScheduler {
                 // so the hold releases within a tick of the deadline.
                 let target = state
                     .target_batch
-                    .min(self.config.max_batch)
+                    .min(MAX_BATCH)
                     .min(state.spec.max_batch())
                     .max(1);
                 let oldest = state.queue.front().expect("queue non-empty").arrival;
-                if target > 1
-                    && (state.queue.len() as u32) < target
-                    && now < oldest + self.config.batch_timeout
+                if target > 1 && (state.queue.len() as u32) < target && now < oldest + BATCH_TIMEOUT
                 {
                     break;
                 }
@@ -199,11 +176,11 @@ impl ClipperScheduler {
             return;
         };
         if observed_latency <= state.slo_hint {
-            state.target_batch = (state.target_batch + self.config.batch_increase)
-                .min(self.config.max_batch)
+            state.target_batch = (state.target_batch + BATCH_INCREASE)
+                .min(MAX_BATCH)
                 .min(state.spec.max_batch());
         } else {
-            let reduced = (state.target_batch as f64 * self.config.batch_decrease).floor() as u32;
+            let reduced = (state.target_batch as f64 * BATCH_DECREASE).floor() as u32;
             state.target_batch = reduced.max(1);
         }
     }
@@ -327,17 +304,7 @@ impl Scheduler for ClipperScheduler {
 /// Factory registering the Clipper-like discipline
 /// (see [`clockwork_controller::registry`]).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ClipperFactory {
-    /// Configuration every built scheduler starts from.
-    pub config: ClipperConfig,
-}
-
-impl ClipperFactory {
-    /// A factory building Clipper schedulers with the given configuration.
-    pub fn new(config: ClipperConfig) -> Self {
-        ClipperFactory { config }
-    }
-}
+pub struct ClipperFactory;
 
 impl clockwork_controller::registry::SchedulerFactory for ClipperFactory {
     fn name(&self) -> &'static str {
@@ -350,7 +317,7 @@ impl clockwork_controller::registry::SchedulerFactory for ClipperFactory {
     }
 
     fn build(&self) -> Box<dyn Scheduler> {
-        Box::new(ClipperScheduler::new(self.config))
+        Box::new(ClipperScheduler::new())
     }
 }
 
@@ -386,7 +353,7 @@ mod tests {
     }
 
     fn scheduler() -> ClipperScheduler {
-        let mut s = ClipperScheduler::with_defaults();
+        let mut s = ClipperScheduler::new();
         s.add_gpu(gref(), 100, PAGE);
         s.add_model(ModelId(1), resnet(), Nanos::from_millis(8));
         s
@@ -560,7 +527,7 @@ mod tests {
     #[test]
     fn faults_evict_dead_homes_and_rehome_on_live_capacity() {
         use clockwork_sim::engine::FaultKind;
-        let mut s = ClipperScheduler::with_defaults();
+        let mut s = ClipperScheduler::new();
         s.add_gpu(gref(), 100, PAGE);
         s.add_gpu(
             GpuRef {

@@ -16,8 +16,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use clockwork_controller::request::{InferenceRequest, RejectReason, Response};
 use clockwork_controller::scheduler::{Scheduler, SchedulerCtx, TickOutcome};
 use clockwork_controller::worker_state::{GpuRef, Placement, Resolved, WorkerStateTracker};
@@ -25,26 +23,12 @@ use clockwork_model::{ModelId, ModelSpec, ModelTable};
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{ActionOutcome, ActionResult};
 
-/// Configuration of the INFaaS-like discipline.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct InfaasConfig {
-    /// Queue length above which a model is replicated to another GPU.
-    pub replication_queue_threshold: usize,
-    /// Maximum replicas per model.
-    pub max_replicas: usize,
-    /// Maximum INFER actions in flight per replica.
-    pub max_outstanding_per_replica: usize,
-}
-
-impl Default for InfaasConfig {
-    fn default() -> Self {
-        InfaasConfig {
-            replication_queue_threshold: 32,
-            max_replicas: 4,
-            max_outstanding_per_replica: 4,
-        }
-    }
-}
+/// Queue length at which a model is replicated to another GPU.
+const REPLICATION_QUEUE_THRESHOLD: usize = 32;
+/// Maximum replicas per model.
+const MAX_REPLICAS: usize = 4;
+/// Maximum INFER actions in flight per replica.
+const MAX_OUTSTANDING_PER_REPLICA: usize = 4;
 
 /// Policy state only: where the model is still loading and how many of its
 /// INFERs are in flight are read off the tracker.
@@ -61,7 +45,6 @@ struct ModelState {
 
 /// The INFaaS-like scheduler.
 pub struct InfaasScheduler {
-    config: InfaasConfig,
     // Dispatch and replication visit models in the table's (ascending id)
     // order, and that order decides which model claims shared capacity
     // first.
@@ -71,19 +54,19 @@ pub struct InfaasScheduler {
     tracker: WorkerStateTracker<Vec<InferenceRequest>>,
 }
 
+impl Default for InfaasScheduler {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl InfaasScheduler {
-    /// Creates a scheduler with the given configuration.
-    pub fn new(config: InfaasConfig) -> Self {
+    /// Creates a scheduler with no GPUs and no models.
+    pub fn new() -> Self {
         InfaasScheduler {
-            config,
             models: ModelTable::default(),
             tracker: WorkerStateTracker::new(),
         }
-    }
-
-    /// Creates a scheduler with default settings.
-    pub fn with_defaults() -> Self {
-        Self::new(InfaasConfig::default())
     }
 
     /// Number of replicas (loaded GPUs) a model currently has.
@@ -116,8 +99,8 @@ impl InfaasScheduler {
         // replicas plus the still-loading, straight off the tracker.
         let holders = self.tracker.gpus_with_model(model_id);
         let needs_first = holders.is_empty() && !state.queue.is_empty();
-        let needs_scale = state.queue.len() >= self.config.replication_queue_threshold
-            && holders.len() < self.config.max_replicas;
+        let needs_scale =
+            state.queue.len() >= REPLICATION_QUEUE_THRESHOLD && holders.len() < MAX_REPLICAS;
         if !(needs_first || needs_scale) {
             return;
         }
@@ -140,7 +123,7 @@ impl InfaasScheduler {
         for model_id in model_ids {
             self.maybe_replicate(now, model_id, ctx);
             let state = self.models.get_mut(model_id).expect("model exists");
-            let limit = state.replicas.len() * self.config.max_outstanding_per_replica;
+            let limit = state.replicas.len() * MAX_OUTSTANDING_PER_REPLICA;
             while !state.replicas.is_empty()
                 && !state.queue.is_empty()
                 && self.tracker.outstanding_infers_of(model_id) < limit.max(1)
@@ -280,17 +263,7 @@ impl Scheduler for InfaasScheduler {
 /// Factory registering the INFaaS-like discipline
 /// (see [`clockwork_controller::registry`]).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct InfaasFactory {
-    /// Configuration every built scheduler starts from.
-    pub config: InfaasConfig,
-}
-
-impl InfaasFactory {
-    /// A factory building INFaaS schedulers with the given configuration.
-    pub fn new(config: InfaasConfig) -> Self {
-        InfaasFactory { config }
-    }
-}
+pub struct InfaasFactory;
 
 impl clockwork_controller::registry::SchedulerFactory for InfaasFactory {
     fn name(&self) -> &'static str {
@@ -303,7 +276,7 @@ impl clockwork_controller::registry::SchedulerFactory for InfaasFactory {
     }
 
     fn build(&self) -> Box<dyn Scheduler> {
-        Box::new(InfaasScheduler::new(self.config))
+        Box::new(InfaasScheduler::new())
     }
 }
 
@@ -383,7 +356,7 @@ mod tests {
 
     #[test]
     fn first_request_triggers_load_then_dispatch() {
-        let mut s = InfaasScheduler::with_defaults();
+        let mut s = InfaasScheduler::new();
         s.add_gpu(gref(0), 100, PAGE);
         s.add_model(ModelId(1), resnet(), Nanos::from_millis(8));
         let mut ctx = SchedulerCtx::new();
@@ -410,17 +383,14 @@ mod tests {
 
     #[test]
     fn deep_queues_trigger_replication_to_other_gpus() {
-        let config = InfaasConfig {
-            replication_queue_threshold: 8,
-            ..Default::default()
-        };
-        let mut s = InfaasScheduler::new(config);
+        let mut s = InfaasScheduler::new();
         s.add_gpu(gref(0), 100, PAGE);
         s.add_gpu(gref(1), 100, PAGE);
         s.add_model(ModelId(1), resnet(), Nanos::from_millis(8));
         let mut ctx = SchedulerCtx::new();
-        // Flood with requests while the first replica is still loading.
-        for i in 0..40 {
+        // Flood with requests while the first replica is still loading,
+        // past the replication threshold.
+        for i in 0..REPLICATION_QUEUE_THRESHOLD as u64 + 8 {
             s.on_request(Timestamp::ZERO, request(i, 1_000), &mut ctx);
         }
         let actions = ctx.take_actions();
@@ -438,7 +408,7 @@ mod tests {
     #[test]
     fn faults_drop_dead_replicas_and_rebuild_on_live_capacity() {
         use clockwork_sim::engine::FaultKind;
-        let mut s = InfaasScheduler::with_defaults();
+        let mut s = InfaasScheduler::new();
         s.add_gpu(gref(0), 100, PAGE);
         s.add_gpu(gref(1), 100, PAGE);
         s.add_model(ModelId(1), resnet(), Nanos::from_millis(8));
@@ -493,7 +463,7 @@ mod tests {
 
     #[test]
     fn never_rejects_slo_violating_requests() {
-        let mut s = InfaasScheduler::with_defaults();
+        let mut s = InfaasScheduler::new();
         s.add_gpu(gref(0), 100, PAGE);
         s.add_model(ModelId(1), resnet(), Nanos::from_millis(8));
         let mut ctx = SchedulerCtx::new();
@@ -504,7 +474,7 @@ mod tests {
 
     #[test]
     fn unknown_model_is_rejected() {
-        let mut s = InfaasScheduler::with_defaults();
+        let mut s = InfaasScheduler::new();
         s.add_gpu(gref(0), 100, PAGE);
         let mut ctx = SchedulerCtx::new();
         let r = InferenceRequest {

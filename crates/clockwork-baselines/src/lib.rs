@@ -41,17 +41,16 @@
 pub mod clipper;
 pub mod infaas;
 
-pub use clipper::{ClipperConfig, ClipperFactory, ClipperScheduler};
-pub use infaas::{InfaasConfig, InfaasFactory, InfaasScheduler};
+pub use clipper::{ClipperFactory, ClipperScheduler};
+pub use infaas::{InfaasFactory, InfaasScheduler};
 
 use clockwork_controller::registry::SchedulerRegistry;
 
-/// Registers the baseline disciplines (`clipper`, then `infaas`) with their
-/// default configurations. Call on top of [`SchedulerRegistry::builtin`] to
+/// Registers the baseline disciplines (`clipper`, then `infaas`). Call on top of [`SchedulerRegistry::builtin`] to
 /// obtain the paper's full four-discipline comparison set.
 pub fn register_baselines(registry: &mut SchedulerRegistry) {
-    registry.register(Box::new(ClipperFactory::default()));
-    registry.register(Box::new(InfaasFactory::default()));
+    registry.register(Box::new(ClipperFactory));
+    registry.register(Box::new(InfaasFactory));
 }
 
 #[cfg(test)]

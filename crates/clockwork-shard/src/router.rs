@@ -16,11 +16,8 @@ use clockwork_workload::Trace;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardAssignment {
     /// FNV-1a hash of the model id modulo the shard count — stateless and
-    /// uniform in expectation, the production-style default.
+    /// uniform in expectation.
     HashByModel,
-    /// An explicit model → shard table (one entry per model). The escape
-    /// hatch for experiments that pin the partition.
-    Explicit(Vec<u32>),
 }
 
 /// The immutable routing table of one sharded experiment: every model id in
@@ -33,24 +30,12 @@ pub struct FrontDoorRouter {
 
 impl FrontDoorRouter {
     /// Builds the table for `models` models over `shards` shards. Panics
-    /// when `shards` is zero, or when an explicit table has the wrong length
-    /// or routes outside `0..shards`.
+    /// when `shards` is zero.
     pub fn build(assignment: &ShardAssignment, shards: u32, models: usize) -> Self {
         assert!(shards > 0, "a fleet needs at least one shard");
         let table = match assignment {
             ShardAssignment::HashByModel => {
                 (0..models as u32).map(|m| hash_shard(m, shards)).collect()
-            }
-            ShardAssignment::Explicit(table) => {
-                assert_eq!(
-                    table.len(),
-                    models,
-                    "explicit assignment must cover every model"
-                );
-                for (m, &s) in table.iter().enumerate() {
-                    assert!(s < shards, "model {m} routed to shard {s} of {shards}");
-                }
-                table.clone()
             }
         };
         FrontDoorRouter { shards, table }
@@ -144,25 +129,6 @@ mod tests {
         let parts = router.route(&trace);
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0], trace, "the 1-shard front door is the identity");
-    }
-
-    #[test]
-    fn explicit_tables_are_validated() {
-        let router = FrontDoorRouter::build(&ShardAssignment::Explicit(vec![1, 0, 1]), 2, 3);
-        assert_eq!(router.shard_of(ModelId(0)), 1);
-        assert_eq!(router.owned_models(0), vec![ModelId(1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "routed to shard")]
-    fn explicit_tables_must_stay_in_range() {
-        let _ = FrontDoorRouter::build(&ShardAssignment::Explicit(vec![0, 5]), 2, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every model")]
-    fn explicit_tables_must_cover_the_population() {
-        let _ = FrontDoorRouter::build(&ShardAssignment::Explicit(vec![0]), 2, 2);
     }
 
     #[test]

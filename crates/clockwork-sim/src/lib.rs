@@ -15,7 +15,6 @@
 //!   throughput but loses predictability (Fig. 2b).
 //! * [`pcie`] — a bandwidth-modelled host↔device transfer link.
 //! * [`memory`] — host and device memory capacity accounting.
-//! * [`network`] — a latency/bandwidth model for controller↔worker messages.
 //! * [`variance`] — explicit injection of external interference (the paper's
 //!   challenge C3): latency spikes and thermal-throttle windows.
 //!
@@ -30,7 +29,6 @@ pub mod engine;
 pub mod gpu;
 pub mod hash;
 pub mod memory;
-pub mod network;
 pub mod pcie;
 pub mod rng;
 pub mod time;
@@ -39,7 +37,6 @@ pub mod variance;
 pub use engine::EventQueue;
 pub use gpu::{GpuSpec, GpuTimingModel};
 pub use memory::MemoryPool;
-pub use network::NetworkModel;
 pub use pcie::PcieLink;
 pub use rng::SimRng;
 pub use time::{Nanos, Timestamp};

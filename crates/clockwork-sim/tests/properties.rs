@@ -11,7 +11,6 @@ use proptest::prelude::*;
 use clockwork_sim::engine::EventQueue;
 use clockwork_sim::gpu::{ConcurrencyModel, ExecNoise, GpuSpec, GpuTimingModel};
 use clockwork_sim::memory::MemoryPool;
-use clockwork_sim::network::{NetworkConfig, NetworkModel};
 use clockwork_sim::pcie::{LinkScheduler, PcieLink};
 use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{round_to_u64, Nanos, Timestamp};
@@ -506,7 +505,7 @@ proptest! {
     }
 
     // ------------------------------------------------------------------
-    // External variance and network
+    // External variance
     // ------------------------------------------------------------------
 
     #[test]
@@ -525,21 +524,5 @@ proptest! {
             let now = Timestamp::from_nanos(at) + Nanos::from_millis(i);
             prop_assert!(v.perturb(now, base) >= base);
         }
-    }
-
-    #[test]
-    fn ideal_network_delay_is_exactly_base_latency(lat_us in 0u64..100_000, bytes in 0u64..1u64 << 20) {
-        let mut net = NetworkModel::new(NetworkConfig::ideal(Nanos::from_micros(lat_us)), SimRng::seeded(1));
-        prop_assert_eq!(net.delay(bytes), Nanos::from_micros(lat_us));
-    }
-
-    #[test]
-    fn network_accounting_counts_every_message(msgs in proptest::collection::vec(0u64..1u64 << 20, 0..100)) {
-        let mut net = NetworkModel::new(NetworkConfig::zero(), SimRng::seeded(2));
-        for &b in &msgs {
-            let _ = net.delay(b);
-        }
-        prop_assert_eq!(net.message_count(), msgs.len() as u64);
-        prop_assert_eq!(net.bytes_carried(), msgs.iter().sum::<u64>());
     }
 }

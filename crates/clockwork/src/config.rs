@@ -1,7 +1,9 @@
 //! System-level configuration.
 //!
-//! [`SystemConfig`] describes the *cluster*: machines, GPUs, memory, network,
-//! variance, faults and seed. It deliberately does not name a serving
+//! [`SystemConfig`] describes the *cluster*: machines, GPUs, memory,
+//! variance, faults and seed. The network is not configured: every message
+//! between clients, controller and workers takes one fixed 100 µs hop. It
+//! deliberately does not name a serving
 //! discipline — disciplines are constructed behind the
 //! [`Scheduler`](clockwork_controller::Scheduler) trait and handed to
 //! [`ServingSystem::with_factory`](crate::ServingSystem::with_factory) via a
@@ -9,7 +11,6 @@
 //! facade never depends on any concrete discipline crate.
 
 use clockwork_faults::FaultPlan;
-use clockwork_sim::network::NetworkConfig;
 use clockwork_sim::variance::VarianceConfig;
 use clockwork_worker::ExecMode;
 
@@ -28,8 +29,6 @@ pub struct SystemConfig {
     pub exec_mode: Option<ExecMode>,
     /// External interference profile applied to every worker.
     pub variance: VarianceConfig,
-    /// Network model between clients, controller and workers.
-    pub network: NetworkConfig,
     /// Keep every individual response in memory (disable for very large
     /// traces; aggregates are always collected).
     pub keep_responses: bool,
@@ -55,7 +54,6 @@ impl Default for SystemConfig {
             weights_cache_bytes: 31 * 1024 * 1024 * 1024,
             exec_mode: None,
             variance: VarianceConfig::none(),
-            network: NetworkConfig::ideal(clockwork_sim::time::Nanos::from_micros(100)),
             keep_responses: true,
             faults: FaultPlan::new(),
             trace_capacity: None,

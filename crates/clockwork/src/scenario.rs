@@ -116,7 +116,7 @@ pub struct ScenarioSpec {
     /// Extra virtual time after the workload ends for in-flight tails to
     /// resolve.
     pub drain_secs: u64,
-    /// System seed (workers, network, variance).
+    /// System seed (workers and their variance).
     pub seed: u64,
     /// Workload-generation seed (kept separate so a workload can be replayed
     /// against differently-seeded clusters; presets set both equal).

@@ -22,8 +22,6 @@ use clockwork_metrics::trace::{RingTracer, TraceEvent};
 use clockwork_model::{ModelId, ModelSpec, ModelTable, Tier};
 use clockwork_sim::engine::{EventQueue, FaultKind, TimerId};
 use clockwork_sim::hash::{IdMap, IdSet};
-use clockwork_sim::network::NetworkModel;
-use clockwork_sim::rng::SimRng;
 use clockwork_sim::time::{Nanos, Timestamp};
 use clockwork_worker::{
     Action, ActionKind, ActionOutcome, ActionResult, ExecMode, GpuId, Worker, WorkerConfig,
@@ -33,6 +31,13 @@ use clockwork_workload::{ClosedLoopClient, Trace};
 
 use crate::config::SystemConfig;
 use crate::telemetry::SystemTelemetry;
+
+/// One-way delay of every message between two machines — client and
+/// controller, controller and worker — and of a model upload, whatever its
+/// size. The paper's testbed shares a 2×10 Gbps Ethernet network; 100 µs is
+/// an assumed datacenter hop, not a figure from the paper. A link fault
+/// ([`LinkState`]) scales it.
+const NETWORK_LATENCY: Nanos = Nanos::from_micros(100);
 
 enum SystemEvent {
     /// A request leaves a client (trace replay or closed-loop resubmission).
@@ -151,7 +156,6 @@ pub struct ServingSystem {
     worker_wakes: Vec<TimerId>,
     /// The scheduler tick's timer.
     tick: TimerId,
-    network: NetworkModel,
     queue: EventQueue<SystemEvent>,
     telemetry: SystemTelemetry,
     clients: Vec<ClosedLoopClient>,
@@ -209,7 +213,6 @@ impl ServingSystem {
         mut scheduler: Box<dyn Scheduler>,
         exec_mode: ExecMode,
     ) -> Self {
-        let rng = SimRng::seeded(config.seed);
         let workers: Vec<Worker> = (0..config.workers)
             .map(|w| Self::new_worker(&config, exec_mode, w))
             .collect();
@@ -239,7 +242,6 @@ impl ServingSystem {
         let mut ctx = SchedulerCtx::new();
         ctx.set_tracing(tracer.is_some());
         ServingSystem {
-            network: NetworkModel::new(config.network, rng.derive(1)),
             scheduler,
             exec_mode,
             ctx,
@@ -545,19 +547,17 @@ impl ServingSystem {
     /// Uploads a model at a virtual time while the system is running (§5.1
     /// "dynamic model loading over the network").
     ///
-    /// The weights are shipped to the worker fleet over the simulated
-    /// network, and the model only becomes servable once that transfer has
-    /// arrived; requests that reach the controller earlier are rejected as
-    /// unknown, exactly as they would be against a real deployment that has
-    /// not finished the upload. Returns the id the model will be servable
-    /// under.
+    /// The weights land at the controller and the worker fleet one network
+    /// hop (100 µs) after `at`, whatever their size, and the model only
+    /// becomes servable then; requests that reach the controller earlier
+    /// are rejected as unknown, exactly as they would be against a real
+    /// deployment that has not finished the upload. Returns the id the
+    /// model will be servable under.
     pub fn upload_model(&mut self, at: Timestamp, spec: &ModelSpec) -> ModelId {
         let id = ModelId(self.next_model_id);
         self.next_model_id += 1;
         let spec = Arc::new(spec.clone());
-        // Shipping the weights over the shared network dominates an upload.
-        let delay = self.network.delay(spec.weights_bytes());
-        self.push_event(at + delay, SystemEvent::ModelUpload { id, spec });
+        self.push_event(at + NETWORK_LATENCY, SystemEvent::ModelUpload { id, spec });
         id
     }
 
@@ -731,27 +731,15 @@ impl ServingSystem {
         );
     }
 
-    /// Bytes of a message carrying `count` tensors of `model`, sized by
-    /// `tensor` (a model's input or output size); 1 kB for a model the
-    /// facade does not know.
-    fn payload_bytes(&self, model: ModelId, tensor: fn(&ModelSpec) -> u64, count: u32) -> u64 {
-        self.models
-            .get(model)
-            .map(|m| tensor(m) * u64::from(count))
-            .unwrap_or(1_000)
-    }
-
-    /// Sends `event` over the controller↔worker link of `worker`: the
-    /// network delay of a `bytes`-sized message scaled by the link's
-    /// condition, and held rather than delivered while the link is
-    /// partitioned.
-    fn send_over_link(&mut self, worker: usize, bytes: u64, event: SystemEvent) {
-        let base = self.network.delay(bytes);
-        let delay = self.links[worker].scale(base);
-        if self.tracer.is_some() && delay != base {
+    /// Sends `event` over the controller↔worker link of `worker`: one
+    /// network hop scaled by the link's condition, and held rather than
+    /// delivered while the link is partitioned.
+    fn send_over_link(&mut self, worker: usize, event: SystemEvent) {
+        let delay = self.links[worker].scale(NETWORK_LATENCY);
+        if self.tracer.is_some() && delay != NETWORK_LATENCY {
             self.trace(TraceEvent::LinkDelay {
                 worker: self.workers[worker].id().0,
-                base: base.as_nanos(),
+                base: NETWORK_LATENCY.as_nanos(),
                 actual: delay.as_nanos(),
             });
         }
@@ -799,14 +787,6 @@ impl ServingSystem {
                         action.id
                     )
                 });
-            // INFER inputs are forwarded through the controller (§7), so the
-            // message size includes the batch's input tensors.
-            let bytes = match &action.kind {
-                ActionKind::Infer { model, batch, .. } => {
-                    self.payload_bytes(*model, ModelSpec::input_bytes, *batch) + 256
-                }
-                _ => 256,
-            };
             if self.tracer.is_some() {
                 self.trace_action_issue(worker_id, &action);
             }
@@ -814,7 +794,7 @@ impl ServingSystem {
                 worker: worker_index,
                 action,
             };
-            self.send_over_link(worker_index, bytes, event);
+            self.send_over_link(worker_index, event);
         }
         self.action_buf = actions;
         let mut responses = std::mem::take(&mut self.response_buf);
@@ -835,9 +815,7 @@ impl ServingSystem {
             } else {
                 self.request_owner.remove(&response.request)
             };
-            let bytes = self.payload_bytes(response.model, ModelSpec::output_bytes, 1) + 128;
-            let delay = self.network.delay(bytes);
-            let at = self.now + delay;
+            let at = self.now + NETWORK_LATENCY;
             self.push_event(at, SystemEvent::ClientResponse { client });
         }
         self.response_buf = responses;
@@ -852,8 +830,6 @@ impl ServingSystem {
                 tier,
                 client,
             } => {
-                let bytes = self.payload_bytes(model, ModelSpec::input_bytes, 1) + 128;
-                let delay = self.network.delay(bytes);
                 let id = RequestId(self.next_request_id);
                 self.next_request_id += 1;
                 if let Some(client) = client {
@@ -865,7 +841,7 @@ impl ServingSystem {
                     // touch it.
                     self.best_effort.insert(id);
                 }
-                let at_controller = self.now + delay;
+                let at_controller = self.now + NETWORK_LATENCY;
                 let request = InferenceRequest {
                     id,
                     model,
@@ -902,14 +878,7 @@ impl ServingSystem {
                     if self.tracer.is_some() {
                         self.trace_members(&result);
                     }
-                    let bytes = match result.action_type {
-                        "INFER" => {
-                            let batch = result.batch;
-                            self.payload_bytes(result.model, ModelSpec::output_bytes, batch) + 128
-                        }
-                        _ => 128,
-                    };
-                    self.send_over_link(worker, bytes, SystemEvent::ControllerResult { result });
+                    self.send_over_link(worker, SystemEvent::ControllerResult { result });
                 }
                 self.result_buf = results;
                 self.schedule_worker_wake(worker);
@@ -1140,6 +1109,7 @@ impl ServingSystem {
 mod tests {
     use super::*;
     use clockwork_model::zoo::ModelZoo;
+    use clockwork_sim::rng::SimRng;
     use clockwork_workload::OpenLoopClient;
 
     #[test]

@@ -2,6 +2,7 @@
 //! controller → system, exercised through the public API.
 
 use clockwork::prelude::*;
+use clockwork_controller::request::{RejectReason, RequestOutcome};
 
 #[test]
 fn a_hand_built_model_spec_is_served() {
@@ -239,4 +240,66 @@ fn models_uploaded_at_runtime_become_servable_after_the_transfer() {
     );
     let m = system.telemetry().metrics();
     assert_eq!(m.total_requests, 22);
+}
+
+#[test]
+fn every_hop_is_one_fixed_100us_delay_whatever_the_payload() {
+    // A request reaches the controller exactly 100 µs after it is
+    // submitted, and an upload lands one such hop after it is issued
+    // whatever the size of its weights: the smallest and the largest zoo
+    // model are both unknown to a request arriving 1 ns before the hop ends
+    // and served for one arriving 1 ns after.
+    let hop = Nanos::from_micros(100);
+    let tick = Nanos::from_nanos(1);
+    let zoo = ModelZoo::new();
+    let smallest = zoo.all().iter().min_by_key(|m| m.weights_bytes()).unwrap();
+    let largest = zoo.all().iter().max_by_key(|m| m.weights_bytes()).unwrap();
+    assert!(largest.weights_bytes() > 10 * smallest.weights_bytes());
+    let mut system = ServingSystem::new(SystemConfig {
+        seed: 105,
+        ..Default::default()
+    });
+    let resident = system.register_model(zoo.resnet50());
+    let at = Timestamp::from_millis(500);
+    let uploads = [
+        system.upload_model(at, smallest),
+        system.upload_model(at, largest),
+    ];
+    let slo = Nanos::from_secs(1);
+    system.submit_request(Timestamp::from_millis(100), resident, slo);
+    for &model in &uploads {
+        system.submit_request(at - tick, model, slo);
+        system.submit_request(at + tick, model, slo);
+    }
+    system.run_to_completion();
+
+    let responses = system.telemetry().responses();
+    assert_eq!(responses.len(), 5);
+    for r in responses {
+        if r.model == resident {
+            assert_eq!(r.arrival, Timestamp::from_millis(100) + hop);
+            assert!(r.outcome.is_success());
+        } else if r.arrival == at + hop - tick {
+            assert!(
+                matches!(
+                    r.outcome,
+                    RequestOutcome::Rejected {
+                        reason: RejectReason::UnknownModel,
+                        ..
+                    }
+                ),
+                "{:?} is unknown until its upload lands: {:?}",
+                r.model,
+                r.outcome
+            );
+        } else {
+            assert_eq!(r.arrival, at + hop + tick);
+            assert!(
+                r.outcome.is_success(),
+                "{:?} serves once its upload lands: {:?}",
+                r.model,
+                r.outcome
+            );
+        }
+    }
 }
